@@ -67,26 +67,41 @@ pub enum KernelKind {
 ///
 /// * nested loop — `r·s · nl_pair`,
 /// * plane sweep — `(r+s) · ps_point + r·s · min(1, 2ε/w) · ps_pair`
-///   (the sweep touches only pairs inside the ε x-window; under a uniform
+///   (the sweep scans only pairs inside the ε x-window; under a uniform
 ///   spread, that is a `2ε/w` fraction of all pairs),
 /// * grid bucket — `(r+s) · bucket_point + r·s · min(1, 3ε/w) · min(1, 3ε/h)
-///   · bucket_pair` (each probe visits the 3×3 ε-bucket neighborhood).
+///   · bucket_pair` (each probe scans the 3×3 ε-bucket neighborhood).
+///
+/// All three kernels run the same chunked ε-filter over a window of the
+/// other side's coordinate lanes and differ in how they find the window, so
+/// every `*_pair` constant prices one *scanned* lane of that filter — passing
+/// the ε-window test or not — at the window lengths the kernel produces, and
+/// every `*_point` constant prices finding one probe's windows.
 ///
 /// Constants default to hand-tuned ratios and are replaced at cluster
 /// startup by a one-shot microbenchmark (`asj_index::kernels::
-/// calibrate_cost_model`), cached on the `Cluster`.
+/// calibrate_cost_model`) that times the columnar view kernels — the loops
+/// every join executes — in counting mode on presorted lanes, cached on the
+/// `Cluster`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelCostModel {
-    /// Cost of one nested-loop candidate (distance evaluation + compare).
+    /// Cost of one pair of `nested_loop_view`: one filter lane, the window
+    /// being the whole other side.
     pub nl_pair: f64,
-    /// Per-point setup cost of the plane sweep (coordinate extraction and,
-    /// without sort-reuse, its share of the sort).
+    /// Per-point cost of `sweep_view` outside the filter: advancing the two
+    /// window pointers and entering the filter once per probe. Sorting is
+    /// not included — the lanes arrive in ascending-`x` order.
     pub ps_point: f64,
-    /// Cost of one pair scanned inside the sweep's ε x-window.
+    /// Cost of one pair *scanned* by `sweep_view`: a filter lane inside the
+    /// ε x-window, whether or not it passes the `|Δy| ≤ ε` test.
     pub ps_pair: f64,
-    /// Per-point cost of building the ε-bucket grid.
+    /// Per-point cost of `bucket_probe_view` outside the filter: its share
+    /// of the bucket sort of one side and of the three column lookups of
+    /// each probe of the other.
     pub bucket_point: f64,
-    /// Cost of one pair probed in the 3×3 bucket neighborhood.
+    /// Cost of one pair scanned by `bucket_probe_view`: a filter lane in the
+    /// 3×3 bucket neighborhood (short windows, so a larger share of
+    /// per-window overhead than `ps_pair`).
     pub bucket_pair: f64,
 }
 

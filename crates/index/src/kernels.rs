@@ -3,24 +3,30 @@
 //!
 //! After the shuffle, each partition holds the R and S records of one or more
 //! grid cells; the kernel enumerates the result pairs of one cell group.
+//! Every point kernel is a *window finder* around one shared primitive,
+//! [`filter_window`]: a branch-free ε-filter of one probe point against a
+//! contiguous run of the other side's flat `xs`/`ys` lanes.
 //!
-//! * [`nested_loop`] reproduces the paper's execution exactly: the local
+//! * [`nested_loop_view`] reproduces the paper's execution exactly: the local
 //!   hash join on the cell key produces all `r × s` candidate pairs, which
 //!   are immediately refined with the true distance (Algorithm 5, line 9).
-//!   The per-cell cost is therefore `|R_i| · |S_i|` — the cost model used by
-//!   Table 1 and the LPT scheduler.
-//! * [`plane_sweep`] is the classic forward-sweep alternative (used by the
-//!   original PBSM and by \[21\]); asymptotically cheaper on large cells.
-//! * [`grid_bucket`] hashes one side into ε-sized buckets and probes each
-//!   point of the other side against the 3×3 neighborhood — it prunes in
-//!   both axes and wins when the group extent dwarfs ε (quadtree leaves).
+//!   The window is the whole other side, so the per-cell cost is
+//!   `|R_i| · |S_i|` — the cost model used by Table 1 and the LPT scheduler.
+//! * [`sweep_view`] is the classic forward-sweep alternative (used by the
+//!   original PBSM and by \[21\]): both sides ascend in `x`, so the window of
+//!   each probe is found by two pointers that only ever move forward.
+//! * [`bucket_probe_view`] sorts one side into ε-sized buckets and probes
+//!   each point of the other side against the three bucket columns around
+//!   it — it prunes in both axes and wins when the group extent dwarfs ε
+//!   (quadtree leaves).
 //!
-//! [`local_join`] is the shared entry point: it resolves a requested
-//! [`LocalKernel`] (including `Auto`, which consults the calibrated
-//! [`KernelCostModel`] per group using the *measured* group extent) and runs
-//! the chosen kernel over coordinate arrays extracted **once** per
-//! invocation. [`local_self_join`] and [`local_join_rects`] are the
-//! self-join and envelope (extent) variants.
+//! [`local_join_view`] is the entry point of the columnar pipeline: it
+//! resolves a requested [`LocalKernel`] (including `Auto`, which consults the
+//! calibrated [`KernelCostModel`] per group using the *measured* group
+//! extent) and runs the chosen kernel over [`PointsView`] lanes.
+//! [`local_join`] and [`local_self_join`] serve callers holding record
+//! slices — they gather the lanes **once** and delegate to the same kernels —
+//! and [`local_join_rects`] is the envelope (extent) variant.
 //!
 //! Candidate-count semantics: the nested loop counts every `r·s` pair; the
 //! plane sweep and the bucket grid count exactly the pairs passing the
@@ -32,6 +38,7 @@
 use crate::batch::PointsView;
 use asj_core::{KernelCostModel, KernelKind, LocalKernel};
 use asj_geom::{Point, Rect};
+use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -60,217 +67,88 @@ pub struct LocalJoinOutcome {
     pub stats: KernelStats,
 }
 
-/// One extracted coordinate: `(x, y, original index)`. Extracting once per
-/// kernel invocation keeps the hot loops free of position-closure calls.
-type Coord = (f64, f64, u32);
+// ---------------------------------------------------------------------------
+// The ε-filter primitive
+// ---------------------------------------------------------------------------
 
-fn extract<A>(recs: &[A], pos: impl Fn(&A) -> Point) -> Vec<Coord> {
-    recs.iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let p = pos(r);
-            (p.x, p.y, i as u32)
-        })
-        .collect()
-}
+/// Lanes per filter chunk. The chunk's hit map (one byte per lane) is a
+/// single cache line, and the fixed bound lets the compiler vectorise the
+/// evaluation loop without a runtime width.
+const CHUNK: usize = 64;
 
-fn sort_by_x(coords: &mut [Coord]) {
-    coords.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-}
-
-/// Bounding extent `(width, height)` of the union of both coordinate sets.
-fn union_extent(a: &[Coord], b: &[Coord]) -> (f64, f64) {
-    let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &(x, y, _) in a.iter().chain(b) {
-        min_x = min_x.min(x);
-        max_x = max_x.max(x);
-        min_y = min_y.min(y);
-        max_y = max_y.max(y);
-    }
-    ((max_x - min_x).max(0.0), (max_y - min_y).max(0.0))
-}
-
-/// All-pairs kernel with distance refinement — the paper's local join.
+/// The ε-filter every point kernel runs: tests the probe `(ax, ay)` against
+/// the window `xs`/`ys` of the other side, adds the window's candidates and
+/// results to `stats`, and calls `on_hit` with the window position of every
+/// result, ascending.
 ///
-/// `pos_a`/`pos_b` extract coordinates from the record types; `on_pair` is
-/// invoked once per result pair `(a_index, b_index)`.
-pub fn nested_loop<A, B>(
-    a: &[A],
-    b: &[B],
-    eps: f64,
-    pos_a: impl Fn(&A) -> Point,
-    pos_b: impl Fn(&B) -> Point,
-    on_pair: impl FnMut(usize, usize),
-) -> KernelStats {
-    let ca = extract(a, pos_a);
-    let cb = extract(b, pos_b);
-    nested_loop_coords(&ca, &cb, eps, on_pair)
-}
-
-fn nested_loop_coords(
-    a: &[Coord],
-    b: &[Coord],
-    eps: f64,
-    mut on_pair: impl FnMut(usize, usize),
-) -> KernelStats {
-    let e2 = eps * eps;
-    let mut stats = KernelStats::default();
-    for &(ax, ay, ai) in a {
-        for &(bx, by, bi) in b {
-            stats.candidates += 1;
-            if Point::new(ax, ay).dist2(Point::new(bx, by)) <= e2 {
-                stats.results += 1;
-                on_pair(ai as usize, bi as usize);
-            }
-        }
-    }
-    stats
-}
-
-/// Forward plane-sweep kernel: both sides are sorted by `x`, and each record
-/// is only compared against records of the other side within an `x`-window of
-/// ε (with a `|Δy| ≤ ε` pre-filter before the exact distance).
+/// A lane is a *candidate* when it passes the `|Δy| ≤ ε` test — and, with
+/// `CHECK_X`, the `|Δx| ≤ ε` test a sweep window already guarantees — and a
+/// *hit* when it is a candidate within distance ε. Both are computed as data,
+/// never branched on: the evaluation loop is straight-line arithmetic over a
+/// chunk of lanes with integer adds for the two counters, so it vectorises
+/// on any target (no `unsafe`, no `target_feature`), and the counters stay
+/// exact because each lane contributes the same 0/1 the scalar tests would.
+/// Only the emission walk looks at individual lanes, and only at hits.
 ///
-/// Coordinates are extracted into flat sorted arrays **once** up front; the
-/// scan loop never re-invokes the position closures.
-pub fn plane_sweep<A, B>(
-    a: &[A],
-    b: &[B],
+/// The negated comparisons keep the scalar kernels' treatment of NaN
+/// coordinates (a NaN `Δy` is a candidate, never a hit).
+#[inline(always)]
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn filter_window<const CHECK_X: bool>(
+    (ax, ay): (f64, f64),
     eps: f64,
-    pos_a: impl Fn(&A) -> Point,
-    pos_b: impl Fn(&B) -> Point,
-    on_pair: impl FnMut(usize, usize),
-) -> KernelStats {
-    let mut ca = extract(a, pos_a);
-    let mut cb = extract(b, pos_b);
-    sort_by_x(&mut ca);
-    sort_by_x(&mut cb);
-    sweep_sorted(&ca, &cb, eps, on_pair)
-}
-
-fn sweep_sorted(
-    a: &[Coord],
-    b: &[Coord],
-    eps: f64,
-    mut on_pair: impl FnMut(usize, usize),
-) -> KernelStats {
+    xs: &[f64],
+    ys: &[f64],
+    stats: &mut KernelStats,
+    mut on_hit: impl FnMut(usize),
+) {
     let e2 = eps * eps;
-    let mut stats = KernelStats::default();
-    let mut start_b = 0usize;
-    for &(ax, ay, ai) in a {
-        // Advance the window start: b's with x < ax - eps can never match
-        // this or any later a (a is processed in ascending x).
-        while start_b < b.len() && b[start_b].0 < ax - eps {
-            start_b += 1;
+    for (c, (cx, cy)) in xs.chunks(CHUNK).zip(ys.chunks(CHUNK)).enumerate() {
+        // Zeroed per chunk: the lanes past a short last chunk read as misses.
+        let mut hits = [0u8; CHUNK];
+        let (mut candidates, mut results) = (0u64, 0u64);
+        for ((&x, &y), hit_lane) in cx.iter().zip(cy).zip(&mut hits) {
+            let (dx, dy) = (x - ax, y - ay);
+            let mut cand = !(dy.abs() > eps);
+            if CHECK_X {
+                cand &= !(dx.abs() > eps);
+            }
+            let hit = cand & (dx * dx + dy * dy <= e2);
+            candidates += cand as u64;
+            results += hit as u64;
+            *hit_lane = hit as u8;
         }
-        for &(bx, by, bi) in &b[start_b..] {
-            if bx > ax + eps {
-                break;
-            }
-            if (by - ay).abs() > eps {
-                continue;
-            }
-            stats.candidates += 1;
-            if Point::new(ax, ay).dist2(Point::new(bx, by)) <= e2 {
-                stats.results += 1;
-                on_pair(ai as usize, bi as usize);
-            }
+        stats.candidates += candidates;
+        stats.results += results;
+        if results == 0 {
+            continue;
         }
-    }
-    stats
-}
-
-/// One side bucketed into an ε × ε grid (anchored at the group's minimum
-/// corner), the other side probing the 3×3 bucket neighborhood of each
-/// point. Candidate counting applies the same `|Δx| ≤ ε ∧ |Δy| ≤ ε` window
-/// as the plane sweep, so both report identical candidate counts.
-pub fn grid_bucket<A, B>(
-    a: &[A],
-    b: &[B],
-    eps: f64,
-    pos_a: impl Fn(&A) -> Point,
-    pos_b: impl Fn(&B) -> Point,
-    on_pair: impl FnMut(usize, usize),
-) -> KernelStats {
-    let ca = extract(a, pos_a);
-    let cb = extract(b, pos_b);
-    bucket_probe(&ca, &cb, eps, on_pair)
-}
-
-/// Bucket coordinate of a point relative to the group origin.
-#[inline]
-fn bucket_of(x: f64, y: f64, ox: f64, oy: f64, eps: f64) -> (i64, i64) {
-    (
-        ((x - ox) / eps).floor() as i64,
-        ((y - oy) / eps).floor() as i64,
-    )
-}
-
-/// `(bucket, original coord)` of one bucketed point, sorted by bucket.
-type Bucketed = ((i64, i64), Coord);
-
-fn bucketize(coords: &[Coord], ox: f64, oy: f64, eps: f64) -> Vec<Bucketed> {
-    let mut out: Vec<Bucketed> = coords
-        .iter()
-        .map(|&(x, y, i)| (bucket_of(x, y, ox, oy, eps), (x, y, i)))
-        .collect();
-    out.sort_unstable_by_key(|p| p.0);
-    out
-}
-
-/// Contiguous range of `sorted` covering buckets `(bx, by_lo ..= by_hi)`.
-fn bucket_range(sorted: &[Bucketed], bx: i64, by_lo: i64, by_hi: i64) -> &[Bucketed] {
-    let lo = sorted.partition_point(|&(b, _)| b < (bx, by_lo));
-    let hi = sorted[lo..].partition_point(|&(b, _)| b <= (bx, by_hi)) + lo;
-    &sorted[lo..hi]
-}
-
-fn bucket_probe(
-    a: &[Coord],
-    b: &[Coord],
-    eps: f64,
-    mut on_pair: impl FnMut(usize, usize),
-) -> KernelStats {
-    let mut stats = KernelStats::default();
-    if a.is_empty() || b.is_empty() {
-        return stats;
-    }
-    let e2 = eps * eps;
-    let ox = a.iter().chain(b).map(|c| c.0).fold(f64::INFINITY, f64::min);
-    let oy = a.iter().chain(b).map(|c| c.1).fold(f64::INFINITY, f64::min);
-    let sb = bucketize(b, ox, oy, eps);
-    for &(ax, ay, ai) in a {
-        let (bx, by) = bucket_of(ax, ay, ox, oy, eps);
-        for dx in -1..=1i64 {
-            for &(_, (px, py, bi)) in bucket_range(&sb, bx + dx, by - 1, by + 1) {
-                if (px - ax).abs() > eps || (py - ay).abs() > eps {
-                    continue;
+        for (w, word) in hits.chunks_exact(8).enumerate() {
+            let mut lanes = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            // At most 8 hit bytes per word: the explicit bound (rather than
+            // `while lanes != 0`) lets the compiler delete this walk, and
+            // with it the hit map, when `on_hit` is a no-op.
+            for _ in 0..8 {
+                if lanes == 0 {
+                    break;
                 }
-                stats.candidates += 1;
-                if Point::new(ax, ay).dist2(Point::new(px, py)) <= e2 {
-                    stats.results += 1;
-                    on_pair(ai as usize, bi as usize);
-                }
+                on_hit(c * CHUNK + w * 8 + lanes.trailing_zeros() as usize / 8);
+                lanes &= lanes - 1;
             }
         }
     }
-    stats
 }
 
 // ---------------------------------------------------------------------------
-// Columnar (SoA) kernel variants
+// Two-sided kernels over SoA lanes
 // ---------------------------------------------------------------------------
 //
-// Same predicates, same candidate semantics, different layout: the loops
-// below stream the flat `xs`/`ys` lanes of a [`PointsView`] (built once per
-// partition by [`PointBatch`](crate::PointBatch)) instead of walking
-// `(x, y, idx)` tuples. `on_pair` receives *view positions*; callers map
-// them through the batch's parallel id lane.
+// The loops below stream the flat `xs`/`ys` lanes of a [`PointsView`] (built
+// once per partition by [`PointBatch`](crate::PointBatch)). `on_pair`
+// receives *view positions* — `i` ascending, then `j` in window order —
+// which callers map through the batch's parallel id lane.
 
-/// Bounding extent `(width, height)` of the union of two views. Min/max
-/// folds are order-independent, so this matches [`union_extent`] bit-for-bit
-/// on the same point set — `Auto` resolves identically for either layout.
+/// Bounding extent `(width, height)` of the union of two views.
 fn view_extent(a: PointsView<'_>, b: PointsView<'_>) -> (f64, f64) {
     let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
     let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -285,79 +163,132 @@ fn view_extent(a: PointsView<'_>, b: PointsView<'_>) -> (f64, f64) {
     ((max_x - min_x).max(0.0), (max_y - min_y).max(0.0))
 }
 
-/// All-pairs kernel over SoA lanes.
+/// All-pairs kernel: the window of every probe is the whole other side.
 pub fn nested_loop_view(
     a: PointsView<'_>,
     b: PointsView<'_>,
     eps: f64,
     mut on_pair: impl FnMut(usize, usize),
 ) -> KernelStats {
-    let e2 = eps * eps;
     let mut stats = KernelStats::default();
     for i in 0..a.len() {
-        let (ax, ay) = (a.xs[i], a.ys[i]);
-        for j in 0..b.len() {
-            stats.candidates += 1;
-            if Point::new(ax, ay).dist2(Point::new(b.xs[j], b.ys[j])) <= e2 {
-                stats.results += 1;
-                on_pair(i, j);
-            }
-        }
+        let probe = (a.xs[i], a.ys[i]);
+        filter_window::<false>(probe, eps, b.xs, b.ys, &mut stats, |j| on_pair(i, j));
     }
+    // The paper's local join refines every co-located pair, so all `r·s`
+    // count. The filter's hits are unaffected by its `|Δy|` test: rounding
+    // is monotone, so `Δx² + Δy² ≤ ε²` already implies `|Δy| ≤ ε`.
+    stats.candidates = a.len() as u64 * b.len() as u64;
     stats
 }
 
-/// Forward plane-sweep over SoA lanes. Both views must be in ascending-`x`
-/// order (the [`PointBatch`](crate::PointBatch) group invariant); the window
-/// scan then reads the `xs` lane sequentially — one cache line carries eight
-/// candidates.
+/// Forward plane-sweep. Both views must be in ascending-`x` order (the
+/// [`PointBatch`](crate::PointBatch) group invariant): the window
+/// `ax - ε ≤ bx ≤ ax + ε` of each probe is then a contiguous run of `b`
+/// whose two ends only move forward as `ax` ascends, and the filter reads it
+/// sequentially — one cache line carries eight lanes.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn sweep_view(
     a: PointsView<'_>,
     b: PointsView<'_>,
     eps: f64,
     mut on_pair: impl FnMut(usize, usize),
 ) -> KernelStats {
-    let e2 = eps * eps;
     let mut stats = KernelStats::default();
-    let mut start_b = 0usize;
+    let (mut lo, mut hi) = (0usize, 0usize);
     for i in 0..a.len() {
         let (ax, ay) = (a.xs[i], a.ys[i]);
-        while start_b < b.len() && b.xs[start_b] < ax - eps {
-            start_b += 1;
+        while lo < b.len() && b.xs[lo] < ax - eps {
+            lo += 1;
         }
-        for j in start_b..b.len() {
-            let bx = b.xs[j];
-            if bx > ax + eps {
-                break;
-            }
-            let by = b.ys[j];
-            if (by - ay).abs() > eps {
-                continue;
-            }
-            stats.candidates += 1;
-            if Point::new(ax, ay).dist2(Point::new(bx, by)) <= e2 {
-                stats.results += 1;
-                on_pair(i, j);
-            }
+        hi = hi.max(lo);
+        while hi < b.len() && !(b.xs[hi] > ax + eps) {
+            hi += 1;
         }
+        let (xs, ys) = (&b.xs[lo..hi], &b.ys[lo..hi]);
+        filter_window::<false>((ax, ay), eps, xs, ys, &mut stats, |j| on_pair(i, lo + j));
     }
     stats
 }
 
-fn bucketize_view(v: PointsView<'_>, ox: f64, oy: f64, eps: f64) -> Vec<Bucketed> {
-    let mut out: Vec<Bucketed> =
-        v.xs.iter()
-            .zip(v.ys)
-            .enumerate()
-            .map(|(i, (&x, &y))| (bucket_of(x, y, ox, oy, eps), (x, y, i as u32)))
-            .collect();
-    out.sort_unstable_by_key(|p| p.0);
-    out
+/// Bucket coordinate of a point relative to the group origin.
+#[inline]
+fn bucket_of(x: f64, y: f64, ox: f64, oy: f64, eps: f64) -> (i64, i64) {
+    (
+        ((x - ox) / eps).floor() as i64,
+        ((y - oy) / eps).floor() as i64,
+    )
 }
 
-/// ε-bucket probe over SoA lanes: `b` is bucketed once (carrying its
-/// coordinates into the bucket-sorted array, so probes stay contiguous),
-/// `a` streams its lanes and probes the 3×3 neighborhood.
+/// Minimum corner of the union of two views: the ε-bucket grid's origin.
+fn min_corner(a: PointsView<'_>, b: PointsView<'_>) -> (f64, f64) {
+    let min = |p: &[f64], q: &[f64]| p.iter().chain(q).fold(f64::INFINITY, |m, &v| m.min(v));
+    (min(a.xs, b.xs), min(a.ys, b.ys))
+}
+
+/// One side's points in ε-bucket order: `keys` ascends, the `xs`/`ys` lanes
+/// are parallel to it (so every bucket — and every run of vertically
+/// adjacent buckets — is one contiguous filter window), and `pos[k]` is the
+/// view position lane `k` came from.
+struct BucketLanes {
+    keys: Vec<(i64, i64)>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    pos: Vec<u32>,
+}
+
+/// Sort record of [`BucketLanes::build`]: `(bucket, (x, y, view position))`.
+/// The unstable sort compares buckets only, so the order of points sharing a
+/// bucket — and with it the kernel's pair order — is a function of this
+/// record's shape; it is the one the pair files have always been written in.
+type Bucketed = ((i64, i64), (f64, f64, u32));
+
+impl BucketLanes {
+    fn build(v: PointsView<'_>, ox: f64, oy: f64, eps: f64) -> BucketLanes {
+        let mut order: Vec<Bucketed> =
+            v.xs.iter()
+                .zip(v.ys)
+                .enumerate()
+                .map(|(i, (&x, &y))| (bucket_of(x, y, ox, oy, eps), (x, y, i as u32)))
+                .collect();
+        order.sort_unstable_by_key(|p| p.0);
+        BucketLanes {
+            keys: order.iter().map(|p| p.0).collect(),
+            xs: order.iter().map(|p| p.1 .0).collect(),
+            ys: order.iter().map(|p| p.1 .1).collect(),
+            pos: order.iter().map(|p| p.1 .2).collect(),
+        }
+    }
+
+    /// Lane range covering buckets `(bx, by_lo ..= by_hi)`.
+    fn range(&self, bx: i64, by_lo: i64, by_hi: i64) -> Range<usize> {
+        let lo = self.keys.partition_point(|&b| b < (bx, by_lo));
+        let hi = self.keys[lo..].partition_point(|&b| b <= (bx, by_hi)) + lo;
+        lo..hi
+    }
+
+    /// Filters `probe` against the lanes of `range`; `on_hit` receives the
+    /// view position of every result.
+    #[inline(always)]
+    fn filter(
+        &self,
+        probe: (f64, f64),
+        eps: f64,
+        range: Range<usize>,
+        stats: &mut KernelStats,
+        mut on_hit: impl FnMut(usize),
+    ) {
+        let (xs, ys) = (&self.xs[range.clone()], &self.ys[range.clone()]);
+        let pos = &self.pos[range];
+        filter_window::<true>(probe, eps, xs, ys, stats, |k| on_hit(pos[k] as usize));
+    }
+}
+
+/// ε-bucket probe: `b` is sorted into ε × ε buckets (anchored at the group's
+/// minimum corner) once, `a` streams its lanes and filters the three bucket
+/// columns around each point. The filter applies the same
+/// `|Δx| ≤ ε ∧ |Δy| ≤ ε` window as the plane sweep, so both report identical
+/// candidate counts.
 pub fn bucket_probe_view(
     a: PointsView<'_>,
     b: PointsView<'_>,
@@ -368,42 +299,37 @@ pub fn bucket_probe_view(
     if a.is_empty() || b.is_empty() {
         return stats;
     }
-    let e2 = eps * eps;
-    let ox =
-        a.xs.iter()
-            .chain(b.xs)
-            .fold(f64::INFINITY, |m, &x| m.min(x));
-    let oy =
-        a.ys.iter()
-            .chain(b.ys)
-            .fold(f64::INFINITY, |m, &y| m.min(y));
-    let sb = bucketize_view(b, ox, oy, eps);
+    let (ox, oy) = min_corner(a, b);
+    let sb = BucketLanes::build(b, ox, oy, eps);
     for i in 0..a.len() {
-        let (ax, ay) = (a.xs[i], a.ys[i]);
-        let (bx, by) = bucket_of(ax, ay, ox, oy, eps);
+        let probe = (a.xs[i], a.ys[i]);
+        let (bx, by) = bucket_of(probe.0, probe.1, ox, oy, eps);
         for dx in -1..=1i64 {
-            for &(_, (px, py, bi)) in bucket_range(&sb, bx + dx, by - 1, by + 1) {
-                if (px - ax).abs() > eps || (py - ay).abs() > eps {
-                    continue;
-                }
-                stats.candidates += 1;
-                if Point::new(ax, ay).dist2(Point::new(px, py)) <= e2 {
-                    stats.results += 1;
-                    on_pair(i, bi as usize);
-                }
-            }
+            let column = sb.range(bx + dx, by - 1, by + 1);
+            sb.filter(probe, eps, column, &mut stats, |j| on_pair(i, j));
         }
     }
     stats
 }
 
-/// Columnar twin of [`local_join`]: resolves `requested` against the views'
-/// measured extent and runs the chosen SoA kernel. Both views must be in
-/// ascending-`x` order. `on_pair` receives view positions.
-///
-/// Resolution, candidate counts and result pairs are identical to
-/// [`local_join`] over the same point groups — only the memory layout (and
-/// hence the wall clock) differs.
+fn run_kernel(
+    kind: KernelKind,
+    eps: f64,
+    a: PointsView<'_>,
+    b: PointsView<'_>,
+    on_pair: impl FnMut(usize, usize),
+) -> KernelStats {
+    match kind {
+        KernelKind::NestedLoop => nested_loop_view(a, b, eps, on_pair),
+        KernelKind::PlaneSweep => sweep_view(a, b, eps, on_pair),
+        KernelKind::GridBucket => bucket_probe_view(a, b, eps, on_pair),
+    }
+}
+
+/// Shared adaptive entry point of the columnar pipeline: resolves `requested`
+/// (consulting `model` per group for `Auto`, using the views' **measured**
+/// extent) and runs the chosen kernel. Both views must be in ascending-`x`
+/// order. `on_pair` receives view positions.
 pub fn local_join_view(
     requested: LocalKernel,
     model: &KernelCostModel,
@@ -414,17 +340,47 @@ pub fn local_join_view(
 ) -> LocalJoinOutcome {
     let (w, h) = view_extent(a, b);
     let kind = model.resolve(requested, a.len() as u64, b.len() as u64, eps, w, h);
-    let stats = match kind {
-        KernelKind::NestedLoop => nested_loop_view(a, b, eps, on_pair),
-        KernelKind::PlaneSweep => sweep_view(a, b, eps, on_pair),
-        KernelKind::GridBucket => bucket_probe_view(a, b, eps, on_pair),
-    };
+    let stats = run_kernel(kind, eps, a, b, on_pair);
     LocalJoinOutcome { kind, stats }
 }
 
-/// Shared adaptive entry point for the two-sided point join: resolves
-/// `requested` (consulting `model` per group for `Auto`, using the group's
-/// **measured** extent) and runs the chosen kernel.
+// ---------------------------------------------------------------------------
+// Entry points over record slices
+// ---------------------------------------------------------------------------
+
+/// SoA lanes gathered once from a record slice; `pos[k]` is the slice
+/// position lane `k` came from.
+struct Lanes {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    pos: Vec<u32>,
+}
+
+impl Lanes {
+    fn gather<A>(recs: &[A], at: impl Fn(&A) -> Point) -> Lanes {
+        let (xs, ys) = recs.iter().map(at).map(|p| (p.x, p.y)).unzip();
+        Lanes {
+            xs,
+            ys,
+            pos: (0..recs.len() as u32).collect(),
+        }
+    }
+
+    fn sort_by_x(&mut self) {
+        let Lanes { xs, ys, pos } = self;
+        pos.sort_unstable_by(|&p, &q| xs[p as usize].total_cmp(&xs[q as usize]));
+        *xs = pos.iter().map(|&p| xs[p as usize]).collect();
+        *ys = pos.iter().map(|&p| ys[p as usize]).collect();
+    }
+
+    fn view(&self) -> PointsView<'_> {
+        PointsView::new(&self.xs, &self.ys)
+    }
+}
+
+/// [`local_join_view`] for callers holding record slices: gathers both
+/// sides' coordinates into lanes once, resolves `requested` the same way and
+/// delegates to the same kernels. `on_pair` receives slice positions.
 ///
 /// `presorted_by_x` promises that both slices are already in ascending-`x`
 /// order (the engine's per-partition sort-reuse); the plane sweep then skips
@@ -439,139 +395,93 @@ pub fn local_join<A, B>(
     b: &[B],
     pos_a: impl Fn(&A) -> Point,
     pos_b: impl Fn(&B) -> Point,
-    on_pair: impl FnMut(usize, usize),
+    mut on_pair: impl FnMut(usize, usize),
 ) -> LocalJoinOutcome {
-    let ca = extract(a, pos_a);
-    let cb = extract(b, pos_b);
-    let (w, h) = union_extent(&ca, &cb);
+    let (mut la, mut lb) = (Lanes::gather(a, pos_a), Lanes::gather(b, pos_b));
+    let (w, h) = view_extent(la.view(), lb.view());
     let kind = model.resolve(requested, a.len() as u64, b.len() as u64, eps, w, h);
-    let stats = match kind {
-        KernelKind::NestedLoop => nested_loop_coords(&ca, &cb, eps, on_pair),
-        KernelKind::PlaneSweep => {
-            let (mut ca, mut cb) = (ca, cb);
-            if !presorted_by_x {
-                sort_by_x(&mut ca);
-                sort_by_x(&mut cb);
-            }
-            sweep_sorted(&ca, &cb, eps, on_pair)
-        }
-        KernelKind::GridBucket => bucket_probe(&ca, &cb, eps, on_pair),
-    };
+    if kind == KernelKind::PlaneSweep && !presorted_by_x {
+        la.sort_by_x();
+        lb.sort_by_x();
+    }
+    let stats = run_kernel(kind, eps, la.view(), lb.view(), |i, j| {
+        on_pair(la.pos[i] as usize, lb.pos[j] as usize)
+    });
     LocalJoinOutcome { kind, stats }
 }
 
-/// Self-join variant of [`local_join`]: emits each unordered index pair
-/// `i < j` (in input order) at most once. Candidate semantics mirror the
-/// two-sided kernels: nested loop counts all `n(n-1)/2` pairs, sweep and
-/// bucket count window-passing pairs only.
+/// Self-join variant of [`local_join`]: emits each unordered position pair
+/// at most once. Candidate semantics mirror the two-sided kernels: nested
+/// loop counts all `n(n-1)/2` pairs, sweep and bucket count window-passing
+/// pairs only.
 ///
 /// `Auto` resolution reuses the two-sided model with `r = s = n`: that
 /// scales every prediction by exactly 2× relative to the true self-join
 /// work, so the argmin — and hence the choice — is unchanged.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn local_self_join<A>(
     requested: LocalKernel,
     model: &KernelCostModel,
     eps: f64,
     pts: &[A],
     pos: impl Fn(&A) -> Point,
-    on_pair: impl FnMut(usize, usize),
+    mut on_pair: impl FnMut(usize, usize),
 ) -> LocalJoinOutcome {
-    let coords = extract(pts, pos);
-    let (w, h) = union_extent(&coords, &[]);
-    let n = pts.len() as u64;
-    let kind = model.resolve(requested, n, n, eps, w, h);
-    let stats = match kind {
-        KernelKind::NestedLoop => self_nested_loop(&coords, eps, on_pair),
+    let mut lanes = Lanes::gather(pts, pos);
+    let (w, h) = view_extent(lanes.view(), PointsView::empty());
+    let n = pts.len();
+    let kind = model.resolve(requested, n as u64, n as u64, eps, w, h);
+    let mut stats = KernelStats::default();
+    match kind {
+        // Window of lane `i`: every later lane.
+        KernelKind::NestedLoop => {
+            let (xs, ys) = (&lanes.xs, &lanes.ys);
+            for i in 0..n {
+                let (rest_x, rest_y) = (&xs[i + 1..], &ys[i + 1..]);
+                filter_window::<false>((xs[i], ys[i]), eps, rest_x, rest_y, &mut stats, |j| {
+                    on_pair(i, i + 1 + j)
+                });
+            }
+            stats.candidates = (n as u64 * n as u64 - n as u64) / 2;
+        }
+        // Window of lane `i`: the later lanes with `x - xs[i] ≤ ε`, whose
+        // end only moves forward as `xs[i]` ascends.
         KernelKind::PlaneSweep => {
-            let mut coords = coords;
-            sort_by_x(&mut coords);
-            self_sweep_sorted(&coords, eps, on_pair)
+            lanes.sort_by_x();
+            let (xs, ys, pos) = (&lanes.xs, &lanes.ys, &lanes.pos);
+            let mut hi = 0usize;
+            for i in 0..n {
+                hi = hi.max(i + 1);
+                while hi < n && !(xs[hi] - xs[i] > eps) {
+                    hi += 1;
+                }
+                let (win_x, win_y) = (&xs[i + 1..hi], &ys[i + 1..hi]);
+                filter_window::<false>((xs[i], ys[i]), eps, win_x, win_y, &mut stats, |j| {
+                    on_pair(pos[i] as usize, pos[i + 1 + j] as usize)
+                });
+            }
         }
-        KernelKind::GridBucket => self_bucket_probe(&coords, eps, on_pair),
-    };
+        // Each unordered pair is visited exactly once: within a bucket by
+        // lane order, across buckets from the lexicographically smaller one
+        // via the four forward offsets.
+        KernelKind::GridBucket => {
+            const FORWARD: [(i64, i64); 4] = [(0, 1), (1, -1), (1, 0), (1, 1)];
+            let (ox, oy) = min_corner(lanes.view(), PointsView::empty());
+            let sorted = BucketLanes::build(lanes.view(), ox, oy, eps);
+            for p in 0..n {
+                let (bx, by) = sorted.keys[p];
+                let probe = (sorted.xs[p], sorted.ys[p]);
+                let i = sorted.pos[p] as usize;
+                let rest_of_bucket = p + 1..sorted.range(bx, by, by).end;
+                sorted.filter(probe, eps, rest_of_bucket, &mut stats, |j| on_pair(i, j));
+                for (dx, dy) in FORWARD {
+                    let bucket = sorted.range(bx + dx, by + dy, by + dy);
+                    sorted.filter(probe, eps, bucket, &mut stats, |j| on_pair(i, j));
+                }
+            }
+        }
+    }
     LocalJoinOutcome { kind, stats }
-}
-
-fn self_nested_loop(pts: &[Coord], eps: f64, mut on_pair: impl FnMut(usize, usize)) -> KernelStats {
-    let e2 = eps * eps;
-    let mut stats = KernelStats::default();
-    for (i, &(ax, ay, ai)) in pts.iter().enumerate() {
-        for &(bx, by, bi) in &pts[i + 1..] {
-            stats.candidates += 1;
-            if Point::new(ax, ay).dist2(Point::new(bx, by)) <= e2 {
-                stats.results += 1;
-                on_pair(ai as usize, bi as usize);
-            }
-        }
-    }
-    stats
-}
-
-fn self_sweep_sorted(
-    pts: &[Coord],
-    eps: f64,
-    mut on_pair: impl FnMut(usize, usize),
-) -> KernelStats {
-    let e2 = eps * eps;
-    let mut stats = KernelStats::default();
-    for (i, &(ax, ay, ai)) in pts.iter().enumerate() {
-        for &(bx, by, bi) in &pts[i + 1..] {
-            if bx - ax > eps {
-                break;
-            }
-            if (by - ay).abs() > eps {
-                continue;
-            }
-            stats.candidates += 1;
-            if Point::new(ax, ay).dist2(Point::new(bx, by)) <= e2 {
-                stats.results += 1;
-                on_pair(ai as usize, bi as usize);
-            }
-        }
-    }
-    stats
-}
-
-fn self_bucket_probe(
-    pts: &[Coord],
-    eps: f64,
-    mut on_pair: impl FnMut(usize, usize),
-) -> KernelStats {
-    let mut stats = KernelStats::default();
-    if pts.is_empty() {
-        return stats;
-    }
-    let e2 = eps * eps;
-    let ox = pts.iter().map(|c| c.0).fold(f64::INFINITY, f64::min);
-    let oy = pts.iter().map(|c| c.1).fold(f64::INFINITY, f64::min);
-    let sorted = bucketize(pts, ox, oy, eps);
-    // Each unordered pair is visited exactly once: within a bucket by list
-    // position, across buckets from the lexicographically smaller one via
-    // the four forward offsets.
-    const FORWARD: [(i64, i64); 4] = [(0, 1), (1, -1), (1, 0), (1, 1)];
-    let mut window = |a: Coord, b: Coord, stats: &mut KernelStats| {
-        let (ax, ay, ai) = a;
-        let (bx, by, bi) = b;
-        if (bx - ax).abs() > eps || (by - ay).abs() > eps {
-            return;
-        }
-        stats.candidates += 1;
-        if Point::new(ax, ay).dist2(Point::new(bx, by)) <= e2 {
-            stats.results += 1;
-            on_pair(ai as usize, bi as usize);
-        }
-    };
-    for (p, &(bucket, ca)) in sorted.iter().enumerate() {
-        for &(_, cb) in sorted[p + 1..].iter().take_while(|&&(b, _)| b == bucket) {
-            window(ca, cb, &mut stats);
-        }
-        for (dx, dy) in FORWARD {
-            for &(_, cb) in bucket_range(&sorted, bucket.0 + dx, bucket.1 + dy, bucket.1 + dy) {
-                window(ca, cb, &mut stats);
-            }
-        }
-    }
-    stats
 }
 
 /// Envelope (extent) variant: enumerates candidate index pairs whose
@@ -687,33 +597,35 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn synth_points(n: usize, seed: u64) -> Vec<Point> {
+/// `n` uniform points of the unit square as ascending-`x` lanes — the shape
+/// a [`PointBatch`](crate::PointBatch) group hands the kernels.
+fn synth_lanes(n: usize, seed: u64) -> Lanes {
     let mut state = seed;
-    (0..n)
-        .map(|_| {
-            let x = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-            let y = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-            Point::new(x, y)
-        })
-        .collect()
+    let mut unit = || (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+    let pts: Vec<Point> = (0..n).map(|_| Point::new(unit(), unit())).collect();
+    let mut lanes = Lanes::gather(&pts, |p| *p);
+    lanes.sort_by_x();
+    lanes
 }
 
-/// Best-of-3 wall time of `f` in nanoseconds.
-fn best_time_ns(mut f: impl FnMut()) -> f64 {
+/// Best-of-3 wall time of one kernel run in nanoseconds.
+fn best_time_ns(mut run: impl FnMut() -> KernelStats) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let t = Instant::now();
-        f();
+        std::hint::black_box(run());
         best = best.min(t.elapsed().as_nanos() as f64);
     }
     best
 }
 
+/// Times the view kernels — the loops every ε-grid/LPiB run executes — on
+/// presorted lanes, so each constant prices the code `Auto` chooses between.
 fn measure_cost_model() -> KernelCostModel {
     let n = 512usize;
-    let a = synth_points(n, 0xA11C_E5ED);
-    let b = synth_points(n, 0xB0B5_EED5);
-    let id = |p: &Point| *p;
+    let (a, b) = (synth_lanes(n, 0xA11C_E5ED), synth_lanes(n, 0xB0B5_EED5));
+    let (a, b) = (a.view(), b.view());
+    // The counting mode of the pipeline: no pair is materialised.
     let sink = |_: usize, _: usize| {};
     let pairs = (n * n) as f64;
     let points = (2 * n) as f64;
@@ -732,32 +644,22 @@ fn measure_cost_model() -> KernelCostModel {
         }
     };
 
-    let t_nl = best_time_ns(|| {
-        nested_loop(&a, &b, eps, id, id, sink);
-    });
+    let t_nl = best_time_ns(|| nested_loop_view(a, b, eps, sink));
     let nl_pair = clamp(t_nl / pairs, defaults.nl_pair);
 
-    let t_ps0 = best_time_ns(|| {
-        plane_sweep(&a, &b, eps0, id, id, sink);
-    });
+    let t_ps0 = best_time_ns(|| sweep_view(a, b, eps0, sink));
     let ps_point = clamp(t_ps0 / points, defaults.ps_point);
-    let t_ps = best_time_ns(|| {
-        plane_sweep(&a, &b, eps, id, id, sink);
-    });
-    // The sweep touches ~2ε·n² pairs in the x-window of the unit square.
+    let t_ps = best_time_ns(|| sweep_view(a, b, eps, sink));
+    // The sweep scans the ~2ε·n² pairs inside the x-windows of the unit square.
     let ps_pair = clamp(
         (t_ps - points * ps_point) / (pairs * 2.0 * eps),
         defaults.ps_pair,
     );
 
-    let t_b0 = best_time_ns(|| {
-        grid_bucket(&a, &b, eps0, id, id, sink);
-    });
+    let t_b0 = best_time_ns(|| bucket_probe_view(a, b, eps0, sink));
     let bucket_point = clamp(t_b0 / points, defaults.bucket_point);
-    let t_b = best_time_ns(|| {
-        grid_bucket(&a, &b, eps, id, id, sink);
-    });
-    // Each probe visits a 3ε × 3ε neighborhood: ~(3ε)²·n² pairs.
+    let t_b = best_time_ns(|| bucket_probe_view(a, b, eps, sink));
+    // Each probe scans a 3ε × 3ε neighborhood: ~(3ε)²·n² pairs.
     let bucket_pair = clamp(
         (t_b - points * bucket_point) / (pairs * 9.0 * eps * eps),
         defaults.bucket_pair,
@@ -778,6 +680,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    const REQUESTS: [LocalKernel; 4] = [
+        LocalKernel::NestedLoop,
+        LocalKernel::PlaneSweep,
+        LocalKernel::GridBucket,
+        LocalKernel::Auto,
+    ];
+
     fn id(p: &Point) -> Point {
         *p
     }
@@ -789,45 +698,72 @@ mod tests {
             .collect()
     }
 
-    fn collect_pairs(
-        kernel: impl Fn(&[Point], &[Point], f64, &mut Vec<(usize, usize)>) -> KernelStats,
+    fn sorted_by_x(mut pts: Vec<Point>) -> Vec<Point> {
+        pts.sort_unstable_by(|p, q| p.x.total_cmp(&q.x));
+        pts
+    }
+
+    /// Brute-force oracle: the result pairs in `(i, j)` order, and the number
+    /// of pairs inside the `|Δx| ≤ ε ∧ |Δy| ≤ ε` window.
+    fn brute_force(a: &[Point], b: &[Point], eps: f64) -> (Vec<(usize, usize)>, u64) {
+        let mut pairs = Vec::new();
+        let mut window = 0;
+        for (i, p) in a.iter().enumerate() {
+            for (j, q) in b.iter().enumerate() {
+                window += ((p.x - q.x).abs() <= eps && (p.y - q.y).abs() <= eps) as u64;
+                if p.dist2(*q) <= eps * eps {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        (pairs, window)
+    }
+
+    /// Runs `local_join` with a fixed kernel; pairs come back sorted.
+    fn join(
+        requested: LocalKernel,
+        presorted: bool,
         a: &[Point],
         b: &[Point],
         eps: f64,
-    ) -> (Vec<(usize, usize)>, KernelStats) {
+    ) -> (Vec<(usize, usize)>, LocalJoinOutcome) {
+        let model = KernelCostModel::default();
         let mut pairs = Vec::new();
-        let stats = kernel(a, b, eps, &mut pairs);
+        let out = local_join(requested, &model, eps, presorted, a, b, id, id, |i, j| {
+            pairs.push((i, j))
+        });
         pairs.sort_unstable();
-        (pairs, stats)
-    }
-
-    fn nl(a: &[Point], b: &[Point], eps: f64, out: &mut Vec<(usize, usize)>) -> KernelStats {
-        nested_loop(a, b, eps, id, id, |i, j| out.push((i, j)))
-    }
-
-    fn ps(a: &[Point], b: &[Point], eps: f64, out: &mut Vec<(usize, usize)>) -> KernelStats {
-        plane_sweep(a, b, eps, id, id, |i, j| out.push((i, j)))
-    }
-
-    fn gb(a: &[Point], b: &[Point], eps: f64, out: &mut Vec<(usize, usize)>) -> KernelStats {
-        grid_bucket(a, b, eps, id, id, |i, j| out.push((i, j)))
+        (pairs, out)
     }
 
     #[test]
-    fn kernels_agree_on_random_input() {
-        for seed in 0..5 {
-            let a = random_points(300, seed, 10.0);
-            let b = random_points(300, seed + 100, 10.0);
-            let (p1, s1) = collect_pairs(nl, &a, &b, 0.7);
-            let (p2, s2) = collect_pairs(ps, &a, &b, 0.7);
-            let (p3, s3) = collect_pairs(gb, &a, &b, 0.7);
-            assert_eq!(p1, p2, "seed {seed}");
-            assert_eq!(p1, p3, "seed {seed}");
-            assert_eq!(s1.results, s2.results);
-            assert_eq!(s1.results, s3.results);
-            // The two prefiltering kernels share candidate semantics.
-            assert_eq!(s2.candidates, s3.candidates, "seed {seed}");
-            assert!(!p1.is_empty(), "test should exercise matches");
+    fn filter_window_is_exact_around_the_chunk_edge() {
+        for len in [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200] {
+            let pts = random_points(len, len as u64, 2.0);
+            let (xs, ys): (Vec<f64>, Vec<f64>) = pts.iter().map(|p| (p.x, p.y)).unzip();
+            let probe = Point::new(1.0, 1.0);
+            let eps = 0.6;
+            for check_x in [false, true] {
+                let mut stats = KernelStats::default();
+                let mut hits = Vec::new();
+                if check_x {
+                    filter_window::<true>((1.0, 1.0), eps, &xs, &ys, &mut stats, |k| hits.push(k));
+                } else {
+                    filter_window::<false>((1.0, 1.0), eps, &xs, &ys, &mut stats, |k| hits.push(k));
+                }
+                let in_window = |p: &&Point| {
+                    (p.y - probe.y).abs() <= eps && (!check_x || (p.x - probe.x).abs() <= eps)
+                };
+                let expected: Vec<usize> = (0..len)
+                    .filter(|&k| pts[k].dist2(probe) <= eps * eps)
+                    .collect();
+                assert_eq!(hits, expected, "len {len}");
+                assert_eq!(stats.results as usize, expected.len());
+                assert_eq!(
+                    stats.candidates as usize,
+                    pts.iter().filter(in_window).count()
+                );
+            }
         }
     }
 
@@ -835,45 +771,37 @@ mod tests {
     fn plane_sweep_prunes_candidates() {
         let a = random_points(500, 1, 50.0);
         let b = random_points(500, 2, 50.0);
-        let (_, s_nl) = collect_pairs(nl, &a, &b, 1.0);
-        let (_, s_ps) = collect_pairs(ps, &a, &b, 1.0);
-        assert_eq!(s_nl.candidates, 500 * 500);
+        let (_, nl) = join(LocalKernel::NestedLoop, false, &a, &b, 1.0);
+        let (_, ps) = join(LocalKernel::PlaneSweep, false, &a, &b, 1.0);
+        assert_eq!(nl.stats.candidates, 500 * 500);
         assert!(
-            s_ps.candidates < s_nl.candidates / 5,
+            ps.stats.candidates < nl.stats.candidates / 5,
             "sweep should prune: {} vs {}",
-            s_ps.candidates,
-            s_nl.candidates
+            ps.stats.candidates,
+            nl.stats.candidates
         );
-        assert_eq!(s_nl.results, s_ps.results);
+        assert_eq!(nl.stats.results, ps.stats.results);
     }
 
     #[test]
-    fn empty_inputs() {
-        let a: Vec<Point> = Vec::new();
+    fn empty_sides_yield_nothing() {
         let b = random_points(10, 3, 5.0);
-        let (p, s) = collect_pairs(nl, &a, &b, 1.0);
-        assert!(p.is_empty());
-        assert_eq!(s, KernelStats::default());
-        let (p, _) = collect_pairs(ps, &a, &b, 1.0);
-        assert!(p.is_empty());
-        let (p, _) = collect_pairs(ps, &b, &a, 1.0);
-        assert!(p.is_empty());
-        let (p, _) = collect_pairs(gb, &a, &b, 1.0);
-        assert!(p.is_empty());
-        let (p, _) = collect_pairs(gb, &b, &a, 1.0);
-        assert!(p.is_empty());
+        for requested in REQUESTS {
+            for (l, r) in [(&[][..], &b[..]), (&b[..], &[][..]), (&[][..], &[][..])] {
+                let (pairs, out) = join(requested, false, l, r, 1.0);
+                assert!(pairs.is_empty());
+                assert_eq!(out.stats, KernelStats::default());
+            }
+        }
     }
 
     #[test]
     fn boundary_distance_is_inclusive() {
         let a = vec![Point::new(0.0, 0.0)];
         let b = vec![Point::new(3.0, 4.0)];
-        let (p, _) = collect_pairs(nl, &a, &b, 5.0);
-        assert_eq!(p, vec![(0, 0)]);
-        let (p, _) = collect_pairs(ps, &a, &b, 5.0);
-        assert_eq!(p, vec![(0, 0)]);
-        let (p, _) = collect_pairs(gb, &a, &b, 5.0);
-        assert_eq!(p, vec![(0, 0)]);
+        for requested in REQUESTS {
+            assert_eq!(join(requested, false, &a, &b, 5.0).0, vec![(0, 0)]);
+        }
     }
 
     #[test]
@@ -899,32 +827,19 @@ mod tests {
     fn duplicate_coordinates_produce_all_pairs() {
         let a = vec![Point::new(1.0, 1.0); 4];
         let b = vec![Point::new(1.0, 1.0); 3];
-        let (p1, _) = collect_pairs(nl, &a, &b, 0.5);
-        let (p2, _) = collect_pairs(ps, &a, &b, 0.5);
-        let (p3, _) = collect_pairs(gb, &a, &b, 0.5);
-        assert_eq!(p1.len(), 12);
-        assert_eq!(p1, p2);
-        assert_eq!(p1, p3);
+        for requested in REQUESTS {
+            assert_eq!(join(requested, false, &a, &b, 0.5).0.len(), 12);
+        }
     }
 
     #[test]
-    fn local_join_matches_fixed_kernels_for_every_request() {
-        let model = KernelCostModel::default();
+    fn local_join_matches_brute_force_for_every_request() {
         let a = random_points(250, 11, 8.0);
         let b = random_points(250, 12, 8.0);
         let eps = 0.5;
-        let (expected, _) = collect_pairs(nl, &a, &b, eps);
-        for requested in [
-            LocalKernel::NestedLoop,
-            LocalKernel::PlaneSweep,
-            LocalKernel::GridBucket,
-            LocalKernel::Auto,
-        ] {
-            let mut pairs = Vec::new();
-            let out = local_join(requested, &model, eps, false, &a, &b, id, id, |i, j| {
-                pairs.push((i, j))
-            });
-            pairs.sort_unstable();
+        let (expected, _) = brute_force(&a, &b, eps);
+        for requested in REQUESTS {
+            let (pairs, out) = join(requested, false, &a, &b, eps);
             assert_eq!(pairs, expected, "{requested:?}");
             assert_eq!(out.stats.results as usize, expected.len());
             assert!(out.stats.candidates >= out.stats.results);
@@ -933,70 +848,50 @@ mod tests {
 
     #[test]
     fn local_join_respects_presorted_inputs() {
-        let model = KernelCostModel::default();
-        let mut a = random_points(200, 21, 6.0);
-        let mut b = random_points(200, 22, 6.0);
+        let a = random_points(200, 21, 6.0);
+        let b = random_points(200, 22, 6.0);
         let eps = 0.4;
-        let (expected, s_ps) = collect_pairs(ps, &a, &b, eps);
-        a.sort_unstable_by(|p, q| p.x.total_cmp(&q.x));
-        b.sort_unstable_by(|p, q| p.x.total_cmp(&q.x));
-        let out = local_join(
-            LocalKernel::PlaneSweep,
-            &model,
-            eps,
-            true,
-            &a,
-            &b,
-            id,
-            id,
-            |_, _| {},
-        );
-        let _ = expected;
-        assert_eq!(out.stats.results, s_ps.results);
-        assert_eq!(out.stats.candidates, s_ps.candidates);
+        let (_, unsorted) = join(LocalKernel::PlaneSweep, false, &a, &b, eps);
+        let (a, b) = (sorted_by_x(a), sorted_by_x(b));
+        let (pairs, presorted) = join(LocalKernel::PlaneSweep, true, &a, &b, eps);
+        assert_eq!(presorted.stats, unsorted.stats);
+        assert_eq!(pairs, brute_force(&a, &b, eps).0);
     }
 
     #[test]
     fn auto_picks_nested_loop_only_where_counts_cannot_inflate() {
-        let model = KernelCostModel::default();
         // Wide sparse group: Auto must use a prefiltering kernel, so its
         // candidate count equals the sweep's, not r·s.
         let a = random_points(120, 31, 40.0);
         let b = random_points(120, 32, 40.0);
-        let eps = 0.8;
-        let (_, s_ps) = collect_pairs(ps, &a, &b, eps);
-        let out = local_join(
-            LocalKernel::Auto,
-            &model,
-            eps,
-            false,
-            &a,
-            &b,
-            id,
-            id,
-            |_, _| {},
-        );
-        assert_ne!(out.kind, KernelKind::NestedLoop);
-        assert_eq!(out.stats.candidates, s_ps.candidates);
+        let (_, ps) = join(LocalKernel::PlaneSweep, false, &a, &b, 0.8);
+        let (_, auto) = join(LocalKernel::Auto, false, &a, &b, 0.8);
+        assert_ne!(auto.kind, KernelKind::NestedLoop);
+        assert_eq!(auto.stats.candidates, ps.stats.candidates);
         // Tight group inside eps x eps: nested loop, and the counts agree
         // with the sweep by construction (every pair passes the window).
         let a = random_points(40, 33, 0.3);
         let b = random_points(40, 34, 0.3);
-        let eps = 0.5;
-        let (_, s_ps) = collect_pairs(ps, &a, &b, eps);
-        let out = local_join(
-            LocalKernel::Auto,
-            &model,
-            eps,
-            false,
-            &a,
-            &b,
-            id,
-            id,
-            |_, _| {},
-        );
-        assert_eq!(out.kind, KernelKind::NestedLoop);
-        assert_eq!(out.stats.candidates, s_ps.candidates);
+        let (_, ps) = join(LocalKernel::PlaneSweep, false, &a, &b, 0.5);
+        let (_, auto) = join(LocalKernel::Auto, false, &a, &b, 0.5);
+        assert_eq!(auto.kind, KernelKind::NestedLoop);
+        assert_eq!(auto.stats.candidates, ps.stats.candidates);
+    }
+
+    #[test]
+    fn local_join_view_resolves_like_local_join() {
+        let model = KernelCostModel::default();
+        for (n, extent, eps) in [(40, 0.3, 0.5), (250, 9.0, 0.6), (120, 40.0, 0.8)] {
+            let a = sorted_by_x(random_points(n, 71, extent));
+            let b = sorted_by_x(random_points(n, 72, extent));
+            let (la, lb) = (Lanes::gather(&a, id), Lanes::gather(&b, id));
+            for requested in REQUESTS {
+                let (_, slices) = join(requested, true, &a, &b, eps);
+                let views =
+                    local_join_view(requested, &model, eps, la.view(), lb.view(), |_, _| {});
+                assert_eq!(views, slices, "{requested:?} n={n}");
+            }
+        }
     }
 
     #[test]
@@ -1004,33 +899,28 @@ mod tests {
         let pts = random_points(300, 41, 9.0);
         let eps = 0.6;
         let model = KernelCostModel::default();
-        let mut expected = Vec::new();
-        let s_nl = self_nested_loop(&extract(&pts, id), eps, |i, j| {
-            expected.push((i.min(j), i.max(j)))
-        });
-        expected.sort_unstable();
+        let (all, window) = brute_force(&pts, &pts, eps);
+        let expected: Vec<_> = all.into_iter().filter(|&(i, j)| i < j).collect();
         assert!(!expected.is_empty());
-        let mut ps_candidates = None;
-        for requested in [
-            LocalKernel::NestedLoop,
-            LocalKernel::PlaneSweep,
-            LocalKernel::GridBucket,
-            LocalKernel::Auto,
-        ] {
+        // Unordered off-diagonal pairs inside the window.
+        let window = (window - 300) / 2;
+        for requested in REQUESTS {
             let mut pairs = Vec::new();
             let out = local_self_join(requested, &model, eps, &pts, id, |i, j| {
                 pairs.push((i.min(j), i.max(j)))
             });
             pairs.sort_unstable();
             assert_eq!(pairs, expected, "{requested:?}");
-            assert_eq!(out.stats.results, s_nl.results);
+            assert_eq!(out.stats.results as usize, expected.len());
             match out.kind {
-                KernelKind::NestedLoop => assert_eq!(out.stats.candidates, s_nl.candidates),
-                _ => {
-                    let c = *ps_candidates.get_or_insert(out.stats.candidates);
-                    assert_eq!(out.stats.candidates, c, "{requested:?}");
-                }
+                KernelKind::NestedLoop => assert_eq!(out.stats.candidates, 300 * 299 / 2),
+                _ => assert_eq!(out.stats.candidates, window, "{requested:?}"),
             }
+        }
+        let none: [Point; 0] = [];
+        for requested in REQUESTS {
+            let out = local_self_join(requested, &model, eps, &none, id, |_, _| unreachable!());
+            assert_eq!(out.stats, KernelStats::default());
         }
     }
 
@@ -1094,120 +984,6 @@ mod tests {
         assert!(o_ps.stats.candidates < o_nl.stats.candidates);
         assert_eq!(o_nl.stats.results, o_ps.stats.results);
         assert_ne!(o_auto.kind, KernelKind::NestedLoop);
-    }
-
-    fn soa_of(pts: &[Point]) -> (Vec<f64>, Vec<f64>) {
-        let mut sorted = pts.to_vec();
-        sorted.sort_unstable_by(|p, q| p.x.total_cmp(&q.x));
-        (
-            sorted.iter().map(|p| p.x).collect(),
-            sorted.iter().map(|p| p.y).collect(),
-        )
-    }
-
-    #[test]
-    fn view_kernels_match_tuple_kernels() {
-        for seed in 0..4 {
-            let a = random_points(250, 60 + seed, 9.0);
-            let b = random_points(250, 160 + seed, 9.0);
-            let eps = 0.6;
-            let (ax, ay) = soa_of(&a);
-            let (bx, by) = soa_of(&b);
-            let va = PointsView::new(&ax, &ay);
-            let vb = PointsView::new(&bx, &by);
-            // Result coordinates (layout-independent identity), sorted.
-            let gather = |pairs: &[(usize, usize)],
-                          pa: &dyn Fn(usize) -> Point,
-                          pb: &dyn Fn(usize) -> Point| {
-                let mut got: Vec<_> = pairs
-                    .iter()
-                    .map(|&(i, j)| {
-                        let (p, q) = (pa(i), pb(j));
-                        (p.x.to_bits(), p.y.to_bits(), q.x.to_bits(), q.y.to_bits())
-                    })
-                    .collect();
-                got.sort_unstable();
-                got
-            };
-            let tup_a = |i: usize| a[i];
-            let tup_b = |j: usize| b[j];
-            let view_a = |i: usize| Point::new(ax[i], ay[i]);
-            let view_b = |j: usize| Point::new(bx[j], by[j]);
-
-            let (pairs_nl, s_nl) = collect_pairs(nl, &a, &b, eps);
-            let mut out = Vec::new();
-            let sv = nested_loop_view(va, vb, eps, |i, j| out.push((i, j)));
-            assert_eq!(sv, s_nl, "NL stats, seed {seed}");
-            assert_eq!(
-                gather(&out, &view_a, &view_b),
-                gather(&pairs_nl, &tup_a, &tup_b)
-            );
-
-            let (pairs_ps, s_ps) = collect_pairs(ps, &a, &b, eps);
-            let mut out = Vec::new();
-            let sv = sweep_view(va, vb, eps, |i, j| out.push((i, j)));
-            assert_eq!(sv, s_ps, "PS stats, seed {seed}");
-            assert_eq!(
-                gather(&out, &view_a, &view_b),
-                gather(&pairs_ps, &tup_a, &tup_b)
-            );
-
-            let (pairs_gb, s_gb) = collect_pairs(gb, &a, &b, eps);
-            let mut out = Vec::new();
-            let sv = bucket_probe_view(va, vb, eps, |i, j| out.push((i, j)));
-            assert_eq!(sv, s_gb, "GB stats, seed {seed}");
-            assert_eq!(
-                gather(&out, &view_a, &view_b),
-                gather(&pairs_gb, &tup_a, &tup_b)
-            );
-        }
-    }
-
-    #[test]
-    fn local_join_view_resolves_like_local_join() {
-        let model = KernelCostModel::default();
-        for (n, extent, eps) in [(40, 0.3, 0.5), (250, 9.0, 0.6), (120, 40.0, 0.8)] {
-            let a = random_points(n, 71, extent);
-            let b = random_points(n, 72, extent);
-            let (ax, ay) = soa_of(&a);
-            let (bx, by) = soa_of(&b);
-            for requested in [
-                LocalKernel::NestedLoop,
-                LocalKernel::PlaneSweep,
-                LocalKernel::GridBucket,
-                LocalKernel::Auto,
-            ] {
-                let tuple = local_join(requested, &model, eps, false, &a, &b, id, id, |_, _| {});
-                let view = local_join_view(
-                    requested,
-                    &model,
-                    eps,
-                    PointsView::new(&ax, &ay),
-                    PointsView::new(&bx, &by),
-                    |_, _| {},
-                );
-                assert_eq!(view.kind, tuple.kind, "{requested:?} n={n}");
-                assert_eq!(view.stats, tuple.stats, "{requested:?} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn view_kernels_handle_empty_sides() {
-        let (xs, ys) = (vec![1.0, 2.0], vec![0.0, 0.0]);
-        let v = PointsView::new(&xs, &ys);
-        let e = PointsView::new(&[], &[]);
-        for (sa, sb) in [(e, v), (v, e), (e, e)] {
-            assert_eq!(
-                nested_loop_view(sa, sb, 1.0, |_, _| {}),
-                KernelStats::default()
-            );
-            assert_eq!(sweep_view(sa, sb, 1.0, |_, _| {}), KernelStats::default());
-            assert_eq!(
-                bucket_probe_view(sa, sb, 1.0, |_, _| {}),
-                KernelStats::default()
-            );
-        }
     }
 
     #[test]

@@ -12,11 +12,15 @@
 //!   with point→leaf and ε-disk→leaves lookups.
 //! * [`KdTree`] — median-split k-d tree over points with ε-range and exact
 //!   kNN queries (the independent oracle for the distributed kNN join).
+//! * [`batch`] — [`PointBatch`]: a shuffled partition as flat, cell-grouped,
+//!   x-ascending coordinate lanes, the layout the kernels stream.
 //! * [`kernels`] — the shared partition-local join layer every distributed
-//!   algorithm routes through ([`kernels::local_join`]): the paper's
-//!   nested-loop semantics (§6.1), a plane-sweep kernel and an ε-bucket
-//!   grid kernel, plus `Auto` resolution — a per-cell-group pick driven by
-//!   a cost model whose constants a one-shot microbenchmark calibrates at
+//!   algorithm routes through ([`kernels::local_join_view`] over lanes,
+//!   [`kernels::local_join`] over record slices): the paper's nested-loop
+//!   semantics (§6.1), a plane-sweep kernel and an ε-bucket grid kernel —
+//!   all three one branch-free chunked ε-filter behind different window
+//!   finders — plus `Auto` resolution, a per-cell-group pick driven by a
+//!   cost model whose constants a one-shot microbenchmark calibrates at
 //!   first use ([`kernels::calibrate_cost_model`]).
 
 pub mod batch;

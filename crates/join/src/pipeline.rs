@@ -175,11 +175,15 @@ where
                 std::cmp::Ordering::Equal => {
                     let (va, vb) = (br.group(gi), bs.group(gj));
                     let (ids_a, ids_b) = (br.group_ids(gi), bs.group_ids(gj));
-                    let outcome = kernels::local_join_view(kernel, &model, eps, va, vb, |i, j| {
-                        if collect {
-                            out.push((ids_a[i], ids_b[j]));
-                        }
-                    });
+                    // `collect` is decided out here, not in the sink: with a
+                    // no-op sink the kernel's emission walk compiles away.
+                    let outcome = if collect {
+                        kernels::local_join_view(kernel, &model, eps, va, vb, |i, j| {
+                            out.push((ids_a[i], ids_b[j]))
+                        })
+                    } else {
+                        kernels::local_join_view(kernel, &model, eps, va, vb, |_, _| {})
+                    };
                     acc.record(outcome, va.len() as u64 * vb.len() as u64);
                     gi += 1;
                     gj += 1;

@@ -25,6 +25,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -406,7 +407,11 @@ fn fault_setup(
     }
 }
 
-fn report(out: &JoinOutput) {
+/// Prints the metrics report of a join. `ingest` is the time spent reading the
+/// inputs before it: together with `output time` (printed by [`finish_join`])
+/// it accounts for the part of the process's run that `wall time` — the join
+/// alone — does not cover.
+fn report(out: &JoinOutput, ingest: Duration) {
     println!("algorithm            : {}", out.algorithm);
     println!("result pairs         : {}", out.result_count);
     println!("candidates evaluated : {}", out.candidates);
@@ -436,6 +441,7 @@ fn report(out: &JoinOutput) {
         "wall time            : {:.3} s",
         out.metrics.wall_time().as_secs_f64()
     );
+    println!("ingest time          : {:.3} s", ingest.as_secs_f64());
     println!(
         "peak memory          : {} KiB",
         out.metrics.peak_memory_bytes() / 1024
@@ -474,9 +480,32 @@ fn write_pairs(path: &str, pairs: &[(u64, u64)]) -> Result<(), String> {
     Ok(())
 }
 
+/// The shared tail of `join` / `self-join`: the report, then the trace and
+/// pair files, then how long writing those took.
+fn finish_join(
+    flags: &HashMap<String, String>,
+    out: &JoinOutput,
+    ingest: Duration,
+    trace: &TraceSink,
+) -> Result<(), String> {
+    report(out, ingest);
+    let output = Instant::now();
+    trace.write()?;
+    if let Some(path) = flags.get("out") {
+        write_pairs(path, &out.pairs)?;
+    }
+    println!(
+        "output time          : {:.3} s",
+        output.elapsed().as_secs_f64()
+    );
+    Ok(())
+}
+
 fn cmd_join(flags: &HashMap<String, String>) -> Result<(), String> {
+    let ingest = Instant::now();
     let r = load_records(required(flags, "r")?)?;
     let s = load_records(required(flags, "s")?)?;
+    let ingest = ingest.elapsed();
     let algo = algorithm_by_name(flags.get("algo").map_or("lpib", String::as_str))?;
     let bbox = bbox_of(r.iter().chain(&s).map(|rec| rec.point));
     if bbox.is_empty() {
@@ -487,16 +516,13 @@ fn cmd_join(flags: &HashMap<String, String>) -> Result<(), String> {
         spec = spec.counting_only();
     }
     let out = algo.run(&cluster, &spec, r, s);
-    report(&out);
-    trace.write()?;
-    if let Some(path) = flags.get("out") {
-        write_pairs(path, &out.pairs)?;
-    }
-    Ok(())
+    finish_join(flags, &out, ingest, &trace)
 }
 
 fn cmd_self_join(flags: &HashMap<String, String>) -> Result<(), String> {
+    let ingest = Instant::now();
     let input = load_records(required(flags, "input")?)?;
+    let ingest = ingest.elapsed();
     let bbox = bbox_of(input.iter().map(|rec| rec.point));
     if bbox.is_empty() {
         return Err("input contains no points".into());
@@ -506,12 +532,7 @@ fn cmd_self_join(flags: &HashMap<String, String>) -> Result<(), String> {
         spec = spec.counting_only();
     }
     let out = self_join(&cluster, &spec, input);
-    report(&out);
-    trace.write()?;
-    if let Some(path) = flags.get("out") {
-        write_pairs(path, &out.pairs)?;
-    }
-    Ok(())
+    finish_join(flags, &out, ingest, &trace)
 }
 
 fn cmd_knn(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -706,7 +727,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     println!("quanta granted       : {}", run.grants.len());
     if recovery.journal.is_some() {
-        println!("journal grants       : {}", run.journal_grants.len());
+        println!("journal grants replayed : {}", run.journal_grants.len());
         println!("checkpoint bytes     : {}", run.checkpoint_bytes);
         println!("stages recovered     : {}", run.stages_recovered);
         let replayed = run.tenants.iter().filter(|t| t.recovered).count();
