@@ -5,7 +5,7 @@
 //!       [--faults SPEC] [--fault-seed N] [--speculation]
 //!
 //! EXPERIMENT: table1 fig1b fig10 table4 fig13 fig14 fig15 fig16 fig17
-//!             fig18 table5 table6 table7 ablation-kernels (a1) faults perf
+//!             fig18 table5 table6 table7 ablation-kernels (a1) faults
 //!             memory multitenant recovery all (default: all)
 //! --quick       reduced scale (same as `cargo bench --bench figures`)
 //! --scale N     x1 cardinality of the synthetic sets (default 100000)
@@ -16,7 +16,7 @@
 //! --speculation   speculatively re-execute straggler tasks
 //! ```
 
-use asj_bench::{experiments, memory, multitenant, perf, recovery, Combo, ExpConfig};
+use asj_bench::{experiments, memory, multitenant, recovery, Combo, ExpConfig};
 use asj_engine::{FaultPlan, RetryPolicy};
 
 fn main() {
@@ -141,10 +141,6 @@ fn main() {
             "faults" | "fault-tolerance" => {
                 experiments::fault_tolerance(&cfg, &ab_plan, policy);
             }
-            "perf" | "shuffle-perf" => {
-                perf::shuffle_perf(&cfg);
-                perf::exec_mode_ab(&cfg);
-            }
             "memory" | "memory-sweep" | "budget-sweep" => {
                 memory::memory_sweep(&cfg);
             }
@@ -169,7 +165,7 @@ fn usage(err: &str) -> ! {
          \x20            [--faults SPEC] [--fault-seed N] [--speculation]\n\
          experiments: table1 fig1b fig10 table4 fig13 fig14 fig15 fig16 \
          fig17 fig18 table5 table6 table7 ablation-kernels a2 ext faults \
-         perf memory multitenant recovery all"
+         memory multitenant recovery all"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

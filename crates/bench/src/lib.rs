@@ -11,7 +11,6 @@
 pub mod experiments;
 pub mod memory;
 pub mod multitenant;
-pub mod perf;
 pub mod recovery;
 mod runner;
 mod table;

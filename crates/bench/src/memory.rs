@@ -1,9 +1,9 @@
 //! `repro memory` — the memory-governor budget sweep behind the
 //! spill-to-disk shuffle work.
 //!
-//! One unbudgeted reference run of the [`perf`](crate::perf) shuffle
-//! workload establishes the **natural peak**: the largest number of bytes
-//! any simulated node holds resident at once when nothing is ever denied.
+//! One unbudgeted reference run of a shuffle-heavy workload
+//! (`keyed_workload`) establishes the **natural peak**: the largest number of
+//! bytes any simulated node holds resident at once when nothing is ever denied.
 //! The sweep then re-runs the identical workload under per-node budgets at
 //! shrinking fractions of that peak, forcing more and more shuffle buckets
 //! through disk spill segments, and asserts after every leg:
@@ -20,13 +20,23 @@
 //! Results land in `BENCH_memory.json` for the CI `perf-smoke` job;
 //! override the path with `ASJ_BENCH_MEMORY_OUT`.
 
-use crate::perf::{assignment, checksum_partitions, keyed_workload, PAYLOAD_BYTES};
 use crate::{ExpConfig, Table};
+use asj_data::{DatasetSpec, GenKind, PAPER_BBOX};
 use asj_engine::{
     Cluster, ClusterConfig, ExplicitPartitioner, FaultPlan, KeyedDataset, RetryPolicy, ShuffleStats,
 };
-use asj_join::Record;
+use asj_join::{to_records, Record};
+use std::collections::HashMap;
 use std::time::Instant;
+
+/// Opaque payload carried by every benchmark record: large enough that the
+/// shuffle moves real bytes (the paper's tuples carry geometry + attributes),
+/// small enough that a quick CI run stays in memory comfortably.
+const PAYLOAD_BYTES: usize = 64;
+
+/// Cells per axis of the routing grid. 64×64 = 4096 contiguous cell keys —
+/// the contiguous-id case the dense partitioner table exists for.
+const GRID_CELLS: u64 = 64;
 
 /// Budget fractions of the natural peak swept after the reference leg, in
 /// percent. 100% still admits everything (the peak *is* attainable); the
@@ -66,6 +76,69 @@ pub struct MemReport {
 }
 
 type Workload = Vec<Vec<(u64, Record)>>;
+
+/// FNV-1a 64-bit, folded over the shuffled partitions in order. Covers the
+/// partition boundaries, every key, record id, coordinate bit pattern and
+/// payload byte — any reordering or corruption moves the digest.
+fn checksum_partitions(parts: &[Vec<(u64, Record)>]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    fn byte(h: &mut u64, b: u8) {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(PRIME);
+    }
+    fn word(h: &mut u64, w: u64) {
+        w.to_le_bytes().into_iter().for_each(|b| byte(h, b));
+    }
+    let mut h = OFFSET;
+    for (i, part) in parts.iter().enumerate() {
+        word(&mut h, 0xffff_0000_0000_0000 | i as u64);
+        word(&mut h, part.len() as u64);
+        for (key, rec) in part {
+            word(&mut h, *key);
+            word(&mut h, rec.id);
+            word(&mut h, rec.point.x.to_bits());
+            word(&mut h, rec.point.y.to_bits());
+            word(&mut h, rec.payload.len() as u64);
+            rec.payload.iter().for_each(|&b| byte(&mut h, b));
+        }
+    }
+    h
+}
+
+/// The shuffle-heavy workload: `n` uniform points with opaque payloads,
+/// keyed by routing-grid cell, split round-robin into `sources` map-side
+/// partitions (round-robin input maximizes cross-partition traffic).
+fn keyed_workload(n: usize, sources: usize) -> Vec<Vec<(u64, Record)>> {
+    let points = DatasetSpec {
+        name: "perf",
+        kind: GenKind::Uniform,
+        cardinality: n,
+        seed: 4242,
+        bbox: PAPER_BBOX,
+        sigma_scale: 1.0,
+    }
+    .points();
+    let records = to_records(&points, PAYLOAD_BYTES);
+    let span_x = PAPER_BBOX.max_x - PAPER_BBOX.min_x;
+    let span_y = PAPER_BBOX.max_y - PAPER_BBOX.min_y;
+    let mut parts: Vec<Vec<(u64, Record)>> = (0..sources).map(|_| Vec::new()).collect();
+    for (i, rec) in records.into_iter().enumerate() {
+        let cx = (((rec.point.x - PAPER_BBOX.min_x) / span_x) * GRID_CELLS as f64) as u64;
+        let cy = (((rec.point.y - PAPER_BBOX.min_y) / span_y) * GRID_CELLS as f64) as u64;
+        let key = cx.min(GRID_CELLS - 1) * GRID_CELLS + cy.min(GRID_CELLS - 1);
+        parts[i % sources].push((key, rec));
+    }
+    parts
+}
+
+/// LPT-flavored cell→partition assignment shared by every leg (the adaptive
+/// join routes through exactly this kind of explicit map).
+fn assignment(targets: usize) -> HashMap<u64, usize> {
+    (0..GRID_CELLS * GRID_CELLS)
+        .map(|cell| (cell, (cell as usize).wrapping_mul(7) % targets))
+        .collect()
+}
 
 /// Runs one leg and returns its row plus the shuffled output for the
 /// byte-identity gate.
@@ -271,6 +344,29 @@ pub fn memory_sweep(cfg: &ExpConfig) -> MemReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checksum_is_order_sensitive() {
+        let rec = |id: u64| Record::new(id, asj_geom::Point::new(id as f64, 0.0));
+        let a = vec![vec![(1u64, rec(1)), (2, rec(2))]];
+        let b = vec![vec![(2u64, rec(2)), (1, rec(1))]];
+        assert_ne!(checksum_partitions(&a), checksum_partitions(&b));
+        assert_eq!(checksum_partitions(&a), checksum_partitions(&a.clone()));
+    }
+
+    #[test]
+    fn workload_routes_to_every_source() {
+        let parts = keyed_workload(1000, 7);
+        assert_eq!(parts.len(), 7);
+        assert!(parts.iter().all(|p| !p.is_empty()));
+        let max_key = GRID_CELLS * GRID_CELLS;
+        for part in &parts {
+            for (key, rec) in part {
+                assert!(*key < max_key);
+                assert_eq!(rec.payload.len(), PAYLOAD_BYTES);
+            }
+        }
+    }
 
     #[test]
     fn memory_sweep_runs_at_tiny_scale() {

@@ -5,11 +5,9 @@
 //! tenant included) runs to completion once as the **oracle**. The sweep then
 //! crashes a journaled server at three grant boundaries (~1/3, ~2/3 and two
 //! grants shy of done) and restarts it with `--recover` semantics, under
-//! four arms: **plain** (journal only), **ckpt** (journal + stage
-//! checkpoints), **compact** (checkpoints + `--compact-every 1` journal
-//! compaction) and **pipe** (checkpoints under `--exec pipelined` —
-//! partition-granular join commits instead of stage-barrier ones). After
-//! every leg the harness asserts:
+//! three arms: **plain** (journal only), **ckpt** (journal + stage
+//! checkpoints) and **compact** (checkpoints + `--compact-every 1` journal
+//! compaction). After every leg the harness asserts:
 //!
 //! * **write-ahead** — the crashed leg's grant log is exactly the oracle's
 //!   prefix up to the crash point, and the recovery leg replays that same
@@ -19,9 +17,7 @@
 //!   candidates, replication, checksum) is byte-identical to the oracle's,
 //! * **savings** — summed across crash points, the checkpointed recovery legs
 //!   re-run strictly fewer task attempts than the journal-only legs: resuming
-//!   from persisted shuffle *and join* stages must beat recomputing them —
-//!   and the pipelined-checkpoint arm must clear the same bar, so
-//!   `--exec pipelined` never silently loses durability,
+//!   from persisted shuffle *and join* stages must beat recomputing them,
 //! * **bounded disk** — after the recovery leg finishes, retention GC has
 //!   collected every finished job's checkpoints and (on the compact arm)
 //!   journal compaction has dropped the dead records, so checkpoint-dir
@@ -35,7 +31,7 @@
 
 use crate::multitenant::tenant_set;
 use crate::{ExpConfig, Table};
-use asj_engine::{Cluster, ClusterConfig, ExecMode, FaultPlan, RetryPolicy, SchedPolicy};
+use asj_engine::{Cluster, ClusterConfig, FaultPlan, RetryPolicy, SchedPolicy};
 use asj_join::Algorithm;
 use asj_serve::{run_queue, run_queue_recoverable, QueueRun, RecoveryOptions, TenantSpec};
 use std::path::Path;
@@ -54,10 +50,6 @@ pub struct RecLeg {
     pub checkpointed: bool,
     /// Whether this arm compacted the journal after every completion.
     pub compacted: bool,
-    /// Execution mode both legs ran under (the pipe arm crashes *and*
-    /// recovers pipelined; outcomes are still gated against the barrier
-    /// oracle).
-    pub exec: ExecMode,
     /// Crashed grant log == oracle prefix AND recovery replayed it.
     pub prefix_ok: bool,
     /// Every recovered outcome byte-identical to the oracle's.
@@ -87,10 +79,8 @@ pub struct RecReport {
     /// Task attempts the oracle spent — the 100% recomputation baseline.
     pub oracle_attempts: u64,
     pub legs: Vec<RecLeg>,
-    /// Σ recovered_attempts over the barrier checkpointed (non-compact) arms.
+    /// Σ recovered_attempts over the checkpointed (non-compact) arms.
     pub attempts_with_checkpoint: u64,
-    /// Σ recovered_attempts over the pipelined checkpointed arms.
-    pub attempts_with_pipelined_checkpoint: u64,
     /// Σ recovered_attempts over the journal-only arms.
     pub attempts_without_checkpoint: u64,
     /// Max post-recovery disk bytes over the compact-arm legs.
@@ -104,10 +94,6 @@ pub struct RecReport {
     /// `attempts_with_checkpoint` did not regress past the committed
     /// baseline's (vacuously true without a matching baseline).
     pub attempts_within_baseline: bool,
-    /// `attempts_with_pipelined_checkpoint` did not regress past the
-    /// committed baseline's (vacuously true without a matching baseline or
-    /// a baseline predating the pipe arm).
-    pub pipelined_attempts_within_baseline: bool,
 }
 
 impl RecReport {
@@ -115,27 +101,16 @@ impl RecReport {
     pub fn checkpoint_savings(&self) -> bool {
         self.attempts_with_checkpoint < self.attempts_without_checkpoint
     }
-
-    /// Same bar for the pipelined arm: partition-granular checkpoints must
-    /// strictly beat journal-only recovery too — `--exec pipelined` never
-    /// trades durability away.
-    pub fn pipelined_checkpoint_savings(&self) -> bool {
-        self.attempts_with_pipelined_checkpoint < self.attempts_without_checkpoint
-    }
 }
 
 /// The durability arms, crossed with every crash point. `plain` and `ckpt`
 /// are the pre-compaction A/B axis (their attempt sums feed the savings
 /// gate, keeping the metric comparable across baselines); `compact` layers
-/// `--compact-every 1` on the checkpointed arm and feeds the disk gate;
-/// `pipe` re-runs the checkpointed arm under `--exec pipelined`, where join
-/// commits are partition-granular rather than stage-barrier, and feeds the
-/// pipelined savings gate.
-const ARMS: &[(&str, bool, bool, ExecMode)] = &[
-    ("ckpt", true, false, ExecMode::Barrier),
-    ("plain", false, false, ExecMode::Barrier),
-    ("compact", true, true, ExecMode::Barrier),
-    ("pipe", true, false, ExecMode::Pipelined),
+/// `--compact-every 1` on the checkpointed arm and feeds the disk gate.
+const ARMS: &[(&str, bool, bool)] = &[
+    ("ckpt", true, false),
+    ("plain", false, false),
+    ("compact", true, true),
 ];
 
 /// The cluster-level fault plan and retry policy this config injects
@@ -179,7 +154,6 @@ fn crash_and_recover(
     arm: &str,
     checkpointed: bool,
     compacted: bool,
-    exec: ExecMode,
     scratch: &Path,
 ) -> RecLeg {
     let journal = scratch.join(format!("crash{crash_at}-{arm}.journal"));
@@ -190,7 +164,6 @@ fn crash_and_recover(
     // clause, so per-task behavior up to the crash point is identical.
     let (plan, retry) = base_policy(cfg);
     let crash_cluster = Cluster::new(ClusterConfig::new(cfg.nodes))
-        .with_exec_mode(exec)
         .with_fault_policy(plan.with_crash_after_grants(crash_at), retry);
     let opts = RecoveryOptions {
         journal: Some(journal.clone()),
@@ -209,13 +182,8 @@ fn crash_and_recover(
         recover: true,
         compact_every,
     };
-    let recovered = run_queue_recoverable(
-        &cfg.cluster().with_exec_mode(exec),
-        tenants,
-        SchedPolicy::FairShare,
-        &opts,
-    )
-    .unwrap_or_else(|e| panic!("recover@{crash_at} {arm}: {e}"));
+    let recovered = run_queue_recoverable(&cfg.cluster(), tenants, SchedPolicy::FairShare, &opts)
+        .unwrap_or_else(|e| panic!("recover@{crash_at} {arm}: {e}"));
     assert!(!recovered.crashed, "recovery leg must run to completion");
 
     let prefix = &oracle.grants[..crash_at as usize];
@@ -242,7 +210,6 @@ fn crash_and_recover(
         crash_at,
         checkpointed,
         compacted,
-        exec,
         prefix_ok,
         checksums_ok,
         replayed_tenants: recovered.tenants.iter().filter(|t| t.recovered).count(),
@@ -274,7 +241,6 @@ struct Baseline {
     nodes: u64,
     tenants: u64,
     attempts_with_checkpoint: Option<u64>,
-    attempts_with_pipelined_checkpoint: Option<u64>,
     disk_bound_bytes: Option<u64>,
 }
 
@@ -286,7 +252,6 @@ fn read_baseline() -> Option<Baseline> {
         nodes: json_u64(&text, "nodes")?,
         tenants: json_u64(&text, "tenants")?,
         attempts_with_checkpoint: json_u64(&text, "attempts_with_checkpoint"),
-        attempts_with_pipelined_checkpoint: json_u64(&text, "attempts_with_pipelined_checkpoint"),
         disk_bound_bytes: json_u64(&text, "disk_bound_bytes"),
     })
 }
@@ -295,7 +260,6 @@ fn json_leg(leg: &RecLeg) -> String {
     format!(
         concat!(
             "{{\"crash_at\":{},\"checkpointed\":{},\"compacted\":{},",
-            "\"exec\":\"{}\",",
             "\"prefix_ok\":{},",
             "\"checksums_ok\":{},\"replayed_tenants\":{},",
             "\"stages_recovered\":{},\"checkpoint_bytes\":{},",
@@ -305,7 +269,6 @@ fn json_leg(leg: &RecLeg) -> String {
         leg.crash_at,
         leg.checkpointed,
         leg.compacted,
-        leg.exec.name(),
         leg.prefix_ok,
         leg.checksums_ok,
         leg.replayed_tenants,
@@ -329,11 +292,8 @@ fn render_json(rep: &RecReport) -> String {
             "  \"oracle_grants\": {},\n",
             "  \"oracle_attempts\": {},\n",
             "  \"attempts_with_checkpoint\": {},\n",
-            "  \"attempts_with_pipelined_checkpoint\": {},\n",
             "  \"attempts_without_checkpoint\": {},\n",
             "  \"checkpoint_savings\": {},\n",
-            "  \"pipelined_checkpoint_savings\": {},\n",
-            "  \"pipelined_attempts_within_baseline\": {},\n",
             "  \"post_gc_disk_bytes\": {},\n",
             "  \"disk_bound_bytes\": {},\n",
             "  \"disk_bounded\": {},\n",
@@ -346,11 +306,8 @@ fn render_json(rep: &RecReport) -> String {
         rep.oracle_grants,
         rep.oracle_attempts,
         rep.attempts_with_checkpoint,
-        rep.attempts_with_pipelined_checkpoint,
         rep.attempts_without_checkpoint,
         rep.checkpoint_savings(),
-        rep.pipelined_checkpoint_savings(),
-        rep.pipelined_attempts_within_baseline,
         rep.post_gc_disk_bytes,
         rep.disk_bound_bytes
             .map_or_else(|| "null".to_string(), |b| b.to_string()),
@@ -393,7 +350,7 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
 
     let mut legs: Vec<RecLeg> = Vec::new();
     for &crash_at in &crash_points {
-        for &(arm, checkpointed, compacted, exec) in ARMS {
+        for &(arm, checkpointed, compacted) in ARMS {
             legs.push(crash_and_recover(
                 cfg,
                 &tenants,
@@ -402,7 +359,6 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
                 arm,
                 checkpointed,
                 compacted,
-                exec,
                 &scratch,
             ));
         }
@@ -411,12 +367,7 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
 
     let attempts_with_checkpoint = legs
         .iter()
-        .filter(|l| l.checkpointed && !l.compacted && l.exec == ExecMode::Barrier)
-        .map(|l| l.recovered_attempts)
-        .sum();
-    let attempts_with_pipelined_checkpoint = legs
-        .iter()
-        .filter(|l| l.exec == ExecMode::Pipelined)
+        .filter(|l| l.checkpointed && !l.compacted)
         .map(|l| l.recovered_attempts)
         .sum();
     let attempts_without_checkpoint = legs
@@ -441,10 +392,6 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
         .as_ref()
         .and_then(|b| b.attempts_with_checkpoint)
         .is_none_or(|base| attempts_with_checkpoint <= base);
-    let pipelined_attempts_within_baseline = baseline
-        .as_ref()
-        .and_then(|b| b.attempts_with_pipelined_checkpoint)
-        .is_none_or(|base| attempts_with_pipelined_checkpoint <= base);
 
     let report = RecReport {
         nodes: cfg.nodes,
@@ -452,13 +399,11 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
         oracle_grants: oracle.grants.len(),
         oracle_attempts: total_attempts(&oracle),
         attempts_with_checkpoint,
-        attempts_with_pipelined_checkpoint,
         attempts_without_checkpoint,
         post_gc_disk_bytes,
         disk_bound_bytes,
         disk_bounded,
         attempts_within_baseline,
-        pipelined_attempts_within_baseline,
         legs,
     };
     assert!(
@@ -466,18 +411,6 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
         "checkpointed recovery re-ran {} attempts vs {} without — checkpoints must save work",
         report.attempts_with_checkpoint,
         report.attempts_without_checkpoint
-    );
-    assert!(
-        report.pipelined_checkpoint_savings(),
-        "pipelined checkpointed recovery re-ran {} attempts vs {} journal-only — \
-         partition-granular checkpoints must save work",
-        report.attempts_with_pipelined_checkpoint,
-        report.attempts_without_checkpoint
-    );
-    assert!(
-        report.pipelined_attempts_within_baseline,
-        "pipelined checkpointed recovery attempts {} regressed past the committed baseline",
-        report.attempts_with_pipelined_checkpoint
     );
     assert!(
         report.disk_bounded,
@@ -501,11 +434,10 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
         "clock (ms)",
     ]);
     for leg in &report.legs {
-        let arm = match (leg.exec, leg.checkpointed, leg.compacted) {
-            (ExecMode::Pipelined, _, _) => "pipe",
-            (_, true, true) => "compact",
-            (_, true, false) => "ckpt",
-            (_, false, _) => "plain",
+        let arm = match (leg.checkpointed, leg.compacted) {
+            (true, true) => "compact",
+            (true, false) => "ckpt",
+            (false, _) => "plain",
         };
         table.row(vec![
             leg.crash_at.to_string(),
@@ -523,10 +455,9 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
         report.tenants, report.nodes, report.oracle_grants, report.oracle_attempts
     ));
     println!(
-        "checkpointed recovery re-ran {} attempts ({} pipelined) vs {} journal-only \
+        "checkpointed recovery re-ran {} attempts vs {} journal-only \
          ({} in the full oracle); post-GC disk {} bytes (bound: {})",
         report.attempts_with_checkpoint,
-        report.attempts_with_pipelined_checkpoint,
         report.attempts_without_checkpoint,
         report.oracle_attempts,
         report.post_gc_disk_bytes,
@@ -558,10 +489,9 @@ mod tests {
         let report = recovery_sweep(&cfg);
         std::env::remove_var("ASJ_BENCH_RECOVERY_OUT");
 
-        // Three crash points, four arms each (dedup may shrink tiny queues).
-        assert!(report.legs.len() >= 8 && report.legs.len().is_multiple_of(4));
+        // Three crash points, three arms each (dedup may shrink tiny queues).
+        assert!(report.legs.len() >= 6 && report.legs.len().is_multiple_of(3));
         assert!(report.checkpoint_savings());
-        assert!(report.pipelined_checkpoint_savings());
         for leg in &report.legs {
             assert!(leg.prefix_ok && leg.checksums_ok);
             assert!(
@@ -578,10 +508,9 @@ mod tests {
         }
         // The compact arm must not keep more disk than its uncompacted
         // sibling at the same crash point — compaction only ever drops
-        // records. The pipe arm rides the same crash point pipelined, with
-        // the identical per-leg write-ahead/equivalence gates.
-        for group in report.legs.chunks(4) {
-            let (ckpt, compact, pipe) = (&group[0], &group[2], &group[3]);
+        // records.
+        for group in report.legs.chunks(3) {
+            let (ckpt, compact) = (&group[0], &group[2]);
             assert!(ckpt.checkpointed && !ckpt.compacted);
             assert!(compact.compacted);
             assert!(
@@ -590,9 +519,6 @@ mod tests {
                 compact.post_gc_disk_bytes,
                 ckpt.post_gc_disk_bytes
             );
-            assert_eq!(pipe.exec, ExecMode::Pipelined);
-            assert!(pipe.checkpointed && !pipe.compacted);
-            assert!(pipe.prefix_ok && pipe.checksums_ok);
         }
         // Early crash points may precede the first completed shuffle stage,
         // but by the late one the checkpoint arm must have persisted data.
@@ -620,8 +546,6 @@ mod tests {
         let json = std::fs::read_to_string(&out).expect("json written");
         assert!(json.contains("\"experiment\": \"recovery\""));
         assert!(json.contains("\"checkpoint_savings\": true"));
-        assert!(json.contains("\"pipelined_checkpoint_savings\": true"));
-        assert!(json.contains("\"exec\":\"pipelined\""));
         assert!(json.contains("\"disk_bounded\": true"));
         assert!(json.contains("\"prefix_ok\":true"));
         assert!(!json.contains("\"prefix_ok\":false"));

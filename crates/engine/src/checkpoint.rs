@@ -38,17 +38,6 @@
 //! ```
 //!
 //! The trailing `end` line is the commit marker a torn manifest lacks.
-//!
-//! Two derived-key shapes compose with the stage-granular format above
-//! without changing it (old checkpoints stay readable, and the per-job
-//! prefix GC covers all three):
-//!
-//! * `{key}-p{N}` — a **partition-granular commit record**: partition `N`'s
-//!   join output as a single-chunk join checkpoint, written by a pipelined
-//!   consumer the moment it commits ([`CheckpointStore::save_join_part`]).
-//! * `{key}-shuffle` — a manifest-only **stage-stats record** holding the
-//!   merged [`ShuffleStats`] of the map halves feeding a pipelined join, so
-//!   a full-hit replay can skip the (billed) map stages too.
 
 use crate::memory::{decode_records, encode_records, SpillChunk, SpillSegment, SpillWriter};
 use crate::metrics::ShuffleStats;
@@ -410,61 +399,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Persists one *partition's* join output under `key` — the
-    /// partition-granular commit record a pipelined consumer writes the
-    /// moment it commits, instead of waiting for a stage barrier that
-    /// pipelined execution does not have. The record is a single-chunk
-    /// join checkpoint at the derived key `{key}-p{part}`, so it inherits
-    /// the full durability protocol (payload + FNV checksum + `end`
-    /// commit marker, tmp→fsync→rename) and the prefix-based retention
-    /// GC of the stage-granular format. Derived keys cannot collide with
-    /// stage keys: [`CheckpointCtx::next_key`] sanitizes scope and stage
-    /// names, so a stage key contains exactly two dashes while every
-    /// partition key contains at least three.
-    pub fn save_join_part<R: Wire, A: Wire>(
-        &self,
-        key: &str,
-        part: usize,
-        record: &(Vec<R>, A),
-    ) -> std::io::Result<u64> {
-        self.save_join(&format!("{key}-p{part}"), std::slice::from_ref(record))
-    }
-
-    /// Loads one partition-granular commit record written by
-    /// [`CheckpointStore::save_join_part`]; same miss/self-heal contract
-    /// as [`CheckpointStore::load`]. A record holding anything but
-    /// exactly one partition is treated as corrupt.
-    pub fn load_join_part<R: Wire, A: Wire>(
-        &self,
-        key: &str,
-        part: usize,
-    ) -> std::io::Result<Option<(Vec<R>, A)>> {
-        let part_key = format!("{key}-p{part}");
-        Ok(self.load_join::<R, A>(&part_key)?.and_then(|mut parts| {
-            if parts.len() == 1 {
-                parts.pop()
-            } else {
-                let _ = std::fs::remove_file(self.manifest_path(&part_key));
-                let _ = std::fs::remove_file(self.seg_path(&part_key));
-                None
-            }
-        }))
-    }
-
-    /// Loads every partition-granular commit record of a `n_parts`-wide
-    /// stage under `key`: index `i` is `Some` iff partition `i`'s commit
-    /// record is durable and verifies. The replay path pre-seeds the
-    /// pipelined ready queue from the `Some` entries and recomputes only
-    /// the `None`s.
-    #[allow(clippy::type_complexity)]
-    pub fn load_join_parts<R: Wire, A: Wire>(
-        &self,
-        key: &str,
-        n_parts: usize,
-    ) -> std::io::Result<Vec<Option<(Vec<R>, A)>>> {
-        (0..n_parts).map(|p| self.load_join_part(key, p)).collect()
-    }
-
     /// Retention GC: unlinks every checkpoint whose key belongs to `scope`
     /// (the per-job prefix [`CheckpointCtx`] keys under). Call only once the
     /// job's `done` record is fsynced in the journal — the crash-safe delete
@@ -777,77 +711,14 @@ mod tests {
     }
 
     #[test]
-    fn partition_records_round_trip_and_report_missing_parts() {
-        let dir = test_dir("part-records");
-        let store = CheckpointStore::open(&dir).expect("open");
-        type JoinPart = (Vec<(u64, u64)>, u64);
-        let p0: JoinPart = (vec![(1, 2), (3, 4)], 7);
-        let p2: JoinPart = (Vec::new(), 9);
-        store
-            .save_join_part("job0-cogroup_join-0", 0, &p0)
-            .expect("save p0");
-        store
-            .save_join_part("job0-cogroup_join-0", 2, &p2)
-            .expect("save p2");
-        let parts = store
-            .load_join_parts::<(u64, u64), u64>("job0-cogroup_join-0", 3)
-            .expect("load");
-        assert_eq!(parts, vec![Some(p0), None, Some(p2)]);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn corrupt_partition_record_degrades_to_a_missing_part() {
-        let dir = test_dir("part-corrupt");
-        let store = CheckpointStore::open(&dir).expect("open");
-        let rec: (Vec<(u64, u64)>, u64) = (vec![(5, 6)], 1);
-        store.save_join_part("k", 0, &rec).expect("save");
-        let seg = dir.join("k-p0.seg");
-        let mut bytes = std::fs::read(&seg).expect("read seg");
-        bytes[0] ^= 0xFF;
-        std::fs::write(&seg, &bytes).expect("rewrite seg");
-        assert_eq!(
-            store
-                .load_join_part::<(u64, u64), u64>("k", 0)
-                .expect("load"),
-            None,
-            "corruption is a missing part, never wrong data"
-        );
-        assert!(!dir.join("k-p0.manifest").exists(), "corrupt pair deleted");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn gc_scope_collects_partition_and_stats_records_too() {
-        let dir = test_dir("part-gc");
-        let store = CheckpointStore::open(&dir).expect("open");
-        let rec: (Vec<(u64, u64)>, u64) = (vec![(5, 6)], 1);
-        store
-            .save_join_part("job7-cogroup_join-0", 0, &rec)
-            .expect("save part");
-        store
-            .save::<u64, u64>("job7-cogroup_join-0-shuffle", &[], &sample_stats())
-            .expect("save stats record");
-        assert!(store.gc_scope("job7").expect("gc") > 0);
-        assert!(!dir.join("job7-cogroup_join-0-p0.manifest").exists());
-        assert!(!dir.join("job7-cogroup_join-0-p0.seg").exists());
-        assert!(!dir.join("job7-cogroup_join-0-shuffle.manifest").exists());
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn manifest_only_stats_record_round_trips() {
-        let dir = test_dir("stats-record");
+    fn zero_partition_checkpoint_commits_manifest_only() {
+        let dir = test_dir("manifest-only");
         let store = CheckpointStore::open(&dir).expect("open");
         let stats = sample_stats();
-        store
-            .save::<u64, u64>("job0-cogroup_join-0-shuffle", &[], &stats)
-            .expect("save");
-        let (parts, got) = store
-            .load::<u64, u64>("job0-cogroup_join-0-shuffle")
-            .expect("load")
-            .expect("hit");
-        assert!(parts.is_empty(), "a stats record carries no partitions");
+        store.save::<u64, u64>("k", &[], &stats).expect("save");
+        assert!(!dir.join("k.seg").exists(), "no chunk, no segment");
+        let (parts, got) = store.load::<u64, u64>("k").expect("load").expect("hit");
+        assert!(parts.is_empty());
         assert_eq!(got, stats);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

@@ -5,60 +5,12 @@ use crate::jobs::JobGate;
 use crate::journal::Journal;
 use crate::memory::MemoryAccountant;
 use crate::metrics::ExecStats;
-use crate::pipeline_exec::{run_pipelined, PipelineOccupancy};
-use crate::pool::{run_tasks_ft, try_run_tasks_traced};
+use crate::pool::run_stage;
 use asj_core::KernelCostModel;
 use asj_obs::Recorder;
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
-
-/// Which shuffle materialization [`KeyedDataset::try_shuffle_stage`]
-/// (crate::KeyedDataset) uses on this cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShuffleMode {
-    /// Radix scatter through pooled per-target buckets with single-pass byte
-    /// metering — the default.
-    #[default]
-    Radix,
-    /// The original tuple-`Vec` materialization (fresh allocations, second
-    /// `encoded_size` walk on the reduce side). Kept reachable as the oracle
-    /// for equivalence tests and A/B perf runs.
-    Legacy,
-}
-
-impl ShuffleMode {
-    pub fn name(self) -> &'static str {
-        match self {
-            ShuffleMode::Radix => "radix",
-            ShuffleMode::Legacy => "legacy",
-        }
-    }
-}
-
-/// How consecutive stages on this cluster hand partitions to each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Hard stage barrier: every upstream partition is materialized before
-    /// the downstream stage starts — the default.
-    #[default]
-    Barrier,
-    /// Streaming handoff: completed shuffle partitions flow to the consumer
-    /// stage through a bounded SPMC channel (see `pipeline_exec`), so the
-    /// join starts probing early cell groups while late stitch work is
-    /// still running. Changes wall time only — simulated-clock billing is
-    /// identical to barrier mode by construction.
-    Pipelined,
-}
-
-impl ExecMode {
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Barrier => "barrier",
-            ExecMode::Pipelined => "pipelined",
-        }
-    }
-}
 
 /// Shape of the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,7 +77,7 @@ pub struct Cluster {
     recorder: Recorder,
     /// Fault-injection plan, recovery policy and cluster-lifetime fault
     /// state (blacklist, fired losses). `None` — the default — runs every
-    /// stage on the zero-overhead fail-stop path.
+    /// stage single-attempt and fail-stop.
     faults: Option<Arc<FaultContext>>,
     /// Calibrated local-kernel cost constants, filled lazily by the first
     /// join that needs them (see [`Cluster::kernel_cost_model`]) and shared
@@ -137,11 +89,6 @@ pub struct Cluster {
     /// Per-node memory accountant (always present; meter-only when the
     /// config carries no budget), shared by every clone of this handle.
     memory: Arc<MemoryAccountant>,
-    /// Which shuffle materialization stages on this cluster use.
-    shuffle_mode: ShuffleMode,
-    /// How consecutive stages hand partitions to each other (barrier vs
-    /// streaming pipelined handoff).
-    exec_mode: ExecMode,
     /// Lockstep stage gate, set only on per-job handles created by the
     /// [`JobServer`](crate::JobServer): every stage entry parks until the
     /// scheduler grants this job a quantum, and completed stages are billed
@@ -166,8 +113,6 @@ impl Cluster {
             cost_model: Arc::new(OnceLock::new()),
             buffers: Arc::new(BufferPool::new()),
             memory: Arc::new(MemoryAccountant::new(config.nodes, config.memory_budget)),
-            shuffle_mode: ShuffleMode::default(),
-            exec_mode: ExecMode::default(),
             gate: None,
             checkpoint: None,
             config,
@@ -283,36 +228,7 @@ impl Cluster {
         self.config.memory_budget
     }
 
-    /// Selects the shuffle materialization for stages run on this handle.
-    /// [`ShuffleMode::Legacy`] pins the pre-radix tuple-`Vec` path — the
-    /// oracle side of A/B equivalence and perf comparisons.
-    pub fn with_shuffle_mode(mut self, mode: ShuffleMode) -> Self {
-        self.shuffle_mode = mode;
-        self
-    }
-
-    /// The active shuffle materialization.
-    #[inline]
-    pub fn shuffle_mode(&self) -> ShuffleMode {
-        self.shuffle_mode
-    }
-
-    /// Selects how stages on this handle hand partitions downstream.
-    /// [`ExecMode::Pipelined`] streams completed shuffle partitions into the
-    /// consumer stage through a bounded channel instead of a stage barrier;
-    /// results and simulated-clock billing are identical in both modes.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
-    /// The active cross-stage execution mode.
-    #[inline]
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// The cluster-lifetime [`BufferPool`] radix shuffles draw from.
+    /// The cluster-lifetime [`BufferPool`] shuffles draw from.
     #[inline]
     pub fn buffer_pool(&self) -> &BufferPool {
         &self.buffers
@@ -338,18 +254,17 @@ impl Cluster {
         self
     }
 
-    /// Attaches a [`FaultPlan`] with the default [`RetryPolicy`]: stages run
-    /// on the fault-tolerant executor, which injects the plan's failures and
-    /// recovers via retries, blacklisting and (if enabled) speculation.
+    /// Attaches a [`FaultPlan`] with the default [`RetryPolicy`]: stages
+    /// inject the plan's failures and recover via retries, blacklisting and
+    /// (if enabled) speculation.
     pub fn with_faults(self, plan: FaultPlan) -> Self {
         let policy = self.faults.as_ref().map(|c| c.policy).unwrap_or_default();
         self.with_fault_policy(plan, policy)
     }
 
     /// Changes the recovery policy, keeping (or installing an empty) fault
-    /// plan. Attaching a policy alone still routes stages through the
-    /// recovering executor, so panicking tasks are retried instead of
-    /// failing the job outright.
+    /// plan. Attaching a policy alone is enough for panicking tasks to be
+    /// retried instead of failing the job outright.
     pub fn with_retry_policy(self, policy: RetryPolicy) -> Self {
         let plan = self
             .faults
@@ -370,9 +285,9 @@ impl Cluster {
         self
     }
 
-    /// Detaches any fault plan and recovery policy: stages run on the
-    /// legacy zero-overhead executor again. The fault-free twin used as the
-    /// control side of A/B recovery experiments.
+    /// Detaches any fault plan and recovery policy: stages run
+    /// single-attempt again. The fault-free twin used as the control side
+    /// of A/B recovery experiments.
     pub fn without_faults(mut self) -> Self {
         self.faults = None;
         self
@@ -517,10 +432,9 @@ impl Cluster {
     /// Fallible [`Cluster::run_placed_stage`]; see
     /// [`Cluster::try_run_partitioned_stage`] for the error contract.
     ///
-    /// With a fault context attached the stage runs on the fault-tolerant
-    /// executor (injection, retries, blacklisting, speculation); without one
-    /// it runs single-attempt with panics caught and surfaced as
-    /// [`JobError`]s.
+    /// With a fault context attached the stage's attempts are subject to
+    /// injection, retries, blacklisting and speculation; without one it
+    /// runs single-attempt with panics caught and surfaced as [`JobError`]s.
     pub fn try_run_placed_stage<T, R, F>(
         &self,
         stage: &str,
@@ -539,108 +453,17 @@ impl Cluster {
         if let Some(gate) = &self.gate {
             gate.pause();
         }
-        let result = match &self.faults {
-            Some(ctx) => run_tasks_ft(
-                self.config.threads,
-                self.config.nodes,
-                tasks,
-                placement,
-                &self.recorder,
-                stage,
-                ctx,
-                f,
-            ),
-            None => try_run_tasks_traced(
-                self.config.threads,
-                self.config.nodes,
-                tasks,
-                placement,
-                &self.recorder,
-                stage,
-                f,
-            ),
-        };
-        if let (Some(gate), Ok((_, stats))) = (&self.gate, &result) {
-            gate.note_stage(stats);
-        }
-        result
-    }
-
-    /// Runs a produce→consume pipeline as one stage: `produce(i)` assembles
-    /// partition `i`'s input (unbilled driver-equivalent work, run
-    /// concurrently on the worker pool) and `consume(i, m)` — the stage's
-    /// task body, billed to `placement[i]` exactly like a barrier-mode task
-    /// — starts as soon as that partition is ready, without waiting for the
-    /// rest. `capacity` bounds assembled-but-unconsumed partitions so
-    /// pipelining cannot defeat the memory governor's spill accounting.
-    ///
-    /// Observes the same stage-gate, fault-recovery and billing contracts as
-    /// [`Cluster::try_run_placed_stage`]; see `pipeline_exec` for the
-    /// exactly-once delivery and sim-clock guarantees.
-    pub(crate) fn try_run_pipelined_stage<M, R, P, C>(
-        &self,
-        stage: &str,
-        placement: &[usize],
-        capacity: usize,
-        produce: P,
-        consume: C,
-    ) -> Result<(Vec<R>, ExecStats, PipelineOccupancy), JobError>
-    where
-        M: Send + Sync + Clone,
-        R: Send,
-        P: Fn(usize) -> M + Sync,
-        C: Fn(usize, M) -> R + Sync,
-    {
-        self.try_run_pipelined_stage_seeded(
-            stage,
-            placement,
-            capacity,
-            Vec::new(),
-            None,
-            produce,
-            consume,
-        )
-    }
-
-    /// [`Cluster::try_run_pipelined_stage`] with the partition-granular
-    /// checkpoint hooks threaded through: `recovered` pre-seeds partitions
-    /// already durable from a crashed run (skipped producers, zero re-billed
-    /// sim time, zero attempts) and `on_commit` fires exactly once per live
-    /// partition as its billed consumer commits — see `pipeline_exec`.
-    #[allow(clippy::too_many_arguments)] // executor entry point: each knob is load-bearing
-    pub(crate) fn try_run_pipelined_stage_seeded<M, R, P, C>(
-        &self,
-        stage: &str,
-        placement: &[usize],
-        capacity: usize,
-        recovered: Vec<Option<R>>,
-        on_commit: Option<crate::pipeline_exec::CommitHook<'_, R>>,
-        produce: P,
-        consume: C,
-    ) -> Result<(Vec<R>, ExecStats, PipelineOccupancy), JobError>
-    where
-        M: Send + Sync + Clone,
-        R: Send,
-        P: Fn(usize) -> M + Sync,
-        C: Fn(usize, M) -> R + Sync,
-    {
-        if let Some(gate) = &self.gate {
-            gate.pause();
-        }
-        let result = run_pipelined(
+        let result = run_stage(
             self.config.threads,
             self.config.nodes,
+            tasks,
             placement,
             &self.recorder,
             stage,
             self.faults.as_deref(),
-            capacity,
-            recovered,
-            on_commit,
-            produce,
-            consume,
+            f,
         );
-        if let (Some(gate), Ok((_, stats, _))) = (&self.gate, &result) {
+        if let (Some(gate), Ok((_, stats))) = (&self.gate, &result) {
             gate.note_stage(stats);
         }
         result
@@ -673,33 +496,16 @@ impl Cluster {
             return self.run_placed_stage(stage, tasks, placement, f);
         };
         let key = ck.next_key(stage);
-        match ck.store().load_join::<Rec, Acc>(&key) {
+        if let Ok(Some(parts)) = ck.store().load_join::<Rec, Acc>(&key) {
             // The task count guards against a stale checkpoint from a
             // different plan shape; deterministic job bodies make the key
             // collision impossible, but a mismatch must never misalign
             // partitions.
-            Ok(Some(parts)) if !parts.is_empty() && parts.len() == tasks.len() => {
+            if !parts.is_empty() && parts.len() == tasks.len() {
                 let stats = self.note_recovered_stage();
                 ck.store().note_recovered();
                 self.recorder().counter_add(stage, "stages_recovered", 1);
                 return (parts, stats);
-            }
-            Ok(_) => {}
-            Err(_) => {}
-        }
-        // Cross-format fallback: a pipelined run of the same job persists
-        // this stage as partition-granular commit records instead of one
-        // stage-granular manifest. A *complete* set replays exactly like a
-        // stage hit, so barrier recovery composes with pipelined-written
-        // checkpoints (and vice versa — see the pipelined probe).
-        if !tasks.is_empty() {
-            if let Ok(parts) = ck.store().load_join_parts::<Rec, Acc>(&key, tasks.len()) {
-                if let Some(parts) = parts.into_iter().collect::<Option<Vec<_>>>() {
-                    let stats = self.note_recovered_stage();
-                    ck.store().note_recovered();
-                    self.recorder().counter_add(stage, "stages_recovered", 1);
-                    return (parts, stats);
-                }
             }
         }
         let (out, stats) = self.run_placed_stage(stage, tasks, placement, f);
@@ -833,31 +639,6 @@ mod tests {
         assert_eq!(out, vec![5]);
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.failed_attempts, 1);
-    }
-
-    #[test]
-    fn exec_mode_defaults_to_barrier_and_is_configurable() {
-        let c = Cluster::new(ClusterConfig::with_threads(2, 2));
-        assert_eq!(c.exec_mode(), ExecMode::Barrier);
-        assert_eq!(c.exec_mode().name(), "barrier");
-        let c = c.with_exec_mode(ExecMode::Pipelined);
-        assert_eq!(c.exec_mode(), ExecMode::Pipelined);
-        assert_eq!(c.exec_mode().name(), "pipelined");
-    }
-
-    #[test]
-    fn pipelined_stage_runs_and_bills_like_a_placed_stage() {
-        let r = Recorder::for_nodes(2);
-        let c = Cluster::new(ClusterConfig::with_threads(2, 2)).with_recorder(r.clone());
-        let placement: Vec<usize> = (0..6).map(|i| i % 2).collect();
-        let (out, stats, occ) = c
-            .try_run_pipelined_stage("piped", &placement, 2, |i| i as u64, |_, m: u64| m * 2)
-            .expect("pipelined stage succeeds");
-        assert_eq!(out, vec![0, 2, 4, 6, 8, 10]);
-        assert_eq!(occ.handoffs, 6);
-        let sim: std::time::Duration = (0..2).map(|n| r.node_sim_total(n)).sum();
-        assert_eq!(sim, stats.total_busy());
-        assert_eq!(r.counter_value("piped", "pipeline_handoffs"), Some(6));
     }
 
     #[test]

@@ -1,10 +1,8 @@
-use crate::cluster::{Cluster, ExecMode, ShuffleMode};
+use crate::cluster::Cluster;
 use crate::fault::JobError;
 use crate::memory::{ChargeGuard, SpillSegment, SpillWriter};
 use crate::metrics::{ExecStats, ShuffleStats};
 use crate::partitioner::Partitioner;
-use crate::pipeline_exec::PipelineOccupancy;
-use crate::pool::Slots;
 use crate::wire::Wire;
 use asj_obs::{Attrs, Lane};
 use rand::rngs::SmallRng;
@@ -213,8 +211,7 @@ impl<T: Send + Sync + Clone> Dataset<T> {
 }
 
 /// The zipped per-partition inputs of a co-grouped join.
-type CogroupPair<K, V, V2> = (Vec<(K, V)>, Vec<(K, V2)>);
-type CogroupTasks<K, V, V2> = Vec<CogroupPair<K, V, V2>>;
+type CogroupTasks<K, V, V2> = Vec<(Vec<(K, V)>, Vec<(K, V2)>)>;
 
 /// One radix map task's attempt-local output: in-memory buckets, byte
 /// metering, the attempt's spill segment (if any target was denied memory)
@@ -229,36 +226,6 @@ struct RadixMapOut<K, V> {
     /// Held for its Drop: the attempt's admitted charges release when the
     /// committed result (or a discarded loser) is dropped.
     _charges: ChargeGuard,
-}
-
-/// The map half of a radix shuffle, not yet stitched into target
-/// partitions: per-target columns of per-source buckets, the spill segments
-/// of denied targets, and the map attempts' memory charges (held until this
-/// value drops — the stitched data's residency window). Produced by
-/// [`KeyedDataset::try_shuffle_map_stage`] and consumed by
-/// [`pipelined_cogroup_stage`], which assembles each target partition
-/// concurrently with downstream consumption.
-pub struct ShuffledHalf<K, V> {
-    /// `columns[t][src]` is source task `src`'s bucket for target `t`
-    /// (empty when that contribution was spilled or absent).
-    columns: Vec<Vec<Vec<(K, V)>>>,
-    /// Per-source spill segment, if any target of that task was denied.
-    spills: Vec<Option<SpillSegment>>,
-    /// Records per target partition (buckets + spill chunks) — the exact
-    /// stitched length, so assembly allocates once.
-    totals: Vec<usize>,
-    /// Wire bytes per target partition, for backpressure sizing.
-    partition_bytes: Vec<u64>,
-    /// Held for Drop: map-attempt charges release when the consuming stage
-    /// is done with the data.
-    _charges: Vec<ChargeGuard>,
-}
-
-impl<K, V> ShuffledHalf<K, V> {
-    /// Number of target partitions this half shuffles into.
-    pub fn num_partitions(&self) -> usize {
-        self.totals.len()
-    }
 }
 
 /// A partitioned collection of key–value pairs (Spark `PairRDD`).
@@ -336,11 +303,6 @@ where
 
     /// Fallible [`KeyedDataset::shuffle_stage`]: task failures past the retry
     /// budget surface as a [`JobError`] instead of a panic.
-    ///
-    /// The materialization strategy is the cluster's [`ShuffleMode`]: the
-    /// radix scatter through pooled buckets by default, or the legacy
-    /// tuple-`Vec` path when pinned for A/B comparison. Both produce
-    /// byte-identical partitions and [`ShuffleStats`].
     pub fn try_shuffle_stage<P>(
         self,
         cluster: &Cluster,
@@ -350,53 +312,41 @@ where
     where
         P: Partitioner<K> + ?Sized,
     {
-        // Checkpoint fast path: when the cluster carries a checkpoint store,
-        // the Nth occurrence of `stage` in this scope may already be durable
-        // (a same-process stage retry, or a recovered server replaying a
-        // deterministic job body). A hit replays the persisted partitions in
-        // zero simulated time — only the failed/unfinished stages recompute.
-        if let Some(ck) = cluster.checkpoint() {
-            let key = ck.next_key(stage);
-            match ck.store().load::<K, V>(&key) {
-                Ok(Some((parts, shuffle))) if !parts.is_empty() => {
-                    let stats = cluster.note_recovered_stage();
-                    ck.store().note_recovered();
-                    cluster.recorder().counter_add(stage, "stages_recovered", 1);
-                    return Ok((KeyedDataset { parts }, shuffle, stats));
-                }
-                // Miss (or a zero-partition checkpoint, which from_partitions
-                // could not rebuild): recompute below and save.
-                Ok(_) => {}
-                // Checkpoint I/O trouble degrades to recomputation.
-                Err(_) => {}
+        let Some(ck) = cluster.checkpoint() else {
+            return self.radix_shuffle_stage(cluster, partitioner, stage);
+        };
+        // Checkpoint fast path: the Nth occurrence of `stage` in this scope
+        // may already be durable (a same-process stage retry, or a recovered
+        // server replaying a deterministic job body). A hit replays the
+        // persisted partitions in zero simulated time — only the
+        // failed/unfinished stages recompute. A miss, a zero-partition
+        // checkpoint (which `from_partitions` could not rebuild) or
+        // checkpoint I/O trouble all degrade to recomputation.
+        let key = ck.next_key(stage);
+        if let Ok(Some((parts, shuffle))) = ck.store().load::<K, V>(&key) {
+            if !parts.is_empty() {
+                let stats = cluster.note_recovered_stage();
+                ck.store().note_recovered();
+                cluster.recorder().counter_add(stage, "stages_recovered", 1);
+                return Ok((KeyedDataset { parts }, shuffle, stats));
             }
-            let out = match cluster.shuffle_mode() {
-                ShuffleMode::Radix => self.radix_shuffle_stage(cluster, partitioner, stage),
-                ShuffleMode::Legacy => self.legacy_shuffle_stage(cluster, partitioner, stage),
-            }?;
-            // A failed save never fails the stage: the results are correct
-            // in memory, the stage just stays non-resumable.
-            if let Ok(bytes) = ck.store().save(&key, out.0.partitions(), &out.1) {
-                cluster
-                    .recorder()
-                    .counter_add(stage, "checkpoint_bytes", bytes);
-                ck.journal_stage_complete(stage, &key, bytes);
-            }
-            return Ok(out);
         }
-        match cluster.shuffle_mode() {
-            ShuffleMode::Radix => self.radix_shuffle_stage(cluster, partitioner, stage),
-            ShuffleMode::Legacy => self.legacy_shuffle_stage(cluster, partitioner, stage),
+        let out = self.radix_shuffle_stage(cluster, partitioner, stage)?;
+        // A failed save never fails the stage: the results are correct in
+        // memory, the stage just stays non-resumable.
+        if let Ok(bytes) = ck.store().save(&key, out.0.partitions(), &out.1) {
+            cluster
+                .recorder()
+                .counter_add(stage, "checkpoint_bytes", bytes);
+            ck.journal_stage_complete(stage, &key, bytes);
         }
+        Ok(out)
     }
 
-    /// The map half of the radix shuffle: one task per source partition,
-    /// routing and metering records into per-target pooled buckets (or spill
-    /// segments where admission is denied). Shared by the barrier path
-    /// ([`radix_shuffle_stage`](Self::radix_shuffle_stage), which stitches
-    /// serially on the driver) and the pipelined path
-    /// ([`try_shuffle_map_stage`](Self::try_shuffle_map_stage), which hands
-    /// the un-stitched outputs to the streaming executor).
+    /// The map half of [`radix_shuffle_stage`](Self::radix_shuffle_stage):
+    /// one task per source partition, routing and metering records into
+    /// per-target pooled buckets (or spill segments where admission is
+    /// denied).
     fn radix_map_stage<P>(
         self,
         cluster: &Cluster,
@@ -516,128 +466,6 @@ where
         })
     }
 
-    /// The map half of a radix shuffle *without* the driver-side stitch: the
-    /// per-source outputs stay bucketed (and spilled) inside the returned
-    /// [`ShuffledHalf`], ready to be assembled per target partition by the
-    /// pipelined executor ([`pipelined_cogroup_stage`]) concurrently with
-    /// consumption. All per-stage shuffle accounting — byte meters, spill
-    /// events, budget-denial and pool counters, the per-target
-    /// `partition_bytes` histogram and `shuffle.partition` events — is
-    /// emitted here, identically to the barrier path; only the stitch-side
-    /// pool traffic lands on the downstream stage's counters instead.
-    ///
-    /// The memory charges admitted by the map tasks stay held inside the
-    /// returned value until it is dropped (after the consuming stage), which
-    /// is exactly the window the stitched data is resident — so pipelining
-    /// never understates memory pressure.
-    pub fn try_shuffle_map_stage<P>(
-        self,
-        cluster: &Cluster,
-        partitioner: &P,
-        stage: &str,
-    ) -> Result<(ShuffledHalf<K, V>, ShuffleStats, ExecStats), JobError>
-    where
-        P: Partitioner<K> + ?Sized,
-    {
-        debug_assert_eq!(
-            cluster.shuffle_mode(),
-            ShuffleMode::Radix,
-            "the pipelined handoff is built on the radix materialization"
-        );
-        let targets = partitioner.num_partitions();
-        let pool = cluster.buffer_pool();
-        let pool_before = pool.stats();
-        let memory = cluster.memory_accountant();
-        let denials_before = memory.budget_denials();
-        let (bucketed, mut stats) = self.radix_map_stage(cluster, partitioner, stage)?;
-        let sources = bucketed.len();
-        let mut shuffle = ShuffleStats::default();
-        for out in &bucketed {
-            shuffle.merge(&out.shuffle);
-        }
-        // Transpose [source][target] buckets into [target][source] columns —
-        // O(sources × targets) Vec moves — so each pipelined producer owns
-        // its target's column outright. Totals count bucket records plus
-        // spill-chunk records: exactly the stitched partition's length.
-        let recorder = cluster.recorder();
-        let mut columns: Vec<Vec<Vec<(K, V)>>> =
-            (0..targets).map(|_| Vec::with_capacity(sources)).collect();
-        let mut totals = vec![0usize; targets];
-        let mut spills: Vec<Option<SpillSegment>> = Vec::with_capacity(sources);
-        let mut charges: Vec<ChargeGuard> = Vec::with_capacity(sources);
-        let mut spilled_bytes = 0u64;
-        for out in bucketed {
-            spilled_bytes += out.spilled_bytes;
-            for (t, bucket) in out.buckets.into_iter().enumerate() {
-                totals[t] += bucket.len();
-                columns[t].push(bucket);
-            }
-            if let Some(seg) = &out.spill {
-                for chunk in seg.chunks() {
-                    totals[chunk.target] += chunk.records as usize;
-                    if recorder.is_enabled() {
-                        recorder.event(
-                            "spill",
-                            Lane::Node(cluster.node_of_partition(chunk.target)),
-                            Some(chunk.target as u64),
-                            Attrs::new().bytes(chunk.len).records(chunk.records),
-                        );
-                    }
-                }
-            }
-            spills.push(out.spill);
-            charges.push(out._charges);
-        }
-        if spilled_bytes > 0 {
-            memory.note_spill(spilled_bytes);
-        }
-        stats.spilled_bytes = spilled_bytes;
-        stats.peak_memory_bytes = memory.peak_bytes();
-        if recorder.is_enabled() {
-            recorder.counter_add(stage, "remote_bytes", shuffle.remote_bytes);
-            recorder.counter_add(stage, "local_bytes", shuffle.local_bytes);
-            recorder.counter_add(stage, "records", shuffle.records);
-            recorder.counter_add(stage, "spill_bytes", spilled_bytes);
-            recorder.counter_add(
-                stage,
-                "budget_denials",
-                memory.budget_denials().saturating_sub(denials_before),
-            );
-            let pool_delta = pool.stats().since(&pool_before);
-            recorder.counter_add(stage, "pool_hits", pool_delta.hits);
-            recorder.counter_add(stage, "pool_misses", pool_delta.misses);
-            recorder.counter_add(stage, "bytes_recycled", pool_delta.bytes_recycled);
-            for (t, &bytes) in shuffle.partition_bytes.iter().enumerate() {
-                recorder.histogram_record(stage, "partition_bytes", bytes as f64);
-                recorder.event(
-                    "shuffle.partition",
-                    Lane::Node(cluster.node_of_partition(t)),
-                    Some(t as u64),
-                    Attrs::new().bytes(bytes).records(totals[t] as u64),
-                );
-            }
-        }
-        let partition_bytes = shuffle.partition_bytes.clone();
-        // The half deliberately carries its map-side charges across the
-        // map→join seam (they release as join partitions commit). Register
-        // them as carried so the job server's boundary-time leak audit can
-        // tell a parked pipelined job's footprint apart from a real leak.
-        for guard in &mut charges {
-            guard.mark_carried();
-        }
-        Ok((
-            ShuffledHalf {
-                columns,
-                spills,
-                totals,
-                partition_bytes,
-                _charges: charges,
-            },
-            shuffle,
-            stats,
-        ))
-    }
-
     /// Radix materialization: each map task routes its partition in two
     /// passes — pass 1 computes every record's target once, sizing it once
     /// (`encoded_size`) for *both* the node-level remote/local split and the
@@ -676,8 +504,7 @@ where
         let memory = cluster.memory_accountant();
         let denials_before = memory.budget_denials();
         let (mut bucketed, mut stats) = self.radix_map_stage(cluster, partitioner, stage)?;
-        // Reduce side: per-task partition_bytes merge element-wise, so the
-        // driver-side total matches the legacy reduce-side walk exactly.
+        // Reduce side: per-task partition_bytes merge element-wise.
         let mut shuffle = ShuffleStats::default();
         for out in &bucketed {
             shuffle.merge(&out.shuffle);
@@ -757,76 +584,6 @@ where
             recorder.counter_add(stage, "pool_hits", pool_delta.hits);
             recorder.counter_add(stage, "pool_misses", pool_delta.misses);
             recorder.counter_add(stage, "bytes_recycled", pool_delta.bytes_recycled);
-            for (t, &bytes) in shuffle.partition_bytes.iter().enumerate() {
-                recorder.histogram_record(stage, "partition_bytes", bytes as f64);
-                recorder.event(
-                    "shuffle.partition",
-                    Lane::Node(cluster.node_of_partition(t)),
-                    Some(t as u64),
-                    Attrs::new().bytes(bytes).records(parts[t].len() as u64),
-                );
-            }
-        }
-        Ok((KeyedDataset { parts }, shuffle, stats))
-    }
-
-    /// The pre-radix materialization, kept verbatim as the oracle for
-    /// equivalence tests and A/B perf runs: fresh `Vec` per (source ×
-    /// target) bucket, per-record `extend` on the reduce side, and a second
-    /// `encoded_size` walk for the partition byte accounting.
-    fn legacy_shuffle_stage<P>(
-        self,
-        cluster: &Cluster,
-        partitioner: &P,
-        stage: &str,
-    ) -> Result<(KeyedDataset<K, V>, ShuffleStats, ExecStats), JobError>
-    where
-        P: Partitioner<K> + ?Sized,
-    {
-        let targets = partitioner.num_partitions();
-        // Map side: bucket each source partition by target partition and
-        // meter bytes by destination node.
-        let (bucketed, stats) =
-            cluster.try_run_partitioned_stage(stage, self.parts, |src_idx, part| {
-                let src_node = cluster.node_of_partition(src_idx);
-                let mut buckets: Vec<Vec<(K, V)>> = (0..targets).map(|_| Vec::new()).collect();
-                let mut shuffle = ShuffleStats::default();
-                for (k, v) in part {
-                    let t = partitioner.partition_of(&k);
-                    debug_assert!(t < targets);
-                    let bytes = k.encoded_size() as u64 + v.encoded_size() as u64;
-                    if cluster.node_of_partition(t) == src_node {
-                        shuffle.local_bytes += bytes;
-                    } else {
-                        shuffle.remote_bytes += bytes;
-                    }
-                    shuffle.records += 1;
-                    buckets[t].push((k, v));
-                }
-                (buckets, shuffle)
-            })?;
-        // Reduce side: concatenate the buckets of each target partition and
-        // account the per-partition memory footprint.
-        let mut shuffle = ShuffleStats::default();
-        let mut parts: Vec<Vec<(K, V)>> = (0..targets).map(|_| Vec::new()).collect();
-        let mut partition_bytes = vec![0u64; targets];
-        for (buckets, s) in bucketed {
-            shuffle.merge(&s);
-            for (t, bucket) in buckets.into_iter().enumerate() {
-                for (k, v) in &bucket {
-                    partition_bytes[t] += k.encoded_size() as u64 + v.encoded_size() as u64;
-                }
-                parts[t].extend(bucket);
-            }
-        }
-        shuffle.partition_bytes = partition_bytes;
-        let recorder = cluster.recorder();
-        if recorder.is_enabled() {
-            // Mirror the ShuffleStats fields into the metrics registry and
-            // attribute every target partition's bytes to its node's lane.
-            recorder.counter_add(stage, "remote_bytes", shuffle.remote_bytes);
-            recorder.counter_add(stage, "local_bytes", shuffle.local_bytes);
-            recorder.counter_add(stage, "records", shuffle.records);
             for (t, &bytes) in shuffle.partition_bytes.iter().enumerate() {
                 recorder.histogram_record(stage, "partition_bytes", bytes as f64);
                 recorder.event(
@@ -966,34 +723,13 @@ where
         R: Send,
         F: Fn(K, &[V], &[V2], &mut Vec<R>) + Sync,
     {
-        match self.try_cogroup_join(cluster, other, placement, kernel) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`KeyedDataset::cogroup_join`]; see
-    /// [`KeyedDataset::try_shuffle_stage`].
-    pub fn try_cogroup_join<V2, R, F>(
-        self,
-        cluster: &Cluster,
-        other: KeyedDataset<K, V2>,
-        placement: &[usize],
-        kernel: F,
-    ) -> Result<(Dataset<R>, ExecStats), JobError>
-    where
-        K: Ord,
-        V2: Wire + Send + Sync + Clone,
-        R: Send,
-        F: Fn(K, &[V], &[V2], &mut Vec<R>) + Sync,
-    {
-        let (ds, _, stats) = self.try_cogroup_join_fold(
+        let (ds, _, stats) = self.cogroup_join_fold(
             cluster,
             other,
             placement,
             |k, va, vb, out, _acc: &mut ()| kernel(k, va, vb, out),
-        )?;
-        Ok((ds, stats))
+        );
+        (ds, stats)
     }
 
     /// [`KeyedDataset::cogroup_join`] with a per-partition accumulator; see
@@ -1019,7 +755,8 @@ where
         }
     }
 
-    /// Fallible [`KeyedDataset::cogroup_join_fold`].
+    /// Fallible [`KeyedDataset::cogroup_join_fold`]: task failures past the
+    /// retry budget surface as a [`JobError`] instead of a panic.
     pub fn try_cogroup_join_fold<V2, R, A, F>(
         self,
         cluster: &Cluster,
@@ -1040,62 +777,16 @@ where
             "joined datasets must share the partitioner"
         );
         let tasks: CogroupTasks<K, V, V2> = self.parts.into_iter().zip(other.parts).collect();
-        let body = |_: usize, (mut a, mut b): CogroupPair<K, V, V2>| {
-            a.sort_unstable_by_key(|x| x.0);
-            b.sort_unstable_by_key(|x| x.0);
-            let mut out = Vec::new();
-            let mut acc = A::default();
-            let mut ia = a.into_iter().peekable();
-            let mut ib = b.into_iter().peekable();
-            let mut va: Vec<V> = Vec::new();
-            let mut vb: Vec<V2> = Vec::new();
-            while let (Some(ka), Some(kb)) = (ia.peek().map(|x| x.0), ib.peek().map(|x| x.0)) {
-                match ka.cmp(&kb) {
-                    std::cmp::Ordering::Less => {
-                        ia.next();
-                    }
-                    std::cmp::Ordering::Greater => {
-                        ib.next();
-                    }
-                    std::cmp::Ordering::Equal => {
-                        va.clear();
-                        vb.clear();
-                        while ia.peek().is_some_and(|x| x.0 == ka) {
-                            va.push(ia.next().expect("peeked").1);
-                        }
-                        while ib.peek().is_some_and(|x| x.0 == ka) {
-                            vb.push(ib.next().expect("peeked").1);
-                        }
-                        kernel(ka, &va, &vb, &mut out, &mut acc);
-                    }
-                }
-            }
-            (out, acc)
-        };
-        let (folded, stats) = match cluster.exec_mode() {
-            ExecMode::Barrier => {
-                cluster.try_run_placed_stage("cogroup_join", tasks, placement, body)?
-            }
-            ExecMode::Pipelined => {
-                // The inputs are already materialized, so there is no stitch
-                // work to overlap — but routing through the pipelined
-                // executor keeps mode selection uniform, and its contract
-                // (identical results and billing) is what the equivalence
-                // suite pins.
-                let n = tasks.len();
-                assert_eq!(n, placement.len(), "one placement entry per task");
-                let slots: Slots<CogroupPair<K, V, V2>> = Slots::filled(tasks.into_iter(), n);
-                let (folded, stats, _) = cluster.try_run_pipelined_stage(
-                    "cogroup_join",
-                    placement,
-                    cluster.threads() * 2,
-                    // SAFETY: the executor claims each index exactly once.
-                    |i| unsafe { slots.take(i) }.expect("each task claimed once"),
-                    body,
-                )?;
-                (folded, stats)
-            }
-        };
+        let (folded, stats) = cluster.try_run_placed_stage(
+            "cogroup_join",
+            tasks,
+            placement,
+            |_, (mut a, mut b)| {
+                a.sort_unstable_by_key(|x| x.0);
+                b.sort_unstable_by_key(|x| x.0);
+                merge_cogroups(a, b, &kernel)
+            },
+        )?;
         let (parts, accs) = folded.into_iter().unzip();
         Ok((Dataset { parts }, accs, stats))
     }
@@ -1124,44 +815,14 @@ where
         SA: Fn(&V) -> f64 + Sync,
         SB: Fn(&V2) -> f64 + Sync,
     {
-        match self
-            .try_cogroup_join_sorted_fold(cluster, other, placement, sort_key_a, sort_key_b, kernel)
-        {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`KeyedDataset::cogroup_join_sorted_fold`].
-    pub fn try_cogroup_join_sorted_fold<V2, R, A, F, SA, SB>(
-        self,
-        cluster: &Cluster,
-        other: KeyedDataset<K, V2>,
-        placement: &[usize],
-        sort_key_a: SA,
-        sort_key_b: SB,
-        kernel: F,
-    ) -> Result<(Dataset<R>, Vec<A>, ExecStats), JobError>
-    where
-        K: Ord,
-        V2: Wire + Send + Sync + Clone,
-        R: Send,
-        A: Default + Send,
-        F: Fn(K, &[V], &[V2], &mut Vec<R>, &mut A) + Sync,
-        SA: Fn(&V) -> f64 + Sync,
-        SB: Fn(&V2) -> f64 + Sync,
-    {
         assert_eq!(
             self.parts.len(),
             other.parts.len(),
             "joined datasets must share the partitioner"
         );
         let tasks: CogroupTasks<K, V, V2> = self.parts.into_iter().zip(other.parts).collect();
-        let (folded, stats) = cluster.try_run_placed_stage(
-            "cogroup_join",
-            tasks,
-            placement,
-            |_, (mut a, mut b)| {
+        let (folded, stats) =
+            cluster.run_placed_stage("cogroup_join", tasks, placement, |_, (mut a, mut b)| {
                 a.sort_unstable_by(|x, y| {
                     x.0.cmp(&y.0)
                         .then_with(|| sort_key_a(&x.1).total_cmp(&sort_key_a(&y.1)))
@@ -1170,400 +831,57 @@ where
                     x.0.cmp(&y.0)
                         .then_with(|| sort_key_b(&x.1).total_cmp(&sort_key_b(&y.1)))
                 });
-                let mut out = Vec::new();
-                let mut acc = A::default();
-                let mut ia = a.into_iter().peekable();
-                let mut ib = b.into_iter().peekable();
-                let mut va: Vec<V> = Vec::new();
-                let mut vb: Vec<V2> = Vec::new();
-                while let (Some(ka), Some(kb)) = (ia.peek().map(|x| x.0), ib.peek().map(|x| x.0)) {
-                    match ka.cmp(&kb) {
-                        std::cmp::Ordering::Less => {
-                            ia.next();
-                        }
-                        std::cmp::Ordering::Greater => {
-                            ib.next();
-                        }
-                        std::cmp::Ordering::Equal => {
-                            va.clear();
-                            vb.clear();
-                            while ia.peek().is_some_and(|x| x.0 == ka) {
-                                va.push(ia.next().expect("peeked").1);
-                            }
-                            while ib.peek().is_some_and(|x| x.0 == ka) {
-                                vb.push(ib.next().expect("peeked").1);
-                            }
-                            kernel(ka, &va, &vb, &mut out, &mut acc);
-                        }
-                    }
-                }
-                (out, acc)
-            },
-        )?;
+                merge_cogroups(a, b, &kernel)
+            });
         let (parts, accs) = folded.into_iter().unzip();
-        Ok((Dataset { parts }, accs, stats))
+        (Dataset { parts }, accs, stats)
     }
 }
 
-/// Assembles target partition `t` from its per-source buckets and spill
-/// chunks — the same walk, in the same source order, as the barrier path's
-/// driver-side stitch, so pipelined partitions are byte-identical.
-fn stitch_partition<K, V>(
-    pool: &crate::bufpool::BufferPool,
-    t: usize,
-    total: usize,
-    buckets: Vec<Vec<(K, V)>>,
-    spills: &[Option<SpillSegment>],
-) -> Vec<(K, V)>
+/// The task body shared by the co-grouped joins: a two-cursor merge over two
+/// partitions already sorted by key. For every key present on both sides,
+/// `kernel` receives the two value groups (in the order the caller's sort
+/// left them), the task's output vector and its accumulator.
+fn merge_cogroups<K, V, V2, R, A, F>(a: Vec<(K, V)>, b: Vec<(K, V2)>, kernel: &F) -> (Vec<R>, A)
 where
-    K: Wire + Send + Sync + Copy + 'static,
-    V: Wire + Send + Sync + Clone + 'static,
+    K: Ord + Copy,
+    A: Default,
+    F: Fn(K, &[V], &[V2], &mut Vec<R>, &mut A),
 {
-    let mut dst: Vec<(K, V)> = pool.take_vec(total);
-    for (src, mut bucket) in buckets.into_iter().enumerate() {
-        if !bucket.is_empty() {
-            dst.append(&mut bucket);
-        } else if let Some(seg) = &spills[src] {
-            if let Some(recs) = seg
-                .read_records::<K, V>(t)
-                .expect("spill: re-read committed segment")
-            {
-                dst.extend(recs);
+    let mut out = Vec::new();
+    let mut acc = A::default();
+    let mut ia = a.into_iter().peekable();
+    let mut ib = b.into_iter().peekable();
+    let mut va: Vec<V> = Vec::new();
+    let mut vb: Vec<V2> = Vec::new();
+    while let (Some(ka), Some(kb)) = (ia.peek().map(|x| x.0), ib.peek().map(|x| x.0)) {
+        match ka.cmp(&kb) {
+            std::cmp::Ordering::Less => {
+                ia.next();
+            }
+            std::cmp::Ordering::Greater => {
+                ib.next();
+            }
+            std::cmp::Ordering::Equal => {
+                va.clear();
+                vb.clear();
+                while ia.peek().is_some_and(|x| x.0 == ka) {
+                    va.push(ia.next().expect("peeked").1);
+                }
+                while ib.peek().is_some_and(|x| x.0 == ka) {
+                    vb.push(ib.next().expect("peeked").1);
+                }
+                kernel(ka, &va, &vb, &mut out, &mut acc);
             }
         }
-        // Emptied buckets recycle; capacity-less placeholders are dropped by
-        // the pool, exactly like the barrier commit's `put_vecs`.
-        pool.put_vec(bucket);
     }
-    dst
-}
-
-/// Fused stitch→consume pipeline over two shuffled halves: each target
-/// partition is assembled (bucket stitch + spill re-read, the work the
-/// barrier path performs serially on the driver between stages) by a
-/// producer on the worker pool and handed straight to `consume` — the
-/// downstream stage's task body, billed to `placement[t]` exactly like a
-/// barrier-mode task — through a bounded queue, so early partitions are
-/// probed while late ones are still being assembled.
-///
-/// Backpressure: at most `min(2×threads, budget / mean partition bytes)`
-/// partitions are assembled-but-unconsumed at once, so pipelining cannot
-/// materialize more post-shuffle state than the memory governor admitted
-/// (the map-side charges inside the halves stay held for the duration).
-///
-/// Results are returned in target-partition order and are byte-identical to
-/// the barrier path's; simulated-clock billing is identical by construction
-/// (assembly is unbilled driver-equivalent work — see `pipeline_exec`).
-pub fn pipelined_cogroup_stage<K, V, V2, T, C>(
-    cluster: &Cluster,
-    stage: &str,
-    r: ShuffledHalf<K, V>,
-    s: ShuffledHalf<K, V2>,
-    placement: &[usize],
-    consume: C,
-) -> Result<(Vec<T>, ExecStats, PipelineOccupancy), JobError>
-where
-    K: Wire + Send + Sync + Copy + 'static,
-    V: Wire + Send + Sync + Clone + 'static,
-    V2: Wire + Send + Sync + Clone + 'static,
-    T: Send,
-    C: Fn(usize, (Vec<(K, V)>, Vec<(K, V2)>)) -> T + Sync,
-{
-    pipelined_cogroup_stage_inner(cluster, stage, r, s, placement, Vec::new(), None, consume)
-}
-
-/// What the pipelined join dispatch should do about checkpoints, decided by
-/// [`pipelined_join_checkpoint_probe`] *before* the map stages run.
-#[allow(clippy::large_enum_variant)] // transient dispatch value, consumed immediately
-pub enum PipelinedJoinProbe<R2, A> {
-    /// Everything is durable — every partition's commit record (or a
-    /// stage-granular barrier checkpoint) plus the stage-stats record — so
-    /// the map halves and the join are all skipped, re-billed zero sim time.
-    Hit {
-        /// The recovered per-partition `(records, accumulator)` outputs.
-        parts: Vec<(Vec<R2>, A)>,
-        /// The merged map-half [`ShuffleStats`] recorded at save time.
-        shuffle: ShuffleStats,
-        /// Zero-busy stats booked for the two skipped map stages.
-        shuffle_exec: ExecStats,
-        /// Zero-busy stats booked for the skipped join stage.
-        join_exec: ExecStats,
-    },
-    /// Run the stage, carrying the checkpoint key and any partitions that
-    /// are already durable (pre-seeded at zero re-billed sim time while the
-    /// producers recompute only the missing ones).
-    Run(PipelinedCheckpointToken<R2, A>),
-}
-
-/// The write-side half of a [`PipelinedJoinProbe::Run`]: passed to
-/// [`pipelined_cogroup_stage_checkpointed`], which pre-seeds the recovered
-/// partitions and commits each live partition's record as it completes.
-pub struct PipelinedCheckpointToken<R2, A> {
-    /// The stage's checkpoint key; `None` when no store is attached (the
-    /// stage then runs exactly like [`pipelined_cogroup_stage`]).
-    key: Option<String>,
-    /// Index `i` is `Some` iff partition `i`'s commit record is durable.
-    recovered: Vec<Option<(Vec<R2>, A)>>,
-}
-
-impl<R2, A> PipelinedCheckpointToken<R2, A> {
-    /// A token that neither recovers nor persists anything — the
-    /// un-checkpointed pipelined path.
-    pub fn detached() -> Self {
-        PipelinedCheckpointToken {
-            key: None,
-            recovered: Vec::new(),
-        }
-    }
-
-    /// How many partitions this token pre-seeds from durable records.
-    pub fn recovered_partitions(&self) -> usize {
-        self.recovered.iter().filter(|o| o.is_some()).count()
-    }
-}
-
-/// Consults the checkpoint store for the pipelined shuffle→join seam,
-/// consuming the scope's next key for `stage` (so barrier and pipelined
-/// replays stay key-aligned). Returns [`PipelinedJoinProbe::Hit`] only when
-/// the *whole* seam is durable: all `targets` partitions — as
-/// partition-granular commit records or one stage-granular barrier
-/// checkpoint — plus the `{key}-shuffle` stats record that preserves the
-/// merged map-half byte meters. A hit books three zero-busy stages (the two
-/// map halves and the join), matching the live path's three gate quanta so
-/// grant logs replay identically. Anything less is a
-/// [`PipelinedJoinProbe::Run`] carrying whatever partitions were durable.
-pub fn pipelined_join_checkpoint_probe<R2, A>(
-    cluster: &Cluster,
-    stage: &str,
-    targets: usize,
-) -> PipelinedJoinProbe<R2, A>
-where
-    R2: Wire,
-    A: Wire,
-{
-    let Some(ck) = cluster.checkpoint() else {
-        return PipelinedJoinProbe::Run(PipelinedCheckpointToken::detached());
-    };
-    let key = ck.next_key(stage);
-    let store = ck.store();
-    let shuffle_rec: Option<ShuffleStats> = match store.load::<u64, u64>(&format!("{key}-shuffle"))
-    {
-        Ok(Some((_, shuffle))) => Some(shuffle),
-        _ => None,
-    };
-    // A complete stage-granular checkpoint (a barrier run of the same job)
-    // serves as a full partition set too — the formats interoperate.
-    let recovered: Vec<Option<(Vec<R2>, A)>> = match store.load_join::<R2, A>(&key) {
-        Ok(Some(parts)) if targets > 0 && parts.len() == targets => {
-            parts.into_iter().map(Some).collect()
-        }
-        _ => store
-            .load_join_parts::<R2, A>(&key, targets)
-            .unwrap_or_default(),
-    };
-    let complete =
-        targets > 0 && recovered.len() == targets && recovered.iter().all(Option::is_some);
-    if complete {
-        if let Some(shuffle) = shuffle_rec {
-            let mut shuffle_exec = cluster.note_recovered_stage();
-            shuffle_exec.accumulate(&cluster.note_recovered_stage());
-            let join_exec = cluster.note_recovered_stage();
-            store.note_recovered();
-            let recorder = cluster.recorder();
-            recorder.counter_add(stage, "stages_recovered", 1);
-            recorder.counter_add(stage, "partitions_recovered", targets as u64);
-            return PipelinedJoinProbe::Hit {
-                parts: recovered.into_iter().flatten().collect(),
-                shuffle,
-                shuffle_exec,
-                join_exec,
-            };
-        }
-    }
-    PipelinedJoinProbe::Run(PipelinedCheckpointToken {
-        key: Some(key),
-        recovered,
-    })
-}
-
-/// [`pipelined_cogroup_stage`] composed with partition-granular durability:
-/// the token's recovered partitions pre-seed the executor (skipped
-/// producers, zero attempts, zero re-billed sim time) and every live
-/// partition's `(records, accumulator)` output is persisted by its billed
-/// consumer the moment it commits — no stage barrier required. The merged
-/// map-half `shuffle` stats are persisted as a manifest-only record up
-/// front, so a later replay can skip the map stages as well. Without an
-/// attached store (a detached token) this is exactly
-/// [`pipelined_cogroup_stage`].
-#[allow(clippy::type_complexity)]
-#[allow(clippy::too_many_arguments)] // checkpointed entry point: each knob is load-bearing
-pub fn pipelined_cogroup_stage_checkpointed<K, V, V2, R2, A, C>(
-    cluster: &Cluster,
-    stage: &str,
-    r: ShuffledHalf<K, V>,
-    s: ShuffledHalf<K, V2>,
-    placement: &[usize],
-    shuffle: &ShuffleStats,
-    token: PipelinedCheckpointToken<R2, A>,
-    consume: C,
-) -> Result<(Vec<(Vec<R2>, A)>, ExecStats, PipelineOccupancy), JobError>
-where
-    K: Wire + Send + Sync + Copy + 'static,
-    V: Wire + Send + Sync + Clone + 'static,
-    V2: Wire + Send + Sync + Clone + 'static,
-    R2: Wire + Send + Sync,
-    A: Wire + Send + Sync,
-    C: Fn(usize, (Vec<(K, V)>, Vec<(K, V2)>)) -> (Vec<R2>, A) + Sync,
-{
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let PipelinedCheckpointToken { key, recovered } = token;
-    let sink = match (cluster.checkpoint(), key) {
-        (Some(ck), Some(key)) => Some((ck, key)),
-        _ => None,
-    };
-    let n_recovered = recovered.iter().filter(|o| o.is_some()).count();
-    if let Some((ck, key)) = &sink {
-        // Persist the stitch-agnostic map-half stats first: a full-hit
-        // replay needs them to skip the (billed) map stages, and writing
-        // them eagerly is harmless — a hit additionally requires every
-        // partition's commit record, so a crash here recovers correctly.
-        let _ = ck
-            .store()
-            .save::<u64, u64>(&format!("{key}-shuffle"), &[], shuffle);
-        if n_recovered > 0 {
-            cluster
-                .recorder()
-                .counter_add(stage, "partitions_recovered", n_recovered as u64);
-        }
-    }
-    let commit_bytes = AtomicU64::new(0);
-    let commit_bytes = &commit_bytes;
-    let committer = sink.as_ref().map(|(ck, key)| {
-        let store = ck.store();
-        move |t: usize, rec: &(Vec<R2>, A)| {
-            // A failed partition save never fails the stage — it just
-            // stays non-resumable, like the stage-granular path.
-            if let Ok(bytes) = store.save_join_part(key, t, rec) {
-                commit_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-        }
-    });
-    let on_commit = committer
-        .as_ref()
-        .map(|f| f as &(dyn Fn(usize, &(Vec<R2>, A)) + Sync));
-    let result = pipelined_cogroup_stage_inner(
-        cluster, stage, r, s, placement, recovered, on_commit, consume,
-    );
-    if let (Ok(_), Some((ck, key))) = (&result, &sink) {
-        let bytes = commit_bytes.load(Ordering::Relaxed);
-        cluster
-            .recorder()
-            .counter_add(stage, "checkpoint_bytes", bytes);
-        ck.journal_stage_complete(stage, key, bytes);
-    }
-    result
-}
-
-/// Shared body of the pipelined cogroup stage; see
-/// [`pipelined_cogroup_stage`] for the contract and
-/// [`pipelined_cogroup_stage_checkpointed`] for the durability hooks.
-#[allow(clippy::too_many_arguments)]
-fn pipelined_cogroup_stage_inner<K, V, V2, T, C>(
-    cluster: &Cluster,
-    stage: &str,
-    r: ShuffledHalf<K, V>,
-    s: ShuffledHalf<K, V2>,
-    placement: &[usize],
-    recovered: Vec<Option<T>>,
-    on_commit: Option<crate::pipeline_exec::CommitHook<'_, T>>,
-    consume: C,
-) -> Result<(Vec<T>, ExecStats, PipelineOccupancy), JobError>
-where
-    K: Wire + Send + Sync + Copy + 'static,
-    V: Wire + Send + Sync + Clone + 'static,
-    V2: Wire + Send + Sync + Clone + 'static,
-    T: Send,
-    C: Fn(usize, (Vec<(K, V)>, Vec<(K, V2)>)) -> T + Sync,
-{
-    let targets = r.num_partitions();
-    assert_eq!(
-        targets,
-        s.num_partitions(),
-        "joined halves must share the partitioner"
-    );
-    assert_eq!(
-        targets,
-        placement.len(),
-        "one placement entry per target partition"
-    );
-    let pool = cluster.buffer_pool();
-    let pool_before = pool.stats();
-    let total_bytes: u64 = r
-        .partition_bytes
-        .iter()
-        .chain(s.partition_bytes.iter())
-        .sum();
-    let mean_bytes = total_bytes / targets.max(1) as u64;
-    let default_cap = cluster.threads() * 2;
-    let capacity = match cluster.memory_budget() {
-        Some(budget) if mean_bytes > 0 => ((budget / mean_bytes) as usize).clamp(1, default_cap),
-        _ => default_cap,
-    };
-    let ShuffledHalf {
-        columns: cols_r,
-        spills: spills_r,
-        totals: totals_r,
-        _charges: charges_r,
-        ..
-    } = r;
-    let ShuffledHalf {
-        columns: cols_s,
-        spills: spills_s,
-        totals: totals_s,
-        _charges: charges_s,
-        ..
-    } = s;
-    let cols_r: Slots<Vec<Vec<(K, V)>>> = Slots::filled(cols_r.into_iter(), targets);
-    let cols_s: Slots<Vec<Vec<(K, V2)>>> = Slots::filled(cols_s.into_iter(), targets);
-    let result = cluster.try_run_pipelined_stage_seeded(
-        stage,
-        placement,
-        capacity,
-        recovered,
-        on_commit,
-        |t| {
-            // SAFETY: the pipelined executor claims each target index
-            // exactly once, making this producer the column's sole owner.
-            let bu_r = unsafe { cols_r.take(t) }.expect("each target claimed once");
-            let bu_s = unsafe { cols_s.take(t) }.expect("each target claimed once");
-            (
-                stitch_partition(pool, t, totals_r[t], bu_r, &spills_r),
-                stitch_partition(pool, t, totals_s[t], bu_s, &spills_s),
-            )
-        },
-        consume,
-    );
-    // Stitch-side pool traffic lands on this stage's counters (the barrier
-    // path books it under the shuffle stage instead): per-stage attribution
-    // differs by design, the job-level totals are identical.
-    let recorder = cluster.recorder();
-    if recorder.is_enabled() {
-        let pool_delta = pool.stats().since(&pool_before);
-        recorder.counter_add(stage, "pool_hits", pool_delta.hits);
-        recorder.counter_add(stage, "pool_misses", pool_delta.misses);
-        recorder.counter_add(stage, "bytes_recycled", pool_delta.bytes_recycled);
-    }
-    // Consumption is over: release the map attempts' memory charges and
-    // delete the spill files (SpillSegment drop).
-    drop(charges_r);
-    drop(charges_s);
-    result
+    (out, acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterConfig, ShuffleMode};
+    use crate::cluster::ClusterConfig;
     use crate::partitioner::HashPartitioner;
 
     fn cluster() -> Cluster {
@@ -1665,118 +983,7 @@ mod tests {
     }
 
     #[test]
-    fn radix_and_legacy_shuffles_are_byte_identical() {
-        let parts: Vec<Vec<(u64, u64)>> = (0..6)
-            .map(|p| (0..200u64).map(|i| (i * 7 % 53, p * 1000 + i)).collect())
-            .collect();
-        let radix = cluster();
-        let legacy = cluster().with_shuffle_mode(ShuffleMode::Legacy);
-        let p = HashPartitioner::new(13);
-        let (dr, sr, _) = KeyedDataset::from_partitions(parts.clone()).shuffle(&radix, &p);
-        let (dl, sl, _) = KeyedDataset::from_partitions(parts).shuffle(&legacy, &p);
-        assert_eq!(sr, sl);
-        assert_eq!(dr.partitions(), dl.partitions(), "exact order must match");
-    }
-
-    #[test]
-    fn pipelined_stitch_matches_barrier_shuffle_partitions() {
-        let parts: Vec<Vec<(u64, u64)>> = (0..6)
-            .map(|p| (0..200u64).map(|i| (i * 7 % 53, p * 1000 + i)).collect())
-            .collect();
-        let p = HashPartitioner::new(13);
-        let barrier = cluster();
-        let (db, sb, _) = KeyedDataset::from_partitions(parts.clone()).shuffle(&barrier, &p);
-
-        let piped = cluster().with_exec_mode(ExecMode::Pipelined);
-        let (half_r, sp, _) = KeyedDataset::from_partitions(parts.clone())
-            .try_shuffle_map_stage(&piped, &p, "shuffle.R")
-            .expect("map stage");
-        let (half_s, _, _) = KeyedDataset::from_partitions(parts)
-            .try_shuffle_map_stage(&piped, &p, "shuffle.S")
-            .expect("map stage");
-        assert_eq!(sp, sb, "map-side ShuffleStats are stitch-agnostic");
-        let placement: Vec<usize> = (0..13).map(|t| piped.node_of_partition(t)).collect();
-        // Identity consumer: the pipeline's output is the stitched pair of
-        // partitions, which must be byte-identical to the barrier shuffle.
-        let (stitched, _, occ) =
-            pipelined_cogroup_stage(&piped, "cogroup_join", half_r, half_s, &placement, |_, m| m)
-                .expect("pipelined stage");
-        assert_eq!(occ.handoffs, 13);
-        for (t, (got_r, got_s)) in stitched.into_iter().enumerate() {
-            assert_eq!(&got_r, &db.partitions()[t], "partition {t} (R) must match");
-            assert_eq!(&got_s, &db.partitions()[t], "partition {t} (S) must match");
-        }
-    }
-
-    #[test]
-    fn pipelined_stitch_spills_and_stays_byte_identical_under_budget() {
-        let parts: Vec<Vec<(u64, u64)>> = (0..6)
-            .map(|p| (0..200u64).map(|i| (i * 11 % 31, p * 1000 + i)).collect())
-            .collect();
-        let p = HashPartitioner::new(8);
-        let free = cluster();
-        let (df, _, ef) = KeyedDataset::from_partitions(parts.clone()).shuffle(&free, &p);
-        let budget = (ef.peak_memory_bytes / 8).max(64);
-        let tight = cluster()
-            .with_memory_budget(budget)
-            .with_exec_mode(ExecMode::Pipelined);
-        let (half_r, _, et) = KeyedDataset::from_partitions(parts.clone())
-            .try_shuffle_map_stage(&tight, &p, "shuffle.R")
-            .expect("map stage");
-        assert!(et.spilled_bytes > 0, "sub-peak budget must force spilling");
-        assert!(et.peak_memory_bytes <= budget);
-        let (half_s, _, _) = KeyedDataset::from_partitions(parts)
-            .try_shuffle_map_stage(&tight, &p, "shuffle.S")
-            .expect("map stage");
-        let placement: Vec<usize> = (0..8).map(|t| tight.node_of_partition(t)).collect();
-        let (stitched, _, _) =
-            pipelined_cogroup_stage(&tight, "cogroup_join", half_r, half_s, &placement, |_, m| m)
-                .expect("pipelined stage");
-        for (t, (got_r, _)) in stitched.into_iter().enumerate() {
-            assert_eq!(
-                &got_r,
-                &df.partitions()[t],
-                "spilled pipelined partition {t} must match the unbudgeted barrier run"
-            );
-        }
-        for node in 0..tight.nodes() {
-            assert_eq!(
-                tight.memory_accountant().resident_bytes(node),
-                0,
-                "all charges release once the pipelined stage commits"
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_cogroup_join_fold_matches_barrier() {
-        let mk = || {
-            let parts: Vec<Vec<(u64, u64)>> = (0..5)
-                .map(|p| (0..150u64).map(|i| (i * 13 % 37, p * 100 + i)).collect())
-                .collect();
-            KeyedDataset::from_partitions(parts)
-        };
-        let p = HashPartitioner::new(9);
-        let placement: Vec<usize> = (0..9).map(|t| t % 3).collect();
-        let run = |c: &Cluster| {
-            let (a, _, _) = mk().shuffle(c, &p);
-            let (b, _, _) = mk().shuffle(c, &p);
-            let (joined, accs, _): (Dataset<(u64, u64)>, Vec<u64>, _) = a
-                .try_cogroup_join_fold(c, b, &placement, |k, va, vb, out, acc| {
-                    *acc += va.len() as u64 * vb.len() as u64;
-                    out.push((k, va.len() as u64 + vb.len() as u64));
-                })
-                .expect("join");
-            (joined.into_partitions(), accs)
-        };
-        let (parts_b, accs_b) = run(&cluster());
-        let (parts_p, accs_p) = run(&cluster().with_exec_mode(ExecMode::Pipelined));
-        assert_eq!(parts_b, parts_p, "pipelined join must be byte-identical");
-        assert_eq!(accs_b, accs_p);
-    }
-
-    #[test]
-    fn pipelined_cogroup_join_fold_recovers_injected_failures() {
+    fn cogroup_join_fold_recovers_injected_failures() {
         use crate::fault::{FaultPlan, RetryPolicy};
         let mk = || {
             let parts: Vec<Vec<(u64, u64)>> = (0..4)
@@ -1804,9 +1011,7 @@ mod tests {
         let plan = FaultPlan::none()
             .with_fail_point("cogroup_join", 1, 1)
             .with_fail_point("cogroup_join", 4, 1);
-        let faulty = cluster()
-            .with_exec_mode(ExecMode::Pipelined)
-            .with_fault_policy(plan, RetryPolicy::default());
+        let faulty = cluster().with_fault_policy(plan, RetryPolicy::default());
         let (recovered, accs_rec, stats) = run(&faulty);
         assert_eq!(recovered.into_partitions(), clean.into_partitions());
         assert_eq!(accs_rec, accs_clean);

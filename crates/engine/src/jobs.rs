@@ -672,10 +672,8 @@ impl<R: Send + 'static> JobServer<R> {
 
             // Reap completions: harvest results, release reservations, audit
             // for leaked resident bytes. All other jobs are parked at stage
-            // boundaries, where a job's only resident footprint is charges it
-            // explicitly carried across a pipelined map→join seam — so after
-            // subtracting the accountant's carried bytes, a non-zero residual
-            // is a real leak, not another tenant's footprint.
+            // boundaries where every ChargeGuard has settled, so a non-zero
+            // residual is a real leak, not another tenant's footprint.
             for &slot in &finished_now {
                 running.retain(|&r| r != slot);
                 let outcome = admitted[slot]
@@ -685,8 +683,7 @@ impl<R: Send + 'static> JobServer<R> {
                     .join()
                     .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
                 let job = &admitted[slot];
-                let resident_total: u64 = (0..nodes).map(|node| memory.resident_bytes(node)).sum();
-                let residual_bytes = resident_total.saturating_sub(memory.carried_bytes());
+                let residual_bytes: u64 = (0..nodes).map(|node| memory.resident_bytes(node)).sum();
                 recorder.counter_add("jobs", "residual_bytes", residual_bytes);
                 recorder.counter_add("jobs", "completed", 1);
                 recorder.event(

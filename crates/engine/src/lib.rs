@@ -37,17 +37,13 @@ mod lpt;
 mod memory;
 mod metrics;
 mod partitioner;
-mod pipeline_exec;
 mod pool;
 mod wire;
 
 pub use bufpool::{BufferPool, PoolStats};
 pub use checkpoint::{fnv1a, CheckpointStore};
-pub use cluster::{Broadcast, Cluster, ClusterConfig, ExecMode, ShuffleMode};
-pub use dataset::{
-    pipelined_cogroup_stage, pipelined_cogroup_stage_checkpointed, pipelined_join_checkpoint_probe,
-    Dataset, KeyedDataset, PipelinedCheckpointToken, PipelinedJoinProbe, ShuffledHalf,
-};
+pub use cluster::{Broadcast, Cluster, ClusterConfig};
+pub use dataset::{Dataset, KeyedDataset};
 pub use fault::{FailPoint, FaultContext, FaultPlan, FaultState, JobError, RetryPolicy, TaskError};
 pub use jobs::{JobId, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun, SubmitError};
 pub use journal::{compact_records, CompactStats, Journal, JournalError, JournalRecord};
@@ -60,8 +56,6 @@ pub use metrics::{DurationSummary, ExecStats, JobMetrics, ShuffleStats};
 pub use partitioner::{
     ExplicitPartitioner, HashPartitioner, Partitioner, Placement, RoundRobinPartitioner,
 };
-pub use pipeline_exec::PipelineOccupancy;
-pub use pool::{run_tasks, run_tasks_ft, run_tasks_traced, try_run_tasks_traced};
 pub use wire::{ensure_remaining, Wire, WireError};
 
 // Re-exported so engine users can construct recorders and read traces

@@ -133,10 +133,6 @@ pub struct MemoryAccountant {
     spilled: AtomicU64,
     denials: AtomicU64,
     oom_events: AtomicU64,
-    /// Bytes deliberately held across a stage seam (pipelined map halves
-    /// carry their charges into the join). Tracked so boundary-time leak
-    /// audits can distinguish a carried charge from a genuine leak.
-    carried: AtomicU64,
 }
 
 impl MemoryAccountant {
@@ -151,7 +147,6 @@ impl MemoryAccountant {
             spilled: AtomicU64::new(0),
             denials: AtomicU64::new(0),
             oom_events: AtomicU64::new(0),
-            carried: AtomicU64::new(0),
         }
     }
 
@@ -229,46 +224,14 @@ impl MemoryAccountant {
         self.resident.len()
     }
 
-    /// Bytes currently charged across all nodes. At every stage boundary
-    /// this equals [`carried_bytes`](Self::carried_bytes): barrier stages
-    /// settle every charge at their commit point, while pipelined map halves
-    /// deliberately carry theirs across the map→join seam — which is what
-    /// keeps the job server's completion-time leak audit exact.
+    /// Bytes currently charged across all nodes. Zero at every stage
+    /// boundary (charges settle at stage commit points), which is what makes
+    /// the job server's completion-time leak audit exact.
     pub fn resident_total(&self) -> u64 {
         self.resident
             .iter()
             .map(|r| r.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// Bytes currently held by guards that were explicitly marked as carried
-    /// across a stage seam (see [`ChargeGuard::mark_carried`]). A parked
-    /// pipelined job's resident footprint is exactly its carried bytes.
-    pub fn carried_bytes(&self) -> u64 {
-        self.carried.load(Ordering::Relaxed)
-    }
-
-    fn note_carried(&self, bytes: u64) {
-        self.carried.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    fn release_carried(&self, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        let mut cur = self.carried.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self.carried.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
     }
 
     /// Highest concurrent charge observed on `node`.
@@ -327,10 +290,6 @@ pub struct ChargeGuard {
     accountant: Arc<MemoryAccountant>,
     /// Per-node bytes currently held (small: one entry per node touched).
     held: Vec<(usize, u64)>,
-    /// Bytes this guard has registered as carried across a stage seam (see
-    /// [`mark_carried`](Self::mark_carried)); returned to the accountant's
-    /// carried counter on drop.
-    carried: u64,
 }
 
 impl ChargeGuard {
@@ -338,24 +297,6 @@ impl ChargeGuard {
         ChargeGuard {
             accountant,
             held: Vec::new(),
-            carried: 0,
-        }
-    }
-
-    /// Declares everything this guard currently holds as deliberately
-    /// carried across a stage seam — e.g. the pipelined shuffle map halves,
-    /// whose charges stay resident from the map barrier until each join
-    /// partition commits. The bytes count toward
-    /// [`MemoryAccountant::carried_bytes`] until the guard drops, so a
-    /// boundary-time leak audit can subtract them instead of flagging a
-    /// parked pipelined job as a leak. Idempotent: re-marking after further
-    /// charges registers only the delta.
-    pub(crate) fn mark_carried(&mut self) {
-        let held = self.held_bytes();
-        let delta = held.saturating_sub(self.carried);
-        if delta > 0 {
-            self.accountant.note_carried(delta);
-            self.carried += delta;
         }
     }
 
@@ -397,7 +338,6 @@ impl Drop for ChargeGuard {
         for &(node, bytes) in &self.held {
             self.accountant.release(node, bytes);
         }
-        self.accountant.release_carried(self.carried);
     }
 }
 
@@ -880,29 +820,5 @@ mod tests {
         }
         assert!(m.peak_bytes() <= 1000);
         assert_eq!(m.resident_bytes(0), 0);
-    }
-
-    /// A guard marked as carried keeps the accountant's carried counter in
-    /// lockstep with its held bytes (idempotently, only the delta after new
-    /// charges), and drop returns both the resident and the carried bytes.
-    #[test]
-    fn carried_charges_are_tracked_and_settle_on_drop() {
-        use std::sync::Arc;
-        let m = Arc::new(MemoryAccountant::new(2, None));
-        let mut g = ChargeGuard::new(Arc::clone(&m));
-        assert!(g.try_charge(0, 100));
-        assert!(g.try_charge(1, 40));
-        assert_eq!(m.carried_bytes(), 0, "nothing carried until marked");
-        g.mark_carried();
-        assert_eq!(m.carried_bytes(), 140);
-        g.mark_carried();
-        assert_eq!(m.carried_bytes(), 140, "re-marking is idempotent");
-        assert!(g.try_charge(0, 10));
-        g.mark_carried();
-        assert_eq!(m.carried_bytes(), 150, "re-marking registers the delta");
-        assert_eq!(m.resident_total(), 150);
-        drop(g);
-        assert_eq!(m.carried_bytes(), 0, "drop settles the carried bytes");
-        assert_eq!(m.resident_total(), 0);
     }
 }

@@ -145,9 +145,9 @@ impl ExplicitPartitioner {
         }
     }
 
-    /// Builds the map-backed variant unconditionally — the pre-dense lookup,
-    /// kept reachable so equivalence tests and A/B perf runs can pin the
-    /// legacy probe path.
+    /// Builds the map-backed variant unconditionally, so equivalence tests
+    /// can pin the hash-map probe path on key sets that would otherwise get
+    /// the dense table.
     pub fn new_sparse(map: HashMap<u64, usize>, partitions: usize) -> Self {
         assert!(
             map.values().all(|&p| p < partitions),

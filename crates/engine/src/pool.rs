@@ -8,43 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Executes `tasks` on a pool of `threads` OS threads and attributes each
-/// task's measured duration to the simulated node given by `placement`.
-///
-/// This is the engine's only execution primitive. Real parallelism (the
-/// thread count) is decoupled from the *simulated* cluster width (the number
-/// of nodes appearing in `placement`): on a small host the tasks may run on
-/// one or two threads, while the returned [`ExecStats`] still reports the
-/// per-node busy times — and hence the makespan — of the simulated cluster.
-///
-/// Results are returned in task order.
-///
-/// # Panics
-/// Panics if `placement.len() != tasks.len()` or a worker panics.
-pub fn run_tasks<T, R, F>(
-    threads: usize,
-    nodes: usize,
-    tasks: Vec<T>,
-    placement: &[usize],
-    f: F,
-) -> (Vec<R>, ExecStats)
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    run_tasks_traced(
-        threads,
-        nodes,
-        tasks,
-        placement,
-        &Recorder::noop(),
-        "task",
-        f,
-    )
-}
-
-/// A slot vector written concurrently, one writer per index.
+/// A slot vector accessed concurrently, one owner per index.
 ///
 /// # Safety
 /// Callers must guarantee that at most one thread accesses any given index
@@ -52,18 +16,24 @@ where
 /// counter, or via a compare-exchange on a per-index flag), and that reads of
 /// the final values happen only after all writer threads have been joined
 /// (the `thread::scope` exit provides the necessary happens-before edge).
-pub(crate) struct Slots<V>(pub(crate) Vec<UnsafeCell<Option<V>>>);
+struct Slots<V>(Vec<UnsafeCell<Option<V>>>);
 
+// SAFETY: the one field is only reached through `take`/`put`, whose callers
+// own their index exclusively (see the type docs), so no two threads ever
+// touch the same cell; values move between threads, hence `V: Send`.
 unsafe impl<V: Send> Sync for Slots<V> {}
 
 impl<V> Slots<V> {
-    pub(crate) fn filled(values: impl Iterator<Item = V>, hint: usize) -> Self {
-        let mut v = Vec::with_capacity(hint);
-        v.extend(values.map(|x| UnsafeCell::new(Some(x))));
-        Slots(v)
+    fn filled(values: Vec<V>) -> Self {
+        Slots(
+            values
+                .into_iter()
+                .map(|x| UnsafeCell::new(Some(x)))
+                .collect(),
+        )
     }
 
-    pub(crate) fn empty(n: usize) -> Self {
+    fn empty(n: usize) -> Self {
         Slots((0..n).map(|_| UnsafeCell::new(None)).collect())
     }
 
@@ -71,7 +41,7 @@ impl<V> Slots<V> {
     ///
     /// # Safety
     /// `idx` must be exclusively owned by the calling thread (see type docs).
-    pub(crate) unsafe fn take(&self, idx: usize) -> Option<V> {
+    unsafe fn take(&self, idx: usize) -> Option<V> {
         (*self.0[idx].get()).take()
     }
 
@@ -79,13 +49,36 @@ impl<V> Slots<V> {
     ///
     /// # Safety
     /// `idx` must be exclusively owned by the calling thread (see type docs).
-    pub(crate) unsafe fn put(&self, idx: usize, v: V) {
+    unsafe fn put(&self, idx: usize, v: V) {
         *self.0[idx].get() = Some(v);
     }
 }
 
+/// Task inputs. Without a fault context every task runs exactly once, so its
+/// input is moved out of its slot; with one, a retry or a speculative copy
+/// may need the same input again — the analog of Spark recomputing a
+/// partition from lineage — so every attempt clones from the shared vector.
+enum Inputs<T> {
+    Once(Slots<T>),
+    Shared(Vec<T>),
+}
+
+impl<T: Clone> Inputs<T> {
+    /// The input of task `idx`.
+    ///
+    /// # Safety
+    /// For `Once`, task `idx` must be attempted exactly once over the life of
+    /// the value (its claiming thread is then the slot's only owner).
+    unsafe fn get(&self, idx: usize) -> T {
+        match self {
+            Inputs::Once(slots) => slots.take(idx).expect("task input taken once"),
+            Inputs::Shared(tasks) => tasks[idx].clone(),
+        }
+    }
+}
+
 /// Renders a caught panic payload for [`TaskError::Panic`].
-pub(crate) fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -96,7 +89,7 @@ pub(crate) fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Scales a measured duration by a slowdown multiplier.
-pub(crate) fn scale_dur(d: Duration, mult: f64) -> Duration {
+fn scale_dur(d: Duration, mult: f64) -> Duration {
     if mult <= 1.0 {
         d
     } else {
@@ -104,176 +97,30 @@ pub(crate) fn scale_dur(d: Duration, mult: f64) -> Duration {
     }
 }
 
-pub(crate) fn empty_stats(nodes: usize, wall_start: Instant) -> ExecStats {
-    ExecStats {
-        per_node_busy: vec![Duration::ZERO; nodes],
-        wall: wall_start.elapsed(),
-        ..ExecStats::default()
-    }
-}
-
-/// [`run_tasks`] with a [`Recorder`]: every task additionally emits a span
-/// named `stage` on its simulated node's lane, whose simulated duration is
-/// the same measurement that feeds [`ExecStats`] — so per node, the trace's
-/// span durations sum to exactly `per_node_busy`.
+/// Executes `tasks` on a pool of `threads` OS threads and attributes each
+/// attempt's measured duration to a simulated node, starting from
+/// `placement`.
 ///
-/// # Panics
-/// Panics if a task panics (the job is fail-stop on this path; use
-/// [`try_run_tasks_traced`] or [`run_tasks_ft`] for recoverable execution).
-pub fn run_tasks_traced<T, R, F>(
-    threads: usize,
-    nodes: usize,
-    tasks: Vec<T>,
-    placement: &[usize],
-    recorder: &Recorder,
-    stage: &str,
-    f: F,
-) -> (Vec<R>, ExecStats)
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    match try_run_tasks_traced(threads, nodes, tasks, placement, recorder, stage, f) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible single-attempt execution: each task body runs under
-/// `catch_unwind`, and a panicking task aborts the stage with a
-/// [`JobError`] instead of poisoning the thread scope. No retries are
-/// attempted on this path — it is the zero-overhead route taken when no
-/// fault plan is attached (see [`run_tasks_ft`] for the recovering
-/// executor).
+/// This is the engine's only execution primitive. Real parallelism (the
+/// thread count) is decoupled from the *simulated* cluster width (`nodes`):
+/// on a small host the tasks may run on one or two threads, while the
+/// returned [`ExecStats`] still reports the per-node busy times — and hence
+/// the makespan — of the simulated cluster. Every attempt also emits a span
+/// on its node's trace lane whose simulated duration is the same number that
+/// feeds [`ExecStats`], so per node the trace's span durations sum to exactly
+/// `per_node_busy`. Results are returned in task order.
 ///
-/// On success the behaviour (results, spans, stats) is identical to the
-/// historical `run_tasks_traced`.
-pub fn try_run_tasks_traced<T, R, F>(
-    threads: usize,
-    nodes: usize,
-    tasks: Vec<T>,
-    placement: &[usize],
-    recorder: &Recorder,
-    stage: &str,
-    f: F,
-) -> Result<(Vec<R>, ExecStats), JobError>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    assert_eq!(placement.len(), tasks.len(), "one placement entry per task");
-    assert!(nodes > 0, "cluster must have at least one node");
-    debug_assert!(
-        placement.iter().all(|&n| n < nodes),
-        "placement out of range"
-    );
-    let wall_start = Instant::now();
-    let n_tasks = tasks.len();
-    // An empty stage spawns no workers at all.
-    if n_tasks == 0 {
-        return Ok((Vec::new(), empty_stats(nodes, wall_start)));
-    }
-    let threads = threads.max(1).min(n_tasks);
-
-    // Lock-free work distribution: workers claim task indices from a shared
-    // counter; task inputs and results live in per-index slots, so no lock is
-    // held while running `f` and threads never contend on a results mutex.
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let fatal: Mutex<Option<JobError>> = Mutex::new(None);
-    let task_slots: Slots<T> = Slots::filled(tasks.into_iter(), n_tasks);
-    let result_slots: Slots<(R, Duration)> = Slots::empty(n_tasks);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= n_tasks {
-                    break;
-                }
-                // SAFETY: `idx` came from fetch_add, so this thread is its
-                // only owner; the slot was filled before the scope started.
-                let task = unsafe { task_slots.take(idx) }.expect("task slot filled once");
-                let start = Instant::now();
-                let out = catch_unwind(AssertUnwindSafe(|| f(idx, task)));
-                let elapsed = start.elapsed();
-                match out {
-                    Ok(r) => {
-                        recorder.task_span(
-                            stage,
-                            placement[idx],
-                            Some(idx as u64),
-                            elapsed,
-                            Attrs::new(),
-                        );
-                        // SAFETY: same exclusive ownership of `idx`.
-                        unsafe { result_slots.put(idx, (r, elapsed)) };
-                    }
-                    Err(payload) => {
-                        // The failed attempt still shows up on its node's
-                        // trace lane; the stage aborts with the first error.
-                        recorder.task_span_sim(
-                            &format!("{stage}!failed"),
-                            placement[idx],
-                            Some(idx as u64),
-                            elapsed,
-                            elapsed,
-                            Attrs::new(),
-                        );
-                        let mut g = fatal.lock().expect("pool error slot poisoned");
-                        if g.is_none() {
-                            *g = Some(JobError {
-                                stage: stage.to_string(),
-                                task: idx,
-                                attempts: 1,
-                                error: TaskError::Panic(panic_msg(payload)),
-                            });
-                        }
-                        abort.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = fatal.into_inner().expect("pool error slot poisoned") {
-        return Err(e);
-    }
-    let mut per_node_busy = vec![Duration::ZERO; nodes];
-    let mut out = Vec::with_capacity(n_tasks);
-    // The scope join above synchronizes all worker writes with these reads.
-    for (idx, slot) in result_slots.0.into_iter().enumerate() {
-        let (r, d) = slot
-            .into_inner()
-            .expect("worker must have produced a result");
-        per_node_busy[placement[idx]] += d;
-        out.push(r);
-    }
-    Ok((
-        out,
-        ExecStats {
-            per_node_busy,
-            wall: wall_start.elapsed(),
-            attempts: n_tasks as u64,
-            ..ExecStats::default()
-        },
-    ))
-}
-
-/// The fault-tolerant executor: like [`try_run_tasks_traced`], but attempts
-/// are subject to the [`FaultContext`]'s injection plan and recovered
-/// according to its retry policy:
+/// Every attempt runs under `catch_unwind`. **Without a fault context**
+/// (`ctx == None`) each task's input is moved into its single attempt, there
+/// is no retry and no straggler scan, and the first panicking task aborts
+/// the stage with a [`JobError`] (`attempts == 1`).
 ///
-/// * every attempt runs under `catch_unwind`; a failed attempt (panic,
-///   injected fault, or lost node) is retried up to `max_attempts` times,
-///   re-placed on the least-loaded node that is neither blacklisted nor
-///   lost;
+/// **With a fault context** attempts are subject to its injection plan and
+/// recovered according to its retry policy:
+///
+/// * a failed attempt (panic, injected fault, or lost node) is retried up to
+///   `max_attempts` times, re-placed on the least-loaded node that is neither
+///   blacklisted nor lost;
 /// * a node accumulating `blacklist_after` failures is blacklisted for the
 ///   rest of the cluster's life (but never the last usable node);
 /// * with speculation enabled, workers that drained the task queue clone the
@@ -287,47 +134,66 @@ where
 ///   multiple; an attempt killed by a faster competitor is billed only for
 ///   the time it occupied the node before the winner committed.
 ///
-/// Tasks must be `Clone` because a retry or a speculative copy re-runs the
-/// same input — the analog of Spark recomputing a partition from lineage.
+/// # Panics
+/// Panics if `placement.len() != tasks.len()`, `nodes == 0`, or the fault
+/// context was sized for a different cluster. Task panics never propagate.
 #[allow(clippy::too_many_arguments)] // executor entry point: each knob is load-bearing
-pub fn run_tasks_ft<T, R, F>(
+pub(crate) fn run_stage<T, R, F>(
     threads: usize,
     nodes: usize,
     tasks: Vec<T>,
     placement: &[usize],
     recorder: &Recorder,
     stage: &str,
-    ctx: &FaultContext,
+    ctx: Option<&FaultContext>,
     f: F,
 ) -> Result<(Vec<R>, ExecStats), JobError>
 where
-    T: Sync + Clone,
+    T: Send + Sync + Clone,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
     assert_eq!(placement.len(), tasks.len(), "one placement entry per task");
     assert!(nodes > 0, "cluster must have at least one node");
-    assert_eq!(
-        ctx.state.nodes(),
-        nodes,
-        "fault state sized for a different cluster"
+    debug_assert!(
+        placement.iter().all(|&n| n < nodes),
+        "placement out of range"
     );
+    if let Some(ctx) = ctx {
+        assert_eq!(
+            ctx.state.nodes(),
+            nodes,
+            "fault state sized for a different cluster"
+        );
+    }
     let wall_start = Instant::now();
     let n_tasks = tasks.len();
+    let blacklisted = || ctx.map_or(0, |c| c.state.blacklisted_count());
+    // An empty stage spawns no workers at all.
     if n_tasks == 0 {
-        let mut stats = empty_stats(nodes, wall_start);
-        stats.blacklisted_nodes = ctx.state.blacklisted_count();
-        return Ok((Vec::new(), stats));
+        return Ok((
+            Vec::new(),
+            ExecStats {
+                per_node_busy: vec![Duration::ZERO; nodes],
+                wall: wall_start.elapsed(),
+                blacklisted_nodes: blacklisted(),
+                ..ExecStats::default()
+            },
+        ));
     }
     let threads = threads.max(1).min(n_tasks);
-    let plan = &ctx.plan;
-    let policy = &ctx.policy;
-    let state = &ctx.state;
-    let tasks = &tasks;
+    let max_attempts = ctx.map_or(1, |c| c.policy.max_attempts);
+    let inputs = match ctx {
+        None => Inputs::Once(Slots::filled(tasks)),
+        Some(_) => Inputs::Shared(tasks),
+    };
     let failed_stage = format!("{stage}!failed");
     let killed_stage = format!("{stage}!killed");
     let backoff_stage = format!("{stage}!backoff");
 
+    // Lock-free work distribution: workers claim task indices from a shared
+    // counter and results live in per-index slots, so no lock is held while
+    // running `f` and threads never contend on a results mutex.
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let fatal: Mutex<Option<JobError>> = Mutex::new(None);
@@ -351,14 +217,20 @@ where
     let charge = |node: usize, d: Duration| {
         node_busy_ns[node].fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     };
+    // Bills a discarded attempt (failed or killed) to its node and lane.
+    let bill_discarded = |span: &str, idx: usize, node: usize, wall: Duration, sim: Duration| {
+        charge(node, sim);
+        recorder.task_span_sim(span, node, Some(idx as u64), wall, sim, Attrs::new());
+    };
     // Least-loaded usable node, preferring to avoid `exclude`; the final
     // fallback ignores the blacklist entirely so the job fails with a real
     // error instead of starving when everything is lost.
-    let pick_node = |exclude: Option<usize>| -> usize {
+    let pick_node = |ctx: &FaultContext, exclude: Option<usize>| -> usize {
         let loads: Vec<u64> = node_busy_ns
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
+        let state = &ctx.state;
         least_loaded(&loads, |n| state.is_avoided(n) || Some(n) == exclude)
             .or_else(|| least_loaded(&loads, |n| state.is_avoided(n)))
             .or_else(|| least_loaded(&loads, |_| false))
@@ -370,35 +242,49 @@ where
     // is complete (this attempt committed, or a competitor already had).
     let attempt_once = |idx: usize, attempt: usize, node: usize| -> Result<(), TaskError> {
         n_attempts.fetch_add(1, Ordering::Relaxed);
-        recorder.counter_add(stage, "attempts", 1);
-        state.note_attempt_started(plan, node);
-        if state.is_lost(node) {
-            // Fast failure: a dead executor burns no simulated time, but the
-            // doomed attempt still appears on the node's lane.
-            recorder.task_span_sim(
-                &failed_stage,
-                node,
-                Some(idx as u64),
-                Duration::ZERO,
-                Duration::ZERO,
-                Attrs::new(),
-            );
-            recorder.event(
-                "node_lost",
-                Lane::Node(node),
-                Some(idx as u64),
-                Attrs::new(),
-            );
-            return Err(TaskError::NodeLost { node });
-        }
-        let will_fail = plan.injects(stage, idx, attempt);
-        let will_oom = plan.injects_oom(stage, idx, attempt);
+        let (will_fail, will_oom, mult) = match ctx {
+            None => (false, false, 1.0),
+            Some(ctx) => {
+                recorder.counter_add(stage, "attempts", 1);
+                ctx.state.note_attempt_started(&ctx.plan, node);
+                if ctx.state.is_lost(node) {
+                    // Fast failure: a dead executor burns no simulated time,
+                    // but the doomed attempt still appears on the node's lane.
+                    recorder.task_span_sim(
+                        &failed_stage,
+                        node,
+                        Some(idx as u64),
+                        Duration::ZERO,
+                        Duration::ZERO,
+                        Attrs::new(),
+                    );
+                    recorder.event(
+                        "node_lost",
+                        Lane::Node(node),
+                        Some(idx as u64),
+                        Attrs::new(),
+                    );
+                    return Err(TaskError::NodeLost { node });
+                }
+                (
+                    ctx.plan.injects(stage, idx, attempt),
+                    ctx.plan.injects_oom(stage, idx, attempt),
+                    ctx.plan.slowdown(node),
+                )
+            }
+        };
         running_node[idx].store(node, Ordering::Relaxed);
         running_since[idx].store(now_ns() + 1, Ordering::Relaxed);
         let start = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(idx, tasks[idx].clone())));
+        // SAFETY: without a fault context there is neither a retry
+        // (`max_attempts` is 1) nor a speculative copy, so `idx` — claimed
+        // once via `fetch_add` below — is attempted exactly once; with one
+        // the inputs are shared and cloned.
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(idx, unsafe { inputs.get(idx) })));
         let d0 = start.elapsed();
-        let mult = plan.slowdown(node);
+        // Wall time this attempt held its node: the measured run, plus the
+        // stretch below on a straggler node.
+        let mut held = d0;
         if mult > 1.0 && outcome.is_ok() && !will_fail && !will_oom {
             // A straggler node really is slower: stretch the attempt in wall
             // time (in interruptible slices) so a speculative copy elsewhere
@@ -411,58 +297,30 @@ where
                 let left = target.saturating_sub(start.elapsed());
                 std::thread::sleep(left.min(Duration::from_micros(500)));
             }
+            held = start.elapsed();
         }
-        match outcome {
+        let charged = scale_dur(d0, mult);
+        let result = match outcome {
             Err(payload) => {
-                let charged = scale_dur(d0, mult);
-                charge(node, charged);
-                recorder.task_span_sim(
-                    &failed_stage,
-                    node,
-                    Some(idx as u64),
-                    d0,
-                    charged,
-                    Attrs::new(),
-                );
-                running_since[idx].store(0, Ordering::Relaxed);
+                bill_discarded(&failed_stage, idx, node, d0, charged);
                 Err(TaskError::Panic(panic_msg(payload)))
             }
             Ok(_) if will_fail => {
                 // The attempt did its work and died at commit time — the
                 // result is discarded but the burned time is billed in full.
-                let charged = scale_dur(d0, mult);
-                charge(node, charged);
-                recorder.task_span_sim(
-                    &failed_stage,
-                    node,
-                    Some(idx as u64),
-                    d0,
-                    charged,
-                    Attrs::new(),
-                );
-                running_since[idx].store(0, Ordering::Relaxed);
+                bill_discarded(&failed_stage, idx, node, d0, charged);
                 Err(TaskError::Injected { attempt })
             }
             Ok(_) if will_oom => {
                 // Injected budget exhaustion: the attempt's work is discarded
                 // like a real OOM-killed executor's would be, the burned time
                 // is billed, and the retry machinery takes over.
-                let charged = scale_dur(d0, mult);
-                charge(node, charged);
-                recorder.task_span_sim(
-                    &failed_stage,
-                    node,
-                    Some(idx as u64),
-                    d0,
-                    charged,
-                    Attrs::new(),
-                );
+                bill_discarded(&failed_stage, idx, node, d0, charged);
                 recorder.counter_add(stage, "oom_events", 1);
                 recorder.event("oom", Lane::Node(node), Some(idx as u64), Attrs::new());
-                if let Some(memory) = &ctx.memory {
+                if let Some(memory) = ctx.and_then(|c| c.memory.as_ref()) {
                     memory.note_oom();
                 }
-                running_since[idx].store(0, Ordering::Relaxed);
                 Err(TaskError::OutOfMemory { attempt })
             }
             Ok(r) => {
@@ -474,17 +332,15 @@ where
                     // the unique writer of slot `idx`; results are read only
                     // after the scope joins all workers.
                     unsafe { result_slots.put(idx, r) };
-                    let charged = scale_dur(d0, mult);
                     charge(node, charged);
                     recorder.task_span_sim(
                         stage,
                         node,
                         Some(idx as u64),
-                        start.elapsed(),
+                        held,
                         charged,
                         Attrs::new(),
                     );
-                    running_since[idx].store(0, Ordering::Relaxed);
                     completed.fetch_add(1, Ordering::Relaxed);
                     completed_charged_ns.fetch_add(charged.as_nanos() as u64, Ordering::Relaxed);
                     if attempt == 0 {
@@ -497,31 +353,24 @@ where
                             Attrs::new(),
                         );
                     }
-                    Ok(())
                 } else {
                     // Lost the race against a competitor attempt: this copy
                     // is killed, billed only for the time it held the node.
-                    let actual = start.elapsed();
-                    charge(node, actual);
-                    recorder.task_span_sim(
-                        &killed_stage,
-                        node,
-                        Some(idx as u64),
-                        actual,
-                        actual,
-                        Attrs::new(),
-                    );
-                    Ok(())
+                    bill_discarded(&killed_stage, idx, node, held, held);
                 }
+                Ok(())
             }
-        }
+        };
+        running_since[idx].store(0, Ordering::Relaxed);
+        result
     };
 
     // Books a failed attempt: failure counters, blacklisting.
     let note_failed = |node: usize| {
         n_failed.fetch_add(1, Ordering::Relaxed);
+        let Some(ctx) = ctx else { return };
         recorder.counter_add(stage, "failed_attempts", 1);
-        if state.note_failure(policy, node) {
+        if ctx.state.note_failure(&ctx.policy, node) {
             recorder.counter_add(stage, "blacklisted_nodes", 1);
             recorder.event("node_blacklisted", Lane::Node(node), None, Attrs::new());
         }
@@ -530,7 +379,8 @@ where
     // Straggler scan: once enough of the stage has finished, find a
     // still-running task whose elapsed time projects past the speculation
     // threshold and claim it for a speculative copy.
-    let find_straggler = || -> Option<(usize, usize)> {
+    let find_straggler = |ctx: &FaultContext| -> Option<(usize, usize)> {
+        let policy = &ctx.policy;
         let comp = completed.load(Ordering::Relaxed);
         if comp == 0 || (comp as f64) < policy.speculation_quantile * n_tasks as f64 {
             return None;
@@ -551,7 +401,7 @@ where
                 .is_ok()
             {
                 let origin = running_node[idx].load(Ordering::Relaxed);
-                let spec_node = pick_node(Some(origin));
+                let spec_node = pick_node(ctx, Some(origin));
                 recorder.event(
                     "speculative_launch",
                     Lane::Node(spec_node),
@@ -579,66 +429,68 @@ where
                         if abort.load(Ordering::Relaxed) || done[idx].load(Ordering::Relaxed) {
                             break;
                         }
-                        match attempt_once(idx, attempt, node) {
-                            Ok(()) => break,
-                            Err(e) => {
-                                note_failed(node);
-                                if attempt >= policy.max_attempts {
-                                    // A competitor may still have committed.
-                                    if !done[idx].load(Ordering::Relaxed) {
-                                        let mut g = fatal.lock().expect("pool error slot poisoned");
-                                        if g.is_none() {
-                                            *g = Some(JobError {
-                                                stage: stage.to_string(),
-                                                task: idx,
-                                                attempts: attempt,
-                                                error: e,
-                                            });
-                                        }
-                                        abort.store(true, Ordering::Relaxed);
+                        let Err(e) = attempt_once(idx, attempt, node) else {
+                            break;
+                        };
+                        note_failed(node);
+                        let ctx = match ctx {
+                            Some(ctx) if attempt < max_attempts => ctx,
+                            _ => {
+                                // Out of attempts — unless a competitor
+                                // committed meanwhile, the stage is lost.
+                                if !done[idx].load(Ordering::Relaxed) {
+                                    let mut g = fatal.lock().expect("pool error slot poisoned");
+                                    if g.is_none() {
+                                        *g = Some(JobError {
+                                            stage: stage.to_string(),
+                                            task: idx,
+                                            attempts: attempt,
+                                            error: e,
+                                        });
                                     }
-                                    break;
+                                    abort.store(true, Ordering::Relaxed);
                                 }
-                                attempt += 1;
-                                n_retries.fetch_add(1, Ordering::Relaxed);
-                                recorder.counter_add(stage, "retries", 1);
-                                let from = node;
-                                node = pick_node(Some(node));
-                                recorder.event(
-                                    "task_retry",
-                                    Lane::Node(node),
-                                    Some(idx as u64),
-                                    Attrs::new().records(from as u64),
-                                );
-                                // Deterministic exponential backoff before
-                                // re-placement: billed to the retry node's
-                                // simulated clock (with a matching lane span
-                                // so per-node span sums stay exact) but not
-                                // slept in wall time — delay is a scheduling
-                                // cost, not real work.
-                                let backoff = policy.backoff(stage, idx, attempt);
-                                if backoff > Duration::ZERO {
-                                    charge(node, backoff);
-                                    recorder.task_span_sim(
-                                        &backoff_stage,
-                                        node,
-                                        Some(idx as u64),
-                                        Duration::ZERO,
-                                        backoff,
-                                        Attrs::new(),
-                                    );
-                                }
+                                break;
                             }
+                        };
+                        attempt += 1;
+                        n_retries.fetch_add(1, Ordering::Relaxed);
+                        recorder.counter_add(stage, "retries", 1);
+                        let from = node;
+                        node = pick_node(ctx, Some(node));
+                        recorder.event(
+                            "task_retry",
+                            Lane::Node(node),
+                            Some(idx as u64),
+                            Attrs::new().records(from as u64),
+                        );
+                        // Deterministic exponential backoff before
+                        // re-placement: billed to the retry node's simulated
+                        // clock (with a matching lane span so per-node span
+                        // sums stay exact) but not slept in wall time — delay
+                        // is a scheduling cost, not real work.
+                        let backoff = ctx.policy.backoff(stage, idx, attempt);
+                        if backoff > Duration::ZERO {
+                            charge(node, backoff);
+                            recorder.task_span_sim(
+                                &backoff_stage,
+                                node,
+                                Some(idx as u64),
+                                Duration::ZERO,
+                                backoff,
+                                Attrs::new(),
+                            );
                         }
                     }
                     continue;
                 }
                 // Queue drained: either help stragglers or leave.
-                if !policy.speculation || completed.load(Ordering::Relaxed) >= n_tasks {
+                let Some(ctx) = ctx else { return };
+                if !ctx.policy.speculation || completed.load(Ordering::Relaxed) >= n_tasks {
                     return;
                 }
-                if let Some((tidx, spec_node)) = find_straggler() {
-                    if let Err(_e) = attempt_once(tidx, 0, spec_node) {
+                if let Some((tidx, spec_node)) = find_straggler(ctx) {
+                    if attempt_once(tidx, 0, spec_node).is_err() {
                         // A failed speculative copy is just a failed attempt;
                         // the original is still running, so nothing retries.
                         note_failed(spec_node);
@@ -657,14 +509,15 @@ where
         .iter()
         .map(|b| Duration::from_nanos(b.load(Ordering::Relaxed)))
         .collect();
-    let mut out = Vec::with_capacity(n_tasks);
     // The scope join above synchronizes all worker writes with these reads.
-    for slot in result_slots.0.into_iter() {
-        out.push(
+    let out: Vec<R> = result_slots
+        .0
+        .into_iter()
+        .map(|slot| {
             slot.into_inner()
-                .expect("every task committed a result or the job errored"),
-        );
-    }
+                .expect("every task committed a result or the job errored")
+        })
+        .collect();
     Ok((
         out,
         ExecStats {
@@ -674,7 +527,7 @@ where
             retries: n_retries.load(Ordering::Relaxed),
             failed_attempts: n_failed.load(Ordering::Relaxed),
             speculative_wins: n_spec_wins.load(Ordering::Relaxed),
-            blacklisted_nodes: state.blacklisted_count(),
+            blacklisted_nodes: blacklisted(),
             spilled_bytes: 0,
             peak_memory_bytes: 0,
         },
@@ -686,11 +539,37 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, RetryPolicy};
 
+    /// Single-attempt run: no fault context, no recorder.
+    fn run_plain<T, R, F>(
+        threads: usize,
+        nodes: usize,
+        tasks: Vec<T>,
+        placement: &[usize],
+        f: F,
+    ) -> (Vec<R>, ExecStats)
+    where
+        T: Send + Sync + Clone,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        run_stage(
+            threads,
+            nodes,
+            tasks,
+            placement,
+            &Recorder::noop(),
+            "task",
+            None,
+            f,
+        )
+        .expect("stage succeeds")
+    }
+
     #[test]
     fn results_preserve_task_order() {
         let tasks: Vec<u64> = (0..100).collect();
         let placement: Vec<usize> = (0..100).map(|i| i % 4).collect();
-        let (out, stats) = run_tasks(4, 4, tasks, &placement, |_, t| t * 2);
+        let (out, stats) = run_plain(4, 4, tasks, &placement, |_, t| t * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
         assert_eq!(stats.per_node_busy.len(), 4);
         assert!(stats.wall > Duration::ZERO);
@@ -704,7 +583,7 @@ mod tests {
         // All tasks on node 2 of 3: only node 2 accumulates busy time.
         let tasks = vec![(); 8];
         let placement = vec![2usize; 8];
-        let (_, stats) = run_tasks(2, 3, tasks, &placement, |_, ()| {
+        let (_, stats) = run_plain(2, 3, tasks, &placement, |_, ()| {
             std::thread::sleep(Duration::from_millis(2));
         });
         assert_eq!(stats.per_node_busy[0], Duration::ZERO);
@@ -715,7 +594,7 @@ mod tests {
 
     #[test]
     fn empty_task_list() {
-        let (out, stats) = run_tasks(4, 2, Vec::<u8>::new(), &[], |_, t| t);
+        let (out, stats) = run_plain(4, 2, Vec::<u8>::new(), &[], |_, t| t);
         assert!(out.is_empty());
         assert_eq!(stats.per_node_busy, vec![Duration::ZERO; 2]);
         assert_eq!(stats.attempts, 0);
@@ -725,7 +604,7 @@ mod tests {
     fn single_thread_executes_everything() {
         let tasks: Vec<usize> = (0..50).collect();
         let placement = vec![0usize; 50];
-        let (out, _) = run_tasks(1, 1, tasks, &placement, |idx, t| {
+        let (out, _) = run_plain(1, 1, tasks, &placement, |idx, t| {
             assert_eq!(idx, t);
             t + 1
         });
@@ -735,29 +614,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "one placement entry per task")]
     fn mismatched_placement_panics() {
-        let _ = run_tasks(1, 1, vec![1, 2, 3], &[0], |_, t| t);
+        let _ = run_plain(1, 1, vec![1, 2, 3], &[0], |_, t| t);
     }
 
     #[test]
-    #[should_panic]
-    fn task_panic_propagates_to_caller() {
+    fn task_panic_fails_the_job_with_a_typed_error() {
         // A failing task must fail the job (like a failed Spark stage), not
-        // silently produce partial results.
-        let _ = run_tasks(2, 2, vec![1u32, 2, 3, 4], &[0, 1, 0, 1], |_, t| {
-            assert!(t != 3, "task failure");
-            t
-        });
-    }
-
-    #[test]
-    fn try_run_converts_panics_into_job_errors() {
-        let res = try_run_tasks_traced(
+        // silently produce partial results — and not unwind into the caller.
+        let res = run_stage(
             2,
             2,
             vec![1u32, 2, 3, 4],
             &[0, 1, 0, 1],
             &Recorder::noop(),
             "unit",
+            None,
             |_, t| {
                 assert!(t != 3, "task failure");
                 t
@@ -771,8 +642,39 @@ mod tests {
     }
 
     #[test]
+    fn inputs_are_moved_without_a_fault_context_and_cloned_with_one() {
+        static CLONES: AtomicUsize = AtomicUsize::new(0);
+        struct Input(u32);
+        impl Clone for Input {
+            fn clone(&self) -> Self {
+                CLONES.fetch_add(1, Ordering::Relaxed);
+                Input(self.0)
+            }
+        }
+        let tasks = || (0..16).map(Input).collect::<Vec<_>>();
+        let placement: Vec<usize> = (0..16).map(|i| i % 2).collect();
+        let (out, _) = run_plain(2, 2, tasks(), &placement, |_, t: Input| t.0);
+        assert_eq!(out, (0..16).collect::<Vec<_>>());
+        assert_eq!(CLONES.load(Ordering::Relaxed), 0, "single attempt: moved");
+        let ctx = ft_ctx(FaultPlan::none(), RetryPolicy::default(), 2);
+        let (out, _) = run_stage(
+            2,
+            2,
+            tasks(),
+            &placement,
+            &Recorder::noop(),
+            "unit",
+            Some(&ctx),
+            |_, t: Input| t.0,
+        )
+        .expect("fault-free run succeeds");
+        assert_eq!(out, (0..16).collect::<Vec<_>>());
+        assert_eq!(CLONES.load(Ordering::Relaxed), 16, "one clone per attempt");
+    }
+
+    #[test]
     fn more_threads_than_tasks_is_fine() {
-        let (out, _) = run_tasks(16, 4, vec![1u8, 2], &[0, 3], |_, t| t * 10);
+        let (out, _) = run_plain(16, 4, vec![1u8, 2], &[0, 3], |_, t| t * 10);
         assert_eq!(out, vec![10, 20]);
     }
 
@@ -782,7 +684,7 @@ mod tests {
         let n = 10_000;
         let tasks: Vec<usize> = (0..n).collect();
         let placement: Vec<usize> = (0..n).map(|i| i % 7).collect();
-        let (out, stats) = run_tasks(8, 7, tasks, &placement, |idx, t| {
+        let (out, stats) = run_plain(8, 7, tasks, &placement, |idx, t| {
             assert_eq!(idx, t);
             t
         });
@@ -798,7 +700,10 @@ mod tests {
         let recorder = Recorder::for_nodes(3);
         let tasks: Vec<u32> = (0..30).collect();
         let placement: Vec<usize> = (0..30).map(|i| i % 3).collect();
-        let (_, stats) = run_tasks_traced(4, 3, tasks, &placement, &recorder, "unit", |_, t| t + 1);
+        let (_, stats) = run_stage(4, 3, tasks, &placement, &recorder, "unit", None, |_, t| {
+            t + 1
+        })
+        .expect("stage succeeds");
         let trace = recorder.snapshot();
         assert_eq!(trace.spans.len(), 30);
         for node in 0..3 {
@@ -822,14 +727,14 @@ mod tests {
         let tasks: Vec<u64> = (0..64).collect();
         let placement: Vec<usize> = (0..64).map(|i| i % 3).collect();
         let ctx = ft_ctx(FaultPlan::none(), RetryPolicy::default(), 3);
-        let (out, stats) = run_tasks_ft(
+        let (out, stats) = run_stage(
             4,
             3,
             tasks,
             &placement,
             &Recorder::noop(),
             "unit",
-            &ctx,
+            Some(&ctx),
             |_, t| t * 3,
         )
         .expect("fault-free run succeeds");
@@ -849,14 +754,14 @@ mod tests {
         let ctx = ft_ctx(plan, RetryPolicy::default(), 2);
         let tasks: Vec<u32> = (0..8).collect();
         let placement: Vec<usize> = (0..8).map(|i| i % 2).collect();
-        let (out, stats) = run_tasks_ft(
+        let (out, stats) = run_stage(
             2,
             2,
             tasks,
             &placement,
             &Recorder::noop(),
             "unit",
-            &ctx,
+            Some(&ctx),
             |_, t| t + 100,
         )
         .expect("retries must recover");
@@ -878,11 +783,17 @@ mod tests {
         let tasks: Vec<u32> = (0..4).collect();
         let placement: Vec<usize> = (0..4).map(|i| i % 2).collect();
         let recorder = Recorder::for_nodes(2);
-        let (out, stats) =
-            run_tasks_ft(2, 2, tasks, &placement, &recorder, "unit", &ctx, |_, t| {
-                t + 10
-            })
-            .expect("oom retry must recover");
+        let (out, stats) = run_stage(
+            2,
+            2,
+            tasks,
+            &placement,
+            &recorder,
+            "unit",
+            Some(&ctx),
+            |_, t| t + 10,
+        )
+        .expect("oom retry must recover");
         assert_eq!(out, (0..4).map(|t| t + 10).collect::<Vec<_>>());
         assert_eq!(stats.attempts, 5, "one oom retry on top of four tasks");
         assert_eq!(stats.retries, 1);
@@ -900,14 +811,14 @@ mod tests {
     fn ft_exhausted_attempts_fail_the_job() {
         let plan = FaultPlan::none().with_stage_fail_prob("unit", 1.0);
         let ctx = ft_ctx(plan, RetryPolicy::default().with_max_attempts(3), 2);
-        let err = run_tasks_ft(
+        let err = run_stage(
             2,
             2,
             vec![1u8, 2],
             &[0, 1],
             &Recorder::noop(),
             "unit",
-            &ctx,
+            Some(&ctx),
             |_, t| t,
         )
         .expect_err("unsurvivable plan must fail");
@@ -923,14 +834,14 @@ mod tests {
         // via an attempt counter.
         let boom = AtomicUsize::new(0);
         let ctx = ft_ctx(FaultPlan::none(), RetryPolicy::default(), 2);
-        let (out, stats) = run_tasks_ft(
+        let (out, stats) = run_stage(
             1,
             2,
             vec![7u32],
             &[0],
             &Recorder::noop(),
             "unit",
-            &ctx,
+            Some(&ctx),
             |_, t| {
                 if boom.fetch_add(1, Ordering::Relaxed) == 0 {
                     panic!("first attempt dies");
@@ -951,14 +862,14 @@ mod tests {
         let plan = FaultPlan::none().with_lost_node(0, 0);
         let ctx = ft_ctx(plan, RetryPolicy::default(), 2);
         let tasks: Vec<u32> = (0..6).collect();
-        let (out, stats) = run_tasks_ft(
+        let (out, stats) = run_stage(
             2,
             2,
             tasks,
             &[0, 0, 0, 0, 0, 0],
             &Recorder::noop(),
             "unit",
-            &ctx,
+            Some(&ctx),
             |_, t| t,
         )
         .expect("reroute must recover");
@@ -973,14 +884,14 @@ mod tests {
         let plan = FaultPlan::none().with_lost_node(0, 0);
         let ctx = ft_ctx(plan, RetryPolicy::default().with_blacklist_after(2), 3);
         let tasks: Vec<u32> = (0..8).collect();
-        let (_, stats) = run_tasks_ft(
+        let (_, stats) = run_stage(
             2,
             3,
             tasks,
             &[0; 8],
             &Recorder::noop(),
             "unit",
-            &ctx,
+            Some(&ctx),
             |_, t| t,
         )
         .expect("must recover");
@@ -1001,12 +912,20 @@ mod tests {
         // Task 7 runs on the slow node; everything else on node 0.
         let placement = [0, 0, 0, 0, 0, 0, 0, 1];
         let recorder = Recorder::for_nodes(2);
-        let (out, stats) =
-            run_tasks_ft(2, 2, tasks, &placement, &recorder, "unit", &ctx, |_, t| {
+        let (out, stats) = run_stage(
+            2,
+            2,
+            tasks,
+            &placement,
+            &recorder,
+            "unit",
+            Some(&ctx),
+            |_, t| {
                 std::thread::sleep(Duration::from_millis(3));
                 t * 2
-            })
-            .expect("speculation run succeeds");
+            },
+        )
+        .expect("speculation run succeeds");
         assert_eq!(out, (0..8).map(|t| t * 2).collect::<Vec<_>>());
         assert_eq!(stats.speculative_wins, 1, "the copy must win the race");
         // The killed original shows up on the slow node's lane, and the
@@ -1032,9 +951,16 @@ mod tests {
         let plan = FaultPlan::none().with_fail_point("unit", 0, 1);
         let ctx = ft_ctx(plan, RetryPolicy::default(), 1);
         let recorder = Recorder::for_nodes(1);
-        let (_, stats) = run_tasks_ft(1, 1, vec![()], &[0], &recorder, "unit", &ctx, |_, ()| {
-            std::thread::sleep(Duration::from_millis(2))
-        })
+        let (_, stats) = run_stage(
+            1,
+            1,
+            vec![()],
+            &[0],
+            &recorder,
+            "unit",
+            Some(&ctx),
+            |_, ()| std::thread::sleep(Duration::from_millis(2)),
+        )
         .expect("retry recovers");
         let trace = recorder.snapshot();
         let failed: Vec<_> = trace
@@ -1064,14 +990,14 @@ mod tests {
         let policy = RetryPolicy::default().with_backoff(500);
         let ctx = ft_ctx(plan, policy, 2);
         let recorder = Recorder::for_nodes(2);
-        let (out, stats) = run_tasks_ft(
+        let (out, stats) = run_stage(
             2,
             2,
             vec![10u32, 20],
             &[0, 1],
             &recorder,
             "unit",
-            &ctx,
+            Some(&ctx),
             |_, t| t + 1,
         )
         .expect("retries recover");

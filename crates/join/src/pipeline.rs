@@ -1,9 +1,8 @@
 use crate::{JoinOutput, JoinSpec, Record};
 use asj_core::{AgreementPolicy, KernelKind};
 use asj_engine::{
-    ensure_remaining, pipelined_cogroup_stage_checkpointed, pipelined_join_checkpoint_probe,
-    Cluster, Dataset, ExecMode, ExecStats, KeyedDataset, Partitioner, PipelinedJoinProbe,
-    ShuffleMode, ShuffleStats, Wire, WireError,
+    ensure_remaining, Cluster, Dataset, ExecStats, KeyedDataset, Partitioner, ShuffleStats, Wire,
+    WireError,
 };
 use asj_geom::Point;
 use asj_index::{kernels, PointBatch};
@@ -156,11 +155,11 @@ where
     // cell, streaming contiguous memory instead of re-extracting positions
     // per group.
     type CellGroup = Vec<(u64, Record)>;
-    let body = |_: usize, (rs, ss): (CellGroup, CellGroup)| {
+    let body = |_: usize, (rs, ss): (&CellGroup, &CellGroup)| {
         let pos = |r: &Record| r.point;
         let rid = |r: &Record| r.id;
-        let br = PointBatch::from_keyed(&rs, pos, rid);
-        let bs = PointBatch::from_keyed(&ss, pos, rid);
+        let br = PointBatch::from_keyed(rs, pos, rid);
+        let bs = PointBatch::from_keyed(ss, pos, rid);
         let mut out: Vec<(u64, u64)> = Vec::new();
         let mut acc = KernelTally {
             batches: 2,
@@ -193,132 +192,44 @@ where
         (out, acc)
     };
 
-    // Pipelined execution overlaps the driver-side shuffle stitch with the
-    // join probes: each target partition is assembled by an *unbilled*
-    // producer task (the barrier path's serial driver stitch) and handed to
-    // a billed consumer through a bounded queue, so early cell groups probe
-    // while late partitions are still being assembled. Only the radix
-    // shuffle exposes a separable map half, so legacy-shuffle runs keep the
-    // barrier path — loudly (an `exec_downgrades` counter plus a one-shot
-    // stderr warning), never silently. Checkpointed pipelined runs persist
-    // partition-granular commit records as each billed consumer commits,
-    // and replay them through the pre-map probe below.
-    let pipelined =
-        cluster.exec_mode() == ExecMode::Pipelined && cluster.shuffle_mode() == ShuffleMode::Radix;
-    if cluster.exec_mode() == ExecMode::Pipelined && !pipelined {
-        recorder.counter_add("exec", "exec_downgrades", 1);
-        static DOWNGRADE_WARNED: std::sync::Once = std::sync::Once::new();
-        DOWNGRADE_WARNED.call_once(|| {
-            eprintln!(
-                "warning: --exec pipelined requires the radix shuffle; \
-                 falling back to barrier execution (shuffle={})",
-                cluster.shuffle_mode().name()
-            );
-        });
-    }
-    let (folded, shuffle, shuffle_exec, join_exec) = if pipelined {
-        // Probe the checkpoint store *before* the map stages: a full hit
-        // (every partition's commit record plus the merged shuffle stats)
-        // replays the whole shuffle→join seam at zero re-billed sim time.
-        // A partial hit pre-seeds the recovered partitions and recomputes
-        // only the missing ones.
-        let probe = pipelined_join_checkpoint_probe::<(u64, u64), KernelTally>(
-            cluster,
-            "cogroup_join",
-            placement.len(),
-        );
-        let token = match probe {
-            PipelinedJoinProbe::Hit {
-                parts,
-                shuffle,
-                shuffle_exec,
-                join_exec,
-            } => {
-                // Keep the trace's phase skeleton identical to a live run.
-                recorder.phase_attrs("shuffle", |attrs| {
-                    *attrs = attrs.records(shuffle.records).bytes(shuffle.total_bytes());
-                });
-                recorder.phase("local_join", || {});
-                return finish_join_stage(cluster, parts, shuffle, shuffle_exec, join_exec);
-            }
-            PipelinedJoinProbe::Run(token) => token,
-        };
-        let (half_r, half_s, shuffle, shuffle_exec) = recorder.phase_attrs("shuffle", |attrs| {
-            let (half_r, sh_r, ex_r) =
-                match keyed_r.try_shuffle_map_stage(cluster, partitioner, "shuffle.R") {
-                    Ok(v) => v,
-                    Err(e) => panic!("shuffle.R: {e}"),
-                };
-            let (half_s, sh_s, ex_s) =
-                match keyed_s.try_shuffle_map_stage(cluster, partitioner, "shuffle.S") {
-                    Ok(v) => v,
-                    Err(e) => panic!("shuffle.S: {e}"),
-                };
-            let mut shuffle = sh_r;
-            shuffle.merge(&sh_s);
-            let mut shuffle_exec = ex_r;
-            shuffle_exec.accumulate(&ex_s);
-            *attrs = attrs.records(shuffle.records).bytes(shuffle.total_bytes());
-            (half_r, half_s, shuffle, shuffle_exec)
-        });
-        let (folded, join_exec) =
-            recorder.phase("local_join", || match pipelined_cogroup_stage_checkpointed(
-                cluster,
-                "cogroup_join",
-                half_r,
-                half_s,
-                &placement,
-                &shuffle,
-                token,
-                body,
-            ) {
-                Ok((folded, stats, _occupancy)) => (folded, stats),
-                Err(e) => panic!("cogroup_join: {e}"),
-            });
-        (folded, shuffle, shuffle_exec, join_exec)
-    } else {
-        let (keyed_r, keyed_s, shuffle, shuffle_exec) = recorder.phase_attrs("shuffle", |attrs| {
-            let (keyed_r, sh_r, ex_r) = keyed_r.shuffle_stage(cluster, partitioner, "shuffle.R");
-            let (keyed_s, sh_s, ex_s) = keyed_s.shuffle_stage(cluster, partitioner, "shuffle.S");
-            let mut shuffle = sh_r;
-            shuffle.merge(&sh_s);
-            let mut shuffle_exec = ex_r;
-            shuffle_exec.accumulate(&ex_s);
-            *attrs = attrs.records(shuffle.records).bytes(shuffle.total_bytes());
-            (keyed_r, keyed_s, shuffle, shuffle_exec)
-        });
-        assert_eq!(
-            keyed_r.num_partitions(),
-            keyed_s.num_partitions(),
-            "joined datasets must share the partitioner"
-        );
-        let tasks: Vec<(CellGroup, CellGroup)> = keyed_r
-            .into_partitions()
-            .into_iter()
-            .zip(keyed_s.into_partitions())
+    let (keyed_r, keyed_s, shuffle, shuffle_exec) = recorder.phase_attrs("shuffle", |attrs| {
+        let (keyed_r, sh_r, ex_r) = keyed_r.shuffle_stage(cluster, partitioner, "shuffle.R");
+        let (keyed_s, sh_s, ex_s) = keyed_s.shuffle_stage(cluster, partitioner, "shuffle.S");
+        let mut shuffle = sh_r;
+        shuffle.merge(&sh_s);
+        let mut shuffle_exec = ex_r;
+        shuffle_exec.accumulate(&ex_s);
+        *attrs = attrs.records(shuffle.records).bytes(shuffle.total_bytes());
+        (keyed_r, keyed_s, shuffle, shuffle_exec)
+    });
+    assert_eq!(
+        keyed_r.num_partitions(),
+        keyed_s.num_partitions(),
+        "joined datasets must share the partitioner"
+    );
+    // `run_placed_stage_checkpointed`: with a checkpoint store attached the
+    // per-partition `(pairs, tally)` outputs are persisted after the stage
+    // and replayed on recovery, so a recovered server skips the join phase —
+    // the ε-grid's memory-pressure peak — entirely, not just the shuffles.
+    //
+    // The tasks only read their partitions, so they borrow them and this
+    // thread frees both sides once the stage is over. A task that owns its
+    // partitions frees them on its worker: with payload-carrying records
+    // that is one `free` per record into the arenas of the few threads that
+    // allocated them, and concurrent workers queue on those arena locks —
+    // the stage gets no faster with more threads and its length depends on
+    // how they interleave. A retried or speculative attempt also copies two
+    // references, not the records.
+    let (folded, join_exec) = recorder.phase("local_join", || {
+        let tasks: Vec<(&CellGroup, &CellGroup)> = keyed_r
+            .partitions()
+            .iter()
+            .zip(keyed_s.partitions())
             .collect();
-        // `run_placed_stage_checkpointed`: with a checkpoint store attached
-        // the per-partition `(pairs, tally)` outputs are persisted after the
-        // stage and replayed on recovery, so a recovered server skips the
-        // join phase — the ε-grid's memory-pressure peak — entirely, not
-        // just the shuffles.
-        let (folded, join_exec) = recorder.phase("local_join", || {
-            cluster.run_placed_stage_checkpointed("cogroup_join", tasks, &placement, body)
-        });
-        (folded, shuffle, shuffle_exec, join_exec)
-    };
-    finish_join_stage(cluster, folded, shuffle, shuffle_exec, join_exec)
-}
-
-/// Folds the per-partition `(pairs, tally)` outputs — live or replayed from
-/// checkpoints — into the stage result and publishes the kernel tally.
-fn finish_join_stage(
-    cluster: &Cluster,
-    folded: Vec<(Vec<(u64, u64)>, KernelTally)>,
-    shuffle: ShuffleStats,
-    shuffle_exec: ExecStats,
-    join_exec: ExecStats,
-) -> JoinStageOutput {
+        let out = cluster.run_placed_stage_checkpointed("cogroup_join", tasks, &placement, body);
+        drop((keyed_r, keyed_s));
+        out
+    });
     let mut tally = KernelTally::default();
     let mut pairs = Vec::new();
     for (part, t) in folded {
@@ -509,39 +420,6 @@ mod tests {
         assert_eq!(out_ps.result_count, 1);
         assert_eq!(out_ps.pairs, vec![(0, 0)]);
         assert_eq!(out_ps.candidates, 1, "sweep window must prune");
-    }
-
-    #[test]
-    fn pipelined_exec_mode_is_byte_identical_to_barrier() {
-        use asj_engine::ExecMode;
-        // Deterministic quasi-random clouds; an explicit kernel keeps the
-        // per-group probe order (and hence pair order) mode-independent.
-        let cloud = |seed: u64, n: u64| -> Vec<Point> {
-            (0..n)
-                .map(|i| {
-                    let x = ((i * 37 + seed) % 1000) as f64 / 100.0;
-                    let y = ((i * 53 + seed * 7) % 1000) as f64 / 100.0;
-                    Point::new(x, y)
-                })
-                .collect()
-        };
-        let r = crate::to_records(&cloud(1, 500), 0);
-        let s = crate::to_records(&cloud(2, 400), 0);
-        let spec = JoinSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), 0.4)
-            .with_partitions(8)
-            .with_kernel(crate::LocalKernel::PlaneSweep);
-        // LpibDedup rides along so its post-join dedup stage is covered by
-        // the equivalence contract even though it stays out of perf sweeps.
-        for algo in [Algorithm::EpsGrid, Algorithm::Lpib, Algorithm::LpibDedup] {
-            let barrier = cluster();
-            let out_b = algo.run(&barrier, &spec, r.clone(), s.clone());
-            let piped = cluster().with_exec_mode(ExecMode::Pipelined);
-            let out_p = algo.run(&piped, &spec, r.clone(), s.clone());
-            assert_eq!(out_b.pairs, out_p.pairs, "{algo:?} pairs must match");
-            assert_eq!(out_b.result_count, out_p.result_count);
-            assert_eq!(out_b.candidates, out_p.candidates);
-            assert_eq!(out_b.replicated, out_p.replicated);
-        }
     }
 
     #[test]

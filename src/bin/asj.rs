@@ -46,12 +46,10 @@ usage:
                 [--seed S]
   asj join      --r FILE --s FILE --eps E [--algo ALGO] [--nodes N]
                 [--partitions P] [--grid-factor F] [--kernel K] [--out FILE]
-                [--exec barrier|pipelined] [--shuffle radix|legacy]
                 [--trace FILE] [--trace-format chrome|jsonl]
                 [--faults SPEC] [--seed S] [--max-attempts N] [--speculation]
                 [--memory-budget B]
   asj self-join --input FILE --eps E [--nodes N] [--partitions P] [--kernel K]
-                [--exec barrier|pipelined] [--shuffle radix|legacy]
                 [--trace FILE] [--trace-format chrome|jsonl]
                 [--faults SPEC] [--seed S] [--max-attempts N] [--speculation]
                 [--memory-budget B]
@@ -59,7 +57,6 @@ usage:
   asj range     --input FILE --rect x0,y0,x1,y1 --eps E [--nodes N]
   asj heatmap   --input FILE [--width W] [--height H]
   asj serve     --jobs FILE [--policy fair-share|fifo] [--nodes N]
-                [--exec barrier|pipelined] [--shuffle radix|legacy]
                 [--memory-budget B] [--verify]
                 [--journal FILE] [--checkpoint-dir DIR] [--recover]
                 [--compact-every N]
@@ -77,15 +74,6 @@ ALGO: lpib (default) | diff | uni-r | uni-s | eps-grid | sedona |
 K:    auto (default) | nested-loop | plane-sweep | grid-bucket — the
       partition-local join kernel; auto picks per cell group from the
       calibrated cost model.
---exec pipelined streams each shuffled partition to the join through a
-bounded queue as soon as it is assembled instead of waiting for the stage
-barrier; results and simulated time are identical in both modes, only wall
-time changes. Pipelined execution composes with --checkpoint-dir: each
-partition's join output is persisted the moment it commits, so a recovered
-server replays committed partitions without re-billing them. --shuffle
-selects the shuffle materialization (radix is the default; legacy is the
-equivalence oracle). Only radix exposes the separable map half pipelining
-needs, so '--exec pipelined --shuffle legacy' is rejected at parse time.
 --trace records a dual-clock execution trace; the chrome format opens in
 Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 --faults injects deterministic failures, e.g. 'chaos' or
@@ -117,15 +105,40 @@ tmp file + fsync + rename).";
 /// Flags that take no value: their presence means "on".
 const BOOL_FLAGS: &[&str] = &["speculation", "verify", "recover"];
 
-/// Parsed `--flag value` options after the subcommand. Flags listed in
+/// Flags [`build_spec`] reads: cluster shape, kernel, tracing, faults, budget.
+const SPEC_FLAGS: &[&str] = &[
+    "eps",
+    "nodes",
+    "partitions",
+    "grid-factor",
+    "kernel",
+    "trace",
+    "trace-format",
+    "memory-budget",
+    "faults",
+    "seed",
+    "max-attempts",
+    "speculation",
+];
+
+/// Parsed `--flag value` options after subcommand `cmd`, which reads the
+/// flags in `known`; anything else is an error, so a typo or a removed
+/// option never runs with the flag silently dropped. Flags listed in
 /// [`BOOL_FLAGS`] are valueless switches recorded as `"true"`.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+fn parse_flags(
+    cmd: &str,
+    known: &[&str],
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got '{}'", args[i]))?;
+        if !known.contains(&key) {
+            return Err(format!("unknown flag '--{key}' for 'asj {cmd}'"));
+        }
         if BOOL_FLAGS.contains(&key) {
             flags.insert(key.to_string(), "true".to_string());
             i += 1;
@@ -179,43 +192,6 @@ fn algorithm_by_name(name: &str) -> Result<Algorithm, String> {
     })
 }
 
-fn exec_mode_by_name(name: &str) -> Result<ExecMode, String> {
-    Ok(match name {
-        "barrier" => ExecMode::Barrier,
-        "pipelined" => ExecMode::Pipelined,
-        other => return Err(format!("unknown exec mode '{other}' (barrier | pipelined)")),
-    })
-}
-
-fn shuffle_mode_by_name(name: &str) -> Result<ShuffleMode, String> {
-    Ok(match name {
-        "radix" => ShuffleMode::Radix,
-        "legacy" => ShuffleMode::Legacy,
-        other => return Err(format!("unknown shuffle mode '{other}' (radix | legacy)")),
-    })
-}
-
-/// Resolves `--exec` / `--shuffle` together so conflicting combinations are
-/// typed parse errors instead of silent engine-level downgrades: the legacy
-/// shuffle has no separable map half, so it cannot feed the pipelined
-/// executor.
-fn exec_setup(flags: &HashMap<String, String>) -> Result<(ExecMode, ShuffleMode), String> {
-    let exec = flags
-        .get("exec")
-        .map_or(Ok(ExecMode::Barrier), |s| exec_mode_by_name(s))?;
-    let shuffle = flags
-        .get("shuffle")
-        .map_or(Ok(ShuffleMode::Radix), |s| shuffle_mode_by_name(s))?;
-    if exec == ExecMode::Pipelined && shuffle == ShuffleMode::Legacy {
-        return Err(
-            "--exec pipelined requires the radix shuffle (the legacy shuffle has no \
-             separable map half); drop --shuffle legacy or use --exec barrier"
-                .into(),
-        );
-    }
-    Ok((exec, shuffle))
-}
-
 fn gen_kind_by_name(name: &str) -> Result<GenKind, String> {
     Ok(match name {
         "gaussian" => GenKind::GaussianClusters,
@@ -234,7 +210,41 @@ fn run(args: &[String]) -> Result<(), String> {
         // Positional operands (`journal compact FILE`), not --flags.
         return cmd_journal(&args[1..]);
     }
-    let flags = parse_flags(&args[1..])?;
+    // Each subcommand with the flags it reads itself and whether it also
+    // builds a cluster through `build_spec`; all accept `--spill-dir`.
+    type Handler = fn(&HashMap<String, String>) -> Result<(), String>;
+    let (handler, own, spec): (Handler, &[&str], bool) = match cmd.as_str() {
+        "generate" => (cmd_generate, &["kind", "n", "out", "seed"], false),
+        "join" => (cmd_join, &["r", "s", "algo", "out"], true),
+        "self-join" => (cmd_self_join, &["input", "out"], true),
+        "knn" => (cmd_knn, &["r", "s", "k"], true),
+        "range" => (cmd_range, &["input", "rect"], true),
+        "heatmap" => (cmd_heatmap, &["input", "width", "height"], false),
+        "serve" => (
+            cmd_serve,
+            &[
+                "jobs",
+                "policy",
+                "nodes",
+                "memory-budget",
+                "verify",
+                "journal",
+                "checkpoint-dir",
+                "recover",
+                "compact-every",
+                "trace",
+                "trace-format",
+            ],
+            false,
+        ),
+        other => return Err(format!("unknown subcommand '{other}'")),
+    };
+    let mut known = own.to_vec();
+    known.push("spill-dir");
+    if spec {
+        known.extend_from_slice(SPEC_FLAGS);
+    }
+    let flags = parse_flags(cmd, &known, &args[1..])?;
     if let Some(dir) = flags.get("spill-dir") {
         set_spill_dir(PathBuf::from(dir));
         // A previous run that crashed mid-spill may have left segments behind;
@@ -247,16 +257,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Err(e) => return Err(format!("cleaning spill dir {dir}: {e}")),
         }
     }
-    match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "join" => cmd_join(&flags),
-        "self-join" => cmd_self_join(&flags),
-        "knn" => cmd_knn(&flags),
-        "range" => cmd_range(&flags),
-        "heatmap" => cmd_heatmap(&flags),
-        "serve" => cmd_serve(&flags),
-        other => Err(format!("unknown subcommand '{other}'")),
-    }
+    handler(&flags)
 }
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -358,12 +359,8 @@ fn build_spec(
     let kernel: LocalKernel = flags
         .get("kernel")
         .map_or(Ok(LocalKernel::Auto), |s| s.parse())?;
-    let (exec, shuffle) = exec_setup(flags)?;
     let trace = TraceSink::from_flags(flags, nodes)?;
-    let mut cluster = Cluster::new(ClusterConfig::new(nodes))
-        .with_recorder(trace.recorder.clone())
-        .with_exec_mode(exec)
-        .with_shuffle_mode(shuffle);
+    let mut cluster = Cluster::new(ClusterConfig::new(nodes)).with_recorder(trace.recorder.clone());
     if let Some(budget) = flags.get("memory-budget") {
         cluster = cluster.with_memory_budget(parse_bytes(budget)?);
     }
@@ -380,8 +377,8 @@ fn build_spec(
 
 /// Fault plan and retry policy requested by `--faults` / `--seed` /
 /// `--max-attempts` / `--speculation`, falling back to the `ASJ_FAULTS` /
-/// `ASJ_FAULT_SEED` environment variables. `None` leaves the cluster on the
-/// zero-overhead fault-free path.
+/// `ASJ_FAULT_SEED` environment variables. `None` leaves the cluster
+/// single-attempt and fail-stop.
 fn fault_setup(
     flags: &HashMap<String, String>,
 ) -> Result<Option<(FaultPlan, RetryPolicy)>, String> {
@@ -400,8 +397,8 @@ fn fault_setup(
     let policy_requested = flags.contains_key("max-attempts") || flags.contains_key("speculation");
     match plan {
         Some(plan) => Ok(Some((plan, policy))),
-        // A policy without a plan still routes stages through the recovering
-        // executor (e.g. --speculation on a fault-free run).
+        // A policy without a plan still applies (e.g. --speculation on a
+        // fault-free run).
         None if policy_requested => Ok(Some((FaultPlan::none(), policy))),
         None => Ok(None),
     }
@@ -671,9 +668,6 @@ fn cmd_journal(args: &[String]) -> Result<(), String> {
 /// Multi-tenant job server: run a queue file of tenant joins on one
 /// simulated cluster under admission control and a scheduling policy.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    // Validate the exec/shuffle combination before touching any file: a
-    // conflicting flag pair is a usage error, not a runtime failure.
-    let (exec, shuffle) = exec_setup(flags)?;
     let path = required(flags, "jobs")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let tenants = parse_queue(&text).map_err(|e| e.to_string())?;
@@ -687,10 +681,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     let nodes: usize = flags.get("nodes").map_or(Ok(12), |s| parse(s, "--nodes"))?;
     let trace = TraceSink::from_flags(flags, nodes)?;
-    let mut cluster = Cluster::new(ClusterConfig::new(nodes))
-        .with_recorder(trace.recorder.clone())
-        .with_exec_mode(exec)
-        .with_shuffle_mode(shuffle);
+    let mut cluster = Cluster::new(ClusterConfig::new(nodes)).with_recorder(trace.recorder.clone());
     if let Some(budget) = flags.get("memory-budget") {
         cluster = cluster.with_memory_budget(parse_bytes(budget)?);
     }
@@ -786,15 +777,15 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = parse_flags(&args).unwrap();
+        let f = parse_flags("join", &["eps", "algo"], &args).unwrap();
         assert_eq!(f["eps"], "0.5");
         assert_eq!(f["algo"], "diff");
     }
 
     #[test]
     fn flags_reject_missing_value_and_bad_prefix() {
-        assert!(parse_flags(&["--eps".to_string()]).is_err());
-        assert!(parse_flags(&["eps".to_string(), "1".to_string()]).is_err());
+        assert!(parse_flags("join", &["eps"], &["--eps".to_string()]).is_err());
+        assert!(parse_flags("join", &["eps"], &["eps".to_string(), "1".to_string()]).is_err());
     }
 
     #[test]
@@ -803,7 +794,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = parse_flags(&args).unwrap();
+        let f = parse_flags("join", SPEC_FLAGS, &args).unwrap();
         assert_eq!(f["speculation"], "true");
         assert_eq!(f["eps"], "0.5");
     }
@@ -864,69 +855,45 @@ mod tests {
     }
 
     #[test]
-    fn exec_flag_selects_execution_mode() {
-        let bbox = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let base: HashMap<String, String> = [("eps".to_string(), "0.5".to_string())].into();
-        let (cluster, _, _) = build_spec(&base, bbox).unwrap();
-        assert_eq!(cluster.exec_mode(), ExecMode::Barrier, "barrier is default");
-        for (name, mode) in [
-            ("barrier", ExecMode::Barrier),
-            ("pipelined", ExecMode::Pipelined),
-        ] {
-            let mut flags = base.clone();
-            flags.insert("exec".to_string(), name.to_string());
-            let (cluster, _, _) = build_spec(&flags, bbox).unwrap();
-            assert_eq!(cluster.exec_mode(), mode, "--exec {name}");
-        }
-        let mut bad = base;
-        bad.insert("exec".to_string(), "async".to_string());
-        assert!(build_spec(&bad, bbox).is_err());
-    }
-
-    #[test]
-    fn shuffle_flag_selects_materialization_and_conflicts_are_typed_errors() {
-        let bbox = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let base: HashMap<String, String> = [("eps".to_string(), "0.5".to_string())].into();
-        let (cluster, _, _) = build_spec(&base, bbox).unwrap();
-        assert_eq!(
-            cluster.shuffle_mode(),
-            ShuffleMode::Radix,
-            "radix is default"
-        );
-        for (name, mode) in [
-            ("radix", ShuffleMode::Radix),
-            ("legacy", ShuffleMode::Legacy),
-        ] {
-            let mut flags = base.clone();
-            flags.insert("shuffle".to_string(), name.to_string());
-            let (cluster, _, _) = build_spec(&flags, bbox).unwrap();
-            assert_eq!(cluster.shuffle_mode(), mode, "--shuffle {name}");
-        }
-        let mut bad = base.clone();
-        bad.insert("shuffle".to_string(), "hash".to_string());
-        assert!(build_spec(&bad, bbox).is_err());
-
-        // The conflicting combination is rejected at parse time, before any
-        // cluster is built — never a silent engine-level downgrade.
-        let mut conflict = base.clone();
-        conflict.insert("exec".to_string(), "pipelined".to_string());
-        conflict.insert("shuffle".to_string(), "legacy".to_string());
-        let err = match build_spec(&conflict, bbox) {
-            Err(e) => e,
-            Ok(_) => panic!("conflicting --exec/--shuffle must be rejected"),
+    fn unknown_flags_are_typed_errors_naming_flag_and_subcommand() {
+        let arg = |s: &str| s.to_string();
+        // Caught at parse time, before any file is opened: the paths do not
+        // exist and must not mask the usage error.
+        let join = |extra: [&str; 2]| {
+            let mut args = vec![
+                arg("join"),
+                arg("--r"),
+                arg("/nonexistent/r.csv"),
+                arg("--s"),
+                arg("/nonexistent/s.csv"),
+                arg("--eps"),
+                arg("0.4"),
+            ];
+            args.extend(extra.map(arg));
+            run(&args).unwrap_err()
         };
-        assert!(
-            err.contains("--exec pipelined requires the radix shuffle"),
-            "typed conflict error, got: {err}"
+        // A typo used to be swallowed and the join ran unbudgeted.
+        assert_eq!(
+            join(["--memory-budgt", "1k"]),
+            "unknown flag '--memory-budgt' for 'asj join'"
         );
-        assert_eq!(exec_setup(&conflict).unwrap_err(), err);
-
-        // Pipelined + the default (radix) shuffle parses fine.
-        let mut ok = base;
-        ok.insert("exec".to_string(), "pipelined".to_string());
-        let (cluster, _, _) = build_spec(&ok, bbox).unwrap();
-        assert_eq!(cluster.exec_mode(), ExecMode::Pipelined);
-        assert_eq!(cluster.shuffle_mode(), ShuffleMode::Radix);
+        // Removed options fail loudly, whatever their value.
+        assert_eq!(
+            join(["--exec", "barrier"]),
+            "unknown flag '--exec' for 'asj join'"
+        );
+        let err = run(&[
+            arg("serve"),
+            arg("--jobs"),
+            arg("/nonexistent/jobs.txt"),
+            arg("--shuffle"),
+            arg("radix"),
+        ])
+        .unwrap_err();
+        assert_eq!(err, "unknown flag '--shuffle' for 'asj serve'");
+        // A flag of one subcommand is unknown to another.
+        let err = run(&[arg("heatmap"), arg("--eps"), arg("1")]).unwrap_err();
+        assert_eq!(err, "unknown flag '--eps' for 'asj heatmap'");
     }
 
     #[test]
@@ -1166,85 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn cli_rejects_pipelined_with_legacy_shuffle() {
-        let arg = |s: &str| s.to_string();
-        // The conflict is caught before any file is opened — a nonexistent
-        // jobs file must not mask the usage error.
-        let err = run(&[
-            arg("serve"),
-            arg("--jobs"),
-            arg("/nonexistent/jobs.txt"),
-            arg("--exec"),
-            arg("pipelined"),
-            arg("--shuffle"),
-            arg("legacy"),
-        ])
-        .unwrap_err();
-        assert!(
-            err.contains("--exec pipelined requires the radix shuffle"),
-            "typed conflict error through the CLI, got: {err}"
-        );
-        // The same pair is rejected on the join commands via build_spec.
-        let err = run(&[
-            arg("self-join"),
-            arg("--input"),
-            arg("/nonexistent/points.csv"),
-            arg("--eps"),
-            arg("0.5"),
-            arg("--exec"),
-            arg("pipelined"),
-            arg("--shuffle"),
-            arg("legacy"),
-        ])
-        .unwrap_err();
-        assert!(
-            err.contains("radix") || err.contains("reading"),
-            "conflict or read error surfaces, got: {err}"
-        );
-    }
-
-    #[test]
-    fn serve_pipelined_checkpoints_and_recovers() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let jobs_path = dir.join(format!("asj-serve-pipe-jobs-{pid}.txt"));
-        let journal_path = dir.join(format!("asj-serve-pipe-{pid}.jsonl"));
-        let ckpt_dir = dir.join(format!("asj-serve-pipe-ckpt-{pid}"));
-        std::fs::write(
-            &jobs_path,
-            "job alpha algo=lpib eps=0.5 n=600 partitions=8 seed=11\n\
-             job beta algo=eps-grid eps=0.3 n=900 partitions=8 seed=23 weight=2\n",
-        )
-        .unwrap();
-        let arg = |s: &str| s.to_string();
-        // First leg checkpoints under the pipelined executor; the second
-        // replays the journal and the partition-granular checkpoints.
-        for recover in [false, true] {
-            let mut args = vec![
-                arg("serve"),
-                arg("--jobs"),
-                arg(jobs_path.to_str().unwrap()),
-                arg("--nodes"),
-                arg("4"),
-                arg("--exec"),
-                arg("pipelined"),
-                arg("--journal"),
-                arg(journal_path.to_str().unwrap()),
-                arg("--checkpoint-dir"),
-                arg(ckpt_dir.to_str().unwrap()),
-                arg("--verify"),
-            ];
-            if recover {
-                args.push(arg("--recover"));
-            }
-            run(&args).unwrap_or_else(|e| panic!("pipelined serve recover={recover}: {e}"));
-        }
-        let _ = std::fs::remove_file(jobs_path);
-        let _ = std::fs::remove_file(journal_path);
-        let _ = std::fs::remove_dir_all(ckpt_dir);
-    }
-
-    #[test]
     fn serve_compacts_the_journal_and_cli_compacts_offline() {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
@@ -1429,60 +1317,6 @@ mod tests {
         assert!(jsonl.lines().next().unwrap().contains("\"kind\":\"meta\""));
         assert!(jsonl.contains("\"kind\":\"span\""));
         for p in [r_path, chrome_path, jsonl_path] {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-
-    #[test]
-    fn pipelined_join_exports_occupancy_counters_in_trace() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let r_path = dir.join(format!("asj-pipe-trace-r-{pid}.csv"));
-        let jsonl_path = dir.join(format!("asj-pipe-trace-{pid}.jsonl"));
-        let arg = |s: &str| s.to_string();
-        run(&[
-            arg("generate"),
-            arg("--kind"),
-            arg("uniform"),
-            arg("--n"),
-            arg("400"),
-            arg("--out"),
-            arg(r_path.to_str().unwrap()),
-        ])
-        .unwrap();
-        run(&[
-            arg("join"),
-            arg("--r"),
-            arg(r_path.to_str().unwrap()),
-            arg("--s"),
-            arg(r_path.to_str().unwrap()),
-            arg("--eps"),
-            arg("1.0"),
-            arg("--nodes"),
-            arg("3"),
-            arg("--partitions"),
-            arg("6"),
-            arg("--exec"),
-            arg("pipelined"),
-            arg("--trace"),
-            arg(jsonl_path.to_str().unwrap()),
-            arg("--trace-format"),
-            arg("jsonl"),
-        ])
-        .unwrap();
-        let jsonl = std::fs::read_to_string(&jsonl_path).unwrap();
-        // The bounded-queue executor publishes its occupancy telemetry into
-        // the same trace stream as every other stage.
-        for counter in [
-            "pipeline_handoffs",
-            "pipeline_queue_peak",
-            "pipeline_producer_stall_ns",
-            "pipeline_consumer_stall_ns",
-            "pipeline_queue_depth",
-        ] {
-            assert!(jsonl.contains(counter), "missing {counter} in trace");
-        }
-        for p in [r_path, jsonl_path] {
             let _ = std::fs::remove_file(p);
         }
     }

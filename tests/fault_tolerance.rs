@@ -8,7 +8,9 @@
 use adaptive_spatial_join::core::AgreementPolicy;
 use adaptive_spatial_join::engine::{Dataset, FaultContext, Lane};
 use adaptive_spatial_join::geom::{Point, Rect};
-use adaptive_spatial_join::join::{adaptive_join, oracle, to_records, JoinSpec, Record};
+use adaptive_spatial_join::join::{
+    adaptive_join, oracle, to_records, JoinSpec, LocalKernel, Record,
+};
 use adaptive_spatial_join::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -103,6 +105,69 @@ proptest! {
         );
         prop_assert!(exec.attempts >= exec.retries);
         prop_assert_eq!(exec.retries, exec.failed_attempts);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Nothing observable depends on the schedule: for any input, fault plan
+    /// and memory budget, running the same join on 1, 2 or 8 host threads
+    /// gives the same pairs in the same order, the same shuffle accounting
+    /// and the same attempt counts — and the pairs are the brute-force
+    /// ε-join. (Injection is keyed by (stage, task, attempt), so the plan
+    /// fires identically however tasks interleave; which buckets spill under
+    /// a budget does vary with the interleaving and must not show.)
+    #[test]
+    fn results_are_independent_of_the_thread_count(
+        data_seed in 0u64..1_000,
+        fault_seed in 0u64..1_000,
+        fail_prob in 0.0f64..0.2,
+        fail_task in 0usize..12,
+        oom_task in 0usize..12,
+        // 0 means unbudgeted.
+        budget_kib in 0u64..48,
+        kernel_idx in 0usize..3,
+    ) {
+        // A fixed kernel: `Auto` picks from constants each cluster
+        // calibrates for itself, and pair order within a cell follows the
+        // kernel.
+        let kernel = [
+            LocalKernel::NestedLoop,
+            LocalKernel::PlaneSweep,
+            LocalKernel::GridBucket,
+        ][kernel_idx];
+        let (r, s) = clouds(data_seed, 300);
+        let spec = spec().with_kernel(kernel);
+        let plan = FaultPlan::none()
+            .with_seed(fault_seed)
+            .with_fail_prob(fail_prob)
+            .with_fail_point("cogroup_join", fail_task, 1)
+            .with_oom_point("shuffle.R", oom_task, 1);
+        let run = |threads: usize| {
+            let mut cluster = Cluster::new(ClusterConfig::with_threads(4, threads))
+                .with_fault_policy(plan.clone(), RetryPolicy::default().with_max_attempts(12));
+            if budget_kib > 0 {
+                cluster = cluster.with_memory_budget(budget_kib * 1024);
+            }
+            adaptive_join(&cluster, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+        };
+        let base = run(1);
+        let mut sorted = base.pairs.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, oracle::brute_force_pairs(&r, &s, spec.eps));
+        for threads in [2, 8] {
+            let out = run(threads);
+            prop_assert_eq!(&out.pairs, &base.pairs, "{} threads", threads);
+            prop_assert_eq!(&out.metrics.shuffle, &base.metrics.shuffle);
+            for (a, b) in [
+                (&out.metrics.construction, &base.metrics.construction),
+                (&out.metrics.join, &base.metrics.join),
+            ] {
+                prop_assert_eq!(a.attempts, b.attempts, "{} threads", threads);
+                prop_assert_eq!(a.retries, b.retries, "{} threads", threads);
+            }
+        }
     }
 }
 
@@ -228,10 +293,8 @@ fn unsurvivable_plans_surface_as_job_errors() {
 }
 
 #[test]
-fn zero_fault_runs_take_the_legacy_path_and_match_exactly() {
-    // A cluster without a fault context must behave byte-for-byte like the
-    // seed engine: same results AND same span structure (count per stage),
-    // which the golden trace tests elsewhere rely on.
+fn zero_fault_runs_and_inert_fault_contexts_match_exactly() {
+    // A cluster without a fault context runs every task single-attempt.
     let (r, s) = clouds(11, 350);
     let spec = spec();
     let plain = Cluster::new(ClusterConfig::with_threads(4, 2));
@@ -240,8 +303,8 @@ fn zero_fault_runs_take_the_legacy_path_and_match_exactly() {
     let expected = oracle::brute_force_pairs(&r, &s, spec.eps);
     assert_eq!(base.result_count as usize, expected.len());
 
-    // An *inert* fault context (no plan, default policy) routes through the
-    // recovering executor yet still computes the same join.
+    // An *inert* fault context (no plan, default policy) clones inputs and
+    // may retry, yet still computes the same join.
     let routed =
         Cluster::new(ClusterConfig::with_threads(4, 2)).with_retry_policy(RetryPolicy::default());
     assert!(routed.fault_context().is_some());

@@ -9,11 +9,13 @@
 //! grants, not wall time), so every case in the sweep is reproducible.
 
 use adaptive_spatial_join::engine::{
-    Cluster, ClusterConfig, ExecMode, FaultPlan, Journal, RetryPolicy, SchedPolicy,
+    CheckpointStore, Cluster, ClusterConfig, FaultPlan, Journal, RetryPolicy, SchedPolicy,
+    ShuffleStats,
 };
-use adaptive_spatial_join::geom::{Point, Rect};
-use adaptive_spatial_join::join::{to_records, Algorithm, JoinSpec};
-use adaptive_spatial_join::serve::{run_queue, run_queue_recoverable, RecoveryOptions, TenantSpec};
+use adaptive_spatial_join::join::Algorithm;
+use adaptive_spatial_join::serve::{
+    run_queue, run_queue_recoverable, QueueRun, RecoveryOptions, TenantSpec,
+};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -330,206 +332,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The recovery sweep under the *pipelined* executor: a server killed at
-    /// ANY grant boundary during a pipelined checkpointed run and restarted
-    /// (still pipelined) must serve every tenant byte-identically to the
-    /// uncrashed **barrier** oracle — the two modes are sim-identical, so
-    /// even the journaled grant prefix must match across modes — and must
-    /// replay journaled results at zero re-run stages / zero attempts.
-    #[test]
-    fn pipelined_crash_points_recover_byte_identically_to_barrier(
-        tenants in prop::collection::vec(tenant_strategy(), 2..4),
-        nodes in 2usize..4,
-        crash_pick in any::<u64>(),
-        case in any::<u64>(),
-    ) {
-        let specs = materialize(&tenants);
-        let oracle = run_queue(&cluster(nodes), &specs, SchedPolicy::FairShare)
-            .expect("barrier oracle");
-        prop_assert!(oracle.grants.len() >= 2, "queue too small to crash");
-        let crash_at = 1 + crash_pick % (oracle.grants.len() as u64 - 1);
-        let dir = scratch("pipe-sweep", case);
-        let journal = dir.join("server.journal");
-
-        let crash_cluster = cluster(nodes)
-            .with_exec_mode(ExecMode::Pipelined)
-            .with_fault_policy(
-                FaultPlan::none().with_crash_after_grants(crash_at),
-                RetryPolicy::default(),
-            );
-        let crashed = run_queue_recoverable(
-            &crash_cluster,
-            &specs,
-            SchedPolicy::FairShare,
-            &RecoveryOptions {
-                journal: Some(journal.clone()),
-                checkpoint_dir: Some(dir.clone()),
-                recover: false,
-                compact_every: None,
-            },
-        )
-        .expect("crashing pipelined run");
-        prop_assert!(crashed.crashed, "crash clause must fire");
-        // Write-ahead invariant holds across modes: the pipelined journal
-        // prefix is exactly the barrier oracle's grant-log prefix.
-        prop_assert_eq!(
-            &crashed.grants[..],
-            &oracle.grants[..crash_at as usize],
-            "pipelined crashed grant log must be a barrier-oracle prefix"
-        );
-
-        let recovered = run_queue_recoverable(
-            &cluster(nodes).with_exec_mode(ExecMode::Pipelined),
-            &specs,
-            SchedPolicy::FairShare,
-            &RecoveryOptions {
-                journal: Some(journal),
-                checkpoint_dir: Some(dir.clone()),
-                recover: true,
-                compact_every: None,
-            },
-        )
-        .expect("recovered pipelined run");
-        prop_assert!(!recovered.crashed);
-        prop_assert_eq!(
-            &recovered.journal_grants[..],
-            &oracle.grants[..crash_at as usize],
-            "recovery must preserve the journaled grant prefix"
-        );
-        for (a, b) in oracle.tenants.iter().zip(&recovered.tenants) {
-            prop_assert_eq!(
-                a.outcome.as_ref().expect("oracle ok"),
-                b.outcome.as_ref().expect("recovered ok"),
-                "tenant '{}' must recover byte-identically across modes", a.name
-            );
-        }
-        for report in &recovered.tenants {
-            if report.recovered {
-                prop_assert_eq!(report.stages, 0, "replayed tenant re-ran stages");
-                prop_assert_eq!(report.attempts, 0, "replayed tenant re-ran tasks");
-            }
-        }
-
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    /// A crash that lands *mid-stage*: a fail-point with no retry budget
-    /// aborts the pipelined join after some partitions have already
-    /// committed their partition-granular records. The restarted run must
-    /// pre-seed exactly the committed partitions (its join stage attempts
-    /// only the missing ones, the committed ones are re-billed zero sim
-    /// time) and produce byte-identical output to the uncrashed barrier
-    /// oracle; a second restart finds the whole seam durable and re-runs
-    /// nothing at all.
-    #[test]
-    fn mid_stage_pipelined_crash_replays_committed_partitions(
-        seed in 0u64..500,
-        fail_task in 0usize..6,
-        case in any::<u64>(),
-    ) {
-        let spec = JoinSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), 0.4)
-            .with_partitions(6)
-            .with_seed(seed);
-        let points = |salt: u64, n: usize| -> Vec<Point> {
-            (0..n)
-                .map(|i| {
-                    let x = ((i as u64 * 37 + seed * 3 + salt) % 1000) as f64 / 100.0;
-                    let y = ((i as u64 * 53 + seed * 7 + salt * 11) % 1000) as f64 / 100.0;
-                    Point::new(x, y)
-                })
-                .collect()
-        };
-        let r = to_records(&points(1, 240), 0);
-        let s = to_records(&points(2, 200), 0);
-        let oracle = Algorithm::EpsGrid.run(&cluster(3), &spec, r.clone(), s.clone());
-
-        let dir = scratch("pipe-midstage", case);
-        let crash = cluster(3)
-            .with_exec_mode(ExecMode::Pipelined)
-            .with_checkpoint_dir(&dir)
-            .expect("checkpoint dir")
-            .with_fault_policy(
-                FaultPlan::none().with_fail_point("cogroup_join", fail_task, 1),
-                RetryPolicy::default().with_max_attempts(1),
-            );
-        let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Algorithm::EpsGrid.run(&crash, &spec, r.clone(), s.clone())
-        }));
-        prop_assert!(aborted.is_err(), "exhausted fail point must abort the join mid-stage");
-        // Whatever partitions committed before the abort are durable as
-        // partition-granular records (`…-p{N}.manifest`).
-        let committed: Vec<u64> = std::fs::read_dir(&dir)
-            .expect("read scratch")
-            .flatten()
-            .filter_map(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                let key = name.strip_suffix(".manifest")?;
-                if !key.contains("cogroup_join") {
-                    return None;
-                }
-                key.rsplit_once("-p")?.1.parse::<u64>().ok()
-            })
-            .collect();
-        prop_assert!(
-            !committed.contains(&(fail_task as u64)),
-            "the failed partition must not have committed"
-        );
-
-        // First restart: recomputes only the missing partitions. The trace
-        // proves the recovered ones are re-billed zero sim time — they get
-        // no task span at all, so nothing lands on any node's sim lane.
-        let recorder = adaptive_spatial_join::obs::Recorder::for_nodes(3);
-        let rec = cluster(3)
-            .with_recorder(recorder.clone())
-            .with_exec_mode(ExecMode::Pipelined)
-            .with_checkpoint_dir(&dir)
-            .expect("checkpoint dir");
-        let out = Algorithm::EpsGrid.run(&rec, &spec, r.clone(), s.clone());
-        prop_assert_eq!(&out.pairs, &oracle.pairs, "recovered pairs must match the barrier oracle");
-        prop_assert_eq!(out.result_count, oracle.result_count);
-        prop_assert_eq!(out.candidates, oracle.candidates);
-        prop_assert_eq!(
-            out.metrics.join.attempts,
-            (6 - committed.len()) as u64,
-            "committed partitions must be re-billed zero attempts"
-        );
-        let rerun: Vec<u64> = recorder
-            .snapshot()
-            .spans
-            .iter()
-            .filter(|sp| sp.stage == "cogroup_join" && sp.partition.is_some())
-            .map(|sp| sp.partition.expect("filtered"))
-            .collect();
-        prop_assert_eq!(rerun.len(), 6 - committed.len(), "one task span per missing partition");
-        for p in &committed {
-            prop_assert!(
-                !rerun.contains(p),
-                "recovered partition {} must not be re-run (zero re-billed sim time)", p
-            );
-        }
-
-        // Second restart: the whole shuffle→join seam is durable now, so the
-        // join re-runs nothing — zero attempts, zero sim time.
-        let rec2 = cluster(3)
-            .with_exec_mode(ExecMode::Pipelined)
-            .with_checkpoint_dir(&dir)
-            .expect("checkpoint dir");
-        let out2 = Algorithm::EpsGrid.run(&rec2, &spec, r, s);
-        prop_assert_eq!(&out2.pairs, &oracle.pairs);
-        prop_assert_eq!(out2.metrics.join.attempts, 0, "fully recovered join must attempt nothing");
-        prop_assert_eq!(
-            out2.metrics.join.total_busy(),
-            std::time::Duration::ZERO,
-            "fully recovered join must be re-billed zero sim time"
-        );
-
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
 /// Copies every regular file directly under `src` into `dst` (the journal
 /// plus the checkpoint manifests/segments — exactly what a crashed server
 /// leaves durable).
@@ -542,11 +344,10 @@ fn copy_dir_files(src: &Path, dst: &Path) {
     }
 }
 
-/// Deterministic anchor alongside the sweep: crash late enough that the
-/// recovery leg demonstrably reuses checkpoints (`stages_recovered > 0`)
-/// rather than merely replaying journaled results.
-#[test]
-fn late_crash_resumes_from_checkpoints() {
+/// The anchor queue, its uncrashed oracle, and the scratch dir (journal +
+/// checkpoints) a server killed two grants shy of completion left behind:
+/// at least one tenant has checkpointed stages, at least one is unfinished.
+fn late_crash(tag: &str) -> (Vec<TenantSpec>, QueueRun, PathBuf) {
     let mut specs = materialize(&[
         GenTenant {
             algo_idx: 0,
@@ -570,11 +371,8 @@ fn late_crash_resumes_from_checkpoints() {
     specs[0].partitions = 8;
     let oracle = run_queue(&cluster(3), &specs, SchedPolicy::FairShare).expect("oracle");
 
-    // Two grants shy of completion: at least one tenant has checkpointed
-    // shuffle stages, at least one is unfinished.
     let crash_at = (oracle.grants.len() as u64).saturating_sub(2).max(1);
-    let dir = scratch("anchor", 0);
-    let journal = dir.join("server.journal");
+    let dir = scratch(tag, 0);
     let crash_cluster = cluster(3).with_fault_policy(
         FaultPlan::none().with_crash_after_grants(crash_at),
         RetryPolicy::default(),
@@ -584,7 +382,7 @@ fn late_crash_resumes_from_checkpoints() {
         &specs,
         SchedPolicy::FairShare,
         &RecoveryOptions {
-            journal: Some(journal.clone()),
+            journal: Some(dir.join("server.journal")),
             checkpoint_dir: Some(dir.clone()),
             recover: false,
             compact_every: None,
@@ -596,14 +394,19 @@ fn late_crash_resumes_from_checkpoints() {
         crashed.checkpoint_bytes > 0,
         "late crash must have checkpointed"
     );
+    (specs, oracle, dir)
+}
 
+/// Restarts the server on what [`late_crash`] left in `dir` and checks the
+/// recovery leg reuses checkpoints and serves the oracle's outcomes.
+fn recover_late_crash(specs: &[TenantSpec], oracle: &QueueRun, dir: &Path) -> QueueRun {
     let recovered = run_queue_recoverable(
         &cluster(3),
-        &specs,
+        specs,
         SchedPolicy::FairShare,
         &RecoveryOptions {
-            journal: Some(journal),
-            checkpoint_dir: Some(dir.clone()),
+            journal: Some(dir.join("server.journal")),
+            checkpoint_dir: Some(dir.to_path_buf()),
             recover: true,
             compact_every: None,
         },
@@ -613,6 +416,24 @@ fn late_crash_resumes_from_checkpoints() {
         recovered.stages_recovered > 0,
         "recovery must reuse checkpoints"
     );
+    for (a, b) in oracle.tenants.iter().zip(&recovered.tenants) {
+        assert_eq!(
+            a.outcome.as_ref().expect("oracle ok"),
+            b.outcome.as_ref().expect("recovered ok"),
+            "tenant '{}' must recover byte-identically",
+            a.name
+        );
+    }
+    recovered
+}
+
+/// Deterministic anchor alongside the sweep: crash late enough that the
+/// recovery leg demonstrably reuses checkpoints (`stages_recovered > 0`)
+/// rather than merely replaying journaled results.
+#[test]
+fn late_crash_resumes_from_checkpoints() {
+    let (specs, oracle, dir) = late_crash("anchor");
+    let recovered = recover_late_crash(&specs, &oracle, &dir);
     // Checkpoint reuse is the whole point: the recovery leg re-runs strictly
     // fewer tasks than the oracle needed for the full queue.
     let oracle_attempts: u64 = oracle.tenants.iter().map(|t| t.attempts).sum();
@@ -621,13 +442,53 @@ fn late_crash_resumes_from_checkpoints() {
         recovered_attempts < oracle_attempts,
         "recovery re-ran {recovered_attempts} of {oracle_attempts} oracle attempts"
     );
-    for (a, b) in oracle.tenants.iter().zip(&recovered.tenants) {
-        assert_eq!(
-            a.outcome.as_ref().expect("oracle ok"),
-            b.outcome.as_ref().expect("recovered ok"),
-            "tenant '{}' must recover byte-identically",
-            a.name
-        );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// An older binary also wrote partition-granular `KEY-pN` join records and
+/// `KEY-shuffle` stats records. No stage key of this binary ever names one,
+/// so a checkpoint dir still holding them recovers exactly like one without
+/// — and once a job's `done` is durable, retention GC (a prefix sweep over
+/// the job's scope) reclaims them with the rest.
+#[test]
+fn stale_partition_records_are_ignored_then_collected() {
+    let (specs, oracle, dir) = late_crash("stale");
+    let stale = |job: usize| {
+        [
+            format!("job{job}-cogroup_join-0-p3.manifest"),
+            format!("job{job}-cogroup_join-0-p3.seg"),
+            format!("job{job}-cogroup_join-0-shuffle.manifest"),
+        ]
+    };
+    let store = CheckpointStore::open(&dir).expect("open crashed checkpoint dir");
+    for job in 0..specs.len() {
+        store
+            .save_join(
+                &format!("job{job}-cogroup_join-0-p3"),
+                &[(vec![(1u64, 2u64)], 9u64)],
+            )
+            .expect("plant partition record");
+        let stats = ShuffleStats {
+            records: 5,
+            ..ShuffleStats::default()
+        };
+        store
+            .save::<u64, u64>(&format!("job{job}-cogroup_join-0-shuffle"), &[], &stats)
+            .expect("plant stats record");
+        assert!(stale(job).iter().all(|f| dir.join(f).exists()));
+    }
+    drop(store);
+
+    let recovered = recover_late_crash(&specs, &oracle, &dir);
+    // Every job that finished in the recovery leg had its scope collected.
+    let finished_now: Vec<usize> = (0..specs.len())
+        .filter(|&job| !recovered.tenants[job].recovered)
+        .collect();
+    assert!(!finished_now.is_empty(), "the crash left a job unfinished");
+    for job in finished_now {
+        for file in stale(job) {
+            assert!(!dir.join(&file).exists(), "{file} must be reclaimed");
+        }
     }
     let _ = std::fs::remove_dir_all(dir);
 }

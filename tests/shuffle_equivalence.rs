@@ -1,13 +1,13 @@
-//! Property tests: the radix shuffle (pooled buckets, single-pass metering)
-//! is observably identical to the legacy tuple-`Vec` path — same partition
-//! contents in the same order, same per-node and per-partition byte
-//! accounting — for arbitrary keyed datasets, every partitioner family, and
-//! under seeded fault injection (retries must not double-fill pooled
+//! Property tests: the shuffle (pooled radix buckets, single-pass metering)
+//! is observably identical to a sequential reference partitioner — same
+//! partition contents in the same order, same per-node and per-partition
+//! byte accounting — for arbitrary keyed datasets, every partitioner family,
+//! and under seeded fault injection (retries must not double-fill pooled
 //! buffers).
 
 use adaptive_spatial_join::engine::{
     Cluster, ClusterConfig, ExplicitPartitioner, FaultPlan, HashPartitioner, KeyedDataset,
-    Partitioner, RetryPolicy, RoundRobinPartitioner, ShuffleMode, ShuffleStats,
+    Partitioner, RetryPolicy, RoundRobinPartitioner, ShuffleStats, Wire,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -83,14 +83,47 @@ fn run_shuffle(
     (ds.into_partitions(), stats)
 }
 
+/// What a shuffle on `nodes` simulated nodes must produce, computed with none
+/// of the engine's machinery: every record goes to `partition_of(key)`,
+/// target partitions fill in source-partition order, and a record's encoded
+/// size counts as local when source and target partition share a node
+/// (partitions are bound to nodes round-robin), remote otherwise.
+fn reference_shuffle(
+    parts: Vec<Vec<Rec>>,
+    p: &dyn Partitioner<u64>,
+    nodes: usize,
+) -> (Vec<Vec<Rec>>, ShuffleStats) {
+    let targets = p.num_partitions();
+    let mut out: Vec<Vec<Rec>> = (0..targets).map(|_| Vec::new()).collect();
+    let mut stats = ShuffleStats {
+        partition_bytes: vec![0; targets],
+        ..ShuffleStats::default()
+    };
+    for (src, part) in parts.into_iter().enumerate() {
+        for (k, v) in part {
+            let t = p.partition_of(&k);
+            let bytes = (k.encoded_size() + v.encoded_size()) as u64;
+            if t % nodes == src % nodes {
+                stats.local_bytes += bytes;
+            } else {
+                stats.remote_bytes += bytes;
+            }
+            stats.records += 1;
+            stats.partition_bytes[t] += bytes;
+            out[t].push((k, v));
+        }
+    }
+    (out, stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Radix and legacy shuffles agree exactly: same partitions (element
-    /// order included), same remote/local/record tallies, same per-partition
-    /// byte histogram.
+    /// The engine's shuffle and the reference agree exactly: same partitions
+    /// (element order included), same remote/local/record tallies, same
+    /// per-partition byte histogram.
     #[test]
-    fn radix_equals_legacy(
+    fn shuffle_equals_reference(
         recs in records(64),
         sources in 1usize..7,
         targets in 1usize..25,
@@ -99,14 +132,11 @@ proptest! {
     ) {
         let parts = into_partitions(recs, sources);
         let p = AnyPartitioner::build(kind, targets, 64);
-        let radix = Cluster::new(ClusterConfig::with_threads(nodes, 2));
-        let legacy = Cluster::new(ClusterConfig::with_threads(nodes, 2))
-            .with_shuffle_mode(ShuffleMode::Legacy);
-        prop_assert_eq!(radix.shuffle_mode(), ShuffleMode::Radix);
-        let (parts_r, stats_r) = run_shuffle(&radix, parts.clone(), p.as_dyn());
-        let (parts_l, stats_l) = run_shuffle(&legacy, parts, p.as_dyn());
-        prop_assert_eq!(stats_r, stats_l);
-        prop_assert_eq!(parts_r, parts_l);
+        let cluster = Cluster::new(ClusterConfig::with_threads(nodes, 2));
+        let (parts_e, stats_e) = run_shuffle(&cluster, parts.clone(), p.as_dyn());
+        let (parts_r, stats_r) = reference_shuffle(parts, p.as_dyn(), nodes);
+        prop_assert_eq!(stats_e, stats_r);
+        prop_assert_eq!(parts_e, parts_r);
     }
 
     /// A warm pool changes nothing: shuffling twice on the same cluster
@@ -131,10 +161,10 @@ proptest! {
     }
 
     /// Fault injection on the shuffle stage (seeded, with retries) leaves
-    /// the radix output identical to an undisturbed legacy run: a failed
-    /// attempt's pooled buffers are dropped, never re-filled.
+    /// the output identical to the reference: a failed attempt's pooled
+    /// buffers are dropped, never re-filled.
     #[test]
-    fn radix_survives_injected_faults(
+    fn shuffle_survives_injected_faults(
         recs in records(48),
         sources in 2usize..6,
         targets in 1usize..13,
@@ -150,11 +180,9 @@ proptest! {
             .with_fail_point("shuffle", fail_task % sources, 1);
         let faulty = Cluster::new(ClusterConfig::with_threads(nodes, 2))
             .with_fault_policy(plan, RetryPolicy::default().with_max_attempts(8));
-        let clean = Cluster::new(ClusterConfig::with_threads(nodes, 2))
-            .with_shuffle_mode(ShuffleMode::Legacy);
         let (parts_f, stats_f) = run_shuffle(&faulty, parts.clone(), &p);
-        let (parts_c, stats_c) = run_shuffle(&clean, parts, &p);
-        prop_assert_eq!(stats_f, stats_c);
-        prop_assert_eq!(parts_f, parts_c);
+        let (parts_r, stats_r) = reference_shuffle(parts, &p, nodes);
+        prop_assert_eq!(stats_f, stats_r);
+        prop_assert_eq!(parts_f, parts_r);
     }
 }

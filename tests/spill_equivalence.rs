@@ -8,8 +8,8 @@
 //! in that partition, for every algorithm and under seeded fault retries.
 
 use adaptive_spatial_join::engine::{
-    Cluster, ClusterConfig, FaultPlan, HashPartitioner, KeyedDataset, RetryPolicy, ShuffleMode,
-    ShuffleStats, Wire,
+    Cluster, ClusterConfig, FaultPlan, HashPartitioner, KeyedDataset, RetryPolicy, ShuffleStats,
+    Wire,
 };
 use adaptive_spatial_join::join::{to_records, Algorithm, JoinSpec, Record};
 use adaptive_spatial_join::prelude::*;
@@ -103,7 +103,7 @@ proptest! {
 
     /// Spilling composes with fault recovery: failed attempts abandon their
     /// charges and spill files, retried attempts redo both, and the output
-    /// still matches an undisturbed legacy run byte for byte.
+    /// still matches an undisturbed unbudgeted run byte for byte.
     #[test]
     fn budgeted_shuffle_survives_injected_faults(
         recs in records(48),
@@ -117,7 +117,7 @@ proptest! {
         let parts = into_partitions(recs, sources);
         let p = HashPartitioner::new(targets);
         let free = Cluster::new(ClusterConfig::with_threads(nodes, 2));
-        let (_, _, ef) = KeyedDataset::from_partitions(parts.clone()).shuffle(&free, &p);
+        let (dc, sc, ef) = KeyedDataset::from_partitions(parts.clone()).shuffle(&free, &p);
         let budget = (ef.peak_memory_bytes * budget_pct / 100).max(1);
 
         let plan = FaultPlan::none()
@@ -127,10 +127,7 @@ proptest! {
         let faulty = Cluster::new(ClusterConfig::with_threads(nodes, 2))
             .with_memory_budget(budget)
             .with_fault_policy(plan, RetryPolicy::default().with_max_attempts(8));
-        let clean = Cluster::new(ClusterConfig::with_threads(nodes, 2))
-            .with_shuffle_mode(ShuffleMode::Legacy);
-        let (df, sf, ex) = KeyedDataset::from_partitions(parts.clone()).shuffle(&faulty, &p);
-        let (dc, sc, _) = KeyedDataset::from_partitions(parts).shuffle(&clean, &p);
+        let (df, sf, ex) = KeyedDataset::from_partitions(parts).shuffle(&faulty, &p);
         prop_assert_eq!(sf, sc);
         prop_assert_eq!(df.into_partitions(), dc.into_partitions());
         prop_assert!(ex.peak_memory_bytes <= budget);
@@ -185,10 +182,10 @@ proptest! {
 }
 
 /// Join-algorithm level: the full pipelines report the same results and the
-/// same `partition_bytes` histogram whether shuffles run radix (with seeded
-/// fault retries and a sub-peak memory budget) or legacy (which re-encodes
-/// the records that actually landed in each partition — the ground truth the
-/// histogram is being checked against).
+/// same `partition_bytes` histogram whether shuffles run under seeded fault
+/// retries and a sub-peak memory budget or undisturbed and unbudgeted (the
+/// histogram itself is pinned to the landed records by
+/// `partition_bytes_match_landed_records` above).
 fn uniform_records(n: usize, seed: u64, extent: f64, payload: usize) -> Vec<Record> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -226,23 +223,19 @@ proptest! {
             .with_seed(seed)
             .with_stage_fail_prob("shuffle.R", 0.2)
             .with_fail_point("shuffle.S", 0, 1);
-        let radix = Cluster::new(ClusterConfig::with_threads(3, 2))
+        let tight = Cluster::new(ClusterConfig::with_threads(3, 2))
             .with_memory_budget(4 * 1024)
             .with_fault_policy(plan, RetryPolicy::default().with_max_attempts(8));
-        let legacy = Cluster::new(ClusterConfig::with_threads(3, 2))
-            .with_shuffle_mode(ShuffleMode::Legacy);
+        let free = Cluster::new(ClusterConfig::with_threads(3, 2));
 
-        let out_r = algo.run(&radix, &spec, r.clone(), s.clone());
-        let out_l = algo.run(&legacy, &spec, r, s);
+        let out_r = algo.run(&tight, &spec, r.clone(), s.clone());
+        let out_l = algo.run(&free, &spec, r, s);
         prop_assert_eq!(out_r.result_count, out_l.result_count, "{}", algo.name());
         let mut pr = out_r.pairs.clone();
         let mut pl = out_l.pairs.clone();
         pr.sort_unstable();
         pl.sort_unstable();
         prop_assert_eq!(pr, pl);
-        // The legacy reduce side computes partition_bytes by re-encoding the
-        // records that landed in each partition; matching it entry-by-entry
-        // pins the radix map-side metering to that ground truth.
         prop_assert_eq!(
             &out_r.metrics.shuffle.partition_bytes,
             &out_l.metrics.shuffle.partition_bytes,
