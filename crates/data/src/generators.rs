@@ -314,7 +314,7 @@ mod tests {
                 let cy = (((p.y - b.min_y) / b.height() * 10.0) as usize).min(9);
                 counts[cy * 10 + cx] += 1;
             }
-            let max = *counts.iter().max().unwrap() as f64;
+            let max = counts.iter().copied().max().unwrap_or(0) as f64;
             max / (pts.len() as f64 / 100.0)
         };
         let gp = gaussian_cluster_params(b, 30, 21);

@@ -10,7 +10,7 @@
 //! Input/output files use the paper's raw text format: `id,x,y` per line.
 
 use adaptive_spatial_join::data::{
-    read_points_csv, write_points_csv, DatasetSpec, GenKind, PAPER_BBOX,
+    read_points_csv_with, write_points_csv, DatasetSpec, GenKind, PAPER_BBOX,
 };
 use adaptive_spatial_join::engine::{clean_orphaned_spills, set_spill_dir, Journal, SchedPolicy};
 use adaptive_spatial_join::geom::{Point, Rect};
@@ -280,9 +280,8 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn load_records(path: &str) -> Result<Vec<Record>, String> {
-    let rows =
-        read_points_csv(std::path::Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
-    Ok(rows.into_iter().map(|(id, p)| Record::new(id, p)).collect())
+    read_points_csv_with(std::path::Path::new(path), Record::new)
+        .map_err(|e| format!("reading {path}: {e}"))
 }
 
 fn bbox_of(points: impl Iterator<Item = Point>) -> Rect {
@@ -780,6 +779,18 @@ mod tests {
         let f = parse_flags("join", &["eps", "algo"], &args).unwrap();
         assert_eq!(f["eps"], "0.5");
         assert_eq!(f["algo"], "diff");
+    }
+
+    #[test]
+    fn empty_inputs_are_reported_not_joined() {
+        let path = std::env::temp_dir().join(format!("asj-cli-empty-{}.csv", std::process::id()));
+        std::fs::write(&path, "").unwrap();
+        let file = path.to_str().unwrap();
+        let flags = [("r", file), ("s", file), ("eps", "0.5")]
+            .map(|(flag, value)| (flag.to_string(), value.to_string()));
+        let err = cmd_join(&HashMap::from(flags)).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(err, "inputs contain no points");
     }
 
     #[test]

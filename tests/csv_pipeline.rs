@@ -3,7 +3,7 @@
 //! joined.
 
 use adaptive_spatial_join::core::AgreementPolicy;
-use adaptive_spatial_join::data::{read_points_csv, write_points_csv, Catalog};
+use adaptive_spatial_join::data::{read_points_csv_with, write_points_csv, Catalog};
 use adaptive_spatial_join::join::{adaptive_join, oracle, to_records, JoinSpec, Record};
 use adaptive_spatial_join::prelude::*;
 
@@ -18,13 +18,8 @@ fn csv_loaded_inputs_join_identically() {
     write_points_csv(&r_path, &r_pts).unwrap();
     write_points_csv(&s_path, &s_pts).unwrap();
 
-    let load = |path: &std::path::Path| -> Vec<Record> {
-        read_points_csv(path)
-            .unwrap()
-            .into_iter()
-            .map(|(id, p)| Record::new(id, p))
-            .collect()
-    };
+    // The CLI's `load_records`: rows built as `Record`s by the reader itself.
+    let load = |path: &std::path::Path| read_points_csv_with(path, Record::new).unwrap();
     let r = load(&r_path);
     let s = load(&s_path);
     std::fs::remove_file(&r_path).unwrap();
@@ -48,4 +43,21 @@ fn csv_loaded_inputs_join_identically() {
     assert_eq!(a, b);
     // And both match the oracle.
     assert_eq!(a, oracle::rtree_pairs(&r, &s, spec.eps));
+}
+
+/// A file large enough (≥ 2 MiB) that the reader cuts it into more than one
+/// split on any multi-core host: rows come back complete and in file order.
+#[test]
+fn multi_split_file_loads_in_file_order() {
+    let pts = Catalog::new(60_000).s1.points();
+    let path = std::env::temp_dir().join(format!("asj-e2e-big-{}.csv", std::process::id()));
+    write_points_csv(&path, &pts).unwrap();
+    assert!(std::fs::metadata(&path).unwrap().len() >= 2 << 20);
+    let loaded = read_points_csv_with(&path, Record::new).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(loaded.len(), pts.len());
+    assert!(
+        loaded == to_records(&pts, 0),
+        "rows differ or are out of order"
+    );
 }
