@@ -29,7 +29,7 @@ fn bench_engine(c: &mut Criterion) {
             |b, &payload| {
                 b.iter_batched(
                     || keyed(200_000, payload, 16),
-                    |kd| black_box(kd.shuffle(&cluster, &partitioner)),
+                    |kd| black_box(kd.shuffle_stage(&cluster, &partitioner, "shuffle")),
                     criterion::BatchSize::LargeInput,
                 )
             },
@@ -43,15 +43,19 @@ fn bench_engine(c: &mut Criterion) {
             || {
                 let a = keyed(100_000, 0, 8);
                 let b = keyed(100_000, 0, 8);
-                let (a, _, _) = a.shuffle(&cluster, &partitioner);
-                let (b, _, _) = b.shuffle(&cluster, &partitioner);
-                (a, b)
+                let shuffled = |kd: KeyedDataset<u64, Vec<u8>>| {
+                    kd.shuffle_stage(&cluster, &partitioner, "shuffle")
+                        .expect("shuffle runs")
+                        .0
+                };
+                (shuffled(a), shuffled(b))
             },
             |(a, b)| {
-                let placement: Vec<usize> = (0..96).map(|p| cluster.node_of_partition(p)).collect();
-                let (out, _) = a.cogroup_join(&cluster, b, &placement, |_, va, vb, out| {
-                    out.push(va.len() as u64 * vb.len() as u64);
-                });
+                let (out, _, _) = a
+                    .cogroup_join_fold(&cluster, b, |_, va, vb, out, _: &mut ()| {
+                        out.push(va.len() as u64 * vb.len() as u64);
+                    })
+                    .expect("join runs");
                 black_box(out.collect().iter().sum::<u64>())
             },
             criterion::BatchSize::LargeInput,

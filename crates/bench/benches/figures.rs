@@ -8,7 +8,7 @@ fn main() {
     // Criterion-style --bench flag may be passed by cargo; ignore all args.
     let cfg = ExpConfig::quick();
     let start = std::time::Instant::now();
-    experiments::run_all(&cfg);
+    experiments::run_all(&cfg).expect("every figure's joins run");
     println!(
         "\nAll tables and figures regenerated (quick scale, base={} points) in {:.1}s.",
         cfg.base,

@@ -18,6 +18,7 @@
 
 use asj_bench::{experiments, memory, multitenant, recovery, Combo, ExpConfig};
 use asj_engine::{FaultPlan, RetryPolicy};
+use asj_join::JoinError;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,79 +82,95 @@ fn main() {
     // The dedicated A/B experiment compares against the given plan, or the
     // standard chaos plan when --faults was not passed.
     let ab_plan = plan.unwrap_or_else(|| FaultPlan::chaos(fault_seed));
+    if let Err(e) = run_experiments(&cfg, &wanted, &ab_plan, policy) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Runs the named experiments (all of them for an empty list or `all`); a
+/// join that fails — a stage out of attempts, a rejected spec — ends the run
+/// with its error.
+fn run_experiments(
+    cfg: &ExpConfig,
+    wanted: &[String],
+    ab_plan: &FaultPlan,
+    policy: RetryPolicy,
+) -> Result<(), JoinError> {
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        experiments::run_all(&cfg);
-        experiments::fault_tolerance(&cfg, &ab_plan, policy);
-        return;
+        experiments::run_all(cfg)?;
+        experiments::fault_tolerance(cfg, ab_plan, policy)?;
+        return Ok(());
     }
     let start = std::time::Instant::now();
-    for w in &wanted {
+    for w in wanted {
         match w.as_str() {
             "table1" => {
                 experiments::table1();
             }
             "fig1b" => {
-                experiments::fig1b(&cfg);
+                experiments::fig1b(cfg)?;
             }
             "fig10" | "fig11" | "fig12" => {
-                experiments::fig10_11_12(&cfg, Combo::S1S2);
-                experiments::fig10_11_12(&cfg, Combo::R1S1);
+                experiments::fig10_11_12(cfg, Combo::S1S2)?;
+                experiments::fig10_11_12(cfg, Combo::R1S1)?;
             }
             "table4" => {
-                experiments::table4(&cfg);
+                experiments::table4(cfg)?;
             }
             "fig13" => {
-                experiments::fig13(&cfg);
+                experiments::fig13(cfg)?;
             }
             "fig14" => {
-                experiments::fig14(&cfg);
+                experiments::fig14(cfg)?;
             }
             "fig15" => {
-                experiments::fig15(&cfg);
+                experiments::fig15(cfg)?;
             }
             "fig16" => {
-                experiments::fig16_18(&cfg, Combo::S1S2);
+                experiments::fig16_18(cfg, Combo::S1S2)?;
             }
             "fig17" => {
-                experiments::fig16_18(&cfg, Combo::R1S1);
+                experiments::fig16_18(cfg, Combo::R1S1)?;
             }
             "fig18" => {
-                experiments::fig16_18(&cfg, Combo::R2R1);
+                experiments::fig16_18(cfg, Combo::R2R1)?;
             }
             "table5" => {
-                experiments::table5(&cfg);
+                experiments::table5(cfg)?;
             }
             "table6" => {
-                experiments::table6(&cfg);
+                experiments::table6(cfg)?;
             }
             "table7" => {
-                experiments::table7(&cfg);
+                experiments::table7(cfg)?;
             }
             "a1" | "kernels" | "ablation-kernels" => {
-                experiments::ablation_kernels(&cfg);
+                experiments::ablation_kernels(cfg)?;
             }
             "a2" | "edgeorder" => {
-                experiments::ablation_edge_order(&cfg);
+                experiments::ablation_edge_order(cfg);
             }
             "ext" | "extensions" => {
-                experiments::extensions(&cfg);
+                experiments::extensions(cfg)?;
             }
             "faults" | "fault-tolerance" => {
-                experiments::fault_tolerance(&cfg, &ab_plan, policy);
+                experiments::fault_tolerance(cfg, ab_plan, policy)?;
             }
             "memory" | "memory-sweep" | "budget-sweep" => {
-                memory::memory_sweep(&cfg);
+                memory::memory_sweep(cfg);
             }
             "multitenant" | "multi-tenant" | "jobs" => {
-                multitenant::multitenant_sweep(&cfg);
+                multitenant::multitenant_sweep(cfg);
             }
             "recovery" | "crash-recovery" => {
-                recovery::recovery_sweep(&cfg);
+                recovery::recovery_sweep(cfg);
             }
             other => usage(&format!("unknown experiment {other}")),
         }
     }
     eprintln!("\ncompleted in {:.1}s", start.elapsed().as_secs_f64());
+    Ok(())
 }
 
 fn usage(err: &str) -> ! {

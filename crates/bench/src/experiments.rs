@@ -8,7 +8,9 @@ use asj_data::{TupleSizeFactor, PAPER_BBOX};
 use asj_engine::{Cluster, ClusterConfig, FaultPlan, Placement, RetryPolicy};
 use asj_geom::{Point, Rect};
 use asj_grid::{Grid, GridSpec};
-use asj_join::{adaptive_join, adaptive_join_dedup, adaptive_join_post_fetch, Algorithm, JoinSpec};
+use asj_join::{
+    adaptive_join, adaptive_join_dedup, adaptive_join_post_fetch, Algorithm, JoinError, JoinSpec,
+};
 
 fn spec_for(cfg: &ExpConfig, eps: f64) -> JoinSpec {
     JoinSpec::new(PAPER_BBOX, eps)
@@ -132,7 +134,7 @@ pub fn table1() -> Table {
 /// Figure 1b: for each dataset combination, the ratio of the best PBSM
 /// variant's replicated objects to adaptive replication's (log-scale chart in
 /// the paper; a ratio table here).
-pub fn fig1b(cfg: &ExpConfig) -> Table {
+pub fn fig1b(cfg: &ExpConfig) -> Result<Table, JoinError> {
     let cluster = cfg.cluster();
     let spec = spec_for(cfg, cfg.default_eps);
     let mut table = Table::new(vec![
@@ -144,9 +146,9 @@ pub fn fig1b(cfg: &ExpConfig) -> Table {
     ]);
     for combo in Combo::ALL {
         let (r, s) = combo.datasets(cfg, 1, TupleSizeFactor::F0);
-        let lpib = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1);
-        let uni_r = run_avg(&cluster, &spec, Algorithm::UniR, &r, &s, 1);
-        let uni_s = run_avg(&cluster, &spec, Algorithm::UniS, &r, &s, 1);
+        let lpib = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1)?;
+        let uni_r = run_avg(&cluster, &spec, Algorithm::UniR, &r, &s, 1)?;
+        let uni_s = run_avg(&cluster, &spec, Algorithm::UniS, &r, &s, 1)?;
         let best = uni_r.replicated.min(uni_s.replicated);
         let ratio = best as f64 / lpib.replicated.max(1) as f64;
         table.row(vec![
@@ -158,7 +160,7 @@ pub fn fig1b(cfg: &ExpConfig) -> Table {
         ]);
     }
     table.print("Figure 1b: replication overhead of PBSM over adaptive replication");
-    table
+    Ok(table)
 }
 
 // ---------------------------------------------------------------------------
@@ -167,7 +169,7 @@ pub fn fig1b(cfg: &ExpConfig) -> Table {
 
 /// Figures 10 (replication), 11 (shuffle remote reads) and 12 (execution
 /// time) for one dataset combination over the ε sweep.
-pub fn fig10_11_12(cfg: &ExpConfig, combo: Combo) -> (Table, Table, Table) {
+pub fn fig10_11_12(cfg: &ExpConfig, combo: Combo) -> Result<(Table, Table, Table), JoinError> {
     let cluster = cfg.cluster();
     let (r, s) = combo.datasets(cfg, 1, TupleSizeFactor::F0);
     let mut header = vec!["algorithm".to_string()];
@@ -181,7 +183,7 @@ pub fn fig10_11_12(cfg: &ExpConfig, combo: Combo) -> (Table, Table, Table) {
         let mut row_t = vec![algo.name().to_string()];
         for &eps in &cfg.eps_values {
             let spec = spec_for(cfg, eps);
-            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps);
+            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)?;
             row_repl.push(res.replicated.to_string());
             row_sh.push(mib(res.shuffle_remote));
             row_t.push(format!("{:.3}", res.sim_time));
@@ -202,7 +204,7 @@ pub fn fig10_11_12(cfg: &ExpConfig, combo: Combo) -> (Table, Table, Table) {
         "Figure 12 ({}): execution time (simulated s) vs eps",
         combo.name()
     ));
-    (repl, shuffle, time)
+    Ok((repl, shuffle, time))
 }
 
 // ---------------------------------------------------------------------------
@@ -211,14 +213,14 @@ pub fn fig10_11_12(cfg: &ExpConfig, combo: Combo) -> (Table, Table, Table) {
 
 /// Table 4: result-set selectivity and join-result counts for the ε sweep
 /// (S1⋈S2, R1⋈S1), the size sweep (S1⋈S2) and R2⋈R1.
-pub fn table4(cfg: &ExpConfig) -> Table {
+pub fn table4(cfg: &ExpConfig) -> Result<Table, JoinError> {
     let cluster = cfg.cluster();
     let mut table = Table::new(vec!["configuration", "selectivity (%)", "join results"]);
     for combo in [Combo::S1S2, Combo::R1S1] {
         let (r, s) = combo.datasets(cfg, 1, TupleSizeFactor::F0);
         for &eps in &cfg.eps_values {
             let spec = spec_for(cfg, eps);
-            let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1);
+            let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1)?;
             let sel = res.results as f64 / (r.len() as f64 * s.len() as f64) * 100.0;
             table.row(vec![
                 format!("{} eps={eps:.3}", combo.name()),
@@ -230,7 +232,7 @@ pub fn table4(cfg: &ExpConfig) -> Table {
     for &f in cfg.size_factors.iter().skip(1) {
         let (r, s) = Combo::S1S2.datasets(cfg, f, TupleSizeFactor::F0);
         let spec = spec_for(cfg, cfg.default_eps);
-        let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1);
+        let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1)?;
         let sel = res.results as f64 / (r.len() as f64 * s.len() as f64) * 100.0;
         table.row(vec![
             format!("S1 ⋈ S2 x{f}"),
@@ -241,7 +243,7 @@ pub fn table4(cfg: &ExpConfig) -> Table {
     {
         let (r, s) = Combo::R2R1.datasets(cfg, 1, TupleSizeFactor::F0);
         let spec = spec_for(cfg, cfg.default_eps);
-        let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1);
+        let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1)?;
         let sel = res.results as f64 / (r.len() as f64 * s.len() as f64) * 100.0;
         table.row(vec![
             "R2 ⋈ R1".to_string(),
@@ -250,7 +252,7 @@ pub fn table4(cfg: &ExpConfig) -> Table {
         ]);
     }
     table.print("Table 4: result-set selectivity and join results");
-    table
+    Ok(table)
 }
 
 // ---------------------------------------------------------------------------
@@ -261,7 +263,7 @@ pub fn table4(cfg: &ExpConfig) -> Table {
 /// with construction/join split (c) while scaling S1⋈S2 from x1 upward —
 /// plus a peak-partition-memory table (13d, ours) that exposes the ε-grid
 /// blow-up the paper reports as an out-of-memory failure (the red ×).
-pub fn fig13(cfg: &ExpConfig) -> (Table, Table, Table) {
+pub fn fig13(cfg: &ExpConfig) -> Result<(Table, Table, Table), JoinError> {
     let cluster = cfg.cluster();
     let mut header = vec!["algorithm".to_string()];
     header.extend(cfg.size_factors.iter().map(|f| format!("x{f}")));
@@ -286,7 +288,7 @@ pub fn fig13(cfg: &ExpConfig) -> (Table, Table, Table) {
             };
             let spec = spec_for(cfg, cfg.default_eps).with_partitions(partitions);
             let (r, s) = Combo::S1S2.datasets(cfg, f, TupleSizeFactor::F0);
-            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps);
+            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)?;
             row_repl.push(res.replicated.to_string());
             row_sh.push(mib(res.shuffle_remote));
             // Construction + join split, as in the stacked bars of Fig 13c.
@@ -305,7 +307,7 @@ pub fn fig13(cfg: &ExpConfig) -> (Table, Table, Table) {
     shuffle.print("Figure 13b: shuffle remote reads (MiB) vs data size (S1 ⋈ S2)");
     time.print("Figure 13c: execution time s (construction+join) vs data size (S1 ⋈ S2)");
     mem.print("Figure 13d (ours): peak partition memory (MiB) vs data size (S1 ⋈ S2)");
-    (repl, shuffle, time)
+    Ok((repl, shuffle, time))
 }
 
 // ---------------------------------------------------------------------------
@@ -314,7 +316,7 @@ pub fn fig13(cfg: &ExpConfig) -> (Table, Table, Table) {
 
 /// Figure 14: execution time and shuffle remote reads on S1⋈S2 while varying
 /// the simulated cluster from 4 to 12 nodes.
-pub fn fig14(cfg: &ExpConfig) -> (Table, Table) {
+pub fn fig14(cfg: &ExpConfig) -> Result<(Table, Table), JoinError> {
     let nodes_sweep = [4usize, 6, 8, 10, 12];
     let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
     let spec = spec_for(cfg, cfg.default_eps);
@@ -327,7 +329,7 @@ pub fn fig14(cfg: &ExpConfig) -> (Table, Table) {
         let mut row_sh = vec![algo.name().to_string()];
         for &n in &nodes_sweep {
             let cluster = cfg.cluster_with_nodes(n);
-            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps);
+            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)?;
             row_t.push(format!("{:.3}", res.sim_time));
             row_sh.push(mib(res.shuffle_remote));
         }
@@ -336,7 +338,7 @@ pub fn fig14(cfg: &ExpConfig) -> (Table, Table) {
     }
     time.print("Figure 14a: execution time (simulated s) vs number of nodes (S1 ⋈ S2)");
     shuffle.print("Figure 14b: shuffle remote reads (MiB) vs number of nodes (S1 ⋈ S2)");
-    (time, shuffle)
+    Ok((time, shuffle))
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +346,7 @@ pub fn fig14(cfg: &ExpConfig) -> (Table, Table) {
 // ---------------------------------------------------------------------------
 
 /// Figure 15: execution time of LPiB and DIFF with grid resolution 2ε–5ε.
-pub fn fig15(cfg: &ExpConfig) -> Table {
+pub fn fig15(cfg: &ExpConfig) -> Result<Table, JoinError> {
     let cluster = cfg.cluster();
     let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
     let factors = [2.0f64, 3.0, 4.0, 5.0];
@@ -355,13 +357,13 @@ pub fn fig15(cfg: &ExpConfig) -> Table {
         let mut row = vec![algo.name().to_string()];
         for &f in &factors {
             let spec = spec_for(cfg, cfg.default_eps).with_grid_factor(f);
-            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps);
+            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)?;
             row.push(format!("{:.3}", res.sim_time));
         }
         table.row(row);
     }
     table.print("Figure 15: execution time (simulated s) vs grid resolution (S1 ⋈ S2)");
-    table
+    Ok(table)
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +372,7 @@ pub fn fig15(cfg: &ExpConfig) -> Table {
 
 /// Figures 16 (S1⋈S2), 17 (R1⋈S1) and 18 (R2⋈R1): shuffle remote reads and
 /// execution time while increasing the tuple size factor f0–f4.
-pub fn fig16_18(cfg: &ExpConfig, combo: Combo) -> (Table, Table) {
+pub fn fig16_18(cfg: &ExpConfig, combo: Combo) -> Result<(Table, Table), JoinError> {
     let cluster = cfg.cluster();
     // The paper uses 192 partitions for the tuple-size experiments, except
     // 120 for the real-data combination.
@@ -388,7 +390,7 @@ pub fn fig16_18(cfg: &ExpConfig, combo: Combo) -> (Table, Table) {
         let mut row_t = vec![algo.name().to_string()];
         for &factor in &TupleSizeFactor::ALL {
             let (r, s) = combo.datasets(cfg, 1, factor);
-            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps);
+            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)?;
             row_sh.push(mib(res.shuffle_remote));
             row_t.push(format!("{:.3}", res.sim_time));
         }
@@ -408,7 +410,7 @@ pub fn fig16_18(cfg: &ExpConfig, combo: Combo) -> (Table, Table) {
         "{fig}b ({}): execution time (simulated s) vs tuple size",
         combo.name()
     ));
-    (shuffle, time)
+    Ok((shuffle, time))
 }
 
 // ---------------------------------------------------------------------------
@@ -417,7 +419,7 @@ pub fn fig16_18(cfg: &ExpConfig, combo: Combo) -> (Table, Table) {
 
 /// Table 5: LPiB/DIFF with the f1 payload carried through the join versus
 /// fetched by id-joins afterwards.
-pub fn table5(cfg: &ExpConfig) -> Table {
+pub fn table5(cfg: &ExpConfig) -> Result<Table, JoinError> {
     let cluster = cfg.cluster();
     let spec = spec_for(cfg, cfg.default_eps);
     let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F1);
@@ -425,11 +427,11 @@ pub fn table5(cfg: &ExpConfig) -> Table {
     for policy in [AgreementPolicy::Lpib, AgreementPolicy::Diff] {
         let net = NetModel::gigabit(cfg.nodes);
         let inline = {
-            let out = adaptive_join(&cluster, &spec, policy, r.clone(), s.clone());
+            let out = adaptive_join(&cluster, &spec, policy, r.clone(), s.clone())?;
             crate::RunResult::from_output(&out, &net).sim_time
         };
         let fetched = {
-            let out = adaptive_join_post_fetch(&cluster, &spec, policy, r.clone(), s.clone());
+            let out = adaptive_join_post_fetch(&cluster, &spec, policy, r.clone(), s.clone())?;
             crate::RunResult::from_output(&out, &net).sim_time
         };
         table.row(vec![
@@ -441,7 +443,7 @@ pub fn table5(cfg: &ExpConfig) -> Table {
     table.print(
         "Table 5: extra attributes included on join vs fetched in post-processing (S1 ⋈ S2, f1)",
     );
-    table
+    Ok(table)
 }
 
 // ---------------------------------------------------------------------------
@@ -450,7 +452,7 @@ pub fn table5(cfg: &ExpConfig) -> Table {
 
 /// Table 6: duplicate-free assignment versus the simplified assignment with
 /// a distributed deduplication operator.
-pub fn table6(cfg: &ExpConfig) -> Table {
+pub fn table6(cfg: &ExpConfig) -> Result<Table, JoinError> {
     let cluster = cfg.cluster();
     let spec = spec_for(cfg, cfg.default_eps);
     let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
@@ -462,11 +464,11 @@ pub fn table6(cfg: &ExpConfig) -> Table {
     for policy in [AgreementPolicy::Lpib, AgreementPolicy::Diff] {
         let net = NetModel::gigabit(cfg.nodes);
         let clean = {
-            let out = adaptive_join(&cluster, &spec, policy, r.clone(), s.clone());
+            let out = adaptive_join(&cluster, &spec, policy, r.clone(), s.clone())?;
             crate::RunResult::from_output(&out, &net).sim_time
         };
         let dedup = {
-            let out = adaptive_join_dedup(&cluster, &spec, policy, r.clone(), s.clone());
+            let out = adaptive_join_dedup(&cluster, &spec, policy, r.clone(), s.clone())?;
             crate::RunResult::from_output(&out, &net).sim_time
         };
         table.row(vec![
@@ -478,7 +480,7 @@ pub fn table6(cfg: &ExpConfig) -> Table {
     table.print(
         "Table 6: duplicate-free vs non duplicate-free assignment with deduplication (S1 ⋈ S2)",
     );
-    table
+    Ok(table)
 }
 
 // ---------------------------------------------------------------------------
@@ -488,7 +490,7 @@ pub fn table6(cfg: &ExpConfig) -> Table {
 /// Table 7: LPiB/DIFF execution time under hash-based and LPT cell placement
 /// for S1⋈S2 (x4) and R2⋈R1, plus SJMR's round-robin tile mapping as an
 /// extra related-work column.
-pub fn table7(cfg: &ExpConfig) -> Table {
+pub fn table7(cfg: &ExpConfig) -> Result<Table, JoinError> {
     let cluster = cfg.cluster();
     let mut table = Table::new(vec![
         "configuration",
@@ -504,9 +506,9 @@ pub fn table7(cfg: &ExpConfig) -> Table {
             let hash_spec = spec_for(cfg, cfg.default_eps);
             let lpt_spec = spec_for(cfg, cfg.default_eps).with_placement(Placement::Lpt);
             let rr_spec = spec_for(cfg, cfg.default_eps).with_placement(Placement::RoundRobin);
-            let hash = run_avg(&cluster, &hash_spec, algo, &r, &s, cfg.reps);
-            let lpt = run_avg(&cluster, &lpt_spec, algo, &r, &s, cfg.reps);
-            let rr = run_avg(&cluster, &rr_spec, algo, &r, &s, cfg.reps);
+            let hash = run_avg(&cluster, &hash_spec, algo, &r, &s, cfg.reps)?;
+            let lpt = run_avg(&cluster, &lpt_spec, algo, &r, &s, cfg.reps)?;
+            let rr = run_avg(&cluster, &rr_spec, algo, &r, &s, cfg.reps)?;
             let gain = (hash.sim_time - lpt.sim_time) / hash.sim_time * 100.0;
             table.row(vec![
                 format!("{} x{factor} {}", combo.name(), algo.name()),
@@ -518,7 +520,7 @@ pub fn table7(cfg: &ExpConfig) -> Table {
         }
     }
     table.print("Table 7: hash vs LPT (vs SJMR round-robin) assignment of cells to workers");
-    table
+    Ok(table)
 }
 
 // ---------------------------------------------------------------------------
@@ -534,7 +536,7 @@ pub fn table7(cfg: &ExpConfig) -> Table {
 /// makespans: the kernels' construction phases are identical, and `Auto`
 /// resolves each cell group to whatever fixed kernel the calibrated model
 /// scores cheapest, so any genuine regression shows up well beyond it.
-pub fn ablation_kernels(cfg: &ExpConfig) -> Table {
+pub fn ablation_kernels(cfg: &ExpConfig) -> Result<Table, JoinError> {
     use asj_data::{DatasetSpec, GenKind};
     use asj_join::{to_records, LocalKernel};
     let cluster = cfg.cluster();
@@ -576,7 +578,7 @@ pub fn ablation_kernels(cfg: &ExpConfig) -> Table {
             ("auto", LocalKernel::Auto),
         ] {
             let spec = spec_for(cfg, cfg.default_eps).with_kernel(kernel);
-            let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, reps);
+            let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, reps)?;
             match results {
                 None => results = Some(res.results),
                 Some(n) => assert_eq!(n, res.results, "{workload}: kernels must agree"),
@@ -601,7 +603,7 @@ pub fn ablation_kernels(cfg: &ExpConfig) -> Table {
         );
     }
     table.print("Ablation A1: partition-local join kernel (LPiB, uniform and skewed)");
-    table
+    Ok(table)
 }
 
 /// Ablation A2: Algorithm 1's diagonal-first edge order versus naive
@@ -649,28 +651,29 @@ pub fn ablation_edge_order(cfg: &ExpConfig) -> Table {
 // ---------------------------------------------------------------------------
 
 /// Regenerates every table and figure of the paper in order.
-pub fn run_all(cfg: &ExpConfig) {
+pub fn run_all(cfg: &ExpConfig) -> Result<(), JoinError> {
     println!(
         "# Reproduction run: base={} eps={:?} nodes={} partitions={} reps={}",
         cfg.base, cfg.eps_values, cfg.nodes, cfg.partitions, cfg.reps
     );
     table1();
-    fig1b(cfg);
-    fig10_11_12(cfg, Combo::S1S2);
-    fig10_11_12(cfg, Combo::R1S1);
-    table4(cfg);
-    fig13(cfg);
-    fig14(cfg);
-    fig15(cfg);
-    fig16_18(cfg, Combo::S1S2);
-    fig16_18(cfg, Combo::R1S1);
-    fig16_18(cfg, Combo::R2R1);
-    table5(cfg);
-    table6(cfg);
-    table7(cfg);
-    ablation_kernels(cfg);
+    fig1b(cfg)?;
+    fig10_11_12(cfg, Combo::S1S2)?;
+    fig10_11_12(cfg, Combo::R1S1)?;
+    table4(cfg)?;
+    fig13(cfg)?;
+    fig14(cfg)?;
+    fig15(cfg)?;
+    fig16_18(cfg, Combo::S1S2)?;
+    fig16_18(cfg, Combo::R1S1)?;
+    fig16_18(cfg, Combo::R2R1)?;
+    table5(cfg)?;
+    table6(cfg)?;
+    table7(cfg)?;
+    ablation_kernels(cfg)?;
     ablation_edge_order(cfg);
-    extensions(cfg);
+    extensions(cfg)?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -682,7 +685,11 @@ pub fn run_all(cfg: &ExpConfig) {
 /// sets must be identical and the table reports the recovery work and the
 /// simulated-time overhead. Not part of the paper's evaluation — it
 /// exercises the Spark fault-tolerance semantics the paper's jobs rely on.
-pub fn fault_tolerance(cfg: &ExpConfig, plan: &FaultPlan, policy: RetryPolicy) -> Table {
+pub fn fault_tolerance(
+    cfg: &ExpConfig,
+    plan: &FaultPlan,
+    policy: RetryPolicy,
+) -> Result<Table, JoinError> {
     // Speculative copies need a second worker thread to race the straggler;
     // on a single-core host `ClusterConfig::new` would provide only one.
     let threads = std::thread::available_parallelism()
@@ -707,7 +714,7 @@ pub fn fault_tolerance(cfg: &ExpConfig, plan: &FaultPlan, policy: RetryPolicy) -
         .to_vec(),
     );
     for algo in [Algorithm::Lpib, Algorithm::Diff] {
-        let ab = run_fault_ab(&cluster, &spec, algo, &r, &s, plan.clone(), policy);
+        let ab = run_fault_ab(&cluster, &spec, algo, &r, &s, plan.clone(), policy)?;
         table.row(vec![
             algo.name().to_string(),
             ab.faulted.results.to_string(),
@@ -723,7 +730,7 @@ pub fn fault_tolerance(cfg: &ExpConfig, plan: &FaultPlan, policy: RetryPolicy) -
         "Fault tolerance (S1 ⋈ S2, plan seed {}): identical results under chaos",
         plan.seed
     ));
-    table
+    Ok(table)
 }
 
 // ---------------------------------------------------------------------------
@@ -734,7 +741,7 @@ pub fn fault_tolerance(cfg: &ExpConfig, plan: &FaultPlan, policy: RetryPolicy) -
 /// expanding-ring kNN join, and the polyline/polygon extent join, each with
 /// its headline metrics. Not part of the paper's evaluation; they
 /// characterize the substrate the future-work directions run on.
-pub fn extensions(cfg: &ExpConfig) -> (Table, Table, Table) {
+pub fn extensions(cfg: &ExpConfig) -> Result<(Table, Table, Table), JoinError> {
     use asj_data::{random_boxes, random_polylines};
     use asj_geom::Shape;
     use asj_join::{extent_join, knn_join, self_join, ExtentRecord};
@@ -752,7 +759,7 @@ pub fn extensions(cfg: &ExpConfig) -> (Table, Table, Table) {
     ]);
     for &eps in &cfg.eps_values {
         let spec = spec_for(cfg, eps);
-        let out = self_join(&cluster, &spec, s1.clone());
+        let out = self_join(&cluster, &spec, s1.clone())?;
         let net = NetModel::gigabit(cfg.nodes);
         let res = crate::RunResult::from_output(&out, &net);
         selfj.row(vec![
@@ -770,7 +777,7 @@ pub fn extensions(cfg: &ExpConfig) -> (Table, Table, Table) {
     let mut knn = Table::new(vec!["k", "rounds", "shuffle (MiB)", "makespan (s)"]);
     for k in [1usize, 5, 10, 20] {
         let spec = spec_for(cfg, cfg.default_eps);
-        let out = knn_join(&cluster, &spec, k, r.clone(), s.clone());
+        let out = knn_join(&cluster, &spec, k, r.clone(), s.clone())?;
         knn.row(vec![
             k.to_string(),
             out.rounds.to_string(),
@@ -796,7 +803,7 @@ pub fn extensions(cfg: &ExpConfig) -> (Table, Table, Table) {
     let mut ext = Table::new(vec!["eps", "pairs", "replicated", "peak partition (MiB)"]);
     for &eps in &cfg.eps_values {
         let spec = spec_for(cfg, eps);
-        let out = extent_join(&cluster, &spec, rivers.clone(), parks.clone());
+        let out = extent_join(&cluster, &spec, rivers.clone(), parks.clone())?;
         ext.row(vec![
             format!("{eps:.3}"),
             out.result_count.to_string(),
@@ -820,7 +827,7 @@ pub fn extensions(cfg: &ExpConfig) -> (Table, Table, Table) {
     ]);
     for fraction in [0.005f64, 0.01, 0.03, 0.10, 0.30] {
         let spec = spec_for(cfg, cfg.default_eps).with_sample_fraction(fraction);
-        let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, cfg.reps);
+        let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, cfg.reps)?;
         phi.row(vec![
             format!("{:.1}%", fraction * 100.0),
             res.replicated.to_string(),
@@ -829,7 +836,7 @@ pub fn extensions(cfg: &ExpConfig) -> (Table, Table, Table) {
         ]);
     }
     phi.print("Extension: sampling fraction sweep (LPiB, S1 ⋈ S2)");
-    (selfj, knn, ext)
+    Ok((selfj, knn, ext))
 }
 
 #[cfg(test)]
@@ -934,14 +941,14 @@ mod tests {
     /// paper's shape — adaptive replicates (far) less than the best PBSM
     /// variant, with identical results.
     #[test]
-    fn adaptive_beats_pbsm_on_replication() {
+    fn adaptive_beats_pbsm_on_replication() -> Result<(), JoinError> {
         let cfg = ExpConfig::quick().with_base(4000);
         let cluster = cfg.cluster();
         let spec = spec_for(&cfg, cfg.default_eps);
         let (r, s) = Combo::S1S2.datasets(&cfg, 1, TupleSizeFactor::F0);
-        let lpib = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1);
-        let uni_r = run_avg(&cluster, &spec, Algorithm::UniR, &r, &s, 1);
-        let uni_s = run_avg(&cluster, &spec, Algorithm::UniS, &r, &s, 1);
+        let lpib = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1)?;
+        let uni_r = run_avg(&cluster, &spec, Algorithm::UniR, &r, &s, 1)?;
+        let uni_s = run_avg(&cluster, &spec, Algorithm::UniS, &r, &s, 1)?;
         assert_eq!(lpib.results, uni_r.results);
         assert_eq!(lpib.results, uni_s.results);
         assert!(
@@ -954,5 +961,6 @@ mod tests {
         // Cross-check the result count against the centralized oracle.
         let expected = oracle::rtree_pairs(&r, &s, spec.eps).len() as u64;
         assert_eq!(lpib.results, expected);
+        Ok(())
     }
 }

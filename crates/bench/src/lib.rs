@@ -15,9 +15,7 @@ pub mod recovery;
 mod runner;
 mod table;
 
-pub use runner::{
-    run_avg, run_fault_ab, run_once, run_traced, Combo, FaultAb, NetModel, RunResult,
-};
+pub use runner::{run_avg, run_fault_ab, run_once, Combo, FaultAb, NetModel, RunResult};
 pub use table::Table;
 
 use asj_engine::{Cluster, ClusterConfig, FaultPlan, RetryPolicy};

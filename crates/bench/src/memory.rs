@@ -160,7 +160,9 @@ fn run_leg(
     let partitioner = ExplicitPartitioner::new(assignment(targets), targets);
     let input = parts.clone();
     let start = Instant::now();
-    let (ds, stats, exec) = KeyedDataset::from_partitions(input).shuffle(&cluster, &partitioner);
+    let (ds, stats, exec) = KeyedDataset::from_partitions(input)
+        .shuffle_stage(&cluster, &partitioner, "shuffle")
+        .expect("a budgeted shuffle spills, it never fails");
     let wall = start.elapsed().as_secs_f64();
     let acct = cluster.memory_accountant();
     let leg = MemLeg {

@@ -1,7 +1,7 @@
 use crate::ExpConfig;
 use asj_data::{Catalog, TupleSizeFactor};
 use asj_engine::{Cluster, ExecStats, FaultPlan, RetryPolicy};
-use asj_join::{to_records, Algorithm, JoinOutput, JoinSpec, Record};
+use asj_join::{to_records, Algorithm, JoinError, JoinOutput, JoinSpec, Record};
 
 /// The dataset combinations of the paper's experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,26 +142,12 @@ pub fn run_once(
     algo: Algorithm,
     r: &[Record],
     s: &[Record],
-) -> RunResult {
-    let out = algo.run(cluster, spec, r.to_vec(), s.to_vec());
-    RunResult::from_output(&out, &NetModel::gigabit(cluster.nodes()))
-}
-
-/// Runs one algorithm once with a fresh [`Recorder`](asj_engine::Recorder)
-/// attached — one per experiment, so traces of different runs never mix —
-/// and returns the captured [`Trace`](asj_engine::Trace) with the result.
-pub fn run_traced(
-    cluster: &Cluster,
-    spec: &JoinSpec,
-    algo: Algorithm,
-    r: &[Record],
-    s: &[Record],
-) -> (RunResult, asj_engine::Trace) {
-    let recorder = asj_engine::Recorder::for_nodes(cluster.nodes());
-    let traced = cluster.clone().with_recorder(recorder.clone());
-    let out = algo.run(&traced, spec, r.to_vec(), s.to_vec());
-    let result = RunResult::from_output(&out, &NetModel::gigabit(cluster.nodes()));
-    (result, recorder.snapshot())
+) -> Result<RunResult, JoinError> {
+    let out = algo.try_run(cluster, spec, r.to_vec(), s.to_vec())?;
+    Ok(RunResult::from_output(
+        &out,
+        &NetModel::gigabit(cluster.nodes()),
+    ))
 }
 
 /// Runs one algorithm `reps` times and averages the time metrics (counts are
@@ -173,11 +159,11 @@ pub fn run_avg(
     r: &[Record],
     s: &[Record],
     reps: usize,
-) -> RunResult {
+) -> Result<RunResult, JoinError> {
     assert!(reps >= 1);
-    let mut acc = run_once(cluster, spec, algo, r, s);
+    let mut acc = run_once(cluster, spec, algo, r, s)?;
     for _ in 1..reps {
-        let next = run_once(cluster, spec, algo, r, s);
+        let next = run_once(cluster, spec, algo, r, s)?;
         assert_eq!(
             next.replicated, acc.replicated,
             "{algo:?} must be deterministic"
@@ -193,7 +179,7 @@ pub fn run_avg(
     acc.construction_time /= n;
     acc.join_time /= n;
     acc.wall_time /= n;
-    acc
+    Ok(acc)
 }
 
 /// One fault-injection A/B comparison: the same join fault-free and under a
@@ -221,13 +207,13 @@ pub fn run_fault_ab(
     s: &[Record],
     plan: FaultPlan,
     policy: RetryPolicy,
-) -> FaultAb {
+) -> Result<FaultAb, JoinError> {
     // The control run must be fault-free even when the caller's cluster
     // already carries a plan (e.g. `repro --faults` attaches one globally).
     let clean = cluster.clone().without_faults();
-    let base_out = algo.run(&clean, spec, r.to_vec(), s.to_vec());
+    let base_out = algo.try_run(&clean, spec, r.to_vec(), s.to_vec())?;
     let chaotic = cluster.clone().with_fault_policy(plan, policy);
-    let fault_out = algo.run(&chaotic, spec, r.to_vec(), s.to_vec());
+    let fault_out = algo.try_run(&chaotic, spec, r.to_vec(), s.to_vec())?;
     assert_eq!(
         fault_out.result_count, base_out.result_count,
         "fault recovery must not change the join result"
@@ -237,7 +223,7 @@ pub fn run_fault_ab(
     exec.accumulate(&fault_out.metrics.construction);
     exec.accumulate(&fault_out.metrics.join);
     let net = NetModel::gigabit(cluster.nodes());
-    FaultAb {
+    Ok(FaultAb {
         baseline: RunResult::from_output(&base_out, &net),
         faulted: RunResult::from_output(&fault_out, &net),
         attempts: exec.attempts,
@@ -245,7 +231,7 @@ pub fn run_fault_ab(
         failed_attempts: exec.failed_attempts,
         speculative_wins: exec.speculative_wins,
         blacklisted_nodes: exec.blacklisted_nodes,
-    }
+    })
 }
 
 /// Formats bytes as mebibytes with two decimals.
@@ -278,8 +264,8 @@ mod tests {
         let spec = JoinSpec::new(PAPER_BBOX, cfg.default_eps)
             .with_partitions(cfg.partitions)
             .counting_only();
-        let a = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 2);
-        let b = run_once(&cluster, &spec, Algorithm::Lpib, &r, &s);
+        let a = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 2).expect("join runs");
+        let b = run_once(&cluster, &spec, Algorithm::Lpib, &r, &s).expect("join runs");
         assert_eq!(a.replicated, b.replicated);
         assert_eq!(a.results, b.results);
         assert!(a.sim_time > 0.0);
@@ -303,7 +289,8 @@ mod tests {
             &s,
             plan,
             RetryPolicy::default().with_max_attempts(8),
-        );
+        )
+        .expect("both legs run");
         assert_eq!(ab.baseline.results, ab.faulted.results);
         assert!(ab.attempts > 0);
         // Without speculation every failed attempt is followed by a retry.

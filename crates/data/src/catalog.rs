@@ -27,6 +27,32 @@ pub enum GenKind {
     Uniform,
 }
 
+impl GenKind {
+    /// CLI / queue-file spelling of this distribution family.
+    pub fn name(self) -> &'static str {
+        match self {
+            GenKind::GaussianClusters => "gaussian",
+            GenKind::Hydrography => "hydrography",
+            GenKind::Parks => "parks",
+            GenKind::Uniform => "uniform",
+        }
+    }
+}
+
+impl std::str::FromStr for GenKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Ok(match s {
+            "gaussian" => GenKind::GaussianClusters,
+            "hydrography" => GenKind::Hydrography,
+            "parks" => GenKind::Parks,
+            "uniform" => GenKind::Uniform,
+            other => return Err(format!("unknown generator kind '{other}'")),
+        })
+    }
+}
+
 /// A named, reproducible dataset: distribution, cardinality and seed.
 #[derive(Debug, Clone)]
 pub struct DatasetSpec {

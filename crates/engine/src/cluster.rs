@@ -69,6 +69,10 @@ impl ClusterConfig {
     }
 }
 
+/// What a stage returns: one result per task, in task order, and the stage's
+/// execution stats — or the [`JobError`] of the task that ran out of attempts.
+pub type StageResult<R> = Result<(Vec<R>, ExecStats), JobError>;
+
 /// A handle to the simulated cluster: executes partitioned stages and owns
 /// the node topology (partition → node binding).
 #[derive(Debug, Clone)]
@@ -329,55 +333,21 @@ impl Cluster {
         partition % self.config.nodes
     }
 
-    /// Runs one task per element of `tasks`, placing task `i` on
-    /// `node_of_partition(i)`.
+    /// Runs one task per element of `tasks` as the stage `stage` (the name of
+    /// its recorded task spans, fail points and checkpoint keys), task `i` on
+    /// node [`node_of_partition`](Cluster::node_of_partition)`(i)` — the only
+    /// binding consistent with the shuffle's remote/local byte metering.
     ///
-    /// # Panics
-    /// Panics if the stage fails (task panic past the retry budget).
-    pub fn run_partitioned<T, R, F>(&self, tasks: Vec<T>, f: F) -> (Vec<R>, ExecStats)
-    where
-        T: Send + Sync + Clone,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.run_partitioned_stage("task", tasks, f)
-    }
-
-    /// [`Cluster::run_partitioned`] with a stage name for the recorded task
-    /// spans.
-    ///
-    /// # Panics
-    /// Panics if the stage fails (task panic past the retry budget).
-    pub fn run_partitioned_stage<T, R, F>(
-        &self,
-        stage: &str,
-        tasks: Vec<T>,
-        f: F,
-    ) -> (Vec<R>, ExecStats)
-    where
-        T: Send + Sync + Clone,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        match self.try_run_partitioned_stage(stage, tasks, f) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Cluster::run_partitioned_stage`]: a stage whose tasks
-    /// exhaust their attempts (or panic, without a retrying fault context)
-    /// reports a [`JobError`] instead of panicking the driver.
+    /// With a fault context attached the stage's attempts are subject to
+    /// injection, retries, blacklisting and speculation; without one it runs
+    /// single-attempt. Either way a task that exhausts its attempts (or
+    /// panics without a retry budget) surfaces as a [`JobError`]; the driver
+    /// never unwinds.
     ///
     /// Tasks are `Clone` because the fault-tolerant executor may re-run one
     /// on another node — the analog of Spark recomputing a partition from
     /// lineage.
-    pub fn try_run_partitioned_stage<T, R, F>(
-        &self,
-        stage: &str,
-        tasks: Vec<T>,
-        f: F,
-    ) -> Result<(Vec<R>, ExecStats), JobError>
+    pub fn run_stage<T, R, F>(&self, stage: &str, tasks: Vec<T>, f: F) -> StageResult<R>
     where
         T: Send + Sync + Clone,
         R: Send,
@@ -386,67 +356,6 @@ impl Cluster {
         let placement: Vec<usize> = (0..tasks.len())
             .map(|i| self.node_of_partition(i))
             .collect();
-        self.try_run_placed_stage(stage, tasks, &placement, f)
-    }
-
-    /// Runs tasks with an explicit node placement.
-    ///
-    /// # Panics
-    /// Panics if the stage fails (task panic past the retry budget).
-    pub fn run_placed<T, R, F>(
-        &self,
-        tasks: Vec<T>,
-        placement: &[usize],
-        f: F,
-    ) -> (Vec<R>, ExecStats)
-    where
-        T: Send + Sync + Clone,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.run_placed_stage("task", tasks, placement, f)
-    }
-
-    /// [`Cluster::run_placed`] with a stage name for the recorded task spans.
-    ///
-    /// # Panics
-    /// Panics if the stage fails (task panic past the retry budget).
-    pub fn run_placed_stage<T, R, F>(
-        &self,
-        stage: &str,
-        tasks: Vec<T>,
-        placement: &[usize],
-        f: F,
-    ) -> (Vec<R>, ExecStats)
-    where
-        T: Send + Sync + Clone,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        match self.try_run_placed_stage(stage, tasks, placement, f) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Cluster::run_placed_stage`]; see
-    /// [`Cluster::try_run_partitioned_stage`] for the error contract.
-    ///
-    /// With a fault context attached the stage's attempts are subject to
-    /// injection, retries, blacklisting and speculation; without one it
-    /// runs single-attempt with panics caught and surfaced as [`JobError`]s.
-    pub fn try_run_placed_stage<T, R, F>(
-        &self,
-        stage: &str,
-        tasks: Vec<T>,
-        placement: &[usize],
-        f: F,
-    ) -> Result<(Vec<R>, ExecStats), JobError>
-    where
-        T: Send + Sync + Clone,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
         // Stage boundary: under a job server, park here until this job is
         // granted its quantum; the grant covers this one stage plus the
         // driver work that follows it.
@@ -457,7 +366,7 @@ impl Cluster {
             self.config.threads,
             self.config.nodes,
             tasks,
-            placement,
+            &placement,
             &self.recorder,
             stage,
             self.faults.as_deref(),
@@ -469,23 +378,22 @@ impl Cluster {
         result
     }
 
-    /// [`Cluster::run_placed_stage`] for stages whose per-task result is a
-    /// `(records, accumulator)` pair of [`Wire`] types — the shape of the
-    /// partition-local join phase. When a checkpoint store is attached, the
-    /// stage's outputs are persisted under the scope's next key for `stage`
-    /// and consulted before recomputing, exactly like the shuffle fast path
-    /// in `try_shuffle_stage`: a hit replays the persisted results in zero
-    /// simulated time (the join phase is the ε-grid's memory-pressure peak,
-    /// so skipping it on recovery is the largest saving available), a miss
-    /// or any checkpoint I/O trouble degrades to recomputation, and a failed
-    /// save never fails the stage.
-    pub fn run_placed_stage_checkpointed<T, Rec, Acc, F>(
+    /// [`Cluster::run_stage`] for stages whose per-task result is a
+    /// `(records, accumulator)` pair of [`Wire`](crate::wire::Wire) types —
+    /// the shape of the partition-local join phase. When a checkpoint store
+    /// is attached, the stage's outputs are persisted under the scope's next
+    /// key for `stage` and consulted before recomputing, exactly like the
+    /// shuffle fast path in `KeyedDataset::shuffle_stage`: a hit replays the
+    /// persisted results in zero simulated time (the join phase is the
+    /// ε-grid's memory-pressure peak, so skipping it on recovery is the
+    /// largest saving available), a miss or any checkpoint I/O trouble
+    /// degrades to recomputation, and a failed save never fails the stage.
+    pub fn run_stage_checkpointed<T, Rec, Acc, F>(
         &self,
         stage: &str,
         tasks: Vec<T>,
-        placement: &[usize],
         f: F,
-    ) -> (Vec<(Vec<Rec>, Acc)>, ExecStats)
+    ) -> StageResult<(Vec<Rec>, Acc)>
     where
         T: Send + Sync + Clone,
         Rec: crate::wire::Wire + Send,
@@ -493,7 +401,7 @@ impl Cluster {
         F: Fn(usize, T) -> (Vec<Rec>, Acc) + Sync,
     {
         let Some(ck) = self.checkpoint() else {
-            return self.run_placed_stage(stage, tasks, placement, f);
+            return self.run_stage(stage, tasks, f);
         };
         let key = ck.next_key(stage);
         if let Ok(Some(parts)) = ck.store().load_join::<Rec, Acc>(&key) {
@@ -505,16 +413,16 @@ impl Cluster {
                 let stats = self.note_recovered_stage();
                 ck.store().note_recovered();
                 self.recorder().counter_add(stage, "stages_recovered", 1);
-                return (parts, stats);
+                return Ok((parts, stats));
             }
         }
-        let (out, stats) = self.run_placed_stage(stage, tasks, placement, f);
+        let (out, stats) = self.run_stage(stage, tasks, f)?;
         if let Ok(bytes) = ck.store().save_join(&key, &out) {
             self.recorder()
                 .counter_add(stage, "checkpoint_bytes", bytes);
             ck.journal_stage_complete(stage, &key, bytes);
         }
-        (out, stats)
+        Ok((out, stats))
     }
 
     /// Makes a value available to every task, like Spark's broadcast
@@ -564,7 +472,9 @@ mod tests {
     #[test]
     fn run_partitioned_attributes_round_robin() {
         let c = Cluster::new(ClusterConfig::with_threads(3, 2));
-        let (out, stats) = c.run_partitioned(vec![1u64, 2, 3, 4, 5, 6], |i, t| t + i as u64);
+        let (out, stats) = c
+            .run_stage("task", vec![1u64, 2, 3, 4, 5, 6], |i, t| t + i as u64)
+            .expect("stage runs");
         assert_eq!(out, vec![1, 3, 5, 7, 9, 11]);
         assert_eq!(stats.per_node_busy.len(), 3);
     }
@@ -601,7 +511,7 @@ mod tests {
     fn try_stage_reports_panics_as_job_errors() {
         let c = Cluster::new(ClusterConfig::with_threads(2, 2));
         let err = c
-            .try_run_partitioned_stage("boom", vec![1u32, 2, 3], |_, t| {
+            .run_stage("boom", vec![1u32, 2, 3], |_, t| {
                 assert!(t != 2, "poison value");
                 t
             })
@@ -614,13 +524,17 @@ mod tests {
     fn fault_context_routes_stages_through_recovery() {
         let plan = FaultPlan::none().with_fail_point("task", 0, 1);
         let c = Cluster::new(ClusterConfig::with_threads(2, 2)).with_faults(plan);
-        let (out, stats) = c.run_partitioned(vec![10u64, 20], |_, t| t + 1);
+        let (out, stats) = c
+            .run_stage("task", vec![10u64, 20], |_, t| t + 1)
+            .expect("recovers");
         assert_eq!(out, vec![11, 21]);
         assert_eq!(stats.attempts, 3, "one injected failure plus two wins");
         assert_eq!(stats.retries, 1);
         // Fail points match by stage name: a differently-named stage is
         // untouched by the plan.
-        let (_, stats2) = c.run_partitioned_stage("clean", vec![1u64], |_, t| t);
+        let (_, stats2) = c
+            .run_stage("clean", vec![1u64], |_, t| t)
+            .expect("stage runs");
         assert_eq!(stats2.retries, 0);
     }
 
@@ -630,12 +544,14 @@ mod tests {
         let c = Cluster::new(ClusterConfig::with_threads(1, 1))
             .with_retry_policy(RetryPolicy::default());
         let flaky = AtomicUsize::new(0);
-        let (out, stats) = c.run_partitioned(vec![5u32], |_, t| {
-            if flaky.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("transient");
-            }
-            t
-        });
+        let (out, stats) = c
+            .run_stage("task", vec![5u32], |_, t| {
+                if flaky.fetch_add(1, Ordering::Relaxed) == 0 {
+                    panic!("transient");
+                }
+                t
+            })
+            .expect("retried");
         assert_eq!(out, vec![5]);
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.failed_attempts, 1);
@@ -646,7 +562,9 @@ mod tests {
         let r = Recorder::for_nodes(2);
         let c = Cluster::new(ClusterConfig::with_threads(2, 2)).with_recorder(r.clone());
         assert!(c.recorder().is_enabled());
-        let (out, stats) = c.run_partitioned_stage("double", vec![1u64, 2, 3, 4], |_, t| t * 2);
+        let (out, stats) = c
+            .run_stage("double", vec![1u64, 2, 3, 4], |_, t| t * 2)
+            .expect("stage runs");
         assert_eq!(out, vec![2, 4, 6, 8]);
         let trace = r.snapshot();
         assert_eq!(trace.spans.len(), 4);

@@ -11,21 +11,32 @@ use rand::{Rng, SeedableRng};
 /// A partitioned, in-memory collection — the engine's RDD analog.
 ///
 /// Partition `i` lives on simulated node [`Cluster::node_of_partition`]`(i)`.
-/// All transformations execute one task per partition on the cluster pool and
-/// report per-node [`ExecStats`].
+/// Stage-running operators execute one task per partition on the cluster
+/// pool, report per-node [`ExecStats`] and return a [`JobError`] when a task
+/// exhausts its attempts.
 ///
 /// # Example
 ///
 /// ```
-/// use asj_engine::{Cluster, ClusterConfig, Dataset, HashPartitioner};
+/// use asj_engine::{Cluster, ClusterConfig, Dataset, HashPartitioner, JobError, KeyedDataset};
 ///
+/// # fn main() -> Result<(), JobError> {
 /// let cluster = Cluster::new(ClusterConfig::new(4));
 /// let data = Dataset::from_vec((0..1000u64).collect(), 8);
-/// let (evens, _) = data.filter(&cluster, |x| x % 2 == 0);
-/// let (keyed, _) = evens.flat_map_to_pairs(&cluster, |x, out| out.push((x % 10, x)));
-/// let (shuffled, stats, _) = keyed.shuffle(&cluster, &HashPartitioner::new(16));
-/// assert_eq!(shuffled.len(), 500);
+/// let (sampled, _) = data.try_sample(&cluster, 1.0, 7)?;
+/// assert_eq!(sampled.len(), 1000);
+/// let (keyed, _) = cluster.run_stage("key", data.into_partitions(), |_, part| {
+///     part.into_iter().map(|x| (x % 10, x)).collect::<Vec<_>>()
+/// })?;
+/// let (shuffled, stats, _) = KeyedDataset::from_partitions(keyed).shuffle_stage(
+///     &cluster,
+///     &HashPartitioner::new(16),
+///     "shuffle",
+/// )?;
+/// assert_eq!(shuffled.len(), 1000);
 /// assert!(stats.remote_bytes + stats.local_bytes > 0);
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dataset<T> {
@@ -57,25 +68,6 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     pub fn from_partitions(parts: Vec<Vec<T>>) -> Self {
         assert!(!parts.is_empty(), "need at least one partition");
         Dataset { parts }
-    }
-
-    /// Builds a dataset by running one generator task per partition in
-    /// parallel (used by the synthetic workload generators).
-    pub fn generate<F>(cluster: &Cluster, partitions: usize, f: F) -> (Self, ExecStats)
-    where
-        F: Fn(usize) -> Vec<T> + Sync,
-    {
-        let (parts, stats) = cluster.run_partitioned_stage(
-            "generate",
-            (0..partitions).collect::<Vec<_>>(),
-            |_, i| f(i),
-        );
-        (Dataset { parts }, stats)
-    }
-
-    #[inline]
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
     }
 
     /// Total records across partitions.
@@ -110,103 +102,36 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         self.parts
     }
 
-    /// Element-wise transformation (Spark `map`).
-    pub fn map<U, F>(self, cluster: &Cluster, f: F) -> (Dataset<U>, ExecStats)
-    where
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        match self.try_map(cluster, f) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Dataset::map`]: a panic in `f` (past the retry budget, if a
-    /// fault context is attached) becomes a [`JobError`].
-    pub fn try_map<U, F>(self, cluster: &Cluster, f: F) -> Result<(Dataset<U>, ExecStats), JobError>
-    where
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        let (parts, stats) = cluster.try_run_partitioned_stage("map", self.parts, |_, part| {
-            part.into_iter().map(&f).collect()
-        })?;
-        Ok((Dataset { parts }, stats))
-    }
-
-    /// Keeps only records satisfying `pred` (Spark `filter`).
-    pub fn filter<F>(self, cluster: &Cluster, pred: F) -> (Dataset<T>, ExecStats)
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        match self.try_filter(cluster, pred) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Dataset::filter`]; see [`Dataset::try_map`].
-    pub fn try_filter<F>(
-        self,
-        cluster: &Cluster,
-        pred: F,
-    ) -> Result<(Dataset<T>, ExecStats), JobError>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        let (parts, stats) =
-            cluster.try_run_partitioned_stage("filter", self.parts, |_, part: Vec<T>| {
-                part.into_iter().filter(|t| pred(t)).collect::<Vec<T>>()
-            })?;
-        Ok((Dataset { parts }, stats))
-    }
-
-    /// Concatenates two datasets partition-wise (Spark `union`): the result
-    /// has the partitions of `self` followed by those of `other`.
-    pub fn union(mut self, other: Dataset<T>) -> Dataset<T> {
-        self.parts.extend(other.parts);
-        self
-    }
-
     /// Bernoulli sample of every partition, gathered on the driver — the
     /// `sample(φ).forEach(...)` step of Algorithm 5. Deterministic for a
     /// given `seed`.
-    pub fn sample(&self, cluster: &Cluster, fraction: f64, seed: u64) -> (Vec<T>, ExecStats) {
+    pub fn try_sample(
+        &self,
+        cluster: &Cluster,
+        fraction: f64,
+        seed: u64,
+    ) -> Result<(Vec<T>, ExecStats), JobError> {
         assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
         let refs: Vec<&Vec<T>> = self.parts.iter().collect();
-        let (sampled, stats) = cluster.run_partitioned_stage("sample", refs, |idx, part| {
+        let (sampled, stats) = cluster.run_stage("sample", refs, |idx, part| {
             let mut rng = SmallRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0xA24B_AED4));
             part.iter()
                 .filter(|_| rng.gen_bool(fraction))
                 .cloned()
                 .collect::<Vec<T>>()
-        });
-        (sampled.into_iter().flatten().collect(), stats)
+        })?;
+        Ok((sampled.into_iter().flatten().collect(), stats))
     }
 
-    /// Expands every record into zero or more key–value pairs (Spark
-    /// `flatMapToPair`): the spatial-mapping step that replicates a tuple
-    /// once per assigned cell id.
-    pub fn flat_map_to_pairs<K, V, F>(
-        self,
-        cluster: &Cluster,
-        f: F,
-    ) -> (KeyedDataset<K, V>, ExecStats)
-    where
-        K: Send,
-        V: Send,
-        F: Fn(T, &mut Vec<(K, V)>) + Sync,
-    {
-        let (parts, stats) =
-            cluster.run_partitioned_stage("flat_map_to_pairs", self.parts, |_, part| {
-                let mut out = Vec::with_capacity(part.len());
-                for rec in part {
-                    f(rec, &mut out);
-                }
-                out
-            });
-        (KeyedDataset { parts }, stats)
+    /// Infallible [`Dataset::try_sample`].
+    ///
+    /// # Panics
+    /// Panics if the stage fails.
+    #[deprecated(note = "frozen for benchmark/src/probe.rs; use try_sample")]
+    #[allow(clippy::panic)]
+    pub fn sample(&self, cluster: &Cluster, fraction: f64, seed: u64) -> (Vec<T>, ExecStats) {
+        self.try_sample(cluster, fraction, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -268,10 +193,13 @@ where
         self.parts
     }
 
-    /// Repartitions by key. Every record is charged its [`Wire`]-encoded size
-    /// against the simulated network: bytes are *remote* when the source and
-    /// target partitions live on different nodes, *local* otherwise — Spark's
-    /// shuffle remote reads versus local reads.
+    /// Infallible [`KeyedDataset::shuffle_stage`] under the stage name
+    /// `"shuffle"`.
+    ///
+    /// # Panics
+    /// Panics if the stage fails.
+    #[deprecated(note = "frozen for benchmark/src/probe.rs; use shuffle_stage")]
+    #[allow(clippy::panic)]
     pub fn shuffle<P>(
         self,
         cluster: &Cluster,
@@ -281,29 +209,16 @@ where
         P: Partitioner<K> + ?Sized,
     {
         self.shuffle_stage(cluster, partitioner, "shuffle")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`KeyedDataset::shuffle`] with a stage name: task spans, the
-    /// per-partition byte events and the mirrored `remote_bytes` /
-    /// `local_bytes` / `records` counters are all recorded under `stage`.
+    /// Repartitions by key. Every record is charged its [`Wire`]-encoded size
+    /// against the simulated network: bytes are *remote* when the source and
+    /// target partitions live on different nodes, *local* otherwise — Spark's
+    /// shuffle remote reads versus local reads. Task spans, the per-partition
+    /// byte events and the mirrored `remote_bytes` / `local_bytes` /
+    /// `records` counters are all recorded under `stage`.
     pub fn shuffle_stage<P>(
-        self,
-        cluster: &Cluster,
-        partitioner: &P,
-        stage: &str,
-    ) -> (KeyedDataset<K, V>, ShuffleStats, ExecStats)
-    where
-        P: Partitioner<K> + ?Sized,
-    {
-        match self.try_shuffle_stage(cluster, partitioner, stage) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`KeyedDataset::shuffle_stage`]: task failures past the retry
-    /// budget surface as a [`JobError`] instead of a panic.
-    pub fn try_shuffle_stage<P>(
         self,
         cluster: &Cluster,
         partitioner: &P,
@@ -358,7 +273,7 @@ where
     {
         let targets = partitioner.num_partitions();
         let pool = cluster.buffer_pool();
-        cluster.try_run_partitioned_stage(stage, self.parts, |src_idx, part| {
+        cluster.run_stage(stage, self.parts, |src_idx, part| {
             let src_node = cluster.node_of_partition(src_idx);
             let mut charges = ChargeGuard::new(cluster.memory_arc());
             let mut shuffle = ShuffleStats {
@@ -601,25 +516,7 @@ where
     /// co-group): values are grouped by key within every partition and the
     /// kernel is invoked once per key. Used by the distance *self-join*,
     /// where a single shuffled dataset joins with itself cell by cell.
-    pub fn process_groups<R, F>(
-        self,
-        cluster: &Cluster,
-        placement: &[usize],
-        kernel: F,
-    ) -> (Dataset<R>, ExecStats)
-    where
-        K: Ord,
-        R: Send,
-        F: Fn(K, &[V], &mut Vec<R>) + Sync,
-    {
-        let (ds, _, stats) =
-            self.process_groups_fold(cluster, placement, |k, vs, out, _acc: &mut ()| {
-                kernel(k, vs, out)
-            });
-        (ds, stats)
-    }
-
-    /// [`KeyedDataset::process_groups`] with a per-partition accumulator:
+    ///
     /// `kernel` folds into an `A` that starts at `A::default()` for every
     /// task *attempt* and is committed together with the partition's output.
     /// This is the fault-safe replacement for accumulating side statistics
@@ -628,120 +525,50 @@ where
     pub fn process_groups_fold<R, A, F>(
         self,
         cluster: &Cluster,
-        placement: &[usize],
         kernel: F,
-    ) -> (Dataset<R>, Vec<A>, ExecStats)
+    ) -> Result<(Dataset<R>, Vec<A>, ExecStats), JobError>
     where
         K: Ord,
         R: Send,
         A: Default + Send,
         F: Fn(K, &[V], &mut Vec<R>, &mut A) + Sync,
     {
-        let (folded, stats) =
-            cluster.run_placed_stage("process_groups", self.parts, placement, |_, mut part| {
-                part.sort_unstable_by_key(|x| x.0);
-                let mut out = Vec::new();
-                let mut acc = A::default();
-                let mut values: Vec<V> = Vec::new();
-                let mut it = part.into_iter().peekable();
-                while let Some(k) = it.peek().map(|x| x.0) {
-                    values.clear();
-                    while it.peek().is_some_and(|x| x.0 == k) {
-                        values.push(it.next().expect("peeked").1);
-                    }
-                    kernel(k, &values, &mut out, &mut acc);
+        let (folded, stats) = cluster.run_stage("process_groups", self.parts, |_, mut part| {
+            part.sort_unstable_by_key(|x| x.0);
+            let mut out = Vec::new();
+            let mut acc = A::default();
+            let mut values: Vec<V> = Vec::new();
+            let mut it = part.into_iter().peekable();
+            while let Some(k) = it.peek().map(|x| x.0) {
+                values.clear();
+                while it.peek().is_some_and(|x| x.0 == k) {
+                    values.push(it.next().expect("peeked").1);
                 }
-                (out, acc)
-            });
+                kernel(k, &values, &mut out, &mut acc);
+            }
+            (out, acc)
+        })?;
         let (parts, accs) = folded.into_iter().unzip();
-        (Dataset { parts }, accs, stats)
-    }
-
-    /// Combines the values of every key with `combine` after shuffling by
-    /// `partitioner` (Spark `reduceByKey`). Returns one `(key, value)` per
-    /// distinct key.
-    pub fn reduce_by_key<P, F>(
-        self,
-        cluster: &Cluster,
-        partitioner: &P,
-        combine: F,
-    ) -> (KeyedDataset<K, V>, ShuffleStats, ExecStats)
-    where
-        K: Ord,
-        P: Partitioner<K> + ?Sized,
-        F: Fn(V, V) -> V + Sync,
-    {
-        let (shuffled, shuffle, mut exec) =
-            self.shuffle_stage(cluster, partitioner, "reduce_by_key");
-        let (parts, ex) = cluster.run_partitioned_stage(
-            "reduce_by_key.combine",
-            shuffled.parts,
-            |_, mut part| {
-                part.sort_unstable_by_key(|x| x.0);
-                let mut out: Vec<(K, V)> = Vec::new();
-                let mut it = part.into_iter();
-                if let Some((mut ck, mut cv)) = it.next() {
-                    for (k, v) in it {
-                        if k == ck {
-                            cv = combine(cv, v);
-                        } else {
-                            out.push((ck, cv));
-                            ck = k;
-                            cv = v;
-                        }
-                    }
-                    out.push((ck, cv));
-                }
-                out
-            },
-        );
-        exec.accumulate(&ex);
-        (KeyedDataset { parts }, shuffle, exec)
+        Ok((Dataset { parts }, accs, stats))
     }
 
     /// Co-grouped join against `other` (must be partitioned by the same
     /// partitioner): for every key present on both sides of a partition,
-    /// `kernel` receives the two value groups and emits results.
+    /// `kernel` receives the two value groups and emits results, folding
+    /// side statistics into a per-partition accumulator (see
+    /// [`KeyedDataset::process_groups_fold`] for why they must travel with
+    /// the task result rather than through shared atomics).
     ///
     /// This fuses Spark's `join(...)` with the subsequent refinement
     /// `filter(d(r, s) ≤ ε)` of Algorithm 5, exactly as the paper describes
     /// ("directly after the production of a candidate pair, their actual
     /// distance is computed").
-    ///
-    /// `placement[i]` gives the simulated node of partition `i`; pass
-    /// round-robin for Spark-default behaviour.
-    pub fn cogroup_join<V2, R, F>(
-        self,
-        cluster: &Cluster,
-        other: KeyedDataset<K, V2>,
-        placement: &[usize],
-        kernel: F,
-    ) -> (Dataset<R>, ExecStats)
-    where
-        K: Ord,
-        V2: Wire + Send + Sync + Clone,
-        R: Send,
-        F: Fn(K, &[V], &[V2], &mut Vec<R>) + Sync,
-    {
-        let (ds, _, stats) = self.cogroup_join_fold(
-            cluster,
-            other,
-            placement,
-            |k, va, vb, out, _acc: &mut ()| kernel(k, va, vb, out),
-        );
-        (ds, stats)
-    }
-
-    /// [`KeyedDataset::cogroup_join`] with a per-partition accumulator; see
-    /// [`KeyedDataset::process_groups_fold`] for why side statistics must
-    /// travel with the task result rather than through shared atomics.
     pub fn cogroup_join_fold<V2, R, A, F>(
         self,
         cluster: &Cluster,
         other: KeyedDataset<K, V2>,
-        placement: &[usize],
         kernel: F,
-    ) -> (Dataset<R>, Vec<A>, ExecStats)
+    ) -> Result<(Dataset<R>, Vec<A>, ExecStats), JobError>
     where
         K: Ord,
         V2: Wire + Send + Sync + Clone,
@@ -749,19 +576,66 @@ where
         A: Default + Send,
         F: Fn(K, &[V], &[V2], &mut Vec<R>, &mut A) + Sync,
     {
-        match self.try_cogroup_join_fold(cluster, other, placement, kernel) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
+        self.cogroup_sorted_by(
+            cluster,
+            other,
+            |a| a.sort_unstable_by_key(|x| x.0),
+            |b| b.sort_unstable_by_key(|x| x.0),
+            kernel,
+        )
     }
 
-    /// Fallible [`KeyedDataset::cogroup_join_fold`]: task failures past the
-    /// retry budget surface as a [`JobError`] instead of a panic.
-    pub fn try_cogroup_join_fold<V2, R, A, F>(
+    /// [`KeyedDataset::cogroup_join_fold`] with a *secondary sort*: each
+    /// partition is sorted once by `(key, sort_key)`, so every value group
+    /// handed to `kernel` arrives already ordered by `sort_key`. A
+    /// plane-sweep local kernel can then skip its per-group sort — the sort
+    /// happens once per partition instead of once per cell (Spark's
+    /// `repartitionAndSortWithinPartitions` idiom).
+    pub fn cogroup_join_sorted_fold<V2, R, A, F, SA, SB>(
         self,
         cluster: &Cluster,
         other: KeyedDataset<K, V2>,
-        placement: &[usize],
+        sort_key_a: SA,
+        sort_key_b: SB,
+        kernel: F,
+    ) -> Result<(Dataset<R>, Vec<A>, ExecStats), JobError>
+    where
+        K: Ord,
+        V2: Wire + Send + Sync + Clone,
+        R: Send,
+        A: Default + Send,
+        F: Fn(K, &[V], &[V2], &mut Vec<R>, &mut A) + Sync,
+        SA: Fn(&V) -> f64 + Sync,
+        SB: Fn(&V2) -> f64 + Sync,
+    {
+        self.cogroup_sorted_by(
+            cluster,
+            other,
+            |a| {
+                a.sort_unstable_by(|x, y| {
+                    x.0.cmp(&y.0)
+                        .then_with(|| sort_key_a(&x.1).total_cmp(&sort_key_a(&y.1)))
+                })
+            },
+            |b| {
+                b.sort_unstable_by(|x, y| {
+                    x.0.cmp(&y.0)
+                        .then_with(|| sort_key_b(&x.1).total_cmp(&sort_key_b(&y.1)))
+                })
+            },
+            kernel,
+        )
+    }
+
+    /// The `cogroup_join` stage both co-grouped joins run: zip the two
+    /// sides' partitions, sort each with the caller's order (by key, at
+    /// least) and merge.
+    fn cogroup_sorted_by<V2, R, A, F>(
+        self,
+        cluster: &Cluster,
+        other: KeyedDataset<K, V2>,
+        sort_a: impl Fn(&mut Vec<(K, V)>) + Sync,
+        sort_b: impl Fn(&mut Vec<(K, V2)>) + Sync,
         kernel: F,
     ) -> Result<(Dataset<R>, Vec<A>, ExecStats), JobError>
     where
@@ -777,64 +651,13 @@ where
             "joined datasets must share the partitioner"
         );
         let tasks: CogroupTasks<K, V, V2> = self.parts.into_iter().zip(other.parts).collect();
-        let (folded, stats) = cluster.try_run_placed_stage(
-            "cogroup_join",
-            tasks,
-            placement,
-            |_, (mut a, mut b)| {
-                a.sort_unstable_by_key(|x| x.0);
-                b.sort_unstable_by_key(|x| x.0);
-                merge_cogroups(a, b, &kernel)
-            },
-        )?;
+        let (folded, stats) = cluster.run_stage("cogroup_join", tasks, |_, (mut a, mut b)| {
+            sort_a(&mut a);
+            sort_b(&mut b);
+            merge_cogroups(a, b, &kernel)
+        })?;
         let (parts, accs) = folded.into_iter().unzip();
         Ok((Dataset { parts }, accs, stats))
-    }
-
-    /// [`KeyedDataset::cogroup_join_fold`] with a *secondary sort*: each
-    /// partition is sorted once by `(key, sort_key)`, so every value group
-    /// handed to `kernel` arrives already ordered by `sort_key`. A
-    /// plane-sweep local kernel can then skip its per-group sort — the sort
-    /// happens once per partition instead of once per cell (Spark's
-    /// `repartitionAndSortWithinPartitions` idiom).
-    pub fn cogroup_join_sorted_fold<V2, R, A, F, SA, SB>(
-        self,
-        cluster: &Cluster,
-        other: KeyedDataset<K, V2>,
-        placement: &[usize],
-        sort_key_a: SA,
-        sort_key_b: SB,
-        kernel: F,
-    ) -> (Dataset<R>, Vec<A>, ExecStats)
-    where
-        K: Ord,
-        V2: Wire + Send + Sync + Clone,
-        R: Send,
-        A: Default + Send,
-        F: Fn(K, &[V], &[V2], &mut Vec<R>, &mut A) + Sync,
-        SA: Fn(&V) -> f64 + Sync,
-        SB: Fn(&V2) -> f64 + Sync,
-    {
-        assert_eq!(
-            self.parts.len(),
-            other.parts.len(),
-            "joined datasets must share the partitioner"
-        );
-        let tasks: CogroupTasks<K, V, V2> = self.parts.into_iter().zip(other.parts).collect();
-        let (folded, stats) =
-            cluster.run_placed_stage("cogroup_join", tasks, placement, |_, (mut a, mut b)| {
-                a.sort_unstable_by(|x, y| {
-                    x.0.cmp(&y.0)
-                        .then_with(|| sort_key_a(&x.1).total_cmp(&sort_key_a(&y.1)))
-                });
-                b.sort_unstable_by(|x, y| {
-                    x.0.cmp(&y.0)
-                        .then_with(|| sort_key_b(&x.1).total_cmp(&sort_key_b(&y.1)))
-                });
-                merge_cogroups(a, b, &kernel)
-            });
-        let (parts, accs) = folded.into_iter().unzip();
-        (Dataset { parts }, accs, stats)
     }
 }
 
@@ -888,6 +711,15 @@ mod tests {
         Cluster::new(ClusterConfig::with_threads(3, 2))
     }
 
+    /// `shuffle_stage` under the default stage name, unwrapped.
+    fn shuffle<P: Partitioner<u64>>(
+        kd: KeyedDataset<u64, u64>,
+        c: &Cluster,
+        p: &P,
+    ) -> (KeyedDataset<u64, u64>, ShuffleStats, ExecStats) {
+        kd.shuffle_stage(c, p, "shuffle").expect("shuffle runs")
+    }
+
     #[test]
     fn from_vec_balances_partitions() {
         let d = Dataset::from_vec((0..10u32).collect(), 3);
@@ -899,38 +731,18 @@ mod tests {
     }
 
     #[test]
-    fn map_preserves_partitioning() {
-        let c = cluster();
-        let d = Dataset::from_vec((0..100u64).collect(), 7);
-        let (d2, _) = d.map(&c, |x| x * 3);
-        assert_eq!(d2.num_partitions(), 7);
-        assert_eq!(
-            d2.iter().copied().sum::<u64>(),
-            (0..100u64).map(|x| x * 3).sum()
-        );
-    }
-
-    #[test]
-    fn generate_runs_one_task_per_partition() {
-        let c = cluster();
-        let (d, _) = Dataset::generate(&c, 5, |i| vec![i as u32; i + 1]);
-        assert_eq!(d.num_partitions(), 5);
-        assert_eq!(d.len(), 1 + 2 + 3 + 4 + 5);
-    }
-
-    #[test]
     fn sample_is_deterministic_and_proportional() {
         let c = cluster();
         let d = Dataset::from_vec((0..20_000u64).collect(), 4);
-        let (s1, _) = d.sample(&c, 0.1, 7);
-        let (s2, _) = d.sample(&c, 0.1, 7);
+        let (s1, _) = d.try_sample(&c, 0.1, 7).expect("sample runs");
+        let (s2, _) = d.try_sample(&c, 0.1, 7).expect("sample runs");
         assert_eq!(s1, s2);
         assert!(
             (s1.len() as f64 - 2000.0).abs() < 300.0,
             "sample size {}",
             s1.len()
         );
-        let (s3, _) = d.sample(&c, 0.1, 8);
+        let (s3, _) = d.try_sample(&c, 0.1, 8).expect("sample runs");
         assert_ne!(s1, s3);
     }
 
@@ -938,20 +750,8 @@ mod tests {
     fn sample_extremes() {
         let c = cluster();
         let d = Dataset::from_vec((0..100u64).collect(), 4);
-        assert!(d.sample(&c, 0.0, 1).0.is_empty());
-        assert_eq!(d.sample(&c, 1.0, 1).0.len(), 100);
-    }
-
-    #[test]
-    fn flat_map_to_pairs_expands_records() {
-        let c = cluster();
-        let d = Dataset::from_vec(vec![1u64, 2, 3], 2);
-        let (kd, _) = d.flat_map_to_pairs(&c, |x, out| {
-            for k in 0..x {
-                out.push((k, x));
-            }
-        });
-        assert_eq!(kd.len(), 6); // 1 + 2 + 3
+        assert!(d.try_sample(&c, 0.0, 1).expect("sample runs").0.is_empty());
+        assert_eq!(d.try_sample(&c, 1.0, 1).expect("sample runs").0.len(), 100);
     }
 
     #[test]
@@ -962,7 +762,7 @@ mod tests {
             vec![(0, 20), (1, 21)],
         ]);
         let p = HashPartitioner::new(4);
-        let (shuffled, stats, _) = kd.shuffle(&c, &p);
+        let (shuffled, stats, _) = shuffle(kd, &c, &p);
         assert_eq!(shuffled.num_partitions(), 4);
         assert_eq!(stats.records, 5);
         // Every record is 16 bytes (u64 key + u64 value).
@@ -992,19 +792,13 @@ mod tests {
             KeyedDataset::from_partitions(parts)
         };
         let p = HashPartitioner::new(6);
-        let placement: Vec<usize> = (0..6).map(|t| t % 3).collect();
         let run = |c: &Cluster| {
-            let (a, _, _) = mk().shuffle(c, &p);
-            let (b, _, _) = mk().shuffle(c, &p);
-            a.try_cogroup_join_fold(
-                c,
-                b,
-                &placement,
-                |k, va, vb, out: &mut Vec<u64>, acc: &mut u64| {
-                    *acc += 1;
-                    out.push(k + va.len() as u64 + vb.len() as u64);
-                },
-            )
+            let (a, _, _) = shuffle(mk(), c, &p);
+            let (b, _, _) = shuffle(mk(), c, &p);
+            a.cogroup_join_fold(c, b, |k, va, vb, out: &mut Vec<u64>, acc: &mut u64| {
+                *acc += 1;
+                out.push(k + va.len() as u64 + vb.len() as u64);
+            })
             .expect("join recovers")
         };
         let (clean, accs_clean, _) = run(&cluster());
@@ -1031,7 +825,7 @@ mod tests {
         let parts = skewed_parts();
         let p = HashPartitioner::new(8);
         let free = cluster();
-        let (df, sf, ef) = KeyedDataset::from_partitions(parts.clone()).shuffle(&free, &p);
+        let (df, sf, ef) = shuffle(KeyedDataset::from_partitions(parts.clone()), &free, &p);
         assert_eq!(ef.spilled_bytes, 0, "no budget, nothing spills");
         assert!(
             ef.peak_memory_bytes > 0,
@@ -1042,7 +836,7 @@ mod tests {
         // spilling, never by aborting, and the results must not change.
         let budget = (ef.peak_memory_bytes / 8).max(64);
         let tight = cluster().with_memory_budget(budget);
-        let (dt, st, et) = KeyedDataset::from_partitions(parts).shuffle(&tight, &p);
+        let (dt, st, et) = shuffle(KeyedDataset::from_partitions(parts), &tight, &p);
         assert_eq!(st, sf, "ShuffleStats are spill-agnostic");
         assert_eq!(
             dt.partitions(),
@@ -1077,7 +871,7 @@ mod tests {
         let parts = skewed_parts();
         let p = HashPartitioner::new(8);
         let free = cluster();
-        let (df, _, ef) = KeyedDataset::from_partitions(parts.clone()).shuffle(&free, &p);
+        let (df, _, ef) = shuffle(KeyedDataset::from_partitions(parts.clone()), &free, &p);
 
         // First attempts of two tasks die after their charges and spill file
         // exist; the retried attempts must start from a clean ledger.
@@ -1088,7 +882,7 @@ mod tests {
                 .with_fail_point("shuffle", 3, 1),
             RetryPolicy::default().with_max_attempts(4),
         );
-        let (dt, _, et) = KeyedDataset::from_partitions(parts).shuffle(&tight, &p);
+        let (dt, _, et) = shuffle(KeyedDataset::from_partitions(parts), &tight, &p);
         assert_eq!(dt.partitions(), df.partitions());
         assert!(et.retries >= 2, "both fail points must have retried");
         assert!(et.spilled_bytes > 0);
@@ -1108,13 +902,13 @@ mod tests {
         let parts = skewed_parts();
         let p = HashPartitioner::new(8);
         let free = cluster();
-        let (_, _, ef) = KeyedDataset::from_partitions(parts.clone()).shuffle(&free, &p);
+        let (_, _, ef) = shuffle(KeyedDataset::from_partitions(parts.clone()), &free, &p);
 
         let r = Recorder::for_nodes(3);
         let tight = cluster()
             .with_memory_budget((ef.peak_memory_bytes / 8).max(64))
             .with_recorder(r.clone());
-        let (_, _, et) = KeyedDataset::from_partitions(parts).shuffle(&tight, &p);
+        let (_, _, et) = shuffle(KeyedDataset::from_partitions(parts), &tight, &p);
         assert_eq!(
             r.counter_value("shuffle", "spill_bytes"),
             Some(et.spilled_bytes),
@@ -1149,9 +943,9 @@ mod tests {
         let parts = skewed_parts();
         let p = HashPartitioner::new(8);
         let free = cluster();
-        let (df, _, _) = KeyedDataset::from_partitions(parts.clone()).shuffle(&free, &p);
+        let (df, _, _) = shuffle(KeyedDataset::from_partitions(parts.clone()), &free, &p);
         let tight = cluster().with_memory_budget(1);
-        let (dt, _, et) = KeyedDataset::from_partitions(parts).shuffle(&tight, &p);
+        let (dt, _, et) = shuffle(KeyedDataset::from_partitions(parts), &tight, &p);
         assert_eq!(dt.partitions(), df.partitions());
         assert_eq!(et.peak_memory_bytes, 0, "nothing was ever admitted");
         assert_eq!(
@@ -1172,14 +966,14 @@ mod tests {
         let data: Vec<Vec<(u64, u64)>> = (0..4)
             .map(|_| (0..500u64).map(|i| (i, i)).collect())
             .collect();
-        let (shuffled, _, _) = KeyedDataset::from_partitions(data.clone()).shuffle(&c, &p);
+        let (shuffled, _, _) = shuffle(KeyedDataset::from_partitions(data.clone()), &c, &p);
         drop(shuffled);
         let after_first = c.buffer_pool().stats();
         assert!(
             after_first.returns > 0,
             "buckets must come back to the pool"
         );
-        let (_, _, _) = KeyedDataset::from_partitions(data).shuffle(&c, &p);
+        let (_, _, _) = shuffle(KeyedDataset::from_partitions(data), &c, &p);
         let after_second = c.buffer_pool().stats().since(&after_first);
         assert!(
             after_second.hits > 0,
@@ -1193,13 +987,13 @@ mod tests {
         // 1 node: everything is local. Many nodes: most records go remote.
         let one = Cluster::new(ClusterConfig::with_threads(1, 1));
         let kd = KeyedDataset::from_partitions(vec![(0..100u64).map(|k| (k, k)).collect()]);
-        let (_, stats, _) = kd.shuffle(&one, &HashPartitioner::new(8));
+        let (_, stats, _) = shuffle(kd, &one, &HashPartitioner::new(8));
         assert_eq!(stats.remote_bytes, 0);
         assert_eq!(stats.local_bytes, 100 * 16);
 
         let many = Cluster::new(ClusterConfig::with_threads(8, 2));
         let kd = KeyedDataset::from_partitions(vec![(0..100u64).map(|k| (k, k)).collect()]);
-        let (_, stats, _) = kd.shuffle(&many, &HashPartitioner::new(8));
+        let (_, stats, _) = shuffle(kd, &many, &HashPartitioner::new(8));
         assert!(stats.remote_bytes > stats.local_bytes);
         assert_eq!(stats.total_bytes(), 100 * 16);
     }
@@ -1211,16 +1005,17 @@ mod tests {
         let a = KeyedDataset::from_partitions(vec![vec![(1u64, 10u64), (2, 20), (2, 21), (3, 30)]]);
         let b =
             KeyedDataset::from_partitions(vec![vec![(2u64, 200u64), (3, 300), (3, 301), (4, 400)]]);
-        let (a, _, _) = a.shuffle(&c, &p);
-        let (b, _, _) = b.shuffle(&c, &p);
-        let placement: Vec<usize> = (0..3).map(|i| c.node_of_partition(i)).collect();
-        let (joined, _) = a.cogroup_join(&c, b, &placement, |k, va, vb, out| {
-            for &x in va {
-                for &y in vb {
-                    out.push((k, x, y));
+        let (a, _, _) = shuffle(a, &c, &p);
+        let (b, _, _) = shuffle(b, &c, &p);
+        let (joined, _, _) = a
+            .cogroup_join_fold(&c, b, |k, va, vb, out, _: &mut ()| {
+                for &x in va {
+                    for &y in vb {
+                        out.push((k, x, y));
+                    }
                 }
-            }
-        });
+            })
+            .expect("join runs");
         let mut rows = joined.collect();
         rows.sort();
         assert_eq!(
@@ -1234,14 +1029,15 @@ mod tests {
         let c = cluster();
         let a: KeyedDataset<u64, u64> = KeyedDataset::from_partitions(vec![vec![], vec![(1, 1)]]);
         let b: KeyedDataset<u64, u64> = KeyedDataset::from_partitions(vec![vec![(2, 2)], vec![]]);
-        let placement = vec![0usize, 1];
-        let (joined, _) = a.cogroup_join(&c, b, &placement, |k, va, vb, out| {
-            for &x in va {
-                for &y in vb {
-                    out.push((k, x, y));
+        let (joined, _, _) = a
+            .cogroup_join_fold(&c, b, |k, va, vb, out, _: &mut ()| {
+                for &x in va {
+                    for &y in vb {
+                        out.push((k, x, y));
+                    }
                 }
-            }
-        });
+            })
+            .expect("join runs");
         assert!(joined.collect().is_empty());
     }
 
@@ -1261,20 +1057,20 @@ mod tests {
             (2, (12, 0.25)),
             (1, (13, 1.0)),
         ]]);
-        let placement = vec![0usize];
-        let (joined, accs, _) = a.cogroup_join_sorted_fold(
-            &c,
-            b,
-            &placement,
-            |v: &(u32, f64)| v.1,
-            |v: &(u32, f64)| v.1,
-            |k, va, vb, out, acc: &mut u64| {
-                assert!(va.windows(2).all(|w| w[0].1 <= w[1].1), "a not sorted");
-                assert!(vb.windows(2).all(|w| w[0].1 <= w[1].1), "b not sorted");
-                *acc += (va.len() * vb.len()) as u64;
-                out.push((k, va.len(), vb.len()));
-            },
-        );
+        let (joined, accs, _) = a
+            .cogroup_join_sorted_fold(
+                &c,
+                b,
+                |v: &(u32, f64)| v.1,
+                |v: &(u32, f64)| v.1,
+                |k, va, vb, out, acc: &mut u64| {
+                    assert!(va.windows(2).all(|w| w[0].1 <= w[1].1), "a not sorted");
+                    assert!(vb.windows(2).all(|w| w[0].1 <= w[1].1), "b not sorted");
+                    *acc += (va.len() * vb.len()) as u64;
+                    out.push((k, va.len(), vb.len()));
+                },
+            )
+            .expect("join runs");
         let mut rows = joined.collect();
         rows.sort();
         assert_eq!(rows, vec![(1, 3, 2), (2, 2, 2)]);
@@ -1295,83 +1091,38 @@ mod group_tests {
             vec![(1u64, 10u64), (2, 20), (1, 11)],
             vec![(2, 21), (3, 30)],
         ]);
-        let (kd, _, _) = kd.shuffle(&c, &HashPartitioner::new(4));
-        let placement: Vec<usize> = (0..4).map(|i| c.node_of_partition(i)).collect();
-        let (out, _) = kd.process_groups(&c, &placement, |k, vs, out| {
-            let mut sorted = vs.to_vec();
-            sorted.sort_unstable();
-            out.push((k, sorted));
-        });
+        let (kd, _, _) = kd
+            .shuffle_stage(&c, &HashPartitioner::new(4), "shuffle")
+            .expect("shuffle runs");
+        let (out, accs, _) = kd
+            .process_groups_fold(&c, |k, vs, out, groups: &mut u64| {
+                let mut sorted = vs.to_vec();
+                sorted.sort_unstable();
+                out.push((k, sorted));
+                *groups += 1;
+            })
+            .expect("stage runs");
         let mut rows = out.collect();
         rows.sort();
         assert_eq!(
             rows,
             vec![(1, vec![10, 11]), (2, vec![20, 21]), (3, vec![30])]
         );
+        assert_eq!(accs.len(), 4, "one accumulator per partition");
+        assert_eq!(accs.iter().sum::<u64>(), 3, "each key folded exactly once");
     }
 
     #[test]
     fn process_groups_empty_partitions() {
         let c = Cluster::new(ClusterConfig::with_threads(1, 1));
         let kd: KeyedDataset<u64, u64> = KeyedDataset::from_partitions(vec![vec![], vec![]]);
-        let (out, _) = kd.process_groups(&c, &[0, 0], |_, _, out: &mut Vec<u64>| {
-            out.push(1);
-        });
+        let (out, accs, _) = kd
+            .process_groups_fold(&c, |_, _, out: &mut Vec<u64>, calls: &mut u64| {
+                out.push(1);
+                *calls += 1;
+            })
+            .expect("stage runs");
         assert!(out.collect().is_empty());
-    }
-}
-
-#[cfg(test)]
-mod operator_tests {
-    use super::*;
-    use crate::cluster::ClusterConfig;
-    use crate::partitioner::HashPartitioner;
-
-    fn cluster() -> Cluster {
-        Cluster::new(ClusterConfig::with_threads(3, 2))
-    }
-
-    #[test]
-    fn filter_keeps_matching_records() {
-        let c = cluster();
-        let d = Dataset::from_vec((0..100u64).collect(), 5);
-        let (d, _) = d.filter(&c, |x| x % 3 == 0);
-        let mut got = d.collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..100).filter(|x| x % 3 == 0).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn union_concatenates_partitions() {
-        let a = Dataset::from_vec(vec![1u32, 2], 2);
-        let b = Dataset::from_vec(vec![3u32, 4, 5], 3);
-        let u = a.union(b);
-        assert_eq!(u.num_partitions(), 5);
-        let mut all = u.collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn reduce_by_key_sums_per_key() {
-        let c = cluster();
-        let kd = KeyedDataset::from_partitions(vec![
-            vec![(1u64, 10u64), (2, 1), (1, 5)],
-            vec![(2, 2), (3, 7), (1, 1)],
-        ]);
-        let (reduced, shuffle, _) = kd.reduce_by_key(&c, &HashPartitioner::new(4), |a, b| a + b);
-        let mut rows: Vec<(u64, u64)> = reduced.partitions().iter().flatten().copied().collect();
-        rows.sort_unstable();
-        assert_eq!(rows, vec![(1, 16), (2, 3), (3, 7)]);
-        assert_eq!(shuffle.records, 6);
-    }
-
-    #[test]
-    fn reduce_by_key_with_single_occurrences() {
-        let c = cluster();
-        let kd = KeyedDataset::from_partitions(vec![(0..50u64).map(|k| (k, 1u64)).collect()]);
-        let (reduced, _, _) = kd.reduce_by_key(&c, &HashPartitioner::new(8), |a, b| a + b);
-        assert_eq!(reduced.len(), 50);
-        assert!(reduced.partitions().iter().flatten().all(|&(_, v)| v == 1));
+        assert_eq!(accs, vec![0, 0], "no group, no kernel call");
     }
 }

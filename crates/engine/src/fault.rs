@@ -66,8 +66,9 @@ impl From<crate::wire::WireError> for TaskError {
 
 /// A job (stage) failed: some task exhausted every permitted attempt.
 ///
-/// Returned by the `try_` stage APIs; the panicking stage APIs convert it
-/// into a panic, preserving the engine's original fail-stop contract.
+/// Returned by every stage-running API ([`Cluster::run_stage`](crate::Cluster::run_stage)
+/// and the dataset operators built on it); callers thread it with `?` up to
+/// the job's entry point. The driver never unwinds on a failed stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobError {
     /// Stage name the task belonged to.

@@ -34,8 +34,9 @@
 //!   another, and (c) exclusive quanta, which make `BufferPool` deltas and
 //!   the completion-time memory **leak audit** (resident bytes must be 0
 //!   when a job finishes — every `ChargeGuard` settles at its stage's commit
-//!   point) exact rather than approximate. Panicking bodies are caught and
-//!   reported per job; the other tenants keep running.
+//!   point) exact rather than approximate. A body that returns `Err` (a
+//!   failed stage, typically) or panics is reported per job; the other
+//!   tenants keep running.
 
 use crate::bufpool::PoolStats;
 use crate::checkpoint::fnv1a;
@@ -124,7 +125,7 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-type JobBody<R> = Box<dyn FnOnce(&Cluster) -> R + Send + 'static>;
+type JobBody<R> = Box<dyn FnOnce(&Cluster) -> Result<R, String> + Send + 'static>;
 
 /// One tenant's job: a name, scheduling weight, admission estimate, optional
 /// private fault plan, and the body that runs it on a (gated, prefixed,
@@ -150,13 +151,18 @@ impl<R> std::fmt::Debug for JobSpec<R> {
 
 impl<R> JobSpec<R> {
     /// A job with weight 1 and a zero (always-admissible) memory estimate.
-    pub fn new(name: impl Into<String>, body: impl FnOnce(&Cluster) -> R + Send + 'static) -> Self {
+    /// The body's error (a failed stage, a rejected spec) is reported as this
+    /// job's [`JobReport::result`]; it fails only this job.
+    pub fn new<E: std::fmt::Display>(
+        name: impl Into<String>,
+        body: impl FnOnce(&Cluster) -> Result<R, E> + Send + 'static,
+    ) -> Self {
         JobSpec {
             name: name.into(),
             weight: 1,
             estimate_bytes: 0,
             faults: None,
-            body: Box::new(body),
+            body: Box::new(move |cluster| body(cluster).map_err(|e| e.to_string())),
         }
     }
 
@@ -202,8 +208,9 @@ pub struct JobReport<R> {
     pub name: String,
     pub weight: u32,
     pub estimate_bytes: u64,
-    /// The body's return value, or the panic message if the body crashed.
-    /// A crash fails only this job; other tenants keep running.
+    /// The body's return value, or its error rendered (the panic message if
+    /// the body crashed). A failure fails only this job; other tenants keep
+    /// running.
     pub result: Result<R, String>,
     /// This job's stages accumulated (attempts, retries, spill, per-node
     /// busy). Isolated: no other tenant's stages are mixed in.
@@ -311,7 +318,7 @@ pub(crate) struct JobGate {
 
 impl JobGate {
     /// Parks the calling job thread until the scheduler grants it a quantum.
-    /// Called by [`Cluster::try_run_placed_stage`] before dispatching, and by
+    /// Called by [`Cluster::run_stage`] before dispatching, and by
     /// the server once before the body starts (so pre-stage driver work is
     /// gated too).
     pub(crate) fn pause(&self) {
@@ -601,7 +608,7 @@ impl<R: Send + 'static> JobServer<R> {
                         // work — runs before the first grant.
                         gate.pause();
                         let out = catch_unwind(AssertUnwindSafe(|| body(&jc)))
-                            .map_err(|payload| panic_message(payload.as_ref()));
+                            .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
                         gate.finish();
                         out
                     })
@@ -788,12 +795,14 @@ impl<R: Send + 'static> JobServer<R> {
                 // running another quantum. A throwaway thread panics while
                 // holding the lock — the only way to poison a std Mutex.
                 let poisoner = Arc::clone(&core);
+                #[allow(clippy::panic)]
+                let die_holding_the_lock = move || {
+                    let _guard = poisoner.state.lock().expect("pre-crash lock");
+                    panic!("simulated job-server crash");
+                };
                 let _ = std::thread::Builder::new()
                     .name("asj-crash".into())
-                    .spawn(move || {
-                        let _guard = poisoner.state.lock().expect("pre-crash lock");
-                        panic!("simulated job-server crash");
-                    })
+                    .spawn(die_holding_the_lock)
                     .expect("spawn crash thread")
                     .join();
                 core.cv.notify_all();
@@ -1024,7 +1033,7 @@ impl<R: Wire + Send + 'static> JobServer<R> {
             if !cursor.is_empty() {
                 continue;
             }
-            self.queue[job].body = Box::new(move |_c: &Cluster| decoded);
+            self.queue[job].body = Box::new(move |_c: &Cluster| Ok(decoded));
             self.recovered_jobs.insert(job);
         }
         self.journal = Some(Arc::new(Journal::open_append(path)?));
@@ -1069,31 +1078,33 @@ mod tests {
         Cluster::new(ClusterConfig::with_threads(2, 2))
     }
 
+    /// What the test job bodies return: their value, or the stage's error.
+    type Body<T> = Result<T, crate::fault::JobError>;
+
     /// A body that runs `stages` parallel stages and folds their outputs
     /// into a deterministic u64.
-    fn staged(stages: usize, tag: u64) -> impl FnOnce(&Cluster) -> u64 + Send + 'static {
+    fn staged(stages: usize, tag: u64) -> impl FnOnce(&Cluster) -> Body<u64> + Send + 'static {
         move |c: &Cluster| {
             let mut acc = tag;
             for s in 0..stages {
-                let (out, _) = c.run_partitioned_stage("work", vec![1u64, 2, 3, 4], |i, t| {
-                    t * (i as u64 + 1) + acc
-                });
+                let (out, _) =
+                    c.run_stage("work", vec![1u64, 2, 3, 4], |i, t| t * (i as u64 + 1) + acc)?;
                 acc = out.iter().sum::<u64>() + s as u64;
             }
-            acc
+            Ok(acc)
         }
     }
 
     /// A body that runs two shuffle stages and folds the shuffled records
     /// into a deterministic u64 — the workload for crash/recovery tests
     /// (shuffle stages are the checkpointable unit).
-    fn shuffled_sum(keys: u64, tag: u64) -> impl FnOnce(&Cluster) -> u64 + Send + 'static {
+    fn shuffled_sum(keys: u64, tag: u64) -> impl FnOnce(&Cluster) -> Body<u64> + Send + 'static {
         move |c: &Cluster| {
             let mut acc = tag;
             for round in 0..2u64 {
                 let recs: Vec<(u64, u64)> = (0..keys).map(|k| (k * 7 % keys, k + acc)).collect();
                 let ds = KeyedDataset::from_partitions(vec![recs.clone(), recs]);
-                let (shuffled, _, _) = ds.shuffle_stage(c, &HashPartitioner::new(4), "shuffle");
+                let (shuffled, _, _) = ds.shuffle_stage(c, &HashPartitioner::new(4), "shuffle")?;
                 for (i, part) in shuffled.into_partitions().into_iter().enumerate() {
                     for (k, v) in part {
                         acc = acc
@@ -1102,7 +1113,7 @@ mod tests {
                     }
                 }
             }
-            acc
+            Ok(acc)
         }
     }
 
@@ -1116,13 +1127,15 @@ mod tests {
 
     /// A body that shuffles keyed records (exercising the buffer pool and
     /// memory accountant) and returns the shuffled partitions.
-    fn shuffling(keys: u64) -> impl FnOnce(&Cluster) -> Vec<Vec<(u64, u64)>> + Send + 'static {
+    fn shuffling(
+        keys: u64,
+    ) -> impl FnOnce(&Cluster) -> Body<Vec<Vec<(u64, u64)>>> + Send + 'static {
         move |c: &Cluster| {
             let recs: Vec<(u64, u64)> = (0..keys).map(|k| (k * 7 % keys, k)).collect();
             let parts = vec![recs.clone(), recs];
             let ds = KeyedDataset::from_partitions(parts);
-            let (shuffled, _, _) = ds.shuffle_stage(c, &HashPartitioner::new(4), "shuffle");
-            shuffled.into_partitions()
+            let (shuffled, _, _) = ds.shuffle_stage(c, &HashPartitioner::new(4), "shuffle")?;
+            Ok(shuffled.into_partitions())
         }
     }
 
@@ -1167,8 +1180,8 @@ mod tests {
 
     #[test]
     fn results_match_solo_runs_and_are_isolated() {
-        let solo_a = staged(3, 10)(&cluster());
-        let solo_b = staged(2, 20)(&cluster());
+        let solo_a = staged(3, 10)(&cluster()).expect("solo a");
+        let solo_b = staged(2, 20)(&cluster()).expect("solo b");
         let mut srv = JobServer::new(cluster());
         srv.submit(JobSpec::new("a", staged(3, 10)))
             .expect("submit");
@@ -1241,7 +1254,7 @@ mod tests {
     #[test]
     fn a_crashing_job_fails_alone() {
         let mut srv = JobServer::new(cluster());
-        srv.submit(JobSpec::new("doomed", |_c: &Cluster| -> u64 {
+        srv.submit(JobSpec::new("doomed", |_c: &Cluster| -> Body<u64> {
             panic!("tenant bug");
         }))
         .expect("submit");
@@ -1268,7 +1281,7 @@ mod tests {
         );
         assert_eq!(run.reports[1].stats.retries, 0, "no cross-tenant faults");
         // Both recover to the same answer a fault-free solo run produces.
-        let solo = staged(1, 1)(&cluster());
+        let solo = staged(1, 1)(&cluster()).expect("solo");
         assert_eq!(run.reports[0].result, Ok(solo));
         assert_eq!(run.reports[1].result, Ok(solo));
     }
@@ -1324,8 +1337,8 @@ mod tests {
 
     #[test]
     fn shuffle_results_match_solo_under_interleaving() {
-        let solo_a = shuffling(96)(&cluster());
-        let solo_b = shuffling(32)(&cluster());
+        let solo_a = shuffling(96)(&cluster()).expect("solo a");
+        let solo_b = shuffling(32)(&cluster()).expect("solo b");
         let mut srv = JobServer::new(cluster());
         srv.submit(JobSpec::new("a", shuffling(96)))
             .expect("submit");
@@ -1515,7 +1528,7 @@ mod tests {
         // would panic if re-run.
         let mut srv = JobServer::<u64>::new(cluster());
         for name in ["a", "b", "c"] {
-            srv.submit(JobSpec::new(name, |_c: &Cluster| -> u64 {
+            srv.submit(JobSpec::new(name, |_c: &Cluster| -> Body<u64> {
                 panic!("body must not re-run")
             }))
             .expect("submit");
@@ -1553,11 +1566,11 @@ mod tests {
         // Recover: bodies would panic if run — replayed results must not
         // touch them.
         let mut srv = JobServer::<u64>::new(cluster());
-        srv.submit(JobSpec::new("a", |_c: &Cluster| -> u64 {
+        srv.submit(JobSpec::new("a", |_c: &Cluster| -> Body<u64> {
             panic!("body must not re-run")
         }))
         .expect("submit");
-        srv.submit(JobSpec::new("b", |_c: &Cluster| -> u64 {
+        srv.submit(JobSpec::new("b", |_c: &Cluster| -> Body<u64> {
             panic!("body must not re-run")
         }))
         .expect("submit");

@@ -5,9 +5,13 @@
 //! execution time. This crate reproduces the execution semantics those
 //! metrics depend on without requiring a cluster:
 //!
+//! * [`Cluster::run_stage`] — the one executor entry point: one task per
+//!   partition, bound round-robin to simulated nodes, returning a
+//!   [`JobError`] when a task exhausts its attempts.
 //! * [`Dataset`] / [`KeyedDataset`] — partitioned collections with the
-//!   operators Algorithm 5 uses (`map`, `flat_map_to_pair`, `sample`,
-//!   `broadcast`, keyed co-group join).
+//!   operators Algorithm 5 runs (`sample`, the keyed shuffle, grouped and
+//!   co-grouped folds); [`Cluster::broadcast`] shares the grid with every
+//!   task, and `flatMapToPair` is a plain `run_stage` in the join crate.
 //! * **Metered shuffle** — when a keyed dataset is repartitioned, every
 //!   record is attributed to the simulated node of its source and target
 //!   partitions; records that cross nodes account their [`Wire`]-encoded size
@@ -42,7 +46,7 @@ mod wire;
 
 pub use bufpool::{BufferPool, PoolStats};
 pub use checkpoint::{fnv1a, CheckpointStore};
-pub use cluster::{Broadcast, Cluster, ClusterConfig};
+pub use cluster::{Broadcast, Cluster, ClusterConfig, StageResult};
 pub use dataset::{Dataset, KeyedDataset};
 pub use fault::{FailPoint, FaultContext, FaultPlan, FaultState, JobError, RetryPolicy, TaskError};
 pub use jobs::{JobId, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun, SubmitError};

@@ -66,6 +66,7 @@ pub trait Wire: Sized {
     /// # Panics
     /// Panics on malformed or truncated input — use [`Wire::try_decode`] on
     /// paths that must survive bad bytes.
+    #[allow(clippy::panic)]
     fn decode(buf: &mut impl Buf) -> Self {
         match Self::try_decode(buf) {
             Ok(v) => v,

@@ -6,13 +6,26 @@ use asj_engine::{
 };
 use asj_grid::{Grid, GridSpec};
 use asj_index::kernels;
-use asj_obs::{Attrs, Lane};
 use std::time::Instant;
 
 /// Smallest grid factor the agreement construction supports: cell sides must
 /// exceed `2ε` so a record's neighborhood spans at most the 3×3 block that
 /// Algorithms 2–4 reason about.
 const MIN_AGREEMENT_FACTOR: f64 = 2.0;
+
+/// The validated spec's grid, or [`JoinError::GridTooFine`] when its cells
+/// cannot carry an agreement graph.
+pub(crate) fn agreement_grid(spec: &JoinSpec) -> Result<Grid, JoinError> {
+    spec.validate()?;
+    let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
+    if !grid.supports_agreements() {
+        return Err(JoinError::GridTooFine {
+            grid_factor: spec.grid_factor,
+            min_factor: MIN_AGREEMENT_FACTOR,
+        });
+    }
+    Ok(grid)
+}
 
 /// The paper's Algorithm 5: parallel ε-distance join with **adaptive
 /// replication** (LPiB or DIFF instantiation of the graph of agreements).
@@ -35,58 +48,8 @@ pub fn adaptive_join(
     policy: AgreementPolicy,
     r: Vec<Record>,
     s: Vec<Record>,
-) -> JoinOutput {
-    let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
-    let grid = if grid.supports_agreements() {
-        grid
-    } else {
-        // A too-fine grid is a recoverable configuration problem, not a
-        // crash: coarsen to the minimum supported factor, leave a warning
-        // event on the driver lane, and run. Callers that would rather
-        // decide themselves use `try_adaptive_join`.
-        cluster.recorder().event(
-            "grid.coarsened",
-            Lane::Driver,
-            None,
-            Attrs::new().cells(grid.num_cells() as u64),
-        );
-        Grid::new(GridSpec::with_factor(
-            spec.bbox,
-            spec.eps,
-            MIN_AGREEMENT_FACTOR,
-        ))
-    };
-    adaptive_join_on_grid(cluster, spec, policy, grid, r, s)
-}
-
-/// Fallible [`adaptive_join`]: a `grid_factor` below the supported minimum
-/// surfaces as [`JoinError::GridTooFine`] instead of silently coarsening.
-pub fn try_adaptive_join(
-    cluster: &Cluster,
-    spec: &JoinSpec,
-    policy: AgreementPolicy,
-    r: Vec<Record>,
-    s: Vec<Record>,
 ) -> Result<JoinOutput, JoinError> {
-    let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
-    if !grid.supports_agreements() {
-        return Err(JoinError::GridTooFine {
-            grid_factor: spec.grid_factor,
-            min_factor: MIN_AGREEMENT_FACTOR,
-        });
-    }
-    Ok(adaptive_join_on_grid(cluster, spec, policy, grid, r, s))
-}
-
-fn adaptive_join_on_grid(
-    cluster: &Cluster,
-    spec: &JoinSpec,
-    policy: AgreementPolicy,
-    grid: Grid,
-    r: Vec<Record>,
-    s: Vec<Record>,
-) -> JoinOutput {
-    debug_assert!(grid.supports_agreements());
+    let grid = agreement_grid(spec)?;
     let rdd_r = Dataset::from_vec(r, spec.input_partitions);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
 
@@ -94,13 +57,13 @@ fn adaptive_join_on_grid(
     let recorder = cluster.recorder().clone();
     let mut construction = asj_engine::ExecStats::default();
     let (sample_r, sample_s) = recorder.phase_attrs("sampling", |attrs| {
-        let (sample_r, ex) = rdd_r.sample(cluster, spec.sample_fraction, spec.seed);
+        let (sample_r, ex) = rdd_r.try_sample(cluster, spec.sample_fraction, spec.seed)?;
         construction.accumulate(&ex);
-        let (sample_s, ex) = rdd_s.sample(cluster, spec.sample_fraction, spec.seed ^ 0x5151);
+        let (sample_s, ex) = rdd_s.try_sample(cluster, spec.sample_fraction, spec.seed ^ 0x5151)?;
         construction.accumulate(&ex);
         *attrs = attrs.records((sample_r.len() + sample_s.len()) as u64);
-        (sample_r, sample_s)
-    });
+        Ok::<_, JoinError>((sample_r, sample_s))
+    })?;
 
     let driver_start = Instant::now();
     let (graph, partitioner) = recorder.phase_attrs("agreement_graph", |attrs| {
@@ -159,16 +122,16 @@ fn adaptive_join_on_grid(
             cells.extend(scratch.iter().map(|&c| graph_b.grid().cell_index(c) as u64));
         }
     };
-    let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, assign(SetLabel::R));
+    let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, assign(SetLabel::R))?;
     construction.accumulate(&ex);
-    let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, assign(SetLabel::S));
+    let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, assign(SetLabel::S))?;
     construction.accumulate(&ex);
 
     // --- Shuffle + local join with refinement. ---
-    let out = join_stage(cluster, spec, keyed_r, keyed_s, &*partitioner);
+    let out = join_stage(cluster, spec, keyed_r, keyed_s, &*partitioner)?;
     construction.accumulate(&out.shuffle_exec);
 
-    JoinOutput {
+    Ok(JoinOutput {
         algorithm: policy.name().to_string(),
         pairs: out.pairs,
         result_count: out.result_count,
@@ -181,7 +144,7 @@ fn adaptive_join_on_grid(
             driver,
             broadcast_bytes,
         },
-    }
+    })
 }
 
 #[cfg(test)]
@@ -215,7 +178,7 @@ mod tests {
         let s = random_records(400, 2, 20.0);
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
         for policy in [AgreementPolicy::Lpib, AgreementPolicy::Diff] {
-            let out = adaptive_join(&c, &spec, policy, r.clone(), s.clone());
+            let out = adaptive_join(&c, &spec, policy, r.clone(), s.clone()).expect("join runs");
             let mut got = out.pairs.clone();
             got.sort_unstable();
             assert_eq!(got, expected, "{}", policy.name());
@@ -232,14 +195,16 @@ mod tests {
             .with_sample_fraction(0.5);
         let r = random_records(300, 3, 20.0);
         let s = random_records(300, 4, 20.0);
-        let hash = adaptive_join(&c, &base, AgreementPolicy::Lpib, r.clone(), s.clone());
+        let hash = adaptive_join(&c, &base, AgreementPolicy::Lpib, r.clone(), s.clone())
+            .expect("join runs");
         let lpt = adaptive_join(
             &c,
             &base.clone().with_placement(Placement::Lpt),
             AgreementPolicy::Lpib,
             r,
             s,
-        );
+        )
+        .expect("join runs");
         let mut a = hash.pairs.clone();
         let mut b = lpt.pairs.clone();
         a.sort_unstable();
@@ -257,45 +222,39 @@ mod tests {
         let r = random_records(200, 5, 20.0);
         let s = random_records(200, 6, 20.0);
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
-        let out = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r, s);
+        let out = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
         assert!(out.pairs.is_empty());
         assert_eq!(out.result_count as usize, expected.len());
     }
 
     #[test]
-    fn too_fine_grid_errors_typed_or_coarsens() {
+    fn too_fine_grid_is_a_typed_error() {
         let c = cluster();
-        // grid_factor 1.0 puts cell sides below 2*eps — the config the old
-        // assert used to panic on.
+        // grid_factor 1.0 puts cell sides below 2*eps: the agreement graph
+        // cannot be built, and the caller — not this crate — picks the fix.
         let spec = JoinSpec::new(Rect::new(0.0, 0.0, 20.0, 20.0), 1.0)
             .with_partitions(8)
             .with_grid_factor(1.0);
         let r = random_records(250, 9, 20.0);
         let s = random_records(250, 10, 20.0);
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
+        let too_fine = JoinError::GridTooFine {
+            grid_factor: 1.0,
+            min_factor: 2.0,
+        };
         for policy in [AgreementPolicy::Lpib, AgreementPolicy::Diff] {
-            // Fallible entry point: a typed error, not a panic.
-            let err = crate::try_adaptive_join(&c, &spec, policy, r.clone(), s.clone())
+            let err = adaptive_join(&c, &spec, policy, r.clone(), s.clone())
                 .expect_err("grid_factor 1.0 must be rejected");
-            assert_eq!(
-                err,
-                crate::JoinError::GridTooFine {
-                    grid_factor: 1.0,
-                    min_factor: 2.0
-                },
-                "{}",
-                policy.name()
-            );
+            assert_eq!(err, too_fine, "{}", policy.name());
             assert!(err.to_string().contains("grid_factor 1"));
-
-            // Infallible entry point: auto-coarsen and still be correct.
-            let out = adaptive_join(&c, &spec, policy, r.clone(), s.clone());
-            let mut got = out.pairs.clone();
-            got.sort_unstable();
-            assert_eq!(got, expected, "{} after coarsening", policy.name());
         }
-        // A supported factor passes through the fallible path untouched.
-        let ok = crate::try_adaptive_join(
+        // The dedup variant builds the same graph and rejects the same grid.
+        let err =
+            crate::adaptive_join_dedup(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+                .expect_err("the unmarked graph needs l > 2*eps too");
+        assert_eq!(err, too_fine);
+        // The smallest supported factor runs and is correct.
+        let ok = adaptive_join(
             &c,
             &spec.clone().with_grid_factor(2.0),
             AgreementPolicy::Lpib,
@@ -303,7 +262,9 @@ mod tests {
             s,
         )
         .expect("grid_factor 2.0 is supported");
-        assert_eq!(ok.pairs.len(), expected.len());
+        let mut got = ok.pairs;
+        got.sort_unstable();
+        assert_eq!(got, expected);
     }
 
     #[test]
@@ -312,7 +273,7 @@ mod tests {
         let spec = JoinSpec::new(Rect::new(0.0, 0.0, 20.0, 20.0), 1.0).with_partitions(4);
         let r = random_records(500, 7, 20.0);
         let s = random_records(500, 8, 20.0);
-        let out = adaptive_join(&c, &spec, AgreementPolicy::Diff, r, s);
+        let out = adaptive_join(&c, &spec, AgreementPolicy::Diff, r, s).expect("join runs");
         assert!(out.metrics.shuffle.records >= 1000, "all records shuffle");
         assert!(out.metrics.shuffle.total_bytes() > 0);
         assert!(out.metrics.simulated_time() > std::time::Duration::ZERO);

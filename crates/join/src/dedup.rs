@@ -1,8 +1,7 @@
 use crate::pipeline::{join_stage, map_stage};
-use crate::{JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinOutput, JoinSpec, Record};
 use asj_core::{AgreementGraph, AgreementPolicy, GridSample, SetLabel};
 use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics, KeyedDataset};
-use asj_grid::{Grid, GridSpec};
 use std::time::Instant;
 
 /// The Table-6 variant: the *simplified, non-duplicate-free* assignment
@@ -21,15 +20,15 @@ pub fn adaptive_join_dedup(
     policy: AgreementPolicy,
     r: Vec<Record>,
     s: Vec<Record>,
-) -> JoinOutput {
-    let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
+) -> Result<JoinOutput, JoinError> {
+    let grid = crate::adaptive::agreement_grid(spec)?;
     let rdd_r = Dataset::from_vec(r, spec.input_partitions);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
     let mut construction = asj_engine::ExecStats::default();
 
-    let (sample_r, ex) = rdd_r.sample(cluster, spec.sample_fraction, spec.seed);
+    let (sample_r, ex) = rdd_r.try_sample(cluster, spec.sample_fraction, spec.seed)?;
     construction.accumulate(&ex);
-    let (sample_s, ex) = rdd_s.sample(cluster, spec.sample_fraction, spec.seed ^ 0x5151);
+    let (sample_s, ex) = rdd_s.try_sample(cluster, spec.sample_fraction, spec.seed ^ 0x5151)?;
     construction.accumulate(&ex);
 
     let driver_start = Instant::now();
@@ -51,9 +50,9 @@ pub fn adaptive_join_dedup(
             cells.extend(scratch.iter().map(|&c| graph_b.grid().cell_index(c) as u64));
         }
     };
-    let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, assign(SetLabel::R));
+    let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, assign(SetLabel::R))?;
     construction.accumulate(&ex);
-    let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, assign(SetLabel::S));
+    let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, assign(SetLabel::S))?;
     construction.accumulate(&ex);
 
     // Join with duplicates: pairs must be materialized for the distinct
@@ -61,7 +60,7 @@ pub fn adaptive_join_dedup(
     let mut collect_spec = spec.clone();
     collect_spec.collect_pairs = true;
     let partitioner = HashPartitioner::new(spec.num_partitions);
-    let out = join_stage(cluster, &collect_spec, keyed_r, keyed_s, &partitioner);
+    let out = join_stage(cluster, &collect_spec, keyed_r, keyed_s, &partitioner)?;
     construction.accumulate(&out.shuffle_exec);
 
     // Distributed distinct: shuffle pairs by their R id, then sort + dedup
@@ -73,19 +72,19 @@ pub fn adaptive_join_dedup(
         let pair_data =
             KeyedDataset::from_partitions(vec![out.pairs.into_iter().collect::<Vec<(u64, u64)>>()]);
         let (pair_data, dedup_shuffle, ex) =
-            pair_data.shuffle_stage(cluster, &partitioner, "dedup");
+            pair_data.shuffle_stage(cluster, &partitioner, "dedup")?;
         shuffle.merge(&dedup_shuffle);
         join_exec.accumulate(&ex);
         let (deduped_parts, ex) =
-            cluster.run_partitioned_stage("dedup", pair_data.into_partitions(), |_, mut part| {
+            cluster.run_stage("dedup", pair_data.into_partitions(), |_, mut part| {
                 part.sort_unstable();
                 part.dedup();
                 part
-            });
+            })?;
         join_exec.accumulate(&ex);
         *attrs = attrs.records(duplicated_count);
-        deduped_parts
-    });
+        Ok::<_, JoinError>(deduped_parts)
+    })?;
 
     let result_count: u64 = deduped_parts.iter().map(|p| p.len() as u64).sum();
     let pairs: Vec<(u64, u64)> = if spec.collect_pairs {
@@ -94,7 +93,7 @@ pub fn adaptive_join_dedup(
         Vec::new()
     };
 
-    JoinOutput {
+    Ok(JoinOutput {
         algorithm: format!("{}+dedup", policy.name()),
         pairs,
         result_count,
@@ -107,7 +106,7 @@ pub fn adaptive_join_dedup(
             driver,
             broadcast_bytes,
         },
-    }
+    })
 }
 
 #[cfg(test)]
@@ -137,8 +136,9 @@ mod tests {
         };
         let r = to_records(&pts(&mut rng, 400), 0);
         let s = to_records(&pts(&mut rng, 400), 0);
-        let clean = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone());
-        let dedup = adaptive_join_dedup(&c, &spec, AgreementPolicy::Lpib, r, s);
+        let clean = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+            .expect("join runs");
+        let dedup = adaptive_join_dedup(&c, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
         let mut a = clean.pairs.clone();
         let mut b = dedup.pairs.clone();
         a.sort_unstable();

@@ -1,7 +1,7 @@
-use crate::{JoinOutput, JoinSpec};
+use crate::{JoinError, JoinOutput, JoinSpec};
 use asj_engine::{
-    ensure_remaining, Cluster, Dataset, ExecStats, HashPartitioner, JobMetrics, KeyedDataset,
-    Partitioner, Wire, WireError,
+    ensure_remaining, Cluster, Dataset, ExecStats, HashPartitioner, JobMetrics, KeyedDataset, Wire,
+    WireError,
 };
 use asj_geom::{Point, Polygon, Polyline, Shape};
 use asj_grid::{Grid, GridSpec};
@@ -110,7 +110,8 @@ pub fn extent_join(
     spec: &JoinSpec,
     a: Vec<ExtentRecord>,
     b: Vec<ExtentRecord>,
-) -> JoinOutput {
+) -> Result<JoinOutput, JoinError> {
+    spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let broadcast_bytes = grid.broadcast_bytes();
     let eps = spec.eps;
@@ -140,31 +141,28 @@ pub fn extent_join(
     let map_side = |input: Vec<ExtentRecord>,
                     expand: f64,
                     construction: &mut ExecStats|
-     -> (KeyedDataset<u64, ExtentRecord>, u64) {
+     -> Result<(KeyedDataset<u64, ExtentRecord>, u64), JoinError> {
         let ds = Dataset::from_vec(input, spec.input_partitions);
         let records: u64 = ds.len() as u64;
         let f = route(expand);
-        let (parts, ex) = cluster.run_partitioned(ds.into_partitions(), |_, part| f(part).0);
+        let (parts, ex) = cluster.run_stage("task", ds.into_partitions(), |_, part| f(part).0)?;
         construction.accumulate(&ex);
         let keyed = KeyedDataset::from_partitions(parts);
         let replicas = keyed.len() as u64 - records;
-        (keyed, replicas)
+        Ok((keyed, replicas))
     };
 
-    let (keyed_a, rep_a) = map_side(a, eps, &mut construction);
-    let (keyed_b, rep_b) = map_side(b, 0.0, &mut construction);
+    let (keyed_a, rep_a) = map_side(a, eps, &mut construction)?;
+    let (keyed_b, rep_b) = map_side(b, 0.0, &mut construction)?;
 
     let partitioner = HashPartitioner::new(spec.num_partitions);
-    let (keyed_a, sh_a, ex_a) = keyed_a.shuffle(cluster, &partitioner);
-    let (keyed_b, sh_b, ex_b) = keyed_b.shuffle(cluster, &partitioner);
+    let (keyed_a, sh_a, ex_a) = keyed_a.shuffle_stage(cluster, &partitioner, "shuffle")?;
+    let (keyed_b, sh_b, ex_b) = keyed_b.shuffle_stage(cluster, &partitioner, "shuffle")?;
     let mut shuffle = sh_a;
     shuffle.merge(&sh_b);
     construction.accumulate(&ex_a);
     construction.accumulate(&ex_b);
 
-    let placement: Vec<usize> = (0..partitioner.num_partitions())
-        .map(|p| cluster.node_of_partition(p))
-        .collect();
     let collect = spec.collect_pairs;
     let e2 = eps * eps;
     let kernel = spec.kernel;
@@ -177,7 +175,6 @@ pub fn extent_join(
     let (joined, counts, join_exec) = keyed_a.cogroup_join_fold(
         cluster,
         keyed_b,
-        &placement,
         |cell,
          avs: &[ExtentRecord],
          bvs: &[ExtentRecord],
@@ -216,9 +213,9 @@ pub fn extent_join(
             acc.0 += outcome.stats.candidates;
             acc.1 += outcome.stats.results;
         },
-    );
+    )?;
 
-    JoinOutput {
+    Ok(JoinOutput {
         algorithm: "extent-join".to_string(),
         pairs: joined.collect(),
         result_count: counts.iter().map(|c| c.1).sum(),
@@ -231,7 +228,7 @@ pub fn extent_join(
             driver: std::time::Duration::ZERO,
             broadcast_bytes,
         },
-    }
+    })
 }
 
 /// Brute-force oracle for the extent join.
@@ -347,7 +344,7 @@ mod tests {
         let b = random_records(150, 82, 20.0);
         let expected = brute_force_extent_pairs(&a, &b, spec.eps);
         assert!(!expected.is_empty());
-        let out = extent_join(&c, &spec, a, b);
+        let out = extent_join(&c, &spec, a, b).expect("join runs");
         let mut got = out.pairs.clone();
         got.sort_unstable();
         assert_eq!(got, expected);
@@ -375,7 +372,7 @@ mod tests {
             0,
             Shape::Polygon(Polygon::from_rect(Rect::new(3.0, 1.0, 4.5, 5.0))),
         )];
-        let out = extent_join(&c, &spec, a, b);
+        let out = extent_join(&c, &spec, a, b).expect("join runs");
         assert_eq!(out.pairs, vec![(0, 0)]);
     }
 
@@ -397,7 +394,7 @@ mod tests {
             Shape::Polygon(Polygon::from_rect(Rect::new(5.0, 11.2, 15.0, 18.0))),
         )];
         let expected = brute_force_extent_pairs(&a, &b, spec.eps);
-        let out = extent_join(&c, &spec, a, b);
+        let out = extent_join(&c, &spec, a, b).expect("join runs");
         let mut got = out.pairs.clone();
         got.sort_unstable();
         assert_eq!(got, expected, "exactly-once despite multi-cell assignment");

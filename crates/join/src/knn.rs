@@ -1,4 +1,4 @@
-use crate::{JoinSpec, Record};
+use crate::{JoinError, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, KeyedDataset, ShuffleStats};
 use asj_geom::Point;
 use asj_grid::{CellCoord, Grid, GridSpec};
@@ -40,7 +40,7 @@ pub fn knn_join(
     k: usize,
     r: Vec<Record>,
     s: Vec<Record>,
-) -> KnnOutput {
+) -> Result<KnnOutput, JoinError> {
     knn_join_probe(cluster, spec, k, r, s, true)
 }
 
@@ -56,27 +56,26 @@ fn knn_join_probe(
     r: Vec<Record>,
     s: Vec<Record>,
     annulus_only: bool,
-) -> KnnOutput {
+) -> Result<KnnOutput, JoinError> {
     assert!(k > 0, "k must be positive");
+    spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let s_total = s.len();
     let partitioner = HashPartitioner::new(spec.num_partitions);
-    let placement: Vec<usize> = (0..spec.num_partitions)
-        .map(|p| cluster.node_of_partition(p))
-        .collect();
     let mut exec = ExecStats::default();
     let mut shuffle = ShuffleStats::default();
 
     // Shuffle S once by its native cell.
     let grid_b = cluster.broadcast(grid);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
-    let (s_parts, ex) = cluster.run_partitioned(rdd_s.into_partitions(), |_, part| {
+    let (s_parts, ex) = cluster.run_stage("task", rdd_s.into_partitions(), |_, part| {
         part.into_iter()
             .map(|rec| (grid_b.cell_index(grid_b.cell_of(rec.point)) as u64, rec))
             .collect::<Vec<_>>()
-    });
+    })?;
     exec.accumulate(&ex);
-    let (s_cells, sh, ex) = KeyedDataset::from_partitions(s_parts).shuffle(cluster, &partitioner);
+    let (s_cells, sh, ex) =
+        KeyedDataset::from_partitions(s_parts).shuffle_stage(cluster, &partitioner, "shuffle")?;
     shuffle.merge(&sh);
     exec.accumulate(&ex);
     // S stays resident; rounds re-join against it.
@@ -107,7 +106,7 @@ fn knn_join_probe(
         let prev2 = if annulus_only { probed2 } else { -1.0 };
         let grid_q = grid_b.clone();
         let rdd_q = Dataset::from_vec(pending.clone(), spec.input_partitions);
-        let (q_parts, ex) = cluster.run_partitioned(rdd_q.into_partitions(), |_, part| {
+        let (q_parts, ex) = cluster.run_stage("task", rdd_q.into_partitions(), |_, part| {
             let mut out = Vec::new();
             let mut cells: Vec<CellCoord> = Vec::new();
             for rec in part {
@@ -128,10 +127,13 @@ fn knn_join_probe(
                 }
             }
             out
-        });
+        })?;
         exec.accumulate(&ex);
-        let (q_cells, sh, ex) =
-            KeyedDataset::from_partitions(q_parts).shuffle(cluster, &partitioner);
+        let (q_cells, sh, ex) = KeyedDataset::from_partitions(q_parts).shuffle_stage(
+            cluster,
+            &partitioner,
+            "shuffle",
+        )?;
         shuffle.merge(&sh);
         exec.accumulate(&ex);
 
@@ -142,7 +144,7 @@ fn knn_join_probe(
             .into_iter()
             .zip(s_parts.iter().cloned())
             .collect();
-        let (cand_parts, ex) = cluster.run_placed(tasks, &placement, |_, (mut qs, mut ss)| {
+        let (cand_parts, ex) = cluster.run_stage("task", tasks, |_, (mut qs, mut ss)| {
             qs.sort_unstable_by_key(|x| x.0);
             ss.sort_unstable_by_key(|x| x.0);
             let mut out: Vec<(u64, Vec<(f64, u64)>)> = Vec::new();
@@ -173,7 +175,7 @@ fn knn_join_probe(
                 }
             }
             out
-        });
+        })?;
         exec.accumulate(&ex);
 
         // Driver: merge candidates and decide which queries are resolved.
@@ -214,12 +216,12 @@ fn knn_join_probe(
         })
         .collect();
     neighbors.sort_unstable_by_key(|x| x.0);
-    KnnOutput {
+    Ok(KnnOutput {
         neighbors,
         rounds,
         shuffle,
         exec,
-    }
+    })
 }
 
 /// Brute-force kNN oracle (ids of the k nearest, ties by id).
@@ -266,7 +268,7 @@ mod tests {
         let s = records(300, 92, 20.0);
         for k in [1usize, 3, 10] {
             let expected = brute_force_knn(&r, &s, k);
-            let out = knn_join(&c, &spec, k, r.clone(), s.clone());
+            let out = knn_join(&c, &spec, k, r.clone(), s.clone()).expect("join runs");
             let got: Vec<(u64, Vec<u64>)> = out
                 .neighbors
                 .iter()
@@ -293,7 +295,7 @@ mod tests {
             .collect();
         let s = to_records(&s_pts, 0);
         let expected = brute_force_knn(&r, &s, 5);
-        let out = knn_join(&c, &spec, 5, r, s);
+        let out = knn_join(&c, &spec, 5, r, s).expect("join runs");
         assert!(out.rounds > 1, "far neighbors require ring expansion");
         let got: Vec<(u64, Vec<u64>)> = out
             .neighbors
@@ -327,8 +329,8 @@ mod tests {
             })
             .collect();
         let s = to_records(&s_pts, 0);
-        let full = knn_join_probe(&c, &spec, 5, r.clone(), s.clone(), false);
-        let annulus = knn_join_probe(&c, &spec, 5, r, s, true);
+        let full = knn_join_probe(&c, &spec, 5, r.clone(), s.clone(), false).expect("join runs");
+        let annulus = knn_join_probe(&c, &spec, 5, r, s, true).expect("join runs");
         assert!(full.rounds > 1, "scenario must need ring expansion");
         assert_eq!(annulus.rounds, full.rounds, "same rounds, smaller probes");
         assert_eq!(
@@ -350,7 +352,7 @@ mod tests {
         let spec = JoinSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), 1.0).with_partitions(4);
         let r = records(5, 94, 10.0);
         let s = records(3, 95, 10.0);
-        let out = knn_join(&c, &spec, 10, r, s);
+        let out = knn_join(&c, &spec, 10, r, s).expect("join runs");
         for (_, ns) in &out.neighbors {
             assert_eq!(ns.len(), 3);
         }
@@ -362,7 +364,7 @@ mod tests {
         let spec = JoinSpec::new(Rect::new(0.0, 0.0, 20.0, 20.0), 1.0).with_partitions(8);
         let r = records(50, 96, 20.0);
         let s = records(200, 97, 20.0);
-        let out = knn_join(&c, &spec, 4, r, s);
+        let out = knn_join(&c, &spec, 4, r, s).expect("join runs");
         assert_eq!(out.neighbors.len(), 50);
         for (_, ns) in &out.neighbors {
             assert!(ns.windows(2).all(|w| w[0].1 <= w[1].1));
@@ -388,7 +390,7 @@ mod tests {
         let s = to_records(&pts, 0);
         let r = records(60, 99, 30.0);
         let expected = brute_force_knn(&r, &s, 7);
-        let out = knn_join(&c, &spec, 7, r, s);
+        let out = knn_join(&c, &spec, 7, r, s).expect("join runs");
         let got: Vec<(u64, Vec<u64>)> = out
             .neighbors
             .iter()
@@ -424,7 +426,7 @@ mod kdtree_oracle_tests {
         let s = to_records(&pts(&mut rng, 400), 0);
         let tree = KdTree::build(s.iter().map(|rec| (rec.point, rec.id)).collect());
         let k = 5;
-        let out = knn_join(&c, &spec, k, r.clone(), s);
+        let out = knn_join(&c, &spec, k, r.clone(), s).expect("join runs");
         for (qid, ns) in &out.neighbors {
             let q = &r[*qid as usize];
             let expect = tree.nearest(q.point, k);

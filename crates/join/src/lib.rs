@@ -53,7 +53,7 @@ mod sedona;
 mod selfjoin;
 mod spec;
 
-pub use adaptive::{adaptive_join, try_adaptive_join};
+pub use adaptive::adaptive_join;
 pub use dedup::adaptive_join_dedup;
 pub use extent::{brute_force_extent_pairs, extent_join, ExtentRecord};
 pub use knn::{brute_force_knn, knn_join, KnnOutput};
@@ -86,7 +86,7 @@ mod empty_input_tests {
                 (some.clone(), Vec::new()),
                 (Vec::new(), Vec::new()),
             ] {
-                let out = algo.run(&c, &spec, r, s);
+                let out = algo.try_run(&c, &spec, r, s).expect("join runs");
                 assert_eq!(out.result_count, 0, "{}", algo.name());
                 assert!(out.pairs.is_empty());
             }

@@ -1,5 +1,5 @@
 use crate::pipeline::{join_stage, map_stage};
-use crate::{JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinOutput, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, JobMetrics};
 use asj_grid::{Grid, GridSpec};
 
@@ -30,7 +30,8 @@ pub fn pbsm_join(
     side: ReplicateSide,
     r: Vec<Record>,
     s: Vec<Record>,
-) -> JoinOutput {
+) -> Result<JoinOutput, JoinError> {
+    spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     grid_baseline_join(cluster, spec, grid, side.name(), side, r, s)
 }
@@ -44,7 +45,8 @@ pub fn eps_grid_join(
     spec: &JoinSpec,
     r: Vec<Record>,
     s: Vec<Record>,
-) -> JoinOutput {
+) -> Result<JoinOutput, JoinError> {
+    spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, 1.0));
     let side = if r.len() <= s.len() {
         ReplicateSide::R
@@ -62,7 +64,7 @@ fn grid_baseline_join(
     side: ReplicateSide,
     r: Vec<Record>,
     s: Vec<Record>,
-) -> JoinOutput {
+) -> Result<JoinOutput, JoinError> {
     let broadcast_bytes = grid.broadcast_bytes();
     let rdd_r = Dataset::from_vec(r, spec.input_partitions);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
@@ -90,19 +92,19 @@ fn grid_baseline_join(
     let (keyed_r, rep_r, ex) = match side {
         ReplicateSide::R => map_stage(cluster, rdd_r, &replicated_assign),
         ReplicateSide::S => map_stage(cluster, rdd_r, &single_assign),
-    };
+    }?;
     construction.accumulate(&ex);
     let (keyed_s, rep_s, ex) = match side {
         ReplicateSide::R => map_stage(cluster, rdd_s, &single_assign),
         ReplicateSide::S => map_stage(cluster, rdd_s, &replicated_assign),
-    };
+    }?;
     construction.accumulate(&ex);
 
     let partitioner = HashPartitioner::new(spec.num_partitions);
-    let out = join_stage(cluster, spec, keyed_r, keyed_s, &partitioner);
+    let out = join_stage(cluster, spec, keyed_r, keyed_s, &partitioner)?;
     construction.accumulate(&out.shuffle_exec);
 
-    JoinOutput {
+    Ok(JoinOutput {
         algorithm: name.to_string(),
         pairs: out.pairs,
         result_count: out.result_count,
@@ -115,7 +117,7 @@ fn grid_baseline_join(
             driver: std::time::Duration::ZERO,
             broadcast_bytes,
         },
-    }
+    })
 }
 
 #[cfg(test)]
@@ -147,7 +149,7 @@ mod tests {
         let s = random_records(400, 12, 20.0);
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
         for side in [ReplicateSide::R, ReplicateSide::S] {
-            let out = pbsm_join(&c, &spec, side, r.clone(), s.clone());
+            let out = pbsm_join(&c, &spec, side, r.clone(), s.clone()).expect("join runs");
             let mut got = out.pairs.clone();
             got.sort_unstable();
             assert_eq!(got, expected, "{}", side.name());
@@ -164,10 +166,11 @@ mod tests {
         let spec = JoinSpec::new(Rect::new(0.0, 0.0, 20.0, 20.0), 1.0).with_partitions(4);
         let r = random_records(300, 13, 20.0);
         let s = random_records(300, 14, 20.0);
-        let out_r = pbsm_join(&c, &spec, ReplicateSide::R, r.clone(), s.clone());
+        let out_r =
+            pbsm_join(&c, &spec, ReplicateSide::R, r.clone(), s.clone()).expect("join runs");
         assert!(out_r.replicated[0] > 0, "R must be replicated");
         assert_eq!(out_r.replicated[1], 0, "S must not be replicated");
-        let out_s = pbsm_join(&c, &spec, ReplicateSide::S, r, s);
+        let out_s = pbsm_join(&c, &spec, ReplicateSide::S, r, s).expect("join runs");
         assert_eq!(out_s.replicated[0], 0);
         assert!(out_s.replicated[1] > 0);
     }
@@ -179,7 +182,7 @@ mod tests {
         let r = random_records(300, 15, 20.0);
         let s = random_records(350, 16, 20.0);
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
-        let out = eps_grid_join(&c, &spec, r.clone(), s.clone());
+        let out = eps_grid_join(&c, &spec, r.clone(), s.clone()).expect("join runs");
         let mut got = out.pairs.clone();
         got.sort_unstable();
         assert_eq!(got, expected);
@@ -191,7 +194,7 @@ mod tests {
         assert!(out.replicated[0] > 0);
         assert_eq!(out.replicated[1], 0);
         // The finer grid replicates more than PBSM on the same data.
-        let pbsm = pbsm_join(&c, &spec, ReplicateSide::R, r, s);
+        let pbsm = pbsm_join(&c, &spec, ReplicateSide::R, r, s).expect("join runs");
         assert!(
             out.replicated[0] > pbsm.replicated[0],
             "eps-grid {} vs PBSM {}",

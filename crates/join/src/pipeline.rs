@@ -1,4 +1,4 @@
-use crate::{JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinOutput, JoinSpec, Record};
 use asj_core::{AgreementPolicy, KernelKind};
 use asj_engine::{
     ensure_remaining, Cluster, Dataset, ExecStats, KeyedDataset, Partitioner, ShuffleStats, Wire,
@@ -45,6 +45,7 @@ impl Algorithm {
         Algorithm::Sedona,
     ];
 
+    /// Display name, as in the paper's figure legends.
     pub fn name(self) -> &'static str {
         match self {
             Algorithm::Lpib => "LPiB",
@@ -57,14 +58,36 @@ impl Algorithm {
         }
     }
 
+    /// Command-line (`--algo`) and queue-file (`algo=`) spelling.
+    pub fn token(self) -> &'static str {
+        match self {
+            Algorithm::Lpib => "lpib",
+            Algorithm::Diff => "diff",
+            Algorithm::UniR => "uni-r",
+            Algorithm::UniS => "uni-s",
+            Algorithm::EpsGrid => "eps-grid",
+            Algorithm::Sedona => "sedona",
+            Algorithm::LpibDedup => "lpib-dedup",
+        }
+    }
+
+    /// The inverse of [`Algorithm::token`], over all seven algorithms.
+    pub fn from_token(token: &str) -> Result<Algorithm, String> {
+        Algorithm::ALL
+            .into_iter()
+            .chain([Algorithm::LpibDedup])
+            .find(|algo| algo.token() == token)
+            .ok_or_else(|| format!("unknown algorithm '{token}'"))
+    }
+
     /// Runs this algorithm on the given inputs.
-    pub fn run(
+    pub fn try_run(
         self,
         cluster: &Cluster,
         spec: &JoinSpec,
         r: Vec<Record>,
         s: Vec<Record>,
-    ) -> JoinOutput {
+    ) -> Result<JoinOutput, JoinError> {
         match self {
             Algorithm::Lpib => crate::adaptive_join(cluster, spec, AgreementPolicy::Lpib, r, s),
             Algorithm::Diff => crate::adaptive_join(cluster, spec, AgreementPolicy::Diff, r, s),
@@ -77,6 +100,23 @@ impl Algorithm {
             }
         }
     }
+
+    /// Infallible [`Algorithm::try_run`].
+    ///
+    /// # Panics
+    /// Panics if the join fails.
+    #[deprecated(note = "frozen for benchmark/src/probe.rs; use try_run")]
+    #[allow(clippy::panic)]
+    pub fn run(
+        self,
+        cluster: &Cluster,
+        spec: &JoinSpec,
+        r: Vec<Record>,
+        s: Vec<Record>,
+    ) -> JoinOutput {
+        self.try_run(cluster, spec, r, s)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
 }
 
 /// Spatial-mapping stage: routes every record to the cell keys chosen by
@@ -87,13 +127,13 @@ pub(crate) fn map_stage<F>(
     cluster: &Cluster,
     input: Dataset<Record>,
     assign: F,
-) -> (KeyedDataset<u64, Record>, u64, ExecStats)
+) -> Result<(KeyedDataset<u64, Record>, u64, ExecStats), JoinError>
 where
     F: Fn(Point, &mut Vec<u64>, &mut Vec<asj_grid::CellCoord>) + Sync,
 {
     let records_in: u64 = input.len() as u64;
     cluster.recorder().phase_attrs("marking", |attrs| {
-        let (parts, stats) = cluster.run_partitioned_stage(
+        let (parts, stats) = cluster.run_stage(
             "marking",
             input.into_partitions(),
             |_, part: Vec<Record>| {
@@ -112,14 +152,14 @@ where
                 }
                 out
             },
-        );
+        )?;
         let keyed = KeyedDataset::from_partitions(parts);
         let replicas = keyed.len() as u64 - records_in;
         *attrs = attrs.records(records_in).cells(replicas);
         cluster
             .recorder()
             .counter_add("marking", "replicas", replicas);
-        (keyed, replicas, stats)
+        Ok((keyed, replicas, stats))
     })
 }
 
@@ -132,14 +172,11 @@ pub(crate) fn join_stage<P>(
     keyed_r: KeyedDataset<u64, Record>,
     keyed_s: KeyedDataset<u64, Record>,
     partitioner: &P,
-) -> JoinStageOutput
+) -> Result<JoinStageOutput, JoinError>
 where
     P: Partitioner<u64> + ?Sized,
 {
     let recorder = cluster.recorder().clone();
-    let placement: Vec<usize> = (0..partitioner.num_partitions())
-        .map(|p| cluster.node_of_partition(p))
-        .collect();
     let eps = spec.eps;
     let collect = spec.collect_pairs;
     let kernel = spec.kernel;
@@ -193,43 +230,43 @@ where
     };
 
     let (keyed_r, keyed_s, shuffle, shuffle_exec) = recorder.phase_attrs("shuffle", |attrs| {
-        let (keyed_r, sh_r, ex_r) = keyed_r.shuffle_stage(cluster, partitioner, "shuffle.R");
-        let (keyed_s, sh_s, ex_s) = keyed_s.shuffle_stage(cluster, partitioner, "shuffle.S");
+        let (keyed_r, sh_r, ex_r) = keyed_r.shuffle_stage(cluster, partitioner, "shuffle.R")?;
+        let (keyed_s, sh_s, ex_s) = keyed_s.shuffle_stage(cluster, partitioner, "shuffle.S")?;
         let mut shuffle = sh_r;
         shuffle.merge(&sh_s);
         let mut shuffle_exec = ex_r;
         shuffle_exec.accumulate(&ex_s);
         *attrs = attrs.records(shuffle.records).bytes(shuffle.total_bytes());
-        (keyed_r, keyed_s, shuffle, shuffle_exec)
-    });
+        Ok::<_, JoinError>((keyed_r, keyed_s, shuffle, shuffle_exec))
+    })?;
     assert_eq!(
         keyed_r.num_partitions(),
         keyed_s.num_partitions(),
         "joined datasets must share the partitioner"
     );
-    // `run_placed_stage_checkpointed`: with a checkpoint store attached the
+    // `run_stage_checkpointed`: with a checkpoint store attached the
     // per-partition `(pairs, tally)` outputs are persisted after the stage
     // and replayed on recovery, so a recovered server skips the join phase —
     // the ε-grid's memory-pressure peak — entirely, not just the shuffles.
     //
     // The tasks only read their partitions, so they borrow them and this
-    // thread frees both sides once the stage is over. A task that owns its
-    // partitions frees them on its worker: with payload-carrying records
-    // that is one `free` per record into the arenas of the few threads that
-    // allocated them, and concurrent workers queue on those arena locks —
-    // the stage gets no faster with more threads and its length depends on
-    // how they interleave. A retried or speculative attempt also copies two
-    // references, not the records.
+    // thread frees both sides once the stage is over, failed or not. A task
+    // that owns its partitions frees them on its worker: with
+    // payload-carrying records that is one `free` per record into the arenas
+    // of the few threads that allocated them, and concurrent workers queue on
+    // those arena locks — the stage gets no faster with more threads and its
+    // length depends on how they interleave. A retried or speculative attempt
+    // also copies two references, not the records.
     let (folded, join_exec) = recorder.phase("local_join", || {
         let tasks: Vec<(&CellGroup, &CellGroup)> = keyed_r
             .partitions()
             .iter()
             .zip(keyed_s.partitions())
             .collect();
-        let out = cluster.run_placed_stage_checkpointed("cogroup_join", tasks, &placement, body);
+        let out = cluster.run_stage_checkpointed("cogroup_join", tasks, body);
         drop((keyed_r, keyed_s));
         out
-    });
+    })?;
     let mut tally = KernelTally::default();
     let mut pairs = Vec::new();
     for (part, t) in folded {
@@ -237,14 +274,14 @@ where
         pairs.extend(part);
     }
     tally.publish(cluster, "local_join");
-    JoinStageOutput {
+    Ok(JoinStageOutput {
         pairs,
         result_count: tally.results,
         candidates: tally.candidates,
         shuffle,
         shuffle_exec,
         join_exec,
-    }
+    })
 }
 
 /// Per-partition fold of what the adaptive kernel layer did: counts, the
@@ -387,7 +424,8 @@ mod tests {
             if (p.x as u64).is_multiple_of(2) {
                 cells.push(100 + p.x as u64);
             }
-        });
+        })
+        .expect("join runs");
         assert_eq!(replicas, 2);
         assert_eq!(keyed.len(), 5);
     }
@@ -401,12 +439,14 @@ mod tests {
         // Everything keyed to one cell: the kernel sees all candidates.
         let (kr, _, _) = map_stage(&c, Dataset::from_vec(r.clone(), 1), |_, cells, _| {
             cells.push(0)
-        });
+        })
+        .expect("join runs");
         let (ks, _, _) = map_stage(&c, Dataset::from_vec(s.clone(), 1), |_, cells, _| {
             cells.push(0)
-        });
+        })
+        .expect("join runs");
         // Default Auto resolves the tiny 2x2 group to a nested loop.
-        let out = join_stage(&c, &spec, kr, ks, &HashPartitioner::new(4));
+        let out = join_stage(&c, &spec, kr, ks, &HashPartitioner::new(4)).expect("join runs");
         assert_eq!(out.result_count, 1); // only (1,1)-(1.5,1) within eps
         assert_eq!(out.candidates, 4);
         assert_eq!(out.pairs, vec![(0, 0)]);
@@ -414,9 +454,11 @@ mod tests {
         // An explicit plane-sweep request is honored: the epsilon window
         // prunes everything but the matching pair.
         let spec_ps = spec.with_kernel(crate::LocalKernel::PlaneSweep);
-        let (kr, _, _) = map_stage(&c, Dataset::from_vec(r, 1), |_, cells, _| cells.push(0));
-        let (ks, _, _) = map_stage(&c, Dataset::from_vec(s, 1), |_, cells, _| cells.push(0));
-        let out_ps = join_stage(&c, &spec_ps, kr, ks, &HashPartitioner::new(4));
+        let (kr, _, _) =
+            map_stage(&c, Dataset::from_vec(r, 1), |_, cells, _| cells.push(0)).expect("join runs");
+        let (ks, _, _) =
+            map_stage(&c, Dataset::from_vec(s, 1), |_, cells, _| cells.push(0)).expect("join runs");
+        let out_ps = join_stage(&c, &spec_ps, kr, ks, &HashPartitioner::new(4)).expect("join runs");
         assert_eq!(out_ps.result_count, 1);
         assert_eq!(out_ps.pairs, vec![(0, 0)]);
         assert_eq!(out_ps.candidates, 1, "sweep window must prune");
@@ -442,6 +484,18 @@ mod tests {
         assert!(
             KernelTally::try_decode(&mut &buf[..buf.len() - 1]).is_err(),
             "truncated tally is a decode error, not garbage"
+        );
+    }
+
+    #[test]
+    fn algorithm_tokens_round_trip() {
+        let all = Algorithm::ALL.into_iter().chain([Algorithm::LpibDedup]);
+        for algo in all {
+            assert_eq!(Algorithm::from_token(algo.token()), Ok(algo));
+        }
+        assert_eq!(
+            Algorithm::from_token("quadtree"),
+            Err("unknown algorithm 'quadtree'".to_string())
         );
     }
 
@@ -485,14 +539,16 @@ mod kernel_choice_tests {
             AgreementPolicy::Lpib,
             r.clone(),
             s.clone(),
-        );
+        )
+        .expect("join runs");
         let ps = crate::adaptive_join(
             &c,
             &base.with_kernel(LocalKernel::PlaneSweep),
             AgreementPolicy::Lpib,
             r,
             s,
-        );
+        )
+        .expect("join runs");
         let mut a = nl.pairs.clone();
         let mut b = ps.pairs.clone();
         a.sort_unstable();

@@ -1,4 +1,4 @@
-use crate::{adaptive_join, JoinOutput, JoinSpec, Record};
+use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, Record};
 use asj_core::AgreementPolicy;
 use asj_engine::{Cluster, Dataset, HashPartitioner, KeyedDataset};
 
@@ -16,7 +16,7 @@ pub fn adaptive_join_post_fetch(
     policy: AgreementPolicy,
     r: Vec<Record>,
     s: Vec<Record>,
-) -> JoinOutput {
+) -> Result<JoinOutput, JoinError> {
     // Attribute tables stay behind (id → payload), the join sees bare tuples.
     let r_attrs: Vec<(u64, Vec<u8>)> = r.iter().map(|rec| (rec.id, rec.payload.clone())).collect();
     let s_attrs: Vec<(u64, Vec<u8>)> = s.iter().map(|rec| (rec.id, rec.payload.clone())).collect();
@@ -25,13 +25,10 @@ pub fn adaptive_join_post_fetch(
 
     let mut collect_spec = spec.clone();
     collect_spec.collect_pairs = true;
-    let mut out = adaptive_join(cluster, &collect_spec, policy, r_bare, s_bare);
+    let mut out = adaptive_join(cluster, &collect_spec, policy, r_bare, s_bare)?;
 
     // --- Post-processing: fetch attributes with two id-joins. ---
     let partitioner = HashPartitioner::new(spec.num_partitions);
-    let placement: Vec<usize> = (0..spec.num_partitions)
-        .map(|p| cluster.node_of_partition(p))
-        .collect();
 
     // Join 1: pairs (keyed by r.id) ⋈ R attributes. Both id-join inputs are
     // split across the spec's input partitions — a single-partition dataset
@@ -43,24 +40,27 @@ pub fn adaptive_join_post_fetch(
     let r_table = KeyedDataset::from_partitions(
         Dataset::from_vec(r_attrs, spec.input_partitions).into_partitions(),
     );
-    let (pairs_by_rid, sh, ex) = pairs_by_rid.shuffle(cluster, &partitioner);
+    let (pairs_by_rid, sh, ex) = pairs_by_rid.shuffle_stage(cluster, &partitioner, "shuffle")?;
     out.metrics.shuffle.merge(&sh);
     out.metrics.join.accumulate(&ex);
-    let (r_table, sh, ex) = r_table.shuffle(cluster, &partitioner);
+    let (r_table, sh, ex) = r_table.shuffle_stage(cluster, &partitioner, "shuffle")?;
     out.metrics.shuffle.merge(&sh);
     out.metrics.join.accumulate(&ex);
-    let (half, ex) = pairs_by_rid.cogroup_join(
+    let (half, _, ex) = pairs_by_rid.cogroup_join_fold(
         cluster,
         r_table,
-        &placement,
-        |rid, sids: &[u64], payloads: &[Vec<u8>], out: &mut Vec<(u64, (u64, Vec<u8>))>| {
+        |rid,
+         sids: &[u64],
+         payloads: &[Vec<u8>],
+         out: &mut Vec<(u64, (u64, Vec<u8>))>,
+         _acc: &mut ()| {
             for &sid in sids {
                 for payload in payloads {
                     out.push((sid, (rid, payload.clone())));
                 }
             }
         },
-    );
+    )?;
     out.metrics.join.accumulate(&ex);
 
     // Join 2: half-enriched rows (keyed by s.id) ⋈ S attributes.
@@ -68,17 +68,16 @@ pub fn adaptive_join_post_fetch(
     let s_table = KeyedDataset::from_partitions(
         Dataset::from_vec(s_attrs, spec.input_partitions).into_partitions(),
     );
-    let (half, sh, ex) = half.shuffle(cluster, &partitioner);
+    let (half, sh, ex) = half.shuffle_stage(cluster, &partitioner, "shuffle")?;
     out.metrics.shuffle.merge(&sh);
     out.metrics.join.accumulate(&ex);
-    let (s_table, sh, ex) = s_table.shuffle(cluster, &partitioner);
+    let (s_table, sh, ex) = s_table.shuffle_stage(cluster, &partitioner, "shuffle")?;
     out.metrics.shuffle.merge(&sh);
     out.metrics.join.accumulate(&ex);
     // Enrichment counts fold into per-partition accumulators (retry-safe).
     let (_, fold_counts, ex) = half.cogroup_join_fold(
         cluster,
         s_table,
-        &placement,
         |_sid,
          halves: &[(u64, Vec<u8>)],
          payloads: &[Vec<u8>],
@@ -91,7 +90,7 @@ pub fn adaptive_join_post_fetch(
                 }
             }
         },
-    );
+    )?;
     out.metrics.join.accumulate(&ex);
 
     let enriched: u64 = fold_counts.iter().map(|c| c.0).sum();
@@ -103,7 +102,7 @@ pub fn adaptive_join_post_fetch(
     if !spec.collect_pairs {
         out.pairs = Vec::new();
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -131,8 +130,10 @@ mod tests {
         let r = to_records(&pts(&mut rng, 300), 64);
         let s = to_records(&pts(&mut rng, 300), 64);
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
-        let inline = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone());
-        let fetched = adaptive_join_post_fetch(&c, &spec, AgreementPolicy::Lpib, r, s);
+        let inline = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+            .expect("join runs");
+        let fetched =
+            adaptive_join_post_fetch(&c, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
         assert_eq!(fetched.result_count as usize, expected.len());
         assert_eq!(fetched.result_count, inline.result_count);
         assert_eq!(fetched.algorithm, "LPiB+post-fetch");

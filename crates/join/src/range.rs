@@ -1,4 +1,4 @@
-use crate::{JoinSpec, Record};
+use crate::{JoinError, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, KeyedDataset, ShuffleStats};
 use asj_geom::{Point, Rect};
 use asj_grid::{Grid, GridSpec};
@@ -17,25 +17,26 @@ pub struct PartitionedPoints {
 impl PartitionedPoints {
     /// Shuffles `data` by native grid cell (unique assignment — range
     /// queries need no replication).
-    pub fn build(cluster: &Cluster, spec: &JoinSpec, data: Vec<Record>) -> Self {
+    pub fn build(cluster: &Cluster, spec: &JoinSpec, data: Vec<Record>) -> Result<Self, JoinError> {
+        spec.validate()?;
         let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
         let grid_b = cluster.broadcast(grid.clone());
         let rdd = Dataset::from_vec(data, spec.input_partitions);
-        let (parts, mut exec) = cluster.run_partitioned(rdd.into_partitions(), |_, part| {
+        let (parts, mut exec) = cluster.run_stage("task", rdd.into_partitions(), |_, part| {
             part.into_iter()
                 .map(|rec| (grid_b.cell_index(grid_b.cell_of(rec.point)) as u64, rec))
                 .collect::<Vec<_>>()
-        });
+        })?;
         let partitioner = HashPartitioner::new(spec.num_partitions);
         let (keyed, shuffle, ex) =
-            KeyedDataset::from_partitions(parts).shuffle(cluster, &partitioner);
+            KeyedDataset::from_partitions(parts).shuffle_stage(cluster, &partitioner, "shuffle")?;
         exec.accumulate(&ex);
-        PartitionedPoints {
+        Ok(PartitionedPoints {
             grid,
             parts: keyed.into_partitions(),
             build_shuffle: shuffle,
             build_exec: exec,
-        }
+        })
     }
 
     pub fn len(&self) -> usize {
@@ -48,13 +49,17 @@ impl PartitionedPoints {
 
     /// All record ids inside `region` (closed bounds), with per-cell pruning:
     /// partitions only scan records of cells intersecting the region.
-    pub fn range_query(&self, cluster: &Cluster, region: Rect) -> (Vec<u64>, ExecStats) {
+    pub fn range_query(
+        &self,
+        cluster: &Cluster,
+        region: Rect,
+    ) -> Result<(Vec<u64>, ExecStats), JoinError> {
         if region.is_empty() {
-            return (Vec::new(), ExecStats::default());
+            return Ok((Vec::new(), ExecStats::default()));
         }
         let grid = &self.grid;
         let refs: Vec<&Vec<(u64, Record)>> = self.parts.iter().collect();
-        let (found, exec) = cluster.run_partitioned(refs, |_, part| {
+        let (found, exec) = cluster.run_stage("task", refs, |_, part| {
             part.iter()
                 .filter(|(cell, _)| {
                     grid.cell_rect(grid.cell_at(*cell as usize))
@@ -63,10 +68,10 @@ impl PartitionedPoints {
                 .filter(|(_, rec)| region.contains(rec.point))
                 .map(|(_, rec)| rec.id)
                 .collect::<Vec<u64>>()
-        });
+        })?;
         let mut out: Vec<u64> = found.into_iter().flatten().collect();
         out.sort_unstable();
-        (out, exec)
+        Ok((out, exec))
     }
 
     /// All record ids within distance `radius` of `center`.
@@ -75,12 +80,12 @@ impl PartitionedPoints {
         cluster: &Cluster,
         center: Point,
         radius: f64,
-    ) -> (Vec<u64>, ExecStats) {
+    ) -> Result<(Vec<u64>, ExecStats), JoinError> {
         assert!(radius >= 0.0, "radius must be non-negative");
         let grid = &self.grid;
         let r2 = radius * radius;
         let refs: Vec<&Vec<(u64, Record)>> = self.parts.iter().collect();
-        let (found, exec) = cluster.run_partitioned(refs, |_, part| {
+        let (found, exec) = cluster.run_stage("task", refs, |_, part| {
             part.iter()
                 .filter(|(cell, _)| {
                     grid.cell_rect(grid.cell_at(*cell as usize))
@@ -90,10 +95,10 @@ impl PartitionedPoints {
                 .filter(|(_, rec)| rec.point.dist2(center) <= r2)
                 .map(|(_, rec)| rec.id)
                 .collect::<Vec<u64>>()
-        });
+        })?;
         let mut out: Vec<u64> = found.into_iter().flatten().collect();
         out.sort_unstable();
-        (out, exec)
+        Ok((out, exec))
     }
 }
 
@@ -113,7 +118,7 @@ mod tests {
             .map(|_| Point::new(rng.gen_range(0.0..20.0), rng.gen_range(0.0..20.0)))
             .collect();
         let records = to_records(&pts, 0);
-        let table = PartitionedPoints::build(&cluster, &spec, records.clone());
+        let table = PartitionedPoints::build(&cluster, &spec, records.clone()).expect("join runs");
         (cluster, table, records)
     }
 
@@ -127,7 +132,7 @@ mod tests {
             Rect::new(19.0, 19.0, 25.0, 25.0),
             Rect::new(-5.0, -5.0, -1.0, -1.0),
         ] {
-            let (got, _) = table.range_query(&cluster, region);
+            let (got, _) = table.range_query(&cluster, region).expect("join runs");
             let mut want: Vec<u64> = records
                 .iter()
                 .filter(|r| region.contains(r.point))
@@ -147,7 +152,9 @@ mod tests {
             (Point::new(10.0, 10.0), 0.0),
             (Point::new(10.0, 10.0), 100.0),
         ] {
-            let (got, _) = table.circle_query(&cluster, center, radius);
+            let (got, _) = table
+                .circle_query(&cluster, center, radius)
+                .expect("join runs");
             let mut want: Vec<u64> = records
                 .iter()
                 .filter(|r| r.point.dist2(center) <= radius * radius)
@@ -161,7 +168,9 @@ mod tests {
     #[test]
     fn empty_region_is_empty() {
         let (cluster, table, _) = setup();
-        let (got, _) = table.range_query(&cluster, Rect::empty());
+        let (got, _) = table
+            .range_query(&cluster, Rect::empty())
+            .expect("join runs");
         assert!(got.is_empty());
         assert!(!table.is_empty());
     }

@@ -1,6 +1,6 @@
 use crate::pipeline::map_stage;
-use crate::{JoinOutput, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, JobMetrics, Partitioner};
+use crate::{JoinError, JoinOutput, JoinSpec, Record};
+use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, JobMetrics};
 use asj_grid::{Grid, GridSpec};
 use asj_index::kernels;
 
@@ -21,7 +21,8 @@ pub fn pbsm_refpoint_join(
     spec: &JoinSpec,
     r: Vec<Record>,
     s: Vec<Record>,
-) -> JoinOutput {
+) -> Result<JoinOutput, JoinError> {
+    spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let broadcast_bytes = grid.broadcast_bytes();
     let rdd_r = Dataset::from_vec(r, spec.input_partitions);
@@ -38,22 +39,19 @@ pub fn pbsm_refpoint_join(
             cells.extend(scratch.iter().map(|&c| grid_b.cell_index(c) as u64));
         }
     };
-    let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, &assign);
+    let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, &assign)?;
     construction.accumulate(&ex);
-    let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, &assign);
+    let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, &assign)?;
     construction.accumulate(&ex);
 
     let partitioner = HashPartitioner::new(spec.num_partitions);
-    let (keyed_r, sh_r, ex_r) = keyed_r.shuffle(cluster, &partitioner);
-    let (keyed_s, sh_s, ex_s) = keyed_s.shuffle(cluster, &partitioner);
+    let (keyed_r, sh_r, ex_r) = keyed_r.shuffle_stage(cluster, &partitioner, "shuffle")?;
+    let (keyed_s, sh_s, ex_s) = keyed_s.shuffle_stage(cluster, &partitioner, "shuffle")?;
     let mut shuffle = sh_r;
     shuffle.merge(&sh_s);
     construction.accumulate(&ex_r);
     construction.accumulate(&ex_s);
 
-    let placement: Vec<usize> = (0..partitioner.num_partitions())
-        .map(|p| cluster.node_of_partition(p))
-        .collect();
     let eps = spec.eps;
     let collect = spec.collect_pairs;
     let kernel = spec.kernel;
@@ -64,7 +62,6 @@ pub fn pbsm_refpoint_join(
     let (joined, counts, join_exec) = keyed_r.cogroup_join_sorted_fold(
         cluster,
         keyed_s,
-        &placement,
         |r: &Record| r.point.x,
         |s: &Record| s.point.x,
         |cell, rs: &[Record], ss: &[Record], out: &mut Vec<(u64, u64)>, acc: &mut (u64, u64)| {
@@ -96,9 +93,9 @@ pub fn pbsm_refpoint_join(
             acc.0 += outcome.stats.candidates;
             acc.1 += local_results;
         },
-    );
+    )?;
 
-    JoinOutput {
+    Ok(JoinOutput {
         algorithm: "PBSM+refpoint".to_string(),
         pairs: joined.collect(),
         result_count: counts.iter().map(|c| c.1).sum(),
@@ -111,7 +108,7 @@ pub fn pbsm_refpoint_join(
             driver: std::time::Duration::ZERO,
             broadcast_bytes,
         },
-    }
+    })
 }
 
 #[cfg(test)]
@@ -138,7 +135,7 @@ mod tests {
         let r = records(400, 61);
         let s = records(400, 62);
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
-        let out = pbsm_refpoint_join(&c, &spec, r, s);
+        let out = pbsm_refpoint_join(&c, &spec, r, s).expect("join runs");
         let mut got = out.pairs.clone();
         got.sort_unstable();
         assert_eq!(got, expected);
@@ -157,12 +154,12 @@ mod tests {
             .counting_only();
         let r = records(500, 63);
         let s = records(500, 64);
-        let refp = pbsm_refpoint_join(&c, &spec, r.clone(), s.clone());
+        let refp = pbsm_refpoint_join(&c, &spec, r.clone(), s.clone()).expect("join runs");
         assert!(
             refp.replicated[0] > 0 && refp.replicated[1] > 0,
             "both sides replicate"
         );
-        let single = pbsm_join(&c, &spec, ReplicateSide::R, r, s);
+        let single = pbsm_join(&c, &spec, ReplicateSide::R, r, s).expect("join runs");
         assert!(
             refp.replicated_total() > single.replicated_total(),
             "MASJ with both sides replicated must move more copies"
@@ -179,7 +176,7 @@ mod tests {
         // Cells of side 2.5: border at x = 2.5; midpoint = (2.5, 1.0).
         let r = to_records(&[Point::new(2.2, 1.0)], 0);
         let s = to_records(&[Point::new(2.8, 1.0)], 0);
-        let out = pbsm_refpoint_join(&c, &spec, r, s);
+        let out = pbsm_refpoint_join(&c, &spec, r, s).expect("join runs");
         assert_eq!(out.pairs, vec![(0, 0)]);
     }
 }

@@ -1,5 +1,5 @@
 use crate::pipeline::map_stage;
-use crate::{JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinOutput, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, ExecStats, JobMetrics, Partitioner};
 use asj_index::{kernels, QuadTreePartitioner};
 use std::time::Instant;
@@ -24,7 +24,8 @@ pub fn sedona_like_join(
     spec: &JoinSpec,
     r: Vec<Record>,
     s: Vec<Record>,
-) -> JoinOutput {
+) -> Result<JoinOutput, JoinError> {
+    spec.validate()?;
     let r_is_small = r.len() <= s.len();
     let rdd_r = Dataset::from_vec(r, spec.input_partitions);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
@@ -33,10 +34,10 @@ pub fn sedona_like_join(
     // Phase 1: sample the smaller set and build the QuadTree partitioner on
     // the driver.
     let (sample, ex) = if r_is_small {
-        rdd_r.sample(cluster, spec.sample_fraction, spec.seed)
+        rdd_r.try_sample(cluster, spec.sample_fraction, spec.seed)
     } else {
-        rdd_s.sample(cluster, spec.sample_fraction, spec.seed)
-    };
+        rdd_s.try_sample(cluster, spec.sample_fraction, spec.seed)
+    }?;
     construction.accumulate(&ex);
     let driver_start = Instant::now();
     let sample_points: Vec<asj_geom::Point> = sample.iter().map(|rec| rec.point).collect();
@@ -76,21 +77,21 @@ pub fn sedona_like_join(
         map_stage(cluster, rdd_r, &replicated_assign)
     } else {
         map_stage(cluster, rdd_r, &single_assign)
-    };
+    }?;
     construction.accumulate(&ex);
     let (keyed_s, rep_s, ex) = if r_is_small {
         map_stage(cluster, rdd_s, &single_assign)
     } else {
         map_stage(cluster, rdd_s, &replicated_assign)
-    };
+    }?;
     construction.accumulate(&ex);
 
     // Shuffle both sides by leaf id: one partition per leaf.
     let leaf_partitioner = LeafPartitioner {
         leaves: qt_b.num_leaves(),
     };
-    let (keyed_r, sh_r, ex_r) = keyed_r.shuffle(cluster, &leaf_partitioner);
-    let (keyed_s, sh_s, ex_s) = keyed_s.shuffle(cluster, &leaf_partitioner);
+    let (keyed_r, sh_r, ex_r) = keyed_r.shuffle_stage(cluster, &leaf_partitioner, "shuffle")?;
+    let (keyed_s, sh_s, ex_s) = keyed_s.shuffle_stage(cluster, &leaf_partitioner, "shuffle")?;
     let mut shuffle = sh_r;
     shuffle.merge(&sh_s);
     construction.accumulate(&ex_r);
@@ -99,9 +100,6 @@ pub fn sedona_like_join(
     // Phase 2+3: per leaf, run the shared local-join entry point (honoring
     // `spec.kernel`; `Auto` consults the calibrated cost model with the
     // leaf group's measured extent).
-    let placement: Vec<usize> = (0..qt_b.num_leaves())
-        .map(|p| cluster.node_of_partition(p))
-        .collect();
     let collect = spec.collect_pairs;
     let kernel = spec.kernel;
     let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
@@ -111,7 +109,7 @@ pub fn sedona_like_join(
         .into_iter()
         .zip(keyed_s.into_partitions())
         .collect();
-    let (pair_parts, join_exec) = cluster.run_placed(tasks, &placement, |_, (rs, ss)| {
+    let (pair_parts, join_exec) = cluster.run_stage("task", tasks, |_, (rs, ss)| {
         let mut out: Vec<(u64, u64)> = Vec::new();
         let outcome = kernels::local_join(
             kernel,
@@ -131,9 +129,9 @@ pub fn sedona_like_join(
         // Counts travel with the task result (per-attempt, committed once) —
         // shared atomics would double-count retried attempts.
         (out, outcome.stats.candidates, outcome.stats.results)
-    });
+    })?;
 
-    JoinOutput {
+    Ok(JoinOutput {
         algorithm: "Sedona".to_string(),
         pairs: pair_parts
             .iter()
@@ -150,7 +148,7 @@ pub fn sedona_like_join(
             driver,
             broadcast_bytes,
         },
-    }
+    })
 }
 
 /// Identity partitioner: leaf id = partition id.
@@ -208,7 +206,7 @@ mod tests {
         let r = clustered_records(350, 21);
         let s = clustered_records(500, 22);
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
-        let out = sedona_like_join(&c, &spec, r, s);
+        let out = sedona_like_join(&c, &spec, r, s).expect("join runs");
         let mut got = out.pairs.clone();
         got.sort_unstable();
         assert_eq!(got, expected);
@@ -225,12 +223,12 @@ mod tests {
         let spec = JoinSpec::new(Rect::new(0.0, 0.0, 20.0, 20.0), 0.8).with_sample_fraction(0.5);
         let r = clustered_records(200, 23); // smaller
         let s = clustered_records(600, 24);
-        let out = sedona_like_join(&c, &spec, r, s);
+        let out = sedona_like_join(&c, &spec, r, s).expect("join runs");
         assert_eq!(out.replicated[1], 0, "larger side must be single-assigned");
         // The swap case.
         let r = clustered_records(600, 25);
         let s = clustered_records(200, 26); // smaller
-        let out = sedona_like_join(&c, &spec, r, s);
+        let out = sedona_like_join(&c, &spec, r, s).expect("join runs");
         assert_eq!(out.replicated[0], 0);
     }
 }

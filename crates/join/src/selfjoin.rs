@@ -1,6 +1,6 @@
 use crate::pipeline::map_stage;
-use crate::{JoinOutput, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, JobMetrics, Partitioner};
+use crate::{JoinError, JoinOutput, JoinSpec, Record};
+use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, JobMetrics};
 use asj_grid::{Grid, GridSpec};
 use asj_index::kernels;
 
@@ -13,7 +13,12 @@ use asj_index::kernels;
 /// cell joins its points against themselves and a pair is reported only by
 /// the cell containing the pair's midpoint (which both endpoints are always
 /// replicated into, since `d/2 ≤ ε/2 < ε`).
-pub fn self_join(cluster: &Cluster, spec: &JoinSpec, input: Vec<Record>) -> JoinOutput {
+pub fn self_join(
+    cluster: &Cluster,
+    spec: &JoinSpec,
+    input: Vec<Record>,
+) -> Result<JoinOutput, JoinError> {
+    spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let broadcast_bytes = grid.broadcast_bytes();
     let rdd = Dataset::from_vec(input, spec.input_partitions);
@@ -29,16 +34,13 @@ pub fn self_join(cluster: &Cluster, spec: &JoinSpec, input: Vec<Record>) -> Join
             cells.extend(scratch.iter().map(|&c| grid_b.cell_index(c) as u64));
         }
     };
-    let (keyed, replicas, ex) = map_stage(cluster, rdd, &assign);
+    let (keyed, replicas, ex) = map_stage(cluster, rdd, &assign)?;
     construction.accumulate(&ex);
 
     let partitioner = HashPartitioner::new(spec.num_partitions);
-    let (keyed, shuffle, ex) = keyed.shuffle(cluster, &partitioner);
+    let (keyed, shuffle, ex) = keyed.shuffle_stage(cluster, &partitioner, "shuffle")?;
     construction.accumulate(&ex);
 
-    let placement: Vec<usize> = (0..partitioner.num_partitions())
-        .map(|p| cluster.node_of_partition(p))
-        .collect();
     let eps = spec.eps;
     let collect = spec.collect_pairs;
     let kernel = spec.kernel;
@@ -47,7 +49,6 @@ pub fn self_join(cluster: &Cluster, spec: &JoinSpec, input: Vec<Record>) -> Join
     // result, so retried/speculative attempts cannot double-count them.
     let (joined, counts, join_exec) = keyed.process_groups_fold(
         cluster,
-        &placement,
         |cell, pts: &[Record], out, acc: &mut (u64, u64)| {
             let mut local_results = 0u64;
             let outcome = kernels::local_self_join(
@@ -81,9 +82,9 @@ pub fn self_join(cluster: &Cluster, spec: &JoinSpec, input: Vec<Record>) -> Join
             acc.0 += outcome.stats.candidates;
             acc.1 += local_results;
         },
-    );
+    )?;
 
-    JoinOutput {
+    Ok(JoinOutput {
         algorithm: "self-join".to_string(),
         pairs: joined.collect(),
         result_count: counts.iter().map(|c| c.1).sum(),
@@ -96,7 +97,7 @@ pub fn self_join(cluster: &Cluster, spec: &JoinSpec, input: Vec<Record>) -> Join
             driver: std::time::Duration::ZERO,
             broadcast_bytes,
         },
-    }
+    })
 }
 
 /// Brute-force self-join oracle: unordered pairs `(a.id < b.id)` within ε.
@@ -143,7 +144,7 @@ mod tests {
         let recs = to_records(&pts, 0);
         let expected = brute_force_self_pairs(&recs, spec.eps);
         assert!(!expected.is_empty());
-        let out = self_join(&c, &spec, recs);
+        let out = self_join(&c, &spec, recs).expect("join runs");
         let mut got = out.pairs.clone();
         got.sort_unstable();
         assert_eq!(got, expected);
@@ -160,7 +161,7 @@ mod tests {
         let spec = JoinSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), 1.0).with_partitions(4);
         // Duplicate coordinates: ids differ, so they pair once.
         let recs = to_records(&[Point::new(1.0, 1.0), Point::new(1.0, 1.0)], 0);
-        let out = self_join(&c, &spec, recs);
+        let out = self_join(&c, &spec, recs).expect("join runs");
         assert_eq!(out.pairs, vec![(0, 1)]);
     }
 
@@ -181,7 +182,7 @@ mod tests {
             .collect();
         let recs = to_records(&pts, 0);
         let expected = brute_force_self_pairs(&recs, spec.eps);
-        let out = self_join(&c, &spec, recs);
+        let out = self_join(&c, &spec, recs).expect("join runs");
         let mut got = out.pairs.clone();
         got.sort_unstable();
         assert_eq!(got, expected);

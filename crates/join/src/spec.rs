@@ -1,4 +1,4 @@
-use asj_engine::{JobMetrics, Placement};
+use asj_engine::{JobError, JobMetrics, Placement};
 use asj_geom::Rect;
 
 /// Partition-local join kernel (ablation A1 in DESIGN.md). Re-exported from
@@ -86,27 +86,74 @@ impl JoinSpec {
         self.collect_pairs = false;
         self
     }
+
+    /// Rejects a spec no join can run: every entry point calls this first,
+    /// so values that arrived from a command line or a queue file surface as
+    /// [`JoinError::InvalidSpec`] instead of tripping an `assert!` deeper in
+    /// the grid, the partitioner or the sampler.
+    pub fn validate(&self) -> Result<(), JoinError> {
+        let invalid = |field, reason: String| Err(JoinError::InvalidSpec { field, reason });
+        if !(self.eps.is_finite() && self.eps > 0.0) {
+            return invalid(
+                "eps",
+                format!("must be finite and positive, got {}", self.eps),
+            );
+        }
+        if !(self.grid_factor.is_finite() && self.grid_factor >= 1.0) {
+            return invalid(
+                "grid_factor",
+                format!("must be finite and at least 1, got {}", self.grid_factor),
+            );
+        }
+        if self.num_partitions == 0 {
+            return invalid("num_partitions", "must be at least 1".into());
+        }
+        if self.input_partitions == 0 {
+            return invalid("input_partitions", "must be at least 1".into());
+        }
+        if !(0.0..=1.0).contains(&self.sample_fraction) {
+            return invalid(
+                "sample_fraction",
+                format!("must be in [0, 1], got {}", self.sample_fraction),
+            );
+        }
+        Ok(())
+    }
 }
 
-/// Typed failure of a fallible join entry point.
+/// Typed failure of a join entry point. Every entry point of this crate
+/// returns `Result<_, JoinError>`; none panics on a failed stage or on a
+/// spec that outside input could have produced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JoinError {
+    /// A spec field is outside the range every join needs (see
+    /// [`JoinSpec::validate`]).
+    InvalidSpec {
+        /// The offending [`JoinSpec`] field.
+        field: &'static str,
+        reason: String,
+    },
     /// The requested grid resolution leaves cell sides below `2ε`, so the
     /// agreement construction (Algorithms 2–4) cannot be made
     /// duplicate-free. Raise [`JoinSpec::with_grid_factor`] to at least
-    /// `min_factor`, or use [`adaptive_join`](crate::adaptive_join), which
-    /// auto-coarsens with a warning instead of failing.
+    /// `min_factor`; the baselines ([`pbsm_join`](crate::pbsm_join),
+    /// [`eps_grid_join`](crate::eps_grid_join)) run on any factor ≥ 1.
     GridTooFine {
         /// The factor the spec asked for.
         grid_factor: f64,
         /// The smallest factor the agreement construction supports.
         min_factor: f64,
     },
+    /// A stage failed: some task exhausted every permitted attempt.
+    Job(JobError),
 }
 
 impl std::fmt::Display for JoinError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            JoinError::InvalidSpec { field, reason } => {
+                write!(f, "invalid join spec: {field} {reason}")
+            }
             JoinError::GridTooFine {
                 grid_factor,
                 min_factor,
@@ -115,11 +162,18 @@ impl std::fmt::Display for JoinError {
                 "grid too fine for adaptive replication: grid_factor {grid_factor} \
                  puts cell sides below 2*eps (need grid_factor >= {min_factor})"
             ),
+            JoinError::Job(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for JoinError {}
+
+impl From<JobError> for JoinError {
+    fn from(e: JobError) -> Self {
+        JoinError::Job(e)
+    }
+}
 
 /// Everything one join run produced — results plus the paper's metrics.
 #[derive(Debug, Clone)]
@@ -183,6 +237,34 @@ mod tests {
         assert_eq!(d.kernel, LocalKernel::Auto, "Auto is the default kernel");
         let k = JoinSpec::new(bbox, 0.5).with_kernel(LocalKernel::GridBucket);
         assert_eq!(k.kernel, LocalKernel::GridBucket);
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let ok = JoinSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), 0.5);
+        assert_eq!(ok.validate(), Ok(()));
+        type Spoil = fn(&mut JoinSpec);
+        let cases: [(&str, Spoil); 9] = [
+            ("eps", |s| s.eps = 0.0),
+            ("eps", |s| s.eps = f64::NAN),
+            ("eps", |s| s.eps = f64::INFINITY),
+            ("grid_factor", |s| s.grid_factor = 0.5),
+            ("grid_factor", |s| s.grid_factor = f64::NAN),
+            ("num_partitions", |s| s.num_partitions = 0),
+            ("input_partitions", |s| s.input_partitions = 0),
+            ("sample_fraction", |s| s.sample_fraction = 1.5),
+            ("sample_fraction", |s| s.sample_fraction = f64::NAN),
+        ];
+        for (field, spoil) in cases {
+            let mut spec = ok.clone();
+            spoil(&mut spec);
+            match spec.validate() {
+                Err(JoinError::InvalidSpec { field: got, reason }) => {
+                    assert_eq!(got, field, "{reason}");
+                }
+                other => panic!("{field}: expected InvalidSpec, got {other:?}"),
+            }
+        }
     }
 
     #[test]

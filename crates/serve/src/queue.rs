@@ -66,29 +66,6 @@ impl TenantSpec {
     }
 }
 
-/// Queue-file spelling of an algorithm (the inverse of the `algo=` parser).
-fn algorithm_token(algo: Algorithm) -> &'static str {
-    match algo {
-        Algorithm::Lpib => "lpib",
-        Algorithm::Diff => "diff",
-        Algorithm::UniR => "uni-r",
-        Algorithm::UniS => "uni-s",
-        Algorithm::EpsGrid => "eps-grid",
-        Algorithm::Sedona => "sedona",
-        Algorithm::LpibDedup => "lpib-dedup",
-    }
-}
-
-/// Queue-file spelling of a generator kind (the inverse of the `kind=` parser).
-fn gen_kind_token(kind: GenKind) -> &'static str {
-    match kind {
-        GenKind::GaussianClusters => "gaussian",
-        GenKind::Hydrography => "hydrography",
-        GenKind::Parks => "parks",
-        GenKind::Uniform => "uniform",
-    }
-}
-
 /// Renders the spec back into a `job NAME key=value ...` line that
 /// [`parse_queue`] accepts. Every explicit key is emitted (defaults
 /// included), so `parse(format(spec)) == spec` — the round-trip property the
@@ -100,10 +77,10 @@ impl std::fmt::Display for TenantSpec {
             "job {} algo={} eps={} n={} kind={} seed={} weight={} kernel={} \
              partitions={} grid-factor={} payload={}",
             self.name,
-            algorithm_token(self.algorithm),
+            self.algorithm.token(),
             self.eps,
             self.cardinality,
-            gen_kind_token(self.kind),
+            self.kind.name(),
             self.seed,
             self.weight,
             self.kernel.name(),
@@ -139,29 +116,6 @@ impl std::fmt::Display for QueueError {
 }
 
 impl std::error::Error for QueueError {}
-
-fn algorithm_by_name(name: &str) -> Result<Algorithm, String> {
-    Ok(match name {
-        "lpib" => Algorithm::Lpib,
-        "diff" => Algorithm::Diff,
-        "uni-r" => Algorithm::UniR,
-        "uni-s" => Algorithm::UniS,
-        "eps-grid" => Algorithm::EpsGrid,
-        "sedona" => Algorithm::Sedona,
-        "lpib-dedup" => Algorithm::LpibDedup,
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
-}
-
-fn gen_kind_by_name(name: &str) -> Result<GenKind, String> {
-    Ok(match name {
-        "gaussian" => GenKind::GaussianClusters,
-        "hydrography" => GenKind::Hydrography,
-        "parks" => GenKind::Parks,
-        "uniform" => GenKind::Uniform,
-        other => return Err(format!("unknown generator kind '{other}'")),
-    })
-}
 
 fn parse_num<T: std::str::FromStr>(value: &str, key: &str) -> Result<T, String> {
     value
@@ -212,13 +166,13 @@ fn parse_job_line(line: &str) -> Result<TenantSpec, String> {
         }
         seen_keys.push(key);
         match key {
-            "algo" => spec.algorithm = algorithm_by_name(value)?,
+            "algo" => spec.algorithm = Algorithm::from_token(value)?,
             "eps" => {
                 spec.eps = parse_num(value, key)?;
                 saw_eps = true;
             }
             "n" => spec.cardinality = parse_num(value, key)?,
-            "kind" => spec.kind = gen_kind_by_name(value)?,
+            "kind" => spec.kind = value.parse()?,
             "seed" => spec.seed = parse_num(value, key)?,
             "weight" => {
                 spec.weight = parse_num(value, key)?;
@@ -233,11 +187,24 @@ fn parse_job_line(line: &str) -> Result<TenantSpec, String> {
                     return Err("partitions must be positive".into());
                 }
             }
-            "grid-factor" => spec.grid_factor = parse_num(value, key)?,
+            "grid-factor" => {
+                spec.grid_factor = parse_num(value, key)?;
+                if !(spec.grid_factor.is_finite() && spec.grid_factor >= 1.0) {
+                    return Err(format!(
+                        "grid-factor must be finite and at least 1, got {value}"
+                    ));
+                }
+            }
             "payload" => spec.payload = parse_bytes(value)?,
             "faults" => spec.faults = Some(value.to_string()),
             "fault-seed" => spec.fault_seed = parse_num(value, key)?,
-            "max-attempts" => spec.max_attempts = Some(parse_num(value, key)?),
+            "max-attempts" => {
+                let attempts: usize = parse_num(value, key)?;
+                if attempts == 0 {
+                    return Err("max-attempts must be positive".into());
+                }
+                spec.max_attempts = Some(attempts);
+            }
             "estimate" => spec.estimate_override = Some(parse_bytes(value)?),
             other => return Err(format!("unknown key '{other}'")),
         }
@@ -358,8 +325,19 @@ grid-factor=3 payload=2k faults=p=0.2,slow:1=2.0 fault-seed=3 max-attempts=5 est
             ("job a eps=0.5 partitions", "expected key=value"),
             ("job a eps=0.5 kernel=turbo", "unknown kernel"),
             ("job a eps=0.5 kind=zipf", "unknown generator kind"),
+            ("job a eps=0.5 grid-factor=0.5", "grid-factor must be"),
+            ("job a eps=0.5 grid-factor=nan", "grid-factor must be"),
+            ("job a eps=0.5 grid-factor=inf", "grid-factor must be"),
+            ("job a eps=inf", "eps must be positive"),
+            ("job a eps=nan", "eps must be positive"),
+            (
+                "job a eps=0.5 max-attempts=0",
+                "max-attempts must be positive",
+            ),
+            ("job a eps=0.5 partitions=0", "partitions must be positive"),
         ] {
-            let err = parse_queue(bad).unwrap_err();
+            let err = parse_queue(&format!("# header\n{bad}")).unwrap_err();
+            assert_eq!(err.line, 2, "'{bad}' is on line 2");
             assert!(
                 err.message.contains(needle),
                 "'{bad}' should mention '{needle}', got: {}",

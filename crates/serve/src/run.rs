@@ -5,7 +5,7 @@ use asj_engine::{
     ensure_remaining, Cluster, FaultPlan, JobServer, JobSpec, PoolStats, RetryPolicy, SchedPolicy,
     SubmitError, Wire, WireError,
 };
-use asj_join::{to_records, JoinSpec, Record};
+use asj_join::{to_records, JoinError, JoinSpec, Record};
 use bytes::{Buf, BufMut};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -71,8 +71,9 @@ pub fn checksum_pairs(result_count: u64, pairs: &[(u64, u64)]) -> u64 {
 }
 
 /// The per-tenant slice of one multi-tenant run: scheduling observables from
-/// the job server plus the join outcome (or the panic message if the tenant
-/// crashed — a crash fails only its own tenant).
+/// the job server plus the join outcome (or the join's error — a failed stage,
+/// a rejected spec; the panic message if the tenant crashed — which fails only
+/// its own tenant).
 #[derive(Debug, Clone)]
 pub struct TenantReport {
     pub name: String,
@@ -224,17 +225,17 @@ fn tenant_faults(tenant: &TenantSpec) -> Result<Option<(FaultPlan, RetryPolicy)>
     }
 }
 
-fn run_tenant_body(tenant: &TenantSpec, cluster: &Cluster) -> TenantOutcome {
+fn run_tenant_body(tenant: &TenantSpec, cluster: &Cluster) -> Result<TenantOutcome, JoinError> {
     let r = tenant_records(tenant, tenant.seed);
     let s = tenant_records(tenant, tenant.seed.wrapping_add(1));
     let spec = tenant_join_spec(tenant);
-    let out = tenant.algorithm.run(cluster, &spec, r, s);
-    TenantOutcome {
+    let out = tenant.algorithm.try_run(cluster, &spec, r, s)?;
+    Ok(TenantOutcome {
         result_count: out.result_count,
         candidates: out.candidates,
         replicated: out.replicated_total(),
         checksum: checksum_pairs(out.result_count, &out.pairs),
-    }
+    })
 }
 
 /// Builds the [`JobSpec`] for one tenant: the join body, the fair-share
@@ -408,7 +409,7 @@ pub fn solo_outcome(cluster: &Cluster, tenant: &TenantSpec) -> Result<TenantOutc
         // cluster's (with fresh state, as the per-job context is rebuilt).
         solo = solo.with_fault_policy(ctx.plan.clone(), ctx.policy);
     }
-    Ok(run_tenant_body(tenant, &solo))
+    run_tenant_body(tenant, &solo).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -530,6 +531,26 @@ mod tests {
         // deterministic given the plan seed).
         let solo = solo_outcome(&test_cluster(), &tenants[0]).expect("solo");
         assert_eq!(chaotic.outcome.as_ref().expect("recovered"), &solo);
+    }
+
+    #[test]
+    fn unsurvivable_tenant_fails_alone_with_the_job_error() {
+        let mut tenants = two_tenants();
+        tenants[0].faults = Some("p=1.0".into());
+        tenants[0].max_attempts = Some(2);
+        let run = run_queue(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("runs");
+        let message = run.tenants[0].outcome.as_ref().expect_err("doomed");
+        assert!(
+            message.starts_with("stage 'sample' task 0 failed after 2 attempt(s)"),
+            "{message}"
+        );
+        assert_eq!(
+            solo_outcome(&test_cluster(), &tenants[0]).as_ref(),
+            Err(message),
+            "the solo run fails the same way"
+        );
+        let solo = solo_outcome(&test_cluster(), &tenants[1]).expect("solo");
+        assert_eq!(run.tenants[1].outcome.as_ref().expect("calm tenant"), &solo);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use adaptive_spatial_join::geom::{Rect, Shape};
 use adaptive_spatial_join::join::{brute_force_extent_pairs, extent_join, ExtentRecord, JoinSpec};
 use adaptive_spatial_join::prelude::*;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     let bbox = Rect::new(0.0, 0.0, 100.0, 60.0);
     let rivers: Vec<ExtentRecord> = random_polylines(bbox, 600, 12, 1)
         .into_iter()
@@ -32,7 +32,7 @@ fn main() {
     let cluster = Cluster::new(ClusterConfig::new(8));
     let eps = 0.8;
     let spec = JoinSpec::new(bbox, eps).with_partitions(32);
-    let out = extent_join(&cluster, &spec, rivers.clone(), parks.clone());
+    let out = extent_join(&cluster, &spec, rivers.clone(), parks.clone())?;
 
     println!(
         "\nparks within {eps} of a river: {} pairs",
@@ -60,4 +60,5 @@ fn main() {
     for (river, park) in out.pairs.iter().take(5) {
         println!("  river #{river} flows within eps of park #{park}");
     }
+    Ok(())
 }

@@ -32,7 +32,7 @@ fn busy_chart(label: &str, out: &JoinOutput) {
     println!("  imbalance (max/avg): {:.2}", out.metrics.join.imbalance());
 }
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     // Strongly clustered synthetic data (tight clusters, sigma_scale < 1):
     // a handful of grid cells carry most of the candidate pairs, which is
     // exactly when hash placement leaves some workers idle.
@@ -59,14 +59,14 @@ fn main() {
         AgreementPolicy::Lpib,
         r.clone(),
         s.clone(),
-    );
+    )?;
     let lpt = adaptive_join(
         &cluster,
         &base.with_placement(Placement::Lpt),
         AgreementPolicy::Lpib,
         r,
         s,
-    );
+    )?;
     assert_eq!(hash.result_count, lpt.result_count);
 
     busy_chart("hash placement", &hash);
@@ -86,4 +86,5 @@ fn main() {
             (l - h) / h * 100.0
         );
     }
+    Ok(())
 }

@@ -10,7 +10,7 @@ use adaptive_spatial_join::data::{Catalog, DatasetSpec, GenKind, PAPER_BBOX};
 use adaptive_spatial_join::join::{knn_join, to_records, JoinSpec};
 use adaptive_spatial_join::prelude::*;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     // Dwellings follow population clusters; facilities are sparser and
     // follow a different layout.
     let catalog = Catalog::new(30_000);
@@ -33,7 +33,7 @@ fn main() {
     let cluster = Cluster::new(ClusterConfig::new(8));
     let spec = JoinSpec::new(PAPER_BBOX, 0.4).with_partitions(48);
     let k = 3;
-    let out = knn_join(&cluster, &spec, k, dwellings, facilities);
+    let out = knn_join(&cluster, &spec, k, dwellings, facilities)?;
 
     println!(
         "kNN join finished in {} expanding-ring rounds, {} KiB shuffled",
@@ -59,4 +59,5 @@ fn main() {
         let pretty: Vec<String> = ns.iter().map(|(id, d)| format!("#{id} ({d:.3})")).collect();
         println!("  dwelling #{q} -> {}", pretty.join(", "));
     }
+    Ok(())
 }

@@ -7,7 +7,7 @@
 
 use adaptive_spatial_join::prelude::*;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     // Two synthetic point sets with different skew, in the paper's bounding
     // box (continental US).
     let catalog = Catalog::new(50_000);
@@ -27,19 +27,19 @@ fn main() {
     for (name, out) in [
         (
             "LPiB",
-            adaptive_join(&cluster, &spec, AgreementPolicy::Lpib, r.clone(), s.clone()),
+            adaptive_join(&cluster, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())?,
         ),
         (
             "DIFF",
-            adaptive_join(&cluster, &spec, AgreementPolicy::Diff, r.clone(), s.clone()),
+            adaptive_join(&cluster, &spec, AgreementPolicy::Diff, r.clone(), s.clone())?,
         ),
         (
             "UNI(R)",
-            pbsm_join(&cluster, &spec, ReplicateSide::R, r.clone(), s.clone()),
+            pbsm_join(&cluster, &spec, ReplicateSide::R, r.clone(), s.clone())?,
         ),
         (
             "UNI(S)",
-            pbsm_join(&cluster, &spec, ReplicateSide::S, r.clone(), s.clone()),
+            pbsm_join(&cluster, &spec, ReplicateSide::S, r.clone(), s.clone())?,
         ),
     ] {
         println!(
@@ -53,4 +53,5 @@ fn main() {
     }
     println!("\nAll four algorithms return identical result sets; adaptive");
     println!("replication just moves (and compares) far fewer copies.");
+    Ok(())
 }

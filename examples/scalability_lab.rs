@@ -8,14 +8,19 @@
 
 use adaptive_spatial_join::prelude::*;
 
-fn run(cluster: &Cluster, spec: &JoinSpec, policy: AgreementPolicy, base: usize) -> JoinOutput {
+fn run(
+    cluster: &Cluster,
+    spec: &JoinSpec,
+    policy: AgreementPolicy,
+    base: usize,
+) -> Result<JoinOutput, JoinError> {
     let catalog = Catalog::new(base);
     let r = to_records(&catalog.s1.points(), 0);
     let s = to_records(&catalog.s2.points(), 0);
     adaptive_join(cluster, spec, policy, r, s)
 }
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     let catalog = Catalog::new(1);
     let eps = 0.38;
     let spec = JoinSpec::new(catalog.s1.bbox, eps).counting_only();
@@ -27,7 +32,7 @@ fn main() {
     );
     let cluster = Cluster::new(ClusterConfig::new(12));
     for base in [20_000usize, 40_000, 80_000] {
-        let out = run(&cluster, &spec, AgreementPolicy::Lpib, base);
+        let out = run(&cluster, &spec, AgreementPolicy::Lpib, base)?;
         println!(
             "{:>8} {:>12} {:>14} {:>12} {:>12.3}",
             base * 2,
@@ -45,7 +50,7 @@ fn main() {
     );
     for nodes in [2usize, 4, 8, 12] {
         let cluster = Cluster::new(ClusterConfig::new(nodes));
-        let out = run(&cluster, &spec, AgreementPolicy::Lpib, 40_000);
+        let out = run(&cluster, &spec, AgreementPolicy::Lpib, 40_000)?;
         println!(
             "{:>6} {:>14} {:>14.3} {:>12.2}",
             nodes,
@@ -56,4 +61,5 @@ fn main() {
     }
     println!("\nMore nodes: lower makespan, slightly more remote shuffle —");
     println!("the same trade Fig. 14 of the paper shows.");
+    Ok(())
 }

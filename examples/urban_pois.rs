@@ -16,7 +16,7 @@
 
 use adaptive_spatial_join::prelude::*;
 
-fn main() {
+fn main() -> Result<(), JoinError> {
     let catalog = Catalog::new(60_000);
     // R2 = parks-like clusters, R1 = hydrography-like river network.
     let parks = to_records(&catalog.r2.points(), 24); // 24-byte name payload
@@ -37,15 +37,15 @@ fn main() {
         AgreementPolicy::Lpib,
         parks.clone(),
         water.clone(),
-    );
+    )?;
     let pbsm_r = pbsm_join(
         &cluster,
         &spec,
         ReplicateSide::R,
         parks.clone(),
         water.clone(),
-    );
-    let pbsm_s = pbsm_join(&cluster, &spec, ReplicateSide::S, parks, water);
+    )?;
+    let pbsm_s = pbsm_join(&cluster, &spec, ReplicateSide::S, parks, water)?;
 
     println!("\npairs within {eps}°: {}", adaptive.result_count);
     println!(
@@ -75,4 +75,5 @@ fn main() {
     for (rid, sid) in adaptive.pairs.iter().take(5) {
         println!("  park #{rid} is within eps of water feature #{sid}");
     }
+    Ok(())
 }

@@ -15,11 +15,12 @@ use adaptive_spatial_join::data::{
 use adaptive_spatial_join::engine::{clean_orphaned_spills, set_spill_dir, Journal, SchedPolicy};
 use adaptive_spatial_join::geom::{Point, Rect};
 use adaptive_spatial_join::join::{
-    knn_join, self_join, Algorithm, JoinOutput, JoinSpec, LocalKernel, PartitionedPoints, Record,
+    knn_join, self_join, Algorithm, JoinError, JoinOutput, JoinSpec, LocalKernel,
+    PartitionedPoints, Record,
 };
 use adaptive_spatial_join::prelude::*;
 use adaptive_spatial_join::serve::{
-    parse_queue, run_queue_recoverable, solo_outcome, RecoveryOptions,
+    parse_bytes, parse_queue, run_queue_recoverable, solo_outcome, RecoveryOptions, ServeError,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -31,11 +32,78 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
+        Err(e) if e.usage => {
+            eprintln!("error: {}", e.message);
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::from(2)
+        }
+        Err(e) => {
+            eprintln!("error: {}", e.message);
+            ExitCode::from(1)
+        }
+    }
+}
+
+/// Why a command stopped. What a corrected command line or queue file fixes
+/// is a usage error (the error line, then [`USAGE`], exit 2) — and so is any
+/// plain `String`/`&str` error, which is what the flag parsers return. A run
+/// that failed — I/O, a stage out of attempts, a failed tenant — prints its
+/// one error line alone and exits 1.
+#[derive(Debug)]
+struct CliError {
+    message: String,
+    usage: bool,
+}
+
+impl CliError {
+    fn runtime(message: impl std::fmt::Display) -> Self {
+        CliError {
+            message: message.to_string(),
+            usage: false,
+        }
+    }
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError {
+            message,
+            usage: true,
+        }
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        message.to_string().into()
+    }
+}
+
+impl From<JoinError> for CliError {
+    fn from(e: JoinError) -> Self {
+        match e {
+            JoinError::Job(e) => CliError::runtime(e),
+            // Name the flag the spec field came from.
+            JoinError::InvalidSpec { field, reason } => {
+                let flag = match field {
+                    "eps" => "--eps",
+                    "grid_factor" => "--grid-factor",
+                    "num_partitions" => "--partitions",
+                    other => other,
+                };
+                format!("{flag} {reason}").into()
+            }
+            e @ JoinError::GridTooFine { .. } => e.to_string().into(),
+        }
+    }
+}
+
+impl From<ServeError> for CliError {
+    fn from(e: ServeError) -> Self {
+        match e {
+            ServeError::Spec { .. } => e.to_string().into(),
+            ServeError::Submit { .. } | ServeError::Io { .. } => CliError::runtime(e),
         }
     }
 }
@@ -62,6 +130,9 @@ usage:
                 [--compact-every N]
                 [--trace FILE] [--trace-format chrome|jsonl]
   asj journal   compact FILE
+
+Exit status: 0 done; 1 the run failed (I/O, a stage out of attempts, a failed
+tenant) — one 'error:' line, no usage text; 2 bad arguments or queue file.
 
 Every command accepts --spill-dir DIR (or ASJ_SPILL_DIR) to route spill and
 checkpoint segments somewhere other than the system temp dir; orphaned spill
@@ -164,45 +235,7 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid {what}: '{s}'"))
 }
 
-/// Byte count with an optional binary suffix: `65536`, `64k`, `16m`, `1g`
-/// (case-insensitive, powers of 1024).
-fn parse_bytes(s: &str) -> Result<u64, String> {
-    let lower = s.trim().to_ascii_lowercase();
-    let (digits, mult) = match lower.as_bytes().last() {
-        Some(b'k') => (&lower[..lower.len() - 1], 1u64 << 10),
-        Some(b'm') => (&lower[..lower.len() - 1], 1 << 20),
-        Some(b'g') => (&lower[..lower.len() - 1], 1 << 30),
-        _ => (lower.as_str(), 1),
-    };
-    let n: u64 = parse(digits, "--memory-budget")?;
-    n.checked_mul(mult)
-        .ok_or_else(|| format!("memory budget overflows u64: '{s}'"))
-}
-
-fn algorithm_by_name(name: &str) -> Result<Algorithm, String> {
-    Ok(match name {
-        "lpib" => Algorithm::Lpib,
-        "diff" => Algorithm::Diff,
-        "uni-r" => Algorithm::UniR,
-        "uni-s" => Algorithm::UniS,
-        "eps-grid" => Algorithm::EpsGrid,
-        "sedona" => Algorithm::Sedona,
-        "lpib-dedup" => Algorithm::LpibDedup,
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
-}
-
-fn gen_kind_by_name(name: &str) -> Result<GenKind, String> {
-    Ok(match name {
-        "gaussian" => GenKind::GaussianClusters,
-        "hydrography" => GenKind::Hydrography,
-        "parks" => GenKind::Parks,
-        "uniform" => GenKind::Uniform,
-        other => return Err(format!("unknown generator kind '{other}'")),
-    })
-}
-
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
         return Err("no subcommand".into());
     };
@@ -212,7 +245,7 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     // Each subcommand with the flags it reads itself and whether it also
     // builds a cluster through `build_spec`; all accept `--spill-dir`.
-    type Handler = fn(&HashMap<String, String>) -> Result<(), String>;
+    type Handler = fn(&HashMap<String, String>) -> Result<(), CliError>;
     let (handler, own, spec): (Handler, &[&str], bool) = match cmd.as_str() {
         "generate" => (cmd_generate, &["kind", "n", "out", "seed"], false),
         "join" => (cmd_join, &["r", "s", "algo", "out"], true),
@@ -237,7 +270,7 @@ fn run(args: &[String]) -> Result<(), String> {
             ],
             false,
         ),
-        other => return Err(format!("unknown subcommand '{other}'")),
+        other => return Err(format!("unknown subcommand '{other}'").into()),
     };
     let mut known = own.to_vec();
     known.push("spill-dir");
@@ -254,14 +287,14 @@ fn run(args: &[String]) -> Result<(), String> {
                 eprintln!("swept {swept} orphaned spill file(s) from {dir}");
             }
             Ok(_) => {}
-            Err(e) => return Err(format!("cleaning spill dir {dir}: {e}")),
+            Err(e) => return Err(CliError::runtime(format!("cleaning spill dir {dir}: {e}"))),
         }
     }
     handler(&flags)
 }
 
-fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
-    let kind = gen_kind_by_name(required(flags, "kind")?)?;
+fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), CliError> {
+    let kind: GenKind = required(flags, "kind")?.parse()?;
     let n: usize = parse(required(flags, "n")?, "--n")?;
     let out = PathBuf::from(required(flags, "out")?);
     let seed: u64 = flags.get("seed").map_or(Ok(7), |s| parse(s, "--seed"))?;
@@ -274,14 +307,15 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
         sigma_scale: 1.0,
     };
     let points = spec.points();
-    write_points_csv(&out, &points).map_err(|e| format!("writing {}: {e}", out.display()))?;
+    write_points_csv(&out, &points)
+        .map_err(|e| CliError::runtime(format!("writing {}: {e}", out.display())))?;
     println!("wrote {} points to {}", points.len(), out.display());
     Ok(())
 }
 
-fn load_records(path: &str) -> Result<Vec<Record>, String> {
+fn load_records(path: &str) -> Result<Vec<Record>, CliError> {
     read_points_csv_with(std::path::Path::new(path), Record::new)
-        .map_err(|e| format!("reading {path}: {e}"))
+        .map_err(|e| CliError::runtime(format!("reading {path}: {e}")))
 }
 
 fn bbox_of(points: impl Iterator<Item = Point>) -> Rect {
@@ -322,14 +356,14 @@ impl TraceSink {
         })
     }
 
-    fn write(&self) -> Result<(), String> {
+    fn write(&self) -> Result<(), CliError> {
         let Some(path) = &self.path else {
             return Ok(());
         };
         let trace = self.recorder.snapshot();
         trace
             .write_to(path, self.format)
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+            .map_err(|e| CliError::runtime(format!("writing {}: {e}", path.display())))?;
         println!(
             "wrote trace          : {} ({} spans, {} events)",
             path.display(),
@@ -340,15 +374,29 @@ impl TraceSink {
     }
 }
 
+/// The cluster `--nodes`, `--trace` and `--memory-budget` describe. Zeroes
+/// are rejected here, before `ClusterConfig` asserts on them.
+fn build_cluster(flags: &HashMap<String, String>) -> Result<(Cluster, TraceSink), String> {
+    let nodes: usize = flags.get("nodes").map_or(Ok(12), |s| parse(s, "--nodes"))?;
+    if nodes == 0 {
+        return Err("--nodes must be positive".into());
+    }
+    let trace = TraceSink::from_flags(flags, nodes)?;
+    let mut cluster = Cluster::new(ClusterConfig::new(nodes)).with_recorder(trace.recorder.clone());
+    if let Some(budget) = flags.get("memory-budget") {
+        match parse_bytes(budget).map_err(|e| format!("--memory-budget: {e}"))? {
+            0 => return Err("--memory-budget must be positive".into()),
+            bytes => cluster = cluster.with_memory_budget(bytes),
+        }
+    }
+    Ok((cluster, trace))
+}
+
 fn build_spec(
     flags: &HashMap<String, String>,
     bbox: Rect,
-) -> Result<(Cluster, JoinSpec, TraceSink), String> {
+) -> Result<(Cluster, JoinSpec, TraceSink), CliError> {
     let eps: f64 = parse(required(flags, "eps")?, "--eps")?;
-    if eps <= 0.0 {
-        return Err("--eps must be positive".into());
-    }
-    let nodes: usize = flags.get("nodes").map_or(Ok(12), |s| parse(s, "--nodes"))?;
     let partitions: usize = flags
         .get("partitions")
         .map_or(Ok(96), |s| parse(s, "--partitions"))?;
@@ -358,11 +406,7 @@ fn build_spec(
     let kernel: LocalKernel = flags
         .get("kernel")
         .map_or(Ok(LocalKernel::Auto), |s| s.parse())?;
-    let trace = TraceSink::from_flags(flags, nodes)?;
-    let mut cluster = Cluster::new(ClusterConfig::new(nodes)).with_recorder(trace.recorder.clone());
-    if let Some(budget) = flags.get("memory-budget") {
-        cluster = cluster.with_memory_budget(parse_bytes(budget)?);
-    }
+    let (mut cluster, trace) = build_cluster(flags)?;
     if let Some((plan, policy)) = fault_setup(flags)? {
         cluster = cluster.with_fault_policy(plan, policy);
     }
@@ -388,7 +432,10 @@ fn fault_setup(
     };
     let mut policy = RetryPolicy::default();
     if let Some(n) = flags.get("max-attempts") {
-        policy = policy.with_max_attempts(parse(n, "--max-attempts")?);
+        match parse(n, "--max-attempts")? {
+            0 => return Err("--max-attempts must be positive".into()),
+            attempts => policy = policy.with_max_attempts(attempts),
+        }
     }
     if flags.contains_key("speculation") {
         policy = policy.with_speculation(true);
@@ -465,13 +512,14 @@ fn report(out: &JoinOutput, ingest: Duration) {
     }
 }
 
-fn write_pairs(path: &str, pairs: &[(u64, u64)]) -> Result<(), String> {
-    let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+fn write_pairs(path: &str, pairs: &[(u64, u64)]) -> Result<(), CliError> {
+    let failed = |what: &str, e: std::io::Error| CliError::runtime(format!("{what} {path}: {e}"));
+    let file = std::fs::File::create(path).map_err(|e| failed("creating", e))?;
     let mut w = std::io::BufWriter::new(file);
     for (a, b) in pairs {
-        writeln!(w, "{a},{b}").map_err(|e| format!("writing {path}: {e}"))?;
+        writeln!(w, "{a},{b}").map_err(|e| failed("writing", e))?;
     }
-    w.flush().map_err(|e| format!("writing {path}: {e}"))?;
+    w.flush().map_err(|e| failed("writing", e))?;
     println!("wrote {} pairs to {path}", pairs.len());
     Ok(())
 }
@@ -483,7 +531,7 @@ fn finish_join(
     out: &JoinOutput,
     ingest: Duration,
     trace: &TraceSink,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     report(out, ingest);
     let output = Instant::now();
     trace.write()?;
@@ -497,12 +545,12 @@ fn finish_join(
     Ok(())
 }
 
-fn cmd_join(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_join(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let ingest = Instant::now();
     let r = load_records(required(flags, "r")?)?;
     let s = load_records(required(flags, "s")?)?;
     let ingest = ingest.elapsed();
-    let algo = algorithm_by_name(flags.get("algo").map_or("lpib", String::as_str))?;
+    let algo = Algorithm::from_token(flags.get("algo").map_or("lpib", String::as_str))?;
     let bbox = bbox_of(r.iter().chain(&s).map(|rec| rec.point));
     if bbox.is_empty() {
         return Err("inputs contain no points".into());
@@ -511,11 +559,11 @@ fn cmd_join(flags: &HashMap<String, String>) -> Result<(), String> {
     if flags.get("out").is_none() {
         spec = spec.counting_only();
     }
-    let out = algo.run(&cluster, &spec, r, s);
+    let out = algo.try_run(&cluster, &spec, r, s)?;
     finish_join(flags, &out, ingest, &trace)
 }
 
-fn cmd_self_join(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_self_join(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let ingest = Instant::now();
     let input = load_records(required(flags, "input")?)?;
     let ingest = ingest.elapsed();
@@ -527,20 +575,23 @@ fn cmd_self_join(flags: &HashMap<String, String>) -> Result<(), String> {
     if flags.get("out").is_none() {
         spec = spec.counting_only();
     }
-    let out = self_join(&cluster, &spec, input);
+    let out = self_join(&cluster, &spec, input)?;
     finish_join(flags, &out, ingest, &trace)
 }
 
-fn cmd_knn(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_knn(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let r = load_records(required(flags, "r")?)?;
     let s = load_records(required(flags, "s")?)?;
     let k: usize = parse(required(flags, "k")?, "--k")?;
+    if k == 0 {
+        return Err("--k must be positive".into());
+    }
     let bbox = bbox_of(r.iter().chain(&s).map(|rec| rec.point));
     if bbox.is_empty() {
         return Err("inputs contain no points".into());
     }
     let (cluster, spec, _trace) = build_spec(flags, bbox)?;
-    let out = knn_join(&cluster, &spec, k, r, s);
+    let out = knn_join(&cluster, &spec, k, r, s)?;
     println!("queries answered     : {}", out.neighbors.len());
     println!("expanding rounds     : {}", out.rounds);
     println!(
@@ -557,13 +608,13 @@ fn cmd_knn(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_range(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_range(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let input = load_records(required(flags, "input")?)?;
     let rect_spec = required(flags, "rect")?;
     let nums: Vec<f64> = rect_spec
         .split(',')
         .map(|v| parse(v.trim(), "--rect coordinate"))
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<_, String>>()?;
     if nums.len() != 4 {
         return Err("--rect needs exactly x0,y0,x1,y1".into());
     }
@@ -578,8 +629,8 @@ fn cmd_range(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err("input contains no points".into());
     }
     let (cluster, spec, _trace) = build_spec(flags, bbox)?;
-    let table = PartitionedPoints::build(&cluster, &spec, input);
-    let (ids, _) = table.range_query(&cluster, region);
+    let table = PartitionedPoints::build(&cluster, &spec, input)?;
+    let (ids, _) = table.range_query(&cluster, region)?;
     println!("points in region     : {}", ids.len());
     for id in ids.iter().take(10) {
         println!("  #{id}");
@@ -592,7 +643,7 @@ fn cmd_range(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// ASCII density map of a dataset — a quick look at the skew the adaptive
 /// algorithms exploit.
-fn cmd_heatmap(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_heatmap(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let input = load_records(required(flags, "input")?)?;
     if input.is_empty() {
         return Err("input contains no points".into());
@@ -639,14 +690,14 @@ fn cmd_heatmap(flags: &HashMap<String, String>) -> Result<(), String> {
 /// Journal maintenance: `asj journal compact FILE` rewrites a server
 /// journal down to its live records (atomically — tmp, fsync, rename), for
 /// operators trimming a long-lived server's disk offline.
-fn cmd_journal(args: &[String]) -> Result<(), String> {
+fn cmd_journal(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("compact") => {
             let [_, path] = args else {
                 return Err("usage: asj journal compact FILE".into());
             };
             let stats = Journal::compact_file(std::path::Path::new(path))
-                .map_err(|e| format!("compacting {path}: {e}"))?;
+                .map_err(|e| CliError::runtime(format!("compacting {path}: {e}")))?;
             println!(
                 "compacted {path}: kept {kept} record(s), dropped {dropped}, \
                  {before} -> {after} bytes",
@@ -657,33 +708,27 @@ fn cmd_journal(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        Some(other) => Err(format!(
-            "unknown journal action '{other}' (expected 'compact')"
-        )),
+        Some(other) => Err(format!("unknown journal action '{other}' (expected 'compact')").into()),
         None => Err("usage: asj journal compact FILE".into()),
     }
 }
 
 /// Multi-tenant job server: run a queue file of tenant joins on one
 /// simulated cluster under admission control and a scheduling policy.
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let path = required(flags, "jobs")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::runtime(format!("reading {path}: {e}")))?;
     let tenants = parse_queue(&text).map_err(|e| e.to_string())?;
     if tenants.is_empty() {
-        return Err(format!("no jobs in {path}"));
+        return Err(format!("no jobs in {path}").into());
     }
     let policy = match flags.get("policy") {
         Some(s) => SchedPolicy::parse(s)
             .ok_or_else(|| format!("unknown policy '{s}' (fair-share | fifo)"))?,
         None => SchedPolicy::FairShare,
     };
-    let nodes: usize = flags.get("nodes").map_or(Ok(12), |s| parse(s, "--nodes"))?;
-    let trace = TraceSink::from_flags(flags, nodes)?;
-    let mut cluster = Cluster::new(ClusterConfig::new(nodes)).with_recorder(trace.recorder.clone());
-    if let Some(budget) = flags.get("memory-budget") {
-        cluster = cluster.with_memory_budget(parse_bytes(budget)?);
-    }
+    let (cluster, trace) = build_cluster(flags)?;
     let compact_every = flags
         .get("compact-every")
         .map(|s| parse::<u64>(s, "--compact-every"))
@@ -703,11 +748,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if recovery.compact_every.is_some() && recovery.journal.is_none() {
         return Err("--compact-every requires --journal FILE".into());
     }
-    let run =
-        run_queue_recoverable(&cluster, &tenants, policy, &recovery).map_err(|e| e.to_string())?;
+    let run = run_queue_recoverable(&cluster, &tenants, policy, &recovery)?;
     println!("policy               : {}", run.policy.name());
     println!("tenants              : {}", run.tenants.len());
-    println!("simulated nodes      : {nodes}");
+    println!("simulated nodes      : {}", cluster.nodes());
     if let Some(budget) = cluster.memory_budget() {
         println!("memory budget        : {} KiB/node", budget / 1024);
     }
@@ -731,12 +775,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             let Ok(shared) = &report.outcome else {
                 continue;
             };
-            let solo = solo_outcome(&cluster, tenant)?;
+            let solo = solo_outcome(&cluster, tenant).map_err(CliError::runtime)?;
             if shared != &solo {
-                return Err(format!(
+                return Err(CliError::runtime(format!(
                     "isolation violated for tenant '{}': concurrent checksum {:016x} != solo {:016x}",
                     tenant.name, shared.checksum, solo.checksum
-                ));
+                )));
             }
         }
         println!("isolation            : all tenants match their solo runs");
@@ -746,9 +790,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         // A fault-plan crash clause stopped the server mid-queue; the journal
         // (if any) holds the prefix, so this is a restartable state, not a
         // per-tenant failure.
-        return Err("server crashed mid-queue (fault plan crash clause); \
-             re-run with --recover to resume from the journal"
-            .into());
+        return Err(CliError::runtime(
+            "server crashed mid-queue (fault plan crash clause); \
+             re-run with --recover to resume from the journal",
+        ));
     }
     let failed: Vec<&str> = run
         .tenants
@@ -757,11 +802,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(|t| t.name.as_str())
         .collect();
     if !failed.is_empty() {
-        return Err(format!(
+        return Err(CliError::runtime(format!(
             "{} tenant(s) failed: {}",
             failed.len(),
             failed.join(", ")
-        ));
+        )));
     }
     Ok(())
 }
@@ -790,7 +835,7 @@ mod tests {
             .map(|(flag, value)| (flag.to_string(), value.to_string()));
         let err = cmd_join(&HashMap::from(flags)).unwrap_err();
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(err, "inputs contain no points");
+        assert_eq!(err.message, "inputs contain no points");
     }
 
     #[test]
@@ -845,24 +890,15 @@ mod tests {
 
     #[test]
     fn algorithm_names_resolve() {
-        for (name, algo) in [
-            ("lpib", Algorithm::Lpib),
-            ("diff", Algorithm::Diff),
-            ("uni-r", Algorithm::UniR),
-            ("uni-s", Algorithm::UniS),
-            ("eps-grid", Algorithm::EpsGrid),
-            ("sedona", Algorithm::Sedona),
-            // Listed in USAGE as a recovery-stress shape; resolvable by
-            // name even though it stays out of Algorithm::ALL.
-            ("lpib-dedup", Algorithm::LpibDedup),
-        ] {
-            assert_eq!(algorithm_by_name(name).unwrap(), algo);
+        // lpib-dedup is listed in USAGE as a recovery-stress shape: resolvable
+        // by name even though it stays out of Algorithm::ALL.
+        for algo in Algorithm::ALL.into_iter().chain([Algorithm::LpibDedup]) {
+            assert!(
+                USAGE.contains(algo.token()),
+                "'{}' must be discoverable from --help",
+                algo.token()
+            );
         }
-        assert!(algorithm_by_name("nope").is_err());
-        assert!(
-            USAGE.contains("lpib-dedup"),
-            "every resolvable algorithm is discoverable from --help"
-        );
     }
 
     #[test]
@@ -881,7 +917,7 @@ mod tests {
                 arg("0.4"),
             ];
             args.extend(extra.map(arg));
-            run(&args).unwrap_err()
+            run(&args).unwrap_err().message
         };
         // A typo used to be swallowed and the join ran unbudgeted.
         assert_eq!(
@@ -901,10 +937,11 @@ mod tests {
             arg("radix"),
         ])
         .unwrap_err();
-        assert_eq!(err, "unknown flag '--shuffle' for 'asj serve'");
+        assert_eq!(err.message, "unknown flag '--shuffle' for 'asj serve'");
+        assert!(err.usage);
         // A flag of one subcommand is unknown to another.
         let err = run(&[arg("heatmap"), arg("--eps"), arg("1")]).unwrap_err();
-        assert_eq!(err, "unknown flag '--eps' for 'asj heatmap'");
+        assert_eq!(err.message, "unknown flag '--eps' for 'asj heatmap'");
     }
 
     #[test]
@@ -931,13 +968,6 @@ mod tests {
 
     #[test]
     fn memory_budget_flag_parses_and_caps_the_cluster() {
-        assert_eq!(parse_bytes("65536").unwrap(), 65536);
-        assert_eq!(parse_bytes("64k").unwrap(), 64 << 10);
-        assert_eq!(parse_bytes("2M").unwrap(), 2 << 20);
-        assert_eq!(parse_bytes("1g").unwrap(), 1 << 30);
-        assert!(parse_bytes("lots").is_err());
-        assert!(parse_bytes("").is_err());
-
         let bbox = Rect::new(0.0, 0.0, 10.0, 10.0);
         let base: HashMap<String, String> = [("eps".to_string(), "0.5".to_string())].into();
         let (cluster, _, _) = build_spec(&base, bbox).unwrap();
@@ -957,12 +987,134 @@ mod tests {
 
     #[test]
     fn generator_names_resolve() {
-        assert_eq!(
-            gen_kind_by_name("gaussian").unwrap(),
-            GenKind::GaussianClusters
+        for kind in [
+            GenKind::GaussianClusters,
+            GenKind::Hydrography,
+            GenKind::Parks,
+            GenKind::Uniform,
+        ] {
+            assert_eq!(kind.name().parse(), Ok(kind));
+            assert!(USAGE.contains(kind.name()), "--kind {}", kind.name());
+        }
+        let flags: HashMap<String, String> = [("kind".to_string(), "what".to_string())].into();
+        let err = cmd_generate(&flags).unwrap_err();
+        assert_eq!(err.message, "unknown generator kind 'what'");
+        assert!(err.usage);
+    }
+
+    /// Writes a 300-point input file; returns its path.
+    fn small_input(tag: &str) -> String {
+        let path = std::env::temp_dir().join(format!("asj-cli-{tag}-{}.csv", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        asj(&[
+            "generate", "--kind", "uniform", "--n", "300", "--out", &path,
+        ])
+        .unwrap();
+        path
+    }
+
+    fn asj(args: &[&str]) -> Result<(), CliError> {
+        run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn out_of_range_flags_are_usage_errors_naming_the_flag() {
+        let input = small_input("range");
+        let join = |extra: &[&str]| {
+            // A repeated flag overrides the earlier one.
+            asj(&[
+                &["join", "--r", &input, "--s", &input, "--eps", "0.5"],
+                extra,
+            ]
+            .concat())
+        };
+        // Each of these used to trip an `assert!` inside the library.
+        for (extra, expected) in [
+            (
+                ["--grid-factor", "0.5"],
+                "--grid-factor must be finite and at least 1, got 0.5",
+            ),
+            (
+                ["--grid-factor", "nan"],
+                "--grid-factor must be finite and at least 1, got NaN",
+            ),
+            (
+                ["--eps", "inf"],
+                "--eps must be finite and positive, got inf",
+            ),
+            (
+                ["--eps", "nan"],
+                "--eps must be finite and positive, got NaN",
+            ),
+            (["--eps", "0"], "--eps must be finite and positive, got 0"),
+            (["--nodes", "0"], "--nodes must be positive"),
+            (["--partitions", "0"], "--partitions must be at least 1"),
+            (["--max-attempts", "0"], "--max-attempts must be positive"),
+            (["--memory-budget", "0"], "--memory-budget must be positive"),
+            (
+                ["--grid-factor", "1.5"],
+                "grid too fine for adaptive replication: grid_factor 1.5",
+            ),
+        ] {
+            let err = join(&extra).expect_err(expected);
+            assert!(err.message.starts_with(expected), "{}", err.message);
+            assert!(err.usage, "asj join {extra:?} is an argument error");
+        }
+        let err = asj(&[
+            "knn", "--r", &input, "--s", &input, "--eps", "0.5", "--k", "0",
+        ]);
+        assert_eq!(err.unwrap_err().message, "--k must be positive");
+        // The baselines run on any factor >= 1.
+        join(&["--grid-factor", "1.5", "--algo", "uni-r"]).unwrap();
+        std::fs::remove_file(input).unwrap();
+    }
+
+    #[test]
+    fn failed_stages_and_tenants_are_runtime_errors() {
+        let input = small_input("faults");
+        let doomed = ["--eps", "0.5", "--faults", "p=1.0", "--max-attempts", "2"];
+        let join = [&["join", "--r", &input, "--s", &input], &doomed[..]].concat();
+        let self_join = [&["self-join", "--input", &input], &doomed[..]].concat();
+        let unreadable = [
+            "join",
+            "--r",
+            "/nonexistent/r.csv",
+            "--s",
+            &input,
+            "--eps",
+            "1",
+        ];
+        for (args, expected) in [
+            (&join[..], "stage 'sample' task 0 failed after 2 attempt(s)"),
+            (
+                &self_join[..],
+                "stage 'marking' task 0 failed after 2 attempt(s)",
+            ),
+            (&unreadable[..], "reading /nonexistent/r.csv"),
+        ] {
+            let err = asj(args).expect_err(expected);
+            assert!(err.message.starts_with(expected), "{}", err.message);
+            assert!(!err.usage, "'{expected}' is not a usage error");
+        }
+        std::fs::remove_file(&input).unwrap();
+
+        // One doomed tenant fails alone; the server reports it and exits 1.
+        let jobs = format!("{input}.jobs");
+        let serve = |queue: &str| {
+            std::fs::write(&jobs, queue).unwrap();
+            asj(&["serve", "--jobs", &jobs, "--nodes", "4"]).unwrap_err()
+        };
+        let err = serve(
+            "job doomed eps=0.5 n=400 partitions=8 faults=p=1.0 max-attempts=2\n\
+             job calm algo=uni-r eps=0.3 n=600 partitions=8 seed=23\n",
         );
-        assert_eq!(gen_kind_by_name("uniform").unwrap(), GenKind::Uniform);
-        assert!(gen_kind_by_name("what").is_err());
+        assert_eq!(err.message, "1 tenant(s) failed: doomed");
+        assert!(!err.usage);
+        // A queue line the parser rejects names its line: an argument error.
+        let err = serve("# header\njob a eps=0.5 max-attempts=0\n");
+        assert_eq!(err.message, "queue line 2: max-attempts must be positive");
+        assert!(err.usage);
+        std::fs::remove_file(jobs).unwrap();
     }
 
     #[test]
@@ -1090,7 +1242,7 @@ mod tests {
                 arg("4"),
                 arg("--verify"),
             ])
-            .unwrap_or_else(|e| panic!("serve --policy {policy}: {e}"));
+            .unwrap_or_else(|e| panic!("serve --policy {policy}: {}", e.message));
         }
         let _ = std::fs::remove_file(jobs_path);
     }
@@ -1126,7 +1278,7 @@ mod tests {
             if recover {
                 args.push(arg("--recover"));
             }
-            run(&args).unwrap_or_else(|e| panic!("serve recover={recover}: {e}"));
+            run(&args).unwrap_or_else(|e| panic!("serve recover={recover}: {}", e.message));
             assert!(journal_path.exists(), "journal written");
         }
         // --recover without a journal flag is a usage error, not a crash.
@@ -1136,7 +1288,8 @@ mod tests {
             arg(jobs_path.to_str().unwrap()),
             arg("--recover"),
         ])
-        .unwrap_err();
+        .unwrap_err()
+        .message;
         assert!(err.contains("--journal"), "{err}");
         let _ = std::fs::remove_file(jobs_path);
         let _ = std::fs::remove_file(journal_path);
@@ -1211,7 +1364,8 @@ mod tests {
             arg("--compact-every"),
             arg("2"),
         ])
-        .unwrap_err();
+        .unwrap_err()
+        .message;
         assert!(err.contains("--journal"), "{err}");
         let _ = std::fs::remove_file(jobs_path);
         let _ = std::fs::remove_file(journal_path);
@@ -1239,7 +1393,8 @@ mod tests {
             arg("1m"),
         ])
         .unwrap_err();
-        assert!(err.contains("rejected"), "{err}");
+        assert!(err.message.contains("rejected"), "{}", err.message);
+        assert!(!err.usage, "admission is decided at run time");
 
         std::fs::write(&jobs_path, "job broken n=100\n").unwrap();
         let err = run(&[
@@ -1247,7 +1402,8 @@ mod tests {
             arg("--jobs"),
             arg(jobs_path.to_str().unwrap()),
         ])
-        .unwrap_err();
+        .unwrap_err()
+        .message;
         assert!(err.contains("line 1") && err.contains("eps"), "{err}");
         let _ = std::fs::remove_file(jobs_path);
     }

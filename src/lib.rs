@@ -38,9 +38,14 @@
 //! let cluster = Cluster::new(ClusterConfig::new(4));
 //! let spec = JoinSpec::new(bbox, 0.5);
 //! let out = adaptive_join(&cluster, &spec, AgreementPolicy::Lpib,
-//!                         to_records(&r, 0), to_records(&s, 0));
+//!                         to_records(&r, 0), to_records(&s, 0))?;
 //! assert_eq!(out.pairs.len(), 1); // only (1,1)-(1.2,1.1) is within ε=0.5
+//! # Ok::<(), JoinError>(())
 //! ```
+//!
+//! Every join entry point returns `Result<_, JoinError>`: a spec no join can
+//! run, a grid too fine for agreements, or a stage whose task ran out of
+//! attempts comes back as a value; the driver never unwinds.
 
 pub use asj_core as core;
 pub use asj_data as data;
@@ -64,7 +69,7 @@ pub mod prelude {
     pub use asj_grid::{Grid, GridSpec};
     pub use asj_join::{
         adaptive_join, eps_grid_join, extent_join, knn_join, pbsm_join, pbsm_refpoint_join,
-        sedona_like_join, self_join, to_records, Algorithm, ExtentRecord, JoinOutput, JoinSpec,
-        LocalKernel, PartitionedPoints, ReplicateSide,
+        sedona_like_join, self_join, to_records, Algorithm, ExtentRecord, JoinError, JoinOutput,
+        JoinSpec, LocalKernel, PartitionedPoints, ReplicateSide,
     };
 }

@@ -28,14 +28,16 @@ fn csv_loaded_inputs_join_identically() {
 
     let c = Cluster::new(ClusterConfig::new(4));
     let spec = JoinSpec::new(catalog.s1.bbox, 1.5).with_partitions(16);
-    let from_csv = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone());
+    let from_csv =
+        adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone()).expect("join runs");
     let in_memory = adaptive_join(
         &c,
         &spec,
         AgreementPolicy::Lpib,
         to_records(&r_pts, 0),
         to_records(&s_pts, 0),
-    );
+    )
+    .expect("join runs");
     let mut a = from_csv.pairs.clone();
     let mut b = in_memory.pairs.clone();
     a.sort_unstable();

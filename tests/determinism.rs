@@ -14,8 +14,12 @@ fn identical_runs_produce_identical_everything() {
     let r = to_records(&catalog.s1.points(), 4);
     let s = to_records(&catalog.s2.points(), 4);
     for algo in Algorithm::ALL {
-        let a = algo.run(&c, &spec, r.clone(), s.clone());
-        let b = algo.run(&c, &spec, r.clone(), s.clone());
+        let a = algo
+            .try_run(&c, &spec, r.clone(), s.clone())
+            .expect("join runs");
+        let b = algo
+            .try_run(&c, &spec, r.clone(), s.clone())
+            .expect("join runs");
         assert_eq!(a.pairs, b.pairs, "{}", algo.name());
         assert_eq!(a.replicated, b.replicated);
         assert_eq!(a.candidates, b.candidates);
@@ -35,14 +39,16 @@ fn different_seed_changes_sample_but_not_results() {
         AgreementPolicy::Lpib,
         r.clone(),
         s.clone(),
-    );
+    )
+    .expect("join runs");
     let b = adaptive_join(
         &c,
         &JoinSpec::new(catalog.s1.bbox, 1.3).with_seed(2),
         AgreementPolicy::Lpib,
         r,
         s,
-    );
+    )
+    .expect("join runs");
     // The sampled agreement graph may differ, the result set must not.
     let mut pa = a.pairs.clone();
     let mut pb = b.pairs.clone();
@@ -61,7 +67,8 @@ fn cluster_width_and_partition_count_never_change_results() {
         for partitions in [7usize, 24, 96] {
             let c = Cluster::new(ClusterConfig::new(nodes));
             let spec = JoinSpec::new(catalog.s1.bbox, 1.3).with_partitions(partitions);
-            let out = adaptive_join(&c, &spec, AgreementPolicy::Diff, r.clone(), s.clone());
+            let out = adaptive_join(&c, &spec, AgreementPolicy::Diff, r.clone(), s.clone())
+                .expect("join runs");
             let mut pairs = out.pairs;
             pairs.sort_unstable();
             match &reference {

@@ -33,7 +33,9 @@ fn all_algorithms_agree_with_oracle_on_synthetic_data() {
     let expected = oracle::rtree_pairs(&r, &s, spec.eps);
     assert!(!expected.is_empty(), "test workload must produce matches");
     for algo in Algorithm::ALL {
-        let out = algo.run(&c, &spec, r.clone(), s.clone());
+        let out = algo
+            .try_run(&c, &spec, r.clone(), s.clone())
+            .expect("join runs");
         let mut got = out.pairs.clone();
         got.sort_unstable();
         assert_eq!(got, expected, "{} disagrees with the oracle", algo.name());
@@ -51,7 +53,9 @@ fn all_algorithms_agree_with_oracle_on_skewed_real_like_data() {
     let expected = oracle::rtree_pairs(&r, &s, spec.eps);
     assert!(!expected.is_empty());
     for algo in Algorithm::ALL {
-        let out = algo.run(&c, &spec, r.clone(), s.clone());
+        let out = algo
+            .try_run(&c, &spec, r.clone(), s.clone())
+            .expect("join runs");
         let mut got = out.pairs.clone();
         got.sort_unstable();
         assert_eq!(got, expected, "{} disagrees with the oracle", algo.name());
@@ -67,12 +71,14 @@ fn variants_preserve_the_result_set() {
     let spec = spec(&catalog, 1.4);
     let expected = oracle::rtree_pairs(&r, &s, spec.eps);
 
-    let dedup = adaptive_join_dedup(&c, &spec, AgreementPolicy::Diff, r.clone(), s.clone());
+    let dedup = adaptive_join_dedup(&c, &spec, AgreementPolicy::Diff, r.clone(), s.clone())
+        .expect("join runs");
     let mut got = dedup.pairs.clone();
     got.sort_unstable();
     assert_eq!(got, expected, "dedup variant");
 
-    let fetched = adaptive_join_post_fetch(&c, &spec, AgreementPolicy::Diff, r, s);
+    let fetched =
+        adaptive_join_post_fetch(&c, &spec, AgreementPolicy::Diff, r, s).expect("join runs");
     let mut got = fetched.pairs.clone();
     got.sort_unstable();
     assert_eq!(got, expected, "post-fetch variant");
@@ -87,7 +93,8 @@ fn eps_sweep_results_are_monotone() {
     let mut last = 0u64;
     for eps in [0.6, 0.9, 1.2, 1.5] {
         let spec = spec(&catalog, eps).counting_only();
-        let out = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone());
+        let out = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+            .expect("join runs");
         assert!(out.result_count >= last, "results must grow with eps");
         last = out.result_count;
     }
@@ -103,7 +110,8 @@ fn grid_resolution_does_not_change_results() {
     let mut counts = Vec::new();
     for factor in [2.0, 3.0, 4.0, 5.0] {
         let spec = spec(&catalog, 1.2).with_grid_factor(factor).counting_only();
-        let out = adaptive_join(&c, &spec, AgreementPolicy::Diff, r.clone(), s.clone());
+        let out = adaptive_join(&c, &spec, AgreementPolicy::Diff, r.clone(), s.clone())
+            .expect("join runs");
         counts.push(out.result_count);
     }
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
@@ -118,8 +126,8 @@ fn tuple_payloads_travel_through_the_join() {
     let bare_r = to_records(&catalog.s1.points(), 0);
     let bare_s = to_records(&catalog.s2.points(), 0);
     let spec = spec(&catalog, 1.2).counting_only();
-    let fat = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r, s);
-    let bare = adaptive_join(&c, &spec, AgreementPolicy::Lpib, bare_r, bare_s);
+    let fat = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
+    let bare = adaptive_join(&c, &spec, AgreementPolicy::Lpib, bare_r, bare_s).expect("join runs");
     assert_eq!(fat.result_count, bare.result_count);
     assert!(
         fat.metrics.shuffle.total_bytes() > 2 * bare.metrics.shuffle.total_bytes(),
@@ -141,9 +149,12 @@ fn adaptive_replicates_least_on_every_combo() {
     ] {
         let r = to_records(&r.points(), 0);
         let s = to_records(&s.points(), 0);
-        let lpib = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone());
-        let uni_r = Algorithm::UniR.run(&c, &spec, r.clone(), s.clone());
-        let uni_s = Algorithm::UniS.run(&c, &spec, r, s);
+        let lpib = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+            .expect("join runs");
+        let uni_r = Algorithm::UniR
+            .try_run(&c, &spec, r.clone(), s.clone())
+            .expect("join runs");
+        let uni_s = Algorithm::UniS.try_run(&c, &spec, r, s).expect("join runs");
         let best_uni = uni_r.replicated_total().min(uni_s.replicated_total());
         assert!(
             lpib.replicated_total() <= best_uni,
@@ -182,7 +193,7 @@ fn cost_model_predicts_candidates() {
     let predicted =
         estimate_candidates(&graph, sample_r.iter(), sample_s.iter(), fraction, fraction);
 
-    let out = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r, s);
+    let out = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
     let measured = out.candidates as f64;
     let ratio = predicted / measured;
     assert!(

@@ -6,10 +6,10 @@
 //! failed attempt as a span on its node's lane.
 
 use adaptive_spatial_join::core::AgreementPolicy;
-use adaptive_spatial_join::engine::{Dataset, FaultContext, Lane};
-use adaptive_spatial_join::geom::{Point, Rect};
+use adaptive_spatial_join::engine::{FaultContext, Lane};
+use adaptive_spatial_join::geom::{Point, Rect, Shape};
 use adaptive_spatial_join::join::{
-    adaptive_join, oracle, to_records, JoinSpec, LocalKernel, Record,
+    adaptive_join, adaptive_join_post_fetch, oracle, to_records, JoinSpec, LocalKernel, Record,
 };
 use adaptive_spatial_join::prelude::*;
 use proptest::prelude::*;
@@ -46,8 +46,9 @@ fn assert_recovery_transparent(
     let spec = spec();
     let clean = Cluster::new(ClusterConfig::with_threads(nodes, 3));
     let chaotic = clean.clone().with_fault_policy(faults, policy);
-    let base = adaptive_join(&clean, &spec, AgreementPolicy::Lpib, r.clone(), s.clone());
-    let recovered = adaptive_join(&chaotic, &spec, AgreementPolicy::Lpib, r, s);
+    let base = adaptive_join(&clean, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+        .expect("join runs");
+    let recovered = adaptive_join(&chaotic, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
 
     // Byte-identical results: same pairs in the same order, same counters.
     assert_eq!(recovered.pairs, base.pairs);
@@ -150,7 +151,7 @@ proptest! {
             if budget_kib > 0 {
                 cluster = cluster.with_memory_budget(budget_kib * 1024);
             }
-            adaptive_join(&cluster, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+            adaptive_join(&cluster, &spec, AgreementPolicy::Lpib, r.clone(), s.clone()).expect("join runs")
         };
         let base = run(1);
         let mut sorted = base.pairs.clone();
@@ -219,7 +220,7 @@ fn failed_attempts_appear_as_spans_on_node_lanes() {
     let cluster = Cluster::new(ClusterConfig::with_threads(4, 2))
         .with_recorder(recorder.clone())
         .with_faults(plan);
-    let out = adaptive_join(&cluster, &spec, AgreementPolicy::Lpib, r, s);
+    let out = adaptive_join(&cluster, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
     let trace = recorder.snapshot();
 
     let failed: Vec<_> = trace
@@ -261,35 +262,79 @@ fn failed_attempts_appear_as_spans_on_node_lanes() {
 
 #[test]
 fn unsurvivable_plans_surface_as_job_errors() {
-    // Every attempt of the map stage fails: the retry budget exhausts and
-    // the error names the stage instead of poisoning the scope.
-    let plan = FaultPlan::none()
-        .with_seed(1)
-        .with_stage_fail_prob("map", 1.0);
-    let cluster = Cluster::new(ClusterConfig::with_threads(3, 2))
-        .with_fault_policy(plan, RetryPolicy::default().with_max_attempts(3));
-    let ds = Dataset::from_vec((0..60u64).collect::<Vec<_>>(), 6);
-    let err = ds
-        .try_map(&cluster, |x| x * 2)
-        .expect_err("a 100% failure rate cannot succeed");
-    assert_eq!(err.stage, "map");
-    assert_eq!(err.attempts, 3);
+    let (r, s) = clouds(9, 200);
+    let (r, s, spec) = (&r, &s, &spec());
+    let extents = |recs: &[Record]| -> Vec<ExtentRecord> {
+        let shape = |rec: &Record| ExtentRecord::new(rec.id, Shape::Point(rec.point));
+        recs.iter().map(shape).collect()
+    };
+    let lpib = AgreementPolicy::Lpib;
+    // Every product entry point, with the first stage it runs.
+    type Entry<'a> = Box<dyn Fn(&Cluster) -> Result<(), JoinError> + 'a>;
+    let mut entries: Vec<(&str, &str, Entry)> = vec![
+        (
+            "self_join",
+            "marking",
+            Box::new(|c| self_join(c, spec, r.clone()).map(drop)),
+        ),
+        (
+            "extent_join",
+            "task",
+            Box::new(|c| extent_join(c, spec, extents(r), extents(s)).map(drop)),
+        ),
+        (
+            "pbsm_refpoint_join",
+            "marking",
+            Box::new(|c| pbsm_refpoint_join(c, spec, r.clone(), s.clone()).map(drop)),
+        ),
+        (
+            "adaptive_join_post_fetch",
+            "sample",
+            Box::new(|c| adaptive_join_post_fetch(c, spec, lpib, r.clone(), s.clone()).map(drop)),
+        ),
+        (
+            "knn_join",
+            "task",
+            Box::new(|c| knn_join(c, spec, 3, r.clone(), s.clone()).map(drop)),
+        ),
+        (
+            "PartitionedPoints::build",
+            "task",
+            Box::new(|c| PartitionedPoints::build(c, spec, r.clone()).map(drop)),
+        ),
+    ];
+    for algo in Algorithm::ALL.into_iter().chain([Algorithm::LpibDedup]) {
+        let first_stage = match algo {
+            Algorithm::UniR | Algorithm::UniS | Algorithm::EpsGrid => "marking",
+            _ => "sample",
+        };
+        let run = move |c: &Cluster| algo.try_run(c, spec, r.clone(), s.clone()).map(drop);
+        entries.push((algo.name(), first_stage, Box::new(run)));
+    }
 
-    // Losing every node is equally fatal — and equally non-panicking.
+    // Every attempt of every stage fails, or no usable node remains: the
+    // retry budget exhausts in the entry point's first stage and the error
+    // says so. Nothing unwinds — this test catches no panic.
+    let policy = RetryPolicy::default().with_max_attempts(2);
+    let doomed = Cluster::new(ClusterConfig::with_threads(3, 2))
+        .with_fault_policy(FaultPlan::none().with_seed(1).with_fail_prob(1.0), policy);
     let all_lost = FaultPlan::none()
         .with_seed(2)
         .with_lost_node(0, 0)
         .with_lost_node(1, 0);
-    let cluster = Cluster::new(ClusterConfig::with_threads(2, 2))
-        .with_fault_policy(all_lost, RetryPolicy::default());
-    let ds = Dataset::from_vec((0..10u64).collect::<Vec<_>>(), 4);
-    let err = ds
-        .try_map(&cluster, |x| x + 1)
-        .expect_err("no usable node may remain");
-    assert!(
-        err.to_string().contains("map"),
-        "error names the stage: {err}"
-    );
+    let deserted =
+        Cluster::new(ClusterConfig::with_threads(2, 2)).with_fault_policy(all_lost, policy);
+    for (name, first_stage, run) in &entries {
+        for (plan, cluster) in [("p=1.0", &doomed), ("all nodes lost", &deserted)] {
+            match run(cluster) {
+                Err(JoinError::Job(e)) => {
+                    assert_eq!(e.stage, *first_stage, "{name} under {plan}: {e}");
+                    assert_eq!(e.attempts, 2, "{name} under {plan}: {e}");
+                }
+                other => panic!("{name} under {plan}: expected a JobError, got {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]
@@ -299,7 +344,8 @@ fn zero_fault_runs_and_inert_fault_contexts_match_exactly() {
     let spec = spec();
     let plain = Cluster::new(ClusterConfig::with_threads(4, 2));
     assert!(plain.fault_context().is_none());
-    let base = adaptive_join(&plain, &spec, AgreementPolicy::Lpib, r.clone(), s.clone());
+    let base = adaptive_join(&plain, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+        .expect("join runs");
     let expected = oracle::brute_force_pairs(&r, &s, spec.eps);
     assert_eq!(base.result_count as usize, expected.len());
 
@@ -308,7 +354,7 @@ fn zero_fault_runs_and_inert_fault_contexts_match_exactly() {
     let routed =
         Cluster::new(ClusterConfig::with_threads(4, 2)).with_retry_policy(RetryPolicy::default());
     assert!(routed.fault_context().is_some());
-    let via_ft = adaptive_join(&routed, &spec, AgreementPolicy::Lpib, r, s);
+    let via_ft = adaptive_join(&routed, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
     assert_eq!(via_ft.pairs, base.pairs);
     assert_eq!(via_ft.result_count, base.result_count);
 }

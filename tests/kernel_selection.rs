@@ -67,18 +67,22 @@ fn every_two_set_algorithm_honors_the_kernel_flag() {
     let r = random_records(400, 91);
     let s = random_records(400, 92);
     for algo in Algorithm::ALL {
-        let nl = algo.run(
-            &c,
-            &spec().with_kernel(LocalKernel::NestedLoop),
-            r.clone(),
-            s.clone(),
-        );
-        let ps = algo.run(
-            &c,
-            &spec().with_kernel(LocalKernel::PlaneSweep),
-            r.clone(),
-            s.clone(),
-        );
+        let nl = algo
+            .try_run(
+                &c,
+                &spec().with_kernel(LocalKernel::NestedLoop),
+                r.clone(),
+                s.clone(),
+            )
+            .expect("join runs");
+        let ps = algo
+            .try_run(
+                &c,
+                &spec().with_kernel(LocalKernel::PlaneSweep),
+                r.clone(),
+                s.clone(),
+            )
+            .expect("join runs");
         assert_kernel_is_honored(algo.name(), &nl, &ps);
     }
 }
@@ -93,8 +97,10 @@ fn refpoint_join_honors_the_kernel_flag() {
         &spec().with_kernel(LocalKernel::NestedLoop),
         r.clone(),
         s.clone(),
-    );
-    let ps = pbsm_refpoint_join(&c, &spec().with_kernel(LocalKernel::PlaneSweep), r, s);
+    )
+    .expect("join runs");
+    let ps = pbsm_refpoint_join(&c, &spec().with_kernel(LocalKernel::PlaneSweep), r, s)
+        .expect("join runs");
     assert_kernel_is_honored("refpoint", &nl, &ps);
 }
 
@@ -109,14 +115,16 @@ fn dedup_join_honors_the_kernel_flag() {
         AgreementPolicy::Lpib,
         r.clone(),
         s.clone(),
-    );
+    )
+    .expect("join runs");
     let ps = adaptive_join_dedup(
         &c,
         &spec().with_kernel(LocalKernel::PlaneSweep),
         AgreementPolicy::Lpib,
         r,
         s,
-    );
+    )
+    .expect("join runs");
     assert_kernel_is_honored("dedup", &nl, &ps);
 }
 
@@ -128,8 +136,9 @@ fn self_join_honors_the_kernel_flag() {
         &c,
         &spec().with_kernel(LocalKernel::NestedLoop),
         input.clone(),
-    );
-    let ps = self_join(&c, &spec().with_kernel(LocalKernel::PlaneSweep), input);
+    )
+    .expect("join runs");
+    let ps = self_join(&c, &spec().with_kernel(LocalKernel::PlaneSweep), input).expect("join runs");
     assert_kernel_is_honored("self-join", &nl, &ps);
 }
 
@@ -158,7 +167,9 @@ fn extent_join_honors_the_kernel_flag() {
         &spec().with_kernel(LocalKernel::NestedLoop),
         a.clone(),
         b.clone(),
-    );
-    let ps = extent_join(&c, &spec().with_kernel(LocalKernel::PlaneSweep), a, b);
+    )
+    .expect("join runs");
+    let ps =
+        extent_join(&c, &spec().with_kernel(LocalKernel::PlaneSweep), a, b).expect("join runs");
     assert_kernel_is_honored("extent", &nl, &ps);
 }

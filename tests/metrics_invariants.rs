@@ -19,7 +19,7 @@ fn single_node_cluster_has_zero_remote_reads() {
     let (catalog, r, s) = workload();
     let c = Cluster::new(ClusterConfig::new(1));
     let spec = JoinSpec::new(catalog.s1.bbox, 1.2).counting_only();
-    let out = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r, s);
+    let out = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
     assert_eq!(out.metrics.shuffle.remote_bytes, 0);
     assert!(out.metrics.shuffle.local_bytes > 0);
 }
@@ -29,7 +29,8 @@ fn shuffled_bytes_equal_records_times_wire_size() {
     let (catalog, r, s) = workload();
     let c = Cluster::new(ClusterConfig::new(4));
     let spec = JoinSpec::new(catalog.s1.bbox, 1.2).counting_only();
-    let out = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone());
+    let out =
+        adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone()).expect("join runs");
     // Every shuffled record is (u64 cell key, Record); replication adds
     // copies, so total records = inputs + replicas.
     let rec_bytes = (8 + r[0].encoded_size()) as u64;
@@ -48,7 +49,8 @@ fn remote_fraction_grows_with_cluster_width() {
     let mut last_remote = 0u64;
     for nodes in [1usize, 2, 4, 8] {
         let c = Cluster::new(ClusterConfig::new(nodes));
-        let out = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone());
+        let out = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+            .expect("join runs");
         assert!(
             out.metrics.shuffle.remote_bytes >= last_remote,
             "remote reads must not shrink when nodes grow"
@@ -68,7 +70,9 @@ fn replication_drops_with_larger_eps_on_skewed_data() {
     let c = Cluster::new(ClusterConfig::new(4));
     let run = |eps: f64| {
         let spec = JoinSpec::new(catalog.s1.bbox, eps).counting_only();
-        adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone()).replicated_total()
+        adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+            .expect("join runs")
+            .replicated_total()
     };
     let fine = run(0.5);
     let coarse = run(1.8);
@@ -84,7 +88,9 @@ fn candidates_bound_results_and_cost_model_holds() {
     let c = Cluster::new(ClusterConfig::new(4));
     let spec = JoinSpec::new(catalog.s1.bbox, 1.2).counting_only();
     for algo in [Algorithm::Lpib, Algorithm::UniR, Algorithm::EpsGrid] {
-        let out = algo.run(&c, &spec, r.clone(), s.clone());
+        let out = algo
+            .try_run(&c, &spec, r.clone(), s.clone())
+            .expect("join runs");
         assert!(out.candidates >= out.result_count, "{}", algo.name());
     }
 }
@@ -94,7 +100,7 @@ fn times_are_consistent() {
     let (catalog, r, s) = workload();
     let c = Cluster::new(ClusterConfig::new(4));
     let spec = JoinSpec::new(catalog.s1.bbox, 1.2).counting_only();
-    let out = adaptive_join(&c, &spec, AgreementPolicy::Diff, r, s);
+    let out = adaptive_join(&c, &spec, AgreementPolicy::Diff, r, s).expect("join runs");
     let m = &out.metrics;
     assert!(m.simulated_time() >= m.construction.makespan());
     assert!(m.simulated_time() >= m.join.makespan());

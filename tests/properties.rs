@@ -43,13 +43,13 @@ proptest! {
             .with_sample_fraction(0.3)
             .with_seed(seed);
         for algo in Algorithm::ALL {
-            let out = algo.run(&cluster, &spec, r.clone(), s.clone());
+            let out = algo.try_run(&cluster, &spec, r.clone(), s.clone()).expect("join runs");
             let mut got = out.pairs.clone();
             got.sort_unstable();
             prop_assert_eq!(&got, &expected, "{} seed={}", algo.name(), seed);
         }
         // The dedup variant too.
-        let out = adaptive_join_dedup(&cluster, &spec, AgreementPolicy::Lpib, r, s);
+        let out = adaptive_join_dedup(&cluster, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
         let mut got = out.pairs.clone();
         got.sort_unstable();
         prop_assert_eq!(&got, &expected, "dedup seed={}", seed);
@@ -75,7 +75,7 @@ proptest! {
             .with_partitions(8)
             .with_sample_fraction(0.5);
         for algo in [Algorithm::Lpib, Algorithm::Diff, Algorithm::UniR, Algorithm::EpsGrid] {
-            let out = algo.run(&cluster, &spec, r.clone(), s.clone());
+            let out = algo.try_run(&cluster, &spec, r.clone(), s.clone()).expect("join runs");
             let mut got = out.pairs.clone();
             got.sort_unstable();
             prop_assert_eq!(&got, &expected, "{}", algo.name());
@@ -94,7 +94,7 @@ proptest! {
             .with_partitions(16)
             .with_sample_fraction(0.4);
         for algo in [Algorithm::Lpib, Algorithm::Diff] {
-            let out = algo.run(&cluster, &spec, r.clone(), s.clone());
+            let out = algo.try_run(&cluster, &spec, r.clone(), s.clone()).expect("join runs");
             prop_assert_eq!(out.result_count as usize, expected.len());
             // Every point matches itself at distance 0.
             prop_assert!(out.result_count >= r.len() as u64);
@@ -174,19 +174,19 @@ mod kernel_properties {
                 };
                 runners.push((
                     algo.name().to_string(),
-                    Box::new(move |spec: &JoinSpec| algo.run(c, spec, rr.clone(), ss.clone())),
+                    Box::new(move |spec: &JoinSpec| algo.try_run(c, spec, rr.clone(), ss.clone()).expect("join runs")),
                     groups,
                 ));
             }
             runners.push((
                 "refpoint".to_string(),
-                Box::new(move |spec| pbsm_refpoint_join(c, spec, rr.clone(), ss.clone())),
+                Box::new(move |spec| pbsm_refpoint_join(c, spec, rr.clone(), ss.clone()).expect("join runs")),
                 Some(eps_groups),
             ));
             runners.push((
                 "dedup".to_string(),
                 Box::new(move |spec| {
-                    adaptive_join_dedup(c, spec, AgreementPolicy::Lpib, rr.clone(), ss.clone())
+                    adaptive_join_dedup(c, spec, AgreementPolicy::Lpib, rr.clone(), ss.clone()).expect("join runs")
                 }),
                 // Dedup's candidate counter is clamped below by the
                 // duplicated result count, so the kernel bound does not
@@ -227,7 +227,7 @@ mod kernel_properties {
                 Grid::new(GridSpec::with_factor(base.bbox, eps, base.grid_factor)).num_cells()
                     as u64;
             let outs: Vec<JoinOutput> = KERNELS
-                .map(|k| self_join(&cluster, &base.clone().with_kernel(k), input.clone()))
+                .map(|k| self_join(&cluster, &base.clone().with_kernel(k), input.clone()).expect("join runs"))
                 .into();
             for out in &outs {
                 let mut got = out.pairs.clone();
@@ -308,7 +308,7 @@ mod extent_properties {
             let cluster = Cluster::new(ClusterConfig::new(nodes));
             let spec =
                 JoinSpec::new(Rect::new(0.0, 0.0, 25.0, 25.0), eps).with_partitions(12);
-            let out = extent_join(&cluster, &spec, a, b);
+            let out = extent_join(&cluster, &spec, a, b).expect("join runs");
             let mut got = out.pairs.clone();
             got.sort_unstable();
             prop_assert_eq!(got, expected);
@@ -341,7 +341,7 @@ mod knn_properties {
             let expected = brute_force_knn(&r, &s, k);
             let cluster = Cluster::new(ClusterConfig::new(nodes));
             let spec = JoinSpec::new(Rect::new(0.0, 0.0, 22.0, 22.0), 1.0).with_partitions(8);
-            let out = knn_join(&cluster, &spec, k, r, s);
+            let out = knn_join(&cluster, &spec, k, r, s).expect("join runs");
             let got: Vec<(u64, Vec<u64>)> = out
                 .neighbors
                 .iter()
@@ -383,7 +383,7 @@ mod shuffle_accounting {
             let data = KeyedDataset::from_partitions(parts);
 
             let hash = HashPartitioner::new(partitions);
-            let (out_h, stats_h, _) = data.clone().shuffle(&cluster, &hash);
+            let (out_h, stats_h, _) = data.clone().shuffle_stage(&cluster, &hash, "shuffle").expect("shuffle runs");
             prop_assert_eq!(stats_h.remote_bytes + stats_h.local_bytes, stats_h.total_bytes());
             prop_assert_eq!(stats_h.partition_bytes.iter().sum::<u64>(), stats_h.total_bytes());
             prop_assert_eq!(stats_h.records as usize, kvs.len());
@@ -396,7 +396,7 @@ mod shuffle_accounting {
                 .map(|k| (k, assigns[k as usize] % partitions))
                 .collect();
             let explicit = ExplicitPartitioner::new(map, partitions);
-            let (out_e, stats_e, _) = data.clone().shuffle(&cluster, &explicit);
+            let (out_e, stats_e, _) = data.clone().shuffle_stage(&cluster, &explicit, "shuffle").expect("shuffle runs");
             prop_assert_eq!(stats_e.records, stats_h.records);
             prop_assert_eq!(stats_e.total_bytes(), stats_h.total_bytes());
             prop_assert_eq!(stats_e.remote_bytes + stats_e.local_bytes, stats_e.total_bytes());
@@ -406,7 +406,7 @@ mod shuffle_accounting {
             // With a recorder attached, the metrics registry mirrors the
             // ShuffleStats fields under the stage name.
             let traced = cluster.with_recorder(Recorder::for_nodes(nodes));
-            let (_, stats_t, _) = data.shuffle_stage(&traced, &hash, "shuffle.test");
+            let (_, stats_t, _) = data.shuffle_stage(&traced, &hash, "shuffle.test").expect("shuffle runs");
             let m = traced.recorder().metrics();
             prop_assert_eq!(m.counter("shuffle.test", "remote_bytes"), Some(stats_t.remote_bytes));
             prop_assert_eq!(m.counter("shuffle.test", "local_bytes"), Some(stats_t.local_bytes));

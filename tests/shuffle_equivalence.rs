@@ -79,7 +79,9 @@ fn run_shuffle(
     parts: Vec<Vec<Rec>>,
     p: &dyn Partitioner<u64>,
 ) -> (Vec<Vec<Rec>>, ShuffleStats) {
-    let (ds, stats, _) = KeyedDataset::from_partitions(parts).shuffle(cluster, p);
+    let (ds, stats, _) = KeyedDataset::from_partitions(parts)
+        .shuffle_stage(cluster, p, "shuffle")
+        .expect("shuffle runs");
     (ds.into_partitions(), stats)
 }
 

@@ -68,13 +68,13 @@ proptest! {
         let p = HashPartitioner::new(targets);
         let free = Cluster::new(ClusterConfig::with_threads(nodes, 2));
         let (df, sf, ef) = KeyedDataset::from_partitions(parts.clone())
-            .shuffle(&free, &p);
+            .shuffle_stage(&free, &p, "shuffle").expect("shuffle runs");
         prop_assert_eq!(ef.spilled_bytes, 0, "no budget, nothing spills");
 
         let budget = (ef.peak_memory_bytes * budget_pct / 100).max(1);
         let tight = Cluster::new(ClusterConfig::with_threads(nodes, 2))
             .with_memory_budget(budget);
-        let (dt, st, et) = KeyedDataset::from_partitions(parts).shuffle(&tight, &p);
+        let (dt, st, et) = KeyedDataset::from_partitions(parts).shuffle_stage(&tight, &p, "shuffle").expect("shuffle runs");
         prop_assert_eq!(&st, &sf, "ShuffleStats are spill-agnostic");
         prop_assert_eq!(
             dt.into_partitions(),
@@ -117,7 +117,7 @@ proptest! {
         let parts = into_partitions(recs, sources);
         let p = HashPartitioner::new(targets);
         let free = Cluster::new(ClusterConfig::with_threads(nodes, 2));
-        let (dc, sc, ef) = KeyedDataset::from_partitions(parts.clone()).shuffle(&free, &p);
+        let (dc, sc, ef) = KeyedDataset::from_partitions(parts.clone()).shuffle_stage(&free, &p, "shuffle").expect("shuffle runs");
         let budget = (ef.peak_memory_bytes * budget_pct / 100).max(1);
 
         let plan = FaultPlan::none()
@@ -127,7 +127,7 @@ proptest! {
         let faulty = Cluster::new(ClusterConfig::with_threads(nodes, 2))
             .with_memory_budget(budget)
             .with_fault_policy(plan, RetryPolicy::default().with_max_attempts(8));
-        let (df, sf, ex) = KeyedDataset::from_partitions(parts).shuffle(&faulty, &p);
+        let (df, sf, ex) = KeyedDataset::from_partitions(parts).shuffle_stage(&faulty, &p, "shuffle").expect("shuffle runs");
         prop_assert_eq!(sf, sc);
         prop_assert_eq!(df.into_partitions(), dc.into_partitions());
         prop_assert!(ex.peak_memory_bytes <= budget);
@@ -162,7 +162,7 @@ proptest! {
         if budgeted {
             cluster = cluster.with_memory_budget(64);
         }
-        let (ds, stats, _) = KeyedDataset::from_partitions(parts).shuffle(&cluster, &p);
+        let (ds, stats, _) = KeyedDataset::from_partitions(parts).shuffle_stage(&cluster, &p, "shuffle").expect("shuffle runs");
         let shuffled = ds.into_partitions();
         prop_assert_eq!(shuffled.len(), targets);
         prop_assert_eq!(stats.partition_bytes.len(), targets);
@@ -228,8 +228,8 @@ proptest! {
             .with_fault_policy(plan, RetryPolicy::default().with_max_attempts(8));
         let free = Cluster::new(ClusterConfig::with_threads(3, 2));
 
-        let out_r = algo.run(&tight, &spec, r.clone(), s.clone());
-        let out_l = algo.run(&free, &spec, r, s);
+        let out_r = algo.try_run(&tight, &spec, r.clone(), s.clone()).expect("join runs");
+        let out_l = algo.try_run(&free, &spec, r, s).expect("join runs");
         prop_assert_eq!(out_r.result_count, out_l.result_count, "{}", algo.name());
         let mut pr = out_r.pairs.clone();
         let mut pl = out_l.pairs.clone();

@@ -23,7 +23,9 @@ fn all_algorithms_at_scale() {
         "workload must be non-trivial: {expected}"
     );
     for algo in Algorithm::ALL {
-        let out = algo.run(&cluster, &spec, r.clone(), s.clone());
+        let out = algo
+            .try_run(&cluster, &spec, r.clone(), s.clone())
+            .expect("join runs");
         assert_eq!(out.result_count, expected, "{} at scale", algo.name());
         assert!(out.metrics.shuffle.records as usize >= r.len() + s.len());
     }
@@ -36,12 +38,12 @@ fn self_join_and_knn_at_scale() {
     let pts = to_records(&catalog.s1.points(), 0);
     let spec = JoinSpec::new(catalog.s1.bbox, 1.0).with_partitions(48);
 
-    let out = self_join(&cluster, &spec, pts.clone());
+    let out = self_join(&cluster, &spec, pts.clone()).expect("join runs");
     let expected = adaptive_spatial_join::join::brute_force_self_pairs(&pts, spec.eps);
     assert_eq!(out.result_count as usize, expected.len());
 
     let queries = to_records(&catalog.s2.points()[..200], 0);
-    let knn = knn_join(&cluster, &spec, 8, queries.clone(), pts.clone());
+    let knn = knn_join(&cluster, &spec, 8, queries.clone(), pts.clone()).expect("join runs");
     let want = adaptive_spatial_join::join::brute_force_knn(&queries, &pts, 8);
     let got: Vec<(u64, Vec<u64>)> = knn
         .neighbors

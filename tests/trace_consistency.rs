@@ -35,7 +35,8 @@ fn traced_join_sim_lanes_match_per_node_busy() {
     let recorder = Recorder::for_nodes(nodes);
     let cluster =
         Cluster::new(ClusterConfig::with_threads(nodes, 3)).with_recorder(recorder.clone());
-    let out = adaptive_join(&cluster, &spec, AgreementPolicy::Lpib, r.clone(), s.clone());
+    let out = adaptive_join(&cluster, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
+        .expect("join runs");
     let trace = recorder.snapshot();
 
     // Every simulated lane's spans are disjoint, monotone and account for
@@ -82,7 +83,7 @@ fn traced_join_sim_lanes_match_per_node_busy() {
 
     // The recorder observes; it must not perturb the join itself.
     let plain = Cluster::new(ClusterConfig::with_threads(nodes, 3));
-    let untraced = adaptive_join(&plain, &spec, AgreementPolicy::Lpib, r, s);
+    let untraced = adaptive_join(&plain, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
     let (mut a, mut b) = (out.pairs, untraced.pairs);
     a.sort_unstable();
     b.sort_unstable();
