@@ -400,7 +400,7 @@ impl CheckpointStore {
     }
 
     /// Retention GC: unlinks every checkpoint whose key belongs to `scope`
-    /// (the per-job prefix [`CheckpointCtx`] keys under). Call only once the
+    /// (the per-job prefix `CheckpointCtx` keys under). Call only once the
     /// job's `done` record is fsynced in the journal — the crash-safe delete
     /// order is
     ///

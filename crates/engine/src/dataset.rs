@@ -512,52 +512,16 @@ where
         Ok((KeyedDataset { parts }, shuffle, stats))
     }
 
-    /// Processes each partition's key groups with `kernel` (a one-sided
-    /// co-group): values are grouped by key within every partition and the
-    /// kernel is invoked once per key. Used by the distance *self-join*,
-    /// where a single shuffled dataset joins with itself cell by cell.
-    ///
-    /// `kernel` folds into an `A` that starts at `A::default()` for every
-    /// task *attempt* and is committed together with the partition's output.
-    /// This is the fault-safe replacement for accumulating side statistics
-    /// in shared atomics, which a retried or speculatively re-executed task
-    /// would double-count (Spark restarts accumulators the same way).
-    pub fn process_groups_fold<R, A, F>(
-        self,
-        cluster: &Cluster,
-        kernel: F,
-    ) -> Result<(Dataset<R>, Vec<A>, ExecStats), JobError>
-    where
-        K: Ord,
-        R: Send,
-        A: Default + Send,
-        F: Fn(K, &[V], &mut Vec<R>, &mut A) + Sync,
-    {
-        let (folded, stats) = cluster.run_stage("process_groups", self.parts, |_, mut part| {
-            part.sort_unstable_by_key(|x| x.0);
-            let mut out = Vec::new();
-            let mut acc = A::default();
-            let mut values: Vec<V> = Vec::new();
-            let mut it = part.into_iter().peekable();
-            while let Some(k) = it.peek().map(|x| x.0) {
-                values.clear();
-                while it.peek().is_some_and(|x| x.0 == k) {
-                    values.push(it.next().expect("peeked").1);
-                }
-                kernel(k, &values, &mut out, &mut acc);
-            }
-            (out, acc)
-        })?;
-        let (parts, accs) = folded.into_iter().unzip();
-        Ok((Dataset { parts }, accs, stats))
-    }
-
     /// Co-grouped join against `other` (must be partitioned by the same
     /// partitioner): for every key present on both sides of a partition,
-    /// `kernel` receives the two value groups and emits results, folding
-    /// side statistics into a per-partition accumulator (see
-    /// [`KeyedDataset::process_groups_fold`] for why they must travel with
-    /// the task result rather than through shared atomics).
+    /// `kernel` receives the two value groups and emits results.
+    ///
+    /// `kernel` also folds side statistics into an `A` that starts at
+    /// `A::default()` for every task *attempt* and is committed together
+    /// with the partition's output. This is the fault-safe replacement for
+    /// accumulating in shared atomics, which a retried or speculatively
+    /// re-executed task would double-count (Spark restarts accumulators the
+    /// same way).
     ///
     /// This fuses Spark's `join(...)` with the subsequent refinement
     /// `filter(d(r, s) ≤ ε)` of Algorithm 5, exactly as the paper describes
@@ -576,75 +540,6 @@ where
         A: Default + Send,
         F: Fn(K, &[V], &[V2], &mut Vec<R>, &mut A) + Sync,
     {
-        self.cogroup_sorted_by(
-            cluster,
-            other,
-            |a| a.sort_unstable_by_key(|x| x.0),
-            |b| b.sort_unstable_by_key(|x| x.0),
-            kernel,
-        )
-    }
-
-    /// [`KeyedDataset::cogroup_join_fold`] with a *secondary sort*: each
-    /// partition is sorted once by `(key, sort_key)`, so every value group
-    /// handed to `kernel` arrives already ordered by `sort_key`. A
-    /// plane-sweep local kernel can then skip its per-group sort — the sort
-    /// happens once per partition instead of once per cell (Spark's
-    /// `repartitionAndSortWithinPartitions` idiom).
-    pub fn cogroup_join_sorted_fold<V2, R, A, F, SA, SB>(
-        self,
-        cluster: &Cluster,
-        other: KeyedDataset<K, V2>,
-        sort_key_a: SA,
-        sort_key_b: SB,
-        kernel: F,
-    ) -> Result<(Dataset<R>, Vec<A>, ExecStats), JobError>
-    where
-        K: Ord,
-        V2: Wire + Send + Sync + Clone,
-        R: Send,
-        A: Default + Send,
-        F: Fn(K, &[V], &[V2], &mut Vec<R>, &mut A) + Sync,
-        SA: Fn(&V) -> f64 + Sync,
-        SB: Fn(&V2) -> f64 + Sync,
-    {
-        self.cogroup_sorted_by(
-            cluster,
-            other,
-            |a| {
-                a.sort_unstable_by(|x, y| {
-                    x.0.cmp(&y.0)
-                        .then_with(|| sort_key_a(&x.1).total_cmp(&sort_key_a(&y.1)))
-                })
-            },
-            |b| {
-                b.sort_unstable_by(|x, y| {
-                    x.0.cmp(&y.0)
-                        .then_with(|| sort_key_b(&x.1).total_cmp(&sort_key_b(&y.1)))
-                })
-            },
-            kernel,
-        )
-    }
-
-    /// The `cogroup_join` stage both co-grouped joins run: zip the two
-    /// sides' partitions, sort each with the caller's order (by key, at
-    /// least) and merge.
-    fn cogroup_sorted_by<V2, R, A, F>(
-        self,
-        cluster: &Cluster,
-        other: KeyedDataset<K, V2>,
-        sort_a: impl Fn(&mut Vec<(K, V)>) + Sync,
-        sort_b: impl Fn(&mut Vec<(K, V2)>) + Sync,
-        kernel: F,
-    ) -> Result<(Dataset<R>, Vec<A>, ExecStats), JobError>
-    where
-        K: Ord,
-        V2: Wire + Send + Sync + Clone,
-        R: Send,
-        A: Default + Send,
-        F: Fn(K, &[V], &[V2], &mut Vec<R>, &mut A) + Sync,
-    {
         assert_eq!(
             self.parts.len(),
             other.parts.len(),
@@ -652,8 +547,8 @@ where
         );
         let tasks: CogroupTasks<K, V, V2> = self.parts.into_iter().zip(other.parts).collect();
         let (folded, stats) = cluster.run_stage("cogroup_join", tasks, |_, (mut a, mut b)| {
-            sort_a(&mut a);
-            sort_b(&mut b);
+            a.sort_unstable_by_key(|x| x.0);
+            b.sort_unstable_by_key(|x| x.0);
             merge_cogroups(a, b, &kernel)
         })?;
         let (parts, accs) = folded.into_iter().unzip();
@@ -661,10 +556,10 @@ where
     }
 }
 
-/// The task body shared by the co-grouped joins: a two-cursor merge over two
+/// The task body of the co-grouped join: a two-cursor merge over two
 /// partitions already sorted by key. For every key present on both sides,
-/// `kernel` receives the two value groups (in the order the caller's sort
-/// left them), the task's output vector and its accumulator.
+/// `kernel` receives the two value groups, the task's output vector and its
+/// accumulator.
 fn merge_cogroups<K, V, V2, R, A, F>(a: Vec<(K, V)>, b: Vec<(K, V2)>, kernel: &F) -> (Vec<R>, A)
 where
     K: Ord + Copy,
@@ -1039,90 +934,5 @@ mod tests {
             })
             .expect("join runs");
         assert!(joined.collect().is_empty());
-    }
-
-    #[test]
-    fn cogroup_join_sorted_fold_delivers_groups_in_sort_key_order() {
-        let c = cluster();
-        let a: KeyedDataset<u64, (u32, f64)> = KeyedDataset::from_partitions(vec![vec![
-            (1u64, (0, 3.5)),
-            (1, (1, 0.5)),
-            (2, (2, 9.0)),
-            (1, (3, 2.0)),
-            (2, (4, -1.0)),
-        ]]);
-        let b: KeyedDataset<u64, (u32, f64)> = KeyedDataset::from_partitions(vec![vec![
-            (2u64, (10, 4.0)),
-            (1, (11, 7.0)),
-            (2, (12, 0.25)),
-            (1, (13, 1.0)),
-        ]]);
-        let (joined, accs, _) = a
-            .cogroup_join_sorted_fold(
-                &c,
-                b,
-                |v: &(u32, f64)| v.1,
-                |v: &(u32, f64)| v.1,
-                |k, va, vb, out, acc: &mut u64| {
-                    assert!(va.windows(2).all(|w| w[0].1 <= w[1].1), "a not sorted");
-                    assert!(vb.windows(2).all(|w| w[0].1 <= w[1].1), "b not sorted");
-                    *acc += (va.len() * vb.len()) as u64;
-                    out.push((k, va.len(), vb.len()));
-                },
-            )
-            .expect("join runs");
-        let mut rows = joined.collect();
-        rows.sort();
-        assert_eq!(rows, vec![(1, 3, 2), (2, 2, 2)]);
-        assert_eq!(accs.iter().sum::<u64>(), 3 * 2 + 2 * 2);
-    }
-}
-
-#[cfg(test)]
-mod group_tests {
-    use super::*;
-    use crate::cluster::ClusterConfig;
-    use crate::partitioner::HashPartitioner;
-
-    #[test]
-    fn process_groups_sees_each_key_once_with_all_values() {
-        let c = Cluster::new(ClusterConfig::with_threads(2, 2));
-        let kd = KeyedDataset::from_partitions(vec![
-            vec![(1u64, 10u64), (2, 20), (1, 11)],
-            vec![(2, 21), (3, 30)],
-        ]);
-        let (kd, _, _) = kd
-            .shuffle_stage(&c, &HashPartitioner::new(4), "shuffle")
-            .expect("shuffle runs");
-        let (out, accs, _) = kd
-            .process_groups_fold(&c, |k, vs, out, groups: &mut u64| {
-                let mut sorted = vs.to_vec();
-                sorted.sort_unstable();
-                out.push((k, sorted));
-                *groups += 1;
-            })
-            .expect("stage runs");
-        let mut rows = out.collect();
-        rows.sort();
-        assert_eq!(
-            rows,
-            vec![(1, vec![10, 11]), (2, vec![20, 21]), (3, vec![30])]
-        );
-        assert_eq!(accs.len(), 4, "one accumulator per partition");
-        assert_eq!(accs.iter().sum::<u64>(), 3, "each key folded exactly once");
-    }
-
-    #[test]
-    fn process_groups_empty_partitions() {
-        let c = Cluster::new(ClusterConfig::with_threads(1, 1));
-        let kd: KeyedDataset<u64, u64> = KeyedDataset::from_partitions(vec![vec![], vec![]]);
-        let (out, accs, _) = kd
-            .process_groups_fold(&c, |_, _, out: &mut Vec<u64>, calls: &mut u64| {
-                out.push(1);
-                *calls += 1;
-            })
-            .expect("stage runs");
-        assert!(out.collect().is_empty());
-        assert_eq!(accs, vec![0, 0], "no group, no kernel call");
     }
 }

@@ -273,7 +273,7 @@ pub struct ServerRun<R> {
     /// [`JobServer::recover`].
     pub crashed: bool,
     /// Shuffle stages whose outputs were replayed from checkpoints instead
-    /// of recomputed (from the cluster's [`CheckpointStore`] counters).
+    /// of recomputed (from the cluster's [`CheckpointStore`](crate::CheckpointStore) counters).
     pub stages_recovered: u64,
     /// Bytes written to stage checkpoints during this run.
     pub checkpoint_bytes: u64,

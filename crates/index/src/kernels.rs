@@ -4,7 +4,7 @@
 //! After the shuffle, each partition holds the R and S records of one or more
 //! grid cells; the kernel enumerates the result pairs of one cell group.
 //! Every point kernel is a *window finder* around one shared primitive,
-//! [`filter_window`]: a branch-free ε-filter of one probe point against a
+//! `filter_window`: a branch-free ε-filter of one probe point against a
 //! contiguous run of the other side's flat `xs`/`ys` lanes.
 //!
 //! * [`nested_loop_view`] reproduces the paper's execution exactly: the local
@@ -24,9 +24,8 @@
 //! resolves a requested [`LocalKernel`] (including `Auto`, which consults the
 //! calibrated [`KernelCostModel`] per group using the *measured* group
 //! extent) and runs the chosen kernel over [`PointsView`] lanes.
-//! [`local_join`] and [`local_self_join`] serve callers holding record
-//! slices — they gather the lanes **once** and delegate to the same kernels —
-//! and [`local_join_rects`] is the envelope (extent) variant.
+//! [`local_self_join`] is its one-sided twin over the same lanes, and
+//! [`local_join_rects`] is the envelope (extent) variant.
 //!
 //! Candidate-count semantics: the nested loop counts every `r·s` pair; the
 //! plane sweep and the bucket grid count exactly the pairs passing the
@@ -37,7 +36,7 @@
 
 use crate::batch::PointsView;
 use asj_core::{KernelCostModel, KernelKind, LocalKernel};
-use asj_geom::{Point, Rect};
+use asj_geom::Rect;
 use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -58,7 +57,7 @@ impl KernelStats {
     }
 }
 
-/// What [`local_join`] (and variants) did for one cell group.
+/// What [`local_join_view`] (and variants) did for one cell group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LocalJoinOutcome {
     /// The kernel that actually ran (the resolution of `Auto`).
@@ -344,98 +343,30 @@ pub fn local_join_view(
     LocalJoinOutcome { kind, stats }
 }
 
-// ---------------------------------------------------------------------------
-// Entry points over record slices
-// ---------------------------------------------------------------------------
-
-/// SoA lanes gathered once from a record slice; `pos[k]` is the slice
-/// position lane `k` came from.
-struct Lanes {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    pos: Vec<u32>,
-}
-
-impl Lanes {
-    fn gather<A>(recs: &[A], at: impl Fn(&A) -> Point) -> Lanes {
-        let (xs, ys) = recs.iter().map(at).map(|p| (p.x, p.y)).unzip();
-        Lanes {
-            xs,
-            ys,
-            pos: (0..recs.len() as u32).collect(),
-        }
-    }
-
-    fn sort_by_x(&mut self) {
-        let Lanes { xs, ys, pos } = self;
-        pos.sort_unstable_by(|&p, &q| xs[p as usize].total_cmp(&xs[q as usize]));
-        *xs = pos.iter().map(|&p| xs[p as usize]).collect();
-        *ys = pos.iter().map(|&p| ys[p as usize]).collect();
-    }
-
-    fn view(&self) -> PointsView<'_> {
-        PointsView::new(&self.xs, &self.ys)
-    }
-}
-
-/// [`local_join_view`] for callers holding record slices: gathers both
-/// sides' coordinates into lanes once, resolves `requested` the same way and
-/// delegates to the same kernels. `on_pair` receives slice positions.
-///
-/// `presorted_by_x` promises that both slices are already in ascending-`x`
-/// order (the engine's per-partition sort-reuse); the plane sweep then skips
-/// its per-cell sort.
-#[allow(clippy::too_many_arguments)]
-pub fn local_join<A, B>(
-    requested: LocalKernel,
-    model: &KernelCostModel,
-    eps: f64,
-    presorted_by_x: bool,
-    a: &[A],
-    b: &[B],
-    pos_a: impl Fn(&A) -> Point,
-    pos_b: impl Fn(&B) -> Point,
-    mut on_pair: impl FnMut(usize, usize),
-) -> LocalJoinOutcome {
-    let (mut la, mut lb) = (Lanes::gather(a, pos_a), Lanes::gather(b, pos_b));
-    let (w, h) = view_extent(la.view(), lb.view());
-    let kind = model.resolve(requested, a.len() as u64, b.len() as u64, eps, w, h);
-    if kind == KernelKind::PlaneSweep && !presorted_by_x {
-        la.sort_by_x();
-        lb.sort_by_x();
-    }
-    let stats = run_kernel(kind, eps, la.view(), lb.view(), |i, j| {
-        on_pair(la.pos[i] as usize, lb.pos[j] as usize)
-    });
-    LocalJoinOutcome { kind, stats }
-}
-
-/// Self-join variant of [`local_join`]: emits each unordered position pair
-/// at most once. Candidate semantics mirror the two-sided kernels: nested
-/// loop counts all `n(n-1)/2` pairs, sweep and bucket count window-passing
-/// pairs only.
+/// Self-join variant of [`local_join_view`] over one ascending-`x` view:
+/// emits each unordered position pair at most once. Candidate semantics
+/// mirror the two-sided kernels: nested loop counts all `n(n-1)/2` pairs,
+/// sweep and bucket count window-passing pairs only.
 ///
 /// `Auto` resolution reuses the two-sided model with `r = s = n`: that
 /// scales every prediction by exactly 2× relative to the true self-join
 /// work, so the argmin — and hence the choice — is unchanged.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-pub fn local_self_join<A>(
+pub fn local_self_join(
     requested: LocalKernel,
     model: &KernelCostModel,
     eps: f64,
-    pts: &[A],
-    pos: impl Fn(&A) -> Point,
+    v: PointsView<'_>,
     mut on_pair: impl FnMut(usize, usize),
 ) -> LocalJoinOutcome {
-    let mut lanes = Lanes::gather(pts, pos);
-    let (w, h) = view_extent(lanes.view(), PointsView::empty());
-    let n = pts.len();
+    let (w, h) = view_extent(v, PointsView::empty());
+    let n = v.len();
+    let (xs, ys) = (v.xs, v.ys);
     let kind = model.resolve(requested, n as u64, n as u64, eps, w, h);
     let mut stats = KernelStats::default();
     match kind {
         // Window of lane `i`: every later lane.
         KernelKind::NestedLoop => {
-            let (xs, ys) = (&lanes.xs, &lanes.ys);
             for i in 0..n {
                 let (rest_x, rest_y) = (&xs[i + 1..], &ys[i + 1..]);
                 filter_window::<false>((xs[i], ys[i]), eps, rest_x, rest_y, &mut stats, |j| {
@@ -447,8 +378,6 @@ pub fn local_self_join<A>(
         // Window of lane `i`: the later lanes with `x - xs[i] ≤ ε`, whose
         // end only moves forward as `xs[i]` ascends.
         KernelKind::PlaneSweep => {
-            lanes.sort_by_x();
-            let (xs, ys, pos) = (&lanes.xs, &lanes.ys, &lanes.pos);
             let mut hi = 0usize;
             for i in 0..n {
                 hi = hi.max(i + 1);
@@ -457,7 +386,7 @@ pub fn local_self_join<A>(
                 }
                 let (win_x, win_y) = (&xs[i + 1..hi], &ys[i + 1..hi]);
                 filter_window::<false>((xs[i], ys[i]), eps, win_x, win_y, &mut stats, |j| {
-                    on_pair(pos[i] as usize, pos[i + 1 + j] as usize)
+                    on_pair(i, i + 1 + j)
                 });
             }
         }
@@ -466,8 +395,8 @@ pub fn local_self_join<A>(
         // via the four forward offsets.
         KernelKind::GridBucket => {
             const FORWARD: [(i64, i64); 4] = [(0, 1), (1, -1), (1, 0), (1, 1)];
-            let (ox, oy) = min_corner(lanes.view(), PointsView::empty());
-            let sorted = BucketLanes::build(lanes.view(), ox, oy, eps);
+            let (ox, oy) = min_corner(v, PointsView::empty());
+            let sorted = BucketLanes::build(v, ox, oy, eps);
             for p in 0..n {
                 let (bx, by) = sorted.keys[p];
                 let probe = (sorted.xs[p], sorted.ys[p]);
@@ -597,15 +526,14 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// `n` uniform points of the unit square as ascending-`x` lanes — the shape
-/// a [`PointBatch`](crate::PointBatch) group hands the kernels.
-fn synth_lanes(n: usize, seed: u64) -> Lanes {
+/// `n` uniform points of the unit square as ascending-`x` `(xs, ys)` lanes —
+/// the shape a [`PointBatch`](crate::PointBatch) group hands the kernels.
+fn synth_lanes(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut state = seed;
     let mut unit = || (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-    let pts: Vec<Point> = (0..n).map(|_| Point::new(unit(), unit())).collect();
-    let mut lanes = Lanes::gather(&pts, |p| *p);
-    lanes.sort_by_x();
-    lanes
+    let mut pts: Vec<(f64, f64)> = (0..n).map(|_| (unit(), unit())).collect();
+    pts.sort_unstable_by(|p, q| p.0.total_cmp(&q.0));
+    pts.into_iter().unzip()
 }
 
 /// Best-of-3 wall time of one kernel run in nanoseconds.
@@ -624,7 +552,7 @@ fn best_time_ns(mut run: impl FnMut() -> KernelStats) -> f64 {
 fn measure_cost_model() -> KernelCostModel {
     let n = 512usize;
     let (a, b) = (synth_lanes(n, 0xA11C_E5ED), synth_lanes(n, 0xB0B5_EED5));
-    let (a, b) = (a.view(), b.view());
+    let (a, b) = (PointsView::new(&a.0, &a.1), PointsView::new(&b.0, &b.1));
     // The counting mode of the pipeline: no pair is materialised.
     let sink = |_: usize, _: usize| {};
     let pairs = (n * n) as f64;
@@ -677,6 +605,7 @@ fn measure_cost_model() -> KernelCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asj_geom::Point;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -687,10 +616,6 @@ mod tests {
         LocalKernel::Auto,
     ];
 
-    fn id(p: &Point) -> Point {
-        *p
-    }
-
     fn random_points(n: usize, seed: u64, extent: f64) -> Vec<Point> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
@@ -698,9 +623,28 @@ mod tests {
             .collect()
     }
 
-    fn sorted_by_x(mut pts: Vec<Point>) -> Vec<Point> {
-        pts.sort_unstable_by(|p, q| p.x.total_cmp(&q.x));
-        pts
+    /// Ascending-`x` lanes of `pts` — the shape a `PointBatch` group hands
+    /// the kernels; `pos[k]` is the slice position lane `k` came from.
+    struct Lanes {
+        xs: Vec<f64>,
+        ys: Vec<f64>,
+        pos: Vec<usize>,
+    }
+
+    impl Lanes {
+        fn sorted(pts: &[Point]) -> Lanes {
+            let mut pos: Vec<usize> = (0..pts.len()).collect();
+            pos.sort_by(|&p, &q| pts[p].x.total_cmp(&pts[q].x));
+            Lanes {
+                xs: pos.iter().map(|&p| pts[p].x).collect(),
+                ys: pos.iter().map(|&p| pts[p].y).collect(),
+                pos,
+            }
+        }
+
+        fn view(&self) -> PointsView<'_> {
+            PointsView::new(&self.xs, &self.ys)
+        }
     }
 
     /// Brute-force oracle: the result pairs in `(i, j)` order, and the number
@@ -719,18 +663,19 @@ mod tests {
         (pairs, window)
     }
 
-    /// Runs `local_join` with a fixed kernel; pairs come back sorted.
+    /// Runs `local_join_view` over the x-sorted lanes of `a` and `b`; pairs
+    /// come back as slice positions, sorted.
     fn join(
         requested: LocalKernel,
-        presorted: bool,
         a: &[Point],
         b: &[Point],
         eps: f64,
     ) -> (Vec<(usize, usize)>, LocalJoinOutcome) {
         let model = KernelCostModel::default();
+        let (la, lb) = (Lanes::sorted(a), Lanes::sorted(b));
         let mut pairs = Vec::new();
-        let out = local_join(requested, &model, eps, presorted, a, b, id, id, |i, j| {
-            pairs.push((i, j))
+        let out = local_join_view(requested, &model, eps, la.view(), lb.view(), |i, j| {
+            pairs.push((la.pos[i], lb.pos[j]))
         });
         pairs.sort_unstable();
         (pairs, out)
@@ -771,8 +716,8 @@ mod tests {
     fn plane_sweep_prunes_candidates() {
         let a = random_points(500, 1, 50.0);
         let b = random_points(500, 2, 50.0);
-        let (_, nl) = join(LocalKernel::NestedLoop, false, &a, &b, 1.0);
-        let (_, ps) = join(LocalKernel::PlaneSweep, false, &a, &b, 1.0);
+        let (_, nl) = join(LocalKernel::NestedLoop, &a, &b, 1.0);
+        let (_, ps) = join(LocalKernel::PlaneSweep, &a, &b, 1.0);
         assert_eq!(nl.stats.candidates, 500 * 500);
         assert!(
             ps.stats.candidates < nl.stats.candidates / 5,
@@ -788,7 +733,7 @@ mod tests {
         let b = random_points(10, 3, 5.0);
         for requested in REQUESTS {
             for (l, r) in [(&[][..], &b[..]), (&b[..], &[][..]), (&[][..], &[][..])] {
-                let (pairs, out) = join(requested, false, l, r, 1.0);
+                let (pairs, out) = join(requested, l, r, 1.0);
                 assert!(pairs.is_empty());
                 assert_eq!(out.stats, KernelStats::default());
             }
@@ -800,7 +745,7 @@ mod tests {
         let a = vec![Point::new(0.0, 0.0)];
         let b = vec![Point::new(3.0, 4.0)];
         for requested in REQUESTS {
-            assert_eq!(join(requested, false, &a, &b, 5.0).0, vec![(0, 0)]);
+            assert_eq!(join(requested, &a, &b, 5.0).0, vec![(0, 0)]);
         }
     }
 
@@ -828,7 +773,7 @@ mod tests {
         let a = vec![Point::new(1.0, 1.0); 4];
         let b = vec![Point::new(1.0, 1.0); 3];
         for requested in REQUESTS {
-            assert_eq!(join(requested, false, &a, &b, 0.5).0.len(), 12);
+            assert_eq!(join(requested, &a, &b, 0.5).0.len(), 12);
         }
     }
 
@@ -839,23 +784,11 @@ mod tests {
         let eps = 0.5;
         let (expected, _) = brute_force(&a, &b, eps);
         for requested in REQUESTS {
-            let (pairs, out) = join(requested, false, &a, &b, eps);
+            let (pairs, out) = join(requested, &a, &b, eps);
             assert_eq!(pairs, expected, "{requested:?}");
             assert_eq!(out.stats.results as usize, expected.len());
             assert!(out.stats.candidates >= out.stats.results);
         }
-    }
-
-    #[test]
-    fn local_join_respects_presorted_inputs() {
-        let a = random_points(200, 21, 6.0);
-        let b = random_points(200, 22, 6.0);
-        let eps = 0.4;
-        let (_, unsorted) = join(LocalKernel::PlaneSweep, false, &a, &b, eps);
-        let (a, b) = (sorted_by_x(a), sorted_by_x(b));
-        let (pairs, presorted) = join(LocalKernel::PlaneSweep, true, &a, &b, eps);
-        assert_eq!(presorted.stats, unsorted.stats);
-        assert_eq!(pairs, brute_force(&a, &b, eps).0);
     }
 
     #[test]
@@ -864,34 +797,18 @@ mod tests {
         // candidate count equals the sweep's, not r·s.
         let a = random_points(120, 31, 40.0);
         let b = random_points(120, 32, 40.0);
-        let (_, ps) = join(LocalKernel::PlaneSweep, false, &a, &b, 0.8);
-        let (_, auto) = join(LocalKernel::Auto, false, &a, &b, 0.8);
+        let (_, ps) = join(LocalKernel::PlaneSweep, &a, &b, 0.8);
+        let (_, auto) = join(LocalKernel::Auto, &a, &b, 0.8);
         assert_ne!(auto.kind, KernelKind::NestedLoop);
         assert_eq!(auto.stats.candidates, ps.stats.candidates);
         // Tight group inside eps x eps: nested loop, and the counts agree
         // with the sweep by construction (every pair passes the window).
         let a = random_points(40, 33, 0.3);
         let b = random_points(40, 34, 0.3);
-        let (_, ps) = join(LocalKernel::PlaneSweep, false, &a, &b, 0.5);
-        let (_, auto) = join(LocalKernel::Auto, false, &a, &b, 0.5);
+        let (_, ps) = join(LocalKernel::PlaneSweep, &a, &b, 0.5);
+        let (_, auto) = join(LocalKernel::Auto, &a, &b, 0.5);
         assert_eq!(auto.kind, KernelKind::NestedLoop);
         assert_eq!(auto.stats.candidates, ps.stats.candidates);
-    }
-
-    #[test]
-    fn local_join_view_resolves_like_local_join() {
-        let model = KernelCostModel::default();
-        for (n, extent, eps) in [(40, 0.3, 0.5), (250, 9.0, 0.6), (120, 40.0, 0.8)] {
-            let a = sorted_by_x(random_points(n, 71, extent));
-            let b = sorted_by_x(random_points(n, 72, extent));
-            let (la, lb) = (Lanes::gather(&a, id), Lanes::gather(&b, id));
-            for requested in REQUESTS {
-                let (_, slices) = join(requested, true, &a, &b, eps);
-                let views =
-                    local_join_view(requested, &model, eps, la.view(), lb.view(), |_, _| {});
-                assert_eq!(views, slices, "{requested:?} n={n}");
-            }
-        }
     }
 
     #[test]
@@ -904,9 +821,11 @@ mod tests {
         assert!(!expected.is_empty());
         // Unordered off-diagonal pairs inside the window.
         let window = (window - 300) / 2;
+        let lanes = Lanes::sorted(&pts);
         for requested in REQUESTS {
             let mut pairs = Vec::new();
-            let out = local_self_join(requested, &model, eps, &pts, id, |i, j| {
+            let out = local_self_join(requested, &model, eps, lanes.view(), |i, j| {
+                let (i, j) = (lanes.pos[i], lanes.pos[j]);
                 pairs.push((i.min(j), i.max(j)))
             });
             pairs.sort_unstable();
@@ -917,9 +836,9 @@ mod tests {
                 _ => assert_eq!(out.stats.candidates, window, "{requested:?}"),
             }
         }
-        let none: [Point; 0] = [];
         for requested in REQUESTS {
-            let out = local_self_join(requested, &model, eps, &none, id, |_, _| unreachable!());
+            let none = PointsView::empty();
+            let out = local_self_join(requested, &model, eps, none, |_, _| unreachable!());
             assert_eq!(out.stats, KernelStats::default());
         }
     }

@@ -1,10 +1,11 @@
-use crate::pipeline::{join_stage, map_stage};
+use crate::pipeline::{run_plan, JoinPlan};
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
 use asj_core::{cell_costs, AgreementGraph, AgreementPolicy, GridSample, SetLabel};
 use asj_engine::{
-    Cluster, Dataset, ExplicitPartitioner, HashPartitioner, JobMetrics, Partitioner, Placement,
+    Cluster, Dataset, ExecStats, ExplicitPartitioner, HashPartitioner, Partitioner, Placement,
 };
-use asj_grid::{Grid, GridSpec};
+use asj_geom::Point;
+use asj_grid::{CellCoord, Grid, GridSpec};
 use asj_index::kernels;
 use std::time::Instant;
 
@@ -15,7 +16,7 @@ const MIN_AGREEMENT_FACTOR: f64 = 2.0;
 
 /// The validated spec's grid, or [`JoinError::GridTooFine`] when its cells
 /// cannot carry an agreement graph.
-pub(crate) fn agreement_grid(spec: &JoinSpec) -> Result<Grid, JoinError> {
+fn agreement_grid(spec: &JoinSpec) -> Result<Grid, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     if !grid.supports_agreements() {
@@ -49,18 +50,34 @@ pub fn adaptive_join(
     r: Vec<Record>,
     s: Vec<Record>,
 ) -> Result<JoinOutput, JoinError> {
+    let (build, assign) = (AgreementGraph::build, AgreementGraph::assign);
+    agreement_join(cluster, spec, policy, build, assign, r, s)
+}
+
+/// Stages 1–5 of [`adaptive_join`] over the graph `build` makes and `assign`
+/// consults: with Algorithm 1's marking (duplicate-free, [`adaptive_join`])
+/// or without it ([`adaptive_join_dedup`](crate::adaptive_join_dedup)).
+pub(crate) fn agreement_join(
+    cluster: &Cluster,
+    spec: &JoinSpec,
+    policy: AgreementPolicy,
+    build: fn(&Grid, &GridSample, AgreementPolicy) -> AgreementGraph,
+    assign: fn(&AgreementGraph, Point, SetLabel, &mut Vec<CellCoord>),
+    r: Vec<Record>,
+    s: Vec<Record>,
+) -> Result<JoinOutput, JoinError> {
     let grid = agreement_grid(spec)?;
     let rdd_r = Dataset::from_vec(r, spec.input_partitions);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
 
     // --- Sampling (parallel) + graph construction (driver). ---
     let recorder = cluster.recorder().clone();
-    let mut construction = asj_engine::ExecStats::default();
+    let mut sampling = ExecStats::default();
     let (sample_r, sample_s) = recorder.phase_attrs("sampling", |attrs| {
         let (sample_r, ex) = rdd_r.try_sample(cluster, spec.sample_fraction, spec.seed)?;
-        construction.accumulate(&ex);
+        sampling.accumulate(&ex);
         let (sample_s, ex) = rdd_s.try_sample(cluster, spec.sample_fraction, spec.seed ^ 0x5151)?;
-        construction.accumulate(&ex);
+        sampling.accumulate(&ex);
         *attrs = attrs.records((sample_r.len() + sample_s.len()) as u64);
         Ok::<_, JoinError>((sample_r, sample_s))
     })?;
@@ -72,11 +89,11 @@ pub fn adaptive_join(
             sample_r.iter().map(|rec| rec.point),
             sample_s.iter().map(|rec| rec.point),
         );
-        let graph = AgreementGraph::build(&grid, &sample, policy);
+        let graph = build(&grid, &sample, policy);
         *attrs = attrs.cells(grid.num_cells() as u64);
 
         // Cell placement: Spark-default hash, or LPT over sampled cell costs.
-        let partitioner: Box<dyn Partitioner<u64> + Sync> = match spec.placement {
+        let partitioner: Box<dyn Partitioner<u64>> = match spec.placement {
             Placement::Hash => Box::new(HashPartitioner::new(spec.num_partitions)),
             Placement::RoundRobin => {
                 Box::new(asj_engine::RoundRobinPartitioner::new(spec.num_partitions))
@@ -113,38 +130,28 @@ pub fn adaptive_join(
     recorder.counter_add("agreement_graph", "broadcast_bytes", broadcast_bytes);
     let driver = driver_start.elapsed();
 
-    // --- Spatial mapping (Algorithms 2-4) on the broadcast graph. ---
+    // --- Spatial mapping (Algorithms 2-4) on the broadcast graph, shuffle,
+    // local join with refinement. ---
     let graph_b = cluster.broadcast(graph);
-    let assign = |label: SetLabel| {
+    let assign_as = |label: SetLabel| {
         let graph_b = graph_b.clone();
-        move |p: asj_geom::Point, cells: &mut Vec<u64>, scratch: &mut Vec<asj_grid::CellCoord>| {
-            graph_b.assign(p, label, scratch);
+        move |p: Point, cells: &mut Vec<u64>, scratch: &mut Vec<CellCoord>| {
+            assign(&graph_b, p, label, scratch);
             cells.extend(scratch.iter().map(|&c| graph_b.grid().cell_index(c) as u64));
         }
     };
-    let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, assign(SetLabel::R))?;
-    construction.accumulate(&ex);
-    let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, assign(SetLabel::S))?;
-    construction.accumulate(&ex);
-
-    // --- Shuffle + local join with refinement. ---
-    let out = join_stage(cluster, spec, keyed_r, keyed_s, &*partitioner)?;
-    construction.accumulate(&out.shuffle_exec);
-
-    Ok(JoinOutput {
-        algorithm: policy.name().to_string(),
-        pairs: out.pairs,
-        result_count: out.result_count,
-        candidates: out.candidates,
-        replicated: [rep_r, rep_s],
-        metrics: JobMetrics {
-            shuffle: out.shuffle,
-            construction,
-            join: out.join_exec,
-            driver,
-            broadcast_bytes,
-        },
-    })
+    let (assign_r, assign_s) = (assign_as(SetLabel::R), assign_as(SetLabel::S));
+    let plan = JoinPlan {
+        name: policy.name().to_string(),
+        assign_r: &assign_r,
+        assign_s: &assign_s,
+        partitioner: &*partitioner,
+        keep: None,
+        broadcast_bytes,
+        driver,
+        sampling,
+    };
+    run_plan(cluster, spec, rdd_r, rdd_s, plan)
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
-use crate::pipeline::{join_stage, map_stage};
+use crate::adaptive::agreement_join;
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
-use asj_core::{AgreementGraph, AgreementPolicy, GridSample, SetLabel};
-use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics, KeyedDataset};
-use std::time::Instant;
+use asj_core::{AgreementGraph, AgreementPolicy};
+use asj_engine::{Cluster, HashPartitioner, KeyedDataset, Placement};
 
 /// The Table-6 variant: the *simplified, non-duplicate-free* assignment
 /// (agreement types without edge marking/locking/supplementary areas) joined
@@ -21,92 +20,44 @@ pub fn adaptive_join_dedup(
     r: Vec<Record>,
     s: Vec<Record>,
 ) -> Result<JoinOutput, JoinError> {
-    let grid = crate::adaptive::agreement_grid(spec)?;
-    let rdd_r = Dataset::from_vec(r, spec.input_partitions);
-    let rdd_s = Dataset::from_vec(s, spec.input_partitions);
-    let mut construction = asj_engine::ExecStats::default();
-
-    let (sample_r, ex) = rdd_r.try_sample(cluster, spec.sample_fraction, spec.seed)?;
-    construction.accumulate(&ex);
-    let (sample_s, ex) = rdd_s.try_sample(cluster, spec.sample_fraction, spec.seed ^ 0x5151)?;
-    construction.accumulate(&ex);
-
-    let driver_start = Instant::now();
-    let sample = GridSample::from_points(
-        &grid,
-        sample_r.iter().map(|rec| rec.point),
-        sample_s.iter().map(|rec| rec.point),
-    );
-    // No Algorithm 1: the graph keeps its duplicate-producing triangles.
-    let graph = AgreementGraph::build_unmarked(&grid, &sample, policy);
-    let broadcast_bytes = graph.broadcast_bytes();
-    let driver = driver_start.elapsed();
-
-    let graph_b = cluster.broadcast(graph);
-    let assign = |label: SetLabel| {
-        let graph_b = graph_b.clone();
-        move |p: asj_geom::Point, cells: &mut Vec<u64>, scratch: &mut Vec<asj_grid::CellCoord>| {
-            graph_b.assign_naive(p, label, scratch);
-            cells.extend(scratch.iter().map(|&c| graph_b.grid().cell_index(c) as u64));
-        }
-    };
-    let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, assign(SetLabel::R))?;
-    construction.accumulate(&ex);
-    let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, assign(SetLabel::S))?;
-    construction.accumulate(&ex);
-
-    // Join with duplicates: pairs must be materialized for the distinct
-    // operator regardless of `collect_pairs`.
-    let mut collect_spec = spec.clone();
-    collect_spec.collect_pairs = true;
-    let partitioner = HashPartitioner::new(spec.num_partitions);
-    let out = join_stage(cluster, &collect_spec, keyed_r, keyed_s, &partitioner)?;
-    construction.accumulate(&out.shuffle_exec);
+    // Join with duplicates — no Algorithm 1, the graph keeps its
+    // duplicate-producing triangles. Pairs must be materialized for the
+    // distinct operator regardless of `collect_pairs`, and this arm is only
+    // ever measured under Spark-default cell placement.
+    let mut join_spec = spec.clone();
+    join_spec.collect_pairs = true;
+    join_spec.placement = Placement::Hash;
+    let (build, assign) = (AgreementGraph::build_unmarked, AgreementGraph::assign_naive);
+    let mut out = agreement_join(cluster, &join_spec, policy, build, assign, r, s)?;
+    out.algorithm = format!("{}+dedup", policy.name());
 
     // Distributed distinct: shuffle pairs by their R id, then sort + dedup
     // each partition.
     let duplicated_count = out.result_count;
-    let mut shuffle = out.shuffle;
-    let mut join_exec = out.join_exec;
+    let partitioner = HashPartitioner::new(spec.num_partitions);
     let deduped_parts = cluster.recorder().clone().phase_attrs("dedup", |attrs| {
-        let pair_data =
-            KeyedDataset::from_partitions(vec![out.pairs.into_iter().collect::<Vec<(u64, u64)>>()]);
+        let pair_data = KeyedDataset::from_partitions(vec![std::mem::take(&mut out.pairs)]);
         let (pair_data, dedup_shuffle, ex) =
             pair_data.shuffle_stage(cluster, &partitioner, "dedup")?;
-        shuffle.merge(&dedup_shuffle);
-        join_exec.accumulate(&ex);
+        out.metrics.shuffle.merge(&dedup_shuffle);
+        out.metrics.join.accumulate(&ex);
         let (deduped_parts, ex) =
             cluster.run_stage("dedup", pair_data.into_partitions(), |_, mut part| {
                 part.sort_unstable();
                 part.dedup();
                 part
             })?;
-        join_exec.accumulate(&ex);
+        out.metrics.join.accumulate(&ex);
         *attrs = attrs.records(duplicated_count);
         Ok::<_, JoinError>(deduped_parts)
     })?;
 
-    let result_count: u64 = deduped_parts.iter().map(|p| p.len() as u64).sum();
-    let pairs: Vec<(u64, u64)> = if spec.collect_pairs {
-        deduped_parts.into_iter().flatten().collect()
-    } else {
-        Vec::new()
-    };
-
-    Ok(JoinOutput {
-        algorithm: format!("{}+dedup", policy.name()),
-        pairs,
-        result_count,
-        candidates: out.candidates.max(duplicated_count),
-        replicated: [rep_r, rep_s],
-        metrics: JobMetrics {
-            shuffle,
-            construction,
-            join: join_exec,
-            driver,
-            broadcast_bytes,
-        },
-    })
+    out.result_count = deduped_parts.iter().map(|p| p.len() as u64).sum();
+    out.candidates = out.candidates.max(duplicated_count);
+    if spec.collect_pairs {
+        out.pairs = deduped_parts.into_iter().flatten().collect();
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -7,12 +7,13 @@
 //! | Adaptive replication, LPiB or DIFF instantiation | [`adaptive_join`] | LPiB / DIFF |
 //! | PBSM with universal replication of one input | [`pbsm_join`] | UNI(R) / UNI(S) |
 //! | ε×ε grid replicating the smaller input | [`eps_grid_join`] | ε-grid |
-//! | QuadTree partitioning + per-partition R-tree | [`sedona_like_join`] | Sedona |
+//! | QuadTree-leaf partitions, smaller input replicated, joined by the shared kernels | [`sedona_like_join`] | Sedona |
 //!
-//! Every algorithm runs the same Algorithm-5 skeleton: (optional) sampling
-//! and construction on the driver, broadcast, spatial mapping of each record
-//! to one or more cell keys (`flatMapToPair`), a metered keyed shuffle, and a
-//! partition-local join with immediate distance refinement. They return a
+//! Every algorithm is a *plan* — two assigners, a cell partitioner, an
+//! optional pair filter — run by the same Algorithm-5 pipeline: (optional)
+//! sampling and construction on the driver, broadcast, spatial mapping of
+//! each record to one or more cell keys (`flatMapToPair`), a metered keyed
+//! shuffle, and a partition-local join with immediate distance refinement. They return a
 //! [`JoinOutput`] carrying the paper's three metrics — replicated objects,
 //! shuffle remote reads and (simulated + wall) execution time — plus result
 //! counts, so the benchmark harness can regenerate each figure.

@@ -1,7 +1,8 @@
-use crate::pipeline::{join_stage, map_stage};
+use crate::pipeline::{cells_within_eps, native_cell, run_plan, Assign, JoinPlan};
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, JobMetrics};
+use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner};
 use asj_grid::{Grid, GridSpec};
+use std::time::Duration;
 
 /// Which input PBSM replicates universally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,58 +67,25 @@ fn grid_baseline_join(
     s: Vec<Record>,
 ) -> Result<JoinOutput, JoinError> {
     let broadcast_bytes = grid.broadcast_bytes();
+    let grid_b = cluster.broadcast(grid);
+    let (replicated, single) = (cells_within_eps(grid_b.clone()), native_cell(grid_b));
+    let (assign_r, assign_s): (&Assign, &Assign) = match side {
+        ReplicateSide::R => (&replicated, &single),
+        ReplicateSide::S => (&single, &replicated),
+    };
+    let plan = JoinPlan {
+        name: name.to_string(),
+        assign_r,
+        assign_s,
+        partitioner: &HashPartitioner::new(spec.num_partitions),
+        keep: None,
+        broadcast_bytes,
+        driver: Duration::ZERO,
+        sampling: ExecStats::default(),
+    };
     let rdd_r = Dataset::from_vec(r, spec.input_partitions);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
-    let mut construction = ExecStats::default();
-
-    let grid_b = cluster.broadcast(grid);
-    // Replicated side: native cell + every cell within eps. Single side:
-    // native cell only.
-    let replicated_assign = {
-        let grid_b = grid_b.clone();
-        move |p: asj_geom::Point, cells: &mut Vec<u64>, scratch: &mut Vec<asj_grid::CellCoord>| {
-            scratch.clear();
-            scratch.push(grid_b.cell_of(p));
-            grid_b.push_cells_within_eps(p, scratch);
-            cells.extend(scratch.iter().map(|&c| grid_b.cell_index(c) as u64));
-        }
-    };
-    let single_assign = {
-        let grid_b = grid_b.clone();
-        move |p: asj_geom::Point, cells: &mut Vec<u64>, _: &mut Vec<asj_grid::CellCoord>| {
-            cells.push(grid_b.cell_index(grid_b.cell_of(p)) as u64);
-        }
-    };
-
-    let (keyed_r, rep_r, ex) = match side {
-        ReplicateSide::R => map_stage(cluster, rdd_r, &replicated_assign),
-        ReplicateSide::S => map_stage(cluster, rdd_r, &single_assign),
-    }?;
-    construction.accumulate(&ex);
-    let (keyed_s, rep_s, ex) = match side {
-        ReplicateSide::R => map_stage(cluster, rdd_s, &single_assign),
-        ReplicateSide::S => map_stage(cluster, rdd_s, &replicated_assign),
-    }?;
-    construction.accumulate(&ex);
-
-    let partitioner = HashPartitioner::new(spec.num_partitions);
-    let out = join_stage(cluster, spec, keyed_r, keyed_s, &partitioner)?;
-    construction.accumulate(&out.shuffle_exec);
-
-    Ok(JoinOutput {
-        algorithm: name.to_string(),
-        pairs: out.pairs,
-        result_count: out.result_count,
-        candidates: out.candidates,
-        replicated: [rep_r, rep_s],
-        metrics: JobMetrics {
-            shuffle: out.shuffle,
-            construction,
-            join: out.join_exec,
-            driver: std::time::Duration::ZERO,
-            broadcast_bytes,
-        },
-    })
+    run_plan(cluster, spec, rdd_r, rdd_s, plan)
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
 use asj_core::{AgreementPolicy, KernelKind};
 use asj_engine::{
-    ensure_remaining, Cluster, Dataset, ExecStats, KeyedDataset, Partitioner, ShuffleStats, Wire,
-    WireError,
+    ensure_remaining, Broadcast, Cluster, Dataset, ExecStats, JobMetrics, KeyedDataset,
+    Partitioner, ShuffleStats, Wire, WireError,
 };
 use asj_geom::Point;
-use asj_index::{kernels, PointBatch};
+use asj_grid::{CellCoord, Grid};
+use asj_index::{kernels, PointBatch, PointsView};
 use bytes::{Buf, BufMut};
+use std::time::Duration;
 
 /// Every join algorithm of the paper's evaluation, dispatchable by name —
 /// the benchmark harness iterates over these to produce each figure's
@@ -23,7 +25,7 @@ pub enum Algorithm {
     UniS,
     /// ε×ε grid replicating the smaller input.
     EpsGrid,
-    /// QuadTree partitioning + per-partition R-tree (Sedona-like).
+    /// QuadTree-leaf partitioning replicating the smaller input (Sedona-like).
     Sedona,
     /// LPiB with an unmarked (duplicate-producing) graph and the paper's
     /// distributed-dedup operator bolted on — Table 6's comparison arm.
@@ -119,18 +121,105 @@ impl Algorithm {
     }
 }
 
+/// A spatial-mapping function (the body of Spark's `flatMapToPair`): pushes
+/// the keys of every cell a point is assigned to onto the first vector, the
+/// point's own cell first. The second vector is coordinate scratch space the
+/// mapping stage reuses across records.
+pub(crate) type Assign<'a> = dyn Fn(Point, &mut Vec<u64>, &mut Vec<CellCoord>) + Sync + 'a;
+
+/// Universal replication: the native cell plus every cell within ε.
+pub(crate) fn cells_within_eps(grid: Broadcast<Grid>) -> Box<Assign<'static>> {
+    Box::new(move |p, cells, scratch| {
+        scratch.clear();
+        scratch.push(grid.cell_of(p));
+        grid.push_cells_within_eps(p, scratch);
+        cells.extend(scratch.iter().map(|&c| grid.cell_index(c) as u64));
+    })
+}
+
+/// Single assignment: the native cell only.
+pub(crate) fn native_cell(grid: Broadcast<Grid>) -> Box<Assign<'static>> {
+    Box::new(move |p, cells, _| cells.push(grid.cell_index(grid.cell_of(p)) as u64))
+}
+
+/// Reference-point duplicate avoidance (Dittrich & Seeger): of the cells a
+/// pair is co-located in, only the one holding the pair's midpoint reports
+/// it. The midpoint is within `d(a,b)/2 ≤ ε/2` of both endpoints, so both
+/// were replicated into that cell, and exactly one cell contains it.
+pub(crate) fn midpoint_in_cell(grid: &Grid, cell: u64, a: Point, b: Point) -> bool {
+    let mid = Point::new((a.x + b.x) * 0.5, (a.y + b.y) * 0.5);
+    grid.cell_index(grid.cell_of(mid)) as u64 == cell
+}
+
+/// Lane `i` of a view as a point.
+pub(crate) fn point_at(v: PointsView<'_>, i: usize) -> Point {
+    Point::new(v.xs[i], v.ys[i])
+}
+
+/// Decides whether the ε-hit `(a, b)` found in `cell` is reported there.
+pub(crate) type PairFilter<'a> = dyn Fn(u64, Point, Point) -> bool + Sync + 'a;
+
+/// What differs between the grid algorithms: everything else is
+/// [`run_plan`].
+pub(crate) struct JoinPlan<'a> {
+    /// Display name, as in the paper's figure legends.
+    pub name: String,
+    pub assign_r: &'a Assign<'a>,
+    pub assign_s: &'a Assign<'a>,
+    /// Cell key → join partition.
+    pub partitioner: &'a dyn Partitioner<u64>,
+    /// `None` when the assignment is duplicate-free by construction.
+    pub keep: Option<&'a PairFilter<'a>>,
+    /// Size of the structure the assigners consult on every node.
+    pub broadcast_bytes: u64,
+    /// Driver-side construction time of that structure.
+    pub driver: Duration,
+    /// Stats of the sampling stages construction already ran.
+    pub sampling: ExecStats,
+}
+
+/// Algorithm 5 from the mapping on: spatial mapping of both inputs, keyed
+/// shuffle, partition-local join with immediate refinement, and the paper's
+/// metrics assembled into a [`JoinOutput`].
+pub(crate) fn run_plan(
+    cluster: &Cluster,
+    spec: &JoinSpec,
+    rdd_r: Dataset<Record>,
+    rdd_s: Dataset<Record>,
+    plan: JoinPlan<'_>,
+) -> Result<JoinOutput, JoinError> {
+    let mut construction = plan.sampling;
+    let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, plan.assign_r)?;
+    construction.accumulate(&ex);
+    let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, plan.assign_s)?;
+    construction.accumulate(&ex);
+    let out = join_stage(cluster, spec, keyed_r, keyed_s, plan.partitioner, plan.keep)?;
+    construction.accumulate(&out.shuffle_exec);
+    Ok(JoinOutput {
+        algorithm: plan.name,
+        pairs: out.pairs,
+        result_count: out.result_count,
+        candidates: out.candidates,
+        replicated: [rep_r, rep_s],
+        metrics: JobMetrics {
+            shuffle: out.shuffle,
+            construction,
+            join: out.join_exec,
+            driver: plan.driver,
+            broadcast_bytes: plan.broadcast_bytes,
+        },
+    })
+}
+
 /// Spatial-mapping stage: routes every record to the cell keys chosen by
 /// `assign` (Spark's `flatMapToPair`). Returns the keyed dataset, the number
 /// of replicas (pairs emitted beyond one per record) and the stage's
 /// execution stats.
-pub(crate) fn map_stage<F>(
+pub(crate) fn map_stage(
     cluster: &Cluster,
     input: Dataset<Record>,
-    assign: F,
-) -> Result<(KeyedDataset<u64, Record>, u64, ExecStats), JoinError>
-where
-    F: Fn(Point, &mut Vec<u64>, &mut Vec<asj_grid::CellCoord>) + Sync,
-{
+    assign: &Assign<'_>,
+) -> Result<(KeyedDataset<u64, Record>, u64, ExecStats), JoinError> {
     let records_in: u64 = input.len() as u64;
     cluster.recorder().phase_attrs("marking", |attrs| {
         let (parts, stats) = cluster.run_stage(
@@ -139,7 +228,7 @@ where
             |_, part: Vec<Record>| {
                 let mut out: Vec<(u64, Record)> = Vec::with_capacity(part.len() + part.len() / 8);
                 let mut cells: Vec<u64> = Vec::with_capacity(4);
-                let mut scratch: Vec<asj_grid::CellCoord> = Vec::with_capacity(4);
+                let mut scratch: Vec<CellCoord> = Vec::with_capacity(4);
                 for rec in part {
                     cells.clear();
                     assign(rec.point, &mut cells, &mut scratch);
@@ -165,17 +254,17 @@ where
 
 /// Shuffle + partition-local join with immediate refinement (Algorithm 5,
 /// line 9). Returns pairs (if collected), result/candidate counts, combined
-/// shuffle stats, and the exec stats of the shuffle and join stages.
-pub(crate) fn join_stage<P>(
+/// shuffle stats, and the exec stats of the shuffle and join stages. With a
+/// `keep` filter only the ε-hits it accepts are results — collected, counted
+/// and tallied.
+pub(crate) fn join_stage(
     cluster: &Cluster,
     spec: &JoinSpec,
     keyed_r: KeyedDataset<u64, Record>,
     keyed_s: KeyedDataset<u64, Record>,
-    partitioner: &P,
-) -> Result<JoinStageOutput, JoinError>
-where
-    P: Partitioner<u64> + ?Sized,
-{
+    partitioner: &dyn Partitioner<u64>,
+    keep: Option<&PairFilter<'_>>,
+) -> Result<JoinStageOutput, JoinError> {
     let recorder = cluster.recorder().clone();
     let eps = spec.eps;
     let collect = spec.collect_pairs;
@@ -213,12 +302,30 @@ where
                     let (ids_a, ids_b) = (br.group_ids(gi), bs.group_ids(gj));
                     // `collect` is decided out here, not in the sink: with a
                     // no-op sink the kernel's emission walk compiles away.
-                    let outcome = if collect {
-                        kernels::local_join_view(kernel, &model, eps, va, vb, |i, j| {
-                            out.push((ids_a[i], ids_b[j]))
-                        })
-                    } else {
-                        kernels::local_join_view(kernel, &model, eps, va, vb, |_, _| {})
+                    let outcome = match (keep, collect) {
+                        (None, true) => {
+                            kernels::local_join_view(kernel, &model, eps, va, vb, |i, j| {
+                                out.push((ids_a[i], ids_b[j]))
+                            })
+                        }
+                        (None, false) => {
+                            kernels::local_join_view(kernel, &model, eps, va, vb, |_, _| {})
+                        }
+                        (Some(keep), _) => {
+                            let cell = br.keys()[gi];
+                            let mut kept = 0u64;
+                            let mut outcome =
+                                kernels::local_join_view(kernel, &model, eps, va, vb, |i, j| {
+                                    if keep(cell, point_at(va, i), point_at(vb, j)) {
+                                        kept += 1;
+                                        if collect {
+                                            out.push((ids_a[i], ids_b[j]));
+                                        }
+                                    }
+                                });
+                            outcome.stats.results = kept;
+                            outcome
+                        }
                     };
                     acc.record(outcome, va.len() as u64 * vb.len() as u64);
                     gi += 1;
@@ -419,7 +526,7 @@ mod tests {
         );
         // Every record goes to its id cell, even ids get one replica.
         let ds = Dataset::from_vec(recs, 2);
-        let (keyed, replicas, _) = map_stage(&c, ds, |p, cells, _| {
+        let (keyed, replicas, _) = map_stage(&c, ds, &|p, cells, _| {
             cells.push(p.x as u64);
             if (p.x as u64).is_multiple_of(2) {
                 cells.push(100 + p.x as u64);
@@ -437,16 +544,15 @@ mod tests {
         let r = crate::to_records(&[Point::new(1.0, 1.0), Point::new(8.0, 8.0)], 0);
         let s = crate::to_records(&[Point::new(1.5, 1.0), Point::new(4.0, 4.0)], 0);
         // Everything keyed to one cell: the kernel sees all candidates.
-        let (kr, _, _) = map_stage(&c, Dataset::from_vec(r.clone(), 1), |_, cells, _| {
-            cells.push(0)
-        })
-        .expect("join runs");
-        let (ks, _, _) = map_stage(&c, Dataset::from_vec(s.clone(), 1), |_, cells, _| {
-            cells.push(0)
-        })
-        .expect("join runs");
+        let one_cell: &Assign = &|_, cells, _| cells.push(0);
+        let keyed = |recs: &[Record]| {
+            map_stage(&c, Dataset::from_vec(recs.to_vec(), 1), one_cell)
+                .expect("join runs")
+                .0
+        };
+        let hash = HashPartitioner::new(4);
         // Default Auto resolves the tiny 2x2 group to a nested loop.
-        let out = join_stage(&c, &spec, kr, ks, &HashPartitioner::new(4)).expect("join runs");
+        let out = join_stage(&c, &spec, keyed(&r), keyed(&s), &hash, None).expect("join runs");
         assert_eq!(out.result_count, 1); // only (1,1)-(1.5,1) within eps
         assert_eq!(out.candidates, 4);
         assert_eq!(out.pairs, vec![(0, 0)]);
@@ -454,11 +560,8 @@ mod tests {
         // An explicit plane-sweep request is honored: the epsilon window
         // prunes everything but the matching pair.
         let spec_ps = spec.with_kernel(crate::LocalKernel::PlaneSweep);
-        let (kr, _, _) =
-            map_stage(&c, Dataset::from_vec(r, 1), |_, cells, _| cells.push(0)).expect("join runs");
-        let (ks, _, _) =
-            map_stage(&c, Dataset::from_vec(s, 1), |_, cells, _| cells.push(0)).expect("join runs");
-        let out_ps = join_stage(&c, &spec_ps, kr, ks, &HashPartitioner::new(4)).expect("join runs");
+        let out_ps =
+            join_stage(&c, &spec_ps, keyed(&r), keyed(&s), &hash, None).expect("join runs");
         assert_eq!(out_ps.result_count, 1);
         assert_eq!(out_ps.pairs, vec![(0, 0)]);
         assert_eq!(out_ps.candidates, 1, "sweep window must prune");

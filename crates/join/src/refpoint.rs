@@ -1,8 +1,8 @@
-use crate::pipeline::map_stage;
+use crate::pipeline::{cells_within_eps, midpoint_in_cell, run_plan, JoinPlan};
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, JobMetrics};
+use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner};
 use asj_grid::{Grid, GridSpec};
-use asj_index::kernels;
+use std::time::Duration;
 
 /// PBSM with **both** inputs replicated and the *reference-point duplicate
 /// avoidance* technique of Dittrich & Seeger \[5\] — the classic MASJ
@@ -25,90 +25,21 @@ pub fn pbsm_refpoint_join(
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let broadcast_bytes = grid.broadcast_bytes();
+    let grid_b = cluster.broadcast(grid);
+    let assign = cells_within_eps(grid_b.clone());
+    let plan = JoinPlan {
+        name: "PBSM+refpoint".to_string(),
+        assign_r: &assign,
+        assign_s: &assign,
+        partitioner: &HashPartitioner::new(spec.num_partitions),
+        keep: Some(&|cell, a, b| midpoint_in_cell(&grid_b, cell, a, b)),
+        broadcast_bytes,
+        driver: Duration::ZERO,
+        sampling: ExecStats::default(),
+    };
     let rdd_r = Dataset::from_vec(r, spec.input_partitions);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
-    let mut construction = ExecStats::default();
-
-    let grid_b = cluster.broadcast(grid);
-    let assign = {
-        let grid_b = grid_b.clone();
-        move |p: asj_geom::Point, cells: &mut Vec<u64>, scratch: &mut Vec<asj_grid::CellCoord>| {
-            scratch.clear();
-            scratch.push(grid_b.cell_of(p));
-            grid_b.push_cells_within_eps(p, scratch);
-            cells.extend(scratch.iter().map(|&c| grid_b.cell_index(c) as u64));
-        }
-    };
-    let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, &assign)?;
-    construction.accumulate(&ex);
-    let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, &assign)?;
-    construction.accumulate(&ex);
-
-    let partitioner = HashPartitioner::new(spec.num_partitions);
-    let (keyed_r, sh_r, ex_r) = keyed_r.shuffle_stage(cluster, &partitioner, "shuffle")?;
-    let (keyed_s, sh_s, ex_s) = keyed_s.shuffle_stage(cluster, &partitioner, "shuffle")?;
-    let mut shuffle = sh_r;
-    shuffle.merge(&sh_s);
-    construction.accumulate(&ex_r);
-    construction.accumulate(&ex_s);
-
-    let eps = spec.eps;
-    let collect = spec.collect_pairs;
-    let kernel = spec.kernel;
-    let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
-    // Per-partition count accumulators, committed with the task result (a
-    // retried attempt would double-count shared atomics). The secondary sort
-    // feeds each cell group to the kernel already in ascending-x order.
-    let (joined, counts, join_exec) = keyed_r.cogroup_join_sorted_fold(
-        cluster,
-        keyed_s,
-        |r: &Record| r.point.x,
-        |s: &Record| s.point.x,
-        |cell, rs: &[Record], ss: &[Record], out: &mut Vec<(u64, u64)>, acc: &mut (u64, u64)| {
-            let mut local_results = 0u64;
-            let outcome = kernels::local_join(
-                kernel,
-                &model,
-                eps,
-                true,
-                rs,
-                ss,
-                |r| r.point,
-                |s| s.point,
-                |i, j| {
-                    // Reference-point test: report only in the cell holding
-                    // the midpoint of the pair.
-                    let mid = asj_geom::Point::new(
-                        (rs[i].point.x + ss[j].point.x) * 0.5,
-                        (rs[i].point.y + ss[j].point.y) * 0.5,
-                    );
-                    if grid_b.cell_index(grid_b.cell_of(mid)) as u64 == cell {
-                        local_results += 1;
-                        if collect {
-                            out.push((rs[i].id, ss[j].id));
-                        }
-                    }
-                },
-            );
-            acc.0 += outcome.stats.candidates;
-            acc.1 += local_results;
-        },
-    )?;
-
-    Ok(JoinOutput {
-        algorithm: "PBSM+refpoint".to_string(),
-        pairs: joined.collect(),
-        result_count: counts.iter().map(|c| c.1).sum(),
-        candidates: counts.iter().map(|c| c.0).sum(),
-        replicated: [rep_r, rep_s],
-        metrics: JobMetrics {
-            shuffle,
-            construction,
-            join: join_exec,
-            driver: std::time::Duration::ZERO,
-            broadcast_bytes,
-        },
-    })
+    run_plan(cluster, spec, rdd_r, rdd_s, plan)
 }
 
 #[cfg(test)]

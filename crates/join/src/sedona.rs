@@ -1,24 +1,26 @@
-use crate::pipeline::map_stage;
+use crate::pipeline::{run_plan, Assign, JoinPlan};
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, ExecStats, JobMetrics, Partitioner};
-use asj_index::{kernels, QuadTreePartitioner};
+use asj_engine::{Cluster, Dataset, Partitioner};
+use asj_geom::Point;
+use asj_grid::CellCoord;
+use asj_index::QuadTreePartitioner;
 use std::time::Instant;
 
-/// The Sedona-like baseline of §7.1: the join runs in three phases —
+/// The Sedona-like baseline of §7.1 as a plan on the shared pipeline:
 /// **QuadTree space partitioning** built on the driver from a sample of the
-/// input with the fewest objects, **per-leaf local indexing** of each
-/// partition, and **join computation** through the shared
-/// [`kernels::local_join`] entry point (so `spec.kernel` is honored here
-/// exactly like everywhere else; `Auto` typically resolves quadtree leaves —
-/// whose extent dwarfs ε — to the ε-bucket grid, the moral equivalent of
-/// Sedona's per-partition R-tree probe).
+/// input with the fewest objects, one join partition per quadtree **leaf**,
+/// and the **join computation** of every other grid algorithm — each leaf's
+/// two sides become x-sorted lanes and go through the shared kernel layer, so
+/// `spec.kernel` is honored here exactly like everywhere else (`Auto`
+/// typically resolves quadtree leaves — whose extent dwarfs ε — to the
+/// ε-bucket grid, the moral equivalent of Sedona's per-partition index
+/// probe).
 ///
 /// The sampled (smaller) set is the replicated one: each of its points is
 /// assigned to every quadtree leaf intersecting its ε-disk; the larger set
-/// is single-assigned, which keeps results duplicate-free. Each leaf is one
-/// join partition — the paper attributes Sedona's slowness to exactly these
-/// "quite large partitions", which reduce replication but blow up the
-/// per-partition candidate work.
+/// is single-assigned, which keeps results duplicate-free. The paper
+/// attributes Sedona's slowness to exactly these "quite large partitions",
+/// which reduce replication but blow up the per-partition candidate work.
 pub fn sedona_like_join(
     cluster: &Cluster,
     spec: &JoinSpec,
@@ -29,18 +31,20 @@ pub fn sedona_like_join(
     let r_is_small = r.len() <= s.len();
     let rdd_r = Dataset::from_vec(r, spec.input_partitions);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
-    let mut construction = ExecStats::default();
 
-    // Phase 1: sample the smaller set and build the QuadTree partitioner on
-    // the driver.
-    let (sample, ex) = if r_is_small {
-        rdd_r.try_sample(cluster, spec.sample_fraction, spec.seed)
-    } else {
-        rdd_s.try_sample(cluster, spec.sample_fraction, spec.seed)
-    }?;
-    construction.accumulate(&ex);
+    // Sample the smaller set and build the QuadTree partitioner on the
+    // driver.
+    let (sample, sampling) = cluster
+        .recorder()
+        .clone()
+        .phase_attrs("sampling", |attrs| {
+            let small = if r_is_small { &rdd_r } else { &rdd_s };
+            let (sample, ex) = small.try_sample(cluster, spec.sample_fraction, spec.seed)?;
+            *attrs = attrs.records(sample.len() as u64);
+            Ok::<_, JoinError>((sample, ex))
+        })?;
     let driver_start = Instant::now();
-    let sample_points: Vec<asj_geom::Point> = sample.iter().map(|rec| rec.point).collect();
+    let sample_points: Vec<Point> = sample.iter().map(|rec| rec.point).collect();
     // Leaf capacity chosen so the leaf count lands near the configured
     // partition count (Sedona sizes its quadtree from the partition target).
     let capacity = (sample_points.len() / spec.num_partitions.max(1)).max(1);
@@ -49,106 +53,41 @@ pub fn sedona_like_join(
     let driver = driver_start.elapsed();
     let qt_b = cluster.broadcast(qt);
 
-    // Phase 1b: route both sets to leaves (the smaller one replicated).
+    // Route both sets to leaves (the smaller one replicated).
     let eps = spec.eps;
-    let replicated_assign = {
-        let qt_b = qt_b.clone();
-        move |p: asj_geom::Point, cells: &mut Vec<u64>, _: &mut Vec<asj_grid::CellCoord>| {
-            let mut leaves = Vec::with_capacity(4);
-            qt_b.leaves_within(p, eps, &mut leaves);
-            let native = qt_b.leaf_of(p);
-            cells.push(native as u64);
-            cells.extend(
-                leaves
-                    .into_iter()
-                    .filter(|&l| l != native)
-                    .map(|l| l as u64),
-            );
-        }
-    };
-    let single_assign = {
-        let qt_b = qt_b.clone();
-        move |p: asj_geom::Point, cells: &mut Vec<u64>, _: &mut Vec<asj_grid::CellCoord>| {
-            cells.push(qt_b.leaf_of(p) as u64);
-        }
-    };
-
-    let (keyed_r, rep_r, ex) = if r_is_small {
-        map_stage(cluster, rdd_r, &replicated_assign)
-    } else {
-        map_stage(cluster, rdd_r, &single_assign)
-    }?;
-    construction.accumulate(&ex);
-    let (keyed_s, rep_s, ex) = if r_is_small {
-        map_stage(cluster, rdd_s, &single_assign)
-    } else {
-        map_stage(cluster, rdd_s, &replicated_assign)
-    }?;
-    construction.accumulate(&ex);
-
-    // Shuffle both sides by leaf id: one partition per leaf.
-    let leaf_partitioner = LeafPartitioner {
-        leaves: qt_b.num_leaves(),
-    };
-    let (keyed_r, sh_r, ex_r) = keyed_r.shuffle_stage(cluster, &leaf_partitioner, "shuffle")?;
-    let (keyed_s, sh_s, ex_s) = keyed_s.shuffle_stage(cluster, &leaf_partitioner, "shuffle")?;
-    let mut shuffle = sh_r;
-    shuffle.merge(&sh_s);
-    construction.accumulate(&ex_r);
-    construction.accumulate(&ex_s);
-
-    // Phase 2+3: per leaf, run the shared local-join entry point (honoring
-    // `spec.kernel`; `Auto` consults the calibrated cost model with the
-    // leaf group's measured extent).
-    let collect = spec.collect_pairs;
-    let kernel = spec.kernel;
-    let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
-    type LeafTasks = Vec<(Vec<(u64, Record)>, Vec<(u64, Record)>)>;
-    let tasks: LeafTasks = keyed_r
-        .into_partitions()
-        .into_iter()
-        .zip(keyed_s.into_partitions())
-        .collect();
-    let (pair_parts, join_exec) = cluster.run_stage("task", tasks, |_, (rs, ss)| {
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        let outcome = kernels::local_join(
-            kernel,
-            &model,
-            eps,
-            false,
-            &rs,
-            &ss,
-            |(_, rec)| rec.point,
-            |(_, rec)| rec.point,
-            |i, j| {
-                if collect {
-                    out.push((rs[i].1.id, ss[j].1.id));
-                }
-            },
+    let replicated = |p: Point, cells: &mut Vec<u64>, _: &mut Vec<CellCoord>| {
+        let mut leaves = Vec::with_capacity(4);
+        qt_b.leaves_within(p, eps, &mut leaves);
+        let native = qt_b.leaf_of(p);
+        cells.push(native as u64);
+        cells.extend(
+            leaves
+                .into_iter()
+                .filter(|&l| l != native)
+                .map(|l| l as u64),
         );
-        // Counts travel with the task result (per-attempt, committed once) —
-        // shared atomics would double-count retried attempts.
-        (out, outcome.stats.candidates, outcome.stats.results)
-    })?;
-
-    Ok(JoinOutput {
-        algorithm: "Sedona".to_string(),
-        pairs: pair_parts
-            .iter()
-            .flat_map(|(out, _, _)| out)
-            .copied()
-            .collect(),
-        result_count: pair_parts.iter().map(|(_, _, r)| r).sum(),
-        candidates: pair_parts.iter().map(|(_, c, _)| c).sum(),
-        replicated: [rep_r, rep_s],
-        metrics: JobMetrics {
-            shuffle,
-            construction,
-            join: join_exec,
-            driver,
-            broadcast_bytes,
+    };
+    let single = |p: Point, cells: &mut Vec<u64>, _: &mut Vec<CellCoord>| {
+        cells.push(qt_b.leaf_of(p) as u64);
+    };
+    let (assign_r, assign_s): (&Assign, &Assign) = if r_is_small {
+        (&replicated, &single)
+    } else {
+        (&single, &replicated)
+    };
+    let plan = JoinPlan {
+        name: "Sedona".to_string(),
+        assign_r,
+        assign_s,
+        partitioner: &LeafPartitioner {
+            leaves: qt_b.num_leaves(),
         },
-    })
+        keep: None,
+        broadcast_bytes,
+        driver,
+        sampling,
+    };
+    run_plan(cluster, spec, rdd_r, rdd_s, plan)
 }
 
 /// Identity partitioner: leaf id = partition id.

@@ -1,8 +1,8 @@
-use crate::pipeline::map_stage;
+use crate::pipeline::{cells_within_eps, map_stage, midpoint_in_cell, point_at};
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, JobMetrics};
+use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics};
 use asj_grid::{Grid, GridSpec};
-use asj_index::kernels;
+use asj_index::{kernels, PointBatch};
 
 /// Distributed ε-distance **self-join**: all unordered pairs `{a, b}`,
 /// `a.id < b.id`, of one dataset within distance ε — the MR-DSJ setting of
@@ -22,20 +22,10 @@ pub fn self_join(
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let broadcast_bytes = grid.broadcast_bytes();
     let rdd = Dataset::from_vec(input, spec.input_partitions);
-    let mut construction = ExecStats::default();
 
     let grid_b = cluster.broadcast(grid);
-    let assign = {
-        let grid_b = grid_b.clone();
-        move |p: asj_geom::Point, cells: &mut Vec<u64>, scratch: &mut Vec<asj_grid::CellCoord>| {
-            scratch.clear();
-            scratch.push(grid_b.cell_of(p));
-            grid_b.push_cells_within_eps(p, scratch);
-            cells.extend(scratch.iter().map(|&c| grid_b.cell_index(c) as u64));
-        }
-    };
-    let (keyed, replicas, ex) = map_stage(cluster, rdd, &assign)?;
-    construction.accumulate(&ex);
+    let (keyed, replicas, mut construction) =
+        map_stage(cluster, rdd, &cells_within_eps(grid_b.clone()))?;
 
     let partitioner = HashPartitioner::new(spec.num_partitions);
     let (keyed, shuffle, ex) = keyed.shuffle_stage(cluster, &partitioner, "shuffle")?;
@@ -45,50 +35,37 @@ pub fn self_join(
     let collect = spec.collect_pairs;
     let kernel = spec.kernel;
     let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
-    // Counts ride in per-partition accumulators committed with the task
-    // result, so retried/speculative attempts cannot double-count them.
-    let (joined, counts, join_exec) = keyed.process_groups_fold(
-        cluster,
-        |cell, pts: &[Record], out, acc: &mut (u64, u64)| {
-            let mut local_results = 0u64;
-            let outcome = kernels::local_self_join(
-                kernel,
-                &model,
-                eps,
-                pts,
-                |rec| rec.point,
-                |i, j| {
-                    let (a, b) = (&pts[i], &pts[j]);
-                    if a.id == b.id {
-                        return;
+    // Each task turns its partition into one columnar batch — cell groups in
+    // ascending-x lanes — and joins every group against itself. Counts ride
+    // with the task result, so retried/speculative attempts cannot
+    // double-count them.
+    let tasks: Vec<&Vec<(u64, Record)>> = keyed.partitions().iter().collect();
+    let (folded, join_exec) = cluster.run_stage("self_join", tasks, |_, part| {
+        let batch = PointBatch::from_keyed(part, |rec| rec.point, |rec| rec.id);
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        let (mut candidates, mut results) = (0u64, 0u64);
+        for g in 0..batch.num_groups() {
+            let (cell, pts, ids) = (batch.keys()[g], batch.group(g), batch.group_ids(g));
+            let outcome = kernels::local_self_join(kernel, &model, eps, pts, |i, j| {
+                let (a, b) = (ids[i], ids[j]);
+                if a != b && midpoint_in_cell(&grid_b, cell, point_at(pts, i), point_at(pts, j)) {
+                    results += 1;
+                    if collect {
+                        out.push((a.min(b), a.max(b)));
                     }
-                    let mid = asj_geom::Point::new(
-                        (a.point.x + b.point.x) * 0.5,
-                        (a.point.y + b.point.y) * 0.5,
-                    );
-                    if grid_b.cell_index(grid_b.cell_of(mid)) as u64 == cell {
-                        local_results += 1;
-                        if collect {
-                            let (lo, hi) = if a.id < b.id {
-                                (a.id, b.id)
-                            } else {
-                                (b.id, a.id)
-                            };
-                            out.push((lo, hi));
-                        }
-                    }
-                },
-            );
-            acc.0 += outcome.stats.candidates;
-            acc.1 += local_results;
-        },
-    )?;
+                }
+            });
+            candidates += outcome.stats.candidates;
+        }
+        (out, candidates, results)
+    })?;
+    drop(keyed);
 
     Ok(JoinOutput {
         algorithm: "self-join".to_string(),
-        pairs: joined.collect(),
-        result_count: counts.iter().map(|c| c.1).sum(),
-        candidates: counts.iter().map(|c| c.0).sum(),
+        pairs: folded.iter().flat_map(|(out, _, _)| out).copied().collect(),
+        result_count: folded.iter().map(|(_, _, r)| r).sum(),
+        candidates: folded.iter().map(|(_, c, _)| c).sum(),
         replicated: [replicas, 0],
         metrics: JobMetrics {
             shuffle,

@@ -14,7 +14,7 @@ const SAMPLE_POINTS: usize = 2048;
 const MAX_GRID_AXIS: usize = 256;
 
 /// Calibrated constants of the working-set estimator used for admission
-/// control, mirroring how [`asj_core::KernelCostModel`] carries hand-tuned
+/// control, mirroring how `asj_core::KernelCostModel` carries hand-tuned
 /// defaults that a one-shot measurement replaces at startup.
 ///
 /// The per-node working-set estimate of a tenant is

@@ -212,10 +212,13 @@ fn tenant_faults(tenant: &TenantSpec) -> Result<Option<(FaultPlan, RetryPolicy)>
         Some(spec) => Some(FaultPlan::parse(spec, tenant.fault_seed)?),
         None => None,
     };
-    let mut policy = RetryPolicy::default();
-    if let Some(n) = tenant.max_attempts {
-        policy = policy.with_max_attempts(n);
-    }
+    let policy = match tenant.max_attempts {
+        // Same text as the queue parser: a spec built in code gets the error
+        // a queue line would, not `with_max_attempts`'s assertion.
+        Some(0) => return Err("max-attempts must be positive".into()),
+        Some(n) => RetryPolicy::default().with_max_attempts(n),
+        None => RetryPolicy::default(),
+    };
     match plan {
         Some(plan) => Ok(Some((plan, policy))),
         // A retry budget without a plan still pins this tenant's fault state
@@ -551,6 +554,21 @@ mod tests {
         );
         let solo = solo_outcome(&test_cluster(), &tenants[1]).expect("solo");
         assert_eq!(run.tenants[1].outcome.as_ref().expect("calm tenant"), &solo);
+    }
+
+    #[test]
+    fn zero_max_attempts_is_a_spec_error_not_a_panic() {
+        let mut tenants = two_tenants();
+        tenants[0].max_attempts = Some(0);
+        let message = "max-attempts must be positive".to_string();
+        assert_eq!(
+            run_queue(&test_cluster(), &tenants, SchedPolicy::FairShare).err(),
+            Some(ServeError::Spec {
+                tenant: tenants[0].name.clone(),
+                message: message.clone(),
+            })
+        );
+        assert_eq!(solo_outcome(&test_cluster(), &tenants[0]), Err(message));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Provides the [`Buf`]/[`BufMut`] traits and the [`BytesMut`]/[`Bytes`]
 //! buffer pair with exactly the little-endian scalar accessors the
-//! workspace's [`Wire`] format uses. Backed by a plain `Vec<u8>` plus a read
+//! workspace's `Wire` format uses. Backed by a plain `Vec<u8>` plus a read
 //! cursor — no refcounted slices, which nothing here needs.
 
 macro_rules! put_le {

@@ -260,6 +260,37 @@ fn failed_attempts_appear_as_spans_on_node_lanes() {
     assert!(trace.events.iter().any(|e| e.name == "task_retry"));
 }
 
+/// One fault plan covers every two-input point join: the stage names it
+/// targets (`cogroup_join`, `shuffle.R`) are the shared pipeline's, so no
+/// algorithm can silently run a plan as a no-op.
+#[test]
+fn targeted_fault_plans_fire_in_every_point_join() {
+    let (r, s) = clouds(17, 300);
+    let (r, s, spec) = (&r, &s, &spec());
+    type Entry<'a> = Box<dyn Fn(&Cluster) -> Result<JoinOutput, JoinError> + 'a>;
+    let mut entries: Vec<(&str, Entry)> = vec![(
+        "pbsm_refpoint_join",
+        Box::new(|c| pbsm_refpoint_join(c, spec, r.clone(), s.clone())),
+    )];
+    for algo in Algorithm::ALL.into_iter().chain([Algorithm::LpibDedup]) {
+        let run = move |c: &Cluster| algo.try_run(c, spec, r.clone(), s.clone());
+        entries.push((algo.token(), Box::new(run)));
+    }
+    let expected = oracle::brute_force_pairs(r, s, spec.eps);
+    for (name, run) in &entries {
+        for fault in ["fail:cogroup_join:0@1", "oom:shuffle.R:0@1"] {
+            let plan = FaultPlan::parse(fault, 0).expect("plan parses");
+            let cluster = Cluster::new(ClusterConfig::with_threads(4, 2)).with_faults(plan);
+            let out = run(&cluster).expect("one failed attempt is survivable");
+            let retries = out.metrics.construction.retries + out.metrics.join.retries;
+            assert!(retries >= 1, "{name} under {fault}: the plan never fired");
+            let mut got = out.pairs;
+            got.sort_unstable();
+            assert_eq!(got, expected, "{name} under {fault}");
+        }
+    }
+}
+
 #[test]
 fn unsurvivable_plans_surface_as_job_errors() {
     let (r, s) = clouds(9, 200);

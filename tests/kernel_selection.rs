@@ -1,9 +1,10 @@
 //! Regression tests for `spec.kernel` plumbing: every distributed algorithm
 //! must actually route its partition-local work through the requested kernel.
 //!
-//! Before the shared `kernels::local_join` entry point existed, the
-//! reference-point and Sedona-like joins ran a hard-wired kernel and silently
-//! ignored `spec.kernel`. The detector here is the candidate counter: the
+//! Before every point join ran its partition-local work through the shared
+//! kernel layer (`kernels::local_join_view` / `local_self_join` on
+//! `PointBatch` lanes), the reference-point and Sedona-like joins ran a
+//! hard-wired kernel and silently ignored `spec.kernel`. The detector here is the candidate counter: the
 //! nested loop evaluates every `|R_i| × |S_i|` pair of a cell group while the
 //! plane sweep only counts pairs surviving its window, so on any workload
 //! with non-trivial groups the two requests must report *different* candidate

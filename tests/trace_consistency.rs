@@ -81,6 +81,41 @@ fn traced_join_sim_lanes_match_per_node_busy() {
         );
     }
 
+    // Every two-input point join is a plan on the same pipeline: the same
+    // phases, and a `results` counter that is the reported count — for the
+    // reference-point join, the count *after* its duplicate filter.
+    let algos = Algorithm::ALL.into_iter().chain([Algorithm::LpibDedup]);
+    for (name, algo) in algos
+        .map(|a| (a.token(), Some(a)))
+        .chain([("refpoint", None)])
+    {
+        let recorder = Recorder::for_nodes(nodes);
+        let cluster =
+            Cluster::new(ClusterConfig::with_threads(nodes, 3)).with_recorder(recorder.clone());
+        let algo_out = match algo {
+            Some(algo) => algo.try_run(&cluster, &spec, r.clone(), s.clone()),
+            None => pbsm_refpoint_join(&cluster, &spec, r.clone(), s.clone()),
+        }
+        .expect("join runs");
+        let trace = recorder.snapshot();
+        for phase in ["marking", "shuffle", "local_join"] {
+            assert!(
+                trace.spans.iter().any(|sp| sp.stage == phase),
+                "{name}: missing phase {phase}"
+            );
+        }
+        // The dedup arm reports the distinct count; its join phase counted
+        // the duplicates too.
+        if algo != Some(Algorithm::LpibDedup) {
+            assert_eq!(
+                recorder.counter_value("local_join", "results"),
+                Some(algo_out.result_count),
+                "{name}"
+            );
+        }
+        assert_eq!(algo_out.result_count, out.result_count, "{name}");
+    }
+
     // The recorder observes; it must not perturb the join itself.
     let plain = Cluster::new(ClusterConfig::with_threads(nodes, 3));
     let untraced = adaptive_join(&plain, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
