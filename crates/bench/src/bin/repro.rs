@@ -7,7 +7,7 @@
 //! EXPERIMENT: table1 fig1b fig10 table4 fig13 fig14 fig15 fig16 fig17
 //!             fig18 table5 table6 table7 ablation-kernels (a1) faults
 //!             memory multitenant recovery all (default: all)
-//! --quick       reduced scale (same as `cargo bench --bench figures`)
+//! --quick       reduced scale: every experiment still runs, in seconds
 //! --scale N     x1 cardinality of the synthetic sets (default 100000)
 //! --reps N      repetitions per configuration (times averaged; default 3)
 //! --faults SPEC inject deterministic faults into every run, e.g. 'chaos'
@@ -102,7 +102,6 @@ fn run_experiments(
         experiments::fault_tolerance(cfg, ab_plan, policy)?;
         return Ok(());
     }
-    let start = std::time::Instant::now();
     for w in wanted {
         match w.as_str() {
             "table1" => {
@@ -169,7 +168,6 @@ fn run_experiments(
             other => usage(&format!("unknown experiment {other}")),
         }
     }
-    eprintln!("\ncompleted in {:.1}s", start.elapsed().as_secs_f64());
     Ok(())
 }
 

@@ -5,8 +5,8 @@
 //! Scaling: the paper's 100 M-point synthetic sets become
 //! [`ExpConfig::base`] points (100 K by default) and ε is scaled ×20 so the
 //! points-per-cell regime and join selectivity match the paper's. The
-//! `repro` binary runs the full suite; `cargo bench --bench figures` runs a
-//! reduced `quick` configuration.
+//! `repro` binary runs the full suite, `repro --quick` a reduced
+//! configuration. Wall-clock timing is `benchmark/`'s job, not this crate's.
 
 pub mod experiments;
 pub mod memory;
@@ -66,7 +66,7 @@ impl ExpConfig {
         cfg
     }
 
-    /// Reduced scale for `cargo bench` (every experiment still runs).
+    /// Reduced scale for `repro --quick` (every experiment still runs).
     pub fn quick() -> Self {
         let mut cfg = ExpConfig::full();
         cfg.reps = 1;

@@ -23,11 +23,12 @@
 use crate::{ExpConfig, Table};
 use asj_data::{DatasetSpec, GenKind, PAPER_BBOX};
 use asj_engine::{
-    Cluster, ClusterConfig, ExplicitPartitioner, FaultPlan, KeyedDataset, RetryPolicy, ShuffleStats,
+    Cluster, ClusterConfig, ExplicitPartitioner, FaultPlan, Fnv1a, KeyedDataset, RetryPolicy,
+    ShuffleStats,
 };
 use asj_join::{to_records, Record};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::hash::Hasher;
 
 /// Opaque payload carried by every benchmark record: large enough that the
 /// shuffle moves real bytes (the paper's tuples carry geometry + attributes),
@@ -50,7 +51,6 @@ pub struct MemLeg {
     pub budget: Option<u64>,
     /// Budget as a percentage of the natural peak (100 for the reference).
     pub budget_pct: u64,
-    pub wall_seconds: f64,
     /// Largest resident footprint any node reached during the leg.
     pub peak_memory_bytes: u64,
     /// Bytes routed through disk spill segments.
@@ -81,29 +81,20 @@ type Workload = Vec<Vec<(u64, Record)>>;
 /// partition boundaries, every key, record id, coordinate bit pattern and
 /// payload byte — any reordering or corruption moves the digest.
 fn checksum_partitions(parts: &[Vec<(u64, Record)>]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn byte(h: &mut u64, b: u8) {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(PRIME);
-    }
-    fn word(h: &mut u64, w: u64) {
-        w.to_le_bytes().into_iter().for_each(|b| byte(h, b));
-    }
-    let mut h = OFFSET;
+    let mut h = Fnv1a::default();
     for (i, part) in parts.iter().enumerate() {
-        word(&mut h, 0xffff_0000_0000_0000 | i as u64);
-        word(&mut h, part.len() as u64);
+        h.write_u64(0xffff_0000_0000_0000 | i as u64);
+        h.write_u64(part.len() as u64);
         for (key, rec) in part {
-            word(&mut h, *key);
-            word(&mut h, rec.id);
-            word(&mut h, rec.point.x.to_bits());
-            word(&mut h, rec.point.y.to_bits());
-            word(&mut h, rec.payload.len() as u64);
-            rec.payload.iter().for_each(|&b| byte(&mut h, b));
+            h.write_u64(*key);
+            h.write_u64(rec.id);
+            h.write_u64(rec.point.x.to_bits());
+            h.write_u64(rec.point.y.to_bits());
+            h.write_u64(rec.payload.len() as u64);
+            h.write(&rec.payload);
         }
     }
-    h
+    h.finish()
 }
 
 /// The shuffle-heavy workload: `n` uniform points with opaque payloads,
@@ -158,17 +149,13 @@ fn run_leg(
     }
     let targets = cfg.partitions;
     let partitioner = ExplicitPartitioner::new(assignment(targets), targets);
-    let input = parts.clone();
-    let start = Instant::now();
-    let (ds, stats, exec) = KeyedDataset::from_partitions(input)
+    let (ds, stats, exec) = KeyedDataset::from_partitions(parts.clone())
         .shuffle_stage(&cluster, &partitioner, "shuffle")
         .expect("a budgeted shuffle spills, it never fails");
-    let wall = start.elapsed().as_secs_f64();
     let acct = cluster.memory_accountant();
     let leg = MemLeg {
         budget,
         budget_pct,
-        wall_seconds: wall,
         peak_memory_bytes: exec.peak_memory_bytes,
         spilled_bytes: exec.spilled_bytes,
         budget_denials: acct.budget_denials(),
@@ -180,7 +167,7 @@ fn run_leg(
 fn json_leg(leg: &MemLeg) -> String {
     format!(
         concat!(
-            "{{\"budget_bytes\":{},\"budget_pct\":{},\"wall_seconds\":{:.6},",
+            "{{\"budget_bytes\":{},\"budget_pct\":{},",
             "\"peak_memory_bytes\":{},\"spilled_bytes\":{},",
             "\"budget_denials\":{},\"oom_events\":{},",
             "\"within_budget\":{},\"byte_identical\":true}}"
@@ -188,7 +175,6 @@ fn json_leg(leg: &MemLeg) -> String {
         leg.budget
             .map_or_else(|| "null".to_string(), |b| b.to_string()),
         leg.budget_pct,
-        leg.wall_seconds,
         leg.peak_memory_bytes,
         leg.spilled_bytes,
         leg.budget_denials,
@@ -303,7 +289,6 @@ pub fn memory_sweep(cfg: &ExpConfig) -> MemReport {
         "spilled KiB",
         "denials",
         "oom",
-        "wall (ms)",
     ]);
     for leg in &report.legs {
         let label = match (leg.budget, leg.budget_pct) {
@@ -319,7 +304,6 @@ pub fn memory_sweep(cfg: &ExpConfig) -> MemReport {
             (leg.spilled_bytes / 1024).to_string(),
             leg.budget_denials.to_string(),
             leg.oom_events.to_string(),
-            format!("{:.2}", leg.wall_seconds * 1e3),
         ]);
     }
     table.print(&format!(

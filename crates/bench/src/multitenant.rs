@@ -24,9 +24,11 @@
 
 use crate::{ExpConfig, Table};
 use asj_data::GenKind;
-use asj_engine::{Cluster, ClusterConfig, DurationSummary, SchedPolicy};
+use asj_engine::{Cluster, ClusterConfig, DurationSummary, JobId, JobReport, SchedPolicy};
 use asj_join::Algorithm;
-use asj_serve::{calibrated_model, run_queue, solo_outcome, QueueRun, TenantOutcome, TenantSpec};
+use asj_serve::{
+    calibrated_model_for, run_queue, solo_outcome, RecoveryOptions, TenantOutcome, TenantSpec,
+};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -34,7 +36,7 @@ use std::time::Duration;
 const TENANT_COUNTS: &[usize] = &[1, 2, 4, 8];
 
 /// One leg of the sweep: a tenant count under one policy.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MtLeg {
     pub tenants: usize,
     pub policy: SchedPolicy,
@@ -56,26 +58,12 @@ pub struct MtLeg {
     pub pool_hits: u64,
     /// Every tenant's checksum matched its solo run.
     pub isolated: bool,
-    /// Per-tenant rows for the JSON report.
-    pub jobs: Vec<MtJob>,
-}
-
-/// One tenant's row within a leg.
-#[derive(Debug, Clone)]
-pub struct MtJob {
-    pub name: String,
-    pub checksum: u64,
-    pub results: u64,
-    pub queue_wait_seconds: f64,
-    pub turnaround_seconds: f64,
-    pub stages: u64,
-    pub retries: u64,
-    pub spilled_bytes: u64,
-    pub residual_bytes: u64,
+    /// The server's per-tenant reports, every one of them `Ok`.
+    pub reports: Vec<JobReport<TenantOutcome>>,
 }
 
 /// The sweep's full result set (also serialized to JSON).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MtReport {
     pub nodes: usize,
     pub legs: Vec<MtLeg>,
@@ -127,47 +115,30 @@ pub fn tenant_set(cfg: &ExpConfig, n: usize) -> Vec<TenantSpec> {
 /// estimates, so the whole set admits at clock 0 (reservations fit) and
 /// queue waits measure scheduling, not deferred admission.
 fn leg_budget(tenants: &[TenantSpec], nodes: usize) -> u64 {
-    let model = calibrated_model(tenants);
     tenants
         .iter()
         .map(|t| {
             t.estimate_override
-                .unwrap_or_else(|| model.estimate(t, nodes))
+                .unwrap_or_else(|| calibrated_model_for(t).estimate(t, nodes))
         })
         .sum::<u64>()
         .max(1)
 }
 
-fn run_leg(cfg: &ExpConfig, tenants: &[TenantSpec], policy: SchedPolicy) -> (MtLeg, QueueRun) {
+/// Runs one leg; also returns its grant log for the determinism gate.
+fn run_leg(cfg: &ExpConfig, tenants: &[TenantSpec], policy: SchedPolicy) -> (MtLeg, Vec<JobId>) {
     let budget = leg_budget(tenants, cfg.nodes);
     let cluster = Cluster::new(ClusterConfig::new(cfg.nodes).with_memory_budget(budget));
-    let run = run_queue(&cluster, tenants, policy)
+    let run = run_queue(&cluster, tenants, policy, &RecoveryOptions::default())
         .unwrap_or_else(|e| panic!("{} x{} tenants: {e}", policy.name(), tenants.len()));
+    for t in &run.reports {
+        if let Err(e) = &t.result {
+            panic!("tenant '{}' failed: {e}", t.name);
+        }
+    }
 
-    let waits: Vec<Duration> = run.tenants.iter().map(|t| t.queue_wait).collect();
-    let turnarounds: Vec<Duration> = run.tenants.iter().map(|t| t.turnaround).collect();
-    let jobs: Vec<MtJob> = run
-        .tenants
-        .iter()
-        .map(|t| {
-            let out = t
-                .outcome
-                .as_ref()
-                .unwrap_or_else(|e| panic!("tenant '{}' failed: {e}", t.name));
-            MtJob {
-                name: t.name.clone(),
-                checksum: out.checksum,
-                results: out.result_count,
-                queue_wait_seconds: t.queue_wait.as_secs_f64(),
-                turnaround_seconds: t.turnaround.as_secs_f64(),
-                stages: t.stages,
-                retries: t.retries,
-                spilled_bytes: t.spilled_bytes,
-                residual_bytes: t.residual_bytes,
-            }
-        })
-        .collect();
-
+    let waits: Vec<Duration> = run.reports.iter().map(JobReport::queue_wait).collect();
+    let turnarounds: Vec<Duration> = run.reports.iter().map(JobReport::turnaround).collect();
     let leg = MtLeg {
         tenants: tenants.len(),
         policy,
@@ -177,16 +148,23 @@ fn run_leg(cfg: &ExpConfig, tenants: &[TenantSpec], policy: SchedPolicy) -> (MtL
         queue_wait: DurationSummary::from_samples(&waits),
         turnaround: DurationSummary::from_samples(&turnarounds),
         peak_memory_bytes: cluster.memory_accountant().peak_bytes(),
-        spilled_bytes: run.tenants.iter().map(|t| t.spilled_bytes).sum(),
-        retries: run.tenants.iter().map(|t| t.retries).sum(),
-        pool_hits: run.tenants.iter().map(|t| t.pool.hits).sum(),
+        spilled_bytes: run.reports.iter().map(|t| t.stats.spilled_bytes).sum(),
+        retries: run.reports.iter().map(|t| t.stats.retries).sum(),
+        pool_hits: run.reports.iter().map(|t| t.pool.hits).sum(),
         isolated: false, // filled by the caller against the solo oracle
-        jobs,
+        reports: run.reports,
     };
-    (leg, run)
+    (leg, run.grants)
 }
 
-fn json_job(j: &MtJob) -> String {
+fn outcome(report: &JobReport<TenantOutcome>) -> &TenantOutcome {
+    report
+        .result
+        .as_ref()
+        .expect("run_leg checked every tenant")
+}
+
+fn json_job(j: &JobReport<TenantOutcome>) -> String {
     format!(
         concat!(
             "{{\"name\":\"{}\",\"checksum\":\"{:016x}\",\"results\":{},",
@@ -195,19 +173,19 @@ fn json_job(j: &MtJob) -> String {
             "\"residual_bytes\":{}}}"
         ),
         j.name,
-        j.checksum,
-        j.results,
-        j.queue_wait_seconds,
-        j.turnaround_seconds,
+        outcome(j).checksum,
+        outcome(j).result_count,
+        j.queue_wait().as_secs_f64(),
+        j.turnaround().as_secs_f64(),
         j.stages,
-        j.retries,
-        j.spilled_bytes,
+        j.stats.retries,
+        j.stats.spilled_bytes,
         j.residual_bytes,
     )
 }
 
 fn json_leg(leg: &MtLeg) -> String {
-    let jobs: Vec<String> = leg.jobs.iter().map(json_job).collect();
+    let jobs: Vec<String> = leg.reports.iter().map(json_job).collect();
     format!(
         concat!(
             "{{\"tenants\":{},\"policy\":\"{}\",\"budget_bytes\":{},",
@@ -299,13 +277,12 @@ pub fn multitenant_sweep(cfg: &ExpConfig) -> MtReport {
         let tenants = &all_tenants[..n];
         let mut by_policy: Vec<MtLeg> = Vec::new();
         for policy in [SchedPolicy::FairShare, SchedPolicy::Fifo] {
-            let (mut leg, run) = run_leg(cfg, tenants, policy);
+            let (mut leg, _) = run_leg(cfg, tenants, policy);
             // Isolation gate: byte-identical to the solo oracle.
-            for (tenant, report) in tenants.iter().zip(&run.tenants) {
-                let shared = report.outcome.as_ref().expect("tenant succeeded");
+            for (tenant, report) in tenants.iter().zip(&leg.reports) {
                 let expected = &solo[&tenant.name];
                 assert_eq!(
-                    shared,
+                    outcome(report),
                     expected,
                     "{} x{n}: tenant '{}' diverged from its solo run",
                     policy.name(),
@@ -348,13 +325,13 @@ pub fn multitenant_sweep(cfg: &ExpConfig) -> MtReport {
     // Determinism gate: the 2-tenant fair-share leg reruns to the same grant
     // log and checksums (clock values are measured-makespan sums and may
     // drift; they are reported, not gated).
-    let (_, a) = run_leg(cfg, &all_tenants[..2], SchedPolicy::FairShare);
-    let (_, b) = run_leg(cfg, &all_tenants[..2], SchedPolicy::FairShare);
-    assert_eq!(a.grants, b.grants, "grant log must be deterministic");
-    for (x, y) in a.tenants.iter().zip(&b.tenants) {
+    let (a, a_grants) = run_leg(cfg, &all_tenants[..2], SchedPolicy::FairShare);
+    let (b, b_grants) = run_leg(cfg, &all_tenants[..2], SchedPolicy::FairShare);
+    assert_eq!(a_grants, b_grants, "grant log must be deterministic");
+    for (x, y) in a.reports.iter().zip(&b.reports) {
         assert_eq!(
-            x.outcome.as_ref().expect("ok"),
-            y.outcome.as_ref().expect("ok"),
+            outcome(x),
+            outcome(y),
             "tenant '{}' must be deterministic",
             x.name
         );
@@ -432,19 +409,22 @@ mod tests {
         for leg in &report.legs {
             assert!(leg.isolated);
             assert!(leg.peak_memory_bytes <= leg.budget_bytes);
-            assert_eq!(leg.jobs.len(), leg.tenants);
-            for job in &leg.jobs {
+            assert_eq!(leg.reports.len(), leg.tenants);
+            for job in &leg.reports {
                 assert_eq!(job.residual_bytes, 0, "leak audit");
-                assert!(job.results > 0, "every tenant joins something");
+                assert!(
+                    outcome(job).result_count > 0,
+                    "every tenant joins something"
+                );
             }
         }
         // Only the chaos tenant retries, and only in legs that include it.
         for leg in &report.legs {
             let chaos_retries: u64 = leg
-                .jobs
+                .reports
                 .iter()
                 .filter(|j| j.name == "tenant-02")
-                .map(|j| j.retries)
+                .map(|j| j.stats.retries)
                 .sum();
             assert_eq!(leg.retries, chaos_retries, "retries isolate to tenant 2");
         }

@@ -31,9 +31,9 @@
 
 use crate::multitenant::tenant_set;
 use crate::{ExpConfig, Table};
-use asj_engine::{Cluster, ClusterConfig, FaultPlan, RetryPolicy, SchedPolicy};
+use asj_engine::{Cluster, ClusterConfig, FaultPlan, RetryPolicy, SchedPolicy, ServerRun};
 use asj_join::Algorithm;
-use asj_serve::{run_queue, run_queue_recoverable, QueueRun, RecoveryOptions, TenantSpec};
+use asj_serve::{run_queue, RecoveryOptions, TenantOutcome, TenantSpec};
 use std::path::Path;
 
 /// Tenants in the sweep's queue (a prefix of the multi-tenant sweep's set,
@@ -122,8 +122,8 @@ fn base_policy(cfg: &ExpConfig) -> (FaultPlan, RetryPolicy) {
     }
 }
 
-fn total_attempts(run: &QueueRun) -> u64 {
-    run.tenants.iter().map(|t| t.attempts).sum()
+fn total_attempts(run: &ServerRun<TenantOutcome>) -> u64 {
+    run.reports.iter().map(|t| t.stats.attempts).sum()
 }
 
 /// Total size of the regular files directly under `dir` (0 if absent).
@@ -149,7 +149,7 @@ fn file_bytes(path: &Path) -> u64 {
 fn crash_and_recover(
     cfg: &ExpConfig,
     tenants: &[TenantSpec],
-    oracle: &QueueRun,
+    oracle: &ServerRun<TenantOutcome>,
     crash_at: u64,
     arm: &str,
     checkpointed: bool,
@@ -171,7 +171,7 @@ fn crash_and_recover(
         recover: false,
         compact_every,
     };
-    let crashed = run_queue_recoverable(&crash_cluster, tenants, SchedPolicy::FairShare, &opts)
+    let crashed = run_queue(&crash_cluster, tenants, SchedPolicy::FairShare, &opts)
         .unwrap_or_else(|e| panic!("crash@{crash_at} {arm}: {e}"));
     assert!(crashed.crashed, "crash@{crash_at} {arm}: clause must fire");
 
@@ -182,7 +182,7 @@ fn crash_and_recover(
         recover: true,
         compact_every,
     };
-    let recovered = run_queue_recoverable(&cfg.cluster(), tenants, SchedPolicy::FairShare, &opts)
+    let recovered = run_queue(&cfg.cluster(), tenants, SchedPolicy::FairShare, &opts)
         .unwrap_or_else(|e| panic!("recover@{crash_at} {arm}: {e}"));
     assert!(!recovered.crashed, "recovery leg must run to completion");
 
@@ -192,12 +192,15 @@ fn crash_and_recover(
         prefix_ok,
         "crash@{crash_at} {arm}: journaled grants must be the oracle prefix"
     );
-    let checksums_ok = oracle.tenants.iter().zip(&recovered.tenants).all(|(a, b)| {
-        match (&a.outcome, &b.outcome) {
-            (Ok(x), Ok(y)) => x == y,
-            _ => false,
-        }
-    });
+    let checksums_ok =
+        oracle
+            .reports
+            .iter()
+            .zip(&recovered.reports)
+            .all(|(a, b)| match (&a.result, &b.result) {
+                (Ok(x), Ok(y)) => x == y,
+                _ => false,
+            });
     assert!(
         checksums_ok,
         "crash@{crash_at} {arm}: recovered outcomes must match the oracle"
@@ -212,7 +215,7 @@ fn crash_and_recover(
         compacted,
         prefix_ok,
         checksums_ok,
-        replayed_tenants: recovered.tenants.iter().filter(|t| t.recovered).count(),
+        replayed_tenants: recovered.reports.iter().filter(|t| t.recovered).count(),
         stages_recovered: recovered.stages_recovered,
         checkpoint_bytes: crashed.checkpoint_bytes,
         recovered_attempts: total_attempts(&recovered),
@@ -329,8 +332,13 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
     // join is the job's final quantum, and a finished join means a journaled
     // `done`).
     tenants[0].algorithm = Algorithm::LpibDedup;
-    let oracle = run_queue(&cfg.cluster(), &tenants, SchedPolicy::FairShare)
-        .unwrap_or_else(|e| panic!("oracle run: {e}"));
+    let oracle = run_queue(
+        &cfg.cluster(),
+        &tenants,
+        SchedPolicy::FairShare,
+        &RecoveryOptions::default(),
+    )
+    .unwrap_or_else(|e| panic!("oracle run: {e}"));
     let grants = oracle.grants.len() as u64;
     assert!(grants >= 3, "queue too small to place three crash points");
 

@@ -102,8 +102,6 @@ pub struct RunResult {
     /// join processing — the stacked bars of Fig. 13c.
     pub construction_time: f64,
     pub join_time: f64,
-    /// Host wall time, seconds.
-    pub wall_time: f64,
     pub results: u64,
     pub candidates: u64,
     /// Largest post-shuffle partition footprint (bytes).
@@ -127,7 +125,6 @@ impl RunResult {
             sim_time: construction + join,
             construction_time: construction,
             join_time: join,
-            wall_time: out.metrics.wall_time().as_secs_f64(),
             results: out.result_count,
             candidates: out.candidates,
             peak_partition_bytes: out.metrics.shuffle.peak_partition_bytes(),
@@ -172,13 +169,11 @@ pub fn run_avg(
         acc.sim_time += next.sim_time;
         acc.construction_time += next.construction_time;
         acc.join_time += next.join_time;
-        acc.wall_time += next.wall_time;
     }
     let n = reps as f64;
     acc.sim_time /= n;
     acc.construction_time /= n;
     acc.join_time /= n;
-    acc.wall_time /= n;
     Ok(acc)
 }
 

@@ -39,24 +39,55 @@
 //!
 //! The trailing `end` line is the commit marker a torn manifest lacks.
 
-use crate::memory::{decode_records, encode_records, SpillChunk, SpillSegment, SpillWriter};
+use crate::memory::{SpillChunk, SpillSegment, SpillWriter};
 use crate::metrics::ShuffleStats;
 use crate::wire::Wire;
 use std::collections::HashMap;
-use std::io::Write;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a over `bytes` — the repo's standing checksum for result and chunk
-/// integrity (same constants as `fault::stage_hash` and the join checksums).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Streaming FNV-1a 64 — the repo's standing checksum: chunk and journal
+/// integrity, the fault-injection stage hash, the serve and bench result
+/// digests. Integers are fed little-endian so digests are platform-stable.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    #[inline]
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+// `#[inline]`: the serve and bench digests hash millions of words from other
+// crates; without it every word is a call into this one.
+impl Hasher for Fnv1a {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.write(&word.to_le_bytes());
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`Fnv1a`] over one byte string.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Replaces any character that could upset a filename with `_`. Checkpoint
@@ -67,13 +98,11 @@ fn sanitize(s: &str) -> String {
         .collect()
 }
 
-/// What a committed checkpoint decodes back to: the per-partition `(K, V)`
-/// outputs of a shuffle stage plus the byte meters measured when it ran.
-pub type CheckpointPayload<K, V> = (Vec<Vec<(K, V)>>, ShuffleStats);
-
-/// Raw verified manifest contents: per-partition `(bytes, record_count)`
-/// chunks plus the stats recorded at save time.
-type VerifiedChunks = (Vec<(Vec<u8>, u64)>, ShuffleStats);
+/// One partition as a checkpoint stores it: its encoded bytes and the number
+/// of records in them. The shuffle and the join phase differ only in how a
+/// partition becomes a chunk and back (`encode_records` / `decode_records`
+/// for keyed records; accumulator-then-records for a join partition).
+pub type Chunk = (Vec<u8>, u64);
 
 /// A directory of stage checkpoints plus the obs counters the recovery
 /// benchmark reports. Shared (via `Arc`) by every clone of a
@@ -144,44 +173,37 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Persists one completed stage's partition outputs under `key`.
-    /// Returns the segment bytes written. Every partition gets a chunk
-    /// (empty partitions included) so `load` can rebuild the exact
-    /// partition vector.
-    pub fn save<K: Wire, V: Wire>(
+    /// Persists one completed stage's partition outputs under `key`: one
+    /// chunk per partition (empty partitions included, so `load` rebuilds the
+    /// exact partition vector), `encode` turning a partition into its
+    /// [`Chunk`]. `shuffle` is what the manifest records beside the chunks —
+    /// the stage's byte meters. Returns the segment bytes written.
+    pub fn save<P>(
         &self,
         key: &str,
-        parts: &[Vec<(K, V)>],
+        parts: &[P],
         shuffle: &ShuffleStats,
+        encode: impl Fn(&P) -> Chunk,
     ) -> std::io::Result<u64> {
         let mut writer = SpillWriter::create_at(self.seg_path(key))?;
         let mut checksums: Vec<u64> = Vec::with_capacity(parts.len());
         for (target, part) in parts.iter().enumerate() {
-            let bytes = encode_records(part);
+            let (bytes, records) = encode(part);
             checksums.push(fnv1a(&bytes));
-            writer.write_chunk(target, &bytes, part.len() as u64)?;
+            writer.write_chunk(target, &bytes, records)?;
         }
         let written = writer.bytes_written();
-        // Empty stages still checkpoint: finish() returns None only when no
-        // chunk was written, which save never does for a non-empty partition
-        // vector; a zero-partition stage commits manifest-only.
-        if let Some(mut segment) = writer.finish()? {
-            segment.persist()?;
-            self.write_manifest(key, segment.chunks(), &checksums, shuffle)?;
-        } else {
-            self.write_manifest(key, &[], &checksums, shuffle)?;
-        }
-        self.checkpoint_bytes.fetch_add(written, Ordering::Relaxed);
-        Ok(written)
-    }
+        // `finish` returns None only when no chunk was written: a
+        // zero-partition stage commits manifest-only.
+        let mut segment = writer.finish()?;
+        let chunks = match &mut segment {
+            Some(segment) => {
+                segment.persist()?;
+                segment.chunks()
+            }
+            None => &[],
+        };
 
-    fn write_manifest(
-        &self,
-        key: &str,
-        chunks: &[SpillChunk],
-        checksums: &[u64],
-        shuffle: &ShuffleStats,
-    ) -> std::io::Result<()> {
         let mut text = String::from("asj-checkpoint v1\n");
         text.push_str(&format!("stage={key}\n"));
         text.push_str(&format!("remote_bytes={}\n", shuffle.remote_bytes));
@@ -204,65 +226,58 @@ impl CheckpointStore {
             ));
         }
         text.push_str("end\n");
-
-        let tmp = self.dir.join(format!("{key}.manifest.tmp"));
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(text.as_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, self.manifest_path(key))?;
-        // POSIX durability: `rename(2)` updates a directory entry, and that
-        // entry is only on disk once the *directory* has been fsynced —
-        // fsyncing the manifest file persisted its bytes, not its name. A
-        // crash here without the dir fsync could roll the rename back and
-        // lose a checkpoint the caller was just told is committed.
-        crate::journal::fsync_dir(&self.dir)
+        // Segment fsynced above, manifest published atomically after it: a
+        // manifest never references bytes that are not durable.
+        crate::journal::publish_atomically(
+            &self.manifest_path(key),
+            &self.dir.join(format!("{key}.manifest.tmp")),
+            text.as_bytes(),
+        )?;
+        self.checkpoint_bytes.fetch_add(written, Ordering::Relaxed);
+        Ok(written)
     }
 
-    /// Loads a checkpoint, or `Ok(None)` when `key` was never committed or
-    /// failed verification (corrupt pairs are deleted so a fresh save can
-    /// replace them). I/O errors other than "not there" still surface.
-    pub fn load<K: Wire, V: Wire>(
+    /// Loads the checkpoint `key` of a stage with `expected` partitions,
+    /// `decode` turning each verified [`Chunk`] back into a partition.
+    /// `Ok(None)` when `key` was never committed or failed verification —
+    /// torn manifest, checksum or length mismatch, undecodable chunk, a
+    /// partition count other than `expected` (a stale checkpoint from a
+    /// different plan shape must never misalign partitions). A failed pair is
+    /// deleted so the stage recomputes and re-checkpoints cleanly. I/O
+    /// errors other than "not there" still surface.
+    pub fn load<P>(
         &self,
         key: &str,
-    ) -> std::io::Result<Option<CheckpointPayload<K, V>>> {
+        expected: usize,
+        decode: impl Fn(&[u8], u64) -> Option<P>,
+    ) -> std::io::Result<Option<(Vec<P>, ShuffleStats)>> {
         let manifest_path = self.manifest_path(key);
         let text = match std::fs::read_to_string(&manifest_path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        match self.decode_checkpoint::<K, V>(key, &text) {
-            Some(out) => Ok(Some(out)),
-            None => {
-                // Torn or corrupt: remove both halves and report a miss so
-                // the stage recomputes and re-checkpoints cleanly.
-                let _ = std::fs::remove_file(&manifest_path);
-                let _ = std::fs::remove_file(self.seg_path(key));
-                Ok(None)
-            }
+        let decoded = self
+            .verified_chunks(key, &text)
+            .filter(|(chunks, _)| chunks.len() == expected)
+            .and_then(|(chunks, shuffle)| {
+                let parts = chunks
+                    .iter()
+                    .map(|(bytes, records)| decode(bytes, *records))
+                    .collect::<Option<Vec<P>>>()?;
+                Some((parts, shuffle))
+            });
+        if decoded.is_none() {
+            let _ = std::fs::remove_file(&manifest_path);
+            let _ = std::fs::remove_file(self.seg_path(key));
         }
-    }
-
-    /// Strict manifest + segment decode; any irregularity is `None`.
-    fn decode_checkpoint<K: Wire, V: Wire>(
-        &self,
-        key: &str,
-        text: &str,
-    ) -> Option<CheckpointPayload<K, V>> {
-        let (chunks, shuffle) = self.verified_chunks(key, text)?;
-        let mut parts: Vec<Vec<(K, V)>> = Vec::with_capacity(chunks.len());
-        for (bytes, records) in &chunks {
-            parts.push(decode_records::<K, V>(bytes, *records).ok()?);
-        }
-        Some((parts, shuffle))
+        Ok(decoded)
     }
 
     /// Parses a manifest and reads back every chunk's raw bytes, verifying
-    /// lengths and FNV-1a checksums. Returns the positional
-    /// `(bytes, records)` per partition plus the recorded stats; any
-    /// irregularity is `None`.
-    fn verified_chunks(&self, key: &str, text: &str) -> Option<VerifiedChunks> {
+    /// lengths and FNV-1a checksums. Returns the positional chunks plus the
+    /// recorded stats; any irregularity is `None`.
+    fn verified_chunks(&self, key: &str, text: &str) -> Option<(Vec<Chunk>, ShuffleStats)> {
         let mut lines = text.lines();
         if lines.next()? != "asj-checkpoint v1" {
             return None;
@@ -320,7 +335,7 @@ impl CheckpointStore {
         let segment =
             SpillSegment::open(self.seg_path(key), chunks.iter().map(|(c, _)| *c).collect())
                 .ok()?;
-        let mut parts: Vec<(Vec<u8>, u64)> = Vec::with_capacity(chunks.len());
+        let mut parts: Vec<Chunk> = Vec::with_capacity(chunks.len());
         for (chunk, expected_sum) in &chunks {
             // Chunks are written in target order (0..parts.len()), so the
             // rebuilt vector is positional.
@@ -334,69 +349,6 @@ impl CheckpointStore {
             parts.push((bytes, chunk.records));
         }
         Some((parts, shuffle))
-    }
-
-    /// Persists one completed *join* stage's outputs under `key`: per
-    /// partition, the emitted results plus the fold accumulator, framed
-    /// through the same `Wire` codec and FNV-verified manifest the shuffle
-    /// checkpoints use. The partition-local join phase is exactly where the
-    /// ε-grid memory pressure lives, so skipping it on recovery saves the
-    /// most expensive re-execution of all.
-    pub fn save_join<R: Wire, A: Wire>(
-        &self,
-        key: &str,
-        parts: &[(Vec<R>, A)],
-    ) -> std::io::Result<u64> {
-        let mut writer = SpillWriter::create_at(self.seg_path(key))?;
-        let mut checksums: Vec<u64> = Vec::with_capacity(parts.len());
-        let mut stats = ShuffleStats::default();
-        for (target, (out, acc)) in parts.iter().enumerate() {
-            let bytes = encode_join_part(out, acc);
-            stats.records += out.len() as u64;
-            stats.partition_bytes.push(bytes.len() as u64);
-            checksums.push(fnv1a(&bytes));
-            writer.write_chunk(target, &bytes, out.len() as u64)?;
-        }
-        let written = writer.bytes_written();
-        if let Some(mut segment) = writer.finish()? {
-            segment.persist()?;
-            self.write_manifest(key, segment.chunks(), &checksums, &stats)?;
-        } else {
-            self.write_manifest(key, &[], &checksums, &stats)?;
-        }
-        self.checkpoint_bytes.fetch_add(written, Ordering::Relaxed);
-        Ok(written)
-    }
-
-    /// Loads a join-stage checkpoint saved by [`CheckpointStore::save_join`];
-    /// same miss/self-heal contract as [`CheckpointStore::load`].
-    #[allow(clippy::type_complexity)]
-    pub fn load_join<R: Wire, A: Wire>(
-        &self,
-        key: &str,
-    ) -> std::io::Result<Option<Vec<(Vec<R>, A)>>> {
-        let manifest_path = self.manifest_path(key);
-        let text = match std::fs::read_to_string(&manifest_path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let decoded = self.verified_chunks(key, &text).and_then(|(chunks, _)| {
-            chunks
-                .iter()
-                .map(|(bytes, records)| decode_join_part::<R, A>(bytes, *records))
-                .collect::<Option<Vec<_>>>()
-        });
-        match decoded {
-            Some(parts) => Ok(Some(parts)),
-            None => {
-                // Torn or corrupt: remove both halves and report a miss so
-                // the stage recomputes and re-checkpoints cleanly.
-                let _ = std::fs::remove_file(&manifest_path);
-                let _ = std::fs::remove_file(self.seg_path(key));
-                Ok(None)
-            }
-        }
     }
 
     /// Retention GC: unlinks every checkpoint whose key belongs to `scope`
@@ -458,31 +410,36 @@ impl CheckpointStore {
     }
 }
 
+/// Exact encoded size of one join partition (see [`encode_join_part`]).
+pub(crate) fn join_part_size<R: Wire, A: Wire>((out, acc): &(Vec<R>, A)) -> usize {
+    acc.encoded_size() + out.iter().map(Wire::encoded_size).sum::<usize>()
+}
+
 /// Frames one join partition for checkpointing: the fold accumulator first,
 /// then the emitted records back to back (the chunk's record count delimits
 /// them on decode).
-fn encode_join_part<R: Wire, A: Wire>(out: &[R], acc: &A) -> Vec<u8> {
-    let mut buf =
-        Vec::with_capacity(acc.encoded_size() + out.iter().map(Wire::encoded_size).sum::<usize>());
+pub(crate) fn encode_join_part<R: Wire, A: Wire>(part: &(Vec<R>, A)) -> Chunk {
+    let (out, acc) = part;
+    let mut buf = Vec::with_capacity(join_part_size(part));
     acc.encode(&mut buf);
     for r in out {
         r.encode(&mut buf);
     }
-    buf
+    (buf, out.len() as u64)
 }
 
 /// Inverse of [`encode_join_part`]; trailing bytes are corruption, `None`.
-fn decode_join_part<R: Wire, A: Wire>(bytes: &[u8], records: u64) -> Option<(Vec<R>, A)> {
+pub(crate) fn decode_join_part<R: Wire, A: Wire>(
+    bytes: &[u8],
+    records: u64,
+) -> Option<(Vec<R>, A)> {
     let mut cursor = bytes;
     let acc = A::try_decode(&mut cursor).ok()?;
     let mut out = Vec::with_capacity(records as usize);
     for _ in 0..records {
         out.push(R::try_decode(&mut cursor).ok()?);
     }
-    if !cursor.is_empty() {
-        return None;
-    }
-    Some((out, acc))
+    cursor.is_empty().then_some((out, acc))
 }
 
 /// Per-job view of a [`CheckpointStore`]: a scope (unique per job) plus a
@@ -545,6 +502,35 @@ impl CheckpointCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::{decode_records, encode_records};
+
+    type Records = Vec<(u64, Vec<u8>)>;
+    type JoinPart = (Vec<(u64, u64)>, (u64, u64));
+
+    /// The keyed-records shape, as `KeyedDataset::shuffle_stage` saves it.
+    fn save_records(
+        store: &CheckpointStore,
+        key: &str,
+        parts: &[Records],
+        stats: &ShuffleStats,
+    ) -> std::io::Result<u64> {
+        store.save(key, parts, stats, |p| (encode_records(p), p.len() as u64))
+    }
+
+    fn load_records(
+        store: &CheckpointStore,
+        key: &str,
+        expected: usize,
+    ) -> Option<(Vec<Records>, ShuffleStats)> {
+        store
+            .load(key, expected, |b, n| decode_records(b, n).ok())
+            .expect("load")
+    }
+
+    fn join_parts(store: &CheckpointStore, key: &str, expected: usize) -> Option<Vec<JoinPart>> {
+        let hit = store.load(key, expected, decode_join_part).expect("load");
+        hit.map(|(parts, _)| parts)
+    }
 
     fn test_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("asj-ckpt-{tag}-{}", std::process::id()));
@@ -553,11 +539,19 @@ mod tests {
         dir
     }
 
-    fn sample_parts() -> Vec<Vec<(u64, Vec<u8>)>> {
+    fn sample_parts() -> Vec<Records> {
         vec![
             vec![(1, vec![1, 2, 3]), (2, Vec::new())],
             Vec::new(),
             vec![(9, vec![42; 16])],
+        ]
+    }
+
+    fn sample_join_parts() -> Vec<JoinPart> {
+        vec![
+            (vec![(1, 2), (3, 4)], (10, 20)),
+            (Vec::new(), (0, 7)),
+            (vec![(9, 9)], (1, 1)),
         ]
     }
 
@@ -576,13 +570,10 @@ mod tests {
         let store = CheckpointStore::open(&dir).expect("open");
         let parts = sample_parts();
         let stats = sample_stats();
-        let bytes = store.save("job0-shuffle-0", &parts, &stats).expect("save");
+        let bytes = save_records(&store, "job0-shuffle-0", &parts, &stats).expect("save");
         assert!(bytes > 0);
         assert_eq!(store.checkpoint_bytes(), bytes);
-        let (got_parts, got_stats) = store
-            .load::<u64, Vec<u8>>("job0-shuffle-0")
-            .expect("load")
-            .expect("hit");
+        let (got_parts, got_stats) = load_records(&store, "job0-shuffle-0", 3).expect("hit");
         assert_eq!(got_parts, parts, "partitions round-trip byte-identically");
         assert_eq!(got_stats, stats, "shuffle stats round-trip");
         std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -592,47 +583,99 @@ mod tests {
     fn missing_checkpoint_is_a_miss_not_an_error() {
         let dir = test_dir("miss");
         let store = CheckpointStore::open(&dir).expect("open");
-        assert!(store
-            .load::<u64, u64>("never-saved")
-            .expect("load")
-            .is_none());
+        assert!(load_records(&store, "never-saved", 3).is_none());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    /// Whatever is wrong with a checkpoint, the one load path answers with a
+    /// miss and removes the pair, for either payload shape.
     #[test]
-    fn corrupt_segment_degrades_to_a_miss_and_cleans_up() {
-        let dir = test_dir("corrupt");
-        let store = CheckpointStore::open(&dir).expect("open");
-        store
-            .save("k", &sample_parts(), &sample_stats())
-            .expect("save");
-        // Flip a byte in the segment: the FNV checksum must catch it.
-        let seg = dir.join("k.seg");
-        let mut bytes = std::fs::read(&seg).expect("read seg");
-        bytes[0] ^= 0xFF;
-        std::fs::write(&seg, &bytes).expect("rewrite seg");
-        assert!(
-            store.load::<u64, Vec<u8>>("k").expect("load").is_none(),
-            "corruption is a miss, never wrong data"
+    fn every_kind_of_damage_is_a_self_healing_miss() {
+        fn edit_manifest(dir: &Path, edit: impl Fn(&str) -> String) {
+            let path = dir.join("k.manifest");
+            let text = std::fs::read_to_string(&path).expect("read manifest");
+            std::fs::write(&path, edit(&text)).expect("rewrite manifest");
+        }
+        /// What is wrong, how to cause it, and how many partitions the
+        /// loader expects beyond the three saved.
+        type Damage = (&'static str, fn(&Path), usize);
+        const DAMAGE: [Damage; 5] = [
+            (
+                "flipped segment byte",
+                |dir| {
+                    let seg = dir.join("k.seg");
+                    let mut bytes = std::fs::read(&seg).expect("read seg");
+                    bytes[0] ^= 0xFF;
+                    std::fs::write(&seg, &bytes).expect("rewrite seg");
+                },
+                0,
+            ),
+            (
+                "manifest without `end`",
+                |dir| edit_manifest(dir, |t| t.strip_suffix("end\n").expect("marker").into()),
+                0,
+            ),
+            (
+                "wrong `stage=`",
+                |dir| edit_manifest(dir, |t| t.replace("stage=k\n", "stage=other\n")),
+                0,
+            ),
+            (
+                "missing .seg",
+                |dir| std::fs::remove_file(dir.join("k.seg")).expect("unlink"),
+                0,
+            ),
+            ("chunk count != expected partitions", |_| {}, 1),
+        ];
+        fn check(
+            shape: &str,
+            save: impl Fn(&CheckpointStore),
+            hits: impl Fn(&CheckpointStore, usize) -> bool,
+        ) {
+            for (what, damage, extra) in DAMAGE {
+                let dir = test_dir(&format!("damage-{shape}"));
+                let store = CheckpointStore::open(&dir).expect("open");
+                save(&store);
+                damage(&dir);
+                assert!(!hits(&store, 3 + extra), "{shape}, {what}: must be a miss");
+                for file in ["k.manifest", "k.seg"] {
+                    assert!(!dir.join(file).exists(), "{shape}, {what}: {file} kept");
+                }
+                // The slot is clean: a fresh save is a hit again.
+                save(&store);
+                assert!(hits(&store, 3), "{shape}, {what}: re-saved checkpoint");
+                std::fs::remove_dir_all(&dir).expect("cleanup");
+            }
+        }
+        check(
+            "records",
+            |store| {
+                save_records(store, "k", &sample_parts(), &sample_stats()).expect("save");
+            },
+            |store, expected| load_records(store, "k", expected).is_some(),
         );
-        assert!(!dir.join("k.manifest").exists(), "corrupt pair is deleted");
-        assert!(!seg.exists());
-        std::fs::remove_dir_all(&dir).expect("cleanup");
+        check(
+            "join",
+            |store| {
+                store
+                    .save("k", &sample_join_parts(), &sample_stats(), encode_join_part)
+                    .expect("save");
+            },
+            |store, expected| join_parts(store, "k", expected).is_some(),
+        );
     }
 
     #[test]
     fn torn_manifest_is_ignored() {
         let dir = test_dir("torn");
         let store = CheckpointStore::open(&dir).expect("open");
-        store
-            .save("k", &sample_parts(), &sample_stats())
-            .expect("save");
+        save_records(&store, "k", &sample_parts(), &sample_stats()).expect("save");
         // Truncate the manifest before its `end` commit marker.
         let manifest = dir.join("k.manifest");
         let text = std::fs::read_to_string(&manifest).expect("read");
         let torn = text.strip_suffix("end\n").expect("ends with marker");
         std::fs::write(&manifest, torn).expect("tear");
-        assert!(store.load::<u64, Vec<u8>>("k").expect("load").is_none());
+        assert!(load_records(&store, "k", 3).is_none());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -643,9 +686,7 @@ mod tests {
         std::fs::write(dir.join("half.manifest.tmp"), b"torn").expect("tmp");
         {
             let store = CheckpointStore::open(&dir).expect("open once");
-            store
-                .save("good", &sample_parts(), &sample_stats())
-                .expect("save");
+            save_records(&store, "good", &sample_parts(), &sample_stats()).expect("save");
         }
         let _ = CheckpointStore::open(&dir).expect("reopen sweeps");
         assert!(!dir.join("stale.seg").exists(), "orphan segment removed");
@@ -676,37 +717,13 @@ mod tests {
     fn join_checkpoint_round_trips_outputs_and_accumulators() {
         let dir = test_dir("join-roundtrip");
         let store = CheckpointStore::open(&dir).expect("open");
-        type JoinPart = (Vec<(u64, u64)>, (u64, u64));
-        let parts: Vec<JoinPart> = vec![
-            (vec![(1, 2), (3, 4)], (10, 20)),
-            (Vec::new(), (0, 7)),
-            (vec![(9, 9)], (1, 1)),
-        ];
-        let bytes = store.save_join("job0-join-0", &parts).expect("save");
+        let parts = sample_join_parts();
+        let bytes = store
+            .save("job0-join-0", &parts, &sample_stats(), encode_join_part)
+            .expect("save");
         assert!(bytes > 0);
-        let got = store
-            .load_join::<(u64, u64), (u64, u64)>("job0-join-0")
-            .expect("load")
-            .expect("hit");
+        let got = join_parts(&store, "job0-join-0", 3).expect("hit");
         assert_eq!(got, parts, "join outputs and accumulators round-trip");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn corrupt_join_checkpoint_is_a_miss() {
-        let dir = test_dir("join-corrupt");
-        let store = CheckpointStore::open(&dir).expect("open");
-        let parts: Vec<(Vec<(u64, u64)>, u64)> = vec![(vec![(1, 2)], 5)];
-        store.save_join("k", &parts).expect("save");
-        let seg = dir.join("k.seg");
-        let mut bytes = std::fs::read(&seg).expect("read seg");
-        bytes[0] ^= 0xFF;
-        std::fs::write(&seg, &bytes).expect("rewrite seg");
-        assert!(store
-            .load_join::<(u64, u64), u64>("k")
-            .expect("load")
-            .is_none());
-        assert!(!dir.join("k.manifest").exists(), "corrupt pair deleted");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -715,9 +732,9 @@ mod tests {
         let dir = test_dir("manifest-only");
         let store = CheckpointStore::open(&dir).expect("open");
         let stats = sample_stats();
-        store.save::<u64, u64>("k", &[], &stats).expect("save");
+        save_records(&store, "k", &[], &stats).expect("save");
         assert!(!dir.join("k.seg").exists(), "no chunk, no segment");
-        let (parts, got) = store.load::<u64, u64>("k").expect("load").expect("hit");
+        let (parts, got) = load_records(&store, "k", 0).expect("hit");
         assert!(parts.is_empty());
         assert_eq!(got, stats);
         std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -732,7 +749,7 @@ mod tests {
         // job1 must not be collateral damage of job1x's GC (or vice versa):
         // the prefix includes the trailing dash.
         for key in ["job1-shuffle-0", "job1-join-0", "job1x-shuffle-0"] {
-            store.save(key, &parts, &stats).expect("save");
+            save_records(&store, key, &parts, &stats).expect("save");
         }
         let before = store.disk_usage_bytes().expect("usage");
         let reclaimed = store.gc_scope("job1").expect("gc");
@@ -753,17 +770,12 @@ mod tests {
     fn crash_mid_gc_self_heals_into_a_miss() {
         let dir = test_dir("gc-crash");
         let store = CheckpointStore::open(&dir).expect("open");
-        store
-            .save("job2-shuffle-0", &sample_parts(), &sample_stats())
-            .expect("save");
+        save_records(&store, "job2-shuffle-0", &sample_parts(), &sample_stats()).expect("save");
         // Simulate a crash between the seg unlink and the manifest unlink —
         // the worst interleaving the delete order permits.
         std::fs::remove_file(dir.join("job2-shuffle-0.seg")).expect("unlink seg");
         assert!(
-            store
-                .load::<u64, Vec<u8>>("job2-shuffle-0")
-                .expect("load")
-                .is_none(),
+            load_records(&store, "job2-shuffle-0", 3).is_none(),
             "manifest without segment degrades to a miss"
         );
         assert!(

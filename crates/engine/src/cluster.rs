@@ -1,11 +1,14 @@
 use crate::bufpool::BufferPool;
-use crate::checkpoint::{CheckpointCtx, CheckpointStore};
+use crate::checkpoint::{
+    decode_join_part, encode_join_part, join_part_size, CheckpointCtx, CheckpointStore, Chunk,
+};
 use crate::fault::{FaultContext, FaultPlan, JobError, RetryPolicy};
 use crate::jobs::JobGate;
 use crate::journal::Journal;
 use crate::memory::MemoryAccountant;
-use crate::metrics::ExecStats;
+use crate::metrics::{ExecStats, ShuffleStats};
 use crate::pool::run_stage;
+use crate::wire::Wire;
 use asj_core::KernelCostModel;
 use asj_obs::Recorder;
 use std::ops::Deref;
@@ -170,28 +173,54 @@ impl Cluster {
         self.checkpoint.as_ref().map(|c| c.store())
     }
 
-    /// The per-handle checkpoint context, if any.
-    #[inline]
-    pub(crate) fn checkpoint(&self) -> Option<&CheckpointCtx> {
-        self.checkpoint.as_deref()
-    }
-
-    /// Books a checkpoint hit as one zero-cost stage: the job still parks
-    /// for (and is billed) its scheduling quantum — so grant logs replay
-    /// identically on recovery — but no simulated busy time accrues. The
-    /// returned default stats are what the skipped stage contributes.
-    pub(crate) fn note_recovered_stage(&self) -> ExecStats {
-        if let Some(gate) = &self.gate {
-            gate.pause();
-        }
-        let stats = ExecStats {
-            per_node_busy: vec![std::time::Duration::ZERO; self.config.nodes],
-            ..ExecStats::default()
+    /// The one checkpoint protocol every resumable stage goes through. With
+    /// a store attached, the Nth occurrence of `stage` in this handle's scope
+    /// has a fixed key: if that key holds a verified checkpoint of `expected`
+    /// partitions (a same-process stage retry, or a recovered server
+    /// replaying a deterministic job body) the stage is a **hit** — its
+    /// partitions are decoded instead of computed and it is booked as one
+    /// zero-cost stage: the job still parks for (and is billed) its
+    /// scheduling quantum, so grant logs replay identically on recovery, but
+    /// no simulated busy time accrues. Otherwise — miss, corrupt or stale
+    /// checkpoint, checkpoint I/O trouble — `compute` runs and its output is
+    /// saved, counted and journaled; a failed save never fails the stage, it
+    /// just stays non-resumable. Without a store this is `compute()`.
+    ///
+    /// `codec` is the stage's partition ⇄ [`Chunk`] pair.
+    pub(crate) fn checkpointed<P>(
+        &self,
+        stage: &str,
+        expected: usize,
+        codec: (impl Fn(&P) -> Chunk, impl Fn(&[u8], u64) -> Option<P>),
+        compute: impl FnOnce() -> Result<(Vec<P>, ShuffleStats, ExecStats), JobError>,
+    ) -> Result<(Vec<P>, ShuffleStats, ExecStats), JobError> {
+        let Some(ck) = self.checkpoint.as_deref() else {
+            return compute();
         };
-        if let Some(gate) = &self.gate {
-            gate.note_stage(&stats);
+        let (encode, decode) = codec;
+        let key = ck.next_key(stage);
+        // A stage without partitions has nothing to replay.
+        if expected > 0 {
+            if let Ok(Some((parts, shuffle))) = ck.store().load(&key, expected, decode) {
+                let stats = ExecStats {
+                    per_node_busy: vec![std::time::Duration::ZERO; self.config.nodes],
+                    ..ExecStats::default()
+                };
+                if let Some(gate) = &self.gate {
+                    gate.pause();
+                    gate.note_stage(&stats);
+                }
+                ck.store().note_recovered();
+                self.recorder.counter_add(stage, "stages_recovered", 1);
+                return Ok((parts, shuffle, stats));
+            }
         }
-        stats
+        let (parts, shuffle, stats) = compute()?;
+        if let Ok(bytes) = ck.store().save(&key, &parts, &shuffle, encode) {
+            self.recorder.counter_add(stage, "checkpoint_bytes", bytes);
+            ck.journal_stage_complete(stage, &key, bytes);
+        }
+        Ok((parts, shuffle, stats))
     }
 
     /// Enforces a per-node memory budget on this handle (resets the
@@ -379,15 +408,12 @@ impl Cluster {
     }
 
     /// [`Cluster::run_stage`] for stages whose per-task result is a
-    /// `(records, accumulator)` pair of [`Wire`](crate::wire::Wire) types —
-    /// the shape of the partition-local join phase. When a checkpoint store
-    /// is attached, the stage's outputs are persisted under the scope's next
-    /// key for `stage` and consulted before recomputing, exactly like the
-    /// shuffle fast path in `KeyedDataset::shuffle_stage`: a hit replays the
-    /// persisted results in zero simulated time (the join phase is the
-    /// ε-grid's memory-pressure peak, so skipping it on recovery is the
-    /// largest saving available), a miss or any checkpoint I/O trouble
-    /// degrades to recomputation, and a failed save never fails the stage.
+    /// `(records, accumulator)` pair of [`Wire`] types — the shape of the
+    /// partition-local join phase. With a checkpoint store attached the
+    /// stage is resumable exactly like a shuffle (same protocol, see
+    /// `Cluster::checkpointed`): the join phase is the ε-grid's
+    /// memory-pressure peak, so skipping it on recovery is the largest
+    /// saving available.
     pub fn run_stage_checkpointed<T, Rec, Acc, F>(
         &self,
         stage: &str,
@@ -396,33 +422,23 @@ impl Cluster {
     ) -> StageResult<(Vec<Rec>, Acc)>
     where
         T: Send + Sync + Clone,
-        Rec: crate::wire::Wire + Send,
-        Acc: crate::wire::Wire + Send,
+        Rec: Wire + Send,
+        Acc: Wire + Send,
         F: Fn(usize, T) -> (Vec<Rec>, Acc) + Sync,
     {
-        let Some(ck) = self.checkpoint() else {
-            return self.run_stage(stage, tasks, f);
-        };
-        let key = ck.next_key(stage);
-        if let Ok(Some(parts)) = ck.store().load_join::<Rec, Acc>(&key) {
-            // The task count guards against a stale checkpoint from a
-            // different plan shape; deterministic job bodies make the key
-            // collision impossible, but a mismatch must never misalign
-            // partitions.
-            if !parts.is_empty() && parts.len() == tasks.len() {
-                let stats = self.note_recovered_stage();
-                ck.store().note_recovered();
-                self.recorder().counter_add(stage, "stages_recovered", 1);
-                return Ok((parts, stats));
-            }
-        }
-        let (out, stats) = self.run_stage(stage, tasks, f)?;
-        if let Ok(bytes) = ck.store().save_join(&key, &out) {
-            self.recorder()
-                .counter_add(stage, "checkpoint_bytes", bytes);
-            ck.journal_stage_complete(stage, &key, bytes);
-        }
-        Ok((out, stats))
+        let codec = (encode_join_part::<Rec, Acc>, decode_join_part::<Rec, Acc>);
+        let (parts, _, stats) = self.checkpointed(stage, tasks.len(), codec, || {
+            let (parts, stats) = self.run_stage(stage, tasks, f)?;
+            // The join phase has no shuffle meters; its manifest records the
+            // result count and encoded size per partition.
+            let meters = ShuffleStats {
+                records: parts.iter().map(|(out, _)| out.len() as u64).sum(),
+                partition_bytes: parts.iter().map(|p| join_part_size(p) as u64).collect(),
+                ..ShuffleStats::default()
+            };
+            Ok((parts, meters, stats))
+        })?;
+        Ok((parts, stats))
     }
 
     /// Makes a value available to every task, like Spark's broadcast

@@ -1,6 +1,6 @@
 use crate::cluster::Cluster;
 use crate::fault::JobError;
-use crate::memory::{ChargeGuard, SpillSegment, SpillWriter};
+use crate::memory::{decode_records, encode_records, ChargeGuard, SpillSegment, SpillWriter};
 use crate::metrics::{ExecStats, ShuffleStats};
 use crate::partitioner::Partitioner;
 use crate::wire::Wire;
@@ -227,35 +227,18 @@ where
     where
         P: Partitioner<K> + ?Sized,
     {
-        let Some(ck) = cluster.checkpoint() else {
-            return self.radix_shuffle_stage(cluster, partitioner, stage);
-        };
-        // Checkpoint fast path: the Nth occurrence of `stage` in this scope
-        // may already be durable (a same-process stage retry, or a recovered
-        // server replaying a deterministic job body). A hit replays the
-        // persisted partitions in zero simulated time — only the
-        // failed/unfinished stages recompute. A miss, a zero-partition
-        // checkpoint (which `from_partitions` could not rebuild) or
-        // checkpoint I/O trouble all degrade to recomputation.
-        let key = ck.next_key(stage);
-        if let Ok(Some((parts, shuffle))) = ck.store().load::<K, V>(&key) {
-            if !parts.is_empty() {
-                let stats = cluster.note_recovered_stage();
-                ck.store().note_recovered();
-                cluster.recorder().counter_add(stage, "stages_recovered", 1);
-                return Ok((KeyedDataset { parts }, shuffle, stats));
-            }
-        }
-        let out = self.radix_shuffle_stage(cluster, partitioner, stage)?;
-        // A failed save never fails the stage: the results are correct in
-        // memory, the stage just stays non-resumable.
-        if let Ok(bytes) = ck.store().save(&key, out.0.partitions(), &out.1) {
-            cluster
-                .recorder()
-                .counter_add(stage, "checkpoint_bytes", bytes);
-            ck.journal_stage_complete(stage, &key, bytes);
-        }
-        Ok(out)
+        // Resumable when the cluster carries a checkpoint store: see
+        // `Cluster::checkpointed` for the hit/miss/save protocol.
+        let codec = (
+            |part: &Vec<(K, V)>| (encode_records(part), part.len() as u64),
+            |bytes: &[u8], records| decode_records(bytes, records).ok(),
+        );
+        let targets = partitioner.num_partitions();
+        let (parts, shuffle, stats) = cluster.checkpointed(stage, targets, codec, || {
+            let (ds, shuffle, stats) = self.radix_shuffle_stage(cluster, partitioner, stage)?;
+            Ok((ds.parts, shuffle, stats))
+        })?;
+        Ok((KeyedDataset { parts }, shuffle, stats))
     }
 
     /// The map half of [`radix_shuffle_stage`](Self::radix_shuffle_stage):

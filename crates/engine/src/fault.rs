@@ -18,6 +18,7 @@
 //! every stage a [`crate::Cluster`] runs, so a node blacklisted during the
 //! shuffle stays blacklisted for the join.
 
+use crate::checkpoint::fnv1a;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -137,16 +138,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-fn stage_hash(stage: &str) -> u64 {
-    // FNV-1a; stable across runs and platforms.
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in stage.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 impl FaultPlan {
@@ -373,7 +364,7 @@ impl FaultPlan {
         }
         let h = splitmix64(
             self.seed
-                ^ stage_hash(stage)
+                ^ fnv1a(stage.as_bytes())
                 ^ (task as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ (attempt as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
         );
@@ -426,15 +417,6 @@ pub struct RetryPolicy {
     /// this multiple of the mean finished-task duration
     /// (Spark's `spark.speculation.multiplier`).
     pub speculation_multiplier: f64,
-    /// Base retry backoff in simulated microseconds; `0` (the default)
-    /// disables backoff entirely. When enabled, retry attempt `k` (the
-    /// second attempt being `k = 2`) waits an exponentially growing,
-    /// jittered simulated delay before re-placement, so a burst of failures
-    /// doesn't hammer the same scheduling quantum.
-    pub backoff_base_us: u64,
-    /// Seed for the backoff jitter (deterministic per
-    /// `(stage, task, attempt)`).
-    pub backoff_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -445,8 +427,6 @@ impl Default for RetryPolicy {
             speculation: false,
             speculation_quantile: 0.75,
             speculation_multiplier: 1.5,
-            backoff_base_us: 0,
-            backoff_seed: 7,
         }
     }
 }
@@ -467,45 +447,6 @@ impl RetryPolicy {
         assert!(failures >= 1, "blacklist threshold must be >= 1");
         self.blacklist_after = failures;
         self
-    }
-
-    /// Enables exponential retry backoff with `base_us` simulated
-    /// microseconds at the first retry.
-    pub fn with_backoff(mut self, base_us: u64) -> Self {
-        self.backoff_base_us = base_us;
-        self
-    }
-
-    /// Seeds the backoff jitter.
-    pub fn with_backoff_seed(mut self, seed: u64) -> Self {
-        self.backoff_seed = seed;
-        self
-    }
-
-    /// The simulated backoff delay before retry `attempt` of `task` in
-    /// `stage` (`attempt` is the new attempt's 1-based number, so the first
-    /// retry is `2`). Exponential in the retry count, with deterministic
-    /// jitter in `[scaled/2, scaled]` — the classic decorrelation that keeps
-    /// a burst of simultaneous failures from re-colliding, minus the
-    /// nondeterminism: the delay is a pure function of
-    /// `(seed, stage, task, attempt)`, like every other injection decision.
-    pub fn backoff(&self, stage: &str, task: usize, attempt: usize) -> std::time::Duration {
-        if self.backoff_base_us == 0 || attempt < 2 {
-            return std::time::Duration::ZERO;
-        }
-        // Cap the exponent so a long retry chain saturates instead of
-        // overflowing (2^16 * base is already far past any useful delay).
-        let exp = (attempt as u32 - 2).min(16);
-        let scaled = self.backoff_base_us.saturating_mul(1u64 << exp);
-        let h = splitmix64(
-            self.backoff_seed
-                ^ stage_hash(stage)
-                ^ (task as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (attempt as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
-        );
-        let half = scaled / 2;
-        let jittered = half + h % (scaled - half + 1);
-        std::time::Duration::from_micros(jittered)
     }
 }
 
@@ -755,35 +696,5 @@ mod tests {
                 "'{bad}' must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn backoff_is_off_by_default_and_deterministic_when_on() {
-        let off = RetryPolicy::default();
-        assert_eq!(off.backoff("map", 0, 2), std::time::Duration::ZERO);
-
-        let on = RetryPolicy::default().with_backoff(100);
-        assert_eq!(
-            on.backoff("map", 0, 1),
-            std::time::Duration::ZERO,
-            "first attempts never wait"
-        );
-        let d2 = on.backoff("map", 0, 2);
-        assert_eq!(on.backoff("map", 0, 2), d2, "pure function of inputs");
-        // Jitter stays inside [scaled/2, scaled] at every retry depth.
-        for attempt in 2..8 {
-            let scaled = 100u64 << (attempt - 2);
-            let d = on.backoff("map", 3, attempt as usize);
-            let us = d.as_micros() as u64;
-            assert!(
-                (scaled / 2..=scaled).contains(&us),
-                "attempt {attempt}: {us}us outside [{}, {scaled}]",
-                scaled / 2
-            );
-        }
-        // Different tasks and seeds decorrelate.
-        assert_ne!(on.backoff("map", 0, 4), on.backoff("map", 1, 4));
-        let reseeded = on.with_backoff_seed(99);
-        assert_ne!(reseeded.backoff("map", 0, 4), on.backoff("map", 0, 4));
     }
 }

@@ -42,8 +42,9 @@ use crate::bufpool::PoolStats;
 use crate::checkpoint::fnv1a;
 use crate::cluster::Cluster;
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::journal::{Journal, JournalRecord};
+use crate::journal::{replay, Journal, JournalRecord};
 use crate::metrics::ExecStats;
+use crate::pool::panic_msg;
 use crate::wire::Wire;
 use asj_obs::{Attrs, Lane};
 use std::collections::{HashSet, VecDeque};
@@ -363,11 +364,29 @@ struct Admitted<R> {
     name: String,
     weight: u32,
     estimate_bytes: u64,
-    /// Taken (and joined) exactly once, at reap time.
+    /// The job's thread: set at admission, taken (and joined) exactly once,
+    /// at reap time or when the server dies.
     handle: Option<std::thread::JoinHandle<Result<R, String>>>,
     admitted_at: Duration,
     first_service_at: Option<Duration>,
     pool: PoolStats,
+}
+
+impl<R> Admitted<R> {
+    /// Bookkeeping for job `id` entering service at server clock `now`, its
+    /// thread not started yet.
+    fn new(id: JobId, spec: &JobSpec<R>, now: Duration) -> Self {
+        Admitted {
+            id,
+            name: spec.name.clone(),
+            weight: spec.weight,
+            estimate_bytes: spec.estimate_bytes,
+            handle: None,
+            admitted_at: now,
+            first_service_at: None,
+            pool: PoolStats::default(),
+        }
+    }
 }
 
 /// Serializer turning a job result into the journal's `done`-record bytes.
@@ -504,457 +523,439 @@ impl<R: Send + 'static> JobServer<R> {
     /// under the memory budget, then repeatedly pick one parked job by
     /// policy, grant it one quantum, and wait for it to park again or finish.
     pub fn run(self) -> ServerRun<R> {
-        let JobServer {
-            cluster,
-            policy,
-            capacity: _,
-            queue,
-            journal,
-            encode_result,
-            recovered_jobs,
-            journal_grants,
-            compact_every,
-        } = self;
-        let n = queue.len();
         // The crash clause is consulted only here: stage execution ignores
         // it, so a `crash@N` plan can ride the same FaultPlan that also
         // injects task faults.
-        let crash_after = cluster
+        let crash_after = self
+            .cluster
             .fault_context()
             .and_then(|ctx| ctx.plan.crash_after_grants);
-        let core = Arc::new(GateCore {
-            state: Mutex::new((0..n).map(|_| JobState::default()).collect()),
-            cv: Condvar::new(),
-        });
-        let recorder = cluster.recorder().clone();
-        let budget = cluster.memory_budget();
-        let memory = cluster.memory_accountant();
-        let nodes = cluster.nodes();
-        let pool = cluster.buffer_pool();
-
-        let mut pending: VecDeque<Queued<R>> = queue
-            .into_iter()
-            .enumerate()
-            .map(|(id, spec)| Queued { id, spec })
-            .collect();
-        let mut admitted: Vec<Admitted<R>> = Vec::with_capacity(n);
-        let mut running: Vec<usize> = Vec::new(); // indices into `admitted`
-        let mut reserved: u64 = 0;
-        let mut clock = Duration::ZERO;
-        let mut grants: Vec<JobId> = Vec::new();
-        let mut reports: Vec<Option<JobReport<R>>> = (0..n).map(|_| None).collect();
-        // The quantum in flight: (admitted slot, pool stats at grant time).
-        let mut in_flight: Option<(usize, PoolStats)> = None;
-        // Durable completions since the last journal compaction.
-        let mut completions_since_compact: u64 = 0;
-
-        // Admits queued jobs, in submit order, while the front fits the
-        // remaining budget. Strictly in order — no head-of-line bypass — so
-        // a large tenant cannot be starved by a stream of small ones. At
-        // admission decisions every running job is parked at a stage
-        // boundary with its charges settled, so `budget − reserved` is the
-        // true remaining capacity.
-        let admit = |pending: &mut VecDeque<Queued<R>>,
-                     admitted: &mut Vec<Admitted<R>>,
-                     running: &mut Vec<usize>,
-                     reserved: &mut u64,
-                     clock: Duration| {
-            while let Some(front) = pending.front() {
-                let est = front.spec.estimate_bytes;
-                if budget.is_some_and(|b| est > b.saturating_sub(*reserved)) {
-                    break;
-                }
-                let Queued { id, spec } = pending.pop_front().expect("front exists");
-                *reserved += est;
-                let gate = Arc::new(JobGate {
-                    core: Arc::clone(&core),
-                    job: id,
-                });
-                // The job's isolated cluster view: per-job obs lanes and
-                // per-job fault state over the shared nodes, pool,
-                // accountant and cost model. A job without its own plan
-                // inherits the base plan but still gets fresh state, so
-                // tenants never share a blacklist.
-                let mut jc = cluster
-                    .clone()
-                    .with_recorder(recorder.with_stage_prefix(format!("job:{id}:")));
-                jc = match (&spec.faults, cluster.fault_context()) {
-                    (Some((plan, pol)), _) => jc.with_fault_policy(plan.clone(), *pol),
-                    (None, Some(ctx)) => jc.with_fault_policy(ctx.plan.clone(), ctx.policy),
-                    (None, None) => jc,
-                };
-                // Re-scope checkpoints per job: the scope is a pure function
-                // of the job id, so a recovered server's re-submitted job
-                // resolves the same checkpoint keys and replays its own
-                // completed stages.
-                jc = jc.with_checkpoint_scope(
-                    format!("job{id}"),
-                    journal.as_ref().map(|j| (Arc::clone(j), id as u64)),
-                );
-                let jc = jc.with_stage_gate(Arc::clone(&gate));
-                if let Some(journal) = &journal {
-                    // Write-ahead: the admission is durable before the job
-                    // thread exists.
-                    let _ = journal.append(&JournalRecord::Admit {
-                        job: id as u64,
-                        name: spec.name.clone(),
-                    });
-                }
-                let body = spec.body;
-                let handle = std::thread::Builder::new()
-                    .name(format!("asj-job-{id}"))
-                    .spawn(move || {
-                        // Initial park: nothing — not even pre-stage driver
-                        // work — runs before the first grant.
-                        gate.pause();
-                        let out = catch_unwind(AssertUnwindSafe(|| body(&jc)))
-                            .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
-                        gate.finish();
-                        out
-                    })
-                    .expect("spawn job thread");
-                recorder.event(
-                    "job-admit",
-                    Lane::Driver,
-                    Some(id as u64),
-                    Attrs::new().bytes(est),
-                );
-                recorder.counter_add("jobs", "admitted", 1);
-                running.push(admitted.len());
-                admitted.push(Admitted {
-                    id,
-                    name: spec.name,
-                    weight: spec.weight,
-                    estimate_bytes: est,
-                    handle: Some(handle),
-                    admitted_at: clock,
-                    first_service_at: None,
-                    pool: PoolStats::default(),
-                });
-            }
-        };
-
-        admit(
-            &mut pending,
-            &mut admitted,
-            &mut running,
-            &mut reserved,
-            clock,
-        );
-
-        loop {
-            // Wait for quiescence: every running job parked or finished (at
-            // most one can be mid-quantum — the one granted last).
-            let (finished_now, window_cost) = {
-                let mut st = core.state.lock().expect("job gate poisoned");
-                loop {
-                    let busy = running.iter().any(|&slot| {
-                        let s = &st[admitted[slot].id];
-                        (s.granted || !s.parked) && !s.finished
-                    });
-                    if !busy {
-                        break;
-                    }
-                    st = core.cv.wait(st).expect("job gate poisoned");
-                }
-                let finished_now: Vec<usize> = running
-                    .iter()
-                    .copied()
-                    .filter(|&slot| st[admitted[slot].id].finished)
-                    .collect();
-                let window_cost = match in_flight {
-                    Some((slot, _)) => std::mem::take(&mut st[admitted[slot].id].window_cost),
-                    None => Duration::ZERO,
-                };
-                (finished_now, window_cost)
-            };
-            // The quantum advances the server clock by its stage's simulated
-            // makespan (serialized time-sharing: quanta never overlap).
-            clock += window_cost;
-            // Settle the quantum's pool delta; quanta are exclusive, so the
-            // delta is exactly that job's allocator activity.
-            if let Some((slot, before)) = in_flight.take() {
-                admitted[slot].pool.merge(&pool.stats().since(&before));
-            }
-
-            // Reap completions: harvest results, release reservations, audit
-            // for leaked resident bytes. All other jobs are parked at stage
-            // boundaries where every ChargeGuard has settled, so a non-zero
-            // residual is a real leak, not another tenant's footprint.
-            for &slot in &finished_now {
-                running.retain(|&r| r != slot);
-                let outcome = admitted[slot]
-                    .handle
-                    .take()
-                    .expect("job joined once")
-                    .join()
-                    .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
-                let job = &admitted[slot];
-                let residual_bytes: u64 = (0..nodes).map(|node| memory.resident_bytes(node)).sum();
-                recorder.counter_add("jobs", "residual_bytes", residual_bytes);
-                recorder.counter_add("jobs", "completed", 1);
-                recorder.event(
-                    "job-finish",
-                    Lane::Driver,
-                    Some(job.id as u64),
-                    Attrs::new().bytes(residual_bytes),
-                );
-                debug_assert_eq!(
-                    residual_bytes, 0,
-                    "job {} ({}) completed with {} leaked resident bytes",
-                    job.id, job.name, residual_bytes
-                );
-                reserved = reserved.saturating_sub(job.estimate_bytes);
-                let (stats, stages, quanta) = {
-                    let mut st = core.state.lock().expect("job gate poisoned");
-                    let s = &mut st[job.id];
-                    (std::mem::take(&mut s.stats), s.stages, s.quanta)
-                };
-                if let (Some(journal), Some(encode), Ok(result)) =
-                    (&journal, &encode_result, &outcome)
-                {
-                    // Durable completion: the result itself rides the
-                    // journal (with a checksum), so recovery replays it
-                    // without re-running the body at all.
-                    let bytes = encode(result);
-                    let checksum = fnv1a(&bytes);
-                    let done_durable = journal
-                        .append(&JournalRecord::Done {
-                            job: job.id as u64,
-                            result: bytes,
-                            checksum,
-                        })
-                        .is_ok();
-                    // Retention GC: this job's stage checkpoints are only
-                    // needed to shortcut a re-run, and the fsynced `done`
-                    // record just made any re-run unnecessary. The ordering
-                    // is the safety argument — GC strictly after the append
-                    // succeeded, so a crash mid-GC degrades to recomputation
-                    // (or to a journal replay), never to loss.
-                    if done_durable {
-                        if let Some(store) = cluster.checkpoint_store() {
-                            if let Ok(reclaimed) = store.gc_scope(&format!("job{}", job.id)) {
-                                recorder.counter_add("jobs", "checkpoint_gc_bytes", reclaimed);
-                            }
-                        }
-                        completions_since_compact += 1;
-                    }
-                }
-                reports[job.id] = Some(JobReport {
-                    id: job.id,
-                    name: job.name.clone(),
-                    weight: job.weight,
-                    estimate_bytes: job.estimate_bytes,
-                    result: outcome,
-                    stats,
-                    pool: job.pool,
-                    stages,
-                    quanta,
-                    admitted_at: job.admitted_at,
-                    first_service_at: job.first_service_at.unwrap_or(clock),
-                    finished_at: clock,
-                    residual_bytes,
-                    recovered: recovered_jobs.contains(&job.id),
-                });
-            }
-            if !finished_now.is_empty() {
-                // Freed reservations may let queued jobs in.
-                admit(
-                    &mut pending,
-                    &mut admitted,
-                    &mut running,
-                    &mut reserved,
-                    clock,
-                );
-                // Automatic era compaction: the server is quiescent (no
-                // quantum in flight), so the rewrite cannot race an append.
-                // Failures are soft — the uncompacted journal is still a
-                // valid (just larger) recovery source.
-                if let (Some(journal), Some(every)) = (&journal, compact_every) {
-                    if completions_since_compact >= every {
-                        completions_since_compact = 0;
-                        if let Ok(stats) = journal.compact() {
-                            recorder.counter_add("jobs", "journal_compactions", 1);
-                            recorder.counter_add(
-                                "jobs",
-                                "journal_bytes_reclaimed",
-                                stats.bytes_before.saturating_sub(stats.bytes_after),
-                            );
-                        }
-                    }
-                }
-            }
-
+        let mut sched = Scheduler::new(self);
+        sched.admit();
+        let crashed = loop {
+            let finished = sched.settle_quantum();
+            sched.reap(&finished);
             // A `crash@N` clause fires at this quantum boundary — after N
             // grants have been issued *and* completed (we are quiescent), and
             // before the N+1st is picked. Deterministic: the boundary depends
             // only on the grant log, never on wall time.
-            if crash_after.is_some_and(|limit| grants.len() as u64 >= limit) {
-                // Simulate process death: poison the gate mutex so every
-                // parked job thread panics out of its wait instead of
-                // running another quantum. A throwaway thread panics while
-                // holding the lock — the only way to poison a std Mutex.
-                let poisoner = Arc::clone(&core);
-                #[allow(clippy::panic)]
-                let die_holding_the_lock = move || {
-                    let _guard = poisoner.state.lock().expect("pre-crash lock");
-                    panic!("simulated job-server crash");
-                };
-                let _ = std::thread::Builder::new()
-                    .name("asj-crash".into())
-                    .spawn(die_holding_the_lock)
-                    .expect("spawn crash thread")
-                    .join();
-                core.cv.notify_all();
-                for slot in &mut admitted {
-                    if let Some(handle) = slot.handle.take() {
-                        // Threads die by panicking on the poisoned gate;
-                        // their panics are the crash, not errors to surface.
-                        let _ = handle.join();
-                    }
-                }
-                recorder.event("server-crash", Lane::Driver, None, Attrs::new());
-                // Partial reports: reaped jobs keep their results, everything
-                // else is marked crashed. State is read through the poison —
-                // the data is still consistent (we held quiescence).
-                let st = core
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                for job in &admitted {
-                    if reports[job.id].is_some() {
-                        continue;
-                    }
-                    let s = &st[job.id];
-                    reports[job.id] = Some(JobReport {
-                        id: job.id,
-                        name: job.name.clone(),
-                        weight: job.weight,
-                        estimate_bytes: job.estimate_bytes,
-                        result: Err("server crashed before completion".to_owned()),
-                        stats: s.stats.clone(),
-                        pool: job.pool,
-                        stages: s.stages,
-                        quanta: s.quanta,
-                        admitted_at: job.admitted_at,
-                        first_service_at: job.first_service_at.unwrap_or(clock),
-                        finished_at: clock,
-                        residual_bytes: 0,
-                        recovered: false,
-                    });
-                }
-                drop(st);
-                // Jobs still waiting for admission also died with the server.
-                for q in &pending {
-                    reports[q.id] = Some(JobReport {
-                        id: q.id,
-                        name: q.spec.name.clone(),
-                        weight: q.spec.weight,
-                        estimate_bytes: q.spec.estimate_bytes,
-                        result: Err("server crashed before admission".to_owned()),
-                        stats: ExecStats::default(),
-                        pool: PoolStats::default(),
-                        stages: 0,
-                        quanta: 0,
-                        admitted_at: clock,
-                        first_service_at: clock,
-                        finished_at: clock,
-                        residual_bytes: 0,
-                        recovered: false,
-                    });
-                }
-                let reports: Vec<JobReport<R>> = reports
-                    .into_iter()
-                    .map(|r| r.expect("every submitted job reports, even on crash"))
-                    .collect();
-                if let Some(journal) = &journal {
-                    recorder.counter_add("jobs", "journal_records", journal.records_appended());
-                }
-                let (stages_recovered, checkpoint_bytes) = match cluster.checkpoint_store() {
-                    Some(store) => (store.stages_recovered(), store.checkpoint_bytes()),
-                    None => (0, 0),
-                };
-                return ServerRun {
-                    policy,
-                    reports,
-                    grants,
-                    clock,
-                    crashed: true,
-                    stages_recovered,
-                    checkpoint_bytes,
-                    journal_grants,
-                };
+            if crash_after.is_some_and(|limit| sched.grants.len() as u64 >= limit) {
+                sched.crash();
+                break true;
             }
+            if sched.running.is_empty() && sched.pending.is_empty() {
+                break false;
+            }
+            sched.grant();
+        };
+        sched.finish(crashed)
+    }
+}
 
-            if running.is_empty() && pending.is_empty() {
+/// One [`JobServer::run`] in progress: the queue, the admitted jobs and the
+/// server-level schedule, advanced one step at a time — admit, settle the
+/// quantum in flight, reap, (crash,) grant.
+struct Scheduler<R> {
+    cluster: Cluster,
+    policy: SchedPolicy,
+    journal: Option<Arc<Journal>>,
+    encode_result: Option<ResultCodec<R>>,
+    recovered_jobs: HashSet<JobId>,
+    journal_grants: Vec<JobId>,
+    compact_every: Option<u64>,
+    core: Arc<GateCore>,
+    /// Submitted and not yet admitted, in submit order.
+    pending: VecDeque<Queued<R>>,
+    admitted: Vec<Admitted<R>>,
+    /// Slots of `admitted` whose job has not been reaped.
+    running: Vec<usize>,
+    /// Sum of the running jobs' estimates: the budget already promised.
+    reserved: u64,
+    clock: Duration,
+    grants: Vec<JobId>,
+    reports: Vec<Option<JobReport<R>>>,
+    /// The quantum in flight: (admitted slot, pool stats at grant time).
+    in_flight: Option<(usize, PoolStats)>,
+    /// Durable completions since the last journal compaction.
+    completions_since_compact: u64,
+}
+
+impl<R: Send + 'static> Scheduler<R> {
+    fn new(server: JobServer<R>) -> Self {
+        let n = server.queue.len();
+        Scheduler {
+            cluster: server.cluster,
+            policy: server.policy,
+            journal: server.journal,
+            encode_result: server.encode_result,
+            recovered_jobs: server.recovered_jobs,
+            journal_grants: server.journal_grants,
+            compact_every: server.compact_every,
+            core: Arc::new(GateCore {
+                state: Mutex::new((0..n).map(|_| JobState::default()).collect()),
+                cv: Condvar::new(),
+            }),
+            pending: server
+                .queue
+                .into_iter()
+                .enumerate()
+                .map(|(id, spec)| Queued { id, spec })
+                .collect(),
+            admitted: Vec::with_capacity(n),
+            running: Vec::new(),
+            reserved: 0,
+            clock: Duration::ZERO,
+            grants: Vec::new(),
+            reports: (0..n).map(|_| None).collect(),
+            in_flight: None,
+            completions_since_compact: 0,
+        }
+    }
+
+    /// Admits queued jobs, in submit order, while the front fits the
+    /// remaining budget. Strictly in order — no head-of-line bypass — so a
+    /// large tenant cannot be starved by a stream of small ones. At
+    /// admission decisions every running job is parked at a stage boundary
+    /// with its charges settled, so `budget − reserved` is the true
+    /// remaining capacity.
+    fn admit(&mut self) {
+        let recorder = self.cluster.recorder().clone();
+        while let Some(front) = self.pending.front() {
+            let est = front.spec.estimate_bytes;
+            let budget = self.cluster.memory_budget();
+            if budget.is_some_and(|b| est > b.saturating_sub(self.reserved)) {
                 break;
             }
-
-            // Pick the next parked job by policy and grant it a quantum.
-            let pick = {
-                let st = core.state.lock().expect("job gate poisoned");
-                running
-                    .iter()
-                    .copied()
-                    .filter(|&slot| {
-                        let s = &st[admitted[slot].id];
-                        s.parked && !s.finished
-                    })
-                    .min_by_key(|&slot| {
-                        let job = &admitted[slot];
-                        let s = &st[job.id];
-                        match policy {
-                            SchedPolicy::Fifo => (0u64, job.id),
-                            SchedPolicy::FairShare => {
-                                (s.quanta * VRUNTIME_SCALE / u64::from(job.weight), job.id)
-                            }
-                        }
-                    })
+            let Queued { id, spec } = self.pending.pop_front().expect("front exists");
+            let mut job = Admitted::new(id, &spec, self.clock);
+            self.reserved += est;
+            let gate = Arc::new(JobGate {
+                core: Arc::clone(&self.core),
+                job: id,
+            });
+            // The job's isolated cluster view: per-job obs lanes and
+            // per-job fault state over the shared nodes, pool, accountant
+            // and cost model. A job without its own plan inherits the base
+            // plan but still gets fresh state, so tenants never share a
+            // blacklist.
+            let mut jc = self
+                .cluster
+                .clone()
+                .with_recorder(recorder.with_stage_prefix(format!("job:{id}:")));
+            jc = match (&spec.faults, self.cluster.fault_context()) {
+                (Some((plan, pol)), _) => jc.with_fault_policy(plan.clone(), *pol),
+                (None, Some(ctx)) => jc.with_fault_policy(ctx.plan.clone(), ctx.policy),
+                (None, None) => jc,
             };
-            let Some(slot) = pick else {
-                // Freshly admitted threads have not reached their initial
-                // park yet — loop back into the quiescence wait for them.
-                continue;
-            };
-            let job_id = admitted[slot].id;
-            if admitted[slot].first_service_at.is_none() {
-                admitted[slot].first_service_at = Some(clock);
+            // Re-scope checkpoints per job: the scope is a pure function of
+            // the job id, so a recovered server's re-submitted job resolves
+            // the same checkpoint keys and replays its own completed stages.
+            jc = jc.with_checkpoint_scope(
+                format!("job{id}"),
+                self.journal.as_ref().map(|j| (Arc::clone(j), id as u64)),
+            );
+            let jc = jc.with_stage_gate(Arc::clone(&gate));
+            if let Some(journal) = &self.journal {
+                // Write-ahead: the admission is durable before the job
+                // thread exists.
+                let _ = journal.append(&JournalRecord::Admit {
+                    job: id as u64,
+                    name: spec.name.clone(),
+                });
             }
-            grants.push(job_id);
-            if let Some(journal) = &journal {
-                // Write-ahead: the grant is on disk before the job thread can
-                // observe it, so the journaled grant log is always a prefix
-                // of (or equal to) the in-memory one.
-                let _ = journal.append(&JournalRecord::Grant { job: job_id as u64 });
-            }
-            in_flight = Some((slot, pool.stats()));
-            let mut st = core.state.lock().expect("job gate poisoned");
-            let s = &mut st[job_id];
-            s.granted = true;
-            s.quanta += 1;
-            core.cv.notify_all();
+            let body = spec.body;
+            let handle = std::thread::Builder::new()
+                .name(format!("asj-job-{id}"))
+                .spawn(move || {
+                    // Initial park: nothing — not even pre-stage driver
+                    // work — runs before the first grant.
+                    gate.pause();
+                    let out = catch_unwind(AssertUnwindSafe(|| body(&jc)))
+                        .unwrap_or_else(|payload| Err(panic_msg(payload.as_ref())));
+                    gate.finish();
+                    out
+                })
+                .expect("spawn job thread");
+            recorder.event(
+                "job-admit",
+                Lane::Driver,
+                Some(id as u64),
+                Attrs::new().bytes(est),
+            );
+            recorder.counter_add("jobs", "admitted", 1);
+            job.handle = Some(handle);
+            self.running.push(self.admitted.len());
+            self.admitted.push(job);
         }
+    }
 
-        let reports: Vec<JobReport<R>> = reports
-            .into_iter()
-            .map(|r| r.expect("every submitted job reports"))
+    /// Waits for quiescence — every running job parked or finished (at most
+    /// one can be mid-quantum: the one granted last) — then closes the
+    /// quantum in flight: the server clock advances by its stage's simulated
+    /// makespan (serialized time-sharing: quanta never overlap) and its pool
+    /// delta, exactly that job's allocator activity, is booked to the job.
+    /// Returns the slots of the jobs that finished.
+    fn settle_quantum(&mut self) -> Vec<usize> {
+        let mut st = self.core.state.lock().expect("job gate poisoned");
+        loop {
+            let busy = self.running.iter().any(|&slot| {
+                let s = &st[self.admitted[slot].id];
+                (s.granted || !s.parked) && !s.finished
+            });
+            if !busy {
+                break;
+            }
+            st = self.core.cv.wait(st).expect("job gate poisoned");
+        }
+        let finished: Vec<usize> = self
+            .running
+            .iter()
+            .copied()
+            .filter(|&slot| st[self.admitted[slot].id].finished)
             .collect();
-        if let Some(journal) = &journal {
-            recorder.counter_add("jobs", "journal_records", journal.records_appended());
+        if let Some((slot, before)) = self.in_flight.take() {
+            let job = &mut self.admitted[slot];
+            self.clock += std::mem::take(&mut st[job.id].window_cost);
+            job.pool
+                .merge(&self.cluster.buffer_pool().stats().since(&before));
         }
-        let (stages_recovered, checkpoint_bytes) = match cluster.checkpoint_store() {
+        finished
+    }
+
+    /// Reaps completions: harvests results, releases reservations, audits
+    /// for leaked resident bytes, makes the result durable. All other jobs
+    /// are parked at stage boundaries where every ChargeGuard has settled,
+    /// so a non-zero residual is a real leak, not another tenant's
+    /// footprint. Freed reservations may then let queued jobs in, and the
+    /// journal is compacted if due.
+    fn reap(&mut self, finished: &[usize]) {
+        if finished.is_empty() {
+            return;
+        }
+        let recorder = self.cluster.recorder().clone();
+        for &slot in finished {
+            self.running.retain(|&r| r != slot);
+            let job = &mut self.admitted[slot];
+            let outcome = job
+                .handle
+                .take()
+                .expect("job joined once")
+                .join()
+                .unwrap_or_else(|payload| Err(panic_msg(payload.as_ref())));
+            let memory = self.cluster.memory_accountant();
+            let residual_bytes: u64 = (0..self.cluster.nodes())
+                .map(|node| memory.resident_bytes(node))
+                .sum();
+            recorder.counter_add("jobs", "residual_bytes", residual_bytes);
+            recorder.counter_add("jobs", "completed", 1);
+            recorder.event(
+                "job-finish",
+                Lane::Driver,
+                Some(job.id as u64),
+                Attrs::new().bytes(residual_bytes),
+            );
+            debug_assert_eq!(
+                residual_bytes, 0,
+                "job {} ({}) completed with {} leaked resident bytes",
+                job.id, job.name, residual_bytes
+            );
+            self.reserved = self.reserved.saturating_sub(job.estimate_bytes);
+            if let (Some(journal), Some(encode), Ok(result)) =
+                (&self.journal, &self.encode_result, &outcome)
+            {
+                // Durable completion: the result itself rides the journal
+                // (with a checksum), so recovery replays it without
+                // re-running the body at all.
+                let bytes = encode(result);
+                let checksum = fnv1a(&bytes);
+                let done_durable = journal
+                    .append(&JournalRecord::Done {
+                        job: job.id as u64,
+                        result: bytes,
+                        checksum,
+                    })
+                    .is_ok();
+                // Retention GC: this job's stage checkpoints are only needed
+                // to shortcut a re-run, and the fsynced `done` record just
+                // made any re-run unnecessary. The ordering is the safety
+                // argument — GC strictly after the append succeeded, so a
+                // crash mid-GC degrades to recomputation (or to a journal
+                // replay), never to loss.
+                if done_durable {
+                    if let Some(store) = self.cluster.checkpoint_store() {
+                        if let Ok(reclaimed) = store.gc_scope(&format!("job{}", job.id)) {
+                            recorder.counter_add("jobs", "checkpoint_gc_bytes", reclaimed);
+                        }
+                    }
+                    self.completions_since_compact += 1;
+                }
+            }
+            self.report(slot, outcome, residual_bytes);
+        }
+        self.admit();
+        // Automatic era compaction: the server is quiescent (no quantum in
+        // flight), so the rewrite cannot race an append. Failures are soft —
+        // the uncompacted journal is still a valid (just larger) recovery
+        // source.
+        if let (Some(journal), Some(every)) = (&self.journal, self.compact_every) {
+            if self.completions_since_compact >= every {
+                self.completions_since_compact = 0;
+                if let Ok(stats) = journal.compact() {
+                    recorder.counter_add("jobs", "journal_compactions", 1);
+                    recorder.counter_add(
+                        "jobs",
+                        "journal_bytes_reclaimed",
+                        stats.bytes_before.saturating_sub(stats.bytes_after),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Simulates process death at a quantum boundary and reports every job
+    /// that had not finished as failed.
+    fn crash(&mut self) {
+        // Poison the gate mutex so every parked job thread panics out of its
+        // wait instead of running another quantum. A throwaway thread panics
+        // while holding the lock — the only way to poison a std Mutex.
+        let poisoner = Arc::clone(&self.core);
+        #[allow(clippy::panic)]
+        let die_holding_the_lock = move || {
+            let _guard = poisoner.state.lock().expect("pre-crash lock");
+            panic!("simulated job-server crash");
+        };
+        let _ = std::thread::Builder::new()
+            .name("asj-crash".into())
+            .spawn(die_holding_the_lock)
+            .expect("spawn crash thread")
+            .join();
+        self.core.cv.notify_all();
+        for job in &mut self.admitted {
+            if let Some(handle) = job.handle.take() {
+                // Threads die by panicking on the poisoned gate; their
+                // panics are the crash, not errors to surface.
+                let _ = handle.join();
+            }
+        }
+        self.cluster
+            .recorder()
+            .event("server-crash", Lane::Driver, None, Attrs::new());
+        // Partial reports: reaped jobs keep their results, everything else
+        // died with the server — admitted jobs mid-flight, queued jobs
+        // before they ever ran.
+        for slot in 0..self.admitted.len() {
+            if self.reports[self.admitted[slot].id].is_none() {
+                let died = "server crashed before completion".to_owned();
+                self.report(slot, Err(died), 0);
+            }
+        }
+        while let Some(Queued { id, spec }) = self.pending.pop_front() {
+            self.admitted.push(Admitted::new(id, &spec, self.clock));
+            let died = "server crashed before admission".to_owned();
+            self.report(self.admitted.len() - 1, Err(died), 0);
+        }
+    }
+
+    /// Picks the next parked job by policy and grants it a quantum. A no-op
+    /// while freshly admitted threads have not reached their initial park —
+    /// the next [`Scheduler::settle_quantum`] waits for them.
+    fn grant(&mut self) {
+        let pick = {
+            let st = self.core.state.lock().expect("job gate poisoned");
+            self.running
+                .iter()
+                .copied()
+                .filter(|&slot| {
+                    let s = &st[self.admitted[slot].id];
+                    s.parked && !s.finished
+                })
+                .min_by_key(|&slot| {
+                    let job = &self.admitted[slot];
+                    match self.policy {
+                        SchedPolicy::Fifo => (0u64, job.id),
+                        SchedPolicy::FairShare => (
+                            st[job.id].quanta * VRUNTIME_SCALE / u64::from(job.weight),
+                            job.id,
+                        ),
+                    }
+                })
+        };
+        let Some(slot) = pick else {
+            return;
+        };
+        let job = &mut self.admitted[slot];
+        job.first_service_at.get_or_insert(self.clock);
+        self.grants.push(job.id);
+        if let Some(journal) = &self.journal {
+            // Write-ahead: the grant is on disk before the job thread can
+            // observe it, so the journaled grant log is always a prefix of
+            // (or equal to) the in-memory one.
+            let _ = journal.append(&JournalRecord::Grant { job: job.id as u64 });
+        }
+        self.in_flight = Some((slot, self.cluster.buffer_pool().stats()));
+        let mut st = self.core.state.lock().expect("job gate poisoned");
+        let s = &mut st[job.id];
+        s.granted = true;
+        s.quanta += 1;
+        self.core.cv.notify_all();
+    }
+
+    /// Files the report of the job in `slot`, however it ended: reaped with
+    /// its result, or dead with the server.
+    fn report(&mut self, slot: usize, result: Result<R, String>, residual_bytes: u64) {
+        let job = &self.admitted[slot];
+        // After a simulated crash the gate is poisoned; its data is still
+        // consistent (the crash fired at quiescence), so read through it.
+        let mut st = self
+            .core
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let s = &mut st[job.id];
+        self.reports[job.id] = Some(JobReport {
+            id: job.id,
+            name: job.name.clone(),
+            weight: job.weight,
+            estimate_bytes: job.estimate_bytes,
+            recovered: result.is_ok() && self.recovered_jobs.contains(&job.id),
+            result,
+            stats: std::mem::take(&mut s.stats),
+            pool: job.pool,
+            stages: s.stages,
+            quanta: s.quanta,
+            admitted_at: job.admitted_at,
+            first_service_at: job.first_service_at.unwrap_or(self.clock),
+            finished_at: self.clock,
+            residual_bytes,
+        });
+    }
+
+    /// The run's single exit: every submitted job has a report by now.
+    fn finish(self, crashed: bool) -> ServerRun<R> {
+        if let Some(journal) = &self.journal {
+            self.cluster.recorder().counter_add(
+                "jobs",
+                "journal_records",
+                journal.records_appended(),
+            );
+        }
+        let (stages_recovered, checkpoint_bytes) = match self.cluster.checkpoint_store() {
             Some(store) => (store.stages_recovered(), store.checkpoint_bytes()),
             None => (0, 0),
         };
         ServerRun {
-            policy,
-            reports,
-            grants,
-            clock,
-            crashed: false,
+            policy: self.policy,
+            reports: self
+                .reports
+                .into_iter()
+                .map(|r| r.expect("every submitted job reports, even on crash"))
+                .collect(),
+            grants: self.grants,
+            clock: self.clock,
+            crashed,
             stages_recovered,
             checkpoint_bytes,
-            journal_grants,
+            journal_grants: self.journal_grants,
         }
     }
 }
@@ -983,35 +984,14 @@ impl<R: Wire + Send + 'static> JobServer<R> {
     /// recomputing. The crashed run's grant log is exposed via
     /// [`ServerRun::journal_grants`] for prefix verification.
     ///
-    /// The journal is reopened for append and a `recover` marker is written,
-    /// delimiting the new era's records from the crashed run's.
+    /// The journal is reopened for append — a torn tail cut back to the last
+    /// complete record first — and a `recover` marker is written, delimiting
+    /// the new era's records from the crashed run's.
     pub fn recover(mut self, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let path = path.as_ref();
-        let records = Journal::read(path).map_err(std::io::Error::from)?;
-        // Only the most recent era counts as "the crashed run": records
-        // after the last `recover` marker (or all of them if none).
-        let era_start = records
-            .iter()
-            .rposition(|r| matches!(r, JournalRecord::Recover))
-            .map_or(0, |i| i + 1);
-        let mut grants: Vec<JobId> = Vec::new();
-        for rec in &records[era_start..] {
-            if let JournalRecord::Grant { job } = rec {
-                grants.push(*job as JobId);
-            }
-        }
-        // `done` records are idempotent across eras (same job → same bytes),
-        // so scan them all; a later record for the same job wins.
-        for rec in &records {
-            let JournalRecord::Done {
-                job,
-                result,
-                checksum,
-            } = rec
-            else {
-                continue;
-            };
-            let job = *job as JobId;
+        let (journal, records) = Journal::open_append(path)?;
+        let replay = replay(&records);
+        for (&job, &result) in &replay.done {
+            let job = job as JobId;
             if job >= self.queue.len() {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -1021,11 +1001,8 @@ impl<R: Wire + Send + 'static> JobServer<R> {
                     ),
                 ));
             }
-            if fnv1a(result) != *checksum {
-                // A torn or corrupted result is treated as "not done": the
-                // body re-runs (checkpoints still shortcut its stages).
-                continue;
-            }
+            // An undecodable result is treated as "not done": the body
+            // re-runs (checkpoints still shortcut its stages).
             let mut cursor: &[u8] = result;
             let Ok(decoded) = R::try_decode(&mut cursor) else {
                 continue;
@@ -1036,11 +1013,9 @@ impl<R: Wire + Send + 'static> JobServer<R> {
             self.queue[job].body = Box::new(move |_c: &Cluster| Ok(decoded));
             self.recovered_jobs.insert(job);
         }
-        self.journal = Some(Arc::new(Journal::open_append(path)?));
-        if let Some(journal) = &self.journal {
-            journal.append(&JournalRecord::Recover)?;
-        }
-        self.journal_grants = grants;
+        journal.append(&JournalRecord::Recover)?;
+        self.journal_grants = replay.grants.iter().map(|&job| job as JobId).collect();
+        self.journal = Some(Arc::new(journal));
         self.install_result_codec();
         Ok(self)
     }
@@ -1051,17 +1026,6 @@ impl<R: Wire + Send + 'static> JobServer<R> {
             r.encode(&mut buf);
             buf
         }));
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job body panicked".to_owned()
     }
 }
 

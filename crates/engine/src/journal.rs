@@ -28,6 +28,8 @@
 //! only values are `u64`s and strings, and result payloads are hex-encoded
 //! so the JSON stays ASCII regardless of the job's `Wire` encoding.
 
+use crate::checkpoint::fnv1a;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -39,7 +41,7 @@ use std::sync::Mutex;
 /// durable once the *containing directory* has been fsynced — fsyncing the
 /// file alone persists its bytes but not the name that points at them, so a
 /// crash could lose a "committed" file whose data is safely on disk.
-pub(crate) fn fsync_dir(dir: &Path) -> std::io::Result<()> {
+fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     #[cfg(unix)]
     {
         File::open(dir)?.sync_all()
@@ -48,6 +50,23 @@ pub(crate) fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     {
         let _ = dir;
         Ok(())
+    }
+}
+
+/// Publishes `bytes` at `path` atomically: written to `tmp`, fsynced, renamed
+/// over `path`, then the directory entry fsynced. A crash at any point leaves
+/// either the old file (plus an inert `tmp` the next publish overwrites) or
+/// the complete new one — the one way a checkpoint manifest and a compacted
+/// journal become visible.
+pub(crate) fn publish_atomically(path: &Path, tmp: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut file = File::create(tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(tmp, path)?;
+    match path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        Some(parent) => fsync_dir(parent),
+        None => Ok(()),
     }
 }
 
@@ -355,15 +374,27 @@ impl Journal {
         })
     }
 
-    /// Reopens an existing journal for appending (the recovery path).
-    pub fn open_append(path: impl AsRef<Path>) -> std::io::Result<Journal> {
+    /// Reopens an existing journal for appending (the recovery path) and
+    /// returns its committed records. A torn tail — the half line a crash
+    /// mid-append leaves — is cut off and the cut fsynced first, so the next
+    /// record starts on a line of its own instead of fusing onto the debris
+    /// (which the *next* read would report as mid-file corruption).
+    pub fn open_append(
+        path: impl AsRef<Path>,
+    ) -> Result<(Journal, Vec<JournalRecord>), JournalError> {
         let path = path.as_ref().to_path_buf();
+        let (records, valid_len) = read_committed(&path)?;
         let file = File::options().append(true).open(&path)?;
-        Ok(Journal {
+        if file.metadata()?.len() != valid_len {
+            file.set_len(valid_len)?;
+            file.sync_all()?;
+        }
+        let journal = Journal {
             file: Mutex::new(file),
             path,
             records: AtomicU64::new(0),
-        })
+        };
+        Ok((journal, records))
     }
 
     /// Appends one record and fsyncs — the record boundary is the
@@ -391,34 +422,14 @@ impl Journal {
     /// [`JournalError::Corrupt`] instead of silently truncating the log and
     /// dropping committed results.
     pub fn read(path: impl AsRef<Path>) -> Result<Vec<JournalRecord>, JournalError> {
-        let text = std::fs::read_to_string(path)?;
-        let lines: Vec<(usize, &str)> = text
-            .lines()
-            .enumerate()
-            .filter(|(_, line)| !line.trim().is_empty())
-            .collect();
-        let mut records = Vec::with_capacity(lines.len());
-        for (pos, &(line_no, line)) in lines.iter().enumerate() {
-            match JournalRecord::parse_line(line) {
-                Some(rec) => records.push(rec),
-                None if pos + 1 == lines.len() => break, // torn tail: tolerated
-                None => {
-                    return Err(JournalError::Corrupt {
-                        line: line_no + 1,
-                        content: line.chars().take(120).collect(),
-                    })
-                }
-            }
-        }
-        Ok(records)
+        read_committed(path.as_ref()).map(|(records, _)| records)
     }
 
     /// Compacts the journal at `path` in place (the offline
     /// `asj journal compact` entry point): reads the log, computes the live
-    /// set via [`compact_records`], and rewrites the file tmp → fsync →
-    /// rename → dir fsync. A crash at any point leaves either the old
-    /// journal (plus an inert `.tmp` that the next compaction sweeps) or the
-    /// complete new one — never a partial mix. Refuses (via
+    /// set via [`compact_records`], and publishes the rewrite atomically
+    /// (tmp → fsync → rename → dir fsync), so a crash at any point leaves
+    /// either the old journal or the complete new one. Refuses (via
     /// [`JournalError::Corrupt`]) to compact a mid-file-corrupt journal:
     /// rewriting would launder the corruption into silence.
     pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactStats, JournalError> {
@@ -431,19 +442,7 @@ impl Journal {
             text.push_str(&rec.to_line());
             text.push('\n');
         }
-
-        let tmp = path.with_extension("compact.tmp");
-        let _ = std::fs::remove_file(&tmp); // stale debris from a crashed compaction
-        let mut file = File::create(&tmp)?;
-        file.write_all(text.as_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
-        // The rename is durable only once the directory entry is — see
-        // `fsync_dir` for the POSIX rationale.
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            fsync_dir(parent)?;
-        }
+        publish_atomically(path, &path.with_extension("compact.tmp"), text.as_bytes())?;
         Ok(CompactStats {
             kept: live.len() as u64,
             dropped,
@@ -478,30 +477,69 @@ pub struct CompactStats {
     pub bytes_after: u64,
 }
 
-/// The liveness rule behind journal compaction. A record survives iff
-/// recovery could still act on it:
-///
-/// * the winning `done` record per job — the *last* one whose FNV checksum
-///   verifies (idempotent across eras; invalid ones are dead weight either
-///   way) — hoisted to the front, mirroring how `recover` scans `done`
-///   records era-independently;
-/// * every record of the *current era* (after the last `recover` marker)
-///   except `done` records already hoisted and `stage` pointers of finished
-///   jobs, whose checkpoints the retention GC has already unlinked.
-///
-/// Earlier eras' grants/admits/stages are superseded — recovery never reads
-/// them — and old `recover`/`compact` markers are dropped: the compacted
-/// file *is* one era, so its grant log reads as the current era's prefix
-/// without any marker. Returns the live records (led by a fresh `compact`
-/// marker) and the dropped-record count.
-pub fn compact_records(records: &[JournalRecord]) -> (Vec<JournalRecord>, u64) {
+/// The committed records of the journal at `path` and the byte length they
+/// occupy. A record is committed once its line is complete — parseable and
+/// newline-terminated, which is what `append` fsyncs; whatever follows the
+/// last such line is the torn tail of a crash mid-append and ends the log.
+/// A malformed line with anything after it is [`JournalError::Corrupt`].
+fn read_committed(path: &Path) -> Result<(Vec<JournalRecord>, u64), JournalError> {
+    let text = std::fs::read_to_string(path)?;
+    let mut records = Vec::new();
+    let (mut offset, mut valid_len) = (0usize, 0usize);
+    let mut torn: Option<(usize, &str)> = None;
+    for (line_no, raw) in text.split_inclusive('\n').enumerate() {
+        offset += raw.len();
+        let line = raw.trim_end_matches(['\r', '\n']);
+        if line.trim().is_empty() {
+            continue;
+        }
+        if let Some((line_no, line)) = torn {
+            return Err(JournalError::Corrupt {
+                line: line_no + 1,
+                content: line.chars().take(120).collect(),
+            });
+        }
+        match JournalRecord::parse_line(line).filter(|_| raw.ends_with('\n')) {
+            Some(rec) => {
+                records.push(rec);
+                valid_len = offset;
+            }
+            None => torn = Some((line_no, line)),
+        }
+    }
+    Ok((records, valid_len as u64))
+}
+
+/// What a journal replays to — everything recovery acts on, and therefore
+/// what compaction must preserve.
+#[derive(Debug)]
+pub(crate) struct Replay<'a> {
+    /// The current era: the records after the last `recover` marker.
+    /// Earlier eras' grants, admissions and stage pointers are superseded.
+    era: &'a [JournalRecord],
+    /// The current era's grant log.
+    pub(crate) grants: Vec<u64>,
+    /// Per finished job, the result bytes of its *last* `done` record whose
+    /// FNV checksum verifies. Era-independent: the same job always finishes
+    /// with the same bytes, and an invalid record means "not done".
+    pub(crate) done: BTreeMap<u64, &'a [u8]>,
+}
+
+pub(crate) fn replay(records: &[JournalRecord]) -> Replay<'_> {
     let era_start = records
         .iter()
         .rposition(|r| matches!(r, JournalRecord::Recover))
         .map_or(0, |i| i + 1);
-    // Winning done record per job, in ascending job order for determinism.
-    let mut done: std::collections::BTreeMap<u64, &JournalRecord> =
-        std::collections::BTreeMap::new();
+    let mut replay = Replay {
+        era: &records[era_start..],
+        grants: Vec::new(),
+        done: BTreeMap::new(),
+    };
+    for rec in replay.era {
+        if let JournalRecord::Grant { job } = rec {
+            replay.grants.push(*job);
+        }
+    }
     for rec in records {
         if let JournalRecord::Done {
             job,
@@ -509,17 +547,39 @@ pub fn compact_records(records: &[JournalRecord]) -> (Vec<JournalRecord>, u64) {
             checksum,
         } = rec
         {
-            if crate::checkpoint::fnv1a(result) == *checksum {
-                done.insert(*job, rec);
+            if fnv1a(result) == *checksum {
+                replay.done.insert(*job, result);
             }
         }
     }
-    let mut live: Vec<JournalRecord> = Vec::with_capacity(done.len() + records.len() - era_start);
-    live.extend(done.values().map(|&r| r.clone()));
-    for rec in &records[era_start..] {
+    replay
+}
+
+/// Journal compaction: keeps exactly what recovery reads (the private
+/// `replay`), in a form that replays to the same state —
+///
+/// * the winning `done` record per job, hoisted to the front in ascending
+///   job order;
+/// * every record of the current era except `done` records (hoisted, or
+///   invalid and dead) and `stage` pointers of finished jobs, whose
+///   checkpoints the retention GC has already unlinked.
+///
+/// Earlier eras' grants/admits/stages are superseded, and old
+/// `recover`/`compact` markers are dropped: the compacted file *is* one era,
+/// so its grant log reads as the current era's prefix without any marker.
+/// Returns the live records (led by a fresh `compact` marker) and the
+/// dropped-record count.
+pub fn compact_records(records: &[JournalRecord]) -> (Vec<JournalRecord>, u64) {
+    let Replay { era, done, .. } = replay(records);
+    let mut live: Vec<JournalRecord> = Vec::with_capacity(done.len() + era.len());
+    live.extend(done.iter().map(|(&job, &result)| JournalRecord::Done {
+        job,
+        result: result.to_vec(),
+        checksum: fnv1a(result),
+    }));
+    for rec in era {
         match rec {
-            JournalRecord::Done { .. } => {}    // hoisted (or invalid: dead)
-            JournalRecord::Compact { .. } => {} // a fresh marker replaces it
+            JournalRecord::Done { .. } | JournalRecord::Compact { .. } => {}
             JournalRecord::Stage { job, .. } if done.contains_key(job) => {}
             rec => live.push(rec.clone()),
         }
@@ -575,7 +635,7 @@ mod tests {
         JournalRecord::Done {
             job,
             result: vec![byte],
-            checksum: crate::checkpoint::fnv1a(&[byte]),
+            checksum: fnv1a(&[byte]),
         }
     }
 
@@ -627,19 +687,27 @@ mod tests {
 
     #[test]
     fn open_append_extends_an_existing_journal() {
-        let path = test_path("append");
-        Journal::create(&path)
-            .expect("create")
-            .append(&JournalRecord::Grant { job: 7 })
-            .expect("first");
-        let reopened = Journal::open_append(&path).expect("reopen");
-        reopened.append(&JournalRecord::Recover).expect("second");
-        let back = Journal::read(&path).expect("read");
-        assert_eq!(
-            back,
-            vec![JournalRecord::Grant { job: 7 }, JournalRecord::Recover]
-        );
-        std::fs::remove_file(&path).expect("cleanup");
+        // Cleanly closed, or with the torn tail of a crash mid-append: the
+        // next record lands on a line of its own either way.
+        for torn_tail in ["", "{\"type\":\"done\",\"job\":3,\"res"] {
+            let path = test_path("append");
+            Journal::create(&path)
+                .expect("create")
+                .append(&JournalRecord::Grant { job: 7 })
+                .expect("first");
+            let mut bytes = std::fs::read(&path).expect("read bytes");
+            bytes.extend_from_slice(torn_tail.as_bytes());
+            std::fs::write(&path, &bytes).expect("tear");
+            let (reopened, committed) = Journal::open_append(&path).expect("reopen");
+            assert_eq!(committed, vec![JournalRecord::Grant { job: 7 }]);
+            reopened.append(&JournalRecord::Recover).expect("second");
+            let back = Journal::read(&path).expect("read");
+            assert_eq!(
+                back,
+                vec![JournalRecord::Grant { job: 7 }, JournalRecord::Recover]
+            );
+            std::fs::remove_file(&path).expect("cleanup");
+        }
     }
 
     #[test]
@@ -775,6 +843,39 @@ mod tests {
                 JournalRecord::Grant { job: 0 },
             ]
         );
+    }
+
+    proptest::proptest! {
+        /// What compaction must preserve, stated once: a compacted journal
+        /// replays to the same grant log and the same results. Generated
+        /// logs mix eras, invalid checksums and old `compact` markers.
+        #[test]
+        fn compaction_preserves_the_replay(
+            log in proptest::collection::vec((0u8..7, 0u64..4, proptest::prelude::any::<u8>()), 0..40),
+        ) {
+            let records: Vec<JournalRecord> = log
+                .into_iter()
+                .map(|(kind, job, byte)| match kind {
+                    0 => JournalRecord::Admit { job, name: format!("t{job}") },
+                    1 => JournalRecord::Grant { job },
+                    2 => JournalRecord::Stage {
+                        job,
+                        stage: "shuffle".into(),
+                        key: format!("job{job}-shuffle-0"),
+                        bytes: u64::from(byte),
+                    },
+                    3 => done(job, byte),
+                    4 => JournalRecord::Done { job, result: vec![byte], checksum: 0 },
+                    5 => JournalRecord::Recover,
+                    _ => JournalRecord::Compact { kept: job, dropped: u64::from(byte) },
+                })
+                .collect();
+            let (live, dropped) = compact_records(&records);
+            let (before, after) = (replay(&records), replay(&live));
+            proptest::prop_assert_eq!(after.grants, before.grants);
+            proptest::prop_assert_eq!(after.done, before.done);
+            proptest::prop_assert_eq!(live.len() as u64 + dropped, records.len() as u64 + 1);
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod pool;
 mod wire;
 
 pub use bufpool::{BufferPool, PoolStats};
-pub use checkpoint::{fnv1a, CheckpointStore};
+pub use checkpoint::{fnv1a, CheckpointStore, Chunk, Fnv1a};
 pub use cluster::{Broadcast, Cluster, ClusterConfig, StageResult};
 pub use dataset::{Dataset, KeyedDataset};
 pub use fault::{FailPoint, FaultContext, FaultPlan, FaultState, JobError, RetryPolicy, TaskError};

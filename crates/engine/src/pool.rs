@@ -77,8 +77,9 @@ impl<T: Clone> Inputs<T> {
     }
 }
 
-/// Renders a caught panic payload for [`TaskError::Panic`].
-fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a caught panic payload: a task's [`TaskError::Panic`], a job
+/// body's failure message.
+pub(crate) fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -189,7 +190,6 @@ where
     };
     let failed_stage = format!("{stage}!failed");
     let killed_stage = format!("{stage}!killed");
-    let backoff_stage = format!("{stage}!backoff");
 
     // Lock-free work distribution: workers claim task indices from a shared
     // counter and results live in per-index slots, so no lock is held while
@@ -303,7 +303,7 @@ where
         let result = match outcome {
             Err(payload) => {
                 bill_discarded(&failed_stage, idx, node, d0, charged);
-                Err(TaskError::Panic(panic_msg(payload)))
+                Err(TaskError::Panic(panic_msg(payload.as_ref())))
             }
             Ok(_) if will_fail => {
                 // The attempt did its work and died at commit time — the
@@ -464,23 +464,6 @@ where
                             Some(idx as u64),
                             Attrs::new().records(from as u64),
                         );
-                        // Deterministic exponential backoff before
-                        // re-placement: billed to the retry node's simulated
-                        // clock (with a matching lane span so per-node span
-                        // sums stay exact) but not slept in wall time — delay
-                        // is a scheduling cost, not real work.
-                        let backoff = ctx.policy.backoff(stage, idx, attempt);
-                        if backoff > Duration::ZERO {
-                            charge(node, backoff);
-                            recorder.task_span_sim(
-                                &backoff_stage,
-                                node,
-                                Some(idx as u64),
-                                Duration::ZERO,
-                                backoff,
-                                Attrs::new(),
-                            );
-                        }
                     }
                     continue;
                 }
@@ -975,70 +958,6 @@ mod tests {
         assert!(
             stats.per_node_busy[0] >= Duration::from_millis(4),
             "both attempts must be billed"
-        );
-    }
-
-    #[test]
-    fn ft_backoff_bills_the_sim_clock_and_balances_lanes() {
-        // Two fail points force two retries; backoff is enabled, so each
-        // retry adds a deterministic simulated delay billed to the retry
-        // node. The lane-sum invariant must survive: per-node span sim sums
-        // equal per_node_busy exactly, backoff spans included.
-        let plan = FaultPlan::none()
-            .with_fail_point("unit", 0, 1)
-            .with_fail_point("unit", 1, 1);
-        let policy = RetryPolicy::default().with_backoff(500);
-        let ctx = ft_ctx(plan, policy, 2);
-        let recorder = Recorder::for_nodes(2);
-        let (out, stats) = run_stage(
-            2,
-            2,
-            vec![10u32, 20],
-            &[0, 1],
-            &recorder,
-            "unit",
-            Some(&ctx),
-            |_, t| t + 1,
-        )
-        .expect("retries recover");
-        assert_eq!(out, vec![11, 21]);
-        assert_eq!(stats.retries, 2);
-
-        let trace = recorder.snapshot();
-        let mut billed_backoffs: Vec<u64> = trace
-            .spans
-            .iter()
-            .filter(|s| s.stage == "unit!backoff")
-            .map(|s| s.sim_dur_ns)
-            .collect();
-        billed_backoffs.sort_unstable();
-        let mut expected: Vec<u64> = (0..2)
-            .map(|task| policy.backoff("unit", task, 2).as_nanos() as u64)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(
-            billed_backoffs, expected,
-            "each retry bills exactly the policy's deterministic delay"
-        );
-        // Lane-sum billing balance, per node: span sim durations (backoff
-        // spans included) must sum to exactly the node's busy time.
-        for node in 0..2usize {
-            let lane_sum: u64 = trace
-                .spans
-                .iter()
-                .filter(|s| s.lane == Lane::Node(node))
-                .map(|s| s.sim_dur_ns)
-                .sum();
-            assert_eq!(
-                lane_sum,
-                stats.per_node_busy[node].as_nanos() as u64,
-                "node {node} lane must balance with backoff included"
-            );
-        }
-        let total_backoff: u64 = expected.iter().sum();
-        assert!(
-            stats.total_busy().as_nanos() as u64 >= total_backoff,
-            "backoff must be visible in total busy time"
         );
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! ```
 //! use asj_engine::{Cluster, ClusterConfig, SchedPolicy};
-//! use asj_serve::{parse_queue, run_queue, solo_outcome};
+//! use asj_serve::{parse_queue, run_queue, solo_outcome, RecoveryOptions};
 //!
 //! let queue = parse_queue(
 //!     "job alpha algo=lpib eps=0.5 n=600 partitions=8 seed=11\n\
@@ -18,10 +18,11 @@
 //! )
 //! .expect("queue parses");
 //! let cluster = Cluster::new(ClusterConfig::with_threads(4, 2));
-//! let run = run_queue(&cluster, &queue, SchedPolicy::FairShare).expect("runs");
-//! for (tenant, report) in queue.iter().zip(&run.tenants) {
+//! let run = run_queue(&cluster, &queue, SchedPolicy::FairShare, &RecoveryOptions::default())
+//!     .expect("runs");
+//! for (tenant, report) in queue.iter().zip(&run.reports) {
 //!     let solo = solo_outcome(&cluster, tenant).expect("solo");
-//!     assert_eq!(report.outcome.as_ref().expect("ok"), &solo, "isolation");
+//!     assert_eq!(report.result.as_ref().expect("ok"), &solo, "isolation");
 //! }
 //! ```
 //!
@@ -34,6 +35,6 @@ mod run;
 pub use estimate::{estimate_working_set, WorkingSetModel};
 pub use queue::{parse_bytes, parse_queue, QueueError, TenantSpec};
 pub use run::{
-    calibrated_model, calibrated_model_for, checksum_pairs, run_queue, run_queue_recoverable,
-    solo_outcome, tenant_job, QueueRun, RecoveryOptions, ServeError, TenantOutcome, TenantReport,
+    calibrated_model_for, checksum_pairs, run_queue, solo_outcome, summary_line, tenant_job,
+    RecoveryOptions, ServeError, TenantOutcome,
 };

@@ -2,13 +2,13 @@ use crate::estimate::WorkingSetModel;
 use crate::queue::TenantSpec;
 use asj_data::{DatasetSpec, PAPER_BBOX};
 use asj_engine::{
-    ensure_remaining, Cluster, FaultPlan, JobServer, JobSpec, PoolStats, RetryPolicy, SchedPolicy,
-    SubmitError, Wire, WireError,
+    ensure_remaining, Cluster, FaultPlan, Fnv1a, JobReport, JobServer, JobSpec, RetryPolicy,
+    SchedPolicy, ServerRun, SubmitError, Wire, WireError,
 };
 use asj_join::{to_records, JoinError, JoinSpec, Record};
 use bytes::{Buf, BufMut};
+use std::hash::Hasher;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// What one tenant's join produced, reduced to the fields that must be
 /// byte-identical between a solo run and any multi-tenant interleaving.
@@ -55,102 +55,39 @@ impl Wire for TenantOutcome {
 pub fn checksum_pairs(result_count: u64, pairs: &[(u64, u64)]) -> u64 {
     let mut sorted = pairs.to_vec();
     sorted.sort_unstable();
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |value: u64| {
-        for byte in value.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(result_count);
+    let mut hash = Fnv1a::default();
+    hash.write_u64(result_count);
     for (r, s) in sorted {
-        eat(r);
-        eat(s);
+        hash.write_u64(r);
+        hash.write_u64(s);
     }
-    hash
+    hash.finish()
 }
 
-/// The per-tenant slice of one multi-tenant run: scheduling observables from
-/// the job server plus the join outcome (or the join's error — a failed stage,
-/// a rejected spec; the panic message if the tenant crashed — which fails only
-/// its own tenant).
-#[derive(Debug, Clone)]
-pub struct TenantReport {
-    pub name: String,
-    pub weight: u32,
-    /// Working-set estimate admission control used (override or model).
-    pub estimate_bytes: u64,
-    pub outcome: Result<TenantOutcome, String>,
-    /// Submit-to-first-quantum on the server clock.
-    pub queue_wait: Duration,
-    /// Submit-to-completion on the server clock.
-    pub turnaround: Duration,
-    /// Parallel stages this tenant ran.
-    pub stages: u64,
-    /// Scheduler quanta this tenant consumed.
-    pub quanta: u64,
-    /// Task attempts, including retries under this tenant's fault plan.
-    pub attempts: u64,
-    pub retries: u64,
-    /// Bytes this tenant's stages spilled under memory pressure.
-    pub spilled_bytes: u64,
-    /// Buffer-pool activity attributable to this tenant alone.
-    pub pool: PoolStats,
-    /// Leak audit: bytes still resident at completion (0 unless a charge
-    /// guard failed to settle).
-    pub residual_bytes: u64,
-    /// The outcome was replayed from the journal instead of re-running the
-    /// join (recovery of an already-finished tenant).
-    pub recovered: bool,
-}
-
-impl TenantReport {
-    /// One aligned report line per tenant, for the CLI and bench logs.
-    pub fn summary_line(&self) -> String {
-        match &self.outcome {
-            Ok(out) => format!(
-                "job {name:<12} ok    results {results:>9}  checksum {checksum:016x}  \
-                 wait {wait:>8.3?}  turnaround {turnaround:>8.3?}  stages {stages:>3}  \
-                 retries {retries:>2}  spilled {spilled}",
-                name = self.name,
-                results = out.result_count,
-                checksum = out.checksum,
-                wait = self.queue_wait,
-                turnaround = self.turnaround,
-                stages = self.stages,
-                retries = self.retries,
-                spilled = self.spilled_bytes,
-            ),
-            Err(message) => format!(
-                "job {name:<12} FAILED  {message}",
-                name = self.name,
-                message = message
-            ),
-        }
+/// One aligned report line per tenant, for the CLI and bench logs: the join
+/// outcome, or the join's error (a failed stage, a rejected spec; the panic
+/// message if the tenant crashed), which fails only its own tenant.
+pub fn summary_line(report: &JobReport<TenantOutcome>) -> String {
+    match &report.result {
+        Ok(out) => format!(
+            "job {name:<12} ok    results {results:>9}  checksum {checksum:016x}  \
+             wait {wait:>8.3?}  turnaround {turnaround:>8.3?}  stages {stages:>3}  \
+             retries {retries:>2}  spilled {spilled}",
+            name = report.name,
+            results = out.result_count,
+            checksum = out.checksum,
+            wait = report.queue_wait(),
+            turnaround = report.turnaround(),
+            stages = report.stages,
+            retries = report.stats.retries,
+            spilled = report.stats.spilled_bytes,
+        ),
+        Err(message) => format!(
+            "job {name:<12} FAILED  {message}",
+            name = report.name,
+            message = message
+        ),
     }
-}
-
-/// One multi-tenant run: per-tenant reports in submit order plus the
-/// server-level observables (grant log, final clock).
-#[derive(Debug, Clone)]
-pub struct QueueRun {
-    pub policy: SchedPolicy,
-    pub tenants: Vec<TenantReport>,
-    /// Quantum grant log (job ids, in grant order) — deterministic for a
-    /// fixed queue and policy.
-    pub grants: Vec<usize>,
-    /// Final server clock: serialized simulated time of the whole queue.
-    pub clock: Duration,
-    /// A `crash@N` fault clause stopped the server mid-queue; unfinished
-    /// tenants report errors and the journal holds the recovery state.
-    pub crashed: bool,
-    /// Shuffle stages replayed from checkpoints instead of recomputed.
-    pub stages_recovered: u64,
-    /// Bytes written to stage checkpoints during this run.
-    pub checkpoint_bytes: u64,
-    /// For a recovered run: the crashed run's journaled grant log (a prefix
-    /// of what the uncrashed run would have granted).
-    pub journal_grants: Vec<usize>,
 }
 
 /// Typed failure of [`run_queue`].
@@ -264,9 +201,9 @@ pub fn tenant_job(
     Ok(spec)
 }
 
-/// Durability options for [`run_queue_recoverable`]: where (and whether) to
-/// journal server state and checkpoint stage outputs, and whether this run
-/// resumes a crashed one.
+/// Durability options for [`run_queue`]: where (and whether) to journal
+/// server state and checkpoint stage outputs, and whether this run resumes a
+/// crashed one. The default is none of it: an in-memory run.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryOptions {
     /// Append-only JSONL write-ahead journal. Created fresh unless
@@ -284,26 +221,18 @@ pub struct RecoveryOptions {
 }
 
 /// Runs a whole tenant queue on `cluster` under `policy` and reports every
-/// tenant in submit order. Admission estimates come from a
+/// tenant in submit order — the engine's [`ServerRun`], one
+/// [`JobReport`] per tenant. Admission estimates come from a
 /// [`WorkingSetModel`] calibrated per tenant on its own sampled records
-/// (payload included).
+/// (payload included). With `options` the run journals server state,
+/// checkpoints completed stages, or resumes from a prior crashed run's
+/// journal + checkpoint directory.
 pub fn run_queue(
     cluster: &Cluster,
     tenants: &[TenantSpec],
     policy: SchedPolicy,
-) -> Result<QueueRun, ServeError> {
-    run_queue_recoverable(cluster, tenants, policy, &RecoveryOptions::default())
-}
-
-/// [`run_queue`] with durability: optionally journals server state,
-/// checkpoints completed shuffle stages, and resumes from a prior crashed
-/// run's journal + checkpoint directory.
-pub fn run_queue_recoverable(
-    cluster: &Cluster,
-    tenants: &[TenantSpec],
-    policy: SchedPolicy,
     options: &RecoveryOptions,
-) -> Result<QueueRun, ServeError> {
+) -> Result<ServerRun<TenantOutcome>, ServeError> {
     let mut cluster = cluster.clone();
     if let Some(dir) = &options.checkpoint_dir {
         cluster = cluster
@@ -344,37 +273,7 @@ pub fn run_queue_recoverable(
             server = server.with_compact_every(every);
         }
     }
-    let run = server.run();
-    let tenants = run
-        .reports
-        .into_iter()
-        .map(|report| TenantReport {
-            name: report.name.clone(),
-            weight: report.weight,
-            estimate_bytes: report.estimate_bytes,
-            outcome: report.result,
-            queue_wait: report.first_service_at,
-            turnaround: report.finished_at,
-            stages: report.stages,
-            quanta: report.quanta,
-            attempts: report.stats.attempts,
-            retries: report.stats.retries,
-            spilled_bytes: report.stats.spilled_bytes,
-            pool: report.pool,
-            residual_bytes: report.residual_bytes,
-            recovered: report.recovered,
-        })
-        .collect();
-    Ok(QueueRun {
-        policy: run.policy,
-        tenants,
-        grants: run.grants,
-        clock: run.clock,
-        crashed: run.crashed,
-        stages_recovered: run.stages_recovered,
-        checkpoint_bytes: run.checkpoint_bytes,
-        journal_grants: run.journal_grants,
-    })
+    Ok(server.run())
 }
 
 /// The estimator model [`run_queue`] uses for one tenant: record size
@@ -388,16 +287,6 @@ pub fn calibrated_model_for(tenant: &TenantSpec) -> WorkingSetModel {
     let mut probe = tenant.clone();
     probe.cardinality = tenant.cardinality.min(256);
     WorkingSetModel::calibrated(&tenant_records(&probe, probe.seed))
-}
-
-/// Queue-level calibration kept for callers that want one model: probes the
-/// first tenant (payload included). Prefer [`calibrated_model_for`] when
-/// tenants carry different payload sizes.
-pub fn calibrated_model(tenants: &[TenantSpec]) -> WorkingSetModel {
-    match tenants.first() {
-        Some(first) => calibrated_model_for(first),
-        None => WorkingSetModel::default(),
-    }
 }
 
 /// The isolation oracle: runs `tenant` alone on a FRESH cluster of the same
@@ -420,6 +309,7 @@ mod tests {
     use super::*;
     use asj_engine::ClusterConfig;
     use asj_join::Algorithm;
+    use std::time::Duration;
 
     fn two_tenants() -> Vec<TenantSpec> {
         let mut a = TenantSpec::new("alpha", 0.5, 900);
@@ -432,6 +322,15 @@ mod tests {
         b.seed = 23;
         b.weight = 2;
         vec![a, b]
+    }
+
+    /// `run_queue` without journal or checkpoints.
+    fn in_memory(
+        cluster: &Cluster,
+        tenants: &[TenantSpec],
+        policy: SchedPolicy,
+    ) -> Result<ServerRun<TenantOutcome>, ServeError> {
+        run_queue(cluster, tenants, policy, &RecoveryOptions::default())
     }
 
     fn test_cluster() -> Cluster {
@@ -451,11 +350,11 @@ mod tests {
     fn queue_outcomes_match_solo_runs() {
         let cluster = test_cluster();
         let tenants = two_tenants();
-        let run = run_queue(&cluster, &tenants, SchedPolicy::FairShare).expect("queue runs");
-        assert_eq!(run.tenants.len(), 2);
-        for (tenant, report) in tenants.iter().zip(&run.tenants) {
+        let run = in_memory(&cluster, &tenants, SchedPolicy::FairShare).expect("queue runs");
+        assert_eq!(run.reports.len(), 2);
+        for (tenant, report) in tenants.iter().zip(&run.reports) {
             let solo = solo_outcome(&cluster, tenant).expect("solo runs");
-            let shared = report.outcome.as_ref().expect("tenant succeeded");
+            let shared = report.result.as_ref().expect("tenant succeeded");
             assert_eq!(shared, &solo, "tenant '{}' isolation", tenant.name);
             assert!(shared.result_count > 0, "joins must produce results");
             assert_eq!(report.residual_bytes, 0, "leak audit");
@@ -474,13 +373,13 @@ mod tests {
     #[test]
     fn queue_runs_are_deterministic() {
         let tenants = two_tenants();
-        let a = run_queue(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("run a");
-        let b = run_queue(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("run b");
+        let a = in_memory(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("run a");
+        let b = in_memory(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("run b");
         assert_eq!(a.grants, b.grants, "grant log is deterministic");
-        for (x, y) in a.tenants.iter().zip(&b.tenants) {
+        for (x, y) in a.reports.iter().zip(&b.reports) {
             assert_eq!(
-                x.outcome.as_ref().expect("ok"),
-                y.outcome.as_ref().expect("ok"),
+                x.result.as_ref().expect("ok"),
+                y.result.as_ref().expect("ok"),
                 "outcomes are deterministic"
             );
             // Queue waits and turnarounds are simulated-clock values built
@@ -497,7 +396,7 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_threads(4, 2).with_memory_budget(1 << 20));
         let mut tenants = two_tenants();
         tenants[1].estimate_override = Some(u64::MAX);
-        let err = run_queue(&cluster, &tenants, SchedPolicy::Fifo).unwrap_err();
+        let err = in_memory(&cluster, &tenants, SchedPolicy::Fifo).unwrap_err();
         match err {
             ServeError::Submit {
                 tenant,
@@ -514,7 +413,7 @@ mod tests {
     fn bad_fault_spec_is_a_typed_spec_error() {
         let mut tenants = two_tenants();
         tenants[0].faults = Some("gremlins".into());
-        let err = run_queue(&test_cluster(), &tenants, SchedPolicy::Fifo).unwrap_err();
+        let err = in_memory(&test_cluster(), &tenants, SchedPolicy::Fifo).unwrap_err();
         match err {
             ServeError::Spec { tenant, .. } => assert_eq!(tenant, "alpha"),
             other => panic!("expected Spec error, got {other:?}"),
@@ -526,14 +425,14 @@ mod tests {
         let mut tenants = two_tenants();
         tenants[0].faults = Some("p=0.4".into());
         tenants[0].max_attempts = Some(8);
-        let run = run_queue(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("runs");
-        let chaotic = &run.tenants[0];
-        let calm = &run.tenants[1];
-        assert_eq!(calm.retries, 0, "fault plans are per-tenant");
+        let run = in_memory(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("runs");
+        let chaotic = &run.reports[0];
+        let calm = &run.reports[1];
+        assert_eq!(calm.stats.retries, 0, "fault plans are per-tenant");
         // The chaotic tenant still matches its solo outcome (recovery is
         // deterministic given the plan seed).
         let solo = solo_outcome(&test_cluster(), &tenants[0]).expect("solo");
-        assert_eq!(chaotic.outcome.as_ref().expect("recovered"), &solo);
+        assert_eq!(chaotic.result.as_ref().expect("recovered"), &solo);
     }
 
     #[test]
@@ -541,8 +440,8 @@ mod tests {
         let mut tenants = two_tenants();
         tenants[0].faults = Some("p=1.0".into());
         tenants[0].max_attempts = Some(2);
-        let run = run_queue(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("runs");
-        let message = run.tenants[0].outcome.as_ref().expect_err("doomed");
+        let run = in_memory(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("runs");
+        let message = run.reports[0].result.as_ref().expect_err("doomed");
         assert!(
             message.starts_with("stage 'sample' task 0 failed after 2 attempt(s)"),
             "{message}"
@@ -553,7 +452,7 @@ mod tests {
             "the solo run fails the same way"
         );
         let solo = solo_outcome(&test_cluster(), &tenants[1]).expect("solo");
-        assert_eq!(run.tenants[1].outcome.as_ref().expect("calm tenant"), &solo);
+        assert_eq!(run.reports[1].result.as_ref().expect("calm tenant"), &solo);
     }
 
     #[test]
@@ -562,7 +461,7 @@ mod tests {
         tenants[0].max_attempts = Some(0);
         let message = "max-attempts must be positive".to_string();
         assert_eq!(
-            run_queue(&test_cluster(), &tenants, SchedPolicy::FairShare).err(),
+            in_memory(&test_cluster(), &tenants, SchedPolicy::FairShare).err(),
             Some(ServeError::Spec {
                 tenant: tenants[0].name.clone(),
                 message: message.clone(),
@@ -599,9 +498,9 @@ mod tests {
         // Payload bytes ride the shuffle but must not change join results.
         let mut tenants = two_tenants();
         tenants[0].payload = 64;
-        let run = run_queue(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("runs");
+        let run = in_memory(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("runs");
         let solo = solo_outcome(&test_cluster(), &tenants[0]).expect("solo");
-        assert_eq!(run.tenants[0].outcome.as_ref().expect("ok"), &solo);
+        assert_eq!(run.reports[0].result.as_ref().expect("ok"), &solo);
         assert!(solo.result_count > 0);
     }
 
@@ -632,7 +531,7 @@ mod tests {
 
         let tenants = two_tenants();
         // Uncrashed oracle.
-        let oracle = run_queue(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("oracle");
+        let oracle = in_memory(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("oracle");
 
         // Crash the journaled, checkpointed run two grants shy of done: by
         // then at least one tenant has completed shuffle stages (so the
@@ -649,9 +548,8 @@ mod tests {
             recover: false,
             compact_every: None,
         };
-        let crashed =
-            run_queue_recoverable(&crash_cluster, &tenants, SchedPolicy::FairShare, &opts)
-                .expect("crashing run");
+        let crashed = run_queue(&crash_cluster, &tenants, SchedPolicy::FairShare, &opts)
+            .expect("crashing run");
         assert!(crashed.crashed);
         assert_eq!(crashed.grants[..], oracle.grants[..crash_at as usize]);
 
@@ -663,18 +561,17 @@ mod tests {
             recover: true,
             compact_every: None,
         };
-        let recovered =
-            run_queue_recoverable(&test_cluster(), &tenants, SchedPolicy::FairShare, &opts)
-                .expect("recovered run");
+        let recovered = run_queue(&test_cluster(), &tenants, SchedPolicy::FairShare, &opts)
+            .expect("recovered run");
         assert!(!recovered.crashed);
         assert_eq!(
             recovered.journal_grants[..],
             oracle.grants[..crash_at as usize]
         );
-        for (a, b) in oracle.tenants.iter().zip(&recovered.tenants) {
+        for (a, b) in oracle.reports.iter().zip(&recovered.reports) {
             assert_eq!(
-                a.outcome.as_ref().expect("oracle ok"),
-                b.outcome.as_ref().expect("recovered ok"),
+                a.result.as_ref().expect("oracle ok"),
+                b.result.as_ref().expect("recovered ok"),
                 "tenant '{}' must recover byte-identically",
                 a.name
             );
@@ -689,33 +586,32 @@ mod tests {
 
     #[test]
     fn summary_lines_render_both_arms() {
-        let ok = TenantReport {
+        let mut report = JobReport {
+            id: 0,
             name: "alpha".into(),
             weight: 1,
             estimate_bytes: 1024,
-            outcome: Ok(TenantOutcome {
+            result: Ok(TenantOutcome {
                 result_count: 42,
                 candidates: 99,
                 replicated: 7,
                 checksum: 0xDEAD_BEEF,
             }),
-            queue_wait: Duration::from_millis(3),
-            turnaround: Duration::from_millis(9),
+            stats: Default::default(),
+            pool: Default::default(),
             stages: 4,
             quanta: 5,
-            attempts: 4,
-            retries: 0,
-            spilled_bytes: 0,
-            pool: PoolStats::default(),
+            admitted_at: Duration::ZERO,
+            first_service_at: Duration::from_millis(3),
+            finished_at: Duration::from_millis(9),
             residual_bytes: 0,
             recovered: false,
         };
-        let line = ok.summary_line();
+        let line = summary_line(&report);
         assert!(line.contains("alpha") && line.contains("ok"), "{line}");
         assert!(line.contains("00000000deadbeef"), "{line}");
-        let mut failed = ok.clone();
-        failed.outcome = Err("boom".into());
-        let line = failed.summary_line();
+        report.result = Err("boom".into());
+        let line = summary_line(&report);
         assert!(line.contains("FAILED") && line.contains("boom"), "{line}");
     }
 }

@@ -20,7 +20,7 @@ use adaptive_spatial_join::join::{
 };
 use adaptive_spatial_join::prelude::*;
 use adaptive_spatial_join::serve::{
-    parse_bytes, parse_queue, run_queue_recoverable, solo_outcome, RecoveryOptions, ServeError,
+    parse_bytes, parse_queue, run_queue, solo_outcome, summary_line, RecoveryOptions, ServeError,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -748,9 +748,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     if recovery.compact_every.is_some() && recovery.journal.is_none() {
         return Err("--compact-every requires --journal FILE".into());
     }
-    let run = run_queue_recoverable(&cluster, &tenants, policy, &recovery)?;
+    let run = run_queue(&cluster, &tenants, policy, &recovery)?;
     println!("policy               : {}", run.policy.name());
-    println!("tenants              : {}", run.tenants.len());
+    println!("tenants              : {}", run.reports.len());
     println!("simulated nodes      : {}", cluster.nodes());
     if let Some(budget) = cluster.memory_budget() {
         println!("memory budget        : {} KiB/node", budget / 1024);
@@ -764,15 +764,15 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         println!("journal grants replayed : {}", run.journal_grants.len());
         println!("checkpoint bytes     : {}", run.checkpoint_bytes);
         println!("stages recovered     : {}", run.stages_recovered);
-        let replayed = run.tenants.iter().filter(|t| t.recovered).count();
+        let replayed = run.reports.iter().filter(|t| t.recovered).count();
         println!("tenants replayed     : {replayed}");
     }
-    for report in &run.tenants {
-        println!("{}", report.summary_line());
+    for report in &run.reports {
+        println!("{}", summary_line(report));
     }
     if flags.contains_key("verify") {
-        for (tenant, report) in tenants.iter().zip(&run.tenants) {
-            let Ok(shared) = &report.outcome else {
+        for (tenant, report) in tenants.iter().zip(&run.reports) {
+            let Ok(shared) = &report.result else {
                 continue;
             };
             let solo = solo_outcome(&cluster, tenant).map_err(CliError::runtime)?;
@@ -796,9 +796,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         ));
     }
     let failed: Vec<&str> = run
-        .tenants
+        .reports
         .iter()
-        .filter(|t| t.outcome.is_err())
+        .filter(|t| t.result.is_err())
         .map(|t| t.name.as_str())
         .collect();
     if !failed.is_empty() {

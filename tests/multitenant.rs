@@ -8,7 +8,7 @@
 
 use adaptive_spatial_join::engine::{Cluster, ClusterConfig, SchedPolicy};
 use adaptive_spatial_join::join::Algorithm;
-use adaptive_spatial_join::serve::{run_queue, solo_outcome, TenantSpec};
+use adaptive_spatial_join::serve::{run_queue, solo_outcome, RecoveryOptions, TenantSpec};
 use proptest::prelude::*;
 
 /// Injectable fault plans a tenant may carry. Probabilities stay low enough
@@ -99,12 +99,12 @@ proptest! {
         let cluster = Cluster::new(
             ClusterConfig::with_threads(nodes, 2).with_memory_budget(budget),
         );
-        let run = run_queue(&cluster, &specs, SchedPolicy::FairShare)
+        let run = run_queue(&cluster, &specs, SchedPolicy::FairShare, &RecoveryOptions::default())
             .expect("estimate overrides admit every tenant");
 
-        prop_assert_eq!(run.tenants.len(), specs.len());
-        for (spec, report) in specs.iter().zip(&run.tenants) {
-            let shared = report.outcome.as_ref().expect("tenant recovered");
+        prop_assert_eq!(run.reports.len(), specs.len());
+        for (spec, report) in specs.iter().zip(&run.reports) {
+            let shared = report.result.as_ref().expect("tenant recovered");
             let solo = solo_outcome(&cluster, spec).expect("solo run");
             prop_assert_eq!(
                 shared, &solo,
@@ -135,12 +135,12 @@ proptest! {
     ) {
         let specs = materialize(&tenants);
         let mk = || Cluster::new(ClusterConfig::with_threads(nodes, 2));
-        let fair = run_queue(&mk(), &specs, SchedPolicy::FairShare).expect("fair");
-        let fifo = run_queue(&mk(), &specs, SchedPolicy::Fifo).expect("fifo");
-        for (a, b) in fair.tenants.iter().zip(&fifo.tenants) {
+        let fair = run_queue(&mk(), &specs, SchedPolicy::FairShare, &RecoveryOptions::default()).expect("fair");
+        let fifo = run_queue(&mk(), &specs, SchedPolicy::Fifo, &RecoveryOptions::default()).expect("fifo");
+        for (a, b) in fair.reports.iter().zip(&fifo.reports) {
             prop_assert_eq!(
-                a.outcome.as_ref().expect("ok"),
-                b.outcome.as_ref().expect("ok"),
+                a.result.as_ref().expect("ok"),
+                b.result.as_ref().expect("ok"),
                 "policy changed tenant '{}'", a.name
             );
         }

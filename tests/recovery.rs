@@ -9,13 +9,11 @@
 //! grants, not wall time), so every case in the sweep is reproducible.
 
 use adaptive_spatial_join::engine::{
-    CheckpointStore, Cluster, ClusterConfig, FaultPlan, Journal, RetryPolicy, SchedPolicy,
-    ShuffleStats,
+    encode_records, CheckpointStore, Cluster, ClusterConfig, FaultPlan, Journal, RetryPolicy,
+    SchedPolicy, ServerRun, ShuffleStats,
 };
 use adaptive_spatial_join::join::Algorithm;
-use adaptive_spatial_join::serve::{
-    run_queue, run_queue_recoverable, QueueRun, RecoveryOptions, TenantSpec,
-};
+use adaptive_spatial_join::serve::{run_queue, RecoveryOptions, TenantOutcome, TenantSpec};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -99,6 +97,12 @@ fn cluster(nodes: usize) -> Cluster {
     Cluster::new(ClusterConfig::with_threads(nodes, 2))
 }
 
+/// The never-crashed, in-memory run every recovery is compared against.
+fn oracle_run(nodes: usize, specs: &[TenantSpec]) -> ServerRun<TenantOutcome> {
+    let in_memory = RecoveryOptions::default();
+    run_queue(&cluster(nodes), specs, SchedPolicy::FairShare, &in_memory).expect("oracle run")
+}
+
 /// A per-case scratch directory for the journal and checkpoints. Proptest
 /// cases within one test run sequentially, so a case counter keeps legs
 /// from different cases apart while staying deterministic.
@@ -120,11 +124,11 @@ proptest! {
         tenants in prop::collection::vec(tenant_strategy(), 2..4),
         nodes in 2usize..4,
         crash_pick in any::<u64>(),
+        torn_tail in any::<bool>(),
         case in any::<u64>(),
     ) {
         let specs = materialize(&tenants);
-        let oracle = run_queue(&cluster(nodes), &specs, SchedPolicy::FairShare)
-            .expect("oracle run");
+        let oracle = oracle_run(nodes, &specs);
         prop_assert!(oracle.grants.len() >= 2, "queue too small to crash");
 
         // Any grant boundary strictly before the end is a valid crash point.
@@ -143,7 +147,7 @@ proptest! {
             compact_every: None,
         };
         let crashed =
-            run_queue_recoverable(&crash_cluster, &specs, SchedPolicy::FairShare, &opts)
+            run_queue(&crash_cluster, &specs, SchedPolicy::FairShare, &opts)
                 .expect("crashing run");
         prop_assert!(crashed.crashed, "crash clause must fire");
         // Write-ahead invariant: what reached the journal is exactly the
@@ -154,6 +158,13 @@ proptest! {
             "crashed grant log must be an oracle prefix"
         );
 
+        if torn_tail {
+            // The server died mid-append: half a record trails the journal.
+            let mut bytes = std::fs::read(&journal).expect("read journal");
+            bytes.extend_from_slice(b"{\"type\":\"done\",\"job\":0,\"res");
+            std::fs::write(&journal, &bytes).expect("tear journal");
+        }
+
         let opts = RecoveryOptions {
             journal: Some(journal),
             checkpoint_dir: Some(dir.clone()),
@@ -161,7 +172,7 @@ proptest! {
             compact_every: None,
         };
         let recovered =
-            run_queue_recoverable(&cluster(nodes), &specs, SchedPolicy::FairShare, &opts)
+            run_queue(&cluster(nodes), &specs, SchedPolicy::FairShare, &opts)
                 .expect("recovered run");
         prop_assert!(!recovered.crashed);
         prop_assert_eq!(
@@ -169,20 +180,31 @@ proptest! {
             &oracle.grants[..crash_at as usize],
             "recovery must preserve the journaled grant prefix"
         );
-        for (a, b) in oracle.tenants.iter().zip(&recovered.tenants) {
+        for (a, b) in oracle.reports.iter().zip(&recovered.reports) {
             prop_assert_eq!(
-                a.outcome.as_ref().expect("oracle ok"),
-                b.outcome.as_ref().expect("recovered ok"),
+                a.result.as_ref().expect("oracle ok"),
+                b.result.as_ref().expect("recovered ok"),
                 "tenant '{}' must recover byte-identically", a.name
             );
         }
         // A journaled result is replayed, never recomputed: every replayed
         // tenant reports zero stages run in the recovery leg.
-        for report in &recovered.tenants {
+        for report in &recovered.reports {
             if report.recovered {
                 prop_assert_eq!(report.stages, 0, "replayed tenant re-ran stages");
-                prop_assert_eq!(report.attempts, 0, "replayed tenant re-ran tasks");
+                prop_assert_eq!(report.stats.attempts, 0, "replayed tenant re-ran tasks");
             }
+        }
+
+        // Recovering again reads the journal the first recovery appended to
+        // (torn tail cut, `recover` marker on a line of its own): its era's
+        // grant log is what that run granted, and every result replays.
+        let again = run_queue(&cluster(nodes), &specs, SchedPolicy::FairShare, &opts)
+            .expect("second recovery");
+        prop_assert_eq!(&again.journal_grants, &recovered.grants);
+        for (a, b) in oracle.reports.iter().zip(&again.reports) {
+            prop_assert!(b.recovered, "tenant '{}' must replay from the journal", a.name);
+            prop_assert_eq!(a.result.as_ref().expect("oracle ok"), b.result.as_ref().expect("ok"));
         }
 
         let _ = std::fs::remove_dir_all(dir);
@@ -206,8 +228,7 @@ proptest! {
         case in any::<u64>(),
     ) {
         let specs = materialize(&tenants);
-        let oracle = run_queue(&cluster(nodes), &specs, SchedPolicy::FairShare)
-            .expect("oracle run");
+        let oracle = oracle_run(nodes, &specs);
         prop_assert!(oracle.grants.len() >= 2, "queue too small to crash");
         let crash_at = 1 + crash_pick % (oracle.grants.len() as u64 - 1);
 
@@ -219,7 +240,7 @@ proptest! {
             FaultPlan::none().with_crash_after_grants(crash_at),
             RetryPolicy::default(),
         );
-        let crashed = run_queue_recoverable(
+        let crashed = run_queue(
             &crash_cluster,
             &specs,
             SchedPolicy::FairShare,
@@ -277,7 +298,7 @@ proptest! {
         // Recover both: A from the untouched original, B from the
         // compacted (and possibly debris-ridden) copy.
         let recover = |journal: PathBuf, dir: PathBuf| {
-            run_queue_recoverable(
+            run_queue(
                 &cluster(nodes),
                 &specs,
                 SchedPolicy::FairShare,
@@ -307,24 +328,24 @@ proptest! {
             "compaction must preserve the journaled grant prefix"
         );
         // Byte-identical outcomes, both ways.
-        for (a, b) in rec_a.tenants.iter().zip(&rec_b.tenants) {
+        for (a, b) in rec_a.reports.iter().zip(&rec_b.reports) {
             prop_assert_eq!(
-                a.outcome.as_ref().expect("uncompacted ok"),
-                b.outcome.as_ref().expect("compacted ok"),
+                a.result.as_ref().expect("uncompacted ok"),
+                b.result.as_ref().expect("compacted ok"),
                 "tenant '{}' must recover identically through compaction", a.name
             );
         }
-        for (o, b) in oracle.tenants.iter().zip(&rec_b.tenants) {
+        for (o, b) in oracle.reports.iter().zip(&rec_b.reports) {
             prop_assert_eq!(
-                o.outcome.as_ref().expect("oracle ok"),
-                b.outcome.as_ref().expect("compacted ok"),
+                o.result.as_ref().expect("oracle ok"),
+                b.result.as_ref().expect("compacted ok"),
                 "tenant '{}' must match the oracle", o.name
             );
         }
         // Tenants replayed from the journal must match too — compaction
         // hoists done records, it never drops them.
-        let replayed_a: Vec<bool> = rec_a.tenants.iter().map(|t| t.recovered).collect();
-        let replayed_b: Vec<bool> = rec_b.tenants.iter().map(|t| t.recovered).collect();
+        let replayed_a: Vec<bool> = rec_a.reports.iter().map(|t| t.recovered).collect();
+        let replayed_b: Vec<bool> = rec_b.reports.iter().map(|t| t.recovered).collect();
         prop_assert_eq!(replayed_a, replayed_b);
 
         let _ = std::fs::remove_dir_all(dir_a);
@@ -347,7 +368,7 @@ fn copy_dir_files(src: &Path, dst: &Path) {
 /// The anchor queue, its uncrashed oracle, and the scratch dir (journal +
 /// checkpoints) a server killed two grants shy of completion left behind:
 /// at least one tenant has checkpointed stages, at least one is unfinished.
-fn late_crash(tag: &str) -> (Vec<TenantSpec>, QueueRun, PathBuf) {
+fn late_crash(tag: &str) -> (Vec<TenantSpec>, ServerRun<TenantOutcome>, PathBuf) {
     let mut specs = materialize(&[
         GenTenant {
             algo_idx: 0,
@@ -369,7 +390,7 @@ fn late_crash(tag: &str) -> (Vec<TenantSpec>, QueueRun, PathBuf) {
         },
     ]);
     specs[0].partitions = 8;
-    let oracle = run_queue(&cluster(3), &specs, SchedPolicy::FairShare).expect("oracle");
+    let oracle = oracle_run(3, &specs);
 
     let crash_at = (oracle.grants.len() as u64).saturating_sub(2).max(1);
     let dir = scratch(tag, 0);
@@ -377,7 +398,7 @@ fn late_crash(tag: &str) -> (Vec<TenantSpec>, QueueRun, PathBuf) {
         FaultPlan::none().with_crash_after_grants(crash_at),
         RetryPolicy::default(),
     );
-    let crashed = run_queue_recoverable(
+    let crashed = run_queue(
         &crash_cluster,
         &specs,
         SchedPolicy::FairShare,
@@ -399,8 +420,12 @@ fn late_crash(tag: &str) -> (Vec<TenantSpec>, QueueRun, PathBuf) {
 
 /// Restarts the server on what [`late_crash`] left in `dir` and checks the
 /// recovery leg reuses checkpoints and serves the oracle's outcomes.
-fn recover_late_crash(specs: &[TenantSpec], oracle: &QueueRun, dir: &Path) -> QueueRun {
-    let recovered = run_queue_recoverable(
+fn recover_late_crash(
+    specs: &[TenantSpec],
+    oracle: &ServerRun<TenantOutcome>,
+    dir: &Path,
+) -> ServerRun<TenantOutcome> {
+    let recovered = run_queue(
         &cluster(3),
         specs,
         SchedPolicy::FairShare,
@@ -416,10 +441,10 @@ fn recover_late_crash(specs: &[TenantSpec], oracle: &QueueRun, dir: &Path) -> Qu
         recovered.stages_recovered > 0,
         "recovery must reuse checkpoints"
     );
-    for (a, b) in oracle.tenants.iter().zip(&recovered.tenants) {
+    for (a, b) in oracle.reports.iter().zip(&recovered.reports) {
         assert_eq!(
-            a.outcome.as_ref().expect("oracle ok"),
-            b.outcome.as_ref().expect("recovered ok"),
+            a.result.as_ref().expect("oracle ok"),
+            b.result.as_ref().expect("recovered ok"),
             "tenant '{}' must recover byte-identically",
             a.name
         );
@@ -436,8 +461,8 @@ fn late_crash_resumes_from_checkpoints() {
     let recovered = recover_late_crash(&specs, &oracle, &dir);
     // Checkpoint reuse is the whole point: the recovery leg re-runs strictly
     // fewer tasks than the oracle needed for the full queue.
-    let oracle_attempts: u64 = oracle.tenants.iter().map(|t| t.attempts).sum();
-    let recovered_attempts: u64 = recovered.tenants.iter().map(|t| t.attempts).sum();
+    let oracle_attempts: u64 = oracle.reports.iter().map(|t| t.stats.attempts).sum();
+    let recovered_attempts: u64 = recovered.reports.iter().map(|t| t.stats.attempts).sum();
     assert!(
         recovered_attempts < oracle_attempts,
         "recovery re-ran {recovered_attempts} of {oracle_attempts} oracle attempts"
@@ -462,18 +487,26 @@ fn stale_partition_records_are_ignored_then_collected() {
     };
     let store = CheckpointStore::open(&dir).expect("open crashed checkpoint dir");
     for job in 0..specs.len() {
-        store
-            .save_join(
-                &format!("job{job}-cogroup_join-0-p3"),
-                &[(vec![(1u64, 2u64)], 9u64)],
-            )
-            .expect("plant partition record");
+        let keyed = |p: &Vec<(u64, u64)>| (encode_records(p), p.len() as u64);
         let stats = ShuffleStats {
             records: 5,
             ..ShuffleStats::default()
         };
         store
-            .save::<u64, u64>(&format!("job{job}-cogroup_join-0-shuffle"), &[], &stats)
+            .save(
+                &format!("job{job}-cogroup_join-0-p3"),
+                &[vec![(1u64, 2u64)]],
+                &stats,
+                keyed,
+            )
+            .expect("plant partition record");
+        store
+            .save(
+                &format!("job{job}-cogroup_join-0-shuffle"),
+                &[],
+                &stats,
+                keyed,
+            )
             .expect("plant stats record");
         assert!(stale(job).iter().all(|f| dir.join(f).exists()));
     }
@@ -482,7 +515,7 @@ fn stale_partition_records_are_ignored_then_collected() {
     let recovered = recover_late_crash(&specs, &oracle, &dir);
     // Every job that finished in the recovery leg had its scope collected.
     let finished_now: Vec<usize> = (0..specs.len())
-        .filter(|&job| !recovered.tenants[job].recovered)
+        .filter(|&job| !recovered.reports[job].recovered)
         .collect();
     assert!(!finished_now.is_empty(), "the crash left a job unfinished");
     for job in finished_now {
