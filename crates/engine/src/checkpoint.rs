@@ -1,12 +1,12 @@
-//! Stage checkpoints: durable shuffle outputs for bounded-loss recovery.
+//! Stage checkpoints: durable stage outputs for bounded-loss recovery.
 //!
 //! Every recovery path before this module re-executed from the start of the
 //! job: shuffle output lived in self-deleting temp segments, so a lost node
 //! or an injected OOM that killed a downstream stage forced the whole
-//! upstream lineage to rerun. A [`CheckpointStore`] promotes each completed
-//! shuffle stage's partition outputs to *named*, manifest-tracked
-//! [`SpillSegment`]s (same [`Wire`](crate::wire::Wire) framing the spill path
-//! already uses, so checkpoint volume and `partition_bytes` speak the same
+//! upstream lineage to rerun. A [`CheckpointStore`] writes each completed
+//! resumable stage's partitions to a *named* segment file tracked by a
+//! manifest (same [`Wire`](crate::wire::Wire) framing the spill path and the
+//! byte meters use, so checkpoint volume and `partition_bytes` speak the same
 //! unit). On retry — whether a same-process stage rerun or a recovered
 //! server process — the fault path consults the manifest first and replays
 //! only the stage that actually failed.
@@ -19,38 +19,51 @@
 //!
 //! A manifest therefore never references bytes that aren't durable, and a
 //! crash mid-write leaves either no manifest (checkpoint ignored, stage
-//! reruns) or a complete one. Loads verify per-chunk lengths and FNV-1a
+//! reruns) or a complete one. Loads verify per-chunk lengths and XXH64
 //! checksums; any mismatch deletes the pair and reports a miss, so a corrupt
 //! checkpoint degrades to recomputation, never to wrong results.
+//!
+//! The segment is written in one partition-parallel pass: partition `t`'s
+//! chunk lives at the prefix sum of `partition_bytes[..t]` — the exact
+//! encoded sizes the stage already metered — so every offset is known before
+//! a byte is encoded and workers `pwrite` their chunks independently; the
+//! file is the same as a serial append's. Loads read, verify and decode
+//! chunks on the same kind of workers.
 //!
 //! The manifest is a line-oriented text file:
 //!
 //! ```text
-//! asj-checkpoint v1
+//! asj-checkpoint v2
 //! stage=<escaped stage name>
 //! remote_bytes=<u64>
 //! local_bytes=<u64>
 //! records=<u64>
 //! partition_bytes=<csv of u64>
-//! chunk=<target>:<records>:<len>:<offset>:<fnv1a hex>
+//! chunk=<target>:<records>:<len>:<offset>:<xxh64 hex>
 //! ...
 //! end
 //! ```
 //!
-//! The trailing `end` line is the commit marker a torn manifest lacks.
+//! The trailing `end` line is the commit marker a torn manifest lacks. Any
+//! other header — `v1`, whose checksum column was FNV-1a, included — is a
+//! stale checkpoint: a miss that deletes the pair.
 
-use crate::memory::{SpillChunk, SpillSegment, SpillWriter};
 use crate::metrics::ShuffleStats;
 use crate::wire::Wire;
 use std::collections::HashMap;
+use std::fs::File;
 use std::hash::Hasher;
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-/// Streaming FNV-1a 64 — the repo's standing checksum: chunk and journal
-/// integrity, the fault-injection stage hash, the serve and bench result
-/// digests. Integers are fed little-endian so digests are platform-stable.
+/// Streaming FNV-1a 64 — the checksum of small things: journal lines and
+/// `done` records, the fault-injection stage hash, the serve and bench
+/// result digests. Integers are fed little-endian so digests are
+/// platform-stable. Checkpoint chunks, the one bulk payload, use XXH64.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -90,6 +103,80 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+const XXH_PRIME: [u64; 5] = [
+    0x9E37_79B1_85EB_CA87,
+    0xC2B2_AE3D_27D4_EB4F,
+    0x1656_67B1_9E37_79F9,
+    0x85EB_CA77_C2B2_AE63,
+    0x27D4_EB2F_1656_67C5,
+];
+
+#[inline]
+fn xxh_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(XXH_PRIME[1]))
+        .rotate_left(31)
+        .wrapping_mul(XXH_PRIME[0])
+}
+
+#[inline]
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
+}
+
+/// XXH64 with seed 0 — the per-chunk checksum of checkpoint segments. Four
+/// independent 8-byte lanes keep it at memory speed where byte-wise FNV-1a
+/// is bound by one multiply per byte. (Word-wise FNV would not do: its
+/// multiply only carries upward, so two flips of bit 63 cancel; here every
+/// word is rotated and multiplied twice before it meets the next.)
+fn xxh64(bytes: &[u8]) -> u64 {
+    let [p1, p2, p3, p4, p5] = XXH_PRIME;
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut lanes = [p1.wrapping_add(p2), p2, 0, 0u64.wrapping_sub(p1)];
+        for stripe in &mut stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le_u64(word));
+            }
+        }
+        let mixed = lanes[0]
+            .rotate_left(1)
+            .wrapping_add(lanes[1].rotate_left(7))
+            .wrapping_add(lanes[2].rotate_left(12))
+            .wrapping_add(lanes[3].rotate_left(18));
+        lanes.iter().fold(mixed, |h, &lane| {
+            (h ^ xxh_round(0, lane)).wrapping_mul(p1).wrapping_add(p4)
+        })
+    } else {
+        p5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ xxh_round(0, le_u64(word)))
+            .rotate_left(27)
+            .wrapping_mul(p1)
+            .wrapping_add(p4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let (half, rest) = tail.split_at(4);
+        let half = u32::from_le_bytes(half.try_into().expect("a 4-byte word"));
+        h = (h ^ u64::from(half).wrapping_mul(p1))
+            .rotate_left(23)
+            .wrapping_mul(p2)
+            .wrapping_add(p3);
+        tail = rest;
+    }
+    for &byte in tail {
+        h = (h ^ u64::from(byte).wrapping_mul(p5))
+            .rotate_left(11)
+            .wrapping_mul(p1);
+    }
+    h = (h ^ (h >> 33)).wrapping_mul(p2);
+    h = (h ^ (h >> 29)).wrapping_mul(p3);
+    h ^ (h >> 32)
+}
+
 /// Replaces any character that could upset a filename with `_`. Checkpoint
 /// keys embed stage names (which carry `:` prefixes like `job:3:shuffle`).
 fn sanitize(s: &str) -> String {
@@ -98,11 +185,16 @@ fn sanitize(s: &str) -> String {
         .collect()
 }
 
-/// One partition as a checkpoint stores it: its encoded bytes and the number
-/// of records in them. The shuffle and the join phase differ only in how a
-/// partition becomes a chunk and back (`encode_records` / `decode_records`
-/// for keyed records; accumulator-then-records for a join partition).
-pub type Chunk = (Vec<u8>, u64);
+/// Wall time a [`CheckpointStore`] has spent so far, by step: the parallel
+/// encode + checksum + write pass, the segments' `sync_all`, formatting and
+/// publishing manifests, retention GC.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckpointTimes {
+    pub write: Duration,
+    pub fsync: Duration,
+    pub manifest: Duration,
+    pub gc: Duration,
+}
 
 /// A directory of stage checkpoints plus the obs counters the recovery
 /// benchmark reports. Shared (via `Arc`) by every clone of a
@@ -112,6 +204,113 @@ pub struct CheckpointStore {
     dir: PathBuf,
     checkpoint_bytes: AtomicU64,
     stages_recovered: AtomicU64,
+    times: Mutex<CheckpointTimes>,
+}
+
+/// Runs `work(t, scratch)` for every `t < n` on up to `threads` scoped
+/// workers (the caller is one of them) that claim indices from a shared
+/// counter; `scratch` is the worker's one reusable buffer. Returns the
+/// results positionally, or an error — after which no further index is
+/// claimed.
+fn on_workers<T: Send>(
+    n: usize,
+    threads: usize,
+    work: impl Fn(usize, &mut Vec<u8>) -> io::Result<T> + Sync,
+) -> io::Result<Vec<T>> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let (mut scratch, mut done) = (Vec::new(), Vec::new());
+        loop {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            if t >= n {
+                return Ok(done);
+            }
+            match work(t, &mut scratch) {
+                Ok(value) => done.push((t, value)),
+                Err(e) => {
+                    next.store(n, Ordering::Relaxed);
+                    return Err(e);
+                }
+            }
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads.min(n)).map(|_| scope.spawn(worker)).collect();
+        let mut done = worker()?;
+        for handle in spawned {
+            done.extend(handle.join().expect("checkpoint worker panicked")?);
+        }
+        Ok::<_, io::Error>(done)
+    })?;
+    done.sort_unstable_by_key(|&(t, _)| t);
+    Ok(done.into_iter().map(|(_, value)| value).collect())
+}
+
+fn invalid(why: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, why)
+}
+
+/// One `chunk=` line of a manifest; its target is its position.
+struct ManifestChunk {
+    records: u64,
+    len: u64,
+    offset: u64,
+    checksum: u64,
+}
+
+/// Parses the manifest of `key`: the positional chunk index plus the recorded
+/// stats. Any irregularity — another version's header included — is `None`.
+fn parse_manifest(key: &str, text: &str) -> Option<(Vec<ManifestChunk>, ShuffleStats)> {
+    let mut lines = text.lines();
+    if lines.next()? != "asj-checkpoint v2" {
+        return None;
+    }
+    let mut shuffle = ShuffleStats::default();
+    let mut chunks: Vec<ManifestChunk> = Vec::new();
+    for line in lines {
+        if line == "end" {
+            return Some((chunks, shuffle));
+        }
+        let (field, value) = line.split_once('=')?;
+        match field {
+            "stage" => {
+                if value != key {
+                    return None;
+                }
+            }
+            "remote_bytes" => shuffle.remote_bytes = value.parse().ok()?,
+            "local_bytes" => shuffle.local_bytes = value.parse().ok()?,
+            "records" => shuffle.records = value.parse().ok()?,
+            "partition_bytes" => {
+                if !value.is_empty() {
+                    shuffle.partition_bytes = value
+                        .split(',')
+                        .map(|v| v.parse().ok())
+                        .collect::<Option<Vec<u64>>>()?;
+                }
+            }
+            "chunk" => {
+                let parts: Vec<&str> = value.split(':').collect();
+                let [target, records, len, offset, sum] = parts.as_slice() else {
+                    return None;
+                };
+                // Chunks are listed in target order (0..partitions), so the
+                // rebuilt vector is positional.
+                if target.parse() != Ok(chunks.len()) {
+                    return None;
+                }
+                chunks.push(ManifestChunk {
+                    records: records.parse().ok()?,
+                    len: len.parse().ok()?,
+                    offset: offset.parse().ok()?,
+                    checksum: u64::from_str_radix(sum, 16).ok()?,
+                });
+            }
+            _ => return None,
+        }
+    }
+    // No `end`: a torn manifest.
+    None
 }
 
 impl CheckpointStore {
@@ -125,6 +324,7 @@ impl CheckpointStore {
             dir,
             checkpoint_bytes: AtomicU64::new(0),
             stages_recovered: AtomicU64::new(0),
+            times: Mutex::default(),
         };
         store.sweep_orphans()?;
         Ok(store)
@@ -153,6 +353,10 @@ impl CheckpointStore {
         self.dir.join(format!("{key}.manifest"))
     }
 
+    fn manifest_tmp_path(&self, key: &str) -> PathBuf {
+        self.dir.join(format!("{key}.manifest.tmp"))
+    }
+
     /// Deletes `*.manifest.tmp` debris and `*.seg` files whose manifest never
     /// committed — both are artifacts of a crash between steps 1 and 2 of
     /// the durability protocol and can never be loaded.
@@ -173,56 +377,102 @@ impl CheckpointStore {
         Ok(())
     }
 
+    /// Wall time spent in `save` and `gc_scope` so far, by step.
+    pub fn times(&self) -> CheckpointTimes {
+        *self.times.lock().expect("checkpoint times poisoned")
+    }
+
     /// Persists one completed stage's partition outputs under `key`: one
     /// chunk per partition (empty partitions included, so `load` rebuilds the
-    /// exact partition vector), `encode` turning a partition into its
-    /// [`Chunk`]. `shuffle` is what the manifest records beside the chunks —
-    /// the stage's byte meters. Returns the segment bytes written.
-    pub fn save<P>(
+    /// exact partition vector). `encode` appends a partition's encoding to
+    /// the buffer it is handed and returns the partition's record count;
+    /// `shuffle` is what the manifest records beside the chunks — the
+    /// stage's byte meters, whose `partition_bytes` must be the exact encoded
+    /// size of every partition: chunk offsets are their prefix sums, which is
+    /// what lets up to `threads` workers encode, checksum and write chunks
+    /// independently. Returns the segment bytes written. A failed save
+    /// leaves nothing of `key` on disk.
+    pub fn save<P: Sync>(
         &self,
         key: &str,
         parts: &[P],
         shuffle: &ShuffleStats,
-        encode: impl Fn(&P) -> Chunk,
-    ) -> std::io::Result<u64> {
-        let mut writer = SpillWriter::create_at(self.seg_path(key))?;
-        let mut checksums: Vec<u64> = Vec::with_capacity(parts.len());
-        for (target, part) in parts.iter().enumerate() {
-            let (bytes, records) = encode(part);
-            checksums.push(fnv1a(&bytes));
-            writer.write_chunk(target, &bytes, records)?;
-        }
-        let written = writer.bytes_written();
-        // `finish` returns None only when no chunk was written: a
-        // zero-partition stage commits manifest-only.
-        let mut segment = writer.finish()?;
-        let chunks = match &mut segment {
-            Some(segment) => {
-                segment.persist()?;
-                segment.chunks()
-            }
-            None => &[],
-        };
+        threads: usize,
+        encode: impl Fn(&P, &mut Vec<u8>) -> u64 + Sync,
+    ) -> io::Result<u64> {
+        self.write_pair(key, parts, shuffle, threads, encode)
+            // Whatever was written is unreferenced or half-published.
+            .inspect_err(|_| self.remove(key))
+    }
 
-        let mut text = String::from("asj-checkpoint v1\n");
-        text.push_str(&format!("stage={key}\n"));
-        text.push_str(&format!("remote_bytes={}\n", shuffle.remote_bytes));
-        text.push_str(&format!("local_bytes={}\n", shuffle.local_bytes));
-        text.push_str(&format!("records={}\n", shuffle.records));
-        let pb: Vec<String> = shuffle
-            .partition_bytes
-            .iter()
-            .map(|b| b.to_string())
-            .collect();
-        text.push_str(&format!("partition_bytes={}\n", pb.join(",")));
-        for chunk in chunks {
+    /// Unlinks everything `key` can have on disk — segment before manifest,
+    /// the crash-safe order of [`CheckpointStore::gc_scope`].
+    fn remove(&self, key: &str) {
+        let _ = std::fs::remove_file(self.seg_path(key));
+        let _ = std::fs::remove_file(self.manifest_tmp_path(key));
+        let _ = std::fs::remove_file(self.manifest_path(key));
+    }
+
+    /// Steps 1 and 2 of the durability protocol (module docs), and the books.
+    fn write_pair<P: Sync>(
+        &self,
+        key: &str,
+        parts: &[P],
+        shuffle: &ShuffleStats,
+        threads: usize,
+        encode: impl Fn(&P, &mut Vec<u8>) -> u64 + Sync,
+    ) -> io::Result<u64> {
+        let lens = &shuffle.partition_bytes;
+        if lens.len() != parts.len() {
+            let (parts, lens) = (parts.len(), lens.len());
+            return Err(invalid(format!(
+                "{parts} partitions, {lens} partition_bytes"
+            )));
+        }
+        let mut offsets = Vec::with_capacity(lens.len());
+        let mut written = 0u64;
+        for len in lens {
+            offsets.push(written);
+            written += len;
+        }
+        let start = Instant::now();
+        let (mut write, mut fsync) = (Duration::ZERO, Duration::ZERO);
+        // (records, checksum) per chunk. A zero-partition stage commits
+        // manifest-only.
+        let mut chunks: Vec<(u64, u64)> = Vec::new();
+        if !parts.is_empty() {
+            let file = File::create(self.seg_path(key))?;
+            chunks = on_workers(parts.len(), threads, |t, buf| {
+                buf.clear();
+                buf.reserve(lens[t] as usize);
+                let records = encode(&parts[t], buf);
+                if buf.len() as u64 != lens[t] {
+                    let (got, metered) = (buf.len(), lens[t]);
+                    return Err(invalid(format!(
+                        "partition {t}: {got} bytes, metered {metered}"
+                    )));
+                }
+                file.write_all_at(buf, offsets[t])?;
+                Ok((records, xxh64(buf)))
+            })?;
+            write = start.elapsed();
+            file.sync_all()?;
+            fsync = start.elapsed() - write;
+        }
+
+        let pb: Vec<String> = lens.iter().map(|b| b.to_string()).collect();
+        let mut text = format!(
+            "asj-checkpoint v2\nstage={key}\nremote_bytes={}\nlocal_bytes={}\nrecords={}\n\
+             partition_bytes={}\n",
+            shuffle.remote_bytes,
+            shuffle.local_bytes,
+            shuffle.records,
+            pb.join(",")
+        );
+        for (target, (records, checksum)) in chunks.iter().enumerate() {
+            let (len, offset) = (lens[target], offsets[target]);
             text.push_str(&format!(
-                "chunk={}:{}:{}:{}:{:016x}\n",
-                chunk.target,
-                chunk.records,
-                chunk.len,
-                chunk.offset(),
-                checksums[chunk.target],
+                "chunk={target}:{records}:{len}:{offset}:{checksum:016x}\n"
             ));
         }
         text.push_str("end\n");
@@ -230,125 +480,68 @@ impl CheckpointStore {
         // manifest never references bytes that are not durable.
         crate::journal::publish_atomically(
             &self.manifest_path(key),
-            &self.dir.join(format!("{key}.manifest.tmp")),
+            &self.manifest_tmp_path(key),
             text.as_bytes(),
         )?;
+        let mut times = self.times.lock().expect("checkpoint times poisoned");
+        times.write += write;
+        times.fsync += fsync;
+        times.manifest += start.elapsed() - write - fsync;
         self.checkpoint_bytes.fetch_add(written, Ordering::Relaxed);
         Ok(written)
     }
 
-    /// Loads the checkpoint `key` of a stage with `expected` partitions,
-    /// `decode` turning each verified [`Chunk`] back into a partition.
+    /// Loads the checkpoint `key` of a stage with `expected` partitions:
+    /// up to `threads` workers read every chunk back, verify its length and
+    /// XXH64 checksum and hand it (bytes and record count) to `decode`.
     /// `Ok(None)` when `key` was never committed or failed verification —
-    /// torn manifest, checksum or length mismatch, undecodable chunk, a
-    /// partition count other than `expected` (a stale checkpoint from a
-    /// different plan shape must never misalign partitions). A failed pair is
-    /// deleted so the stage recomputes and re-checkpoints cleanly. I/O
-    /// errors other than "not there" still surface.
-    pub fn load<P>(
+    /// torn or foreign-version manifest, checksum or length mismatch,
+    /// undecodable chunk, a partition count other than `expected` (a stale
+    /// checkpoint from a different plan shape must never misalign
+    /// partitions). A failed pair is deleted so the stage recomputes and
+    /// re-checkpoints cleanly. I/O errors other than "not there" still
+    /// surface.
+    pub fn load<P: Send>(
         &self,
         key: &str,
         expected: usize,
-        decode: impl Fn(&[u8], u64) -> Option<P>,
-    ) -> std::io::Result<Option<(Vec<P>, ShuffleStats)>> {
-        let manifest_path = self.manifest_path(key);
-        let text = match std::fs::read_to_string(&manifest_path) {
+        threads: usize,
+        decode: impl Fn(&[u8], u64) -> Option<P> + Sync,
+    ) -> io::Result<Option<(Vec<P>, ShuffleStats)>> {
+        let text = match std::fs::read_to_string(self.manifest_path(key)) {
             Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        let decoded = self
-            .verified_chunks(key, &text)
+        let decoded = parse_manifest(key, &text)
             .filter(|(chunks, _)| chunks.len() == expected)
             .and_then(|(chunks, shuffle)| {
-                let parts = chunks
-                    .iter()
-                    .map(|(bytes, records)| decode(bytes, *records))
-                    .collect::<Option<Vec<P>>>()?;
-                Some((parts, shuffle))
+                if chunks.is_empty() {
+                    return Some((Vec::new(), shuffle));
+                }
+                let file = File::open(self.seg_path(key)).ok()?;
+                // A corrupt `len` must not size an allocation: no chunk is
+                // longer than its file.
+                let file_len = file.metadata().ok()?.len();
+                let damaged = || io::Error::from(io::ErrorKind::InvalidData);
+                let parts = on_workers(chunks.len(), threads, |t, buf| {
+                    let chunk = &chunks[t];
+                    if chunk.len > file_len {
+                        return Err(damaged());
+                    }
+                    buf.resize(chunk.len as usize, 0);
+                    file.read_exact_at(buf, chunk.offset)?;
+                    if xxh64(buf) != chunk.checksum {
+                        return Err(damaged());
+                    }
+                    decode(buf, chunk.records).ok_or_else(damaged)
+                });
+                Some((parts.ok()?, shuffle))
             });
         if decoded.is_none() {
-            let _ = std::fs::remove_file(&manifest_path);
-            let _ = std::fs::remove_file(self.seg_path(key));
+            self.remove(key);
         }
         Ok(decoded)
-    }
-
-    /// Parses a manifest and reads back every chunk's raw bytes, verifying
-    /// lengths and FNV-1a checksums. Returns the positional chunks plus the
-    /// recorded stats; any irregularity is `None`.
-    fn verified_chunks(&self, key: &str, text: &str) -> Option<(Vec<Chunk>, ShuffleStats)> {
-        let mut lines = text.lines();
-        if lines.next()? != "asj-checkpoint v1" {
-            return None;
-        }
-        let mut shuffle = ShuffleStats::default();
-        let mut chunks: Vec<(SpillChunk, u64)> = Vec::new();
-        let mut committed = false;
-        for line in lines {
-            if line == "end" {
-                committed = true;
-                break;
-            }
-            let (field, value) = line.split_once('=')?;
-            match field {
-                "stage" => {
-                    if value != key {
-                        return None;
-                    }
-                }
-                "remote_bytes" => shuffle.remote_bytes = value.parse().ok()?,
-                "local_bytes" => shuffle.local_bytes = value.parse().ok()?,
-                "records" => shuffle.records = value.parse().ok()?,
-                "partition_bytes" => {
-                    if !value.is_empty() {
-                        shuffle.partition_bytes = value
-                            .split(',')
-                            .map(|v| v.parse().ok())
-                            .collect::<Option<Vec<u64>>>()?;
-                    }
-                }
-                "chunk" => {
-                    let parts: Vec<&str> = value.split(':').collect();
-                    let [target, records, len, offset, sum] = parts.as_slice() else {
-                        return None;
-                    };
-                    chunks.push((
-                        SpillChunk::new(
-                            target.parse().ok()?,
-                            records.parse().ok()?,
-                            len.parse().ok()?,
-                            offset.parse().ok()?,
-                        ),
-                        u64::from_str_radix(sum, 16).ok()?,
-                    ));
-                }
-                _ => return None,
-            }
-        }
-        if !committed {
-            return None;
-        }
-        if chunks.is_empty() {
-            return Some((Vec::new(), shuffle));
-        }
-        let segment =
-            SpillSegment::open(self.seg_path(key), chunks.iter().map(|(c, _)| *c).collect())
-                .ok()?;
-        let mut parts: Vec<Chunk> = Vec::with_capacity(chunks.len());
-        for (chunk, expected_sum) in &chunks {
-            // Chunks are written in target order (0..parts.len()), so the
-            // rebuilt vector is positional.
-            if chunk.target != parts.len() {
-                return None;
-            }
-            let bytes = segment.read_chunk(chunk).ok()?;
-            if bytes.len() as u64 != chunk.len || fnv1a(&bytes) != *expected_sum {
-                return None;
-            }
-            parts.push((bytes, chunk.records));
-        }
-        Some((parts, shuffle))
     }
 
     /// Retention GC: unlinks every checkpoint whose key belongs to `scope`
@@ -366,6 +559,7 @@ impl CheckpointStore {
     /// makes even that unnecessary), never to data loss. Returns the bytes
     /// reclaimed.
     pub fn gc_scope(&self, scope: &str) -> std::io::Result<u64> {
+        let start = Instant::now();
         let prefix = format!("{}-", sanitize(scope));
         let mut keys: Vec<String> = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
@@ -389,6 +583,7 @@ impl CheckpointStore {
                 }
             }
         }
+        self.times.lock().expect("checkpoint times poisoned").gc += start.elapsed();
         Ok(reclaimed)
     }
 
@@ -416,16 +611,17 @@ pub(crate) fn join_part_size<R: Wire, A: Wire>((out, acc): &(Vec<R>, A)) -> usiz
 }
 
 /// Frames one join partition for checkpointing: the fold accumulator first,
-/// then the emitted records back to back (the chunk's record count delimits
-/// them on decode).
-pub(crate) fn encode_join_part<R: Wire, A: Wire>(part: &(Vec<R>, A)) -> Chunk {
-    let (out, acc) = part;
-    let mut buf = Vec::with_capacity(join_part_size(part));
-    acc.encode(&mut buf);
+/// then the emitted records back to back (the returned record count
+/// delimits them on decode).
+pub(crate) fn encode_join_part<R: Wire, A: Wire>(
+    (out, acc): &(Vec<R>, A),
+    buf: &mut Vec<u8>,
+) -> u64 {
+    acc.encode(buf);
     for r in out {
-        r.encode(&mut buf);
+        r.encode(buf);
     }
-    (buf, out.len() as u64)
+    out.len() as u64
 }
 
 /// Inverse of [`encode_join_part`]; trailing bytes are corruption, `None`.
@@ -502,19 +698,28 @@ impl CheckpointCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{decode_records, encode_records};
+    use crate::memory::{decode_records, encode_records, encode_records_into};
+    use proptest::prelude::*;
 
     type Records = Vec<(u64, Vec<u8>)>;
     type JoinPart = (Vec<(u64, u64)>, (u64, u64));
 
-    /// The keyed-records shape, as `KeyedDataset::shuffle_stage` saves it.
+    /// The keyed-records codec, as `KeyedDataset::shuffle_stage` passes it.
+    fn encode_part(part: &Records, buf: &mut Vec<u8>) -> u64 {
+        encode_records_into(part, buf)
+    }
+
     fn save_records(
         store: &CheckpointStore,
         key: &str,
         parts: &[Records],
         stats: &ShuffleStats,
-    ) -> std::io::Result<u64> {
-        store.save(key, parts, stats, |p| (encode_records(p), p.len() as u64))
+    ) -> io::Result<u64> {
+        store.save(key, parts, stats, 2, encode_part)
+    }
+
+    fn put_join(store: &CheckpointStore, key: &str, parts: &[JoinPart]) -> io::Result<u64> {
+        store.save(key, parts, &join_stats(parts), 2, encode_join_part)
     }
 
     fn load_records(
@@ -523,13 +728,24 @@ mod tests {
         expected: usize,
     ) -> Option<(Vec<Records>, ShuffleStats)> {
         store
-            .load(key, expected, |b, n| decode_records(b, n).ok())
+            .load(key, expected, 2, |b, n| decode_records(b, n).ok())
             .expect("load")
     }
 
     fn join_parts(store: &CheckpointStore, key: &str, expected: usize) -> Option<Vec<JoinPart>> {
-        let hit = store.load(key, expected, decode_join_part).expect("load");
+        let hit = store
+            .load(key, expected, 2, decode_join_part)
+            .expect("load");
         hit.map(|(parts, _)| parts)
+    }
+
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("list dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     fn test_dir(tag: &str) -> PathBuf {
@@ -555,13 +771,32 @@ mod tests {
         ]
     }
 
-    fn sample_stats() -> ShuffleStats {
+    /// Byte meters around `partition_bytes`, which `save` takes as the exact
+    /// encoded size of every partition.
+    fn stats_of(partition_bytes: Vec<u64>) -> ShuffleStats {
         ShuffleStats {
             remote_bytes: 1234,
             local_bytes: 567,
             records: 3,
-            partition_bytes: vec![31, 0, 36],
+            partition_bytes,
         }
+    }
+
+    fn records_stats(parts: &[Records]) -> ShuffleStats {
+        stats_of(
+            parts
+                .iter()
+                .map(|p| encode_records(p).len() as u64)
+                .collect(),
+        )
+    }
+
+    fn join_stats(parts: &[JoinPart]) -> ShuffleStats {
+        stats_of(parts.iter().map(|p| join_part_size(p) as u64).collect())
+    }
+
+    fn sample_stats() -> ShuffleStats {
+        records_stats(&sample_parts())
     }
 
     #[test]
@@ -599,7 +834,7 @@ mod tests {
         /// What is wrong, how to cause it, and how many partitions the
         /// loader expects beyond the three saved.
         type Damage = (&'static str, fn(&Path), usize);
-        const DAMAGE: [Damage; 5] = [
+        const DAMAGE: [Damage; 7] = [
             (
                 "flipped segment byte",
                 |dir| {
@@ -626,6 +861,35 @@ mod tests {
                 0,
             ),
             ("chunk count != expected partitions", |_| {}, 1),
+            (
+                "the previous format's header",
+                |dir| {
+                    edit_manifest(dir, |t| {
+                        t.replace("asj-checkpoint v2\n", "asj-checkpoint v1\n")
+                    })
+                },
+                0,
+            ),
+            (
+                "FNV-1a in the checksum column",
+                |dir| {
+                    let seg = std::fs::read(dir.join("k.seg")).expect("read seg");
+                    edit_manifest(dir, |t| {
+                        let lines = t.lines().map(|line| {
+                            let Some(chunk) = line.strip_prefix("chunk=") else {
+                                return format!("{line}\n");
+                            };
+                            let f: Vec<&str> = chunk.split(':').collect();
+                            let (len, offset): (usize, usize) =
+                                (f[2].parse().expect("len"), f[3].parse().expect("offset"));
+                            let sum = fnv1a(&seg[offset..offset + len]);
+                            format!("chunk={}:{}:{len}:{offset}:{sum:016x}\n", f[0], f[1])
+                        });
+                        lines.collect()
+                    });
+                },
+                0,
+            ),
         ];
         fn check(
             shape: &str,
@@ -657,9 +921,7 @@ mod tests {
         check(
             "join",
             |store| {
-                store
-                    .save("k", &sample_join_parts(), &sample_stats(), encode_join_part)
-                    .expect("save");
+                put_join(store, "k", &sample_join_parts()).expect("save");
             },
             |store, expected| join_parts(store, "k", expected).is_some(),
         );
@@ -718,9 +980,7 @@ mod tests {
         let dir = test_dir("join-roundtrip");
         let store = CheckpointStore::open(&dir).expect("open");
         let parts = sample_join_parts();
-        let bytes = store
-            .save("job0-join-0", &parts, &sample_stats(), encode_join_part)
-            .expect("save");
+        let bytes = put_join(&store, "job0-join-0", &parts).expect("save");
         assert!(bytes > 0);
         let got = join_parts(&store, "job0-join-0", 3).expect("hit");
         assert_eq!(got, parts, "join outputs and accumulators round-trip");
@@ -731,7 +991,7 @@ mod tests {
     fn zero_partition_checkpoint_commits_manifest_only() {
         let dir = test_dir("manifest-only");
         let store = CheckpointStore::open(&dir).expect("open");
-        let stats = sample_stats();
+        let stats = stats_of(Vec::new());
         save_records(&store, "k", &[], &stats).expect("save");
         assert!(!dir.join("k.seg").exists(), "no chunk, no segment");
         let (parts, got) = load_records(&store, "k", 0).expect("hit");
@@ -789,5 +1049,249 @@ mod tests {
     fn fnv_matches_reference_vectors() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn xxh64_matches_reference_vectors() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    /// XXH64 (seed 0) transcribed from the specification with an explicit
+    /// cursor: no iterators, no shared helpers.
+    fn xxh64_by_the_book(data: &[u8]) -> u64 {
+        const P1: u64 = 11400714785074694791;
+        const P2: u64 = 14029467366897019727;
+        const P3: u64 = 1609587929392839161;
+        const P4: u64 = 9650029242287828579;
+        const P5: u64 = 2870177450012600261;
+        let word = |at: usize| {
+            let mut w = 0u64;
+            for i in 0..8 {
+                w |= u64::from(data[at + i]) << (8 * i);
+            }
+            w
+        };
+        let round = |acc: u64, w: u64| {
+            acc.wrapping_add(w.wrapping_mul(P2))
+                .rotate_left(31)
+                .wrapping_mul(P1)
+        };
+        let (n, mut at) = (data.len(), 0);
+        let mut h = P5;
+        if n >= 32 {
+            let mut v = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+            while at + 32 <= n {
+                for (i, lane) in v.iter_mut().enumerate() {
+                    *lane = round(*lane, word(at + 8 * i));
+                }
+                at += 32;
+            }
+            h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            for lane in v {
+                h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+            }
+        }
+        h = h.wrapping_add(n as u64);
+        while at + 8 <= n {
+            h = (h ^ round(0, word(at)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            at += 8;
+        }
+        if at + 4 <= n {
+            let half = (0..4).fold(0u64, |w, i| w | u64::from(data[at + i]) << (8 * i));
+            h = (h ^ half.wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            at += 4;
+        }
+        while at < n {
+            h = (h ^ u64::from(data[at]).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+            at += 1;
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+
+    /// Every lane and tail boundary (4, 8, 32, 64 and their neighbours).
+    #[test]
+    fn xxh64_agrees_with_the_specification_at_every_length() {
+        let data: Vec<u8> = (0..70u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                xxh64(&data[..len]),
+                xxh64_by_the_book(&data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    proptest! {
+        /// The damage a checksum is there to catch, including the two that
+        /// defeat word-wise FNV (paired top-bit flips) and any plain sum
+        /// (reordered words).
+        #[test]
+        fn xxh64_notices_flips_swaps_and_truncation(
+            data in prop::collection::vec(any::<u8>(), 16..200),
+            at in any::<usize>(),
+            other in any::<usize>(),
+        ) {
+            let digest = xxh64(&data);
+            prop_assert_eq!(digest, xxh64_by_the_book(&data));
+
+            let mut flipped = data.clone();
+            flipped[at % data.len()] ^= 1 << (other % 8);
+            prop_assert!(xxh64(&flipped) != digest, "one flipped bit");
+
+            let words = data.len() / 8;
+            let (a, b) = (at % words, other % words);
+            if a != b {
+                let mut top = data.clone();
+                top[8 * a + 7] ^= 0x80;
+                top[8 * b + 7] ^= 0x80;
+                prop_assert!(xxh64(&top) != digest, "bit 63 of two words");
+
+                let mut swapped = data.clone();
+                for i in 0..8 {
+                    swapped.swap(8 * a + i, 8 * b + i);
+                }
+                if swapped != data {
+                    prop_assert!(xxh64(&swapped) != digest, "two words swapped");
+                }
+            }
+
+            prop_assert!(xxh64(&data[..at % data.len()]) != digest, "truncation");
+        }
+    }
+
+    /// What a serial append of `encode_records` chunks would have written:
+    /// the segment bytes and the manifest text.
+    fn serial_reference(key: &str, parts: &[Records], stats: &ShuffleStats) -> (Vec<u8>, String) {
+        let mut segment = Vec::new();
+        let mut chunk_lines = String::new();
+        for (target, part) in parts.iter().enumerate() {
+            let bytes = encode_records(part);
+            chunk_lines.push_str(&format!(
+                "chunk={target}:{}:{}:{}:{:016x}\n",
+                part.len(),
+                bytes.len(),
+                segment.len(),
+                xxh64(&bytes)
+            ));
+            segment.extend_from_slice(&bytes);
+        }
+        let pb: Vec<String> = stats.partition_bytes.iter().map(u64::to_string).collect();
+        let manifest = format!(
+            "asj-checkpoint v2\nstage={key}\nremote_bytes={}\nlocal_bytes={}\nrecords={}\n\
+             partition_bytes={}\n{chunk_lines}end\n",
+            stats.remote_bytes,
+            stats.local_bytes,
+            stats.records,
+            pb.join(",")
+        );
+        (segment, manifest)
+    }
+
+    #[test]
+    fn the_files_do_not_depend_on_the_worker_count() {
+        let dir = test_dir("workers");
+        let store = CheckpointStore::open(&dir).expect("open");
+        let parts: Vec<Records> = (0..23u64)
+            .map(|t| {
+                (0..(t * 7) % 11)
+                    .map(|i| (t * 100 + i, vec![(t + i) as u8; ((t * i) % 40) as usize]))
+                    .collect()
+            })
+            .collect();
+        let stats = records_stats(&parts);
+        let (segment, manifest) = serial_reference("k", &parts, &stats);
+        for threads in [1, 2, 7] {
+            let bytes = store
+                .save("k", &parts, &stats, threads, encode_part)
+                .expect("save");
+            assert_eq!(bytes, segment.len() as u64);
+            assert_eq!(std::fs::read(dir.join("k.seg")).expect("seg"), segment);
+            assert_eq!(
+                std::fs::read_to_string(dir.join("k.manifest")).expect("manifest"),
+                manifest
+            );
+            let hit = store.load("k", parts.len(), threads, |b, n| decode_records(b, n).ok());
+            assert_eq!(hit.expect("load"), Some((parts.clone(), stats.clone())));
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    proptest! {
+        /// Any partition shape — empty partitions, a single one, none at all
+        /// (the manifest-only commit), fewer than the workers — round-trips,
+        /// in both payload shapes.
+        #[test]
+        fn any_partition_shape_round_trips(
+            shape in prop::collection::vec(prop::collection::vec((any::<u64>(), 0usize..40), 0..6), 0..9),
+            threads in 1usize..12,
+        ) {
+            let dir = test_dir("shapes");
+            let store = CheckpointStore::open(&dir).expect("open");
+            let records: Vec<Records> = shape
+                .iter()
+                .map(|part| part.iter().map(|&(k, n)| (k, vec![k as u8; n])).collect())
+                .collect();
+            let stats = records_stats(&records);
+            store.save("r", &records, &stats, threads, encode_part).expect("save records");
+            let hit = store.load("r", records.len(), threads, |b, n| decode_records(b, n).ok());
+            prop_assert_eq!(hit.expect("load records"), Some((records, stats)));
+
+            let joins: Vec<JoinPart> = shape
+                .iter()
+                .map(|part| {
+                    let out: Vec<(u64, u64)> = part.iter().map(|&(k, n)| (k, n as u64)).collect();
+                    (out, (part.len() as u64, 7))
+                })
+                .collect();
+            let stats = join_stats(&joins);
+            store.save("j", &joins, &stats, threads, encode_join_part).expect("save join");
+            let hit = store.load("j", joins.len(), threads, decode_join_part);
+            prop_assert_eq!(hit.expect("load join"), Some((joins, stats)));
+            prop_assert_eq!(dir.join("r.seg").exists(), !shape.is_empty());
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
+    }
+
+    /// A chunk that does not encode to its metered size would land on its
+    /// neighbour's bytes: the save fails instead and leaves nothing behind.
+    #[test]
+    fn a_chunk_longer_than_metered_fails_the_save_cleanly() {
+        let dir = test_dir("overlong");
+        let store = CheckpointStore::open(&dir).expect("open");
+        let one_byte_more = |part: &Records, buf: &mut Vec<u8>| {
+            buf.push(0);
+            encode_part(part, buf)
+        };
+        let saved = store.save("k", &sample_parts(), &sample_stats(), 2, one_byte_more);
+        assert_eq!(
+            saved.expect_err("must fail").kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert_eq!(files_in(&dir), Vec::<String>::new());
+        assert_eq!(store.checkpoint_bytes(), 0);
+        assert!(load_records(&store, "k", 3).is_none());
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -1,6 +1,6 @@
 use crate::bufpool::BufferPool;
 use crate::checkpoint::{
-    decode_join_part, encode_join_part, join_part_size, CheckpointCtx, CheckpointStore, Chunk,
+    decode_join_part, encode_join_part, join_part_size, CheckpointCtx, CheckpointStore,
 };
 use crate::fault::{FaultContext, FaultPlan, JobError, RetryPolicy};
 use crate::jobs::JobGate;
@@ -10,7 +10,7 @@ use crate::metrics::{ExecStats, ShuffleStats};
 use crate::pool::run_stage;
 use crate::wire::Wire;
 use asj_core::KernelCostModel;
-use asj_obs::Recorder;
+use asj_obs::{Attrs, Lane, Recorder};
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -183,15 +183,21 @@ impl Cluster {
     /// scheduling quantum, so grant logs replay identically on recovery, but
     /// no simulated busy time accrues. Otherwise — miss, corrupt or stale
     /// checkpoint, checkpoint I/O trouble — `compute` runs and its output is
-    /// saved, counted and journaled; a failed save never fails the stage, it
-    /// just stays non-resumable. Without a store this is `compute()`.
+    /// saved (on this handle's host threads), counted, timed and journaled; a
+    /// failed save never fails the stage, it is counted and the stage stays
+    /// non-resumable. Without a store this is `compute()`.
     ///
-    /// `codec` is the stage's partition ⇄ [`Chunk`] pair.
-    pub(crate) fn checkpointed<P>(
+    /// `codec` is the stage's partition ⇄ chunk pair: append a partition's
+    /// encoding to a buffer and return its record count; rebuild a partition
+    /// from a chunk's bytes and record count.
+    pub(crate) fn checkpointed<P: Send + Sync>(
         &self,
         stage: &str,
         expected: usize,
-        codec: (impl Fn(&P) -> Chunk, impl Fn(&[u8], u64) -> Option<P>),
+        codec: (
+            impl Fn(&P, &mut Vec<u8>) -> u64 + Sync,
+            impl Fn(&[u8], u64) -> Option<P> + Sync,
+        ),
         compute: impl FnOnce() -> Result<(Vec<P>, ShuffleStats, ExecStats), JobError>,
     ) -> Result<(Vec<P>, ShuffleStats, ExecStats), JobError> {
         let Some(ck) = self.checkpoint.as_deref() else {
@@ -199,9 +205,10 @@ impl Cluster {
         };
         let (encode, decode) = codec;
         let key = ck.next_key(stage);
+        let threads = self.config.threads;
         // A stage without partitions has nothing to replay.
         if expected > 0 {
-            if let Ok(Some((parts, shuffle))) = ck.store().load(&key, expected, decode) {
+            if let Ok(Some((parts, shuffle))) = ck.store().load(&key, expected, threads, decode) {
                 let stats = ExecStats {
                     per_node_busy: vec![std::time::Duration::ZERO; self.config.nodes],
                     ..ExecStats::default()
@@ -216,9 +223,29 @@ impl Cluster {
             }
         }
         let (parts, shuffle, stats) = compute()?;
-        if let Ok(bytes) = ck.store().save(&key, &parts, &shuffle, encode) {
-            self.recorder.counter_add(stage, "checkpoint_bytes", bytes);
-            ck.journal_stage_complete(stage, &key, bytes);
+        let count = |name, value| self.recorder.counter_add(stage, name, value);
+        // Saves of one store are serial (one job, or a server's lockstep
+        // grants), so the totals' movement is this save's time.
+        let before = ck.store().times();
+        match ck.store().save(&key, &parts, &shuffle, threads, encode) {
+            Ok(bytes) => {
+                let spent = ck.store().times();
+                count("checkpoint_bytes", bytes);
+                let ns = |d: std::time::Duration| d.as_nanos() as u64;
+                count("checkpoint_write_ns", ns(spent.write - before.write));
+                count("checkpoint_fsync_ns", ns(spent.fsync - before.fsync));
+                count(
+                    "checkpoint_manifest_ns",
+                    ns(spent.manifest - before.manifest),
+                );
+                ck.journal_stage_complete(stage, &key, bytes);
+            }
+            Err(_) => {
+                count("checkpoint_save_failed", 1);
+                let attrs = Attrs::new().bytes(shuffle.partition_bytes.iter().sum());
+                self.recorder
+                    .event("checkpoint-save-failed", Lane::Driver, None, attrs);
+            }
         }
         Ok((parts, shuffle, stats))
     }
@@ -422,8 +449,8 @@ impl Cluster {
     ) -> StageResult<(Vec<Rec>, Acc)>
     where
         T: Send + Sync + Clone,
-        Rec: Wire + Send,
-        Acc: Wire + Send,
+        Rec: Wire + Send + Sync,
+        Acc: Wire + Send + Sync,
         F: Fn(usize, T) -> (Vec<Rec>, Acc) + Sync,
     {
         let codec = (encode_join_part::<Rec, Acc>, decode_join_part::<Rec, Acc>);
@@ -571,6 +598,73 @@ mod tests {
         assert_eq!(out, vec![5]);
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.failed_attempts, 1);
+    }
+
+    /// A checkpoint that cannot be saved never fails or changes the stage:
+    /// the failure is counted and announced, and nothing stays on disk.
+    #[test]
+    fn a_failed_save_is_counted_and_leaves_no_files() {
+        use crate::memory::{decode_records, encode_records_into};
+        use crate::{HashPartitioner, KeyedDataset};
+        let dir = std::env::temp_dir().join(format!("asj-save-failed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let recorder = Recorder::for_nodes(2);
+        let plain = Cluster::new(ClusterConfig::with_threads(2, 2));
+        let cluster = plain
+            .clone()
+            .with_recorder(recorder.clone())
+            .with_checkpoint_dir(&dir)
+            .expect("open checkpoint dir");
+        let data = || {
+            KeyedDataset::from_partitions(vec![
+                (0..50u64).map(|i| (i, i * 3)).collect(),
+                (50..90u64).map(|i| (i, i * 5)).collect(),
+            ])
+        };
+        let by_hash = HashPartitioner::new(4);
+        let (expect, expect_stats, _) = data()
+            .shuffle_stage(&plain, &by_hash, "shuffle")
+            .expect("plain shuffle");
+        let failures = |stage| recorder.counter_value(stage, "checkpoint_save_failed");
+
+        // An encoder that writes one byte more than the stage metered.
+        let parts = expect.partitions().to_vec();
+        let overlong = (
+            |part: &Vec<(u64, u64)>, buf: &mut Vec<u8>| {
+                buf.push(0);
+                encode_records_into(part, buf)
+            },
+            |bytes: &[u8], records| decode_records(bytes, records).ok(),
+        );
+        let (got, _, _) = cluster
+            .checkpointed("overlong", parts.len(), overlong, || {
+                Ok((parts.clone(), expect_stats.clone(), ExecStats::default()))
+            })
+            .expect("the stage still succeeds");
+        assert_eq!(got, parts);
+        assert_eq!(failures("overlong"), Some(1));
+        assert_eq!(std::fs::read_dir(&dir).expect("list").count(), 0);
+
+        // The checkpoint directory is replaced by a file mid-run.
+        std::fs::remove_dir_all(&dir).expect("remove dir");
+        std::fs::write(&dir, b"not a directory").expect("plant file");
+        let (got, got_stats, _) = data()
+            .shuffle_stage(&cluster, &by_hash, "shuffle")
+            .expect("the stage still succeeds");
+        assert_eq!(got.partitions(), expect.partitions());
+        assert_eq!(got_stats, expect_stats);
+        assert_eq!(failures("shuffle"), Some(1));
+        assert_eq!(recorder.counter_value("shuffle", "checkpoint_bytes"), None);
+        let announced = recorder.snapshot().events;
+        let announced = announced
+            .iter()
+            .filter(|e| e.name == "checkpoint-save-failed");
+        assert_eq!(announced.count(), 2);
+        assert_eq!(
+            std::fs::read(&dir).expect("still a file"),
+            b"not a directory"
+        );
+        std::fs::remove_file(&dir).expect("cleanup");
     }
 
     #[test]

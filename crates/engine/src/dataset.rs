@@ -1,6 +1,6 @@
 use crate::cluster::Cluster;
 use crate::fault::JobError;
-use crate::memory::{decode_records, encode_records, ChargeGuard, SpillSegment, SpillWriter};
+use crate::memory::{decode_records, encode_records_into, ChargeGuard, SpillSegment, SpillWriter};
 use crate::metrics::{ExecStats, ShuffleStats};
 use crate::partitioner::Partitioner;
 use crate::wire::Wire;
@@ -230,7 +230,7 @@ where
         // Resumable when the cluster carries a checkpoint store: see
         // `Cluster::checkpointed` for the hit/miss/save protocol.
         let codec = (
-            |part: &Vec<(K, V)>| (encode_records(part), part.len() as u64),
+            |part: &Vec<(K, V)>, buf: &mut Vec<u8>| encode_records_into(part, buf),
             |bytes: &[u8], records| decode_records(bytes, records).ok(),
         );
         let targets = partitioner.num_partitions();
@@ -402,8 +402,12 @@ where
         let memory = cluster.memory_accountant();
         let denials_before = memory.budget_denials();
         let (mut bucketed, mut stats) = self.radix_map_stage(cluster, partitioner, stage)?;
-        // Reduce side: per-task partition_bytes merge element-wise.
-        let mut shuffle = ShuffleStats::default();
+        // Reduce side: per-task partition_bytes merge element-wise (one entry
+        // per target even over zero source partitions).
+        let mut shuffle = ShuffleStats {
+            partition_bytes: vec![0; targets],
+            ..ShuffleStats::default()
+        };
         for out in &bucketed {
             shuffle.merge(&out.shuffle);
         }
@@ -630,6 +634,36 @@ mod tests {
         let d = Dataset::from_vec((0..100u64).collect(), 4);
         assert!(d.try_sample(&c, 0.0, 1).expect("sample runs").0.is_empty());
         assert_eq!(d.try_sample(&c, 1.0, 1).expect("sample runs").0.len(), 100);
+    }
+
+    /// A shuffle over zero source partitions (what a zero-target shuffle
+    /// hands on) still meters one entry per target, so its checkpoint commits
+    /// and a later handle resumes from it.
+    #[test]
+    fn a_shuffle_of_no_source_partitions_is_resumable() {
+        let dir = std::env::temp_dir().join(format!("asj-no-sources-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let recorder = asj_obs::Recorder::for_nodes(3);
+        let run = || {
+            let c = cluster()
+                .with_recorder(recorder.clone())
+                .with_checkpoint_dir(&dir)
+                .expect("open checkpoint dir");
+            let (out, stats, _) =
+                shuffle(KeyedDataset { parts: vec![] }, &c, &HashPartitioner::new(4));
+            let recovered = c.checkpoint_store().expect("store").stages_recovered();
+            (out.into_partitions(), stats, recovered)
+        };
+        let (first, first_stats, recovered) = run();
+        assert_eq!(first, vec![Vec::new(); 4]);
+        assert_eq!(first_stats.partition_bytes, vec![0; 4]);
+        assert_eq!(recovered, 0);
+        let failures = recorder.counter_value("shuffle", "checkpoint_save_failed");
+        assert_eq!(failures, None);
+        let timed = recorder.counter_value("shuffle", "checkpoint_manifest_ns");
+        assert!(timed > Some(0), "the save names its time: {timed:?}");
+        assert_eq!(run(), (first, first_stats, 1));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!   tenants keep running.
 
 use crate::bufpool::PoolStats;
-use crate::checkpoint::fnv1a;
+use crate::checkpoint::{fnv1a, CheckpointTimes};
 use crate::cluster::Cluster;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::journal::{replay, Journal, JournalRecord};
@@ -278,6 +278,8 @@ pub struct ServerRun<R> {
     pub stages_recovered: u64,
     /// Bytes written to stage checkpoints during this run.
     pub checkpoint_bytes: u64,
+    /// Wall time of this run's checkpoint saves and retention GC, by step.
+    pub checkpoint_times: CheckpointTimes,
     /// For a recovered server: the grant log of the crashed run, as read
     /// back from the journal. Recovery proptests pin that this equals a
     /// prefix of the uncrashed run's `grants`.
@@ -783,9 +785,12 @@ impl<R: Send + 'static> Scheduler<R> {
                 // replay), never to loss.
                 if done_durable {
                     if let Some(store) = self.cluster.checkpoint_store() {
+                        let before = store.times().gc;
                         if let Ok(reclaimed) = store.gc_scope(&format!("job{}", job.id)) {
                             recorder.counter_add("jobs", "checkpoint_gc_bytes", reclaimed);
                         }
+                        let gc_ns = (store.times().gc - before).as_nanos() as u64;
+                        recorder.counter_add("jobs", "checkpoint_gc_ns", gc_ns);
                     }
                     self.completions_since_compact += 1;
                 }
@@ -939,10 +944,15 @@ impl<R: Send + 'static> Scheduler<R> {
                 journal.records_appended(),
             );
         }
-        let (stages_recovered, checkpoint_bytes) = match self.cluster.checkpoint_store() {
-            Some(store) => (store.stages_recovered(), store.checkpoint_bytes()),
-            None => (0, 0),
-        };
+        let (stages_recovered, checkpoint_bytes, checkpoint_times) =
+            match self.cluster.checkpoint_store() {
+                Some(store) => (
+                    store.stages_recovered(),
+                    store.checkpoint_bytes(),
+                    store.times(),
+                ),
+                None => Default::default(),
+            };
         ServerRun {
             policy: self.policy,
             reports: self
@@ -955,6 +965,7 @@ impl<R: Send + 'static> Scheduler<R> {
             crashed,
             stages_recovered,
             checkpoint_bytes,
+            checkpoint_times,
             journal_grants: self.journal_grants,
         }
     }
@@ -1466,6 +1477,9 @@ mod tests {
         let run = srv.run();
         assert!(!run.crashed);
         assert!(run.checkpoint_bytes > 0, "stages were checkpointed");
+        assert_eq!(run.checkpoint_times, store.times());
+        let spent = run.checkpoint_times;
+        assert!(spent.fsync > Duration::ZERO && spent.gc > Duration::ZERO);
         // Retention: every job finished durably, so every job's checkpoints
         // were collected — post-run disk is bounded by in-flight jobs (none).
         assert_eq!(

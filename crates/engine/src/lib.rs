@@ -45,7 +45,7 @@ mod pool;
 mod wire;
 
 pub use bufpool::{BufferPool, PoolStats};
-pub use checkpoint::{fnv1a, CheckpointStore, Chunk, Fnv1a};
+pub use checkpoint::{fnv1a, CheckpointStore, CheckpointTimes, Fnv1a};
 pub use cluster::{Broadcast, Cluster, ClusterConfig, StageResult};
 pub use dataset::{Dataset, KeyedDataset};
 pub use fault::{FailPoint, FaultContext, FaultPlan, FaultState, JobError, RetryPolicy, TaskError};
@@ -53,8 +53,9 @@ pub use jobs::{JobId, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun, Sub
 pub use journal::{compact_records, CompactStats, Journal, JournalError, JournalRecord};
 pub use lpt::{assignment_makespan, least_loaded, lpt_assign};
 pub use memory::{
-    clean_orphaned_spills, decode_records, encode_records, set_spill_dir, spill_dir, ChargeGuard,
-    MemoryAccountant, MemorySnapshot, SpillChunk, SpillSegment, SpillWriter,
+    clean_orphaned_spills, decode_records, encode_records, encode_records_into, set_spill_dir,
+    spill_dir, ChargeGuard, MemoryAccountant, MemorySnapshot, SpillChunk, SpillSegment,
+    SpillWriter,
 };
 pub use metrics::{DurationSummary, ExecStats, JobMetrics, ShuffleStats};
 pub use partitioner::{

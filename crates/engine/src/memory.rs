@@ -32,8 +32,8 @@ fn spill_dir_cell() -> &'static Mutex<Option<PathBuf>> {
     SPILL_DIR.get_or_init(|| Mutex::new(None))
 }
 
-/// Overrides the directory spill and checkpoint segments are written to
-/// (the `--spill-dir` flag). Takes precedence over `ASJ_SPILL_DIR`.
+/// Overrides the directory spill segments are written to (the `--spill-dir`
+/// flag). Takes precedence over `ASJ_SPILL_DIR`.
 pub fn set_spill_dir(dir: impl Into<PathBuf>) {
     *spill_dir_cell().lock().expect("spill dir lock poisoned") = Some(dir.into());
 }
@@ -350,11 +350,19 @@ pub fn encode_records<K: Wire, V: Wire>(recs: &[(K, V)]) -> Vec<u8> {
         .map(|(k, v)| k.encoded_size() + v.encoded_size())
         .sum();
     let mut buf = Vec::with_capacity(total);
-    for (k, v) in recs {
-        k.encode(&mut buf);
-        v.encode(&mut buf);
-    }
+    encode_records_into(recs, &mut buf);
     buf
+}
+
+/// [`encode_records`] appending to a buffer the caller reuses — how a
+/// checkpoint worker encodes partition after partition without allocating.
+/// Returns the record count, which [`decode_records`] needs back.
+pub fn encode_records_into<K: Wire, V: Wire>(recs: &[(K, V)], buf: &mut Vec<u8>) -> u64 {
+    for (k, v) in recs {
+        k.encode(buf);
+        v.encode(buf);
+    }
+    recs.len() as u64
 }
 
 /// Decodes exactly `records` keyed records from `bytes` (the inverse of
@@ -392,24 +400,6 @@ pub struct SpillChunk {
     offset: u64,
 }
 
-impl SpillChunk {
-    /// A chunk descriptor at an explicit file offset — used when rebuilding a
-    /// segment index from a checkpoint manifest rather than from writes.
-    pub fn new(target: usize, records: u64, len: u64, offset: u64) -> Self {
-        SpillChunk {
-            target,
-            records,
-            len,
-            offset,
-        }
-    }
-
-    /// Byte offset of the chunk within its segment file.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-}
-
 /// Append-only writer for one map task's spilled buckets. `finish` seals it
 /// into a readable [`SpillSegment`].
 #[derive(Debug)]
@@ -429,14 +419,6 @@ impl SpillWriter {
     pub fn create() -> std::io::Result<SpillWriter> {
         let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
         let path = spill_dir().join(format!("asj-spill-{}-{}.bin", std::process::id(), seq));
-        Self::create_at(path)
-    }
-
-    /// Creates a writer at an explicit path — checkpoint segments use named,
-    /// stable paths instead of the per-process temp naming, so a recovering
-    /// process can find them again. Replaces any stale file at `path`.
-    pub fn create_at(path: impl Into<PathBuf>) -> std::io::Result<SpillWriter> {
-        let path = path.into();
         let file = File::options()
             .read(true)
             .write(true)
@@ -469,11 +451,6 @@ impl SpillWriter {
         Ok(())
     }
 
-    /// Bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.offset
-    }
-
     /// Seals the writer. Returns `None` when nothing was spilled (the empty
     /// file is deleted immediately).
     pub fn finish(mut self) -> std::io::Result<Option<SpillSegment>> {
@@ -487,49 +464,21 @@ impl SpillWriter {
             file: Mutex::new(self.file),
             path: self.path,
             chunks: self.chunks,
-            keep: false,
         }))
     }
 }
 
 /// One sealed on-disk spill file plus its chunk index. Dropping the segment
 /// deletes the file, so a failed or speculative task attempt cleans up after
-/// itself automatically — unless [`SpillSegment::persist`] promoted it to a
-/// durable checkpoint segment.
+/// itself automatically.
 #[derive(Debug)]
 pub struct SpillSegment {
     file: Mutex<File>,
     path: PathBuf,
     chunks: Vec<SpillChunk>,
-    /// `true` once persisted: Drop leaves the file on disk.
-    keep: bool,
 }
 
 impl SpillSegment {
-    /// Reopens a previously persisted segment from its manifest-recorded
-    /// chunk index. The reopened segment is durable (Drop keeps the file).
-    pub fn open(path: impl Into<PathBuf>, chunks: Vec<SpillChunk>) -> std::io::Result<Self> {
-        let path = path.into();
-        let file = File::options().read(true).open(&path)?;
-        Ok(SpillSegment {
-            file: Mutex::new(file),
-            path,
-            chunks,
-            keep: true,
-        })
-    }
-
-    /// Promotes the segment from ephemeral spill to durable checkpoint:
-    /// fsyncs the data and disarms the Drop-deletes-file behaviour.
-    pub fn persist(&mut self) -> std::io::Result<()> {
-        self.file
-            .lock()
-            .expect("spill segment poisoned")
-            .sync_all()?;
-        self.keep = true;
-        Ok(())
-    }
-
     /// The on-disk path of the segment file.
     pub fn path(&self) -> &Path {
         &self.path
@@ -550,15 +499,6 @@ impl SpillSegment {
         self.chunks.iter().find(|c| c.target == target)
     }
 
-    /// Reads one chunk's raw encoded bytes back from disk.
-    pub fn read_chunk(&self, chunk: &SpillChunk) -> std::io::Result<Vec<u8>> {
-        let mut file = self.file.lock().expect("spill segment poisoned");
-        file.seek(SeekFrom::Start(chunk.offset))?;
-        let mut buf = vec![0u8; chunk.len as usize];
-        file.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-
     /// Reads and decodes the records spilled for `target`; `None` when that
     /// target never overflowed in this segment.
     pub fn read_records<K: Wire, V: Wire>(
@@ -568,9 +508,11 @@ impl SpillSegment {
         let Some(chunk) = self.chunk_for(target) else {
             return Ok(None);
         };
-        let chunk = *chunk;
-        let bytes = self.read_chunk(&chunk)?;
-        decode_records::<K, V>(&bytes, chunk.records)
+        let mut buf = vec![0u8; chunk.len as usize];
+        let mut file = self.file.lock().expect("spill segment poisoned");
+        file.seek(SeekFrom::Start(chunk.offset))?;
+        file.read_exact(&mut buf)?;
+        decode_records::<K, V>(&buf, chunk.records)
             .map(Some)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
@@ -578,9 +520,7 @@ impl SpillSegment {
 
 impl Drop for SpillSegment {
     fn drop(&mut self) {
-        if !self.keep {
-            let _ = std::fs::remove_file(&self.path);
-        }
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -673,7 +613,6 @@ mod tests {
             .expect("write chunk");
         w.write_chunk(8, &enc_b, b.len() as u64)
             .expect("write chunk");
-        assert_eq!(w.bytes_written(), (enc_a.len() + enc_b.len()) as u64);
         let seg = w.finish().expect("finish").expect("non-empty segment");
         let path = seg.path.clone();
         assert!(path.exists());
@@ -704,41 +643,6 @@ mod tests {
         let path = w.path.clone();
         assert!(w.finish().expect("finish").is_none());
         assert!(!path.exists());
-    }
-
-    #[test]
-    fn persisted_segment_survives_drop_and_reopens() {
-        let dir = std::env::temp_dir().join(format!("asj-persist-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("test dir");
-        let recs: Vec<(u64, Vec<u8>)> = vec![(1, vec![9; 4]), (2, vec![7; 2])];
-        let enc = encode_records(&recs);
-        let path = dir.join("segment.seg");
-        let mut w = SpillWriter::create_at(&path).expect("create_at");
-        w.write_chunk(0, &enc, recs.len() as u64).expect("write");
-        let mut seg = w.finish().expect("finish").expect("non-empty");
-        seg.persist().expect("persist");
-        let chunks = seg.chunks().to_vec();
-        drop(seg);
-        assert!(path.exists(), "persisted segment survives drop");
-
-        let reopened = SpillSegment::open(&path, chunks).expect("reopen");
-        let got: Vec<(u64, Vec<u8>)> = reopened
-            .read_records(0)
-            .expect("read")
-            .expect("target present");
-        assert_eq!(got, recs);
-        drop(reopened);
-        assert!(path.exists(), "reopened segments stay durable too");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn chunk_index_rebuilds_from_explicit_offsets() {
-        let c = SpillChunk::new(3, 10, 80, 16);
-        assert_eq!(c.target, 3);
-        assert_eq!(c.records, 10);
-        assert_eq!(c.len, 80);
-        assert_eq!(c.offset(), 16);
     }
 
     /// A pid guaranteed dead on any platform the sweep reclaims on: above

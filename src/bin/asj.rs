@@ -763,6 +763,16 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     if recovery.journal.is_some() {
         println!("journal grants replayed : {}", run.journal_grants.len());
         println!("checkpoint bytes     : {}", run.checkpoint_bytes);
+        if recovery.checkpoint_dir.is_some() {
+            let spent = run.checkpoint_times;
+            println!(
+                "checkpoint time      : {:.3} s write + {:.3} s fsync + {:.3} s manifest + {:.3} s gc",
+                spent.write.as_secs_f64(),
+                spent.fsync.as_secs_f64(),
+                spent.manifest.as_secs_f64(),
+                spent.gc.as_secs_f64()
+            );
+        }
         println!("stages recovered     : {}", run.stages_recovered);
         let replayed = run.reports.iter().filter(|t| t.recovered).count();
         println!("tenants replayed     : {replayed}");

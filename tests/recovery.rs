@@ -9,7 +9,7 @@
 //! grants, not wall time), so every case in the sweep is reproducible.
 
 use adaptive_spatial_join::engine::{
-    encode_records, CheckpointStore, Cluster, ClusterConfig, FaultPlan, Journal, RetryPolicy,
+    encode_records_into, CheckpointStore, Cluster, ClusterConfig, FaultPlan, Journal, RetryPolicy,
     SchedPolicy, ServerRun, ShuffleStats,
 };
 use adaptive_spatial_join::join::Algorithm;
@@ -487,16 +487,18 @@ fn stale_partition_records_are_ignored_then_collected() {
     };
     let store = CheckpointStore::open(&dir).expect("open crashed checkpoint dir");
     for job in 0..specs.len() {
-        let keyed = |p: &Vec<(u64, u64)>| (encode_records(p), p.len() as u64);
-        let stats = ShuffleStats {
+        let keyed = |p: &Vec<(u64, u64)>, buf: &mut Vec<u8>| encode_records_into(p, buf);
+        let stats = |partition_bytes| ShuffleStats {
             records: 5,
+            partition_bytes,
             ..ShuffleStats::default()
         };
         store
             .save(
                 &format!("job{job}-cogroup_join-0-p3"),
                 &[vec![(1u64, 2u64)]],
-                &stats,
+                &stats(vec![16]),
+                1,
                 keyed,
             )
             .expect("plant partition record");
@@ -504,7 +506,8 @@ fn stale_partition_records_are_ignored_then_collected() {
             .save(
                 &format!("job{job}-cogroup_join-0-shuffle"),
                 &[],
-                &stats,
+                &stats(Vec::new()),
+                1,
                 keyed,
             )
             .expect("plant stats record");
