@@ -1,6 +1,9 @@
+use crate::graph::{
+    PLAN_DIAG_ALWAYS, PLAN_DIAG_NEAR, PLAN_DIAG_SHIFT, PLAN_H, PLAN_SUP_SHIFT, PLAN_V,
+};
 use crate::{AgreementGraph, SetLabel};
 use asj_geom::Point;
-use asj_grid::{AreaClass, CellCoord, QuartetId};
+use asj_grid::{AreaClass, CellCoord, Quadrant, QuartetId};
 
 /// Aggregate statistics over a stream of point assignments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,8 +34,8 @@ impl AssignStats {
 }
 
 impl AgreementGraph {
-    /// Algorithm 2 of the paper: assigns point `o` of dataset `label` to its
-    /// native cell plus every cell it must be replicated to under the
+    /// Algorithms 2–4 of the paper: assigns point `o` of dataset `label` to
+    /// its native cell plus every cell it must be replicated to under the
     /// adaptive-replication rules. Cell ids are appended to `out` (cleared
     /// first); the native cell always comes first.
     ///
@@ -40,36 +43,68 @@ impl AgreementGraph {
     ///
     /// 1. *No-replication area* — native cell only.
     /// 2. *Merged duplicate-prone area* of quartet `q` — `MeDuPAr`
-    ///    (Algorithm 3) for `q`, then `SupAr` (Algorithm 4) for the two
-    ///    adjacent quartets `q'`, `q''`.
+    ///    (Algorithm 3) for `q`, then `SupAr` (Algorithm 4) for `q` and the
+    ///    two adjacent quartets `q'`, `q''`.
     /// 3. *Plain replication area* — replicate across the single border when
     ///    the agreement type matches, then `SupAr` for the two quartets at
     ///    the ends of that border.
     ///
+    /// What Algorithms 3–4 would look up edge by edge is read from the
+    /// graph's replication plan, one byte per quartet consulted; only the
+    /// geometric tests that byte leaves open are evaluated.
     pub fn assign(&self, o: Point, label: SetLabel, out: &mut Vec<CellCoord>) {
         out.clear();
         let grid = self.grid();
-        let native = grid.cell_of(o);
-        out.push(native);
-        match grid.classify_in_cell(o, native) {
-            AreaClass::Interior => {}
-            AreaClass::PlainStrip {
-                neighbor,
-                sup_quartets,
-                ..
-            } => {
-                if self.pair_type(native, neighbor) == label {
-                    out.push(neighbor);
+        let c = grid.cell_of(o);
+        out.push(c);
+        // The boundaries of the native cell within ε that have a neighbor
+        // behind them, exactly as `Grid::classify_in_cell` decides it.
+        let eps = grid.eps();
+        let rect = grid.cell_rect(c);
+        let near_w = c.x > 0 && (o.x - rect.min_x) <= eps;
+        let near_e = c.x + 1 < grid.nx() && (rect.max_x - o.x) <= eps;
+        let near_s = c.y > 0 && (o.y - rect.min_y) <= eps;
+        let near_n = c.y + 1 < grid.ny() && (rect.max_y - o.y) <= eps;
+        let (near_h, near_v) = (near_w || near_e, near_s || near_n);
+        if !near_h && !near_v {
+            return;
+        }
+        // The quartet at the near end of both axes, where the native cell is
+        // east of the corner iff the near boundary is its western one, and
+        // the quartets at the far end of the near boundaries.
+        let (qx, qy) = (c.x + !near_w as u32, c.y + !near_s as u32);
+        let (far_x, far_y) = (c.x + near_w as u32, c.y + near_s as u32);
+        let q = QuartetId { x: qx, y: qy };
+        let me = Quadrant::from_bits(near_w, near_s);
+        let along_v = (QuartetId { x: qx, y: far_y }, me.vertical());
+        let along_h = (QuartetId { x: far_x, y: qy }, me.horizontal());
+        let horizontal = CellCoord {
+            x: if near_w { c.x - 1 } else { c.x + 1 },
+            y: c.y,
+        };
+        let vertical = CellCoord {
+            x: c.x,
+            y: if near_s { c.y - 1 } else { c.y + 1 },
+        };
+        let sup_quartets = match (near_h, near_v) {
+            (true, true) => {
+                // MeDuPAr (Algorithm 3) from the corner quartet's word.
+                let word = self.plan(q, me, label);
+                if word & PLAN_H != 0 {
+                    out.push(horizontal);
                 }
-                for q in sup_quartets.into_iter().flatten() {
-                    self.sup_ar(q, o, label, native, out);
+                if word & PLAN_V != 0 {
+                    out.push(vertical);
                 }
-            }
-            AreaClass::CornerSquare {
-                quartet,
-                sup_quartets,
-            } => {
-                self.me_du_par(quartet, o, label, native, out);
+                let diagonal = word >> PLAN_DIAG_SHIFT & 3;
+                if diagonal == PLAN_DIAG_ALWAYS
+                    || diagonal == PLAN_DIAG_NEAR && o.dist2(grid.corner_point(q)) <= eps * eps
+                {
+                    out.push(CellCoord {
+                        x: horizontal.x,
+                        y: vertical.y,
+                    });
+                }
                 // A merged-square point may sit in a supplementary area of
                 // its *own* quartet (Figure 6: the part of the square beyond
                 // ε of the reference point): when a neighbor's marked edge
@@ -78,11 +113,24 @@ impl AgreementGraph {
                 // cell. Algorithm 2 as printed only probes the adjacent
                 // quartets q' and q''; probing q as well is required for
                 // correctness (see DESIGN.md, faithfulness notes).
-                self.sup_ar(quartet, o, label, native, out);
-                for q in sup_quartets.into_iter().flatten() {
-                    self.sup_ar(q, o, label, native, out);
-                }
+                self.sup_ar(q, me, o, label, out);
+                [along_v, along_h]
             }
+            (true, false) => {
+                if self.pair_type(c, horizontal) == label {
+                    out.push(horizontal);
+                }
+                [along_v, (q, me)]
+            }
+            _ => {
+                if self.pair_type(c, vertical) == label {
+                    out.push(vertical);
+                }
+                [along_h, (q, me)]
+            }
+        };
+        for (q, me) in sup_quartets {
+            self.sup_ar(q, me, o, label, out);
         }
         debug_assert!(
             {
@@ -92,6 +140,51 @@ impl AgreementGraph {
             },
             "assignment produced duplicate cells: {out:?}"
         );
+    }
+
+    /// Algorithm 4 (`SupAr`) for a point native to quadrant `me` of quartet
+    /// `q` (which may lie outside the grid): for each side neighbor `j` whose
+    /// marked, other-typed `e(j→me)` excluded `j`'s duplicate-prone points
+    /// from the native cell, the point follows them to the meeting cell the
+    /// plan names — if it is in `q`'s supplementary area (Definition 4.10:
+    /// reference point within 2ε, `j` within ε).
+    #[inline]
+    fn sup_ar(
+        &self,
+        q: QuartetId,
+        me: Quadrant,
+        o: Point,
+        label: SetLabel,
+        out: &mut Vec<CellCoord>,
+    ) {
+        let grid = self.grid();
+        if !grid.quartet_in_bounds(q) {
+            return;
+        }
+        let sup = self.plan(q, me, label) >> PLAN_SUP_SHIFT;
+        if sup == 0 {
+            return;
+        }
+        let (eps, two_eps) = (grid.eps(), 2.0 * grid.eps());
+        if o.dist2(grid.corner_point(q)) > two_eps * two_eps {
+            return;
+        }
+        let cells = grid.quartet_cells(q);
+        for (slot, j) in [me.horizontal(), me.vertical()].into_iter().enumerate() {
+            let k = match sup >> (2 * slot) & 3 {
+                0 => continue,
+                1 => j.diagonal(),
+                _ => me.diagonal(),
+            };
+            if grid.cell_rect(cells[j.index()]).mindist2(o) > eps * eps {
+                continue;
+            }
+            // MeDuPAr may already have replicated the point here (its push
+            // conditions on e(me→k) are identical).
+            if !out.contains(&cells[k.index()]) {
+                out.push(cells[k.index()]);
+            }
+        }
     }
 
     /// The *simplified, non-duplicate-free* assignment evaluated in Table 6
@@ -130,6 +223,44 @@ impl AgreementGraph {
             }
         }
     }
+}
+
+/// The transcription of Algorithms 2–4 that consults the graph edge by edge —
+/// the oracle [`AgreementGraph::assign`]'s plan-driven decisions are tested
+/// against.
+#[cfg(test)]
+impl AgreementGraph {
+    pub(crate) fn assign_reference(&self, o: Point, label: SetLabel, out: &mut Vec<CellCoord>) {
+        out.clear();
+        let grid = self.grid();
+        let native = grid.cell_of(o);
+        out.push(native);
+        match grid.classify_in_cell(o, native) {
+            AreaClass::Interior => {}
+            AreaClass::PlainStrip {
+                neighbor,
+                sup_quartets,
+                ..
+            } => {
+                if self.pair_type(native, neighbor) == label {
+                    out.push(neighbor);
+                }
+                for q in sup_quartets.into_iter().flatten() {
+                    self.sup_ar_reference(q, o, label, native, out);
+                }
+            }
+            AreaClass::CornerSquare {
+                quartet,
+                sup_quartets,
+            } => {
+                self.me_du_par_reference(quartet, o, label, native, out);
+                self.sup_ar_reference(quartet, o, label, native, out);
+                for q in sup_quartets.into_iter().flatten() {
+                    self.sup_ar_reference(q, o, label, native, out);
+                }
+            }
+        }
+    }
 
     /// Algorithm 3 (`MeDuPAr`): replication of a point located in the merged
     /// duplicate-prone area of quartet `q`.
@@ -141,7 +272,7 @@ impl AgreementGraph {
     ///   reference point, or one of the matching side edges is marked — the
     ///   *redirect* that sends excluded duplicate-prone points to the cell
     ///   where their partners will meet them (§4.5.2, Figure 6).
-    fn me_du_par(
+    fn me_du_par_reference(
         &self,
         q: QuartetId,
         o: Point,
@@ -184,7 +315,7 @@ impl AgreementGraph {
     /// (other type, unmarked) are intact. Candidates are probed in the
     /// paper's order: the remaining side neighbor of the native cell first,
     /// then its diagonal.
-    fn sup_ar(
+    fn sup_ar_reference(
         &self,
         q: QuartetId,
         o: Point,

@@ -38,7 +38,9 @@ pub struct EdgeState {
 /// Storage is dense (indexed by the grid's cell/quartet indices), which makes
 /// the per-point lookups of Algorithms 2–4 cache-friendly: the paper's two
 /// dictionaries (§5.1) become three type arrays plus one `u32` of edge bits
-/// per quartet.
+/// per quartet, and — derived from those, never shipped — the *replication
+/// plan*: one byte per (quartet, quadrant, set) holding what Algorithms 3–4
+/// would decide there.
 ///
 /// # Example
 ///
@@ -74,6 +76,84 @@ pub struct AgreementGraph {
     /// Per-quartet edge bits: bit `from·4+to` = marked,
     /// bit `16+from·4+to` = locked.
     state: Vec<u32>,
+    /// The replication plan: [`plan_word`] of every (quartet, quadrant `me`,
+    /// set label) at `quartet_index·8 + me·2 + label`. Derived state — filled
+    /// by [`AgreementGraph::from_pair_types`], refreshed by
+    /// [`AgreementGraph::mark`] — so it always equals a recompile from the
+    /// types and edge bits.
+    plan: Vec<u8>,
+}
+
+/// [`plan_word`] bits 0–1: replicate to the horizontal / vertical neighbor.
+pub(crate) const PLAN_H: u8 = 1;
+pub(crate) const PLAN_V: u8 = 2;
+/// Bits 2–3, the diagonal cell: 0 never, [`PLAN_DIAG_NEAR`] iff the point is
+/// within ε of the reference point, [`PLAN_DIAG_ALWAYS`] the marked-side
+/// redirect of §4.5.2.
+pub(crate) const PLAN_DIAG_SHIFT: u32 = 2;
+pub(crate) const PLAN_DIAG_NEAR: u8 = 1;
+pub(crate) const PLAN_DIAG_ALWAYS: u8 = 2;
+/// Bits 4–5 (`j` = horizontal neighbor) and 6–7 (`j` = vertical neighbor),
+/// Algorithm 4's verdict on `e(j→me)`: 0 nothing to follow, 1 the meeting
+/// cell is `j.diagonal()` (the other side neighbor), 2 it is `me.diagonal()`.
+pub(crate) const PLAN_SUP_SHIFT: u32 = 4;
+
+/// Slot of the quadrant pair `{a, b}` in a quartet's 6-bit type mask
+/// ([`AgreementGraph::quartet_types`]): south, north (horizontal pairs),
+/// west, east (vertical pairs), SW–NE, SE–NW.
+#[inline]
+fn pair_slot(a: Quadrant, b: Quadrant) -> u32 {
+    let lo = a.index().min(b.index()) as u32;
+    match a.index() ^ b.index() {
+        1 => lo >> 1,
+        2 => 2 + lo,
+        _ => 4 + lo,
+    }
+}
+
+/// Type mask of a quartet whose six pairs all carry `S` (all `R` is 0).
+const ALL_S: u8 = 0b11_1111;
+
+/// Everything Algorithms 3–4 read from the graph for a `label` point whose
+/// native cell is quadrant `me` of a quartet with type mask `types` and
+/// marked-edge bits `marked`, pre-joined into one byte (layout: `PLAN_*`).
+fn plan_word(types: u8, marked: u32, me: Quadrant, label: SetLabel) -> u8 {
+    let matches = |a, b| (types >> pair_slot(a, b)) as usize & 1 == label.index();
+    let is_marked = |a, b| marked & AgreementGraph::bit(a, b) != 0;
+    // `a → b` carries `label` points: the type matches and the edge is intact.
+    let open = |a, b| matches(a, b) && !is_marked(a, b);
+    let (h, v, d) = (me.horizontal(), me.vertical(), me.diagonal());
+    let mut word = (open(me, h) as u8 * PLAN_H) | (open(me, v) as u8 * PLAN_V);
+    if open(me, d) {
+        let redirect = [h, v].iter().any(|&j| matches(me, j) && is_marked(me, j));
+        let mode = if redirect {
+            PLAN_DIAG_ALWAYS
+        } else {
+            PLAN_DIAG_NEAR
+        };
+        word |= mode << PLAN_DIAG_SHIFT;
+    }
+    for (slot, j) in [h, v].into_iter().enumerate() {
+        if matches(j, me) || !is_marked(j, me) {
+            continue;
+        }
+        // The meeting cell, probed in the paper's order.
+        for (code, k) in [(1u8, j.diagonal()), (2, d)] {
+            if open(me, k) && !matches(j, k) && !is_marked(j, k) {
+                word |= code << (PLAN_SUP_SHIFT + 2 * slot as u32);
+                break;
+            }
+        }
+    }
+    word
+}
+
+/// The 8 [`plan_word`]s of a quartet, at `me·2 + label`.
+fn plan_words(types: u8, marked: u32) -> [u8; 8] {
+    std::array::from_fn(|i| {
+        let (me, label) = (Quadrant::from_index(i / 2), SetLabel::from_index(i % 2));
+        plan_word(types, marked, me, label)
+    })
 }
 
 impl AgreementGraph {
@@ -135,14 +215,67 @@ impl AgreementGraph {
                 pair_type(cells[Quadrant::Se.index()], cells[Quadrant::Nw.index()]),
             ]);
         }
-        let state = vec![0u32; grid.num_quartets()];
-        AgreementGraph {
+        let mut g = AgreementGraph {
             grid: grid.clone(),
             h_type,
             v_type,
             d_type,
-            state,
+            state: vec![0u32; grid.num_quartets()],
+            plan: vec![0u8; 8 * grid.num_quartets()],
+        };
+        // Nothing is marked yet, so a quartet's words follow from its types.
+        let unmarked: [[u8; 8]; 64] = std::array::from_fn(|types| plan_words(types as u8, 0));
+        for qi in 0..g.state.len() {
+            let words = &unmarked[g.quartet_types(qi) as usize];
+            g.plan[qi * 8..][..8].copy_from_slice(words);
         }
+        g
+    }
+
+    /// The six pair types of quartet `qi` as a bit mask (bit set = `S`),
+    /// indexed by [`pair_slot`].
+    #[inline]
+    fn quartet_types(&self, qi: usize) -> u8 {
+        let nx = self.grid.nx() as usize;
+        // `qi` is also the index of the quartet's south horizontal pair.
+        let west = qi + qi / (nx - 1);
+        let [sw_ne, se_nw] = self.d_type[qi];
+        [
+            self.h_type[qi],
+            self.h_type[qi + nx - 1],
+            self.v_type[west],
+            self.v_type[west + 1],
+            sw_ne,
+            se_nw,
+        ]
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (slot, t)| mask | (t.index() as u8) << slot)
+    }
+
+    /// Whether the six pairs of quartet `q` carry one agreement type:
+    /// Algorithm 1 has nothing to do there (no triangle is mixed).
+    #[inline]
+    pub(crate) fn quartet_is_uniform(&self, q: QuartetId) -> bool {
+        matches!(self.quartet_types(self.grid.quartet_index(q)), 0 | ALL_S)
+    }
+
+    /// Number of quartets with one agreement type on all six pairs.
+    pub fn uniform_quartet_count(&self) -> usize {
+        let uniform = |&q: &QuartetId| self.quartet_is_uniform(q);
+        self.grid.quartets().filter(uniform).count()
+    }
+
+    /// Recompiles the 8 plan words of quartet `qi` from its types and marks.
+    fn refresh_plan(&mut self, qi: usize) {
+        let words = plan_words(self.quartet_types(qi), self.state[qi] & 0xFFFF);
+        self.plan[qi * 8..][..8].copy_from_slice(&words);
+    }
+
+    /// The plan word of a `label` point native to quadrant `me` of quartet `q`.
+    #[inline]
+    pub(crate) fn plan(&self, q: QuartetId, me: Quadrant, label: SetLabel) -> u8 {
+        self.plan[self.grid.quartet_index(q) * 8 + me.index() * 2 + label.index()]
     }
 
     #[inline]
@@ -219,6 +352,7 @@ impl AgreementGraph {
     pub(crate) fn mark(&mut self, q: QuartetId, from: Quadrant, to: Quadrant) {
         let qi = self.grid.quartet_index(q);
         self.state[qi] |= Self::bit(from, to);
+        self.refresh_plan(qi);
     }
 
     pub(crate) fn lock(&mut self, q: QuartetId, from: Quadrant, to: Quadrant) {
@@ -229,7 +363,8 @@ impl AgreementGraph {
     /// Serialized footprint of the graph when broadcast to the executors
     /// (Algorithm 5, line 6): grid header, one byte per side-pair agreement
     /// type, two per quartet for the diagonals, and the 4-byte edge-state
-    /// word per quartet.
+    /// word per quartet. The replication plan is not shipped: every executor
+    /// compiles it from these bytes.
     pub fn broadcast_bytes(&self) -> u64 {
         (40 + self.h_type.len() + self.v_type.len() + 2 * self.d_type.len() + 4 * self.state.len())
             as u64
@@ -298,10 +433,109 @@ impl AgreementGraph {
 }
 
 #[cfg(test)]
+impl AgreementGraph {
+    /// The whole plan recompiled through the public per-edge lookups
+    /// (`edge_type`, `is_marked`) instead of the dense type mask.
+    pub(crate) fn compile_plan_from_scratch(&self) -> Vec<u8> {
+        let mut plan = Vec::with_capacity(self.plan.len());
+        for q in self.grid.quartets() {
+            let (mut types, mut marked) = (0u8, 0u32);
+            for a in Quadrant::ALL {
+                for b in [a.horizontal(), a.vertical(), a.diagonal()] {
+                    types |= (self.edge_type(q, a, b).index() as u8) << pair_slot(a, b);
+                    marked |= Self::bit(a, b) * self.is_marked(q, a, b) as u32;
+                }
+            }
+            plan.extend(plan_words(types, marked));
+        }
+        plan
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use asj_geom::Rect;
+    use crate::markings::{process_mixed_quartet, process_quartet};
+    use crate::EdgeOrder;
+    use asj_geom::{Point, Rect};
     use asj_grid::GridSpec;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random sample and an unmarked graph whose types are uniform over
+    /// blocks of `block × block` cells and random where blocks meet, so
+    /// uniform and mixed quartets both occur.
+    fn blocky_graph(rng: &mut StdRng, block: u32) -> (AgreementGraph, GridSample) {
+        let (nx, ny) = (rng.gen_range(3..=9) as f64, rng.gen_range(3..=8) as f64);
+        let g = Grid::new(GridSpec::new(Rect::new(0.0, 0.0, nx * 2.3, ny * 2.3), 1.0));
+        let mut sample = GridSample::new(&g);
+        for _ in 0..150 {
+            let p = Point::new(rng.gen_range(0.0..nx * 2.3), rng.gen_range(0.0..ny * 2.3));
+            sample.add(&g, SetLabel::from_index(rng.gen_range(0..2)), p);
+        }
+        let block_type: Vec<SetLabel> = (0..100)
+            .map(|_| SetLabel::from_index(rng.gen_range(0..2)))
+            .collect();
+        let of = |c: CellCoord| block_type[(c.y / block * 10 + c.x / block) as usize];
+        let graph = AgreementGraph::from_pair_types(&g, |a, b| {
+            if of(a) == of(b) {
+                of(a)
+            } else {
+                SetLabel::from_index(rng.gen_range(0..2))
+            }
+        });
+        (graph, sample)
+    }
+
+    /// The plan is derived state: right after `from_pair_types` and after
+    /// every quartet Algorithm 1 processes, it equals a recompile.
+    #[test]
+    fn plan_equals_a_recompile_after_every_quartet() {
+        let mut rng = StdRng::seed_from_u64(0x9_1A17);
+        let mut marked = 0;
+        for round in 0..12 {
+            let (mut graph, sample) = blocky_graph(&mut rng, 1 + round % 3);
+            assert_eq!(graph.plan, graph.compile_plan_from_scratch());
+            let order = [EdgeOrder::DiagonalFirst, EdgeOrder::WeightOnly][round as usize % 2];
+            let quartets: Vec<QuartetId> = graph.grid().quartets().collect();
+            for q in quartets {
+                process_quartet(&mut graph, &sample, q, order);
+                assert_eq!(
+                    graph.plan,
+                    graph.compile_plan_from_scratch(),
+                    "round {round} {q:?}"
+                );
+            }
+            marked += graph.marked_edge_count();
+        }
+        assert!(marked > 100, "only {marked} edges marked");
+    }
+
+    /// Skipping uniform quartets changes no edge bit and no plan word: the
+    /// loop without the fast path arrives at the same graph.
+    #[test]
+    fn uniform_fast_path_changes_nothing() {
+        let mut rng = StdRng::seed_from_u64(0xFA57);
+        let (mut uniform, mut mixed) = (0, 0);
+        for round in 0..20 {
+            let (mut fast, sample) = blocky_graph(&mut rng, 1 + round % 4);
+            let mut slow = fast.clone();
+            let order = [EdgeOrder::DiagonalFirst, EdgeOrder::WeightOnly][round as usize % 2];
+            crate::build_duplicate_free_with_order(&mut fast, &sample, order);
+            let quartets: Vec<QuartetId> = slow.grid().quartets().collect();
+            for q in quartets {
+                process_mixed_quartet(&mut slow, &sample, q, order);
+            }
+            assert_eq!(fast.state, slow.state, "round {round}");
+            assert_eq!(fast.plan, slow.plan, "round {round}");
+            uniform += fast.uniform_quartet_count();
+            mixed += fast.grid().num_quartets() - fast.uniform_quartet_count();
+        }
+        assert!(
+            uniform > 50 && mixed > 50,
+            "{uniform} uniform, {mixed} mixed"
+        );
+    }
 
     fn grid(n: f64) -> Grid {
         Grid::new(GridSpec::new(Rect::new(0.0, 0.0, n, n), 1.0))

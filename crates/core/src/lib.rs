@@ -22,7 +22,9 @@
 //!   (§4.5.3) keeps later markings from severing that meeting cell.
 //!
 //! [`build_duplicate_free`] is the paper's Algorithm 1; [`AgreementGraph::assign`]
-//! implements Algorithms 2 (point replication), 3 (`MeDuPAr`) and 4 (`SupAr`).
+//! implements Algorithms 2 (point replication), 3 (`MeDuPAr`) and 4 (`SupAr`),
+//! reading what the latter two would look up edge by edge from a plan the
+//! graph precompiles per quartet corner.
 //! The property-test suite in this crate checks, against a brute-force
 //! oracle, that the resulting assignment is *correct* (Definition 3.2) and
 //! *duplicate-free* (Definition 3.3) for randomized grids, policies and point

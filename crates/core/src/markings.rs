@@ -71,7 +71,21 @@ pub(crate) fn edge_weight(
     replicated * partners
 }
 
-fn process_quartet(
+pub(crate) fn process_quartet(
+    graph: &mut AgreementGraph,
+    sample: &GridSample,
+    q: QuartetId,
+    order: EdgeOrder,
+) {
+    // With one agreement type on all six pairs no triangle can satisfy
+    // `τ(e_jk) ≠ τ(e_ij)`: nothing is marked or locked, and the plan words
+    // `from_pair_types` wrote stand.
+    if !graph.quartet_is_uniform(q) {
+        process_mixed_quartet(graph, sample, q, order);
+    }
+}
+
+pub(crate) fn process_mixed_quartet(
     graph: &mut AgreementGraph,
     sample: &GridSample,
     q: QuartetId,
@@ -79,15 +93,15 @@ fn process_quartet(
 ) {
     // The 12 directed edges of the subgraph, ordered per `order`; index
     // order as the final deterministic tie-break.
-    let mut edges: Vec<(bool, u64, Quadrant, Quadrant)> = Vec::with_capacity(12);
-    for from in Quadrant::ALL {
-        for to in [from.horizontal(), from.vertical(), from.diagonal()] {
-            let is_side = from.side_adjacent(to);
-            let w = edge_weight(graph, sample, q, from, to);
-            edges.push((is_side, w, from, to));
-        }
-    }
-    edges.sort_by(|a, b| {
+    let mut edges: [(bool, u64, Quadrant, Quadrant); 12] = std::array::from_fn(|n| {
+        let from = Quadrant::ALL[n / 3];
+        let to = [from.horizontal(), from.vertical(), from.diagonal()][n % 3];
+        let w = edge_weight(graph, sample, q, from, to);
+        (from.side_adjacent(to), w, from, to)
+    });
+    // The key is total (no two edges share `(from, to)`), so the unstable,
+    // allocation-free sort yields the one order.
+    edges.sort_unstable_by(|a, b| {
         let group = match order {
             // Diagonals (false) before sides (true).
             EdgeOrder::DiagonalFirst => a.0.cmp(&b.0),
@@ -98,7 +112,7 @@ fn process_quartet(
             .then((a.2.index(), a.3.index()).cmp(&(b.2.index(), b.3.index())))
     });
 
-    for &(_, _, i, j) in &edges {
+    for (_, _, i, j) in edges {
         if graph.edge_state(q, i, j).locked {
             continue;
         }

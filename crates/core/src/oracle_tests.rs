@@ -45,9 +45,11 @@ fn adjacent_pairs(grid: &Grid) -> Vec<(CellCoord, CellCoord)> {
     pairs
 }
 
-fn graph_from_bits(grid: &Grid, sample: &GridSample, bits: u64) -> AgreementGraph {
+/// The unmarked graph whose pair `i` (in [`adjacent_pairs`] order) is of type
+/// `S` iff bit `i` of `bits` is set.
+fn unmarked_from_bits(grid: &Grid, bits: u64) -> AgreementGraph {
     let pairs = adjacent_pairs(grid);
-    let mut graph = AgreementGraph::from_pair_types(grid, |a, b| {
+    AgreementGraph::from_pair_types(grid, |a, b| {
         let key = if (a.y, a.x) <= (b.y, b.x) {
             (a, b)
         } else {
@@ -62,9 +64,54 @@ fn graph_from_bits(grid: &Grid, sample: &GridSample, bits: u64) -> AgreementGrap
         } else {
             SetLabel::S
         }
-    });
+    })
+}
+
+fn graph_from_bits(grid: &Grid, sample: &GridSample, bits: u64) -> AgreementGraph {
+    let mut graph = unmarked_from_bits(grid, bits);
     crate::build_duplicate_free(&mut graph, sample);
     graph
+}
+
+/// `n` uniformly random sample points with random labels.
+fn random_sample(rng: &mut StdRng, grid: &Grid, n: usize) -> GridSample {
+    let bbox = grid.bbox();
+    let mut sample = GridSample::new(grid);
+    for _ in 0..n {
+        let p = Point::new(
+            rng.gen_range(bbox.min_x..bbox.max_x),
+            rng.gen_range(bbox.min_y..bbox.max_y),
+        );
+        let label = if rng.gen_bool(0.5) {
+            SetLabel::R
+        } else {
+            SetLabel::S
+        };
+        sample.add(grid, label, p);
+    }
+    sample
+}
+
+/// An unmarked graph with an independent random type on every pair.
+fn random_typed_graph(rng: &mut StdRng, grid: &Grid) -> AgreementGraph {
+    let pairs = adjacent_pairs(grid);
+    let types: Vec<SetLabel> = (0..pairs.len())
+        .map(|_| {
+            if rng.gen_bool(0.5) {
+                SetLabel::R
+            } else {
+                SetLabel::S
+            }
+        })
+        .collect();
+    AgreementGraph::from_pair_types(grid, |a, b| {
+        let key = if (a.y, a.x) <= (b.y, b.x) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        types[pairs.iter().position(|p| *p == key).unwrap()]
+    })
 }
 
 /// Checks correctness and duplicate-freeness of `graph` for the given point
@@ -183,37 +230,8 @@ fn randomized_multi_quartet_grids() {
             Rect::new(0.0, 0.0, nx * side, ny * side),
             1.0,
         ));
-        let mut sample = GridSample::new(&grid);
-        for _ in 0..100 {
-            let p = Point::new(
-                rng.gen_range(0.0..grid.bbox().max_x),
-                rng.gen_range(0.0..grid.bbox().max_y),
-            );
-            let label = if rng.gen_bool(0.5) {
-                SetLabel::R
-            } else {
-                SetLabel::S
-            };
-            sample.add(&grid, label, p);
-        }
-        let pairs = adjacent_pairs(&grid);
-        let types: Vec<SetLabel> = (0..pairs.len())
-            .map(|_| {
-                if rng.gen_bool(0.5) {
-                    SetLabel::R
-                } else {
-                    SetLabel::S
-                }
-            })
-            .collect();
-        let mut graph = AgreementGraph::from_pair_types(&grid, |a, b| {
-            let key = if (a.y, a.x) <= (b.y, b.x) {
-                (a, b)
-            } else {
-                (b, a)
-            };
-            types[pairs.iter().position(|p| *p == key).unwrap()]
-        });
+        let sample = random_sample(&mut rng, &grid, 100);
+        let mut graph = random_typed_graph(&mut rng, &grid);
         crate::build_duplicate_free(&mut graph, &sample);
 
         let gen_points = |rng: &mut StdRng, n: usize| -> Vec<Point> {
@@ -664,4 +682,110 @@ fn exhaustive_two_quartets_all_type_assignments() {
             &format!("two-quartet bits={bits:#013b}"),
         );
     }
+}
+
+/// `assign` (plan-driven) against `assign_reference` (Algorithms 2–4 edge by
+/// edge) for both labels: identical cells in identical order.
+fn assert_plan_matches_reference(graph: &AgreementGraph, pts: &[Point], ctx: &str) {
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for &p in pts {
+        for label in SetLabel::BOTH {
+            graph.assign(p, label, &mut got);
+            graph.assign_reference(p, label, &mut want);
+            assert_eq!(got, want, "{ctx}: {label} point {p:?}");
+        }
+    }
+}
+
+/// Every one of the 2⁶ instantiations of one quartet, with zero and random
+/// weights and both edge orders.
+#[test]
+fn plan_equals_reference_on_every_quartet_instantiation() {
+    let grid = quartet_grid();
+    let mut pts = lattice(0.0, 0.0);
+    pts.extend(lattice(0.151, 0.087));
+    let mut rng = StdRng::seed_from_u64(0x91A4);
+    let mut samples = vec![GridSample::new(&grid)];
+    samples.extend((0..3).map(|_| random_sample(&mut rng, &grid, 200)));
+    for (round, sample) in samples.iter().enumerate() {
+        for bits in 0..64u64 {
+            for order in [
+                crate::EdgeOrder::DiagonalFirst,
+                crate::EdgeOrder::WeightOnly,
+            ] {
+                let mut graph = unmarked_from_bits(&grid, bits);
+                crate::build_duplicate_free_with_order(&mut graph, sample, order);
+                let ctx = format!("sample {round} bits={bits:#08b} {order:?}");
+                assert_plan_matches_reference(&graph, &pts, &ctx);
+            }
+        }
+    }
+}
+
+/// Random multi-quartet grids at grid factors 2, 2.5, 3 and 5, so interior,
+/// strip and corner points all occur; the points include every crossing of
+/// the lines on, ε and 2ε off a cell border (bbox edges and corners among
+/// them) and points outside the bbox, which are clamped into the grid.
+#[test]
+fn plan_equals_reference_on_random_grids() {
+    use asj_grid::{AreaClass, Quadrant};
+    let mut rng = StdRng::seed_from_u64(0x6E1D);
+    let eps = 0.37;
+    let mut areas = [0usize; 3];
+    let mut sup_words = 0;
+    for factor in [2.0, 2.5, 3.0, 5.0] {
+        for round in 0..6 {
+            let (nx, ny) = (rng.gen_range(3..=6), rng.gen_range(3..=5));
+            let side = factor * eps * rng.gen_range(1.02..1.25);
+            let (x0, y0) = (-3.1, 7.7);
+            let bbox = Rect::new(x0, y0, x0 + nx as f64 * side, y0 + ny as f64 * side);
+            let grid = Grid::new(GridSpec::with_factor(bbox, eps, factor));
+            let sample = random_sample(&mut rng, &grid, 100);
+            let mut graph = random_typed_graph(&mut rng, &grid);
+            crate::build_duplicate_free(&mut graph, &sample);
+
+            let mut pts: Vec<Point> = (0..600)
+                .map(|_| {
+                    Point::new(
+                        rng.gen_range(bbox.min_x - eps..bbox.max_x + eps),
+                        rng.gen_range(bbox.min_y - eps..bbox.max_y + eps),
+                    )
+                })
+                .collect();
+            let lines = |borders: Vec<f64>| -> Vec<f64> {
+                borders
+                    .iter()
+                    .flat_map(|b| [-2.0, -1.0, 0.0, 1.0, 2.0].map(|k| b + k * eps))
+                    .collect()
+            };
+            let cell = |x, y| grid.cell_rect(CellCoord { x, y });
+            let mut xs: Vec<f64> = (0..grid.nx()).map(|x| cell(x, 0).min_x).collect();
+            let mut ys: Vec<f64> = (0..grid.ny()).map(|y| cell(0, y).min_y).collect();
+            xs.push(bbox.max_x);
+            ys.push(bbox.max_y);
+            let (xs, ys) = (lines(xs), lines(ys));
+            pts.extend(
+                xs.iter()
+                    .flat_map(|&x| ys.iter().map(move |&y| Point::new(x, y))),
+            );
+
+            assert_plan_matches_reference(&graph, &pts, &format!("factor {factor} round {round}"));
+            for &p in &pts {
+                areas[match grid.classify(p) {
+                    AreaClass::Interior => 0,
+                    AreaClass::PlainStrip { .. } => 1,
+                    AreaClass::CornerSquare { .. } => 2,
+                }] += 1;
+            }
+            for q in grid.quartets() {
+                for me in Quadrant::ALL {
+                    for label in SetLabel::BOTH {
+                        sup_words += (graph.plan(q, me, label) >> 4 != 0) as usize;
+                    }
+                }
+            }
+        }
+    }
+    assert!(areas.iter().all(|&n| n > 1000), "areas hit: {areas:?}");
+    assert!(sup_words > 100, "only {sup_words} SupAr words");
 }

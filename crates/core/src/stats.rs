@@ -89,25 +89,32 @@ impl GridSample {
         IS: IntoIterator<Item = Point>,
     {
         let mut sample = GridSample::new(grid);
+        let mut neighbors = Vec::with_capacity(4);
         for p in r {
-            sample.add(grid, SetLabel::R, p);
+            sample.add_with(grid, SetLabel::R, p, &mut neighbors);
         }
         for p in s {
-            sample.add(grid, SetLabel::S, p);
+            sample.add_with(grid, SetLabel::S, p, &mut neighbors);
         }
         sample
     }
 
     /// Records one sampled point.
     pub fn add(&mut self, grid: &Grid, label: SetLabel, p: Point) {
+        self.add_with(grid, label, p, &mut Vec::with_capacity(4));
+    }
+
+    /// [`GridSample::add`] with the caller's scratch vector for the cells
+    /// within ε, so a loop over many points allocates once.
+    fn add_with(&mut self, grid: &Grid, label: SetLabel, p: Point, neighbors: &mut Vec<CellCoord>) {
         let cell = grid.cell_of(p);
         let ci = grid.cell_index(cell);
         let li = label.index();
         self.totals[ci][li] += 1;
         self.sampled[li] += 1;
-        let mut neighbors = Vec::with_capacity(4);
-        grid.push_cells_within_eps(p, &mut neighbors);
-        for n in neighbors {
+        neighbors.clear();
+        grid.push_cells_within_eps(p, neighbors);
+        for &n in neighbors.iter() {
             self.border[ci][Dir8::between(cell, n).index()][li] += 1;
         }
     }

@@ -113,8 +113,12 @@ fn scale_dur(d: Duration, mult: f64) -> Duration {
 ///
 /// Every attempt runs under `catch_unwind`. **Without a fault context**
 /// (`ctx == None`) each task's input is moved into its single attempt, there
-/// is no retry and no straggler scan, and the first panicking task aborts
-/// the stage with a [`JobError`] (`attempts == 1`).
+/// is no retry and no straggler scan, and a panicking task fails the stage
+/// with a [`JobError`] (`attempts == 1`).
+///
+/// Which task a failed stage reports does not depend on thread timing: a
+/// task out of attempts cancels only the tasks *after* it, the ones before
+/// it finish their attempts, and the lowest failing index wins.
 ///
 /// **With a fault context** attempts are subject to its injection plan and
 /// recovered according to its retry policy:
@@ -195,7 +199,11 @@ where
     // counter and results live in per-index slots, so no lock is held while
     // running `f` and threads never contend on a results mutex.
     let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
+    // The lowest task index known to be out of attempts; every task after it
+    // is cancelled, every task before it still runs (it may fail too, and
+    // would then be the one reported).
+    let abort_from = AtomicUsize::new(usize::MAX);
+    let cancelled = |idx: usize| idx > abort_from.load(Ordering::Relaxed);
     let fatal: Mutex<Option<JobError>> = Mutex::new(None);
     // Per-task completion/speculation flags and the running-attempt registry
     // the straggler scan reads. `running_since` stores nanoseconds since
@@ -291,7 +299,7 @@ where
             // can genuinely overtake it.
             let target = scale_dur(d0, mult);
             while start.elapsed() < target {
-                if done[idx].load(Ordering::Relaxed) || abort.load(Ordering::Relaxed) {
+                if done[idx].load(Ordering::Relaxed) || cancelled(idx) {
                     break;
                 }
                 let left = target.saturating_sub(start.elapsed());
@@ -417,16 +425,18 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) {
+                // Indices are claimed in order, so once one is cancelled
+                // every later claim (and the speculation duty) is too.
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                if cancelled(idx) {
                     return;
                 }
-                let idx = next.fetch_add(1, Ordering::Relaxed);
                 if idx < n_tasks {
                     // Fresh task: run it to completion, retrying failures.
                     let mut attempt = 1usize;
                     let mut node = placement[idx];
                     loop {
-                        if abort.load(Ordering::Relaxed) || done[idx].load(Ordering::Relaxed) {
+                        if cancelled(idx) || done[idx].load(Ordering::Relaxed) {
                             break;
                         }
                         let Err(e) = attempt_once(idx, attempt, node) else {
@@ -440,7 +450,7 @@ where
                                 // committed meanwhile, the stage is lost.
                                 if !done[idx].load(Ordering::Relaxed) {
                                     let mut g = fatal.lock().expect("pool error slot poisoned");
-                                    if g.is_none() {
+                                    if g.as_ref().is_none_or(|lowest| idx < lowest.task) {
                                         *g = Some(JobError {
                                             stage: stage.to_string(),
                                             task: idx,
@@ -448,7 +458,7 @@ where
                                             error: e,
                                         });
                                     }
-                                    abort.store(true, Ordering::Relaxed);
+                                    abort_from.fetch_min(idx, Ordering::Relaxed);
                                 }
                                 break;
                             }
@@ -807,6 +817,40 @@ mod tests {
         .expect_err("unsurvivable plan must fail");
         assert_eq!(err.attempts, 3);
         assert!(matches!(err.error, TaskError::Injected { .. }));
+    }
+
+    /// Tasks 0 and 3 are both doomed and task 3 runs out of attempts first
+    /// (a barrier holds task 0 in its first attempt until task 3 is in its
+    /// last): the stage still reports task 0, whose attempts all ran.
+    #[test]
+    fn ft_lowest_failing_task_is_reported_whichever_fails_first() {
+        for round in 0..50 {
+            let mut plan = FaultPlan::none();
+            for (task, attempt) in [(0, 1), (0, 2), (3, 1), (3, 2)] {
+                plan = plan.with_fail_point("unit", task, attempt);
+            }
+            let ctx = ft_ctx(plan, RetryPolicy::default().with_max_attempts(2), 2);
+            let runs: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+            let meet = std::sync::Barrier::new(2);
+            let err = run_stage(
+                4,
+                2,
+                vec![(); 4],
+                &[0, 1, 0, 1],
+                &Recorder::noop(),
+                "unit",
+                Some(&ctx),
+                |idx, ()| {
+                    let run = runs[idx].fetch_add(1, Ordering::Relaxed) + 1;
+                    if (idx, run) == (0, 1) || (idx, run) == (3, 2) {
+                        meet.wait();
+                    }
+                },
+            )
+            .expect_err("two doomed tasks fail the stage");
+            assert_eq!((err.task, err.attempts), (0, 2), "round {round}");
+            assert_eq!(runs[0].load(Ordering::Relaxed), 2, "round {round}");
+        }
     }
 
     #[test]

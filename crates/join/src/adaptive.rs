@@ -128,6 +128,11 @@ pub(crate) fn agreement_join(
     });
     let broadcast_bytes = graph.broadcast_bytes();
     recorder.counter_add("agreement_graph", "broadcast_bytes", broadcast_bytes);
+    // What Algorithm 1 could skip (one type on all six pairs) and could not.
+    let uniform = graph.uniform_quartet_count() as u64;
+    recorder.counter_add("agreement_graph", "uniform_quartets", uniform);
+    let mixed = grid.num_quartets() as u64 - uniform;
+    recorder.counter_add("agreement_graph", "mixed_quartets", mixed);
     let driver = driver_start.elapsed();
 
     // --- Spatial mapping (Algorithms 2-4) on the broadcast graph, shuffle,
