@@ -1,4 +1,4 @@
-use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, Record};
+use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, Payload, Record};
 use asj_core::AgreementPolicy;
 use asj_engine::{Cluster, Dataset, HashPartitioner, KeyedDataset};
 
@@ -17,11 +17,15 @@ pub fn adaptive_join_post_fetch(
     r: Vec<Record>,
     s: Vec<Record>,
 ) -> Result<JoinOutput, JoinError> {
-    // Attribute tables stay behind (id → payload), the join sees bare tuples.
-    let r_attrs: Vec<(u64, Vec<u8>)> = r.iter().map(|rec| (rec.id, rec.payload.clone())).collect();
-    let s_attrs: Vec<(u64, Vec<u8>)> = s.iter().map(|rec| (rec.id, rec.payload.clone())).collect();
-    let r_bare: Vec<Record> = r.into_iter().map(|rec| rec.stripped()).collect();
-    let s_bare: Vec<Record> = s.into_iter().map(|rec| rec.stripped()).collect();
+    // Attribute tables stay behind (id → payload handle, the bytes are not
+    // copied), the join sees bare tuples.
+    let split = |recs: Vec<Record>| -> (Vec<Record>, Vec<(u64, Payload)>) {
+        let rows = recs.into_iter();
+        rows.map(|rec| (rec.stripped(), (rec.id, rec.payload)))
+            .unzip()
+    };
+    let (r_bare, r_attrs) = split(r);
+    let (s_bare, s_attrs) = split(s);
 
     let mut collect_spec = spec.clone();
     collect_spec.collect_pairs = true;
@@ -51,8 +55,8 @@ pub fn adaptive_join_post_fetch(
         r_table,
         |rid,
          sids: &[u64],
-         payloads: &[Vec<u8>],
-         out: &mut Vec<(u64, (u64, Vec<u8>))>,
+         payloads: &[Payload],
+         out: &mut Vec<(u64, (u64, Payload))>,
          _acc: &mut ()| {
             for &sid in sids {
                 for payload in payloads {
@@ -79,8 +83,8 @@ pub fn adaptive_join_post_fetch(
         cluster,
         s_table,
         |_sid,
-         halves: &[(u64, Vec<u8>)],
-         payloads: &[Vec<u8>],
+         halves: &[(u64, Payload)],
+         payloads: &[Payload],
          _out: &mut Vec<()>,
          acc: &mut (u64, u64)| {
             for (_, rpay) in halves {

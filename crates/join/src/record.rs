@@ -1,6 +1,101 @@
-use asj_engine::{Wire, WireError};
+use asj_engine::{ensure_remaining, Wire, WireError};
 use asj_geom::Point;
 use bytes::{Buf, BufMut};
+use std::sync::Arc;
+
+/// A record's non-spatial attribute bytes: a window into an arena that may
+/// be shared with other records, and that it keeps alive as a whole. A clone
+/// bumps the arena's refcount — the bytes live once however often the tuple
+/// is replicated — and an empty payload has no arena, so bare records touch
+/// no atomic. Reads as the `[u8]` it covers; equality, `Debug` and the wire
+/// layout (u32 length + bytes, exactly `Vec<u8>`'s) are by content.
+#[derive(Clone, Default)]
+pub struct Payload {
+    /// `Arc<Vec<u8>>`, not `Arc<[u8]>`: a thin pointer keeps the window at
+    /// 16 bytes, and `From<Vec<u8>>` adopts the buffer without copying it.
+    arena: Option<Arc<Vec<u8>>>,
+    start: u32,
+    len: u32,
+}
+
+impl Payload {
+    /// `arena[start..start + len]`, checked here so every later read is in
+    /// bounds.
+    fn window(arena: Arc<Vec<u8>>, start: usize, len: usize) -> Self {
+        assert!(start + len <= arena.len(), "payload window past its arena");
+        let fit = |n: usize| u32::try_from(n).expect("payload arenas are addressed with u32s");
+        Payload {
+            arena: Some(arena),
+            start: fit(start),
+            len: fit(len),
+        }
+    }
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        match &self.arena {
+            Some(arena) => &arena[self.start as usize..][..self.len as usize],
+            None => &[],
+        }
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    /// Adopts `bytes` as an arena of its own (none when empty).
+    #[inline]
+    fn from(bytes: Vec<u8>) -> Self {
+        match bytes.len() {
+            0 => Payload::default(),
+            len => Payload::window(Arc::new(bytes), 0, len),
+        }
+    }
+}
+
+impl Wire for Payload {
+    #[inline]
+    fn encoded_size(&self) -> usize {
+        4 + self.len as usize
+    }
+
+    #[inline]
+    fn encode(&self, buf: &mut impl BufMut) {
+        buf.put_u32_le(self.len);
+        buf.put_slice(self);
+    }
+
+    /// One buffer per non-empty payload, as `Vec<u8>` decodes, plus its `Arc`
+    /// header: the chunk a record is read back from is not kept, so there is
+    /// no arena to share. Bare records — all a spilling CSV join decodes —
+    /// return before any vector exists.
+    #[inline]
+    fn try_decode(buf: &mut impl Buf) -> Result<Self, WireError> {
+        let len = u32::try_decode(buf)? as usize;
+        if len == 0 {
+            return Ok(Payload::default());
+        }
+        // A corrupt length prefix must not trigger a huge allocation.
+        ensure_remaining(buf, len)?;
+        let mut bytes = vec![0u8; len];
+        buf.copy_to_slice(&mut bytes);
+        Ok(bytes.into())
+    }
+}
 
 /// One spatial tuple: identifier, coordinates and the non-spatial attributes
 /// that travel with it (the *tuple size factor* payload of Figs. 16–18).
@@ -8,37 +103,30 @@ use bytes::{Buf, BufMut};
 pub struct Record {
     pub id: u64,
     pub point: Point,
-    pub payload: Vec<u8>,
+    pub payload: Payload,
 }
 
 impl Record {
     pub fn new(id: u64, point: Point) -> Self {
-        Record {
-            id,
-            point,
-            payload: Vec::new(),
-        }
+        Record::with_payload(id, point, Vec::new())
     }
 
-    pub fn with_payload(id: u64, point: Point, payload: Vec<u8>) -> Self {
+    pub fn with_payload(id: u64, point: Point, bytes: Vec<u8>) -> Self {
+        let payload = bytes.into();
         Record { id, point, payload }
     }
 
     /// A copy of this record without its non-spatial attributes — what the
     /// post-processing variant of Table 5 ships through the spatial join.
     pub fn stripped(&self) -> Record {
-        Record {
-            id: self.id,
-            point: self.point,
-            payload: Vec::new(),
-        }
+        Record::new(self.id, self.point)
     }
 }
 
 impl Wire for Record {
     #[inline]
     fn encoded_size(&self) -> usize {
-        8 + 8 + 8 + 4 + self.payload.len()
+        8 + 8 + 8 + self.payload.encoded_size()
     }
 
     #[inline]
@@ -46,8 +134,7 @@ impl Wire for Record {
         buf.put_u64_le(self.id);
         buf.put_f64_le(self.point.x);
         buf.put_f64_le(self.point.y);
-        buf.put_u32_le(self.payload.len() as u32);
-        buf.put_slice(&self.payload);
+        self.payload.encode(buf);
     }
 
     #[inline]
@@ -55,7 +142,7 @@ impl Wire for Record {
         let id = u64::try_decode(buf)?;
         let x = f64::try_decode(buf)?;
         let y = f64::try_decode(buf)?;
-        let payload = Vec::<u8>::try_decode(buf)?;
+        let payload = Payload::try_decode(buf)?;
         Ok(Record {
             id,
             point: Point::new(x, y),
@@ -64,28 +151,70 @@ impl Wire for Record {
     }
 }
 
+/// Records whose generated payloads share one arena. A block is a contiguous
+/// id range, so a map task — which owns a contiguous input range — mostly
+/// bumps refcounts no other thread touches.
+const ARENA_BLOCK_RECORDS: usize = 1024;
+
+/// Largest `payload_bytes` [`to_records`] accepts: a window addresses its
+/// arena with `u32`s and a block's arena holds 1024 payloads.
+pub const MAX_PAYLOAD_BYTES: usize = u32::MAX as usize / ARENA_BLOCK_RECORDS;
+
 /// Wraps raw points into [`Record`]s with sequential ids and a fixed-size
-/// deterministic payload (`payload_bytes` per tuple; 0 for bare points).
+/// deterministic payload (`payload_bytes` per tuple, at most
+/// [`MAX_PAYLOAD_BYTES`]; 0 for bare points): pseudo-text from an LCG seeded
+/// by the id. Each block of 1024 records writes its payloads into one arena
+/// and holds windows into it.
 pub fn to_records(points: &[Point], payload_bytes: usize) -> Vec<Record> {
-    points
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let mut payload = Vec::with_capacity(payload_bytes);
+    assert!(
+        payload_bytes <= MAX_PAYLOAD_BYTES,
+        "payload too large to window"
+    );
+    let mut records = Vec::with_capacity(points.len());
+    for (block, chunk) in points.chunks(ARENA_BLOCK_RECORDS).enumerate() {
+        let first = block * ARENA_BLOCK_RECORDS;
+        let mut bytes = Vec::with_capacity(chunk.len() * payload_bytes);
+        for i in first..first + chunk.len() {
             let mut state = (i as u64).wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0xA5A5;
-            while payload.len() < payload_bytes {
+            for _ in 0..payload_bytes {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                payload.push(b'a' + ((state >> 60) % 26) as u8);
+                bytes.push(b'a' + ((state >> 60) % 26) as u8);
             }
-            Record::with_payload(i as u64, p, payload)
-        })
-        .collect()
+        }
+        let arena = (payload_bytes > 0).then(|| Arc::new(bytes));
+        records.extend(chunk.iter().enumerate().map(|(j, &point)| Record {
+            id: (first + j) as u64,
+            point,
+            payload: match &arena {
+                Some(arena) => Payload::window(arena.clone(), j * payload_bytes, payload_bytes),
+                None => Payload::default(),
+            },
+        }));
+    }
+    records
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::BytesMut;
+    use proptest::prelude::*;
+
+    /// A record whose payload is `arena[start..start + len]`, the arena
+    /// shared the way [`to_records`] shares a block's.
+    fn windowed(id: u64, point: Point, arena: &Arc<Vec<u8>>, start: usize, len: usize) -> Record {
+        Record {
+            id,
+            point,
+            payload: Payload::window(arena.clone(), start, len),
+        }
+    }
+
+    fn encoded(r: &Record) -> Vec<u8> {
+        let mut buf = Vec::new();
+        r.encode(&mut buf);
+        buf
+    }
 
     #[test]
     fn wire_roundtrip() {
@@ -98,6 +227,24 @@ mod tests {
     }
 
     #[test]
+    fn a_window_encodes_to_the_vec_layout() {
+        let arena = Arc::new(b"..abc.....".to_vec());
+        let r = windowed(7, Point::new(1.5, -2.5), &arena, 2, 3);
+        assert_eq!(
+            encoded(&r),
+            b"\x07\0\0\0\0\0\0\0\
+              \0\0\0\0\0\0\xf8\x3f\
+              \0\0\0\0\0\0\x04\xc0\
+              \x03\0\0\0abc"
+        );
+        assert_eq!(
+            r,
+            Record::with_payload(7, Point::new(1.5, -2.5), b"abc".to_vec())
+        );
+        assert_eq!(format!("{:?}", r.payload), format!("{:?}", b"abc"));
+    }
+
+    #[test]
     fn encoded_size_grows_with_payload() {
         let bare = Record::new(1, Point::new(0.0, 0.0));
         let fat = Record::with_payload(1, Point::new(0.0, 0.0), vec![0; 256]);
@@ -106,24 +253,122 @@ mod tests {
     }
 
     #[test]
+    fn empty_payloads_have_no_arena() {
+        assert!(Record::new(1, Point::new(0.0, 0.0)).payload.arena.is_none());
+        assert!(Payload::from(Vec::new()).arena.is_none());
+        let arena = Arc::new(vec![1, 2, 3]);
+        let r = Record::with_payload(1, Point::new(0.0, 0.0), vec![9; 8]);
+        assert!(r.stripped().payload.arena.is_none());
+        // An empty window still equals an arena-less payload.
+        assert_eq!(Payload::window(arena, 3, 0), Payload::default());
+        assert!(to_records(&[Point::new(0.0, 0.0)], 0)[0]
+            .payload
+            .arena
+            .is_none());
+        assert_eq!(std::mem::size_of::<Payload>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload window past its arena")]
+    fn a_window_past_its_arena_is_refused() {
+        Payload::window(Arc::new(vec![1, 2, 3]), 2, 2);
+    }
+
+    #[test]
     fn truncated_record_decodes_to_error() {
-        let r = Record::with_payload(7, Point::new(1.5, -2.5), vec![1, 2, 3]);
-        let mut buf = BytesMut::new();
-        r.encode(&mut buf);
-        let bytes = buf.freeze();
+        let arena = Arc::new(vec![9, 9, 1, 2, 3, 9]);
+        let r = windowed(7, Point::new(1.5, -2.5), &arena, 2, 3);
+        let bytes = encoded(&r);
         // Every proper prefix must error, never panic.
         for cut in 0..r.encoded_size() {
-            let mut partial = BytesMut::new();
-            let mut whole = bytes.clone();
-            let mut raw = vec![0u8; cut];
-            whole.copy_to_slice(&mut raw);
-            partial.put_slice(&raw);
             assert!(
-                Record::try_decode(&mut partial.freeze()).is_err(),
+                Record::try_decode(&mut &bytes[..cut]).is_err(),
                 "prefix of {cut} bytes must be rejected"
             );
         }
-        assert_eq!(Record::try_decode(&mut bytes.clone()), Ok(r));
+        assert_eq!(Record::try_decode(&mut &bytes[..]), Ok(r));
+    }
+
+    proptest! {
+        /// A window at any offset of a larger arena is, on the wire and to
+        /// `==`, the `Vec<u8>` payload with the same content.
+        #[test]
+        fn windows_encode_like_owned_payloads(
+            id in any::<u64>(),
+            x in -1e6f64..1e6,
+            y in -1e6f64..1e6,
+            arena in prop::collection::vec(any::<u8>(), 2..300),
+            cut in (any::<usize>(), any::<usize>()),
+        ) {
+            let start = 1 + cut.0 % (arena.len() - 1);
+            let len = cut.1 % (arena.len() - start + 1);
+            let content = arena[start..start + len].to_vec();
+            let r = windowed(id, Point::new(x, y), &Arc::new(arena), start, len);
+
+            let mut expected = Vec::new();
+            expected.extend_from_slice(&id.to_le_bytes());
+            expected.extend_from_slice(&x.to_le_bytes());
+            expected.extend_from_slice(&y.to_le_bytes());
+            expected.extend_from_slice(&(len as u32).to_le_bytes());
+            expected.extend_from_slice(&content);
+            let bytes = encoded(&r);
+            prop_assert_eq!(&bytes, &expected);
+            prop_assert_eq!(r.encoded_size(), bytes.len());
+
+            // Equality across arenas, and decode ∘ encode = identity.
+            let owned = Record::with_payload(id, Point::new(x, y), content);
+            prop_assert_eq!(&r, &owned);
+            prop_assert_eq!(encoded(&owned), bytes.clone());
+            prop_assert_eq!(Record::try_decode(&mut &bytes[..]), Ok(r));
+            for cut in 0..bytes.len() {
+                prop_assert!(Record::try_decode(&mut &bytes[..cut]).is_err());
+            }
+        }
+    }
+
+    /// `to_records` as it was before arenas: one owned buffer per record.
+    fn per_record_reference(points: &[Point], payload_bytes: usize) -> Vec<Record> {
+        points
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let mut payload = Vec::with_capacity(payload_bytes);
+                let mut state = (i as u64).wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0xA5A5;
+                while payload.len() < payload_bytes {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    payload.push(b'a' + ((state >> 60) % 26) as u8);
+                }
+                Record::with_payload(i as u64, p, payload)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn to_records_matches_the_per_record_generator_across_blocks() {
+        let block = ARENA_BLOCK_RECORDS;
+        for n in [0, 1, block - 1, block, block + 1, 2 * block + 1] {
+            let pts: Vec<Point> = (0..n).map(|i| Point::new(i as f64, -(i as f64))).collect();
+            for payload_bytes in [0, 1, 32, 257] {
+                let got = to_records(&pts, payload_bytes);
+                let want = per_record_reference(&pts, payload_bytes);
+                assert_eq!(got, want, "n={n} payload={payload_bytes}");
+                let bytes = |recs: &[Record]| recs.iter().flat_map(encoded).collect::<Vec<u8>>();
+                assert_eq!(bytes(&got), bytes(&want), "n={n} payload={payload_bytes}");
+            }
+        }
+    }
+
+    #[test]
+    fn to_records_shares_one_arena_per_block() {
+        let pts = vec![Point::new(0.0, 0.0); ARENA_BLOCK_RECORDS + 1];
+        let recs = to_records(&pts, 8);
+        let arena = |r: &Record| Arc::as_ptr(r.payload.arena.as_ref().expect("payload has bytes"));
+        assert_eq!(arena(&recs[0]), arena(&recs[ARENA_BLOCK_RECORDS - 1]));
+        assert_ne!(arena(&recs[0]), arena(&recs[ARENA_BLOCK_RECORDS]));
+        assert_eq!(recs[1].payload.start, 8);
+        // The largest payload still places a block's last window below 2³².
+        assert!(MAX_PAYLOAD_BYTES * ARENA_BLOCK_RECORDS <= u32::MAX as usize);
+        assert!((MAX_PAYLOAD_BYTES + 1) * ARENA_BLOCK_RECORDS > u32::MAX as usize);
     }
 
     #[test]

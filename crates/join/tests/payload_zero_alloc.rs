@@ -1,0 +1,84 @@
+//! Payload bytes live once: replicating a fat tuple must not touch the
+//! allocator, and generating `n` of them allocates per arena block, not per
+//! record. This lives in its own integration-test binary so the counting
+//! global allocator only ever observes this one test.
+
+use asj_geom::Point;
+use asj_join::{to_records, Record};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: delegates entirely to the system allocator; the counters are
+// side-effect-free atomics.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.fetch_add(1, Ordering::SeqCst);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn counts() -> (u64, u64) {
+    (
+        ALLOCATIONS.load(Ordering::SeqCst),
+        FREES.load(Ordering::SeqCst),
+    )
+}
+
+#[test]
+fn replicas_share_payload_bytes_and_generation_allocates_per_block() {
+    assert!(std::mem::size_of::<Record>() <= 40);
+    assert!(std::mem::size_of::<(u64, Record)>() <= 48);
+
+    const N: usize = 10_000;
+    let points: Vec<Point> = (0..N).map(|i| Point::new(i as f64, 0.5)).collect();
+
+    let (allocs, _) = counts();
+    let records = to_records(&points, 64);
+    let generated = counts().0 - allocs;
+    // One byte buffer and one refcount header per 1024-record block, plus
+    // the record vector itself.
+    let blocks = N.div_ceil(1024) as u64;
+    assert!(
+        generated <= 2 * blocks + 1,
+        "to_records({N}, 64) allocated {generated} times for {blocks} blocks"
+    );
+
+    // What `map_stage` does per replica, and the driver per shuffled
+    // partition: clone into a keyed row, drop it later.
+    let mut replicas: Vec<(u64, Record)> = Vec::with_capacity(N);
+    let before = counts();
+    replicas.extend(records.iter().map(|r| (r.id % 7, r.clone())));
+    assert!(replicas.iter().zip(&records).all(|((_, a), b)| a == b));
+    replicas.clear();
+    let after = counts();
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, 0),
+        "cloning and dropping {N} payload-carrying records must not allocate or free"
+    );
+
+    // The originals still read their bytes; dropping the last window of a
+    // block is what frees its arena.
+    assert!(records.iter().all(|r| r.payload.len() == 64));
+    let before = counts();
+    drop(records);
+    assert_eq!(counts().1 - before.1, 2 * blocks + 1);
+}

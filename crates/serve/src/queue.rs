@@ -1,5 +1,5 @@
 use asj_data::GenKind;
-use asj_join::{Algorithm, LocalKernel};
+use asj_join::{Algorithm, LocalKernel, MAX_PAYLOAD_BYTES};
 
 /// One tenant's job request, as parsed from a queue file line.
 ///
@@ -29,6 +29,7 @@ pub struct TenantSpec {
     /// Synthetic payload bytes attached to every generated record (`payload=`
     /// key, byte suffixes allowed). Payloads ride the shuffle like real
     /// attribute data would, so the admission estimator must price them in.
+    /// At most [`MAX_PAYLOAD_BYTES`].
     pub payload: u64,
     /// Fault-plan spec (`FaultPlan::parse` syntax), injected only into this
     /// tenant's stages.
@@ -139,6 +140,18 @@ pub fn parse_bytes(value: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("byte size overflows u64: '{value}'"))
 }
 
+/// Rejects a `payload=` the record generator cannot lay out, before anything
+/// is allocated for it: the size comes from a queue file.
+pub(crate) fn check_payload(bytes: u64) -> Result<(), String> {
+    if bytes > MAX_PAYLOAD_BYTES as u64 {
+        return Err(format!(
+            "payload must be at most {MAX_PAYLOAD_BYTES} bytes (a payload window addresses \
+             its shared arena block with 32 bits), got {bytes}"
+        ));
+    }
+    Ok(())
+}
+
 fn parse_job_line(line: &str) -> Result<TenantSpec, String> {
     let mut tokens = line.split_whitespace();
     match tokens.next() {
@@ -195,7 +208,10 @@ fn parse_job_line(line: &str) -> Result<TenantSpec, String> {
                     ));
                 }
             }
-            "payload" => spec.payload = parse_bytes(value)?,
+            "payload" => {
+                spec.payload = parse_bytes(value)?;
+                check_payload(spec.payload)?;
+            }
             "faults" => spec.faults = Some(value.to_string()),
             "fault-seed" => spec.fault_seed = parse_num(value, key)?,
             "max-attempts" => {
@@ -322,6 +338,15 @@ grid-factor=3 payload=2k faults=p=0.2,slow:1=2.0 fault-seed=3 max-attempts=5 est
             ("job a eps=0.5 seed=1.5", "invalid value for 'seed'"),
             ("job a eps=0.5 weight=big", "invalid value for 'weight'"),
             ("job a eps=0.5 payload=lots", "invalid byte size"),
+            (
+                "job a eps=0.5 n=100 payload=5g",
+                "payload must be at most 4194303 bytes",
+            ),
+            (
+                "job a eps=0.5 n=100 payload=64g",
+                "payload must be at most 4194303 bytes",
+            ),
+            ("job a eps=0.5 payload=4m", "got 4194304"),
             ("job a eps=0.5 partitions", "expected key=value"),
             ("job a eps=0.5 kernel=turbo", "unknown kernel"),
             ("job a eps=0.5 kind=zipf", "unknown generator kind"),
@@ -394,7 +419,7 @@ grid-factor=3 payload=2k faults=p=0.2,slow:1=2.0 fault-seed=3 max-attempts=5 est
                 (
                     1usize..128,  // partitions
                     0..4usize,    // grid-factor menu index
-                    0..4usize,    // payload menu index
+                    0..5usize,    // payload menu index
                     0..3usize,    // fault plan: none / p=0.2 / p=0.5
                     any::<u64>(), // fault seed (used only with a plan)
                     0..13usize,   // max-attempts: 0 = none
@@ -425,7 +450,7 @@ grid-factor=3 payload=2k faults=p=0.2,slow:1=2.0 fault-seed=3 max-attempts=5 est
                         ][kernel];
                         spec.partitions = partitions;
                         spec.grid_factor = [1.0f64, 2.0, 2.5, 3.0][gf_idx];
-                        spec.payload = [0u64, 1, 512, 4096][payload_idx];
+                        spec.payload = [0u64, 1, 512, 4096, MAX_PAYLOAD_BYTES as u64][payload_idx];
                         if fault_idx > 0 {
                             spec.faults = Some(["p=0.2", "p=0.5,slow:1=2.0"][fault_idx - 1].into());
                             spec.fault_seed = fault_seed;

@@ -1,5 +1,5 @@
 use crate::estimate::WorkingSetModel;
-use crate::queue::TenantSpec;
+use crate::queue::{check_payload, TenantSpec};
 use asj_data::{DatasetSpec, PAPER_BBOX};
 use asj_engine::{
     ensure_remaining, Cluster, FaultPlan, Fnv1a, JobReport, JobServer, JobSpec, RetryPolicy,
@@ -52,14 +52,26 @@ impl Wire for TenantOutcome {
 
 /// FNV-1a 64 over the result cardinality and the sorted `(r, s)` pairs.
 /// Sorting first makes the fingerprint independent of partition emit order.
+/// When every id fits 32 bits (generated ids always do) the pairs are sorted
+/// as packed `r << 32 | s` keys — the same order at half the bytes moved;
+/// otherwise as tuples. Both feed the same stream to the hash.
 pub fn checksum_pairs(result_count: u64, pairs: &[(u64, u64)]) -> u64 {
-    let mut sorted = pairs.to_vec();
-    sorted.sort_unstable();
     let mut hash = Fnv1a::default();
     hash.write_u64(result_count);
-    for (r, s) in sorted {
-        hash.write_u64(r);
-        hash.write_u64(s);
+    if pairs.iter().all(|&(r, s)| (r | s) >> 32 == 0) {
+        let mut keys: Vec<u64> = pairs.iter().map(|&(r, s)| r << 32 | s).collect();
+        keys.sort_unstable();
+        for key in keys {
+            hash.write_u64(key >> 32);
+            hash.write_u64(key & u64::from(u32::MAX));
+        }
+    } else {
+        let mut sorted = pairs.to_vec();
+        sorted.sort_unstable();
+        for (r, s) in sorted {
+            hash.write_u64(r);
+            hash.write_u64(s);
+        }
     }
     hash.finish()
 }
@@ -166,29 +178,37 @@ fn tenant_faults(tenant: &TenantSpec) -> Result<Option<(FaultPlan, RetryPolicy)>
 }
 
 fn run_tenant_body(tenant: &TenantSpec, cluster: &Cluster) -> Result<TenantOutcome, JoinError> {
-    let r = tenant_records(tenant, tenant.seed);
-    let s = tenant_records(tenant, tenant.seed.wrapping_add(1));
+    // Generation and the checksum run on the tenant's driver thread inside
+    // its quanta; as phases they put the whole quantum in the trace.
+    let recorder = cluster.recorder();
+    let (r, s) = recorder.phase("generate", || {
+        (
+            tenant_records(tenant, tenant.seed),
+            tenant_records(tenant, tenant.seed.wrapping_add(1)),
+        )
+    });
     let spec = tenant_join_spec(tenant);
     let out = tenant.algorithm.try_run(cluster, &spec, r, s)?;
+    let checksum = recorder.phase("checksum", || checksum_pairs(out.result_count, &out.pairs));
     Ok(TenantOutcome {
         result_count: out.result_count,
         candidates: out.candidates,
         replicated: out.replicated_total(),
-        checksum: checksum_pairs(out.result_count, &out.pairs),
+        checksum,
     })
 }
 
 /// Builds the [`JobSpec`] for one tenant: the join body, the fair-share
 /// weight, the tenant's own fault plan and the working-set estimate
-/// (override, or `model` applied to the tenant's sampled inputs).
-pub fn tenant_job(
-    tenant: &TenantSpec,
-    nodes: usize,
-    model: &WorkingSetModel,
-) -> Result<JobSpec<TenantOutcome>, String> {
+/// (override, or [`calibrated_model_for`] the tenant applied to its sampled
+/// inputs).
+pub fn tenant_job(tenant: &TenantSpec, nodes: usize) -> Result<JobSpec<TenantOutcome>, String> {
+    // Same text as the queue parser, for a spec built in code — and before
+    // the calibration probe generates a single record of that size.
+    check_payload(tenant.payload)?;
     let estimate = tenant
         .estimate_override
-        .unwrap_or_else(|| model.estimate(tenant, nodes));
+        .unwrap_or_else(|| calibrated_model_for(tenant).estimate(tenant, nodes));
     let owned = tenant.clone();
     let mut spec = JobSpec::new(tenant.name.clone(), move |cluster: &Cluster| {
         run_tenant_body(&owned, cluster)
@@ -246,12 +266,10 @@ pub fn run_queue(
         .with_policy(policy)
         .with_queue_capacity(tenants.len().max(1));
     for tenant in tenants {
-        let model = calibrated_model_for(tenant);
-        let job =
-            tenant_job(tenant, cluster.nodes(), &model).map_err(|message| ServeError::Spec {
-                tenant: tenant.name.clone(),
-                message,
-            })?;
+        let job = tenant_job(tenant, cluster.nodes()).map_err(|message| ServeError::Spec {
+            tenant: tenant.name.clone(),
+            message,
+        })?;
         server.submit(job).map_err(|error| ServeError::Submit {
             tenant: tenant.name.clone(),
             error,
@@ -346,6 +364,48 @@ mod tests {
         assert_ne!(checksum_pairs(0, &[]), checksum_pairs(1, &[]));
     }
 
+    /// The tuple-sort definition `checksum_pairs` must reproduce whichever
+    /// sort it picks.
+    fn checksum_reference(result_count: u64, pairs: &[(u64, u64)]) -> u64 {
+        let mut sorted = pairs.to_vec();
+        sorted.sort_unstable();
+        let mut hash = Fnv1a::default();
+        hash.write_u64(result_count);
+        for (r, s) in sorted {
+            hash.write_u64(r);
+            hash.write_u64(s);
+        }
+        hash.finish()
+    }
+
+    mod checksum_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Ids below 2³² (clustered, so duplicates and ties on `r` occur),
+        /// just around the boundary, and anywhere in `u64`.
+        fn arb_id() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                0u64..8,
+                any::<u32>().prop_map(u64::from),
+                (u64::from(u32::MAX) - 1)..(u64::from(u32::MAX) + 3),
+                any::<u64>(),
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn packed_and_tuple_sorts_hash_alike(
+                small in prop::collection::vec((0u64..1 << 32, 0u64..1 << 32), 0..200),
+                mixed in prop::collection::vec((arb_id(), arb_id()), 0..200),
+                count in any::<u64>(),
+            ) {
+                prop_assert_eq!(checksum_pairs(count, &small), checksum_reference(count, &small));
+                prop_assert_eq!(checksum_pairs(count, &mixed), checksum_reference(count, &mixed));
+            }
+        }
+    }
+
     #[test]
     fn queue_outcomes_match_solo_runs() {
         let cluster = test_cluster();
@@ -418,6 +478,23 @@ mod tests {
             ServeError::Spec { tenant, .. } => assert_eq!(tenant, "alpha"),
             other => panic!("expected Spec error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn oversized_payload_in_a_coded_spec_gets_the_queue_parsers_error() {
+        let mut tenants = two_tenants();
+        tenants[1].payload = asj_join::MAX_PAYLOAD_BYTES as u64 + 1;
+        let parsed = crate::parse_queue(&tenants[1].to_string()).unwrap_err();
+        let err = in_memory(&test_cluster(), &tenants, SchedPolicy::Fifo).unwrap_err();
+        match err {
+            ServeError::Spec { tenant, message } => {
+                assert_eq!(tenant, "beta");
+                assert_eq!(message, parsed.message);
+                assert!(message.contains("at most 4194303 bytes"), "{message}");
+            }
+            other => panic!("expected Spec error, got {other:?}"),
+        }
+        assert_eq!(tenant_job(&tenants[1], 4).err(), Some(parsed.message));
     }
 
     #[test]
