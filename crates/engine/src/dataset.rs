@@ -135,9 +135,6 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     }
 }
 
-/// The zipped per-partition inputs of a co-grouped join.
-type CogroupTasks<K, V, V2> = Vec<(Vec<(K, V)>, Vec<(K, V2)>)>;
-
 /// One radix map task's attempt-local output: in-memory buckets, byte
 /// metering, the attempt's spill segment (if any target was denied memory)
 /// and the charge ledger the driver settles at commit. Everything here is
@@ -498,89 +495,6 @@ where
         }
         Ok((KeyedDataset { parts }, shuffle, stats))
     }
-
-    /// Co-grouped join against `other` (must be partitioned by the same
-    /// partitioner): for every key present on both sides of a partition,
-    /// `kernel` receives the two value groups and emits results.
-    ///
-    /// `kernel` also folds side statistics into an `A` that starts at
-    /// `A::default()` for every task *attempt* and is committed together
-    /// with the partition's output. This is the fault-safe replacement for
-    /// accumulating in shared atomics, which a retried or speculatively
-    /// re-executed task would double-count (Spark restarts accumulators the
-    /// same way).
-    ///
-    /// This fuses Spark's `join(...)` with the subsequent refinement
-    /// `filter(d(r, s) ≤ ε)` of Algorithm 5, exactly as the paper describes
-    /// ("directly after the production of a candidate pair, their actual
-    /// distance is computed").
-    pub fn cogroup_join_fold<V2, R, A, F>(
-        self,
-        cluster: &Cluster,
-        other: KeyedDataset<K, V2>,
-        kernel: F,
-    ) -> Result<(Dataset<R>, Vec<A>, ExecStats), JobError>
-    where
-        K: Ord,
-        V2: Wire + Send + Sync + Clone,
-        R: Send,
-        A: Default + Send,
-        F: Fn(K, &[V], &[V2], &mut Vec<R>, &mut A) + Sync,
-    {
-        assert_eq!(
-            self.parts.len(),
-            other.parts.len(),
-            "joined datasets must share the partitioner"
-        );
-        let tasks: CogroupTasks<K, V, V2> = self.parts.into_iter().zip(other.parts).collect();
-        let (folded, stats) = cluster.run_stage("cogroup_join", tasks, |_, (mut a, mut b)| {
-            a.sort_unstable_by_key(|x| x.0);
-            b.sort_unstable_by_key(|x| x.0);
-            merge_cogroups(a, b, &kernel)
-        })?;
-        let (parts, accs) = folded.into_iter().unzip();
-        Ok((Dataset { parts }, accs, stats))
-    }
-}
-
-/// The task body of the co-grouped join: a two-cursor merge over two
-/// partitions already sorted by key. For every key present on both sides,
-/// `kernel` receives the two value groups, the task's output vector and its
-/// accumulator.
-fn merge_cogroups<K, V, V2, R, A, F>(a: Vec<(K, V)>, b: Vec<(K, V2)>, kernel: &F) -> (Vec<R>, A)
-where
-    K: Ord + Copy,
-    A: Default,
-    F: Fn(K, &[V], &[V2], &mut Vec<R>, &mut A),
-{
-    let mut out = Vec::new();
-    let mut acc = A::default();
-    let mut ia = a.into_iter().peekable();
-    let mut ib = b.into_iter().peekable();
-    let mut va: Vec<V> = Vec::new();
-    let mut vb: Vec<V2> = Vec::new();
-    while let (Some(ka), Some(kb)) = (ia.peek().map(|x| x.0), ib.peek().map(|x| x.0)) {
-        match ka.cmp(&kb) {
-            std::cmp::Ordering::Less => {
-                ia.next();
-            }
-            std::cmp::Ordering::Greater => {
-                ib.next();
-            }
-            std::cmp::Ordering::Equal => {
-                va.clear();
-                vb.clear();
-                while ia.peek().is_some_and(|x| x.0 == ka) {
-                    va.push(ia.next().expect("peeked").1);
-                }
-                while ib.peek().is_some_and(|x| x.0 == ka) {
-                    vb.push(ib.next().expect("peeked").1);
-                }
-                kernel(ka, &va, &vb, &mut out, &mut acc);
-            }
-        }
-    }
-    (out, acc)
 }
 
 #[cfg(test)]
@@ -692,36 +606,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn cogroup_join_fold_recovers_injected_failures() {
-        use crate::fault::{FaultPlan, RetryPolicy};
-        let mk = || {
-            let parts: Vec<Vec<(u64, u64)>> = (0..4)
-                .map(|p| (0..80u64).map(|i| (i % 17, p * 100 + i)).collect())
-                .collect();
-            KeyedDataset::from_partitions(parts)
-        };
-        let p = HashPartitioner::new(6);
-        let run = |c: &Cluster| {
-            let (a, _, _) = shuffle(mk(), c, &p);
-            let (b, _, _) = shuffle(mk(), c, &p);
-            a.cogroup_join_fold(c, b, |k, va, vb, out: &mut Vec<u64>, acc: &mut u64| {
-                *acc += 1;
-                out.push(k + va.len() as u64 + vb.len() as u64);
-            })
-            .expect("join recovers")
-        };
-        let (clean, accs_clean, _) = run(&cluster());
-        let plan = FaultPlan::none()
-            .with_fail_point("cogroup_join", 1, 1)
-            .with_fail_point("cogroup_join", 4, 1);
-        let faulty = cluster().with_fault_policy(plan, RetryPolicy::default());
-        let (recovered, accs_rec, stats) = run(&faulty);
-        assert_eq!(recovered.into_partitions(), clean.into_partitions());
-        assert_eq!(accs_rec, accs_clean);
-        assert_eq!(stats.retries, 2, "both injected failures retried once");
     }
 
     /// Fixture for the memory-governor tests: a skewed keyed workload large
@@ -908,48 +792,5 @@ mod tests {
         let (_, stats, _) = shuffle(kd, &many, &HashPartitioner::new(8));
         assert!(stats.remote_bytes > stats.local_bytes);
         assert_eq!(stats.total_bytes(), 100 * 16);
-    }
-
-    #[test]
-    fn cogroup_join_pairs_matching_keys() {
-        let c = cluster();
-        let p = HashPartitioner::new(3);
-        let a = KeyedDataset::from_partitions(vec![vec![(1u64, 10u64), (2, 20), (2, 21), (3, 30)]]);
-        let b =
-            KeyedDataset::from_partitions(vec![vec![(2u64, 200u64), (3, 300), (3, 301), (4, 400)]]);
-        let (a, _, _) = shuffle(a, &c, &p);
-        let (b, _, _) = shuffle(b, &c, &p);
-        let (joined, _, _) = a
-            .cogroup_join_fold(&c, b, |k, va, vb, out, _: &mut ()| {
-                for &x in va {
-                    for &y in vb {
-                        out.push((k, x, y));
-                    }
-                }
-            })
-            .expect("join runs");
-        let mut rows = joined.collect();
-        rows.sort();
-        assert_eq!(
-            rows,
-            vec![(2, 20, 200), (2, 21, 200), (3, 30, 300), (3, 30, 301)]
-        );
-    }
-
-    #[test]
-    fn cogroup_join_empty_sides() {
-        let c = cluster();
-        let a: KeyedDataset<u64, u64> = KeyedDataset::from_partitions(vec![vec![], vec![(1, 1)]]);
-        let b: KeyedDataset<u64, u64> = KeyedDataset::from_partitions(vec![vec![(2, 2)], vec![]]);
-        let (joined, _, _) = a
-            .cogroup_join_fold(&c, b, |k, va, vb, out, _: &mut ()| {
-                for &x in va {
-                    for &y in vb {
-                        out.push((k, x, y));
-                    }
-                }
-            })
-            .expect("join runs");
-        assert!(joined.collect().is_empty());
     }
 }

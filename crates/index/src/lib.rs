@@ -13,8 +13,6 @@
 //!   correctness tests).
 //! * [`QuadTreePartitioner`] — sample-driven recursive space partitioner
 //!   with point→leaf and ε-disk→leaves lookups.
-//! * [`KdTree`] — median-split k-d tree over points with ε-range and exact
-//!   kNN queries (the independent oracle for the distributed kNN join).
 //! * [`batch`] — [`PointBatch`]: a shuffled partition as flat, cell-grouped,
 //!   x-ascending coordinate lanes, the layout the kernels stream.
 //! * [`kernels`] — the shared partition-local join layer every distributed
@@ -28,12 +26,10 @@
 //!   ([`kernels::calibrate_cost_model`]).
 
 pub mod batch;
-mod kdtree;
 pub mod kernels;
 mod quadtree;
 mod rtree;
 
 pub use batch::{PointBatch, PointsView};
-pub use kdtree::KdTree;
 pub use quadtree::QuadTreePartitioner;
 pub use rtree::RTree;

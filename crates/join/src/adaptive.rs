@@ -1,4 +1,4 @@
-use crate::pipeline::{run_plan, JoinPlan};
+use crate::pipeline::{join_points, run_plan, JoinPlan};
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
 use asj_core::{cell_costs, AgreementGraph, AgreementPolicy, GridSample, SetLabel};
 use asj_engine::{
@@ -140,8 +140,8 @@ pub(crate) fn agreement_join(
     let graph_b = cluster.broadcast(graph);
     let assign_as = |label: SetLabel| {
         let graph_b = graph_b.clone();
-        move |p: Point, cells: &mut Vec<u64>, scratch: &mut Vec<CellCoord>| {
-            assign(&graph_b, p, label, scratch);
+        move |rec: &Record, cells: &mut Vec<u64>, scratch: &mut Vec<CellCoord>| {
+            assign(&graph_b, rec.point, label, scratch);
             cells.extend(scratch.iter().map(|&c| graph_b.grid().cell_index(c) as u64));
         }
     };
@@ -151,12 +151,12 @@ pub(crate) fn agreement_join(
         assign_r: &assign_r,
         assign_s: &assign_s,
         partitioner: &*partitioner,
-        keep: None,
+        local_join: &join_points(cluster, spec, None),
         broadcast_bytes,
         driver,
         sampling,
     };
-    run_plan(cluster, spec, rdd_r, rdd_s, plan)
+    run_plan(cluster, rdd_r, rdd_s, plan)
 }
 
 #[cfg(test)]

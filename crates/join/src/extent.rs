@@ -1,12 +1,11 @@
+use crate::pipeline::{for_each_cogroup, run_plan, JoinPlan, KernelTally};
 use crate::{JoinError, JoinOutput, JoinSpec};
-use asj_engine::{
-    ensure_remaining, Cluster, Dataset, ExecStats, HashPartitioner, JobMetrics, KeyedDataset, Wire,
-    WireError,
-};
+use asj_engine::{ensure_remaining, Cluster, Dataset, ExecStats, HashPartitioner, Wire, WireError};
 use asj_geom::{Point, Polygon, Polyline, Shape};
-use asj_grid::{Grid, GridSpec};
+use asj_grid::{CellCoord, Grid, GridSpec};
 use asj_index::kernels;
 use bytes::{Buf, BufMut};
+use std::time::Duration;
 
 /// A spatial object with extent: the generalization beyond point data that
 /// the paper defers to future work (§8: "extend the abstraction … for other
@@ -114,72 +113,26 @@ pub fn extent_join(
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let broadcast_bytes = grid.broadcast_bytes();
-    let eps = spec.eps;
-    let mut construction = ExecStats::default();
-    let grid_b = cluster.broadcast(grid);
-
-    let route = |expand: f64| {
-        let grid_b = grid_b.clone();
-        move |part: Vec<ExtentRecord>| -> (Vec<(u64, ExtentRecord)>, u64) {
-            let mut out = Vec::with_capacity(part.len());
-            let mut cells = Vec::with_capacity(8);
-            let mut records = 0u64;
-            for rec in part {
-                records += 1;
-                cells.clear();
-                grid_b.push_cells_intersecting(rec.shape.envelope().expand(expand), &mut cells);
-                debug_assert!(!cells.is_empty());
-                for &c in &cells[1..] {
-                    out.push((grid_b.cell_index(c) as u64, rec.clone()));
-                }
-                let first = cells[0];
-                out.push((grid_b.cell_index(first) as u64, rec));
-            }
-            (out, records)
+    let grid = &cluster.broadcast(grid);
+    let (eps, collect, kernel) = (spec.eps, spec.collect_pairs, spec.kernel);
+    // Side A is assigned by its ε-expanded envelope, side B by its envelope.
+    let envelope = |expand: f64| {
+        move |rec: &ExtentRecord, cells: &mut Vec<u64>, scratch: &mut Vec<CellCoord>| {
+            scratch.clear();
+            grid.push_cells_intersecting(rec.shape.envelope().expand(expand), scratch);
+            cells.extend(scratch.iter().map(|&c| grid.cell_index(c) as u64));
         }
     };
-    let map_side = |input: Vec<ExtentRecord>,
-                    expand: f64,
-                    construction: &mut ExecStats|
-     -> Result<(KeyedDataset<u64, ExtentRecord>, u64), JoinError> {
-        let ds = Dataset::from_vec(input, spec.input_partitions);
-        let records: u64 = ds.len() as u64;
-        let f = route(expand);
-        let (parts, ex) = cluster.run_stage("task", ds.into_partitions(), |_, part| f(part).0)?;
-        construction.accumulate(&ex);
-        let keyed = KeyedDataset::from_partitions(parts);
-        let replicas = keyed.len() as u64 - records;
-        Ok((keyed, replicas))
-    };
-
-    let (keyed_a, rep_a) = map_side(a, eps, &mut construction)?;
-    let (keyed_b, rep_b) = map_side(b, 0.0, &mut construction)?;
-
-    let partitioner = HashPartitioner::new(spec.num_partitions);
-    let (keyed_a, sh_a, ex_a) = keyed_a.shuffle_stage(cluster, &partitioner, "shuffle")?;
-    let (keyed_b, sh_b, ex_b) = keyed_b.shuffle_stage(cluster, &partitioner, "shuffle")?;
-    let mut shuffle = sh_a;
-    shuffle.merge(&sh_b);
-    construction.accumulate(&ex_a);
-    construction.accumulate(&ex_b);
-
-    let collect = spec.collect_pairs;
-    let e2 = eps * eps;
-    let kernel = spec.kernel;
     let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
-    // Counts fold into per-partition accumulators committed with the task
-    // result — safe under retries and speculative re-execution. The envelope
-    // kernel enumerates candidate pairs (all of them under a nested loop,
-    // only overlap-surviving ones under the sweep); the callback applies the
-    // envelope filter, the reference-point dedup and the exact distance.
-    let (joined, counts, join_exec) = keyed_a.cogroup_join_fold(
-        cluster,
-        keyed_b,
-        |cell,
-         avs: &[ExtentRecord],
-         bvs: &[ExtentRecord],
-         out: &mut Vec<(u64, u64)>,
-         acc: &mut (u64, u64)| {
+    let e2 = eps * eps;
+    // The envelope kernel enumerates candidate pairs (all of them under a
+    // nested loop, only overlap-surviving ones under the sweep); the callback
+    // applies the envelope filter, the reference-point dedup and the exact
+    // distance.
+    let local_join = |pa: &[(u64, ExtentRecord)], pb: &[(u64, ExtentRecord)]| {
+        let mut out = Vec::new();
+        let mut tally = KernelTally::default();
+        for_each_cogroup(pa, pb, |cell, avs, bvs| {
             let outcome = kernels::local_join_rects(
                 kernel,
                 &model,
@@ -189,7 +142,7 @@ pub fn extent_join(
                 |a| a.shape.envelope().expand(eps),
                 |b| b.shape.envelope(),
                 |i, j| {
-                    let (ra, rb) = (&avs[i], &bvs[j]);
+                    let (ra, rb) = (avs[i], bvs[j]);
                     let ea = ra.shape.envelope().expand(eps);
                     let eb = rb.shape.envelope();
                     if !ea.intersects(&eb) {
@@ -197,38 +150,33 @@ pub fn extent_join(
                     }
                     // Reference-point test before the expensive distance.
                     let refp = Point::new(ea.min_x.max(eb.min_x), ea.min_y.max(eb.min_y));
-                    if grid_b.cell_index(grid_b.cell_of(refp)) as u64 != cell {
+                    if grid.cell_index(grid.cell_of(refp)) as u64 != cell {
                         return false;
                     }
-                    if ra.shape.dist2(&rb.shape) <= e2 {
-                        if collect {
-                            out.push((ra.id, rb.id));
-                        }
-                        true
-                    } else {
-                        false
+                    let hit = ra.shape.dist2(&rb.shape) <= e2;
+                    if hit && collect {
+                        out.push((ra.id, rb.id));
                     }
+                    hit
                 },
             );
-            acc.0 += outcome.stats.candidates;
-            acc.1 += outcome.stats.results;
-        },
-    )?;
-
-    Ok(JoinOutput {
-        algorithm: "extent-join".to_string(),
-        pairs: joined.collect(),
-        result_count: counts.iter().map(|c| c.1).sum(),
-        candidates: counts.iter().map(|c| c.0).sum(),
-        replicated: [rep_a, rep_b],
-        metrics: JobMetrics {
-            shuffle,
-            construction,
-            join: join_exec,
-            driver: std::time::Duration::ZERO,
-            broadcast_bytes,
-        },
-    })
+            tally.record(outcome, avs.len() as u64 * bvs.len() as u64);
+        });
+        (out, tally)
+    };
+    let plan = JoinPlan {
+        name: "extent-join".to_string(),
+        assign_r: &envelope(eps),
+        assign_s: &envelope(0.0),
+        partitioner: &HashPartitioner::new(spec.num_partitions),
+        local_join: &local_join,
+        broadcast_bytes,
+        driver: Duration::ZERO,
+        sampling: ExecStats::default(),
+    };
+    let rdd_a = Dataset::from_vec(a, spec.input_partitions);
+    let rdd_b = Dataset::from_vec(b, spec.input_partitions);
+    run_plan(cluster, rdd_a, rdd_b, plan)
 }
 
 /// Brute-force oracle for the extent join.

@@ -1,11 +1,9 @@
+use crate::pipeline::{for_each_cogroup, map_stage, native_cell};
 use crate::{JoinError, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, KeyedDataset, ShuffleStats};
 use asj_geom::Point;
 use asj_grid::{CellCoord, Grid, GridSpec};
 use std::collections::HashMap;
-
-/// Zipped per-partition (queries, data) inputs of one search round.
-type RoundTasks = Vec<(Vec<(u64, Record)>, Vec<(u64, Record)>)>;
 
 /// Result of a [`knn_join`].
 #[derive(Debug, Clone)]
@@ -32,8 +30,8 @@ pub struct KnnOutput {
 /// so result traffic stays `O(|R|·k)` per round.
 ///
 /// The grid resolution comes from `spec` (`grid_factor · eps` cells); `k`
-/// must be positive. Ties are broken by neighbor id, making the result
-/// deterministic.
+/// must be positive ([`JoinError::InvalidSpec`] otherwise). Ties are broken
+/// by neighbor id, making the result deterministic.
 pub fn knn_join(
     cluster: &Cluster,
     spec: &JoinSpec,
@@ -57,7 +55,10 @@ fn knn_join_probe(
     s: Vec<Record>,
     annulus_only: bool,
 ) -> Result<KnnOutput, JoinError> {
-    assert!(k > 0, "k must be positive");
+    if k == 0 {
+        let reason = "must be positive".to_string();
+        return Err(JoinError::InvalidSpec { field: "k", reason });
+    }
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let s_total = s.len();
@@ -68,18 +69,12 @@ fn knn_join_probe(
     // Shuffle S once by its native cell.
     let grid_b = cluster.broadcast(grid);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
-    let (s_parts, ex) = cluster.run_stage("task", rdd_s.into_partitions(), |_, part| {
-        part.into_iter()
-            .map(|rec| (grid_b.cell_index(grid_b.cell_of(rec.point)) as u64, rec))
-            .collect::<Vec<_>>()
-    })?;
+    let (s_cells, _, ex) = map_stage(cluster, rdd_s, &native_cell(grid_b.clone()))?;
     exec.accumulate(&ex);
-    let (s_cells, sh, ex) =
-        KeyedDataset::from_partitions(s_parts).shuffle_stage(cluster, &partitioner, "shuffle")?;
+    let (s_cells, sh, ex) = s_cells.shuffle_stage(cluster, &partitioner, "shuffle")?;
     shuffle.merge(&sh);
     exec.accumulate(&ex);
-    // S stays resident; rounds re-join against it.
-    let s_parts: Vec<Vec<(u64, Record)>> = s_cells.into_partitions();
+    // S stays resident; every round's join borrows it.
 
     // Per-query best-so-far lists, merged on the driver between rounds.
     let mut best: HashMap<u64, Vec<(f64, u64)>> = HashMap::new();
@@ -139,41 +134,24 @@ fn knn_join_probe(
 
         // Per partition: for each query in a cell, its k best candidates
         // among the cell's S points.
-        let tasks: RoundTasks = q_cells
-            .into_partitions()
-            .into_iter()
-            .zip(s_parts.iter().cloned())
+        let tasks: Vec<_> = q_cells
+            .partitions()
+            .iter()
+            .zip(s_cells.partitions())
             .collect();
-        let (cand_parts, ex) = cluster.run_stage("task", tasks, |_, (mut qs, mut ss)| {
-            qs.sort_unstable_by_key(|x| x.0);
-            ss.sort_unstable_by_key(|x| x.0);
+        let (cand_parts, ex) = cluster.run_stage("task", tasks, |_, (qs, ss)| {
             let mut out: Vec<(u64, Vec<(f64, u64)>)> = Vec::new();
-            let mut si = 0usize;
-            let mut qi = 0usize;
-            while qi < qs.len() {
-                let cell = qs[qi].0;
-                while si < ss.len() && ss[si].0 < cell {
-                    si += 1;
+            for_each_cogroup(qs, ss, |_, queries, points| {
+                for q in queries {
+                    let mut cands: Vec<(f64, u64)> = points
+                        .iter()
+                        .map(|p| (q.point.dist2(p.point), p.id))
+                        .collect();
+                    cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                    cands.truncate(k);
+                    out.push((q.id, cands));
                 }
-                let s_start = si;
-                let mut s_end = si;
-                while s_end < ss.len() && ss[s_end].0 == cell {
-                    s_end += 1;
-                }
-                while qi < qs.len() && qs[qi].0 == cell {
-                    let q = &qs[qi].1;
-                    if s_end > s_start {
-                        let mut cands: Vec<(f64, u64)> = ss[s_start..s_end]
-                            .iter()
-                            .map(|(_, srec)| (q.point.dist2(srec.point), srec.id))
-                            .collect();
-                        cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                        cands.truncate(k);
-                        out.push((q.id, cands));
-                    }
-                    qi += 1;
-                }
-            }
+            });
             out
         })?;
         exec.accumulate(&ex);
@@ -260,6 +238,26 @@ mod tests {
         to_records(&pts, 0)
     }
 
+    /// `out` lists the brute-force neighbor ids, and each reported distance
+    /// is within 1e-9 (squared) of the one computed here from the
+    /// coordinates. `to_records` ids are input positions.
+    fn assert_brute_force(out: &KnnOutput, r: &[Record], s: &[Record], k: usize) {
+        let got: Vec<(u64, Vec<u64>)> = out
+            .neighbors
+            .iter()
+            .map(|(q, ns)| (*q, ns.iter().map(|(id, _)| *id).collect()))
+            .collect();
+        assert_eq!(got, brute_force_knn(r, s, k), "k={k}");
+        for (qid, ns) in &out.neighbors {
+            let q = r[*qid as usize].point;
+            for &(sid, d) in ns {
+                let want2 = q.dist2(s[sid as usize].point);
+                let msg = format!("query {qid}: {d} vs {}", want2.sqrt());
+                assert!((d * d - want2).abs() < 1e-9, "{msg}");
+            }
+        }
+    }
+
     #[test]
     fn matches_brute_force_uniform() {
         let c = cluster();
@@ -267,14 +265,8 @@ mod tests {
         let r = records(120, 91, 20.0);
         let s = records(300, 92, 20.0);
         for k in [1usize, 3, 10] {
-            let expected = brute_force_knn(&r, &s, k);
             let out = knn_join(&c, &spec, k, r.clone(), s.clone()).expect("join runs");
-            let got: Vec<(u64, Vec<u64>)> = out
-                .neighbors
-                .iter()
-                .map(|(q, ns)| (*q, ns.iter().map(|(id, _)| *id).collect()))
-                .collect();
-            assert_eq!(got, expected, "k={k}");
+            assert_brute_force(&out, &r, &s, k);
         }
     }
 
@@ -294,15 +286,9 @@ mod tests {
             })
             .collect();
         let s = to_records(&s_pts, 0);
-        let expected = brute_force_knn(&r, &s, 5);
-        let out = knn_join(&c, &spec, 5, r, s).expect("join runs");
+        let out = knn_join(&c, &spec, 5, r.clone(), s.clone()).expect("join runs");
         assert!(out.rounds > 1, "far neighbors require ring expansion");
-        let got: Vec<(u64, Vec<u64>)> = out
-            .neighbors
-            .iter()
-            .map(|(q, ns)| (*q, ns.iter().map(|(id, _)| *id).collect()))
-            .collect();
-        assert_eq!(got, expected);
+        assert_brute_force(&out, &r, &s, 5);
     }
 
     #[test]
@@ -389,14 +375,18 @@ mod tests {
         }
         let s = to_records(&pts, 0);
         let r = records(60, 99, 30.0);
-        let expected = brute_force_knn(&r, &s, 7);
-        let out = knn_join(&c, &spec, 7, r, s).expect("join runs");
-        let got: Vec<(u64, Vec<u64>)> = out
-            .neighbors
-            .iter()
-            .map(|(q, ns)| (*q, ns.iter().map(|(id, _)| *id).collect()))
-            .collect();
-        assert_eq!(got, expected);
+        let out = knn_join(&c, &spec, 7, r.clone(), s.clone()).expect("join runs");
+        assert_brute_force(&out, &r, &s, 7);
+    }
+
+    #[test]
+    fn k_zero_is_a_typed_error() {
+        let c = cluster();
+        let spec = JoinSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), 1.0).with_partitions(4);
+        let err = knn_join(&c, &spec, 0, records(5, 1, 10.0), records(5, 2, 10.0))
+            .expect_err("k = 0 is rejected");
+        let reason = "must be positive".to_string();
+        assert_eq!(err, JoinError::InvalidSpec { field: "k", reason });
     }
 }
 
@@ -406,12 +396,14 @@ mod kdtree_oracle_tests {
     use crate::to_records;
     use asj_engine::ClusterConfig;
     use asj_geom::Rect;
-    use asj_index::KdTree;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Independent cross-check: the distributed kNN join against the k-d
-    /// tree's exact kNN (a different algorithm from the brute-force oracle).
+    /// Independent cross-check of the distributed kNN join by distance
+    /// only, so it does not depend on how ties are broken: each query's
+    /// reported distances equal, within 1e-9 (squared), the k smallest of
+    /// its sorted distances to every S point. (The module keeps the name it
+    /// had when this oracle was an exact k-d tree search.)
     #[test]
     fn knn_join_matches_kdtree() {
         let c = Cluster::new(ClusterConfig::with_threads(3, 2));
@@ -424,14 +416,16 @@ mod kdtree_oracle_tests {
         };
         let r = to_records(&pts(&mut rng, 80), 0);
         let s = to_records(&pts(&mut rng, 400), 0);
-        let tree = KdTree::build(s.iter().map(|rec| (rec.point, rec.id)).collect());
         let k = 5;
-        let out = knn_join(&c, &spec, k, r.clone(), s).expect("join runs");
+        let out = knn_join(&c, &spec, k, r.clone(), s.clone()).expect("join runs");
+        assert_eq!(out.neighbors.len(), r.len());
         for (qid, ns) in &out.neighbors {
-            let q = &r[*qid as usize];
-            let expect = tree.nearest(q.point, k);
+            let q = r[*qid as usize].point;
+            let mut expect: Vec<f64> = s.iter().map(|p| q.dist2(p.point)).collect();
+            expect.sort_unstable_by(f64::total_cmp);
+            expect.truncate(k);
             assert_eq!(ns.len(), expect.len());
-            for ((_, got_d), (want_d2, _)) in ns.iter().zip(&expect) {
+            for ((_, got_d), want_d2) in ns.iter().zip(&expect) {
                 assert!(
                     (got_d * got_d - want_d2).abs() < 1e-9,
                     "query {qid}: {got_d} vs {}",

@@ -23,7 +23,8 @@
 //! * [`adaptive_join_dedup`] — the non-duplicate-free assignment with an
 //!   explicit distributed `distinct` operator (Table 6),
 //! * [`adaptive_join_post_fetch`] — attributes fetched by id-joins after the
-//!   spatial join instead of travelling with the tuples (Table 5),
+//!   spatial join instead of travelling with the tuples (Table 5); the
+//!   id-joins run the pipeline's shuffle and co-group stages,
 //! * [`pbsm_refpoint_join`] — the classic MASJ alternative: both inputs
 //!   replicated, duplicates avoided with the reference-point technique of
 //!   Dittrich & Seeger (related-work baseline / ablation),
@@ -31,7 +32,7 @@
 //!   shuffled once with reference-point duplicate avoidance,
 //! * [`extent_join`] — ε-distance join over polylines/polygons (the paper's
 //!   §8 future-work direction), MASJ with envelope-based assignment and
-//!   reference-point deduplication,
+//!   reference-point deduplication — a plan whose records are shapes,
 //! * [`knn_join`] — expanding-ring k-nearest-neighbor join on the same grid
 //!   substrate (the companion operation of Simba/LocationSpark/\[9\]),
 //! * [`PartitionedPoints`] — a grid-partitioned table serving distributed

@@ -1,4 +1,4 @@
-use crate::pipeline::{cells_within_eps, native_cell, run_plan, Assign, JoinPlan};
+use crate::pipeline::{cells_within_eps, join_points, native_cell, run_plan, Assign, JoinPlan};
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner};
 use asj_grid::{Grid, GridSpec};
@@ -78,14 +78,14 @@ fn grid_baseline_join(
         assign_r,
         assign_s,
         partitioner: &HashPartitioner::new(spec.num_partitions),
-        keep: None,
+        local_join: &join_points(cluster, spec, None),
         broadcast_bytes,
         driver: Duration::ZERO,
         sampling: ExecStats::default(),
     };
     let rdd_r = Dataset::from_vec(r, spec.input_partitions);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
-    run_plan(cluster, spec, rdd_r, rdd_s, plan)
+    run_plan(cluster, rdd_r, rdd_s, plan)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use asj_geom::Point;
 use asj_grid::{CellCoord, Grid};
 use asj_index::{kernels, PointBatch, PointsView};
 use bytes::{Buf, BufMut};
+use std::cmp::Ordering;
 use std::time::Duration;
 
 /// Every join algorithm of the paper's evaluation, dispatchable by name —
@@ -122,24 +123,24 @@ impl Algorithm {
 }
 
 /// A spatial-mapping function (the body of Spark's `flatMapToPair`): pushes
-/// the keys of every cell a point is assigned to onto the first vector, the
-/// point's own cell first. The second vector is coordinate scratch space the
+/// the keys of every cell a record is assigned to onto the first vector, the
+/// record's own cell first. The second vector is coordinate scratch space the
 /// mapping stage reuses across records.
-pub(crate) type Assign<'a> = dyn Fn(Point, &mut Vec<u64>, &mut Vec<CellCoord>) + Sync + 'a;
+pub(crate) type Assign<'a, T = Record> = dyn Fn(&T, &mut Vec<u64>, &mut Vec<CellCoord>) + Sync + 'a;
 
 /// Universal replication: the native cell plus every cell within ε.
 pub(crate) fn cells_within_eps(grid: Broadcast<Grid>) -> Box<Assign<'static>> {
-    Box::new(move |p, cells, scratch| {
+    Box::new(move |rec, cells, scratch| {
         scratch.clear();
-        scratch.push(grid.cell_of(p));
-        grid.push_cells_within_eps(p, scratch);
+        scratch.push(grid.cell_of(rec.point));
+        grid.push_cells_within_eps(rec.point, scratch);
         cells.extend(scratch.iter().map(|&c| grid.cell_index(c) as u64));
     })
 }
 
 /// Single assignment: the native cell only.
 pub(crate) fn native_cell(grid: Broadcast<Grid>) -> Box<Assign<'static>> {
-    Box::new(move |p, cells, _| cells.push(grid.cell_index(grid.cell_of(p)) as u64))
+    Box::new(move |rec, cells, _| cells.push(grid.cell_index(grid.cell_of(rec.point)) as u64))
 }
 
 /// Reference-point duplicate avoidance (Dittrich & Seeger): of the cells a
@@ -159,17 +160,22 @@ pub(crate) fn point_at(v: PointsView<'_>, i: usize) -> Point {
 /// Decides whether the ε-hit `(a, b)` found in `cell` is reported there.
 pub(crate) type PairFilter<'a> = dyn Fn(u64, Point, Point) -> bool + Sync + 'a;
 
-/// What differs between the grid algorithms: everything else is
-/// [`run_plan`].
-pub(crate) struct JoinPlan<'a> {
+/// A plan's partition-local join (Algorithm 5, line 9): one pair of
+/// co-located shuffled partitions in, their result pairs `(r.id, s.id)` and
+/// kernel tally out.
+pub(crate) type LocalJoin<'a, T = Record> =
+    dyn Fn(&[(u64, T)], &[(u64, T)]) -> (Vec<(u64, u64)>, KernelTally) + Sync + 'a;
+
+/// What differs between the grid algorithms — and the extent join, whose
+/// records are shapes: everything else is [`run_plan`].
+pub(crate) struct JoinPlan<'a, T = Record> {
     /// Display name, as in the paper's figure legends.
     pub name: String,
-    pub assign_r: &'a Assign<'a>,
-    pub assign_s: &'a Assign<'a>,
+    pub assign_r: &'a Assign<'a, T>,
+    pub assign_s: &'a Assign<'a, T>,
     /// Cell key → join partition.
     pub partitioner: &'a dyn Partitioner<u64>,
-    /// `None` when the assignment is duplicate-free by construction.
-    pub keep: Option<&'a PairFilter<'a>>,
+    pub local_join: &'a LocalJoin<'a, T>,
     /// Size of the structure the assigners consult on every node.
     pub broadcast_bytes: u64,
     /// Driver-side construction time of that structure.
@@ -181,25 +187,34 @@ pub(crate) struct JoinPlan<'a> {
 /// Algorithm 5 from the mapping on: spatial mapping of both inputs, keyed
 /// shuffle, partition-local join with immediate refinement, and the paper's
 /// metrics assembled into a [`JoinOutput`].
-pub(crate) fn run_plan(
+pub(crate) fn run_plan<T>(
     cluster: &Cluster,
-    spec: &JoinSpec,
-    rdd_r: Dataset<Record>,
-    rdd_s: Dataset<Record>,
-    plan: JoinPlan<'_>,
-) -> Result<JoinOutput, JoinError> {
+    rdd_r: Dataset<T>,
+    rdd_s: Dataset<T>,
+    plan: JoinPlan<'_, T>,
+) -> Result<JoinOutput, JoinError>
+where
+    T: Wire + Send + Sync + Clone + 'static,
+{
     let mut construction = plan.sampling;
     let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, plan.assign_r)?;
     construction.accumulate(&ex);
     let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, plan.assign_s)?;
     construction.accumulate(&ex);
-    let out = join_stage(cluster, spec, keyed_r, keyed_s, plan.partitioner, plan.keep)?;
+    let out = join_stage(cluster, keyed_r, keyed_s, plan.partitioner, plan.local_join)?;
     construction.accumulate(&out.shuffle_exec);
+    let mut tally = KernelTally::default();
+    let mut pairs = Vec::new();
+    for (part, t) in out.parts {
+        tally.merge(&t);
+        pairs.extend(part);
+    }
+    tally.publish(cluster, "local_join");
     Ok(JoinOutput {
         algorithm: plan.name,
-        pairs: out.pairs,
-        result_count: out.result_count,
-        candidates: out.candidates,
+        pairs,
+        result_count: tally.results,
+        candidates: tally.candidates,
         replicated: [rep_r, rep_s],
         metrics: JobMetrics {
             shuffle: out.shuffle,
@@ -215,23 +230,24 @@ pub(crate) fn run_plan(
 /// `assign` (Spark's `flatMapToPair`). Returns the keyed dataset, the number
 /// of replicas (pairs emitted beyond one per record) and the stage's
 /// execution stats.
-pub(crate) fn map_stage(
+pub(crate) fn map_stage<T>(
     cluster: &Cluster,
-    input: Dataset<Record>,
-    assign: &Assign<'_>,
-) -> Result<(KeyedDataset<u64, Record>, u64, ExecStats), JoinError> {
+    input: Dataset<T>,
+    assign: &Assign<'_, T>,
+) -> Result<(KeyedDataset<u64, T>, u64, ExecStats), JoinError>
+where
+    T: Wire + Send + Sync + Clone + 'static,
+{
     let records_in: u64 = input.len() as u64;
     cluster.recorder().phase_attrs("marking", |attrs| {
-        let (parts, stats) = cluster.run_stage(
-            "marking",
-            input.into_partitions(),
-            |_, part: Vec<Record>| {
-                let mut out: Vec<(u64, Record)> = Vec::with_capacity(part.len() + part.len() / 8);
+        let (parts, stats) =
+            cluster.run_stage("marking", input.into_partitions(), |_, part: Vec<T>| {
+                let mut out: Vec<(u64, T)> = Vec::with_capacity(part.len() + part.len() / 8);
                 let mut cells: Vec<u64> = Vec::with_capacity(4);
                 let mut scratch: Vec<CellCoord> = Vec::with_capacity(4);
                 for rec in part {
                     cells.clear();
-                    assign(rec.point, &mut cells, &mut scratch);
+                    assign(&rec, &mut cells, &mut scratch);
                     debug_assert!(!cells.is_empty(), "every record must map to >= 1 cell");
                     // Clone for the replicas, move the original into the last.
                     for &c in &cells[1..] {
@@ -240,8 +256,7 @@ pub(crate) fn map_stage(
                     out.push((cells[0], rec));
                 }
                 out
-            },
-        )?;
+            })?;
         let keyed = KeyedDataset::from_partitions(parts);
         let replicas = keyed.len() as u64 - records_in;
         *attrs = attrs.records(records_in).cells(replicas);
@@ -252,36 +267,23 @@ pub(crate) fn map_stage(
     })
 }
 
-/// Shuffle + partition-local join with immediate refinement (Algorithm 5,
-/// line 9). Returns pairs (if collected), result/candidate counts, combined
-/// shuffle stats, and the exec stats of the shuffle and join stages. With a
-/// `keep` filter only the ε-hits it accepts are results — collected, counted
-/// and tallied.
-pub(crate) fn join_stage(
+/// The point plans' partition body (Algorithm 5, line 9). With a `keep`
+/// filter only the ε-hits it accepts are results — collected, counted and
+/// tallied.
+///
+/// Each side becomes a columnar `PointBatch` once — the permutation sort
+/// groups records by cell in ascending-x order and gathers `x`/`y`/`id` into
+/// flat lanes — then the ascending key lists merge and the SoA kernel runs
+/// per common cell, streaming contiguous memory instead of re-extracting
+/// positions per group.
+pub(crate) fn join_points<'a>(
     cluster: &Cluster,
     spec: &JoinSpec,
-    keyed_r: KeyedDataset<u64, Record>,
-    keyed_s: KeyedDataset<u64, Record>,
-    partitioner: &dyn Partitioner<u64>,
-    keep: Option<&PairFilter<'_>>,
-) -> Result<JoinStageOutput, JoinError> {
-    let recorder = cluster.recorder().clone();
-    let eps = spec.eps;
-    let collect = spec.collect_pairs;
-    let kernel = spec.kernel;
+    keep: Option<&'a PairFilter<'a>>,
+) -> Box<LocalJoin<'a>> {
+    let (eps, collect, kernel) = (spec.eps, spec.collect_pairs, spec.kernel);
     let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
-    // Candidate/result counts fold into a per-partition accumulator that is
-    // committed with the task output: shared atomics here would be
-    // double-counted by retried or speculatively re-executed tasks.
-    //
-    // Each task converts its two shuffled partitions into columnar
-    // `PointBatch`es once — the permutation sort groups records by cell in
-    // ascending-x order and gathers `x`/`y`/`id` into flat lanes — then
-    // merges the ascending key lists and runs the SoA kernel per common
-    // cell, streaming contiguous memory instead of re-extracting positions
-    // per group.
-    type CellGroup = Vec<(u64, Record)>;
-    let body = |_: usize, (rs, ss): (&CellGroup, &CellGroup)| {
+    Box::new(move |rs, ss| {
         let pos = |r: &Record| r.point;
         let rid = |r: &Record| r.id;
         let br = PointBatch::from_keyed(rs, pos, rid);
@@ -295,9 +297,9 @@ pub(crate) fn join_stage(
         let (mut gi, mut gj) = (0usize, 0usize);
         while gi < br.num_groups() && gj < bs.num_groups() {
             match br.keys()[gi].cmp(&bs.keys()[gj]) {
-                std::cmp::Ordering::Less => gi += 1,
-                std::cmp::Ordering::Greater => gj += 1,
-                std::cmp::Ordering::Equal => {
+                Ordering::Less => gi += 1,
+                Ordering::Greater => gj += 1,
+                Ordering::Equal => {
                     let (va, vb) = (br.group(gi), bs.group(gj));
                     let (ids_a, ids_b) = (br.group_ids(gi), bs.group_ids(gj));
                     // `collect` is decided out here, not in the sink: with a
@@ -334,8 +336,33 @@ pub(crate) fn join_stage(
             }
         }
         (out, acc)
-    };
+    })
+}
 
+/// Shuffle + partition-local join: the one co-group of every two-input
+/// operator. Both sides are shuffled by `partitioner` (`shuffle.R`,
+/// `shuffle.S`), then `body` joins each pair of co-located partitions in the
+/// `cogroup_join` stage. Returns every partition's `(records, accumulator)`
+/// in partition order, the combined shuffle stats, and the exec stats of the
+/// shuffle and join stages.
+///
+/// Per-partition accumulators are committed with the task output: shared
+/// atomics would be double-counted by retried or speculatively re-executed
+/// tasks.
+pub(crate) fn join_stage<A, B, O, Acc>(
+    cluster: &Cluster,
+    keyed_r: KeyedDataset<u64, A>,
+    keyed_s: KeyedDataset<u64, B>,
+    partitioner: &dyn Partitioner<u64>,
+    body: impl Fn(&[(u64, A)], &[(u64, B)]) -> (Vec<O>, Acc) + Sync,
+) -> Result<JoinStageOutput<O, Acc>, JoinError>
+where
+    A: Wire + Send + Sync + Clone + 'static,
+    B: Wire + Send + Sync + Clone + 'static,
+    O: Wire + Send + Sync,
+    Acc: Wire + Send + Sync,
+{
+    let recorder = cluster.recorder().clone();
     let (keyed_r, keyed_s, shuffle, shuffle_exec) = recorder.phase_attrs("shuffle", |attrs| {
         let (keyed_r, sh_r, ex_r) = keyed_r.shuffle_stage(cluster, partitioner, "shuffle.R")?;
         let (keyed_s, sh_s, ex_s) = keyed_s.shuffle_stage(cluster, partitioner, "shuffle.S")?;
@@ -352,9 +379,9 @@ pub(crate) fn join_stage(
         "joined datasets must share the partitioner"
     );
     // `run_stage_checkpointed`: with a checkpoint store attached the
-    // per-partition `(pairs, tally)` outputs are persisted after the stage
-    // and replayed on recovery, so a recovered server skips the join phase —
-    // the ε-grid's memory-pressure peak — entirely, not just the shuffles.
+    // per-partition outputs are persisted after the stage and replayed on
+    // recovery, so a recovered server skips the join phase — the ε-grid's
+    // memory-pressure peak — entirely, not just the shuffles.
     //
     // The tasks only read their partitions, so they borrow them and this
     // thread frees both sides once the stage is over, failed or not. A task
@@ -364,31 +391,56 @@ pub(crate) fn join_stage(
     // those arena locks — the stage gets no faster with more threads and its
     // length depends on how they interleave. A retried or speculative attempt
     // also copies two references, not the records.
-    let (folded, join_exec) = recorder.phase("local_join", || {
-        let tasks: Vec<(&CellGroup, &CellGroup)> = keyed_r
+    let (parts, join_exec) = recorder.phase("local_join", || {
+        let tasks: Vec<_> = keyed_r
             .partitions()
             .iter()
             .zip(keyed_s.partitions())
             .collect();
-        let out = cluster.run_stage_checkpointed("cogroup_join", tasks, body);
+        let out = cluster.run_stage_checkpointed("cogroup_join", tasks, |_, (a, b)| body(a, b));
         drop((keyed_r, keyed_s));
         out
     })?;
-    let mut tally = KernelTally::default();
-    let mut pairs = Vec::new();
-    for (part, t) in folded {
-        tally.merge(&t);
-        pairs.extend(part);
-    }
-    tally.publish(cluster, "local_join");
     Ok(JoinStageOutput {
-        pairs,
-        result_count: tally.results,
-        candidates: tally.candidates,
+        parts,
         shuffle,
         shuffle_exec,
         join_exec,
     })
+}
+
+/// The record-at-a-time co-group: for every key present on both sides of a
+/// pair of co-located partitions, in ascending key order, `f` receives the
+/// key and its two value groups, each in partition order. The partitions are
+/// only borrowed.
+pub(crate) fn for_each_cogroup<A, B>(
+    a: &[(u64, A)],
+    b: &[(u64, B)],
+    mut f: impl FnMut(u64, &[&A], &[&B]),
+) {
+    let ((ka, va), (kb, vb)) = (by_key(a), by_key(b));
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < ka.len() && j < kb.len() {
+        match ka[i].cmp(&kb[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                let key = ka[i];
+                let end_i = i + ka[i..].partition_point(|&k| k == key);
+                let end_j = j + kb[j..].partition_point(|&k| k == key);
+                f(key, &va[i..end_i], &vb[j..end_j]);
+                (i, j) = (end_i, end_j);
+            }
+        }
+    }
+}
+
+/// A partition's keys in ascending order, and its values in the same order
+/// (records of one key keep their partition order).
+fn by_key<V>(part: &[(u64, V)]) -> (Vec<u64>, Vec<&V>) {
+    let mut order: Vec<&(u64, V)> = part.iter().collect();
+    order.sort_by_key(|&&(k, _)| k);
+    order.into_iter().map(|(k, v)| (*k, v)).unzip()
 }
 
 /// Per-partition fold of what the adaptive kernel layer did: counts, the
@@ -494,10 +546,9 @@ impl Wire for KernelTally {
     }
 }
 
-pub(crate) struct JoinStageOutput {
-    pub pairs: Vec<(u64, u64)>,
-    pub result_count: u64,
-    pub candidates: u64,
+pub(crate) struct JoinStageOutput<O, Acc> {
+    /// Every partition's `(records, accumulator)`, in partition order.
+    pub parts: Vec<(Vec<O>, Acc)>,
     pub shuffle: ShuffleStats,
     pub shuffle_exec: ExecStats,
     pub join_exec: ExecStats,
@@ -526,10 +577,11 @@ mod tests {
         );
         // Every record goes to its id cell, even ids get one replica.
         let ds = Dataset::from_vec(recs, 2);
-        let (keyed, replicas, _) = map_stage(&c, ds, &|p, cells, _| {
-            cells.push(p.x as u64);
-            if (p.x as u64).is_multiple_of(2) {
-                cells.push(100 + p.x as u64);
+        let (keyed, replicas, _) = map_stage(&c, ds, &|rec, cells, _| {
+            let x = rec.point.x as u64;
+            cells.push(x);
+            if x.is_multiple_of(2) {
+                cells.push(100 + x);
             }
         })
         .expect("join runs");
@@ -551,20 +603,55 @@ mod tests {
                 .0
         };
         let hash = HashPartitioner::new(4);
-        // Default Auto resolves the tiny 2x2 group to a nested loop.
-        let out = join_stage(&c, &spec, keyed(&r), keyed(&s), &hash, None).expect("join runs");
-        assert_eq!(out.result_count, 1); // only (1,1)-(1.5,1) within eps
-        assert_eq!(out.candidates, 4);
-        assert_eq!(out.pairs, vec![(0, 0)]);
-        assert_eq!(out.shuffle.records, 4);
+        // Pairs, results and candidates over all partitions, plus records
+        // shuffled.
+        let run = |spec: &JoinSpec| {
+            let body = join_points(&c, spec, None);
+            let out = join_stage(&c, keyed(&r), keyed(&s), &hash, body).expect("join runs");
+            let (pairs, tallies): (Vec<_>, Vec<_>) = out.parts.into_iter().unzip();
+            let sum = |f: fn(&KernelTally) -> u64| tallies.iter().map(f).sum::<u64>();
+            let pairs: Vec<(u64, u64)> = pairs.into_iter().flatten().collect();
+            let counts = (sum(|t| t.results), sum(|t| t.candidates));
+            (pairs, counts, out.shuffle.records)
+        };
+        // Default Auto resolves the tiny 2x2 group to a nested loop; only
+        // (1,1)-(1.5,1) is within eps.
+        assert_eq!(run(&spec), (vec![(0, 0)], (1, 4), 4));
         // An explicit plane-sweep request is honored: the epsilon window
         // prunes everything but the matching pair.
         let spec_ps = spec.with_kernel(crate::LocalKernel::PlaneSweep);
-        let out_ps =
-            join_stage(&c, &spec_ps, keyed(&r), keyed(&s), &hash, None).expect("join runs");
-        assert_eq!(out_ps.result_count, 1);
-        assert_eq!(out_ps.pairs, vec![(0, 0)]);
-        assert_eq!(out_ps.candidates, 1, "sweep window must prune");
+        let (pairs, (results, candidates), _) = run(&spec_ps);
+        assert_eq!((pairs, results), (vec![(0, 0)], 1));
+        assert_eq!(candidates, 1, "sweep window must prune");
+    }
+
+    /// All (key, a, b) rows of `for_each_cogroup` over one partition pair.
+    fn cogroup_rows(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64, u64)> {
+        let mut rows = Vec::new();
+        for_each_cogroup(a, b, |k, va, vb| {
+            for &&x in va {
+                rows.extend(vb.iter().map(|&&y| (k, x, y)));
+            }
+        });
+        rows
+    }
+
+    #[test]
+    fn cogroup_join_pairs_matching_keys() {
+        let a = [(3u64, 30u64), (2, 20), (1, 10), (2, 21)];
+        let b = [(4u64, 400u64), (3, 300), (2, 200), (3, 301)];
+        // Keys ascend; each group keeps its partition order.
+        assert_eq!(
+            cogroup_rows(&a, &b),
+            vec![(2, 20, 200), (2, 21, 200), (3, 30, 300), (3, 30, 301)]
+        );
+    }
+
+    #[test]
+    fn cogroup_join_empty_sides() {
+        assert!(cogroup_rows(&[], &[(2, 2)]).is_empty());
+        assert!(cogroup_rows(&[(1, 1)], &[]).is_empty());
+        assert!(cogroup_rows(&[(1, 1)], &[(2, 2)]).is_empty());
     }
 
     #[test]

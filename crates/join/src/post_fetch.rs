@@ -1,6 +1,7 @@
+use crate::pipeline::{for_each_cogroup, join_stage, JoinStageOutput};
 use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, Payload, Record};
 use asj_core::AgreementPolicy;
-use asj_engine::{Cluster, Dataset, HashPartitioner, KeyedDataset};
+use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics, KeyedDataset, Wire};
 
 /// The Table-5 alternative for carrying non-spatial attributes: the spatial
 /// join runs on **stripped tuples** (id + coordinates only), and the extra
@@ -32,72 +33,41 @@ pub fn adaptive_join_post_fetch(
     let mut out = adaptive_join(cluster, &collect_spec, policy, r_bare, s_bare)?;
 
     // --- Post-processing: fetch attributes with two id-joins. ---
+    // Every id-join input is split across the spec's input partitions — a
+    // single-partition dataset would put every map task of the extra
+    // shuffles on node 0 and serialize exactly the post-processing the paper
+    // measures.
     let partitioner = HashPartitioner::new(spec.num_partitions);
+    let inputs = spec.input_partitions;
 
-    // Join 1: pairs (keyed by r.id) ⋈ R attributes. Both id-join inputs are
-    // split across the spec's input partitions — a single-partition dataset
-    // would put every map task of the extra shuffles on node 0 and serialize
-    // exactly the post-processing the paper measures.
-    let pairs_by_rid = KeyedDataset::from_partitions(
-        Dataset::from_vec(out.pairs.clone(), spec.input_partitions).into_partitions(),
-    );
-    let r_table = KeyedDataset::from_partitions(
-        Dataset::from_vec(r_attrs, spec.input_partitions).into_partitions(),
-    );
-    let (pairs_by_rid, sh, ex) = pairs_by_rid.shuffle_stage(cluster, &partitioner, "shuffle")?;
-    out.metrics.shuffle.merge(&sh);
-    out.metrics.join.accumulate(&ex);
-    let (r_table, sh, ex) = r_table.shuffle_stage(cluster, &partitioner, "shuffle")?;
-    out.metrics.shuffle.merge(&sh);
-    out.metrics.join.accumulate(&ex);
-    let (half, _, ex) = pairs_by_rid.cogroup_join_fold(
-        cluster,
-        r_table,
-        |rid,
-         sids: &[u64],
-         payloads: &[Payload],
-         out: &mut Vec<(u64, (u64, Payload))>,
-         _acc: &mut ()| {
-            for &sid in sids {
-                for payload in payloads {
-                    out.push((sid, (rid, payload.clone())));
-                }
+    // Join 1: pairs (keyed by r.id) ⋈ R attributes → rows keyed by s.id.
+    let (pairs_by_rid, r_table) = (keyed(out.pairs.clone(), inputs), keyed(r_attrs, inputs));
+    let fetch_r = join_stage(cluster, pairs_by_rid, r_table, &partitioner, |pairs, r| {
+        let mut half: Vec<(u64, (u64, Payload))> = Vec::new();
+        for_each_cogroup(pairs, r, |rid, sids, payloads| {
+            for &&sid in sids {
+                half.extend(payloads.iter().map(|&p| (sid, (rid, p.clone()))));
             }
-        },
-    )?;
-    out.metrics.join.accumulate(&ex);
+        });
+        (half, ())
+    })?;
+    account(&mut out.metrics, &fetch_r);
 
-    // Join 2: half-enriched rows (keyed by s.id) ⋈ S attributes.
-    let half = KeyedDataset::from_partitions(half.into_partitions());
-    let s_table = KeyedDataset::from_partitions(
-        Dataset::from_vec(s_attrs, spec.input_partitions).into_partitions(),
-    );
-    let (half, sh, ex) = half.shuffle_stage(cluster, &partitioner, "shuffle")?;
-    out.metrics.shuffle.merge(&sh);
-    out.metrics.join.accumulate(&ex);
-    let (s_table, sh, ex) = s_table.shuffle_stage(cluster, &partitioner, "shuffle")?;
-    out.metrics.shuffle.merge(&sh);
-    out.metrics.join.accumulate(&ex);
-    // Enrichment counts fold into per-partition accumulators (retry-safe).
-    let (_, fold_counts, ex) = half.cogroup_join_fold(
-        cluster,
-        s_table,
-        |_sid,
-         halves: &[(u64, Payload)],
-         payloads: &[Payload],
-         _out: &mut Vec<()>,
-         acc: &mut (u64, u64)| {
-            for (_, rpay) in halves {
-                for spay in payloads {
-                    acc.0 += 1;
-                    acc.1 += (rpay.len() + spay.len()) as u64;
-                }
-            }
-        },
-    )?;
-    out.metrics.join.accumulate(&ex);
+    // Join 2: half-enriched rows (keyed by s.id) ⋈ S attributes. The rows
+    // stay in join 1's partitions; enrichment counts fold into
+    // per-partition accumulators (retry-safe).
+    let half = KeyedDataset::from_partitions(fetch_r.parts.into_iter().map(|p| p.0).collect());
+    let s_table = keyed(s_attrs, inputs);
+    let fetch_s = join_stage(cluster, half, s_table, &partitioner, |rows, s| {
+        let mut enriched = 0u64;
+        for_each_cogroup(rows, s, |_, rows, payloads| {
+            enriched += (rows.len() * payloads.len()) as u64;
+        });
+        (Vec::<()>::new(), enriched)
+    })?;
+    account(&mut out.metrics, &fetch_s);
 
-    let enriched: u64 = fold_counts.iter().map(|c| c.0).sum();
+    let enriched: u64 = fetch_s.parts.iter().map(|p| p.1).sum();
     assert_eq!(
         enriched, out.result_count,
         "every result pair must be enriched exactly once"
@@ -107,6 +77,21 @@ pub fn adaptive_join_post_fetch(
         out.pairs = Vec::new();
     }
     Ok(out)
+}
+
+/// `rows` split into `partitions` near-equal input partitions.
+fn keyed<V>(rows: Vec<(u64, V)>, partitions: usize) -> KeyedDataset<u64, V>
+where
+    V: Wire + Send + Sync + Clone + 'static,
+{
+    KeyedDataset::from_partitions(Dataset::from_vec(rows, partitions).into_partitions())
+}
+
+/// Adds one id-join's shuffle volume and stage stats to the job's.
+fn account<O, Acc>(metrics: &mut JobMetrics, stage: &JoinStageOutput<O, Acc>) {
+    metrics.shuffle.merge(&stage.shuffle);
+    metrics.join.accumulate(&stage.shuffle_exec);
+    metrics.join.accumulate(&stage.join_exec);
 }
 
 #[cfg(test)]
@@ -120,8 +105,10 @@ mod tests {
 
     #[test]
     fn post_fetch_enriches_every_pair() {
+        let c = Cluster::new(ClusterConfig::with_threads(4, 2));
+        // Only the post-fetch run is traced.
         let recorder = asj_obs::Recorder::for_nodes(4);
-        let c = Cluster::new(ClusterConfig::with_threads(4, 2)).with_recorder(recorder.clone());
+        let traced = c.clone().with_recorder(recorder.clone());
         let spec = JoinSpec::new(Rect::new(0.0, 0.0, 20.0, 20.0), 1.0)
             .with_partitions(8)
             .with_sample_fraction(0.4);
@@ -136,25 +123,40 @@ mod tests {
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
         let inline = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
             .expect("join runs");
-        let fetched =
-            adaptive_join_post_fetch(&c, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
+        let fetched = adaptive_join_post_fetch(&traced, &spec, AgreementPolicy::Lpib, r, s)
+            .expect("join runs");
         assert_eq!(fetched.result_count as usize, expected.len());
         assert_eq!(fetched.result_count, inline.result_count);
         assert_eq!(fetched.algorithm, "LPiB+post-fetch");
         // The post-processing joins shuffle extra data on top of the spatial
         // join's own shuffle.
         assert!(fetched.metrics.shuffle.total_bytes() > inline.metrics.shuffle.total_bytes());
-        // The id-join inputs are split across input partitions, so their map
-        // tasks (the only stages named plain "shuffle") must land on more
-        // than one simulated node — the old single-partition inputs pinned
-        // all of them to node 0.
+        // The id-joins begin after the spatial join's local join has: their
+        // map tasks are the `shuffle.R` / `shuffle.S` task spans that start
+        // after its first `cogroup_join` task — one per input partition of
+        // the pairs and of both attribute tables, one per join partition of
+        // the half-enriched rows. Their inputs are split across partitions,
+        // so those tasks must land on more than one simulated node — the old
+        // single-partition inputs pinned all of them to node 0.
         let trace = recorder.snapshot();
-        let id_join_nodes: std::collections::BTreeSet<_> = trace
-            .spans
-            .iter()
-            .filter(|sp| sp.stage == "shuffle")
-            .map(|sp| sp.lane)
+        let tasks = || {
+            let on_node = |sp: &&asj_obs::Span| matches!(sp.lane, asj_obs::Lane::Node(_));
+            trace.spans.iter().filter(on_node)
+        };
+        let spatial_join = tasks()
+            .filter(|sp| sp.stage == "cogroup_join")
+            .map(|sp| sp.wall_start_ns)
+            .min()
+            .expect("the spatial join ran");
+        let id_join_maps: Vec<_> = tasks()
+            .filter(|sp| sp.stage.starts_with("shuffle.") && sp.wall_start_ns > spatial_join)
             .collect();
+        assert_eq!(
+            id_join_maps.len(),
+            3 * spec.input_partitions + spec.num_partitions
+        );
+        let id_join_nodes: std::collections::BTreeSet<_> =
+            id_join_maps.iter().map(|sp| sp.lane).collect();
         assert!(
             id_join_nodes.len() >= 2,
             "id-join map tasks must run on multiple nodes, saw {id_join_nodes:?}"

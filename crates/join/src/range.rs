@@ -1,5 +1,6 @@
+use crate::pipeline::{map_stage, native_cell};
 use crate::{JoinError, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, KeyedDataset, ShuffleStats};
+use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, ShuffleStats};
 use asj_geom::{Point, Rect};
 use asj_grid::{Grid, GridSpec};
 
@@ -20,16 +21,11 @@ impl PartitionedPoints {
     pub fn build(cluster: &Cluster, spec: &JoinSpec, data: Vec<Record>) -> Result<Self, JoinError> {
         spec.validate()?;
         let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
-        let grid_b = cluster.broadcast(grid.clone());
         let rdd = Dataset::from_vec(data, spec.input_partitions);
-        let (parts, mut exec) = cluster.run_stage("task", rdd.into_partitions(), |_, part| {
-            part.into_iter()
-                .map(|rec| (grid_b.cell_index(grid_b.cell_of(rec.point)) as u64, rec))
-                .collect::<Vec<_>>()
-        })?;
+        let assign = native_cell(cluster.broadcast(grid.clone()));
+        let (keyed, _, mut exec) = map_stage(cluster, rdd, &assign)?;
         let partitioner = HashPartitioner::new(spec.num_partitions);
-        let (keyed, shuffle, ex) =
-            KeyedDataset::from_partitions(parts).shuffle_stage(cluster, &partitioner, "shuffle")?;
+        let (keyed, shuffle, ex) = keyed.shuffle_stage(cluster, &partitioner, "shuffle")?;
         exec.accumulate(&ex);
         Ok(PartitionedPoints {
             grid,
@@ -74,14 +70,21 @@ impl PartitionedPoints {
         Ok((out, exec))
     }
 
-    /// All record ids within distance `radius` of `center`.
+    /// All record ids within distance `radius` of `center`. A negative or
+    /// NaN `radius` is a [`JoinError::InvalidSpec`].
     pub fn circle_query(
         &self,
         cluster: &Cluster,
         center: Point,
         radius: f64,
     ) -> Result<(Vec<u64>, ExecStats), JoinError> {
-        assert!(radius >= 0.0, "radius must be non-negative");
+        if radius.is_nan() || radius < 0.0 {
+            let reason = format!("must be non-negative, got {radius}");
+            return Err(JoinError::InvalidSpec {
+                field: "radius",
+                reason,
+            });
+        }
         let grid = &self.grid;
         let r2 = radius * radius;
         let refs: Vec<&Vec<(u64, Record)>> = self.parts.iter().collect();
@@ -162,6 +165,19 @@ mod tests {
                 .collect();
             want.sort_unstable();
             assert_eq!(got, want, "center {center:?} radius {radius}");
+        }
+    }
+
+    #[test]
+    fn bad_radius_is_a_typed_error() {
+        let (cluster, table, _) = setup();
+        for radius in [-1.0, f64::NAN] {
+            match table.circle_query(&cluster, Point::new(1.0, 1.0), radius) {
+                Err(JoinError::InvalidSpec {
+                    field: "radius", ..
+                }) => {}
+                other => panic!("radius {radius}: expected InvalidSpec, got {other:?}"),
+            }
         }
     }
 

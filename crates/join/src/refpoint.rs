@@ -1,4 +1,4 @@
-use crate::pipeline::{cells_within_eps, midpoint_in_cell, run_plan, JoinPlan};
+use crate::pipeline::{cells_within_eps, join_points, midpoint_in_cell, run_plan, JoinPlan};
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner};
 use asj_grid::{Grid, GridSpec};
@@ -27,19 +27,20 @@ pub fn pbsm_refpoint_join(
     let broadcast_bytes = grid.broadcast_bytes();
     let grid_b = cluster.broadcast(grid);
     let assign = cells_within_eps(grid_b.clone());
+    let keep = |cell, a, b| midpoint_in_cell(&grid_b, cell, a, b);
     let plan = JoinPlan {
         name: "PBSM+refpoint".to_string(),
         assign_r: &assign,
         assign_s: &assign,
         partitioner: &HashPartitioner::new(spec.num_partitions),
-        keep: Some(&|cell, a, b| midpoint_in_cell(&grid_b, cell, a, b)),
+        local_join: &join_points(cluster, spec, Some(&keep)),
         broadcast_bytes,
         driver: Duration::ZERO,
         sampling: ExecStats::default(),
     };
     let rdd_r = Dataset::from_vec(r, spec.input_partitions);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
-    run_plan(cluster, spec, rdd_r, rdd_s, plan)
+    run_plan(cluster, rdd_r, rdd_s, plan)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-use crate::pipeline::{run_plan, Assign, JoinPlan};
+use crate::pipeline::{join_points, run_plan, Assign, JoinPlan};
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, Partitioner};
 use asj_geom::Point;
@@ -55,7 +55,8 @@ pub fn sedona_like_join(
 
     // Route both sets to leaves (the smaller one replicated).
     let eps = spec.eps;
-    let replicated = |p: Point, cells: &mut Vec<u64>, _: &mut Vec<CellCoord>| {
+    let replicated = |rec: &Record, cells: &mut Vec<u64>, _: &mut Vec<CellCoord>| {
+        let p = rec.point;
         let mut leaves = Vec::with_capacity(4);
         qt_b.leaves_within(p, eps, &mut leaves);
         let native = qt_b.leaf_of(p);
@@ -67,8 +68,8 @@ pub fn sedona_like_join(
                 .map(|l| l as u64),
         );
     };
-    let single = |p: Point, cells: &mut Vec<u64>, _: &mut Vec<CellCoord>| {
-        cells.push(qt_b.leaf_of(p) as u64);
+    let single = |rec: &Record, cells: &mut Vec<u64>, _: &mut Vec<CellCoord>| {
+        cells.push(qt_b.leaf_of(rec.point) as u64);
     };
     let (assign_r, assign_s): (&Assign, &Assign) = if r_is_small {
         (&replicated, &single)
@@ -82,12 +83,12 @@ pub fn sedona_like_join(
         partitioner: &LeafPartitioner {
             leaves: qt_b.num_leaves(),
         },
-        keep: None,
+        local_join: &join_points(cluster, spec, None),
         broadcast_bytes,
         driver,
         sampling,
     };
-    run_plan(cluster, spec, rdd_r, rdd_s, plan)
+    run_plan(cluster, rdd_r, rdd_s, plan)
 }
 
 /// Identity partitioner: leaf id = partition id.

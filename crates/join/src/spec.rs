@@ -127,9 +127,11 @@ impl JoinSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub enum JoinError {
     /// A spec field is outside the range every join needs (see
-    /// [`JoinSpec::validate`]).
+    /// [`JoinSpec::validate`]), or an entry point's own argument is outside
+    /// its range (`k` of [`knn_join`](crate::knn_join), `radius` of
+    /// [`circle_query`](crate::PartitionedPoints::circle_query)).
     InvalidSpec {
-        /// The offending [`JoinSpec`] field.
+        /// The offending [`JoinSpec`] field or argument.
         field: &'static str,
         reason: String,
     },

@@ -84,12 +84,13 @@ impl From<JoinError> for CliError {
     fn from(e: JoinError) -> Self {
         match e {
             JoinError::Job(e) => CliError::runtime(e),
-            // Name the flag the spec field came from.
+            // Name the flag the spec field or argument came from.
             JoinError::InvalidSpec { field, reason } => {
                 let flag = match field {
                     "eps" => "--eps",
                     "grid_factor" => "--grid-factor",
                     "num_partitions" => "--partitions",
+                    "k" => "--k",
                     other => other,
                 };
                 format!("{flag} {reason}").into()
@@ -631,9 +632,6 @@ fn cmd_knn(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let r = load_records(required(flags, "r")?)?;
     let s = load_records(required(flags, "s")?)?;
     let k: usize = parse(required(flags, "k")?, "--k")?;
-    if k == 0 {
-        return Err("--k must be positive".into());
-    }
     let bbox = bbox_of(r.iter().chain(&s).map(|rec| rec.point));
     if bbox.is_empty() {
         return Err("inputs contain no points".into());
@@ -1130,10 +1128,13 @@ mod tests {
             assert!(err.message.starts_with(expected), "{}", err.message);
             assert!(err.usage, "asj join {extra:?} is an argument error");
         }
+        // `knn_join` rejects k = 0 itself; the CLI names the flag.
         let err = asj(&[
             "knn", "--r", &input, "--s", &input, "--eps", "0.5", "--k", "0",
-        ]);
-        assert_eq!(err.unwrap_err().message, "--k must be positive");
+        ])
+        .unwrap_err();
+        assert_eq!(err.message, "--k must be positive");
+        assert!(err.usage, "asj knn --k 0 is an argument error");
         // The baselines run on any factor >= 1.
         join(&["--grid-factor", "1.5", "--algo", "uni-r"]).unwrap();
         std::fs::remove_file(input).unwrap();

@@ -9,7 +9,8 @@ use adaptive_spatial_join::core::AgreementPolicy;
 use adaptive_spatial_join::engine::{FaultContext, Lane};
 use adaptive_spatial_join::geom::{Point, Rect, Shape};
 use adaptive_spatial_join::join::{
-    adaptive_join, adaptive_join_post_fetch, oracle, to_records, JoinSpec, LocalKernel, Record,
+    adaptive_join, adaptive_join_post_fetch, brute_force_extent_pairs, oracle, to_records,
+    JoinSpec, LocalKernel, Record,
 };
 use adaptive_spatial_join::prelude::*;
 use proptest::prelude::*;
@@ -26,6 +27,12 @@ fn clouds(seed: u64, n: usize) -> (Vec<Record>, Vec<Record>) {
     let r = cloud(&mut rng);
     let s = cloud(&mut rng);
     (to_records(&r, 0), to_records(&s, 0))
+}
+
+/// Point-shaped extent records with the points' ids.
+fn point_extents(recs: &[Record]) -> Vec<ExtentRecord> {
+    let shape = |rec: &Record| ExtentRecord::new(rec.id, Shape::Point(rec.point));
+    recs.iter().map(shape).collect()
 }
 
 fn spec() -> JoinSpec {
@@ -260,24 +267,43 @@ fn failed_attempts_appear_as_spans_on_node_lanes() {
     assert!(trace.events.iter().any(|e| e.name == "task_retry"));
 }
 
-/// One fault plan covers every two-input point join: the stage names it
-/// targets (`cogroup_join`, `shuffle.R`) are the shared pipeline's, so no
-/// algorithm can silently run a plan as a no-op.
+/// One fault plan covers every two-input join — the grid algorithms, the
+/// extent join (here on point-shaped records) and post-fetch: the stage
+/// names it targets (`cogroup_join`, `shuffle.R`) are the shared pipeline's,
+/// so no join can silently run a plan as a no-op.
 #[test]
 fn targeted_fault_plans_fire_in_every_point_join() {
     let (r, s) = clouds(17, 300);
     let (r, s, spec) = (&r, &s, &spec());
+    let (a, b) = (&point_extents(r), &point_extents(s));
+    let lpib = AgreementPolicy::Lpib;
     type Entry<'a> = Box<dyn Fn(&Cluster) -> Result<JoinOutput, JoinError> + 'a>;
-    let mut entries: Vec<(&str, Entry)> = vec![(
-        "pbsm_refpoint_join",
-        Box::new(|c| pbsm_refpoint_join(c, spec, r.clone(), s.clone())),
-    )];
+    let mut entries: Vec<(&str, Entry)> = vec![
+        (
+            "pbsm_refpoint_join",
+            Box::new(|c| pbsm_refpoint_join(c, spec, r.clone(), s.clone())),
+        ),
+        (
+            "extent_join",
+            Box::new(|c| extent_join(c, spec, a.clone(), b.clone())),
+        ),
+        (
+            "adaptive_join_post_fetch",
+            Box::new(|c| adaptive_join_post_fetch(c, spec, lpib, r.clone(), s.clone())),
+        ),
+    ];
     for algo in Algorithm::ALL.into_iter().chain([Algorithm::LpibDedup]) {
         let run = move |c: &Cluster| algo.try_run(c, spec, r.clone(), s.clone());
         entries.push((algo.token(), Box::new(run)));
     }
-    let expected = oracle::brute_force_pairs(r, s, spec.eps);
+    let points = oracle::brute_force_pairs(r, s, spec.eps);
+    let extents = brute_force_extent_pairs(a, b, spec.eps);
     for (name, run) in &entries {
+        let expected = if *name == "extent_join" {
+            &extents
+        } else {
+            &points
+        };
         for fault in ["fail:cogroup_join:0@1", "oom:shuffle.R:0@1"] {
             let plan = FaultPlan::parse(fault, 0).expect("plan parses");
             let cluster = Cluster::new(ClusterConfig::with_threads(4, 2)).with_faults(plan);
@@ -286,7 +312,7 @@ fn targeted_fault_plans_fire_in_every_point_join() {
             assert!(retries >= 1, "{name} under {fault}: the plan never fired");
             let mut got = out.pairs;
             got.sort_unstable();
-            assert_eq!(got, expected, "{name} under {fault}");
+            assert_eq!(&got, expected, "{name} under {fault}");
         }
     }
 }
@@ -295,10 +321,6 @@ fn targeted_fault_plans_fire_in_every_point_join() {
 fn unsurvivable_plans_surface_as_job_errors() {
     let (r, s) = clouds(9, 200);
     let (r, s, spec) = (&r, &s, &spec());
-    let extents = |recs: &[Record]| -> Vec<ExtentRecord> {
-        let shape = |rec: &Record| ExtentRecord::new(rec.id, Shape::Point(rec.point));
-        recs.iter().map(shape).collect()
-    };
     let lpib = AgreementPolicy::Lpib;
     // Every product entry point, with the first stage it runs.
     type Entry<'a> = Box<dyn Fn(&Cluster) -> Result<(), JoinError> + 'a>;
@@ -310,8 +332,8 @@ fn unsurvivable_plans_surface_as_job_errors() {
         ),
         (
             "extent_join",
-            "task",
-            Box::new(|c| extent_join(c, spec, extents(r), extents(s)).map(drop)),
+            "marking",
+            Box::new(|c| extent_join(c, spec, point_extents(r), point_extents(s)).map(drop)),
         ),
         (
             "pbsm_refpoint_join",
@@ -325,12 +347,12 @@ fn unsurvivable_plans_surface_as_job_errors() {
         ),
         (
             "knn_join",
-            "task",
+            "marking",
             Box::new(|c| knn_join(c, spec, 3, r.clone(), s.clone()).map(drop)),
         ),
         (
             "PartitionedPoints::build",
-            "task",
+            "marking",
             Box::new(|c| PartitionedPoints::build(c, spec, r.clone()).map(drop)),
         ),
     ];

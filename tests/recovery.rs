@@ -8,13 +8,20 @@
 //! The crash mechanism is deterministic (the fault plan counts scheduler
 //! grants, not wall time), so every case in the sweep is reproducible.
 
+use adaptive_spatial_join::core::AgreementPolicy;
 use adaptive_spatial_join::engine::{
-    encode_records_into, CheckpointStore, Cluster, ClusterConfig, FaultPlan, Journal, RetryPolicy,
-    SchedPolicy, ServerRun, ShuffleStats,
+    encode_records_into, CheckpointStore, Cluster, ClusterConfig, FaultPlan, Journal, Recorder,
+    RetryPolicy, SchedPolicy, ServerRun, ShuffleStats,
 };
-use adaptive_spatial_join::join::Algorithm;
+use adaptive_spatial_join::geom::{Point, Rect, Shape};
+use adaptive_spatial_join::join::{
+    adaptive_join_post_fetch, extent_join, to_records, Algorithm, ExtentRecord, JoinOutput,
+    JoinSpec, Record,
+};
 use adaptive_spatial_join::serve::{run_queue, RecoveryOptions, TenantOutcome, TenantSpec};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 
 /// Fault plans tenants may carry *in addition to* the server-level crash:
@@ -527,4 +534,66 @@ fn stale_partition_records_are_ignored_then_collected() {
         }
     }
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The extent join and post-fetch run their join phase through the shared,
+/// checkpointable `cogroup_join` stage: a second run over the same checkpoint
+/// directory replays every one of those stages — the extent join's one; the
+/// spatial join's and both id-joins' for post-fetch — and returns the same
+/// pairs and counts.
+#[test]
+fn extent_and_post_fetch_resume_their_join_phase() {
+    let cloud = |seed: u64| -> Vec<Point> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..300)
+            .map(|_| Point::new(rng.gen_range(0.0..20.0), rng.gen_range(0.0..20.0)))
+            .collect()
+    };
+    let (r, s) = (to_records(&cloud(1), 16), to_records(&cloud(2), 16));
+    let shapes = |recs: &[Record]| -> Vec<ExtentRecord> {
+        let shape = |rec: &Record| ExtentRecord::new(rec.id, Shape::Point(rec.point));
+        recs.iter().map(shape).collect()
+    };
+    let spec = JoinSpec::new(Rect::new(0.0, 0.0, 20.0, 20.0), 0.8)
+        .with_partitions(8)
+        .with_sample_fraction(0.4);
+    let lpib = AgreementPolicy::Lpib;
+    type Run<'a> = Box<dyn Fn(&Cluster) -> JoinOutput + 'a>;
+    let joins: [(&str, u64, Run); 2] = [
+        (
+            "extent",
+            1,
+            Box::new(|c| extent_join(c, &spec, shapes(&r), shapes(&s)).expect("join runs")),
+        ),
+        (
+            "post-fetch",
+            3,
+            Box::new(|c| {
+                adaptive_join_post_fetch(c, &spec, lpib, r.clone(), s.clone()).expect("join runs")
+            }),
+        ),
+    ];
+    for (tag, join_stages, run) in &joins {
+        let dir = scratch(&format!("join-phase-{tag}"), 0);
+        // A fresh handle per run, as a restarted process would open the dir.
+        let run_once = || {
+            let recorder = Recorder::for_nodes(3);
+            let cluster = cluster(3)
+                .with_recorder(recorder.clone())
+                .with_checkpoint_dir(&dir)
+                .expect("open checkpoint dir");
+            let out = run(&cluster);
+            (
+                out,
+                recorder.counter_value("cogroup_join", "stages_recovered"),
+            )
+        };
+        let (first, recovered) = run_once();
+        assert_eq!(recovered, None, "{tag}: a fresh directory replays nothing");
+        let (second, recovered) = run_once();
+        assert_eq!(recovered, Some(*join_stages), "{tag}: join phase replayed");
+        assert_eq!(second.pairs, first.pairs, "{tag}");
+        assert_eq!(second.result_count, first.result_count, "{tag}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
