@@ -418,6 +418,10 @@ impl Cluster {
         if let Some(gate) = &self.gate {
             gate.pause();
         }
+        if let (Some(ctx), false) = (&self.faults, tasks.is_empty()) {
+            let mut ran = ctx.state.stages_run.lock().expect("fault state poisoned");
+            ran.insert(stage.to_string());
+        }
         let result = run_stage(
             self.config.threads,
             self.config.nodes,
@@ -579,6 +583,26 @@ mod tests {
             .run_stage("clean", vec![1u64], |_, t| t)
             .expect("stage runs");
         assert_eq!(stats2.retries, 0);
+    }
+
+    #[test]
+    fn fault_plans_report_the_stages_they_never_reached() {
+        use std::collections::BTreeSet;
+        let plan = FaultPlan::parse(
+            "fail:task:0@1,oom:ghost:0@1,stage:empty=0.5,fail:ghost:1@1",
+            0,
+        )
+        .expect("plan parses");
+        let c = Cluster::new(ClusterConfig::with_threads(2, 2)).with_faults(plan);
+        let ctx = c.fault_context().expect("context attached");
+        let never = ctx.stages_never_run();
+        assert_eq!(never, BTreeSet::from(["empty", "ghost", "task"]));
+        c.run_stage("task", vec![1u64], |_, t| t).expect("recovers");
+        // A stage with no tasks ran nothing either.
+        c.run_stage("empty", Vec::<u64>::new(), |_, t| t)
+            .expect("empty stage");
+        let never = ctx.stages_never_run();
+        assert_eq!(never, BTreeSet::from(["empty", "ghost"]));
     }
 
     #[test]

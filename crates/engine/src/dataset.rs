@@ -7,6 +7,7 @@ use crate::wire::Wire;
 use asj_obs::{Attrs, Lane};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 
 /// A partitioned, in-memory collection — the engine's RDD analog.
 ///
@@ -18,21 +19,17 @@ use rand::{Rng, SeedableRng};
 /// # Example
 ///
 /// ```
-/// use asj_engine::{Cluster, ClusterConfig, Dataset, HashPartitioner, JobError, KeyedDataset};
+/// use asj_engine::{Cluster, ClusterConfig, Dataset, HashPartitioner, JobError};
 ///
 /// # fn main() -> Result<(), JobError> {
 /// let cluster = Cluster::new(ClusterConfig::new(4));
 /// let data = Dataset::from_vec((0..1000u64).collect(), 8);
 /// let (sampled, _) = data.try_sample(&cluster, 1.0, 7)?;
 /// assert_eq!(sampled.len(), 1000);
-/// let (keyed, _) = cluster.run_stage("key", data.into_partitions(), |_, part| {
-///     part.into_iter().map(|x| (x % 10, x)).collect::<Vec<_>>()
-/// })?;
-/// let (shuffled, stats, _) = KeyedDataset::from_partitions(keyed).shuffle_stage(
-///     &cluster,
-///     &HashPartitioner::new(16),
-///     "shuffle",
-/// )?;
+/// let (shuffled, stats, _) =
+///     data.shuffle_stage_by(&cluster, &HashPartitioner::new(16), "shuffle", |part| {
+///         part.into_iter().map(|x| (x % 10, x)).collect()
+///     })?;
 /// assert_eq!(shuffled.len(), 1000);
 /// assert!(stats.remote_bytes + stats.local_bytes > 0);
 /// # Ok(())
@@ -79,20 +76,6 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         self.parts.iter().all(Vec::is_empty)
     }
 
-    /// Iterates over all records (driver-side).
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.parts.iter().flatten()
-    }
-
-    /// Concatenates everything on the driver.
-    pub fn collect(self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.parts.iter().map(Vec::len).sum());
-        for p in self.parts {
-            out.extend(p);
-        }
-        out
-    }
-
     pub fn partitions(&self) -> &[Vec<T>] {
         &self.parts
     }
@@ -133,95 +116,23 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         self.try_sample(cluster, fraction, seed)
             .unwrap_or_else(|e| panic!("{e}"))
     }
-}
 
-/// One radix map task's attempt-local output: in-memory buckets, byte
-/// metering, the attempt's spill segment (if any target was denied memory)
-/// and the charge ledger the driver settles at commit. Everything here is
-/// owned per *attempt* — dropping a loser releases its charges and deletes
-/// its spill file.
-struct RadixMapOut<K, V> {
-    buckets: Vec<Vec<(K, V)>>,
-    shuffle: ShuffleStats,
-    spill: Option<SpillSegment>,
-    spilled_bytes: u64,
-    /// Held for its Drop: the attempt's admitted charges release when the
-    /// committed result (or a discarded loser) is dropped.
-    _charges: ChargeGuard,
-}
-
-/// A partitioned collection of key–value pairs (Spark `PairRDD`).
-#[derive(Debug, Clone)]
-pub struct KeyedDataset<K, V> {
-    parts: Vec<Vec<(K, V)>>,
-}
-
-// `'static` because shuffle buckets are recycled through the cluster's
-// type-erased `BufferPool`, which shelves buffers by `TypeId`.
-impl<K, V> KeyedDataset<K, V>
-where
-    K: Wire + Send + Sync + Copy + 'static,
-    V: Wire + Send + Sync + Clone + 'static,
-{
-    pub fn from_partitions(parts: Vec<Vec<(K, V)>>) -> Self {
-        assert!(!parts.is_empty(), "need at least one partition");
-        KeyedDataset { parts }
-    }
-
-    #[inline]
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    pub fn len(&self) -> usize {
-        self.parts.iter().map(Vec::len).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.parts.iter().all(Vec::is_empty)
-    }
-
-    pub fn partitions(&self) -> &[Vec<(K, V)>] {
-        &self.parts
-    }
-
-    /// Consumes the dataset into its raw partitions.
-    pub fn into_partitions(self) -> Vec<Vec<(K, V)>> {
-        self.parts
-    }
-
-    /// Infallible [`KeyedDataset::shuffle_stage`] under the stage name
-    /// `"shuffle"`.
-    ///
-    /// # Panics
-    /// Panics if the stage fails.
-    #[deprecated(note = "frozen for benchmark/src/probe.rs; use shuffle_stage")]
-    #[allow(clippy::panic)]
-    pub fn shuffle<P>(
-        self,
-        cluster: &Cluster,
-        partitioner: &P,
-    ) -> (KeyedDataset<K, V>, ShuffleStats, ExecStats)
-    where
-        P: Partitioner<K> + ?Sized,
-    {
-        self.shuffle_stage(cluster, partitioner, "shuffle")
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Repartitions by key. Every record is charged its [`Wire`]-encoded size
-    /// against the simulated network: bytes are *remote* when the source and
-    /// target partitions live on different nodes, *local* otherwise — Spark's
-    /// shuffle remote reads versus local reads. Task spans, the per-partition
-    /// byte events and the mirrored `remote_bytes` / `local_bytes` /
-    /// `records` counters are all recorded under `stage`.
-    pub fn shuffle_stage<P>(
+    /// Repartitions by key, keying inside the shuffle's map tasks (Spark's
+    /// `flatMapToPair` in the shuffle-map task): each task consumes its
+    /// partition, `expand` turns it into keyed rows, and the task scatters
+    /// them as `shuffle_stage` does and frees them. The rows never exist as a
+    /// dataset. A checkpoint hit skips the expansion too; committed attempts'
+    /// expansion time is recorded as `assign_ns`.
+    pub fn shuffle_stage_by<K, V, P>(
         self,
         cluster: &Cluster,
         partitioner: &P,
         stage: &str,
+        expand: impl Fn(Vec<T>) -> Vec<(K, V)> + Sync,
     ) -> Result<(KeyedDataset<K, V>, ShuffleStats, ExecStats), JobError>
     where
+        K: Wire + Send + Sync + Copy + 'static,
+        V: Wire + Send + Sync + Clone + 'static,
         P: Partitioner<K> + ?Sized,
     {
         // Resumable when the cluster carries a checkpoint store: see
@@ -232,23 +143,25 @@ where
         );
         let targets = partitioner.num_partitions();
         let (parts, shuffle, stats) = cluster.checkpointed(stage, targets, codec, || {
-            let (ds, shuffle, stats) = self.radix_shuffle_stage(cluster, partitioner, stage)?;
-            Ok((ds.parts, shuffle, stats))
+            self.radix_shuffle_stage(cluster, partitioner, stage, expand)
         })?;
-        Ok((KeyedDataset { parts }, shuffle, stats))
+        Ok((Dataset { parts }, shuffle, stats))
     }
 
     /// The map half of [`radix_shuffle_stage`](Self::radix_shuffle_stage):
-    /// one task per source partition, routing and metering records into
-    /// per-target pooled buckets (or spill segments where admission is
-    /// denied).
-    fn radix_map_stage<P>(
+    /// one task per source partition, expanding it into keyed rows and
+    /// routing and metering them into per-target pooled buckets (or spill
+    /// segments where admission is denied).
+    fn radix_map_stage<K, V, P>(
         self,
         cluster: &Cluster,
         partitioner: &P,
         stage: &str,
+        expand: impl Fn(Vec<T>) -> Vec<(K, V)> + Sync,
     ) -> Result<(Vec<RadixMapOut<K, V>>, ExecStats), JobError>
     where
+        K: Wire + Send + Sync + Copy + 'static,
+        V: Wire + Send + Sync + Clone + 'static,
         P: Partitioner<K> + ?Sized,
     {
         let targets = partitioner.num_partitions();
@@ -260,16 +173,19 @@ where
                 partition_bytes: vec![0u64; targets],
                 ..ShuffleStats::default()
             };
+            let expand_start = Instant::now();
+            let rows = expand(part);
+            let expand_ns = expand_start.elapsed().as_nanos() as u64;
             // Pass 1: route + meter. One partitioner probe and one
             // encoded_size per record, reused for node and partition
             // byte accounting. The routing scratch is a pool lease like
             // any other, so it is charged too; scratch cannot spill, so
             // a denial here only counts against the budget-denial
             // telemetry while the buckets below remain the real lever.
-            charges.try_charge(src_node, (part.len() * std::mem::size_of::<u32>()) as u64);
-            let mut route: Vec<u32> = pool.take_vec(part.len());
+            charges.try_charge(src_node, (rows.len() * std::mem::size_of::<u32>()) as u64);
+            let mut route: Vec<u32> = pool.take_vec(rows.len());
             let mut counts: Vec<usize> = vec![0; targets];
-            for (k, v) in &part {
+            for (k, v) in &rows {
                 let t = partitioner.partition_of(k);
                 debug_assert!(t < targets);
                 let bytes = k.encoded_size() as u64 + v.encoded_size() as u64;
@@ -322,7 +238,7 @@ where
                 }
             }
             let mut buckets: Vec<Vec<(K, V)>> = pool.take_vecs(&counts);
-            for ((k, v), &t) in part.into_iter().zip(&route) {
+            for ((k, v), &t) in rows.into_iter().zip(&route) {
                 let t = t as usize;
                 match spill_of.get(t) {
                     Some(&slot) if slot != usize::MAX => {
@@ -356,17 +272,19 @@ where
                 shuffle,
                 spill,
                 spilled_bytes,
+                expand_ns,
                 _charges: charges,
             }
         })
     }
 
-    /// Radix materialization: each map task routes its partition in two
-    /// passes — pass 1 computes every record's target once, sizing it once
-    /// (`encoded_size`) for *both* the node-level remote/local split and the
-    /// per-target partition accounting, and builds a per-target histogram;
-    /// pass 2 scatters records into exactly-sized buckets checked out of the
-    /// cluster's [`BufferPool`](crate::BufferPool). The reduce side stitches
+    /// Radix materialization: each map task expands its partition into keyed
+    /// rows and routes them in two passes — pass 1 computes every record's
+    /// target once, sizing it once (`encoded_size`) for *both* the node-level
+    /// remote/local split and the per-target partition accounting, and builds
+    /// a per-target histogram; pass 2 scatters records into exactly-sized
+    /// buckets checked out of the cluster's [`BufferPool`](crate::BufferPool),
+    /// consuming the rows. The reduce side stitches
     /// buckets with bulk `Vec::append` moves (no per-record work) and
     /// recycles every emptied bucket into the pool for the next stage.
     ///
@@ -384,13 +302,17 @@ where
     /// *attempt* and travel inside the attempt's result; a loser's
     /// [`ChargeGuard`] releases on drop and its [`SpillSegment`] deletes its
     /// file on drop, so retries and speculation leak nothing.
-    fn radix_shuffle_stage<P>(
+    #[allow(clippy::type_complexity)] // the `checkpointed` compute shape
+    fn radix_shuffle_stage<K, V, P>(
         self,
         cluster: &Cluster,
         partitioner: &P,
         stage: &str,
-    ) -> Result<(KeyedDataset<K, V>, ShuffleStats, ExecStats), JobError>
+        expand: impl Fn(Vec<T>) -> Vec<(K, V)> + Sync,
+    ) -> Result<(Vec<Vec<(K, V)>>, ShuffleStats, ExecStats), JobError>
     where
+        K: Wire + Send + Sync + Copy + 'static,
+        V: Wire + Send + Sync + Clone + 'static,
         P: Partitioner<K> + ?Sized,
     {
         let targets = partitioner.num_partitions();
@@ -398,7 +320,8 @@ where
         let pool_before = pool.stats();
         let memory = cluster.memory_accountant();
         let denials_before = memory.budget_denials();
-        let (mut bucketed, mut stats) = self.radix_map_stage(cluster, partitioner, stage)?;
+        let (mut bucketed, mut stats) =
+            self.radix_map_stage(cluster, partitioner, stage, expand)?;
         // Reduce side: per-task partition_bytes merge element-wise (one entry
         // per target even over zero source partitions).
         let mut shuffle = ShuffleStats {
@@ -445,9 +368,10 @@ where
         // emptied buckets back, release every task's memory charges
         // (ChargeGuard drop) and delete the spill files (SpillSegment drop).
         let recorder = cluster.recorder();
-        let mut spilled_bytes = 0u64;
+        let (mut spilled_bytes, mut expand_ns) = (0u64, 0u64);
         for out in bucketed {
             spilled_bytes += out.spilled_bytes;
+            expand_ns += out.expand_ns;
             if recorder.is_enabled() {
                 if let Some(seg) = &out.spill {
                     for chunk in seg.chunks() {
@@ -474,6 +398,7 @@ where
             recorder.counter_add(stage, "local_bytes", shuffle.local_bytes);
             recorder.counter_add(stage, "records", shuffle.records);
             recorder.counter_add(stage, "spill_bytes", spilled_bytes);
+            recorder.counter_add(stage, "assign_ns", expand_ns);
             recorder.counter_add(
                 stage,
                 "budget_denials",
@@ -493,7 +418,74 @@ where
                 );
             }
         }
-        Ok((KeyedDataset { parts }, shuffle, stats))
+        Ok((parts, shuffle, stats))
+    }
+}
+
+/// One radix map task's attempt-local output: in-memory buckets, byte
+/// metering, the attempt's spill segment (if any target was denied memory)
+/// and the charge ledger the driver settles at commit. Everything here is
+/// owned per *attempt* — dropping a loser releases its charges and deletes
+/// its spill file.
+struct RadixMapOut<K, V> {
+    buckets: Vec<Vec<(K, V)>>,
+    shuffle: ShuffleStats,
+    spill: Option<SpillSegment>,
+    spilled_bytes: u64,
+    /// Time this attempt spent expanding its partition into keyed rows.
+    expand_ns: u64,
+    /// Held for its Drop: the attempt's admitted charges release when the
+    /// committed result (or a discarded loser) is dropped.
+    _charges: ChargeGuard,
+}
+
+/// A partitioned collection of key–value pairs (Spark `PairRDD`).
+pub type KeyedDataset<K, V> = Dataset<(K, V)>;
+
+// `'static` because shuffle buckets are recycled through the cluster's
+// type-erased `BufferPool`, which shelves buffers by `TypeId`.
+impl<K, V> Dataset<(K, V)>
+where
+    K: Wire + Send + Sync + Copy + 'static,
+    V: Wire + Send + Sync + Clone + 'static,
+{
+    /// Infallible [`KeyedDataset::shuffle_stage`] under the stage name
+    /// `"shuffle"`.
+    ///
+    /// # Panics
+    /// Panics if the stage fails.
+    #[deprecated(note = "frozen for benchmark/src/probe.rs; use shuffle_stage")]
+    #[allow(clippy::panic)]
+    pub fn shuffle<P>(
+        self,
+        cluster: &Cluster,
+        partitioner: &P,
+    ) -> (KeyedDataset<K, V>, ShuffleStats, ExecStats)
+    where
+        P: Partitioner<K> + ?Sized,
+    {
+        self.shuffle_stage(cluster, partitioner, "shuffle")
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Repartitions by key. Every record is charged its [`Wire`]-encoded size
+    /// against the simulated network: bytes are *remote* when the source and
+    /// target partitions live on different nodes, *local* otherwise — Spark's
+    /// shuffle remote reads versus local reads. Task spans, the per-partition
+    /// byte events and the mirrored `remote_bytes` / `local_bytes` /
+    /// `records` counters are all recorded under `stage`. This is
+    /// [`Dataset::shuffle_stage_by`] with the identity expansion: a partition
+    /// is its own keyed rows, and is not copied.
+    pub fn shuffle_stage<P>(
+        self,
+        cluster: &Cluster,
+        partitioner: &P,
+        stage: &str,
+    ) -> Result<(KeyedDataset<K, V>, ShuffleStats, ExecStats), JobError>
+    where
+        P: Partitioner<K> + ?Sized,
+    {
+        self.shuffle_stage_by(cluster, partitioner, stage, |part| part)
     }
 }
 
@@ -523,7 +515,7 @@ mod tests {
         assert_eq!(sizes, vec![4, 3, 3]);
         assert_eq!(d.len(), 10);
         assert!(!d.is_empty());
-        assert_eq!(d.collect(), (0..10).collect::<Vec<u32>>());
+        assert_eq!(d.into_partitions().concat(), (0..10).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -563,8 +555,7 @@ mod tests {
                 .with_recorder(recorder.clone())
                 .with_checkpoint_dir(&dir)
                 .expect("open checkpoint dir");
-            let (out, stats, _) =
-                shuffle(KeyedDataset { parts: vec![] }, &c, &HashPartitioner::new(4));
+            let (out, stats, _) = shuffle(Dataset { parts: vec![] }, &c, &HashPartitioner::new(4));
             let recovered = c.checkpoint_store().expect("store").stages_recovered();
             (out.into_partitions(), stats, recovered)
         };
@@ -589,7 +580,7 @@ mod tests {
         ]);
         let p = HashPartitioner::new(4);
         let (shuffled, stats, _) = shuffle(kd, &c, &p);
-        assert_eq!(shuffled.num_partitions(), 4);
+        assert_eq!(shuffled.partitions().len(), 4);
         assert_eq!(stats.records, 5);
         // Every record is 16 bytes (u64 key + u64 value).
         assert_eq!(stats.total_bytes(), 5 * 16);

@@ -19,8 +19,10 @@
 //! shuffle stays blacklisted for the join.
 
 use crate::checkpoint::fnv1a;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// What a single task attempt died of.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,7 +254,7 @@ impl FaultPlan {
     /// stage:local_join=0.2     attempts of one stage fail with probability 0.2
     /// slow:1=3.0               node 1 runs 3x slower
     /// lose:2@5                 node 2 is lost after starting 5 attempts
-    /// fail:marking:3@1         attempt 1 of task 3 in stage 'marking' fails
+    /// fail:shuffle.R:3@1       attempt 1 of task 3 in stage 'shuffle.R' fails
     /// oom:shuffle.R:0@1        attempt 1 of task 0 in stage 'shuffle.R'
     ///                          fails with injected budget exhaustion
     /// crash@6                  the job-server loop dies after granting 6
@@ -461,6 +463,8 @@ pub struct FaultState {
     failures: Vec<AtomicU64>,
     lost: Vec<AtomicBool>,
     blacklisted: Vec<AtomicBool>,
+    /// Stages that ran at least one task (recorded by `Cluster::run_stage`).
+    pub(crate) stages_run: Mutex<BTreeSet<String>>,
 }
 
 impl FaultState {
@@ -470,6 +474,7 @@ impl FaultState {
             failures: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             lost: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             blacklisted: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
+            stages_run: Mutex::default(),
         }
     }
 
@@ -549,6 +554,18 @@ impl FaultContext {
             state: FaultState::new(nodes),
             memory: None,
         }
+    }
+
+    /// The stages the plan's `fail:`, `oom:` and per-stage `p=` clauses name
+    /// that have run no task on this cluster: so far they injected nothing.
+    pub fn stages_never_run(&self) -> BTreeSet<&str> {
+        let ran = self.state.stages_run.lock().expect("fault state poisoned");
+        let points = self.plan.fail_points.iter().chain(&self.plan.oom_points);
+        let named = self.plan.stage_fail_prob.iter().map(|(stage, _)| stage);
+        let idle = named
+            .chain(points.map(|fp| &fp.stage))
+            .filter(|s| !ran.contains(*s));
+        idle.map(String::as_str).collect()
     }
 
     /// Attaches the cluster's memory accountant.
@@ -650,9 +667,9 @@ mod tests {
         assert_eq!(plan.slowdown(1), 3.0);
         assert_eq!(plan.lost_after(2), Some(4));
         assert_eq!(plan.fail_prob("local_join"), 0.2);
-        let fp = FaultPlan::parse("fail:marking:3@2", 0).expect("fail point parses");
-        assert!(fp.injects("marking", 3, 2));
-        assert!(!fp.injects("marking", 3, 1));
+        let fp = FaultPlan::parse("fail:shuffle.R:3@2", 0).expect("fail point parses");
+        assert!(fp.injects("shuffle.R", 3, 2));
+        assert!(!fp.injects("shuffle.R", 3, 1));
         let oom = FaultPlan::parse("oom:shuffle.R:0@1", 0).expect("oom point parses");
         assert!(oom.injects_oom("shuffle.R", 0, 1));
         assert!(!oom.injects_oom("shuffle.R", 0, 2));

@@ -11,7 +11,8 @@
 //! * [`Dataset`] / [`KeyedDataset`] — partitioned collections with the
 //!   operators Algorithm 5 runs (`sample`, the keyed shuffle, grouped and
 //!   co-grouped folds); [`Cluster::broadcast`] shares the grid with every
-//!   task, and `flatMapToPair` is a plain `run_stage` in the join crate.
+//!   task, and `flatMapToPair` runs inside the shuffle's map tasks
+//!   ([`Dataset::shuffle_stage_by`]).
 //! * **Metered shuffle** — when a keyed dataset is repartitioned, every
 //!   record is attributed to the simulated node of its source and target
 //!   partitions; records that cross nodes account their [`Wire`]-encoded size

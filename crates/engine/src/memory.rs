@@ -326,11 +326,6 @@ impl ChargeGuard {
             *held = held.saturating_sub(bytes);
         }
     }
-
-    /// Total bytes currently held across all nodes.
-    pub fn held_bytes(&self) -> u64 {
-        self.held.iter().map(|(_, b)| b).sum()
-    }
 }
 
 impl Drop for ChargeGuard {

@@ -1,6 +1,6 @@
-use crate::pipeline::{for_each_cogroup, map_stage, native_cell};
+use crate::pipeline::{expansion, for_each_cogroup, native_cell, shuffle_keyed};
 use crate::{JoinError, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, KeyedDataset, ShuffleStats};
+use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, ShuffleStats};
 use asj_geom::Point;
 use asj_grid::{CellCoord, Grid, GridSpec};
 use std::collections::HashMap;
@@ -69,19 +69,17 @@ fn knn_join_probe(
     // Shuffle S once by its native cell.
     let grid_b = cluster.broadcast(grid);
     let rdd_s = Dataset::from_vec(s, spec.input_partitions);
-    let (s_cells, _, ex) = map_stage(cluster, rdd_s, &native_cell(grid_b.clone()))?;
-    exec.accumulate(&ex);
-    let (s_cells, sh, ex) = s_cells.shuffle_stage(cluster, &partitioner, "shuffle")?;
+    let assign = native_cell(grid_b.clone());
+    let expand = expansion(&assign);
+    let (s_cells, _, sh, ex) = shuffle_keyed(cluster, rdd_s, expand, &partitioner, "shuffle")?;
     shuffle.merge(&sh);
     exec.accumulate(&ex);
     // S stays resident; every round's join borrows it.
 
     // Per-query best-so-far lists, merged on the driver between rounds.
-    let mut best: HashMap<u64, Vec<(f64, u64)>> = HashMap::new();
     let mut pending: Vec<Record> = r;
-    for q in &pending {
-        best.insert(q.id, Vec::new());
-    }
+    let mut best: HashMap<u64, Vec<(f64, u64)>> =
+        pending.iter().map(|q| (q.id, Vec::new())).collect();
     let (lx, ly) = grid_b.cell_side();
     let mut radius = lx.max(ly);
     let world = (grid_b.bbox().width().powi(2) + grid_b.bbox().height().powi(2)).sqrt();
@@ -99,36 +97,25 @@ fn knn_join_probe(
         // manufactures duplicate candidates for the driver-side dedup.
         let rad = radius;
         let prev2 = if annulus_only { probed2 } else { -1.0 };
-        let grid_q = grid_b.clone();
         let rdd_q = Dataset::from_vec(pending.clone(), spec.input_partitions);
-        let (q_parts, ex) = cluster.run_stage("task", rdd_q.into_partitions(), |_, part| {
-            let mut out = Vec::new();
-            let mut cells: Vec<CellCoord> = Vec::new();
-            for rec in part {
-                cells.clear();
-                let lo = grid_q.cell_of(Point::new(rec.point.x - rad, rec.point.y - rad));
-                let hi = grid_q.cell_of(Point::new(rec.point.x + rad, rec.point.y + rad));
-                for cy in lo.y..=hi.y {
-                    for cx in lo.x..=hi.x {
-                        let c = CellCoord { x: cx, y: cy };
-                        let m2 = grid_q.cell_rect(c).mindist2(rec.point);
-                        if m2 > prev2 && m2 <= rad * rad {
-                            cells.push(c);
+        let (q_cells, sh, ex) =
+            rdd_q.shuffle_stage_by(cluster, &partitioner, "shuffle", |part| {
+                let mut out = Vec::new();
+                for rec in part {
+                    let lo = grid_b.cell_of(Point::new(rec.point.x - rad, rec.point.y - rad));
+                    let hi = grid_b.cell_of(Point::new(rec.point.x + rad, rec.point.y + rad));
+                    for cy in lo.y..=hi.y {
+                        for cx in lo.x..=hi.x {
+                            let c = CellCoord { x: cx, y: cy };
+                            let m2 = grid_b.cell_rect(c).mindist2(rec.point);
+                            if m2 > prev2 && m2 <= rad * rad {
+                                out.push((grid_b.cell_index(c) as u64, rec.clone()));
+                            }
                         }
                     }
                 }
-                for &c in &cells {
-                    out.push((grid_q.cell_index(c) as u64, rec.clone()));
-                }
-            }
-            out
-        })?;
-        exec.accumulate(&ex);
-        let (q_cells, sh, ex) = KeyedDataset::from_partitions(q_parts).shuffle_stage(
-            cluster,
-            &partitioner,
-            "shuffle",
-        )?;
+                out
+            })?;
         shuffle.merge(&sh);
         exec.accumulate(&ex);
 
@@ -170,11 +157,7 @@ fn knn_join_probe(
         pending.retain(|q| {
             let found = &best[&q.id];
             let complete = found.len() >= k.min(s_total);
-            let safe = found
-                .len()
-                .checked_sub(1)
-                .map(|last| found[last].0 <= r2)
-                .unwrap_or(false);
+            let safe = found.last().is_some_and(|last| last.0 <= r2);
             !(complete && (safe || radius >= world))
         });
         probed2 = radius * radius;

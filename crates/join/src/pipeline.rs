@@ -125,8 +125,31 @@ impl Algorithm {
 /// A spatial-mapping function (the body of Spark's `flatMapToPair`): pushes
 /// the keys of every cell a record is assigned to onto the first vector, the
 /// record's own cell first. The second vector is coordinate scratch space the
-/// mapping stage reuses across records.
+/// mapping reuses across records.
 pub(crate) type Assign<'a, T = Record> = dyn Fn(&T, &mut Vec<u64>, &mut Vec<CellCoord>) + Sync + 'a;
+
+/// `assign` as a fused shuffle's expansion: each record keyed by every cell
+/// it is assigned to, the replicas cloned and the original moved into its
+/// own cell, last.
+pub(crate) fn expansion<'a, T: Clone>(
+    assign: &'a Assign<'a, T>,
+) -> impl Fn(Vec<T>) -> Vec<(u64, T)> + Sync + 'a {
+    move |part| {
+        let mut rows = Vec::with_capacity(part.len() + part.len() / 8);
+        let mut cells: Vec<u64> = Vec::with_capacity(4);
+        let mut scratch: Vec<CellCoord> = Vec::with_capacity(4);
+        for rec in part {
+            cells.clear();
+            assign(&rec, &mut cells, &mut scratch);
+            debug_assert!(!cells.is_empty(), "every record must map to >= 1 cell");
+            for &c in &cells[1..] {
+                rows.push((c, rec.clone()));
+            }
+            rows.push((cells[0], rec));
+        }
+        rows
+    }
+}
 
 /// Universal replication: the native cell plus every cell within ε.
 pub(crate) fn cells_within_eps(grid: Broadcast<Grid>) -> Box<Assign<'static>> {
@@ -184,9 +207,9 @@ pub(crate) struct JoinPlan<'a, T = Record> {
     pub sampling: ExecStats,
 }
 
-/// Algorithm 5 from the mapping on: spatial mapping of both inputs, keyed
-/// shuffle, partition-local join with immediate refinement, and the paper's
-/// metrics assembled into a [`JoinOutput`].
+/// Algorithm 5 from the mapping on: spatial mapping of both inputs fused into
+/// their keyed shuffles, partition-local join with immediate refinement, and
+/// the paper's metrics assembled into a [`JoinOutput`].
 pub(crate) fn run_plan<T>(
     cluster: &Cluster,
     rdd_r: Dataset<T>,
@@ -197,11 +220,13 @@ where
     T: Wire + Send + Sync + Clone + 'static,
 {
     let mut construction = plan.sampling;
-    let (keyed_r, rep_r, ex) = map_stage(cluster, rdd_r, plan.assign_r)?;
-    construction.accumulate(&ex);
-    let (keyed_s, rep_s, ex) = map_stage(cluster, rdd_s, plan.assign_s)?;
-    construction.accumulate(&ex);
-    let out = join_stage(cluster, keyed_r, keyed_s, plan.partitioner, plan.local_join)?;
+    let out = join_stage(
+        cluster,
+        (rdd_r, expansion(plan.assign_r)),
+        (rdd_s, expansion(plan.assign_s)),
+        plan.partitioner,
+        plan.local_join,
+    )?;
     construction.accumulate(&out.shuffle_exec);
     let mut tally = KernelTally::default();
     let mut pairs = Vec::new();
@@ -215,7 +240,7 @@ where
         pairs,
         result_count: tally.results,
         candidates: tally.candidates,
-        replicated: [rep_r, rep_s],
+        replicated: out.replicated,
         metrics: JobMetrics {
             shuffle: out.shuffle,
             construction,
@@ -226,45 +251,26 @@ where
     })
 }
 
-/// Spatial-mapping stage: routes every record to the cell keys chosen by
-/// `assign` (Spark's `flatMapToPair`). Returns the keyed dataset, the number
-/// of replicas (pairs emitted beyond one per record) and the stage's
-/// execution stats.
-pub(crate) fn map_stage<T>(
+/// One input's shuffle, keyed by `expand` inside its map tasks (Algorithm
+/// 5's `flatMapToPair → join`), with its replicas — records shuffled beyond
+/// one per input record, read from the committed or checkpoint-restored
+/// stats — published under `stage`.
+pub(crate) fn shuffle_keyed<T, V>(
     cluster: &Cluster,
     input: Dataset<T>,
-    assign: &Assign<'_, T>,
-) -> Result<(KeyedDataset<u64, T>, u64, ExecStats), JoinError>
+    expand: impl Fn(Vec<T>) -> Vec<(u64, V)> + Sync,
+    partitioner: &dyn Partitioner<u64>,
+    stage: &str,
+) -> Result<(KeyedDataset<u64, V>, u64, ShuffleStats, ExecStats), JoinError>
 where
-    T: Wire + Send + Sync + Clone + 'static,
+    T: Send + Sync + Clone,
+    V: Wire + Send + Sync + Clone + 'static,
 {
-    let records_in: u64 = input.len() as u64;
-    cluster.recorder().phase_attrs("marking", |attrs| {
-        let (parts, stats) =
-            cluster.run_stage("marking", input.into_partitions(), |_, part: Vec<T>| {
-                let mut out: Vec<(u64, T)> = Vec::with_capacity(part.len() + part.len() / 8);
-                let mut cells: Vec<u64> = Vec::with_capacity(4);
-                let mut scratch: Vec<CellCoord> = Vec::with_capacity(4);
-                for rec in part {
-                    cells.clear();
-                    assign(&rec, &mut cells, &mut scratch);
-                    debug_assert!(!cells.is_empty(), "every record must map to >= 1 cell");
-                    // Clone for the replicas, move the original into the last.
-                    for &c in &cells[1..] {
-                        out.push((c, rec.clone()));
-                    }
-                    out.push((cells[0], rec));
-                }
-                out
-            })?;
-        let keyed = KeyedDataset::from_partitions(parts);
-        let replicas = keyed.len() as u64 - records_in;
-        *attrs = attrs.records(records_in).cells(replicas);
-        cluster
-            .recorder()
-            .counter_add("marking", "replicas", replicas);
-        Ok((keyed, replicas, stats))
-    })
+    let records = input.len() as u64;
+    let (keyed, shuffle, exec) = input.shuffle_stage_by(cluster, partitioner, stage, expand)?;
+    let replicas = shuffle.records.saturating_sub(records);
+    cluster.recorder().counter_add(stage, "replicas", replicas);
+    Ok((keyed, replicas, shuffle, exec))
 }
 
 /// The point plans' partition body (Algorithm 5, line 9). With a `keep`
@@ -340,44 +346,43 @@ pub(crate) fn join_points<'a>(
 }
 
 /// Shuffle + partition-local join: the one co-group of every two-input
-/// operator. Both sides are shuffled by `partitioner` (`shuffle.R`,
-/// `shuffle.S`), then `body` joins each pair of co-located partitions in the
-/// `cogroup_join` stage. Returns every partition's `(records, accumulator)`
-/// in partition order, the combined shuffle stats, and the exec stats of the
-/// shuffle and join stages.
+/// operator. Each side comes unshuffled with its expansion, and is shuffled
+/// by `partitioner` ([`shuffle_keyed`] as `shuffle.R`, `shuffle.S`); then
+/// `body` joins each pair of co-located partitions in the `cogroup_join`
+/// stage. Returns every partition's `(records, accumulator)` in partition
+/// order, each side's replicas, the combined shuffle stats, and the exec
+/// stats of the shuffle and join stages.
 ///
 /// Per-partition accumulators are committed with the task output: shared
 /// atomics would be double-counted by retried or speculatively re-executed
 /// tasks.
-pub(crate) fn join_stage<A, B, O, Acc>(
+pub(crate) fn join_stage<TA, TB, A, B, O, Acc>(
     cluster: &Cluster,
-    keyed_r: KeyedDataset<u64, A>,
-    keyed_s: KeyedDataset<u64, B>,
+    (input_r, expand_r): (Dataset<TA>, impl Fn(Vec<TA>) -> Vec<(u64, A)> + Sync),
+    (input_s, expand_s): (Dataset<TB>, impl Fn(Vec<TB>) -> Vec<(u64, B)> + Sync),
     partitioner: &dyn Partitioner<u64>,
     body: impl Fn(&[(u64, A)], &[(u64, B)]) -> (Vec<O>, Acc) + Sync,
 ) -> Result<JoinStageOutput<O, Acc>, JoinError>
 where
+    TA: Send + Sync + Clone,
+    TB: Send + Sync + Clone,
     A: Wire + Send + Sync + Clone + 'static,
     B: Wire + Send + Sync + Clone + 'static,
     O: Wire + Send + Sync,
     Acc: Wire + Send + Sync,
 {
     let recorder = cluster.recorder().clone();
-    let (keyed_r, keyed_s, shuffle, shuffle_exec) = recorder.phase_attrs("shuffle", |attrs| {
-        let (keyed_r, sh_r, ex_r) = keyed_r.shuffle_stage(cluster, partitioner, "shuffle.R")?;
-        let (keyed_s, sh_s, ex_s) = keyed_s.shuffle_stage(cluster, partitioner, "shuffle.S")?;
-        let mut shuffle = sh_r;
-        shuffle.merge(&sh_s);
-        let mut shuffle_exec = ex_r;
-        shuffle_exec.accumulate(&ex_s);
-        *attrs = attrs.records(shuffle.records).bytes(shuffle.total_bytes());
-        Ok::<_, JoinError>((keyed_r, keyed_s, shuffle, shuffle_exec))
-    })?;
-    assert_eq!(
-        keyed_r.num_partitions(),
-        keyed_s.num_partitions(),
-        "joined datasets must share the partitioner"
-    );
+    let (keyed_r, keyed_s, replicated, shuffle, shuffle_exec) =
+        recorder.phase_attrs("shuffle", |attrs| {
+            let (keyed_r, rep_r, mut shuffle, mut shuffle_exec) =
+                shuffle_keyed(cluster, input_r, expand_r, partitioner, "shuffle.R")?;
+            let (keyed_s, rep_s, sh_s, ex_s) =
+                shuffle_keyed(cluster, input_s, expand_s, partitioner, "shuffle.S")?;
+            shuffle.merge(&sh_s);
+            shuffle_exec.accumulate(&ex_s);
+            *attrs = attrs.records(shuffle.records).bytes(shuffle.total_bytes());
+            Ok::<_, JoinError>((keyed_r, keyed_s, [rep_r, rep_s], shuffle, shuffle_exec))
+        })?;
     // `run_stage_checkpointed`: with a checkpoint store attached the
     // per-partition outputs are persisted after the stage and replayed on
     // recovery, so a recovered server skips the join phase — the ε-grid's
@@ -403,6 +408,7 @@ where
     })?;
     Ok(JoinStageOutput {
         parts,
+        replicated,
         shuffle,
         shuffle_exec,
         join_exec,
@@ -549,6 +555,8 @@ impl Wire for KernelTally {
 pub(crate) struct JoinStageOutput<O, Acc> {
     /// Every partition's `(records, accumulator)`, in partition order.
     pub parts: Vec<(Vec<O>, Acc)>,
+    /// Records each side shuffled beyond one per input record.
+    pub replicated: [u64; 2],
     pub shuffle: ShuffleStats,
     pub shuffle_exec: ExecStats,
     pub join_exec: ExecStats,
@@ -565,8 +573,9 @@ mod tests {
     }
 
     #[test]
-    fn map_stage_counts_replicas() {
-        let c = cluster();
+    fn shuffle_keyed_counts_replicas() {
+        let recorder = asj_obs::Recorder::for_nodes(2);
+        let c = cluster().with_recorder(recorder.clone());
         let recs = crate::to_records(
             &[
                 Point::new(0.0, 0.0),
@@ -576,17 +585,30 @@ mod tests {
             0,
         );
         // Every record goes to its id cell, even ids get one replica.
-        let ds = Dataset::from_vec(recs, 2);
-        let (keyed, replicas, _) = map_stage(&c, ds, &|rec, cells, _| {
+        let assign: &Assign = &|rec, cells, _| {
             let x = rec.point.x as u64;
             cells.push(x);
             if x.is_multiple_of(2) {
                 cells.push(100 + x);
             }
-        })
-        .expect("join runs");
+        };
+        let ds = Dataset::from_vec(recs, 2);
+        let hash = HashPartitioner::new(4);
+        let (keyed, replicas, shuffle, _) =
+            shuffle_keyed(&c, ds, expansion(assign), &hash, "shuffle").expect("join runs");
         assert_eq!(replicas, 2);
-        assert_eq!(keyed.len(), 5);
+        assert_eq!((keyed.len(), shuffle.records), (5, 5));
+        assert_eq!(recorder.counter_value("shuffle", "replicas"), Some(2));
+        assert!(recorder.counter_value("shuffle", "assign_ns").is_some());
+        // Each record lands in its own cell and in its replica's.
+        let mut rows: Vec<(u64, u64)> = keyed
+            .into_partitions()
+            .into_iter()
+            .flatten()
+            .map(|(cell, rec)| (rec.id, cell))
+            .collect();
+        rows.sort_unstable();
+        assert_eq!(rows, vec![(0, 0), (0, 100), (1, 1), (2, 2), (2, 102)]);
     }
 
     #[test]
@@ -597,17 +619,16 @@ mod tests {
         let s = crate::to_records(&[Point::new(1.5, 1.0), Point::new(4.0, 4.0)], 0);
         // Everything keyed to one cell: the kernel sees all candidates.
         let one_cell: &Assign = &|_, cells, _| cells.push(0);
-        let keyed = |recs: &[Record]| {
-            map_stage(&c, Dataset::from_vec(recs.to_vec(), 1), one_cell)
-                .expect("join runs")
-                .0
+        let side = |recs: &[Record]| {
+            let input = Dataset::from_vec(recs.to_vec(), 1);
+            (input, expansion(one_cell))
         };
         let hash = HashPartitioner::new(4);
         // Pairs, results and candidates over all partitions, plus records
         // shuffled.
         let run = |spec: &JoinSpec| {
             let body = join_points(&c, spec, None);
-            let out = join_stage(&c, keyed(&r), keyed(&s), &hash, body).expect("join runs");
+            let out = join_stage(&c, side(&r), side(&s), &hash, body).expect("join runs");
             let (pairs, tallies): (Vec<_>, Vec<_>) = out.parts.into_iter().unzip();
             let sum = |f: fn(&KernelTally) -> u64| tallies.iter().map(f).sum::<u64>();
             let pairs: Vec<(u64, u64)> = pairs.into_iter().flatten().collect();

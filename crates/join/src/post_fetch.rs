@@ -1,7 +1,8 @@
 use crate::pipeline::{for_each_cogroup, join_stage, JoinStageOutput};
 use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, Payload, Record};
 use asj_core::AgreementPolicy;
-use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics, KeyedDataset, Wire};
+use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics};
+use std::convert::identity;
 
 /// The Table-5 alternative for carrying non-spatial attributes: the spatial
 /// join runs on **stripped tuples** (id + coordinates only), and the extra
@@ -36,12 +37,13 @@ pub fn adaptive_join_post_fetch(
     // Every id-join input is split across the spec's input partitions — a
     // single-partition dataset would put every map task of the extra
     // shuffles on node 0 and serialize exactly the post-processing the paper
-    // measures.
+    // measures. The rows are already keyed: the expansion is the identity.
     let partitioner = HashPartitioner::new(spec.num_partitions);
     let inputs = spec.input_partitions;
 
     // Join 1: pairs (keyed by r.id) ⋈ R attributes → rows keyed by s.id.
-    let (pairs_by_rid, r_table) = (keyed(out.pairs.clone(), inputs), keyed(r_attrs, inputs));
+    let pairs_by_rid = (Dataset::from_vec(out.pairs.clone(), inputs), identity);
+    let r_table = (Dataset::from_vec(r_attrs, inputs), identity);
     let fetch_r = join_stage(cluster, pairs_by_rid, r_table, &partitioner, |pairs, r| {
         let mut half: Vec<(u64, (u64, Payload))> = Vec::new();
         for_each_cogroup(pairs, r, |rid, sids, payloads| {
@@ -56,8 +58,11 @@ pub fn adaptive_join_post_fetch(
     // Join 2: half-enriched rows (keyed by s.id) ⋈ S attributes. The rows
     // stay in join 1's partitions; enrichment counts fold into
     // per-partition accumulators (retry-safe).
-    let half = KeyedDataset::from_partitions(fetch_r.parts.into_iter().map(|p| p.0).collect());
-    let s_table = keyed(s_attrs, inputs);
+    let half = Dataset::from_partitions(fetch_r.parts.into_iter().map(|p| p.0).collect());
+    let (half, s_table) = (
+        (half, identity),
+        (Dataset::from_vec(s_attrs, inputs), identity),
+    );
     let fetch_s = join_stage(cluster, half, s_table, &partitioner, |rows, s| {
         let mut enriched = 0u64;
         for_each_cogroup(rows, s, |_, rows, payloads| {
@@ -77,14 +82,6 @@ pub fn adaptive_join_post_fetch(
         out.pairs = Vec::new();
     }
     Ok(out)
-}
-
-/// `rows` split into `partitions` near-equal input partitions.
-fn keyed<V>(rows: Vec<(u64, V)>, partitions: usize) -> KeyedDataset<u64, V>
-where
-    V: Wire + Send + Sync + Clone + 'static,
-{
-    KeyedDataset::from_partitions(Dataset::from_vec(rows, partitions).into_partitions())
 }
 
 /// Adds one id-join's shuffle volume and stage stats to the job's.

@@ -1,4 +1,4 @@
-use crate::pipeline::{map_stage, native_cell};
+use crate::pipeline::{expansion, native_cell, shuffle_keyed};
 use crate::{JoinError, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, ShuffleStats};
 use asj_geom::{Point, Rect};
@@ -23,10 +23,10 @@ impl PartitionedPoints {
         let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
         let rdd = Dataset::from_vec(data, spec.input_partitions);
         let assign = native_cell(cluster.broadcast(grid.clone()));
-        let (keyed, _, mut exec) = map_stage(cluster, rdd, &assign)?;
         let partitioner = HashPartitioner::new(spec.num_partitions);
-        let (keyed, shuffle, ex) = keyed.shuffle_stage(cluster, &partitioner, "shuffle")?;
-        exec.accumulate(&ex);
+        let expand = expansion(&assign);
+        let (keyed, _, shuffle, exec) =
+            shuffle_keyed(cluster, rdd, expand, &partitioner, "shuffle")?;
         Ok(PartitionedPoints {
             grid,
             parts: keyed.into_partitions(),
@@ -53,21 +53,8 @@ impl PartitionedPoints {
         if region.is_empty() {
             return Ok((Vec::new(), ExecStats::default()));
         }
-        let grid = &self.grid;
-        let refs: Vec<&Vec<(u64, Record)>> = self.parts.iter().collect();
-        let (found, exec) = cluster.run_stage("task", refs, |_, part| {
-            part.iter()
-                .filter(|(cell, _)| {
-                    grid.cell_rect(grid.cell_at(*cell as usize))
-                        .intersects(&region)
-                })
-                .filter(|(_, rec)| region.contains(rec.point))
-                .map(|(_, rec)| rec.id)
-                .collect::<Vec<u64>>()
-        })?;
-        let mut out: Vec<u64> = found.into_iter().flatten().collect();
-        out.sort_unstable();
-        Ok((out, exec))
+        let hit = |cell: Rect| cell.intersects(&region);
+        self.scan(cluster, hit, |p| region.contains(p))
     }
 
     /// All record ids within distance `radius` of `center`. A negative or
@@ -85,19 +72,27 @@ impl PartitionedPoints {
                 reason,
             });
         }
-        let grid = &self.grid;
         let r2 = radius * radius;
+        let hit = |cell: Rect| cell.mindist2(center) <= r2;
+        self.scan(cluster, hit, |p| p.dist2(center) <= r2)
+    }
+
+    /// The sorted ids of the records that `hit` accepts, scanning only the
+    /// cells whose rectangle `cell_hit` accepts.
+    fn scan(
+        &self,
+        cluster: &Cluster,
+        cell_hit: impl Fn(Rect) -> bool + Sync,
+        hit: impl Fn(Point) -> bool + Sync,
+    ) -> Result<(Vec<u64>, ExecStats), JoinError> {
+        let grid = &self.grid;
         let refs: Vec<&Vec<(u64, Record)>> = self.parts.iter().collect();
         let (found, exec) = cluster.run_stage("task", refs, |_, part| {
-            part.iter()
-                .filter(|(cell, _)| {
-                    grid.cell_rect(grid.cell_at(*cell as usize))
-                        .mindist2(center)
-                        <= r2
-                })
-                .filter(|(_, rec)| rec.point.dist2(center) <= r2)
-                .map(|(_, rec)| rec.id)
-                .collect::<Vec<u64>>()
+            let cell_of = |cell: u64| grid.cell_rect(grid.cell_at(cell as usize));
+            let rows = part
+                .iter()
+                .filter(|(cell, rec)| cell_hit(cell_of(*cell)) && hit(rec.point));
+            rows.map(|(_, rec)| rec.id).collect::<Vec<u64>>()
         })?;
         let mut out: Vec<u64> = found.into_iter().flatten().collect();
         out.sort_unstable();

@@ -1,4 +1,4 @@
-use crate::pipeline::{cells_within_eps, map_stage, midpoint_in_cell, point_at};
+use crate::pipeline::{cells_within_eps, expansion, midpoint_in_cell, point_at, shuffle_keyed};
 use crate::{JoinError, JoinOutput, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics};
 use asj_grid::{Grid, GridSpec};
@@ -24,12 +24,12 @@ pub fn self_join(
     let rdd = Dataset::from_vec(input, spec.input_partitions);
 
     let grid_b = cluster.broadcast(grid);
-    let (keyed, replicas, mut construction) =
-        map_stage(cluster, rdd, &cells_within_eps(grid_b.clone()))?;
-
+    let assign = cells_within_eps(grid_b.clone());
     let partitioner = HashPartitioner::new(spec.num_partitions);
-    let (keyed, shuffle, ex) = keyed.shuffle_stage(cluster, &partitioner, "shuffle")?;
-    construction.accumulate(&ex);
+    let expand = expansion(&assign);
+    let (keyed, replicas, shuffle, construction) = cluster.recorder().phase("shuffle", || {
+        shuffle_keyed(cluster, rdd, expand, &partitioner, "shuffle")
+    })?;
 
     let eps = spec.eps;
     let collect = spec.collect_pairs;

@@ -61,7 +61,7 @@ fn replicas_share_payload_bytes_and_generation_allocates_per_block() {
         "to_records({N}, 64) allocated {generated} times for {blocks} blocks"
     );
 
-    // What `map_stage` does per replica, and the driver per shuffled
+    // What a shuffle's expansion does per replica, and the driver per shuffled
     // partition: clone into a keyed row, drop it later.
     let mut replicas: Vec<(u64, Record)> = Vec::with_capacity(N);
     let before = counts();

@@ -12,7 +12,9 @@
 use adaptive_spatial_join::data::{
     read_points_csv_with, write_points_csv, DatasetSpec, GenKind, PAPER_BBOX,
 };
-use adaptive_spatial_join::engine::{clean_orphaned_spills, set_spill_dir, Journal, SchedPolicy};
+use adaptive_spatial_join::engine::{
+    clean_orphaned_spills, set_spill_dir, Attrs, Journal, Lane, SchedPolicy,
+};
 use adaptive_spatial_join::geom::{Point, Rect};
 use adaptive_spatial_join::join::{
     knn_join, self_join, Algorithm, JoinError, JoinOutput, JoinSpec, LocalKernel,
@@ -151,10 +153,13 @@ Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 --faults injects deterministic failures, e.g. 'chaos' or
 'p=0.02,slow:1=3.0,lose:2@5' (seeded by --seed); the env vars ASJ_FAULTS /
 ASJ_FAULT_SEED do the same without flags. --speculation re-executes
-straggler tasks on another node. --memory-budget caps simulated per-node
+straggler tasks on another node. A fault clause naming a stage the job never
+runs is reported as a warning. --memory-budget caps simulated per-node
 memory (bytes; k/m/g binary suffixes accepted) — shuffle buckets that would
 exceed it spill to temporary files and are re-read at reduce time, leaving
-results byte-identical.
+results byte-identical. The join report's 'peak memory' is that governor's
+simulated per-node peak (shuffle buckets only); 'peak RSS' is the whole
+process's resident-set high-water mark.
 --jobs runs a multi-tenant queue on one simulated cluster: one
 'job NAME key=value ...' per line ('#' comments; keys: algo eps n kind seed
 weight kernel partitions grid-factor payload faults fault-seed max-attempts
@@ -490,6 +495,9 @@ fn report(out: &JoinOutput, ingest: Duration) {
         "peak memory          : {} KiB",
         out.metrics.peak_memory_bytes() / 1024
     );
+    if let Some(mib) = peak_rss_mib() {
+        println!("peak RSS             : {mib} MiB");
+    }
     // Only interesting when the memory governor actually forced data to disk.
     if out.metrics.spilled_bytes() > 0 {
         println!(
@@ -510,6 +518,32 @@ fn report(out: &JoinOutput, ingest: Duration) {
             "fault recovery       : {} speculative wins, {} blacklisted nodes",
             exec.speculative_wins, exec.blacklisted_nodes
         );
+    }
+}
+
+/// The process's resident-set high-water mark so far (`VmHWM`), in MiB;
+/// `None` where `/proc/self/status` cannot be read.
+fn peak_rss_mib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024)
+}
+
+/// Warns — on stderr and as a driver-lane trace event — about every stage
+/// the fault plan names that this job never ran a task of: such a clause
+/// injected nothing.
+fn warn_unreached_fault_stages(cluster: &Cluster) {
+    let Some(ctx) = cluster.fault_context() else {
+        return;
+    };
+    for stage in ctx.stages_never_run() {
+        let warning =
+            format!("warning: fault plan names stage '{stage}', which this job never ran");
+        eprintln!("{warning}");
+        cluster
+            .recorder()
+            .event(&warning, Lane::Driver, None, Attrs::new());
     }
 }
 
@@ -609,6 +643,7 @@ fn cmd_join(flags: &HashMap<String, String>) -> Result<(), CliError> {
         spec = spec.counting_only();
     }
     let out = algo.try_run(&cluster, &spec, r, s)?;
+    warn_unreached_fault_stages(&cluster);
     finish_join(flags, &out, ingest, &trace)
 }
 
@@ -625,6 +660,7 @@ fn cmd_self_join(flags: &HashMap<String, String>) -> Result<(), CliError> {
         spec = spec.counting_only();
     }
     let out = self_join(&cluster, &spec, input)?;
+    warn_unreached_fault_stages(&cluster);
     finish_join(flags, &out, ingest, &trace)
 }
 
@@ -638,6 +674,7 @@ fn cmd_knn(flags: &HashMap<String, String>) -> Result<(), CliError> {
     }
     let (cluster, spec, _trace) = build_spec(flags, bbox)?;
     let out = knn_join(&cluster, &spec, k, r, s)?;
+    warn_unreached_fault_stages(&cluster);
     println!("queries answered     : {}", out.neighbors.len());
     println!("expanding rounds     : {}", out.rounds);
     println!(
@@ -807,6 +844,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     );
     println!("quanta granted       : {}", run.grants.len());
     if recovery.journal.is_some() {
+        // Every grant is journaled before it takes effect.
+        println!("journal grants written : {}", run.grants.len());
         println!("journal grants replayed : {}", run.journal_grants.len());
         println!("checkpoint bytes     : {}", run.checkpoint_bytes);
         if recovery.checkpoint_dir.is_some() {
@@ -1159,7 +1198,7 @@ mod tests {
             (&join[..], "stage 'sample' task 0 failed after 2 attempt(s)"),
             (
                 &self_join[..],
-                "stage 'marking' task 0 failed after 2 attempt(s)",
+                "stage 'shuffle' task 0 failed after 2 attempt(s)",
             ),
             (&unreadable[..], "reading /nonexistent/r.csv"),
         ] {
@@ -1524,16 +1563,17 @@ mod tests {
         ] {
             assert!(chrome.contains(lane), "missing lane {lane}");
         }
-        // At least one span per join phase of the pipeline.
+        // At least one span per join phase of the pipeline; the mapping runs
+        // inside the shuffle's map tasks, not as a phase of its own.
         for phase in [
             "\"sampling\"",
             "\"agreement_graph\"",
-            "\"marking\"",
             "\"shuffle\"",
             "\"local_join\"",
         ] {
             assert!(chrome.contains(phase), "missing phase {phase}");
         }
+        assert!(!chrome.contains("\"marking\""), "no marking phase");
         run(&[
             arg("self-join"),
             arg("--input"),

@@ -1,0 +1,155 @@
+//! What the `asj` binary itself prints: the memory lines of the join report,
+//! the warning for a fault clause that names a stage the job never runs, and
+//! both journal grant counts of a durable server, fresh and recovered.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// A per-test scratch directory under the system temp dir.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("asj-cli-reports-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Runs `asj` with `args`; the run must succeed.
+fn asj(args: &[&str]) -> Output {
+    let out = Command::new(env!("CARGO_BIN_EXE_asj"))
+        .args(args)
+        .output()
+        .expect("spawn asj");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "asj {args:?} failed: {stderr}");
+    out
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8(bytes.to_vec()).expect("utf-8 output")
+}
+
+/// The value of the first `label : value` line of `stdout`.
+fn value<'a>(stdout: &'a str, label: &str) -> &'a str {
+    let line = stdout.lines().find_map(|line| {
+        let (key, value) = line.split_once(':')?;
+        (key.trim() == label).then(|| value.trim())
+    });
+    line.unwrap_or_else(|| panic!("no '{label}' line in:\n{stdout}"))
+}
+
+fn path(p: &Path) -> &str {
+    p.to_str().expect("utf-8 path")
+}
+
+#[test]
+fn join_reports_peak_rss_and_warns_about_unreached_fault_stages() {
+    let dir = scratch("join");
+    let input = dir.join("r.csv");
+    let trace = dir.join("trace.jsonl");
+    asj(&[
+        "generate",
+        "--kind",
+        "uniform",
+        "--n",
+        "400",
+        "--out",
+        path(&input),
+    ]);
+    let join = |faults: &str| {
+        asj(&[
+            "join",
+            "--r",
+            path(&input),
+            "--s",
+            path(&input),
+            "--eps",
+            "0.5",
+            "--nodes",
+            "3",
+            "--partitions",
+            "6",
+            "--faults",
+            faults,
+            "--trace",
+            path(&trace),
+            "--trace-format",
+            "jsonl",
+        ])
+    };
+    let warning = "warning: fault plan names stage 'marking', which this job never ran";
+
+    // The mapping runs inside `shuffle.R` / `shuffle.S`: a plan that targets
+    // the old `marking` stage injects nothing, and says so.
+    let out = join("fail:marking:0@1");
+    assert_eq!(text(&out.stderr).trim(), warning);
+    assert!(std::fs::read_to_string(&trace)
+        .expect("trace")
+        .contains(warning));
+    let stdout = text(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    let at = lines.iter().position(|l| l.starts_with("peak memory"));
+    let rss = at
+        .and_then(|i| lines.get(i + 1))
+        .expect("a line after peak memory");
+    assert!(rss.starts_with("peak RSS"), "{stdout}");
+    let mib: u64 = value(&stdout, "peak RSS")
+        .strip_suffix(" MiB")
+        .and_then(|v| v.parse().ok())
+        .expect("peak RSS in MiB");
+    assert!(mib > 0);
+
+    // A plan whose stage runs fires, and warns about nothing.
+    let out = join("fail:shuffle.R:0@1");
+    assert_eq!(text(&out.stderr), "");
+    assert!(value(&text(&out.stdout), "task attempts").contains("(1 retries"));
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn serve_reports_journal_grants_written_and_replayed() {
+    let dir = scratch("serve");
+    let (jobs, journal, ckpt) = (dir.join("jobs.txt"), dir.join("journal"), dir.join("ckpt"));
+    std::fs::write(
+        &jobs,
+        "job alpha algo=lpib eps=0.5 n=600 partitions=8 seed=11\n\
+         job beta algo=uni-r eps=0.3 n=900 partitions=8 seed=23 weight=2\n",
+    )
+    .expect("write queue");
+    let serve = |recover: bool| {
+        let mut args = vec![
+            "serve",
+            "--jobs",
+            path(&jobs),
+            "--nodes",
+            "4",
+            "--journal",
+            path(&journal),
+            "--checkpoint-dir",
+            path(&ckpt),
+        ];
+        if recover {
+            args.push("--recover");
+        }
+        let stdout = text(&asj(&args).stdout);
+        let count = |label| -> usize { value(&stdout, label).parse().expect("a count") };
+        (
+            count("journal grants written"),
+            count("journal grants replayed"),
+            count("quanta granted"),
+        )
+    };
+    let (written, replayed, quanta) = serve(false);
+    assert_eq!(
+        (written, replayed),
+        (quanta, 0),
+        "a fresh run journals every grant"
+    );
+    assert!(written > 0);
+    let (written_again, replayed, quanta) = serve(true);
+    assert_eq!(
+        replayed, written,
+        "recovery reads back the first run's grants"
+    );
+    assert_eq!(written_again, quanta);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}

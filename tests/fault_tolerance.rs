@@ -327,17 +327,17 @@ fn unsurvivable_plans_surface_as_job_errors() {
     let mut entries: Vec<(&str, &str, Entry)> = vec![
         (
             "self_join",
-            "marking",
+            "shuffle",
             Box::new(|c| self_join(c, spec, r.clone()).map(drop)),
         ),
         (
             "extent_join",
-            "marking",
+            "shuffle.R",
             Box::new(|c| extent_join(c, spec, point_extents(r), point_extents(s)).map(drop)),
         ),
         (
             "pbsm_refpoint_join",
-            "marking",
+            "shuffle.R",
             Box::new(|c| pbsm_refpoint_join(c, spec, r.clone(), s.clone()).map(drop)),
         ),
         (
@@ -347,18 +347,18 @@ fn unsurvivable_plans_surface_as_job_errors() {
         ),
         (
             "knn_join",
-            "marking",
+            "shuffle",
             Box::new(|c| knn_join(c, spec, 3, r.clone(), s.clone()).map(drop)),
         ),
         (
             "PartitionedPoints::build",
-            "marking",
+            "shuffle",
             Box::new(|c| PartitionedPoints::build(c, spec, r.clone()).map(drop)),
         ),
     ];
     for algo in Algorithm::ALL.into_iter().chain([Algorithm::LpibDedup]) {
         let first_stage = match algo {
-            Algorithm::UniR | Algorithm::UniS | Algorithm::EpsGrid => "marking",
+            Algorithm::UniR | Algorithm::UniS | Algorithm::EpsGrid => "shuffle.R",
             _ => "sample",
         };
         let run = move |c: &Cluster| algo.try_run(c, spec, r.clone(), s.clone()).map(drop);

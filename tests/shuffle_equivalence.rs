@@ -3,10 +3,11 @@
 //! partition contents in the same order, same per-node and per-partition
 //! byte accounting — for arbitrary keyed datasets, every partitioner family,
 //! and under seeded fault injection (retries must not double-fill pooled
-//! buffers).
+//! buffers). The fused shuffle, which keys its input inside the map tasks,
+//! is held to the same contract against expand-then-shuffle.
 
 use adaptive_spatial_join::engine::{
-    Cluster, ClusterConfig, ExplicitPartitioner, FaultPlan, HashPartitioner, KeyedDataset,
+    Cluster, ClusterConfig, Dataset, ExplicitPartitioner, FaultPlan, HashPartitioner, KeyedDataset,
     Partitioner, RetryPolicy, RoundRobinPartitioner, ShuffleStats, Wire,
 };
 use proptest::prelude::*;
@@ -28,9 +29,32 @@ fn records(max_key: u64) -> impl Strategy<Value = Vec<Rec>> {
     )
 }
 
+/// Source elements of the fused shuffle: `(tag, payload)`.
+type Src = (u64, Vec<u8>);
+
+fn sources() -> impl Strategy<Value = Vec<Src>> {
+    prop::collection::vec(
+        (any::<u64>(), prop::collection::vec(any::<u8>(), 0..24)),
+        0..300,
+    )
+}
+
+/// A fused shuffle's expansion: each element becomes `tag % 4` keyed rows
+/// (none at all for a quarter of them), keys in `0..64`.
+fn expand(part: Vec<Src>) -> Vec<Rec> {
+    let mut rows = Vec::new();
+    for (tag, payload) in part {
+        for i in 0..tag % 4 {
+            let key = (tag / 4 + 11 * i) % 64;
+            rows.push((key, (tag ^ i, payload.clone())));
+        }
+    }
+    rows
+}
+
 /// Splits records into `parts` chunks round-robin (deterministic, uneven).
-fn into_partitions(recs: Vec<Rec>, parts: usize) -> Vec<Vec<Rec>> {
-    let mut out: Vec<Vec<Rec>> = (0..parts).map(|_| Vec::new()).collect();
+fn into_partitions<T>(recs: Vec<T>, parts: usize) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
     for (i, r) in recs.into_iter().enumerate() {
         out[i % parts].push(r);
     }
@@ -186,5 +210,43 @@ proptest! {
         let (parts_r, stats_r) = reference_shuffle(parts, &p, nodes);
         prop_assert_eq!(stats_f, stats_r);
         prop_assert_eq!(parts_f, parts_r);
+    }
+
+    /// Keying inside the shuffle's map tasks is invisible: the fused shuffle
+    /// equals expanding every partition first and then shuffling the keyed
+    /// rows — same partitions, same element order, same stats — for every
+    /// partitioner family, under sub-peak budgets that force spilling, and
+    /// under seeded failures and `oom:` points on the fused stage.
+    #[test]
+    fn fused_shuffle_equals_expand_then_shuffle(
+        srcs in sources(),
+        sources in 1usize..7,
+        targets in 1usize..25,
+        nodes in 1usize..6,
+        kind in 0u8..4,
+        // 0 means unbudgeted.
+        budget in 0u64..4096,
+        seed in any::<u64>(),
+        oom_task in 0usize..6,
+    ) {
+        let parts = into_partitions(srcs, sources);
+        let p = AnyPartitioner::build(kind, targets, 64);
+        let plan = FaultPlan::none()
+            .with_seed(seed)
+            .with_stage_fail_prob("shuffle", 0.1)
+            .with_oom_point("shuffle", oom_task % sources, 1);
+        let mut fused_on = Cluster::new(ClusterConfig::with_threads(nodes, 2))
+            .with_fault_policy(plan, RetryPolicy::default().with_max_attempts(8));
+        if budget > 0 {
+            fused_on = fused_on.with_memory_budget(budget);
+        }
+        let (fused, stats_f, _) = Dataset::from_partitions(parts.clone())
+            .shuffle_stage_by(&fused_on, p.as_dyn(), "shuffle", expand)
+            .expect("fused shuffle runs");
+        let keyed: Vec<Vec<Rec>> = parts.into_iter().map(expand).collect();
+        let plain = Cluster::new(ClusterConfig::with_threads(nodes, 2));
+        let (parts_r, stats_r) = run_shuffle(&plain, keyed, p.as_dyn());
+        prop_assert_eq!(stats_f, stats_r);
+        prop_assert_eq!(fused.into_partitions(), parts_r);
     }
 }

@@ -5,12 +5,14 @@
 //! And attaching a recorder must not change what the join computes.
 
 use adaptive_spatial_join::core::AgreementPolicy;
+use adaptive_spatial_join::engine::obs::Span;
 use adaptive_spatial_join::engine::Lane;
 use adaptive_spatial_join::geom::{Point, Rect};
 use adaptive_spatial_join::join::adaptive_join;
 use adaptive_spatial_join::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 fn clouds(seed: u64, n: usize) -> (Vec<Point>, Vec<Point>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -20,6 +22,54 @@ fn clouds(seed: u64, n: usize) -> (Vec<Point>, Vec<Point>) {
             .collect()
     };
     (cloud(&mut rng), cloud(&mut rng))
+}
+
+/// The trace's `replicas` counters summed over every stage — what the
+/// benchmark reads as `replicated_objects`.
+fn summed_replicas(recorder: &Recorder) -> u64 {
+    let metrics = recorder.snapshot().metrics;
+    let replicas = metrics
+        .counters
+        .iter()
+        .filter(|((_, name), _)| name == "replicas");
+    replicas.map(|(_, &v)| v).sum()
+}
+
+/// A join whose every stage is recovered from checkpoints expands nothing,
+/// yet still counts each side's replicas exactly once, from the restored
+/// shuffle stats.
+#[test]
+fn recovered_join_counts_replicas_once() {
+    let (r_pts, s_pts) = clouds(43, 500);
+    let (r, s) = (to_records(&r_pts, 0), to_records(&s_pts, 0));
+    let spec = JoinSpec::new(Rect::new(0.0, 0.0, 25.0, 25.0), 0.8).with_partitions(16);
+    let dir = std::env::temp_dir().join(format!("asj-trace-recovered-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = || {
+        let recorder = Recorder::for_nodes(4);
+        let cluster = Cluster::new(ClusterConfig::with_threads(4, 2))
+            .with_recorder(recorder.clone())
+            .with_checkpoint_dir(&dir)
+            .expect("open checkpoint dir");
+        let out = Algorithm::Lpib
+            .try_run(&cluster, &spec, r.clone(), s.clone())
+            .expect("join runs");
+        let recovered = cluster
+            .checkpoint_store()
+            .expect("store")
+            .stages_recovered();
+        (out, recorder, recovered)
+    };
+    let (first, first_recorder, _) = run();
+    let (again, recorder, recovered) = run();
+    assert_eq!(recovered, 3, "shuffle.R, shuffle.S and cogroup_join replay");
+    assert_eq!(again.replicated, first.replicated);
+    assert_eq!(summed_replicas(&first_recorder), first.replicated_total());
+    assert_eq!(summed_replicas(&recorder), again.replicated_total());
+    let trace = recorder.snapshot();
+    let map_tasks = trace.spans.iter().filter(|sp| sp.stage == "shuffle.R");
+    assert_eq!(map_tasks.count(), 0, "a recovered shuffle maps nothing");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
@@ -67,19 +117,25 @@ fn traced_join_sim_lanes_match_per_node_busy() {
         assert_eq!(lane_total, recorder.node_sim_total(n).as_nanos() as u64);
     }
 
-    // Each named pipeline phase shows up at least once.
-    for phase in [
-        "sampling",
-        "agreement_graph",
-        "marking",
-        "shuffle",
-        "local_join",
-    ] {
-        assert!(
-            trace.spans.iter().any(|sp| sp.stage == phase),
-            "missing phase {phase}"
-        );
-    }
+    // Exactly these phases and task stages: the spatial mapping runs inside
+    // the shuffle's map tasks, with no stage or phase of its own, and
+    // `shuffle.R` runs one task per input partition.
+    let stages = |driver: bool| {
+        let on_lane = |sp: &&Span| (sp.lane == Lane::Driver) == driver;
+        let names = trace
+            .spans
+            .iter()
+            .filter(on_lane)
+            .map(|sp| sp.stage.as_str());
+        names.collect::<BTreeSet<_>>()
+    };
+    let phases = ["sampling", "agreement_graph", "shuffle", "local_join"];
+    assert_eq!(stages(true), BTreeSet::from(phases));
+    let tasks = ["sample", "shuffle.R", "shuffle.S", "cogroup_join"];
+    assert_eq!(stages(false), BTreeSet::from(tasks));
+    let map_tasks = trace.spans.iter().filter(|sp| sp.stage == "shuffle.R");
+    assert_eq!(map_tasks.count(), spec.input_partitions);
+    assert_eq!(summed_replicas(&recorder), out.replicated_total());
 
     // Every two-input point join is a plan on the same pipeline: the same
     // phases, and a `results` counter that is the reported count — for the
@@ -98,12 +154,17 @@ fn traced_join_sim_lanes_match_per_node_busy() {
         }
         .expect("join runs");
         let trace = recorder.snapshot();
-        for phase in ["marking", "shuffle", "local_join"] {
+        for phase in ["shuffle", "local_join"] {
             assert!(
                 trace.spans.iter().any(|sp| sp.stage == phase),
                 "{name}: missing phase {phase}"
             );
         }
+        assert_eq!(
+            summed_replicas(&recorder),
+            algo_out.replicated_total(),
+            "{name}"
+        );
         // The dedup arm reports the distinct count; its join phase counted
         // the duplicates too.
         if algo != Some(Algorithm::LpibDedup) {
