@@ -161,7 +161,8 @@ fn run_leg(
         budget_denials: acct.budget_denials(),
         oom_events: acct.oom_events(),
     };
-    (leg, ds.into_partitions(), stats)
+    let rows = ds.into_rows().expect("spilled chunks read back");
+    (leg, rows.into_partitions(), stats)
 }
 
 fn json_leg(leg: &MemLeg) -> String {

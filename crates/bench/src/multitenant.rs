@@ -54,8 +54,6 @@ pub struct MtLeg {
     pub spilled_bytes: u64,
     /// Retries across all tenants (only the chaos tenant should contribute).
     pub retries: u64,
-    /// Buffer-pool hits attributed to tenants (per-job slices).
-    pub pool_hits: u64,
     /// Every tenant's checksum matched its solo run.
     pub isolated: bool,
     /// The server's per-tenant reports, every one of them `Ok`.
@@ -150,7 +148,6 @@ fn run_leg(cfg: &ExpConfig, tenants: &[TenantSpec], policy: SchedPolicy) -> (MtL
         peak_memory_bytes: cluster.memory_accountant().peak_bytes(),
         spilled_bytes: run.reports.iter().map(|t| t.stats.spilled_bytes).sum(),
         retries: run.reports.iter().map(|t| t.stats.retries).sum(),
-        pool_hits: run.reports.iter().map(|t| t.pool.hits).sum(),
         isolated: false, // filled by the caller against the solo oracle
         reports: run.reports,
     };
@@ -193,7 +190,7 @@ fn json_leg(leg: &MtLeg) -> String {
             "\"queue_wait_p50_seconds\":{:.6},\"queue_wait_p99_seconds\":{:.6},",
             "\"turnaround_p99_seconds\":{:.6},",
             "\"peak_memory_bytes\":{},\"within_budget\":{},",
-            "\"spilled_bytes\":{},\"retries\":{},\"pool_hits\":{},",
+            "\"spilled_bytes\":{},\"retries\":{},",
             "\"isolated\":{},\"jobs\":[{}]}}"
         ),
         leg.tenants,
@@ -208,7 +205,6 @@ fn json_leg(leg: &MtLeg) -> String {
         leg.peak_memory_bytes <= leg.budget_bytes,
         leg.spilled_bytes,
         leg.retries,
-        leg.pool_hits,
         leg.isolated,
         jobs.join(","),
     )

@@ -1,6 +1,9 @@
 use asj_geom::Point;
 use std::fmt::Display;
+use std::fs::File;
 use std::io::{self, BufWriter, Write};
+use std::ops::{ControlFlow, Range};
+use std::os::unix::fs::FileExt;
 use std::panic::resume_unwind;
 use std::path::Path;
 use std::str::FromStr;
@@ -15,109 +18,337 @@ pub fn write_points_csv(path: &Path, points: &[Point]) -> io::Result<()> {
     out.flush()
 }
 
-/// Reads `id,x,y` CSV lines back into `(id, point)` tuples.
+/// Reads `id,x,y` CSV lines back into `(id, point)` tuples: the
+/// one-partition case of [`read_points_csv_partitions`].
 ///
 /// Malformed lines are reported as errors with their line number — a corrupt
 /// record should fail loudly rather than silently skew a join result.
 pub fn read_points_csv(path: &Path) -> io::Result<Vec<(u64, Point)>> {
-    read_points_csv_with(path, |id, p| (id, p))
+    let mut parts = read_points_csv_partitions(path, 1, |id, p| (id, p))?;
+    Ok(parts.pop().expect("one partition"))
 }
 
-/// Reads `id,x,y` CSV lines into rows built by `make`, in file order.
+/// Bytes each split thread reads at a time.
+const BLOCK: usize = 256 << 10;
+
+/// Reads `id,x,y` CSV lines into `partitions` input partitions of rows built
+/// by `make`, the way `sc.textFile` reads a file into RDD partitions. The
+/// rows are in file order and laid out as `Dataset::from_vec(rows,
+/// partitions)` lays them out: the first `rows % partitions` partitions hold
+/// one row more than the others.
 ///
-/// Like `textFile`, the read is split-parallel: the file is cut at newline
-/// boundaries into one split per MiB (at most one per core), each split is
-/// parsed on its own thread straight from the file's bytes, and `make` builds
-/// the caller's row type in that same pass. Errors name the 1-based line in
-/// the whole file; the earliest bad line wins.
-pub fn read_points_csv_with<T: Send>(
+/// The read is split-parallel: the file is cut at newline boundaries into one
+/// split per MiB (at most one per core), and each split's thread streams it
+/// through one recycled 256 KiB buffer, twice. A counting pass fixes how many
+/// rows each split holds, and with it the split each partition starts in;
+/// in the parse pass each split's thread then has `make` build the rows of
+/// the partitions starting in its split straight into vectors of their final
+/// size, reading on past the split's end to finish the last one. No
+/// whole-file buffer exists and no row is copied. Errors name the 1-based
+/// line in the whole file; the earliest bad line wins.
+///
+/// # Panics
+/// Panics if `partitions == 0`.
+pub fn read_points_csv_partitions<T: Send>(
     path: &Path,
+    partitions: usize,
     make: impl Fn(u64, Point) -> T + Sync,
-) -> io::Result<Vec<T>> {
-    let bytes = std::fs::read(path)?;
+) -> io::Result<Vec<Vec<T>>> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    parse_splits(&bytes, cores.min(bytes.len() >> 20).max(1), &make)
+    let splits = cores.min((len >> 20) as usize).max(1);
+    read_partitions(&file, len, partitions, splits, BLOCK, &make)
 }
 
-fn parse_splits<T: Send>(
-    bytes: &[u8],
-    splits: usize,
-    make: &(impl Fn(u64, Point) -> T + Sync),
-) -> io::Result<Vec<T>> {
-    // Split k ends after the first newline at or past byte k·len/splits − 1
-    // (or past its own start, after a line longer than a split), so no line
-    // straddles two splits; trailing splits may be empty.
-    let mut starts = vec![0];
-    for k in 1..splits {
-        let from = (k * bytes.len() / splits).max(starts[k - 1] + 1) - 1;
-        let newline = bytes[from..].iter().position(|&b| b == b'\n');
-        starts.push(newline.map_or(bytes.len(), |at| from + at + 1));
+/// Positional reads: from the file, or from bytes in memory in the tests.
+trait ReadAt: Sync {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize>;
+
+    /// Fills `buf` from `offset`; fewer bytes only at the end of the source.
+    fn read_full(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+        let mut got = 0;
+        while got < buf.len() {
+            match self.read_at(&mut buf[got..], offset + got as u64) {
+                Ok(0) => break,
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(got)
     }
-    starts.push(bytes.len());
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = starts
-            .windows(2)
-            .map(|w| {
-                // The other splits' rows are appended to the first one's, so
-                // those are sized for the whole file here, not regrown later.
-                let sized_for = if w[0] == 0 { bytes } else { &bytes[w[0]..w[1]] };
-                scope.spawn(move || parse_split(&bytes[w[0]..w[1]], newlines(sized_for) + 1, make))
+}
+
+impl ReadAt for File {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+        FileExt::read_at(self, buf, offset)
+    }
+}
+
+fn changed() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "file changed while being read")
+}
+
+/// Why a split's parse pass stopped: a bad line (0-based within the split)
+/// or an I/O error.
+enum Failure {
+    Line(usize, String),
+    Io(io::Error),
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Io(e)
+    }
+}
+
+/// What one split's counting pass found: rows, lines, and its buffer back.
+type Counted = io::Result<(usize, usize, Vec<u8>)>;
+
+fn read_partitions<T: Send>(
+    src: &impl ReadAt,
+    len: u64,
+    partitions: usize,
+    splits: usize,
+    block: usize,
+    make: &(impl Fn(u64, Point) -> T + Sync),
+) -> io::Result<Vec<Vec<T>>> {
+    assert!(partitions > 0, "need at least one partition");
+    let mut buf = vec![0u8; block];
+    let ranges = split_ranges(src, len, splits, &mut buf)?;
+    // Counting pass.
+    let counted: Vec<Counted> = std::thread::scope(|scope| {
+        let workers: Vec<_> = ranges
+            .iter()
+            .map(|range| {
+                let mut buf = vec![0u8; block];
+                scope.spawn(move || {
+                    let (mut rows, mut lines) = (0, 0);
+                    for_each_line(src, range.clone(), &mut buf, |line| {
+                        lines += 1;
+                        rows += usize::from(is_row(line));
+                        Ok::<_, io::Error>(ControlFlow::Continue(()))
+                    })?;
+                    Ok((rows, lines, buf))
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| resume_unwind(p)))
+            .collect()
+    });
+    let mut counts = Vec::with_capacity(splits);
+    let mut first_lines = Vec::with_capacity(splits);
+    let mut bufs = Vec::with_capacity(splits);
+    let mut lines_before = 0;
+    for split in counted {
+        let (rows, lines, buf) = split?;
+        counts.push(rows);
+        first_lines.push(lines_before);
+        bufs.push(buf);
+        // A split's last line runs into the next split's first.
+        lines_before += lines - 1;
+    }
+
+    // `Dataset::from_vec`'s layout: partition p holds rows
+    // starts[p]..starts[p + 1]; split k holds rows first_rows[k].. .
+    let total: usize = counts.iter().sum();
+    let mut starts = vec![0];
+    for p in 0..partitions {
+        starts.push(starts[p] + total / partitions + usize::from(p < total % partitions));
+    }
+    let first_rows: Vec<usize> = counts
+        .iter()
+        .scan(0, |row, n| Some(std::mem::replace(row, *row + n)))
+        .collect();
+
+    // Parse pass: the thread of split k builds partitions lo..hi, those whose
+    // first row is in split k. It skips the rows before them (the previous
+    // thread's) and reads on into the next splits to finish partition hi - 1.
+    let mut parts = std::thread::scope(|scope| {
+        let workers: Vec<_> = ranges
+            .iter()
+            .zip(first_rows.iter().zip(&counts))
+            .zip(bufs)
+            .map(|((range, (&first, &count)), mut buf)| {
+                let lo = starts.partition_point(|&start| start < first);
+                let hi = starts.partition_point(|&start| start < first + count);
+                let (starts, from) = (&starts, range.start);
+                scope.spawn(move || {
+                    parse_partitions(src, from..len, &mut buf, first, lo..hi, starts, make)
+                })
             })
             .collect();
         // Joined in file order, so the earliest bad line is the one reported;
         // a panic in `make` goes on unwinding here.
-        let mut parts = workers.into_iter().zip(&starts).map(|(worker, &start)| {
-            let part = worker.join().unwrap_or_else(|p| resume_unwind(p));
-            part.map_err(|(line, what)| {
-                let msg = format!("line {}: {what}", newlines(&bytes[..start]) + line + 1);
-                io::Error::new(io::ErrorKind::InvalidData, msg)
-            })
-        });
-        let mut rows = parts.next().transpose()?.unwrap_or_default();
-        for part in parts {
-            rows.append(&mut part?);
+        let mut parts = Vec::with_capacity(partitions);
+        for (worker, first_line) in workers.into_iter().zip(&first_lines) {
+            match worker.join().unwrap_or_else(|p| resume_unwind(p)) {
+                Ok(built) => parts.extend(built),
+                Err(Failure::Line(line, what)) => {
+                    let msg = format!("line {}: {what}", first_line + line);
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+                }
+                Err(Failure::Io(e)) => return Err(e),
+            }
         }
-        Ok(rows)
-    })
+        Ok(parts)
+    })?;
+    // Empty partitions after the last row start in no split.
+    parts.resize_with(partitions, Vec::new);
+    Ok(parts)
 }
 
-/// Counts `\n` bytes; over 255-byte chunks the inner sums stay in `u8` lanes.
-fn newlines(bytes: &[u8]) -> usize {
-    let chunk = |c: &[u8]| c.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>();
-    bytes.chunks(255).map(|c| usize::from(chunk(c))).sum()
-}
-
-/// Parses one split line by line into a `Vec` of the given capacity; an error
-/// carries the 0-based line within the split.
-fn parse_split<T>(
-    split: &[u8],
-    capacity: usize,
+/// The parse pass of one split: builds partitions `owned` of the layout
+/// `starts`, reading `range` from the split's first byte, where row `first`
+/// begins. A bad line is named by its 1-based line in the split.
+fn parse_partitions<T>(
+    src: &impl ReadAt,
+    range: Range<u64>,
+    buf: &mut Vec<u8>,
+    first: usize,
+    owned: Range<usize>,
+    starts: &[usize],
     make: &impl Fn(u64, Point) -> T,
-) -> Result<Vec<T>, (usize, String)> {
-    let text = match std::str::from_utf8(split) {
-        Ok(text) => text,
-        Err(e) => {
-            // The lines before the undecodable one are checked first, as a
-            // line-by-line reader would.
-            let valid = &split[..e.valid_up_to()];
-            let tail = valid.rsplit(|&b| b == b'\n').next().map_or(0, <[u8]>::len);
-            let before = &valid[..valid.len() - tail];
-            parse_split(before, 0, make)?;
-            return Err((newlines(before), "invalid UTF-8".into()));
-        }
-    };
-    // Sized once: a growing `Vec` would fault in fresh pages at every doubling.
-    let mut rows = Vec::with_capacity(capacity);
-    for (n, line) in text.split('\n').enumerate() {
-        if let Some((id, p)) = parse_line(line).map_err(|what| (n, what))? {
-            rows.push(make(id, p));
-        }
+) -> Result<Vec<Vec<T>>, Failure> {
+    let mut parts: Vec<Vec<T>> = owned
+        .clone()
+        .map(|p| Vec::with_capacity(starts[p + 1] - starts[p]))
+        .collect();
+    let (begin, end) = (starts[owned.start], starts[owned.end]);
+    if begin == end {
+        return Ok(parts);
     }
-    Ok(rows)
+    let (mut row, mut part, mut line_no) = (first, owned.start, 0);
+    for_each_line(src, range, buf, |line| -> Result<_, Failure> {
+        line_no += 1;
+        if !is_row(line) {
+            return Ok(ControlFlow::Continue(()));
+        }
+        // Rows before `begin` are the previous split's to parse.
+        if row >= begin {
+            let parsed = line.map_or_else(|| Err("invalid UTF-8".into()), parse_row);
+            let (id, p) = parsed.map_err(|what| Failure::Line(line_no, what))?;
+            // Empty partitions are all after the last row, so the next
+            // partition holds this row.
+            if row == starts[part + 1] {
+                part += 1;
+            }
+            parts[part - owned.start].push(make(id, p));
+        }
+        row += 1;
+        Ok(if row == end {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        })
+    })?;
+    if row < end {
+        return Err(Failure::Io(changed()));
+    }
+    Ok(parts)
 }
 
-/// One `id,x,y` line; `None` for a blank one.
-fn parse_line(line: &str) -> Result<Option<(u64, Point)>, String> {
+/// Whether a line holds a row: it is not blank (an undecodable line is a
+/// row, to be reported as bad).
+fn is_row(line: Option<&str>) -> bool {
+    line.is_none_or(|line| !line.trim_start().is_empty())
+}
+
+/// The splits' byte ranges. Split k starts after the first newline at or
+/// past byte k·len/splits − 1 (or past its own start, after a line longer
+/// than a split), so no line straddles two splits; trailing splits may be
+/// empty.
+fn split_ranges(
+    src: &impl ReadAt,
+    len: u64,
+    splits: usize,
+    buf: &mut [u8],
+) -> io::Result<Vec<Range<u64>>> {
+    let mut starts = vec![0];
+    for k in 1..splits as u64 {
+        let mut from = (k * len / splits as u64).max(starts[k as usize - 1] + 1) - 1;
+        let start = loop {
+            let want = (len - from).min(buf.len() as u64) as usize;
+            let got = src.read_full(&mut buf[..want], from)?;
+            if let Some(at) = buf[..got].iter().position(|&b| b == b'\n') {
+                break from + at as u64 + 1;
+            }
+            from += got as u64;
+            if got == 0 || from >= len {
+                break len;
+            }
+        };
+        starts.push(start);
+    }
+    starts.push(len);
+    Ok(starts.windows(2).map(|w| w[0]..w[1]).collect())
+}
+
+/// Calls `f` on every line of `src[range]` in order — the text between
+/// newlines, then whatever follows the last one (empty after a final
+/// newline) — until it breaks, streamed through `buf`, which grows only to
+/// hold a line longer than itself. A line that is not UTF-8 comes as `None`.
+fn for_each_line<E: From<io::Error>>(
+    src: &impl ReadAt,
+    range: Range<u64>,
+    buf: &mut Vec<u8>,
+    mut f: impl FnMut(Option<&str>) -> Result<ControlFlow<()>, E>,
+) -> Result<(), E> {
+    let (mut pos, mut held) = (range.start, 0);
+    loop {
+        if held == buf.len() {
+            buf.resize(buf.len().max(1) * 2, 0);
+        }
+        let want = (buf.len() - held).min((range.end - pos) as usize);
+        if src.read_full(&mut buf[held..held + want], pos)? < want {
+            return Err(changed().into());
+        }
+        pos += want as u64;
+        let (filled, last) = (held + want, pos == range.end);
+        // Complete lines end at the last newline, or at the end of the range.
+        let complete = if last {
+            filled
+        } else {
+            buf[..filled]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |at| at + 1)
+        };
+        if complete > 0 || last {
+            // Without the final newline: it ends the last complete line.
+            let text = &buf[..complete - usize::from(!last)];
+            match std::str::from_utf8(text) {
+                Ok(text) => {
+                    for line in text.split('\n') {
+                        if f(Some(line))?.is_break() {
+                            return Ok(());
+                        }
+                    }
+                }
+                // Line by line, so the lines before an undecodable one are
+                // still checked first.
+                Err(_) => {
+                    for line in text.split(|&b| b == b'\n') {
+                        if f(std::str::from_utf8(line).ok())?.is_break() {
+                            return Ok(());
+                        }
+                    }
+                }
+            }
+        }
+        if last {
+            return Ok(());
+        }
+        buf.copy_within(complete..filled, 0);
+        held = filled - complete;
+    }
+}
+
+/// One `id,x,y` row (a line that [`is_row`]).
+fn parse_row(line: &str) -> Result<(u64, Point), String> {
     fn number<F: FromStr<Err = E>, E: Display>(
         text: Option<&str>,
         what: &str,
@@ -129,9 +360,6 @@ fn parse_line(line: &str) -> Result<Option<(u64, Point)>, String> {
         let parsed = text.parse().or_else(|_| text.trim().parse());
         parsed.map_err(|e| format!("bad {what}: {e}"))
     }
-    if line.trim_start().is_empty() {
-        return Ok(None);
-    }
     let mut fields = line.splitn(3, ',');
     let id: u64 = number(fields.next(), "id")?;
     let x: f64 = number(fields.next(), "x")?;
@@ -139,7 +367,7 @@ fn parse_line(line: &str) -> Result<Option<(u64, Point)>, String> {
     if !x.is_finite() || !y.is_finite() {
         return Err("non-finite coordinate".into());
     }
-    Ok(Some((id, Point::new(x, y))))
+    Ok((id, Point::new(x, y)))
 }
 
 #[cfg(test)]
@@ -206,12 +434,34 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
-    /// `Ok` rows, or the message of the error, of `text` cut into `splits`.
-    fn parse(text: &[u8], splits: usize) -> Result<Vec<(u64, Point)>, String> {
-        parse_splits(text, splits, &|id, p| (id, p)).map_err(|e| {
+    impl ReadAt for &[u8] {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+            let rest = self.get(offset as usize..).unwrap_or_default();
+            let n = buf.len().min(rest.len());
+            buf[..n].copy_from_slice(&rest[..n]);
+            Ok(n)
+        }
+    }
+
+    /// `Ok` partitions, or the message of the error, of `text` read as
+    /// `partitions` partitions by `splits` splits through `block`-byte
+    /// buffers.
+    fn parse_with(
+        text: &[u8],
+        partitions: usize,
+        splits: usize,
+        block: usize,
+    ) -> Result<Vec<Vec<(u64, Point)>>, String> {
+        let make = |id, p| (id, p);
+        read_partitions(&text, text.len() as u64, partitions, splits, block, &make).map_err(|e| {
             assert_eq!(e.kind(), io::ErrorKind::InvalidData);
             e.to_string()
         })
+    }
+
+    /// `Ok` rows, or the message of the error, of `text` cut into `splits`.
+    fn parse(text: &[u8], splits: usize) -> Result<Vec<(u64, Point)>, String> {
+        parse_with(text, 1, splits, BLOCK).map(|mut parts| parts.pop().expect("one partition"))
     }
 
     #[test]
@@ -287,7 +537,63 @@ mod tests {
     #[should_panic(expected = "row constructor panicked")]
     fn a_panicking_constructor_propagates() {
         let make = |id: u64, _: Point| assert!(id != 3, "row constructor panicked");
-        let _ = parse_splits(b"0,1,2\n1,1,2\n2,1,2\n3,1,2\n", 2, &make);
+        let text: &[u8] = b"0,1,2\n1,1,2\n2,1,2\n3,1,2\n";
+        let _ = read_partitions(&text, text.len() as u64, 2, 2, BLOCK, &make);
+    }
+
+    /// Rows split into `partitions` the way `Dataset::from_vec` splits them.
+    fn from_vec_layout<T: Clone>(rows: &[T], partitions: usize) -> Vec<Vec<T>> {
+        let (base, extra) = (rows.len() / partitions, rows.len() % partitions);
+        let mut rest = rows;
+        (0..partitions)
+            .map(|p| {
+                let (head, tail) = rest.split_at(base + usize::from(p < extra));
+                rest = tail;
+                head.to_vec()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn partitions_take_the_from_vec_layout_across_splits_and_blocks() {
+        let text: String = (0..23)
+            .map(|i| {
+                if i % 5 == 4 {
+                    "\n".to_string()
+                } else {
+                    format!("{i},{i}.5,-{i}\r\n")
+                }
+            })
+            .collect();
+        let rows = parse(text.as_bytes(), 1).unwrap();
+        assert_eq!(rows.len(), 19);
+        for partitions in [1, 2, 3, 7, 19, 25] {
+            for (splits, block) in [(1, BLOCK), (2, 3), (3, 16), (5, 1), (8, 64)] {
+                let got = parse_with(text.as_bytes(), partitions, splits, block).unwrap();
+                assert_eq!(
+                    got,
+                    from_vec_layout(&rows, partitions),
+                    "{partitions} / {splits} / {block}"
+                );
+            }
+        }
+    }
+
+    /// Partitions never come back short: a row the counting pass saw and the
+    /// parse pass does not is an error.
+    #[test]
+    fn a_file_that_loses_rows_between_the_passes_is_an_error() {
+        /// Serves the counting pass one text and the parse pass the other.
+        struct Rewritten(&'static [u8], &'static [u8], std::sync::atomic::AtomicBool);
+        impl ReadAt for Rewritten {
+            fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+                let parsing = self.2.swap(true, std::sync::atomic::Ordering::Relaxed);
+                (if parsing { &self.1 } else { &self.0 }).read_at(buf, offset)
+            }
+        }
+        let src = Rewritten(b"0,1,2\n3,4,5\n", b"0,1,2\n     \n", Default::default());
+        let err = read_partitions(&src, 12, 2, 1, BLOCK, &|id, p| (id, p)).unwrap_err();
+        assert_eq!(err.to_string(), "file changed while being read");
     }
 
     /// The sequential line-by-line reader, as the oracle: the rows, or the
@@ -310,17 +616,29 @@ mod tests {
         Ok(rows)
     }
 
-    /// Every split count agrees with the reference on rows and on the bad line.
+    /// Every split count, block size and partition count agrees with the
+    /// reference on rows and on the bad line.
     fn assert_matches_reference(text: &[u8]) -> Result<(), TestCaseError> {
         let expected = reference(text);
         for splits in 1..=8 {
-            let got = parse(text, splits).map_err(|e| {
-                let line = e.strip_prefix("line ").and_then(|e| e.split(':').next());
-                line.and_then(|n| n.parse::<usize>().ok())
-                    .expect("errors name a line")
-            });
-            let text = String::from_utf8_lossy(text);
-            prop_assert_eq!(&got, &expected, "{} splits of {:?}", splits, text);
+            for (block, partitions) in [(1, 1), (6, 3), (17, 1), (BLOCK, 50)] {
+                let got = parse_with(text, partitions, splits, block).map(|p| p.concat());
+                let got = got.map_err(|e| {
+                    let line = e.strip_prefix("line ").and_then(|e| e.split(':').next());
+                    line.and_then(|n| n.parse::<usize>().ok())
+                        .expect("errors name a line")
+                });
+                let text = String::from_utf8_lossy(text);
+                prop_assert_eq!(
+                    &got,
+                    &expected,
+                    "{} splits, {}-byte blocks, {} partitions of {:?}",
+                    splits,
+                    block,
+                    partitions,
+                    text
+                );
+            }
         }
         Ok(())
     }

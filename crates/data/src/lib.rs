@@ -30,6 +30,6 @@ mod shapes;
 
 pub use catalog::{Catalog, DatasetSpec, GenKind, PAPER_BBOX};
 pub use generators::{gaussian_cluster_params, gaussian_cluster_params_scaled, GenParams};
-pub use io::{read_points_csv, read_points_csv_with, write_points_csv};
+pub use io::{read_points_csv, read_points_csv_partitions, write_points_csv};
 pub use payload::TupleSizeFactor;
 pub use shapes::{random_boxes, random_polylines};

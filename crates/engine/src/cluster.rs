@@ -1,4 +1,3 @@
-use crate::bufpool::BufferPool;
 use crate::checkpoint::{
     decode_join_part, encode_join_part, join_part_size, CheckpointCtx, CheckpointStore,
 };
@@ -7,7 +6,7 @@ use crate::jobs::JobGate;
 use crate::journal::Journal;
 use crate::memory::MemoryAccountant;
 use crate::metrics::{ExecStats, ShuffleStats};
-use crate::pool::run_stage;
+use crate::pool::try_run_stage;
 use crate::wire::Wire;
 use asj_core::KernelCostModel;
 use asj_obs::{Attrs, Lane, Recorder};
@@ -90,9 +89,6 @@ pub struct Cluster {
     /// join that needs them (see [`Cluster::kernel_cost_model`]) and shared
     /// by every clone of this cluster handle.
     cost_model: Arc<OnceLock<KernelCostModel>>,
-    /// Reusable shuffle buffers, shared by every clone of this handle so
-    /// buckets recycled after one stage serve the next.
-    buffers: Arc<BufferPool>,
     /// Per-node memory accountant (always present; meter-only when the
     /// config carries no budget), shared by every clone of this handle.
     memory: Arc<MemoryAccountant>,
@@ -118,7 +114,6 @@ impl Cluster {
             recorder: Recorder::noop(),
             faults: None,
             cost_model: Arc::new(OnceLock::new()),
-            buffers: Arc::new(BufferPool::new()),
             memory: Arc::new(MemoryAccountant::new(config.nodes, config.memory_budget)),
             gate: None,
             checkpoint: None,
@@ -288,12 +283,6 @@ impl Cluster {
         self.config.memory_budget
     }
 
-    /// The cluster-lifetime [`BufferPool`] shuffles draw from.
-    #[inline]
-    pub fn buffer_pool(&self) -> &BufferPool {
-        &self.buffers
-    }
-
     /// The cluster's calibrated [`KernelCostModel`], running `calibrate` on
     /// first use (the one-shot startup microbenchmark) and caching the
     /// constants for the lifetime of the cluster. Callers pass the
@@ -366,7 +355,7 @@ impl Cluster {
 
     /// The cluster's shape (nodes, threads, budget) — lets callers build a
     /// fresh cluster of the same configuration (e.g. a solo-run isolation
-    /// oracle with its own accountant and buffer pool).
+    /// oracle with its own accountant).
     #[inline]
     pub fn config(&self) -> ClusterConfig {
         self.config
@@ -409,6 +398,18 @@ impl Cluster {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
+        self.try_run_stage(stage, tasks, |idx, task| Ok(f(idx, task)))
+    }
+
+    /// [`Cluster::run_stage`] for tasks that can fail without panicking: an
+    /// attempt that returns a [`TaskError`](crate::TaskError) is billed,
+    /// retried and reported like one that panicked.
+    pub(crate) fn try_run_stage<T, R, F>(&self, stage: &str, tasks: Vec<T>, f: F) -> StageResult<R>
+    where
+        T: Send + Sync + Clone,
+        R: Send,
+        F: Fn(usize, T) -> Result<R, crate::TaskError> + Sync,
+    {
         let placement: Vec<usize> = (0..tasks.len())
             .map(|i| self.node_of_partition(i))
             .collect();
@@ -422,7 +423,7 @@ impl Cluster {
             let mut ran = ctx.state.stages_run.lock().expect("fault state poisoned");
             ran.insert(stage.to_string());
         }
-        let result = run_stage(
+        let result = try_run_stage(
             self.config.threads,
             self.config.nodes,
             tasks,
@@ -440,7 +441,9 @@ impl Cluster {
 
     /// [`Cluster::run_stage`] for stages whose per-task result is a
     /// `(records, accumulator)` pair of [`Wire`] types — the shape of the
-    /// partition-local join phase. With a checkpoint store attached the
+    /// partition-local join phase — and whose tasks may fail without
+    /// panicking: a task that returns a [`TaskError`](crate::TaskError) is
+    /// billed, retried and reported like one that panicked. With a checkpoint store attached the
     /// stage is resumable exactly like a shuffle (same protocol, see
     /// `Cluster::checkpointed`): the join phase is the ε-grid's
     /// memory-pressure peak, so skipping it on recovery is the largest
@@ -455,11 +458,11 @@ impl Cluster {
         T: Send + Sync + Clone,
         Rec: Wire + Send + Sync,
         Acc: Wire + Send + Sync,
-        F: Fn(usize, T) -> (Vec<Rec>, Acc) + Sync,
+        F: Fn(usize, T) -> Result<(Vec<Rec>, Acc), crate::TaskError> + Sync,
     {
         let codec = (encode_join_part::<Rec, Acc>, decode_join_part::<Rec, Acc>);
         let (parts, _, stats) = self.checkpointed(stage, tasks.len(), codec, || {
-            let (parts, stats) = self.run_stage(stage, tasks, f)?;
+            let (parts, stats) = self.try_run_stage(stage, tasks, f)?;
             // The join phase has no shuffle meters; its manifest records the
             // result count and encoded size per partition.
             let meters = ShuffleStats {
@@ -649,6 +652,7 @@ mod tests {
         let (expect, expect_stats, _) = data()
             .shuffle_stage(&plain, &by_hash, "shuffle")
             .expect("plain shuffle");
+        let expect = expect.into_rows().expect("in-memory blocks");
         let failures = |stage| recorder.counter_value(stage, "checkpoint_save_failed");
 
         // An encoder that writes one byte more than the stage metered.
@@ -675,6 +679,7 @@ mod tests {
         let (got, got_stats, _) = data()
             .shuffle_stage(&cluster, &by_hash, "shuffle")
             .expect("the stage still succeeds");
+        let got = got.into_rows().expect("in-memory blocks");
         assert_eq!(got.partitions(), expect.partitions());
         assert_eq!(got_stats, expect_stats);
         assert_eq!(failures("shuffle"), Some(1));

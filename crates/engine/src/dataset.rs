@@ -1,5 +1,5 @@
 use crate::cluster::Cluster;
-use crate::fault::JobError;
+use crate::fault::{JobError, TaskError};
 use crate::memory::{decode_records, encode_records_into, ChargeGuard, SpillSegment, SpillWriter};
 use crate::metrics::{ExecStats, ShuffleStats};
 use crate::partitioner::Partitioner;
@@ -7,6 +7,8 @@ use crate::wire::Wire;
 use asj_obs::{Attrs, Lane};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A partitioned, in-memory collection — the engine's RDD analog.
@@ -32,6 +34,9 @@ use std::time::Instant;
 ///     })?;
 /// assert_eq!(shuffled.len(), 1000);
 /// assert!(stats.remote_bytes + stats.local_bytes > 0);
+/// // A reduce task reads its partition's blocks where they are.
+/// let blocks = shuffled.partitions()[3].fetch().expect("in-memory blocks");
+/// assert!(blocks.concat().iter().all(|&(k, x)| k == x % 10));
 /// # Ok(())
 /// # }
 /// ```
@@ -123,35 +128,46 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     /// them as `shuffle_stage` does and frees them. The rows never exist as a
     /// dataset. A checkpoint hit skips the expansion too; committed attempts'
     /// expansion time is recorded as `assign_ns`.
+    ///
+    /// The output is not stitched: each target partition is the list of its
+    /// map tasks' blocks, which its reduce task reads in place
+    /// ([`ShuffledPartition::fetch`]).
     pub fn shuffle_stage_by<K, V, P>(
         self,
         cluster: &Cluster,
         partitioner: &P,
         stage: &str,
         expand: impl Fn(Vec<T>) -> Vec<(K, V)> + Sync,
-    ) -> Result<(KeyedDataset<K, V>, ShuffleStats, ExecStats), JobError>
+    ) -> Result<(ShuffledDataset<K, V>, ShuffleStats, ExecStats), JobError>
     where
-        K: Wire + Send + Sync + Copy + 'static,
-        V: Wire + Send + Sync + Clone + 'static,
+        K: Wire + Send + Sync + Copy,
+        V: Wire + Send + Sync + Clone,
         P: Partitioner<K> + ?Sized,
     {
         // Resumable when the cluster carries a checkpoint store: see
-        // `Cluster::checkpointed` for the hit/miss/save protocol.
+        // `Cluster::checkpointed` for the hit/miss/save protocol. A partition
+        // saves as its rows' encoding, so a spilled block's chunk is copied
+        // as it is; a restored partition is one in-memory block.
         let codec = (
-            |part: &Vec<(K, V)>, buf: &mut Vec<u8>| encode_records_into(part, buf),
-            |bytes: &[u8], records| decode_records(bytes, records).ok(),
+            |part: &ShuffledPartition<K, V>, buf: &mut Vec<u8>| part.encode_into(buf),
+            |bytes: &[u8], records| {
+                decode_records(bytes, records)
+                    .ok()
+                    .map(ShuffledPartition::of_rows)
+            },
         );
         let targets = partitioner.num_partitions();
         let (parts, shuffle, stats) = cluster.checkpointed(stage, targets, codec, || {
             self.radix_shuffle_stage(cluster, partitioner, stage, expand)
         })?;
-        Ok((Dataset { parts }, shuffle, stats))
+        let stage = stage.to_string();
+        Ok((ShuffledDataset { stage, parts }, shuffle, stats))
     }
 
     /// The map half of [`radix_shuffle_stage`](Self::radix_shuffle_stage):
     /// one task per source partition, expanding it into keyed rows and
-    /// routing and metering them into per-target pooled buckets (or spill
-    /// segments where admission is denied).
+    /// routing and metering them into per-target buckets (or spill segments
+    /// where admission is denied).
     fn radix_map_stage<K, V, P>(
         self,
         cluster: &Cluster,
@@ -160,13 +176,12 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         expand: impl Fn(Vec<T>) -> Vec<(K, V)> + Sync,
     ) -> Result<(Vec<RadixMapOut<K, V>>, ExecStats), JobError>
     where
-        K: Wire + Send + Sync + Copy + 'static,
-        V: Wire + Send + Sync + Clone + 'static,
+        K: Wire + Send + Sync + Copy,
+        V: Wire + Send + Sync + Clone,
         P: Partitioner<K> + ?Sized,
     {
         let targets = partitioner.num_partitions();
-        let pool = cluster.buffer_pool();
-        cluster.run_stage(stage, self.parts, |src_idx, part| {
+        cluster.try_run_stage(stage, self.parts, |src_idx, part| {
             let src_node = cluster.node_of_partition(src_idx);
             let mut charges = ChargeGuard::new(cluster.memory_arc());
             let mut shuffle = ShuffleStats {
@@ -178,12 +193,12 @@ impl<T: Send + Sync + Clone> Dataset<T> {
             let expand_ns = expand_start.elapsed().as_nanos() as u64;
             // Pass 1: route + meter. One partitioner probe and one
             // encoded_size per record, reused for node and partition
-            // byte accounting. The routing scratch is a pool lease like
-            // any other, so it is charged too; scratch cannot spill, so
-            // a denial here only counts against the budget-denial
-            // telemetry while the buckets below remain the real lever.
+            // byte accounting. The routing scratch is charged too;
+            // scratch cannot spill, so a denial here only counts against
+            // the budget-denial telemetry while the buckets below remain
+            // the real lever.
             charges.try_charge(src_node, (rows.len() * std::mem::size_of::<u32>()) as u64);
-            let mut route: Vec<u32> = pool.take_vec(rows.len());
+            let mut route: Vec<u32> = Vec::with_capacity(rows.len());
             let mut counts: Vec<usize> = vec![0; targets];
             for (k, v) in &rows {
                 let t = partitioner.partition_of(k);
@@ -219,13 +234,12 @@ impl<T: Send + Sync + Clone> Dataset<T> {
                 };
                 if !admitted {
                     spill_targets.push((t, *count));
-                    // Zero the histogram slot: `take_vecs` serves the
-                    // entry as a capacity-less `Vec` without touching
-                    // the pool, so a spilled bucket costs nothing.
+                    // Zero the histogram slot: a spilled target's bucket
+                    // is a capacity-less `Vec` and costs nothing.
                     *count = 0;
                 }
             }
-            // Pass 2: scatter into exactly-sized pooled buckets; spilled
+            // Pass 2: scatter into exactly-sized buckets; spilled
             // targets encode straight into their wire buffer instead, so
             // the records never materialise in memory twice.
             let mut spill_bufs: Vec<Vec<u8>> = Vec::new();
@@ -237,7 +251,10 @@ impl<T: Send + Sync + Clone> Dataset<T> {
                     spill_of[t] = slot;
                 }
             }
-            let mut buckets: Vec<Vec<(K, V)>> = pool.take_vecs(&counts);
+            let mut buckets: Vec<Vec<(K, V)>> = counts
+                .iter()
+                .map(|&count| Vec::with_capacity(count))
+                .collect();
             for ((k, v), &t) in rows.into_iter().zip(&route) {
                 let t = t as usize;
                 match spill_of.get(t) {
@@ -248,60 +265,58 @@ impl<T: Send + Sync + Clone> Dataset<T> {
                     _ => buckets[t].push((k, v)),
                 }
             }
-            // The routing scratch is attempt-local: filled and drained
-            // within this attempt, so returning it here cannot race a
-            // speculative twin (which checked out its own).
-            pool.put_vec(route);
-            // Seal this attempt's spill file. I/O failure on the temp
-            // file panics the attempt; the fault-tolerant harness turns
-            // that into a retriable task error like any other crash.
+            // Seal this attempt's spill file. An I/O failure on it fails
+            // the attempt with a typed, retriable task error.
             let spill = if spill_targets.is_empty() {
                 None
             } else {
-                let mut writer = SpillWriter::create().expect("spill: create temp file");
-                for (slot, &(t, count)) in spill_targets.iter().enumerate() {
-                    writer
-                        .write_chunk(t, &spill_bufs[slot], count as u64)
-                        .expect("spill: write chunk");
-                }
-                writer.finish().expect("spill: seal segment")
+                let write = || {
+                    let mut writer = SpillWriter::create()?;
+                    for (slot, &(t, count)) in spill_targets.iter().enumerate() {
+                        writer.write_chunk(t, &spill_bufs[slot], count as u64)?;
+                    }
+                    writer.finish()
+                };
+                write().map_err(|e| TaskError::Spill(format!("writing a segment: {e}")))?
             };
             let spilled_bytes = spill.as_ref().map_or(0, SpillSegment::total_bytes);
-            RadixMapOut {
+            Ok(RadixMapOut {
                 buckets,
                 shuffle,
                 spill,
                 spilled_bytes,
                 expand_ns,
                 _charges: charges,
-            }
+            })
         })
     }
 
-    /// Radix materialization: each map task expands its partition into keyed
-    /// rows and routes them in two passes — pass 1 computes every record's
-    /// target once, sizing it once (`encoded_size`) for *both* the node-level
+    /// Radix shuffle: each map task expands its partition into keyed rows
+    /// and routes them in two passes — pass 1 computes every record's target
+    /// once, sizing it once (`encoded_size`) for *both* the node-level
     /// remote/local split and the per-target partition accounting, and builds
     /// a per-target histogram; pass 2 scatters records into exactly-sized
-    /// buckets checked out of the cluster's [`BufferPool`](crate::BufferPool),
-    /// consuming the rows. The reduce side stitches
-    /// buckets with bulk `Vec::append` moves (no per-record work) and
-    /// recycles every emptied bucket into the pool for the next stage.
+    /// buckets, consuming the rows. Nothing is stitched: a map task's bucket
+    /// *is* its block of the target partition, as in Spark's sort-based
+    /// shuffle, where map output stays where it was written until the reduce
+    /// task fetches it.
     ///
     /// Memory governance: between the passes every non-empty target is
     /// admitted against the [`MemoryAccountant`](crate::MemoryAccountant) —
     /// the map-side bucket charged to the source node and the post-shuffle
     /// partition charged to the target's node, both at wire size. A denied
     /// target *spills*: pass 2 encodes its records straight to a disk
-    /// segment instead of a bucket, and the reduce side re-reads the chunk
-    /// in the exact slot the bucket would have occupied, so spilled and
-    /// in-memory runs produce byte-identical partitions. Without a budget
-    /// the charges always succeed and only meter the natural peak.
+    /// segment instead of a bucket, and the chunk stays on disk, in the slot
+    /// the bucket would have occupied, until the reduce task reads it — so
+    /// spilled and in-memory runs produce the same rows in the same order.
+    /// Without a budget the charges always succeed and only meter the
+    /// natural peak.
     ///
     /// Fault safety: buffers, charges and spill files are all owned per task
     /// *attempt* and travel inside the attempt's result; a loser's
     /// [`ChargeGuard`] releases on drop and its [`SpillSegment`] deletes its
-    /// file on drop, so retries and speculation leak nothing.
+    /// file on drop, so retries and speculation leak nothing. A committed
+    /// segment is deleted once the last block reading from it is dropped.
     #[allow(clippy::type_complexity)] // the `checkpointed` compute shape
     fn radix_shuffle_stage<K, V, P>(
         self,
@@ -309,82 +324,57 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         partitioner: &P,
         stage: &str,
         expand: impl Fn(Vec<T>) -> Vec<(K, V)> + Sync,
-    ) -> Result<(Vec<Vec<(K, V)>>, ShuffleStats, ExecStats), JobError>
+    ) -> Result<(Vec<ShuffledPartition<K, V>>, ShuffleStats, ExecStats), JobError>
     where
-        K: Wire + Send + Sync + Copy + 'static,
-        V: Wire + Send + Sync + Clone + 'static,
+        K: Wire + Send + Sync + Copy,
+        V: Wire + Send + Sync + Clone,
         P: Partitioner<K> + ?Sized,
     {
         let targets = partitioner.num_partitions();
-        let pool = cluster.buffer_pool();
-        let pool_before = pool.stats();
         let memory = cluster.memory_accountant();
         let denials_before = memory.budget_denials();
-        let (mut bucketed, mut stats) =
-            self.radix_map_stage(cluster, partitioner, stage, expand)?;
-        // Reduce side: per-task partition_bytes merge element-wise (one entry
-        // per target even over zero source partitions).
+        let (mapped, mut stats) = self.radix_map_stage(cluster, partitioner, stage, expand)?;
+        // Commit point: the stage's results are final. Per-task
+        // partition_bytes merge element-wise (one entry per target even over
+        // zero source partitions); each task's buckets and spill chunks join
+        // their targets' block lists in source order, one `spill` event per
+        // chunk; every task's memory charges release (ChargeGuard drop).
         let mut shuffle = ShuffleStats {
             partition_bytes: vec![0; targets],
             ..ShuffleStats::default()
         };
-        for out in &bucketed {
-            shuffle.merge(&out.shuffle);
-        }
-        let mut parts: Vec<Vec<(K, V)>> = Vec::with_capacity(targets);
-        for t in 0..targets {
-            let total: usize = bucketed
-                .iter()
-                .map(|out| {
-                    out.buckets[t].len()
-                        + out
-                            .spill
-                            .as_ref()
-                            .and_then(|seg| seg.chunk_for(t))
-                            .map_or(0, |c| c.records as usize)
-                })
-                .sum();
-            let mut dst: Vec<(K, V)> = pool.take_vec(total);
-            // Walk source tasks in order, taking each task's contribution
-            // from its bucket or its spill chunk — the records land in the
-            // same slots either way, which is what keeps budgeted runs
-            // byte-identical to unbudgeted ones.
-            for out in &mut bucketed {
-                if !out.buckets[t].is_empty() {
-                    dst.append(&mut out.buckets[t]);
-                } else if let Some(seg) = &out.spill {
-                    if let Some(recs) = seg
-                        .read_records::<K, V>(t)
-                        .expect("spill: re-read committed segment")
-                    {
-                        dst.extend(recs);
-                    }
-                }
-            }
-            parts.push(dst);
-        }
-        // Commit point: the stage's results are final. Emit one `spill`
-        // event per chunk while the segments are still alive, then hand the
-        // emptied buckets back, release every task's memory charges
-        // (ChargeGuard drop) and delete the spill files (SpillSegment drop).
+        let mut parts: Vec<ShuffledPartition<K, V>> = (0..targets)
+            .map(|_| ShuffledPartition { blocks: Vec::new() })
+            .collect();
         let recorder = cluster.recorder();
         let (mut spilled_bytes, mut expand_ns) = (0u64, 0u64);
-        for out in bucketed {
+        for out in mapped {
+            shuffle.merge(&out.shuffle);
             spilled_bytes += out.spilled_bytes;
             expand_ns += out.expand_ns;
-            if recorder.is_enabled() {
-                if let Some(seg) = &out.spill {
-                    for chunk in seg.chunks() {
-                        recorder.event(
-                            "spill",
-                            Lane::Node(cluster.node_of_partition(chunk.target)),
-                            Some(chunk.target as u64),
-                            Attrs::new().bytes(chunk.len).records(chunk.records),
-                        );
-                    }
+            for (part, bucket) in parts.iter_mut().zip(out.buckets) {
+                if !bucket.is_empty() {
+                    part.blocks.push(Block::Rows(bucket));
                 }
             }
-            pool.put_vecs(out.buckets);
+            // A spilled target's bucket is empty, so each task adds at most
+            // one block per target.
+            if let Some(segment) = out.spill.map(Arc::new) {
+                for (chunk, c) in segment.chunks().iter().enumerate() {
+                    if recorder.is_enabled() {
+                        recorder.event(
+                            "spill",
+                            Lane::Node(cluster.node_of_partition(c.target)),
+                            Some(c.target as u64),
+                            Attrs::new().bytes(c.len).records(c.records),
+                        );
+                    }
+                    let segment = Arc::clone(&segment);
+                    parts[c.target]
+                        .blocks
+                        .push(Block::Spilled { segment, chunk });
+                }
+            }
         }
         if spilled_bytes > 0 {
             memory.note_spill(spilled_bytes);
@@ -404,10 +394,6 @@ impl<T: Send + Sync + Clone> Dataset<T> {
                 "budget_denials",
                 memory.budget_denials().saturating_sub(denials_before),
             );
-            let pool_delta = pool.stats().since(&pool_before);
-            recorder.counter_add(stage, "pool_hits", pool_delta.hits);
-            recorder.counter_add(stage, "pool_misses", pool_delta.misses);
-            recorder.counter_add(stage, "bytes_recycled", pool_delta.bytes_recycled);
             for (t, &bytes) in shuffle.partition_bytes.iter().enumerate() {
                 recorder.histogram_record(stage, "partition_bytes", bytes as f64);
                 recorder.event(
@@ -442,12 +428,168 @@ struct RadixMapOut<K, V> {
 /// A partitioned collection of key–value pairs (Spark `PairRDD`).
 pub type KeyedDataset<K, V> = Dataset<(K, V)>;
 
-// `'static` because shuffle buckets are recycled through the cluster's
-// type-erased `BufferPool`, which shelves buffers by `TypeId`.
+/// One map task's share of one target partition of a shuffle: its in-memory
+/// bucket, or — where admission spilled that target — its chunk of the
+/// task's spill segment, left on disk until the reduce task reads it.
+#[derive(Debug)]
+pub enum Block<K, V> {
+    Rows(Vec<(K, V)>),
+    Spilled {
+        segment: Arc<SpillSegment>,
+        /// Index into the segment's [`chunks`](SpillSegment::chunks).
+        chunk: usize,
+    },
+}
+
+impl<K: Wire + Clone, V: Wire + Clone> Block<K, V> {
+    /// Records in the block (never zero: empty buckets make no block).
+    pub fn records(&self) -> usize {
+        match self {
+            Block::Rows(rows) => rows.len(),
+            Block::Spilled { segment, chunk } => segment.chunks()[*chunk].records as usize,
+        }
+    }
+
+    /// The block's rows: in memory, borrowed where they are; spilled, read
+    /// back and decoded. A failed or short read, or a chunk that does not
+    /// decode, is a retriable [`TaskError::Spill`].
+    pub fn read(&self) -> Result<Cow<'_, [(K, V)]>, TaskError> {
+        match self {
+            Block::Rows(rows) => Ok(Cow::Borrowed(rows)),
+            Block::Spilled { segment, chunk } => segment
+                .read_chunk(*chunk)
+                .map(Cow::Owned)
+                .map_err(|e| TaskError::Spill(format!("{}: {e}", segment.path().display()))),
+        }
+    }
+}
+
+/// One target partition of a shuffle: its map tasks' [`Block`]s in source
+/// order. Read in place by the reduce task ([`fetch`](Self::fetch)), or
+/// materialised by [`ShuffledDataset::into_rows`].
+#[derive(Debug)]
+pub struct ShuffledPartition<K, V> {
+    blocks: Vec<Block<K, V>>,
+}
+
+impl<K: Wire + Clone, V: Wire + Clone> ShuffledPartition<K, V> {
+    /// A partition of one in-memory block (none when `rows` is empty).
+    fn of_rows(rows: Vec<(K, V)>) -> Self {
+        let blocks = if rows.is_empty() {
+            Vec::new()
+        } else {
+            vec![Block::Rows(rows)]
+        };
+        ShuffledPartition { blocks }
+    }
+
+    pub fn blocks(&self) -> &[Block<K, V>] {
+        &self.blocks
+    }
+
+    /// Records across the blocks.
+    pub fn len(&self) -> usize {
+        self.blocks.iter().map(Block::records).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+
+    /// The reduce side's fetch: every block's rows, one slice per block in
+    /// source order, the in-memory ones borrowed in place and only the
+    /// spilled ones read into this task's memory. Concatenated, they are
+    /// exactly [`ShuffledDataset::into_rows`]'s partition.
+    pub fn fetch(&self) -> Result<Fetched<'_, K, V>, TaskError> {
+        self.blocks.iter().map(Block::read).collect()
+    }
+
+    fn into_rows(mut self) -> Result<Vec<(K, V)>, TaskError> {
+        if let [Block::Rows(rows)] = &mut self.blocks[..] {
+            return Ok(std::mem::take(rows));
+        }
+        let mut rows = Vec::with_capacity(self.len());
+        for block in self.blocks {
+            match block {
+                Block::Rows(mut bucket) => rows.append(&mut bucket),
+                spilled => rows.extend_from_slice(&spilled.read()?),
+            }
+        }
+        Ok(rows)
+    }
+
+    /// Appends the partition's wire encoding (a checkpoint chunk) to `buf`:
+    /// in-memory blocks encoded, spilled chunks copied as they are — they
+    /// hold the same bytes. Returns the record count. A chunk that cannot be
+    /// read leaves `buf` short, which fails the checkpoint save.
+    fn encode_into(&self, buf: &mut Vec<u8>) -> u64 {
+        for block in &self.blocks {
+            match block {
+                Block::Rows(rows) => {
+                    encode_records_into(rows, buf);
+                }
+                Block::Spilled { segment, chunk } => {
+                    let _ = segment.read_chunk_into(*chunk, buf);
+                }
+            }
+        }
+        self.len() as u64
+    }
+}
+
+/// A shuffled partition's rows as its reduce task fetched them: one slice per
+/// block, in source order (see [`ShuffledPartition::fetch`]).
+pub type Fetched<'a, K, V> = Vec<Cow<'a, [(K, V)]>>;
+
+/// The output of a shuffle stage: per target partition, the blocks its map
+/// tasks wrote (see [`Dataset::shuffle_stage_by`]).
+#[derive(Debug)]
+pub struct ShuffledDataset<K, V> {
+    /// The shuffle's stage name, which a failed [`into_rows`](Self::into_rows)
+    /// reports.
+    stage: String,
+    parts: Vec<ShuffledPartition<K, V>>,
+}
+
+impl<K: Wire + Clone, V: Wire + Clone> ShuffledDataset<K, V> {
+    pub fn partitions(&self) -> &[ShuffledPartition<K, V>] {
+        &self.parts
+    }
+
+    /// Records across all partitions.
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(ShuffledPartition::len).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.parts.iter().all(ShuffledPartition::is_empty)
+    }
+
+    /// Materialises every partition as one `Vec` on the driver, for the
+    /// consumers that need contiguous rows: in-memory blocks move, spilled
+    /// chunks are read and decoded. A partition that is one in-memory block
+    /// is not copied. An unreadable chunk fails with a [`JobError`] naming
+    /// the shuffle's stage and the partition.
+    pub fn into_rows(self) -> Result<KeyedDataset<K, V>, JobError> {
+        let stage = self.stage;
+        let parts = self.parts.into_iter().enumerate().map(|(task, part)| {
+            part.into_rows().map_err(|error| JobError {
+                stage: stage.clone(),
+                task,
+                attempts: 1,
+                error,
+            })
+        });
+        Ok(Dataset {
+            parts: parts.collect::<Result<_, _>>()?,
+        })
+    }
+}
+
 impl<K, V> Dataset<(K, V)>
 where
-    K: Wire + Send + Sync + Copy + 'static,
-    V: Wire + Send + Sync + Clone + 'static,
+    K: Wire + Send + Sync + Copy,
+    V: Wire + Send + Sync + Clone,
 {
     /// Infallible [`KeyedDataset::shuffle_stage`] under the stage name
     /// `"shuffle"`.
@@ -465,6 +607,7 @@ where
         P: Partitioner<K> + ?Sized,
     {
         self.shuffle_stage(cluster, partitioner, "shuffle")
+            .and_then(|(shuffled, stats, exec)| Ok((shuffled.into_rows()?, stats, exec)))
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -481,7 +624,7 @@ where
         cluster: &Cluster,
         partitioner: &P,
         stage: &str,
-    ) -> Result<(KeyedDataset<K, V>, ShuffleStats, ExecStats), JobError>
+    ) -> Result<(ShuffledDataset<K, V>, ShuffleStats, ExecStats), JobError>
     where
         P: Partitioner<K> + ?Sized,
     {
@@ -505,7 +648,8 @@ mod tests {
         c: &Cluster,
         p: &P,
     ) -> (KeyedDataset<u64, u64>, ShuffleStats, ExecStats) {
-        kd.shuffle_stage(c, p, "shuffle").expect("shuffle runs")
+        let (out, stats, exec) = kd.shuffle_stage(c, p, "shuffle").expect("shuffle runs");
+        (out.into_rows().expect("blocks read back"), stats, exec)
     }
 
     #[test]
@@ -744,29 +888,6 @@ mod tests {
                 .sum::<u64>(),
             "every byte of the shuffle went through disk"
         );
-    }
-
-    #[test]
-    fn radix_shuffle_recycles_buckets_across_stages() {
-        let c = cluster();
-        let p = HashPartitioner::new(8);
-        let data: Vec<Vec<(u64, u64)>> = (0..4)
-            .map(|_| (0..500u64).map(|i| (i, i)).collect())
-            .collect();
-        let (shuffled, _, _) = shuffle(KeyedDataset::from_partitions(data.clone()), &c, &p);
-        drop(shuffled);
-        let after_first = c.buffer_pool().stats();
-        assert!(
-            after_first.returns > 0,
-            "buckets must come back to the pool"
-        );
-        let (_, _, _) = shuffle(KeyedDataset::from_partitions(data), &c, &p);
-        let after_second = c.buffer_pool().stats().since(&after_first);
-        assert!(
-            after_second.hits > 0,
-            "second stage must reuse recycled buckets: {after_second:?}"
-        );
-        assert!(after_second.bytes_recycled > 0);
     }
 
     #[test]

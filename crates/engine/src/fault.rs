@@ -40,6 +40,9 @@ pub enum TaskError {
     /// An application-level error (e.g. a wire-format decode failure)
     /// surfaced through the task result.
     App(String),
+    /// A spill segment could not be written, or a committed chunk could not
+    /// be read back whole and decoded.
+    Spill(String),
 }
 
 impl fmt::Display for TaskError {
@@ -57,6 +60,7 @@ impl fmt::Display for TaskError {
             }
             TaskError::NodeLost { node } => write!(f, "node {node} lost"),
             TaskError::App(msg) => write!(f, "task failed: {msg}"),
+            TaskError::Spill(msg) => write!(f, "spill segment: {msg}"),
         }
     }
 }

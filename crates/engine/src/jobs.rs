@@ -31,14 +31,13 @@
 //!   `job:<id>:` so spans, events and counters land in per-tenant lanes,
 //!   (b) its **own** fault context (plan, retry policy, attempt counters,
 //!   blacklist) so one tenant's chaos plan cannot blacklist nodes for
-//!   another, and (c) exclusive quanta, which make `BufferPool` deltas and
-//!   the completion-time memory **leak audit** (resident bytes must be 0
-//!   when a job finishes — every `ChargeGuard` settles at its stage's commit
-//!   point) exact rather than approximate. A body that returns `Err` (a
-//!   failed stage, typically) or panics is reported per job; the other
-//!   tenants keep running.
+//!   another, and (c) exclusive quanta, which make the completion-time
+//!   memory **leak audit** (resident bytes must be 0 when a job finishes —
+//!   every `ChargeGuard` settles at its stage's commit point) exact rather
+//!   than approximate. A body that returns `Err` (a failed stage,
+//!   typically) or panics is reported per job; the other tenants keep
+//!   running.
 
-use crate::bufpool::PoolStats;
 use crate::checkpoint::{fnv1a, CheckpointTimes};
 use crate::cluster::Cluster;
 use crate::fault::{FaultPlan, RetryPolicy};
@@ -216,9 +215,6 @@ pub struct JobReport<R> {
     /// This job's stages accumulated (attempts, retries, spill, per-node
     /// busy). Isolated: no other tenant's stages are mixed in.
     pub stats: ExecStats,
-    /// `BufferPool` activity attributable to this job — exact, because pool
-    /// deltas are snapshotted around the job's exclusive quanta.
-    pub pool: PoolStats,
     /// Parallel stages the job ran.
     pub stages: u64,
     /// Scheduling quanta the job consumed (stages + driver-only windows).
@@ -371,7 +367,6 @@ struct Admitted<R> {
     handle: Option<std::thread::JoinHandle<Result<R, String>>>,
     admitted_at: Duration,
     first_service_at: Option<Duration>,
-    pool: PoolStats,
 }
 
 impl<R> Admitted<R> {
@@ -386,7 +381,6 @@ impl<R> Admitted<R> {
             handle: None,
             admitted_at: now,
             first_service_at: None,
-            pool: PoolStats::default(),
         }
     }
 }
@@ -576,8 +570,8 @@ struct Scheduler<R> {
     clock: Duration,
     grants: Vec<JobId>,
     reports: Vec<Option<JobReport<R>>>,
-    /// The quantum in flight: (admitted slot, pool stats at grant time).
-    in_flight: Option<(usize, PoolStats)>,
+    /// The admitted slot of the quantum in flight.
+    in_flight: Option<usize>,
     /// Durable completions since the last journal compaction.
     completions_since_compact: u64,
 }
@@ -636,8 +630,8 @@ impl<R: Send + 'static> Scheduler<R> {
                 job: id,
             });
             // The job's isolated cluster view: per-job obs lanes and
-            // per-job fault state over the shared nodes, pool, accountant
-            // and cost model. A job without its own plan inherits the base
+            // per-job fault state over the shared nodes, accountant and
+            // cost model. A job without its own plan inherits the base
             // plan but still gets fresh state, so tenants never share a
             // blacklist.
             let mut jc = self
@@ -694,9 +688,8 @@ impl<R: Send + 'static> Scheduler<R> {
     /// Waits for quiescence — every running job parked or finished (at most
     /// one can be mid-quantum: the one granted last) — then closes the
     /// quantum in flight: the server clock advances by its stage's simulated
-    /// makespan (serialized time-sharing: quanta never overlap) and its pool
-    /// delta, exactly that job's allocator activity, is booked to the job.
-    /// Returns the slots of the jobs that finished.
+    /// makespan (serialized time-sharing: quanta never overlap). Returns the
+    /// slots of the jobs that finished.
     fn settle_quantum(&mut self) -> Vec<usize> {
         let mut st = self.core.state.lock().expect("job gate poisoned");
         loop {
@@ -715,11 +708,8 @@ impl<R: Send + 'static> Scheduler<R> {
             .copied()
             .filter(|&slot| st[self.admitted[slot].id].finished)
             .collect();
-        if let Some((slot, before)) = self.in_flight.take() {
-            let job = &mut self.admitted[slot];
-            self.clock += std::mem::take(&mut st[job.id].window_cost);
-            job.pool
-                .merge(&self.cluster.buffer_pool().stats().since(&before));
+        if let Some(slot) = self.in_flight.take() {
+            self.clock += std::mem::take(&mut st[self.admitted[slot].id].window_cost);
         }
         finished
     }
@@ -897,7 +887,7 @@ impl<R: Send + 'static> Scheduler<R> {
             // (or equal to) the in-memory one.
             let _ = journal.append(&JournalRecord::Grant { job: job.id as u64 });
         }
-        self.in_flight = Some((slot, self.cluster.buffer_pool().stats()));
+        self.in_flight = Some(slot);
         let mut st = self.core.state.lock().expect("job gate poisoned");
         let s = &mut st[job.id];
         s.granted = true;
@@ -925,7 +915,6 @@ impl<R: Send + 'static> Scheduler<R> {
             recovered: result.is_ok() && self.recovered_jobs.contains(&job.id),
             result,
             stats: std::mem::take(&mut s.stats),
-            pool: job.pool,
             stages: s.stages,
             quanta: s.quanta,
             admitted_at: job.admitted_at,
@@ -1080,7 +1069,12 @@ mod tests {
                 let recs: Vec<(u64, u64)> = (0..keys).map(|k| (k * 7 % keys, k + acc)).collect();
                 let ds = KeyedDataset::from_partitions(vec![recs.clone(), recs]);
                 let (shuffled, _, _) = ds.shuffle_stage(c, &HashPartitioner::new(4), "shuffle")?;
-                for (i, part) in shuffled.into_partitions().into_iter().enumerate() {
+                for (i, part) in shuffled
+                    .into_rows()?
+                    .into_partitions()
+                    .into_iter()
+                    .enumerate()
+                {
                     for (k, v) in part {
                         acc = acc
                             .wrapping_mul(31)
@@ -1100,8 +1094,8 @@ mod tests {
         dir
     }
 
-    /// A body that shuffles keyed records (exercising the buffer pool and
-    /// memory accountant) and returns the shuffled partitions.
+    /// A body that shuffles keyed records (exercising the memory accountant)
+    /// and returns the shuffled partitions.
     fn shuffling(
         keys: u64,
     ) -> impl FnOnce(&Cluster) -> Body<Vec<Vec<(u64, u64)>>> + Send + 'static {
@@ -1110,7 +1104,7 @@ mod tests {
             let parts = vec![recs.clone(), recs];
             let ds = KeyedDataset::from_partitions(parts);
             let (shuffled, _, _) = ds.shuffle_stage(c, &HashPartitioner::new(4), "shuffle")?;
-            Ok(shuffled.into_partitions())
+            Ok(shuffled.into_rows()?.into_partitions())
         }
     }
 
@@ -1262,12 +1256,11 @@ mod tests {
     }
 
     #[test]
-    fn leak_audit_sees_zero_residual_and_pool_deltas_sum() {
+    fn leak_audit_sees_zero_residual() {
         let r = Recorder::for_nodes(2);
         let c = cluster()
             .with_recorder(r.clone())
             .with_memory_budget(1 << 20);
-        let pool_before = c.buffer_pool().stats();
         let mut srv = JobServer::new(c.clone());
         srv.submit(JobSpec::new("a", shuffling(64)).with_estimate(4096))
             .expect("submit");
@@ -1283,15 +1276,6 @@ mod tests {
         assert_eq!(r.counter_value("jobs", "admitted"), Some(2));
         assert_eq!(r.counter_value("jobs", "completed"), Some(2));
         assert_eq!(c.memory_accountant().resident_total(), 0);
-        // Per-job pool deltas account for exactly the pool activity the
-        // queue generated: the per-job slices sum to the cumulative delta.
-        let total = c.buffer_pool().stats().since(&pool_before);
-        let mut summed = PoolStats::default();
-        for rep in &run.reports {
-            summed.merge(&rep.pool);
-        }
-        assert_eq!(summed, total);
-        assert!(total.hits + total.misses > 0, "shuffles used the pool");
     }
 
     #[test]

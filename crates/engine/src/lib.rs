@@ -12,7 +12,9 @@
 //!   operators Algorithm 5 runs (`sample`, the keyed shuffle, grouped and
 //!   co-grouped folds); [`Cluster::broadcast`] shares the grid with every
 //!   task, and `flatMapToPair` runs inside the shuffle's map tasks
-//!   ([`Dataset::shuffle_stage_by`]).
+//!   ([`Dataset::shuffle_stage_by`]). A shuffle's output is a
+//!   [`ShuffledDataset`]: per target partition, the blocks its map tasks
+//!   wrote, in memory or spilled, which the reduce task reads in place.
 //! * **Metered shuffle** — when a keyed dataset is repartitioned, every
 //!   record is attributed to the simulated node of its source and target
 //!   partitions; records that cross nodes account their [`Wire`]-encoded size
@@ -31,7 +33,6 @@
 //! model. See `DESIGN.md` at the workspace root for the substitution
 //! argument.
 
-mod bufpool;
 mod checkpoint;
 mod cluster;
 mod dataset;
@@ -45,10 +46,9 @@ mod partitioner;
 mod pool;
 mod wire;
 
-pub use bufpool::{BufferPool, PoolStats};
 pub use checkpoint::{fnv1a, CheckpointStore, CheckpointTimes, Fnv1a};
 pub use cluster::{Broadcast, Cluster, ClusterConfig, StageResult};
-pub use dataset::{Dataset, KeyedDataset};
+pub use dataset::{Block, Dataset, Fetched, KeyedDataset, ShuffledDataset, ShuffledPartition};
 pub use fault::{FailPoint, FaultContext, FaultPlan, FaultState, JobError, RetryPolicy, TaskError};
 pub use jobs::{JobId, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun, SubmitError};
 pub use journal::{compact_records, CompactStats, Journal, JournalError, JournalRecord};

@@ -10,9 +10,9 @@
 //! charge once the buffer is drained. When a node's budget would be
 //! exceeded, the caller degrades instead of aborting — the radix shuffle
 //! writes the denied bucket to a [`SpillSegment`] on disk (encoded with the
-//! existing [`Wire`](crate::wire::Wire) codec) and re-reads it at reduce
-//! time, so results stay byte-identical while the in-memory peak stays under
-//! the budget.
+//! existing [`Wire`](crate::wire::Wire) codec), and only the reduce task that
+//! needs the chunk reads it back, so results stay byte-identical while the
+//! in-memory peak stays under the budget.
 //!
 //! Without a budget the accountant still meters (so `peak_memory_bytes` is
 //! populated on every run) but never denies; enforcement is strictly opt-in
@@ -20,7 +20,8 @@
 
 use crate::wire::{Wire, WireError};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -124,7 +125,7 @@ pub struct MemorySnapshot {
 
 /// Charges live buffer bytes to simulated nodes and enforces an optional
 /// per-node budget. Shared (via `Arc`) by every clone of a
-/// [`Cluster`](crate::Cluster) handle, like the [`BufferPool`](crate::BufferPool).
+/// [`Cluster`](crate::Cluster) handle.
 #[derive(Debug)]
 pub struct MemoryAccountant {
     budget: Option<u64>,
@@ -283,8 +284,7 @@ impl MemoryAccountant {
 /// RAII ledger of admitted charges. Everything still held is released when
 /// the guard drops, so a failed or speculative task attempt — whose guard
 /// travels inside the discarded result — can never leak resident bytes,
-/// mirroring how the [`BufferPool`](crate::BufferPool) drops a loser's
-/// buffers instead of double-filling them.
+/// just as a loser's buckets and spill file are dropped with it.
 #[derive(Debug)]
 pub struct ChargeGuard {
     accountant: Arc<MemoryAccountant>,
@@ -456,7 +456,7 @@ impl SpillWriter {
         }
         self.file.flush()?;
         Ok(Some(SpillSegment {
-            file: Mutex::new(self.file),
+            file: self.file,
             path: self.path,
             chunks: self.chunks,
         }))
@@ -465,10 +465,11 @@ impl SpillWriter {
 
 /// One sealed on-disk spill file plus its chunk index. Dropping the segment
 /// deletes the file, so a failed or speculative task attempt cleans up after
-/// itself automatically.
+/// itself automatically. Chunks are read with positional reads, so the
+/// reduce tasks that share a segment read their chunks concurrently.
 #[derive(Debug)]
 pub struct SpillSegment {
-    file: Mutex<File>,
+    file: File,
     path: PathBuf,
     chunks: Vec<SpillChunk>,
 }
@@ -489,26 +490,23 @@ impl SpillSegment {
         self.chunks.iter().map(|c| c.len).sum()
     }
 
-    /// The chunk spilled for `target`, if that target overflowed.
-    pub fn chunk_for(&self, target: usize) -> Option<&SpillChunk> {
-        self.chunks.iter().find(|c| c.target == target)
+    /// Appends the encoded bytes of chunk `index` (of [`chunks`](Self::chunks))
+    /// to `buf`. A failed or short read is an error and leaves `buf` as it
+    /// was.
+    pub fn read_chunk_into(&self, index: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
+        let chunk = &self.chunks[index];
+        let start = buf.len();
+        buf.resize(start + chunk.len as usize, 0);
+        self.file
+            .read_exact_at(&mut buf[start..], chunk.offset)
+            .inspect_err(|_| buf.truncate(start))
     }
 
-    /// Reads and decodes the records spilled for `target`; `None` when that
-    /// target never overflowed in this segment.
-    pub fn read_records<K: Wire, V: Wire>(
-        &self,
-        target: usize,
-    ) -> std::io::Result<Option<Vec<(K, V)>>> {
-        let Some(chunk) = self.chunk_for(target) else {
-            return Ok(None);
-        };
-        let mut buf = vec![0u8; chunk.len as usize];
-        let mut file = self.file.lock().expect("spill segment poisoned");
-        file.seek(SeekFrom::Start(chunk.offset))?;
-        file.read_exact(&mut buf)?;
-        decode_records::<K, V>(&buf, chunk.records)
-            .map(Some)
+    /// Reads and decodes the records of chunk `index`.
+    pub fn read_chunk<K: Wire, V: Wire>(&self, index: usize) -> std::io::Result<Vec<(K, V)>> {
+        let mut buf = Vec::new();
+        self.read_chunk_into(index, &mut buf)?;
+        decode_records::<K, V>(&buf, self.chunks[index].records)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 }
@@ -613,21 +611,19 @@ mod tests {
         assert!(path.exists());
         assert_eq!(seg.chunks().len(), 2);
         assert_eq!(seg.total_bytes(), (enc_a.len() + enc_b.len()) as u64);
-        // Read out of write order — the index seeks correctly.
-        let got_b: Vec<(u64, Vec<u8>)> = seg
-            .read_records(8)
-            .expect("read chunk 8")
-            .expect("target 8 present");
+        assert_eq!(seg.chunks()[1].target, 8);
+        // Read out of write order — the index locates each chunk.
+        let got_b: Vec<(u64, Vec<u8>)> = seg.read_chunk(1).expect("read chunk of target 8");
         assert_eq!(got_b, b);
-        let got_a: Vec<(u64, Vec<u8>)> = seg
-            .read_records(3)
-            .expect("read chunk 3")
-            .expect("target 3 present");
+        let got_a: Vec<(u64, Vec<u8>)> = seg.read_chunk(0).expect("read chunk of target 3");
         assert_eq!(got_a, a);
-        assert!(seg
-            .read_records::<u64, Vec<u8>>(5)
-            .expect("read absent target")
-            .is_none());
+        // A segment cut short fails the read instead of returning less.
+        let file = File::options().write(true).open(&path).expect("reopen");
+        file.set_len(enc_a.len() as u64 + 1).expect("truncate");
+        let mut buf = vec![7u8];
+        let err = seg.read_chunk_into(1, &mut buf).expect_err("short read");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(buf, [7], "a failed read appends nothing");
         drop(seg);
         assert!(!path.exists(), "dropping the segment deletes the file");
     }

@@ -139,11 +139,15 @@ fn scale_dur(d: Duration, mult: f64) -> Duration {
 ///   multiple; an attempt killed by a faster competitor is billed only for
 ///   the time it occupied the node before the winner committed.
 ///
+/// A task may also fail without panicking by returning a [`TaskError`] (an
+/// unreadable spill segment, say): the attempt is billed and retried exactly
+/// like a panicking one.
+///
 /// # Panics
 /// Panics if `placement.len() != tasks.len()`, `nodes == 0`, or the fault
 /// context was sized for a different cluster. Task panics never propagate.
 #[allow(clippy::too_many_arguments)] // executor entry point: each knob is load-bearing
-pub(crate) fn run_stage<T, R, F>(
+pub(crate) fn try_run_stage<T, R, F>(
     threads: usize,
     nodes: usize,
     tasks: Vec<T>,
@@ -156,7 +160,7 @@ pub(crate) fn run_stage<T, R, F>(
 where
     T: Send + Sync + Clone,
     R: Send,
-    F: Fn(usize, T) -> R + Sync,
+    F: Fn(usize, T) -> Result<R, TaskError> + Sync,
 {
     assert_eq!(placement.len(), tasks.len(), "one placement entry per task");
     assert!(nodes > 0, "cluster must have at least one node");
@@ -293,7 +297,7 @@ where
         // Wall time this attempt held its node: the measured run, plus the
         // stretch below on a straggler node.
         let mut held = d0;
-        if mult > 1.0 && outcome.is_ok() && !will_fail && !will_oom {
+        if mult > 1.0 && matches!(outcome, Ok(Ok(_))) && !will_fail && !will_oom {
             // A straggler node really is slower: stretch the attempt in wall
             // time (in interruptible slices) so a speculative copy elsewhere
             // can genuinely overtake it.
@@ -313,6 +317,10 @@ where
                 bill_discarded(&failed_stage, idx, node, d0, charged);
                 Err(TaskError::Panic(panic_msg(payload.as_ref())))
             }
+            Ok(Err(e)) => {
+                bill_discarded(&failed_stage, idx, node, d0, charged);
+                Err(e)
+            }
             Ok(_) if will_fail => {
                 // The attempt did its work and died at commit time — the
                 // result is discarded but the burned time is billed in full.
@@ -331,7 +339,7 @@ where
                 }
                 Err(TaskError::OutOfMemory { attempt })
             }
-            Ok(r) => {
+            Ok(Ok(r)) => {
                 if done[idx]
                     .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
@@ -532,6 +540,27 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, RetryPolicy};
 
+    /// [`try_run_stage`] for tasks that can only fail by panicking.
+    #[allow(clippy::too_many_arguments)] // see `try_run_stage`
+    fn run_stage<T, R, F>(
+        threads: usize,
+        nodes: usize,
+        tasks: Vec<T>,
+        placement: &[usize],
+        recorder: &Recorder,
+        stage: &str,
+        ctx: Option<&FaultContext>,
+        f: F,
+    ) -> Result<(Vec<R>, ExecStats), JobError>
+    where
+        T: Send + Sync + Clone,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        let f = |idx, task| Ok(f(idx, task));
+        try_run_stage(threads, nodes, tasks, placement, recorder, stage, ctx, f)
+    }
+
     /// Single-attempt run: no fault context, no recorder.
     fn run_plain<T, R, F>(
         threads: usize,
@@ -632,6 +661,38 @@ mod tests {
         assert_eq!(err.task, 2);
         assert_eq!(err.attempts, 1);
         assert!(matches!(err.error, TaskError::Panic(ref m) if m.contains("task failure")));
+    }
+
+    /// A task that returns an error is retried like one that panics, and the
+    /// error it returned is the one the job reports.
+    #[test]
+    fn a_returned_task_error_is_retried_then_reported() {
+        let ctx = FaultContext::new(
+            FaultPlan::none(),
+            RetryPolicy::default().with_max_attempts(3),
+            2,
+        );
+        let attempts = AtomicUsize::new(0);
+        let res = try_run_stage(
+            2,
+            2,
+            vec![1u32, 2],
+            &[0, 1],
+            &Recorder::noop(),
+            "unit",
+            Some(&ctx),
+            |_, t| {
+                if t == 2 {
+                    attempts.fetch_add(1, Ordering::Relaxed);
+                    return Err(TaskError::Spill("short read".into()));
+                }
+                Ok(t)
+            },
+        );
+        let err = res.expect_err("a task that always errs fails the job");
+        assert_eq!((err.task, err.attempts), (1, 3));
+        assert_eq!(err.error, TaskError::Spill("short read".into()));
+        assert_eq!(attempts.load(Ordering::Relaxed), 3);
     }
 
     #[test]

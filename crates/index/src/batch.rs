@@ -70,12 +70,23 @@ impl PointBatch {
         pos: impl Fn(&T) -> Point,
         id: impl Fn(&T) -> u64,
     ) -> PointBatch {
-        let n = part.len();
-        let mut order: Vec<(u64, f64, u32)> = part
-            .iter()
-            .enumerate()
-            .map(|(i, (k, v))| (*k, pos(v).x, i as u32))
-            .collect();
+        PointBatch::from_blocks(&[part], pos, id)
+    }
+
+    /// [`PointBatch::from_keyed`] over a partition held as several blocks —
+    /// e.g. a shuffled partition read in place, block by block. The rows of
+    /// the blocks in order build the same batch as one slice of them would.
+    pub fn from_blocks<T>(
+        blocks: &[impl AsRef<[(u64, T)]>],
+        pos: impl Fn(&T) -> Point,
+        id: impl Fn(&T) -> u64,
+    ) -> PointBatch {
+        let n = blocks.iter().map(|block| block.as_ref().len()).sum();
+        // Each permutation entry points at its record: 24 bytes, like a
+        // (key, x, index) triple, with no index to resolve across blocks.
+        let mut order: Vec<(u64, f64, &T)> = Vec::with_capacity(n);
+        let rows = blocks.iter().flat_map(|block| block.as_ref());
+        order.extend(rows.map(|(k, v)| (*k, pos(v).x, v)));
         order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)));
 
         let mut batch = PointBatch {
@@ -85,14 +96,13 @@ impl PointBatch {
             ys: Vec::with_capacity(n),
             ids: Vec::with_capacity(n),
         };
-        for &(k, x, i) in &order {
+        for &(k, x, rec) in &order {
             if batch.keys.last() != Some(&k) {
                 if !batch.keys.is_empty() {
                     batch.starts.push(batch.xs.len() as u32);
                 }
                 batch.keys.push(k);
             }
-            let rec = &part[i as usize].1;
             batch.xs.push(x);
             batch.ys.push(pos(rec).y);
             batch.ids.push(id(rec));
@@ -176,6 +186,22 @@ mod tests {
         assert_eq!(g2.xs, &[3.0, 4.0, 5.0]);
         assert_eq!(g2.ys, &[4.0, 0.0, 1.0]);
         assert_eq!(b.group_ids(1), &[102, 104, 100]);
+    }
+
+    #[test]
+    fn rows_split_across_blocks_build_the_same_batch() {
+        let part = keyed(&[
+            (2, 5.0, 1.0, 100),
+            (1, 9.0, 2.0, 101),
+            (2, 5.0, 4.0, 102),
+            (1, 0.5, 8.0, 103),
+            (2, 4.0, 0.0, 104),
+        ]);
+        let (head, tail) = part.split_at(2);
+        assert_eq!(
+            PointBatch::from_blocks(&[head, tail], |v| v.0, |v| v.1),
+            build(&part)
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 use crate::pipeline::{join_points, run_plan, JoinPlan};
-use crate::{JoinError, JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record};
 use asj_core::{cell_costs, AgreementGraph, AgreementPolicy, GridSample, SetLabel};
 use asj_engine::{
-    Cluster, Dataset, ExecStats, ExplicitPartitioner, HashPartitioner, Partitioner, Placement,
+    Cluster, ExecStats, ExplicitPartitioner, HashPartitioner, Partitioner, Placement,
 };
 use asj_geom::Point;
 use asj_grid::{CellCoord, Grid, GridSpec};
@@ -47,11 +47,11 @@ pub fn adaptive_join(
     cluster: &Cluster,
     spec: &JoinSpec,
     policy: AgreementPolicy,
-    r: Vec<Record>,
-    s: Vec<Record>,
+    r: impl Into<JoinInput>,
+    s: impl Into<JoinInput>,
 ) -> Result<JoinOutput, JoinError> {
     let (build, assign) = (AgreementGraph::build, AgreementGraph::assign);
-    agreement_join(cluster, spec, policy, build, assign, r, s)
+    agreement_join(cluster, spec, policy, build, assign, r.into(), s.into())
 }
 
 /// Stages 1–5 of [`adaptive_join`] over the graph `build` makes and `assign`
@@ -63,12 +63,11 @@ pub(crate) fn agreement_join(
     policy: AgreementPolicy,
     build: fn(&Grid, &GridSample, AgreementPolicy) -> AgreementGraph,
     assign: fn(&AgreementGraph, Point, SetLabel, &mut Vec<CellCoord>),
-    r: Vec<Record>,
-    s: Vec<Record>,
+    r: JoinInput,
+    s: JoinInput,
 ) -> Result<JoinOutput, JoinError> {
     let grid = agreement_grid(spec)?;
-    let rdd_r = Dataset::from_vec(r, spec.input_partitions);
-    let rdd_s = Dataset::from_vec(s, spec.input_partitions);
+    let (rdd_r, rdd_s) = (r.partitioned(spec), s.partitioned(spec));
 
     // --- Sampling (parallel) + graph construction (driver). ---
     let recorder = cluster.recorder().clone();

@@ -1,5 +1,5 @@
 use crate::adaptive::agreement_join;
-use crate::{JoinError, JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec};
 use asj_core::{AgreementGraph, AgreementPolicy};
 use asj_engine::{Cluster, HashPartitioner, KeyedDataset, Placement};
 
@@ -17,8 +17,8 @@ pub fn adaptive_join_dedup(
     cluster: &Cluster,
     spec: &JoinSpec,
     policy: AgreementPolicy,
-    r: Vec<Record>,
-    s: Vec<Record>,
+    r: impl Into<JoinInput>,
+    s: impl Into<JoinInput>,
 ) -> Result<JoinOutput, JoinError> {
     // Join with duplicates — no Algorithm 1, the graph keeps its
     // duplicate-producing triangles. Pairs must be materialized for the
@@ -28,7 +28,15 @@ pub fn adaptive_join_dedup(
     join_spec.collect_pairs = true;
     join_spec.placement = Placement::Hash;
     let (build, assign) = (AgreementGraph::build_unmarked, AgreementGraph::assign_naive);
-    let mut out = agreement_join(cluster, &join_spec, policy, build, assign, r, s)?;
+    let mut out = agreement_join(
+        cluster,
+        &join_spec,
+        policy,
+        build,
+        assign,
+        r.into(),
+        s.into(),
+    )?;
     out.algorithm = format!("{}+dedup", policy.name());
 
     // Distributed distinct: shuffle pairs by their R id, then sort + dedup
@@ -41,12 +49,15 @@ pub fn adaptive_join_dedup(
             pair_data.shuffle_stage(cluster, &partitioner, "dedup")?;
         out.metrics.shuffle.merge(&dedup_shuffle);
         out.metrics.join.accumulate(&ex);
-        let (deduped_parts, ex) =
-            cluster.run_stage("dedup", pair_data.into_partitions(), |_, mut part| {
+        let (deduped_parts, ex) = cluster.run_stage(
+            "dedup",
+            pair_data.into_rows()?.into_partitions(),
+            |_, mut part| {
                 part.sort_unstable();
                 part.dedup();
                 part
-            })?;
+            },
+        )?;
         out.metrics.join.accumulate(&ex);
         *attrs = attrs.records(duplicated_count);
         Ok::<_, JoinError>(deduped_parts)
@@ -55,7 +66,10 @@ pub fn adaptive_join_dedup(
     out.result_count = deduped_parts.iter().map(|p| p.len() as u64).sum();
     out.candidates = out.candidates.max(duplicated_count);
     if spec.collect_pairs {
-        out.pairs = deduped_parts.into_iter().flatten().collect();
+        out.pairs = Vec::with_capacity(out.result_count as usize);
+        deduped_parts
+            .into_iter()
+            .for_each(|part| out.pairs.extend(part));
     }
     Ok(out)
 }

@@ -1,4 +1,4 @@
-use crate::pipeline::{for_each_cogroup, run_plan, JoinPlan, KernelTally};
+use crate::pipeline::{for_each_cogroup, run_plan, Blocks, JoinPlan, KernelTally};
 use crate::{JoinError, JoinOutput, JoinSpec};
 use asj_engine::{ensure_remaining, Cluster, Dataset, ExecStats, HashPartitioner, Wire, WireError};
 use asj_geom::{Point, Polygon, Polyline, Shape};
@@ -129,7 +129,7 @@ pub fn extent_join(
     // nested loop, only overlap-surviving ones under the sweep); the callback
     // applies the envelope filter, the reference-point dedup and the exact
     // distance.
-    let local_join = |pa: &[(u64, ExtentRecord)], pb: &[(u64, ExtentRecord)]| {
+    let local_join = |pa: &Blocks<ExtentRecord>, pb: &Blocks<ExtentRecord>| {
         let mut out = Vec::new();
         let mut tally = KernelTally::default();
         for_each_cogroup(pa, pb, |cell, avs, bvs| {

@@ -1,5 +1,5 @@
 use crate::pipeline::{expansion, for_each_cogroup, native_cell, shuffle_keyed};
-use crate::{JoinError, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, ShuffleStats};
 use asj_geom::Point;
 use asj_grid::{CellCoord, Grid, GridSpec};
@@ -36,10 +36,10 @@ pub fn knn_join(
     cluster: &Cluster,
     spec: &JoinSpec,
     k: usize,
-    r: Vec<Record>,
-    s: Vec<Record>,
+    r: impl Into<JoinInput>,
+    s: impl Into<JoinInput>,
 ) -> Result<KnnOutput, JoinError> {
-    knn_join_probe(cluster, spec, k, r, s, true)
+    knn_join_probe(cluster, spec, k, r.into(), s.into(), true)
 }
 
 /// [`knn_join`] with the probe strategy explicit. `annulus_only = true` (the
@@ -51,8 +51,8 @@ fn knn_join_probe(
     cluster: &Cluster,
     spec: &JoinSpec,
     k: usize,
-    r: Vec<Record>,
-    s: Vec<Record>,
+    r: JoinInput,
+    s: JoinInput,
     annulus_only: bool,
 ) -> Result<KnnOutput, JoinError> {
     if k == 0 {
@@ -61,25 +61,30 @@ fn knn_join_probe(
     }
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
-    let s_total = s.len();
+    let (rdd_r, rdd_s) = (r.partitioned(spec), s.partitioned(spec));
+    let s_total = rdd_s.len();
     let partitioner = HashPartitioner::new(spec.num_partitions);
     let mut exec = ExecStats::default();
     let mut shuffle = ShuffleStats::default();
 
     // Shuffle S once by its native cell.
     let grid_b = cluster.broadcast(grid);
-    let rdd_s = Dataset::from_vec(s, spec.input_partitions);
     let assign = native_cell(grid_b.clone());
     let expand = expansion(&assign);
     let (s_cells, _, sh, ex) = shuffle_keyed(cluster, rdd_s, expand, &partitioner, "shuffle")?;
     shuffle.merge(&sh);
     exec.accumulate(&ex);
     // S stays resident; every round's join borrows it.
+    let s_cells = s_cells.into_rows()?;
 
-    // Per-query best-so-far lists, merged on the driver between rounds.
-    let mut pending: Vec<Record> = r;
-    let mut best: HashMap<u64, Vec<(f64, u64)>> =
-        pending.iter().map(|q| (q.id, Vec::new())).collect();
+    // Per-query best-so-far lists, merged on the driver between rounds; the
+    // queries still pending stay in their input partitions.
+    let mut pending: Vec<Vec<Record>> = rdd_r.into_partitions();
+    let mut best: HashMap<u64, Vec<(f64, u64)>> = pending
+        .iter()
+        .flatten()
+        .map(|q| (q.id, Vec::new()))
+        .collect();
     let (lx, ly) = grid_b.cell_side();
     let mut radius = lx.max(ly);
     let world = (grid_b.bbox().width().powi(2) + grid_b.bbox().height().powi(2)).sqrt();
@@ -89,7 +94,7 @@ fn knn_join_probe(
     // real MINDIST² so round 1 includes the query's own cell.
     let mut probed2 = -1.0f64;
 
-    while !pending.is_empty() {
+    while pending.iter().any(|part| !part.is_empty()) {
         rounds += 1;
         // Route every pending query to the cells of this round's annulus:
         // prev_radius < MINDIST <= radius. Everything inside prev_radius was
@@ -97,7 +102,7 @@ fn knn_join_probe(
         // manufactures duplicate candidates for the driver-side dedup.
         let rad = radius;
         let prev2 = if annulus_only { probed2 } else { -1.0 };
-        let rdd_q = Dataset::from_vec(pending.clone(), spec.input_partitions);
+        let rdd_q = Dataset::from_partitions(pending.clone());
         let (q_cells, sh, ex) =
             rdd_q.shuffle_stage_by(cluster, &partitioner, "shuffle", |part| {
                 let mut out = Vec::new();
@@ -118,6 +123,7 @@ fn knn_join_probe(
             })?;
         shuffle.merge(&sh);
         exec.accumulate(&ex);
+        let q_cells = q_cells.into_rows()?;
 
         // Per partition: for each query in a cell, its k best candidates
         // among the cell's S points.
@@ -128,7 +134,7 @@ fn knn_join_probe(
             .collect();
         let (cand_parts, ex) = cluster.run_stage("task", tasks, |_, (qs, ss)| {
             let mut out: Vec<(u64, Vec<(f64, u64)>)> = Vec::new();
-            for_each_cogroup(qs, ss, |_, queries, points| {
+            for_each_cogroup(&[qs], &[ss], |_, queries, points| {
                 for q in queries {
                     let mut cands: Vec<(f64, u64)> = points
                         .iter()
@@ -154,12 +160,14 @@ fn knn_join_probe(
             }
         }
         let r2 = radius * radius;
-        pending.retain(|q| {
-            let found = &best[&q.id];
-            let complete = found.len() >= k.min(s_total);
-            let safe = found.last().is_some_and(|last| last.0 <= r2);
-            !(complete && (safe || radius >= world))
-        });
+        for part in &mut pending {
+            part.retain(|q| {
+                let found = &best[&q.id];
+                let complete = found.len() >= k.min(s_total);
+                let safe = found.last().is_some_and(|last| last.0 <= r2);
+                !(complete && (safe || radius >= world))
+            });
+        }
         probed2 = radius * radius;
         if radius >= world {
             break;
@@ -298,8 +306,18 @@ mod tests {
             })
             .collect();
         let s = to_records(&s_pts, 0);
-        let full = knn_join_probe(&c, &spec, 5, r.clone(), s.clone(), false).expect("join runs");
-        let annulus = knn_join_probe(&c, &spec, 5, r, s, true).expect("join runs");
+        let probe = |annulus_only| {
+            knn_join_probe(
+                &c,
+                &spec,
+                5,
+                r.clone().into(),
+                s.clone().into(),
+                annulus_only,
+            )
+            .expect("join runs")
+        };
+        let (full, annulus) = (probe(false), probe(true));
         assert!(full.rounds > 1, "scenario must need ring expansion");
         assert_eq!(annulus.rounds, full.rounds, "same rounds, smaller probes");
         assert_eq!(

@@ -67,7 +67,7 @@ pub use record::{to_records, Payload, Record, MAX_PAYLOAD_BYTES};
 pub use refpoint::pbsm_refpoint_join;
 pub use sedona::sedona_like_join;
 pub use selfjoin::{brute_force_self_pairs, self_join};
-pub use spec::{JoinError, JoinOutput, JoinSpec, LocalKernel};
+pub use spec::{JoinError, JoinInput, JoinOutput, JoinSpec, LocalKernel};
 
 #[cfg(test)]
 mod empty_input_tests {

@@ -1,5 +1,5 @@
 use crate::pipeline::{cells_within_eps, join_points, native_cell, run_plan, Assign, JoinPlan};
-use crate::{JoinError, JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record};
 use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner};
 use asj_grid::{Grid, GridSpec};
 use std::time::Duration;
@@ -29,11 +29,12 @@ pub fn pbsm_join(
     cluster: &Cluster,
     spec: &JoinSpec,
     side: ReplicateSide,
-    r: Vec<Record>,
-    s: Vec<Record>,
+    r: impl Into<JoinInput>,
+    s: impl Into<JoinInput>,
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
+    let (r, s) = (r.into().partitioned(spec), s.into().partitioned(spec));
     grid_baseline_join(cluster, spec, grid, side.name(), side, r, s)
 }
 
@@ -44,11 +45,12 @@ pub fn pbsm_join(
 pub fn eps_grid_join(
     cluster: &Cluster,
     spec: &JoinSpec,
-    r: Vec<Record>,
-    s: Vec<Record>,
+    r: impl Into<JoinInput>,
+    s: impl Into<JoinInput>,
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, 1.0));
+    let (r, s) = (r.into().partitioned(spec), s.into().partitioned(spec));
     let side = if r.len() <= s.len() {
         ReplicateSide::R
     } else {
@@ -63,8 +65,8 @@ fn grid_baseline_join(
     grid: Grid,
     name: &str,
     side: ReplicateSide,
-    r: Vec<Record>,
-    s: Vec<Record>,
+    rdd_r: Dataset<Record>,
+    rdd_s: Dataset<Record>,
 ) -> Result<JoinOutput, JoinError> {
     let broadcast_bytes = grid.broadcast_bytes();
     let grid_b = cluster.broadcast(grid);
@@ -83,8 +85,6 @@ fn grid_baseline_join(
         driver: Duration::ZERO,
         sampling: ExecStats::default(),
     };
-    let rdd_r = Dataset::from_vec(r, spec.input_partitions);
-    let rdd_s = Dataset::from_vec(s, spec.input_partitions);
     run_plan(cluster, rdd_r, rdd_s, plan)
 }
 

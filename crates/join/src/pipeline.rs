@@ -1,13 +1,14 @@
-use crate::{JoinError, JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record};
 use asj_core::{AgreementPolicy, KernelKind};
 use asj_engine::{
-    ensure_remaining, Broadcast, Cluster, Dataset, ExecStats, JobMetrics, KeyedDataset,
-    Partitioner, ShuffleStats, Wire, WireError,
+    ensure_remaining, Broadcast, Cluster, Dataset, ExecStats, JobMetrics, Partitioner,
+    ShuffleStats, ShuffledDataset, StageResult, Wire, WireError,
 };
 use asj_geom::Point;
 use asj_grid::{CellCoord, Grid};
 use asj_index::{kernels, PointBatch, PointsView};
 use bytes::{Buf, BufMut};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::time::Duration;
 
@@ -88,9 +89,10 @@ impl Algorithm {
         self,
         cluster: &Cluster,
         spec: &JoinSpec,
-        r: Vec<Record>,
-        s: Vec<Record>,
+        r: impl Into<JoinInput>,
+        s: impl Into<JoinInput>,
     ) -> Result<JoinOutput, JoinError> {
+        let (r, s) = (r.into(), s.into());
         match self {
             Algorithm::Lpib => crate::adaptive_join(cluster, spec, AgreementPolicy::Lpib, r, s),
             Algorithm::Diff => crate::adaptive_join(cluster, spec, AgreementPolicy::Diff, r, s),
@@ -183,15 +185,19 @@ pub(crate) fn point_at(v: PointsView<'_>, i: usize) -> Point {
 /// Decides whether the ε-hit `(a, b)` found in `cell` is reported there.
 pub(crate) type PairFilter<'a> = dyn Fn(u64, Point, Point) -> bool + Sync + 'a;
 
+/// A shuffled partition as its reduce task fetched it: the rows of each
+/// block, in source order.
+pub(crate) type Blocks<'a, T> = [Cow<'a, [(u64, T)]>];
+
 /// A plan's partition-local join (Algorithm 5, line 9): one pair of
 /// co-located shuffled partitions in, their result pairs `(r.id, s.id)` and
 /// kernel tally out.
 pub(crate) type LocalJoin<'a, T = Record> =
-    dyn Fn(&[(u64, T)], &[(u64, T)]) -> (Vec<(u64, u64)>, KernelTally) + Sync + 'a;
+    dyn Fn(&Blocks<'_, T>, &Blocks<'_, T>) -> (Vec<(u64, u64)>, KernelTally) + Sync + 'a;
 
 /// What differs between the grid algorithms — and the extent join, whose
 /// records are shapes: everything else is [`run_plan`].
-pub(crate) struct JoinPlan<'a, T = Record> {
+pub(crate) struct JoinPlan<'a, T: Clone = Record> {
     /// Display name, as in the paper's figure legends.
     pub name: String,
     pub assign_r: &'a Assign<'a, T>,
@@ -217,7 +223,7 @@ pub(crate) fn run_plan<T>(
     plan: JoinPlan<'_, T>,
 ) -> Result<JoinOutput, JoinError>
 where
-    T: Wire + Send + Sync + Clone + 'static,
+    T: Wire + Send + Sync + Clone,
 {
     let mut construction = plan.sampling;
     let out = join_stage(
@@ -229,7 +235,9 @@ where
     )?;
     construction.accumulate(&out.shuffle_exec);
     let mut tally = KernelTally::default();
-    let mut pairs = Vec::new();
+    // Sized once, and each partition's pairs freed as they are moved: a
+    // growing `Vec` would double next to every part still alive.
+    let mut pairs = Vec::with_capacity(out.parts.iter().map(|(part, _)| part.len()).sum());
     for (part, t) in out.parts {
         tally.merge(&t);
         pairs.extend(part);
@@ -261,10 +269,10 @@ pub(crate) fn shuffle_keyed<T, V>(
     expand: impl Fn(Vec<T>) -> Vec<(u64, V)> + Sync,
     partitioner: &dyn Partitioner<u64>,
     stage: &str,
-) -> Result<(KeyedDataset<u64, V>, u64, ShuffleStats, ExecStats), JoinError>
+) -> Result<(ShuffledDataset<u64, V>, u64, ShuffleStats, ExecStats), JoinError>
 where
     T: Send + Sync + Clone,
-    V: Wire + Send + Sync + Clone + 'static,
+    V: Wire + Send + Sync + Clone,
 {
     let records = input.len() as u64;
     let (keyed, shuffle, exec) = input.shuffle_stage_by(cluster, partitioner, stage, expand)?;
@@ -292,8 +300,8 @@ pub(crate) fn join_points<'a>(
     Box::new(move |rs, ss| {
         let pos = |r: &Record| r.point;
         let rid = |r: &Record| r.id;
-        let br = PointBatch::from_keyed(rs, pos, rid);
-        let bs = PointBatch::from_keyed(ss, pos, rid);
+        let br = PointBatch::from_blocks(rs, pos, rid);
+        let bs = PointBatch::from_blocks(ss, pos, rid);
         let mut out: Vec<(u64, u64)> = Vec::new();
         let mut acc = KernelTally {
             batches: 2,
@@ -348,10 +356,11 @@ pub(crate) fn join_points<'a>(
 /// Shuffle + partition-local join: the one co-group of every two-input
 /// operator. Each side comes unshuffled with its expansion, and is shuffled
 /// by `partitioner` ([`shuffle_keyed`] as `shuffle.R`, `shuffle.S`); then
-/// `body` joins each pair of co-located partitions in the `cogroup_join`
-/// stage. Returns every partition's `(records, accumulator)` in partition
-/// order, each side's replicas, the combined shuffle stats, and the exec
-/// stats of the shuffle and join stages.
+/// each `cogroup_join` task fetches its pair of co-located partitions — the
+/// shuffle's blocks, read in place, spilled ones from disk — and `body`
+/// joins them. Returns every partition's `(records, accumulator)` in
+/// partition order, each side's replicas, the combined shuffle stats, and
+/// the exec stats of the shuffle and join stages.
 ///
 /// Per-partition accumulators are committed with the task output: shared
 /// atomics would be double-counted by retried or speculatively re-executed
@@ -361,13 +370,13 @@ pub(crate) fn join_stage<TA, TB, A, B, O, Acc>(
     (input_r, expand_r): (Dataset<TA>, impl Fn(Vec<TA>) -> Vec<(u64, A)> + Sync),
     (input_s, expand_s): (Dataset<TB>, impl Fn(Vec<TB>) -> Vec<(u64, B)> + Sync),
     partitioner: &dyn Partitioner<u64>,
-    body: impl Fn(&[(u64, A)], &[(u64, B)]) -> (Vec<O>, Acc) + Sync,
+    body: impl Fn(&Blocks<'_, A>, &Blocks<'_, B>) -> (Vec<O>, Acc) + Sync,
 ) -> Result<JoinStageOutput<O, Acc>, JoinError>
 where
     TA: Send + Sync + Clone,
     TB: Send + Sync + Clone,
-    A: Wire + Send + Sync + Clone + 'static,
-    B: Wire + Send + Sync + Clone + 'static,
+    A: Wire + Send + Sync + Clone,
+    B: Wire + Send + Sync + Clone,
     O: Wire + Send + Sync,
     Acc: Wire + Send + Sync,
 {
@@ -383,28 +392,8 @@ where
             *attrs = attrs.records(shuffle.records).bytes(shuffle.total_bytes());
             Ok::<_, JoinError>((keyed_r, keyed_s, [rep_r, rep_s], shuffle, shuffle_exec))
         })?;
-    // `run_stage_checkpointed`: with a checkpoint store attached the
-    // per-partition outputs are persisted after the stage and replayed on
-    // recovery, so a recovered server skips the join phase — the ε-grid's
-    // memory-pressure peak — entirely, not just the shuffles.
-    //
-    // The tasks only read their partitions, so they borrow them and this
-    // thread frees both sides once the stage is over, failed or not. A task
-    // that owns its partitions frees them on its worker: with
-    // payload-carrying records that is one `free` per record into the arenas
-    // of the few threads that allocated them, and concurrent workers queue on
-    // those arena locks — the stage gets no faster with more threads and its
-    // length depends on how they interleave. A retried or speculative attempt
-    // also copies two references, not the records.
     let (parts, join_exec) = recorder.phase("local_join", || {
-        let tasks: Vec<_> = keyed_r
-            .partitions()
-            .iter()
-            .zip(keyed_s.partitions())
-            .collect();
-        let out = cluster.run_stage_checkpointed("cogroup_join", tasks, |_, (a, b)| body(a, b));
-        drop((keyed_r, keyed_s));
-        out
+        cogroup_join(cluster, keyed_r, keyed_s, body)
     })?;
     Ok(JoinStageOutput {
         parts,
@@ -415,13 +404,49 @@ where
     })
 }
 
+/// The `cogroup_join` stage of [`join_stage`]: each task fetches its pair of
+/// co-located shuffled partitions, and `body` joins them.
+///
+/// `run_stage_checkpointed`: with a checkpoint store attached the
+/// per-partition outputs are persisted after the stage and replayed on
+/// recovery, so a recovered server skips the join phase — the ε-grid's
+/// memory-pressure peak — entirely, not just the shuffles.
+///
+/// The tasks only read their partitions' blocks, so a retried or speculative
+/// attempt copies two references and reads the blocks again, and an
+/// unreadable spill chunk fails the attempt with a retriable error. This
+/// thread drops both sides once the stage is over, failed or not: every
+/// bucket in one sweep (a payload record's drop is a refcount decrement),
+/// every spill segment's file with its last block.
+fn cogroup_join<A, B, O, Acc>(
+    cluster: &Cluster,
+    keyed_r: ShuffledDataset<u64, A>,
+    keyed_s: ShuffledDataset<u64, B>,
+    body: impl Fn(&Blocks<'_, A>, &Blocks<'_, B>) -> (Vec<O>, Acc) + Sync,
+) -> StageResult<(Vec<O>, Acc)>
+where
+    A: Wire + Send + Sync + Clone,
+    B: Wire + Send + Sync + Clone,
+    O: Wire + Send + Sync,
+    Acc: Wire + Send + Sync,
+{
+    let tasks: Vec<_> = keyed_r
+        .partitions()
+        .iter()
+        .zip(keyed_s.partitions())
+        .collect();
+    cluster.run_stage_checkpointed("cogroup_join", tasks, |_, (a, b)| {
+        Ok(body(&a.fetch()?, &b.fetch()?))
+    })
+}
+
 /// The record-at-a-time co-group: for every key present on both sides of a
-/// pair of co-located partitions, in ascending key order, `f` receives the
-/// key and its two value groups, each in partition order. The partitions are
-/// only borrowed.
+/// pair of co-located partitions, each given as its blocks, in ascending key
+/// order, `f` receives the key and its two value groups, each in partition
+/// order. The partitions are only borrowed.
 pub(crate) fn for_each_cogroup<A, B>(
-    a: &[(u64, A)],
-    b: &[(u64, B)],
+    a: &[impl AsRef<[(u64, A)]>],
+    b: &[impl AsRef<[(u64, B)]>],
     mut f: impl FnMut(u64, &[&A], &[&B]),
 ) {
     let ((ka, va), (kb, vb)) = (by_key(a), by_key(b));
@@ -443,8 +468,8 @@ pub(crate) fn for_each_cogroup<A, B>(
 
 /// A partition's keys in ascending order, and its values in the same order
 /// (records of one key keep their partition order).
-fn by_key<V>(part: &[(u64, V)]) -> (Vec<u64>, Vec<&V>) {
-    let mut order: Vec<&(u64, V)> = part.iter().collect();
+fn by_key<V>(blocks: &[impl AsRef<[(u64, V)]>]) -> (Vec<u64>, Vec<&V>) {
+    let mut order: Vec<&(u64, V)> = blocks.iter().flat_map(AsRef::as_ref).collect();
     order.sort_by_key(|&&(k, _)| k);
     order.into_iter().map(|(k, v)| (*k, v)).unzip()
 }
@@ -598,6 +623,7 @@ mod tests {
             shuffle_keyed(&c, ds, expansion(assign), &hash, "shuffle").expect("join runs");
         assert_eq!(replicas, 2);
         assert_eq!((keyed.len(), shuffle.records), (5, 5));
+        let keyed = keyed.into_rows().expect("in-memory blocks");
         assert_eq!(recorder.counter_value("shuffle", "replicas"), Some(2));
         assert!(recorder.counter_value("shuffle", "assign_ns").is_some());
         // Each record lands in its own cell and in its replica's.
@@ -646,10 +672,54 @@ mod tests {
         assert_eq!(candidates, 1, "sweep window must prune");
     }
 
+    /// A spill segment cut short after the shuffle wrote it, before the join
+    /// read it: every attempt of the reading task fails with a typed spill
+    /// error, and the join returns a `JobError` instead of unwinding.
+    #[test]
+    fn a_truncated_spill_segment_fails_the_join_with_a_typed_error() {
+        use asj_engine::{Block, RetryPolicy, TaskError};
+        let spec = JoinSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), 1.0);
+        let pts: Vec<Point> = (0..40).map(|i| Point::new(i as f64 / 4.0, 5.0)).collect();
+        let native: &Assign = &|rec, cells, _| cells.push(rec.point.x as u64);
+        let hash = HashPartitioner::new(4);
+        for retry in [None, Some(RetryPolicy::default().with_max_attempts(3))] {
+            // A one-byte budget spills every target.
+            let mut c = Cluster::new(ClusterConfig::with_threads(2, 1)).with_memory_budget(1);
+            if let Some(policy) = retry {
+                c = c.with_retry_policy(policy);
+            }
+            let shuffle = |stage| {
+                let input = Dataset::from_vec(crate::to_records(&pts, 8), 2);
+                let (keyed, ..) = shuffle_keyed(&c, input, expansion(native), &hash, stage)
+                    .expect("shuffle runs");
+                keyed
+            };
+            let (keyed_r, keyed_s) = (shuffle("shuffle.R"), shuffle("shuffle.S"));
+            let first = keyed_r
+                .partitions()
+                .iter()
+                .flat_map(|part| part.blocks())
+                .next();
+            let Some(Block::Spilled { segment, .. }) = first else {
+                panic!("a one-byte budget keeps no block in memory");
+            };
+            let file = std::fs::File::options()
+                .write(true)
+                .open(segment.path())
+                .expect("open");
+            file.set_len(segment.total_bytes() / 2).expect("truncate");
+            let body = join_points(&c, &spec, None);
+            let err = cogroup_join(&c, keyed_r, keyed_s, body).expect_err("a short read fails");
+            assert_eq!(err.stage, "cogroup_join");
+            assert_eq!(err.attempts, retry.map_or(1, |p| p.max_attempts));
+            assert!(matches!(err.error, TaskError::Spill(_)), "{err}");
+        }
+    }
+
     /// All (key, a, b) rows of `for_each_cogroup` over one partition pair.
     fn cogroup_rows(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64, u64)> {
         let mut rows = Vec::new();
-        for_each_cogroup(a, b, |k, va, vb| {
+        for_each_cogroup(&[a], &[b], |k, va, vb| {
             for &&x in va {
                 rows.extend(vb.iter().map(|&&y| (k, x, y)));
             }

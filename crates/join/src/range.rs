@@ -1,6 +1,6 @@
 use crate::pipeline::{expansion, native_cell, shuffle_keyed};
-use crate::{JoinError, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, ShuffleStats};
+use crate::{JoinError, JoinInput, JoinSpec, Record};
+use asj_engine::{Cluster, ExecStats, HashPartitioner, ShuffleStats};
 use asj_geom::{Point, Rect};
 use asj_grid::{Grid, GridSpec};
 
@@ -18,10 +18,14 @@ pub struct PartitionedPoints {
 impl PartitionedPoints {
     /// Shuffles `data` by native grid cell (unique assignment — range
     /// queries need no replication).
-    pub fn build(cluster: &Cluster, spec: &JoinSpec, data: Vec<Record>) -> Result<Self, JoinError> {
+    pub fn build(
+        cluster: &Cluster,
+        spec: &JoinSpec,
+        data: impl Into<JoinInput>,
+    ) -> Result<Self, JoinError> {
         spec.validate()?;
         let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
-        let rdd = Dataset::from_vec(data, spec.input_partitions);
+        let rdd = data.into().partitioned(spec);
         let assign = native_cell(cluster.broadcast(grid.clone()));
         let partitioner = HashPartitioner::new(spec.num_partitions);
         let expand = expansion(&assign);
@@ -29,7 +33,7 @@ impl PartitionedPoints {
             shuffle_keyed(cluster, rdd, expand, &partitioner, "shuffle")?;
         Ok(PartitionedPoints {
             grid,
-            parts: keyed.into_partitions(),
+            parts: keyed.into_rows()?.into_partitions(),
             build_shuffle: shuffle,
             build_exec: exec,
         })

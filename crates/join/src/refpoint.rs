@@ -1,6 +1,6 @@
 use crate::pipeline::{cells_within_eps, join_points, midpoint_in_cell, run_plan, JoinPlan};
-use crate::{JoinError, JoinOutput, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec};
+use asj_engine::{Cluster, ExecStats, HashPartitioner};
 use asj_grid::{Grid, GridSpec};
 use std::time::Duration;
 
@@ -19,8 +19,8 @@ use std::time::Duration;
 pub fn pbsm_refpoint_join(
     cluster: &Cluster,
     spec: &JoinSpec,
-    r: Vec<Record>,
-    s: Vec<Record>,
+    r: impl Into<JoinInput>,
+    s: impl Into<JoinInput>,
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
@@ -38,15 +38,18 @@ pub fn pbsm_refpoint_join(
         driver: Duration::ZERO,
         sampling: ExecStats::default(),
     };
-    let rdd_r = Dataset::from_vec(r, spec.input_partitions);
-    let rdd_s = Dataset::from_vec(s, spec.input_partitions);
-    run_plan(cluster, rdd_r, rdd_s, plan)
+    run_plan(
+        cluster,
+        r.into().partitioned(spec),
+        s.into().partitioned(spec),
+        plan,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pbsm_join, to_records, ReplicateSide};
+    use crate::{pbsm_join, to_records, Record, ReplicateSide};
     use asj_engine::ClusterConfig;
     use asj_geom::{Point, Rect};
     use rand::rngs::StdRng;

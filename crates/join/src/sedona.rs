@@ -1,6 +1,6 @@
 use crate::pipeline::{join_points, run_plan, Assign, JoinPlan};
-use crate::{JoinError, JoinOutput, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, Partitioner};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record};
+use asj_engine::{Cluster, Partitioner};
 use asj_geom::Point;
 use asj_grid::CellCoord;
 use asj_index::QuadTreePartitioner;
@@ -24,13 +24,12 @@ use std::time::Instant;
 pub fn sedona_like_join(
     cluster: &Cluster,
     spec: &JoinSpec,
-    r: Vec<Record>,
-    s: Vec<Record>,
+    r: impl Into<JoinInput>,
+    s: impl Into<JoinInput>,
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
-    let r_is_small = r.len() <= s.len();
-    let rdd_r = Dataset::from_vec(r, spec.input_partitions);
-    let rdd_s = Dataset::from_vec(s, spec.input_partitions);
+    let (rdd_r, rdd_s) = (r.into().partitioned(spec), s.into().partitioned(spec));
+    let r_is_small = rdd_r.len() <= rdd_s.len();
 
     // Sample the smaller set and build the QuadTree partitioner on the
     // driver.

@@ -1,6 +1,6 @@
 use crate::pipeline::{cells_within_eps, expansion, midpoint_in_cell, point_at, shuffle_keyed};
-use crate::{JoinError, JoinOutput, JoinSpec, Record};
-use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record};
+use asj_engine::{Cluster, HashPartitioner, JobMetrics};
 use asj_grid::{Grid, GridSpec};
 use asj_index::{kernels, PointBatch};
 
@@ -16,12 +16,12 @@ use asj_index::{kernels, PointBatch};
 pub fn self_join(
     cluster: &Cluster,
     spec: &JoinSpec,
-    input: Vec<Record>,
+    input: impl Into<JoinInput>,
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let broadcast_bytes = grid.broadcast_bytes();
-    let rdd = Dataset::from_vec(input, spec.input_partitions);
+    let rdd = input.into().partitioned(spec);
 
     let grid_b = cluster.broadcast(grid);
     let assign = cells_within_eps(grid_b.clone());
@@ -30,6 +30,7 @@ pub fn self_join(
     let (keyed, replicas, shuffle, construction) = cluster.recorder().phase("shuffle", || {
         shuffle_keyed(cluster, rdd, expand, &partitioner, "shuffle")
     })?;
+    let keyed = keyed.into_rows()?;
 
     let eps = spec.eps;
     let collect = spec.collect_pairs;
@@ -61,11 +62,15 @@ pub fn self_join(
     })?;
     drop(keyed);
 
+    let result_count = folded.iter().map(|(_, _, r)| r).sum();
+    let candidates = folded.iter().map(|(_, c, _)| c).sum();
+    let mut pairs = Vec::with_capacity(folded.iter().map(|(out, _, _)| out.len()).sum());
+    folded.into_iter().for_each(|(out, _, _)| pairs.extend(out));
     Ok(JoinOutput {
         algorithm: "self-join".to_string(),
-        pairs: folded.iter().flat_map(|(out, _, _)| out).copied().collect(),
-        result_count: folded.iter().map(|(_, _, r)| r).sum(),
-        candidates: folded.iter().map(|(_, c, _)| c).sum(),
+        pairs,
+        result_count,
+        candidates,
         replicated: [replicas, 0],
         metrics: JobMetrics {
             shuffle,

@@ -1,4 +1,5 @@
-use asj_engine::{JobError, JobMetrics, Placement};
+use crate::Record;
+use asj_engine::{Dataset, JobError, JobMetrics, Placement};
 use asj_geom::Rect;
 
 /// Partition-local join kernel (ablation A1 in DESIGN.md). Re-exported from
@@ -37,13 +38,17 @@ pub struct JoinSpec {
 }
 
 impl JoinSpec {
+    /// The default [`JoinSpec::input_partitions`]: how many partitions an
+    /// input is read into when it comes from a file.
+    pub const INPUT_PARTITIONS: usize = 16;
+
     pub fn new(bbox: Rect, eps: f64) -> Self {
         JoinSpec {
             bbox,
             eps,
             grid_factor: 2.0,
             num_partitions: 96,
-            input_partitions: 16,
+            input_partitions: JoinSpec::INPUT_PARTITIONS,
             sample_fraction: 0.03,
             placement: Placement::Hash,
             seed: 0xA5A5_5EED,
@@ -118,6 +123,39 @@ impl JoinSpec {
             );
         }
         Ok(())
+    }
+}
+
+/// One input of a join: records, which the join cuts into
+/// [`JoinSpec::input_partitions`] input partitions, or input partitions as
+/// they were read — e.g. straight from a file by
+/// `asj_data::read_points_csv_partitions`, so that no row is copied.
+#[derive(Debug, Clone)]
+pub enum JoinInput<T = Record> {
+    Records(Vec<T>),
+    Partitions(Dataset<T>),
+}
+
+impl<T> From<Vec<T>> for JoinInput<T> {
+    fn from(records: Vec<T>) -> Self {
+        JoinInput::Records(records)
+    }
+}
+
+impl<T> From<Dataset<T>> for JoinInput<T> {
+    fn from(partitions: Dataset<T>) -> Self {
+        JoinInput::Partitions(partitions)
+    }
+}
+
+impl<T: Send + Sync + Clone> JoinInput<T> {
+    /// The input's partitions: records cut into `spec.input_partitions`
+    /// chunks, partitions as they are. Call after [`JoinSpec::validate`].
+    pub(crate) fn partitioned(self, spec: &JoinSpec) -> Dataset<T> {
+        match self {
+            JoinInput::Records(records) => Dataset::from_vec(records, spec.input_partitions),
+            JoinInput::Partitions(partitions) => partitions,
+        }
     }
 }
 

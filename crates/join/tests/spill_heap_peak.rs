@@ -1,0 +1,105 @@
+//! Spilled shuffle blocks stay on disk until the task that joins them reads
+//! them: with a budget that spills every target, a join's heap high-water
+//! mark is below the unbudgeted run's by at least half the shuffled rows'
+//! in-memory size, and itself below that half. This lives in its own
+//! integration-test binary so the counting global allocator only ever
+//! observes this one test.
+
+use asj_core::AgreementPolicy;
+use asj_engine::{Cluster, ClusterConfig, Dataset};
+use asj_geom::{Point, Rect};
+use asj_join::{adaptive_join, to_records, JoinSpec, Record};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct PeakAlloc;
+
+impl PeakAlloc {
+    fn grew(by: usize) {
+        let live = LIVE.fetch_add(by, Ordering::SeqCst) + by;
+        PEAK.fetch_max(live, Ordering::SeqCst);
+    }
+}
+
+// SAFETY: delegates entirely to the system allocator; the counters are
+// side-effect-free atomics.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        PeakAlloc::grew(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        PeakAlloc::grew(new_size);
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
+        moved
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PeakAlloc = PeakAlloc;
+
+/// `n` pseudo-random points of the 10 × 10 square.
+fn points(n: usize, salt: u64) -> Vec<Point> {
+    let mut state = salt;
+    let mut unit = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..n)
+        .map(|_| Point::new(10.0 * unit(), 10.0 * unit()))
+        .collect()
+}
+
+/// The heap high-water mark of one join of `r` and `s`, as input partitions
+/// the way the CLI reads them, above what was live before it; and the rows
+/// it shuffled.
+fn heap_peak(cluster: &Cluster, spec: &JoinSpec, r: &[Record], s: &[Record]) -> (usize, u64) {
+    let partitions =
+        |records: &[Record]| Dataset::from_vec(records.to_vec(), spec.input_partitions);
+    let (r, s) = (partitions(r), partitions(s));
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let out = adaptive_join(cluster, spec, AgreementPolicy::Lpib, r, s).expect("join runs");
+    (
+        PEAK.load(Ordering::SeqCst) - before,
+        out.metrics.shuffle.records,
+    )
+}
+
+#[test]
+fn spilling_every_target_keeps_the_shuffled_rows_off_the_heap() {
+    // Calibrated once per process: warm it so neither run pays for it.
+    asj_index::kernels::calibrate_cost_model();
+    let spec = JoinSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), 0.2)
+        .with_partitions(32)
+        .counting_only();
+    let (r, s) = (
+        to_records(&points(50_000, 1), 0),
+        to_records(&points(50_000, 2), 0),
+    );
+    let one_thread = || Cluster::new(ClusterConfig::with_threads(4, 1));
+
+    let (free, rows) = heap_peak(&one_thread(), &spec, &r, &s);
+    let (spilled, spilled_rows) = heap_peak(&one_thread().with_memory_budget(1), &spec, &r, &s);
+    assert_eq!(rows, spilled_rows);
+    let row_bytes = rows as usize * std::mem::size_of::<(u64, Record)>();
+    let peaks = format!(
+        "heap peak {spilled} B spilled vs {free} B in memory: {rows} shuffled rows are {row_bytes} B"
+    );
+    assert!(spilled + row_bytes / 2 <= free, "{peaks}");
+    // A driver that materialised every partition, re-reading each spilled
+    // chunk, would hold all the rows at once however little stayed in memory.
+    assert!(spilled <= row_bytes / 2, "{peaks}");
+}

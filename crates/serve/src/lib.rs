@@ -3,7 +3,7 @@
 //! the queue under a scheduling policy and report per-tenant observables.
 //!
 //! The engine crate owns the mechanism (lockstep fair-share scheduling,
-//! per-job obs lanes, fault/pool/memory isolation — `asj_engine::jobs`);
+//! per-job obs lanes, fault/memory isolation — `asj_engine::jobs`);
 //! this crate owns the *driver surface*: what a tenant IS (an ε-join over
 //! generated inputs), how its memory footprint is estimated before any task
 //! runs, and how a multi-tenant run is checked against solo runs.

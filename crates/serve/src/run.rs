@@ -308,7 +308,7 @@ pub fn calibrated_model_for(tenant: &TenantSpec) -> WorkingSetModel {
 }
 
 /// The isolation oracle: runs `tenant` alone on a FRESH cluster of the same
-/// shape (own accountant, own buffer pool, no gate) and returns the outcome
+/// shape (own accountant, no gate) and returns the outcome
 /// a multi-tenant run must reproduce byte-identically.
 pub fn solo_outcome(cluster: &Cluster, tenant: &TenantSpec) -> Result<TenantOutcome, String> {
     let mut solo = Cluster::new(cluster.config());
@@ -675,7 +675,6 @@ mod tests {
                 checksum: 0xDEAD_BEEF,
             }),
             stats: Default::default(),
-            pool: Default::default(),
             stages: 4,
             quanta: 5,
             admitted_at: Duration::ZERO,

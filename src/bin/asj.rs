@@ -10,12 +10,12 @@
 //! Input/output files use the paper's raw text format: `id,x,y` per line.
 
 use adaptive_spatial_join::data::{
-    read_points_csv_with, write_points_csv, DatasetSpec, GenKind, PAPER_BBOX,
+    read_points_csv_partitions, write_points_csv, DatasetSpec, GenKind, PAPER_BBOX,
 };
 use adaptive_spatial_join::engine::{
-    clean_orphaned_spills, set_spill_dir, Attrs, Journal, Lane, SchedPolicy,
+    clean_orphaned_spills, set_spill_dir, Attrs, Dataset, Journal, Lane, SchedPolicy,
 };
-use adaptive_spatial_join::geom::{Point, Rect};
+use adaptive_spatial_join::geom::Rect;
 use adaptive_spatial_join::join::{
     knn_join, self_join, Algorithm, JoinError, JoinOutput, JoinSpec, LocalKernel,
     PartitionedPoints, Record,
@@ -165,7 +165,7 @@ process's resident-set high-water mark.
 weight kernel partitions grid-factor payload faults fault-seed max-attempts
 estimate). Admission control rejects tenants whose estimated working set
 exceeds the per-node --memory-budget; admitted tenants interleave under the
---policy with isolated fault, pool and obs state. --verify re-runs every
+--policy with isolated fault and obs state. --verify re-runs every
 tenant solo and fails unless results are byte-identical.
 
 --journal FILE appends a crash-consistent record of every admission, grant
@@ -319,15 +319,26 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn load_records(path: &str) -> Result<Vec<Record>, CliError> {
-    read_points_csv_with(std::path::Path::new(path), Record::new)
-        .map_err(|e| CliError::runtime(format!("reading {path}: {e}")))
+/// Reads `path` straight into the input partitions a join runs on.
+fn load_records(path: &str) -> Result<Dataset<Record>, CliError> {
+    read_points_csv_partitions(
+        std::path::Path::new(path),
+        JoinSpec::INPUT_PARTITIONS,
+        Record::new,
+    )
+    .map(Dataset::from_partitions)
+    .map_err(|e| CliError::runtime(format!("reading {path}: {e}")))
 }
 
-fn bbox_of(points: impl Iterator<Item = Point>) -> Rect {
+/// Every record of `input`, partition by partition.
+fn records(input: &Dataset<Record>) -> impl Iterator<Item = &Record> {
+    input.partitions().iter().flatten()
+}
+
+fn bbox_of<'a>(records: impl Iterator<Item = &'a Record>) -> Rect {
     let mut bbox = Rect::empty();
-    for p in points {
-        bbox.extend(p);
+    for rec in records {
+        bbox.extend(rec.point);
     }
     bbox
 }
@@ -634,7 +645,7 @@ fn cmd_join(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let s = load_records(required(flags, "s")?)?;
     let ingest = ingest.elapsed();
     let algo = Algorithm::from_token(flags.get("algo").map_or("lpib", String::as_str))?;
-    let bbox = bbox_of(r.iter().chain(&s).map(|rec| rec.point));
+    let bbox = bbox_of(records(&r).chain(records(&s)));
     if bbox.is_empty() {
         return Err("inputs contain no points".into());
     }
@@ -651,7 +662,7 @@ fn cmd_self_join(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let ingest = Instant::now();
     let input = load_records(required(flags, "input")?)?;
     let ingest = ingest.elapsed();
-    let bbox = bbox_of(input.iter().map(|rec| rec.point));
+    let bbox = bbox_of(records(&input));
     if bbox.is_empty() {
         return Err("input contains no points".into());
     }
@@ -668,7 +679,7 @@ fn cmd_knn(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let r = load_records(required(flags, "r")?)?;
     let s = load_records(required(flags, "s")?)?;
     let k: usize = parse(required(flags, "k")?, "--k")?;
-    let bbox = bbox_of(r.iter().chain(&s).map(|rec| rec.point));
+    let bbox = bbox_of(records(&r).chain(records(&s)));
     if bbox.is_empty() {
         return Err("inputs contain no points".into());
     }
@@ -707,7 +718,7 @@ fn cmd_range(flags: &HashMap<String, String>) -> Result<(), CliError> {
         nums[0].max(nums[2]),
         nums[1].max(nums[3]),
     );
-    let bbox = bbox_of(input.iter().map(|rec| rec.point));
+    let bbox = bbox_of(records(&input));
     if bbox.is_empty() {
         return Err("input contains no points".into());
     }
@@ -738,9 +749,9 @@ fn cmd_heatmap(flags: &HashMap<String, String>) -> Result<(), CliError> {
     if width == 0 || height == 0 {
         return Err("--width/--height must be positive".into());
     }
-    let bbox = bbox_of(input.iter().map(|rec| rec.point));
+    let bbox = bbox_of(records(&input));
     let mut counts = vec![0u64; width * height];
-    for rec in &input {
+    for rec in records(&input) {
         let cx = (((rec.point.x - bbox.min_x) / bbox.width().max(1e-12) * width as f64) as usize)
             .min(width - 1);
         let cy = (((rec.point.y - bbox.min_y) / bbox.height().max(1e-12) * height as f64) as usize)

@@ -62,8 +62,8 @@ pub mod prelude {
     pub use asj_core::{AgreementGraph, AgreementPolicy, GridSample};
     pub use asj_data::{Catalog, DatasetSpec, TupleSizeFactor};
     pub use asj_engine::{
-        BufferPool, Cluster, ClusterConfig, ExecStats, FaultPlan, JobError, JobMetrics, Placement,
-        Recorder, RetryPolicy, Trace, TraceFormat,
+        Cluster, ClusterConfig, ExecStats, FaultPlan, JobError, JobMetrics, Placement, Recorder,
+        RetryPolicy, Trace, TraceFormat,
     };
     pub use asj_geom::{Point, Rect};
     pub use asj_grid::{Grid, GridSpec};

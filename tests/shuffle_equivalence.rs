@@ -1,14 +1,16 @@
-//! Property tests: the shuffle (pooled radix buckets, single-pass metering)
-//! is observably identical to a sequential reference partitioner — same
-//! partition contents in the same order, same per-node and per-partition
-//! byte accounting — for arbitrary keyed datasets, every partitioner family,
-//! and under seeded fault injection (retries must not double-fill pooled
-//! buffers). The fused shuffle, which keys its input inside the map tasks,
-//! is held to the same contract against expand-then-shuffle.
+//! Property tests: the shuffle (radix buckets, single-pass metering) is
+//! observably identical to a sequential reference partitioner — same
+//! partition contents in the same order, whether a reduce task reads its
+//! blocks in place or the partition is materialised, same per-node and
+//! per-partition byte accounting — for arbitrary keyed datasets, every
+//! partitioner family, and under seeded fault injection (a retried
+//! attempt's buckets must not leak into the output). The fused shuffle,
+//! which keys its input inside the map tasks, is held to the same contract
+//! against expand-then-shuffle.
 
 use adaptive_spatial_join::engine::{
     Cluster, ClusterConfig, Dataset, ExplicitPartitioner, FaultPlan, HashPartitioner, KeyedDataset,
-    Partitioner, RetryPolicy, RoundRobinPartitioner, ShuffleStats, Wire,
+    Partitioner, RetryPolicy, RoundRobinPartitioner, ShuffleStats, ShuffledDataset, Wire,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -106,7 +108,26 @@ fn run_shuffle(
     let (ds, stats, _) = KeyedDataset::from_partitions(parts)
         .shuffle_stage(cluster, p, "shuffle")
         .expect("shuffle runs");
-    (ds.into_partitions(), stats)
+    (rows(ds), stats)
+}
+
+/// A shuffle's partitions, read in place the way a reduce task reads them —
+/// which must give exactly the materialised rows, in the same order.
+fn rows(shuffled: ShuffledDataset<u64, (u64, Vec<u8>)>) -> Vec<Vec<Rec>> {
+    let in_place: Vec<Vec<Rec>> = shuffled
+        .partitions()
+        .iter()
+        .map(|part| part.fetch().expect("blocks read back").concat())
+        .collect();
+    let rows = shuffled
+        .into_rows()
+        .expect("blocks read back")
+        .into_partitions();
+    assert_eq!(
+        in_place, rows,
+        "blocks read in place differ from the materialised rows"
+    );
+    rows
 }
 
 /// What a shuffle on `nodes` simulated nodes must produce, computed with none
@@ -165,10 +186,10 @@ proptest! {
         prop_assert_eq!(parts_e, parts_r);
     }
 
-    /// A warm pool changes nothing: shuffling twice on the same cluster
-    /// (second run served from recycled buckets) matches a cold cluster.
+    /// A warm cluster changes nothing: shuffling twice on the same cluster
+    /// matches a cold cluster.
     #[test]
-    fn warm_pool_is_invisible(
+    fn a_warm_cluster_is_invisible(
         recs in records(32),
         sources in 1usize..5,
         targets in 1usize..17,
@@ -187,8 +208,8 @@ proptest! {
     }
 
     /// Fault injection on the shuffle stage (seeded, with retries) leaves
-    /// the output identical to the reference: a failed attempt's pooled
-    /// buffers are dropped, never re-filled.
+    /// the output identical to the reference: a failed attempt's buckets are
+    /// dropped, never re-filled.
     #[test]
     fn shuffle_survives_injected_faults(
         recs in records(48),
@@ -247,6 +268,6 @@ proptest! {
         let plain = Cluster::new(ClusterConfig::with_threads(nodes, 2));
         let (parts_r, stats_r) = run_shuffle(&plain, keyed, p.as_dyn());
         prop_assert_eq!(stats_f, stats_r);
-        prop_assert_eq!(fused.into_partitions(), parts_r);
+        prop_assert_eq!(rows(fused), parts_r);
     }
 }

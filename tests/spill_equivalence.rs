@@ -6,10 +6,13 @@
 //! Alongside, the `partition_bytes` histogram is pinned to ground truth: each
 //! entry equals the summed encoded size of the records that actually landed
 //! in that partition, for every algorithm and under seeded fault retries.
+//! Spilled blocks stay on disk until read: a reduce task that reads its
+//! partition's blocks in place sees exactly the rows materialising the
+//! partition gives, in the same order.
 
 use adaptive_spatial_join::engine::{
-    Cluster, ClusterConfig, FaultPlan, HashPartitioner, KeyedDataset, RetryPolicy, ShuffleStats,
-    Wire,
+    Block, Cluster, ClusterConfig, FaultPlan, HashPartitioner, KeyedDataset, RetryPolicy,
+    ShuffleStats, ShuffledDataset, Wire,
 };
 use adaptive_spatial_join::join::{to_records, Algorithm, JoinSpec, Record};
 use adaptive_spatial_join::prelude::*;
@@ -38,6 +41,23 @@ fn into_partitions(recs: Vec<Rec>, parts: usize) -> Vec<Vec<Rec>> {
         out[i % parts].push(r);
     }
     out
+}
+
+/// The shuffle's partitions, checked two ways: each read in place as its
+/// reduce task reads it (`fetch`, spilled blocks decoded from disk) equals
+/// the materialised partition (`into_rows`), element order included.
+fn rows(shuffled: ShuffledDataset<u64, (u64, Vec<u8>)>) -> Result<Vec<Vec<Rec>>, TestCaseError> {
+    let in_place: Vec<Vec<Rec>> = shuffled
+        .partitions()
+        .iter()
+        .map(|part| part.fetch().expect("blocks read back").concat())
+        .collect();
+    let rows = shuffled
+        .into_rows()
+        .expect("blocks read back")
+        .into_partitions();
+    prop_assert_eq!(&in_place, &rows);
+    Ok(rows)
 }
 
 /// Ground truth for one shuffled partition: the summed wire size of the
@@ -76,11 +96,7 @@ proptest! {
             .with_memory_budget(budget);
         let (dt, st, et) = KeyedDataset::from_partitions(parts).shuffle_stage(&tight, &p, "shuffle").expect("shuffle runs");
         prop_assert_eq!(&st, &sf, "ShuffleStats are spill-agnostic");
-        prop_assert_eq!(
-            dt.into_partitions(),
-            df.into_partitions(),
-            "spilling must not change results"
-        );
+        prop_assert_eq!(rows(dt)?, rows(df)?, "spilling must not change results");
         prop_assert!(
             et.peak_memory_bytes <= budget,
             "peak {} exceeds budget {}", et.peak_memory_bytes, budget
@@ -129,7 +145,7 @@ proptest! {
             .with_fault_policy(plan, RetryPolicy::default().with_max_attempts(8));
         let (df, sf, ex) = KeyedDataset::from_partitions(parts).shuffle_stage(&faulty, &p, "shuffle").expect("shuffle runs");
         prop_assert_eq!(sf, sc);
-        prop_assert_eq!(df.into_partitions(), dc.into_partitions());
+        prop_assert_eq!(rows(df)?, rows(dc)?);
         prop_assert!(ex.peak_memory_bytes <= budget);
         for node in 0..nodes {
             prop_assert_eq!(
@@ -163,7 +179,7 @@ proptest! {
             cluster = cluster.with_memory_budget(64);
         }
         let (ds, stats, _) = KeyedDataset::from_partitions(parts).shuffle_stage(&cluster, &p, "shuffle").expect("shuffle runs");
-        let shuffled = ds.into_partitions();
+        let shuffled = rows(ds)?;
         prop_assert_eq!(shuffled.len(), targets);
         prop_assert_eq!(stats.partition_bytes.len(), targets);
         for (t, part) in shuffled.iter().enumerate() {
@@ -178,6 +194,48 @@ proptest! {
             stats.total_bytes(),
             "histogram sums to the total shuffle volume"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Blocks stay where the map tasks wrote them, in memory or spilled, and
+    /// reading them in place is invisible: under budgets down to one byte
+    /// (everything spills) and seeded `p=` / `oom:` plans, every partition
+    /// read in place equals the unbudgeted, undisturbed run's rows.
+    #[test]
+    fn blocks_read_in_place_equal_materialised_rows(
+        recs in records(64),
+        sources in 1usize..7,
+        targets in 1usize..25,
+        nodes in 1usize..6,
+        // 0 means unbudgeted.
+        budget in prop_oneof![Just(0u64), Just(1u64), 2u64..2048],
+        seed in any::<u64>(),
+        oom_task in 0usize..6,
+    ) {
+        let parts = into_partitions(recs, sources);
+        let p = HashPartitioner::new(targets);
+        let free = Cluster::new(ClusterConfig::with_threads(nodes, 2));
+        let (df, sf, _) = KeyedDataset::from_partitions(parts.clone()).shuffle_stage(&free, &p, "shuffle").expect("shuffle runs");
+        let plan = FaultPlan::parse(&format!("p=0.1,oom:shuffle:{}@1", oom_task % sources), seed).expect("plan parses");
+        let mut tight = Cluster::new(ClusterConfig::with_threads(nodes, 2))
+            .with_fault_policy(plan, RetryPolicy::default().with_max_attempts(8));
+        if budget > 0 {
+            tight = tight.with_memory_budget(budget);
+        }
+        let (dt, st, et) = KeyedDataset::from_partitions(parts).shuffle_stage(&tight, &p, "shuffle").expect("shuffle runs");
+        prop_assert_eq!(&st, &sf);
+        let spilled = dt.partitions().iter().flat_map(|part| part.blocks()).filter(|b| matches!(b, Block::Spilled { .. })).count();
+        prop_assert_eq!(spilled > 0, et.spilled_bytes > 0, "spilled blocks are what went to disk");
+        if budget == 1 {
+            prop_assert!(
+                dt.partitions().iter().flat_map(|part| part.blocks()).all(|b| matches!(b, Block::Spilled { .. })),
+                "a one-byte budget admits nothing"
+            );
+        }
+        prop_assert_eq!(rows(dt)?, rows(df)?);
     }
 }
 
