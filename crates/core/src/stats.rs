@@ -57,27 +57,42 @@ impl Dir8 {
 /// Sampled per-cell statistics driving agreement selection, edge weights and
 /// load balancing (§5.1, first dictionary; §6.2).
 ///
-/// For every cell we track, per dataset:
+/// For every cell the sample touched we track, per dataset:
 ///
 /// * the total number of sampled points, and
 /// * for each of the 8 neighbor directions, how many sampled points are
 ///   **replication candidates** toward that neighbor (`MINDIST ≤ ε`).
 ///
 /// In the paper this dictionary is filled on the Spark driver from a small
-/// sample (3 % by default) of both inputs before the grid is broadcast.
+/// sample (3 % by default) of both inputs before the grid is broadcast. Like
+/// that dictionary, it holds only the cells the sample touched: a `u32` slot
+/// per grid cell indexes one stats record per occupied cell, and every
+/// count of an unoccupied cell is 0.
 #[derive(Debug, Clone)]
 pub struct GridSample {
-    totals: Vec<[u64; 2]>,
-    border: Vec<[[u64; 2]; 8]>,
+    /// Per grid cell, the index of its record in `stats`, or `EMPTY`.
+    slots: Vec<u32>,
+    /// One record per occupied cell, in the order the sample reached them.
+    stats: Vec<CellStats>,
     sampled: [u64; 2],
+}
+
+/// The slot of a cell no sampled point fell into.
+const EMPTY: u32 = u32::MAX;
+
+/// The counts of one occupied cell, indexed by `SetLabel::index`.
+#[derive(Debug, Clone, Default)]
+struct CellStats {
+    total: [u64; 2],
+    border: [[u64; 2]; 8],
 }
 
 impl GridSample {
     /// An empty sample sized for `grid`.
     pub fn new(grid: &Grid) -> Self {
         GridSample {
-            totals: vec![[0; 2]; grid.num_cells()],
-            border: vec![[[0; 2]; 8]; grid.num_cells()],
+            slots: vec![EMPTY; grid.num_cells()],
+            stats: Vec::new(),
             sampled: [0; 2],
         }
     }
@@ -108,49 +123,43 @@ impl GridSample {
     /// within ε, so a loop over many points allocates once.
     fn add_with(&mut self, grid: &Grid, label: SetLabel, p: Point, neighbors: &mut Vec<CellCoord>) {
         let cell = grid.cell_of(p);
-        let ci = grid.cell_index(cell);
+        let slot = &mut self.slots[grid.cell_index(cell)];
+        if *slot == EMPTY {
+            *slot = u32::try_from(self.stats.len()).expect("fewer occupied cells than u32::MAX");
+            self.stats.push(CellStats::default());
+        }
+        let stats = &mut self.stats[*slot as usize];
         let li = label.index();
-        self.totals[ci][li] += 1;
+        stats.total[li] += 1;
         self.sampled[li] += 1;
         neighbors.clear();
         grid.push_cells_within_eps(p, neighbors);
         for &n in neighbors.iter() {
-            self.border[ci][Dir8::between(cell, n).index()][li] += 1;
+            stats.border[Dir8::between(cell, n).index()][li] += 1;
         }
     }
 
-    /// Merges another sample (built over the same grid) into this one.
-    pub fn merge(&mut self, other: &GridSample) {
-        assert_eq!(
-            self.totals.len(),
-            other.totals.len(),
-            "samples cover different grids"
-        );
-        for (a, b) in self.totals.iter_mut().zip(&other.totals) {
-            a[0] += b[0];
-            a[1] += b[1];
+    /// The record of `cell_index`, if a sampled point fell into it.
+    #[inline]
+    fn cell(&self, cell_index: usize) -> Option<&CellStats> {
+        match self.slots[cell_index] {
+            EMPTY => None,
+            slot => Some(&self.stats[slot as usize]),
         }
-        for (a, b) in self.border.iter_mut().zip(&other.border) {
-            for d in 0..8 {
-                a[d][0] += b[d][0];
-                a[d][1] += b[d][1];
-            }
-        }
-        self.sampled[0] += other.sampled[0];
-        self.sampled[1] += other.sampled[1];
     }
 
     /// Total sampled points of `label` in `cell`.
     #[inline]
     pub fn total(&self, cell_index: usize, label: SetLabel) -> u64 {
-        self.totals[cell_index][label.index()]
+        self.cell(cell_index).map_or(0, |c| c.total[label.index()])
     }
 
     /// Sampled points of `label` in `cell` that are replication candidates
     /// toward the neighbor in direction `d`.
     #[inline]
     pub fn border_count(&self, cell_index: usize, d: Dir8, label: SetLabel) -> u64 {
-        self.border[cell_index][d.index()][label.index()]
+        self.cell(cell_index)
+            .map_or(0, |c| c.border[d.index()][label.index()])
     }
 
     /// Total points sampled from each input set (`[R, S]`).
@@ -219,18 +228,77 @@ mod tests {
         assert_eq!(s.border_count(ci, Dir8::E, SetLabel::R), 0);
     }
 
-    #[test]
-    fn merge_adds_counts() {
-        let g = grid();
-        let mut a = GridSample::new(&g);
-        let mut b = GridSample::new(&g);
-        a.add(&g, SetLabel::R, Point::new(2.4, 2.4));
-        b.add(&g, SetLabel::R, Point::new(2.4, 2.4));
-        b.add(&g, SetLabel::S, Point::new(7.0, 7.0));
-        a.merge(&b);
-        let ci = g.cell_index(CellCoord { x: 0, y: 0 });
-        assert_eq!(a.total(ci, SetLabel::R), 2);
-        assert_eq!(a.border_count(ci, Dir8::Ne, SetLabel::R), 2);
-        assert_eq!(a.sampled(), [2, 1]);
+    /// Per cell, the sampled points of each set, and per direction the ones
+    /// whose `MINDIST` to that neighbor is at most ε — counted point by point
+    /// from the cell rectangles, without `GridSample`.
+    fn brute_force(g: &Grid, points: &[(SetLabel, Point)]) -> Vec<([u64; 2], [[u64; 2]; 8])> {
+        let mut cells = vec![([0; 2], [[0; 2]; 8]); g.num_cells()];
+        let e2 = g.eps() * g.eps();
+        for &(label, p) in points {
+            let c = g.cell_of(p);
+            let (total, border) = &mut cells[g.cell_index(c)];
+            total[label.index()] += 1;
+            for (dx, dy) in (-1i64..=1).flat_map(|dx| (-1i64..=1).map(move |dy| (dx, dy))) {
+                let (x, y) = (c.x as i64 + dx, c.y as i64 + dy);
+                let inside = (0..g.nx() as i64).contains(&x) && (0..g.ny() as i64).contains(&y);
+                if (dx, dy) == (0, 0) || !inside {
+                    continue;
+                }
+                let n = CellCoord {
+                    x: x as u32,
+                    y: y as u32,
+                };
+                if g.cell_rect(n).mindist2(p) <= e2 {
+                    border[Dir8::between(c, n).index()][label.index()] += 1;
+                }
+            }
+        }
+        cells
+    }
+
+    mod sparse {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Points gathered around a few hot spots of a grid of up to
+            /// 40 000 cells, so most cells are empty: every count of every
+            /// cell, direction and set is the brute-force count.
+            #[test]
+            fn counts_equal_brute_force_on_mostly_empty_grids(
+                eps in 0.025f64..0.5,
+                spots in prop::collection::vec((0.0f64..10.0, 0.0f64..10.0, 0.0f64..1.5), 1..4),
+                draws in prop::collection::vec((0usize..4, 0.0f64..1.0, 0.0f64..1.0, any::<bool>()), 0..300),
+            ) {
+                let g = Grid::new(GridSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), eps));
+                let points: Vec<(SetLabel, Point)> = draws
+                    .iter()
+                    .map(|&(spot, u, v, is_r)| {
+                        let (x, y, spread) = spots[spot % spots.len()];
+                        let at = |c: f64, t: f64| (c + (t - 0.5) * spread).clamp(0.0, 9.999);
+                        let label = if is_r { SetLabel::R } else { SetLabel::S };
+                        (label, Point::new(at(x, u), at(y, v)))
+                    })
+                    .collect();
+                let on = |label: SetLabel| {
+                    points.iter().filter(move |(l, _)| *l == label).map(|&(_, p)| p)
+                };
+                let sample = GridSample::from_points(&g, on(SetLabel::R), on(SetLabel::S));
+                let n_r = on(SetLabel::R).count() as u64;
+                prop_assert_eq!(sample.sampled(), [n_r, points.len() as u64 - n_r]);
+                for (ci, (total, border)) in brute_force(&g, &points).iter().enumerate() {
+                    for label in [SetLabel::R, SetLabel::S] {
+                        let li = label.index();
+                        prop_assert_eq!(sample.total(ci, label), total[li], "cell {}", ci);
+                        for d in Dir8::ALL {
+                            let got = sample.border_count(ci, d, label);
+                            prop_assert_eq!(got, border[d.index()][li], "cell {} {:?}", ci, d);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

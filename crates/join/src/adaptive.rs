@@ -125,6 +125,8 @@ pub(crate) fn agreement_join(
         };
         (graph, partitioner)
     });
+    // The graph and the partitioner hold all the shuffle needs of the sample.
+    drop((sample_r, sample_s));
     let broadcast_bytes = graph.broadcast_bytes();
     recorder.counter_add("agreement_graph", "broadcast_bytes", broadcast_bytes);
     // What Algorithm 1 could skip (one type on all six pairs) and could not.
@@ -190,7 +192,7 @@ mod tests {
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
         for policy in [AgreementPolicy::Lpib, AgreementPolicy::Diff] {
             let out = adaptive_join(&c, &spec, policy, r.clone(), s.clone()).expect("join runs");
-            let mut got = out.pairs.clone();
+            let mut got = out.pairs.to_vec();
             got.sort_unstable();
             assert_eq!(got, expected, "{}", policy.name());
             assert_eq!(out.result_count as usize, expected.len());
@@ -216,8 +218,8 @@ mod tests {
             s,
         )
         .expect("join runs");
-        let mut a = hash.pairs.clone();
-        let mut b = lpt.pairs.clone();
+        let mut a = hash.pairs.to_vec();
+        let mut b = lpt.pairs.to_vec();
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
@@ -273,7 +275,7 @@ mod tests {
             s,
         )
         .expect("grid_factor 2.0 is supported");
-        let mut got = ok.pairs;
+        let mut got = ok.pairs.into_vec();
         got.sort_unstable();
         assert_eq!(got, expected);
     }

@@ -1,5 +1,5 @@
 use crate::adaptive::agreement_join;
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs};
 use asj_core::{AgreementGraph, AgreementPolicy};
 use asj_engine::{Cluster, HashPartitioner, KeyedDataset, Placement};
 
@@ -44,7 +44,8 @@ pub fn adaptive_join_dedup(
     let duplicated_count = out.result_count;
     let partitioner = HashPartitioner::new(spec.num_partitions);
     let deduped_parts = cluster.recorder().clone().phase_attrs("dedup", |attrs| {
-        let pair_data = KeyedDataset::from_partitions(vec![std::mem::take(&mut out.pairs)]);
+        let pairs = std::mem::take(&mut out.pairs).into_vec();
+        let pair_data = KeyedDataset::from_partitions(vec![pairs]);
         let (pair_data, dedup_shuffle, ex) =
             pair_data.shuffle_stage(cluster, &partitioner, "dedup")?;
         out.metrics.shuffle.merge(&dedup_shuffle);
@@ -55,6 +56,7 @@ pub fn adaptive_join_dedup(
             |_, mut part| {
                 part.sort_unstable();
                 part.dedup();
+                part.shrink_to_fit();
                 part
             },
         )?;
@@ -66,10 +68,7 @@ pub fn adaptive_join_dedup(
     out.result_count = deduped_parts.iter().map(|p| p.len() as u64).sum();
     out.candidates = out.candidates.max(duplicated_count);
     if spec.collect_pairs {
-        out.pairs = Vec::with_capacity(out.result_count as usize);
-        deduped_parts
-            .into_iter()
-            .for_each(|part| out.pairs.extend(part));
+        out.pairs = Pairs::from_chunks(deduped_parts);
     }
     Ok(out)
 }
@@ -104,8 +103,8 @@ mod tests {
         let clean = adaptive_join(&c, &spec, AgreementPolicy::Lpib, r.clone(), s.clone())
             .expect("join runs");
         let dedup = adaptive_join_dedup(&c, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
-        let mut a = clean.pairs.clone();
-        let mut b = dedup.pairs.clone();
+        let mut a = clean.pairs.to_vec();
+        let mut b = dedup.pairs.to_vec();
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "dedup variant must produce the same result set");

@@ -293,7 +293,7 @@ mod tests {
         let expected = brute_force_extent_pairs(&a, &b, spec.eps);
         assert!(!expected.is_empty());
         let out = extent_join(&c, &spec, a, b).expect("join runs");
-        let mut got = out.pairs.clone();
+        let mut got = out.pairs.to_vec();
         got.sort_unstable();
         assert_eq!(got, expected);
         assert_eq!(out.algorithm, "extent-join");
@@ -321,7 +321,7 @@ mod tests {
             Shape::Polygon(Polygon::from_rect(Rect::new(3.0, 1.0, 4.5, 5.0))),
         )];
         let out = extent_join(&c, &spec, a, b).expect("join runs");
-        assert_eq!(out.pairs, vec![(0, 0)]);
+        assert_eq!(out.pairs.to_vec(), vec![(0, 0)]);
     }
 
     #[test]
@@ -343,7 +343,7 @@ mod tests {
         )];
         let expected = brute_force_extent_pairs(&a, &b, spec.eps);
         let out = extent_join(&c, &spec, a, b).expect("join runs");
-        let mut got = out.pairs.clone();
+        let mut got = out.pairs.to_vec();
         got.sort_unstable();
         assert_eq!(got, expected, "exactly-once despite multi-cell assignment");
     }

@@ -45,6 +45,7 @@ mod dedup;
 mod extent;
 mod knn;
 pub mod oracle;
+mod pairs;
 mod pbsm;
 mod pipeline;
 mod post_fetch;
@@ -59,6 +60,7 @@ pub use adaptive::adaptive_join;
 pub use dedup::adaptive_join_dedup;
 pub use extent::{brute_force_extent_pairs, extent_join, ExtentRecord};
 pub use knn::{brute_force_knn, knn_join, KnnOutput};
+pub use pairs::Pairs;
 pub use pbsm::{eps_grid_join, pbsm_join, ReplicateSide};
 pub use pipeline::Algorithm;
 pub use post_fetch::adaptive_join_post_fetch;

@@ -118,7 +118,7 @@ mod tests {
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
         for side in [ReplicateSide::R, ReplicateSide::S] {
             let out = pbsm_join(&c, &spec, side, r.clone(), s.clone()).expect("join runs");
-            let mut got = out.pairs.clone();
+            let mut got = out.pairs.to_vec();
             got.sort_unstable();
             assert_eq!(got, expected, "{}", side.name());
             assert!(
@@ -151,7 +151,7 @@ mod tests {
         let s = random_records(350, 16, 20.0);
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
         let out = eps_grid_join(&c, &spec, r.clone(), s.clone()).expect("join runs");
-        let mut got = out.pairs.clone();
+        let mut got = out.pairs.to_vec();
         got.sort_unstable();
         assert_eq!(got, expected);
         assert!(

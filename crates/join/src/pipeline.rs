@@ -1,4 +1,4 @@
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record};
 use asj_core::{AgreementPolicy, KernelKind};
 use asj_engine::{
     ensure_remaining, Broadcast, Cluster, Dataset, ExecStats, JobMetrics, Partitioner,
@@ -235,17 +235,18 @@ where
     )?;
     construction.accumulate(&out.shuffle_exec);
     let mut tally = KernelTally::default();
-    // Sized once, and each partition's pairs freed as they are moved: a
-    // growing `Vec` would double next to every part still alive.
-    let mut pairs = Vec::with_capacity(out.parts.iter().map(|(part, _)| part.len()).sum());
-    for (part, t) in out.parts {
-        tally.merge(&t);
-        pairs.extend(part);
-    }
+    let chunks = out
+        .parts
+        .into_iter()
+        .map(|(part, t)| {
+            tally.merge(&t);
+            part
+        })
+        .collect();
     tally.publish(cluster, "local_join");
     Ok(JoinOutput {
         algorithm: plan.name,
-        pairs,
+        pairs: Pairs::from_chunks(chunks),
         result_count: tally.results,
         candidates: tally.candidates,
         replicated: out.replicated,
@@ -417,7 +418,8 @@ where
 /// unreadable spill chunk fails the attempt with a retriable error. This
 /// thread drops both sides once the stage is over, failed or not: every
 /// bucket in one sweep (a payload record's drop is a refcount decrement),
-/// every spill segment's file with its last block.
+/// every spill segment's file with its last block. A task's records live as
+/// long as the job's output, so they keep no spare capacity.
 fn cogroup_join<A, B, O, Acc>(
     cluster: &Cluster,
     keyed_r: ShuffledDataset<u64, A>,
@@ -436,7 +438,9 @@ where
         .zip(keyed_s.partitions())
         .collect();
     cluster.run_stage_checkpointed("cogroup_join", tasks, |_, (a, b)| {
-        Ok(body(&a.fetch()?, &b.fetch()?))
+        let (mut records, acc) = body(&a.fetch()?, &b.fetch()?);
+        records.shrink_to_fit();
+        Ok((records, acc))
     })
 }
 
@@ -830,8 +834,8 @@ mod kernel_choice_tests {
             s,
         )
         .expect("join runs");
-        let mut a = nl.pairs.clone();
-        let mut b = ps.pairs.clone();
+        let mut a = nl.pairs.to_vec();
+        let mut b = ps.pairs.to_vec();
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);

@@ -1,5 +1,5 @@
 use crate::pipeline::{for_each_cogroup, join_stage, JoinStageOutput};
-use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, Payload, Record};
+use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, Pairs, Payload, Record};
 use asj_core::AgreementPolicy;
 use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics};
 use std::convert::identity;
@@ -42,7 +42,7 @@ pub fn adaptive_join_post_fetch(
     let inputs = spec.input_partitions;
 
     // Join 1: pairs (keyed by r.id) ⋈ R attributes → rows keyed by s.id.
-    let pairs_by_rid = (Dataset::from_vec(out.pairs.clone(), inputs), identity);
+    let pairs_by_rid = (Dataset::from_vec(out.pairs.to_vec(), inputs), identity);
     let r_table = (Dataset::from_vec(r_attrs, inputs), identity);
     let fetch_r = join_stage(cluster, pairs_by_rid, r_table, &partitioner, |pairs, r| {
         let mut half: Vec<(u64, (u64, Payload))> = Vec::new();
@@ -79,7 +79,7 @@ pub fn adaptive_join_post_fetch(
     );
     out.algorithm = format!("{}+post-fetch", policy.name());
     if !spec.collect_pairs {
-        out.pairs = Vec::new();
+        out.pairs = Pairs::default();
     }
     Ok(out)
 }

@@ -71,7 +71,7 @@ mod tests {
         let s = records(400, 62);
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
         let out = pbsm_refpoint_join(&c, &spec, r, s).expect("join runs");
-        let mut got = out.pairs.clone();
+        let mut got = out.pairs.to_vec();
         got.sort_unstable();
         assert_eq!(got, expected);
         assert_eq!(out.algorithm, "PBSM+refpoint");
@@ -112,6 +112,6 @@ mod tests {
         let r = to_records(&[Point::new(2.2, 1.0)], 0);
         let s = to_records(&[Point::new(2.8, 1.0)], 0);
         let out = pbsm_refpoint_join(&c, &spec, r, s).expect("join runs");
-        assert_eq!(out.pairs, vec![(0, 0)]);
+        assert_eq!(out.pairs.to_vec(), vec![(0, 0)]);
     }
 }

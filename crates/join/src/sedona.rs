@@ -43,11 +43,13 @@ pub fn sedona_like_join(
             Ok::<_, JoinError>((sample, ex))
         })?;
     let driver_start = Instant::now();
-    let sample_points: Vec<Point> = sample.iter().map(|rec| rec.point).collect();
+    let sample_points: Vec<Point> = sample.into_iter().map(|rec| rec.point).collect();
     // Leaf capacity chosen so the leaf count lands near the configured
     // partition count (Sedona sizes its quadtree from the partition target).
     let capacity = (sample_points.len() / spec.num_partitions.max(1)).max(1);
     let qt = QuadTreePartitioner::build(spec.bbox, &sample_points, capacity, 12);
+    // The quadtree holds all the shuffle needs of the sample.
+    drop(sample_points);
     let broadcast_bytes = qt.broadcast_bytes();
     let driver = driver_start.elapsed();
     let qt_b = cluster.broadcast(qt);
@@ -146,7 +148,7 @@ mod tests {
         let s = clustered_records(500, 22);
         let expected = crate::oracle::brute_force_pairs(&r, &s, spec.eps);
         let out = sedona_like_join(&c, &spec, r, s).expect("join runs");
-        let mut got = out.pairs.clone();
+        let mut got = out.pairs.to_vec();
         got.sort_unstable();
         assert_eq!(got, expected);
         assert_eq!(out.algorithm, "Sedona");

@@ -1,5 +1,5 @@
 use crate::pipeline::{cells_within_eps, expansion, midpoint_in_cell, point_at, shuffle_keyed};
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record};
 use asj_engine::{Cluster, HashPartitioner, JobMetrics};
 use asj_grid::{Grid, GridSpec};
 use asj_index::{kernels, PointBatch};
@@ -58,17 +58,17 @@ pub fn self_join(
             });
             candidates += outcome.stats.candidates;
         }
+        out.shrink_to_fit();
         (out, candidates, results)
     })?;
     drop(keyed);
 
     let result_count = folded.iter().map(|(_, _, r)| r).sum();
     let candidates = folded.iter().map(|(_, c, _)| c).sum();
-    let mut pairs = Vec::with_capacity(folded.iter().map(|(out, _, _)| out.len()).sum());
-    folded.into_iter().for_each(|(out, _, _)| pairs.extend(out));
+    let chunks = folded.into_iter().map(|(out, _, _)| out).collect();
     Ok(JoinOutput {
         algorithm: "self-join".to_string(),
-        pairs,
+        pairs: Pairs::from_chunks(chunks),
         result_count,
         candidates,
         replicated: [replicas, 0],
@@ -127,7 +127,7 @@ mod tests {
         let expected = brute_force_self_pairs(&recs, spec.eps);
         assert!(!expected.is_empty());
         let out = self_join(&c, &spec, recs).expect("join runs");
-        let mut got = out.pairs.clone();
+        let mut got = out.pairs.to_vec();
         got.sort_unstable();
         assert_eq!(got, expected);
         assert!(out.candidates >= out.result_count);
@@ -144,7 +144,7 @@ mod tests {
         // Duplicate coordinates: ids differ, so they pair once.
         let recs = to_records(&[Point::new(1.0, 1.0), Point::new(1.0, 1.0)], 0);
         let out = self_join(&c, &spec, recs).expect("join runs");
-        assert_eq!(out.pairs, vec![(0, 1)]);
+        assert_eq!(out.pairs.to_vec(), vec![(0, 1)]);
     }
 
     #[test]
@@ -165,7 +165,7 @@ mod tests {
         let recs = to_records(&pts, 0);
         let expected = brute_force_self_pairs(&recs, spec.eps);
         let out = self_join(&c, &spec, recs).expect("join runs");
-        let mut got = out.pairs.clone();
+        let mut got = out.pairs.to_vec();
         got.sort_unstable();
         assert_eq!(got, expected);
     }

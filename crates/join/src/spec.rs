@@ -1,4 +1,4 @@
-use crate::Record;
+use crate::{Pairs, Record};
 use asj_engine::{Dataset, JobError, JobMetrics, Placement};
 use asj_geom::Rect;
 
@@ -220,8 +220,9 @@ impl From<JobError> for JoinError {
 pub struct JoinOutput {
     /// Algorithm display name (matches the paper's figure legends).
     pub algorithm: String,
-    /// Materialized `(r.id, s.id)` pairs (empty when `collect_pairs` is off).
-    pub pairs: Vec<(u64, u64)>,
+    /// Materialized `(r.id, s.id)` pairs, as each join partition produced
+    /// them (empty when `collect_pairs` is off).
+    pub pairs: Pairs,
     /// Number of result pairs (always populated).
     pub result_count: u64,
     /// Candidate pairs whose exact distance was evaluated.
@@ -311,7 +312,7 @@ mod tests {
     fn selectivity_matches_table4_definition() {
         let out = JoinOutput {
             algorithm: "x".into(),
-            pairs: Vec::new(),
+            pairs: Pairs::default(),
             result_count: 50,
             candidates: 100,
             replicated: [3, 4],

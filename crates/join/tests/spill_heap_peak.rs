@@ -5,48 +5,12 @@
 //! integration-test binary so the counting global allocator only ever
 //! observes this one test.
 
+mod heap;
+
 use asj_core::AgreementPolicy;
 use asj_engine::{Cluster, ClusterConfig, Dataset};
 use asj_geom::{Point, Rect};
 use asj_join::{adaptive_join, to_records, JoinSpec, Record};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct PeakAlloc;
-
-impl PeakAlloc {
-    fn grew(by: usize) {
-        let live = LIVE.fetch_add(by, Ordering::SeqCst) + by;
-        PEAK.fetch_max(live, Ordering::SeqCst);
-    }
-}
-
-// SAFETY: delegates entirely to the system allocator; the counters are
-// side-effect-free atomics.
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        PeakAlloc::grew(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        PeakAlloc::grew(new_size);
-        let moved = unsafe { System.realloc(ptr, layout, new_size) };
-        LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
-        moved
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: PeakAlloc = PeakAlloc;
 
 /// `n` pseudo-random points of the 10 × 10 square.
 fn points(n: usize, salt: u64) -> Vec<Point> {
@@ -69,13 +33,10 @@ fn heap_peak(cluster: &Cluster, spec: &JoinSpec, r: &[Record], s: &[Record]) -> 
     let partitions =
         |records: &[Record]| Dataset::from_vec(records.to_vec(), spec.input_partitions);
     let (r, s) = (partitions(r), partitions(s));
-    let before = LIVE.load(Ordering::SeqCst);
-    PEAK.store(before, Ordering::SeqCst);
-    let out = adaptive_join(cluster, spec, AgreementPolicy::Lpib, r, s).expect("join runs");
-    (
-        PEAK.load(Ordering::SeqCst) - before,
-        out.metrics.shuffle.records,
-    )
+    let (out, peak) = heap::peak_during(|| {
+        adaptive_join(cluster, spec, AgreementPolicy::Lpib, r, s).expect("join runs")
+    });
+    (peak, out.metrics.shuffle.records)
 }
 
 #[test]

@@ -55,18 +55,19 @@ impl Wire for TenantOutcome {
 /// When every id fits 32 bits (generated ids always do) the pairs are sorted
 /// as packed `r << 32 | s` keys — the same order at half the bytes moved;
 /// otherwise as tuples. Both feed the same stream to the hash.
-pub fn checksum_pairs(result_count: u64, pairs: &[(u64, u64)]) -> u64 {
+pub fn checksum_pairs(result_count: u64, pairs: impl Iterator<Item = (u64, u64)> + Clone) -> u64 {
     let mut hash = Fnv1a::default();
     hash.write_u64(result_count);
-    if pairs.iter().all(|&(r, s)| (r | s) >> 32 == 0) {
-        let mut keys: Vec<u64> = pairs.iter().map(|&(r, s)| r << 32 | s).collect();
+    if pairs.clone().all(|(r, s)| (r | s) >> 32 == 0) {
+        let mut keys = Vec::with_capacity(pairs.clone().count());
+        keys.extend(pairs.map(|(r, s)| r << 32 | s));
         keys.sort_unstable();
         for key in keys {
             hash.write_u64(key >> 32);
             hash.write_u64(key & u64::from(u32::MAX));
         }
     } else {
-        let mut sorted = pairs.to_vec();
+        let mut sorted: Vec<(u64, u64)> = pairs.collect();
         sorted.sort_unstable();
         for (r, s) in sorted {
             hash.write_u64(r);
@@ -189,7 +190,9 @@ fn run_tenant_body(tenant: &TenantSpec, cluster: &Cluster) -> Result<TenantOutco
     });
     let spec = tenant_join_spec(tenant);
     let out = tenant.algorithm.try_run(cluster, &spec, r, s)?;
-    let checksum = recorder.phase("checksum", || checksum_pairs(out.result_count, &out.pairs));
+    let checksum = recorder.phase("checksum", || {
+        checksum_pairs(out.result_count, out.pairs.iter().copied())
+    });
     Ok(TenantOutcome {
         result_count: out.result_count,
         candidates: out.candidates,
@@ -357,11 +360,14 @@ mod tests {
 
     #[test]
     fn checksum_is_order_independent_and_content_sensitive() {
-        let a = checksum_pairs(2, &[(1, 2), (3, 4)]);
-        let b = checksum_pairs(2, &[(3, 4), (1, 2)]);
+        let a = checksum_pairs(2, [(1, 2), (3, 4)].into_iter());
+        let b = checksum_pairs(2, [(3, 4), (1, 2)].into_iter());
         assert_eq!(a, b, "pair order must not matter");
-        assert_ne!(a, checksum_pairs(2, &[(1, 2), (3, 5)]));
-        assert_ne!(checksum_pairs(0, &[]), checksum_pairs(1, &[]));
+        assert_ne!(a, checksum_pairs(2, [(1, 2), (3, 5)].into_iter()));
+        assert_ne!(
+            checksum_pairs(0, [].into_iter()),
+            checksum_pairs(1, [].into_iter())
+        );
     }
 
     /// The tuple-sort definition `checksum_pairs` must reproduce whichever
@@ -400,8 +406,9 @@ mod tests {
                 mixed in prop::collection::vec((arb_id(), arb_id()), 0..200),
                 count in any::<u64>(),
             ) {
-                prop_assert_eq!(checksum_pairs(count, &small), checksum_reference(count, &small));
-                prop_assert_eq!(checksum_pairs(count, &mixed), checksum_reference(count, &mixed));
+                let checksum = |pairs: &[(u64, u64)]| checksum_pairs(count, pairs.iter().copied());
+                prop_assert_eq!(checksum(&small), checksum_reference(count, &small));
+                prop_assert_eq!(checksum(&mixed), checksum_reference(count, &mixed));
             }
         }
     }

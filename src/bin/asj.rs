@@ -17,7 +17,7 @@ use adaptive_spatial_join::engine::{
 };
 use adaptive_spatial_join::geom::Rect;
 use adaptive_spatial_join::join::{
-    knn_join, self_join, Algorithm, JoinError, JoinOutput, JoinSpec, LocalKernel,
+    knn_join, self_join, Algorithm, JoinError, JoinOutput, JoinSpec, LocalKernel, Pairs,
     PartitionedPoints, Record,
 };
 use adaptive_spatial_join::prelude::*;
@@ -506,9 +506,6 @@ fn report(out: &JoinOutput, ingest: Duration) {
         "peak memory          : {} KiB",
         out.metrics.peak_memory_bytes() / 1024
     );
-    if let Some(mib) = peak_rss_mib() {
-        println!("peak RSS             : {mib} MiB");
-    }
     // Only interesting when the memory governor actually forced data to disk.
     if out.metrics.spilled_bytes() > 0 {
         println!(
@@ -590,14 +587,17 @@ fn decimal_before(line: &mut [u8; PAIR_LINE], mut end: usize, mut n: u64) -> usi
     end
 }
 
-/// Writes `pairs` to `out` as `a,b` lines, formatted by hand into one block
-/// buffer that is flushed every ~64 KiB: a million lines through `fmt` cost
-/// more than the join that found them.
-fn write_pair_lines(out: &mut impl Write, pairs: &[(u64, u64)]) -> std::io::Result<()> {
+/// Writes the pairs of every chunk, in order, to `out` as `a,b` lines,
+/// formatted by hand into one block buffer that is flushed every ~64 KiB: a
+/// million lines through `fmt` cost more than the join that found them.
+fn write_pair_lines<'a>(
+    out: &mut impl Write,
+    chunks: impl IntoIterator<Item = &'a [(u64, u64)]>,
+) -> std::io::Result<()> {
     const BLOCK: usize = 64 << 10;
     let mut block = Vec::with_capacity(BLOCK + PAIR_LINE);
     let mut line = [b'\n'; PAIR_LINE];
-    for &(a, b) in pairs {
+    for &(a, b) in chunks.into_iter().flatten() {
         let comma = decimal_before(&mut line, PAIR_LINE - 1, b) - 1;
         line[comma] = b',';
         let start = decimal_before(&mut line, comma, a);
@@ -610,16 +610,17 @@ fn write_pair_lines(out: &mut impl Write, pairs: &[(u64, u64)]) -> std::io::Resu
     out.write_all(&block)
 }
 
-fn write_pairs(path: &str, pairs: &[(u64, u64)]) -> Result<(), CliError> {
+fn write_pairs(path: &str, pairs: &Pairs) -> Result<(), CliError> {
     let failed = |what: &str, e: std::io::Error| CliError::runtime(format!("{what} {path}: {e}"));
     let mut file = std::fs::File::create(path).map_err(|e| failed("creating", e))?;
-    write_pair_lines(&mut file, pairs).map_err(|e| failed("writing", e))?;
+    write_pair_lines(&mut file, pairs.chunks()).map_err(|e| failed("writing", e))?;
     println!("wrote {} pairs to {path}", pairs.len());
     Ok(())
 }
 
 /// The shared tail of `join` / `self-join`: the report, then the trace and
-/// pair files, then how long writing those took.
+/// pair files, then how long writing those took, and last the process's
+/// peak RSS, which the output may have set.
 fn finish_join(
     flags: &HashMap<String, String>,
     out: &JoinOutput,
@@ -636,6 +637,9 @@ fn finish_join(
         "output time          : {:.3} s",
         output.elapsed().as_secs_f64()
     );
+    if let Some(mib) = peak_rss_mib() {
+        println!("peak RSS             : {mib} MiB");
+    }
     Ok(())
 }
 
@@ -946,11 +950,13 @@ mod tests {
 
     #[test]
     fn pair_lines_are_what_fmt_writes() {
-        // Digit-count boundaries, and enough lines to cross block flushes.
+        // Digit-count boundaries, enough lines to cross block flushes, and
+        // chunks (one empty) that end inside a block.
         let mut pairs = vec![(0, 9), (10, 99), (100, u64::MAX), (u64::MAX, 0)];
         pairs.extend((0..20_000u64).map(|i| (i * 7_919, u64::MAX / (i + 1))));
         let mut got = Vec::new();
-        write_pair_lines(&mut got, &pairs).unwrap();
+        let chunks = pairs.chunks(7_001).chain([&[][..]]);
+        write_pair_lines(&mut got, chunks).unwrap();
         let want: String = pairs.iter().map(|(a, b)| format!("{a},{b}\n")).collect();
         assert!(want.len() > 3 * (64 << 10));
         assert!(got == want.as_bytes());

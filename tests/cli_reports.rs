@@ -1,4 +1,4 @@
-//! What the `asj` binary itself prints: the memory lines of the join report,
+//! What the `asj` binary itself prints: the peak RSS line of the join report,
 //! the warning for a fault clause that names a stage the job never runs, and
 //! both journal grant counts of a durable server, fresh and recovered.
 
@@ -46,6 +46,7 @@ fn join_reports_peak_rss_and_warns_about_unreached_fault_stages() {
     let dir = scratch("join");
     let input = dir.join("r.csv");
     let trace = dir.join("trace.jsonl");
+    let pairs = dir.join("pairs.csv");
     asj(&[
         "generate",
         "--kind",
@@ -74,6 +75,8 @@ fn join_reports_peak_rss_and_warns_about_unreached_fault_stages() {
             path(&trace),
             "--trace-format",
             "jsonl",
+            "--out",
+            path(&pairs),
         ])
     };
     let warning = "warning: fault plan names stage 'marking', which this job never ran";
@@ -85,13 +88,15 @@ fn join_reports_peak_rss_and_warns_about_unreached_fault_stages() {
     assert!(std::fs::read_to_string(&trace)
         .expect("trace")
         .contains(warning));
+    // The whole process's peak: printed last, after the trace and pair
+    // files are written and timed.
     let stdout = text(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
-    let at = lines.iter().position(|l| l.starts_with("peak memory"));
-    let rss = at
-        .and_then(|i| lines.get(i + 1))
-        .expect("a line after peak memory");
-    assert!(rss.starts_with("peak RSS"), "{stdout}");
+    let tail = &lines[lines.len().saturating_sub(3)..];
+    assert_eq!(tail.len(), 3, "{stdout}");
+    assert!(tail[0].starts_with("wrote "), "{stdout}");
+    assert!(tail[1].starts_with("output time"), "{stdout}");
+    assert!(tail[2].starts_with("peak RSS"), "{stdout}");
     let mib: u64 = value(&stdout, "peak RSS")
         .strip_suffix(" MiB")
         .and_then(|v| v.parse().ok())

@@ -50,8 +50,8 @@ fn csv_loaded_inputs_join_identically() {
         to_records(&s_pts, 0),
     )
     .expect("join runs");
-    let mut a = from_csv.pairs.clone();
-    let mut b = in_memory.pairs.clone();
+    let mut a = from_csv.pairs.to_vec();
+    let mut b = in_memory.pairs.to_vec();
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b);

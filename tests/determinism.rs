@@ -50,8 +50,8 @@ fn different_seed_changes_sample_but_not_results() {
     )
     .expect("join runs");
     // The sampled agreement graph may differ, the result set must not.
-    let mut pa = a.pairs.clone();
-    let mut pb = b.pairs.clone();
+    let mut pa = a.pairs.to_vec();
+    let mut pb = b.pairs.to_vec();
     pa.sort_unstable();
     pb.sort_unstable();
     assert_eq!(pa, pb);
@@ -69,7 +69,7 @@ fn cluster_width_and_partition_count_never_change_results() {
             let spec = JoinSpec::new(catalog.s1.bbox, 1.3).with_partitions(partitions);
             let out = adaptive_join(&c, &spec, AgreementPolicy::Diff, r.clone(), s.clone())
                 .expect("join runs");
-            let mut pairs = out.pairs;
+            let mut pairs = out.pairs.into_vec();
             pairs.sort_unstable();
             match &reference {
                 None => reference = Some(pairs),

@@ -36,7 +36,7 @@ fn all_algorithms_agree_with_oracle_on_synthetic_data() {
         let out = algo
             .try_run(&c, &spec, r.clone(), s.clone())
             .expect("join runs");
-        let mut got = out.pairs.clone();
+        let mut got = out.pairs.to_vec();
         got.sort_unstable();
         assert_eq!(got, expected, "{} disagrees with the oracle", algo.name());
         assert_eq!(out.result_count as usize, expected.len());
@@ -56,7 +56,7 @@ fn all_algorithms_agree_with_oracle_on_skewed_real_like_data() {
         let out = algo
             .try_run(&c, &spec, r.clone(), s.clone())
             .expect("join runs");
-        let mut got = out.pairs.clone();
+        let mut got = out.pairs.to_vec();
         got.sort_unstable();
         assert_eq!(got, expected, "{} disagrees with the oracle", algo.name());
     }
@@ -73,13 +73,13 @@ fn variants_preserve_the_result_set() {
 
     let dedup = adaptive_join_dedup(&c, &spec, AgreementPolicy::Diff, r.clone(), s.clone())
         .expect("join runs");
-    let mut got = dedup.pairs.clone();
+    let mut got = dedup.pairs.to_vec();
     got.sort_unstable();
     assert_eq!(got, expected, "dedup variant");
 
     let fetched =
         adaptive_join_post_fetch(&c, &spec, AgreementPolicy::Diff, r, s).expect("join runs");
-    let mut got = fetched.pairs.clone();
+    let mut got = fetched.pairs.to_vec();
     got.sort_unstable();
     assert_eq!(got, expected, "post-fetch variant");
 }

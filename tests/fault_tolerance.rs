@@ -161,7 +161,7 @@ proptest! {
             adaptive_join(&cluster, &spec, AgreementPolicy::Lpib, r.clone(), s.clone()).expect("join runs")
         };
         let base = run(1);
-        let mut sorted = base.pairs.clone();
+        let mut sorted = base.pairs.to_vec();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, oracle::brute_force_pairs(&r, &s, spec.eps));
         for threads in [2, 8] {
@@ -310,7 +310,12 @@ fn targeted_fault_plans_fire_in_every_point_join() {
             let out = run(&cluster).expect("one failed attempt is survivable");
             let retries = out.metrics.construction.retries + out.metrics.join.retries;
             assert!(retries >= 1, "{name} under {fault}: the plan never fired");
-            let mut got = out.pairs;
+            assert_eq!(
+                out.pairs.len() as u64,
+                out.result_count,
+                "{name} under {fault}"
+            );
+            let mut got = out.pairs.into_vec();
             got.sort_unstable();
             assert_eq!(&got, expected, "{name} under {fault}");
         }

@@ -42,8 +42,8 @@ fn random_records(n: usize, seed: u64) -> Vec<Record> {
 /// Same pairs, different candidate counts — the signature of a join that
 /// honors the requested kernel instead of running a hard-wired one.
 fn assert_kernel_is_honored(name: &str, nl: &JoinOutput, ps: &JoinOutput) {
-    let mut a = nl.pairs.clone();
-    let mut b = ps.pairs.clone();
+    let mut a = nl.pairs.to_vec();
+    let mut b = ps.pairs.to_vec();
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b, "{name}: result pairs must not depend on the kernel");

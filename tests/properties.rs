@@ -44,13 +44,13 @@ proptest! {
             .with_seed(seed);
         for algo in Algorithm::ALL {
             let out = algo.try_run(&cluster, &spec, r.clone(), s.clone()).expect("join runs");
-            let mut got = out.pairs.clone();
+            let mut got = out.pairs.to_vec();
             got.sort_unstable();
             prop_assert_eq!(&got, &expected, "{} seed={}", algo.name(), seed);
         }
         // The dedup variant too.
         let out = adaptive_join_dedup(&cluster, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
-        let mut got = out.pairs.clone();
+        let mut got = out.pairs.to_vec();
         got.sort_unstable();
         prop_assert_eq!(&got, &expected, "dedup seed={}", seed);
     }
@@ -76,7 +76,7 @@ proptest! {
             .with_sample_fraction(0.5);
         for algo in [Algorithm::Lpib, Algorithm::Diff, Algorithm::UniR, Algorithm::EpsGrid] {
             let out = algo.try_run(&cluster, &spec, r.clone(), s.clone()).expect("join runs");
-            let mut got = out.pairs.clone();
+            let mut got = out.pairs.to_vec();
             got.sort_unstable();
             prop_assert_eq!(&got, &expected, "{}", algo.name());
         }
@@ -197,7 +197,7 @@ mod kernel_properties {
                 let outs: Vec<JoinOutput> =
                     KERNELS.map(|k| run(&base.clone().with_kernel(k))).into();
                 for out in &outs {
-                    let mut got = out.pairs.clone();
+                    let mut got = out.pairs.to_vec();
                     got.sort_unstable();
                     prop_assert_eq!(&got, &expected, "{} seed={}", name, seed);
                 }
@@ -230,7 +230,7 @@ mod kernel_properties {
                 .map(|k| self_join(&cluster, &base.clone().with_kernel(k), input.clone()).expect("join runs"))
                 .into();
             for out in &outs {
-                let mut got = out.pairs.clone();
+                let mut got = out.pairs.to_vec();
                 got.sort_unstable();
                 prop_assert_eq!(&got, &expected);
             }
@@ -309,7 +309,7 @@ mod extent_properties {
             let spec =
                 JoinSpec::new(Rect::new(0.0, 0.0, 25.0, 25.0), eps).with_partitions(12);
             let out = extent_join(&cluster, &spec, a, b).expect("join runs");
-            let mut got = out.pairs.clone();
+            let mut got = out.pairs.to_vec();
             got.sort_unstable();
             prop_assert_eq!(got, expected);
         }

@@ -289,8 +289,8 @@ proptest! {
         let out_r = algo.try_run(&tight, &spec, r.clone(), s.clone()).expect("join runs");
         let out_l = algo.try_run(&free, &spec, r, s).expect("join runs");
         prop_assert_eq!(out_r.result_count, out_l.result_count, "{}", algo.name());
-        let mut pr = out_r.pairs.clone();
-        let mut pl = out_l.pairs.clone();
+        let mut pr = out_r.pairs.to_vec();
+        let mut pl = out_l.pairs.to_vec();
         pr.sort_unstable();
         pl.sort_unstable();
         prop_assert_eq!(pr, pl);

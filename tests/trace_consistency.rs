@@ -180,7 +180,7 @@ fn traced_join_sim_lanes_match_per_node_busy() {
     // The recorder observes; it must not perturb the join itself.
     let plain = Cluster::new(ClusterConfig::with_threads(nodes, 3));
     let untraced = adaptive_join(&plain, &spec, AgreementPolicy::Lpib, r, s).expect("join runs");
-    let (mut a, mut b) = (out.pairs, untraced.pairs);
+    let (mut a, mut b) = (out.pairs.into_vec(), untraced.pairs.into_vec());
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b);
