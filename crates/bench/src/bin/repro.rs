@@ -19,70 +19,71 @@
 use asj_bench::{experiments, memory, multitenant, recovery, Combo, ExpConfig};
 use asj_engine::{FaultPlan, RetryPolicy};
 use asj_join::JoinError;
+use asj_serve::{synopsis, Options, Spelling};
+
+/// The flags `repro` takes; every other word names an experiment.
+const OPTIONS: &[&str] = &[
+    "quick",
+    "scale",
+    "reps",
+    "faults",
+    "fault-seed",
+    "speculation",
+];
+
+/// What a `repro` command line asks for.
+struct Args {
+    cfg: ExpConfig,
+    experiments: Vec<String>,
+    /// The plan the `faults` experiment compares against.
+    ab_plan: FaultPlan,
+    policy: RetryPolicy,
+}
+
+/// Reads a `repro` command line. Flag order does not matter: `--scale`
+/// rescales, and recalibrates the ε of, whichever configuration `--quick`
+/// picks.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let words = args.iter().map(String::as_str);
+    let opts = Options::parse(OPTIONS, Spelling::Flag, words, "repro")?;
+    let mut cfg = if opts.quick {
+        ExpConfig::quick()
+    } else {
+        ExpConfig::full()
+    };
+    if let Some(base) = opts.scale {
+        cfg = cfg.with_base(base);
+    }
+    cfg.reps = opts.reps.unwrap_or(cfg.reps);
+    // Without --faults, ASJ_FAULTS / ASJ_FAULT_SEED apply, so the CI
+    // fault-matrix job can chaos-test the whole figure pipeline.
+    let seed = opts.fault_seed.unwrap_or(7);
+    let setup = opts.fault_setup(seed, true)?;
+    let policy = setup.as_ref().map_or_else(RetryPolicy::default, |s| s.1);
+    // The dedicated A/B experiment compares against the given plan, or the
+    // standard chaos plan when none was given.
+    let ab_plan = match &setup {
+        Some((plan, _)) if plan.is_active() => plan.clone(),
+        _ => FaultPlan::chaos(seed),
+    };
+    if let Some((plan, policy)) = setup {
+        cfg = cfg.with_faults(plan, policy);
+    }
+    Ok(Args {
+        cfg,
+        experiments: opts.operands,
+        ab_plan,
+        policy,
+    })
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ExpConfig::full();
-    let mut wanted: Vec<String> = Vec::new();
-    let mut fault_spec: Option<String> = None;
-    let mut fault_seed: u64 = 7;
-    let mut policy = RetryPolicy::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => cfg = ExpConfig::quick(),
-            "--scale" => {
-                i += 1;
-                cfg.base = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --scale"));
-            }
-            "--reps" => {
-                i += 1;
-                cfg.reps = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --reps"));
-            }
-            "--faults" => {
-                i += 1;
-                fault_spec = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("missing value for --faults")),
-                );
-            }
-            "--fault-seed" => {
-                i += 1;
-                fault_seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --fault-seed"));
-            }
-            "--speculation" => policy = policy.with_speculation(true),
-            "--help" | "-h" => usage(""),
-            other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
-            other => wanted.push(other.to_string()),
-        }
-        i += 1;
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        usage("");
     }
-    let plan = match &fault_spec {
-        Some(spec) => match FaultPlan::parse(spec, fault_seed) {
-            Ok(plan) => Some(plan),
-            Err(e) => usage(&e),
-        },
-        // No flag: honor ASJ_FAULTS / ASJ_FAULT_SEED, so the CI fault-matrix
-        // job can chaos-test the whole figure pipeline without flag plumbing.
-        None => FaultPlan::from_env(),
-    };
-    if let Some(plan) = &plan {
-        cfg = cfg.with_faults(plan.clone(), policy);
-    }
-    // The dedicated A/B experiment compares against the given plan, or the
-    // standard chaos plan when --faults was not passed.
-    let ab_plan = plan.unwrap_or_else(|| FaultPlan::chaos(fault_seed));
-    if let Err(e) = run_experiments(&cfg, &wanted, &ab_plan, policy) {
+    let args = parse_args(&args).unwrap_or_else(|e| usage(&e));
+    if let Err(e) = run_experiments(&args.cfg, &args.experiments, &args.ab_plan, args.policy) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
@@ -176,11 +177,75 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: repro [EXPERIMENT...] [--quick] [--scale N] [--reps N]\n\
-         \x20            [--faults SPEC] [--fault-seed N] [--speculation]\n\
+        "{}\n\
          experiments: table1 fig1b fig10 table4 fig13 fig14 fig15 fig16 \
          fig17 fig18 table5 table6 table7 ablation-kernels a2 ext faults \
-         memory multitenant recovery all"
+         memory multitenant recovery all",
+        synopsis("usage: repro [EXPERIMENT...] ", &[], OPTIONS)
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn scale_recalibrates_eps_whatever_the_flag_order() {
+        let want = ExpConfig::quick().with_base(5_000);
+        assert!(want.default_eps > ExpConfig::quick().default_eps);
+        for args in [
+            ["--quick", "--scale", "5000"],
+            ["--scale", "5000", "--quick"],
+        ] {
+            let cfg = parse(&args).expect("parses").cfg;
+            assert_eq!(cfg.base, want.base, "{args:?}");
+            assert_eq!(cfg.reps, want.reps, "{args:?}");
+            assert_eq!(cfg.default_eps, want.default_eps, "{args:?}");
+            assert_eq!(cfg.eps_values, want.eps_values, "{args:?}");
+        }
+        let cfg = parse(&["fig15", "--reps", "2"]).expect("parses");
+        assert_eq!(
+            (cfg.cfg.reps, cfg.experiments),
+            (2, vec!["fig15".to_string()])
+        );
+    }
+
+    #[test]
+    fn bad_values_are_usage_errors() {
+        for (args, expected) in [
+            (&["--reps", "0"][..], "--reps must be positive"),
+            (&["--scale", "0"], "--scale must be positive"),
+            (&["--scale", "abc"], "invalid value for '--scale': 'abc'"),
+            (&["--scale"], "missing value for --scale"),
+            (&["--quick", "--quick"], "duplicate option '--quick'"),
+            (&["--exec", "x"], "unknown flag '--exec' for 'repro'"),
+        ] {
+            assert_eq!(parse(args).err().as_deref(), Some(expected), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn speculation_alone_applies_to_every_run() {
+        // Skipped under the CI fault-matrix env vars, which supply a plan.
+        if std::env::var("ASJ_FAULTS").is_ok() || std::env::var("ASJ_FAULT_SEED").is_ok() {
+            return;
+        }
+        let args = parse(&["--speculation"]).expect("parses");
+        let (plan, policy) = args.cfg.faults.expect("a policy without a plan applies");
+        assert!(!plan.is_active());
+        assert!(policy.speculation && args.policy.speculation);
+        assert_eq!(
+            args.ab_plan,
+            FaultPlan::chaos(7),
+            "the A/B plan stays chaos"
+        );
+        let args = parse(&["--faults", "p=0.2", "--fault-seed", "3"]).expect("parses");
+        assert_eq!(args.ab_plan, FaultPlan::parse("p=0.2", 3).expect("plan"));
+        assert!(parse(&[]).expect("parses").cfg.faults.is_none());
+    }
 }

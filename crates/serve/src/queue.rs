@@ -1,5 +1,8 @@
+use crate::options::{Options, Spelling};
+use crate::run::tenant_join_spec;
 use asj_data::GenKind;
-use asj_join::{Algorithm, LocalKernel, MAX_PAYLOAD_BYTES};
+use asj_engine::{FaultPlan, RetryPolicy};
+use asj_join::{Algorithm, JoinError, LocalKernel, MAX_PAYLOAD_BYTES};
 
 /// One tenant's job request, as parsed from a queue file line.
 ///
@@ -65,6 +68,18 @@ impl TenantSpec {
             estimate_override: None,
         }
     }
+
+    /// This tenant's own fault plan and retry policy: no environment
+    /// fallback, as a tenant without a plan inherits the server's.
+    pub(crate) fn fault_setup(&self) -> Result<Option<(FaultPlan, RetryPolicy)>, String> {
+        let opts = Options {
+            spelling: Spelling::Key,
+            faults: self.faults.clone(),
+            max_attempts: self.max_attempts,
+            ..Options::default()
+        };
+        opts.fault_setup(self.fault_seed, false)
+    }
 }
 
 /// Renders the spec back into a `job NAME key=value ...` line that
@@ -118,12 +133,6 @@ impl std::fmt::Display for QueueError {
 
 impl std::error::Error for QueueError {}
 
-fn parse_num<T: std::str::FromStr>(value: &str, key: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("invalid value for '{key}': '{value}'"))
-}
-
 /// Parses a byte size with optional binary suffix (`64m`, `2g`, `512k`).
 pub fn parse_bytes(value: &str) -> Result<u64, String> {
     let lower = value.trim().to_ascii_lowercase();
@@ -152,6 +161,24 @@ pub(crate) fn check_payload(bytes: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// The keys a queue line accepts (`eps` is required).
+pub const QUEUE_KEYS: &[&str] = &[
+    "algo",
+    "eps",
+    "n",
+    "kind",
+    "seed",
+    "weight",
+    "kernel",
+    "partitions",
+    "grid-factor",
+    "payload",
+    "faults",
+    "fault-seed",
+    "max-attempts",
+    "estimate",
+];
+
 fn parse_job_line(line: &str) -> Result<TenantSpec, String> {
     let mut tokens = line.split_whitespace();
     match tokens.next() {
@@ -163,77 +190,34 @@ fn parse_job_line(line: &str) -> Result<TenantSpec, String> {
     if name.contains('=') {
         return Err(format!("missing tenant name after 'job' (found '{name}')"));
     }
-    let mut spec = TenantSpec::new(name, f64::NAN, 2_000);
-    let mut saw_eps = false;
-    let mut seen_keys: Vec<&str> = Vec::new();
-    for token in tokens {
-        // Split on the FIRST '=' only: fault specs carry their own '='s
-        // (`faults=p=0.3,slow:1=2.0`).
-        let (key, value) = token
-            .split_once('=')
-            .ok_or_else(|| format!("expected key=value, found '{token}'"))?;
-        // A repeated key is almost always a copy-paste mistake; silently
-        // letting the last one win hides it, so it is an error.
-        if seen_keys.contains(&key) {
-            return Err(format!("duplicate key '{key}'"));
-        }
-        seen_keys.push(key);
-        match key {
-            "algo" => spec.algorithm = Algorithm::from_token(value)?,
-            "eps" => {
-                spec.eps = parse_num(value, key)?;
-                saw_eps = true;
-            }
-            "n" => spec.cardinality = parse_num(value, key)?,
-            "kind" => spec.kind = value.parse()?,
-            "seed" => spec.seed = parse_num(value, key)?,
-            "weight" => {
-                spec.weight = parse_num(value, key)?;
-                if spec.weight == 0 {
-                    return Err("weight must be positive".into());
-                }
-            }
-            "kernel" => spec.kernel = value.parse()?,
-            "partitions" => {
-                spec.partitions = parse_num(value, key)?;
-                if spec.partitions == 0 {
-                    return Err("partitions must be positive".into());
-                }
-            }
-            "grid-factor" => {
-                spec.grid_factor = parse_num(value, key)?;
-                if !(spec.grid_factor.is_finite() && spec.grid_factor >= 1.0) {
-                    return Err(format!(
-                        "grid-factor must be finite and at least 1, got {value}"
-                    ));
-                }
-            }
-            "payload" => {
-                spec.payload = parse_bytes(value)?;
-                check_payload(spec.payload)?;
-            }
-            "faults" => spec.faults = Some(value.to_string()),
-            "fault-seed" => spec.fault_seed = parse_num(value, key)?,
-            "max-attempts" => {
-                let attempts: usize = parse_num(value, key)?;
-                if attempts == 0 {
-                    return Err("max-attempts must be positive".into());
-                }
-                spec.max_attempts = Some(attempts);
-            }
-            "estimate" => spec.estimate_override = Some(parse_bytes(value)?),
-            other => return Err(format!("unknown key '{other}'")),
-        }
-    }
-    if !saw_eps {
-        return Err("missing required key 'eps'".into());
-    }
-    if !spec.eps.is_finite() || spec.eps <= 0.0 {
-        return Err(format!("eps must be positive, got {}", spec.eps));
-    }
+    let opts = Options::parse(QUEUE_KEYS, Spelling::Key, tokens, "job")?;
+    let base = TenantSpec::new(name, opts.need(&opts.eps, "eps")?, opts.n.unwrap_or(2_000));
+    let spec = TenantSpec {
+        algorithm: opts.algo.unwrap_or(base.algorithm),
+        kind: opts.kind.unwrap_or(base.kind),
+        seed: opts.seed.unwrap_or(base.seed),
+        weight: opts.weight.unwrap_or(base.weight),
+        kernel: opts.kernel.unwrap_or(base.kernel),
+        partitions: opts.partitions.unwrap_or(base.partitions),
+        grid_factor: opts.grid_factor.unwrap_or(base.grid_factor),
+        payload: opts.payload.unwrap_or(base.payload),
+        fault_seed: opts.fault_seed.unwrap_or(base.fault_seed),
+        max_attempts: opts.max_attempts,
+        estimate_override: opts.estimate,
+        faults: opts.faults,
+        ..base
+    };
     if spec.cardinality == 0 {
         return Err("n must be positive".into());
     }
+    // The checks a spec built in code meets at submit time, here with the
+    // queue line's number.
+    check_payload(spec.payload)?;
+    spec.fault_setup()?;
+    tenant_join_spec(&spec).validate().map_err(|e| match e {
+        JoinError::InvalidSpec { field, reason } => Spelling::Key.invalid_spec(field, &reason),
+        other => other.to_string(),
+    })?;
     Ok(spec)
 }
 
@@ -326,13 +310,17 @@ grid-factor=3 payload=2k faults=p=0.2,slow:1=2.0 fault-seed=3 max-attempts=5 est
             ("job a eps=0.5 weight=0", "weight"),
             ("job a eps=0.5 algo=quadtree", "unknown algorithm"),
             ("job a eps=0.5 color=red", "unknown key"),
+            // An option of the command line only is not a queue key.
+            ("job a eps=0.5 nodes=4", "unknown key 'nodes'"),
+            // A bad fault plan is found at parse time, not at submit time.
+            ("job a eps=0.5 faults=gremlins", "fault clause 'gremlins'"),
             ("job eps=0.5", "missing tenant name"),
             ("run a eps=0.5", "expected 'job'"),
-            ("job a eps=0.5 eps=0.6", "duplicate key 'eps'"),
-            ("job a eps=0.5 seed=1 seed=2", "duplicate key 'seed'"),
+            ("job a eps=0.5 eps=0.6", "duplicate option 'eps'"),
+            ("job a eps=0.5 seed=1 seed=2", "duplicate option 'seed'"),
             (
                 "job a eps=0.5 faults=p=0.1 faults=p=0.2",
-                "duplicate key 'faults'",
+                "duplicate option 'faults'",
             ),
             ("job a eps=0.5 n=-4", "invalid value for 'n'"),
             ("job a eps=0.5 seed=1.5", "invalid value for 'seed'"),
@@ -353,13 +341,16 @@ grid-factor=3 payload=2k faults=p=0.2,slow:1=2.0 fault-seed=3 max-attempts=5 est
             ("job a eps=0.5 grid-factor=0.5", "grid-factor must be"),
             ("job a eps=0.5 grid-factor=nan", "grid-factor must be"),
             ("job a eps=0.5 grid-factor=inf", "grid-factor must be"),
-            ("job a eps=inf", "eps must be positive"),
-            ("job a eps=nan", "eps must be positive"),
+            ("job a eps=inf", "eps must be finite and positive"),
+            ("job a eps=nan", "eps must be finite and positive"),
             (
                 "job a eps=0.5 max-attempts=0",
                 "max-attempts must be positive",
             ),
-            ("job a eps=0.5 partitions=0", "partitions must be positive"),
+            (
+                "job a eps=0.5 partitions=0",
+                "partitions must be at least 1",
+            ),
         ] {
             let err = parse_queue(&format!("# header\n{bad}")).unwrap_err();
             assert_eq!(err.line, 2, "'{bad}' is on line 2");

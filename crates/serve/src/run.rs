@@ -2,8 +2,8 @@ use crate::estimate::WorkingSetModel;
 use crate::queue::{check_payload, TenantSpec};
 use asj_data::{DatasetSpec, PAPER_BBOX};
 use asj_engine::{
-    ensure_remaining, Cluster, FaultPlan, Fnv1a, JobReport, JobServer, JobSpec, RetryPolicy,
-    SchedPolicy, ServerRun, SubmitError, Wire, WireError,
+    ensure_remaining, Cluster, Fnv1a, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun,
+    SubmitError, Wire, WireError,
 };
 use asj_join::{to_records, JoinError, JoinSpec, Record};
 use bytes::{Buf, BufMut};
@@ -149,33 +149,12 @@ fn tenant_records(tenant: &TenantSpec, seed: u64) -> Vec<Record> {
     to_records(&points, tenant.payload as usize)
 }
 
-fn tenant_join_spec(tenant: &TenantSpec) -> JoinSpec {
+pub(crate) fn tenant_join_spec(tenant: &TenantSpec) -> JoinSpec {
     JoinSpec::new(PAPER_BBOX, tenant.eps)
         .with_partitions(tenant.partitions)
         .with_grid_factor(tenant.grid_factor)
         .with_kernel(tenant.kernel)
         .with_seed(tenant.seed)
-}
-
-fn tenant_faults(tenant: &TenantSpec) -> Result<Option<(FaultPlan, RetryPolicy)>, String> {
-    let plan = match &tenant.faults {
-        Some(spec) => Some(FaultPlan::parse(spec, tenant.fault_seed)?),
-        None => None,
-    };
-    let policy = match tenant.max_attempts {
-        // Same text as the queue parser: a spec built in code gets the error
-        // a queue line would, not `with_max_attempts`'s assertion.
-        Some(0) => return Err("max-attempts must be positive".into()),
-        Some(n) => RetryPolicy::default().with_max_attempts(n),
-        None => RetryPolicy::default(),
-    };
-    match plan {
-        Some(plan) => Ok(Some((plan, policy))),
-        // A retry budget without a plan still pins this tenant's fault state
-        // to its own context instead of inheriting the server's.
-        None if tenant.max_attempts.is_some() => Ok(Some((FaultPlan::none(), policy))),
-        None => Ok(None),
-    }
 }
 
 fn run_tenant_body(tenant: &TenantSpec, cluster: &Cluster) -> Result<TenantOutcome, JoinError> {
@@ -218,7 +197,7 @@ pub fn tenant_job(tenant: &TenantSpec, nodes: usize) -> Result<JobSpec<TenantOut
     })
     .with_weight(tenant.weight)
     .with_estimate(estimate);
-    if let Some((plan, policy)) = tenant_faults(tenant)? {
+    if let Some((plan, policy)) = tenant.fault_setup()? {
         spec = spec.with_faults(plan, policy);
     }
     Ok(spec)
@@ -273,10 +252,21 @@ pub fn run_queue(
             tenant: tenant.name.clone(),
             message,
         })?;
-        server.submit(job).map_err(|error| ServeError::Submit {
+        let id = server.submit(job).map_err(|error| ServeError::Submit {
             tenant: tenant.name.clone(),
             error,
         })?;
+        // Checkpoint keys are `job<id>-…`: a server that does not recover
+        // must never read a checkpoint it did not write, such as one another
+        // queue's crashed run left under the same id.
+        if let (false, Some(store)) = (options.recover, cluster.checkpoint_store()) {
+            store
+                .gc_scope(&format!("job{id}"))
+                .map_err(|e| ServeError::Io {
+                    context: format!("clearing stale checkpoints of job {id}"),
+                    message: e.to_string(),
+                })?;
+        }
     }
     if let Some(path) = &options.journal {
         server = if options.recover {
@@ -315,7 +305,7 @@ pub fn calibrated_model_for(tenant: &TenantSpec) -> WorkingSetModel {
 /// a multi-tenant run must reproduce byte-identically.
 pub fn solo_outcome(cluster: &Cluster, tenant: &TenantSpec) -> Result<TenantOutcome, String> {
     let mut solo = Cluster::new(cluster.config());
-    if let Some((plan, policy)) = tenant_faults(tenant)? {
+    if let Some((plan, policy)) = tenant.fault_setup()? {
         solo = solo.with_fault_policy(plan, policy);
     } else if let Some(ctx) = cluster.fault_context() {
         // Mirror the server: tenants without their own plan inherit the base
@@ -328,7 +318,7 @@ pub fn solo_outcome(cluster: &Cluster, tenant: &TenantSpec) -> Result<TenantOutc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asj_engine::ClusterConfig;
+    use asj_engine::{ClusterConfig, FaultPlan, RetryPolicy};
     use asj_join::Algorithm;
     use std::time::Duration;
 

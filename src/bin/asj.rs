@@ -10,21 +10,21 @@
 //! Input/output files use the paper's raw text format: `id,x,y` per line.
 
 use adaptive_spatial_join::data::{
-    read_points_csv_partitions, write_points_csv, DatasetSpec, GenKind, PAPER_BBOX,
+    read_points_csv_partitions, write_points_csv, DatasetSpec, PAPER_BBOX,
 };
 use adaptive_spatial_join::engine::{
-    clean_orphaned_spills, set_spill_dir, Attrs, Dataset, Journal, Lane, SchedPolicy,
+    clean_orphaned_spills, set_spill_dir, Attrs, Dataset, Journal, Lane,
 };
 use adaptive_spatial_join::geom::Rect;
 use adaptive_spatial_join::join::{
-    knn_join, self_join, Algorithm, JoinError, JoinOutput, JoinSpec, LocalKernel, Pairs,
-    PartitionedPoints, Record,
+    knn_join, self_join, Algorithm, JoinError, JoinOutput, JoinSpec, Pairs, PartitionedPoints,
+    Record,
 };
 use adaptive_spatial_join::prelude::*;
 use adaptive_spatial_join::serve::{
-    parse_bytes, parse_queue, run_queue, solo_outcome, summary_line, RecoveryOptions, ServeError,
+    parse_queue, run_queue, solo_outcome, summary_line, synopsis, Options, RecoveryOptions,
+    ServeError, Spelling,
 };
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -37,7 +37,7 @@ fn main() -> ExitCode {
         Err(e) if e.usage => {
             eprintln!("error: {}", e.message);
             eprintln!();
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             ExitCode::from(2)
         }
         Err(e) => {
@@ -48,7 +48,7 @@ fn main() -> ExitCode {
 }
 
 /// Why a command stopped. What a corrected command line or queue file fixes
-/// is a usage error (the error line, then [`USAGE`], exit 2) — and so is any
+/// is a usage error (the error line, then [`usage`], exit 2) — and so is any
 /// plain `String`/`&str` error, which is what the flag parsers return. A run
 /// that failed — I/O, a stage out of attempts, a failed tenant — prints its
 /// one error line alone and exits 1.
@@ -86,16 +86,8 @@ impl From<JoinError> for CliError {
     fn from(e: JoinError) -> Self {
         match e {
             JoinError::Job(e) => CliError::runtime(e),
-            // Name the flag the spec field or argument came from.
             JoinError::InvalidSpec { field, reason } => {
-                let flag = match field {
-                    "eps" => "--eps",
-                    "grid_factor" => "--grid-factor",
-                    "num_partitions" => "--partitions",
-                    "k" => "--k",
-                    other => other,
-                };
-                format!("{flag} {reason}").into()
+                Spelling::Flag.invalid_spec(field, &reason).into()
             }
             e @ JoinError::GridTooFine { .. } => e.to_string().into(),
         }
@@ -111,29 +103,20 @@ impl From<ServeError> for CliError {
     }
 }
 
-const USAGE: &str = "\
-usage:
-  asj generate  --kind gaussian|hydrography|parks|uniform --n N --out FILE
-                [--seed S]
-  asj join      --r FILE --s FILE --eps E [--algo ALGO] [--nodes N]
-                [--partitions P] [--grid-factor F] [--kernel K] [--out FILE]
-                [--trace FILE] [--trace-format chrome|jsonl]
-                [--faults SPEC] [--seed S] [--max-attempts N] [--speculation]
-                [--memory-budget B]
-  asj self-join --input FILE --eps E [--nodes N] [--partitions P] [--kernel K]
-                [--trace FILE] [--trace-format chrome|jsonl]
-                [--faults SPEC] [--seed S] [--max-attempts N] [--speculation]
-                [--memory-budget B]
-  asj knn       --r FILE --s FILE --k K --eps E [--nodes N] [--partitions P]
-  asj range     --input FILE --rect x0,y0,x1,y1 --eps E [--nodes N]
-  asj heatmap   --input FILE [--width W] [--height H]
-  asj serve     --jobs FILE [--policy fair-share|fifo] [--nodes N]
-                [--memory-budget B] [--verify]
-                [--journal FILE] [--checkpoint-dir DIR] [--recover]
-                [--compact-every N]
-                [--trace FILE] [--trace-format chrome|jsonl]
-  asj journal   compact FILE
+/// The USAGE text: one synopsis per command, rendered from the options it
+/// takes, then what they mean.
+fn usage() -> String {
+    let mut text = String::from("usage:\n");
+    for name in COMMANDS {
+        let (_, required, optional) = command(name).expect("every listed command exists");
+        text += &synopsis(&format!("  asj {name:<10}"), required, &optional);
+        text.push('\n');
+    }
+    text + "  asj journal   compact FILE\n\n" + HELP
+}
 
+/// What the options of [`usage`]'s synopses mean.
+const HELP: &str = "\
 Exit status: 0 done; 1 the run failed (I/O, a stage out of attempts, a failed
 tenant) — one 'error:' line, no usage text; 2 bad arguments or queue file.
 
@@ -179,90 +162,50 @@ after every N completions, so long-lived servers keep bounded disk.
 'asj journal compact FILE' runs the same compaction offline (atomic:
 tmp file + fsync + rename).";
 
-/// Flags that take no value: their presence means "on".
-const BOOL_FLAGS: &[&str] = &["speculation", "verify", "recover"];
+type Handler = fn(&Options) -> Result<(), CliError>;
 
-/// Flags [`build_spec`] reads: cluster shape, kernel, tracing, faults, budget.
-const SPEC_FLAGS: &[&str] = &[
-    "eps",
+/// The subcommands, in USAGE order.
+const COMMANDS: [&str; 7] = [
+    "generate",
+    "join",
+    "self-join",
+    "knn",
+    "range",
+    "heatmap",
+    "serve",
+];
+
+/// The options [`build_spec`] reads: cluster shape, kernel, tracing, faults
+/// and budget.
+const SPEC_OPTIONS: &[&str] = &[
     "nodes",
     "partitions",
     "grid-factor",
     "kernel",
     "trace",
     "trace-format",
-    "memory-budget",
     "faults",
     "seed",
     "max-attempts",
     "speculation",
+    "memory-budget",
 ];
 
-/// Parsed `--flag value` options after subcommand `cmd`, which reads the
-/// flags in `known`; anything else is an error, so a typo or a removed
-/// option never runs with the flag silently dropped. Flags listed in
-/// [`BOOL_FLAGS`] are valueless switches recorded as `"true"`.
-fn parse_flags(
-    cmd: &str,
-    known: &[&str],
-    args: &[String],
-) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got '{}'", args[i]))?;
-        if !known.contains(&key) {
-            return Err(format!("unknown flag '--{key}' for 'asj {cmd}'"));
-        }
-        if BOOL_FLAGS.contains(&key) {
-            flags.insert(key.to_string(), "true".to_string());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("missing value for --{key}"))?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
-    }
-    Ok(flags)
-}
-
-fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
-    flags
-        .get(key)
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing required --{key}"))
-}
-
-fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("invalid {what}: '{s}'"))
-}
-
-fn run(args: &[String]) -> Result<(), CliError> {
-    let Some(cmd) = args.first() else {
-        return Err("no subcommand".into());
-    };
-    if cmd == "journal" {
-        // Positional operands (`journal compact FILE`), not --flags.
-        return cmd_journal(&args[1..]);
-    }
-    // Each subcommand with the flags it reads itself and whether it also
-    // builds a cluster through `build_spec`; all accept `--spill-dir`.
-    type Handler = fn(&HashMap<String, String>) -> Result<(), CliError>;
-    let (handler, own, spec): (Handler, &[&str], bool) = match cmd.as_str() {
-        "generate" => (cmd_generate, &["kind", "n", "out", "seed"], false),
-        "join" => (cmd_join, &["r", "s", "algo", "out"], true),
-        "self-join" => (cmd_self_join, &["input", "out"], true),
-        "knn" => (cmd_knn, &["r", "s", "k"], true),
-        "range" => (cmd_range, &["input", "rect"], true),
-        "heatmap" => (cmd_heatmap, &["input", "width", "height"], false),
+/// Subcommand `cmd`: its handler, the options it requires and every other
+/// option it reads.
+fn command(cmd: &str) -> Option<(Handler, &'static [&'static str], Vec<&'static str>)> {
+    // The last field: whether it also reads SPEC_OPTIONS, through build_spec.
+    let (handler, required, optional, spec): (Handler, &[&str], &[&str], bool) = match cmd {
+        "generate" => (cmd_generate, &["kind", "n", "out"], &["seed"], false),
+        "join" => (cmd_join, &["r", "s", "eps"], &["algo", "out"], true),
+        "self-join" => (cmd_self_join, &["input", "eps"], &["out"], true),
+        "knn" => (cmd_knn, &["r", "s", "k", "eps"], &[], true),
+        "range" => (cmd_range, &["input", "rect", "eps"], &[], true),
+        "heatmap" => (cmd_heatmap, &["input"], &["width", "height"], false),
         "serve" => (
             cmd_serve,
+            &["jobs"],
             &[
-                "jobs",
                 "policy",
                 "nodes",
                 "memory-budget",
@@ -276,15 +219,35 @@ fn run(args: &[String]) -> Result<(), CliError> {
             ],
             false,
         ),
-        other => return Err(format!("unknown subcommand '{other}'").into()),
+        _ => return None,
     };
-    let mut known = own.to_vec();
-    known.push("spill-dir");
-    if spec {
-        known.extend_from_slice(SPEC_FLAGS);
+    let spec = if spec { SPEC_OPTIONS } else { &[] };
+    Some((handler, required, [optional, spec, &["spill-dir"]].concat()))
+}
+
+/// The subcommand `args` names and the options it was given.
+fn parse_args(args: &[String]) -> Result<(Handler, Options), String> {
+    let Some(cmd) = args.first() else {
+        return Err("no subcommand".into());
+    };
+    let (handler, required, optional) =
+        command(cmd).ok_or_else(|| format!("unknown subcommand '{cmd}'"))?;
+    let accepted = [required, &optional].concat();
+    let words = args[1..].iter().map(String::as_str);
+    let opts = Options::parse(&accepted, Spelling::Flag, words, &format!("asj {cmd}"))?;
+    match opts.operands.first() {
+        Some(word) => Err(format!("expected --flag, got '{word}'")),
+        None => Ok((handler, opts)),
     }
-    let flags = parse_flags(cmd, &known, &args[1..])?;
-    if let Some(dir) = flags.get("spill-dir") {
+}
+
+fn run(args: &[String]) -> Result<(), CliError> {
+    if args.first().is_some_and(|cmd| cmd == "journal") {
+        // Positional operands (`journal compact FILE`), not --flags.
+        return cmd_journal(&args[1..]);
+    }
+    let (handler, opts) = parse_args(args)?;
+    if let Some(dir) = &opts.spill_dir {
         set_spill_dir(PathBuf::from(dir));
         // A previous run that crashed mid-spill may have left segments behind;
         // the pid in every spill filename makes live files distinguishable.
@@ -296,19 +259,18 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Err(e) => return Err(CliError::runtime(format!("cleaning spill dir {dir}: {e}"))),
         }
     }
-    handler(&flags)
+    handler(&opts)
 }
 
-fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let kind: GenKind = required(flags, "kind")?.parse()?;
-    let n: usize = parse(required(flags, "n")?, "--n")?;
-    let out = PathBuf::from(required(flags, "out")?);
-    let seed: u64 = flags.get("seed").map_or(Ok(7), |s| parse(s, "--seed"))?;
+fn cmd_generate(opts: &Options) -> Result<(), CliError> {
+    let kind = opts.need(&opts.kind, "kind")?;
+    let n = opts.need(&opts.n, "n")?;
+    let out = PathBuf::from(opts.need(&opts.out, "out")?);
     let spec = DatasetSpec {
         name: "cli",
         kind,
         cardinality: n,
-        seed,
+        seed: opts.seed.unwrap_or(7),
         bbox: PAPER_BBOX,
         sigma_scale: 1.0,
     };
@@ -352,13 +314,8 @@ struct TraceSink {
 }
 
 impl TraceSink {
-    fn from_flags(flags: &HashMap<String, String>, nodes: usize) -> Result<TraceSink, String> {
-        let path = flags.get("trace").map(PathBuf::from);
-        let format: TraceFormat = flags
-            .get("trace-format")
-            .map_or(Ok(TraceFormat::Chrome), |s| {
-                s.parse().map_err(|e: String| e)
-            })?;
+    fn new(opts: &Options, nodes: usize) -> TraceSink {
+        let path = opts.trace.as_ref().map(PathBuf::from);
         // Without --trace the recorder stays no-op: zero overhead, and the
         // join's outputs and metrics are bit-identical to an untraced run.
         let recorder = if path.is_some() {
@@ -366,11 +323,11 @@ impl TraceSink {
         } else {
             Recorder::noop()
         };
-        Ok(TraceSink {
+        TraceSink {
             recorder,
             path,
-            format,
-        })
+            format: opts.trace_format.unwrap_or_default(),
+        }
     }
 
     fn write(&self) -> Result<(), CliError> {
@@ -391,80 +348,32 @@ impl TraceSink {
     }
 }
 
-/// The cluster `--nodes`, `--trace` and `--memory-budget` describe. Zeroes
-/// are rejected here, before `ClusterConfig` asserts on them.
-fn build_cluster(flags: &HashMap<String, String>) -> Result<(Cluster, TraceSink), String> {
-    let nodes: usize = flags.get("nodes").map_or(Ok(12), |s| parse(s, "--nodes"))?;
-    if nodes == 0 {
-        return Err("--nodes must be positive".into());
+/// The cluster `--nodes`, `--trace` and `--memory-budget` describe.
+fn build_cluster(opts: &Options) -> (Cluster, TraceSink) {
+    let nodes = opts.nodes.unwrap_or(12);
+    let trace = TraceSink::new(opts, nodes);
+    let cluster = Cluster::new(ClusterConfig::new(nodes)).with_recorder(trace.recorder.clone());
+    match opts.memory_budget {
+        Some(bytes) => (cluster.with_memory_budget(bytes), trace),
+        None => (cluster, trace),
     }
-    let trace = TraceSink::from_flags(flags, nodes)?;
-    let mut cluster = Cluster::new(ClusterConfig::new(nodes)).with_recorder(trace.recorder.clone());
-    if let Some(budget) = flags.get("memory-budget") {
-        match parse_bytes(budget).map_err(|e| format!("--memory-budget: {e}"))? {
-            0 => return Err("--memory-budget must be positive".into()),
-            bytes => cluster = cluster.with_memory_budget(bytes),
-        }
-    }
-    Ok((cluster, trace))
 }
 
-fn build_spec(
-    flags: &HashMap<String, String>,
-    bbox: Rect,
-) -> Result<(Cluster, JoinSpec, TraceSink), CliError> {
-    let eps: f64 = parse(required(flags, "eps")?, "--eps")?;
-    let partitions: usize = flags
-        .get("partitions")
-        .map_or(Ok(96), |s| parse(s, "--partitions"))?;
-    let factor: f64 = flags
-        .get("grid-factor")
-        .map_or(Ok(2.0), |s| parse(s, "--grid-factor"))?;
-    let kernel: LocalKernel = flags
-        .get("kernel")
-        .map_or(Ok(LocalKernel::Auto), |s| s.parse())?;
-    let (mut cluster, trace) = build_cluster(flags)?;
-    if let Some((plan, policy)) = fault_setup(flags)? {
+/// The cluster, join spec and trace of a join over `bbox`: the fault plan
+/// and retry policy of `--faults` / `--seed` / `--max-attempts` /
+/// `--speculation`, falling back to `ASJ_FAULTS` / `ASJ_FAULT_SEED`.
+fn build_spec(opts: &Options, bbox: Rect) -> Result<(Cluster, JoinSpec, TraceSink), CliError> {
+    let eps = opts.need(&opts.eps, "eps")?;
+    let (mut cluster, trace) = build_cluster(opts);
+    if let Some((plan, policy)) = opts.fault_setup(opts.seed.unwrap_or(7), true)? {
         cluster = cluster.with_fault_policy(plan, policy);
     }
     // Pad the observed bbox so border points still get full neighborhoods.
     let spec = JoinSpec::new(bbox.expand(eps), eps)
-        .with_partitions(partitions)
-        .with_grid_factor(factor)
-        .with_kernel(kernel);
+        .with_partitions(opts.partitions.unwrap_or(96))
+        .with_grid_factor(opts.grid_factor.unwrap_or(2.0))
+        .with_kernel(opts.kernel.unwrap_or_default());
     Ok((cluster, spec, trace))
-}
-
-/// Fault plan and retry policy requested by `--faults` / `--seed` /
-/// `--max-attempts` / `--speculation`, falling back to the `ASJ_FAULTS` /
-/// `ASJ_FAULT_SEED` environment variables. `None` leaves the cluster
-/// single-attempt and fail-stop.
-fn fault_setup(
-    flags: &HashMap<String, String>,
-) -> Result<Option<(FaultPlan, RetryPolicy)>, String> {
-    let seed: u64 = flags.get("seed").map_or(Ok(7), |s| parse(s, "--seed"))?;
-    let plan = match flags.get("faults") {
-        Some(spec) => Some(FaultPlan::parse(spec, seed)?),
-        None => FaultPlan::from_env(),
-    };
-    let mut policy = RetryPolicy::default();
-    if let Some(n) = flags.get("max-attempts") {
-        match parse(n, "--max-attempts")? {
-            0 => return Err("--max-attempts must be positive".into()),
-            attempts => policy = policy.with_max_attempts(attempts),
-        }
-    }
-    if flags.contains_key("speculation") {
-        policy = policy.with_speculation(true);
-    }
-    let policy_requested = flags.contains_key("max-attempts") || flags.contains_key("speculation");
-    match plan {
-        Some(plan) => Ok(Some((plan, policy))),
-        // A policy without a plan still applies (e.g. --speculation on a
-        // fault-free run).
-        None if policy_requested => Ok(Some((FaultPlan::none(), policy))),
-        None => Ok(None),
-    }
 }
 
 /// Prints the metrics report of a join. `ingest` is the time spent reading the
@@ -622,7 +531,7 @@ fn write_pairs(path: &str, pairs: &Pairs) -> Result<(), CliError> {
 /// pair files, then how long writing those took, and last the process's
 /// peak RSS, which the output may have set.
 fn finish_join(
-    flags: &HashMap<String, String>,
+    opts: &Options,
     out: &JoinOutput,
     ingest: Duration,
     trace: &TraceSink,
@@ -630,7 +539,7 @@ fn finish_join(
     report(out, ingest);
     let output = Instant::now();
     trace.write()?;
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = &opts.out {
         write_pairs(path, &out.pairs)?;
     }
     println!(
@@ -643,51 +552,51 @@ fn finish_join(
     Ok(())
 }
 
-fn cmd_join(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_join(opts: &Options) -> Result<(), CliError> {
     let ingest = Instant::now();
-    let r = load_records(required(flags, "r")?)?;
-    let s = load_records(required(flags, "s")?)?;
+    let r = load_records(&opts.need(&opts.r, "r")?)?;
+    let s = load_records(&opts.need(&opts.s, "s")?)?;
     let ingest = ingest.elapsed();
-    let algo = Algorithm::from_token(flags.get("algo").map_or("lpib", String::as_str))?;
+    let algo = opts.algo.unwrap_or(Algorithm::Lpib);
     let bbox = bbox_of(records(&r).chain(records(&s)));
     if bbox.is_empty() {
         return Err("inputs contain no points".into());
     }
-    let (cluster, mut spec, trace) = build_spec(flags, bbox)?;
-    if flags.get("out").is_none() {
+    let (cluster, mut spec, trace) = build_spec(opts, bbox)?;
+    if opts.out.is_none() {
         spec = spec.counting_only();
     }
     let out = algo.try_run(&cluster, &spec, r, s)?;
     warn_unreached_fault_stages(&cluster);
-    finish_join(flags, &out, ingest, &trace)
+    finish_join(opts, &out, ingest, &trace)
 }
 
-fn cmd_self_join(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_self_join(opts: &Options) -> Result<(), CliError> {
     let ingest = Instant::now();
-    let input = load_records(required(flags, "input")?)?;
+    let input = load_records(&opts.need(&opts.input, "input")?)?;
     let ingest = ingest.elapsed();
     let bbox = bbox_of(records(&input));
     if bbox.is_empty() {
         return Err("input contains no points".into());
     }
-    let (cluster, mut spec, trace) = build_spec(flags, bbox)?;
-    if flags.get("out").is_none() {
+    let (cluster, mut spec, trace) = build_spec(opts, bbox)?;
+    if opts.out.is_none() {
         spec = spec.counting_only();
     }
     let out = self_join(&cluster, &spec, input)?;
     warn_unreached_fault_stages(&cluster);
-    finish_join(flags, &out, ingest, &trace)
+    finish_join(opts, &out, ingest, &trace)
 }
 
-fn cmd_knn(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let r = load_records(required(flags, "r")?)?;
-    let s = load_records(required(flags, "s")?)?;
-    let k: usize = parse(required(flags, "k")?, "--k")?;
+fn cmd_knn(opts: &Options) -> Result<(), CliError> {
+    let r = load_records(&opts.need(&opts.r, "r")?)?;
+    let s = load_records(&opts.need(&opts.s, "s")?)?;
+    let k = opts.need(&opts.k, "k")?;
     let bbox = bbox_of(records(&r).chain(records(&s)));
     if bbox.is_empty() {
         return Err("inputs contain no points".into());
     }
-    let (cluster, spec, _trace) = build_spec(flags, bbox)?;
+    let (cluster, spec, trace) = build_spec(opts, bbox)?;
     let out = knn_join(&cluster, &spec, k, r, s)?;
     warn_unreached_fault_stages(&cluster);
     println!("queries answered     : {}", out.neighbors.len());
@@ -703,30 +612,17 @@ fn cmd_knn(flags: &HashMap<String, String>) -> Result<(), CliError> {
         .sum::<f64>()
         / out.neighbors.len().max(1) as f64;
     println!("mean nearest distance: {mean_nn:.4}");
-    Ok(())
+    trace.write()
 }
 
-fn cmd_range(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let input = load_records(required(flags, "input")?)?;
-    let rect_spec = required(flags, "rect")?;
-    let nums: Vec<f64> = rect_spec
-        .split(',')
-        .map(|v| parse(v.trim(), "--rect coordinate"))
-        .collect::<Result<_, String>>()?;
-    if nums.len() != 4 {
-        return Err("--rect needs exactly x0,y0,x1,y1".into());
-    }
-    let region = Rect::new(
-        nums[0].min(nums[2]),
-        nums[1].min(nums[3]),
-        nums[0].max(nums[2]),
-        nums[1].max(nums[3]),
-    );
+fn cmd_range(opts: &Options) -> Result<(), CliError> {
+    let input = load_records(&opts.need(&opts.input, "input")?)?;
+    let region = opts.need(&opts.rect, "rect")?;
     let bbox = bbox_of(records(&input));
     if bbox.is_empty() {
         return Err("input contains no points".into());
     }
-    let (cluster, spec, _trace) = build_spec(flags, bbox)?;
+    let (cluster, spec, trace) = build_spec(opts, bbox)?;
     let table = PartitionedPoints::build(&cluster, &spec, input)?;
     let (ids, _) = table.range_query(&cluster, region)?;
     println!("points in region     : {}", ids.len());
@@ -736,23 +632,17 @@ fn cmd_range(flags: &HashMap<String, String>) -> Result<(), CliError> {
     if ids.len() > 10 {
         println!("  ... and {} more", ids.len() - 10);
     }
-    Ok(())
+    trace.write()
 }
 
 /// ASCII density map of a dataset — a quick look at the skew the adaptive
 /// algorithms exploit.
-fn cmd_heatmap(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let input = load_records(required(flags, "input")?)?;
+fn cmd_heatmap(opts: &Options) -> Result<(), CliError> {
+    let input = load_records(&opts.need(&opts.input, "input")?)?;
     if input.is_empty() {
         return Err("input contains no points".into());
     }
-    let width: usize = flags.get("width").map_or(Ok(64), |s| parse(s, "--width"))?;
-    let height: usize = flags
-        .get("height")
-        .map_or(Ok(24), |s| parse(s, "--height"))?;
-    if width == 0 || height == 0 {
-        return Err("--width/--height must be positive".into());
-    }
+    let (width, height) = (opts.width.unwrap_or(64), opts.height.unwrap_or(24));
     let bbox = bbox_of(records(&input));
     let mut counts = vec![0u64; width * height];
     for rec in records(&input) {
@@ -813,39 +703,22 @@ fn cmd_journal(args: &[String]) -> Result<(), CliError> {
 
 /// Multi-tenant job server: run a queue file of tenant joins on one
 /// simulated cluster under admission control and a scheduling policy.
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let path = required(flags, "jobs")?;
-    let text = std::fs::read_to_string(path)
+fn cmd_serve(opts: &Options) -> Result<(), CliError> {
+    let path = opts.need(&opts.jobs, "jobs")?;
+    let text = std::fs::read_to_string(&path)
         .map_err(|e| CliError::runtime(format!("reading {path}: {e}")))?;
     let tenants = parse_queue(&text).map_err(|e| e.to_string())?;
     if tenants.is_empty() {
         return Err(format!("no jobs in {path}").into());
     }
-    let policy = match flags.get("policy") {
-        Some(s) => SchedPolicy::parse(s)
-            .ok_or_else(|| format!("unknown policy '{s}' (fair-share | fifo)"))?,
-        None => SchedPolicy::FairShare,
-    };
-    let (cluster, trace) = build_cluster(flags)?;
-    let compact_every = flags
-        .get("compact-every")
-        .map(|s| parse::<u64>(s, "--compact-every"))
-        .transpose()?;
-    if compact_every == Some(0) {
-        return Err("--compact-every must be positive".into());
-    }
+    let (cluster, trace) = build_cluster(opts);
     let recovery = RecoveryOptions {
-        journal: flags.get("journal").map(PathBuf::from),
-        checkpoint_dir: flags.get("checkpoint-dir").map(PathBuf::from),
-        recover: flags.contains_key("recover"),
-        compact_every,
+        journal: opts.journal.as_ref().map(PathBuf::from),
+        checkpoint_dir: opts.checkpoint_dir.as_ref().map(PathBuf::from),
+        recover: opts.recover,
+        compact_every: opts.compact_every,
     };
-    if recovery.recover && recovery.journal.is_none() {
-        return Err("--recover requires --journal FILE".into());
-    }
-    if recovery.compact_every.is_some() && recovery.journal.is_none() {
-        return Err("--compact-every requires --journal FILE".into());
-    }
+    let policy = opts.policy.unwrap_or_default();
     let run = run_queue(&cluster, &tenants, policy, &recovery)?;
     println!("policy               : {}", run.policy.name());
     println!("tenants              : {}", run.reports.len());
@@ -880,7 +753,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     for report in &run.reports {
         println!("{}", summary_line(report));
     }
-    if flags.contains_key("verify") {
+    if opts.verify {
         for (tenant, report) in tenants.iter().zip(&run.reports) {
             let Ok(shared) = &report.result else {
                 continue;
@@ -924,16 +797,31 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adaptive_spatial_join::data::GenKind;
+    use adaptive_spatial_join::join::LocalKernel;
+    use adaptive_spatial_join::serve::{TenantSpec, QUEUE_KEYS, ROWS};
+
+    fn asj(args: &[&str]) -> Result<(), CliError> {
+        run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    /// The options `asj ARGS` would run with, or its usage error.
+    fn options(args: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).map(|(_, opts)| opts)
+    }
+
+    /// `build_spec` of `asj join ARGS` over a 10 x 10 box.
+    fn join_spec(args: &[&str]) -> Result<(Cluster, JoinSpec, TraceSink), CliError> {
+        let args = [&["join", "--r", "r.csv", "--s", "s.csv"], args].concat();
+        build_spec(&options(&args)?, Rect::new(0.0, 0.0, 10.0, 10.0))
+    }
 
     #[test]
     fn flags_parse_pairs() {
-        let args: Vec<String> = ["--eps", "0.5", "--algo", "diff"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = parse_flags("join", &["eps", "algo"], &args).unwrap();
-        assert_eq!(f["eps"], "0.5");
-        assert_eq!(f["algo"], "diff");
+        let f = options(&["join", "--eps", "0.5", "--algo", "diff"]).unwrap();
+        assert_eq!(f.eps, Some(0.5));
+        assert_eq!(f.algo, Some(Algorithm::Diff));
     }
 
     #[test]
@@ -941,9 +829,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("asj-cli-empty-{}.csv", std::process::id()));
         std::fs::write(&path, "").unwrap();
         let file = path.to_str().unwrap();
-        let flags = [("r", file), ("s", file), ("eps", "0.5")]
-            .map(|(flag, value)| (flag.to_string(), value.to_string()));
-        let err = cmd_join(&HashMap::from(flags)).unwrap_err();
+        let err = asj(&["join", "--r", file, "--s", file, "--eps", "0.5"]).unwrap_err();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(err.message, "inputs contain no points");
     }
@@ -964,51 +850,54 @@ mod tests {
 
     #[test]
     fn flags_reject_missing_value_and_bad_prefix() {
-        assert!(parse_flags("join", &["eps"], &["--eps".to_string()]).is_err());
-        assert!(parse_flags("join", &["eps"], &["eps".to_string(), "1".to_string()]).is_err());
+        assert_eq!(
+            options(&["join", "--eps"]).unwrap_err(),
+            "missing value for --eps"
+        );
+        assert_eq!(
+            options(&["join", "eps", "1"]).unwrap_err(),
+            "expected --flag, got 'eps'"
+        );
     }
 
     #[test]
     fn bool_flags_need_no_value() {
-        let args: Vec<String> = ["--speculation", "--eps", "0.5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = parse_flags("join", SPEC_FLAGS, &args).unwrap();
-        assert_eq!(f["speculation"], "true");
-        assert_eq!(f["eps"], "0.5");
+        let f = options(&["join", "--speculation", "--eps", "0.5"]).unwrap();
+        assert!(f.speculation);
+        assert_eq!(f.eps, Some(0.5));
     }
 
     #[test]
     fn fault_setup_reads_flags() {
-        let flags: HashMap<String, String> = [
-            ("faults", "p=0.5,slow:1=2.0"),
-            ("seed", "3"),
-            ("max-attempts", "6"),
-            ("speculation", "true"),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-        let (plan, policy) = fault_setup(&flags).unwrap().expect("faults requested");
-        assert!(plan.is_active());
-        assert_eq!(plan.seed, 3);
-        assert_eq!(plan.slowdown(1), 2.0);
-        assert_eq!(policy.max_attempts, 6);
-        assert!(policy.speculation);
+        let (cluster, _, _) = join_spec(&[
+            "--eps",
+            "0.5",
+            "--faults",
+            "p=0.5,slow:1=2.0",
+            "--seed",
+            "3",
+            "--max-attempts",
+            "6",
+            "--speculation",
+        ])
+        .unwrap();
+        let ctx = cluster.fault_context().expect("faults requested");
+        assert!(ctx.plan.is_active());
+        assert_eq!(ctx.plan.seed, 3);
+        assert_eq!(ctx.plan.slowdown(1), 2.0);
+        assert_eq!(ctx.policy.max_attempts, 6);
+        assert!(ctx.policy.speculation);
 
-        let bad: HashMap<String, String> = [("faults".to_string(), "gremlins".to_string())].into();
-        assert!(fault_setup(&bad).is_err());
+        assert!(join_spec(&["--eps", "0.5", "--faults", "gremlins"]).is_err());
 
         // A bare retry policy routes through recovery with an inert plan.
         // (Skipped when the chaos env vars are set, e.g. in the CI
         // fault-matrix job, where from_env() supplies an active plan.)
         if std::env::var("ASJ_FAULTS").is_err() && std::env::var("ASJ_FAULT_SEED").is_err() {
-            let spec_only: HashMap<String, String> =
-                [("speculation".to_string(), "true".to_string())].into();
-            let (plan, policy) = fault_setup(&spec_only).unwrap().expect("policy requested");
-            assert!(!plan.is_active());
-            assert!(policy.speculation);
+            let (cluster, _, _) = join_spec(&["--eps", "0.5", "--speculation"]).unwrap();
+            let ctx = cluster.fault_context().expect("policy requested");
+            assert!(!ctx.plan.is_active());
+            assert!(ctx.policy.speculation);
         }
     }
 
@@ -1018,7 +907,7 @@ mod tests {
         // by name even though it stays out of Algorithm::ALL.
         for algo in Algorithm::ALL.into_iter().chain([Algorithm::LpibDedup]) {
             assert!(
-                USAGE.contains(algo.token()),
+                usage().contains(algo.token()),
                 "'{}' must be discoverable from --help",
                 algo.token()
             );
@@ -1027,21 +916,19 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_typed_errors_naming_flag_and_subcommand() {
-        let arg = |s: &str| s.to_string();
         // Caught at parse time, before any file is opened: the paths do not
         // exist and must not mask the usage error.
         let join = |extra: [&str; 2]| {
-            let mut args = vec![
-                arg("join"),
-                arg("--r"),
-                arg("/nonexistent/r.csv"),
-                arg("--s"),
-                arg("/nonexistent/s.csv"),
-                arg("--eps"),
-                arg("0.4"),
+            let base = [
+                "join",
+                "--r",
+                "/nonexistent/r.csv",
+                "--s",
+                "/nonexistent/s.csv",
             ];
-            args.extend(extra.map(arg));
-            run(&args).unwrap_err().message
+            asj(&[&base[..], &["--eps", "0.4"], &extra].concat())
+                .unwrap_err()
+                .message
         };
         // A typo used to be swallowed and the join ran unbudgeted.
         assert_eq!(
@@ -1053,26 +940,24 @@ mod tests {
             join(["--exec", "barrier"]),
             "unknown flag '--exec' for 'asj join'"
         );
-        let err = run(&[
-            arg("serve"),
-            arg("--jobs"),
-            arg("/nonexistent/jobs.txt"),
-            arg("--shuffle"),
-            arg("radix"),
+        let err = asj(&[
+            "serve",
+            "--jobs",
+            "/nonexistent/jobs.txt",
+            "--shuffle",
+            "radix",
         ])
         .unwrap_err();
         assert_eq!(err.message, "unknown flag '--shuffle' for 'asj serve'");
         assert!(err.usage);
         // A flag of one subcommand is unknown to another.
-        let err = run(&[arg("heatmap"), arg("--eps"), arg("1")]).unwrap_err();
+        let err = asj(&["heatmap", "--eps", "1"]).unwrap_err();
         assert_eq!(err.message, "unknown flag '--eps' for 'asj heatmap'");
     }
 
     #[test]
     fn kernel_flag_selects_local_kernel() {
-        let bbox = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let base: HashMap<String, String> = [("eps".to_string(), "0.5".to_string())].into();
-        let (_, spec, _) = build_spec(&base, bbox).unwrap();
+        let (_, spec, _) = join_spec(&["--eps", "0.5"]).unwrap();
         assert_eq!(spec.kernel, LocalKernel::Auto, "auto is the default");
         for (name, kernel) in [
             ("nested-loop", LocalKernel::NestedLoop),
@@ -1080,33 +965,27 @@ mod tests {
             ("grid-bucket", LocalKernel::GridBucket),
             ("auto", LocalKernel::Auto),
         ] {
-            let mut flags = base.clone();
-            flags.insert("kernel".to_string(), name.to_string());
-            let (_, spec, _) = build_spec(&flags, bbox).unwrap();
+            let (_, spec, _) = join_spec(&["--eps", "0.5", "--kernel", name]).unwrap();
             assert_eq!(spec.kernel, kernel, "--kernel {name}");
         }
-        let mut bad = base.clone();
-        bad.insert("kernel".to_string(), "quadratic".to_string());
-        assert!(build_spec(&bad, bbox).is_err());
+        assert!(join_spec(&["--eps", "0.5", "--kernel", "quadratic"]).is_err());
     }
 
     #[test]
     fn memory_budget_flag_parses_and_caps_the_cluster() {
-        let bbox = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let base: HashMap<String, String> = [("eps".to_string(), "0.5".to_string())].into();
-        let (cluster, _, _) = build_spec(&base, bbox).unwrap();
+        let (cluster, _, _) = join_spec(&["--eps", "0.5"]).unwrap();
         assert_eq!(
             cluster.memory_accountant().budget(),
             None,
             "no flag leaves the accountant meter-only"
         );
-        let mut flags = base.clone();
-        flags.insert("memory-budget".to_string(), "64k".to_string());
-        let (cluster, _, _) = build_spec(&flags, bbox).unwrap();
+        let (cluster, _, _) = join_spec(&["--eps", "0.5", "--memory-budget", "64k"]).unwrap();
         assert_eq!(cluster.memory_accountant().budget(), Some(64 << 10));
-        let mut bad = base;
-        bad.insert("memory-budget".to_string(), "plenty".to_string());
-        assert!(build_spec(&bad, bbox).is_err());
+        let err = join_spec(&["--eps", "0.5", "--memory-budget", "plenty"]).err();
+        assert_eq!(
+            err.map(|e| e.message).as_deref(),
+            Some("--memory-budget: invalid byte size: 'plenty'")
+        );
     }
 
     #[test]
@@ -1118,10 +997,9 @@ mod tests {
             GenKind::Uniform,
         ] {
             assert_eq!(kind.name().parse(), Ok(kind));
-            assert!(USAGE.contains(kind.name()), "--kind {}", kind.name());
+            assert!(usage().contains(kind.name()), "--kind {}", kind.name());
         }
-        let flags: HashMap<String, String> = [("kind".to_string(), "what".to_string())].into();
-        let err = cmd_generate(&flags).unwrap_err();
+        let err = asj(&["generate", "--kind", "what"]).unwrap_err();
         assert_eq!(err.message, "unknown generator kind 'what'");
         assert!(err.usage);
     }
@@ -1137,20 +1015,18 @@ mod tests {
         path
     }
 
-    fn asj(args: &[&str]) -> Result<(), CliError> {
-        run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
-    }
-
     #[test]
     fn out_of_range_flags_are_usage_errors_naming_the_flag() {
         let input = small_input("range");
+        // `--eps 0.5` unless the case gives its own: a repeated flag is an
+        // error of its own.
         let join = |extra: &[&str]| {
-            // A repeated flag overrides the earlier one.
-            asj(&[
-                &["join", "--r", &input, "--s", &input, "--eps", "0.5"],
-                extra,
-            ]
-            .concat())
+            let eps: &[&str] = if extra.contains(&"--eps") {
+                &[]
+            } else {
+                &["--eps", "0.5"]
+            };
+            asj(&[&["join", "--r", &input, "--s", &input], eps, extra].concat())
         };
         // Each of these used to trip an `assert!` inside the library.
         for (extra, expected) in [
@@ -1246,8 +1122,8 @@ mod tests {
 
     #[test]
     fn unknown_subcommand_errors() {
-        assert!(run(&["frobnicate".to_string()]).is_err());
-        assert!(run(&[]).is_err());
+        assert!(asj(&["frobnicate"]).is_err());
+        assert!(asj(&[]).is_err());
     }
 
     #[test]
@@ -1257,117 +1133,71 @@ mod tests {
         let r_path = dir.join(format!("asj-cli-r-{pid}.csv"));
         let s_path = dir.join(format!("asj-cli-s-{pid}.csv"));
         let out_path = dir.join(format!("asj-cli-out-{pid}.csv"));
-        let arg = |s: &str| s.to_string();
-        run(&[
-            arg("generate"),
-            arg("--kind"),
-            arg("uniform"),
-            arg("--n"),
-            arg("500"),
-            arg("--out"),
-            arg(r_path.to_str().unwrap()),
+        let (r, s) = (r_path.to_str().unwrap(), s_path.to_str().unwrap());
+        let out = out_path.to_str().unwrap();
+        asj(&["generate", "--kind", "uniform", "--n", "500", "--out", r]).unwrap();
+        asj(&[
+            "generate", "--kind", "gaussian", "--n", "500", "--seed", "9", "--out", s,
         ])
         .unwrap();
-        run(&[
-            arg("generate"),
-            arg("--kind"),
-            arg("gaussian"),
-            arg("--n"),
-            arg("500"),
-            arg("--seed"),
-            arg("9"),
-            arg("--out"),
-            arg(s_path.to_str().unwrap()),
-        ])
-        .unwrap();
-        run(&[
-            arg("join"),
-            arg("--r"),
-            arg(r_path.to_str().unwrap()),
-            arg("--s"),
-            arg(s_path.to_str().unwrap()),
-            arg("--eps"),
-            arg("1.5"),
-            arg("--nodes"),
-            arg("4"),
-            arg("--partitions"),
-            arg("8"),
-            arg("--memory-budget"),
-            arg("4k"),
-            arg("--out"),
-            arg(out_path.to_str().unwrap()),
+        asj(&[
+            "join",
+            "--r",
+            r,
+            "--s",
+            s,
+            "--eps",
+            "1.5",
+            "--nodes",
+            "4",
+            "--partitions",
+            "8",
+            "--memory-budget",
+            "4k",
+            "--out",
+            out,
         ])
         .unwrap();
         let pairs = std::fs::read_to_string(&out_path).unwrap();
         assert!(pairs.lines().all(|l| l.split(',').count() == 2));
-        run(&[
-            arg("knn"),
-            arg("--r"),
-            arg(r_path.to_str().unwrap()),
-            arg("--s"),
-            arg(s_path.to_str().unwrap()),
-            arg("--k"),
-            arg("3"),
-            arg("--eps"),
-            arg("1.0"),
+        asj(&["knn", "--r", r, "--s", s, "--k", "3", "--eps", "1.0"]).unwrap();
+        asj(&[
+            "range",
+            "--input",
+            r,
+            "--rect",
+            "-100,30,-90,40",
+            "--eps",
+            "1.0",
         ])
         .unwrap();
-        run(&[
-            arg("range"),
-            arg("--input"),
-            arg(r_path.to_str().unwrap()),
-            arg("--rect"),
-            arg("-100,30,-90,40"),
-            arg("--eps"),
-            arg("1.0"),
-        ])
-        .unwrap();
-        run(&[
-            arg("heatmap"),
-            arg("--input"),
-            arg(s_path.to_str().unwrap()),
-            arg("--width"),
-            arg("40"),
-            arg("--height"),
-            arg("12"),
-        ])
-        .unwrap();
-        run(&[
-            arg("self-join"),
-            arg("--input"),
-            arg(s_path.to_str().unwrap()),
-            arg("--eps"),
-            arg("0.8"),
-        ])
-        .unwrap();
+        asj(&["heatmap", "--input", s, "--width", "40", "--height", "12"]).unwrap();
+        asj(&["self-join", "--input", s, "--eps", "0.8"]).unwrap();
         for p in [r_path, s_path, out_path] {
             let _ = std::fs::remove_file(p);
         }
     }
 
-    #[test]
-    fn serve_runs_a_queue_file_with_verification() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let jobs_path = dir.join(format!("asj-serve-jobs-{pid}.txt"));
+    /// The two-tenant queue the serve tests run, written to a temp file.
+    fn two_tenant_queue(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("asj-serve-{tag}-{}.txt", std::process::id()));
         std::fs::write(
-            &jobs_path,
+            &path,
             "# two tenants on one cluster\n\
              job alpha algo=lpib eps=0.5 n=600 partitions=8 seed=11\n\
              job beta algo=uni-r eps=0.3 n=900 partitions=8 seed=23 weight=2\n",
         )
         .unwrap();
-        let arg = |s: &str| s.to_string();
+        path
+    }
+
+    #[test]
+    fn serve_runs_a_queue_file_with_verification() {
+        let jobs_path = two_tenant_queue("jobs");
+        let jobs = jobs_path.to_str().unwrap();
         for policy in ["fair-share", "fifo"] {
-            run(&[
-                arg("serve"),
-                arg("--jobs"),
-                arg(jobs_path.to_str().unwrap()),
-                arg("--policy"),
-                arg(policy),
-                arg("--nodes"),
-                arg("4"),
-                arg("--verify"),
+            asj(&[
+                "serve", "--jobs", jobs, "--policy", policy, "--nodes", "4", "--verify",
             ])
             .unwrap_or_else(|e| panic!("serve --policy {policy}: {}", e.message));
         }
@@ -1378,46 +1208,43 @@ mod tests {
     fn serve_journals_and_recovers_a_queue() {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
-        let jobs_path = dir.join(format!("asj-serve-journal-jobs-{pid}.txt"));
+        let jobs_path = two_tenant_queue("journal-jobs");
         let journal_path = dir.join(format!("asj-serve-journal-{pid}.jsonl"));
         let ckpt_dir = dir.join(format!("asj-serve-journal-ckpt-{pid}"));
-        std::fs::write(
-            &jobs_path,
-            "job alpha algo=lpib eps=0.5 n=600 partitions=8 seed=11\n\
-             job beta algo=uni-r eps=0.3 n=900 partitions=8 seed=23 weight=2\n",
-        )
-        .unwrap();
-        let arg = |s: &str| s.to_string();
+        let jobs = jobs_path.to_str().unwrap();
+        let journal = journal_path.to_str().unwrap();
+        let ckpt = ckpt_dir.to_str().unwrap();
         // First run writes the journal and checkpoints; second run replays it.
         // Both legs must succeed and the journal must survive in between.
         for recover in [false, true] {
-            let mut args = vec![
-                arg("serve"),
-                arg("--jobs"),
-                arg(jobs_path.to_str().unwrap()),
-                arg("--nodes"),
-                arg("4"),
-                arg("--journal"),
-                arg(journal_path.to_str().unwrap()),
-                arg("--checkpoint-dir"),
-                arg(ckpt_dir.to_str().unwrap()),
+            let serve = [
+                "serve",
+                "--jobs",
+                jobs,
+                "--nodes",
+                "4",
+                "--journal",
+                journal,
+                "--checkpoint-dir",
+                ckpt,
             ];
-            if recover {
-                args.push(arg("--recover"));
-            }
-            run(&args).unwrap_or_else(|e| panic!("serve recover={recover}: {}", e.message));
+            let recover_flag: &[&str] = if recover { &["--recover"] } else { &[] };
+            asj(&[&serve[..], recover_flag].concat())
+                .unwrap_or_else(|e| panic!("serve recover={recover}: {}", e.message));
             assert!(journal_path.exists(), "journal written");
         }
-        // --recover without a journal flag is a usage error, not a crash.
-        let err = run(&[
-            arg("serve"),
-            arg("--jobs"),
-            arg(jobs_path.to_str().unwrap()),
-            arg("--recover"),
-        ])
-        .unwrap_err()
-        .message;
-        assert!(err.contains("--journal"), "{err}");
+        // Durable-state flags without a journal are usage errors, not
+        // crashes, and not silently ignored: nothing could read back (or GC)
+        // checkpoints written without one.
+        for extra in [
+            &["--recover"][..],
+            &["--checkpoint-dir", ckpt],
+            &["--compact-every", "2"],
+        ] {
+            let err = asj(&[&["serve", "--jobs", jobs][..], extra].concat()).unwrap_err();
+            assert_eq!(err.message, format!("{} requires --journal FILE", extra[0]));
+            assert!(err.usage);
+        }
         let _ = std::fs::remove_file(jobs_path);
         let _ = std::fs::remove_file(journal_path);
         let _ = std::fs::remove_dir_all(ckpt_dir);
@@ -1427,30 +1254,25 @@ mod tests {
     fn serve_compacts_the_journal_and_cli_compacts_offline() {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
-        let jobs_path = dir.join(format!("asj-serve-compact-jobs-{pid}.txt"));
+        let jobs_path = two_tenant_queue("compact-jobs");
         let journal_path = dir.join(format!("asj-serve-compact-{pid}.jsonl"));
         let ckpt_dir = dir.join(format!("asj-serve-compact-ckpt-{pid}"));
-        std::fs::write(
-            &jobs_path,
-            "job alpha algo=lpib eps=0.5 n=600 partitions=8 seed=11\n\
-             job beta algo=uni-r eps=0.3 n=900 partitions=8 seed=23 weight=2\n",
-        )
-        .unwrap();
-        let arg = |s: &str| s.to_string();
-        run(&[
-            arg("serve"),
-            arg("--jobs"),
-            arg(jobs_path.to_str().unwrap()),
-            arg("--nodes"),
-            arg("4"),
-            arg("--journal"),
-            arg(journal_path.to_str().unwrap()),
-            arg("--checkpoint-dir"),
-            arg(ckpt_dir.to_str().unwrap()),
-            arg("--compact-every"),
-            arg("1"),
-        ])
-        .expect("serve with --compact-every");
+        let jobs = jobs_path.to_str().unwrap();
+        let journal = journal_path.to_str().unwrap();
+        let ckpt = ckpt_dir.to_str().unwrap();
+        let durable = [
+            "serve",
+            "--jobs",
+            jobs,
+            "--nodes",
+            "4",
+            "--journal",
+            journal,
+            "--checkpoint-dir",
+            ckpt,
+        ];
+        asj(&[&durable[..], &["--compact-every", "1"]].concat())
+            .expect("serve with --compact-every");
         // Retention GC: every tenant finished, so no stage checkpoints
         // survive the run.
         let leftovers = std::fs::read_dir(&ckpt_dir)
@@ -1458,41 +1280,18 @@ mod tests {
             .unwrap_or(0);
         assert_eq!(leftovers, 0, "finished tenants' checkpoints were GC'd");
         // Recovery after in-run compaction still replays every tenant.
-        run(&[
-            arg("serve"),
-            arg("--jobs"),
-            arg(jobs_path.to_str().unwrap()),
-            arg("--nodes"),
-            arg("4"),
-            arg("--journal"),
-            arg(journal_path.to_str().unwrap()),
-            arg("--checkpoint-dir"),
-            arg(ckpt_dir.to_str().unwrap()),
-            arg("--recover"),
-        ])
-        .expect("recover after compaction");
+        asj(&[&durable[..], &["--recover"]].concat()).expect("recover after compaction");
         // Offline compaction shrinks (or keeps) the file and stays readable.
         let before = std::fs::metadata(&journal_path).unwrap().len();
-        run(&[
-            arg("journal"),
-            arg("compact"),
-            arg(journal_path.to_str().unwrap()),
-        ])
-        .expect("journal compact");
+        asj(&["journal", "compact", journal]).expect("journal compact");
         let after = std::fs::metadata(&journal_path).unwrap().len();
         assert!(after <= before, "compaction never grows the journal");
         // Usage errors, not crashes.
-        assert!(run(&[arg("journal")]).is_err());
-        assert!(run(&[arg("journal"), arg("prune")]).is_err());
-        let err = run(&[
-            arg("serve"),
-            arg("--jobs"),
-            arg(jobs_path.to_str().unwrap()),
-            arg("--compact-every"),
-            arg("2"),
-        ])
-        .unwrap_err()
-        .message;
+        assert!(asj(&["journal"]).is_err());
+        assert!(asj(&["journal", "prune"]).is_err());
+        let err = asj(&["serve", "--jobs", jobs, "--compact-every", "2"])
+            .unwrap_err()
+            .message;
         assert!(err.contains("--journal"), "{err}");
         let _ = std::fs::remove_file(jobs_path);
         let _ = std::fs::remove_file(journal_path);
@@ -1504,33 +1303,27 @@ mod tests {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
         let jobs_path = dir.join(format!("asj-serve-reject-{pid}.txt"));
+        let jobs = jobs_path.to_str().unwrap();
         std::fs::write(
             &jobs_path,
             "job hog algo=lpib eps=0.5 n=600 partitions=8 estimate=1g\n",
         )
         .unwrap();
-        let arg = |s: &str| s.to_string();
-        let err = run(&[
-            arg("serve"),
-            arg("--jobs"),
-            arg(jobs_path.to_str().unwrap()),
-            arg("--nodes"),
-            arg("4"),
-            arg("--memory-budget"),
-            arg("1m"),
+        let err = asj(&[
+            "serve",
+            "--jobs",
+            jobs,
+            "--nodes",
+            "4",
+            "--memory-budget",
+            "1m",
         ])
         .unwrap_err();
         assert!(err.message.contains("rejected"), "{}", err.message);
         assert!(!err.usage, "admission is decided at run time");
 
         std::fs::write(&jobs_path, "job broken n=100\n").unwrap();
-        let err = run(&[
-            arg("serve"),
-            arg("--jobs"),
-            arg(jobs_path.to_str().unwrap()),
-        ])
-        .unwrap_err()
-        .message;
+        let err = asj(&["serve", "--jobs", jobs]).unwrap_err().message;
         assert!(err.contains("line 1") && err.contains("eps"), "{err}");
         let _ = std::fs::remove_file(jobs_path);
     }
@@ -1542,33 +1335,11 @@ mod tests {
         let r_path = dir.join(format!("asj-trace-r-{pid}.csv"));
         let chrome_path = dir.join(format!("asj-trace-{pid}.json"));
         let jsonl_path = dir.join(format!("asj-trace-{pid}.jsonl"));
-        let arg = |s: &str| s.to_string();
-        run(&[
-            arg("generate"),
-            arg("--kind"),
-            arg("uniform"),
-            arg("--n"),
-            arg("400"),
-            arg("--out"),
-            arg(r_path.to_str().unwrap()),
-        ])
-        .unwrap();
-        run(&[
-            arg("join"),
-            arg("--r"),
-            arg(r_path.to_str().unwrap()),
-            arg("--s"),
-            arg(r_path.to_str().unwrap()),
-            arg("--eps"),
-            arg("1.0"),
-            arg("--nodes"),
-            arg("3"),
-            arg("--partitions"),
-            arg("6"),
-            arg("--trace"),
-            arg(chrome_path.to_str().unwrap()),
-        ])
-        .unwrap();
+        let r = r_path.to_str().unwrap();
+        let small = ["--eps", "1.0", "--nodes", "3", "--partitions", "6"];
+        asj(&["generate", "--kind", "uniform", "--n", "400", "--out", r]).unwrap();
+        let trace = ["--trace", chrome_path.to_str().unwrap()];
+        asj(&[&["join", "--r", r, "--s", r], &small[..], &trace].concat()).unwrap();
         let chrome = std::fs::read_to_string(&chrome_path).unwrap();
         assert!(chrome.starts_with("{\"traceEvents\":["));
         // One named lane per simulated node plus the driver.
@@ -1591,22 +1362,13 @@ mod tests {
             assert!(chrome.contains(phase), "missing phase {phase}");
         }
         assert!(!chrome.contains("\"marking\""), "no marking phase");
-        run(&[
-            arg("self-join"),
-            arg("--input"),
-            arg(r_path.to_str().unwrap()),
-            arg("--eps"),
-            arg("1.0"),
-            arg("--nodes"),
-            arg("3"),
-            arg("--partitions"),
-            arg("6"),
-            arg("--trace"),
-            arg(jsonl_path.to_str().unwrap()),
-            arg("--trace-format"),
-            arg("jsonl"),
-        ])
-        .unwrap();
+        let trace = [
+            "--trace",
+            jsonl_path.to_str().unwrap(),
+            "--trace-format",
+            "jsonl",
+        ];
+        asj(&[&["self-join", "--input", r], &small[..], &trace].concat()).unwrap();
         let jsonl = std::fs::read_to_string(&jsonl_path).unwrap();
         assert!(jsonl.lines().count() > 4);
         assert!(jsonl.lines().next().unwrap().contains("\"kind\":\"meta\""));
@@ -1617,13 +1379,176 @@ mod tests {
     }
 
     #[test]
+    fn knn_and_range_write_their_trace() {
+        let input = small_input("knn-trace");
+        let trace = format!("{input}.jsonl");
+        let small = ["--eps", "1.0", "--nodes", "3", "--partitions", "6"];
+        let traced = ["--trace", &trace, "--trace-format", "jsonl"];
+        for command in [
+            &["knn", "--r", &input, "--s", &input, "--k", "2"][..],
+            &["range", "--input", &input, "--rect", "-100,30,-90,40"],
+        ] {
+            let _ = std::fs::remove_file(&trace);
+            asj(&[command, &small[..], &traced].concat()).unwrap();
+            let jsonl = std::fs::read_to_string(&trace).expect("trace written");
+            assert!(jsonl.contains("\"kind\":\"span\""), "{}", command[0]);
+        }
+        std::fs::remove_file(trace).unwrap();
+        std::fs::remove_file(input).unwrap();
+    }
+
+    #[test]
     fn bad_trace_format_is_rejected() {
-        let flags: HashMap<String, String> = [
-            ("trace".to_string(), "t.json".to_string()),
-            ("trace-format".to_string(), "xml".to_string()),
-        ]
-        .into_iter()
-        .collect();
-        assert!(TraceSink::from_flags(&flags, 2).is_err());
+        let err = join_spec(&["--eps", "1", "--trace", "t.json", "--trace-format", "xml"]);
+        assert_eq!(
+            err.err().map(|e| e.message).as_deref(),
+            Some("unknown trace format \"xml\" (chrome|jsonl)")
+        );
+        // A format without a trace to write used to be ignored.
+        for args in [
+            &["join", "--r", "r.csv", "--s", "s.csv", "--eps", "1"][..],
+            &["serve", "--jobs", "jobs.txt"],
+        ] {
+            let err = options(&[args, &["--trace-format", "jsonl"]].concat());
+            assert_eq!(err.unwrap_err(), "--trace-format requires --trace FILE");
+        }
+    }
+
+    #[test]
+    fn a_repeated_option_is_rejected_by_every_front_end() {
+        let err = options(&[
+            "join", "--r", "r.csv", "--s", "s.csv", "--eps", "1", "--eps", "2",
+        ]);
+        assert_eq!(err.unwrap_err(), "duplicate option '--eps'");
+        let err = options(&["serve", "--jobs", "a", "--verify", "--verify"]);
+        assert_eq!(err.unwrap_err(), "duplicate option '--verify'");
+        let err = parse_queue("job a eps=1 eps=2").unwrap_err();
+        assert_eq!(err.message, "duplicate option 'eps'");
+    }
+
+    #[test]
+    fn every_option_a_command_takes_is_in_its_usage_synopsis() {
+        let usage = usage();
+        let synopses = &usage[..usage.find("Exit status").unwrap()];
+        for name in COMMANDS {
+            let (_, required, optional) = command(name).unwrap();
+            let head = format!("  asj {name:<10}");
+            let start = synopses.find(&head).expect("a synopsis per command");
+            let end = synopses[start + 1..]
+                .find("\n  asj ")
+                .map_or(synopses.len(), |e| start + 1 + e);
+            let synopsis = &synopses[start..end];
+            for option in required.iter().chain(&optional) {
+                let row = ROWS.iter().find(|row| row.name == *option);
+                let row = row.unwrap_or_else(|| panic!("asj {name} --{option} has no row"));
+                let item = format!("--{} {}", row.name, row.value);
+                assert!(
+                    synopsis.contains(item.trim_end()),
+                    "asj {name}: '{item}' missing from\n{synopsis}"
+                );
+            }
+        }
+        // The queue keys are prose, not a synopsis, but listed all the same.
+        let words: Vec<&str> = usage
+            .split(|c: char| !(c.is_alphanumeric() || c == '-'))
+            .collect();
+        for key in QUEUE_KEYS {
+            assert!(words.contains(key), "queue key '{key}'");
+        }
+    }
+
+    /// What `asj join --name value ...` builds (the spec fields every
+    /// front end shares, and the fault setup), or its error without the
+    /// `--` of the option it names.
+    type Built = Result<(f64, usize, f64, LocalKernel, Option<String>), String>;
+
+    fn via_flags(pairs: &[(&str, &str)]) -> Built {
+        let mut args = vec![];
+        for (name, value) in pairs {
+            // A queue's `fault-seed` is the fault seed `join --seed` takes.
+            let name = if *name == "fault-seed" { "seed" } else { name };
+            args.extend([format!("--{name}"), value.to_string()]);
+        }
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let built = join_spec(&args).and_then(|(cluster, spec, _)| {
+            spec.validate()?;
+            let faults = cluster
+                .fault_context()
+                .map(|c| format!("{:?}", (&c.plan, c.policy)));
+            Ok((
+                spec.eps,
+                spec.num_partitions,
+                spec.grid_factor,
+                spec.kernel,
+                faults,
+            ))
+        });
+        built.map_err(|e| e.message.replace("'--", "'").replacen("--", "", 1))
+    }
+
+    fn via_queue(pairs: &[(&str, &str)]) -> Built {
+        let tokens: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let tenant: TenantSpec = parse_queue(&format!("job t {}", tokens.join(" ")))
+            .map_err(|e| e.message)?
+            .remove(0);
+        let opts = Options {
+            faults: tenant.faults.clone(),
+            max_attempts: tenant.max_attempts,
+            ..Options::default()
+        };
+        let faults = opts
+            .fault_setup(tenant.fault_seed, false)?
+            .map(|setup| format!("{setup:?}"));
+        let kernel = tenant.kernel;
+        Ok((
+            tenant.eps,
+            tenant.partitions,
+            tenant.grid_factor,
+            kernel,
+            faults,
+        ))
+    }
+
+    mod shared_options {
+        use super::*;
+        use proptest::prelude::*;
+
+        const EPS: &[&str] = &["0.5", "2", "1e-3", "0", "-1", "nan", "inf", "abc"];
+        const PARTITIONS: &[&str] = &["8", "1", "0", "-3", "many"];
+        const GRID_FACTOR: &[&str] = &["2", "1", "3.5", "0.5", "nan", "fine"];
+        const KERNEL: &[&str] = &["auto", "plane-sweep", "grid-bucket", "turbo"];
+        const FAULTS: &[&str] = &["p=0.2", "chaos", "p=0.1,slow:1=2.0", "gremlins"];
+        // Valid only: the fault seed is `--seed` on `join` but `fault-seed`
+        // in a queue line, so its errors name different options.
+        const SEED: &[&str] = &["3", "11", "0"];
+        const MAX_ATTEMPTS: &[&str] = &["3", "1", "0", "x"];
+
+        proptest! {
+            /// `--name v` on the command line and `name=v` in a queue line
+            /// build the same spec and fault setup, or fail with the same
+            /// text but for the `--`.
+            #[test]
+            fn flags_and_queue_keys_agree(
+                picks in (0..EPS.len(), 0..PARTITIONS.len(), 0..GRID_FACTOR.len(),
+                          0..KERNEL.len(), 0..FAULTS.len(), 0..SEED.len(),
+                          0..MAX_ATTEMPTS.len()),
+                order in any::<u64>(),
+            ) {
+                let (e, p, g, k, f, s, m) = picks;
+                let mut pairs = vec![
+                    ("eps", EPS[e]),
+                    ("partitions", PARTITIONS[p]),
+                    ("grid-factor", GRID_FACTOR[g]),
+                    ("kernel", KERNEL[k]),
+                    ("faults", FAULTS[f]),
+                    ("fault-seed", SEED[s]),
+                    ("max-attempts", MAX_ATTEMPTS[m]),
+                ];
+                // Either front end reports the first bad value it reads.
+                let by = (order % pairs.len() as u64) as usize;
+                pairs.rotate_left(by);
+                prop_assert_eq!(via_flags(&pairs), via_queue(&pairs));
+            }
+        }
     }
 }

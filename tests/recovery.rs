@@ -536,6 +536,42 @@ fn stale_partition_records_are_ignored_then_collected() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A server that does not recover never reads a checkpoint it did not
+/// write. Checkpoint keys are `job<id>-<stage>-<n>`, so a different queue
+/// run fresh over a crashed run's directory would otherwise replay the
+/// crashed run's stages as its own and report their results.
+#[test]
+fn a_fresh_run_ignores_another_queues_checkpoints() {
+    let (mut specs, _, dir) = late_crash("fresh");
+    // Queue B: queue A with every tenant's inputs changed.
+    for spec in &mut specs {
+        spec.seed += 1_000;
+    }
+    let oracle = oracle_run(3, &specs);
+    let fresh = run_queue(
+        &cluster(3),
+        &specs,
+        SchedPolicy::FairShare,
+        &RecoveryOptions {
+            journal: Some(dir.join("fresh.journal")),
+            checkpoint_dir: Some(dir.clone()),
+            recover: false,
+            compact_every: None,
+        },
+    )
+    .expect("fresh run");
+    assert_eq!(fresh.stages_recovered, 0, "nothing of queue A is replayed");
+    for (a, b) in oracle.reports.iter().zip(&fresh.reports) {
+        assert_eq!(
+            a.result.as_ref().expect("oracle ok"),
+            b.result.as_ref().expect("fresh ok"),
+            "tenant '{}' must get queue B's answer",
+            a.name
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// The extent join and post-fetch run their join phase through the shared,
 /// checkpointable `cogroup_join` stage: a second run over the same checkpoint
 /// directory replays every one of those stages — the extent join's one; the
