@@ -4,9 +4,9 @@
 //! repro [EXPERIMENT...] [--quick] [--scale N] [--reps N]
 //!       [--faults SPEC] [--fault-seed N] [--speculation]
 //!
-//! EXPERIMENT: table1 fig1b fig10 table4 fig13 fig14 fig15 fig16 fig17
-//!             fig18 table5 table6 table7 ablation-kernels (a1) faults
-//!             memory multitenant recovery all (default: all)
+//! EXPERIMENT    a name `repro --help` lists (`experiments::EXPERIMENTS`);
+//!               none, or `all`, runs every experiment, and each runs once
+//!               however many of its names are given
 //! --quick       reduced scale: every experiment still runs, in seconds
 //! --scale N     x1 cardinality of the synthetic sets (default 100000)
 //! --reps N      repetitions per configuration (times averaged; default 3)
@@ -15,10 +15,13 @@
 //! --fault-seed N  seed for --faults and the `faults` experiment (default 7)
 //! --speculation   speculatively re-execute straggler tasks
 //! ```
+//!
+//! Each table prints as its experiment finishes; the whole record is then
+//! written to `repro.json` in the working directory.
 
-use asj_bench::{experiments, memory, multitenant, recovery, Combo, ExpConfig};
+use asj_bench::experiments::{select, Experiment, EXPERIMENTS};
+use asj_bench::{ExpConfig, Record};
 use asj_engine::{FaultPlan, RetryPolicy};
-use asj_join::JoinError;
 use asj_serve::{synopsis, Options, Spelling};
 
 /// The flags `repro` takes; every other word names an experiment.
@@ -83,92 +86,26 @@ fn main() {
         usage("");
     }
     let args = parse_args(&args).unwrap_or_else(|e| usage(&e));
-    if let Err(e) = run_experiments(&args.cfg, &args.experiments, &args.ab_plan, args.policy) {
+    let experiments = select(&args.experiments).unwrap_or_else(|e| usage(&e));
+    if let Err(e) = run(&args, &experiments) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
 }
 
-/// Runs the named experiments (all of them for an empty list or `all`); a
-/// join that fails — a stage out of attempts, a rejected spec — ends the run
-/// with its error.
-fn run_experiments(
-    cfg: &ExpConfig,
-    wanted: &[String],
-    ab_plan: &FaultPlan,
-    policy: RetryPolicy,
-) -> Result<(), JoinError> {
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        experiments::run_all(cfg)?;
-        experiments::fault_tolerance(cfg, ab_plan, policy)?;
-        return Ok(());
+/// Runs `experiments` into one record and writes it to `repro.json`; a join
+/// that fails — a stage out of attempts, a rejected spec — ends the run with
+/// its error.
+fn run(args: &Args, experiments: &[&Experiment]) -> Result<(), String> {
+    let mut record = Record::new(&args.cfg, &args.ab_plan);
+    println!("# {}", record.config());
+    for (_, run) in experiments {
+        let tables = run(&args.cfg, &args.ab_plan, args.policy).map_err(|e| e.to_string())?;
+        record.push(tables);
     }
-    for w in wanted {
-        match w.as_str() {
-            "table1" => {
-                experiments::table1();
-            }
-            "fig1b" => {
-                experiments::fig1b(cfg)?;
-            }
-            "fig10" | "fig11" | "fig12" => {
-                experiments::fig10_11_12(cfg, Combo::S1S2)?;
-                experiments::fig10_11_12(cfg, Combo::R1S1)?;
-            }
-            "table4" => {
-                experiments::table4(cfg)?;
-            }
-            "fig13" => {
-                experiments::fig13(cfg)?;
-            }
-            "fig14" => {
-                experiments::fig14(cfg)?;
-            }
-            "fig15" => {
-                experiments::fig15(cfg)?;
-            }
-            "fig16" => {
-                experiments::fig16_18(cfg, Combo::S1S2)?;
-            }
-            "fig17" => {
-                experiments::fig16_18(cfg, Combo::R1S1)?;
-            }
-            "fig18" => {
-                experiments::fig16_18(cfg, Combo::R2R1)?;
-            }
-            "table5" => {
-                experiments::table5(cfg)?;
-            }
-            "table6" => {
-                experiments::table6(cfg)?;
-            }
-            "table7" => {
-                experiments::table7(cfg)?;
-            }
-            "a1" | "kernels" | "ablation-kernels" => {
-                experiments::ablation_kernels(cfg)?;
-            }
-            "a2" | "edgeorder" => {
-                experiments::ablation_edge_order(cfg);
-            }
-            "ext" | "extensions" => {
-                experiments::extensions(cfg)?;
-            }
-            "faults" | "fault-tolerance" => {
-                experiments::fault_tolerance(cfg, ab_plan, policy)?;
-            }
-            "memory" | "memory-sweep" | "budget-sweep" => {
-                memory::memory_sweep(cfg);
-            }
-            "multitenant" | "multi-tenant" | "jobs" => {
-                multitenant::multitenant_sweep(cfg);
-            }
-            "recovery" | "crash-recovery" => {
-                recovery::recovery_sweep(cfg);
-            }
-            other => usage(&format!("unknown experiment {other}")),
-        }
-    }
+    std::fs::write("repro.json", record.to_json())
+        .map_err(|e| format!("could not write repro.json: {e}"))?;
+    println!("\nwrote repro.json");
     Ok(())
 }
 
@@ -176,12 +113,11 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
     }
+    let names: Vec<String> = EXPERIMENTS.iter().map(|(n, _)| n.join("|")).collect();
     eprintln!(
-        "{}\n\
-         experiments: table1 fig1b fig10 table4 fig13 fig14 fig15 fig16 \
-         fig17 fig18 table5 table6 table7 ablation-kernels a2 ext faults \
-         memory multitenant recovery all",
-        synopsis("usage: repro [EXPERIMENT...] ", &[], OPTIONS)
+        "{}\nexperiments: {} all",
+        synopsis("usage: repro [EXPERIMENT...] ", &[], OPTIONS),
+        names.join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -1,15 +1,17 @@
-//! One function per paper artifact. Each prints its table(s) and returns
-//! them for inspection; `run_all` regenerates the entire evaluation.
+//! One function per paper artifact. Each returns its typed tables;
+//! [`EXPERIMENTS`] names every experiment for `repro`, which prints the
+//! tables and writes them to `repro.json` (see [`Record`](crate::Record)).
 
-use crate::runner::{mib, run_avg, run_fault_ab, Combo, NetModel};
-use crate::{ExpConfig, Table};
+use crate::runner::{run_avg, run_fault_ab, Combo, NetModel, RunResult};
+use crate::{memory, multitenant, recovery, Cell, ExpConfig, Table};
 use asj_core::{cell_costs, AgreementGraph, AgreementPolicy, GridSample};
 use asj_data::{TupleSizeFactor, PAPER_BBOX};
 use asj_engine::{Cluster, ClusterConfig, FaultPlan, Placement, RetryPolicy};
 use asj_geom::{Point, Rect};
 use asj_grid::{Grid, GridSpec};
 use asj_join::{
-    adaptive_join, adaptive_join_dedup, adaptive_join_post_fetch, Algorithm, JoinError, JoinSpec,
+    adaptive_join, adaptive_join_dedup, adaptive_join_post_fetch, Algorithm, JoinError, JoinOutput,
+    JoinSpec, Record,
 };
 
 fn spec_for(cfg: &ExpConfig, eps: f64) -> JoinSpec {
@@ -73,13 +75,17 @@ pub fn table1() -> Table {
     let grid = figure2_grid();
     let (r, s) = figure2_instance();
     let sample = GridSample::new(&grid);
-    let mut table = Table::new(vec![
-        "cell",
-        "UNI(R) replicas",
-        "UNI(R) cost",
-        "UNI(S) replicas",
-        "UNI(S) cost",
-    ]);
+    let mut table = Table::new(
+        "table1",
+        "Table 1: running example — universal replication of R vs S",
+        vec![
+            "cell",
+            "UNI(R) replicas",
+            "UNI(R) cost",
+            "UNI(S) replicas",
+            "UNI(S) cost",
+        ],
+    );
     let graph_r = AgreementGraph::build(&grid, &sample, AgreementPolicy::UniformR);
     let graph_s = AgreementGraph::build(&grid, &sample, AgreementPolicy::UniformS);
     let costs_r = cell_costs(&graph_r, r.iter(), s.iter());
@@ -100,30 +106,24 @@ pub fn table1() -> Table {
         asj_grid::CellCoord { x: 0, y: 0 }, // D
     ];
     for coord in cells {
-        let name = figure2_cell_name(coord);
         let ci = grid.cell_index(coord);
-        let rep_r = costs_r[ci].r - native[ci][0];
-        let rep_s = costs_s[ci].s - native[ci][1];
-        totals[0] += rep_r;
-        totals[1] += costs_r[ci].cost();
-        totals[2] += rep_s;
-        totals[3] += costs_s[ci].cost();
-        table.row(vec![
-            name.to_string(),
-            rep_r.to_string(),
-            costs_r[ci].cost().to_string(),
-            rep_s.to_string(),
-            costs_s[ci].cost().to_string(),
-        ]);
+        let row = [
+            costs_r[ci].r - native[ci][0],
+            costs_r[ci].cost(),
+            costs_s[ci].s - native[ci][1],
+            costs_s[ci].cost(),
+        ];
+        for (total, n) in totals.iter_mut().zip(row) {
+            *total += n;
+        }
+        let name = Cell::label(figure2_cell_name(coord));
+        table.row(std::iter::once(name).chain(row.map(Cell::Count)).collect());
     }
-    table.row(vec![
-        "total".to_string(),
-        totals[0].to_string(),
-        totals[1].to_string(),
-        totals[2].to_string(),
-        totals[3].to_string(),
-    ]);
-    table.print("Table 1: running example — universal replication of R vs S");
+    table.row(
+        std::iter::once(Cell::label("total"))
+            .chain(totals.map(Cell::Count))
+            .collect(),
+    );
     table
 }
 
@@ -134,16 +134,20 @@ pub fn table1() -> Table {
 /// Figure 1b: for each dataset combination, the ratio of the best PBSM
 /// variant's replicated objects to adaptive replication's (log-scale chart in
 /// the paper; a ratio table here).
-pub fn fig1b(cfg: &ExpConfig) -> Result<Table, JoinError> {
+pub fn fig1b(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
     let cluster = cfg.cluster();
     let spec = spec_for(cfg, cfg.default_eps);
-    let mut table = Table::new(vec![
-        "combination",
-        "LPiB repl.",
-        "UNI(R) repl.",
-        "UNI(S) repl.",
-        "overhead (best UNI / LPiB)",
-    ]);
+    let mut table = Table::new(
+        "fig1b",
+        "Figure 1b: replication overhead of PBSM over adaptive replication",
+        vec![
+            "combination",
+            "LPiB repl.",
+            "UNI(R) repl.",
+            "UNI(S) repl.",
+            "overhead (best UNI / LPiB)",
+        ],
+    );
     for combo in Combo::ALL {
         let (r, s) = combo.datasets(cfg, 1, TupleSizeFactor::F0);
         let lpib = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1)?;
@@ -152,59 +156,90 @@ pub fn fig1b(cfg: &ExpConfig) -> Result<Table, JoinError> {
         let best = uni_r.replicated.min(uni_s.replicated);
         let ratio = best as f64 / lpib.replicated.max(1) as f64;
         table.row(vec![
-            combo.name().to_string(),
-            lpib.replicated.to_string(),
-            uni_r.replicated.to_string(),
-            uni_s.replicated.to_string(),
-            format!("{ratio:.1}x"),
+            Cell::label(combo.name()),
+            Cell::Count(lpib.replicated),
+            Cell::Count(uni_r.replicated),
+            Cell::Count(uni_s.replicated),
+            Cell::Measure(ratio, format!("{ratio:.1}x")),
         ]);
     }
-    table.print("Figure 1b: replication overhead of PBSM over adaptive replication");
-    Ok(table)
+    Ok(vec![table])
 }
 
 // ---------------------------------------------------------------------------
-// Figures 10, 11, 12: varying the distance threshold ε.
+// The sweep figures: a row per algorithm, a column per sweep point.
 // ---------------------------------------------------------------------------
+
+/// How one run fills a cell of a sweep table.
+type Metric = fn(&RunResult) -> Cell;
+
+/// One table per `(key, title, metric)`, a row per algorithm of `algos`, a
+/// column per labelled point; `run` performs the run behind one (algorithm,
+/// point).
+fn sweep<P: Copy>(
+    algos: &[Algorithm],
+    points: &[(String, P)],
+    metrics: &[(String, String, Metric)],
+    mut run: impl FnMut(Algorithm, P) -> Result<RunResult, JoinError>,
+) -> Result<Vec<Table>, JoinError> {
+    let header: Vec<String> = std::iter::once("algorithm".to_string())
+        .chain(points.iter().map(|(label, _)| label.clone()))
+        .collect();
+    let mut tables: Vec<Table> = metrics
+        .iter()
+        .map(|(key, title, _)| Table::new(key.as_str(), title.as_str(), header.clone()))
+        .collect();
+    for &algo in algos {
+        let mut rows: Vec<Vec<Cell>> = metrics
+            .iter()
+            .map(|_| vec![Cell::label(algo.name())])
+            .collect();
+        for &(_, point) in points {
+            let res = run(algo, point)?;
+            for (row, (_, _, metric)) in rows.iter_mut().zip(metrics) {
+                row.push(metric(&res));
+            }
+        }
+        for (table, row) in tables.iter_mut().zip(rows) {
+            table.row(row);
+        }
+    }
+    Ok(tables)
+}
 
 /// Figures 10 (replication), 11 (shuffle remote reads) and 12 (execution
 /// time) for one dataset combination over the ε sweep.
-pub fn fig10_11_12(cfg: &ExpConfig, combo: Combo) -> Result<(Table, Table, Table), JoinError> {
+pub fn fig10_11_12(cfg: &ExpConfig, combo: Combo) -> Result<Vec<Table>, JoinError> {
     let cluster = cfg.cluster();
     let (r, s) = combo.datasets(cfg, 1, TupleSizeFactor::F0);
-    let mut header = vec!["algorithm".to_string()];
-    header.extend(cfg.eps_values.iter().map(|e| format!("eps={e:.3}")));
-    let mut repl = Table::new(header.clone());
-    let mut shuffle = Table::new(header.clone());
-    let mut time = Table::new(header);
-    for algo in Algorithm::ALL {
-        let mut row_repl = vec![algo.name().to_string()];
-        let mut row_sh = vec![algo.name().to_string()];
-        let mut row_t = vec![algo.name().to_string()];
-        for &eps in &cfg.eps_values {
-            let spec = spec_for(cfg, eps);
-            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)?;
-            row_repl.push(res.replicated.to_string());
-            row_sh.push(mib(res.shuffle_remote));
-            row_t.push(format!("{:.3}", res.sim_time));
-        }
-        repl.row(row_repl);
-        shuffle.row(row_sh);
-        time.row(row_t);
-    }
-    repl.print(&format!(
-        "Figure 10 ({}): replicated objects vs eps",
-        combo.name()
-    ));
-    shuffle.print(&format!(
-        "Figure 11 ({}): shuffle remote reads (MiB) vs eps",
-        combo.name()
-    ));
-    time.print(&format!(
-        "Figure 12 ({}): execution time (simulated s) vs eps",
-        combo.name()
-    ));
-    Ok((repl, shuffle, time))
+    let eps: Vec<(String, f64)> = cfg
+        .eps_values
+        .iter()
+        .map(|&e| (format!("eps={e:.3}"), e))
+        .collect();
+    let name = combo.name();
+    sweep(
+        &Algorithm::ALL,
+        &eps,
+        &[
+            (
+                format!("fig10 {name}"),
+                format!("Figure 10 ({name}): replicated objects vs eps"),
+                |res| Cell::Count(res.replicated),
+            ),
+            (
+                format!("fig11 {name}"),
+                format!("Figure 11 ({name}): shuffle remote reads (MiB) vs eps"),
+                |res| Cell::Mib(res.shuffle_remote),
+            ),
+            (
+                format!("fig12 {name}"),
+                format!("Figure 12 ({name}): execution time (simulated s) vs eps"),
+                |res| Cell::secs(res.sim_time),
+            ),
+        ],
+        |algo, eps| run_avg(&cluster, &spec_for(cfg, eps), algo, &r, &s, cfg.reps),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -213,46 +248,34 @@ pub fn fig10_11_12(cfg: &ExpConfig, combo: Combo) -> Result<(Table, Table, Table
 
 /// Table 4: result-set selectivity and join-result counts for the ε sweep
 /// (S1⋈S2, R1⋈S1), the size sweep (S1⋈S2) and R2⋈R1.
-pub fn table4(cfg: &ExpConfig) -> Result<Table, JoinError> {
+pub fn table4(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
     let cluster = cfg.cluster();
-    let mut table = Table::new(vec!["configuration", "selectivity (%)", "join results"]);
+    let mut table = Table::new(
+        "table4",
+        "Table 4: result-set selectivity and join results",
+        vec!["configuration", "selectivity (%)", "join results"],
+    );
+    let mut legs = Vec::new();
     for combo in [Combo::S1S2, Combo::R1S1] {
-        let (r, s) = combo.datasets(cfg, 1, TupleSizeFactor::F0);
         for &eps in &cfg.eps_values {
-            let spec = spec_for(cfg, eps);
-            let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1)?;
-            let sel = res.results as f64 / (r.len() as f64 * s.len() as f64) * 100.0;
-            table.row(vec![
-                format!("{} eps={eps:.3}", combo.name()),
-                format!("{sel:.2e}"),
-                res.results.to_string(),
-            ]);
+            legs.push((format!("{} eps={eps:.3}", combo.name()), combo, 1, eps));
         }
     }
     for &f in cfg.size_factors.iter().skip(1) {
-        let (r, s) = Combo::S1S2.datasets(cfg, f, TupleSizeFactor::F0);
-        let spec = spec_for(cfg, cfg.default_eps);
-        let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1)?;
+        legs.push((format!("S1 ⋈ S2 x{f}"), Combo::S1S2, f, cfg.default_eps));
+    }
+    legs.push(("R2 ⋈ R1".to_string(), Combo::R2R1, 1, cfg.default_eps));
+    for (label, combo, factor, eps) in legs {
+        let (r, s) = combo.datasets(cfg, factor, TupleSizeFactor::F0);
+        let res = run_avg(&cluster, &spec_for(cfg, eps), Algorithm::Lpib, &r, &s, 1)?;
         let sel = res.results as f64 / (r.len() as f64 * s.len() as f64) * 100.0;
         table.row(vec![
-            format!("S1 ⋈ S2 x{f}"),
-            format!("{sel:.2e}"),
-            res.results.to_string(),
+            Cell::Label(label),
+            Cell::Measure(sel, format!("{sel:.2e}")),
+            Cell::Count(res.results),
         ]);
     }
-    {
-        let (r, s) = Combo::R2R1.datasets(cfg, 1, TupleSizeFactor::F0);
-        let spec = spec_for(cfg, cfg.default_eps);
-        let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, 1)?;
-        let sel = res.results as f64 / (r.len() as f64 * s.len() as f64) * 100.0;
-        table.row(vec![
-            "R2 ⋈ R1".to_string(),
-            format!("{sel:.2e}"),
-            res.results.to_string(),
-        ]);
-    }
-    table.print("Table 4: result-set selectivity and join results");
-    Ok(table)
+    Ok(vec![table])
 }
 
 // ---------------------------------------------------------------------------
@@ -263,20 +286,46 @@ pub fn table4(cfg: &ExpConfig) -> Result<Table, JoinError> {
 /// with construction/join split (c) while scaling S1⋈S2 from x1 upward —
 /// plus a peak-partition-memory table (13d, ours) that exposes the ε-grid
 /// blow-up the paper reports as an out-of-memory failure (the red ×).
-pub fn fig13(cfg: &ExpConfig) -> Result<(Table, Table, Table), JoinError> {
+pub fn fig13(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
     let cluster = cfg.cluster();
-    let mut header = vec!["algorithm".to_string()];
-    header.extend(cfg.size_factors.iter().map(|f| format!("x{f}")));
-    let mut repl = Table::new(header.clone());
-    let mut shuffle = Table::new(header.clone());
-    let mut time = Table::new(header.clone());
-    let mut mem = Table::new(header);
-    for algo in Algorithm::ALL {
-        let mut row_repl = vec![algo.name().to_string()];
-        let mut row_sh = vec![algo.name().to_string()];
-        let mut row_t = vec![algo.name().to_string()];
-        let mut row_m = vec![algo.name().to_string()];
-        for &f in &cfg.size_factors {
+    let sizes: Vec<(String, usize)> = cfg
+        .size_factors
+        .iter()
+        .map(|&f| (format!("x{f}"), f))
+        .collect();
+    sweep(
+        &Algorithm::ALL,
+        &sizes,
+        &[
+            (
+                "fig13a".into(),
+                "Figure 13a: replicated objects vs data size (S1 ⋈ S2)".into(),
+                |res| Cell::Count(res.replicated),
+            ),
+            (
+                "fig13b".into(),
+                "Figure 13b: shuffle remote reads (MiB) vs data size (S1 ⋈ S2)".into(),
+                |res| Cell::Mib(res.shuffle_remote),
+            ),
+            (
+                "fig13c".into(),
+                "Figure 13c: execution time s (construction+join) vs data size (S1 ⋈ S2)".into(),
+                // Construction + join split, as in the stacked bars of Fig 13c.
+                |res| {
+                    let split = format!(
+                        "{:.3} ({:.3}+{:.3})",
+                        res.sim_time, res.construction_time, res.join_time
+                    );
+                    Cell::Measure(res.sim_time, split)
+                },
+            ),
+            (
+                "fig13d".into(),
+                "Figure 13d (ours): peak partition memory (MiB) vs data size (S1 ⋈ S2)".into(),
+                |res| Cell::Mib(res.peak_partition_bytes),
+            ),
+        ],
+        |algo, f| {
             // The paper raises the partition count with the input size: 96
             // up to x2, then 96 more per size step (192 at x4, 288 at x6,
             // 384 at x8).
@@ -288,26 +337,9 @@ pub fn fig13(cfg: &ExpConfig) -> Result<(Table, Table, Table), JoinError> {
             };
             let spec = spec_for(cfg, cfg.default_eps).with_partitions(partitions);
             let (r, s) = Combo::S1S2.datasets(cfg, f, TupleSizeFactor::F0);
-            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)?;
-            row_repl.push(res.replicated.to_string());
-            row_sh.push(mib(res.shuffle_remote));
-            // Construction + join split, as in the stacked bars of Fig 13c.
-            row_t.push(format!(
-                "{:.3} ({:.3}+{:.3})",
-                res.sim_time, res.construction_time, res.join_time
-            ));
-            row_m.push(mib(res.peak_partition_bytes));
-        }
-        repl.row(row_repl);
-        shuffle.row(row_sh);
-        time.row(row_t);
-        mem.row(row_m);
-    }
-    repl.print("Figure 13a: replicated objects vs data size (S1 ⋈ S2)");
-    shuffle.print("Figure 13b: shuffle remote reads (MiB) vs data size (S1 ⋈ S2)");
-    time.print("Figure 13c: execution time s (construction+join) vs data size (S1 ⋈ S2)");
-    mem.print("Figure 13d (ours): peak partition memory (MiB) vs data size (S1 ⋈ S2)");
-    Ok((repl, shuffle, time))
+            run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -316,29 +348,27 @@ pub fn fig13(cfg: &ExpConfig) -> Result<(Table, Table, Table), JoinError> {
 
 /// Figure 14: execution time and shuffle remote reads on S1⋈S2 while varying
 /// the simulated cluster from 4 to 12 nodes.
-pub fn fig14(cfg: &ExpConfig) -> Result<(Table, Table), JoinError> {
-    let nodes_sweep = [4usize, 6, 8, 10, 12];
+pub fn fig14(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
     let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
     let spec = spec_for(cfg, cfg.default_eps);
-    let mut header = vec!["algorithm".to_string()];
-    header.extend(nodes_sweep.iter().map(|n| format!("{n} nodes")));
-    let mut time = Table::new(header.clone());
-    let mut shuffle = Table::new(header);
-    for algo in Algorithm::ALL {
-        let mut row_t = vec![algo.name().to_string()];
-        let mut row_sh = vec![algo.name().to_string()];
-        for &n in &nodes_sweep {
-            let cluster = cfg.cluster_with_nodes(n);
-            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)?;
-            row_t.push(format!("{:.3}", res.sim_time));
-            row_sh.push(mib(res.shuffle_remote));
-        }
-        time.row(row_t);
-        shuffle.row(row_sh);
-    }
-    time.print("Figure 14a: execution time (simulated s) vs number of nodes (S1 ⋈ S2)");
-    shuffle.print("Figure 14b: shuffle remote reads (MiB) vs number of nodes (S1 ⋈ S2)");
-    Ok((time, shuffle))
+    let nodes = [4usize, 6, 8, 10, 12].map(|n| (format!("{n} nodes"), n));
+    sweep(
+        &Algorithm::ALL,
+        &nodes,
+        &[
+            (
+                "fig14a".into(),
+                "Figure 14a: execution time (simulated s) vs number of nodes (S1 ⋈ S2)".into(),
+                |res| Cell::secs(res.sim_time),
+            ),
+            (
+                "fig14b".into(),
+                "Figure 14b: shuffle remote reads (MiB) vs number of nodes (S1 ⋈ S2)".into(),
+                |res| Cell::Mib(res.shuffle_remote),
+            ),
+        ],
+        |algo, n| run_avg(&cfg.cluster_with_nodes(n), &spec, algo, &r, &s, cfg.reps),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -346,24 +376,23 @@ pub fn fig14(cfg: &ExpConfig) -> Result<(Table, Table), JoinError> {
 // ---------------------------------------------------------------------------
 
 /// Figure 15: execution time of LPiB and DIFF with grid resolution 2ε–5ε.
-pub fn fig15(cfg: &ExpConfig) -> Result<Table, JoinError> {
+pub fn fig15(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
     let cluster = cfg.cluster();
     let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
-    let factors = [2.0f64, 3.0, 4.0, 5.0];
-    let mut header = vec!["algorithm".to_string()];
-    header.extend(factors.iter().map(|f| format!("{f}eps")));
-    let mut table = Table::new(header);
-    for algo in [Algorithm::Lpib, Algorithm::Diff] {
-        let mut row = vec![algo.name().to_string()];
-        for &f in &factors {
+    let factors = [2.0f64, 3.0, 4.0, 5.0].map(|f| (format!("{f}eps"), f));
+    sweep(
+        &[Algorithm::Lpib, Algorithm::Diff],
+        &factors,
+        &[(
+            "fig15".into(),
+            "Figure 15: execution time (simulated s) vs grid resolution (S1 ⋈ S2)".into(),
+            |res| Cell::secs(res.sim_time),
+        )],
+        |algo, f| {
             let spec = spec_for(cfg, cfg.default_eps).with_grid_factor(f);
-            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)?;
-            row.push(format!("{:.3}", res.sim_time));
-        }
-        table.row(row);
-    }
-    table.print("Figure 15: execution time (simulated s) vs grid resolution (S1 ⋈ S2)");
-    Ok(table)
+            run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -372,7 +401,7 @@ pub fn fig15(cfg: &ExpConfig) -> Result<Table, JoinError> {
 
 /// Figures 16 (S1⋈S2), 17 (R1⋈S1) and 18 (R2⋈R1): shuffle remote reads and
 /// execution time while increasing the tuple size factor f0–f4.
-pub fn fig16_18(cfg: &ExpConfig, combo: Combo) -> Result<(Table, Table), JoinError> {
+pub fn fig16_18(cfg: &ExpConfig, combo: Combo) -> Result<Vec<Table>, JoinError> {
     let cluster = cfg.cluster();
     // The paper uses 192 partitions for the tuple-size experiments, except
     // 120 for the real-data combination.
@@ -381,106 +410,104 @@ pub fn fig16_18(cfg: &ExpConfig, combo: Combo) -> Result<(Table, Table), JoinErr
         _ => cfg.partitions * 2,
     };
     let spec = spec_for(cfg, cfg.default_eps).with_partitions(partitions);
-    let mut header = vec!["algorithm".to_string()];
-    header.extend(TupleSizeFactor::ALL.iter().map(|f| f.name().to_string()));
-    let mut shuffle = Table::new(header.clone());
-    let mut time = Table::new(header);
-    for algo in Algorithm::ALL {
-        let mut row_sh = vec![algo.name().to_string()];
-        let mut row_t = vec![algo.name().to_string()];
-        for &factor in &TupleSizeFactor::ALL {
-            let (r, s) = combo.datasets(cfg, 1, factor);
-            let res = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)?;
-            row_sh.push(mib(res.shuffle_remote));
-            row_t.push(format!("{:.3}", res.sim_time));
-        }
-        shuffle.row(row_sh);
-        time.row(row_t);
-    }
     let fig = match combo {
-        Combo::S1S2 => "Figure 16",
-        Combo::R1S1 => "Figure 17",
-        Combo::R2R1 => "Figure 18",
+        Combo::S1S2 => 16,
+        Combo::R1S1 => 17,
+        Combo::R2R1 => 18,
     };
-    shuffle.print(&format!(
-        "{fig}a ({}): shuffle remote reads (MiB) vs tuple size",
-        combo.name()
-    ));
-    time.print(&format!(
-        "{fig}b ({}): execution time (simulated s) vs tuple size",
-        combo.name()
-    ));
-    Ok((shuffle, time))
+    let name = combo.name();
+    let factors = TupleSizeFactor::ALL.map(|f| (f.name().to_string(), f));
+    sweep(
+        &Algorithm::ALL,
+        &factors,
+        &[
+            (
+                format!("fig{fig}a"),
+                format!("Figure {fig}a ({name}): shuffle remote reads (MiB) vs tuple size"),
+                |res| Cell::Mib(res.shuffle_remote),
+            ),
+            (
+                format!("fig{fig}b"),
+                format!("Figure {fig}b ({name}): execution time (simulated s) vs tuple size"),
+                |res| Cell::secs(res.sim_time),
+            ),
+        ],
+        |algo, factor| {
+            let (r, s) = combo.datasets(cfg, 1, factor);
+            run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
-// Table 5: attributes on join vs post-processing.
+// Tables 5 and 6: two variants of each adaptive policy.
 // ---------------------------------------------------------------------------
+
+/// A join of one agreement policy, as Tables 5 and 6 compare them.
+type PolicyJoin = fn(
+    &Cluster,
+    &JoinSpec,
+    AgreementPolicy,
+    Vec<Record>,
+    Vec<Record>,
+) -> Result<JoinOutput, JoinError>;
+
+/// LPiB and DIFF on S1⋈S2 at `tuple`: the simulated time of join `a` and of
+/// join `b`, one row per policy.
+fn policy_ab(
+    cfg: &ExpConfig,
+    mut table: Table,
+    tuple: TupleSizeFactor,
+    a: PolicyJoin,
+    b: PolicyJoin,
+) -> Result<Vec<Table>, JoinError> {
+    let cluster = cfg.cluster();
+    let spec = spec_for(cfg, cfg.default_eps);
+    let (r, s) = Combo::S1S2.datasets(cfg, 1, tuple);
+    let net = NetModel::gigabit(cfg.nodes);
+    for policy in [AgreementPolicy::Lpib, AgreementPolicy::Diff] {
+        let mut row = vec![Cell::label(policy.name())];
+        for join in [a, b] {
+            let out = join(&cluster, &spec, policy, r.clone(), s.clone())?;
+            row.push(Cell::secs(RunResult::from_output(&out, &net).sim_time));
+        }
+        table.row(row);
+    }
+    Ok(vec![table])
+}
 
 /// Table 5: LPiB/DIFF with the f1 payload carried through the join versus
 /// fetched by id-joins afterwards.
-pub fn table5(cfg: &ExpConfig) -> Result<Table, JoinError> {
-    let cluster = cfg.cluster();
-    let spec = spec_for(cfg, cfg.default_eps);
-    let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F1);
-    let mut table = Table::new(vec!["method", "on join (s)", "post-processing (s)"]);
-    for policy in [AgreementPolicy::Lpib, AgreementPolicy::Diff] {
-        let net = NetModel::gigabit(cfg.nodes);
-        let inline = {
-            let out = adaptive_join(&cluster, &spec, policy, r.clone(), s.clone())?;
-            crate::RunResult::from_output(&out, &net).sim_time
-        };
-        let fetched = {
-            let out = adaptive_join_post_fetch(&cluster, &spec, policy, r.clone(), s.clone())?;
-            crate::RunResult::from_output(&out, &net).sim_time
-        };
-        table.row(vec![
-            policy.name().to_string(),
-            format!("{inline:.3}"),
-            format!("{fetched:.3}"),
-        ]);
-    }
-    table.print(
+pub fn table5(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
+    let table = Table::new(
+        "table5",
         "Table 5: extra attributes included on join vs fetched in post-processing (S1 ⋈ S2, f1)",
+        vec!["method", "on join (s)", "post-processing (s)"],
     );
-    Ok(table)
+    policy_ab(
+        cfg,
+        table,
+        TupleSizeFactor::F1,
+        adaptive_join,
+        adaptive_join_post_fetch,
+    )
 }
-
-// ---------------------------------------------------------------------------
-// Table 6: duplicate-free vs dedup operator.
-// ---------------------------------------------------------------------------
 
 /// Table 6: duplicate-free assignment versus the simplified assignment with
 /// a distributed deduplication operator.
-pub fn table6(cfg: &ExpConfig) -> Result<Table, JoinError> {
-    let cluster = cfg.cluster();
-    let spec = spec_for(cfg, cfg.default_eps);
-    let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
-    let mut table = Table::new(vec![
-        "method",
-        "duplicate-free (s)",
-        "non dup-free + dedup (s)",
-    ]);
-    for policy in [AgreementPolicy::Lpib, AgreementPolicy::Diff] {
-        let net = NetModel::gigabit(cfg.nodes);
-        let clean = {
-            let out = adaptive_join(&cluster, &spec, policy, r.clone(), s.clone())?;
-            crate::RunResult::from_output(&out, &net).sim_time
-        };
-        let dedup = {
-            let out = adaptive_join_dedup(&cluster, &spec, policy, r.clone(), s.clone())?;
-            crate::RunResult::from_output(&out, &net).sim_time
-        };
-        table.row(vec![
-            policy.name().to_string(),
-            format!("{clean:.3}"),
-            format!("{dedup:.3}"),
-        ]);
-    }
-    table.print(
+pub fn table6(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
+    let table = Table::new(
+        "table6",
         "Table 6: duplicate-free vs non duplicate-free assignment with deduplication (S1 ⋈ S2)",
+        vec!["method", "duplicate-free (s)", "non dup-free + dedup (s)"],
     );
-    Ok(table)
+    policy_ab(
+        cfg,
+        table,
+        TupleSizeFactor::F0,
+        adaptive_join,
+        adaptive_join_dedup,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -490,37 +517,38 @@ pub fn table6(cfg: &ExpConfig) -> Result<Table, JoinError> {
 /// Table 7: LPiB/DIFF execution time under hash-based and LPT cell placement
 /// for S1⋈S2 (x4) and R2⋈R1, plus SJMR's round-robin tile mapping as an
 /// extra related-work column.
-pub fn table7(cfg: &ExpConfig) -> Result<Table, JoinError> {
+pub fn table7(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
     let cluster = cfg.cluster();
-    let mut table = Table::new(vec![
-        "configuration",
-        "hash (s)",
-        "LPT (s)",
-        "round-robin (s)",
-        "LPT gain (%)",
-    ]);
+    let mut table = Table::new(
+        "table7",
+        "Table 7: hash vs LPT (vs SJMR round-robin) assignment of cells to workers",
+        vec![
+            "configuration",
+            "hash (s)",
+            "LPT (s)",
+            "round-robin (s)",
+            "LPT gain (%)",
+        ],
+    );
     let x4 = *cfg.size_factors.iter().find(|&&f| f >= 4).unwrap_or(&1);
     for (combo, factor) in [(Combo::S1S2, x4), (Combo::R2R1, 1usize)] {
         let (r, s) = combo.datasets(cfg, factor, TupleSizeFactor::F0);
         for algo in [Algorithm::Lpib, Algorithm::Diff] {
-            let hash_spec = spec_for(cfg, cfg.default_eps);
-            let lpt_spec = spec_for(cfg, cfg.default_eps).with_placement(Placement::Lpt);
-            let rr_spec = spec_for(cfg, cfg.default_eps).with_placement(Placement::RoundRobin);
-            let hash = run_avg(&cluster, &hash_spec, algo, &r, &s, cfg.reps)?;
-            let lpt = run_avg(&cluster, &lpt_spec, algo, &r, &s, cfg.reps)?;
-            let rr = run_avg(&cluster, &rr_spec, algo, &r, &s, cfg.reps)?;
-            let gain = (hash.sim_time - lpt.sim_time) / hash.sim_time * 100.0;
-            table.row(vec![
-                format!("{} x{factor} {}", combo.name(), algo.name()),
-                format!("{:.3}", hash.sim_time),
-                format!("{:.3}", lpt.sim_time),
-                format!("{:.3}", rr.sim_time),
-                format!("{gain:.1}"),
-            ]);
+            let label = format!("{} x{factor} {}", combo.name(), algo.name());
+            let mut row = vec![Cell::Label(label)];
+            let mut times = Vec::new();
+            for placement in [Placement::Hash, Placement::Lpt, Placement::RoundRobin] {
+                let spec = spec_for(cfg, cfg.default_eps).with_placement(placement);
+                let time = run_avg(&cluster, &spec, algo, &r, &s, cfg.reps)?.sim_time;
+                times.push(time);
+                row.push(Cell::secs(time));
+            }
+            let gain = (times[0] - times[1]) / times[0] * 100.0;
+            row.push(Cell::Measure(gain, format!("{gain:.1}")));
+            table.row(row);
         }
     }
-    table.print("Table 7: hash vs LPT (vs SJMR round-robin) assignment of cells to workers");
-    Ok(table)
+    Ok(vec![table])
 }
 
 // ---------------------------------------------------------------------------
@@ -536,21 +564,25 @@ pub fn table7(cfg: &ExpConfig) -> Result<Table, JoinError> {
 /// makespans: the kernels' construction phases are identical, and `Auto`
 /// resolves each cell group to whatever fixed kernel the calibrated model
 /// scores cheapest, so any genuine regression shows up well beyond it.
-pub fn ablation_kernels(cfg: &ExpConfig) -> Result<Table, JoinError> {
+pub fn ablation_kernels(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
     use asj_data::{DatasetSpec, GenKind};
     use asj_join::{to_records, LocalKernel};
     let cluster = cfg.cluster();
     // Per-run times at quick scale are a few ms; extra repetitions keep the
     // auto-vs-fixed comparison out of the noise floor.
     let reps = cfg.reps.max(5);
-    let mut table = Table::new(vec![
-        "workload",
-        "kernel",
-        "candidates",
-        "results",
-        "join time (s)",
-        "total (s)",
-    ]);
+    let mut table = Table::new(
+        "a1",
+        "Ablation A1: partition-local join kernel (LPiB, uniform and skewed)",
+        vec![
+            "workload",
+            "kernel",
+            "candidates",
+            "results",
+            "join time (s)",
+            "total (s)",
+        ],
+    );
     for (workload, kind) in [
         ("uniform", GenKind::Uniform),
         ("skewed", GenKind::GaussianClusters),
@@ -583,18 +615,22 @@ pub fn ablation_kernels(cfg: &ExpConfig) -> Result<Table, JoinError> {
                 None => results = Some(res.results),
                 Some(n) => assert_eq!(n, res.results, "{workload}: kernels must agree"),
             }
-            if kernel == LocalKernel::Auto {
+            // Auto's picks follow a cost model calibrated by timing, so its
+            // candidate count is a measurement.
+            let candidates = if kernel == LocalKernel::Auto {
                 auto_time = res.sim_time;
+                Cell::varying(res.candidates)
             } else {
                 best_fixed = best_fixed.min(res.sim_time);
-            }
+                Cell::Count(res.candidates)
+            };
             table.row(vec![
-                workload.to_string(),
-                name.to_string(),
-                res.candidates.to_string(),
-                res.results.to_string(),
-                format!("{:.3}", res.join_time),
-                format!("{:.3}", res.sim_time),
+                Cell::label(workload),
+                Cell::label(name),
+                candidates,
+                Cell::Count(res.results),
+                Cell::secs(res.join_time),
+                Cell::secs(res.sim_time),
             ]);
         }
         assert!(
@@ -602,8 +638,7 @@ pub fn ablation_kernels(cfg: &ExpConfig) -> Result<Table, JoinError> {
             "{workload}: auto ({auto_time:.3}s) must track the best fixed kernel ({best_fixed:.3}s)"
         );
     }
-    table.print("Ablation A1: partition-local join kernel (LPiB, uniform and skewed)");
-    Ok(table)
+    Ok(vec![table])
 }
 
 /// Ablation A2: Algorithm 1's diagonal-first edge order versus naive
@@ -618,7 +653,11 @@ pub fn ablation_edge_order(cfg: &ExpConfig) -> Table {
         r.iter().step_by(33).map(|rec| rec.point),
         s.iter().step_by(33).map(|rec| rec.point),
     );
-    let mut table = Table::new(vec!["edge order", "marked edges", "replicated objects"]);
+    let mut table = Table::new(
+        "a2",
+        "Ablation A2: Algorithm 1 edge ordering (LPiB, S1 ⋈ S2)",
+        vec!["edge order", "marked edges", "replicated objects"],
+    );
     for (name, order) in [
         ("diagonal-first", EdgeOrder::DiagonalFirst),
         ("weight-only", EdgeOrder::WeightOnly),
@@ -637,43 +676,12 @@ pub fn ablation_edge_order(cfg: &ExpConfig) -> Table {
             replicas += cells.len() as u64 - 1;
         }
         table.row(vec![
-            name.to_string(),
-            graph.marked_edge_count().to_string(),
-            replicas.to_string(),
+            Cell::label(name),
+            Cell::Count(graph.marked_edge_count() as u64),
+            Cell::Count(replicas),
         ]);
     }
-    table.print("Ablation A2: Algorithm 1 edge ordering (LPiB, S1 ⋈ S2)");
     table
-}
-
-// ---------------------------------------------------------------------------
-// Everything.
-// ---------------------------------------------------------------------------
-
-/// Regenerates every table and figure of the paper in order.
-pub fn run_all(cfg: &ExpConfig) -> Result<(), JoinError> {
-    println!(
-        "# Reproduction run: base={} eps={:?} nodes={} partitions={} reps={}",
-        cfg.base, cfg.eps_values, cfg.nodes, cfg.partitions, cfg.reps
-    );
-    table1();
-    fig1b(cfg)?;
-    fig10_11_12(cfg, Combo::S1S2)?;
-    fig10_11_12(cfg, Combo::R1S1)?;
-    table4(cfg)?;
-    fig13(cfg)?;
-    fig14(cfg)?;
-    fig15(cfg)?;
-    fig16_18(cfg, Combo::S1S2)?;
-    fig16_18(cfg, Combo::R1S1)?;
-    fig16_18(cfg, Combo::R2R1)?;
-    table5(cfg)?;
-    table6(cfg)?;
-    table7(cfg)?;
-    ablation_kernels(cfg)?;
-    ablation_edge_order(cfg);
-    extensions(cfg)?;
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -689,7 +697,7 @@ pub fn fault_tolerance(
     cfg: &ExpConfig,
     plan: &FaultPlan,
     policy: RetryPolicy,
-) -> Result<Table, JoinError> {
+) -> Result<Vec<Table>, JoinError> {
     // Speculative copies need a second worker thread to race the straggler;
     // on a single-core host `ClusterConfig::new` would provide only one.
     let threads = std::thread::available_parallelism()
@@ -700,7 +708,12 @@ pub fn fault_tolerance(
     let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
     let spec = spec_for(cfg, cfg.default_eps);
     let mut table = Table::new(
-        [
+        "faults",
+        format!(
+            "Fault tolerance (S1 ⋈ S2, plan seed {}): identical results under chaos",
+            plan.seed
+        ),
+        vec![
             "algorithm",
             "results",
             "attempts",
@@ -709,28 +722,25 @@ pub fn fault_tolerance(
             "blacklisted",
             "time",
             "time (faults)",
-        ]
-        .map(str::to_string)
-        .to_vec(),
+        ],
     );
     for algo in [Algorithm::Lpib, Algorithm::Diff] {
         let ab = run_fault_ab(&cluster, &spec, algo, &r, &s, plan.clone(), policy)?;
         table.row(vec![
-            algo.name().to_string(),
-            ab.faulted.results.to_string(),
-            ab.attempts.to_string(),
-            ab.retries.to_string(),
-            ab.speculative_wins.to_string(),
-            ab.blacklisted_nodes.to_string(),
-            format!("{:.3}", ab.baseline.sim_time),
-            format!("{:.3}", ab.faulted.sim_time),
+            Cell::label(algo.name()),
+            Cell::Count(ab.faulted.results),
+            // A retry goes to the least-loaded node by measured busy time,
+            // which decides whether it lands before or after the lost
+            // node's cut-off; who wins a speculative race is timing too.
+            Cell::varying(ab.attempts),
+            Cell::varying(ab.retries),
+            Cell::varying(ab.speculative_wins),
+            Cell::Count(ab.blacklisted_nodes),
+            Cell::secs(ab.baseline.sim_time),
+            Cell::secs(ab.faulted.sim_time),
         ]);
     }
-    table.print(&format!(
-        "Fault tolerance (S1 ⋈ S2, plan seed {}): identical results under chaos",
-        plan.seed
-    ));
-    Ok(table)
+    Ok(vec![table])
 }
 
 // ---------------------------------------------------------------------------
@@ -739,53 +749,53 @@ pub fn fault_tolerance(
 
 /// Extension experiments: the ε self-join (MR-DSJ setting), the
 /// expanding-ring kNN join, and the polyline/polygon extent join, each with
-/// its headline metrics. Not part of the paper's evaluation; they
-/// characterize the substrate the future-work directions run on.
-pub fn extensions(cfg: &ExpConfig) -> Result<(Table, Table, Table), JoinError> {
+/// its headline metrics, plus the sampling-fraction sweep. Not part of the
+/// paper's evaluation; they characterize the substrate the future-work
+/// directions run on.
+pub fn extensions(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
     use asj_data::{random_boxes, random_polylines};
     use asj_geom::Shape;
     use asj_join::{extent_join, knn_join, self_join, ExtentRecord};
 
     let cluster = cfg.cluster();
+    let net = NetModel::gigabit(cfg.nodes);
 
     // Self-join of S1 across the ε sweep.
     let (s1, _) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
-    let mut selfj = Table::new(vec![
-        "eps",
-        "pairs",
-        "replicated",
-        "shuffle (MiB)",
-        "time (s)",
-    ]);
+    let mut selfj = Table::new(
+        "ext self-join",
+        "Extension: eps self-join of S1 (MR-DSJ setting)",
+        vec!["eps", "pairs", "replicated", "shuffle (MiB)", "time (s)"],
+    );
     for &eps in &cfg.eps_values {
-        let spec = spec_for(cfg, eps);
-        let out = self_join(&cluster, &spec, s1.clone())?;
-        let net = NetModel::gigabit(cfg.nodes);
-        let res = crate::RunResult::from_output(&out, &net);
+        let out = self_join(&cluster, &spec_for(cfg, eps), s1.clone())?;
+        let res = RunResult::from_output(&out, &net);
         selfj.row(vec![
-            format!("{eps:.3}"),
-            out.result_count.to_string(),
-            out.replicated_total().to_string(),
-            mib(res.shuffle_remote),
-            format!("{:.3}", res.sim_time),
+            Cell::label(format!("{eps:.3}")),
+            Cell::Count(out.result_count),
+            Cell::Count(out.replicated_total()),
+            Cell::Mib(res.shuffle_remote),
+            Cell::secs(res.sim_time),
         ]);
     }
-    selfj.print("Extension: eps self-join of S1 (MR-DSJ setting)");
 
     // kNN join: rounds and time vs k.
     let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
-    let mut knn = Table::new(vec!["k", "rounds", "shuffle (MiB)", "makespan (s)"]);
+    let mut knn = Table::new(
+        "ext knn",
+        "Extension: kNN join of S1 queries against S2 (expanding ring)",
+        vec!["k", "rounds", "shuffle (MiB)", "makespan (s)"],
+    );
     for k in [1usize, 5, 10, 20] {
         let spec = spec_for(cfg, cfg.default_eps);
         let out = knn_join(&cluster, &spec, k, r.clone(), s.clone())?;
         knn.row(vec![
-            k.to_string(),
-            out.rounds.to_string(),
-            mib(out.shuffle.total_bytes()),
-            format!("{:.3}", out.exec.makespan().as_secs_f64()),
+            Cell::label(k.to_string()),
+            Cell::Count(out.rounds as u64),
+            Cell::Mib(out.shuffle.total_bytes()),
+            Cell::secs(out.exec.makespan().as_secs_f64()),
         ]);
     }
-    knn.print("Extension: kNN join of S1 queries against S2 (expanding ring)");
 
     // Extent join: rivers × parks at 1/10 of the point scale.
     let n = (cfg.base / 10).max(500);
@@ -800,43 +810,110 @@ pub fn extensions(cfg: &ExpConfig) -> Result<(Table, Table, Table), JoinError> {
         .enumerate()
         .map(|(i, g)| ExtentRecord::new(i as u64, Shape::Polygon(g)))
         .collect();
-    let mut ext = Table::new(vec!["eps", "pairs", "replicated", "peak partition (MiB)"]);
+    let mut ext = Table::new(
+        "ext extent",
+        format!("Extension: extent join, {n} river polylines x {n} park polygons"),
+        vec!["eps", "pairs", "replicated", "peak partition (MiB)"],
+    );
     for &eps in &cfg.eps_values {
-        let spec = spec_for(cfg, eps);
-        let out = extent_join(&cluster, &spec, rivers.clone(), parks.clone())?;
+        let out = extent_join(&cluster, &spec_for(cfg, eps), rivers.clone(), parks.clone())?;
         ext.row(vec![
-            format!("{eps:.3}"),
-            out.result_count.to_string(),
-            out.replicated_total().to_string(),
-            mib(out.metrics.shuffle.peak_partition_bytes()),
+            Cell::label(format!("{eps:.3}")),
+            Cell::Count(out.result_count),
+            Cell::Count(out.replicated_total()),
+            Cell::Mib(out.metrics.shuffle.peak_partition_bytes()),
         ]);
     }
-    ext.print(&format!(
-        "Extension: extent join, {n} river polylines x {n} park polygons"
-    ));
 
     // Sampling-fraction sweep: the paper states 3 % "offers the best
     // performance"; this table shows the trade (construction cost vs
     // replication quality of the sampled agreement graph).
-    let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
-    let mut phi = Table::new(vec![
-        "sample phi",
-        "replicated",
-        "construction (s)",
-        "total (s)",
-    ]);
+    let mut phi = Table::new(
+        "ext sample",
+        "Extension: sampling fraction sweep (LPiB, S1 ⋈ S2)",
+        vec!["sample phi", "replicated", "construction (s)", "total (s)"],
+    );
     for fraction in [0.005f64, 0.01, 0.03, 0.10, 0.30] {
         let spec = spec_for(cfg, cfg.default_eps).with_sample_fraction(fraction);
         let res = run_avg(&cluster, &spec, Algorithm::Lpib, &r, &s, cfg.reps)?;
         phi.row(vec![
-            format!("{:.1}%", fraction * 100.0),
-            res.replicated.to_string(),
-            format!("{:.3}", res.construction_time),
-            format!("{:.3}", res.sim_time),
+            Cell::label(format!("{:.1}%", fraction * 100.0)),
+            Cell::Count(res.replicated),
+            Cell::secs(res.construction_time),
+            Cell::secs(res.sim_time),
         ]);
     }
-    phi.print("Extension: sampling fraction sweep (LPiB, S1 ⋈ S2)");
-    Ok((selfj, knn, ext))
+    Ok(vec![selfj, knn, ext, phi])
+}
+
+// ---------------------------------------------------------------------------
+// Every experiment, by name.
+// ---------------------------------------------------------------------------
+
+/// What one experiment produces: its tables, from the run's configuration
+/// and the plan and retry policy the `faults` A/B compares against.
+pub type Run = fn(&ExpConfig, &FaultPlan, RetryPolicy) -> Result<Vec<Table>, JoinError>;
+
+/// An experiment's names (the first is the one the usage line leads with)
+/// and what it runs.
+pub type Experiment = (&'static [&'static str], Run);
+
+/// Every experiment `repro` knows, in the order `repro all` runs them.
+/// Dispatch, `all` and the usage line all read this table.
+pub const EXPERIMENTS: &[Experiment] = &[
+    (&["table1"], |_, _, _| Ok(vec![table1()])),
+    (&["fig1b"], |cfg, _, _| fig1b(cfg)),
+    (&["fig10", "fig11", "fig12"], |cfg, _, _| {
+        let mut tables = fig10_11_12(cfg, Combo::S1S2)?;
+        tables.extend(fig10_11_12(cfg, Combo::R1S1)?);
+        Ok(tables)
+    }),
+    (&["table4"], |cfg, _, _| table4(cfg)),
+    (&["fig13"], |cfg, _, _| fig13(cfg)),
+    (&["fig14"], |cfg, _, _| fig14(cfg)),
+    (&["fig15"], |cfg, _, _| fig15(cfg)),
+    (&["fig16"], |cfg, _, _| fig16_18(cfg, Combo::S1S2)),
+    (&["fig17"], |cfg, _, _| fig16_18(cfg, Combo::R1S1)),
+    (&["fig18"], |cfg, _, _| fig16_18(cfg, Combo::R2R1)),
+    (&["table5"], |cfg, _, _| table5(cfg)),
+    (&["table6"], |cfg, _, _| table6(cfg)),
+    (&["table7"], |cfg, _, _| table7(cfg)),
+    (&["a1", "kernels", "ablation-kernels"], |cfg, _, _| {
+        ablation_kernels(cfg)
+    }),
+    (&["a2", "edgeorder"], |cfg, _, _| {
+        Ok(vec![ablation_edge_order(cfg)])
+    }),
+    (&["ext", "extensions"], |cfg, _, _| extensions(cfg)),
+    (&["faults", "fault-tolerance"], fault_tolerance),
+    (&["memory", "memory-sweep", "budget-sweep"], |cfg, _, _| {
+        Ok(memory::memory_sweep(cfg).tables())
+    }),
+    (&["multitenant", "multi-tenant", "jobs"], |cfg, _, _| {
+        Ok(multitenant::multitenant_sweep(cfg).tables())
+    }),
+    (&["recovery", "crash-recovery"], |cfg, _, _| {
+        Ok(recovery::recovery_sweep(cfg).tables())
+    }),
+];
+
+/// The experiments `names` ask for, each once and in [`EXPERIMENTS`] order;
+/// no name, or `all`, selects every one.
+pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    let named = |aliases: &[&str]| names.iter().any(|n| aliases.contains(&n.as_str()));
+    if let Some(bad) = names.iter().find(|n| {
+        *n != "all"
+            && !EXPERIMENTS
+                .iter()
+                .any(|(aliases, _)| aliases.contains(&n.as_str()))
+    }) {
+        return Err(format!("unknown experiment {bad}"));
+    }
+    let all = names.is_empty() || names.iter().any(|n| n == "all");
+    Ok(EXPERIMENTS
+        .iter()
+        .filter(|(aliases, _)| all || named(aliases))
+        .collect())
 }
 
 #[cfg(test)]
@@ -850,20 +927,91 @@ mod tests {
     #[test]
     fn table1_matches_paper_exactly() {
         let t = table1();
-        let rendered = t.render();
-        let lines: Vec<&str> = rendered.lines().collect();
-        let cell = |row: usize| -> Vec<String> {
-            lines[row + 2]
-                .split_whitespace()
-                .map(str::to_string)
-                .collect()
-        };
         // Rows: A, B, C, D, total — columns: replicas R, cost R, replicas S, cost S.
-        assert_eq!(cell(0), vec!["A", "4", "15", "3", "6"]);
-        assert_eq!(cell(1), vec!["B", "1", "4", "5", "18"]);
-        assert_eq!(cell(2), vec!["C", "3", "10", "3", "10"]);
-        assert_eq!(cell(3), vec!["D", "4", "12", "2", "8"]);
-        assert_eq!(cell(4), vec!["total", "12", "41", "13", "42"]);
+        let want = [
+            ("A", [4, 15, 3, 6]),
+            ("B", [1, 4, 5, 18]),
+            ("C", [3, 10, 3, 10]),
+            ("D", [4, 12, 2, 8]),
+            ("total", [12, 41, 13, 42]),
+        ];
+        assert_eq!(t.rows().len(), want.len());
+        for (row, (name, counts)) in t.rows().iter().zip(want) {
+            assert_eq!(row[0], Cell::label(name));
+            assert_eq!(row[1..], counts.map(Cell::Count));
+        }
+    }
+
+    /// Each experiment runs once however many of its names are given, in
+    /// table order; `all` (or nothing) runs every one.
+    #[test]
+    fn names_select_each_experiment_once() {
+        let canonical = |names: &[&str]| -> Vec<&str> {
+            let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+            let selected = select(&names).expect("known names");
+            selected.iter().map(|(aliases, _)| aliases[0]).collect()
+        };
+        assert_eq!(canonical(&["fig10", "fig11", "fig12"]), ["fig10"]);
+        assert_eq!(
+            canonical(&["recovery", "fig12", "table1", "fig10"]),
+            ["table1", "fig10", "recovery"]
+        );
+        assert_eq!(canonical(&[]).len(), EXPERIMENTS.len());
+        assert_eq!(canonical(&["table1", "all"]).len(), EXPERIMENTS.len());
+        assert_eq!(
+            select(&["fig99".to_string()]).err().as_deref(),
+            Some("unknown experiment fig99")
+        );
+        let mut names: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|(n, _)| n.iter().copied())
+            .collect();
+        let count = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), count, "every name selects one experiment");
+    }
+
+    /// `repro all --quick`'s exact counters are committed in
+    /// `results/repro-quick.json`. The experiments that fit a debug test run
+    /// must reproduce their `counters` lines byte for byte; CI compares the
+    /// whole record.
+    #[test]
+    fn quick_counters_match_the_committed_record() {
+        let committed = include_str!("../../../results/repro-quick.json");
+        let counters: Vec<&str> = committed
+            .lines()
+            .skip_while(|l| *l != "\"counters\": {")
+            .take_while(|l| *l != "},")
+            .collect();
+        let (cfg, plan) = (ExpConfig::quick(), FaultPlan::chaos(7));
+        let mut record = crate::Record::new(&cfg, &plan);
+        assert!(
+            committed
+                .lines()
+                .any(|l| l.strip_suffix(',') == Some(record.config())),
+            "results/repro-quick.json is not `repro all --quick`'s record"
+        );
+        let names = ["table1", "fig1b", "fig10", "table4", "memory", "recovery"].map(String::from);
+        for (_, run) in select(&names).expect("known experiments") {
+            record.push(run(&cfg, &plan, RetryPolicy::default()).expect("quick runs succeed"));
+        }
+        for table in record.tables() {
+            let Some(line) = table.json_line(true) else {
+                continue;
+            };
+            let key = &line[..=line.find(":{").expect("a table line")];
+            let committed_line = counters
+                .iter()
+                .find(|l| l.starts_with(key))
+                .unwrap_or_else(|| panic!("'{}' is missing from the committed record", table.key));
+            assert_eq!(
+                line,
+                committed_line.trim_end_matches(','),
+                "the counters of '{}' moved from results/repro-quick.json",
+                table.key
+            );
+        }
     }
 
     /// The reconstructed Figure-2 instance must put each point in its

@@ -7,6 +7,10 @@
 //! points-per-cell regime and join selectivity match the paper's. The
 //! `repro` binary runs the full suite, `repro --quick` a reduced
 //! configuration. Wall-clock timing is `benchmark/`'s job, not this crate's.
+//!
+//! Every experiment returns typed [`Table`]s; a [`Record`] prints them and
+//! renders `repro.json`, whose exact counters `results/repro-quick.json`
+//! commits for the quick tier.
 
 pub mod experiments;
 pub mod memory;
@@ -16,7 +20,7 @@ mod runner;
 mod table;
 
 pub use runner::{run_avg, run_fault_ab, run_once, Combo, FaultAb, NetModel, RunResult};
-pub use table::Table;
+pub use table::{Cell, Record, Table};
 
 use asj_engine::{Cluster, ClusterConfig, FaultPlan, RetryPolicy};
 

@@ -9,7 +9,7 @@
 //! through disk spill segments, and asserts after every leg:
 //!
 //! * the shuffled partitions are **byte-identical** to the unbudgeted run
-//!   (full `Vec` equality plus the FNV-1a checksum CI gates on),
+//!   (full `Vec` equality plus the FNV-1a checksum the record gates on),
 //! * every [`ShuffleStats`] meter matches — spilling is invisible in stats,
 //! * `peak_memory_bytes <= budget` on every leg that has one,
 //! * legs budgeted meaningfully below the natural peak actually spill.
@@ -17,10 +17,11 @@
 //! A final leg injects a deterministic `oom:` fault on top of the tightest
 //! budget and demands the retry machinery recovers to the same bytes.
 //!
-//! Results land in `BENCH_memory.json` for the CI `perf-smoke` job;
-//! override the path with `ASJ_BENCH_MEMORY_OUT`.
+//! Which map task is denied admission first varies from run to run, so a
+//! budgeted leg's spilled bytes, denials and peak are measurements; the
+//! budgets, the natural peak, the oom count and the checksum are exact.
 
-use crate::{ExpConfig, Table};
+use crate::{Cell, ExpConfig, Table};
 use asj_data::{DatasetSpec, GenKind, PAPER_BBOX};
 use asj_engine::{
     Cluster, ClusterConfig, ExplicitPartitioner, FaultPlan, Fnv1a, KeyedDataset, RetryPolicy,
@@ -44,7 +45,7 @@ const GRID_CELLS: u64 = 64;
 /// tail forces the governor to spill most of the shuffle volume.
 const SWEEP_PCT: &[u64] = &[100, 50, 25, 10];
 
-/// One leg of the sweep, as serialized into `BENCH_memory.json`.
+/// One leg of the sweep.
 #[derive(Debug, Clone)]
 pub struct MemLeg {
     /// Per-node budget in bytes; `None` for the unbudgeted reference leg.
@@ -61,18 +62,59 @@ pub struct MemLeg {
     pub oom_events: u64,
 }
 
-/// The sweep's full result set (also serialized to JSON).
+/// The sweep's full result set.
 #[derive(Debug, Clone)]
 pub struct MemReport {
     pub records: usize,
-    pub sources: usize,
-    pub targets: usize,
     pub nodes: usize,
     /// Peak per-node resident bytes of the unbudgeted reference run.
     pub natural_peak: u64,
     /// FNV-1a of the shuffled output; identical for every leg by assertion.
     pub checksum: u64,
     pub legs: Vec<MemLeg>,
+}
+
+impl MemReport {
+    /// The sweep's table, one row per leg.
+    pub fn tables(&self) -> Vec<Table> {
+        let mut table = Table::new(
+            "memory",
+            format!(
+                "memory budget sweep — {} records × {} B payload, {} nodes",
+                self.records, PAYLOAD_BYTES, self.nodes
+            ),
+            vec![
+                "budget",
+                "budget B",
+                "peak B",
+                "spilled B",
+                "denials",
+                "oom",
+                "checksum",
+            ],
+        );
+        for leg in &self.legs {
+            let (label, peak) = match (leg.budget, leg.budget_pct) {
+                (None, _) => ("unbounded".to_string(), Cell::Count(leg.peak_memory_bytes)),
+                (Some(_), 0) => (
+                    "10% + oom".to_string(),
+                    Cell::varying(leg.peak_memory_bytes),
+                ),
+                (Some(_), pct) => (format!("{pct}%"), Cell::varying(leg.peak_memory_bytes)),
+            };
+            table.row(vec![
+                Cell::Label(label),
+                leg.budget.map_or(Cell::Missing, Cell::Count),
+                peak,
+                Cell::varying(leg.spilled_bytes),
+                Cell::varying(leg.budget_denials),
+                Cell::Count(leg.oom_events),
+                // Every leg's output is asserted byte-identical to the reference's.
+                Cell::Checksum(self.checksum),
+            ]);
+        }
+        vec![table]
+    }
 }
 
 type Workload = Vec<Vec<(u64, Record)>>;
@@ -165,63 +207,11 @@ fn run_leg(
     (leg, rows.into_partitions(), stats)
 }
 
-fn json_leg(leg: &MemLeg) -> String {
-    format!(
-        concat!(
-            "{{\"budget_bytes\":{},\"budget_pct\":{},",
-            "\"peak_memory_bytes\":{},\"spilled_bytes\":{},",
-            "\"budget_denials\":{},\"oom_events\":{},",
-            "\"within_budget\":{},\"byte_identical\":true}}"
-        ),
-        leg.budget
-            .map_or_else(|| "null".to_string(), |b| b.to_string()),
-        leg.budget_pct,
-        leg.peak_memory_bytes,
-        leg.spilled_bytes,
-        leg.budget_denials,
-        leg.oom_events,
-        leg.budget.is_none_or(|b| leg.peak_memory_bytes <= b),
-    )
-}
-
-/// Hand-rolled JSON, same conventions as `BENCH_shuffle.json`: flat-ish
-/// object, stable key order, digits-only numerics.
-fn render_json(rep: &MemReport) -> String {
-    let legs: Vec<String> = rep.legs.iter().map(json_leg).collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"memory_sweep\",\n",
-            "  \"records\": {},\n",
-            "  \"payload_bytes\": {},\n",
-            "  \"sources\": {},\n",
-            "  \"targets\": {},\n",
-            "  \"nodes\": {},\n",
-            "  \"natural_peak_bytes\": {},\n",
-            "  \"checksum\": \"{:016x}\",\n",
-            "  \"checksum_matches\": true,\n",
-            "  \"legs\": [{}]\n",
-            "}}\n"
-        ),
-        rep.records,
-        PAYLOAD_BYTES,
-        rep.sources,
-        rep.targets,
-        rep.nodes,
-        rep.natural_peak,
-        rep.checksum,
-        legs.join(","),
-    )
-}
-
-/// The `repro memory` entry point. Runs the budget sweep, asserts the
-/// byte-identity and `peak <= budget` gates, prints the comparison table
-/// and writes `BENCH_memory.json`.
+/// The `repro memory` entry point. Runs the budget sweep and asserts the
+/// byte-identity and `peak <= budget` gates.
 pub fn memory_sweep(cfg: &ExpConfig) -> MemReport {
     let records = cfg.base * 2;
-    let sources = cfg.partitions;
-    let targets = cfg.partitions;
-    let parts = keyed_workload(records, sources);
+    let parts = keyed_workload(records, cfg.partitions);
 
     // Reference leg: no budget. The accountant still meters every admission,
     // so its peak is the natural footprint the sweep is scaled against.
@@ -273,59 +263,13 @@ pub fn memory_sweep(cfg: &ExpConfig) -> MemReport {
     assert!(oom_leg.peak_memory_bytes <= tight);
     legs.push(oom_leg);
 
-    let report = MemReport {
+    MemReport {
         records,
-        sources,
-        targets,
         nodes: cfg.nodes,
         natural_peak,
         checksum,
         legs,
-    };
-
-    let mut table = Table::new(vec![
-        "budget",
-        "budget KiB",
-        "peak KiB",
-        "spilled KiB",
-        "denials",
-        "oom",
-    ]);
-    for leg in &report.legs {
-        let label = match (leg.budget, leg.budget_pct) {
-            (None, _) => "unbounded".to_string(),
-            (Some(_), 0) => "10% + oom".to_string(),
-            (Some(_), pct) => format!("{pct}%"),
-        };
-        table.row(vec![
-            label,
-            leg.budget
-                .map_or_else(|| "-".to_string(), |b| (b / 1024).to_string()),
-            (leg.peak_memory_bytes / 1024).to_string(),
-            (leg.spilled_bytes / 1024).to_string(),
-            leg.budget_denials.to_string(),
-            leg.oom_events.to_string(),
-        ]);
     }
-    table.print(&format!(
-        "memory budget sweep — {} records × {} B payload, natural peak {} KiB, {} nodes",
-        report.records,
-        PAYLOAD_BYTES,
-        report.natural_peak / 1024,
-        report.nodes
-    ));
-    println!(
-        "byte-identity held on every leg   checksum {:016x}",
-        report.checksum
-    );
-
-    let out =
-        std::env::var("ASJ_BENCH_MEMORY_OUT").unwrap_or_else(|_| "BENCH_memory.json".to_string());
-    match std::fs::write(&out, render_json(&report)) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("warning: could not write {out}: {e}"),
-    }
-    report
 }
 
 #[cfg(test)]
@@ -358,11 +302,7 @@ mod tests {
     #[test]
     fn memory_sweep_runs_at_tiny_scale() {
         let cfg = ExpConfig::quick().with_base(1500);
-        let dir = std::env::temp_dir().join("asj-mem-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        std::env::set_var("ASJ_BENCH_MEMORY_OUT", dir.join("BENCH_memory.json"));
         let report = memory_sweep(&cfg);
-        std::env::remove_var("ASJ_BENCH_MEMORY_OUT");
 
         // Reference + one leg per sweep point + the oom leg.
         assert_eq!(report.legs.len(), SWEEP_PCT.len() + 2);
@@ -379,10 +319,12 @@ mod tests {
         let oom = report.legs.last().expect("oom leg present");
         assert!(oom.oom_events >= 1);
 
-        let json = std::fs::read_to_string(dir.join("BENCH_memory.json")).expect("json written");
-        assert!(json.contains("\"experiment\": \"memory_sweep\""));
-        assert!(json.contains("\"checksum_matches\": true"));
-        assert!(json.contains("\"within_budget\":true"));
-        assert!(!json.contains("\"within_budget\":false"));
+        // The table: one row per leg, each carrying the shared checksum.
+        let tables = report.tables();
+        assert_eq!(tables[0].rows().len(), report.legs.len());
+        assert!(tables[0]
+            .rows()
+            .iter()
+            .all(|row| row[6] == Cell::Checksum(report.checksum)));
     }
 }

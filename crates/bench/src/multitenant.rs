@@ -18,11 +18,8 @@
 //! * **determinism** — re-running a leg reproduces the grant log and every
 //!   checksum (clock values are simulated from measured stage makespans and
 //!   are reported, not gated).
-//!
-//! Results land in `BENCH_multitenant.json` for the CI `perf-smoke` job;
-//! override the path with `ASJ_BENCH_MULTITENANT_OUT`.
 
-use crate::{ExpConfig, Table};
+use crate::{Cell, ExpConfig, Table};
 use asj_data::GenKind;
 use asj_engine::{Cluster, ClusterConfig, DurationSummary, JobId, JobReport, SchedPolicy};
 use asj_join::Algorithm;
@@ -60,13 +57,82 @@ pub struct MtLeg {
     pub reports: Vec<JobReport<TenantOutcome>>,
 }
 
-/// The sweep's full result set (also serialized to JSON).
+/// The sweep's full result set.
 #[derive(Debug)]
 pub struct MtReport {
     pub nodes: usize,
     pub legs: Vec<MtLeg>,
     /// p99 queue wait, fair-share vs FIFO, for every N >= 2 leg pair.
     pub fairness_wins: Vec<(usize, Duration, Duration)>,
+}
+
+impl MtReport {
+    /// The sweep's tables: one row per leg, the fairness comparison, and
+    /// every tenant's outcome in the largest leg.
+    pub fn tables(&self) -> Vec<Table> {
+        let mut legs = Table::new(
+            "multitenant",
+            format!(
+                "multi-tenant sweep — mixed-size tenants on {} nodes, budget = sum of working-set estimates",
+                self.nodes
+            ),
+            vec![
+                "tenants",
+                "policy",
+                "grants",
+                "wait p50 (ms)",
+                "wait p99 (ms)",
+                "turn p99 (ms)",
+                "clock (ms)",
+                "retries",
+                "spilled B",
+            ],
+        );
+        for leg in &self.legs {
+            legs.row(vec![
+                Cell::label(leg.tenants.to_string()),
+                Cell::label(leg.policy.name()),
+                Cell::Count(leg.grants as u64),
+                Cell::ms(leg.queue_wait.p50.as_secs_f64()),
+                Cell::ms(leg.queue_wait.p99.as_secs_f64()),
+                Cell::ms(leg.turnaround.p99.as_secs_f64()),
+                Cell::ms(leg.clock_seconds),
+                Cell::Count(leg.retries),
+                Cell::varying(leg.spilled_bytes),
+            ]);
+        }
+        let mut fairness = Table::new(
+            "multitenant fairness",
+            "multi-tenant sweep — p99 queue wait, fair-share vs FIFO",
+            vec!["tenants", "fair-share (ms)", "FIFO (ms)"],
+        );
+        for (n, fair, fifo) in &self.fairness_wins {
+            fairness.row(vec![
+                Cell::label(n.to_string()),
+                Cell::ms(fair.as_secs_f64()),
+                Cell::ms(fifo.as_secs_f64()),
+            ]);
+        }
+        let last = self.legs.last().expect("the sweep runs legs");
+        let mut tenants = Table::new(
+            "multitenant tenants",
+            format!(
+                "multi-tenant sweep — each of {} tenants, identical to its solo run",
+                last.tenants
+            ),
+            vec!["tenant", "results", "checksum", "stages", "retries"],
+        );
+        for job in &last.reports {
+            tenants.row(vec![
+                Cell::label(job.name.as_str()),
+                Cell::Count(outcome(job).result_count),
+                Cell::Checksum(outcome(job).checksum),
+                Cell::Count(job.stages),
+                Cell::Count(job.stats.retries),
+            ]);
+        }
+        vec![legs, fairness, tenants]
+    }
 }
 
 /// The mixed-size tenant set at count `n`: sets are prefixes of each other
@@ -161,93 +227,9 @@ fn outcome(report: &JobReport<TenantOutcome>) -> &TenantOutcome {
         .expect("run_leg checked every tenant")
 }
 
-fn json_job(j: &JobReport<TenantOutcome>) -> String {
-    format!(
-        concat!(
-            "{{\"name\":\"{}\",\"checksum\":\"{:016x}\",\"results\":{},",
-            "\"queue_wait_seconds\":{:.6},\"turnaround_seconds\":{:.6},",
-            "\"stages\":{},\"retries\":{},\"spilled_bytes\":{},",
-            "\"residual_bytes\":{}}}"
-        ),
-        j.name,
-        outcome(j).checksum,
-        outcome(j).result_count,
-        j.queue_wait().as_secs_f64(),
-        j.turnaround().as_secs_f64(),
-        j.stages,
-        j.stats.retries,
-        j.stats.spilled_bytes,
-        j.residual_bytes,
-    )
-}
-
-fn json_leg(leg: &MtLeg) -> String {
-    let jobs: Vec<String> = leg.reports.iter().map(json_job).collect();
-    format!(
-        concat!(
-            "{{\"tenants\":{},\"policy\":\"{}\",\"budget_bytes\":{},",
-            "\"clock_seconds\":{:.6},\"grants\":{},",
-            "\"queue_wait_p50_seconds\":{:.6},\"queue_wait_p99_seconds\":{:.6},",
-            "\"turnaround_p99_seconds\":{:.6},",
-            "\"peak_memory_bytes\":{},\"within_budget\":{},",
-            "\"spilled_bytes\":{},\"retries\":{},",
-            "\"isolated\":{},\"jobs\":[{}]}}"
-        ),
-        leg.tenants,
-        leg.policy.name(),
-        leg.budget_bytes,
-        leg.clock_seconds,
-        leg.grants,
-        leg.queue_wait.p50.as_secs_f64(),
-        leg.queue_wait.p99.as_secs_f64(),
-        leg.turnaround.p99.as_secs_f64(),
-        leg.peak_memory_bytes,
-        leg.peak_memory_bytes <= leg.budget_bytes,
-        leg.spilled_bytes,
-        leg.retries,
-        leg.isolated,
-        jobs.join(","),
-    )
-}
-
-/// Hand-rolled JSON, same conventions as `BENCH_memory.json`.
-fn render_json(rep: &MtReport) -> String {
-    let legs: Vec<String> = rep.legs.iter().map(json_leg).collect();
-    let fairness: Vec<String> = rep
-        .fairness_wins
-        .iter()
-        .map(|(n, fair, fifo)| {
-            format!(
-                concat!(
-                    "{{\"tenants\":{},\"fair_share_p99_wait_seconds\":{:.6},",
-                    "\"fifo_p99_wait_seconds\":{:.6},\"fair_share_wins\":{}}}"
-                ),
-                n,
-                fair.as_secs_f64(),
-                fifo.as_secs_f64(),
-                fair < fifo,
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"multitenant\",\n",
-            "  \"nodes\": {},\n",
-            "  \"isolation_matches\": true,\n",
-            "  \"fairness\": [{}],\n",
-            "  \"legs\": [{}]\n",
-            "}}\n"
-        ),
-        rep.nodes,
-        fairness.join(","),
-        legs.join(","),
-    )
-}
-
 /// The `repro multitenant` entry point. Runs the tenant-count × policy
-/// sweep, asserts the isolation / budget / leak / fairness / determinism
-/// gates, prints the comparison table and writes `BENCH_multitenant.json`.
+/// sweep and asserts the isolation / budget / leak / fairness / determinism
+/// gates.
 pub fn multitenant_sweep(cfg: &ExpConfig) -> MtReport {
     let max_tenants = *TENANT_COUNTS.last().expect("non-empty sweep");
     let all_tenants = tenant_set(cfg, max_tenants);
@@ -333,56 +315,11 @@ pub fn multitenant_sweep(cfg: &ExpConfig) -> MtReport {
         );
     }
 
-    let report = MtReport {
+    MtReport {
         nodes: cfg.nodes,
         legs,
         fairness_wins,
-    };
-
-    let mut table = Table::new(vec![
-        "tenants",
-        "policy",
-        "grants",
-        "wait p50 (ms)",
-        "wait p99 (ms)",
-        "turn p99 (ms)",
-        "clock (ms)",
-        "retries",
-        "spilled KiB",
-    ]);
-    for leg in &report.legs {
-        table.row(vec![
-            leg.tenants.to_string(),
-            leg.policy.name().to_string(),
-            leg.grants.to_string(),
-            format!("{:.2}", leg.queue_wait.p50.as_secs_f64() * 1e3),
-            format!("{:.2}", leg.queue_wait.p99.as_secs_f64() * 1e3),
-            format!("{:.2}", leg.turnaround.p99.as_secs_f64() * 1e3),
-            format!("{:.2}", leg.clock_seconds * 1e3),
-            leg.retries.to_string(),
-            (leg.spilled_bytes / 1024).to_string(),
-        ]);
     }
-    table.print(&format!(
-        "multi-tenant sweep — mixed-size tenants on {} nodes, budget = sum of working-set estimates",
-        report.nodes
-    ));
-    for (n, fair, fifo) in &report.fairness_wins {
-        println!(
-            "x{n}: fair-share p99 wait {:.2} ms beats FIFO {:.2} ms",
-            fair.as_secs_f64() * 1e3,
-            fifo.as_secs_f64() * 1e3
-        );
-    }
-    println!("isolation held on every leg (checksums match solo runs)");
-
-    let out = std::env::var("ASJ_BENCH_MULTITENANT_OUT")
-        .unwrap_or_else(|_| "BENCH_multitenant.json".to_string());
-    match std::fs::write(&out, render_json(&report)) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("warning: could not write {out}: {e}"),
-    }
-    report
 }
 
 #[cfg(test)]
@@ -392,14 +329,7 @@ mod tests {
     #[test]
     fn multitenant_sweep_runs_at_tiny_scale() {
         let cfg = ExpConfig::quick().with_base(4_000);
-        let dir = std::env::temp_dir().join("asj-mt-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        std::env::set_var(
-            "ASJ_BENCH_MULTITENANT_OUT",
-            dir.join("BENCH_multitenant.json"),
-        );
         let report = multitenant_sweep(&cfg);
-        std::env::remove_var("ASJ_BENCH_MULTITENANT_OUT");
 
         assert_eq!(report.legs.len(), TENANT_COUNTS.len() * 2);
         for leg in &report.legs {
@@ -425,15 +355,16 @@ mod tests {
             assert_eq!(leg.retries, chaos_retries, "retries isolate to tenant 2");
         }
         assert_eq!(report.fairness_wins.len(), 3, "N in {{2,4,8}} compared");
+        assert!(report
+            .fairness_wins
+            .iter()
+            .all(|(_, fair, fifo)| fair < fifo));
 
-        let json =
-            std::fs::read_to_string(dir.join("BENCH_multitenant.json")).expect("json written");
-        assert!(json.contains("\"experiment\": \"multitenant\""));
-        assert!(json.contains("\"isolation_matches\": true"));
-        assert!(json.contains("\"fair_share_wins\":true"));
-        assert!(!json.contains("\"fair_share_wins\":false"));
-        assert!(json.contains("\"within_budget\":true"));
-        assert!(!json.contains("\"within_budget\":false"));
+        // The tables: one row per leg, per fairness comparison, per tenant.
+        let tables = report.tables();
+        let rows: Vec<usize> = tables.iter().map(|t| t.rows().len()).collect();
+        assert_eq!(rows, [report.legs.len(), 3, 8]);
+        assert_eq!(tables[2].rows()[2][0], Cell::label("tenant-02"));
     }
 
     #[test]

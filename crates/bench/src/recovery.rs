@@ -17,20 +17,15 @@
 //!   candidates, replication, checksum) is byte-identical to the oracle's,
 //! * **savings** — summed across crash points, the checkpointed recovery legs
 //!   re-run strictly fewer task attempts than the journal-only legs: resuming
-//!   from persisted shuffle *and join* stages must beat recomputing them,
-//! * **bounded disk** — after the recovery leg finishes, retention GC has
-//!   collected every finished job's checkpoints and (on the compact arm)
-//!   journal compaction has dropped the dead records, so checkpoint-dir
-//!   bytes + journal bytes stay under the bound committed in
-//!   `results/BENCH_recovery.baseline.json` (gated only when the run matches
-//!   the baseline's scale).
+//!   from persisted shuffle *and join* stages must beat recomputing them.
 //!
-//! Results land in `BENCH_recovery.json` for the CI `recovery-matrix` job;
-//! override the path with `ASJ_BENCH_RECOVERY_OUT` and the committed
-//! baseline with `ASJ_BENCH_RECOVERY_BASELINE`.
+//! Every count the sweep reports — attempts re-run, stages resumed,
+//! checkpoint bytes, and the checkpoint-dir + journal bytes retention GC and
+//! compaction leave on disk — is exact, so the committed quick-tier record
+//! (`results/repro-quick.json`) pins each one.
 
 use crate::multitenant::tenant_set;
-use crate::{ExpConfig, Table};
+use crate::{Cell, ExpConfig, Table};
 use asj_engine::{Cluster, ClusterConfig, FaultPlan, RetryPolicy, SchedPolicy, ServerRun};
 use asj_join::Algorithm;
 use asj_serve::{run_queue, RecoveryOptions, TenantOutcome, TenantSpec};
@@ -46,6 +41,8 @@ const TENANTS: usize = 4;
 pub struct RecLeg {
     /// Grant boundary the server was killed at.
     pub crash_at: u64,
+    /// The arm's name (`ckpt`, `plain` or `compact`).
+    pub arm: &'static str,
     /// Whether this arm persisted stage checkpoints.
     pub checkpointed: bool,
     /// Whether this arm compacted the journal after every completion.
@@ -69,7 +66,7 @@ pub struct RecLeg {
     pub clock_seconds: f64,
 }
 
-/// The sweep's full result set (also serialized to JSON).
+/// The sweep's full result set.
 #[derive(Debug, Clone)]
 pub struct RecReport {
     pub nodes: usize,
@@ -85,15 +82,6 @@ pub struct RecReport {
     pub attempts_without_checkpoint: u64,
     /// Max post-recovery disk bytes over the compact-arm legs.
     pub post_gc_disk_bytes: u64,
-    /// The committed disk bound this run was gated against, when the
-    /// baseline matches this run's scale.
-    pub disk_bound_bytes: Option<u64>,
-    /// Post-GC disk stayed under the committed bound (vacuously true when
-    /// no matching baseline bound exists).
-    pub disk_bounded: bool,
-    /// `attempts_with_checkpoint` did not regress past the committed
-    /// baseline's (vacuously true without a matching baseline).
-    pub attempts_within_baseline: bool,
 }
 
 impl RecReport {
@@ -101,12 +89,64 @@ impl RecReport {
     pub fn checkpoint_savings(&self) -> bool {
         self.attempts_with_checkpoint < self.attempts_without_checkpoint
     }
+
+    /// The sweep's tables: one row per leg, and the totals the savings gate
+    /// compares.
+    pub fn tables(&self) -> Vec<Table> {
+        let mut legs = Table::new(
+            "recovery",
+            format!(
+                "crash/recovery sweep — {} tenants on {} nodes",
+                self.tenants, self.nodes
+            ),
+            vec![
+                "crash at",
+                "arm",
+                "replayed",
+                "stages resumed",
+                "ckpt B",
+                "attempts re-run",
+                "post-GC disk B",
+                "clock (ms)",
+            ],
+        );
+        for leg in &self.legs {
+            legs.row(vec![
+                Cell::label(leg.crash_at.to_string()),
+                Cell::label(leg.arm),
+                Cell::Count(leg.replayed_tenants as u64),
+                Cell::Count(leg.stages_recovered),
+                Cell::Count(leg.checkpoint_bytes),
+                Cell::Count(leg.recovered_attempts),
+                Cell::Count(leg.post_gc_disk_bytes),
+                Cell::ms(leg.clock_seconds),
+            ]);
+        }
+        let mut totals = Table::new(
+            "recovery totals",
+            "crash/recovery totals — attempts re-run with checkpoints vs journal-only",
+            vec![
+                "oracle grants",
+                "oracle attempts",
+                "re-run (ckpt)",
+                "re-run (plain)",
+                "max post-GC disk B (compact)",
+            ],
+        );
+        totals.row(vec![
+            Cell::Count(self.oracle_grants as u64),
+            Cell::Count(self.oracle_attempts),
+            Cell::Count(self.attempts_with_checkpoint),
+            Cell::Count(self.attempts_without_checkpoint),
+            Cell::Count(self.post_gc_disk_bytes),
+        ]);
+        vec![legs, totals]
+    }
 }
 
 /// The durability arms, crossed with every crash point. `plain` and `ckpt`
-/// are the pre-compaction A/B axis (their attempt sums feed the savings
-/// gate, keeping the metric comparable across baselines); `compact` layers
-/// `--compact-every 1` on the checkpointed arm and feeds the disk gate.
+/// are the A/B axis (their attempt sums feed the savings gate); `compact`
+/// layers `--compact-every 1` on the checkpointed arm.
 const ARMS: &[(&str, bool, bool)] = &[
     ("ckpt", true, false),
     ("plain", false, false),
@@ -144,16 +184,13 @@ fn file_bytes(path: &Path) -> u64 {
 }
 
 /// Crash a journaled server at `crash_at`, restart it, and gate the leg
-/// against the oracle. `(checkpointed, compacted)` selects the arm.
-#[allow(clippy::too_many_arguments)]
+/// against the oracle. `(arm, checkpointed, compacted)` is one of [`ARMS`].
 fn crash_and_recover(
     cfg: &ExpConfig,
     tenants: &[TenantSpec],
     oracle: &ServerRun<TenantOutcome>,
     crash_at: u64,
-    arm: &str,
-    checkpointed: bool,
-    compacted: bool,
+    (arm, checkpointed, compacted): (&'static str, bool, bool),
     scratch: &Path,
 ) -> RecLeg {
     let journal = scratch.join(format!("crash{crash_at}-{arm}.journal"));
@@ -211,6 +248,7 @@ fn crash_and_recover(
 
     RecLeg {
         crash_at,
+        arm,
         checkpointed,
         compacted,
         prefix_ok,
@@ -224,105 +262,8 @@ fn crash_and_recover(
     }
 }
 
-/// Extracts the integer value of `"key"` from hand-rolled flat JSON. Enough
-/// for the committed baseline file — no nesting, no string escapes near the
-/// scanned keys.
-fn json_u64(text: &str, key: &str) -> Option<u64> {
-    let idx = text.find(&format!("\"{key}\""))?;
-    let rest = &text[idx..];
-    let colon = rest.find(':')?;
-    let digits: String = rest[colon + 1..]
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// The committed baseline's gating fields, when the file exists.
-struct Baseline {
-    nodes: u64,
-    tenants: u64,
-    attempts_with_checkpoint: Option<u64>,
-    disk_bound_bytes: Option<u64>,
-}
-
-fn read_baseline() -> Option<Baseline> {
-    let path = std::env::var("ASJ_BENCH_RECOVERY_BASELINE")
-        .unwrap_or_else(|_| "results/BENCH_recovery.baseline.json".to_string());
-    let text = std::fs::read_to_string(path).ok()?;
-    Some(Baseline {
-        nodes: json_u64(&text, "nodes")?,
-        tenants: json_u64(&text, "tenants")?,
-        attempts_with_checkpoint: json_u64(&text, "attempts_with_checkpoint"),
-        disk_bound_bytes: json_u64(&text, "disk_bound_bytes"),
-    })
-}
-
-fn json_leg(leg: &RecLeg) -> String {
-    format!(
-        concat!(
-            "{{\"crash_at\":{},\"checkpointed\":{},\"compacted\":{},",
-            "\"prefix_ok\":{},",
-            "\"checksums_ok\":{},\"replayed_tenants\":{},",
-            "\"stages_recovered\":{},\"checkpoint_bytes\":{},",
-            "\"recovered_attempts\":{},\"post_gc_disk_bytes\":{},",
-            "\"clock_seconds\":{:.6}}}"
-        ),
-        leg.crash_at,
-        leg.checkpointed,
-        leg.compacted,
-        leg.prefix_ok,
-        leg.checksums_ok,
-        leg.replayed_tenants,
-        leg.stages_recovered,
-        leg.checkpoint_bytes,
-        leg.recovered_attempts,
-        leg.post_gc_disk_bytes,
-        leg.clock_seconds,
-    )
-}
-
-/// Hand-rolled JSON, same conventions as the other `BENCH_*.json` files.
-fn render_json(rep: &RecReport) -> String {
-    let legs: Vec<String> = rep.legs.iter().map(json_leg).collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"recovery\",\n",
-            "  \"nodes\": {},\n",
-            "  \"tenants\": {},\n",
-            "  \"oracle_grants\": {},\n",
-            "  \"oracle_attempts\": {},\n",
-            "  \"attempts_with_checkpoint\": {},\n",
-            "  \"attempts_without_checkpoint\": {},\n",
-            "  \"checkpoint_savings\": {},\n",
-            "  \"post_gc_disk_bytes\": {},\n",
-            "  \"disk_bound_bytes\": {},\n",
-            "  \"disk_bounded\": {},\n",
-            "  \"attempts_within_baseline\": {},\n",
-            "  \"legs\": [{}]\n",
-            "}}\n"
-        ),
-        rep.nodes,
-        rep.tenants,
-        rep.oracle_grants,
-        rep.oracle_attempts,
-        rep.attempts_with_checkpoint,
-        rep.attempts_without_checkpoint,
-        rep.checkpoint_savings(),
-        rep.post_gc_disk_bytes,
-        rep.disk_bound_bytes
-            .map_or_else(|| "null".to_string(), |b| b.to_string()),
-        rep.disk_bounded,
-        rep.attempts_within_baseline,
-        legs.join(","),
-    )
-}
-
 /// The `repro recovery` entry point. Runs the crash-point × durability-arm
-/// sweep, asserts the write-ahead / equivalence / savings / bounded-disk
-/// gates, prints the comparison table and writes `BENCH_recovery.json`.
+/// sweep and asserts the write-ahead / equivalence / savings gates.
 pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
     let mut tenants = tenant_set(cfg, TENANTS);
     // The large head-of-line tenant runs the distributed-dedup variant: its
@@ -358,16 +299,9 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
 
     let mut legs: Vec<RecLeg> = Vec::new();
     for &crash_at in &crash_points {
-        for &(arm, checkpointed, compacted) in ARMS {
+        for &arm in ARMS {
             legs.push(crash_and_recover(
-                cfg,
-                &tenants,
-                &oracle,
-                crash_at,
-                arm,
-                checkpointed,
-                compacted,
-                &scratch,
+                cfg, &tenants, &oracle, crash_at, arm, &scratch,
             ));
         }
     }
@@ -390,17 +324,6 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
         .max()
         .unwrap_or(0);
 
-    // Baseline gates apply only at the committed scale: a --quick run (or a
-    // --nodes override) measures a different queue and would gate noise.
-    let baseline = read_baseline()
-        .filter(|b| b.nodes == cfg.nodes as u64 && b.tenants == tenants.len() as u64);
-    let disk_bound_bytes = baseline.as_ref().and_then(|b| b.disk_bound_bytes);
-    let disk_bounded = disk_bound_bytes.is_none_or(|bound| post_gc_disk_bytes <= bound);
-    let attempts_within_baseline = baseline
-        .as_ref()
-        .and_then(|b| b.attempts_with_checkpoint)
-        .is_none_or(|base| attempts_with_checkpoint <= base);
-
     let report = RecReport {
         nodes: cfg.nodes,
         tenants: tenants.len(),
@@ -409,9 +332,6 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
         attempts_with_checkpoint,
         attempts_without_checkpoint,
         post_gc_disk_bytes,
-        disk_bound_bytes,
-        disk_bounded,
-        attempts_within_baseline,
         legs,
     };
     assert!(
@@ -420,66 +340,6 @@ pub fn recovery_sweep(cfg: &ExpConfig) -> RecReport {
         report.attempts_with_checkpoint,
         report.attempts_without_checkpoint
     );
-    assert!(
-        report.disk_bounded,
-        "post-GC disk {} bytes exceeds the committed bound {:?}",
-        report.post_gc_disk_bytes, report.disk_bound_bytes
-    );
-    assert!(
-        report.attempts_within_baseline,
-        "checkpointed recovery attempts {} regressed past the committed baseline",
-        report.attempts_with_checkpoint
-    );
-
-    let mut table = Table::new(vec![
-        "crash at",
-        "arm",
-        "replayed",
-        "stages resumed",
-        "ckpt KiB",
-        "attempts re-run",
-        "post-GC disk B",
-        "clock (ms)",
-    ]);
-    for leg in &report.legs {
-        let arm = match (leg.checkpointed, leg.compacted) {
-            (true, true) => "compact",
-            (true, false) => "ckpt",
-            (false, _) => "plain",
-        };
-        table.row(vec![
-            leg.crash_at.to_string(),
-            arm.to_string(),
-            leg.replayed_tenants.to_string(),
-            leg.stages_recovered.to_string(),
-            (leg.checkpoint_bytes / 1024).to_string(),
-            leg.recovered_attempts.to_string(),
-            leg.post_gc_disk_bytes.to_string(),
-            format!("{:.2}", leg.clock_seconds * 1e3),
-        ]);
-    }
-    table.print(&format!(
-        "crash/recovery sweep — {} tenants on {} nodes, oracle = {} grants / {} attempts",
-        report.tenants, report.nodes, report.oracle_grants, report.oracle_attempts
-    ));
-    println!(
-        "checkpointed recovery re-ran {} attempts vs {} journal-only \
-         ({} in the full oracle); post-GC disk {} bytes (bound: {})",
-        report.attempts_with_checkpoint,
-        report.attempts_without_checkpoint,
-        report.oracle_attempts,
-        report.post_gc_disk_bytes,
-        report
-            .disk_bound_bytes
-            .map_or_else(|| "unset".to_string(), |b| b.to_string()),
-    );
-
-    let out = std::env::var("ASJ_BENCH_RECOVERY_OUT")
-        .unwrap_or_else(|_| "BENCH_recovery.json".to_string());
-    match std::fs::write(&out, render_json(&report)) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("warning: could not write {out}: {e}"),
-    }
     report
 }
 
@@ -490,12 +350,7 @@ mod tests {
     #[test]
     fn recovery_sweep_runs_at_tiny_scale() {
         let cfg = ExpConfig::quick().with_base(4_000);
-        let dir = std::env::temp_dir().join("asj-recovery-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let out = dir.join("BENCH_recovery.json");
-        std::env::set_var("ASJ_BENCH_RECOVERY_OUT", &out);
         let report = recovery_sweep(&cfg);
-        std::env::remove_var("ASJ_BENCH_RECOVERY_OUT");
 
         // Three crash points, three arms each (dedup may shrink tiny queues).
         assert!(report.legs.len() >= 6 && report.legs.len().is_multiple_of(3));
@@ -551,21 +406,15 @@ mod tests {
             "some checkpointed leg must resume stages"
         );
 
-        let json = std::fs::read_to_string(&out).expect("json written");
-        assert!(json.contains("\"experiment\": \"recovery\""));
-        assert!(json.contains("\"checkpoint_savings\": true"));
-        assert!(json.contains("\"disk_bounded\": true"));
-        assert!(json.contains("\"prefix_ok\":true"));
-        assert!(!json.contains("\"prefix_ok\":false"));
-        assert!(!json.contains("\"checksums_ok\":false"));
-    }
-
-    #[test]
-    fn baseline_json_scan_reads_flat_keys() {
-        let text = "{\n  \"nodes\": 12,\n  \"disk_bound_bytes\": 4096,\n  \"x\": true\n}";
-        assert_eq!(json_u64(text, "nodes"), Some(12));
-        assert_eq!(json_u64(text, "disk_bound_bytes"), Some(4096));
-        assert_eq!(json_u64(text, "missing"), None);
-        assert_eq!(json_u64(text, "x"), None, "non-numeric value is None");
+        // The tables: one row per leg, and one row of totals.
+        let tables = report.tables();
+        assert_eq!(tables[0].rows().len(), report.legs.len());
+        assert_eq!(
+            tables[1].rows()[0][2..4],
+            [
+                Cell::Count(report.attempts_with_checkpoint),
+                Cell::Count(report.attempts_without_checkpoint)
+            ]
+        );
     }
 }

@@ -229,11 +229,6 @@ pub fn run_fault_ab(
     })
 }
 
-/// Formats bytes as mebibytes with two decimals.
-pub fn mib(bytes: u64) -> String {
-    format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
