@@ -1,6 +1,6 @@
 use crate::generators::{
-    gaussian_cluster_params_scaled, gaussian_partition, hydro_params, hydrography_partition,
-    parks_params, parks_partition, uniform_partition,
+    gaussian_cluster_params_scaled, gaussian_points, hydro_params, hydrography_points,
+    parks_params, parks_points, uniform_points,
 };
 use asj_geom::{Point, Rect};
 
@@ -67,12 +67,14 @@ pub struct DatasetSpec {
     pub sigma_scale: f64,
 }
 
+/// A dataset's points, generated one at a time as they are read: what
+/// [`DatasetSpec::stream`] returns and what a builder that lays points out
+/// straight into their final place consumes.
+pub type PointStream = Box<dyn ExactSizeIterator<Item = Point> + Send>;
+
 impl DatasetSpec {
-    /// Points of partition `part` out of `parts` (cardinality is split as
-    /// evenly as possible; earlier partitions take the remainder).
-    /// Deterministic: the same `(spec, part, parts)` always yields the same
-    /// points, and the union over partitions is the dataset.
-    pub fn partition_points(&self, part: usize, parts: usize) -> Vec<Point> {
+    /// The points of partition `part` out of `parts`, as a stream.
+    fn partition_stream(&self, part: usize, parts: usize) -> PointStream {
         assert!(part < parts, "partition index out of range");
         let base = self.cardinality / parts;
         let extra = self.cardinality % parts;
@@ -81,27 +83,40 @@ impl DatasetSpec {
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(part as u64);
+        let bbox = self.bbox;
         match self.kind {
             GenKind::GaussianClusters => {
-                let params =
-                    gaussian_cluster_params_scaled(self.bbox, 30, self.seed, self.sigma_scale);
-                gaussian_partition(self.bbox, &params, n, seed)
+                let params = gaussian_cluster_params_scaled(bbox, 30, self.seed, self.sigma_scale);
+                Box::new(gaussian_points(bbox, params, n, seed))
             }
             GenKind::Hydrography => {
-                let params = hydro_params(self.bbox, self.seed);
-                hydrography_partition(self.bbox, &params, n, seed)
+                let params = hydro_params(bbox, self.seed);
+                Box::new(hydrography_points(bbox, params, n, seed))
             }
             GenKind::Parks => {
-                let params = parks_params(self.bbox, self.seed);
-                parks_partition(self.bbox, &params, n, seed)
+                let params = parks_params(bbox, self.seed);
+                Box::new(parks_points(bbox, params, n, seed))
             }
-            GenKind::Uniform => uniform_partition(self.bbox, n, seed),
+            GenKind::Uniform => Box::new(uniform_points(bbox, n, seed)),
         }
+    }
+
+    /// Points of partition `part` out of `parts` (cardinality is split as
+    /// evenly as possible; earlier partitions take the remainder).
+    /// Deterministic: the same `(spec, part, parts)` always yields the same
+    /// points, and the union over partitions is the dataset.
+    pub fn partition_points(&self, part: usize, parts: usize) -> Vec<Point> {
+        self.partition_stream(part, parts).collect()
+    }
+
+    /// The whole dataset as one stream.
+    pub fn stream(&self) -> PointStream {
+        self.partition_stream(0, 1)
     }
 
     /// The whole dataset, generated in one piece.
     pub fn points(&self) -> Vec<Point> {
-        self.partition_points(0, 1)
+        self.stream().collect()
     }
 
     /// Same dataset scaled to a different cardinality.

@@ -71,31 +71,40 @@ fn gaussian_point(rng: &mut SmallRng, bbox: Rect, center: Point, sigma: f64) -> 
     )
 }
 
-pub(crate) fn gaussian_partition(
-    bbox: Rect,
-    params: &GenParams,
+/// The `n` points one RNG stream seeded by `seed` yields, generated as they
+/// are read. Every generator below is one of these.
+fn point_stream(
     n: usize,
     seed: u64,
-) -> Vec<Point> {
+    mut next: impl FnMut(&mut SmallRng) -> Point,
+) -> impl ExactSizeIterator<Item = Point> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let c = rng.gen_range(0..params.centers.len());
-            gaussian_point(&mut rng, bbox, params.centers[c], params.sigmas[c])
-        })
-        .collect()
+    (0..n).map(move |_| next(&mut rng))
 }
 
-pub(crate) fn uniform_partition(bbox: Rect, n: usize, seed: u64) -> Vec<Point> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            Point::new(
-                rng.gen_range(bbox.min_x..bbox.max_x),
-                rng.gen_range(bbox.min_y..bbox.max_y),
-            )
-        })
-        .collect()
+pub(crate) fn gaussian_points(
+    bbox: Rect,
+    params: GenParams,
+    n: usize,
+    seed: u64,
+) -> impl ExactSizeIterator<Item = Point> {
+    point_stream(n, seed, move |rng| {
+        let c = rng.gen_range(0..params.centers.len());
+        gaussian_point(rng, bbox, params.centers[c], params.sigmas[c])
+    })
+}
+
+pub(crate) fn uniform_points(
+    bbox: Rect,
+    n: usize,
+    seed: u64,
+) -> impl ExactSizeIterator<Item = Point> {
+    point_stream(n, seed, move |rng| {
+        Point::new(
+            rng.gen_range(bbox.min_x..bbox.max_x),
+            rng.gen_range(bbox.min_y..bbox.max_y),
+        )
+    })
 }
 
 /// River-like layout shared by all partitions: random-walk polylines (rivers)
@@ -143,36 +152,33 @@ pub(crate) fn hydro_params(bbox: Rect, seed: u64) -> HydroParams {
     HydroParams { rivers, lakes }
 }
 
-pub(crate) fn hydrography_partition(
+pub(crate) fn hydrography_points(
     bbox: Rect,
-    params: &HydroParams,
+    params: HydroParams,
     n: usize,
     seed: u64,
-) -> Vec<Point> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+) -> impl ExactSizeIterator<Item = Point> {
     let diag = (bbox.width().powi(2) + bbox.height().powi(2)).sqrt();
     let jitter = diag / 800.0;
-    (0..n)
-        .map(|_| {
-            if rng.gen_bool(0.65) {
-                // On a river: pick a polyline, a segment, a position along it.
-                let river = &params.rivers[rng.gen_range(0..params.rivers.len())];
-                let i = rng.gen_range(0..river.len() - 1);
-                let t: f64 = rng.gen_range(0.0..1.0);
-                let a = river[i];
-                let b = river[i + 1];
-                let base = Point::new(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y));
-                Point::new(
-                    (base.x + jitter * std_normal(&mut rng)).clamp(bbox.min_x, bbox.max_x),
-                    (base.y + jitter * std_normal(&mut rng)).clamp(bbox.min_y, bbox.max_y),
-                )
-            } else {
-                // In a lake blob.
-                let (c, r) = params.lakes[rng.gen_range(0..params.lakes.len())];
-                gaussian_point(&mut rng, bbox, c, r)
-            }
-        })
-        .collect()
+    point_stream(n, seed, move |rng| {
+        if rng.gen_bool(0.65) {
+            // On a river: pick a polyline, a segment, a position along it.
+            let river = &params.rivers[rng.gen_range(0..params.rivers.len())];
+            let i = rng.gen_range(0..river.len() - 1);
+            let t: f64 = rng.gen_range(0.0..1.0);
+            let a = river[i];
+            let b = river[i + 1];
+            let base = Point::new(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y));
+            Point::new(
+                (base.x + jitter * std_normal(rng)).clamp(bbox.min_x, bbox.max_x),
+                (base.y + jitter * std_normal(rng)).clamp(bbox.min_y, bbox.max_y),
+            )
+        } else {
+            // In a lake blob.
+            let (c, r) = params.lakes[rng.gen_range(0..params.lakes.len())];
+            gaussian_point(rng, bbox, c, r)
+        }
+    })
 }
 
 /// Park-like layout: many urban clusters whose populations follow a power
@@ -218,25 +224,27 @@ pub(crate) fn parks_params(bbox: Rect, seed: u64) -> ParksParams {
     }
 }
 
-pub(crate) fn parks_partition(bbox: Rect, params: &ParksParams, n: usize, seed: u64) -> Vec<Point> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            if rng.gen_bool(0.9) {
-                let u: f64 = rng.gen_range(0.0..1.0);
-                let c = params
-                    .cdf
-                    .partition_point(|&x| x < u)
-                    .min(params.centers.len() - 1);
-                gaussian_point(&mut rng, bbox, params.centers[c], params.radii[c])
-            } else {
-                Point::new(
-                    rng.gen_range(bbox.min_x..bbox.max_x),
-                    rng.gen_range(bbox.min_y..bbox.max_y),
-                )
-            }
-        })
-        .collect()
+pub(crate) fn parks_points(
+    bbox: Rect,
+    params: ParksParams,
+    n: usize,
+    seed: u64,
+) -> impl ExactSizeIterator<Item = Point> {
+    point_stream(n, seed, move |rng| {
+        if rng.gen_bool(0.9) {
+            let u: f64 = rng.gen_range(0.0..1.0);
+            let c = params
+                .cdf
+                .partition_point(|&x| x < u)
+                .min(params.centers.len() - 1);
+            gaussian_point(rng, bbox, params.centers[c], params.radii[c])
+        } else {
+            Point::new(
+                rng.gen_range(bbox.min_x..bbox.max_x),
+                rng.gen_range(bbox.min_y..bbox.max_y),
+            )
+        }
+    })
 }
 
 #[cfg(test)]
@@ -267,10 +275,10 @@ mod tests {
         let hp = hydro_params(b, 2);
         let pp = parks_params(b, 3);
         for pts in [
-            gaussian_partition(b, &gp, 2000, 10),
-            uniform_partition(b, 2000, 11),
-            hydrography_partition(b, &hp, 2000, 12),
-            parks_partition(b, &pp, 2000, 13),
+            gaussian_points(b, gp, 2000, 10).collect::<Vec<_>>(),
+            uniform_points(b, 2000, 11).collect(),
+            hydrography_points(b, hp, 2000, 12).collect(),
+            parks_points(b, pp, 2000, 13).collect(),
         ] {
             assert_eq!(pts.len(), 2000);
             for p in pts {
@@ -284,10 +292,11 @@ mod tests {
     fn generation_is_deterministic() {
         let b = bbox();
         let gp = gaussian_cluster_params(b, 30, 5);
-        let a = gaussian_partition(b, &gp, 500, 42);
-        let c = gaussian_partition(b, &gp, 500, 42);
+        let gen = |seed| gaussian_points(b, gp.clone(), 500, seed).collect::<Vec<_>>();
+        let a = gen(42);
+        let c = gen(42);
         assert_eq!(a, c);
-        let d = gaussian_partition(b, &gp, 500, 43);
+        let d = gen(43);
         assert_ne!(a, d);
     }
 
@@ -320,12 +329,15 @@ mod tests {
         let gp = gaussian_cluster_params(b, 30, 21);
         let hp = hydro_params(b, 22);
         let pp = parks_params(b, 23);
-        let uni = occupancy(&uniform_partition(b, 20_000, 1));
+        let uni = occupancy(&uniform_points(b, 20_000, 1).collect::<Vec<_>>());
         assert!(uni < 2.0, "uniform occupancy ratio {uni}");
         for (name, pts) in [
-            ("gaussian", gaussian_partition(b, &gp, 20_000, 2)),
-            ("hydro", hydrography_partition(b, &hp, 20_000, 3)),
-            ("parks", parks_partition(b, &pp, 20_000, 4)),
+            (
+                "gaussian",
+                gaussian_points(b, gp, 20_000, 2).collect::<Vec<_>>(),
+            ),
+            ("hydro", hydrography_points(b, hp, 20_000, 3).collect()),
+            ("parks", parks_points(b, pp, 20_000, 4).collect()),
         ] {
             let ratio = occupancy(&pts);
             assert!(ratio > 3.0, "{name} not skewed enough: ratio {ratio}");

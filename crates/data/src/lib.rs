@@ -21,6 +21,8 @@
 //! Generation is deterministic in the seed and **partition-stable**: a
 //! dataset can be produced partition-by-partition in parallel
 //! ([`DatasetSpec::partition_points`]) and always yields the same points.
+//! Every generator is a point stream ([`DatasetSpec::stream`]), so a caller
+//! can lay the points out where they end up without collecting them first.
 
 mod catalog;
 mod generators;
@@ -28,7 +30,7 @@ mod io;
 mod payload;
 mod shapes;
 
-pub use catalog::{Catalog, DatasetSpec, GenKind, PAPER_BBOX};
+pub use catalog::{Catalog, DatasetSpec, GenKind, PointStream, PAPER_BBOX};
 pub use generators::{gaussian_cluster_params, gaussian_cluster_params_scaled, GenParams};
 pub use io::{read_points_csv, read_points_csv_partitions, write_points_csv};
 pub use payload::TupleSizeFactor;

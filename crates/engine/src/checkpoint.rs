@@ -48,6 +48,7 @@
 //! other header — `v1`, whose checksum column was FNV-1a, included — is a
 //! stale checkpoint: a miss that deletes the pair.
 
+use crate::cluster::on_host_threads;
 use crate::metrics::ShuffleStats;
 use crate::wire::Wire;
 use std::collections::HashMap;
@@ -56,7 +57,7 @@ use std::hash::Hasher;
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -205,45 +206,6 @@ pub struct CheckpointStore {
     checkpoint_bytes: AtomicU64,
     stages_recovered: AtomicU64,
     times: Mutex<CheckpointTimes>,
-}
-
-/// Runs `work(t, scratch)` for every `t < n` on up to `threads` scoped
-/// workers (the caller is one of them) that claim indices from a shared
-/// counter; `scratch` is the worker's one reusable buffer. Returns the
-/// results positionally, or an error — after which no further index is
-/// claimed.
-fn on_workers<T: Send>(
-    n: usize,
-    threads: usize,
-    work: impl Fn(usize, &mut Vec<u8>) -> io::Result<T> + Sync,
-) -> io::Result<Vec<T>> {
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let (mut scratch, mut done) = (Vec::new(), Vec::new());
-        loop {
-            let t = next.fetch_add(1, Ordering::Relaxed);
-            if t >= n {
-                return Ok(done);
-            }
-            match work(t, &mut scratch) {
-                Ok(value) => done.push((t, value)),
-                Err(e) => {
-                    next.store(n, Ordering::Relaxed);
-                    return Err(e);
-                }
-            }
-        }
-    };
-    let mut done = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..threads.min(n)).map(|_| scope.spawn(worker)).collect();
-        let mut done = worker()?;
-        for handle in spawned {
-            done.extend(handle.join().expect("checkpoint worker panicked")?);
-        }
-        Ok::<_, io::Error>(done)
-    })?;
-    done.sort_unstable_by_key(|&(t, _)| t);
-    Ok(done.into_iter().map(|(_, value)| value).collect())
 }
 
 fn invalid(why: String) -> io::Error {
@@ -442,7 +404,7 @@ impl CheckpointStore {
         let mut chunks: Vec<(u64, u64)> = Vec::new();
         if !parts.is_empty() {
             let file = File::create(self.seg_path(key))?;
-            chunks = on_workers(parts.len(), threads, |t, buf| {
+            chunks = on_host_threads(threads, parts.len(), |t, buf| {
                 buf.clear();
                 buf.reserve(lens[t] as usize);
                 let records = encode(&parts[t], buf);
@@ -524,7 +486,7 @@ impl CheckpointStore {
                 // longer than its file.
                 let file_len = file.metadata().ok()?.len();
                 let damaged = || io::Error::from(io::ErrorKind::InvalidData);
-                let parts = on_workers(chunks.len(), threads, |t, buf| {
+                let parts = on_host_threads(threads, chunks.len(), |t, buf| {
                     let chunk = &chunks[t];
                     if chunk.len > file_len {
                         return Err(damaged());

@@ -12,6 +12,7 @@ use asj_core::KernelCostModel;
 use asj_obs::{Attrs, Lane, Recorder};
 use std::ops::Deref;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Shape of the simulated cluster.
@@ -69,6 +70,61 @@ impl ClusterConfig {
         self.memory_budget = Some(per_node_bytes);
         self
     }
+}
+
+/// The engine's one driver-side parallel loop: runs `work(t, scratch)` for
+/// every `t < n` on up to `threads` host threads (the caller's is one of
+/// them; with one thread, or one item, everything runs inline), which claim
+/// indices from a shared counter. `scratch` is the thread's one reusable
+/// buffer. Returns the results in item order, or the first error — after
+/// which no further index is claimed. A panic in `work` resumes on the
+/// caller's thread.
+///
+/// Checkpoint saves and loads, and the job server's tenant generation and
+/// checksum sort, all run their driver work through this loop on
+/// [`ClusterConfig::threads`] threads.
+pub fn on_host_threads<T: Send, E: Send>(
+    threads: usize,
+    n: usize,
+    work: impl Fn(usize, &mut Vec<u8>) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let (mut scratch, mut done) = (Vec::new(), Vec::new());
+        loop {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            if t >= n {
+                return Ok(done);
+            }
+            match work(t, &mut scratch) {
+                Ok(value) => done.push((t, value)),
+                Err(e) => {
+                    next.store(n, Ordering::Relaxed);
+                    return Err(e);
+                }
+            }
+        }
+    };
+    let mut done = if threads.min(n) <= 1 {
+        worker()?
+    } else {
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..threads.min(n)).map(|_| scope.spawn(worker)).collect();
+            let mut done = worker();
+            for handle in spawned {
+                let theirs = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                done = done.and_then(|mut mine| {
+                    mine.extend(theirs?);
+                    Ok(mine)
+                });
+            }
+            done
+        })?
+    };
+    done.sort_unstable_by_key(|&(t, _)| t);
+    Ok(done.into_iter().map(|(_, value)| value).collect())
 }
 
 /// What a stage returns: one result per task, in task order, and the stage's

@@ -52,17 +52,24 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     /// Splits `data` into `partitions` near-equal chunks (like reading a file
     /// into fixed-size input splits).
     pub fn from_vec(data: Vec<T>, partitions: usize) -> Self {
+        Dataset::from_exact_iter(data.into_iter(), partitions)
+    }
+
+    /// Cuts `data` into `partitions` near-equal chunks as it is read, so its
+    /// elements are built straight into their partitions: the first
+    /// `len % partitions` chunks hold one element more.
+    pub fn from_exact_iter(mut data: impl ExactSizeIterator<Item = T>, partitions: usize) -> Self {
         assert!(partitions > 0, "need at least one partition");
         let n = data.len();
-        let mut parts: Vec<Vec<T>> = (0..partitions).map(|_| Vec::new()).collect();
-        let base = n / partitions;
-        let extra = n % partitions;
-        let mut it = data.into_iter();
-        for (i, part) in parts.iter_mut().enumerate() {
-            let take = base + usize::from(i < extra);
-            part.reserve_exact(take);
-            part.extend(it.by_ref().take(take));
-        }
+        let (base, extra) = (n / partitions, n % partitions);
+        let parts = (0..partitions)
+            .map(|i| {
+                let take = base + usize::from(i < extra);
+                let mut part = Vec::with_capacity(take);
+                part.extend(data.by_ref().take(take));
+                part
+            })
+            .collect();
         Dataset { parts }
     }
 

@@ -47,7 +47,7 @@ mod pool;
 mod wire;
 
 pub use checkpoint::{fnv1a, CheckpointStore, CheckpointTimes, Fnv1a};
-pub use cluster::{Broadcast, Cluster, ClusterConfig, StageResult};
+pub use cluster::{on_host_threads, Broadcast, Cluster, ClusterConfig, StageResult};
 pub use dataset::{Block, Dataset, Fetched, KeyedDataset, ShuffledDataset, ShuffledPartition};
 pub use fault::{FailPoint, FaultContext, FaultPlan, FaultState, JobError, RetryPolicy, TaskError};
 pub use jobs::{JobId, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun, SubmitError};

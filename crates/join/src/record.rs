@@ -1,4 +1,4 @@
-use asj_engine::{ensure_remaining, Wire, WireError};
+use asj_engine::{ensure_remaining, Dataset, Wire, WireError};
 use asj_geom::Point;
 use bytes::{Buf, BufMut};
 use std::sync::Arc;
@@ -156,42 +156,102 @@ impl Wire for Record {
 /// bumps refcounts no other thread touches.
 const ARENA_BLOCK_RECORDS: usize = 1024;
 
-/// Largest `payload_bytes` [`to_records`] accepts: a window addresses its
-/// arena with `u32`s and a block's arena holds 1024 payloads.
+/// Largest `payload_bytes` [`to_record_partitions`] accepts: a window
+/// addresses its arena with `u32`s and a block's arena holds 1024 payloads.
 pub const MAX_PAYLOAD_BYTES: usize = u32::MAX as usize / ARENA_BLOCK_RECORDS;
 
-/// Wraps raw points into [`Record`]s with sequential ids and a fixed-size
+/// One step of the payload filler's LCG.
+const LCG_MUL: u64 = 6364136223846793005;
+
+/// `JUMPS[k] = (aᵏ, Σ_{j<k} aʲ)`: the filler's state after `k` steps from
+/// `s` is `aᵏ·s + Σ_{j<k} aʲ` (wrapping), so eight lanes can each advance
+/// eight steps at once instead of one multiply waiting on the last.
+const JUMPS: [(u64, u64); 9] = {
+    let mut jumps: [(u64, u64); 9] = [(1, 0); 9];
+    let mut k = 1;
+    while k < 9 {
+        let (a, c) = jumps[k - 1];
+        jumps[k] = (
+            a.wrapping_mul(LCG_MUL),
+            c.wrapping_mul(LCG_MUL).wrapping_add(1),
+        );
+        k += 1;
+    }
+    jumps
+};
+
+/// Fills `out` with record `id`'s payload: pseudo-text over `a`–`p`, byte
+/// `k` being the top four bits of an LCG seeded by the id after `k + 1`
+/// steps. Lane `i` of eight carries the state of bytes `i, i + 8, …`.
+fn fill_payload(id: u64, out: &mut [u8]) {
+    let letter = |state: u64| b'a' + (state >> 60) as u8;
+    let seed = id.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0xA5A5;
+    let mut lanes: [u64; 8] = std::array::from_fn(|i| {
+        let (a, c) = JUMPS[i + 1];
+        a.wrapping_mul(seed).wrapping_add(c)
+    });
+    let (a8, c8) = JUMPS[8];
+    let mut words = out.chunks_exact_mut(8);
+    for word in &mut words {
+        word.copy_from_slice(&lanes.map(letter));
+        lanes = lanes.map(|state| state.wrapping_mul(a8).wrapping_add(c8));
+    }
+    for (byte, state) in words.into_remainder().iter_mut().zip(lanes) {
+        *byte = letter(state);
+    }
+}
+
+/// Lays `points` out as [`Record`]s with sequential ids and a fixed-size
 /// deterministic payload (`payload_bytes` per tuple, at most
-/// [`MAX_PAYLOAD_BYTES`]; 0 for bare points): pseudo-text from an LCG seeded
-/// by the id. Each block of 1024 records writes its payloads into one arena
-/// and holds windows into it.
+/// [`MAX_PAYLOAD_BYTES`]; 0 for bare points), straight into `parts` input
+/// partitions cut as [`Dataset::from_vec`] cuts a vector. Each block of 1024
+/// ids writes its payloads into one arena and holds windows into it; a
+/// block may straddle two partitions.
+pub fn to_record_partitions(
+    points: impl ExactSizeIterator<Item = Point>,
+    payload_bytes: usize,
+    parts: usize,
+) -> Dataset<Record> {
+    Dataset::from_exact_iter(records(points, payload_bytes), parts)
+}
+
+/// [`to_record_partitions`] into one vector: `points` as records with
+/// sequential ids and generated payloads.
 pub fn to_records(points: &[Point], payload_bytes: usize) -> Vec<Record> {
+    records(points.iter().copied(), payload_bytes).collect()
+}
+
+/// The records of [`to_record_partitions`], each built when it is read.
+fn records(
+    points: impl ExactSizeIterator<Item = Point>,
+    payload_bytes: usize,
+) -> impl ExactSizeIterator<Item = Record> {
     assert!(
         payload_bytes <= MAX_PAYLOAD_BYTES,
         "payload too large to window"
     );
-    let mut records = Vec::with_capacity(points.len());
-    for (block, chunk) in points.chunks(ARENA_BLOCK_RECORDS).enumerate() {
-        let first = block * ARENA_BLOCK_RECORDS;
-        let mut bytes = Vec::with_capacity(chunk.len() * payload_bytes);
-        for i in first..first + chunk.len() {
-            let mut state = (i as u64).wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0xA5A5;
-            for _ in 0..payload_bytes {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                bytes.push(b'a' + ((state >> 60) % 26) as u8);
+    let n = points.len();
+    let mut arena = None;
+    points.enumerate().map(move |(id, point)| {
+        let slot = id % ARENA_BLOCK_RECORDS;
+        if payload_bytes > 0 && slot == 0 {
+            let block = ARENA_BLOCK_RECORDS.min(n - id);
+            let mut bytes = vec![0u8; block * payload_bytes];
+            for (j, out) in bytes.chunks_exact_mut(payload_bytes).enumerate() {
+                fill_payload((id + j) as u64, out);
             }
+            arena = Some(Arc::new(bytes));
         }
-        let arena = (payload_bytes > 0).then(|| Arc::new(bytes));
-        records.extend(chunk.iter().enumerate().map(|(j, &point)| Record {
-            id: (first + j) as u64,
+        let payload = match &arena {
+            Some(arena) => Payload::window(arena.clone(), slot * payload_bytes, payload_bytes),
+            None => Payload::default(),
+        };
+        Record {
+            id: id as u64,
             point,
-            payload: match &arena {
-                Some(arena) => Payload::window(arena.clone(), j * payload_bytes, payload_bytes),
-                None => Payload::default(),
-            },
-        }));
-    }
-    records
+            payload,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -326,21 +386,99 @@ mod tests {
         }
     }
 
+    /// Record `id`'s payload as the filler first defined it: one LCG step
+    /// per byte, each waiting on the last.
+    fn per_byte_payload(id: u64, len: usize) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(len);
+        let mut state = id.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0xA5A5;
+        while payload.len() < len {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            payload.push(b'a' + ((state >> 60) % 26) as u8);
+        }
+        payload
+    }
+
     /// `to_records` as it was before arenas: one owned buffer per record.
     fn per_record_reference(points: &[Point], payload_bytes: usize) -> Vec<Record> {
         points
             .iter()
             .enumerate()
             .map(|(i, &p)| {
-                let mut payload = Vec::with_capacity(payload_bytes);
-                let mut state = (i as u64).wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0xA5A5;
-                while payload.len() < payload_bytes {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    payload.push(b'a' + ((state >> 60) % 26) as u8);
-                }
-                Record::with_payload(i as u64, p, payload)
+                Record::with_payload(i as u64, p, per_byte_payload(i as u64, payload_bytes))
             })
             .collect()
+    }
+
+    proptest! {
+        /// Eight jump-ahead lanes write the bytes the per-byte chain does,
+        /// for any id (generated ids stay below 2³², others need not) and
+        /// any length, including the tail shorter than a lane word.
+        #[test]
+        fn jump_ahead_payload_matches_the_per_byte_lcg(
+            id in prop_oneof![0u64..4096, any::<u64>()],
+            len in 0usize..301,
+        ) {
+            let mut got = vec![0u8; len];
+            fill_payload(id, &mut got);
+            prop_assert_eq!(got, per_byte_payload(id, len));
+        }
+    }
+
+    mod partitioned {
+        use super::*;
+        use asj_data::{DatasetSpec, GenKind, PAPER_BBOX};
+
+        const KINDS: [GenKind; 4] = [
+            GenKind::GaussianClusters,
+            GenKind::Hydrography,
+            GenKind::Parks,
+            GenKind::Uniform,
+        ];
+
+        fn arena(r: &Record) -> Option<*const Vec<u8>> {
+            r.payload.arena.as_ref().map(Arc::as_ptr)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+            /// Generating straight into partitions lays out what generating
+            /// into one vector and cutting it does — ids, points, payload
+            /// bytes — with one arena per 1024-id block, also where a block
+            /// straddles partitions.
+            #[test]
+            fn partitioned_records_match_cut_records(
+                kind in 0usize..4,
+                payload_bytes in prop_oneof![Just(0usize), Just(1), Just(64), Just(257)],
+                n in prop_oneof![0usize..2, 1023usize..1026, 2000usize..5000],
+                parts in prop_oneof![Just(1usize), Just(16), Just(97)],
+                seed in any::<u64>(),
+            ) {
+                let spec = DatasetSpec {
+                    name: "t",
+                    kind: KINDS[kind],
+                    cardinality: n,
+                    seed,
+                    bbox: PAPER_BBOX,
+                    sigma_scale: 1.0,
+                };
+                let got = to_record_partitions(spec.stream(), payload_bytes, parts);
+                let want = Dataset::from_vec(to_records(&spec.points(), payload_bytes), parts);
+                prop_assert_eq!(got.partitions(), want.partitions());
+
+                let records: Vec<&Record> = got.partitions().iter().flatten().collect();
+                for (i, r) in records.iter().enumerate() {
+                    prop_assert_eq!(r.id, i as u64);
+                    let first = records[i - i % ARENA_BLOCK_RECORDS];
+                    prop_assert_eq!(arena(r), arena(first));
+                    prop_assert_eq!(arena(r).is_some(), payload_bytes > 0);
+                }
+                for b in (ARENA_BLOCK_RECORDS..records.len()).step_by(ARENA_BLOCK_RECORDS) {
+                    if payload_bytes > 0 {
+                        prop_assert_ne!(arena(records[b]), arena(records[b - 1]));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl Trace {
         }
     }
 
-    /// Renders and writes the trace to `path`.
-    pub fn write_to(&self, path: &std::path::Path, format: TraceFormat) -> std::io::Result<()> {
-        std::fs::write(path, self.render(format))
-    }
-
     /// Chrome `trace_event` JSON object (`{"traceEvents": [...]}`).
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[\n");

@@ -2,11 +2,12 @@ use crate::estimate::WorkingSetModel;
 use crate::queue::{check_payload, TenantSpec};
 use asj_data::{DatasetSpec, PAPER_BBOX};
 use asj_engine::{
-    ensure_remaining, Cluster, Fnv1a, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun,
-    SubmitError, Wire, WireError,
+    ensure_remaining, on_host_threads, Cluster, Dataset, Fnv1a, JobReport, JobServer, JobSpec,
+    SchedPolicy, ServerRun, SubmitError, Wire, WireError,
 };
-use asj_join::{to_records, JoinError, JoinSpec, Record};
+use asj_join::{to_record_partitions, JoinError, JoinSpec, Record};
 use bytes::{Buf, BufMut};
+use std::convert::Infallible;
 use std::hash::Hasher;
 use std::path::PathBuf;
 
@@ -50,22 +51,40 @@ impl Wire for TenantOutcome {
     }
 }
 
+/// Fewest packed keys [`checksum_pairs`] gives one host thread to sort: a
+/// shorter list sorts faster than threads start.
+const MIN_SORT_RUN: usize = 1 << 12;
+
 /// FNV-1a 64 over the result cardinality and the sorted `(r, s)` pairs.
 /// Sorting first makes the fingerprint independent of partition emit order.
 /// When every id fits 32 bits (generated ids always do) the pairs are sorted
-/// as packed `r << 32 | s` keys — the same order at half the bytes moved;
-/// otherwise as tuples. Both feed the same stream to the hash.
-pub fn checksum_pairs(result_count: u64, pairs: impl Iterator<Item = (u64, u64)> + Clone) -> u64 {
+/// as packed `r << 32 | s` keys — the same order at half the bytes moved —
+/// in contiguous runs on up to `threads` host threads, and the runs are
+/// merged as they are hashed; otherwise they are sorted as tuples, serially.
+/// Both feed the same stream to the hash.
+pub fn checksum_pairs(
+    threads: usize,
+    result_count: u64,
+    pairs: impl Iterator<Item = (u64, u64)> + Clone + Sync,
+) -> u64 {
     let mut hash = Fnv1a::default();
     hash.write_u64(result_count);
     if pairs.clone().all(|(r, s)| (r | s) >> 32 == 0) {
-        let mut keys = Vec::with_capacity(pairs.clone().count());
-        keys.extend(pairs.map(|(r, s)| r << 32 | s));
-        keys.sort_unstable();
-        for key in keys {
+        let n = pairs.clone().count();
+        let runs = threads.min(n / MIN_SORT_RUN).max(1);
+        let per_run = n.div_ceil(runs);
+        let runs = on_host_threads(threads, runs, |t, _| {
+            let mut keys = Vec::with_capacity(per_run);
+            let run = pairs.clone().skip(t * per_run).take(per_run);
+            keys.extend(run.map(|(r, s)| r << 32 | s));
+            keys.sort_unstable();
+            Ok::<_, Infallible>(keys)
+        })
+        .unwrap_or_else(|never| match never {});
+        merge_runs(&runs, |key| {
             hash.write_u64(key >> 32);
             hash.write_u64(key & u64::from(u32::MAX));
-        }
+        });
     } else {
         let mut sorted: Vec<(u64, u64)> = pairs.collect();
         sorted.sort_unstable();
@@ -75,6 +94,31 @@ pub fn checksum_pairs(result_count: u64, pairs: impl Iterator<Item = (u64, u64)>
         }
     }
     hash.finish()
+}
+
+/// Visits the keys of the sorted `runs` in one ascending pass.
+fn merge_runs(runs: &[Vec<u64>], mut visit: impl FnMut(u64)) {
+    let mut heads: Vec<&[u64]> = runs
+        .iter()
+        .map(Vec::as_slice)
+        .filter(|run| !run.is_empty())
+        .collect();
+    while heads.len() > 1 {
+        let mut min = 0;
+        for i in 1..heads.len() {
+            if heads[i][0] < heads[min][0] {
+                min = i;
+            }
+        }
+        visit(heads[min][0]);
+        heads[min] = &heads[min][1..];
+        if heads[min].is_empty() {
+            heads.swap_remove(min);
+        }
+    }
+    if let Some(last) = heads.pop() {
+        last.iter().copied().for_each(visit);
+    }
 }
 
 /// One aligned report line per tenant, for the CLI and bench logs: the join
@@ -134,7 +178,10 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-fn tenant_records(tenant: &TenantSpec, seed: u64) -> Vec<Record> {
+/// One side of a tenant's input, generated straight into `parts` input
+/// partitions. `payload=0` produces bare records (an empty payload encodes
+/// identically), so payload-free checksums are unchanged.
+fn tenant_input(tenant: &TenantSpec, seed: u64, parts: usize) -> Dataset<Record> {
     let points = DatasetSpec {
         name: "serve",
         kind: tenant.kind,
@@ -143,10 +190,8 @@ fn tenant_records(tenant: &TenantSpec, seed: u64) -> Vec<Record> {
         bbox: PAPER_BBOX,
         sigma_scale: 1.0,
     }
-    .points();
-    // `payload=0` produces the same bare records as before (an empty payload
-    // encodes identically), so payload-free checksums are unchanged.
-    to_records(&points, tenant.payload as usize)
+    .stream();
+    to_record_partitions(points, tenant.payload as usize, parts)
 }
 
 pub(crate) fn tenant_join_spec(tenant: &TenantSpec) -> JoinSpec {
@@ -158,19 +203,25 @@ pub(crate) fn tenant_join_spec(tenant: &TenantSpec) -> JoinSpec {
 }
 
 fn run_tenant_body(tenant: &TenantSpec, cluster: &Cluster) -> Result<TenantOutcome, JoinError> {
-    // Generation and the checksum run on the tenant's driver thread inside
-    // its quanta; as phases they put the whole quantum in the trace.
+    // Generation and the checksum run inside the tenant's quanta, on the
+    // cluster's host threads while every other job is parked; as phases they
+    // put the whole quantum in the trace.
     let recorder = cluster.recorder();
-    let (r, s) = recorder.phase("generate", || {
-        (
-            tenant_records(tenant, tenant.seed),
-            tenant_records(tenant, tenant.seed.wrapping_add(1)),
-        )
-    });
+    let threads = cluster.threads();
     let spec = tenant_join_spec(tenant);
+    let (r, s) = recorder.phase("generate", || {
+        let sides = on_host_threads(threads, 2, |side, _| {
+            let seed = tenant.seed.wrapping_add(side as u64);
+            Ok::<_, Infallible>(tenant_input(tenant, seed, spec.input_partitions))
+        })
+        .unwrap_or_else(|never| match never {});
+        <[_; 2]>::try_from(sides)
+            .map(|[r, s]| (r, s))
+            .expect("one input per side")
+    });
     let out = tenant.algorithm.try_run(cluster, &spec, r, s)?;
     let checksum = recorder.phase("checksum", || {
-        checksum_pairs(out.result_count, out.pairs.iter().copied())
+        checksum_pairs(threads, out.result_count, out.pairs.iter().copied())
     });
     Ok(TenantOutcome {
         result_count: out.result_count,
@@ -297,7 +348,7 @@ pub fn run_queue(
 pub fn calibrated_model_for(tenant: &TenantSpec) -> WorkingSetModel {
     let mut probe = tenant.clone();
     probe.cardinality = tenant.cardinality.min(256);
-    WorkingSetModel::calibrated(&tenant_records(&probe, probe.seed))
+    WorkingSetModel::calibrated(&tenant_input(&probe, probe.seed, 1).partitions()[0])
 }
 
 /// The isolation oracle: runs `tenant` alone on a FRESH cluster of the same
@@ -350,14 +401,13 @@ mod tests {
 
     #[test]
     fn checksum_is_order_independent_and_content_sensitive() {
-        let a = checksum_pairs(2, [(1, 2), (3, 4)].into_iter());
-        let b = checksum_pairs(2, [(3, 4), (1, 2)].into_iter());
+        let checksum =
+            |count, pairs: &[(u64, u64)]| checksum_pairs(2, count, pairs.iter().copied());
+        let a = checksum(2, &[(1, 2), (3, 4)]);
+        let b = checksum(2, &[(3, 4), (1, 2)]);
         assert_eq!(a, b, "pair order must not matter");
-        assert_ne!(a, checksum_pairs(2, [(1, 2), (3, 5)].into_iter()));
-        assert_ne!(
-            checksum_pairs(0, [].into_iter()),
-            checksum_pairs(1, [].into_iter())
-        );
+        assert_ne!(a, checksum(2, &[(1, 2), (3, 5)]));
+        assert_ne!(checksum(0, &[]), checksum(1, &[]));
     }
 
     /// The tuple-sort definition `checksum_pairs` must reproduce whichever
@@ -390,15 +440,35 @@ mod tests {
         }
 
         proptest! {
+            /// Short lists sort in one run; a quarter of the `long` lists
+            /// hold two to five runs' worth of keys (`r` below `span`, so
+            /// with ties) and split into as many runs as there are host
+            /// threads. Whichever way a list is cut, the merge must hash
+            /// what one sort does.
             #[test]
             fn packed_and_tuple_sorts_hash_alike(
                 small in prop::collection::vec((0u64..1 << 32, 0u64..1 << 32), 0..200),
                 mixed in prop::collection::vec((arb_id(), arb_id()), 0..200),
+                long in (
+                    prop_oneof![0usize..200, 0usize..200, 0usize..200, 2 * MIN_SORT_RUN..5 * MIN_SORT_RUN],
+                    any::<u64>(),
+                    1u64..1 << 20,
+                ),
                 count in any::<u64>(),
             ) {
-                let checksum = |pairs: &[(u64, u64)]| checksum_pairs(count, pairs.iter().copied());
-                prop_assert_eq!(checksum(&small), checksum_reference(count, &small));
-                prop_assert_eq!(checksum(&mixed), checksum_reference(count, &mixed));
+                let (len, salt, span) = long;
+                let long: Vec<(u64, u64)> = (0..len as u64)
+                    .map(|i| {
+                        let x = (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        ((x >> 40) % span, x & u64::from(u32::MAX))
+                    })
+                    .collect();
+                let want = [&small, &mixed, &long].map(|pairs| checksum_reference(count, pairs));
+                for threads in [1, 2, 4] {
+                    let got = [&small, &mixed, &long]
+                        .map(|pairs| checksum_pairs(threads, count, pairs.iter().copied()));
+                    prop_assert_eq!(got, want, "{} host threads", threads);
+                }
             }
         }
     }
@@ -427,11 +497,23 @@ mod tests {
         );
     }
 
+    /// Also across host thread counts: generation and the checksum sort run
+    /// on one thread or on four, and nothing a report holds may move.
     #[test]
     fn queue_runs_are_deterministic() {
-        let tenants = two_tenants();
-        let a = in_memory(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("run a");
-        let b = in_memory(&test_cluster(), &tenants, SchedPolicy::FairShare).expect("run b");
+        let mut tenants = two_tenants();
+        let mut payload = TenantSpec::new("gamma", 0.4, 2_500);
+        payload.kind = asj_data::GenKind::Parks;
+        payload.partitions = 16;
+        payload.seed = 37;
+        payload.payload = 96;
+        tenants.push(payload);
+        let run = |threads| {
+            let cluster = Cluster::new(ClusterConfig::with_threads(4, threads));
+            in_memory(&cluster, &tenants, SchedPolicy::FairShare).expect("queue runs")
+        };
+        let a = run(1);
+        let b = run(4);
         assert_eq!(a.grants, b.grants, "grant log is deterministic");
         for (x, y) in a.reports.iter().zip(&b.reports) {
             assert_eq!(

@@ -25,6 +25,7 @@ use adaptive_spatial_join::serve::{
     parse_queue, run_queue, solo_outcome, summary_line, synopsis, Options, RecoveryOptions,
     ServeError, Spelling,
 };
+use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -305,42 +306,78 @@ fn bbox_of<'a>(records: impl Iterator<Item = &'a Record>) -> Rect {
     bbox
 }
 
+/// A file named by `--out` or `--trace`, opened before any input is read so
+/// that a path that cannot be written fails the command before the work
+/// does. An existing file is truncated only when there is something to write
+/// into it.
+struct Destination {
+    path: PathBuf,
+    file: File,
+}
+
+impl Destination {
+    fn open(path: &str) -> Result<Destination, CliError> {
+        let file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .map_err(|e| CliError::runtime(format!("creating {path}: {e}")))?;
+        Ok(Destination {
+            path: path.into(),
+            file,
+        })
+    }
+
+    /// Replaces the file's content with what `write` writes.
+    fn replace(
+        &self,
+        write: impl FnOnce(&mut &File) -> std::io::Result<()>,
+    ) -> Result<(), CliError> {
+        let failed = |e| CliError::runtime(format!("writing {}: {e}", self.path.display()));
+        self.file.set_len(0).map_err(failed)?;
+        write(&mut &self.file).map_err(failed)
+    }
+}
+
 /// Tracing requested on the command line: the recorder attached to the
-/// cluster plus where to write the rendered trace when the job is done.
+/// cluster plus the file the rendered trace goes to when the job is done.
 struct TraceSink {
     recorder: Recorder,
-    path: Option<PathBuf>,
+    nodes: usize,
+    destination: Option<Destination>,
     format: TraceFormat,
 }
 
 impl TraceSink {
-    fn new(opts: &Options, nodes: usize) -> TraceSink {
-        let path = opts.trace.as_ref().map(PathBuf::from);
+    /// Opens the `--trace` file, if any: call before reading any input.
+    fn open(opts: &Options) -> Result<TraceSink, CliError> {
+        let nodes = opts.nodes.unwrap_or(12);
+        let destination = opts.trace.as_deref().map(Destination::open).transpose()?;
         // Without --trace the recorder stays no-op: zero overhead, and the
         // join's outputs and metrics are bit-identical to an untraced run.
-        let recorder = if path.is_some() {
+        let recorder = if destination.is_some() {
             Recorder::for_nodes(nodes)
         } else {
             Recorder::noop()
         };
-        TraceSink {
+        Ok(TraceSink {
             recorder,
-            path,
+            nodes,
+            destination,
             format: opts.trace_format.unwrap_or_default(),
-        }
+        })
     }
 
     fn write(&self) -> Result<(), CliError> {
-        let Some(path) = &self.path else {
+        let Some(destination) = &self.destination else {
             return Ok(());
         };
         let trace = self.recorder.snapshot();
-        trace
-            .write_to(path, self.format)
-            .map_err(|e| CliError::runtime(format!("writing {}: {e}", path.display())))?;
+        destination.replace(|file| file.write_all(trace.render(self.format).as_bytes()))?;
         println!(
             "wrote trace          : {} ({} spans, {} events)",
-            path.display(),
+            destination.path.display(),
             trace.spans.len(),
             trace.events.len()
         );
@@ -348,23 +385,27 @@ impl TraceSink {
     }
 }
 
-/// The cluster `--nodes`, `--trace` and `--memory-budget` describe.
-fn build_cluster(opts: &Options) -> (Cluster, TraceSink) {
-    let nodes = opts.nodes.unwrap_or(12);
-    let trace = TraceSink::new(opts, nodes);
-    let cluster = Cluster::new(ClusterConfig::new(nodes)).with_recorder(trace.recorder.clone());
+/// The cluster `--nodes` and `--memory-budget` describe, recording into
+/// `trace`.
+fn build_cluster(opts: &Options, trace: &TraceSink) -> Cluster {
+    let cluster =
+        Cluster::new(ClusterConfig::new(trace.nodes)).with_recorder(trace.recorder.clone());
     match opts.memory_budget {
-        Some(bytes) => (cluster.with_memory_budget(bytes), trace),
-        None => (cluster, trace),
+        Some(bytes) => cluster.with_memory_budget(bytes),
+        None => cluster,
     }
 }
 
-/// The cluster, join spec and trace of a join over `bbox`: the fault plan
+/// The cluster and join spec of a join over `bbox`: the fault plan
 /// and retry policy of `--faults` / `--seed` / `--max-attempts` /
 /// `--speculation`, falling back to `ASJ_FAULTS` / `ASJ_FAULT_SEED`.
-fn build_spec(opts: &Options, bbox: Rect) -> Result<(Cluster, JoinSpec, TraceSink), CliError> {
+fn build_spec(
+    opts: &Options,
+    bbox: Rect,
+    trace: &TraceSink,
+) -> Result<(Cluster, JoinSpec), CliError> {
     let eps = opts.need(&opts.eps, "eps")?;
-    let (mut cluster, trace) = build_cluster(opts);
+    let mut cluster = build_cluster(opts, trace);
     if let Some((plan, policy)) = opts.fault_setup(opts.seed.unwrap_or(7), true)? {
         cluster = cluster.with_fault_policy(plan, policy);
     }
@@ -373,7 +414,7 @@ fn build_spec(opts: &Options, bbox: Rect) -> Result<(Cluster, JoinSpec, TraceSin
         .with_partitions(opts.partitions.unwrap_or(96))
         .with_grid_factor(opts.grid_factor.unwrap_or(2.0))
         .with_kernel(opts.kernel.unwrap_or_default());
-    Ok((cluster, spec, trace))
+    Ok((cluster, spec))
 }
 
 /// Prints the metrics report of a join. `ingest` is the time spent reading the
@@ -519,11 +560,9 @@ fn write_pair_lines<'a>(
     out.write_all(&block)
 }
 
-fn write_pairs(path: &str, pairs: &Pairs) -> Result<(), CliError> {
-    let failed = |what: &str, e: std::io::Error| CliError::runtime(format!("{what} {path}: {e}"));
-    let mut file = std::fs::File::create(path).map_err(|e| failed("creating", e))?;
-    write_pair_lines(&mut file, pairs.chunks()).map_err(|e| failed("writing", e))?;
-    println!("wrote {} pairs to {path}", pairs.len());
+fn write_pairs(out: &Destination, pairs: &Pairs) -> Result<(), CliError> {
+    out.replace(|file| write_pair_lines(file, pairs.chunks()))?;
+    println!("wrote {} pairs to {}", pairs.len(), out.path.display());
     Ok(())
 }
 
@@ -531,16 +570,16 @@ fn write_pairs(path: &str, pairs: &Pairs) -> Result<(), CliError> {
 /// pair files, then how long writing those took, and last the process's
 /// peak RSS, which the output may have set.
 fn finish_join(
-    opts: &Options,
     out: &JoinOutput,
     ingest: Duration,
     trace: &TraceSink,
+    pairs: Option<Destination>,
 ) -> Result<(), CliError> {
     report(out, ingest);
     let output = Instant::now();
     trace.write()?;
-    if let Some(path) = &opts.out {
-        write_pairs(path, &out.pairs)?;
+    if let Some(pairs) = &pairs {
+        write_pairs(pairs, &out.pairs)?;
     }
     println!(
         "output time          : {:.3} s",
@@ -552,7 +591,13 @@ fn finish_join(
     Ok(())
 }
 
+/// The `--out` pairs file of a join, opened before any input is read.
+fn pairs_destination(opts: &Options) -> Result<Option<Destination>, CliError> {
+    opts.out.as_deref().map(Destination::open).transpose()
+}
+
 fn cmd_join(opts: &Options) -> Result<(), CliError> {
+    let (trace, pairs) = (TraceSink::open(opts)?, pairs_destination(opts)?);
     let ingest = Instant::now();
     let r = load_records(&opts.need(&opts.r, "r")?)?;
     let s = load_records(&opts.need(&opts.s, "s")?)?;
@@ -562,16 +607,17 @@ fn cmd_join(opts: &Options) -> Result<(), CliError> {
     if bbox.is_empty() {
         return Err("inputs contain no points".into());
     }
-    let (cluster, mut spec, trace) = build_spec(opts, bbox)?;
-    if opts.out.is_none() {
+    let (cluster, mut spec) = build_spec(opts, bbox, &trace)?;
+    if pairs.is_none() {
         spec = spec.counting_only();
     }
     let out = algo.try_run(&cluster, &spec, r, s)?;
     warn_unreached_fault_stages(&cluster);
-    finish_join(opts, &out, ingest, &trace)
+    finish_join(&out, ingest, &trace, pairs)
 }
 
 fn cmd_self_join(opts: &Options) -> Result<(), CliError> {
+    let (trace, pairs) = (TraceSink::open(opts)?, pairs_destination(opts)?);
     let ingest = Instant::now();
     let input = load_records(&opts.need(&opts.input, "input")?)?;
     let ingest = ingest.elapsed();
@@ -579,16 +625,17 @@ fn cmd_self_join(opts: &Options) -> Result<(), CliError> {
     if bbox.is_empty() {
         return Err("input contains no points".into());
     }
-    let (cluster, mut spec, trace) = build_spec(opts, bbox)?;
-    if opts.out.is_none() {
+    let (cluster, mut spec) = build_spec(opts, bbox, &trace)?;
+    if pairs.is_none() {
         spec = spec.counting_only();
     }
     let out = self_join(&cluster, &spec, input)?;
     warn_unreached_fault_stages(&cluster);
-    finish_join(opts, &out, ingest, &trace)
+    finish_join(&out, ingest, &trace, pairs)
 }
 
 fn cmd_knn(opts: &Options) -> Result<(), CliError> {
+    let trace = TraceSink::open(opts)?;
     let r = load_records(&opts.need(&opts.r, "r")?)?;
     let s = load_records(&opts.need(&opts.s, "s")?)?;
     let k = opts.need(&opts.k, "k")?;
@@ -596,7 +643,7 @@ fn cmd_knn(opts: &Options) -> Result<(), CliError> {
     if bbox.is_empty() {
         return Err("inputs contain no points".into());
     }
-    let (cluster, spec, trace) = build_spec(opts, bbox)?;
+    let (cluster, spec) = build_spec(opts, bbox, &trace)?;
     let out = knn_join(&cluster, &spec, k, r, s)?;
     warn_unreached_fault_stages(&cluster);
     println!("queries answered     : {}", out.neighbors.len());
@@ -616,13 +663,14 @@ fn cmd_knn(opts: &Options) -> Result<(), CliError> {
 }
 
 fn cmd_range(opts: &Options) -> Result<(), CliError> {
+    let trace = TraceSink::open(opts)?;
     let input = load_records(&opts.need(&opts.input, "input")?)?;
     let region = opts.need(&opts.rect, "rect")?;
     let bbox = bbox_of(records(&input));
     if bbox.is_empty() {
         return Err("input contains no points".into());
     }
-    let (cluster, spec, trace) = build_spec(opts, bbox)?;
+    let (cluster, spec) = build_spec(opts, bbox, &trace)?;
     let table = PartitionedPoints::build(&cluster, &spec, input)?;
     let (ids, _) = table.range_query(&cluster, region)?;
     println!("points in region     : {}", ids.len());
@@ -705,13 +753,14 @@ fn cmd_journal(args: &[String]) -> Result<(), CliError> {
 /// simulated cluster under admission control and a scheduling policy.
 fn cmd_serve(opts: &Options) -> Result<(), CliError> {
     let path = opts.need(&opts.jobs, "jobs")?;
+    let trace = TraceSink::open(opts)?;
     let text = std::fs::read_to_string(&path)
         .map_err(|e| CliError::runtime(format!("reading {path}: {e}")))?;
     let tenants = parse_queue(&text).map_err(|e| e.to_string())?;
     if tenants.is_empty() {
         return Err(format!("no jobs in {path}").into());
     }
-    let (cluster, trace) = build_cluster(opts);
+    let cluster = build_cluster(opts, &trace);
     let recovery = RecoveryOptions {
         journal: opts.journal.as_ref().map(PathBuf::from),
         checkpoint_dir: opts.checkpoint_dir.as_ref().map(PathBuf::from),
@@ -814,7 +863,10 @@ mod tests {
     /// `build_spec` of `asj join ARGS` over a 10 x 10 box.
     fn join_spec(args: &[&str]) -> Result<(Cluster, JoinSpec, TraceSink), CliError> {
         let args = [&["join", "--r", "r.csv", "--s", "s.csv"], args].concat();
-        build_spec(&options(&args)?, Rect::new(0.0, 0.0, 10.0, 10.0))
+        let opts = options(&args)?;
+        let trace = TraceSink::open(&opts)?;
+        let (cluster, spec) = build_spec(&opts, Rect::new(0.0, 0.0, 10.0, 10.0), &trace)?;
+        Ok((cluster, spec, trace))
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! What the `asj` binary itself prints: the peak RSS line of the join report,
-//! the warning for a fault clause that names a stage the job never runs, and
-//! both journal grant counts of a durable server, fresh and recovered.
+//! the warning for a fault clause that names a stage the job never runs,
+//! both journal grant counts of a durable server, fresh and recovered, and
+//! the error of an output path that cannot be written, before any work.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -156,5 +157,80 @@ fn serve_reports_journal_grants_written_and_replayed() {
         "recovery reads back the first run's grants"
     );
     assert_eq!(written_again, quanta);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Runs `asj` with `args`; the run must fail with exit status 1 and no
+/// panic. Returns (stdout, stderr).
+fn asj_fails(args: &[&str]) -> (String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_asj"))
+        .args(args)
+        .output()
+        .expect("spawn asj");
+    let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "asj {args:?}: {stdout}{stderr}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    (stdout, stderr)
+}
+
+#[test]
+fn an_unwritable_output_fails_before_any_input_is_read() {
+    let dir = scratch("outputs");
+    let input = dir.join("r.csv");
+    let jobs = dir.join("jobs.txt");
+    asj(&[
+        "generate",
+        "--kind",
+        "uniform",
+        "--n",
+        "400",
+        "--out",
+        path(&input),
+    ]);
+    std::fs::write(&jobs, "job alpha eps=0.5 n=300 partitions=4\n").expect("write queue");
+    let join = [
+        "join",
+        "--r",
+        path(&input),
+        "--s",
+        path(&input),
+        "--eps",
+        "0.5",
+    ];
+
+    // A directory where a file must go: the command stops on it before it
+    // joins, reports nothing and names the path.
+    for flag in ["--out", "--trace"] {
+        let (stdout, stderr) = asj_fails(&[&join[..], &[flag, path(&dir)]].concat());
+        assert_eq!(stdout, "", "{flag}: no report line");
+        assert!(stderr.starts_with("error: creating "), "{flag}: {stderr}");
+        assert!(stderr.contains(path(&dir)), "{flag}: {stderr}");
+    }
+    let (stdout, stderr) = asj_fails(&["serve", "--jobs", path(&jobs), "--trace", path(&dir)]);
+    assert_eq!(stdout, "", "serve: no report line");
+    assert!(stderr.contains(path(&dir)), "serve: {stderr}");
+
+    // An existing output is truncated only once there is something to
+    // write: a join that fails on its input leaves it as it was.
+    let pairs = dir.join("pairs.csv");
+    std::fs::write(&pairs, "1,2\n").expect("write pairs");
+    let missing = dir.join("missing.csv");
+    let (_, stderr) = asj_fails(&[
+        "join",
+        "--r",
+        path(&missing),
+        "--s",
+        path(&input),
+        "--eps",
+        "0.5",
+        "--out",
+        path(&pairs),
+    ]);
+    assert!(stderr.contains("missing.csv"), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&pairs).expect("pairs"), "1,2\n");
+    // A join that succeeds replaces it.
+    asj(&[&join[..], &["--out", path(&pairs)]].concat());
+    let written = std::fs::read_to_string(&pairs).expect("pairs");
+    assert!(written.lines().count() > 1, "{written}");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
