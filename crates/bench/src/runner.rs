@@ -110,13 +110,16 @@ pub struct RunResult {
 
 impl RunResult {
     pub fn from_output(out: &JoinOutput, net: &NetModel) -> RunResult {
-        let construction = out.metrics.driver.as_secs_f64()
-            + out.metrics.construction.makespan().as_secs_f64()
-            + net.transfer_secs(out.metrics.shuffle.remote_bytes)
-            + net.spill_secs(out.metrics.shuffle.total_bytes())
+        // The engine's simulated time, whose join-phase makespan is the join
+        // bar, plus the I/O the network model prices into construction.
+        let metrics = &out.metrics;
+        let join = metrics.join.makespan();
+        let construction = (metrics.simulated_time() - join).as_secs_f64()
+            + net.transfer_secs(metrics.shuffle.remote_bytes)
+            + net.spill_secs(metrics.shuffle.total_bytes())
             // Broadcast variables reach every executor over the same fabric.
-            + net.transfer_secs(out.metrics.broadcast_bytes * net.nodes as u64);
-        let join = out.metrics.join.makespan().as_secs_f64();
+            + net.transfer_secs(metrics.broadcast_bytes * net.nodes as u64);
+        let join = join.as_secs_f64();
         RunResult {
             algorithm: out.algorithm.clone(),
             replicated: out.replicated_total(),

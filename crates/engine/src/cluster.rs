@@ -260,10 +260,7 @@ impl Cluster {
         // A stage without partitions has nothing to replay.
         if expected > 0 {
             if let Ok(Some((parts, shuffle))) = ck.store().load(&key, expected, threads, decode) {
-                let stats = ExecStats {
-                    per_node_busy: vec![std::time::Duration::ZERO; self.config.nodes],
-                    ..ExecStats::default()
-                };
+                let stats = ExecStats::idle(self.config.nodes);
                 if let Some(gate) = &self.gate {
                     gate.pause();
                     gate.note_stage(&stats);

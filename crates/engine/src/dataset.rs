@@ -1,3 +1,4 @@
+use crate::clock::timed;
 use crate::cluster::Cluster;
 use crate::fault::{JobError, TaskError};
 use crate::memory::{decode_records, encode_records_into, ChargeGuard, SpillSegment, SpillWriter};
@@ -9,7 +10,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A partitioned, in-memory collection — the engine's RDD analog.
 ///
@@ -195,9 +195,8 @@ impl<T: Send + Sync + Clone> Dataset<T> {
                 partition_bytes: vec![0u64; targets],
                 ..ShuffleStats::default()
             };
-            let expand_start = Instant::now();
-            let rows = expand(part);
-            let expand_ns = expand_start.elapsed().as_nanos() as u64;
+            let (rows, expand_time) = timed(|| expand(part));
+            let expand_ns = expand_time.as_nanos() as u64;
             // Pass 1: route + meter. One partitioner probe and one
             // encoded_size per record, reused for node and partition
             // byte accounting. The routing scratch is charged too;

@@ -34,6 +34,7 @@
 //! argument.
 
 mod checkpoint;
+mod clock;
 mod cluster;
 mod dataset;
 mod fault;

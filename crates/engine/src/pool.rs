@@ -1,3 +1,4 @@
+use crate::clock::{attempt_charge, timed, Ledger, Outcome};
 use crate::fault::{FaultContext, JobError, TaskError};
 use crate::lpt::least_loaded;
 use crate::metrics::ExecStats;
@@ -89,27 +90,15 @@ pub(crate) fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Scales a measured duration by a slowdown multiplier.
-fn scale_dur(d: Duration, mult: f64) -> Duration {
-    if mult <= 1.0 {
-        d
-    } else {
-        Duration::from_nanos((d.as_nanos() as f64 * mult) as u64)
-    }
-}
-
-/// Executes `tasks` on a pool of `threads` OS threads and attributes each
-/// attempt's measured duration to a simulated node, starting from
-/// `placement`.
+/// Executes `tasks` on a pool of `threads` OS threads and bills each attempt
+/// to a simulated node, starting from `placement`, through the stage's
+/// [`Ledger`](crate::clock::Ledger). Results are returned in task order.
 ///
 /// This is the engine's only execution primitive. Real parallelism (the
 /// thread count) is decoupled from the *simulated* cluster width (`nodes`):
 /// on a small host the tasks may run on one or two threads, while the
 /// returned [`ExecStats`] still reports the per-node busy times — and hence
-/// the makespan — of the simulated cluster. Every attempt also emits a span
-/// on its node's trace lane whose simulated duration is the same number that
-/// feeds [`ExecStats`], so per node the trace's span durations sum to exactly
-/// `per_node_busy`. Results are returned in task order.
+/// the makespan — of the simulated cluster.
 ///
 /// Every attempt runs under `catch_unwind`. **Without a fault context**
 /// (`ctx == None`) each task's input is moved into its single attempt, there
@@ -131,17 +120,11 @@ fn scale_dur(d: Duration, mult: f64) -> Duration {
 /// * with speculation enabled, workers that drained the task queue clone the
 ///   slowest still-running tasks onto the least-loaded node; the first
 ///   finisher commits its result and the loser is killed;
-/// * *every* attempt — failed, killed and winning alike — is charged to its
-///   node's simulated clock and emits a span on that node's trace lane
-///   (`stage` for committed attempts, `stage!failed` / `stage!killed`
-///   otherwise), so the makespan and the trace honestly reflect the price of
-///   recovery. A straggler node's attempts are billed at its slowdown
-///   multiple; an attempt killed by a faster competitor is billed only for
-///   the time it occupied the node before the winner committed.
+/// * *every* attempt — failed, killed and winning alike — is billed, so the
+///   makespan and the trace honestly reflect the price of recovery.
 ///
 /// A task may also fail without panicking by returning a [`TaskError`] (an
-/// unreadable spill segment, say): the attempt is billed and retried exactly
-/// like a panicking one.
+/// unreadable spill segment, say): it is billed and retried like a panic.
 ///
 /// # Panics
 /// Panics if `placement.len() != tasks.len()`, `nodes == 0`, or the fault
@@ -177,27 +160,14 @@ where
     }
     let wall_start = Instant::now();
     let n_tasks = tasks.len();
-    let blacklisted = || ctx.map_or(0, |c| c.state.blacklisted_count());
     // An empty stage spawns no workers at all.
-    if n_tasks == 0 {
-        return Ok((
-            Vec::new(),
-            ExecStats {
-                per_node_busy: vec![Duration::ZERO; nodes],
-                wall: wall_start.elapsed(),
-                blacklisted_nodes: blacklisted(),
-                ..ExecStats::default()
-            },
-        ));
-    }
     let threads = threads.max(1).min(n_tasks);
     let max_attempts = ctx.map_or(1, |c| c.policy.max_attempts);
     let inputs = match ctx {
         None => Inputs::Once(Slots::filled(tasks)),
         Some(_) => Inputs::Shared(tasks),
     };
-    let failed_stage = format!("{stage}!failed");
-    let killed_stage = format!("{stage}!killed");
+    let ledger = Ledger::new(recorder, stage, nodes);
 
     // Lock-free work distribution: workers claim task indices from a shared
     // counter and results live in per-index slots, so no lock is held while
@@ -216,32 +186,16 @@ where
     let speculated: Vec<AtomicBool> = (0..n_tasks).map(|_| AtomicBool::new(false)).collect();
     let running_since: Vec<AtomicU64> = (0..n_tasks).map(|_| AtomicU64::new(0)).collect();
     let running_node: Vec<AtomicUsize> = (0..n_tasks).map(|_| AtomicUsize::new(0)).collect();
-    let completed = AtomicUsize::new(0);
-    let completed_charged_ns = AtomicU64::new(0);
-    let node_busy_ns: Vec<AtomicU64> = (0..nodes).map(|_| AtomicU64::new(0)).collect();
-    let n_attempts = AtomicU64::new(0);
     let n_retries = AtomicU64::new(0);
-    let n_failed = AtomicU64::new(0);
     let n_spec_wins = AtomicU64::new(0);
     let result_slots: Slots<R> = Slots::empty(n_tasks);
 
     let now_ns = || wall_start.elapsed().as_nanos() as u64;
-    let charge = |node: usize, d: Duration| {
-        node_busy_ns[node].fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    };
-    // Bills a discarded attempt (failed or killed) to its node and lane.
-    let bill_discarded = |span: &str, idx: usize, node: usize, wall: Duration, sim: Duration| {
-        charge(node, sim);
-        recorder.task_span_sim(span, node, Some(idx as u64), wall, sim, Attrs::new());
-    };
     // Least-loaded usable node, preferring to avoid `exclude`; the final
     // fallback ignores the blacklist entirely so the job fails with a real
     // error instead of starving when everything is lost.
     let pick_node = |ctx: &FaultContext, exclude: Option<usize>| -> usize {
-        let loads: Vec<u64> = node_busy_ns
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let loads = ledger.loads();
         let state = &ctx.state;
         least_loaded(&loads, |n| state.is_avoided(n) || Some(n) == exclude)
             .or_else(|| least_loaded(&loads, |n| state.is_avoided(n)))
@@ -253,23 +207,14 @@ where
     // regular attempts; speculative copies pass 0. `Ok(())` means the task
     // is complete (this attempt committed, or a competitor already had).
     let attempt_once = |idx: usize, attempt: usize, node: usize| -> Result<(), TaskError> {
-        n_attempts.fetch_add(1, Ordering::Relaxed);
         let (will_fail, will_oom, mult) = match ctx {
             None => (false, false, 1.0),
             Some(ctx) => {
                 recorder.counter_add(stage, "attempts", 1);
                 ctx.state.note_attempt_started(&ctx.plan, node);
                 if ctx.state.is_lost(node) {
-                    // Fast failure: a dead executor burns no simulated time,
-                    // but the doomed attempt still appears on the node's lane.
-                    recorder.task_span_sim(
-                        &failed_stage,
-                        node,
-                        Some(idx as u64),
-                        Duration::ZERO,
-                        Duration::ZERO,
-                        Attrs::new(),
-                    );
+                    // A dead executor fails fast and burns no simulated time.
+                    ledger.bill(Outcome::Failed, idx, node, Duration::ZERO, Duration::ZERO);
                     recorder.event(
                         "node_lost",
                         Lane::Node(node),
@@ -287,57 +232,46 @@ where
         };
         running_node[idx].store(node, Ordering::Relaxed);
         running_since[idx].store(now_ns() + 1, Ordering::Relaxed);
-        let start = Instant::now();
         // SAFETY: without a fault context there is neither a retry
         // (`max_attempts` is 1) nor a speculative copy, so `idx` — claimed
         // once via `fetch_add` below — is attempted exactly once; with one
         // the inputs are shared and cloned.
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(idx, unsafe { inputs.get(idx) })));
-        let d0 = start.elapsed();
+        let (outcome, d0) =
+            timed(|| catch_unwind(AssertUnwindSafe(|| f(idx, unsafe { inputs.get(idx) }))));
+        let charged = attempt_charge(d0, mult);
         // Wall time this attempt held its node: the measured run, plus the
         // stretch below on a straggler node.
         let mut held = d0;
-        if mult > 1.0 && matches!(outcome, Ok(Ok(_))) && !will_fail && !will_oom {
+        if charged > d0 && matches!(outcome, Ok(Ok(_))) && !will_fail && !will_oom {
             // A straggler node really is slower: stretch the attempt in wall
-            // time (in interruptible slices) so a speculative copy elsewhere
-            // can genuinely overtake it.
-            let target = scale_dur(d0, mult);
-            while start.elapsed() < target {
+            // time (in interruptible slices) to its charge, so a speculative
+            // copy elsewhere can genuinely overtake it.
+            let stretch = Instant::now();
+            while d0 + stretch.elapsed() < charged {
                 if done[idx].load(Ordering::Relaxed) || cancelled(idx) {
                     break;
                 }
-                let left = target.saturating_sub(start.elapsed());
+                let left = charged.saturating_sub(d0 + stretch.elapsed());
                 std::thread::sleep(left.min(Duration::from_micros(500)));
             }
-            held = start.elapsed();
+            held = d0 + stretch.elapsed();
         }
-        let charged = scale_dur(d0, mult);
-        let result = match outcome {
-            Err(payload) => {
-                bill_discarded(&failed_stage, idx, node, d0, charged);
-                Err(TaskError::Panic(panic_msg(payload.as_ref())))
-            }
-            Ok(Err(e)) => {
-                bill_discarded(&failed_stage, idx, node, d0, charged);
-                Err(e)
-            }
-            Ok(_) if will_fail => {
-                // The attempt did its work and died at commit time — the
-                // result is discarded but the burned time is billed in full.
-                bill_discarded(&failed_stage, idx, node, d0, charged);
-                Err(TaskError::Injected { attempt })
-            }
+        running_since[idx].store(0, Ordering::Relaxed);
+        // A failed attempt's result is discarded and its burned time billed
+        // in full.
+        let error = match outcome {
+            Err(payload) => TaskError::Panic(panic_msg(payload.as_ref())),
+            Ok(Err(e)) => e,
+            // The attempt did its work and died at commit time.
+            Ok(_) if will_fail => TaskError::Injected { attempt },
             Ok(_) if will_oom => {
-                // Injected budget exhaustion: the attempt's work is discarded
-                // like a real OOM-killed executor's would be, the burned time
-                // is billed, and the retry machinery takes over.
-                bill_discarded(&failed_stage, idx, node, d0, charged);
+                // Injected budget exhaustion, as a real OOM-killed executor.
                 recorder.counter_add(stage, "oom_events", 1);
                 recorder.event("oom", Lane::Node(node), Some(idx as u64), Attrs::new());
                 if let Some(memory) = ctx.and_then(|c| c.memory.as_ref()) {
                     memory.note_oom();
                 }
-                Err(TaskError::OutOfMemory { attempt })
+                TaskError::OutOfMemory { attempt }
             }
             Ok(Ok(r)) => {
                 if done[idx]
@@ -348,17 +282,7 @@ where
                     // the unique writer of slot `idx`; results are read only
                     // after the scope joins all workers.
                     unsafe { result_slots.put(idx, r) };
-                    charge(node, charged);
-                    recorder.task_span_sim(
-                        stage,
-                        node,
-                        Some(idx as u64),
-                        held,
-                        charged,
-                        Attrs::new(),
-                    );
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    completed_charged_ns.fetch_add(charged.as_nanos() as u64, Ordering::Relaxed);
+                    ledger.bill(Outcome::Committed, idx, node, held, charged);
                     if attempt == 0 {
                         n_spec_wins.fetch_add(1, Ordering::Relaxed);
                         recorder.counter_add(stage, "speculative_wins", 1);
@@ -372,18 +296,17 @@ where
                 } else {
                     // Lost the race against a competitor attempt: this copy
                     // is killed, billed only for the time it held the node.
-                    bill_discarded(&killed_stage, idx, node, held, held);
+                    ledger.bill(Outcome::Killed, idx, node, held, held);
                 }
-                Ok(())
+                return Ok(());
             }
         };
-        running_since[idx].store(0, Ordering::Relaxed);
-        result
+        ledger.bill(Outcome::Failed, idx, node, d0, charged);
+        Err(error)
     };
 
-    // Books a failed attempt: failure counters, blacklisting.
+    // Books a failed attempt: failure counter, blacklisting.
     let note_failed = |node: usize| {
-        n_failed.fetch_add(1, Ordering::Relaxed);
         let Some(ctx) = ctx else { return };
         recorder.counter_add(stage, "failed_attempts", 1);
         if ctx.state.note_failure(&ctx.policy, node) {
@@ -397,11 +320,10 @@ where
     // threshold and claim it for a speculative copy.
     let find_straggler = |ctx: &FaultContext| -> Option<(usize, usize)> {
         let policy = &ctx.policy;
-        let comp = completed.load(Ordering::Relaxed);
+        let (comp, mean_ns) = ledger.committed();
         if comp == 0 || (comp as f64) < policy.speculation_quantile * n_tasks as f64 {
             return None;
         }
-        let mean_ns = completed_charged_ns.load(Ordering::Relaxed) / comp as u64;
         let threshold_ns = (mean_ns as f64 * policy.speculation_multiplier) as u64;
         let now = now_ns();
         for idx in 0..n_tasks {
@@ -487,7 +409,7 @@ where
                 }
                 // Queue drained: either help stragglers or leave.
                 let Some(ctx) = ctx else { return };
-                if !ctx.policy.speculation || completed.load(Ordering::Relaxed) >= n_tasks {
+                if !ctx.policy.speculation || ledger.committed().0 >= n_tasks as u64 {
                     return;
                 }
                 if let Some((tidx, spec_node)) = find_straggler(ctx) {
@@ -506,10 +428,6 @@ where
     if let Some(e) = fatal.into_inner().expect("pool error slot poisoned") {
         return Err(e);
     }
-    let per_node_busy: Vec<Duration> = node_busy_ns
-        .iter()
-        .map(|b| Duration::from_nanos(b.load(Ordering::Relaxed)))
-        .collect();
     // The scope join above synchronizes all worker writes with these reads.
     let out: Vec<R> = result_slots
         .0
@@ -522,15 +440,10 @@ where
     Ok((
         out,
         ExecStats {
-            per_node_busy,
-            wall: wall_start.elapsed(),
-            attempts: n_attempts.load(Ordering::Relaxed),
-            retries: n_retries.load(Ordering::Relaxed),
-            failed_attempts: n_failed.load(Ordering::Relaxed),
-            speculative_wins: n_spec_wins.load(Ordering::Relaxed),
-            blacklisted_nodes: blacklisted(),
-            spilled_bytes: 0,
-            peak_memory_bytes: 0,
+            retries: n_retries.into_inner(),
+            speculative_wins: n_spec_wins.into_inner(),
+            blacklisted_nodes: ctx.map_or(0, |c| c.state.blacklisted_count()),
+            ..ledger.into_stats(wall_start.elapsed())
         },
     ))
 }

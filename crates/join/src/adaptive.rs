@@ -7,7 +7,6 @@ use asj_engine::{
 use asj_geom::Point;
 use asj_grid::{CellCoord, Grid, GridSpec};
 use asj_index::kernels;
-use std::time::Instant;
 
 /// Smallest grid factor the agreement construction supports: cell sides must
 /// exceed `2ε` so a record's neighborhood spans at most the 3×3 block that
@@ -81,60 +80,59 @@ pub(crate) fn agreement_join(
         Ok::<_, JoinError>((sample_r, sample_s))
     })?;
 
-    let driver_start = Instant::now();
-    let (graph, partitioner) = recorder.phase_attrs("agreement_graph", |attrs| {
-        let sample = GridSample::from_points(
-            &grid,
-            sample_r.iter().map(|rec| rec.point),
-            sample_s.iter().map(|rec| rec.point),
-        );
-        let graph = build(&grid, &sample, policy);
-        *attrs = attrs.cells(grid.num_cells() as u64);
+    let ((graph, partitioner, broadcast_bytes), driver) =
+        cluster.driver_phase("agreement_graph", |attrs| {
+            let sample = GridSample::from_points(
+                &grid,
+                sample_r.iter().map(|rec| rec.point),
+                sample_s.iter().map(|rec| rec.point),
+            );
+            let graph = build(&grid, &sample, policy);
+            *attrs = attrs.cells(grid.num_cells() as u64);
 
-        // Cell placement: Spark-default hash, or LPT over sampled cell costs.
-        let partitioner: Box<dyn Partitioner<u64>> = match spec.placement {
-            Placement::Hash => Box::new(HashPartitioner::new(spec.num_partitions)),
-            Placement::RoundRobin => {
-                Box::new(asj_engine::RoundRobinPartitioner::new(spec.num_partitions))
-            }
-            Placement::Lpt => {
-                let costs = cell_costs(
-                    &graph,
-                    sample_r.iter().map(|rec| &rec.point),
-                    sample_s.iter().map(|rec| &rec.point),
-                );
-                // Cell weight = the calibrated cost model's prediction for
-                // the kernel that will actually run the cell (replicas can
-                // reach up to eps beyond the cell rectangle on each side),
-                // instead of the raw worst-case r*s product.
-                let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
-                let (cell_w, cell_h) = grid.cell_side();
-                let (ext_w, ext_h) = (cell_w + 2.0 * spec.eps, cell_h + 2.0 * spec.eps);
-                let weighted: Vec<(u64, u64)> = costs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        let w = model.lpt_weight(spec.kernel, c.r, c.s, spec.eps, ext_w, ext_h);
-                        (i as u64, w)
-                    })
-                    .filter(|&(_, w)| w > 0)
-                    .collect();
-                let map = asj_engine::lpt_assign(&weighted, spec.num_partitions);
-                Box::new(ExplicitPartitioner::new(map, spec.num_partitions))
-            }
-        };
-        (graph, partitioner)
-    });
-    // The graph and the partitioner hold all the shuffle needs of the sample.
-    drop((sample_r, sample_s));
-    let broadcast_bytes = graph.broadcast_bytes();
-    recorder.counter_add("agreement_graph", "broadcast_bytes", broadcast_bytes);
-    // What Algorithm 1 could skip (one type on all six pairs) and could not.
-    let uniform = graph.uniform_quartet_count() as u64;
-    recorder.counter_add("agreement_graph", "uniform_quartets", uniform);
-    let mixed = grid.num_quartets() as u64 - uniform;
-    recorder.counter_add("agreement_graph", "mixed_quartets", mixed);
-    let driver = driver_start.elapsed();
+            // Cell placement: Spark-default hash, or LPT over sampled cell costs.
+            let partitioner: Box<dyn Partitioner<u64>> = match spec.placement {
+                Placement::Hash => Box::new(HashPartitioner::new(spec.num_partitions)),
+                Placement::RoundRobin => {
+                    Box::new(asj_engine::RoundRobinPartitioner::new(spec.num_partitions))
+                }
+                Placement::Lpt => {
+                    let costs = cell_costs(
+                        &graph,
+                        sample_r.iter().map(|rec| &rec.point),
+                        sample_s.iter().map(|rec| &rec.point),
+                    );
+                    // Cell weight = the calibrated cost model's prediction for
+                    // the kernel that will actually run the cell (replicas can
+                    // reach up to eps beyond the cell rectangle on each side),
+                    // instead of the raw worst-case r*s product.
+                    let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
+                    let (cell_w, cell_h) = grid.cell_side();
+                    let (ext_w, ext_h) = (cell_w + 2.0 * spec.eps, cell_h + 2.0 * spec.eps);
+                    let weighted: Vec<(u64, u64)> = costs
+                        .iter()
+                        .enumerate()
+                        .map(|(i, c)| {
+                            let w = model.lpt_weight(spec.kernel, c.r, c.s, spec.eps, ext_w, ext_h);
+                            (i as u64, w)
+                        })
+                        .filter(|&(_, w)| w > 0)
+                        .collect();
+                    let map = asj_engine::lpt_assign(&weighted, spec.num_partitions);
+                    Box::new(ExplicitPartitioner::new(map, spec.num_partitions))
+                }
+            };
+            // The graph and the partitioner hold all the shuffle needs of the sample.
+            drop((sample_r, sample_s));
+            let broadcast_bytes = graph.broadcast_bytes();
+            recorder.counter_add("agreement_graph", "broadcast_bytes", broadcast_bytes);
+            // What Algorithm 1 could skip (one type on all six pairs) and could not.
+            let uniform = graph.uniform_quartet_count() as u64;
+            recorder.counter_add("agreement_graph", "uniform_quartets", uniform);
+            let mixed = grid.num_quartets() as u64 - uniform;
+            recorder.counter_add("agreement_graph", "mixed_quartets", mixed);
+            (graph, partitioner, broadcast_bytes)
+        });
 
     // --- Spatial mapping (Algorithms 2-4) on the broadcast graph, shuffle,
     // local join with refinement. ---

@@ -4,7 +4,6 @@ use asj_engine::{Cluster, Partitioner};
 use asj_geom::Point;
 use asj_grid::CellCoord;
 use asj_index::QuadTreePartitioner;
-use std::time::Instant;
 
 /// The Sedona-like baseline of §7.1 as a plan on the shared pipeline:
 /// **QuadTree space partitioning** built on the driver from a sample of the
@@ -42,16 +41,17 @@ pub fn sedona_like_join(
             *attrs = attrs.records(sample.len() as u64);
             Ok::<_, JoinError>((sample, ex))
         })?;
-    let driver_start = Instant::now();
-    let sample_points: Vec<Point> = sample.into_iter().map(|rec| rec.point).collect();
-    // Leaf capacity chosen so the leaf count lands near the configured
-    // partition count (Sedona sizes its quadtree from the partition target).
-    let capacity = (sample_points.len() / spec.num_partitions.max(1)).max(1);
-    let qt = QuadTreePartitioner::build(spec.bbox, &sample_points, capacity, 12);
-    // The quadtree holds all the shuffle needs of the sample.
-    drop(sample_points);
+    let (qt, driver) = cluster.driver_phase("quadtree", |attrs| {
+        let sample_points: Vec<Point> = sample.into_iter().map(|rec| rec.point).collect();
+        // Leaf capacity chosen so the leaf count lands near the configured
+        // partition count (Sedona sizes its quadtree from the partition
+        // target). The quadtree holds all the shuffle needs of the sample.
+        let capacity = (sample_points.len() / spec.num_partitions.max(1)).max(1);
+        let qt = QuadTreePartitioner::build(spec.bbox, &sample_points, capacity, 12);
+        *attrs = attrs.cells(qt.num_leaves() as u64);
+        qt
+    });
     let broadcast_bytes = qt.broadcast_bytes();
-    let driver = driver_start.elapsed();
     let qt_b = cluster.broadcast(qt);
 
     // Route both sets to leaves (the smaller one replicated).

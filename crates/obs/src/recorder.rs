@@ -143,30 +143,12 @@ impl Recorder {
             .push(span);
     }
 
-    /// Records a span for a task that just finished running for `dur`,
-    /// attributed to simulated node `node`. The wall interval ends now; the
-    /// simulated interval is allocated from the node's clock.
-    ///
-    /// Call this from the worker thread that ran the task, right after
-    /// measuring its duration.
-    pub fn task_span(
-        &self,
-        stage: &str,
-        node: usize,
-        partition: Option<u64>,
-        dur: Duration,
-        attrs: Attrs,
-    ) {
-        self.task_span_sim(stage, node, partition, dur, dur, attrs);
-    }
-
-    /// Like [`Recorder::task_span`], but with distinct wall and simulated
-    /// durations. The fault-aware executor uses this when the time *charged*
-    /// to a node differs from what elapsed on the host — e.g. a straggler
-    /// node's attempt is billed at its slowdown multiple, and a failed
-    /// attempt is billed for the work it burned before dying. Only `sim_dur`
-    /// advances the node's simulated clock (and hence must match what lands
-    /// in `ExecStats::per_node_busy`).
+    /// Records a span for a task that just finished on simulated node `node`:
+    /// its wall interval lasted `wall_dur` and ends now; its simulated
+    /// interval is `sim_dur` allocated from the node's clock. Only `sim_dur`
+    /// advances that clock, so it must be what the engine bills the node
+    /// (`ExecStats::per_node_busy`). Call it from the worker thread that ran
+    /// the task, right after measuring it.
     pub fn task_span_sim(
         &self,
         stage: &str,
@@ -210,29 +192,41 @@ impl Recorder {
     /// Like [`Recorder::phase`], but `f` can attach attributes it computed
     /// (e.g. how many records the phase produced).
     pub fn phase_attrs<R>(&self, stage: &str, f: impl FnOnce(&mut Attrs) -> R) -> R {
+        let mut attrs = Attrs::new();
         let Some(inner) = self.inner.as_deref() else {
-            let mut attrs = Attrs::new();
             return f(&mut attrs);
         };
         let start_ns = inner.epoch.elapsed().as_nanos() as u64;
-        let mut attrs = Attrs::new();
         let out = f(&mut attrs);
-        let end_ns = inner.epoch.elapsed().as_nanos() as u64;
-        let dur_ns = end_ns.saturating_sub(start_ns);
-        Self::push_span(
-            inner,
-            Span {
-                stage: self.scoped(stage).into_owned(),
-                lane: Lane::Driver,
-                partition: None,
-                attrs,
-                wall_start_ns: start_ns,
-                wall_dur_ns: dur_ns,
-                sim_start_ns: start_ns,
-                sim_dur_ns: dur_ns,
-            },
-        );
+        let dur_ns = (inner.epoch.elapsed().as_nanos() as u64).saturating_sub(start_ns);
+        self.push_driver(inner, stage, start_ns, dur_ns, attrs);
         out
+    }
+
+    /// Records a driver-lane span named `stage` that lasted `dur` on both
+    /// clocks and ends now: a serial driver phase timed by its caller, whose
+    /// span is then exactly the duration the caller bills.
+    pub fn driver_span(&self, stage: &str, dur: Duration, attrs: Attrs) {
+        if let Some(inner) = self.inner.as_deref() {
+            let dur_ns = dur.as_nanos() as u64;
+            let start_ns = (inner.epoch.elapsed().as_nanos() as u64).saturating_sub(dur_ns);
+            self.push_driver(inner, stage, start_ns, dur_ns, attrs);
+        }
+    }
+
+    /// The driver is serial, so its simulated clock is the wall clock.
+    fn push_driver(&self, inner: &Inner, stage: &str, start: u64, dur: u64, attrs: Attrs) {
+        let span = Span {
+            stage: self.scoped(stage).into_owned(),
+            lane: Lane::Driver,
+            partition: None,
+            attrs,
+            wall_start_ns: start,
+            wall_dur_ns: dur,
+            sim_start_ns: start,
+            sim_dur_ns: dur,
+        };
+        Self::push_span(inner, span);
     }
 
     /// Records an instant event. Node-lane events are stamped at the node's
@@ -356,7 +350,8 @@ mod tests {
     fn noop_records_nothing() {
         let r = Recorder::noop();
         assert!(!r.is_enabled());
-        r.task_span("map", 0, Some(1), Duration::from_millis(1), Attrs::new());
+        let ms = Duration::from_millis(1);
+        r.task_span_sim("map", 0, Some(1), ms, ms, Attrs::new());
         r.event("e", Lane::Driver, None, Attrs::new());
         r.counter_add("s", "n", 5);
         let ran = r.phase("p", || 42);
@@ -369,9 +364,10 @@ mod tests {
     #[test]
     fn sim_clock_is_monotone_and_sums_per_node() {
         let r = Recorder::for_nodes(2);
-        r.task_span("t", 0, Some(0), Duration::from_micros(100), Attrs::new());
-        r.task_span("t", 1, Some(1), Duration::from_micros(50), Attrs::new());
-        r.task_span("t", 0, Some(2), Duration::from_micros(25), Attrs::new());
+        let us = Duration::from_micros;
+        r.task_span_sim("t", 0, Some(0), us(100), us(100), Attrs::new());
+        r.task_span_sim("t", 1, Some(1), us(50), us(50), Attrs::new());
+        r.task_span_sim("t", 0, Some(2), us(25), us(25), Attrs::new());
         let t = r.snapshot();
         let node0: Vec<_> = t.spans.iter().filter(|s| s.lane == Lane::Node(0)).collect();
         assert_eq!(node0.len(), 2);
@@ -452,8 +448,9 @@ mod tests {
         assert_eq!(j0.stage_prefix(), Some("job:0:"));
         assert_eq!(base.stage_prefix(), None);
 
-        j0.task_span("map", 0, Some(1), Duration::from_micros(10), Attrs::new());
-        j1.task_span("map", 1, Some(2), Duration::from_micros(20), Attrs::new());
+        let us = Duration::from_micros;
+        j0.task_span_sim("map", 0, Some(1), us(10), us(10), Attrs::new());
+        j1.task_span_sim("map", 1, Some(2), us(20), us(20), Attrs::new());
         j0.event("spill", Lane::Node(0), None, Attrs::new());
         j0.counter_add("shuffle", "remote_bytes", 7);
         j1.counter_add("shuffle", "remote_bytes", 9);
@@ -485,13 +482,8 @@ mod tests {
                 let r = r.clone();
                 s.spawn(move || {
                     for i in 0..50 {
-                        r.task_span(
-                            "t",
-                            (w + i) % 4,
-                            Some(i as u64),
-                            Duration::from_nanos(10),
-                            Attrs::new(),
-                        );
+                        let d = Duration::from_nanos(10);
+                        r.task_span_sim("t", (w + i) % 4, Some(i as u64), d, d, Attrs::new());
                     }
                 });
             }

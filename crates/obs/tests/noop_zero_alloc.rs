@@ -39,13 +39,15 @@ fn noop_recorder_allocates_nothing_and_records_nothing() {
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for i in 0..1000 {
-        recorder.task_span("stage", 0, Some(i), Duration::from_micros(5), Attrs::new());
+        let d = Duration::from_micros(5);
+        recorder.task_span_sim("stage", 0, Some(i), d, d, Attrs::new());
         recorder.event("ev", Lane::Node(0), None, Attrs::new().bytes(64));
         recorder.counter_add("stage", "records", 1);
         recorder.gauge_set("stage", "imbalance", 1.0);
         recorder.histogram_record("stage", "bytes", 42.0);
         let out = clone.phase("phase", || i);
         assert_eq!(out, i);
+        recorder.driver_span("plan", d, Attrs::new().cells(4));
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(

@@ -70,7 +70,9 @@ impl TenantSpec {
     }
 
     /// This tenant's own fault plan and retry policy: no environment
-    /// fallback, as a tenant without a plan inherits the server's.
+    /// fallback, as a tenant without a plan inherits the server's. A crash
+    /// clause is refused: it stops the whole server, so a tenant's copy
+    /// could only be ignored.
     pub(crate) fn fault_setup(&self) -> Result<Option<(FaultPlan, RetryPolicy)>, String> {
         let opts = Options {
             spelling: Spelling::Key,
@@ -78,7 +80,14 @@ impl TenantSpec {
             max_attempts: self.max_attempts,
             ..Options::default()
         };
-        opts.fault_setup(self.fault_seed, false)
+        let setup = opts.fault_setup(self.fault_seed, false)?;
+        if let Some(grants) = setup.as_ref().and_then(|(plan, _)| plan.crash_after_grants) {
+            return Err(format!(
+                "fault clause 'crash@{grants}' stops the whole server, not one tenant: \
+                 a tenant's faults cannot carry it"
+            ));
+        }
+        Ok(setup)
     }
 }
 
@@ -314,6 +323,10 @@ grid-factor=3 payload=2k faults=p=0.2,slow:1=2.0 fault-seed=3 max-attempts=5 est
             ("job a eps=0.5 nodes=4", "unknown key 'nodes'"),
             // A bad fault plan is found at parse time, not at submit time.
             ("job a eps=0.5 faults=gremlins", "fault clause 'gremlins'"),
+            (
+                "job a eps=0.5 faults=p=0.1,crash@2",
+                "fault clause 'crash@2' stops the whole server",
+            ),
             ("job eps=0.5", "missing tenant name"),
             ("run a eps=0.5", "expected 'job'"),
             ("job a eps=0.5 eps=0.6", "duplicate option 'eps'"),

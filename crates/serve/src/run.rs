@@ -550,12 +550,25 @@ mod tests {
 
     #[test]
     fn bad_fault_spec_is_a_typed_spec_error() {
-        let mut tenants = two_tenants();
-        tenants[0].faults = Some("gremlins".into());
-        let err = in_memory(&test_cluster(), &tenants, SchedPolicy::Fifo).unwrap_err();
-        match err {
-            ServeError::Spec { tenant, .. } => assert_eq!(tenant, "alpha"),
-            other => panic!("expected Spec error, got {other:?}"),
+        // A crash clause stops the whole server, so a tenant's copy is
+        // refused rather than silently ignored.
+        for (faults, needle) in [
+            ("gremlins", "fault clause 'gremlins'"),
+            (
+                "crash@2",
+                "'crash@2' stops the whole server, not one tenant",
+            ),
+        ] {
+            let mut tenants = two_tenants();
+            tenants[0].faults = Some(faults.into());
+            let err = in_memory(&test_cluster(), &tenants, SchedPolicy::Fifo).unwrap_err();
+            match err {
+                ServeError::Spec { tenant, message } => {
+                    assert_eq!(tenant, "alpha");
+                    assert!(message.contains(needle), "{message}");
+                }
+                other => panic!("expected Spec error, got {other:?}"),
+            }
         }
     }
 

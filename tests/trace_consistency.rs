@@ -165,6 +165,17 @@ fn traced_join_sim_lanes_match_per_node_busy() {
             algo_out.replicated_total(),
             "{name}"
         );
+        // A driver phase is billed exactly what its driver-lane span says:
+        // the agreement graph (LPiB, DIFF and the dedup arm) and the quadtree
+        // (Sedona) are the driver-billed phases; no other plan bills any.
+        let billed: u64 = trace
+            .spans
+            .iter()
+            .filter(|sp| sp.lane == Lane::Driver)
+            .filter(|sp| ["agreement_graph", "quadtree"].contains(&sp.stage.as_str()))
+            .map(|sp| sp.sim_dur_ns)
+            .sum();
+        assert_eq!(billed, algo_out.metrics.driver.as_nanos() as u64, "{name}");
         // The dedup arm reports the distinct count; its join phase counted
         // the duplicates too.
         if algo != Some(Algorithm::LpibDedup) {
