@@ -7,10 +7,13 @@
 //! and every column holding an exact counter; its `measurements` line keeps
 //! the labels and every column holding a measurement. A cell of the other
 //! kind in a kept column is `null`. Byte totals are bytes in the JSON even
-//! where the text prints MiB.
+//! where the text prints MiB. Values are written through [`asj_obs::json`],
+//! the codec the journal and the trace exporters share; the line layout and
+//! the checksum text are rendered here.
 
 use crate::ExpConfig;
 use asj_engine::FaultPlan;
+use asj_obs::json::Value;
 
 /// One typed cell of a [`Table`].
 #[derive(Debug, Clone, PartialEq)]
@@ -72,36 +75,15 @@ impl Cell {
         }
     }
 
-    fn json(&self) -> String {
+    fn json(&self) -> Value<'_> {
         match self {
-            Cell::Label(s) => json_str(s),
-            Cell::Count(n) | Cell::Mib(n) => n.to_string(),
-            Cell::Checksum(h) => format!("\"{h:016x}\""),
-            Cell::Measure(x, _) if x.is_finite() => x.to_string(),
-            Cell::Measure(..) | Cell::Missing => "null".to_string(),
+            Cell::Label(s) => Value::Str(s),
+            Cell::Count(n) | Cell::Mib(n) => Value::U64(*n),
+            Cell::Checksum(h) => Value::Raw(format!("\"{h:016x}\"")),
+            Cell::Measure(x, _) => Value::F64(*x),
+            Cell::Missing => Value::Null,
         }
     }
-}
-
-/// `s` as a JSON string literal. Non-ASCII text (`⋈`, `ε`, `—`) stays raw
-/// UTF-8, which JSON allows.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_list(items: impl Iterator<Item = String>) -> String {
-    format!("[{}]", items.collect::<Vec<_>>().join(","))
 }
 
 /// One artefact: the key naming it in `repro.json`, the title the text
@@ -185,17 +167,19 @@ impl Table {
         if !keep.iter().any(|&c| kinds(c).any(|k| k == counters)) {
             return None;
         }
-        let columns = json_list(keep.iter().map(|&c| json_str(&self.header[c])));
-        let rows = json_list(self.rows.iter().map(|row| {
-            json_list(keep.iter().map(|&c| match row[c].kind() {
-                Some(k) if k != counters => "null".to_string(),
+        let columns = keep.iter().map(|&c| Value::Str(&self.header[c])).collect();
+        let rows = self.rows.iter().map(|row| {
+            let cells = keep.iter().map(|&c| match row[c].kind() {
+                Some(k) if k != counters => Value::Null,
                 _ => row[c].json(),
-            }))
-        }));
-        Some(format!(
-            "{}:{{\"columns\":{columns},\"rows\":{rows}}}",
-            json_str(&self.key)
-        ))
+            });
+            Value::List(cells.collect())
+        });
+        let table = Value::Object(vec![
+            ("columns", Value::List(columns)),
+            ("rows", Value::List(rows.collect())),
+        ]);
+        Some(format!("{}:{table}", Value::Str(&self.key)))
     }
 }
 
@@ -211,25 +195,22 @@ impl Record {
     /// An empty record of runs under `cfg`; `ab_plan` is the plan the
     /// `faults` experiment compares against.
     pub fn new(cfg: &ExpConfig, ab_plan: &FaultPlan) -> Record {
-        let debug = |v: &dyn std::fmt::Debug| json_str(&format!("{v:?}"));
-        let config = format!(
-            concat!(
-                "\"config\": {{\"base\":{},\"eps_values\":{},\"default_eps\":{},",
-                "\"nodes\":{},\"partitions\":{},\"reps\":{},\"size_factors\":{},",
-                "\"faults\":{},\"fault_ab_plan\":{}}}"
-            ),
-            cfg.base,
-            json_list(cfg.eps_values.iter().map(f64::to_string)),
-            cfg.default_eps,
-            cfg.nodes,
-            cfg.partitions,
-            cfg.reps,
-            json_list(cfg.size_factors.iter().map(usize::to_string)),
-            cfg.faults
-                .as_ref()
-                .map_or_else(|| "null".to_string(), |f| debug(f)),
-            debug(ab_plan),
-        );
+        let faults = cfg.faults.as_ref().map(|f| format!("{f:?}"));
+        let ab_plan = format!("{ab_plan:?}");
+        let eps = cfg.eps_values.iter().map(|&e| Value::F64(e)).collect();
+        let sizes = cfg.size_factors.iter().map(|&f| Value::U64(f as u64));
+        let config = Value::Object(vec![
+            ("base", Value::U64(cfg.base as u64)),
+            ("eps_values", Value::List(eps)),
+            ("default_eps", Value::F64(cfg.default_eps)),
+            ("nodes", Value::U64(cfg.nodes as u64)),
+            ("partitions", Value::U64(cfg.partitions as u64)),
+            ("reps", Value::U64(cfg.reps as u64)),
+            ("size_factors", Value::List(sizes.collect())),
+            ("faults", faults.as_deref().map_or(Value::Null, Value::Str)),
+            ("fault_ab_plan", Value::Str(&ab_plan)),
+        ]);
+        let config = format!("\"config\": {config}");
         Record {
             config,
             tables: Vec::new(),
@@ -337,6 +318,7 @@ mod tests {
 
     #[test]
     fn writer_escapes_strings_and_keeps_one_table_per_line() {
+        let json_str = |s: &str| Value::Str(s).to_string();
         assert_eq!(json_str("S1 ⋈ S2"), "\"S1 ⋈ S2\"");
         assert_eq!(json_str("a\"b\\c\nd\te"), r#""a\"b\\c\u000ad\u0009e""#);
         let mut t = Table::new("ten\"ant", "tenants", vec!["name", "results"]);

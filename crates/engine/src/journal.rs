@@ -24,11 +24,15 @@
 //! admissions, grants and in-flight stage pointers. A `compact` marker
 //! records the rewrite for audit.
 //!
-//! The codec is hand-rolled (the workspace takes no serde dependency): the
-//! only values are `u64`s and strings, and result payloads are hex-encoded
-//! so the JSON stays ASCII regardless of the job's `Wire` encoding.
+//! Lines are written and read through the workspace's one JSON codec,
+//! [`asj_obs::json`]: the only values are `u64`s and strings, and result
+//! payloads are hex-encoded so the JSON stays ASCII regardless of the job's
+//! `Wire` encoding. A line the codec refuses carries its column and reason
+//! into [`JournalError::Corrupt`].
 
 use crate::checkpoint::fnv1a;
+use asj_obs::json;
+use asj_obs::json::Value::{Hex, Str, U64};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
@@ -77,20 +81,27 @@ pub enum JournalError {
     /// The underlying file operation failed.
     Io(std::io::Error),
     /// A malformed line *followed by valid records* — the file was
-    /// corrupted (or hand-edited), not torn by a crash. `line` is 1-based.
-    Corrupt { line: usize, content: String },
+    /// corrupted (or hand-edited), not torn by a crash. `line` and the byte
+    /// `column` are 1-based.
+    Corrupt {
+        line: usize,
+        column: usize,
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
-            JournalError::Corrupt { line, content } => {
-                write!(
-                    f,
-                    "journal corrupt at line {line} (not a torn tail): {content:?}"
-                )
-            }
+            JournalError::Corrupt {
+                line,
+                column,
+                reason,
+            } => write!(
+                f,
+                "journal corrupt at line {line}, column {column} (not a torn tail): {reason}"
+            ),
         }
     }
 }
@@ -162,186 +173,83 @@ pub enum JournalRecord {
     Compact { kept: u64, dropped: u64 },
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok())
-        .collect()
-}
-
 impl JournalRecord {
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        match self {
+        let fields = match self {
             JournalRecord::Admit { job, name } => {
-                format!(
-                    "{{\"type\":\"admit\",\"job\":{job},\"name\":\"{}\"}}",
-                    escape_json(name)
-                )
+                vec![
+                    ("type", Str("admit")),
+                    ("job", U64(*job)),
+                    ("name", Str(name)),
+                ]
             }
-            JournalRecord::Grant { job } => format!("{{\"type\":\"grant\",\"job\":{job}}}"),
+            JournalRecord::Grant { job } => vec![("type", Str("grant")), ("job", U64(*job))],
             JournalRecord::Stage {
                 job,
                 stage,
                 key,
                 bytes,
-            } => format!(
-                "{{\"type\":\"stage\",\"job\":{job},\"stage\":\"{}\",\"key\":\"{}\",\"bytes\":{bytes}}}",
-                escape_json(stage),
-                escape_json(key)
-            ),
+            } => vec![
+                ("type", Str("stage")),
+                ("job", U64(*job)),
+                ("stage", Str(stage)),
+                ("key", Str(key)),
+                ("bytes", U64(*bytes)),
+            ],
             JournalRecord::Done {
                 job,
                 result,
                 checksum,
-            } => format!(
-                "{{\"type\":\"done\",\"job\":{job},\"result\":\"{}\",\"checksum\":{checksum}}}",
-                hex_encode(result)
-            ),
-            JournalRecord::Recover => "{\"type\":\"recover\"}".to_string(),
-            JournalRecord::Compact { kept, dropped } => {
-                format!("{{\"type\":\"compact\",\"kept\":{kept},\"dropped\":{dropped}}}")
-            }
-        }
-    }
-
-    /// Parses one JSON line; `None` on any irregularity (the torn-tail
-    /// tolerance of [`Journal::read`]).
-    pub fn parse_line(line: &str) -> Option<JournalRecord> {
-        let fields = parse_flat_object(line.trim())?;
-        let get_str = |k: &str| {
-            fields.iter().find_map(|(key, v)| match v {
-                JsonValue::Str(s) if key == k => Some(s.clone()),
-                _ => None,
-            })
+            } => vec![
+                ("type", Str("done")),
+                ("job", U64(*job)),
+                ("result", Hex(result)),
+                ("checksum", U64(*checksum)),
+            ],
+            JournalRecord::Recover => vec![("type", Str("recover"))],
+            JournalRecord::Compact { kept, dropped } => vec![
+                ("type", Str("compact")),
+                ("kept", U64(*kept)),
+                ("dropped", U64(*dropped)),
+            ],
         };
-        let get_num = |k: &str| {
-            fields.iter().find_map(|(key, v)| match v {
-                JsonValue::Num(n) if key == k => Some(*n),
-                _ => None,
-            })
-        };
-        match get_str("type")?.as_str() {
-            "admit" => Some(JournalRecord::Admit {
-                job: get_num("job")?,
-                name: get_str("name")?,
-            }),
-            "grant" => Some(JournalRecord::Grant {
-                job: get_num("job")?,
-            }),
-            "stage" => Some(JournalRecord::Stage {
-                job: get_num("job")?,
-                stage: get_str("stage")?,
-                key: get_str("key")?,
-                bytes: get_num("bytes")?,
-            }),
-            "done" => Some(JournalRecord::Done {
-                job: get_num("job")?,
-                result: hex_decode(&get_str("result")?)?,
-                checksum: get_num("checksum")?,
-            }),
-            "recover" => Some(JournalRecord::Recover),
-            "compact" => Some(JournalRecord::Compact {
-                kept: get_num("kept")?,
-                dropped: get_num("dropped")?,
-            }),
-            _ => None,
-        }
+        json::Value::Object(fields).to_string()
     }
-}
 
-enum JsonValue {
-    Str(String),
-    Num(u64),
-}
-
-/// Minimal flat-object JSON parser: `{"k":"str","k2":123,...}` with string
-/// and u64 values only — exactly the journal's record shapes. Anything
-/// nested, non-ASCII-escaped or trailing is a parse failure.
-fn parse_flat_object(s: &str) -> Option<Vec<(String, JsonValue)>> {
-    let body = s.strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = Vec::new();
-    let mut rest = body;
-    loop {
-        rest = rest.trim_start();
-        if rest.is_empty() {
-            break;
-        }
-        let (key, after_key) = parse_json_string(rest)?;
-        rest = after_key.trim_start().strip_prefix(':')?.trim_start();
-        if rest.starts_with('"') {
-            let (value, after) = parse_json_string(rest)?;
-            fields.push((key, JsonValue::Str(value)));
-            rest = after;
-        } else {
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            if end == 0 {
-                return None;
-            }
-            fields.push((key, JsonValue::Num(rest[..end].parse().ok()?)));
-            rest = &rest[end..];
-        }
-        rest = rest.trim_start();
-        match rest.strip_prefix(',') {
-            Some(after) => rest = after,
-            None if rest.is_empty() => break,
-            None => return None,
-        }
-    }
-    Some(fields)
-}
-
-/// Parses a leading JSON string literal, returning (decoded, remainder).
-fn parse_json_string(s: &str) -> Option<(String, &str)> {
-    let mut chars = s.strip_prefix('"')?.char_indices();
-    let inner = &s[1..];
-    let mut out = String::new();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &inner[i + 1..])),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'u' => {
-                    let (start, _) = chars.next()?;
-                    chars.next()?;
-                    chars.next()?;
-                    let (end, last) = chars.next()?;
-                    let code =
-                        u32::from_str_radix(&inner[start..end + last.len_utf8()], 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
+    /// Parses one JSON line. Anything but exactly one record's fields — an
+    /// unknown `type`, a missing or unknown field, a value of the wrong
+    /// kind, `result` bytes that are not hex — is an error naming its
+    /// column.
+    pub fn parse_line(line: &str) -> Result<JournalRecord, json::Error> {
+        let mut o = json::Object::parse(line)?;
+        let record = match o.str("type")?.as_str() {
+            "admit" => JournalRecord::Admit {
+                job: o.u64("job")?,
+                name: o.str("name")?,
             },
-            c => out.push(c),
-        }
+            "grant" => JournalRecord::Grant { job: o.u64("job")? },
+            "stage" => JournalRecord::Stage {
+                job: o.u64("job")?,
+                stage: o.str("stage")?,
+                key: o.str("key")?,
+                bytes: o.u64("bytes")?,
+            },
+            "done" => JournalRecord::Done {
+                job: o.u64("job")?,
+                result: o.hex("result")?,
+                checksum: o.u64("checksum")?,
+            },
+            "recover" => JournalRecord::Recover,
+            "compact" => JournalRecord::Compact {
+                kept: o.u64("kept")?,
+                dropped: o.u64("dropped")?,
+            },
+            other => return Err(o.error("type", format!("unknown record type {other:?}"))),
+        };
+        o.finish()?;
+        Ok(record)
     }
-    None
 }
 
 /// An append-only journal file with fsync-per-record durability.
@@ -478,33 +386,45 @@ pub struct CompactStats {
 }
 
 /// The committed records of the journal at `path` and the byte length they
-/// occupy. A record is committed once its line is complete — parseable and
-/// newline-terminated, which is what `append` fsyncs; whatever follows the
-/// last such line is the torn tail of a crash mid-append and ends the log.
-/// A malformed line with anything after it is [`JournalError::Corrupt`].
+/// occupy. A record is committed once its line is complete — valid UTF-8,
+/// parseable and newline-terminated, which is what `append` fsyncs; whatever
+/// follows the last such line is the torn tail of a crash mid-append and
+/// ends the log. A malformed line with anything after it is
+/// [`JournalError::Corrupt`].
 fn read_committed(path: &Path) -> Result<(Vec<JournalRecord>, u64), JournalError> {
-    let text = std::fs::read_to_string(path)?;
+    let bytes = std::fs::read(path)?;
     let mut records = Vec::new();
     let (mut offset, mut valid_len) = (0usize, 0usize);
-    let mut torn: Option<(usize, &str)> = None;
-    for (line_no, raw) in text.split_inclusive('\n').enumerate() {
+    let mut torn: Option<JournalError> = None;
+    for (line_no, raw) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
         offset += raw.len();
-        let line = raw.trim_end_matches(['\r', '\n']);
-        if line.trim().is_empty() {
+        let line = raw.trim_ascii_end();
+        if line.is_empty() {
             continue;
         }
-        if let Some((line_no, line)) = torn {
-            return Err(JournalError::Corrupt {
-                line: line_no + 1,
-                content: line.chars().take(120).collect(),
-            });
+        if let Some(corrupt) = torn {
+            return Err(corrupt);
         }
-        match JournalRecord::parse_line(line).filter(|_| raw.ends_with('\n')) {
-            Some(rec) => {
+        let parsed = std::str::from_utf8(line)
+            .map_err(|e| json::Error {
+                column: e.valid_up_to() + 1,
+                reason: "invalid UTF-8".to_string(),
+            })
+            .and_then(JournalRecord::parse_line);
+        match parsed {
+            Ok(rec) if raw.ends_with(b"\n") => {
                 records.push(rec);
                 valid_len = offset;
             }
-            None => torn = Some((line_no, line)),
+            // The last line, its newline never written: a torn tail.
+            Ok(_) => {}
+            Err(e) => {
+                torn = Some(JournalError::Corrupt {
+                    line: line_no + 1,
+                    column: e.column,
+                    reason: e.reason,
+                })
+            }
         }
     }
     Ok((records, valid_len as u64))
@@ -644,7 +564,7 @@ mod tests {
         for rec in sample_records() {
             let line = rec.to_line();
             let back = JournalRecord::parse_line(&line)
-                .unwrap_or_else(|| panic!("line must parse: {line}"));
+                .unwrap_or_else(|e| panic!("line must parse: {line}: {e}"));
             assert_eq!(back, rec, "{line}");
         }
     }
@@ -888,8 +808,170 @@ mod tests {
             "{\"type\":\"grant\",\"job\":-1}",
             "{\"type\":\"done\",\"job\":1,\"result\":\"xyz\",\"checksum\":0}",
             "{\"type\":\"grant\",\"job\":1} trailing",
+            "{\"type\":\"done\",\"job\":0,\"result\":\"a\u{e9}a\",\"checksum\":1}",
+            "{\"type\":\"grant\",\"job\":0,\"job\":7,\"extra\":\"x\"}",
+            "{\"type\":\"done\",\"job\":0,\"result\":\"+f\",\"checksum\":1}",
         ] {
-            assert!(JournalRecord::parse_line(bad).is_none(), "{bad:?}");
+            assert!(JournalRecord::parse_line(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// `records` as journal bytes, one line each.
+    fn render(records: &[JournalRecord]) -> Vec<u8> {
+        records
+            .iter()
+            .flat_map(|rec| format!("{}\n", rec.to_line()).into_bytes())
+            .collect()
+    }
+
+    #[test]
+    fn non_ascii_result_bytes_are_corrupt_not_a_panic() {
+        let path = test_path("non-ascii-result");
+        let mut bytes = render(&[JournalRecord::Grant { job: 0 }]);
+        bytes.extend_from_slice(
+            "{\"type\":\"done\",\"job\":0,\"result\":\"a\u{e9}a\",\"checksum\":1}\n".as_bytes(),
+        );
+        bytes.extend_from_slice(&render(&[JournalRecord::Grant { job: 1 }]));
+        std::fs::write(&path, &bytes).expect("write");
+        match Journal::read(&path) {
+            Err(JournalError::Corrupt { line, column, .. }) => {
+                assert_eq!((line, column), (2, 33));
+            }
+            other => panic!("expected Corrupt at line 2, got {other:?}"),
+        }
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn a_torn_multi_byte_name_is_a_torn_tail() {
+        let path = test_path("torn-utf8");
+        let committed = vec![JournalRecord::Grant { job: 0 }, JournalRecord::Recover];
+        let last = JournalRecord::Admit {
+            job: 1,
+            name: "\u{e9}lan-\u{2028}-\u{1F600}".to_string(),
+        };
+        let prefix = render(&committed);
+        let line = last.to_line().into_bytes();
+        for cut in 0..=line.len() {
+            let mut bytes = prefix.clone();
+            bytes.extend_from_slice(&line[..cut]);
+            std::fs::write(&path, &bytes).expect("tear");
+            assert_eq!(Journal::read(&path).expect("read"), committed, "cut {cut}");
+            let (reopened, back) = Journal::open_append(&path).expect("reopen");
+            assert_eq!(back, committed, "cut {cut}");
+            reopened.append(&last).expect("append");
+            let mut expected = committed.clone();
+            expected.push(last.clone());
+            assert_eq!(
+                Journal::read(&path).expect("re-read"),
+                expected,
+                "cut {cut}"
+            );
+        }
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    /// Names that exercise every escape the writer makes and chars it keeps
+    /// raw, and a long hex result.
+    fn awkward_records() -> Vec<JournalRecord> {
+        let result: Vec<u8> = (0..=255).collect();
+        let long_result = JournalRecord::Done {
+            job: 9,
+            checksum: fnv1a(&result),
+            result,
+        };
+        let controls: String = ('\u{0}'..'\u{20}').collect();
+        [
+            "\"",
+            "\\",
+            &controls,
+            "\u{2028}\u{2029}",
+            "\u{1F600}\u{10FFFF}",
+            "\u{e9}lan",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(job, name)| JournalRecord::Admit {
+            job: job as u64,
+            name: format!("x{name}y"),
+        })
+        .chain([long_result])
+        .collect()
+    }
+
+    /// Any char, biased towards the ones the codec treats specially.
+    fn any_char(pick: u8, code: u32) -> char {
+        let code = match pick % 4 {
+            0 => code % 0x20,
+            1 => [0x22, 0x5C, 0x2028, 0x1F600][code as usize % 4],
+            2 => code % 0x80,
+            _ => code % 0x11_0000,
+        };
+        char::from_u32(code).unwrap_or('\u{FFFD}')
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn any_name_round_trips(
+            chars in proptest::collection::vec((proptest::prelude::any::<u8>(), proptest::prelude::any::<u32>()), 0..24),
+            job in proptest::prelude::any::<u64>(),
+        ) {
+            let name: String = chars.iter().map(|&(pick, code)| any_char(pick, code)).collect();
+            for rec in [
+                JournalRecord::Admit { job, name: name.clone() },
+                JournalRecord::Stage { job, stage: name.clone(), key: name.clone(), bytes: job },
+            ] {
+                let line = rec.to_line();
+                proptest::prop_assert_eq!(JournalRecord::parse_line(&line), Ok(rec), "{}", line);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+        /// Whatever bytes the file holds, reading it is a result, never a
+        /// panic, and what it accepts writes back to lines that read the
+        /// same.
+        #[test]
+        fn mutated_journal_bytes_read_to_a_result(
+            edits in proptest::collection::vec(
+                (0u8..4, proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>(), proptest::prelude::any::<u32>()),
+                1..4,
+            ),
+        ) {
+            let mut records = sample_records();
+            records.extend(awkward_records());
+            let mut bytes = render(&records);
+            for (kind, at, byte, code) in edits {
+                let at = at % (bytes.len() + 1);
+                match kind {
+                    0 if at < bytes.len() => bytes[at] ^= byte.max(1),
+                    1 => bytes.insert(at, byte),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => {
+                        let mut buf = [0; 4];
+                        let c = any_char(byte, code).encode_utf8(&mut buf);
+                        bytes.splice(at..at, c.bytes());
+                    }
+                }
+            }
+            let path = test_path("mutated");
+            std::fs::write(&path, &bytes).expect("write");
+            let read = Journal::read(&path);
+            std::fs::remove_file(&path).expect("cleanup");
+            match read {
+                Ok(back) => {
+                    for rec in back {
+                        let line = rec.to_line();
+                        proptest::prop_assert_eq!(JournalRecord::parse_line(&line), Ok(rec), "{}", line);
+                    }
+                }
+                Err(JournalError::Corrupt { .. }) => {}
+                Err(JournalError::Io(e)) => proptest::prop_assert!(false, "I/O error: {e}"),
+            }
         }
     }
 }

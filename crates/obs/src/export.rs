@@ -5,10 +5,14 @@
 //! simulated node* plus a driver lane (`tid` = [`Lane::tid`]), timestamps and
 //! durations in **simulated** microseconds. Wall-clock values ride along in
 //! each event's `args` so neither clock is lost.
+//!
+//! Both renderers write through [`crate::json`], the codec the journal and
+//! the reproduction record share; only the layout and the microsecond
+//! fragments are rendered here.
 
+use crate::json::Value::{self, Raw, Str, F64, U64};
 use crate::registry::MetricsSnapshot;
 use crate::span::{Attrs, Event, Lane, Span};
-use std::fmt::Write as _;
 
 /// Output format selector, parsed from e.g. a `--trace-format` CLI flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,224 +58,151 @@ impl Trace {
 
     /// Chrome `trace_event` JSON object (`{"traceEvents": [...]}`).
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[\n");
-        let mut first = true;
-        let mut push = |line: String, out: &mut String| {
-            if !std::mem::take(&mut first) {
-                out.push_str(",\n");
-            }
-            out.push_str(&line);
-        };
-
         // Lane names: driver + one lane per simulated node.
-        push(meta_thread_name(Lane::Driver, "driver"), &mut out);
+        let mut lines = vec![meta_thread_name(Lane::Driver, "driver")];
         for n in 0..self.nodes {
-            push(
-                meta_thread_name(Lane::Node(n), &format!("node {n} (sim)")),
-                &mut out,
-            );
+            lines.push(meta_thread_name(Lane::Node(n), &format!("node {n} (sim)")));
         }
 
         for s in &self.spans {
-            let mut line = String::new();
-            let _ = write!(
-                line,
-                "{{\"name\":{},\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}",
-                json_str(&s.stage),
-                s.lane.tid(),
-                us(s.sim_start_ns),
-                us(s.sim_dur_ns),
-            );
-            line.push_str(",\"args\":{");
-            let mut args = ArgWriter::new(&mut line);
-            args.u64_opt("partition", s.partition);
-            args.attrs(&s.attrs);
-            args.str("wall_ts_us", &us(s.wall_start_ns));
-            args.str("wall_dur_us", &us(s.wall_dur_ns));
-            line.push_str("}}");
-            push(line, &mut out);
+            let (wall_ts, wall_dur) = (us(s.wall_start_ns), us(s.wall_dur_ns));
+            let mut args = attrs(s.partition, &s.attrs);
+            args.extend([
+                ("wall_ts_us", Str(&wall_ts)),
+                ("wall_dur_us", Str(&wall_dur)),
+            ]);
+            let span = Value::Object(vec![
+                ("name", Str(&s.stage)),
+                ("cat", Str("span")),
+                ("ph", Str("X")),
+                ("pid", U64(1)),
+                ("tid", U64(s.lane.tid() as u64)),
+                ("ts", Raw(us(s.sim_start_ns))),
+                ("dur", Raw(us(s.sim_dur_ns))),
+                ("args", Value::Object(args)),
+            ]);
+            lines.push(span.to_string());
         }
 
         for e in &self.events {
-            let mut line = String::new();
-            let _ = write!(
-                line,
-                "{{\"name\":{},\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{}",
-                json_str(&e.name),
-                e.lane.tid(),
-                us(e.sim_ns),
-            );
-            line.push_str(",\"args\":{");
-            let mut args = ArgWriter::new(&mut line);
-            args.u64_opt("partition", e.partition);
-            args.attrs(&e.attrs);
-            args.str("wall_ts_us", &us(e.wall_ns));
-            line.push_str("}}");
-            push(line, &mut out);
+            let wall_ts = us(e.wall_ns);
+            let mut args = attrs(e.partition, &e.attrs);
+            args.push(("wall_ts_us", Str(&wall_ts)));
+            let event = Value::Object(vec![
+                ("name", Str(&e.name)),
+                ("cat", Str("event")),
+                ("ph", Str("i")),
+                ("s", Str("t")),
+                ("pid", U64(1)),
+                ("tid", U64(e.lane.tid() as u64)),
+                ("ts", Raw(us(e.sim_ns))),
+                ("args", Value::Object(args)),
+            ]);
+            lines.push(event.to_string());
         }
 
-        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        out
+        format!(
+            "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}\n",
+            lines.join(",\n")
+        )
     }
 
     /// One JSON object per line: a `meta` header, then every span, event and
     /// metric.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{\"kind\":\"meta\",\"nodes\":{}}}", self.nodes);
+        let nodes = U64(self.nodes as u64);
+        let mut lines = vec![Value::Object(vec![("kind", Str("meta")), ("nodes", nodes)])];
         for s in &self.spans {
-            let mut line = format!("{{\"kind\":\"span\",\"stage\":{}", json_str(&s.stage));
-            lane_field(&mut line, s.lane);
-            let mut w = ArgWriter::mid(&mut line);
-            w.u64_opt("partition", s.partition);
-            w.attrs(&s.attrs);
-            let _ = write!(
-                line,
-                ",\"wall_start_ns\":{},\"wall_dur_ns\":{},\"sim_start_ns\":{},\"sim_dur_ns\":{}}}",
-                s.wall_start_ns, s.wall_dur_ns, s.sim_start_ns, s.sim_dur_ns
-            );
-            out.push_str(&line);
-            out.push('\n');
+            let mut span = vec![("kind", Str("span")), ("stage", Str(&s.stage))];
+            span.extend(lane(s.lane));
+            span.extend(attrs(s.partition, &s.attrs));
+            span.extend([
+                ("wall_start_ns", U64(s.wall_start_ns)),
+                ("wall_dur_ns", U64(s.wall_dur_ns)),
+                ("sim_start_ns", U64(s.sim_start_ns)),
+                ("sim_dur_ns", U64(s.sim_dur_ns)),
+            ]);
+            lines.push(Value::Object(span));
         }
         for e in &self.events {
-            let mut line = format!("{{\"kind\":\"event\",\"name\":{}", json_str(&e.name));
-            lane_field(&mut line, e.lane);
-            let mut w = ArgWriter::mid(&mut line);
-            w.u64_opt("partition", e.partition);
-            w.attrs(&e.attrs);
-            let _ = write!(line, ",\"wall_ns\":{},\"sim_ns\":{}}}", e.wall_ns, e.sim_ns);
-            out.push_str(&line);
-            out.push('\n');
+            let mut event = vec![("kind", Str("event")), ("name", Str(&e.name))];
+            event.extend(lane(e.lane));
+            event.extend(attrs(e.partition, &e.attrs));
+            event.extend([("wall_ns", U64(e.wall_ns)), ("sim_ns", U64(e.sim_ns))]);
+            lines.push(Value::Object(event));
         }
         for ((stage, name), v) in &self.metrics.counters {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"counter\",\"stage\":{},\"name\":{},\"value\":{}}}",
-                json_str(stage),
-                json_str(name),
-                v
-            );
+            lines.push(metric("counter", stage, name, [("value", U64(*v))]));
         }
         for ((stage, name), v) in &self.metrics.gauges {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"gauge\",\"stage\":{},\"name\":{},\"value\":{}}}",
-                json_str(stage),
-                json_str(name),
-                json_f64(*v)
-            );
+            lines.push(metric("gauge", stage, name, [("value", F64(*v))]));
         }
         for ((stage, name), h) in &self.metrics.histograms {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"histogram\",\"stage\":{},\"name\":{},\"count\":{},\"min\":{},\"max\":{},\"sum\":{}}}",
-                json_str(stage),
-                json_str(name),
-                h.count,
-                json_f64(h.min),
-                json_f64(h.max),
-                json_f64(h.sum)
-            );
+            let summary = [
+                ("count", U64(h.count)),
+                ("min", F64(h.min)),
+                ("max", F64(h.max)),
+                ("sum", F64(h.sum)),
+            ];
+            lines.push(metric("histogram", stage, name, summary));
         }
-        out
+        lines.iter().map(|line| format!("{line}\n")).collect()
     }
 }
 
 fn meta_thread_name(lane: Lane, name: &str) -> String {
-    format!(
-        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":{}}}}}",
-        lane.tid(),
-        json_str(name)
-    )
+    Value::Object(vec![
+        ("name", Str("thread_name")),
+        ("ph", Str("M")),
+        ("pid", U64(1)),
+        ("tid", U64(lane.tid() as u64)),
+        ("args", Value::Object(vec![("name", Str(name))])),
+    ])
+    .to_string()
 }
 
-fn lane_field(line: &mut String, lane: Lane) {
+/// The members naming a JSONL span's or event's lane.
+fn lane(lane: Lane) -> Vec<(&'static str, Value<'static>)> {
     match lane {
-        Lane::Driver => line.push_str(",\"lane\":\"driver\""),
-        Lane::Node(n) => {
-            let _ = write!(line, ",\"lane\":\"node\",\"node\":{n}");
-        }
+        Lane::Driver => vec![("lane", Str("driver"))],
+        Lane::Node(n) => vec![("lane", Str("node")), ("node", U64(n as u64))],
     }
+}
+
+/// The `partition` and attribute members that are set, in that order.
+fn attrs<'a>(partition: Option<u64>, attrs: &Attrs) -> Vec<(&'static str, Value<'a>)> {
+    let members = [
+        ("partition", partition),
+        ("records", attrs.records),
+        ("bytes", attrs.bytes),
+        ("cells", attrs.cells),
+    ];
+    let set = members
+        .into_iter()
+        .filter_map(|(key, v)| Some((key, U64(v?))));
+    set.collect()
+}
+
+/// One JSONL metric line: its kind and name, then `values`.
+fn metric<'a>(
+    kind: &'a str,
+    stage: &'a str,
+    name: &'a str,
+    values: impl IntoIterator<Item = (&'a str, Value<'a>)>,
+) -> Value<'a> {
+    let mut members = vec![
+        ("kind", Str(kind)),
+        ("stage", Str(stage)),
+        ("name", Str(name)),
+    ];
+    members.extend(values);
+    Value::Object(members)
 }
 
 /// Nanoseconds rendered as decimal microseconds (Chrome's `ts`/`dur` unit)
 /// without going through floating point.
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-/// Escapes a string for embedding in JSON, quotes included.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Finite floats as-is; non-finite values are not valid JSON numbers, so
-/// render them as null.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Writes `"key":value` pairs with correct comma placement into an object
-/// that may already have entries.
-struct ArgWriter<'a> {
-    out: &'a mut String,
-    first: bool,
-}
-
-impl<'a> ArgWriter<'a> {
-    /// Start inside a freshly opened `{`.
-    fn new(out: &'a mut String) -> Self {
-        ArgWriter { out, first: true }
-    }
-
-    /// Continue an object that already has fields (always emits commas).
-    fn mid(out: &'a mut String) -> Self {
-        ArgWriter { out, first: false }
-    }
-
-    fn sep(&mut self) {
-        if !std::mem::take(&mut self.first) {
-            self.out.push(',');
-        }
-    }
-
-    fn u64_opt(&mut self, key: &str, v: Option<u64>) {
-        if let Some(v) = v {
-            self.sep();
-            let _ = write!(self.out, "\"{key}\":{v}");
-        }
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        self.sep();
-        let _ = write!(self.out, "\"{key}\":{}", json_str(v));
-    }
-
-    fn attrs(&mut self, attrs: &Attrs) {
-        self.u64_opt("records", attrs.records);
-        self.u64_opt("bytes", attrs.bytes);
-        self.u64_opt("cells", attrs.cells);
-    }
 }
 
 #[cfg(test)]
@@ -290,8 +221,8 @@ mod tests {
 
     #[test]
     fn json_str_escapes_specials() {
-        assert_eq!(json_str("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        assert_eq!(Str("a\"b\\c\nd").to_string(), r#""a\"b\\c\u000ad""#);
+        assert_eq!(Str("\u{1}").to_string(), "\"\\u0001\"");
     }
 
     #[test]
@@ -303,7 +234,7 @@ mod tests {
 
     #[test]
     fn json_f64_handles_non_finite() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::INFINITY), "null");
+        assert_eq!(F64(1.5).to_string(), "1.5");
+        assert_eq!(F64(f64::INFINITY).to_string(), "null");
     }
 }

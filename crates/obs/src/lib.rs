@@ -18,8 +18,11 @@
 //!   [`Trace::to_chrome_json`] / [`Trace::to_jsonl`].
 //! * Metrics: [`Recorder::counter_add`] etc., queryable via
 //!   [`Recorder::metrics`] as a [`MetricsSnapshot`].
+//! * [`json`] — the workspace's one JSON codec: the exporters here, the job
+//!   server's journal and the reproduction record all write through it.
 
 mod export;
+pub mod json;
 mod recorder;
 mod registry;
 mod span;
