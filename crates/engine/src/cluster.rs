@@ -457,7 +457,7 @@ impl Cluster {
     /// [`Cluster::run_stage`] for tasks that can fail without panicking: an
     /// attempt that returns a [`TaskError`](crate::TaskError) is billed,
     /// retried and reported like one that panicked.
-    pub(crate) fn try_run_stage<T, R, F>(&self, stage: &str, tasks: Vec<T>, f: F) -> StageResult<R>
+    pub fn try_run_stage<T, R, F>(&self, stage: &str, tasks: Vec<T>, f: F) -> StageResult<R>
     where
         T: Send + Sync + Clone,
         R: Send,

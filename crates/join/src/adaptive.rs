@@ -1,5 +1,5 @@
 use crate::pipeline::{join_points, run_plan, JoinPlan};
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record, RecordPayload};
 use asj_core::{cell_costs, AgreementGraph, AgreementPolicy, GridSample, SetLabel};
 use asj_engine::{
     Cluster, ExecStats, ExplicitPartitioner, HashPartitioner, Partitioner, Placement,
@@ -42,12 +42,12 @@ fn agreement_grid(spec: &JoinSpec) -> Result<Grid, JoinError> {
 /// 4. **Shuffle** with hash or LPT cell placement (metered; construction).
 /// 5. **Partition-local join** with immediate distance refinement (parallel;
 ///    join phase).
-pub fn adaptive_join(
+pub fn adaptive_join<P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
     policy: AgreementPolicy,
-    r: impl Into<JoinInput>,
-    s: impl Into<JoinInput>,
+    r: impl Into<JoinInput<Record<P>>>,
+    s: impl Into<JoinInput<Record<P>>>,
 ) -> Result<JoinOutput, JoinError> {
     let (build, assign) = (AgreementGraph::build, AgreementGraph::assign);
     agreement_join(cluster, spec, policy, build, assign, r.into(), s.into())
@@ -56,14 +56,14 @@ pub fn adaptive_join(
 /// Stages 1–5 of [`adaptive_join`] over the graph `build` makes and `assign`
 /// consults: with Algorithm 1's marking (duplicate-free, [`adaptive_join`])
 /// or without it ([`adaptive_join_dedup`](crate::adaptive_join_dedup)).
-pub(crate) fn agreement_join(
+pub(crate) fn agreement_join<P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
     policy: AgreementPolicy,
     build: fn(&Grid, &GridSample, AgreementPolicy) -> AgreementGraph,
     assign: fn(&AgreementGraph, Point, SetLabel, &mut Vec<CellCoord>),
-    r: JoinInput,
-    s: JoinInput,
+    r: JoinInput<Record<P>>,
+    s: JoinInput<Record<P>>,
 ) -> Result<JoinOutput, JoinError> {
     let grid = agreement_grid(spec)?;
     let (rdd_r, rdd_s) = (r.partitioned(spec), s.partitioned(spec));
@@ -139,7 +139,7 @@ pub(crate) fn agreement_join(
     let graph_b = cluster.broadcast(graph);
     let assign_as = |label: SetLabel| {
         let graph_b = graph_b.clone();
-        move |rec: &Record, cells: &mut Vec<u64>, scratch: &mut Vec<CellCoord>| {
+        move |rec: &Record<P>, cells: &mut Vec<u64>, scratch: &mut Vec<CellCoord>| {
             assign(&graph_b, rec.point, label, scratch);
             cells.extend(scratch.iter().map(|&c| graph_b.grid().cell_index(c) as u64));
         }

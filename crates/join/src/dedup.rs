@@ -1,5 +1,5 @@
 use crate::adaptive::agreement_join;
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record, RecordPayload};
 use asj_core::{AgreementGraph, AgreementPolicy};
 use asj_engine::{Cluster, HashPartitioner, KeyedDataset, Placement};
 
@@ -13,12 +13,12 @@ use asj_engine::{Cluster, HashPartitioner, KeyedDataset, Placement};
 /// includes the duplicated work, and the dedup shuffle is folded into the
 /// job's shuffle/join metrics — exactly the cost the paper measures to be
 /// > 7× the duplicate-free approach.
-pub fn adaptive_join_dedup(
+pub fn adaptive_join_dedup<P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
     policy: AgreementPolicy,
-    r: impl Into<JoinInput>,
-    s: impl Into<JoinInput>,
+    r: impl Into<JoinInput<Record<P>>>,
+    s: impl Into<JoinInput<Record<P>>>,
 ) -> Result<JoinOutput, JoinError> {
     // Join with duplicates — no Algorithm 1, the graph keeps its
     // duplicate-producing triangles. Pairs must be materialized for the

@@ -1,5 +1,5 @@
 use crate::pipeline::{expansion, for_each_cogroup, native_cell, shuffle_keyed};
-use crate::{JoinError, JoinInput, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinSpec, Record, RecordPayload};
 use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner, ShuffleStats};
 use asj_geom::Point;
 use asj_grid::{CellCoord, Grid, GridSpec};
@@ -32,12 +32,12 @@ pub struct KnnOutput {
 /// The grid resolution comes from `spec` (`grid_factor · eps` cells); `k`
 /// must be positive ([`JoinError::InvalidSpec`] otherwise). Ties are broken
 /// by neighbor id, making the result deterministic.
-pub fn knn_join(
+pub fn knn_join<P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
     k: usize,
-    r: impl Into<JoinInput>,
-    s: impl Into<JoinInput>,
+    r: impl Into<JoinInput<Record<P>>>,
+    s: impl Into<JoinInput<Record<P>>>,
 ) -> Result<KnnOutput, JoinError> {
     knn_join_probe(cluster, spec, k, r.into(), s.into(), true)
 }
@@ -47,12 +47,12 @@ pub fn knn_join(
 /// current round's annulus `prev_radius < MINDIST ≤ radius`; `false` is the
 /// naive full-disk re-probe (every cell within the radius, every round),
 /// kept as the oracle the regression test measures shuffle savings against.
-fn knn_join_probe(
+fn knn_join_probe<P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
     k: usize,
-    r: JoinInput,
-    s: JoinInput,
+    r: JoinInput<Record<P>>,
+    s: JoinInput<Record<P>>,
     annulus_only: bool,
 ) -> Result<KnnOutput, JoinError> {
     if k == 0 {
@@ -79,7 +79,7 @@ fn knn_join_probe(
 
     // Per-query best-so-far lists, merged on the driver between rounds; the
     // queries still pending stay in their input partitions.
-    let mut pending: Vec<Vec<Record>> = rdd_r.into_partitions();
+    let mut pending: Vec<Vec<Record<P>>> = rdd_r.into_partitions();
     let mut best: HashMap<u64, Vec<(f64, u64)>> = pending
         .iter()
         .flatten()

@@ -1,5 +1,5 @@
 use crate::pipeline::{cells_within_eps, join_points, native_cell, run_plan, Assign, JoinPlan};
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record, RecordPayload};
 use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner};
 use asj_grid::{Grid, GridSpec};
 use std::time::Duration;
@@ -25,12 +25,12 @@ impl ReplicateSide {
 /// one input — every point of the chosen set is copied to each cell within
 /// distance ε; the other set is single-assigned. Partitions are distributed
 /// with the hash partitioner, as in the paper.
-pub fn pbsm_join(
+pub fn pbsm_join<P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
     side: ReplicateSide,
-    r: impl Into<JoinInput>,
-    s: impl Into<JoinInput>,
+    r: impl Into<JoinInput<Record<P>>>,
+    s: impl Into<JoinInput<Record<P>>>,
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
@@ -42,11 +42,11 @@ pub fn pbsm_join(
 /// objects. The finer grid multiplies the number of cells a point is within
 /// ε of, which is exactly the excessive-replication behaviour the paper
 /// reports (up to 7.1× more replication, out-of-memory at large scales).
-pub fn eps_grid_join(
+pub fn eps_grid_join<P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
-    r: impl Into<JoinInput>,
-    s: impl Into<JoinInput>,
+    r: impl Into<JoinInput<Record<P>>>,
+    s: impl Into<JoinInput<Record<P>>>,
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, 1.0));
@@ -59,19 +59,19 @@ pub fn eps_grid_join(
     grid_baseline_join(cluster, spec, grid, "eps-grid", side, r, s)
 }
 
-fn grid_baseline_join(
+fn grid_baseline_join<P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
     grid: Grid,
     name: &str,
     side: ReplicateSide,
-    rdd_r: Dataset<Record>,
-    rdd_s: Dataset<Record>,
+    rdd_r: Dataset<Record<P>>,
+    rdd_s: Dataset<Record<P>>,
 ) -> Result<JoinOutput, JoinError> {
     let broadcast_bytes = grid.broadcast_bytes();
     let grid_b = cluster.broadcast(grid);
     let (replicated, single) = (cells_within_eps(grid_b.clone()), native_cell(grid_b));
-    let (assign_r, assign_s): (&Assign, &Assign) = match side {
+    let (assign_r, assign_s): (&Assign<Record<P>>, &Assign<Record<P>>) = match side {
         ReplicateSide::R => (&replicated, &single),
         ReplicateSide::S => (&single, &replicated),
     };

@@ -1,4 +1,4 @@
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record, RecordPayload};
 use asj_core::{AgreementPolicy, KernelKind};
 use asj_engine::{
     ensure_remaining, Broadcast, Cluster, Dataset, ExecStats, JobMetrics, Partitioner,
@@ -85,12 +85,12 @@ impl Algorithm {
     }
 
     /// Runs this algorithm on the given inputs.
-    pub fn try_run(
+    pub fn try_run<P: RecordPayload>(
         self,
         cluster: &Cluster,
         spec: &JoinSpec,
-        r: impl Into<JoinInput>,
-        s: impl Into<JoinInput>,
+        r: impl Into<JoinInput<Record<P>>>,
+        s: impl Into<JoinInput<Record<P>>>,
     ) -> Result<JoinOutput, JoinError> {
         let (r, s) = (r.into(), s.into());
         match self {
@@ -154,7 +154,9 @@ pub(crate) fn expansion<'a, T: Clone>(
 }
 
 /// Universal replication: the native cell plus every cell within ε.
-pub(crate) fn cells_within_eps(grid: Broadcast<Grid>) -> Box<Assign<'static>> {
+pub(crate) fn cells_within_eps<P: RecordPayload>(
+    grid: Broadcast<Grid>,
+) -> Box<Assign<'static, Record<P>>> {
     Box::new(move |rec, cells, scratch| {
         scratch.clear();
         scratch.push(grid.cell_of(rec.point));
@@ -164,7 +166,9 @@ pub(crate) fn cells_within_eps(grid: Broadcast<Grid>) -> Box<Assign<'static>> {
 }
 
 /// Single assignment: the native cell only.
-pub(crate) fn native_cell(grid: Broadcast<Grid>) -> Box<Assign<'static>> {
+pub(crate) fn native_cell<P: RecordPayload>(
+    grid: Broadcast<Grid>,
+) -> Box<Assign<'static, Record<P>>> {
     Box::new(move |rec, cells, _| cells.push(grid.cell_index(grid.cell_of(rec.point)) as u64))
 }
 
@@ -291,16 +295,16 @@ where
 /// flat lanes — then the ascending key lists merge and the SoA kernel runs
 /// per common cell, streaming contiguous memory instead of re-extracting
 /// positions per group.
-pub(crate) fn join_points<'a>(
+pub(crate) fn join_points<'a, P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
     keep: Option<&'a PairFilter<'a>>,
-) -> Box<LocalJoin<'a>> {
+) -> Box<LocalJoin<'a, Record<P>>> {
     let (eps, collect, kernel) = (spec.eps, spec.collect_pairs, spec.kernel);
     let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
     Box::new(move |rs, ss| {
-        let pos = |r: &Record| r.point;
-        let rid = |r: &Record| r.id;
+        let pos = |r: &Record<P>| r.point;
+        let rid = |r: &Record<P>| r.id;
         let br = PointBatch::from_blocks(rs, pos, rid);
         let bs = PointBatch::from_blocks(ss, pos, rid);
         let mut out: Vec<(u64, u64)> = Vec::new();

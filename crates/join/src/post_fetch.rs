@@ -1,5 +1,5 @@
 use crate::pipeline::{for_each_cogroup, join_stage, JoinStageOutput};
-use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, Pairs, Payload, Record};
+use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, NoPayload, Pairs, Payload, Record};
 use asj_core::AgreementPolicy;
 use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics};
 use std::convert::identity;
@@ -21,7 +21,7 @@ pub fn adaptive_join_post_fetch(
 ) -> Result<JoinOutput, JoinError> {
     // Attribute tables stay behind (id → payload handle, the bytes are not
     // copied), the join sees bare tuples.
-    let split = |recs: Vec<Record>| -> (Vec<Record>, Vec<(u64, Payload)>) {
+    let split = |recs: Vec<Record>| -> (Vec<Record<NoPayload>>, Vec<(u64, Payload)>) {
         let rows = recs.into_iter();
         rows.map(|rec| (rec.stripped(), (rec.id, rec.payload)))
             .unzip()

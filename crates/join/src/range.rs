@@ -1,5 +1,5 @@
 use crate::pipeline::{expansion, native_cell, shuffle_keyed};
-use crate::{JoinError, JoinInput, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinSpec, Payload, Record, RecordPayload};
 use asj_engine::{Cluster, ExecStats, HashPartitioner, ShuffleStats};
 use asj_geom::{Point, Rect};
 use asj_grid::{Grid, GridSpec};
@@ -8,20 +8,20 @@ use asj_grid::{Grid, GridSpec};
 /// analog of a spatial table registered with a partitioner (every engine of
 /// the paper's related work exposes this alongside joins).
 #[derive(Debug)]
-pub struct PartitionedPoints {
+pub struct PartitionedPoints<P = Payload> {
     grid: Grid,
-    parts: Vec<Vec<(u64, Record)>>,
+    parts: Vec<Vec<(u64, Record<P>)>>,
     pub build_shuffle: ShuffleStats,
     pub build_exec: ExecStats,
 }
 
-impl PartitionedPoints {
+impl<P: RecordPayload> PartitionedPoints<P> {
     /// Shuffles `data` by native grid cell (unique assignment — range
     /// queries need no replication).
     pub fn build(
         cluster: &Cluster,
         spec: &JoinSpec,
-        data: impl Into<JoinInput>,
+        data: impl Into<JoinInput<Record<P>>>,
     ) -> Result<Self, JoinError> {
         spec.validate()?;
         let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
@@ -90,7 +90,7 @@ impl PartitionedPoints {
         hit: impl Fn(Point) -> bool + Sync,
     ) -> Result<(Vec<u64>, ExecStats), JoinError> {
         let grid = &self.grid;
-        let refs: Vec<&Vec<(u64, Record)>> = self.parts.iter().collect();
+        let refs: Vec<&Vec<(u64, Record<P>)>> = self.parts.iter().collect();
         let (found, exec) = cluster.run_stage("task", refs, |_, part| {
             let cell_of = |cell: u64| grid.cell_rect(grid.cell_at(cell as usize));
             let rows = part

@@ -97,13 +97,54 @@ impl Wire for Payload {
     }
 }
 
+/// The empty attribute set of a record that carries none — every CSV row
+/// the CLI reads. Zero-sized, so such a record is 24 bytes in memory and 32
+/// as a shuffled `(u64, Record<NoPayload>)` row, where a [`Payload`] slot
+/// costs 16 more. On the wire it is exactly an empty [`Payload`] (a `u32`
+/// length of 0), so which of the two a job carries changes no byte it
+/// meters, spills or checkpoints.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NoPayload;
+
+impl Wire for NoPayload {
+    #[inline]
+    fn encoded_size(&self) -> usize {
+        4
+    }
+
+    #[inline]
+    fn encode(&self, buf: &mut impl BufMut) {
+        buf.put_u32_le(0);
+    }
+
+    /// An empty payload's bytes; a non-empty one is malformed for a record
+    /// type that has nowhere to keep it.
+    #[inline]
+    fn try_decode(buf: &mut impl Buf) -> Result<Self, WireError> {
+        match u32::try_decode(buf)? {
+            0 => Ok(NoPayload),
+            len => Err(WireError::Malformed(format!(
+                "a {len}-byte payload where a payload-free record was expected"
+            ))),
+        }
+    }
+}
+
+/// What a [`Record`] can carry besides its id and point: a [`Payload`] or
+/// [`NoPayload`]. Every join is generic over it, one code path for both.
+pub trait RecordPayload: Wire + Clone + Send + Sync + 'static {}
+
+impl RecordPayload for Payload {}
+impl RecordPayload for NoPayload {}
+
 /// One spatial tuple: identifier, coordinates and the non-spatial attributes
-/// that travel with it (the *tuple size factor* payload of Figs. 16–18).
+/// that travel with it (the *tuple size factor* payload of Figs. 16–18), or
+/// none at all ([`NoPayload`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Record {
+pub struct Record<P = Payload> {
     pub id: u64,
     pub point: Point,
-    pub payload: Payload,
+    pub payload: P,
 }
 
 impl Record {
@@ -115,15 +156,28 @@ impl Record {
         let payload = bytes.into();
         Record { id, point, payload }
     }
+}
 
-    /// A copy of this record without its non-spatial attributes — what the
-    /// post-processing variant of Table 5 ships through the spatial join.
-    pub fn stripped(&self) -> Record {
-        Record::new(self.id, self.point)
+impl Record<NoPayload> {
+    /// A record without attributes, as the CLI reads a CSV row.
+    pub fn bare(id: u64, point: Point) -> Self {
+        Record {
+            id,
+            point,
+            payload: NoPayload,
+        }
     }
 }
 
-impl Wire for Record {
+impl<P> Record<P> {
+    /// This record without its non-spatial attributes — what the
+    /// post-processing variant of Table 5 ships through the spatial join.
+    pub fn stripped(&self) -> Record<NoPayload> {
+        Record::bare(self.id, self.point)
+    }
+}
+
+impl<P: Wire> Wire for Record<P> {
     #[inline]
     fn encoded_size(&self) -> usize {
         8 + 8 + 8 + self.payload.encoded_size()
@@ -142,7 +196,7 @@ impl Wire for Record {
         let id = u64::try_decode(buf)?;
         let x = f64::try_decode(buf)?;
         let y = f64::try_decode(buf)?;
-        let payload = Payload::try_decode(buf)?;
+        let payload = P::try_decode(buf)?;
         Ok(Record {
             id,
             point: Point::new(x, y),
@@ -270,7 +324,7 @@ mod tests {
         }
     }
 
-    fn encoded(r: &Record) -> Vec<u8> {
+    fn encoded(r: &impl Wire) -> Vec<u8> {
         let mut buf = Vec::new();
         r.encode(&mut buf);
         buf
@@ -282,7 +336,7 @@ mod tests {
         let mut buf = BytesMut::new();
         r.encode(&mut buf);
         assert_eq!(buf.len(), r.encoded_size());
-        let back = Record::decode(&mut buf.freeze());
+        let back = <Record>::decode(&mut buf.freeze());
         assert_eq!(back, r);
     }
 
@@ -317,8 +371,6 @@ mod tests {
         assert!(Record::new(1, Point::new(0.0, 0.0)).payload.arena.is_none());
         assert!(Payload::from(Vec::new()).arena.is_none());
         let arena = Arc::new(vec![1, 2, 3]);
-        let r = Record::with_payload(1, Point::new(0.0, 0.0), vec![9; 8]);
-        assert!(r.stripped().payload.arena.is_none());
         // An empty window still equals an arena-less payload.
         assert_eq!(Payload::window(arena, 3, 0), Payload::default());
         assert!(to_records(&[Point::new(0.0, 0.0)], 0)[0]
@@ -342,11 +394,73 @@ mod tests {
         // Every proper prefix must error, never panic.
         for cut in 0..r.encoded_size() {
             assert!(
-                Record::try_decode(&mut &bytes[..cut]).is_err(),
+                <Record>::try_decode(&mut &bytes[..cut]).is_err(),
                 "prefix of {cut} bytes must be rejected"
             );
         }
-        assert_eq!(Record::try_decode(&mut &bytes[..]), Ok(r));
+        assert_eq!(<Record>::try_decode(&mut &bytes[..]), Ok(r));
+    }
+
+    /// Coordinate bits worth pinning beside arbitrary patterns: a signed
+    /// zero, an infinity, and NaNs carrying payload bits.
+    fn coordinate_bits() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            Just((-0.0f64).to_bits()),
+            Just(f64::NEG_INFINITY.to_bits()),
+            Just(0x7ff8_0000_dead_beef),
+            Just(0xfff0_0000_0000_0001),
+        ]
+    }
+
+    proptest! {
+        /// A payload-free record is an empty-payload one on the wire, byte
+        /// for byte and in `encoded_size`, for any id and coordinate bits;
+        /// each type decodes the other's bytes (compared as bytes, since a
+        /// NaN is not equal to itself).
+        #[test]
+        fn no_payload_is_an_empty_payload_on_the_wire(
+            id in any::<u64>(),
+            x in coordinate_bits(),
+            y in coordinate_bits(),
+        ) {
+            let point = Point::new(f64::from_bits(x), f64::from_bits(y));
+            let (bare, empty) = (Record::bare(id, point), Record::new(id, point));
+            let bytes = encoded(&empty);
+            prop_assert_eq!(encoded(&bare), bytes.clone());
+            prop_assert_eq!(bare.encoded_size(), empty.encoded_size());
+            prop_assert_eq!(bare.encoded_size(), bytes.len());
+            let as_bare = Record::<NoPayload>::try_decode(&mut &bytes[..]);
+            prop_assert_eq!(encoded(&as_bare.expect("empty payloads decode")), bytes.clone());
+            let as_empty = Record::<Payload>::try_decode(&mut &encoded(&bare)[..]);
+            prop_assert_eq!(encoded(&as_empty.expect("bare records decode")), bytes);
+        }
+    }
+
+    /// A non-empty payload read where a payload-free record is expected is a
+    /// typed decode error: on its own, inside a chunk, and in a spilled
+    /// block, where it fails the reading task with a retriable spill error.
+    #[test]
+    fn a_non_empty_payload_does_not_decode_as_no_payload() {
+        use asj_engine::{decode_records, encode_records, Block, SpillWriter, TaskError};
+        let fat = Record::with_payload(7, Point::new(1.0, 2.0), vec![1, 2, 3]);
+        assert!(matches!(
+            Record::<NoPayload>::try_decode(&mut &encoded(&fat)[..]),
+            Err(WireError::Malformed(_))
+        ));
+        let rows = vec![(0u64, Record::new(1, Point::new(0.0, 0.0))), (1, fat)];
+        let chunk = encode_records(&rows);
+        assert!(decode_records::<u64, Record<NoPayload>>(&chunk, 2).is_err());
+        assert!(decode_records::<u64, Record>(&chunk, 2).is_ok());
+
+        let mut writer = SpillWriter::create().expect("spill file");
+        writer.write_chunk(0, &chunk, 2).expect("spill write");
+        let segment = writer.finish().expect("seal").expect("one chunk");
+        let spilled: Block<u64, Record<NoPayload>> = Block::Spilled {
+            segment: Arc::new(segment),
+            chunk: 0,
+        };
+        assert!(matches!(spilled.read(), Err(TaskError::Spill(_))));
     }
 
     proptest! {
@@ -379,9 +493,9 @@ mod tests {
             let owned = Record::with_payload(id, Point::new(x, y), content);
             prop_assert_eq!(&r, &owned);
             prop_assert_eq!(encoded(&owned), bytes.clone());
-            prop_assert_eq!(Record::try_decode(&mut &bytes[..]), Ok(r));
+            prop_assert_eq!(<Record>::try_decode(&mut &bytes[..]), Ok(r));
             for cut in 0..bytes.len() {
-                prop_assert!(Record::try_decode(&mut &bytes[..cut]).is_err());
+                prop_assert!(<Record>::try_decode(&mut &bytes[..cut]).is_err());
             }
         }
     }
@@ -526,8 +640,7 @@ mod tests {
     fn stripped_drops_payload_only() {
         let r = Record::with_payload(9, Point::new(2.0, 3.0), vec![1; 64]);
         let s = r.stripped();
-        assert_eq!(s.id, 9);
-        assert_eq!(s.point, r.point);
-        assert!(s.payload.is_empty());
+        assert_eq!(s, Record::bare(9, r.point));
+        assert_eq!(encoded(&s), encoded(&Record::new(9, r.point)));
     }
 }

@@ -1,5 +1,5 @@
 use crate::pipeline::{cells_within_eps, join_points, midpoint_in_cell, run_plan, JoinPlan};
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record, RecordPayload};
 use asj_engine::{Cluster, ExecStats, HashPartitioner};
 use asj_grid::{Grid, GridSpec};
 use std::time::Duration;
@@ -16,11 +16,11 @@ use std::time::Duration;
 /// within `d(r,s)/2 ≤ ε/2` of both endpoints, so both are guaranteed to be
 /// replicated into that cell, and exactly one cell contains it: correct and
 /// duplicate-free, at the price of replicating *both* inputs.
-pub fn pbsm_refpoint_join(
+pub fn pbsm_refpoint_join<P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
-    r: impl Into<JoinInput>,
-    s: impl Into<JoinInput>,
+    r: impl Into<JoinInput<Record<P>>>,
+    s: impl Into<JoinInput<Record<P>>>,
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
@@ -49,7 +49,7 @@ pub fn pbsm_refpoint_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pbsm_join, to_records, Record, ReplicateSide};
+    use crate::{pbsm_join, to_records, ReplicateSide};
     use asj_engine::ClusterConfig;
     use asj_geom::{Point, Rect};
     use rand::rngs::StdRng;

@@ -1,5 +1,5 @@
 use crate::pipeline::{join_points, run_plan, Assign, JoinPlan};
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record, RecordPayload};
 use asj_engine::{Cluster, Partitioner};
 use asj_geom::Point;
 use asj_grid::CellCoord;
@@ -20,11 +20,11 @@ use asj_index::QuadTreePartitioner;
 /// is single-assigned, which keeps results duplicate-free. The paper
 /// attributes Sedona's slowness to exactly these "quite large partitions",
 /// which reduce replication but blow up the per-partition candidate work.
-pub fn sedona_like_join(
+pub fn sedona_like_join<P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
-    r: impl Into<JoinInput>,
-    s: impl Into<JoinInput>,
+    r: impl Into<JoinInput<Record<P>>>,
+    s: impl Into<JoinInput<Record<P>>>,
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let (rdd_r, rdd_s) = (r.into().partitioned(spec), s.into().partitioned(spec));
@@ -56,7 +56,7 @@ pub fn sedona_like_join(
 
     // Route both sets to leaves (the smaller one replicated).
     let eps = spec.eps;
-    let replicated = |rec: &Record, cells: &mut Vec<u64>, _: &mut Vec<CellCoord>| {
+    let replicated = |rec: &Record<P>, cells: &mut Vec<u64>, _: &mut Vec<CellCoord>| {
         let p = rec.point;
         let mut leaves = Vec::with_capacity(4);
         qt_b.leaves_within(p, eps, &mut leaves);
@@ -69,10 +69,10 @@ pub fn sedona_like_join(
                 .map(|l| l as u64),
         );
     };
-    let single = |rec: &Record, cells: &mut Vec<u64>, _: &mut Vec<CellCoord>| {
+    let single = |rec: &Record<P>, cells: &mut Vec<u64>, _: &mut Vec<CellCoord>| {
         cells.push(qt_b.leaf_of(rec.point) as u64);
     };
-    let (assign_r, assign_s): (&Assign, &Assign) = if r_is_small {
+    let (assign_r, assign_s): (&Assign<Record<P>>, &Assign<Record<P>>) = if r_is_small {
         (&replicated, &single)
     } else {
         (&single, &replicated)

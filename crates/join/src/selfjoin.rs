@@ -1,5 +1,5 @@
 use crate::pipeline::{cells_within_eps, expansion, midpoint_in_cell, point_at, shuffle_keyed};
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record, RecordPayload};
 use asj_engine::{Cluster, HashPartitioner, JobMetrics};
 use asj_grid::{Grid, GridSpec};
 use asj_index::{kernels, PointBatch};
@@ -13,10 +13,10 @@ use asj_index::{kernels, PointBatch};
 /// cell joins its points against themselves and a pair is reported only by
 /// the cell containing the pair's midpoint (which both endpoints are always
 /// replicated into, since `d/2 ≤ ε/2 < ε`).
-pub fn self_join(
+pub fn self_join<P: RecordPayload>(
     cluster: &Cluster,
     spec: &JoinSpec,
-    input: impl Into<JoinInput>,
+    input: impl Into<JoinInput<Record<P>>>,
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
@@ -30,19 +30,20 @@ pub fn self_join(
     let (keyed, replicas, shuffle, construction) = cluster.recorder().phase("shuffle", || {
         shuffle_keyed(cluster, rdd, expand, &partitioner, "shuffle")
     })?;
-    let keyed = keyed.into_rows()?;
 
     let eps = spec.eps;
     let collect = spec.collect_pairs;
     let kernel = spec.kernel;
     let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
-    // Each task turns its partition into one columnar batch — cell groups in
-    // ascending-x lanes — and joins every group against itself. Counts ride
-    // with the task result, so retried/speculative attempts cannot
+    // Each task fetches its shuffled partition in place — in-memory blocks
+    // borrowed, spilled ones read and decoded by the task, an unreadable one
+    // failing the attempt — turns it into one columnar batch — cell groups
+    // in ascending-x lanes — and joins every group against itself. Counts
+    // ride with the task result, so retried/speculative attempts cannot
     // double-count them.
-    let tasks: Vec<&Vec<(u64, Record)>> = keyed.partitions().iter().collect();
-    let (folded, join_exec) = cluster.run_stage("self_join", tasks, |_, part| {
-        let batch = PointBatch::from_keyed(part, |rec| rec.point, |rec| rec.id);
+    let tasks: Vec<_> = keyed.partitions().iter().collect();
+    let (folded, join_exec) = cluster.try_run_stage("self_join", tasks, |_, part| {
+        let batch = PointBatch::from_blocks(&part.fetch()?, |rec| rec.point, |rec| rec.id);
         let mut out: Vec<(u64, u64)> = Vec::new();
         let (mut candidates, mut results) = (0u64, 0u64);
         for g in 0..batch.num_groups() {
@@ -59,7 +60,7 @@ pub fn self_join(
             candidates += outcome.stats.candidates;
         }
         out.shrink_to_fit();
-        (out, candidates, results)
+        Ok((out, candidates, results))
     })?;
     drop(keyed);
 
@@ -83,7 +84,7 @@ pub fn self_join(
 }
 
 /// Brute-force self-join oracle: unordered pairs `(a.id < b.id)` within ε.
-pub fn brute_force_self_pairs(pts: &[Record], eps: f64) -> Vec<(u64, u64)> {
+pub fn brute_force_self_pairs<P>(pts: &[Record<P>], eps: f64) -> Vec<(u64, u64)> {
     let e2 = eps * eps;
     let mut out = Vec::new();
     for (i, a) in pts.iter().enumerate() {

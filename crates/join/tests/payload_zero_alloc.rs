@@ -4,7 +4,7 @@
 //! global allocator only ever observes this one test.
 
 use asj_geom::Point;
-use asj_join::{to_records, Record};
+use asj_join::{to_records, NoPayload, Record};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,6 +46,9 @@ fn counts() -> (u64, u64) {
 fn replicas_share_payload_bytes_and_generation_allocates_per_block() {
     assert!(std::mem::size_of::<Record>() <= 40);
     assert!(std::mem::size_of::<(u64, Record)>() <= 48);
+    // A payload-free record (a CSV row) is its id and point, nothing more.
+    assert_eq!(std::mem::size_of::<Record<NoPayload>>(), 24);
+    assert_eq!(std::mem::size_of::<(u64, Record<NoPayload>)>(), 32);
 
     const N: usize = 10_000;
     let points: Vec<Point> = (0..N).map(|i| Point::new(i as f64, 0.5)).collect();

@@ -1,16 +1,16 @@
 //! Spilled shuffle blocks stay on disk until the task that joins them reads
 //! them: with a budget that spills every target, a join's heap high-water
 //! mark is below the unbudgeted run's by at least half the shuffled rows'
-//! in-memory size, and itself below that half. This lives in its own
-//! integration-test binary so the counting global allocator only ever
-//! observes this one test.
+//! in-memory size, and itself below that half; a self-join's is below half
+//! the bytes it shuffled. This lives in its own integration-test binary so the
+//! counting global allocator only ever observes this one test.
 
 mod heap;
 
 use asj_core::AgreementPolicy;
 use asj_engine::{Cluster, ClusterConfig, Dataset};
 use asj_geom::{Point, Rect};
-use asj_join::{adaptive_join, to_records, JoinSpec, Record};
+use asj_join::{adaptive_join, self_join, to_records, JoinSpec, Record};
 
 /// `n` pseudo-random points of the 10 × 10 square.
 fn points(n: usize, salt: u64) -> Vec<Point> {
@@ -63,4 +63,16 @@ fn spilling_every_target_keeps_the_shuffled_rows_off_the_heap() {
     // A driver that materialised every partition, re-reading each spilled
     // chunk, would hold all the rows at once however little stayed in memory.
     assert!(spilled <= row_bytes / 2, "{peaks}");
+
+    // The self-join's tasks read their partitions in place too: a driver
+    // that decoded every spilled chunk first would hold more than the
+    // shuffle's encoded bytes, where one partition at a time holds a few.
+    let input = Dataset::from_vec(r, spec.input_partitions);
+    let budgeted = one_thread().with_memory_budget(1);
+    let (out, peak) = heap::peak_during(|| self_join(&budgeted, &spec, input).expect("join runs"));
+    let shuffled = out.metrics.shuffle.total_bytes();
+    assert!(
+        2 * (peak as u64) < shuffled,
+        "self-join heap peak {peak} B spilled vs {shuffled} B shuffled"
+    );
 }

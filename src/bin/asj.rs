@@ -17,8 +17,8 @@ use adaptive_spatial_join::engine::{
 };
 use adaptive_spatial_join::geom::Rect;
 use adaptive_spatial_join::join::{
-    knn_join, self_join, Algorithm, JoinError, JoinOutput, JoinSpec, Pairs, PartitionedPoints,
-    Record,
+    knn_join, self_join, Algorithm, JoinError, JoinOutput, JoinSpec, NoPayload, Pairs,
+    PartitionedPoints, Record,
 };
 use adaptive_spatial_join::prelude::*;
 use adaptive_spatial_join::serve::{
@@ -282,23 +282,24 @@ fn cmd_generate(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Reads `path` straight into the input partitions a join runs on.
-fn load_records(path: &str) -> Result<Dataset<Record>, CliError> {
+/// Reads `path` straight into the input partitions a join runs on: a CSV
+/// row is an id and a point, so its record carries no payload.
+fn load_records(path: &str) -> Result<Dataset<Record<NoPayload>>, CliError> {
     read_points_csv_partitions(
         std::path::Path::new(path),
         JoinSpec::INPUT_PARTITIONS,
-        Record::new,
+        Record::bare,
     )
     .map(Dataset::from_partitions)
     .map_err(|e| CliError::runtime(format!("reading {path}: {e}")))
 }
 
 /// Every record of `input`, partition by partition.
-fn records(input: &Dataset<Record>) -> impl Iterator<Item = &Record> {
+fn records(input: &Dataset<Record<NoPayload>>) -> impl Iterator<Item = &Record<NoPayload>> {
     input.partitions().iter().flatten()
 }
 
-fn bbox_of<'a>(records: impl Iterator<Item = &'a Record>) -> Rect {
+fn bbox_of<'a>(records: impl Iterator<Item = &'a Record<NoPayload>>) -> Rect {
     let mut bbox = Rect::empty();
     for rec in records {
         bbox.extend(rec.point);
