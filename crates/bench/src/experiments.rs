@@ -556,14 +556,15 @@ pub fn table7(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
 // ---------------------------------------------------------------------------
 
 /// Ablation A1: the distributed join under every fixed partition-local
-/// kernel and under `Auto` (the calibrated cost model picking per cell
+/// kernel and under `Auto` (the committed cost model picking per cell
 /// group), on a uniform and a skewed workload. Results are identical across
 /// kernels; candidates and join times differ, and `Auto` must track the best
 /// fixed kernel's simulated time on both workloads. The tolerance (5%
 /// relative plus 2 ms absolute) covers measurement noise in the wall-clock
 /// makespans: the kernels' construction phases are identical, and `Auto`
-/// resolves each cell group to whatever fixed kernel the calibrated model
-/// scores cheapest, so any genuine regression shows up well beyond it.
+/// resolves each cell group to whatever fixed kernel the model scores
+/// cheapest, so constants that no longer choose well on the host running it
+/// show up well beyond it.
 pub fn ablation_kernels(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
     use asj_data::{DatasetSpec, GenKind};
     use asj_join::{to_records, LocalKernel};
@@ -615,19 +616,17 @@ pub fn ablation_kernels(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
                 None => results = Some(res.results),
                 Some(n) => assert_eq!(n, res.results, "{workload}: kernels must agree"),
             }
-            // Auto's picks follow a cost model calibrated by timing, so its
-            // candidate count is a measurement.
-            let candidates = if kernel == LocalKernel::Auto {
+            // Auto's picks are a function of the committed cost model's
+            // constants and the cell groups, so its candidates are exact too.
+            if kernel == LocalKernel::Auto {
                 auto_time = res.sim_time;
-                Cell::varying(res.candidates)
             } else {
                 best_fixed = best_fixed.min(res.sim_time);
-                Cell::Count(res.candidates)
-            };
+            }
             table.row(vec![
                 Cell::label(workload),
                 Cell::label(name),
-                candidates,
+                Cell::Count(res.candidates),
                 Cell::Count(res.results),
                 Cell::secs(res.join_time),
                 Cell::secs(res.sim_time),

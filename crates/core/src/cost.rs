@@ -3,7 +3,7 @@ use asj_geom::Point;
 use asj_grid::CellCoord;
 
 /// Partition-local join kernel requested by a join spec (ablation A1 in
-/// DESIGN.md). `Auto` — the default — defers the choice to a calibrated
+/// DESIGN.md). `Auto` — the default — defers the choice to the committed
 /// [`KernelCostModel`] *per cell group*, following the runtime
 /// join-location-selection argument of Chandra & Sudarshan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -19,7 +19,7 @@ pub enum LocalKernel {
     /// leaves).
     GridBucket,
     /// Pick the cheapest of the three per cell group from
-    /// `(|R_i|, |S_i|, ε, group extent)` via the calibrated cost model.
+    /// `(|R_i|, |S_i|, ε, group extent)` via the committed cost model.
     #[default]
     Auto,
 }
@@ -59,8 +59,7 @@ pub enum KernelKind {
     GridBucket,
 }
 
-/// Calibrated per-operation costs of the three local kernels, in arbitrary
-/// but mutually comparable units (nanoseconds when measured).
+/// Per-operation costs of the three local kernels, in nanoseconds.
 ///
 /// The model predicts the time of joining one cell group of `r × s` points
 /// whose union spans `extent_w × extent_h`:
@@ -78,11 +77,9 @@ pub enum KernelKind {
 /// the ε-window test or not — at the window lengths the kernel produces, and
 /// every `*_point` constant prices finding one probe's windows.
 ///
-/// Constants default to hand-tuned ratios and are replaced at cluster
-/// startup by a one-shot microbenchmark (`asj_index::kernels::
-/// calibrate_cost_model`) that times the columnar view kernels — the loops
-/// every join executes — in counting mode on presorted lanes, cached on the
-/// `Cluster`.
+/// [`KernelCostModel::default`] is the one set of constants: `Auto`'s picks
+/// and LPT's cell weights are a pure function of `(r, s, ε, extent)`, with
+/// no measurement at startup.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelCostModel {
     /// Cost of one pair of `nested_loop_view`: one filter lane, the window
@@ -106,16 +103,21 @@ pub struct KernelCostModel {
 }
 
 impl Default for KernelCostModel {
+    /// Nanoseconds measured on a 2-vCPU Intel Xeon (Linux, rustc 1.95,
+    /// release profile) at commit `9080787`: the per-field medians of 15
+    /// processes of that commit's startup microbenchmark, which timed the
+    /// three view kernels in counting mode on two presorted 512-point
+    /// uniform lane sets of the unit square (best of 3 runs each) — at
+    /// ε = 10⁻⁹, where no pair survives the window, for the `*_point`
+    /// constants, and at ε = 0.05 for the `*_pair` ones. Rounded to four
+    /// decimals.
     fn default() -> Self {
-        // Uncalibrated fallback: ratios chosen so that nested loop wins tiny
-        // or fully-within-ε groups, plane sweep mid-sized cells, and the
-        // bucket grid groups whose extent dwarfs ε.
         KernelCostModel {
-            nl_pair: 1.0,
-            ps_point: 8.0,
-            ps_pair: 1.4,
-            bucket_point: 12.0,
-            bucket_pair: 1.2,
+            nl_pair: 0.7287,
+            ps_point: 3.0977,
+            ps_pair: 0.9024,
+            bucket_point: 96.3604,
+            bucket_pair: 21.5498,
         }
     }
 }
@@ -340,13 +342,20 @@ mod tests {
         // Mid-sized cell (~2 eps): the prefiltering kernels take over.
         let mid = m.choose(50, 50, 1.0, 2.0, 2.0);
         assert_ne!(mid, KernelKind::NestedLoop);
-        // Extent much larger than eps with many points: bucket grid wins
-        // (it prunes in both axes, the sweep only in x).
+        // Extent of 200 eps in both axes with 100 K points a side: bucket
+        // grid wins (it prunes in both axes, the sweep only in x; its sort
+        // and column lookups amortize over the pairs it does not scan).
         assert_eq!(
-            m.choose(4000, 4000, 0.1, 50.0, 50.0),
+            m.choose(100_000, 100_000, 0.1, 20.0, 20.0),
             KernelKind::GridBucket
         );
-        // Same huge extent, few points: sweep's cheaper setup wins.
+        // A tenth of the points on the same extent: the sweep's cheaper
+        // per-point setup wins again.
+        assert_eq!(
+            m.choose(10_000, 10_000, 0.1, 20.0, 20.0),
+            KernelKind::PlaneSweep
+        );
+        // Huge extent, few points: sweep's cheaper setup wins.
         assert_eq!(m.choose(8, 8, 0.1, 50.0, 50.0), KernelKind::PlaneSweep);
     }
 

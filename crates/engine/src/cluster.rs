@@ -13,7 +13,7 @@ use asj_obs::{Attrs, Lane, Recorder};
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Shape of the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,10 +141,6 @@ pub struct Cluster {
     /// state (blacklist, fired losses). `None` — the default — runs every
     /// stage single-attempt and fail-stop.
     faults: Option<Arc<FaultContext>>,
-    /// Calibrated local-kernel cost constants, filled lazily by the first
-    /// join that needs them (see [`Cluster::kernel_cost_model`]) and shared
-    /// by every clone of this cluster handle.
-    cost_model: Arc<OnceLock<KernelCostModel>>,
     /// Per-node memory accountant (always present; meter-only when the
     /// config carries no budget), shared by every clone of this handle.
     memory: Arc<MemoryAccountant>,
@@ -169,7 +165,6 @@ impl Cluster {
         Cluster {
             recorder: Recorder::noop(),
             faults: None,
-            cost_model: Arc::new(OnceLock::new()),
             memory: Arc::new(MemoryAccountant::new(config.nodes, config.memory_budget)),
             gate: None,
             checkpoint: None,
@@ -336,15 +331,13 @@ impl Cluster {
         self.config.memory_budget
     }
 
-    /// The cluster's calibrated [`KernelCostModel`], running `calibrate` on
-    /// first use (the one-shot startup microbenchmark) and caching the
-    /// constants for the lifetime of the cluster. Callers pass the
-    /// calibration routine so the engine stays free of kernel code.
+    /// The committed [`KernelCostModel`]; `calibrate` is never called.
+    #[deprecated(note = "frozen for benchmark/src/probe.rs")]
     pub fn kernel_cost_model(
         &self,
-        calibrate: impl FnOnce() -> KernelCostModel,
+        _calibrate: impl FnOnce() -> KernelCostModel,
     ) -> KernelCostModel {
-        *self.cost_model.get_or_init(calibrate)
+        KernelCostModel::default()
     }
 
     /// Attaches a [`Recorder`]: every stage the cluster runs emits task spans
@@ -444,19 +437,9 @@ impl Cluster {
     ///
     /// Tasks are `Clone` because the fault-tolerant executor may re-run one
     /// on another node — the analog of Spark recomputing a partition from
-    /// lineage.
-    pub fn run_stage<T, R, F>(&self, stage: &str, tasks: Vec<T>, f: F) -> StageResult<R>
-    where
-        T: Send + Sync + Clone,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.try_run_stage(stage, tasks, |idx, task| Ok(f(idx, task)))
-    }
-
-    /// [`Cluster::run_stage`] for tasks that can fail without panicking: an
-    /// attempt that returns a [`TaskError`](crate::TaskError) is billed,
-    /// retried and reported like one that panicked.
+    /// lineage. An attempt that returns a [`TaskError`](crate::TaskError) is
+    /// billed, retried and reported like one that panicked; a task that
+    /// cannot fail returns `Ok(..)`.
     pub fn try_run_stage<T, R, F>(&self, stage: &str, tasks: Vec<T>, f: F) -> StageResult<R>
     where
         T: Send + Sync + Clone,
@@ -492,7 +475,7 @@ impl Cluster {
         result
     }
 
-    /// [`Cluster::run_stage`] for stages whose per-task result is a
+    /// [`Cluster::try_run_stage`] for stages whose per-task result is a
     /// `(records, accumulator)` pair of [`Wire`] types — the shape of the
     /// partition-local join phase — and whose tasks may fail without
     /// panicking: a task that returns a [`TaskError`](crate::TaskError) is
@@ -576,7 +559,7 @@ mod tests {
     fn run_partitioned_attributes_round_robin() {
         let c = Cluster::new(ClusterConfig::with_threads(3, 2));
         let (out, stats) = c
-            .run_stage("task", vec![1u64, 2, 3, 4, 5, 6], |i, t| t + i as u64)
+            .try_run_stage("task", vec![1u64, 2, 3, 4, 5, 6], |i, t| Ok(t + i as u64))
             .expect("stage runs");
         assert_eq!(out, vec![1, 3, 5, 7, 9, 11]);
         assert_eq!(stats.per_node_busy.len(), 3);
@@ -614,9 +597,9 @@ mod tests {
     fn try_stage_reports_panics_as_job_errors() {
         let c = Cluster::new(ClusterConfig::with_threads(2, 2));
         let err = c
-            .run_stage("boom", vec![1u32, 2, 3], |_, t| {
+            .try_run_stage("boom", vec![1u32, 2, 3], |_, t| {
                 assert!(t != 2, "poison value");
-                t
+                Ok(t)
             })
             .expect_err("panicking stage must error");
         assert_eq!(err.stage, "boom");
@@ -628,7 +611,7 @@ mod tests {
         let plan = FaultPlan::none().with_fail_point("task", 0, 1);
         let c = Cluster::new(ClusterConfig::with_threads(2, 2)).with_faults(plan);
         let (out, stats) = c
-            .run_stage("task", vec![10u64, 20], |_, t| t + 1)
+            .try_run_stage("task", vec![10u64, 20], |_, t| Ok(t + 1))
             .expect("recovers");
         assert_eq!(out, vec![11, 21]);
         assert_eq!(stats.attempts, 3, "one injected failure plus two wins");
@@ -636,7 +619,7 @@ mod tests {
         // Fail points match by stage name: a differently-named stage is
         // untouched by the plan.
         let (_, stats2) = c
-            .run_stage("clean", vec![1u64], |_, t| t)
+            .try_run_stage("clean", vec![1u64], |_, t| Ok(t))
             .expect("stage runs");
         assert_eq!(stats2.retries, 0);
     }
@@ -653,9 +636,10 @@ mod tests {
         let ctx = c.fault_context().expect("context attached");
         let never = ctx.stages_never_run();
         assert_eq!(never, BTreeSet::from(["empty", "ghost", "task"]));
-        c.run_stage("task", vec![1u64], |_, t| t).expect("recovers");
+        c.try_run_stage("task", vec![1u64], |_, t| Ok(t))
+            .expect("recovers");
         // A stage with no tasks ran nothing either.
-        c.run_stage("empty", Vec::<u64>::new(), |_, t| t)
+        c.try_run_stage("empty", Vec::<u64>::new(), |_, t| Ok(t))
             .expect("empty stage");
         let never = ctx.stages_never_run();
         assert_eq!(never, BTreeSet::from(["empty", "ghost"]));
@@ -668,11 +652,11 @@ mod tests {
             .with_retry_policy(RetryPolicy::default());
         let flaky = AtomicUsize::new(0);
         let (out, stats) = c
-            .run_stage("task", vec![5u32], |_, t| {
+            .try_run_stage("task", vec![5u32], |_, t| {
                 if flaky.fetch_add(1, Ordering::Relaxed) == 0 {
                     panic!("transient");
                 }
-                t
+                Ok(t)
             })
             .expect("retried");
         assert_eq!(out, vec![5]);
@@ -755,7 +739,7 @@ mod tests {
         let c = Cluster::new(ClusterConfig::with_threads(2, 2)).with_recorder(r.clone());
         assert!(c.recorder().is_enabled());
         let (out, stats) = c
-            .run_stage("double", vec![1u64, 2, 3, 4], |_, t| t * 2)
+            .try_run_stage("double", vec![1u64, 2, 3, 4], |_, t| Ok(t * 2))
             .expect("stage runs");
         assert_eq!(out, vec![2, 4, 6, 8]);
         let trace = r.snapshot();

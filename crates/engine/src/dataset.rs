@@ -108,12 +108,13 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     ) -> Result<(Vec<T>, ExecStats), JobError> {
         assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
         let refs: Vec<&Vec<T>> = self.parts.iter().collect();
-        let (sampled, stats) = cluster.run_stage("sample", refs, |idx, part| {
+        let (sampled, stats) = cluster.try_run_stage("sample", refs, |idx, part| {
             let mut rng = SmallRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0xA24B_AED4));
-            part.iter()
+            Ok(part
+                .iter()
                 .filter(|_| rng.gen_bool(fraction))
                 .cloned()
-                .collect::<Vec<T>>()
+                .collect::<Vec<T>>())
         })?;
         Ok((sampled.into_iter().flatten().collect(), stats))
     }

@@ -73,7 +73,7 @@ impl From<crate::wire::WireError> for TaskError {
 
 /// A job (stage) failed: some task exhausted every permitted attempt.
 ///
-/// Returned by every stage-running API ([`Cluster::run_stage`](crate::Cluster::run_stage)
+/// Returned by every stage-running API ([`Cluster::try_run_stage`](crate::Cluster::try_run_stage)
 /// and the dataset operators built on it); callers thread it with `?` up to
 /// the job's entry point. The driver never unwinds on a failed stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -467,7 +467,7 @@ pub struct FaultState {
     failures: Vec<AtomicU64>,
     lost: Vec<AtomicBool>,
     blacklisted: Vec<AtomicBool>,
-    /// Stages that ran at least one task (recorded by `Cluster::run_stage`).
+    /// Stages that ran at least one task (recorded by `Cluster::try_run_stage`).
     pub(crate) stages_run: Mutex<BTreeSet<String>>,
 }
 

@@ -317,7 +317,7 @@ pub(crate) struct JobGate {
 
 impl JobGate {
     /// Parks the calling job thread until the scheduler grants it a quantum.
-    /// Called by [`Cluster::run_stage`] before dispatching, and by
+    /// Called by [`Cluster::try_run_stage`] before dispatching, and by
     /// the server once before the body starts (so pre-stage driver work is
     /// gated too).
     pub(crate) fn pause(&self) {
@@ -1051,8 +1051,9 @@ mod tests {
         move |c: &Cluster| {
             let mut acc = tag;
             for s in 0..stages {
-                let (out, _) =
-                    c.run_stage("work", vec![1u64, 2, 3, 4], |i, t| t * (i as u64 + 1) + acc)?;
+                let (out, _) = c.try_run_stage("work", vec![1u64, 2, 3, 4], |i, t| {
+                    Ok(t * (i as u64 + 1) + acc)
+                })?;
                 acc = out.iter().sum::<u64>() + s as u64;
             }
             Ok(acc)

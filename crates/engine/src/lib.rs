@@ -5,7 +5,7 @@
 //! execution time. This crate reproduces the execution semantics those
 //! metrics depend on without requiring a cluster:
 //!
-//! * [`Cluster::run_stage`] — the one executor entry point: one task per
+//! * [`Cluster::try_run_stage`] — the one executor entry point: one task per
 //!   partition, bound round-robin to simulated nodes, returning a
 //!   [`JobError`] when a task exhausts its attempts.
 //! * [`Dataset`] / [`KeyedDataset`] — partitioned collections with the

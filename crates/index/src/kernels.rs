@@ -22,8 +22,8 @@
 //!
 //! [`local_join_view`] is the entry point of the columnar pipeline: it
 //! resolves a requested [`LocalKernel`] (including `Auto`, which consults the
-//! calibrated [`KernelCostModel`] per group using the *measured* group
-//! extent) and runs the chosen kernel over [`PointsView`] lanes.
+//! committed [`KernelCostModel`] constants per group using the *measured*
+//! group extent) and runs the chosen kernel over [`PointsView`] lanes.
 //! [`local_self_join`] is its one-sided twin over the same lanes, and
 //! [`local_join_rects`] is the envelope (extent) variant.
 //!
@@ -38,8 +38,6 @@ use crate::batch::PointsView;
 use asj_core::{KernelCostModel, KernelKind, LocalKernel};
 use asj_geom::Rect;
 use std::ops::Range;
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Result-pair statistics of one kernel invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -504,102 +502,10 @@ pub fn local_join_rects<A, B>(
     LocalJoinOutcome { kind, stats }
 }
 
-// ---------------------------------------------------------------------------
-// Calibration
-// ---------------------------------------------------------------------------
-
-/// One-shot microbenchmark deriving the [`KernelCostModel`] constants from
-/// this machine, memoized process-wide so every `Cluster` in a process (and
-/// hence every traced/untraced or repeated run) resolves `Auto` with the
-/// same constants. Runs in a few milliseconds on first use.
+/// The committed [`KernelCostModel`]; there is no calibration to run.
+#[deprecated(note = "frozen for benchmark/src/probe.rs")]
 pub fn calibrate_cost_model() -> KernelCostModel {
-    static CALIBRATION: OnceLock<KernelCostModel> = OnceLock::new();
-    *CALIBRATION.get_or_init(measure_cost_model)
-}
-
-/// SplitMix64: tiny deterministic generator for the calibration points.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// `n` uniform points of the unit square as ascending-`x` `(xs, ys)` lanes —
-/// the shape a [`PointBatch`](crate::PointBatch) group hands the kernels.
-fn synth_lanes(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
-    let mut state = seed;
-    let mut unit = || (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-    let mut pts: Vec<(f64, f64)> = (0..n).map(|_| (unit(), unit())).collect();
-    pts.sort_unstable_by(|p, q| p.0.total_cmp(&q.0));
-    pts.into_iter().unzip()
-}
-
-/// Best-of-3 wall time of one kernel run in nanoseconds.
-fn best_time_ns(mut run: impl FnMut() -> KernelStats) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        std::hint::black_box(run());
-        best = best.min(t.elapsed().as_nanos() as f64);
-    }
-    best
-}
-
-/// Times the view kernels — the loops every ε-grid/LPiB run executes — on
-/// presorted lanes, so each constant prices the code `Auto` chooses between.
-fn measure_cost_model() -> KernelCostModel {
-    let n = 512usize;
-    let (a, b) = (synth_lanes(n, 0xA11C_E5ED), synth_lanes(n, 0xB0B5_EED5));
-    let (a, b) = (PointsView::new(&a.0, &a.1), PointsView::new(&b.0, &b.1));
-    // The counting mode of the pipeline: no pair is materialised.
-    let sink = |_: usize, _: usize| {};
-    let pairs = (n * n) as f64;
-    let points = (2 * n) as f64;
-    // ε chosen so the window prunes hard (fx = 2ε = 0.1 of the unit square):
-    // the pair terms then dominate measurably over the setup terms.
-    let eps = 0.05;
-    // ε so small that no pair survives the window: isolates per-point setup.
-    let eps0 = 1e-9;
-
-    let defaults = KernelCostModel::default();
-    let clamp = |v: f64, fallback: f64| {
-        if v.is_finite() && v > 0.0 {
-            v.clamp(1e-3, 1e4)
-        } else {
-            fallback
-        }
-    };
-
-    let t_nl = best_time_ns(|| nested_loop_view(a, b, eps, sink));
-    let nl_pair = clamp(t_nl / pairs, defaults.nl_pair);
-
-    let t_ps0 = best_time_ns(|| sweep_view(a, b, eps0, sink));
-    let ps_point = clamp(t_ps0 / points, defaults.ps_point);
-    let t_ps = best_time_ns(|| sweep_view(a, b, eps, sink));
-    // The sweep scans the ~2ε·n² pairs inside the x-windows of the unit square.
-    let ps_pair = clamp(
-        (t_ps - points * ps_point) / (pairs * 2.0 * eps),
-        defaults.ps_pair,
-    );
-
-    let t_b0 = best_time_ns(|| bucket_probe_view(a, b, eps0, sink));
-    let bucket_point = clamp(t_b0 / points, defaults.bucket_point);
-    let t_b = best_time_ns(|| bucket_probe_view(a, b, eps, sink));
-    // Each probe scans a 3ε × 3ε neighborhood: ~(3ε)²·n² pairs.
-    let bucket_pair = clamp(
-        (t_b - points * bucket_point) / (pairs * 9.0 * eps * eps),
-        defaults.bucket_pair,
-    );
-
-    KernelCostModel {
-        nl_pair,
-        ps_point,
-        ps_pair,
-        bucket_point,
-        bucket_pair,
-    }
+    KernelCostModel::default()
 }
 
 #[cfg(test)]
@@ -903,21 +809,5 @@ mod tests {
         assert!(o_ps.stats.candidates < o_nl.stats.candidates);
         assert_eq!(o_nl.stats.results, o_ps.stats.results);
         assert_ne!(o_auto.kind, KernelKind::NestedLoop);
-    }
-
-    #[test]
-    fn calibration_is_memoized_and_sane() {
-        let m1 = calibrate_cost_model();
-        let m2 = calibrate_cost_model();
-        assert_eq!(m1, m2, "process-wide calibration must be stable");
-        for c in [
-            m1.nl_pair,
-            m1.ps_point,
-            m1.ps_pair,
-            m1.bucket_point,
-            m1.bucket_pair,
-        ] {
-            assert!(c.is_finite() && c > 0.0);
-        }
     }
 }

@@ -21,9 +21,8 @@
 //!   over envelopes): the paper's nested-loop semantics (§6.1), a
 //!   plane-sweep kernel and an ε-bucket grid kernel — all three one
 //!   branch-free chunked ε-filter behind different window finders — plus
-//!   `Auto` resolution, a per-cell-group pick driven by a cost model whose
-//!   constants a one-shot microbenchmark calibrates at first use
-//!   ([`kernels::calibrate_cost_model`]).
+//!   `Auto` resolution, a per-cell-group pick driven by the committed
+//!   constants of [`asj_core::KernelCostModel`].
 
 pub mod batch;
 pub mod kernels;

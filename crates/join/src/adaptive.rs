@@ -1,12 +1,13 @@
 use crate::pipeline::{join_points, run_plan, JoinPlan};
 use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record, RecordPayload};
-use asj_core::{cell_costs, AgreementGraph, AgreementPolicy, GridSample, SetLabel};
+use asj_core::{
+    cell_costs, AgreementGraph, AgreementPolicy, GridSample, KernelCostModel, SetLabel,
+};
 use asj_engine::{
     Cluster, ExecStats, ExplicitPartitioner, HashPartitioner, Partitioner, Placement,
 };
 use asj_geom::Point;
 use asj_grid::{CellCoord, Grid, GridSpec};
-use asj_index::kernels;
 
 /// Smallest grid factor the agreement construction supports: cell sides must
 /// exceed `2ε` so a record's neighborhood spans at most the 3×3 block that
@@ -102,11 +103,11 @@ pub(crate) fn agreement_join<P: RecordPayload>(
                         sample_r.iter().map(|rec| &rec.point),
                         sample_s.iter().map(|rec| &rec.point),
                     );
-                    // Cell weight = the calibrated cost model's prediction for
-                    // the kernel that will actually run the cell (replicas can
-                    // reach up to eps beyond the cell rectangle on each side),
-                    // instead of the raw worst-case r*s product.
-                    let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
+                    // Cell weight = the cost model's prediction for the kernel
+                    // that will actually run the cell (replicas can reach up
+                    // to eps beyond the cell rectangle on each side), instead
+                    // of the raw worst-case r*s product.
+                    let model = KernelCostModel::default();
                     let (cell_w, cell_h) = grid.cell_side();
                     let (ext_w, ext_h) = (cell_w + 2.0 * spec.eps, cell_h + 2.0 * spec.eps);
                     let weighted: Vec<(u64, u64)> = costs
@@ -150,7 +151,7 @@ pub(crate) fn agreement_join<P: RecordPayload>(
         assign_r: &assign_r,
         assign_s: &assign_s,
         partitioner: &*partitioner,
-        local_join: &join_points(cluster, spec, None),
+        local_join: &join_points(spec, None),
         broadcast_bytes,
         driver,
         sampling,

@@ -50,14 +50,14 @@ pub fn adaptive_join_dedup<P: RecordPayload>(
             pair_data.shuffle_stage(cluster, &partitioner, "dedup")?;
         out.metrics.shuffle.merge(&dedup_shuffle);
         out.metrics.join.accumulate(&ex);
-        let (deduped_parts, ex) = cluster.run_stage(
+        let (deduped_parts, ex) = cluster.try_run_stage(
             "dedup",
             pair_data.into_rows()?.into_partitions(),
             |_, mut part| {
                 part.sort_unstable();
                 part.dedup();
                 part.shrink_to_fit();
-                part
+                Ok(part)
             },
         )?;
         out.metrics.join.accumulate(&ex);

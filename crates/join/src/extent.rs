@@ -1,5 +1,6 @@
 use crate::pipeline::{for_each_cogroup, run_plan, Blocks, JoinPlan, KernelTally};
 use crate::{JoinError, JoinOutput, JoinSpec};
+use asj_core::KernelCostModel;
 use asj_engine::{ensure_remaining, Cluster, Dataset, ExecStats, HashPartitioner, Wire, WireError};
 use asj_geom::{Point, Polygon, Polyline, Shape};
 use asj_grid::{CellCoord, Grid, GridSpec};
@@ -123,7 +124,7 @@ pub fn extent_join(
             cells.extend(scratch.iter().map(|&c| grid.cell_index(c) as u64));
         }
     };
-    let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
+    let model = KernelCostModel::default();
     let e2 = eps * eps;
     // The envelope kernel enumerates candidate pairs (all of them under a
     // nested loop, only overlap-surviving ones under the sweep); the callback

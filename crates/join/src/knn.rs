@@ -132,7 +132,7 @@ fn knn_join_probe<P: RecordPayload>(
             .iter()
             .zip(s_cells.partitions())
             .collect();
-        let (cand_parts, ex) = cluster.run_stage("task", tasks, |_, (qs, ss)| {
+        let (cand_parts, ex) = cluster.try_run_stage("task", tasks, |_, (qs, ss)| {
             let mut out: Vec<(u64, Vec<(f64, u64)>)> = Vec::new();
             for_each_cogroup(&[qs], &[ss], |_, queries, points| {
                 for q in queries {
@@ -145,7 +145,7 @@ fn knn_join_probe<P: RecordPayload>(
                     out.push((q.id, cands));
                 }
             });
-            out
+            Ok(out)
         })?;
         exec.accumulate(&ex);
 

@@ -80,7 +80,7 @@ fn grid_baseline_join<P: RecordPayload>(
         assign_r,
         assign_s,
         partitioner: &HashPartitioner::new(spec.num_partitions),
-        local_join: &join_points(cluster, spec, None),
+        local_join: &join_points(spec, None),
         broadcast_bytes,
         driver: Duration::ZERO,
         sampling: ExecStats::default(),

@@ -1,5 +1,5 @@
 use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record, RecordPayload};
-use asj_core::{AgreementPolicy, KernelKind};
+use asj_core::{AgreementPolicy, KernelCostModel, KernelKind};
 use asj_engine::{
     ensure_remaining, Broadcast, Cluster, Dataset, ExecStats, JobMetrics, Partitioner,
     ShuffleStats, ShuffledDataset, StageResult, Wire, WireError,
@@ -296,12 +296,11 @@ where
 /// per common cell, streaming contiguous memory instead of re-extracting
 /// positions per group.
 pub(crate) fn join_points<'a, P: RecordPayload>(
-    cluster: &Cluster,
     spec: &JoinSpec,
     keep: Option<&'a PairFilter<'a>>,
 ) -> Box<LocalJoin<'a, Record<P>>> {
     let (eps, collect, kernel) = (spec.eps, spec.collect_pairs, spec.kernel);
-    let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
+    let model = KernelCostModel::default();
     Box::new(move |rs, ss| {
         let pos = |r: &Record<P>| r.point;
         let rid = |r: &Record<P>| r.id;
@@ -661,7 +660,7 @@ mod tests {
         // Pairs, results and candidates over all partitions, plus records
         // shuffled.
         let run = |spec: &JoinSpec| {
-            let body = join_points(&c, spec, None);
+            let body = join_points(spec, None);
             let out = join_stage(&c, side(&r), side(&s), &hash, body).expect("join runs");
             let (pairs, tallies): (Vec<_>, Vec<_>) = out.parts.into_iter().unzip();
             let sum = |f: fn(&KernelTally) -> u64| tallies.iter().map(f).sum::<u64>();
@@ -716,7 +715,7 @@ mod tests {
                 .open(segment.path())
                 .expect("open");
             file.set_len(segment.total_bytes() / 2).expect("truncate");
-            let body = join_points(&c, &spec, None);
+            let body = join_points(&spec, None);
             let err = cogroup_join(&c, keyed_r, keyed_s, body).expect_err("a short read fails");
             assert_eq!(err.stage, "cogroup_join");
             assert_eq!(err.attempts, retry.map_or(1, |p| p.max_attempts));

@@ -91,12 +91,12 @@ impl<P: RecordPayload> PartitionedPoints<P> {
     ) -> Result<(Vec<u64>, ExecStats), JoinError> {
         let grid = &self.grid;
         let refs: Vec<&Vec<(u64, Record<P>)>> = self.parts.iter().collect();
-        let (found, exec) = cluster.run_stage("task", refs, |_, part| {
+        let (found, exec) = cluster.try_run_stage("task", refs, |_, part| {
             let cell_of = |cell: u64| grid.cell_rect(grid.cell_at(cell as usize));
             let rows = part
                 .iter()
                 .filter(|(cell, rec)| cell_hit(cell_of(*cell)) && hit(rec.point));
-            rows.map(|(_, rec)| rec.id).collect::<Vec<u64>>()
+            Ok(rows.map(|(_, rec)| rec.id).collect::<Vec<u64>>())
         })?;
         let mut out: Vec<u64> = found.into_iter().flatten().collect();
         out.sort_unstable();

@@ -33,7 +33,7 @@ pub fn pbsm_refpoint_join<P: RecordPayload>(
         assign_r: &assign,
         assign_s: &assign,
         partitioner: &HashPartitioner::new(spec.num_partitions),
-        local_join: &join_points(cluster, spec, Some(&keep)),
+        local_join: &join_points(spec, Some(&keep)),
         broadcast_bytes,
         driver: Duration::ZERO,
         sampling: ExecStats::default(),

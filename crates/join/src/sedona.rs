@@ -84,7 +84,7 @@ pub fn sedona_like_join<P: RecordPayload>(
         partitioner: &LeafPartitioner {
             leaves: qt_b.num_leaves(),
         },
-        local_join: &join_points(cluster, spec, None),
+        local_join: &join_points(spec, None),
         broadcast_bytes,
         driver,
         sampling,

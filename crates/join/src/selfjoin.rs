@@ -1,5 +1,6 @@
 use crate::pipeline::{cells_within_eps, expansion, midpoint_in_cell, point_at, shuffle_keyed};
 use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record, RecordPayload};
+use asj_core::KernelCostModel;
 use asj_engine::{Cluster, HashPartitioner, JobMetrics};
 use asj_grid::{Grid, GridSpec};
 use asj_index::{kernels, PointBatch};
@@ -34,7 +35,7 @@ pub fn self_join<P: RecordPayload>(
     let eps = spec.eps;
     let collect = spec.collect_pairs;
     let kernel = spec.kernel;
-    let model = cluster.kernel_cost_model(kernels::calibrate_cost_model);
+    let model = KernelCostModel::default();
     // Each task fetches its shuffled partition in place — in-memory blocks
     // borrowed, spilled ones read and decoded by the task, an unreadable one
     // failing the attempt — turns it into one columnar batch — cell groups

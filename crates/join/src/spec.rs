@@ -3,7 +3,7 @@ use asj_engine::{Dataset, JobError, JobMetrics, Placement};
 use asj_geom::Rect;
 
 /// Partition-local join kernel (ablation A1 in DESIGN.md). Re-exported from
-/// `asj-core`, where the calibrated [`asj_core::KernelCostModel`] resolves
+/// `asj-core`, where the committed [`asj_core::KernelCostModel`] resolves
 /// the default `Auto` per cell group.
 pub use asj_core::LocalKernel;
 
@@ -33,7 +33,7 @@ pub struct JoinSpec {
     /// large runs where only counts and metrics matter.
     pub collect_pairs: bool,
     /// Partition-local join kernel (default [`LocalKernel::Auto`]: the
-    /// calibrated cost model picks per cell group).
+    /// committed cost model picks per cell group).
     pub kernel: LocalKernel,
 }
 

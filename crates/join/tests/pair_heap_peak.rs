@@ -15,8 +15,6 @@ use rand::{Rng, SeedableRng};
 
 #[test]
 fn collected_pairs_are_not_gathered_next_to_the_partitions() {
-    // Calibrated once per process: warm it so the join does not pay for it.
-    asj_index::kernels::calibrate_cost_model();
     let spec = JoinSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), 0.5).with_partitions(32);
     let mut rng = StdRng::seed_from_u64(29);
     let mut input = |n: usize| {

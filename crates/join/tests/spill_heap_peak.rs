@@ -41,8 +41,6 @@ fn heap_peak(cluster: &Cluster, spec: &JoinSpec, r: &[Record], s: &[Record]) -> 
 
 #[test]
 fn spilling_every_target_keeps_the_shuffled_rows_off_the_heap() {
-    // Calibrated once per process: warm it so neither run pays for it.
-    asj_index::kernels::calibrate_cost_model();
     let spec = JoinSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), 0.2)
         .with_partitions(32)
         .counting_only();

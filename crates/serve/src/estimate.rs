@@ -13,9 +13,10 @@ const SAMPLE_POINTS: usize = 2048;
 /// one estimate regardless of how fine the tenant's join grid is.
 const MAX_GRID_AXIS: usize = 256;
 
-/// Calibrated constants of the working-set estimator used for admission
-/// control, mirroring how `asj_core::KernelCostModel` carries hand-tuned
-/// defaults that a one-shot measurement replaces at startup.
+/// Constants of the working-set estimator used for admission control. Like
+/// `asj_core::KernelCostModel` they are committed; only `record_bytes` is
+/// replaced per tenant, by a byte count of the tenant's own sampled records
+/// ([`WorkingSetModel::calibrated`]) — a count, never a timing.
 ///
 /// The per-node working-set estimate of a tenant is
 ///
@@ -58,8 +59,7 @@ impl Default for WorkingSetModel {
 
 impl WorkingSetModel {
     /// Replaces the default per-record size with the mean wire-encoded size
-    /// of `sample` — the estimator analog of the kernel cost model's startup
-    /// microbenchmark. An empty sample keeps the default.
+    /// of `sample`. An empty sample keeps the default.
     pub fn calibrated(sample: &[Record]) -> Self {
         let mut model = WorkingSetModel::default();
         if !sample.is_empty() {

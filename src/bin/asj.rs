@@ -131,7 +131,7 @@ ALGO: lpib (default) | diff | uni-r | uni-s | eps-grid | sedona |
       recovery-stress shape and is excluded from the figure sweeps.
 K:    auto (default) | nested-loop | plane-sweep | grid-bucket — the
       partition-local join kernel; auto picks per cell group from the
-      calibrated cost model.
+      committed cost model.
 --trace records a dual-clock execution trace; the chrome format opens in
 Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 --faults injects deterministic failures, e.g. 'chaos' or

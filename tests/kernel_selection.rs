@@ -174,3 +174,49 @@ fn extent_join_honors_the_kernel_flag() {
         extent_join(&c, &spec().with_kernel(LocalKernel::PlaneSweep), a, b).expect("join runs");
     assert_kernel_is_honored("extent", &nl, &ps);
 }
+
+/// Two thirds of the points in a 1.5 × 1.5 hotspot, the rest spread over the
+/// whole 20 × 20 box: cell groups from a handful of points to hundreds.
+fn skewed_records(n: usize, seed: u64) -> Vec<Record> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pts: Vec<Point> = (0..n)
+        .map(|i| {
+            if i % 3 == 0 {
+                Point::new(rng.gen_range(0.0..20.0), rng.gen_range(0.0..20.0))
+            } else {
+                Point::new(rng.gen_range(6.0..7.5), rng.gen_range(11.0..12.5))
+            }
+        })
+        .collect();
+    to_records(&pts, 0)
+}
+
+/// `Auto`'s picks are a pure function of the committed `KernelCostModel`
+/// constants and the cell groups `(r, s, ε, extent)`, so on a fixed input its
+/// candidate count and its per-kernel picks are exact — on every run, host
+/// and thread count. A change to these literals is a change to the constants
+/// or to the cost formulas, and must say which.
+#[test]
+fn auto_picks_on_a_fixed_skewed_input_are_pinned() {
+    let recorder = Recorder::for_nodes(4);
+    let c = Cluster::new(ClusterConfig::with_threads(4, 2)).with_recorder(recorder.clone());
+    let out = Algorithm::Lpib
+        .try_run(
+            &c,
+            &JoinSpec::new(Rect::new(0.0, 0.0, 20.0, 20.0), 0.3)
+                .with_partitions(12)
+                .with_sample_fraction(0.4),
+            skewed_records(1500, 71),
+            skewed_records(1500, 72),
+        )
+        .expect("join runs");
+    let picks = |name| recorder.counter_value("local_join", name).unwrap_or(0);
+    let got = (
+        out.candidates,
+        out.result_count,
+        picks("kernel_auto_nl"),
+        picks("kernel_auto_ps"),
+        picks("kernel_auto_bucket"),
+    );
+    assert_eq!(got, (132_472, 107_021, 326, 44, 0));
+}
