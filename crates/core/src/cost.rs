@@ -111,6 +111,14 @@ impl Default for KernelCostModel {
     /// ε = 10⁻⁹, where no pair survives the window, for the `*_point`
     /// constants, and at ε = 0.05 for the `*_pair` ones. Rounded to four
     /// decimals.
+    ///
+    /// That commit's kernels were the portable instantiation of today's
+    /// (`asj_index::kernels` also runs an AVX2 build of the same source on
+    /// CPUs that have it, which scans a lane faster). The constants are
+    /// kept as they were measured: they only weigh the kernels against
+    /// each other, and re-measuring would move `Auto`'s picks — the
+    /// benchmark's `index.kernel_picks_*` and A1's counters in
+    /// `results/repro-quick.json` — for no change in what is computed.
     fn default() -> Self {
         KernelCostModel {
             nl_pair: 0.7287,

@@ -7,15 +7,15 @@
 //! `filter_window`: a branch-free ε-filter of one probe point against a
 //! contiguous run of the other side's flat `xs`/`ys` lanes.
 //!
-//! * [`nested_loop_view`] reproduces the paper's execution exactly: the local
+//! * `nested_loop_view` reproduces the paper's execution exactly: the local
 //!   hash join on the cell key produces all `r × s` candidate pairs, which
 //!   are immediately refined with the true distance (Algorithm 5, line 9).
 //!   The window is the whole other side, so the per-cell cost is
 //!   `|R_i| · |S_i|` — the cost model used by Table 1 and the LPT scheduler.
-//! * [`sweep_view`] is the classic forward-sweep alternative (used by the
+//! * `sweep_view` is the classic forward-sweep alternative (used by the
 //!   original PBSM and by \[21\]): both sides ascend in `x`, so the window of
 //!   each probe is found by two pointers that only ever move forward.
-//! * [`bucket_probe_view`] sorts one side into ε-sized buckets and probes
+//! * `bucket_probe_view` sorts one side into ε-sized buckets and probes
 //!   each point of the other side against the three bucket columns around
 //!   it — it prunes in both axes and wins when the group extent dwarfs ε
 //!   (quadtree leaves).
@@ -26,6 +26,13 @@
 //! group extent) and runs the chosen kernel over [`PointsView`] lanes.
 //! [`local_self_join`] is its one-sided twin over the same lanes, and
 //! [`local_join_rects`] is the envelope (extent) variant.
+//!
+//! The point kernels and the filter are one source with no intrinsics,
+//! compiled twice: for the portable target, and on x86-64 for AVX2.
+//! `local_join_view` and `local_self_join` run the AVX2 one when
+//! `is_x86_feature_detected!` finds it; both return the same pairs in the
+//! same order and the same counts. The call into the AVX2 instantiation is
+//! this crate's one `unsafe` block.
 //!
 //! Candidate-count semantics: the nested loop counts every `r·s` pair; the
 //! plane sweep and the bucket grid count exactly the pairs passing the
@@ -83,9 +90,10 @@ const CHUNK: usize = 64;
 /// *hit* when it is a candidate within distance ε. Both are computed as data,
 /// never branched on: the evaluation loop is straight-line arithmetic over a
 /// chunk of lanes with integer adds for the two counters, so it vectorises
-/// on any target (no `unsafe`, no `target_feature`), and the counters stay
-/// exact because each lane contributes the same 0/1 the scalar tests would.
-/// Only the emission walk looks at individual lanes, and only at hits.
+/// at whatever width the instantiation it is compiled into has (see
+/// [`Isa`]), and the counters stay exact because each lane contributes the
+/// same 0/1 the scalar tests would. Only the emission walk looks at
+/// individual lanes, and only at hits.
 ///
 /// The negated comparisons keep the scalar kernels' treatment of NaN
 /// coordinates (a NaN `Δy` is a candidate, never a hit).
@@ -161,7 +169,8 @@ fn view_extent(a: PointsView<'_>, b: PointsView<'_>) -> (f64, f64) {
 }
 
 /// All-pairs kernel: the window of every probe is the whole other side.
-pub fn nested_loop_view(
+#[inline(always)]
+fn nested_loop_view(
     a: PointsView<'_>,
     b: PointsView<'_>,
     eps: f64,
@@ -184,8 +193,9 @@ pub fn nested_loop_view(
 /// `ax - ε ≤ bx ≤ ax + ε` of each probe is then a contiguous run of `b`
 /// whose two ends only move forward as `ax` ascends, and the filter reads it
 /// sequentially — one cache line carries eight lanes.
+#[inline(always)]
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-pub fn sweep_view(
+fn sweep_view(
     a: PointsView<'_>,
     b: PointsView<'_>,
     eps: f64,
@@ -286,7 +296,8 @@ impl BucketLanes {
 /// columns around each point. The filter applies the same
 /// `|Δx| ≤ ε ∧ |Δy| ≤ ε` window as the plane sweep, so both report identical
 /// candidate counts.
-pub fn bucket_probe_view(
+#[inline(always)]
+fn bucket_probe_view(
     a: PointsView<'_>,
     b: PointsView<'_>,
     eps: f64,
@@ -309,58 +320,18 @@ pub fn bucket_probe_view(
     stats
 }
 
-fn run_kernel(
-    kind: KernelKind,
-    eps: f64,
-    a: PointsView<'_>,
-    b: PointsView<'_>,
-    on_pair: impl FnMut(usize, usize),
-) -> KernelStats {
-    match kind {
-        KernelKind::NestedLoop => nested_loop_view(a, b, eps, on_pair),
-        KernelKind::PlaneSweep => sweep_view(a, b, eps, on_pair),
-        KernelKind::GridBucket => bucket_probe_view(a, b, eps, on_pair),
-    }
-}
-
-/// Shared adaptive entry point of the columnar pipeline: resolves `requested`
-/// (consulting `model` per group for `Auto`, using the views' **measured**
-/// extent) and runs the chosen kernel. Both views must be in ascending-`x`
-/// order. `on_pair` receives view positions.
-pub fn local_join_view(
-    requested: LocalKernel,
-    model: &KernelCostModel,
-    eps: f64,
-    a: PointsView<'_>,
-    b: PointsView<'_>,
-    on_pair: impl FnMut(usize, usize),
-) -> LocalJoinOutcome {
-    let (w, h) = view_extent(a, b);
-    let kind = model.resolve(requested, a.len() as u64, b.len() as u64, eps, w, h);
-    let stats = run_kernel(kind, eps, a, b, on_pair);
-    LocalJoinOutcome { kind, stats }
-}
-
-/// Self-join variant of [`local_join_view`] over one ascending-`x` view:
-/// emits each unordered position pair at most once. Candidate semantics
-/// mirror the two-sided kernels: nested loop counts all `n(n-1)/2` pairs,
-/// sweep and bucket count window-passing pairs only.
-///
-/// `Auto` resolution reuses the two-sided model with `r = s = n`: that
-/// scales every prediction by exactly 2× relative to the true self-join
-/// work, so the argmin — and hence the choice — is unchanged.
+/// Self-join kernels over one ascending-`x` view: each unordered position
+/// pair is emitted at most once.
+#[inline(always)]
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-pub fn local_self_join(
-    requested: LocalKernel,
-    model: &KernelCostModel,
+fn self_join_view(
+    kind: KernelKind,
     eps: f64,
     v: PointsView<'_>,
     mut on_pair: impl FnMut(usize, usize),
-) -> LocalJoinOutcome {
-    let (w, h) = view_extent(v, PointsView::empty());
+) -> KernelStats {
     let n = v.len();
     let (xs, ys) = (v.xs, v.ys);
-    let kind = model.resolve(requested, n as u64, n as u64, eps, w, h);
     let mut stats = KernelStats::default();
     match kind {
         // Window of lane `i`: every later lane.
@@ -408,6 +379,149 @@ pub fn local_self_join(
             }
         }
     }
+    stats
+}
+
+// ---------------------------------------------------------------------------
+// One source, two instantiations
+// ---------------------------------------------------------------------------
+
+/// What one kernel call joins: two views, or one view with itself.
+#[derive(Clone, Copy)]
+enum Sides<'a> {
+    Two(PointsView<'a>, PointsView<'a>),
+    One(PointsView<'a>),
+}
+
+/// The sweep core: every point kernel and the filter under it. Inlined into
+/// each instantiation, so the one source is compiled once per [`Isa`].
+#[inline(always)]
+fn sweep_core<F: FnMut(usize, usize)>(
+    kind: KernelKind,
+    eps: f64,
+    sides: Sides<'_>,
+    on_pair: F,
+) -> KernelStats {
+    match (sides, kind) {
+        (Sides::Two(a, b), KernelKind::NestedLoop) => nested_loop_view(a, b, eps, on_pair),
+        (Sides::Two(a, b), KernelKind::PlaneSweep) => sweep_view(a, b, eps, on_pair),
+        (Sides::Two(a, b), KernelKind::GridBucket) => bucket_probe_view(a, b, eps, on_pair),
+        (Sides::One(v), kind) => self_join_view(kind, eps, v, on_pair),
+    }
+}
+
+/// The instruction sets [`sweep_core`] is compiled for: the portable target
+/// (what every build runs), and on x86-64 AVX2, where the filter's chunk
+/// loop runs four lanes per instruction. An AVX-512 instantiation (eight
+/// lanes) scanned a lane faster still, but did not make `asj join` any
+/// faster end to end than AVX2 did, so it is not built.
+///
+/// There is one source — no intrinsics — so the instantiations differ in
+/// speed only: both round each `Δx² + Δy²` the same way, because Rust
+/// never fuses a multiply and an add on its own and the source calls no
+/// `mul_add`. A fused multiply-add rounds once, not twice, and would move
+/// pairs at distance ε in or out of the result on the hosts that have it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    Portable,
+    Avx2,
+}
+
+impl Isa {
+    /// Whether this CPU runs the instantiation.
+    fn on_host(self) -> bool {
+        match self {
+            Isa::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx2 => false,
+        }
+    }
+
+    /// The widest instantiation this CPU runs (the detection is cached by
+    /// the standard library, so the pick is the same for the whole process).
+    fn widest() -> Isa {
+        if Isa::Avx2.on_host() {
+            Isa::Avx2
+        } else {
+            Isa::Portable
+        }
+    }
+}
+
+/// [`sweep_core`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_core_avx2<F: FnMut(usize, usize)>(
+    kind: KernelKind,
+    eps: f64,
+    sides: Sides<'_>,
+    on_pair: F,
+) -> KernelStats {
+    sweep_core(kind, eps, sides, on_pair)
+}
+
+/// Runs [`sweep_core`] compiled for `isa`.
+///
+/// # Panics
+/// Panics if this CPU does not run `isa`.
+fn run_on<F: FnMut(usize, usize)>(
+    isa: Isa,
+    kind: KernelKind,
+    eps: f64,
+    sides: Sides<'_>,
+    on_pair: F,
+) -> KernelStats {
+    let core: unsafe fn(KernelKind, f64, Sides<'_>, F) -> KernelStats = match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => sweep_core_avx2::<F>,
+        _ => sweep_core::<F>,
+    };
+    assert!(isa.on_host(), "this CPU does not run {isa:?} code");
+    // SAFETY: `core` is compiled for the target features of `isa` (or for the
+    // portable target), and the assert above found them on this CPU.
+    unsafe { core(kind, eps, sides, on_pair) }
+}
+
+/// Shared adaptive entry point of the columnar pipeline: resolves `requested`
+/// (consulting `model` per group for `Auto`, using the views' **measured**
+/// extent) and runs the chosen kernel, compiled for the widest instruction
+/// set this CPU runs. Both views must be in ascending-`x` order. `on_pair`
+/// receives view positions.
+pub fn local_join_view(
+    requested: LocalKernel,
+    model: &KernelCostModel,
+    eps: f64,
+    a: PointsView<'_>,
+    b: PointsView<'_>,
+    on_pair: impl FnMut(usize, usize),
+) -> LocalJoinOutcome {
+    let (w, h) = view_extent(a, b);
+    let kind = model.resolve(requested, a.len() as u64, b.len() as u64, eps, w, h);
+    let stats = run_on(Isa::widest(), kind, eps, Sides::Two(a, b), on_pair);
+    LocalJoinOutcome { kind, stats }
+}
+
+/// Self-join variant of [`local_join_view`] over one ascending-`x` view:
+/// emits each unordered position pair at most once. Candidate semantics
+/// mirror the two-sided kernels: nested loop counts all `n(n-1)/2` pairs,
+/// sweep and bucket count window-passing pairs only.
+///
+/// `Auto` resolution reuses the two-sided model with `r = s = n`: that
+/// scales every prediction by exactly 2× relative to the true self-join
+/// work, so the argmin — and hence the choice — is unchanged.
+pub fn local_self_join(
+    requested: LocalKernel,
+    model: &KernelCostModel,
+    eps: f64,
+    v: PointsView<'_>,
+    on_pair: impl FnMut(usize, usize),
+) -> LocalJoinOutcome {
+    let (w, h) = view_extent(v, PointsView::empty());
+    let n = v.len() as u64;
+    let kind = model.resolve(requested, n, n, eps, w, h);
+    let stats = run_on(Isa::widest(), kind, eps, Sides::One(v), on_pair);
     LocalJoinOutcome { kind, stats }
 }
 
@@ -587,6 +701,113 @@ mod tests {
         (pairs, out)
     }
 
+    const KINDS: [KernelKind; 3] = [
+        KernelKind::NestedLoop,
+        KernelKind::PlaneSweep,
+        KernelKind::GridBucket,
+    ];
+
+    /// Points around `(1, 2)` at distance 0.4 up to rounding, where a fused
+    /// multiply-add decides `Δx² + Δy² ≤ ε²` the other way: the first three
+    /// are within ε when the sum is rounded twice, the last three only when
+    /// it is rounded once.
+    const FUSED_EDGE: [(f64, f64); 6] = [
+        (1.3859327831189412, 2.105146977674436),
+        (1.339328998035404, 2.2117919523784813),
+        (1.395306745652807, 2.061094818449579),
+        (1.3934947777915485, 2.0718460844498843),
+        (1.3857954740743497, 2.105649667220242),
+        (1.399999988087343, 2.0000976223614595),
+    ];
+
+    /// `(a, b, ε)` groups on which two instantiations of the sweep core
+    /// could part: rounding at ε, pairs at exactly ε, both signs of zero, and
+    /// windows around the chunk edge with the rounding cases near its end.
+    fn edge_groups() -> Vec<(Vec<Point>, Vec<Point>, f64)> {
+        let pt = |(x, y)| Point::new(x, y);
+        let exact = [
+            (3.0, 4.0),
+            (5.0, 0.0),
+            (0.0, -5.0),
+            (-5.0, 0.0),
+            (-4.0, 3.0),
+            (5.0, 1e-9),
+        ];
+        let zeros = [
+            (-0.0, -0.0),
+            (0.0, 0.0),
+            (0.5, -0.0),
+            (-0.0, -0.5),
+            (0.5, 0.5),
+        ];
+        let mut groups = vec![
+            (vec![pt((1.0, 2.0))], FUSED_EDGE.map(pt).to_vec(), 0.4),
+            (vec![pt((0.0, 0.0))], exact.map(pt).to_vec(), 5.0),
+            (
+                vec![pt((0.0, -0.0)), pt((-0.0, 0.0))],
+                zeros.map(pt).to_vec(),
+                0.5,
+            ),
+        ];
+        for len in [63, 64, 65, 127, 128, 129] {
+            let near = |p: Point| pt((p.x + 0.6, p.y + 1.6));
+            let mut a: Vec<Point> = random_points(4, len as u64, 0.8)
+                .into_iter()
+                .map(near)
+                .collect();
+            a.push(pt((1.0, 2.0)));
+            let mut b: Vec<Point> = random_points(len - FUSED_EDGE.len(), 100 + len as u64, 0.8)
+                .into_iter()
+                .map(near)
+                .collect();
+            b.extend(FUSED_EDGE.map(pt));
+            groups.push((a, b, 0.4));
+        }
+        groups
+    }
+
+    /// The hit sequence and stats of `kind` compiled for `isa`, over `a`
+    /// and `b`, or over `a` alone.
+    fn run_lanes(
+        isa: Isa,
+        kind: KernelKind,
+        eps: f64,
+        a: &Lanes,
+        b: Option<&Lanes>,
+    ) -> (Vec<(usize, usize)>, KernelStats) {
+        let sides = b.map_or(Sides::One(a.view()), |b| Sides::Two(a.view(), b.view()));
+        let mut hits = Vec::new();
+        let stats = run_on(isa, kind, eps, sides, |i, j| hits.push((i, j)));
+        (hits, stats)
+    }
+
+    #[test]
+    fn every_instantiation_the_host_runs_matches_the_portable_one() {
+        let on_host: Vec<Isa> = [Isa::Avx2, Isa::Portable]
+            .into_iter()
+            .filter(|isa| isa.on_host())
+            .collect();
+        let mut groups = edge_groups();
+        groups.push((
+            random_points(300, 61, 9.0),
+            random_points(200, 62, 9.0),
+            0.6,
+        ));
+        for (a, b, eps) in groups {
+            let (la, lb) = (Lanes::sorted(&a), Lanes::sorted(&b));
+            let both = Lanes::sorted(&[a, b].concat());
+            for kind in KINDS {
+                for (one, other) in [(&la, Some(&lb)), (&lb, Some(&la)), (&both, None)] {
+                    let portable = run_lanes(Isa::Portable, kind, eps, one, other);
+                    for &isa in &on_host {
+                        let got = run_lanes(isa, kind, eps, one, other);
+                        assert_eq!(got, portable, "{isa:?}, {kind:?}, {} lanes", one.xs.len());
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn filter_window_is_exact_around_the_chunk_edge() {
         for len in [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200] {
@@ -685,15 +906,25 @@ mod tests {
 
     #[test]
     fn local_join_matches_brute_force_for_every_request() {
-        let a = random_points(250, 11, 8.0);
-        let b = random_points(250, 12, 8.0);
-        let eps = 0.5;
-        let (expected, _) = brute_force(&a, &b, eps);
-        for requested in REQUESTS {
-            let (pairs, out) = join(requested, &a, &b, eps);
-            assert_eq!(pairs, expected, "{requested:?}");
-            assert_eq!(out.stats.results as usize, expected.len());
-            assert!(out.stats.candidates >= out.stats.results);
+        let mut groups = edge_groups();
+        // The rounding cases are where the oracle says: three in, three out.
+        let (a, b, eps) = &groups[0];
+        assert_eq!(brute_force(a, b, *eps).0, vec![(0, 0), (0, 1), (0, 2)]);
+        groups.push((
+            random_points(250, 11, 8.0),
+            random_points(250, 12, 8.0),
+            0.5,
+        ));
+        for (a, b, eps) in groups {
+            let (expected, window) = brute_force(&a, &b, eps);
+            for requested in REQUESTS {
+                let (pairs, out) = join(requested, &a, &b, eps);
+                assert_eq!(pairs, expected, "{requested:?}");
+                assert_eq!(out.stats.results as usize, expected.len());
+                if out.kind != KernelKind::NestedLoop {
+                    assert_eq!(out.stats.candidates, window, "{requested:?}");
+                }
+            }
         }
     }
 
@@ -719,32 +950,36 @@ mod tests {
 
     #[test]
     fn self_join_kernels_agree() {
-        let pts = random_points(300, 41, 9.0);
-        let eps = 0.6;
         let model = KernelCostModel::default();
-        let (all, window) = brute_force(&pts, &pts, eps);
-        let expected: Vec<_> = all.into_iter().filter(|&(i, j)| i < j).collect();
-        assert!(!expected.is_empty());
-        // Unordered off-diagonal pairs inside the window.
-        let window = (window - 300) / 2;
-        let lanes = Lanes::sorted(&pts);
-        for requested in REQUESTS {
-            let mut pairs = Vec::new();
-            let out = local_self_join(requested, &model, eps, lanes.view(), |i, j| {
-                let (i, j) = (lanes.pos[i], lanes.pos[j]);
-                pairs.push((i.min(j), i.max(j)))
-            });
-            pairs.sort_unstable();
-            assert_eq!(pairs, expected, "{requested:?}");
-            assert_eq!(out.stats.results as usize, expected.len());
-            match out.kind {
-                KernelKind::NestedLoop => assert_eq!(out.stats.candidates, 300 * 299 / 2),
-                _ => assert_eq!(out.stats.candidates, window, "{requested:?}"),
+        let groups = edge_groups()
+            .into_iter()
+            .map(|(a, b, eps)| ([a, b].concat(), eps));
+        for (pts, eps) in groups.chain([(random_points(300, 41, 9.0), 0.6)]) {
+            let n = pts.len() as u64;
+            let (all, window) = brute_force(&pts, &pts, eps);
+            let expected: Vec<_> = all.into_iter().filter(|&(i, j)| i < j).collect();
+            assert!(!expected.is_empty());
+            // Unordered off-diagonal pairs inside the window.
+            let window = (window - n) / 2;
+            let lanes = Lanes::sorted(&pts);
+            for requested in REQUESTS {
+                let mut pairs = Vec::new();
+                let out = local_self_join(requested, &model, eps, lanes.view(), |i, j| {
+                    let (i, j) = (lanes.pos[i], lanes.pos[j]);
+                    pairs.push((i.min(j), i.max(j)))
+                });
+                pairs.sort_unstable();
+                assert_eq!(pairs, expected, "{requested:?}");
+                assert_eq!(out.stats.results as usize, expected.len());
+                match out.kind {
+                    KernelKind::NestedLoop => assert_eq!(out.stats.candidates, n * (n - 1) / 2),
+                    _ => assert_eq!(out.stats.candidates, window, "{requested:?}"),
+                }
             }
         }
         for requested in REQUESTS {
             let none = PointsView::empty();
-            let out = local_self_join(requested, &model, eps, none, |_, _| unreachable!());
+            let out = local_self_join(requested, &model, 0.6, none, |_, _| unreachable!());
             assert_eq!(out.stats, KernelStats::default());
         }
     }
