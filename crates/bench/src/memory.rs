@@ -23,9 +23,9 @@
 
 use crate::{Cell, ExpConfig, Table};
 use asj_data::{DatasetSpec, GenKind, PAPER_BBOX};
+use asj_engine::digest::Fnv1a;
 use asj_engine::{
-    Cluster, ClusterConfig, ExplicitPartitioner, FaultPlan, Fnv1a, KeyedDataset, RetryPolicy,
-    ShuffleStats,
+    Cluster, ClusterConfig, ExplicitPartitioner, FaultPlan, KeyedDataset, RetryPolicy, ShuffleStats,
 };
 use asj_join::{to_records, Record};
 use std::collections::HashMap;

@@ -24,7 +24,8 @@ pub enum Cell {
     Count(u64),
     /// An exact byte total that the text prints in MiB.
     Mib(u64),
-    /// An exact FNV-1a checksum, printed and serialized as 16 hex digits.
+    /// An exact checksum (FNV-1a, or a join's pair digest), printed and
+    /// serialized as 16 hex digits.
     Checksum(u64),
     /// A measurement — simulated time, a clock, a ratio, or a count that
     /// moves between identical runs — with its printed form.

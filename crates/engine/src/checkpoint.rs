@@ -49,134 +49,17 @@
 //! stale checkpoint: a miss that deletes the pair.
 
 use crate::cluster::on_host_threads;
+use crate::digest::xxh64;
 use crate::metrics::ShuffleStats;
 use crate::wire::Wire;
 use std::collections::HashMap;
 use std::fs::File;
-use std::hash::Hasher;
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Streaming FNV-1a 64 — the checksum of small things: journal lines and
-/// `done` records, the fault-injection stage hash, the serve and bench
-/// result digests. Integers are fed little-endian so digests are
-/// platform-stable. Checkpoint chunks, the one bulk payload, use XXH64.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    #[inline]
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-// `#[inline]`: the serve and bench digests hash millions of words from other
-// crates; without it every word is a call into this one.
-impl Hasher for Fnv1a {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        self.write(&word.to_le_bytes());
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// [`Fnv1a`] over one byte string.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::default();
-    h.write(bytes);
-    h.finish()
-}
-
-const XXH_PRIME: [u64; 5] = [
-    0x9E37_79B1_85EB_CA87,
-    0xC2B2_AE3D_27D4_EB4F,
-    0x1656_67B1_9E37_79F9,
-    0x85EB_CA77_C2B2_AE63,
-    0x27D4_EB2F_1656_67C5,
-];
-
-#[inline]
-fn xxh_round(lane: u64, word: u64) -> u64 {
-    lane.wrapping_add(word.wrapping_mul(XXH_PRIME[1]))
-        .rotate_left(31)
-        .wrapping_mul(XXH_PRIME[0])
-}
-
-#[inline]
-fn le_u64(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
-}
-
-/// XXH64 with seed 0 — the per-chunk checksum of checkpoint segments. Four
-/// independent 8-byte lanes keep it at memory speed where byte-wise FNV-1a
-/// is bound by one multiply per byte. (Word-wise FNV would not do: its
-/// multiply only carries upward, so two flips of bit 63 cancel; here every
-/// word is rotated and multiplied twice before it meets the next.)
-fn xxh64(bytes: &[u8]) -> u64 {
-    let [p1, p2, p3, p4, p5] = XXH_PRIME;
-    let mut stripes = bytes.chunks_exact(32);
-    let mut h = if bytes.len() >= 32 {
-        let mut lanes = [p1.wrapping_add(p2), p2, 0, 0u64.wrapping_sub(p1)];
-        for stripe in &mut stripes {
-            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-                *lane = xxh_round(*lane, le_u64(word));
-            }
-        }
-        let mixed = lanes[0]
-            .rotate_left(1)
-            .wrapping_add(lanes[1].rotate_left(7))
-            .wrapping_add(lanes[2].rotate_left(12))
-            .wrapping_add(lanes[3].rotate_left(18));
-        lanes.iter().fold(mixed, |h, &lane| {
-            (h ^ xxh_round(0, lane)).wrapping_mul(p1).wrapping_add(p4)
-        })
-    } else {
-        p5
-    };
-    h = h.wrapping_add(bytes.len() as u64);
-    let mut words = stripes.remainder().chunks_exact(8);
-    for word in &mut words {
-        h = (h ^ xxh_round(0, le_u64(word)))
-            .rotate_left(27)
-            .wrapping_mul(p1)
-            .wrapping_add(p4);
-    }
-    let mut tail = words.remainder();
-    if tail.len() >= 4 {
-        let (half, rest) = tail.split_at(4);
-        let half = u32::from_le_bytes(half.try_into().expect("a 4-byte word"));
-        h = (h ^ u64::from(half).wrapping_mul(p1))
-            .rotate_left(23)
-            .wrapping_mul(p2)
-            .wrapping_add(p3);
-        tail = rest;
-    }
-    for &byte in tail {
-        h = (h ^ u64::from(byte).wrapping_mul(p5))
-            .rotate_left(11)
-            .wrapping_mul(p1);
-    }
-    h = (h ^ (h >> 33)).wrapping_mul(p2);
-    h = (h ^ (h >> 29)).wrapping_mul(p3);
-    h ^ (h >> 32)
-}
 
 /// Replaces any character that could upset a filename with `_`. Checkpoint
 /// keys embed stage names (which carry `:` prefixes like `job:3:shuffle`).
@@ -660,6 +543,7 @@ impl CheckpointCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::fnv1a;
     use crate::memory::{decode_records, encode_records, encode_records_into};
     use proptest::prelude::*;
 
@@ -1005,142 +889,6 @@ mod tests {
             "the dangling manifest was self-healed away"
         );
         std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn xxh64_matches_reference_vectors() {
-        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
-        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
-        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
-        assert_eq!(
-            xxh64(b"Nobody inspects the spammish repetition"),
-            0xfbce_a83c_8a37_8bf1
-        );
-    }
-
-    /// XXH64 (seed 0) transcribed from the specification with an explicit
-    /// cursor: no iterators, no shared helpers.
-    fn xxh64_by_the_book(data: &[u8]) -> u64 {
-        const P1: u64 = 11400714785074694791;
-        const P2: u64 = 14029467366897019727;
-        const P3: u64 = 1609587929392839161;
-        const P4: u64 = 9650029242287828579;
-        const P5: u64 = 2870177450012600261;
-        let word = |at: usize| {
-            let mut w = 0u64;
-            for i in 0..8 {
-                w |= u64::from(data[at + i]) << (8 * i);
-            }
-            w
-        };
-        let round = |acc: u64, w: u64| {
-            acc.wrapping_add(w.wrapping_mul(P2))
-                .rotate_left(31)
-                .wrapping_mul(P1)
-        };
-        let (n, mut at) = (data.len(), 0);
-        let mut h = P5;
-        if n >= 32 {
-            let mut v = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
-            while at + 32 <= n {
-                for (i, lane) in v.iter_mut().enumerate() {
-                    *lane = round(*lane, word(at + 8 * i));
-                }
-                at += 32;
-            }
-            h = v[0]
-                .rotate_left(1)
-                .wrapping_add(v[1].rotate_left(7))
-                .wrapping_add(v[2].rotate_left(12))
-                .wrapping_add(v[3].rotate_left(18));
-            for lane in v {
-                h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
-            }
-        }
-        h = h.wrapping_add(n as u64);
-        while at + 8 <= n {
-            h = (h ^ round(0, word(at)))
-                .rotate_left(27)
-                .wrapping_mul(P1)
-                .wrapping_add(P4);
-            at += 8;
-        }
-        if at + 4 <= n {
-            let half = (0..4).fold(0u64, |w, i| w | u64::from(data[at + i]) << (8 * i));
-            h = (h ^ half.wrapping_mul(P1))
-                .rotate_left(23)
-                .wrapping_mul(P2)
-                .wrapping_add(P3);
-            at += 4;
-        }
-        while at < n {
-            h = (h ^ u64::from(data[at]).wrapping_mul(P5))
-                .rotate_left(11)
-                .wrapping_mul(P1);
-            at += 1;
-        }
-        h ^= h >> 33;
-        h = h.wrapping_mul(P2);
-        h ^= h >> 29;
-        h = h.wrapping_mul(P3);
-        h ^ (h >> 32)
-    }
-
-    /// Every lane and tail boundary (4, 8, 32, 64 and their neighbours).
-    #[test]
-    fn xxh64_agrees_with_the_specification_at_every_length() {
-        let data: Vec<u8> = (0..70u32).map(|i| (i * 37 + 11) as u8).collect();
-        for len in 0..=data.len() {
-            assert_eq!(
-                xxh64(&data[..len]),
-                xxh64_by_the_book(&data[..len]),
-                "length {len}"
-            );
-        }
-    }
-
-    proptest! {
-        /// The damage a checksum is there to catch, including the two that
-        /// defeat word-wise FNV (paired top-bit flips) and any plain sum
-        /// (reordered words).
-        #[test]
-        fn xxh64_notices_flips_swaps_and_truncation(
-            data in prop::collection::vec(any::<u8>(), 16..200),
-            at in any::<usize>(),
-            other in any::<usize>(),
-        ) {
-            let digest = xxh64(&data);
-            prop_assert_eq!(digest, xxh64_by_the_book(&data));
-
-            let mut flipped = data.clone();
-            flipped[at % data.len()] ^= 1 << (other % 8);
-            prop_assert!(xxh64(&flipped) != digest, "one flipped bit");
-
-            let words = data.len() / 8;
-            let (a, b) = (at % words, other % words);
-            if a != b {
-                let mut top = data.clone();
-                top[8 * a + 7] ^= 0x80;
-                top[8 * b + 7] ^= 0x80;
-                prop_assert!(xxh64(&top) != digest, "bit 63 of two words");
-
-                let mut swapped = data.clone();
-                for i in 0..8 {
-                    swapped.swap(8 * a + i, 8 * b + i);
-                }
-                if swapped != data {
-                    prop_assert!(xxh64(&swapped) != digest, "two words swapped");
-                }
-            }
-
-            prop_assert!(xxh64(&data[..at % data.len()]) != digest, "truncation");
-        }
     }
 
     /// What a serial append of `encode_records` chunks would have written:

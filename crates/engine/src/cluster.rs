@@ -446,6 +446,26 @@ impl Cluster {
         R: Send,
         F: Fn(usize, T) -> Result<R, crate::TaskError> + Sync,
     {
+        self.try_run_stage_committing(stage, tasks, f, &|_, _| {})
+    }
+
+    /// [`Cluster::try_run_stage`] with a `commit` hook: it sees each task's
+    /// result once, on the worker, when the attempt that produced it
+    /// commits — never a failed, killed or losing speculative attempt's —
+    /// and may take from it what should leave the task before the stage
+    /// ends. The stage returns what the hook left.
+    pub fn try_run_stage_committing<T, R, F>(
+        &self,
+        stage: &str,
+        tasks: Vec<T>,
+        f: F,
+        commit: &CommitHook<R>,
+    ) -> StageResult<R>
+    where
+        T: Send + Sync + Clone,
+        R: Send,
+        F: Fn(usize, T) -> Result<R, crate::TaskError> + Sync,
+    {
         let placement: Vec<usize> = (0..tasks.len())
             .map(|i| self.node_of_partition(i))
             .collect();
@@ -468,6 +488,7 @@ impl Cluster {
             stage,
             self.faults.as_deref(),
             f,
+            commit,
         );
         if let (Some(gate), Ok((_, stats))) = (&self.gate, &result) {
             gate.note_stage(stats);
@@ -484,11 +505,17 @@ impl Cluster {
     /// `Cluster::checkpointed`): the join phase is the ε-grid's
     /// memory-pressure peak, so skipping it on recovery is the largest
     /// saving available.
+    ///
+    /// `commit` is [`Cluster::try_run_stage_committing`]'s hook. With a
+    /// store attached it runs on the driver instead, in partition order,
+    /// once the stage's output is saved or replayed: a checkpoint holds
+    /// what the tasks returned, not what the hook left.
     pub fn run_stage_checkpointed<T, Rec, Acc, F>(
         &self,
         stage: &str,
         tasks: Vec<T>,
         f: F,
+        commit: &CommitHook<(Vec<Rec>, Acc)>,
     ) -> StageResult<(Vec<Rec>, Acc)>
     where
         T: Send + Sync + Clone,
@@ -497,8 +524,13 @@ impl Cluster {
         F: Fn(usize, T) -> Result<(Vec<Rec>, Acc), crate::TaskError> + Sync,
     {
         let codec = (encode_join_part::<Rec, Acc>, decode_join_part::<Rec, Acc>);
-        let (parts, _, stats) = self.checkpointed(stage, tasks.len(), codec, || {
-            let (parts, stats) = self.try_run_stage(stage, tasks, f)?;
+        let in_pool = self.checkpoint.is_none();
+        let (mut parts, _, stats) = self.checkpointed(stage, tasks.len(), codec, || {
+            let (parts, stats) = if in_pool {
+                self.try_run_stage_committing(stage, tasks, f, commit)?
+            } else {
+                self.try_run_stage(stage, tasks, f)?
+            };
             // The join phase has no shuffle meters; its manifest records the
             // result count and encoded size per partition.
             let meters = ShuffleStats {
@@ -508,6 +540,11 @@ impl Cluster {
             };
             Ok((parts, meters, stats))
         })?;
+        if !in_pool {
+            for (idx, part) in parts.iter_mut().enumerate() {
+                commit(idx, part);
+            }
+        }
         Ok((parts, stats))
     }
 
@@ -519,6 +556,11 @@ impl Cluster {
         }
     }
 }
+
+/// A stage's commit hook: called with a task's index and result when the
+/// attempt that produced it commits (see
+/// [`Cluster::try_run_stage_committing`]).
+pub type CommitHook<'a, R> = dyn Fn(usize, &mut R) + Sync + 'a;
 
 /// A read-only value shared with all tasks.
 #[derive(Debug)]

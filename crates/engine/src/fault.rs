@@ -18,7 +18,7 @@
 //! every stage a [`crate::Cluster`] runs, so a node blacklisted during the
 //! shuffle stays blacklisted for the join.
 
-use crate::checkpoint::fnv1a;
+use crate::digest::{fnv1a, splitmix64};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -136,14 +136,6 @@ pub struct FaultPlan {
     /// testing. Only the [`JobServer`](crate::JobServer) consults it; plain
     /// stage execution ignores a crash clause.
     pub crash_after_grants: Option<u64>,
-}
-
-/// splitmix64: a tiny, high-quality mixer for the injection hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl FaultPlan {

@@ -38,8 +38,9 @@
 //!   typically) or panics is reported per job; the other tenants keep
 //!   running.
 
-use crate::checkpoint::{fnv1a, CheckpointTimes};
+use crate::checkpoint::CheckpointTimes;
 use crate::cluster::Cluster;
+use crate::digest::fnv1a;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::journal::{replay, Journal, JournalRecord};
 use crate::metrics::ExecStats;

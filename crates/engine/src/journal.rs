@@ -30,7 +30,7 @@
 //! `Wire` encoding. A line the codec refuses carries its column and reason
 //! into [`JournalError::Corrupt`].
 
-use crate::checkpoint::fnv1a;
+use crate::digest::fnv1a;
 use asj_obs::json;
 use asj_obs::json::Value::{Hex, Str, U64};
 use std::collections::BTreeMap;

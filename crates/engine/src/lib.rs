@@ -37,6 +37,7 @@ mod checkpoint;
 mod clock;
 mod cluster;
 mod dataset;
+pub mod digest;
 mod fault;
 mod jobs;
 mod journal;
@@ -47,8 +48,8 @@ mod partitioner;
 mod pool;
 mod wire;
 
-pub use checkpoint::{fnv1a, CheckpointStore, CheckpointTimes, Fnv1a};
-pub use cluster::{on_host_threads, Broadcast, Cluster, ClusterConfig, StageResult};
+pub use checkpoint::{CheckpointStore, CheckpointTimes};
+pub use cluster::{on_host_threads, Broadcast, Cluster, ClusterConfig, CommitHook, StageResult};
 pub use dataset::{Block, Dataset, Fetched, KeyedDataset, ShuffledDataset, ShuffledPartition};
 pub use fault::{FailPoint, FaultContext, FaultPlan, FaultState, JobError, RetryPolicy, TaskError};
 pub use jobs::{JobId, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun, SubmitError};

@@ -1,4 +1,5 @@
 use crate::clock::{attempt_charge, timed, Ledger, Outcome};
+use crate::cluster::CommitHook;
 use crate::fault::{FaultContext, JobError, TaskError};
 use crate::lpt::least_loaded;
 use crate::metrics::ExecStats;
@@ -126,6 +127,11 @@ pub(crate) fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
 /// A task may also fail without panicking by returning a [`TaskError`] (an
 /// unreadable spill segment, say): it is billed and retried like a panic.
 ///
+/// `commit` sees each task's result once, on the worker, when that attempt
+/// commits — never a failed, killed or losing speculative attempt's — and
+/// may take from it what should leave the task before the stage ends (a
+/// join partition's formatted pairs, say); what it leaves is returned.
+///
 /// # Panics
 /// Panics if `placement.len() != tasks.len()`, `nodes == 0`, or the fault
 /// context was sized for a different cluster. Task panics never propagate.
@@ -139,6 +145,7 @@ pub(crate) fn try_run_stage<T, R, F>(
     stage: &str,
     ctx: Option<&FaultContext>,
     f: F,
+    commit: &CommitHook<R>,
 ) -> Result<(Vec<R>, ExecStats), JobError>
 where
     T: Send + Sync + Clone,
@@ -273,11 +280,12 @@ where
                 }
                 TaskError::OutOfMemory { attempt }
             }
-            Ok(Ok(r)) => {
+            Ok(Ok(mut r)) => {
                 if done[idx]
                     .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
+                    commit(idx, &mut r);
                     // SAFETY: the `done` compare-exchange makes this thread
                     // the unique writer of slot `idx`; results are read only
                     // after the scope joins all workers.
@@ -471,7 +479,10 @@ mod tests {
         F: Fn(usize, T) -> R + Sync,
     {
         let f = |idx, task| Ok(f(idx, task));
-        try_run_stage(threads, nodes, tasks, placement, recorder, stage, ctx, f)
+        let commit = |_: usize, _: &mut R| {};
+        try_run_stage(
+            threads, nodes, tasks, placement, recorder, stage, ctx, f, &commit,
+        )
     }
 
     /// Single-attempt run: no fault context, no recorder.
@@ -601,6 +612,7 @@ mod tests {
                 }
                 Ok(t)
             },
+            &|_, _| {},
         );
         let err = res.expect_err("a task that always errs fails the job");
         assert_eq!((err.task, err.attempts), (1, 3));
@@ -945,6 +957,58 @@ mod tests {
         // Makespan with a rescued straggler must be far below the 40x bill
         // the original would have paid (3ms * 40 = 120ms).
         assert!(stats.makespan() < Duration::from_millis(120));
+    }
+
+    /// The commit hook sees each task once, with the committed attempt's
+    /// result: never a failed attempt's, nor a killed or losing copy's.
+    #[test]
+    fn ft_commit_sees_only_committed_attempts() {
+        // Attempt 1 of tasks 1 and 5 fails; node 1 straggles under
+        // speculation.
+        let plan = FaultPlan::none()
+            .with_slow_node(1, 40.0)
+            .with_fail_point("unit", 1, 1)
+            .with_fail_point("unit", 5, 1);
+        let policy = RetryPolicy::default()
+            .with_speculation(true)
+            .with_blacklist_after(u64::MAX);
+        let ctx = ft_ctx(plan, policy, 2);
+        let placement = [0, 0, 0, 0, 0, 0, 0, 1];
+        let seen = Mutex::new(Vec::new());
+        let attempts = AtomicUsize::new(0);
+        let commit = |idx: usize, r: &mut (usize, usize)| {
+            seen.lock().expect("seen").push((idx, r.1));
+            r.1 = usize::MAX;
+        };
+        let (out, stats) = try_run_stage(
+            2,
+            2,
+            (0..8).collect(),
+            &placement,
+            &Recorder::noop(),
+            "unit",
+            Some(&ctx),
+            |_, t: usize| {
+                std::thread::sleep(Duration::from_millis(3));
+                Ok((t, attempts.fetch_add(1, Ordering::Relaxed)))
+            },
+            &commit,
+        )
+        .expect("the stage recovers");
+        assert_eq!(stats.retries, 2);
+        assert_eq!(stats.speculative_wins, 1);
+        assert!(attempts.into_inner() > 8, "some attempts never committed");
+        let mut seen = seen.into_inner().expect("seen");
+        seen.sort_unstable();
+        assert_eq!(
+            seen.iter().map(|s| s.0).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<_>>()
+        );
+        // The stage returns what the hook left of the committed results.
+        assert!(out
+            .iter()
+            .enumerate()
+            .all(|(i, &(t, left))| t == i && left == usize::MAX));
     }
 
     #[test]

@@ -148,6 +148,7 @@ pub(crate) fn agreement_join<P: RecordPayload>(
     let (assign_r, assign_s) = (assign_as(SetLabel::R), assign_as(SetLabel::S));
     let plan = JoinPlan {
         name: policy.name().to_string(),
+        sink: &spec.sink,
         assign_r: &assign_r,
         assign_s: &assign_s,
         partitioner: &*partitioner,

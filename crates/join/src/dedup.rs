@@ -1,5 +1,6 @@
 use crate::adaptive::agreement_join;
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record, RecordPayload};
+use crate::sink::Emitter;
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, PairSink, Record, RecordPayload};
 use asj_core::{AgreementGraph, AgreementPolicy};
 use asj_engine::{Cluster, HashPartitioner, KeyedDataset, Placement};
 
@@ -21,11 +22,10 @@ pub fn adaptive_join_dedup<P: RecordPayload>(
     s: impl Into<JoinInput<Record<P>>>,
 ) -> Result<JoinOutput, JoinError> {
     // Join with duplicates — no Algorithm 1, the graph keeps its
-    // duplicate-producing triangles. Pairs must be materialized for the
-    // distinct operator regardless of `collect_pairs`, and this arm is only
-    // ever measured under Spark-default cell placement.
-    let mut join_spec = spec.clone();
-    join_spec.collect_pairs = true;
+    // duplicate-producing triangles. The distinct operator needs the pairs
+    // whatever the caller's sink, and this arm is only ever measured under
+    // Spark-default cell placement.
+    let mut join_spec = spec.clone().with_sink(PairSink::Collect);
     join_spec.placement = Placement::Hash;
     let (build, assign) = (AgreementGraph::build_unmarked, AgreementGraph::assign_naive);
     let mut out = agreement_join(
@@ -40,9 +40,10 @@ pub fn adaptive_join_dedup<P: RecordPayload>(
     out.algorithm = format!("{}+dedup", policy.name());
 
     // Distributed distinct: shuffle pairs by their R id, then sort + dedup
-    // each partition.
+    // each partition, which hands its distinct pairs to the caller's sink.
     let duplicated_count = out.result_count;
     let partitioner = HashPartitioner::new(spec.num_partitions);
+    let window = spec.sink.window();
     let deduped_parts = cluster.recorder().clone().phase_attrs("dedup", |attrs| {
         let pairs = std::mem::take(&mut out.pairs).into_vec();
         let pair_data = KeyedDataset::from_partitions(vec![pairs]);
@@ -50,26 +51,25 @@ pub fn adaptive_join_dedup<P: RecordPayload>(
             pair_data.shuffle_stage(cluster, &partitioner, "dedup")?;
         out.metrics.shuffle.merge(&dedup_shuffle);
         out.metrics.join.accumulate(&ex);
-        let (deduped_parts, ex) = cluster.try_run_stage(
-            "dedup",
-            pair_data.into_rows()?.into_partitions(),
-            |_, mut part| {
-                part.sort_unstable();
-                part.dedup();
-                part.shrink_to_fit();
-                Ok(part)
-            },
-        )?;
+        let distinct = |_, mut part: Vec<(u64, u64)>| {
+            part.sort_unstable();
+            part.dedup();
+            let mut out = Emitter::new(&spec.sink);
+            part.iter().for_each(|&(r, s)| out.emit(r, s));
+            let (pairs, sink_part) = out.finish();
+            Ok((pairs, (part.len() as u64, sink_part)))
+        };
+        let commit = |idx, part: &mut _| window.commit(idx, part);
+        let parts = pair_data.into_rows()?.into_partitions();
+        let (deduped_parts, ex) =
+            cluster.try_run_stage_committing("dedup", parts, distinct, &commit)?;
         out.metrics.join.accumulate(&ex);
         *attrs = attrs.records(duplicated_count);
         Ok::<_, JoinError>(deduped_parts)
     })?;
 
-    out.result_count = deduped_parts.iter().map(|p| p.len() as u64).sum();
+    out.result_count = spec.sink.gather(deduped_parts, &mut out).iter().sum();
     out.candidates = out.candidates.max(duplicated_count);
-    if spec.collect_pairs {
-        out.pairs = Pairs::from_chunks(deduped_parts);
-    }
     Ok(out)
 }
 

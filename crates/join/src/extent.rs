@@ -1,4 +1,5 @@
 use crate::pipeline::{for_each_cogroup, run_plan, Blocks, JoinPlan, KernelTally};
+use crate::sink::Emitter;
 use crate::{JoinError, JoinOutput, JoinSpec};
 use asj_core::KernelCostModel;
 use asj_engine::{ensure_remaining, Cluster, Dataset, ExecStats, HashPartitioner, Wire, WireError};
@@ -115,7 +116,7 @@ pub fn extent_join(
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let broadcast_bytes = grid.broadcast_bytes();
     let grid = &cluster.broadcast(grid);
-    let (eps, collect, kernel) = (spec.eps, spec.collect_pairs, spec.kernel);
+    let (eps, kernel) = (spec.eps, spec.kernel);
     // Side A is assigned by its ε-expanded envelope, side B by its envelope.
     let envelope = |expand: f64| {
         move |rec: &ExtentRecord, cells: &mut Vec<u64>, scratch: &mut Vec<CellCoord>| {
@@ -131,7 +132,7 @@ pub fn extent_join(
     // applies the envelope filter, the reference-point dedup and the exact
     // distance.
     let local_join = |pa: &Blocks<ExtentRecord>, pb: &Blocks<ExtentRecord>| {
-        let mut out = Vec::new();
+        let mut out = Emitter::new(&spec.sink);
         let mut tally = KernelTally::default();
         for_each_cogroup(pa, pb, |cell, avs, bvs| {
             let outcome = kernels::local_join_rects(
@@ -155,18 +156,20 @@ pub fn extent_join(
                         return false;
                     }
                     let hit = ra.shape.dist2(&rb.shape) <= e2;
-                    if hit && collect {
-                        out.push((ra.id, rb.id));
+                    if hit {
+                        out.emit(ra.id, rb.id);
                     }
                     hit
                 },
             );
             tally.record(outcome, avs.len() as u64 * bvs.len() as u64);
         });
-        (out, tally)
+        let (pairs, part) = out.finish();
+        (pairs, (tally, part))
     };
     let plan = JoinPlan {
         name: "extent-join".to_string(),
+        sink: &spec.sink,
         assign_r: &envelope(eps),
         assign_s: &envelope(0.0),
         partitioner: &HashPartitioner::new(spec.num_partitions),

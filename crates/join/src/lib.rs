@@ -54,6 +54,7 @@ mod record;
 mod refpoint;
 mod sedona;
 mod selfjoin;
+mod sink;
 mod spec;
 
 pub use adaptive::adaptive_join;
@@ -71,6 +72,7 @@ pub use record::{
 pub use refpoint::pbsm_refpoint_join;
 pub use sedona::sedona_like_join;
 pub use selfjoin::{brute_force_self_pairs, self_join};
+pub use sink::{PairFile, PairSink};
 pub use spec::{JoinError, JoinInput, JoinOutput, JoinSpec, LocalKernel};
 
 #[cfg(test)]

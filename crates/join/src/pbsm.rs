@@ -77,6 +77,7 @@ fn grid_baseline_join<P: RecordPayload>(
     };
     let plan = JoinPlan {
         name: name.to_string(),
+        sink: &spec.sink,
         assign_r,
         assign_s,
         partitioner: &HashPartitioner::new(spec.num_partitions),

@@ -1,7 +1,8 @@
-use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record, RecordPayload};
+use crate::sink::{Emitter, SinkOutput};
+use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, PairSink, Pairs, Record, RecordPayload};
 use asj_core::{AgreementPolicy, KernelCostModel, KernelKind};
 use asj_engine::{
-    ensure_remaining, Broadcast, Cluster, Dataset, ExecStats, JobMetrics, Partitioner,
+    ensure_remaining, Broadcast, Cluster, CommitHook, Dataset, ExecStats, JobMetrics, Partitioner,
     ShuffleStats, ShuffledDataset, StageResult, Wire, WireError,
 };
 use asj_geom::Point;
@@ -194,16 +195,18 @@ pub(crate) type PairFilter<'a> = dyn Fn(u64, Point, Point) -> bool + Sync + 'a;
 pub(crate) type Blocks<'a, T> = [Cow<'a, [(u64, T)]>];
 
 /// A plan's partition-local join (Algorithm 5, line 9): one pair of
-/// co-located shuffled partitions in, their result pairs `(r.id, s.id)` and
-/// kernel tally out.
+/// co-located shuffled partitions in, their result pairs `(r.id, s.id)` —
+/// as the spec's sink takes them — and kernel tally out.
 pub(crate) type LocalJoin<'a, T = Record> =
-    dyn Fn(&Blocks<'_, T>, &Blocks<'_, T>) -> (Vec<(u64, u64)>, KernelTally) + Sync + 'a;
+    dyn Fn(&Blocks<'_, T>, &Blocks<'_, T>) -> SinkOutput<KernelTally> + Sync + 'a;
 
 /// What differs between the grid algorithms — and the extent join, whose
 /// records are shapes: everything else is [`run_plan`].
 pub(crate) struct JoinPlan<'a, T: Clone = Record> {
     /// Display name, as in the paper's figure legends.
     pub name: String,
+    /// Where the result pairs go: the spec's sink.
+    pub sink: &'a PairSink,
     pub assign_r: &'a Assign<'a, T>,
     pub assign_s: &'a Assign<'a, T>,
     /// Cell key → join partition.
@@ -230,29 +233,22 @@ where
     T: Wire + Send + Sync + Clone,
 {
     let mut construction = plan.sampling;
+    let window = plan.sink.window();
     let out = join_stage(
         cluster,
         (rdd_r, expansion(plan.assign_r)),
         (rdd_s, expansion(plan.assign_s)),
         plan.partitioner,
         plan.local_join,
+        &|idx, part| window.commit(idx, part),
     )?;
     construction.accumulate(&out.shuffle_exec);
-    let mut tally = KernelTally::default();
-    let chunks = out
-        .parts
-        .into_iter()
-        .map(|(part, t)| {
-            tally.merge(&t);
-            part
-        })
-        .collect();
-    tally.publish(cluster, "local_join");
-    Ok(JoinOutput {
+    let mut joined = JoinOutput {
         algorithm: plan.name,
-        pairs: Pairs::from_chunks(chunks),
-        result_count: tally.results,
-        candidates: tally.candidates,
+        pairs: Pairs::default(),
+        digest: Default::default(),
+        result_count: 0,
+        candidates: 0,
         replicated: out.replicated,
         metrics: JobMetrics {
             shuffle: out.shuffle,
@@ -261,7 +257,15 @@ where
             driver: plan.driver,
             broadcast_bytes: plan.broadcast_bytes,
         },
-    })
+    };
+    let mut tally = KernelTally::default();
+    for t in plan.sink.gather(out.parts, &mut joined) {
+        tally.merge(&t);
+    }
+    tally.publish(cluster, "local_join");
+    joined.result_count = tally.results;
+    joined.candidates = tally.candidates;
+    Ok(joined)
 }
 
 /// One input's shuffle, keyed by `expand` inside its map tasks (Algorithm
@@ -287,8 +291,8 @@ where
 }
 
 /// The point plans' partition body (Algorithm 5, line 9). With a `keep`
-/// filter only the ε-hits it accepts are results — collected, counted and
-/// tallied.
+/// filter only the ε-hits it accepts are results — handed to the sink,
+/// counted and tallied.
 ///
 /// Each side becomes a columnar `PointBatch` once — the permutation sort
 /// groups records by cell in ascending-x order and gathers `x`/`y`/`id` into
@@ -299,14 +303,14 @@ pub(crate) fn join_points<'a, P: RecordPayload>(
     spec: &JoinSpec,
     keep: Option<&'a PairFilter<'a>>,
 ) -> Box<LocalJoin<'a, Record<P>>> {
-    let (eps, collect, kernel) = (spec.eps, spec.collect_pairs, spec.kernel);
+    let (eps, kernel, sink) = (spec.eps, spec.kernel, spec.sink.clone());
     let model = KernelCostModel::default();
     Box::new(move |rs, ss| {
         let pos = |r: &Record<P>| r.point;
         let rid = |r: &Record<P>| r.id;
         let br = PointBatch::from_blocks(rs, pos, rid);
         let bs = PointBatch::from_blocks(ss, pos, rid);
-        let mut out: Vec<(u64, u64)> = Vec::new();
+        let mut out = Emitter::new(&sink);
         let mut acc = KernelTally {
             batches: 2,
             batch_points: (br.num_points() + bs.num_points()) as u64,
@@ -320,27 +324,24 @@ pub(crate) fn join_points<'a, P: RecordPayload>(
                 Ordering::Equal => {
                     let (va, vb) = (br.group(gi), bs.group(gj));
                     let (ids_a, ids_b) = (br.group_ids(gi), bs.group_ids(gj));
-                    // `collect` is decided out here, not in the sink: with a
-                    // no-op sink the kernel's emission walk compiles away.
-                    let outcome = match (keep, collect) {
-                        (None, true) => {
+                    // Counting is decided out here, not in the emitter: with
+                    // a no-op callback the kernel's emission walk compiles
+                    // away.
+                    let outcome = match keep {
+                        None if out.keeps() => {
                             kernels::local_join_view(kernel, &model, eps, va, vb, |i, j| {
-                                out.push((ids_a[i], ids_b[j]))
+                                out.emit(ids_a[i], ids_b[j])
                             })
                         }
-                        (None, false) => {
-                            kernels::local_join_view(kernel, &model, eps, va, vb, |_, _| {})
-                        }
-                        (Some(keep), _) => {
+                        None => kernels::local_join_view(kernel, &model, eps, va, vb, |_, _| {}),
+                        Some(keep) => {
                             let cell = br.keys()[gi];
                             let mut kept = 0u64;
                             let mut outcome =
                                 kernels::local_join_view(kernel, &model, eps, va, vb, |i, j| {
                                     if keep(cell, point_at(va, i), point_at(vb, j)) {
                                         kept += 1;
-                                        if collect {
-                                            out.push((ids_a[i], ids_b[j]));
-                                        }
+                                        out.emit(ids_a[i], ids_b[j]);
                                     }
                                 });
                             outcome.stats.results = kept;
@@ -353,7 +354,8 @@ pub(crate) fn join_points<'a, P: RecordPayload>(
                 }
             }
         }
-        (out, acc)
+        let (pairs, part) = out.finish();
+        (pairs, (acc, part))
     })
 }
 
@@ -364,7 +366,8 @@ pub(crate) fn join_points<'a, P: RecordPayload>(
 /// shuffle's blocks, read in place, spilled ones from disk — and `body`
 /// joins them. Returns every partition's `(records, accumulator)` in
 /// partition order, each side's replicas, the combined shuffle stats, and
-/// the exec stats of the shuffle and join stages.
+/// the exec stats of the shuffle and join stages. `commit` sees each
+/// partition's output when its attempt commits (`run_stage_checkpointed`).
 ///
 /// Per-partition accumulators are committed with the task output: shared
 /// atomics would be double-counted by retried or speculatively re-executed
@@ -375,6 +378,7 @@ pub(crate) fn join_stage<TA, TB, A, B, O, Acc>(
     (input_s, expand_s): (Dataset<TB>, impl Fn(Vec<TB>) -> Vec<(u64, B)> + Sync),
     partitioner: &dyn Partitioner<u64>,
     body: impl Fn(&Blocks<'_, A>, &Blocks<'_, B>) -> (Vec<O>, Acc) + Sync,
+    commit: &CommitHook<(Vec<O>, Acc)>,
 ) -> Result<JoinStageOutput<O, Acc>, JoinError>
 where
     TA: Send + Sync + Clone,
@@ -397,7 +401,7 @@ where
             Ok::<_, JoinError>((keyed_r, keyed_s, [rep_r, rep_s], shuffle, shuffle_exec))
         })?;
     let (parts, join_exec) = recorder.phase("local_join", || {
-        cogroup_join(cluster, keyed_r, keyed_s, body)
+        cogroup_join(cluster, keyed_r, keyed_s, body, commit)
     })?;
     Ok(JoinStageOutput {
         parts,
@@ -428,6 +432,7 @@ fn cogroup_join<A, B, O, Acc>(
     keyed_r: ShuffledDataset<u64, A>,
     keyed_s: ShuffledDataset<u64, B>,
     body: impl Fn(&Blocks<'_, A>, &Blocks<'_, B>) -> (Vec<O>, Acc) + Sync,
+    commit: &CommitHook<(Vec<O>, Acc)>,
 ) -> StageResult<(Vec<O>, Acc)>
 where
     A: Wire + Send + Sync + Clone,
@@ -440,11 +445,16 @@ where
         .iter()
         .zip(keyed_s.partitions())
         .collect();
-    cluster.run_stage_checkpointed("cogroup_join", tasks, |_, (a, b)| {
-        let (mut records, acc) = body(&a.fetch()?, &b.fetch()?);
-        records.shrink_to_fit();
-        Ok((records, acc))
-    })
+    cluster.run_stage_checkpointed(
+        "cogroup_join",
+        tasks,
+        |_, (a, b)| {
+            let (mut records, acc) = body(&a.fetch()?, &b.fetch()?);
+            records.shrink_to_fit();
+            Ok((records, acc))
+        },
+        commit,
+    )
 }
 
 /// The record-at-a-time co-group: for every key present on both sides of a
@@ -661,8 +671,13 @@ mod tests {
         // shuffled.
         let run = |spec: &JoinSpec| {
             let body = join_points(spec, None);
-            let out = join_stage(&c, side(&r), side(&s), &hash, body).expect("join runs");
-            let (pairs, tallies): (Vec<_>, Vec<_>) = out.parts.into_iter().unzip();
+            let out =
+                join_stage(&c, side(&r), side(&s), &hash, body, &|_, _| {}).expect("join runs");
+            let (pairs, tallies): (Vec<_>, Vec<_>) = out
+                .parts
+                .into_iter()
+                .map(|(pairs, (tally, _))| (pairs, tally))
+                .unzip();
             let sum = |f: fn(&KernelTally) -> u64| tallies.iter().map(f).sum::<u64>();
             let pairs: Vec<(u64, u64)> = pairs.into_iter().flatten().collect();
             let counts = (sum(|t| t.results), sum(|t| t.candidates));
@@ -716,7 +731,8 @@ mod tests {
                 .expect("open");
             file.set_len(segment.total_bytes() / 2).expect("truncate");
             let body = join_points(&spec, None);
-            let err = cogroup_join(&c, keyed_r, keyed_s, body).expect_err("a short read fails");
+            let err = cogroup_join(&c, keyed_r, keyed_s, body, &|_, _| {})
+                .expect_err("a short read fails");
             assert_eq!(err.stage, "cogroup_join");
             assert_eq!(err.attempts, retry.map_or(1, |p| p.max_attempts));
             assert!(matches!(err.error, TaskError::Spill(_)), "{err}");

@@ -1,5 +1,5 @@
-use crate::pipeline::{for_each_cogroup, join_stage, JoinStageOutput};
-use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, NoPayload, Pairs, Payload, Record};
+use crate::pipeline::{for_each_cogroup, join_stage, Blocks, JoinStageOutput};
+use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, NoPayload, PairSink, Payload, Record};
 use asj_core::AgreementPolicy;
 use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics};
 use std::convert::identity;
@@ -29,8 +29,7 @@ pub fn adaptive_join_post_fetch(
     let (r_bare, r_attrs) = split(r);
     let (s_bare, s_attrs) = split(s);
 
-    let mut collect_spec = spec.clone();
-    collect_spec.collect_pairs = true;
+    let collect_spec = spec.clone().with_sink(PairSink::Collect);
     let mut out = adaptive_join(cluster, &collect_spec, policy, r_bare, s_bare)?;
 
     // --- Post-processing: fetch attributes with two id-joins. ---
@@ -44,7 +43,7 @@ pub fn adaptive_join_post_fetch(
     // Join 1: pairs (keyed by r.id) ⋈ R attributes → rows keyed by s.id.
     let pairs_by_rid = (Dataset::from_vec(out.pairs.to_vec(), inputs), identity);
     let r_table = (Dataset::from_vec(r_attrs, inputs), identity);
-    let fetch_r = join_stage(cluster, pairs_by_rid, r_table, &partitioner, |pairs, r| {
+    let fetch_r = |pairs: &Blocks<'_, u64>, r: &Blocks<'_, Payload>| {
         let mut half: Vec<(u64, (u64, Payload))> = Vec::new();
         for_each_cogroup(pairs, r, |rid, sids, payloads| {
             for &&sid in sids {
@@ -52,7 +51,15 @@ pub fn adaptive_join_post_fetch(
             }
         });
         (half, ())
-    })?;
+    };
+    let fetch_r = join_stage(
+        cluster,
+        pairs_by_rid,
+        r_table,
+        &partitioner,
+        fetch_r,
+        &|_, _| {},
+    )?;
     account(&mut out.metrics, &fetch_r);
 
     // Join 2: half-enriched rows (keyed by s.id) ⋈ S attributes. The rows
@@ -63,13 +70,14 @@ pub fn adaptive_join_post_fetch(
         (half, identity),
         (Dataset::from_vec(s_attrs, inputs), identity),
     );
-    let fetch_s = join_stage(cluster, half, s_table, &partitioner, |rows, s| {
+    let fetch_s = |rows: &Blocks<'_, (u64, Payload)>, s: &Blocks<'_, Payload>| {
         let mut enriched = 0u64;
         for_each_cogroup(rows, s, |_, rows, payloads| {
             enriched += (rows.len() * payloads.len()) as u64;
         });
         (Vec::<()>::new(), enriched)
-    })?;
+    };
+    let fetch_s = join_stage(cluster, half, s_table, &partitioner, fetch_s, &|_, _| {})?;
     account(&mut out.metrics, &fetch_s);
 
     let enriched: u64 = fetch_s.parts.iter().map(|p| p.1).sum();
@@ -78,9 +86,7 @@ pub fn adaptive_join_post_fetch(
         "every result pair must be enriched exactly once"
     );
     out.algorithm = format!("{}+post-fetch", policy.name());
-    if !spec.collect_pairs {
-        out.pairs = Pairs::default();
-    }
+    spec.sink.take(std::mem::take(&mut out.pairs), &mut out);
     Ok(out)
 }
 

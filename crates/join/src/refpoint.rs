@@ -30,6 +30,7 @@ pub fn pbsm_refpoint_join<P: RecordPayload>(
     let keep = |cell, a, b| midpoint_in_cell(&grid_b, cell, a, b);
     let plan = JoinPlan {
         name: "PBSM+refpoint".to_string(),
+        sink: &spec.sink,
         assign_r: &assign,
         assign_s: &assign,
         partitioner: &HashPartitioner::new(spec.num_partitions),

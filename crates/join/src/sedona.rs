@@ -79,6 +79,7 @@ pub fn sedona_like_join<P: RecordPayload>(
     };
     let plan = JoinPlan {
         name: "Sedona".to_string(),
+        sink: &spec.sink,
         assign_r,
         assign_s,
         partitioner: &LeafPartitioner {

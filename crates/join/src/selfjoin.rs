@@ -1,7 +1,8 @@
 use crate::pipeline::{cells_within_eps, expansion, midpoint_in_cell, point_at, shuffle_keyed};
+use crate::sink::Emitter;
 use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Pairs, Record, RecordPayload};
 use asj_core::KernelCostModel;
-use asj_engine::{Cluster, HashPartitioner, JobMetrics};
+use asj_engine::{Cluster, HashPartitioner, JobMetrics, ShuffledPartition};
 use asj_grid::{Grid, GridSpec};
 use asj_index::{kernels, PointBatch};
 
@@ -32,20 +33,19 @@ pub fn self_join<P: RecordPayload>(
         shuffle_keyed(cluster, rdd, expand, &partitioner, "shuffle")
     })?;
 
-    let eps = spec.eps;
-    let collect = spec.collect_pairs;
-    let kernel = spec.kernel;
+    let (eps, kernel, sink) = (spec.eps, spec.kernel, &spec.sink);
     let model = KernelCostModel::default();
     // Each task fetches its shuffled partition in place — in-memory blocks
     // borrowed, spilled ones read and decoded by the task, an unreadable one
     // failing the attempt — turns it into one columnar batch — cell groups
     // in ascending-x lanes — and joins every group against itself. Counts
     // ride with the task result, so retried/speculative attempts cannot
-    // double-count them.
+    // double-count them; the sink takes each partition when it commits.
     let tasks: Vec<_> = keyed.partitions().iter().collect();
-    let (folded, join_exec) = cluster.try_run_stage("self_join", tasks, |_, part| {
+    let window = sink.window();
+    let join = |_, part: &ShuffledPartition<u64, Record<P>>| {
         let batch = PointBatch::from_blocks(&part.fetch()?, |rec| rec.point, |rec| rec.id);
-        let mut out: Vec<(u64, u64)> = Vec::new();
+        let mut out = Emitter::new(sink);
         let (mut candidates, mut results) = (0u64, 0u64);
         for g in 0..batch.num_groups() {
             let (cell, pts, ids) = (batch.keys()[g], batch.group(g), batch.group_ids(g));
@@ -53,26 +53,25 @@ pub fn self_join<P: RecordPayload>(
                 let (a, b) = (ids[i], ids[j]);
                 if a != b && midpoint_in_cell(&grid_b, cell, point_at(pts, i), point_at(pts, j)) {
                     results += 1;
-                    if collect {
-                        out.push((a.min(b), a.max(b)));
-                    }
+                    out.emit(a.min(b), a.max(b));
                 }
             });
             candidates += outcome.stats.candidates;
         }
-        out.shrink_to_fit();
-        Ok((out, candidates, results))
-    })?;
+        let (pairs, part) = out.finish();
+        Ok((pairs, ((candidates, results), part)))
+    };
+    let commit = |idx, part: &mut _| window.commit(idx, part);
+    let (folded, join_exec) =
+        cluster.try_run_stage_committing("self_join", tasks, join, &commit)?;
     drop(keyed);
 
-    let result_count = folded.iter().map(|(_, _, r)| r).sum();
-    let candidates = folded.iter().map(|(_, c, _)| c).sum();
-    let chunks = folded.into_iter().map(|(out, _, _)| out).collect();
-    Ok(JoinOutput {
+    let mut out = JoinOutput {
         algorithm: "self-join".to_string(),
-        pairs: Pairs::from_chunks(chunks),
-        result_count,
-        candidates,
+        pairs: Pairs::default(),
+        digest: Default::default(),
+        result_count: 0,
+        candidates: 0,
         replicated: [replicas, 0],
         metrics: JobMetrics {
             shuffle,
@@ -81,7 +80,12 @@ pub fn self_join<P: RecordPayload>(
             driver: std::time::Duration::ZERO,
             broadcast_bytes,
         },
-    })
+    };
+    for (candidates, results) in sink.gather(folded, &mut out) {
+        out.candidates += candidates;
+        out.result_count += results;
+    }
+    Ok(out)
 }
 
 /// Brute-force self-join oracle: unordered pairs `(a.id < b.id)` within ε.

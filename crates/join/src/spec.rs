@@ -1,4 +1,5 @@
-use crate::{Pairs, Record};
+use crate::{PairSink, Pairs, Record};
+use asj_engine::digest::PairDigest;
 use asj_engine::{Dataset, JobError, JobMetrics, Placement};
 use asj_geom::Rect;
 
@@ -29,8 +30,13 @@ pub struct JoinSpec {
     pub placement: Placement,
     /// Seed for sampling and any randomized choices; runs are reproducible.
     pub seed: u64,
-    /// Materialize result pairs (`(r.id, s.id)`) in the output. Disable for
-    /// large runs where only counts and metrics matter.
+    /// Where the result pairs `(r.id, s.id)` go (default
+    /// [`PairSink::Collect`]).
+    pub sink: PairSink,
+    /// Whether [`JoinSpec::sink`] is [`PairSink::Collect`]. The joins read
+    /// `sink`; this mirror is kept, set by [`JoinSpec::with_sink`] and
+    /// [`JoinSpec::counting_only`], for `benchmark/src/probe.rs`.
+    #[deprecated(note = "frozen for benchmark/src/probe.rs; read `sink`")]
     pub collect_pairs: bool,
     /// Partition-local join kernel (default [`LocalKernel::Auto`]: the
     /// committed cost model picks per cell group).
@@ -42,6 +48,7 @@ impl JoinSpec {
     /// input is read into when it comes from a file.
     pub const INPUT_PARTITIONS: usize = 16;
 
+    #[allow(deprecated)] // sets the frozen `collect_pairs` mirror
     pub fn new(bbox: Rect, eps: f64) -> Self {
         JoinSpec {
             bbox,
@@ -52,6 +59,7 @@ impl JoinSpec {
             sample_fraction: 0.03,
             placement: Placement::Hash,
             seed: 0xA5A5_5EED,
+            sink: PairSink::Collect,
             collect_pairs: true,
             kernel: LocalKernel::default(),
         }
@@ -87,9 +95,17 @@ impl JoinSpec {
         self
     }
 
-    pub fn counting_only(mut self) -> Self {
-        self.collect_pairs = false;
+    /// Sends the result pairs to `sink`.
+    #[allow(deprecated)] // sets the frozen `collect_pairs` mirror
+    pub fn with_sink(mut self, sink: PairSink) -> Self {
+        self.collect_pairs = matches!(sink, PairSink::Collect);
+        self.sink = sink;
         self
+    }
+
+    /// [`JoinSpec::with_sink`]`(`[`PairSink::Count`]`)`.
+    pub fn counting_only(self) -> Self {
+        self.with_sink(PairSink::Count)
     }
 
     /// Rejects a spec no join can run: every entry point calls this first,
@@ -221,8 +237,11 @@ pub struct JoinOutput {
     /// Algorithm display name (matches the paper's figure legends).
     pub algorithm: String,
     /// Materialized `(r.id, s.id)` pairs, as each join partition produced
-    /// them (empty when `collect_pairs` is off).
+    /// them ([`PairSink::Collect`] only; empty otherwise).
     pub pairs: Pairs,
+    /// The committed partitions' digests, added up ([`PairSink::Digest`]
+    /// only; zero otherwise).
+    pub digest: PairDigest,
     /// Number of result pairs (always populated).
     pub result_count: u64,
     /// Candidate pairs whose exact distance was evaluated.
@@ -268,7 +287,14 @@ mod tests {
         assert_eq!(s.num_partitions, 48);
         assert_eq!(s.sample_fraction, 0.1);
         assert_eq!(s.seed, 7);
-        assert!(!s.collect_pairs);
+        assert!(matches!(s.sink, PairSink::Count));
+        #[allow(deprecated)]
+        let mirrored = (s.collect_pairs, JoinSpec::new(bbox, 0.5).collect_pairs);
+        assert_eq!(
+            mirrored,
+            (false, true),
+            "the frozen mirror follows the sink"
+        );
         // Paper defaults.
         let d = JoinSpec::new(bbox, 0.5);
         assert_eq!(d.num_partitions, 96);
@@ -313,6 +339,7 @@ mod tests {
         let out = JoinOutput {
             algorithm: "x".into(),
             pairs: Pairs::default(),
+            digest: PairDigest::default(),
             result_count: 50,
             candidates: 100,
             replicated: [3, 4],

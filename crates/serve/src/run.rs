@@ -2,13 +2,12 @@ use crate::estimate::WorkingSetModel;
 use crate::queue::{check_payload, TenantSpec};
 use asj_data::{DatasetSpec, PAPER_BBOX};
 use asj_engine::{
-    ensure_remaining, on_host_threads, Cluster, Dataset, Fnv1a, JobReport, JobServer, JobSpec,
+    ensure_remaining, on_host_threads, Cluster, Dataset, JobReport, JobServer, JobSpec,
     SchedPolicy, ServerRun, SubmitError, Wire, WireError,
 };
-use asj_join::{to_record_partitions, JoinError, JoinSpec, Record};
+use asj_join::{to_record_partitions, JoinError, JoinSpec, PairSink, Record};
 use bytes::{Buf, BufMut};
 use std::convert::Infallible;
-use std::hash::Hasher;
 use std::path::PathBuf;
 
 /// What one tenant's join produced, reduced to the fields that must be
@@ -21,8 +20,9 @@ pub struct TenantOutcome {
     pub candidates: u64,
     /// Replicated objects across both inputs.
     pub replicated: u64,
-    /// FNV-1a over the sorted result pairs (and the count) — the isolation
-    /// oracle's fingerprint.
+    /// The join's [`PairDigest`](asj_engine::digest::PairDigest) value —
+    /// the isolation oracle's fingerprint of the result pairs, folded by
+    /// each partition as it finds them.
     pub checksum: u64,
 }
 
@@ -48,76 +48,6 @@ impl Wire for TenantOutcome {
             replicated: buf.get_u64_le(),
             checksum: buf.get_u64_le(),
         })
-    }
-}
-
-/// Fewest packed keys [`checksum_pairs`] gives one host thread to sort: a
-/// shorter list sorts faster than threads start.
-const MIN_SORT_RUN: usize = 1 << 12;
-
-/// FNV-1a 64 over the result cardinality and the sorted `(r, s)` pairs.
-/// Sorting first makes the fingerprint independent of partition emit order.
-/// When every id fits 32 bits (generated ids always do) the pairs are sorted
-/// as packed `r << 32 | s` keys — the same order at half the bytes moved —
-/// in contiguous runs on up to `threads` host threads, and the runs are
-/// merged as they are hashed; otherwise they are sorted as tuples, serially.
-/// Both feed the same stream to the hash.
-pub fn checksum_pairs(
-    threads: usize,
-    result_count: u64,
-    pairs: impl Iterator<Item = (u64, u64)> + Clone + Sync,
-) -> u64 {
-    let mut hash = Fnv1a::default();
-    hash.write_u64(result_count);
-    if pairs.clone().all(|(r, s)| (r | s) >> 32 == 0) {
-        let n = pairs.clone().count();
-        let runs = threads.min(n / MIN_SORT_RUN).max(1);
-        let per_run = n.div_ceil(runs);
-        let runs = on_host_threads(threads, runs, |t, _| {
-            let mut keys = Vec::with_capacity(per_run);
-            let run = pairs.clone().skip(t * per_run).take(per_run);
-            keys.extend(run.map(|(r, s)| r << 32 | s));
-            keys.sort_unstable();
-            Ok::<_, Infallible>(keys)
-        })
-        .unwrap_or_else(|never| match never {});
-        merge_runs(&runs, |key| {
-            hash.write_u64(key >> 32);
-            hash.write_u64(key & u64::from(u32::MAX));
-        });
-    } else {
-        let mut sorted: Vec<(u64, u64)> = pairs.collect();
-        sorted.sort_unstable();
-        for (r, s) in sorted {
-            hash.write_u64(r);
-            hash.write_u64(s);
-        }
-    }
-    hash.finish()
-}
-
-/// Visits the keys of the sorted `runs` in one ascending pass.
-fn merge_runs(runs: &[Vec<u64>], mut visit: impl FnMut(u64)) {
-    let mut heads: Vec<&[u64]> = runs
-        .iter()
-        .map(Vec::as_slice)
-        .filter(|run| !run.is_empty())
-        .collect();
-    while heads.len() > 1 {
-        let mut min = 0;
-        for i in 1..heads.len() {
-            if heads[i][0] < heads[min][0] {
-                min = i;
-            }
-        }
-        visit(heads[min][0]);
-        heads[min] = &heads[min][1..];
-        if heads[min].is_empty() {
-            heads.swap_remove(min);
-        }
-    }
-    if let Some(last) = heads.pop() {
-        last.iter().copied().for_each(visit);
     }
 }
 
@@ -200,12 +130,13 @@ pub(crate) fn tenant_join_spec(tenant: &TenantSpec) -> JoinSpec {
         .with_grid_factor(tenant.grid_factor)
         .with_kernel(tenant.kernel)
         .with_seed(tenant.seed)
+        .with_sink(PairSink::Digest)
 }
 
 fn run_tenant_body(tenant: &TenantSpec, cluster: &Cluster) -> Result<TenantOutcome, JoinError> {
-    // Generation and the checksum run inside the tenant's quanta, on the
-    // cluster's host threads while every other job is parked; as phases they
-    // put the whole quantum in the trace.
+    // Generation runs inside the tenant's quanta, on the cluster's host
+    // threads while every other job is parked; as a phase it puts the whole
+    // quantum in the trace. The checksum is folded inside the join's tasks.
     let recorder = cluster.recorder();
     let threads = cluster.threads();
     let spec = tenant_join_spec(tenant);
@@ -220,14 +151,12 @@ fn run_tenant_body(tenant: &TenantSpec, cluster: &Cluster) -> Result<TenantOutco
             .expect("one input per side")
     });
     let out = tenant.algorithm.try_run(cluster, &spec, r, s)?;
-    let checksum = recorder.phase("checksum", || {
-        checksum_pairs(threads, out.result_count, out.pairs.iter().copied())
-    });
+    debug_assert_eq!(out.digest.count, out.result_count);
     Ok(TenantOutcome {
         result_count: out.result_count,
         candidates: out.candidates,
         replicated: out.replicated_total(),
-        checksum,
+        checksum: out.digest.value(),
     })
 }
 
@@ -399,78 +328,39 @@ mod tests {
         Cluster::new(ClusterConfig::with_threads(4, 2))
     }
 
+    /// A tenant's checksum is its join's pair digest: the same for every
+    /// partitioning of the work, and moved by a changed answer.
     #[test]
     fn checksum_is_order_independent_and_content_sensitive() {
-        let checksum =
-            |count, pairs: &[(u64, u64)]| checksum_pairs(2, count, pairs.iter().copied());
-        let a = checksum(2, &[(1, 2), (3, 4)]);
-        let b = checksum(2, &[(3, 4), (1, 2)]);
-        assert_eq!(a, b, "pair order must not matter");
-        assert_ne!(a, checksum(2, &[(1, 2), (3, 5)]));
-        assert_ne!(checksum(0, &[]), checksum(1, &[]));
-    }
-
-    /// The tuple-sort definition `checksum_pairs` must reproduce whichever
-    /// sort it picks.
-    fn checksum_reference(result_count: u64, pairs: &[(u64, u64)]) -> u64 {
-        let mut sorted = pairs.to_vec();
-        sorted.sort_unstable();
-        let mut hash = Fnv1a::default();
-        hash.write_u64(result_count);
-        for (r, s) in sorted {
-            hash.write_u64(r);
-            hash.write_u64(s);
-        }
-        hash.finish()
-    }
-
-    mod checksum_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// Ids below 2³² (clustered, so duplicates and ties on `r` occur),
-        /// just around the boundary, and anywhere in `u64`.
-        fn arb_id() -> impl Strategy<Value = u64> {
-            prop_oneof![
-                0u64..8,
-                any::<u32>().prop_map(u64::from),
-                (u64::from(u32::MAX) - 1)..(u64::from(u32::MAX) + 3),
-                any::<u64>(),
-            ]
-        }
-
-        proptest! {
-            /// Short lists sort in one run; a quarter of the `long` lists
-            /// hold two to five runs' worth of keys (`r` below `span`, so
-            /// with ties) and split into as many runs as there are host
-            /// threads. Whichever way a list is cut, the merge must hash
-            /// what one sort does.
-            #[test]
-            fn packed_and_tuple_sorts_hash_alike(
-                small in prop::collection::vec((0u64..1 << 32, 0u64..1 << 32), 0..200),
-                mixed in prop::collection::vec((arb_id(), arb_id()), 0..200),
-                long in (
-                    prop_oneof![0usize..200, 0usize..200, 0usize..200, 2 * MIN_SORT_RUN..5 * MIN_SORT_RUN],
-                    any::<u64>(),
-                    1u64..1 << 20,
-                ),
-                count in any::<u64>(),
-            ) {
-                let (len, salt, span) = long;
-                let long: Vec<(u64, u64)> = (0..len as u64)
-                    .map(|i| {
-                        let x = (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        ((x >> 40) % span, x & u64::from(u32::MAX))
-                    })
-                    .collect();
-                let want = [&small, &mixed, &long].map(|pairs| checksum_reference(count, pairs));
-                for threads in [1, 2, 4] {
-                    let got = [&small, &mixed, &long]
-                        .map(|pairs| checksum_pairs(threads, count, pairs.iter().copied()));
-                    prop_assert_eq!(got, want, "{} host threads", threads);
-                }
-            }
-        }
+        let cluster = test_cluster();
+        let tenant = &two_tenants()[0];
+        let solo = solo_outcome(&cluster, tenant).expect("solo runs");
+        let mut repartitioned = tenant.clone();
+        repartitioned.partitions *= 3;
+        let other = solo_outcome(&cluster, &repartitioned).expect("solo runs");
+        assert_eq!(other.result_count, solo.result_count);
+        assert_eq!(
+            other.checksum, solo.checksum,
+            "partition order must not matter"
+        );
+        let mut wider = tenant.clone();
+        wider.eps *= 1.1;
+        let moved = solo_outcome(&cluster, &wider).expect("solo runs");
+        assert_ne!(moved.result_count, solo.result_count);
+        assert_ne!(moved.checksum, solo.checksum);
+        // The digest of the collected pairs, folded on the driver.
+        let spec = tenant_join_spec(tenant).with_sink(PairSink::Collect);
+        let (r, s) = (
+            tenant_input(tenant, tenant.seed, 16),
+            tenant_input(tenant, tenant.seed + 1, 16),
+        );
+        let out = tenant
+            .algorithm
+            .try_run(&cluster, &spec, r, s)
+            .expect("join runs");
+        let mut digest = asj_engine::digest::PairDigest::default();
+        out.pairs.iter().for_each(|&(r, s)| digest.add(r, s));
+        assert_eq!(digest.value(), solo.checksum);
     }
 
     #[test]
@@ -497,8 +387,8 @@ mod tests {
         );
     }
 
-    /// Also across host thread counts: generation and the checksum sort run
-    /// on one thread or on four, and nothing a report holds may move.
+    /// Also across host thread counts: generation runs on one thread or on
+    /// four, and nothing a report holds may move.
     #[test]
     fn queue_runs_are_deterministic() {
         let mut tenants = two_tenants();

@@ -17,7 +17,7 @@ use adaptive_spatial_join::engine::{
 };
 use adaptive_spatial_join::geom::Rect;
 use adaptive_spatial_join::join::{
-    knn_join, self_join, Algorithm, JoinError, JoinOutput, JoinSpec, NoPayload, Pairs,
+    knn_join, self_join, Algorithm, JoinError, JoinOutput, JoinSpec, NoPayload, PairFile, PairSink,
     PartitionedPoints, Record,
 };
 use adaptive_spatial_join::prelude::*;
@@ -506,81 +506,25 @@ fn warn_unreached_fault_stages(cluster: &Cluster) {
     }
 }
 
-/// `"00"` to `"99"`: the decimal writer below emits two digits per division.
-const DIGIT_PAIRS: [[u8; 2]; 100] = {
-    let mut pairs = [[0u8; 2]; 100];
-    let mut i = 0;
-    while i < 100 {
-        pairs[i] = [b'0' + (i / 10) as u8, b'0' + (i % 10) as u8];
-        i += 1;
-    }
-    pairs
-};
-
-/// Room for one `a,b\n` line: a `u64` has at most 20 digits.
-const PAIR_LINE: usize = 20 + 1 + 20 + 1;
-
-/// Writes `n` in decimal, as `{n}` formats it, so that it ends right before
-/// `line[end]`; returns the index of its first digit.
-fn decimal_before(line: &mut [u8; PAIR_LINE], mut end: usize, mut n: u64) -> usize {
-    while n >= 100 {
-        end -= 2;
-        line[end..end + 2].copy_from_slice(&DIGIT_PAIRS[(n % 100) as usize]);
-        n /= 100;
-    }
-    if n >= 10 {
-        end -= 2;
-        line[end..end + 2].copy_from_slice(&DIGIT_PAIRS[n as usize]);
-    } else {
-        end -= 1;
-        line[end] = b'0' + n as u8;
-    }
-    end
-}
-
-/// Writes the pairs of every chunk, in order, to `out` as `a,b` lines,
-/// formatted by hand into one block buffer that is flushed every ~64 KiB: a
-/// million lines through `fmt` cost more than the join that found them.
-fn write_pair_lines<'a>(
-    out: &mut impl Write,
-    chunks: impl IntoIterator<Item = &'a [(u64, u64)]>,
-) -> std::io::Result<()> {
-    const BLOCK: usize = 64 << 10;
-    let mut block = Vec::with_capacity(BLOCK + PAIR_LINE);
-    let mut line = [b'\n'; PAIR_LINE];
-    for &(a, b) in chunks.into_iter().flatten() {
-        let comma = decimal_before(&mut line, PAIR_LINE - 1, b) - 1;
-        line[comma] = b',';
-        let start = decimal_before(&mut line, comma, a);
-        block.extend_from_slice(&line[start..]);
-        if block.len() >= BLOCK {
-            out.write_all(&block)?;
-            block.clear();
-        }
-    }
-    out.write_all(&block)
-}
-
-fn write_pairs(out: &Destination, pairs: &Pairs) -> Result<(), CliError> {
-    out.replace(|file| write_pair_lines(file, pairs.chunks()))?;
-    println!("wrote {} pairs to {}", pairs.len(), out.path.display());
-    Ok(())
-}
-
-/// The shared tail of `join` / `self-join`: the report, then the trace and
-/// pair files, then how long writing those took, and last the process's
-/// peak RSS, which the output may have set.
+/// The shared tail of `join` / `self-join`: the report, then the trace
+/// file and the pair file's publication (its lines were written by the
+/// join's tasks), then how long those took, and last the process's peak
+/// RSS, which the output may have set.
 fn finish_join(
     out: &JoinOutput,
     ingest: Duration,
     trace: &TraceSink,
-    pairs: Option<Destination>,
+    pairs: Option<PairFile>,
 ) -> Result<(), CliError> {
     report(out, ingest);
     let output = Instant::now();
     trace.write()?;
     if let Some(pairs) = &pairs {
-        write_pairs(pairs, &out.pairs)?;
+        let path = pairs.path().display();
+        pairs
+            .publish()
+            .map_err(|e| CliError::runtime(format!("writing {path}: {e}")))?;
+        println!("wrote {} pairs to {path}", out.result_count);
     }
     println!(
         "output time          : {:.3} s",
@@ -592,9 +536,18 @@ fn finish_join(
     Ok(())
 }
 
-/// The `--out` pairs file of a join, opened before any input is read.
-fn pairs_destination(opts: &Options) -> Result<Option<Destination>, CliError> {
-    opts.out.as_deref().map(Destination::open).transpose()
+/// The `--out` pairs file of a join, created (as a sibling that replaces
+/// it once the join is done) before any input is read.
+fn pairs_destination(opts: &Options) -> Result<Option<PairFile>, CliError> {
+    let create = |path: &str| {
+        PairFile::create(path).map_err(|e| CliError::runtime(format!("creating {path}: {e}")))
+    };
+    opts.out.as_deref().map(create).transpose()
+}
+
+/// Where a join's pairs go: the `--out` file, or nowhere (counted only).
+fn pair_sink(pairs: &Option<PairFile>) -> PairSink {
+    pairs.clone().map_or(PairSink::Count, PairSink::File)
 }
 
 fn cmd_join(opts: &Options) -> Result<(), CliError> {
@@ -608,10 +561,8 @@ fn cmd_join(opts: &Options) -> Result<(), CliError> {
     if bbox.is_empty() {
         return Err("inputs contain no points".into());
     }
-    let (cluster, mut spec) = build_spec(opts, bbox, &trace)?;
-    if pairs.is_none() {
-        spec = spec.counting_only();
-    }
+    let (cluster, spec) = build_spec(opts, bbox, &trace)?;
+    let spec = spec.with_sink(pair_sink(&pairs));
     let out = algo.try_run(&cluster, &spec, r, s)?;
     warn_unreached_fault_stages(&cluster);
     finish_join(&out, ingest, &trace, pairs)
@@ -626,10 +577,8 @@ fn cmd_self_join(opts: &Options) -> Result<(), CliError> {
     if bbox.is_empty() {
         return Err("input contains no points".into());
     }
-    let (cluster, mut spec) = build_spec(opts, bbox, &trace)?;
-    if pairs.is_none() {
-        spec = spec.counting_only();
-    }
+    let (cluster, spec) = build_spec(opts, bbox, &trace)?;
+    let spec = spec.with_sink(pair_sink(&pairs));
     let out = self_join(&cluster, &spec, input)?;
     warn_unreached_fault_stages(&cluster);
     finish_join(&out, ingest, &trace, pairs)
@@ -887,18 +836,42 @@ mod tests {
         assert_eq!(err.message, "inputs contain no points");
     }
 
+    /// The pair file a join's tasks write holds the collected pairs, in
+    /// partition order, as `fmt` writes them.
     #[test]
     fn pair_lines_are_what_fmt_writes() {
-        // Digit-count boundaries, enough lines to cross block flushes, and
-        // chunks (one empty) that end inside a block.
-        let mut pairs = vec![(0, 9), (10, 99), (100, u64::MAX), (u64::MAX, 0)];
-        pairs.extend((0..20_000u64).map(|i| (i * 7_919, u64::MAX / (i + 1))));
-        let mut got = Vec::new();
-        let chunks = pairs.chunks(7_001).chain([&[][..]]);
-        write_pair_lines(&mut got, chunks).unwrap();
-        let want: String = pairs.iter().map(|(a, b)| format!("{a},{b}\n")).collect();
-        assert!(want.len() > 3 * (64 << 10));
-        assert!(got == want.as_bytes());
+        let dir = std::env::temp_dir().join(format!("asj-cli-lines-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let points = |seed| {
+            let spec = DatasetSpec {
+                name: "lines",
+                kind: GenKind::GaussianClusters,
+                cardinality: 3_000,
+                seed,
+                bbox: PAPER_BBOX,
+                sigma_scale: 1.0,
+            };
+            to_records(&spec.points(), 0)
+        };
+        let (r, s) = (points(1), points(2));
+        let spec = JoinSpec::new(PAPER_BBOX, 0.4).with_partitions(16);
+        let cluster = Cluster::new(ClusterConfig::with_threads(4, 2));
+        let collected = Algorithm::Lpib
+            .try_run(&cluster, &spec, r.clone(), s.clone())
+            .unwrap();
+        let path = dir.join("pairs.csv");
+        let file = PairFile::create(&path).unwrap();
+        let spec = spec.with_sink(PairSink::File(file.clone()));
+        Algorithm::Lpib.try_run(&cluster, &spec, r, s).unwrap();
+        file.publish().unwrap();
+        let want: String = collected
+            .pairs
+            .iter()
+            .map(|(a, b)| format!("{a},{b}\n"))
+            .collect();
+        assert!(collected.result_count > 1_000, "{}", collected.result_count);
+        assert!(std::fs::read(&path).unwrap() == want.as_bytes());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -70,6 +70,6 @@ pub mod prelude {
     pub use asj_join::{
         adaptive_join, eps_grid_join, extent_join, knn_join, pbsm_join, pbsm_refpoint_join,
         sedona_like_join, self_join, to_records, Algorithm, ExtentRecord, JoinError, JoinOutput,
-        JoinSpec, LocalKernel, PartitionedPoints, ReplicateSide,
+        JoinSpec, LocalKernel, PairFile, PairSink, PartitionedPoints, ReplicateSide,
     };
 }

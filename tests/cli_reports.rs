@@ -234,3 +234,53 @@ fn an_unwritable_output_fails_before_any_input_is_read() {
     assert!(written.lines().count() > 1, "{written}");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+/// The pair file does not depend on which attempts failed or raced: a
+/// join whose `cogroup_join` task fails once and whose node 1 straggles
+/// under speculation writes the clean run's bytes. A join that fails
+/// after some of its partitions were written leaves nothing under
+/// `--out`'s name, and no sibling behind.
+#[test]
+fn pair_files_survive_retries_and_failed_joins_leave_none() {
+    let dir = scratch("sink");
+    let (r, s) = (dir.join("r.csv"), dir.join("s.csv"));
+    for (file, kind, seed) in [(&r, "gaussian", "11"), (&s, "uniform", "12")] {
+        let args = ["generate", "--kind", kind, "--n", "3000", "--seed", seed];
+        asj(&[&args[..], &["--out", path(file)]].concat());
+    }
+    let join = ["join", "--r", path(&r), "--s", path(&s), "--eps", "0.4"];
+    let (clean, faulted) = (dir.join("clean.csv"), dir.join("faulted.csv"));
+    asj(&[&join[..], &["--out", path(&clean)]].concat());
+    let faults = [
+        "--faults",
+        "fail:cogroup_join:0@1,slow:1=8.0",
+        "--speculation",
+    ];
+    let out = asj(&[&join[..], &faults, &["--out", path(&faulted)]].concat());
+    let stdout = text(&out.stdout);
+    assert!(
+        value(&stdout, "task attempts").contains("1 retries"),
+        "{stdout}"
+    );
+    let bytes = std::fs::read(&clean).expect("clean pairs");
+    assert!(bytes.len() > 1_000, "the join finds pairs");
+    assert!(std::fs::read(&faulted).expect("faulted pairs") == bytes);
+
+    let failed = dir.join("failed.csv");
+    let (_, stderr) = asj_fails(
+        &[
+            &join[..],
+            &["--faults", "stage:cogroup_join=0.5", "--max-attempts", "1"],
+            &["--out", path(&failed)],
+        ]
+        .concat(),
+    );
+    assert!(stderr.contains("stage 'cogroup_join'"), "{stderr}");
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .collect();
+    names.sort();
+    assert_eq!(names, ["clean.csv", "faulted.csv", "r.csv", "s.csv"]);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
