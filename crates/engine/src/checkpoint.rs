@@ -19,16 +19,18 @@
 //!
 //! A manifest therefore never references bytes that aren't durable, and a
 //! crash mid-write leaves either no manifest (checkpoint ignored, stage
-//! reruns) or a complete one. Loads verify per-chunk lengths and XXH64
-//! checksums; any mismatch deletes the pair and reports a miss, so a corrupt
-//! checkpoint degrades to recomputation, never to wrong results.
+//! reruns) or a complete one. Each chunk is read back through
+//! [`Chunk::read_into`], the verified read spill segments use too (length
+//! and XXH64); any mismatch deletes the pair and reports a miss, so a
+//! corrupt checkpoint degrades to recomputation, never to wrong results.
 //!
 //! The segment is written in one partition-parallel pass: partition `t`'s
 //! chunk lives at the prefix sum of `partition_bytes[..t]` — the exact
 //! encoded sizes the stage already metered — so every offset is known before
 //! a byte is encoded and workers `pwrite` their chunks independently; the
 //! file is the same as a serial append's. Loads read, verify and decode
-//! chunks on the same kind of workers.
+//! chunks on the same kind of workers. A spilled block is saved by copying
+//! its verified chunk, so a damaged spill fails the save.
 //!
 //! The manifest is a line-oriented text file:
 //!
@@ -44,19 +46,20 @@
 //! end
 //! ```
 //!
+//! A `chunk=` value is a [`Chunk`] in its text form (`Display` / `FromStr`).
 //! The trailing `end` line is the commit marker a torn manifest lacks. Any
 //! other header — `v1`, whose checksum column was FNV-1a, included — is a
 //! stale checkpoint: a miss that deletes the pair.
 
 use crate::cluster::on_host_threads;
-use crate::digest::xxh64;
+use crate::memory::Chunk;
 use crate::metrics::ShuffleStats;
 use crate::wire::Wire;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -95,23 +98,15 @@ fn invalid(why: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, why)
 }
 
-/// One `chunk=` line of a manifest; its target is its position.
-struct ManifestChunk {
-    records: u64,
-    len: u64,
-    offset: u64,
-    checksum: u64,
-}
-
 /// Parses the manifest of `key`: the positional chunk index plus the recorded
 /// stats. Any irregularity — another version's header included — is `None`.
-fn parse_manifest(key: &str, text: &str) -> Option<(Vec<ManifestChunk>, ShuffleStats)> {
+fn parse_manifest(key: &str, text: &str) -> Option<(Vec<Chunk>, ShuffleStats)> {
     let mut lines = text.lines();
     if lines.next()? != "asj-checkpoint v2" {
         return None;
     }
     let mut shuffle = ShuffleStats::default();
-    let mut chunks: Vec<ManifestChunk> = Vec::new();
+    let mut chunks: Vec<Chunk> = Vec::new();
     for line in lines {
         if line == "end" {
             return Some((chunks, shuffle));
@@ -135,21 +130,13 @@ fn parse_manifest(key: &str, text: &str) -> Option<(Vec<ManifestChunk>, ShuffleS
                 }
             }
             "chunk" => {
-                let parts: Vec<&str> = value.split(':').collect();
-                let [target, records, len, offset, sum] = parts.as_slice() else {
-                    return None;
-                };
+                let chunk: Chunk = value.parse().ok()?;
                 // Chunks are listed in target order (0..partitions), so the
                 // rebuilt vector is positional.
-                if target.parse() != Ok(chunks.len()) {
+                if chunk.target != chunks.len() {
                     return None;
                 }
-                chunks.push(ManifestChunk {
-                    records: records.parse().ok()?,
-                    len: len.parse().ok()?,
-                    offset: offset.parse().ok()?,
-                    checksum: u64::from_str_radix(sum, 16).ok()?,
-                });
+                chunks.push(chunk);
             }
             _ => return None,
         }
@@ -173,11 +160,6 @@ impl CheckpointStore {
         };
         store.sweep_orphans()?;
         Ok(store)
-    }
-
-    /// The directory checkpoints live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Bytes written into checkpoint segments by this store.
@@ -282,9 +264,8 @@ impl CheckpointStore {
         }
         let start = Instant::now();
         let (mut write, mut fsync) = (Duration::ZERO, Duration::ZERO);
-        // (records, checksum) per chunk. A zero-partition stage commits
-        // manifest-only.
-        let mut chunks: Vec<(u64, u64)> = Vec::new();
+        // A zero-partition stage commits manifest-only.
+        let mut chunks: Vec<Chunk> = Vec::new();
         if !parts.is_empty() {
             let file = File::create(self.seg_path(key))?;
             chunks = on_host_threads(threads, parts.len(), |t, buf| {
@@ -298,7 +279,7 @@ impl CheckpointStore {
                     )));
                 }
                 file.write_all_at(buf, offsets[t])?;
-                Ok((records, xxh64(buf)))
+                Ok(Chunk::new(t, records, offsets[t], buf))
             })?;
             write = start.elapsed();
             file.sync_all()?;
@@ -314,11 +295,8 @@ impl CheckpointStore {
             shuffle.records,
             pb.join(",")
         );
-        for (target, (records, checksum)) in chunks.iter().enumerate() {
-            let (len, offset) = (lens[target], offsets[target]);
-            text.push_str(&format!(
-                "chunk={target}:{records}:{len}:{offset}:{checksum:016x}\n"
-            ));
+        for chunk in &chunks {
+            text.push_str(&format!("chunk={chunk}\n"));
         }
         text.push_str("end\n");
         // Segment fsynced above, manifest published atomically after it: a
@@ -365,21 +343,11 @@ impl CheckpointStore {
                     return Some((Vec::new(), shuffle));
                 }
                 let file = File::open(self.seg_path(key)).ok()?;
-                // A corrupt `len` must not size an allocation: no chunk is
-                // longer than its file.
-                let file_len = file.metadata().ok()?.len();
-                let damaged = || io::Error::from(io::ErrorKind::InvalidData);
                 let parts = on_host_threads(threads, chunks.len(), |t, buf| {
-                    let chunk = &chunks[t];
-                    if chunk.len > file_len {
-                        return Err(damaged());
-                    }
-                    buf.resize(chunk.len as usize, 0);
-                    file.read_exact_at(buf, chunk.offset)?;
-                    if xxh64(buf) != chunk.checksum {
-                        return Err(damaged());
-                    }
-                    decode(buf, chunk.records).ok_or_else(damaged)
+                    buf.clear();
+                    chunks[t].read_into(&file, buf)?;
+                    decode(buf, chunks[t].records)
+                        .ok_or(io::Error::from(io::ErrorKind::InvalidData))
                 });
                 Some((parts.ok()?, shuffle))
             });
@@ -476,7 +444,8 @@ pub(crate) fn decode_join_part<R: Wire, A: Wire>(
 ) -> Option<(Vec<R>, A)> {
     let mut cursor = bytes;
     let acc = A::try_decode(&mut cursor).ok()?;
-    let mut out = Vec::with_capacity(records as usize);
+    // As in `decode_records`: `records` is not covered by the checksum.
+    let mut out = Vec::with_capacity(records.min(bytes.len() as u64) as usize);
     for _ in 0..records {
         out.push(R::try_decode(&mut cursor).ok()?);
     }
@@ -543,9 +512,10 @@ impl CheckpointCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digest::fnv1a;
+    use crate::digest::{fnv1a, xxh64};
     use crate::memory::{decode_records, encode_records, encode_records_into};
     use proptest::prelude::*;
+    use std::path::Path;
 
     type Records = Vec<(u64, Vec<u8>)>;
     type JoinPart = (Vec<(u64, u64)>, (u64, u64));
@@ -677,10 +647,18 @@ mod tests {
             let text = std::fs::read_to_string(&path).expect("read manifest");
             std::fs::write(&path, edit(&text)).expect("rewrite manifest");
         }
+        /// Rewrites the `records` field of chunk 0, which no checksum covers.
+        fn set_records_of_chunk_0(dir: &Path, records: &str) {
+            edit_manifest(dir, |t| {
+                let (head, tail) = t.split_once("chunk=0:").expect("chunk 0");
+                let (_, rest) = tail.split_once(':').expect("records field");
+                format!("{head}chunk=0:{records}:{rest}")
+            });
+        }
         /// What is wrong, how to cause it, and how many partitions the
         /// loader expects beyond the three saved.
         type Damage = (&'static str, fn(&Path), usize);
-        const DAMAGE: [Damage; 7] = [
+        const DAMAGE: [Damage; 9] = [
             (
                 "flipped segment byte",
                 |dir| {
@@ -734,6 +712,16 @@ mod tests {
                         lines.collect()
                     });
                 },
+                0,
+            ),
+            (
+                "`records` past any capacity",
+                |dir| set_records_of_chunk_0(dir, "18446744073709551615"),
+                0,
+            ),
+            (
+                "`records` past the host's memory",
+                |dir| set_records_of_chunk_0(dir, "1099511627776"),
                 0,
             ),
         ];

@@ -874,6 +874,55 @@ mod tests {
         }
     }
 
+    /// One flipped bit in a spilled chunk — x = 1.25 read back as 1.3125 —
+    /// is a `TaskError::Spill` naming the shuffle, not a different record,
+    /// and a checkpoint save that copies the chunk fails instead of sealing
+    /// the damage under a fresh checksum.
+    #[test]
+    fn a_flipped_spilled_bit_is_an_error_not_a_different_record() {
+        use crate::checkpoint::CheckpointStore;
+        use crate::fault::TaskError;
+        use std::os::unix::fs::FileExt;
+        let parts: Vec<Vec<(u64, (f64, f64))>> = (0..4)
+            .map(|p| (0..50u64).map(|i| (i % 7, (1.25, p as f64))).collect())
+            .collect();
+        let tight = cluster().with_memory_budget(1);
+        let (shuffled, stats, exec) = KeyedDataset::from_partitions(parts)
+            .shuffle_stage(&tight, &HashPartitioner::new(4), "shuffle")
+            .expect("shuffle runs");
+        assert!(exec.spilled_bytes > 0);
+        let mut blocks = shuffled.partitions().iter().flat_map(|p| p.blocks());
+        let Some(Block::Spilled { segment, chunk }) = blocks.next() else {
+            panic!("a one-byte budget spills every block");
+        };
+        // The chunk's first record is an 8-byte key, then x; bit 0 of x's
+        // seventh little-endian byte turns 1.25 into 1.3125.
+        let at = segment.chunks()[*chunk].offset + 8 + 6;
+        let file = std::fs::File::options()
+            .read(true)
+            .write(true)
+            .open(segment.path())
+            .expect("reopen segment");
+        let mut byte = [0u8];
+        file.read_exact_at(&mut byte, at).expect("read byte");
+        file.write_all_at(&[byte[0] ^ 1], at).expect("flip bit");
+
+        let dir = std::env::temp_dir().join(format!("asj-flipped-{}", std::process::id()));
+        let store = CheckpointStore::open(&dir).expect("open checkpoint dir");
+        let saved = store.save("k", shuffled.partitions(), &stats, 2, |p, buf| {
+            p.encode_into(buf)
+        });
+        assert!(saved.is_err(), "a save of a damaged chunk fails");
+        assert_eq!(std::fs::read_dir(&dir).expect("list").count(), 0);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+
+        let err = shuffled
+            .into_rows()
+            .expect_err("a flipped bit fails the read");
+        assert_eq!(err.stage, "shuffle");
+        assert!(matches!(err.error, TaskError::Spill(_)), "{err}");
+    }
+
     #[test]
     fn tiny_budget_spills_everything_and_completes() {
         // A budget smaller than any single bucket: every target spills and

@@ -14,39 +14,41 @@
 //! needs the chunk reads it back, so results stay byte-identical while the
 //! in-memory peak stays under the budget.
 //!
+//! A [`Chunk`] is the one index entry of both a spill segment and a
+//! checkpoint segment: where one target's encoded records sit in the file,
+//! and the XXH64 of those bytes. A spill segment keeps its chunks in memory,
+//! a checkpoint manifest holds them in their text form; either is read back
+//! through [`Chunk::read_into`], so a byte changed on disk is an error, never
+//! a different record.
+//!
 //! Without a budget the accountant still meters (so `peak_memory_bytes` is
 //! populated on every run) but never denies; enforcement is strictly opt-in
 //! via [`ClusterConfig::with_memory_budget`](crate::ClusterConfig::with_memory_budget).
 
+use crate::digest::xxh64;
 use crate::wire::{Wire, WireError};
+use std::fmt;
 use std::fs::File;
-use std::io::Write;
+use std::io::{self, Write};
+use std::num::ParseIntError;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Process-wide spill directory override (set by [`set_spill_dir`]).
-static SPILL_DIR: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-
-fn spill_dir_cell() -> &'static Mutex<Option<PathBuf>> {
-    SPILL_DIR.get_or_init(|| Mutex::new(None))
-}
+static SPILL_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 /// Overrides the directory spill segments are written to (the `--spill-dir`
 /// flag). Takes precedence over `ASJ_SPILL_DIR`.
 pub fn set_spill_dir(dir: impl Into<PathBuf>) {
-    *spill_dir_cell().lock().expect("spill dir lock poisoned") = Some(dir.into());
+    *SPILL_DIR.lock().expect("spill dir lock poisoned") = Some(dir.into());
 }
 
 /// The directory spill segments land in: the [`set_spill_dir`] override,
 /// else `ASJ_SPILL_DIR`, else the OS temp directory.
 pub fn spill_dir() -> PathBuf {
-    if let Some(dir) = spill_dir_cell()
-        .lock()
-        .expect("spill dir lock poisoned")
-        .clone()
-    {
+    if let Some(dir) = SPILL_DIR.lock().expect("spill dir lock poisoned").clone() {
         return dir;
     }
     match std::env::var_os("ASJ_SPILL_DIR") {
@@ -191,18 +193,9 @@ impl MemoryAccountant {
     /// Releases a previous charge (saturating: over-release clamps at zero
     /// rather than wrapping).
     pub fn release(&self, node: usize, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
         let cell = &self.resident[self.slot(node)];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        let release = |cur: u64| Some(cur.saturating_sub(bytes));
+        let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, release);
     }
 
     /// Records `bytes` written to a disk spill segment.
@@ -218,11 +211,6 @@ impl MemoryAccountant {
     /// Bytes currently charged to `node`.
     pub fn resident_bytes(&self, node: usize) -> u64 {
         self.resident[self.slot(node)].load(Ordering::Relaxed)
-    }
-
-    /// Simulated nodes this accountant tracks.
-    pub fn nodes(&self) -> usize {
-        self.resident.len()
     }
 
     /// Bytes currently charged across all nodes. Zero at every stage
@@ -368,7 +356,9 @@ pub fn decode_records<K: Wire, V: Wire>(
     records: u64,
 ) -> Result<Vec<(K, V)>, WireError> {
     let mut cursor: &[u8] = bytes;
-    let mut out = Vec::with_capacity(records as usize);
+    // `records` can come from a manifest, which no checksum covers: reserve
+    // no more records than there are bytes, and let a larger count fail.
+    let mut out = Vec::with_capacity(records.min(bytes.len() as u64) as usize);
     for _ in 0..records {
         let k = K::try_decode(&mut cursor)?;
         let v = V::try_decode(&mut cursor)?;
@@ -383,27 +373,86 @@ pub fn decode_records<K: Wire, V: Wire>(
     Ok(out)
 }
 
-/// Location of one target partition's records inside a [`SpillSegment`].
+/// Where one target partition's encoded records sit in a segment file — a
+/// spill segment's or a checkpoint's — and the XXH64 of those bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpillChunk {
+pub struct Chunk {
     /// Target partition the chunk's records belong to.
     pub target: usize,
     /// Records encoded in the chunk.
     pub records: u64,
     /// Encoded length in bytes.
     pub len: u64,
-    offset: u64,
+    /// Position of the chunk's first byte in its file.
+    pub offset: u64,
+    xxh64: u64,
 }
 
-/// Append-only writer for one map task's spilled buckets. `finish` seals it
-/// into a readable [`SpillSegment`].
-#[derive(Debug)]
-pub struct SpillWriter {
-    file: File,
-    path: PathBuf,
-    chunks: Vec<SpillChunk>,
-    offset: u64,
+impl Chunk {
+    /// The index entry of `bytes`, which are being written at `offset`.
+    pub(crate) fn new(target: usize, records: u64, offset: u64, bytes: &[u8]) -> Chunk {
+        Chunk {
+            target,
+            records,
+            len: bytes.len() as u64,
+            offset,
+            xxh64: xxh64(bytes),
+        }
+    }
+
+    /// Appends the chunk's bytes, read from `file`, to `buf`. A chunk that
+    /// ends past the end of the file is refused before anything is allocated
+    /// for it (`UnexpectedEof`); bytes whose XXH64 differs from the index's
+    /// are `InvalidData`. On any error `buf` is left as it was.
+    pub(crate) fn read_into(&self, file: &File, buf: &mut Vec<u8>) -> io::Result<()> {
+        let (end, file_len) = (self.offset.checked_add(self.len), file.metadata()?.len());
+        if end.is_none_or(|end| end > file_len) {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        let start = buf.len();
+        buf.resize(start + self.len as usize, 0);
+        let mismatch = || io::Error::new(io::ErrorKind::InvalidData, "chunk checksum mismatch");
+        let verified = match file.read_exact_at(&mut buf[start..], self.offset) {
+            Ok(()) if xxh64(&buf[start..]) != self.xxh64 => Err(mismatch()),
+            read => read,
+        };
+        verified.inspect_err(|_| buf.truncate(start))
+    }
 }
+
+/// A manifest's `chunk=` value: `target:records:len:offset:xxh64`, the
+/// checksum in 16 hex digits.
+impl fmt::Display for Chunk {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}:{}:{}:{:016x}",
+            self.target, self.records, self.len, self.offset, self.xxh64
+        )
+    }
+}
+
+impl std::str::FromStr for Chunk {
+    type Err = ParseIntError;
+    fn from_str(s: &str) -> Result<Chunk, ParseIntError> {
+        // A missing field parses as "" and a sixth stays in the fifth, so
+        // both are errors.
+        let mut fields = s.splitn(5, ':');
+        let mut next = || fields.next().unwrap_or("");
+        Ok(Chunk {
+            target: next().parse()?,
+            records: next().parse()?,
+            len: next().parse()?,
+            offset: next().parse()?,
+            xxh64: u64::from_str_radix(next(), 16)?,
+        })
+    }
+}
+
+/// Append-only writer for one map task's spilled buckets: a segment that is
+/// not readable yet. `finish` seals it; dropping it deletes the file.
+#[derive(Debug)]
+pub struct SpillWriter(SpillSegment);
 
 /// Monotonic discriminator so concurrent tasks never collide on a path.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -420,12 +469,8 @@ impl SpillWriter {
             .create(true)
             .truncate(true)
             .open(&path)?;
-        Ok(SpillWriter {
-            file,
-            path,
-            chunks: Vec::new(),
-            offset: 0,
-        })
+        let chunks = Vec::new();
+        Ok(SpillWriter(SpillSegment { file, path, chunks }))
     }
 
     /// Appends one target's encoded records as a chunk.
@@ -435,31 +480,19 @@ impl SpillWriter {
         bytes: &[u8],
         records: u64,
     ) -> std::io::Result<()> {
-        self.file.write_all(bytes)?;
-        self.chunks.push(SpillChunk {
-            target,
-            records,
-            len: bytes.len() as u64,
-            offset: self.offset,
-        });
-        self.offset += bytes.len() as u64;
+        let segment = &mut self.0;
+        segment.file.write_all(bytes)?;
+        let offset = segment.total_bytes();
+        segment
+            .chunks
+            .push(Chunk::new(target, records, offset, bytes));
         Ok(())
     }
 
     /// Seals the writer. Returns `None` when nothing was spilled (the empty
     /// file is deleted immediately).
-    pub fn finish(mut self) -> std::io::Result<Option<SpillSegment>> {
-        if self.chunks.is_empty() {
-            drop(self.file);
-            let _ = std::fs::remove_file(&self.path);
-            return Ok(None);
-        }
-        self.file.flush()?;
-        Ok(Some(SpillSegment {
-            file: self.file,
-            path: self.path,
-            chunks: self.chunks,
-        }))
+    pub fn finish(self) -> std::io::Result<Option<SpillSegment>> {
+        Ok(Some(self.0).filter(|segment| !segment.chunks.is_empty()))
     }
 }
 
@@ -471,7 +504,7 @@ impl SpillWriter {
 pub struct SpillSegment {
     file: File,
     path: PathBuf,
-    chunks: Vec<SpillChunk>,
+    chunks: Vec<Chunk>,
 }
 
 impl SpillSegment {
@@ -481,7 +514,7 @@ impl SpillSegment {
     }
 
     /// The chunk index, in write order.
-    pub fn chunks(&self) -> &[SpillChunk] {
+    pub fn chunks(&self) -> &[Chunk] {
         &self.chunks
     }
 
@@ -491,15 +524,10 @@ impl SpillSegment {
     }
 
     /// Appends the encoded bytes of chunk `index` (of [`chunks`](Self::chunks))
-    /// to `buf`. A failed or short read is an error and leaves `buf` as it
-    /// was.
+    /// to `buf`, verified against its [`Chunk`]: a short read or a checksum
+    /// mismatch is an error and leaves `buf` as it was.
     pub fn read_chunk_into(&self, index: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
-        let chunk = &self.chunks[index];
-        let start = buf.len();
-        buf.resize(start + chunk.len as usize, 0);
-        self.file
-            .read_exact_at(&mut buf[start..], chunk.offset)
-            .inspect_err(|_| buf.truncate(start))
+        self.chunks[index].read_into(&self.file, buf)
     }
 
     /// Reads and decodes the records of chunk `index`.
@@ -520,6 +548,8 @@ impl Drop for SpillSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::os::unix::fs::FileExt;
 
     #[test]
     fn meter_only_accountant_never_denies() {
@@ -628,10 +658,59 @@ mod tests {
         assert!(!path.exists(), "dropping the segment deletes the file");
     }
 
+    proptest! {
+        /// Any single-byte XOR of a spill file makes reading the chunk it
+        /// lands in an error, and so does cutting the file short; the other
+        /// chunks read back unchanged. No mutation panics or returns other
+        /// records.
+        #[test]
+        fn a_mutated_spill_segment_is_an_error_not_an_answer(
+            shape in prop::collection::vec(prop::collection::vec((any::<u64>(), 0usize..12), 1..20), 1..5),
+            at in any::<u64>(),
+            mask in 1u8..=255,
+            cut in any::<u64>(),
+        ) {
+            type Part = Vec<(u64, Vec<u8>)>;
+            let parts: Vec<Part> = shape
+                .iter()
+                .map(|part| part.iter().map(|&(k, n)| (k, vec![k as u8; n])).collect())
+                .collect();
+            let mut w = SpillWriter::create().expect("temp dir must be writable");
+            for (t, part) in parts.iter().enumerate() {
+                w.write_chunk(t, &encode_records(part), part.len() as u64).expect("write chunk");
+            }
+            let seg = w.finish().expect("finish").expect("non-empty segment");
+            // Every chunk either fails or reads back exactly what was written.
+            let check = |damaged: &dyn Fn(&Chunk) -> bool| -> Result<(), TestCaseError> {
+                for (i, chunk) in seg.chunks().iter().enumerate() {
+                    match seg.read_chunk::<u64, Vec<u8>>(i) {
+                        Ok(rows) => {
+                            prop_assert!(!damaged(chunk), "chunk {} read despite damage", i);
+                            prop_assert_eq!(&rows, &parts[i]);
+                        }
+                        Err(_) => prop_assert!(damaged(chunk), "chunk {} failed intact", i),
+                    }
+                }
+                Ok(())
+            };
+            let total = seg.total_bytes();
+            let file = File::options().read(true).write(true).open(seg.path()).expect("reopen");
+            let at = at % total;
+            let mut byte = [0u8];
+            file.read_exact_at(&mut byte, at).expect("read byte");
+            file.write_all_at(&[byte[0] ^ mask], at).expect("flip byte");
+            check(&|c| (c.offset..c.offset + c.len).contains(&at))?;
+            file.write_all_at(&byte, at).expect("restore byte");
+            let cut = cut % total;
+            file.set_len(cut).expect("truncate");
+            check(&|c| c.offset + c.len > cut)?;
+        }
+    }
+
     #[test]
     fn empty_writer_finishes_to_none() {
         let w = SpillWriter::create().expect("temp dir must be writable");
-        let path = w.path.clone();
+        let path = w.0.path.clone();
         assert!(w.finish().expect("finish").is_none());
         assert!(!path.exists());
     }

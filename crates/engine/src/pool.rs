@@ -4,76 +4,31 @@ use crate::fault::{FaultContext, JobError, TaskError};
 use crate::lpt::least_loaded;
 use crate::metrics::ExecStats;
 use asj_obs::{Attrs, Lane, Recorder};
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// A slot vector accessed concurrently, one owner per index.
-///
-/// # Safety
-/// Callers must guarantee that at most one thread accesses any given index
-/// (here: each index is claimed exactly once via `fetch_add` on a shared
-/// counter, or via a compare-exchange on a per-index flag), and that reads of
-/// the final values happen only after all writer threads have been joined
-/// (the `thread::scope` exit provides the necessary happens-before edge).
-struct Slots<V>(Vec<UnsafeCell<Option<V>>>);
-
-// SAFETY: the one field is only reached through `take`/`put`, whose callers
-// own their index exclusively (see the type docs), so no two threads ever
-// touch the same cell; values move between threads, hence `V: Send`.
-unsafe impl<V: Send> Sync for Slots<V> {}
-
-impl<V> Slots<V> {
-    fn filled(values: Vec<V>) -> Self {
-        Slots(
-            values
-                .into_iter()
-                .map(|x| UnsafeCell::new(Some(x)))
-                .collect(),
-        )
-    }
-
-    fn empty(n: usize) -> Self {
-        Slots((0..n).map(|_| UnsafeCell::new(None)).collect())
-    }
-
-    /// Takes the value at `idx`.
-    ///
-    /// # Safety
-    /// `idx` must be exclusively owned by the calling thread (see type docs).
-    unsafe fn take(&self, idx: usize) -> Option<V> {
-        (*self.0[idx].get()).take()
-    }
-
-    /// Stores a value at `idx`.
-    ///
-    /// # Safety
-    /// `idx` must be exclusively owned by the calling thread (see type docs).
-    unsafe fn put(&self, idx: usize, v: V) {
-        *self.0[idx].get() = Some(v);
-    }
-}
-
 /// Task inputs. Without a fault context every task runs exactly once, so its
-/// input is moved out of its slot; with one, a retry or a speculative copy
+/// input is moved out of its cell; with one, a retry or a speculative copy
 /// may need the same input again — the analog of Spark recomputing a
 /// partition from lineage — so every attempt clones from the shared vector.
 enum Inputs<T> {
-    Once(Slots<T>),
+    Once(Vec<Mutex<Option<T>>>),
     Shared(Vec<T>),
 }
 
 impl<T: Clone> Inputs<T> {
-    /// The input of task `idx`.
-    ///
-    /// # Safety
-    /// For `Once`, task `idx` must be attempted exactly once over the life of
-    /// the value (its claiming thread is then the slot's only owner).
-    unsafe fn get(&self, idx: usize) -> T {
+    /// The input of task `idx`. For `Once`, task `idx` is attempted exactly
+    /// once: there is neither a retry (`max_attempts` is 1) nor a
+    /// speculative copy without a fault context.
+    fn get(&self, idx: usize) -> T {
         match self {
-            Inputs::Once(slots) => slots.take(idx).expect("task input taken once"),
+            Inputs::Once(cells) => cells[idx]
+                .lock()
+                .expect("task input cell poisoned")
+                .take()
+                .expect("task input taken once"),
             Inputs::Shared(tasks) => tasks[idx].clone(),
         }
     }
@@ -171,14 +126,14 @@ where
     let threads = threads.max(1).min(n_tasks);
     let max_attempts = ctx.map_or(1, |c| c.policy.max_attempts);
     let inputs = match ctx {
-        None => Inputs::Once(Slots::filled(tasks)),
+        None => Inputs::Once(tasks.into_iter().map(|t| Mutex::new(Some(t))).collect()),
         Some(_) => Inputs::Shared(tasks),
     };
     let ledger = Ledger::new(recorder, stage, nodes);
 
-    // Lock-free work distribution: workers claim task indices from a shared
-    // counter and results live in per-index slots, so no lock is held while
-    // running `f` and threads never contend on a results mutex.
+    // Workers claim task indices from a shared counter and results live in
+    // per-index cells, so no lock is held while running `f` and no two
+    // threads ever contend on one lock.
     let next = AtomicUsize::new(0);
     // The lowest task index known to be out of attempts; every task after it
     // is cancelled, every task before it still runs (it may fail too, and
@@ -195,7 +150,7 @@ where
     let running_node: Vec<AtomicUsize> = (0..n_tasks).map(|_| AtomicUsize::new(0)).collect();
     let n_retries = AtomicU64::new(0);
     let n_spec_wins = AtomicU64::new(0);
-    let result_slots: Slots<R> = Slots::empty(n_tasks);
+    let results: Vec<Mutex<Option<R>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
 
     let now_ns = || wall_start.elapsed().as_nanos() as u64;
     // Least-loaded usable node, preferring to avoid `exclude`; the final
@@ -239,12 +194,7 @@ where
         };
         running_node[idx].store(node, Ordering::Relaxed);
         running_since[idx].store(now_ns() + 1, Ordering::Relaxed);
-        // SAFETY: without a fault context there is neither a retry
-        // (`max_attempts` is 1) nor a speculative copy, so `idx` — claimed
-        // once via `fetch_add` below — is attempted exactly once; with one
-        // the inputs are shared and cloned.
-        let (outcome, d0) =
-            timed(|| catch_unwind(AssertUnwindSafe(|| f(idx, unsafe { inputs.get(idx) }))));
+        let (outcome, d0) = timed(|| catch_unwind(AssertUnwindSafe(|| f(idx, inputs.get(idx)))));
         let charged = attempt_charge(d0, mult);
         // Wall time this attempt held its node: the measured run, plus the
         // stretch below on a straggler node.
@@ -286,10 +236,9 @@ where
                     .is_ok()
                 {
                     commit(idx, &mut r);
-                    // SAFETY: the `done` compare-exchange makes this thread
-                    // the unique writer of slot `idx`; results are read only
-                    // after the scope joins all workers.
-                    unsafe { result_slots.put(idx, r) };
+                    // The `done` compare-exchange made this thread the
+                    // cell's one writer.
+                    *results[idx].lock().expect("task result cell poisoned") = Some(r);
                     ledger.bill(Outcome::Committed, idx, node, held, charged);
                     if attempt == 0 {
                         n_spec_wins.fetch_add(1, Ordering::Relaxed);
@@ -436,12 +385,11 @@ where
     if let Some(e) = fatal.into_inner().expect("pool error slot poisoned") {
         return Err(e);
     }
-    // The scope join above synchronizes all worker writes with these reads.
-    let out: Vec<R> = result_slots
-        .0
+    let out: Vec<R> = results
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
+        .map(|cell| {
+            cell.into_inner()
+                .expect("task result cell poisoned")
                 .expect("every task committed a result or the job errored")
         })
         .collect();
