@@ -728,11 +728,9 @@ pub fn fault_tolerance(
         table.row(vec![
             Cell::label(algo.name()),
             Cell::Count(ab.faulted.results),
-            // A retry goes to the least-loaded node by measured busy time,
-            // which decides whether it lands before or after the lost
-            // node's cut-off; who wins a speculative race is timing too.
-            Cell::varying(ab.attempts),
-            Cell::varying(ab.retries),
+            Cell::Count(ab.attempts),
+            Cell::Count(ab.retries),
+            // Who wins a speculative race is timing.
             Cell::varying(ab.speculative_wins),
             Cell::Count(ab.blacklisted_nodes),
             Cell::secs(ab.baseline.sim_time),

@@ -83,14 +83,6 @@ impl<'a> Ledger<'a> {
             .task_span_sim(span, node, Some(task as u64), wall, sim, Attrs::new());
     }
 
-    /// Each node's busy nanoseconds so far.
-    pub(crate) fn loads(&self) -> Vec<u64> {
-        self.busy_ns
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// Tasks committed so far, and their mean charge in nanoseconds.
     pub(crate) fn committed(&self) -> (u64, u64) {
         let i = Outcome::Committed as usize;
@@ -160,7 +152,6 @@ mod tests {
         ledger.bill(Outcome::Committed, 1, 0, ms(5), ms(5));
         ledger.bill(Outcome::Killed, 2, 1, ms(7), ms(7));
         ledger.bill(Outcome::Failed, 3, 1, Duration::ZERO, Duration::ZERO);
-        assert_eq!(ledger.loads(), vec![7_000_000, 22_000_000]);
         assert_eq!(ledger.committed(), (2, 3_500_000));
         let stats = ledger.into_stats(ms(9));
         assert_eq!(stats.per_node_busy, vec![ms(7), ms(3 + 12 + 7)]);

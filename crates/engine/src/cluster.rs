@@ -138,7 +138,7 @@ pub struct Cluster {
     config: ClusterConfig,
     recorder: Recorder,
     /// Fault-injection plan, recovery policy and cluster-lifetime fault
-    /// state (blacklist, fired losses). `None` — the default — runs every
+    /// state (attempt totals, blacklist). `None` — the default — runs every
     /// stage single-attempt and fail-stop.
     faults: Option<Arc<FaultContext>>,
     /// Per-node memory accountant (always present; meter-only when the
@@ -370,8 +370,7 @@ impl Cluster {
     }
 
     /// Attaches a fault plan and recovery policy together. Resets the
-    /// cluster-lifetime fault state (attempt counters, blacklist, fired
-    /// losses).
+    /// cluster-lifetime fault state (attempt totals, blacklist).
     pub fn with_fault_policy(mut self, plan: FaultPlan, policy: RetryPolicy) -> Self {
         self.faults = Some(Arc::new(
             FaultContext::new(plan, policy, self.config.nodes)
@@ -474,10 +473,6 @@ impl Cluster {
         // driver work that follows it.
         if let Some(gate) = &self.gate {
             gate.pause();
-        }
-        if let (Some(ctx), false) = (&self.faults, tasks.is_empty()) {
-            let mut ran = ctx.state.stages_run.lock().expect("fault state poisoned");
-            ran.insert(stage.to_string());
         }
         let result = try_run_stage(
             self.config.threads,

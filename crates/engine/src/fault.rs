@@ -13,15 +13,16 @@
 //! node blacklisting after repeated failures, and optional speculative
 //! re-execution of stragglers.
 //!
-//! [`FaultState`] is the mutable cluster-lifetime side: per-node attempt and
-//! failure counters, the fired-loss flags and the blacklist. It is shared by
-//! every stage a [`crate::Cluster`] runs, so a node blacklisted during the
-//! shuffle stays blacklisted for the join.
+//! [`FaultState`] is the mutable cluster-lifetime side: per-node totals of
+//! started and failed attempts and the blacklist, shared by every stage a
+//! [`crate::Cluster`] runs. Like Spark's executor exclusion it changes only
+//! when a stage completes, so where a retry runs (`place`) and which nodes
+//! are lost or blacklisted follow from (stage, task, attempt, plan, state at
+//! stage start), never from thread timing.
 
 use crate::digest::{fnv1a, splitmix64};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// What a single task attempt died of.
@@ -128,8 +129,9 @@ pub struct FaultPlan {
     /// `(node, multiplier)` — the node runs that many times slower than its
     /// peers (a straggler). Entries for nodes outside the cluster are inert.
     pub node_slowdown: Vec<(usize, f64)>,
-    /// `(node, after_attempts)` — the node is lost once it has started that
-    /// many attempts; every later attempt placed on it fails.
+    /// `(node, after_attempts)` — the node is lost from the first stage that
+    /// starts after it has started that many attempts (from the first stage
+    /// for 0); every attempt placed on it from then on fails.
     pub lost_nodes: Vec<(usize, u64)>,
     /// Kill the job-server loop once it has granted this many quanta (the
     /// `crash@N` clause) — a deterministic process-crash point for recovery
@@ -203,7 +205,8 @@ impl FaultPlan {
         self
     }
 
-    /// Node `node` is lost after starting `after_attempts` attempts.
+    /// Node `node` is lost from the first stage that starts after it has
+    /// started `after_attempts` attempts (`0`: from the first stage).
     pub fn with_lost_node(mut self, node: usize, after_attempts: u64) -> Self {
         self.lost_nodes.push((node, after_attempts));
         self
@@ -249,7 +252,8 @@ impl FaultPlan {
     /// p=0.05                   every attempt fails with probability 0.05
     /// stage:local_join=0.2     attempts of one stage fail with probability 0.2
     /// slow:1=3.0               node 1 runs 3x slower
-    /// lose:2@5                 node 2 is lost after starting 5 attempts
+    /// lose:2@5                 node 2 is lost from the first stage that
+    ///                          starts after it started 5 attempts
     /// fail:shuffle.R:3@1       attempt 1 of task 3 in stage 'shuffle.R' fails
     /// oom:shuffle.R:0@1        attempt 1 of task 0 in stage 'shuffle.R'
     ///                          fails with injected budget exhaustion
@@ -448,84 +452,65 @@ impl RetryPolicy {
     }
 }
 
-/// Cluster-lifetime mutable fault state, shared across every stage the
-/// cluster runs: which nodes have fired their loss, how often each node
-/// failed, and the blacklist.
+/// A node as a stage sees it, fixed when the stage starts; orders from
+/// usable to lost. Every attempt placed on a lost node fails at once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct NodeHealth {
+    pub lost: bool,
+    pub blacklisted: bool,
+}
+
+/// The node for attempt `attempt` of `task` (0: a speculative copy) away
+/// from `from`: among the best class of nodes by (health, is `from`) —
+/// usable ones other than `from`, else `from`, else blacklisted, else lost —
+/// the one at `(task + attempt) mod count` in node order.
+pub(crate) fn place(health: &[NodeHealth], from: usize, task: usize, attempt: usize) -> usize {
+    let rank = |n: usize| (health[n], n == from);
+    let best = (0..health.len())
+        .map(rank)
+        .min()
+        .expect("cluster has at least one node");
+    let class: Vec<usize> = (0..health.len()).filter(|&n| rank(n) == best).collect();
+    class[(task + attempt) % class.len()]
+}
+
+/// Cluster-lifetime fault state: per-node totals of started and failed
+/// attempts, the blacklist and the stages that ran. Only the driver changes
+/// it, between stages (`FaultContext::fold`).
 #[derive(Debug)]
-pub struct FaultState {
-    /// Attempts started per node (drives node-loss firing).
-    attempts_started: Vec<AtomicU64>,
+pub struct FaultState(Mutex<Totals>);
+
+#[derive(Debug)]
+struct Totals {
+    /// Attempts started per node (drives node loss).
+    started: Vec<u64>,
     /// Failed attempts per node (drives blacklisting).
-    failures: Vec<AtomicU64>,
-    lost: Vec<AtomicBool>,
-    blacklisted: Vec<AtomicBool>,
-    /// Stages that ran at least one task (recorded by `Cluster::try_run_stage`).
-    pub(crate) stages_run: Mutex<BTreeSet<String>>,
+    failed: Vec<u64>,
+    blacklisted: Vec<bool>,
+    /// Stages that started at least one attempt.
+    stages_run: BTreeSet<String>,
 }
 
 impl FaultState {
     pub fn new(nodes: usize) -> Self {
-        FaultState {
-            attempts_started: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            failures: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            lost: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
-            blacklisted: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
-            stages_run: Mutex::default(),
-        }
+        FaultState(Mutex::new(Totals {
+            started: vec![0; nodes],
+            failed: vec![0; nodes],
+            blacklisted: vec![false; nodes],
+            stages_run: BTreeSet::new(),
+        }))
     }
 
-    pub fn nodes(&self) -> usize {
-        self.lost.len()
-    }
-
-    /// Registers one attempt starting on `node`, firing the node's loss when
-    /// the plan says it has started enough attempts.
-    pub fn note_attempt_started(&self, plan: &FaultPlan, node: usize) {
-        let started = self.attempts_started[node].fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(after) = plan.lost_after(node) {
-            if started > after {
-                self.lost[node].store(true, Ordering::Relaxed);
-            }
-        }
-    }
-
-    pub fn is_lost(&self, node: usize) -> bool {
-        self.lost[node].load(Ordering::Relaxed)
-    }
-
-    /// Registers a failed attempt on `node`; blacklists it after
-    /// `blacklist_after` failures, unless it is the last usable node.
-    /// Returns `true` when this call newly blacklisted the node.
-    pub fn note_failure(&self, policy: &RetryPolicy, node: usize) -> bool {
-        let failures = self.failures[node].fetch_add(1, Ordering::Relaxed) + 1;
-        if failures < policy.blacklist_after || self.blacklisted[node].load(Ordering::Relaxed) {
-            return false;
-        }
-        // Never blacklist the last usable node: with nowhere to run, the job
-        // would starve instead of failing with a meaningful error.
-        let usable = (0..self.nodes())
-            .filter(|&n| n != node && !self.blacklisted[n].load(Ordering::Relaxed))
-            .count();
-        if usable == 0 {
-            return false;
-        }
-        !self.blacklisted[node].swap(true, Ordering::Relaxed)
+    fn totals(&self) -> std::sync::MutexGuard<'_, Totals> {
+        self.0.lock().expect("fault state poisoned")
     }
 
     pub fn is_blacklisted(&self, node: usize) -> bool {
-        self.blacklisted[node].load(Ordering::Relaxed)
-    }
-
-    /// A node the scheduler should avoid: blacklisted or known-lost.
-    pub fn is_avoided(&self, node: usize) -> bool {
-        self.is_blacklisted(node) || self.is_lost(node)
+        self.totals().blacklisted[node]
     }
 
     pub fn blacklisted_count(&self) -> u64 {
-        self.blacklisted
-            .iter()
-            .filter(|b| b.load(Ordering::Relaxed))
-            .count() as u64
+        self.totals().blacklisted.iter().filter(|&&b| b).count() as u64
     }
 }
 
@@ -552,15 +537,55 @@ impl FaultContext {
         }
     }
 
+    /// Each node's health as of now: what the next stage runs against.
+    pub(crate) fn health(&self) -> Vec<NodeHealth> {
+        let totals = self.state.totals();
+        let lost = |n| {
+            self.plan
+                .lost_after(n)
+                .is_some_and(|after| totals.started[n] >= after)
+        };
+        let health = |(n, &blacklisted)| NodeHealth {
+            lost: lost(n),
+            blacklisted,
+        };
+        totals.blacklisted.iter().enumerate().map(health).collect()
+    }
+
+    /// Folds a finished stage's per-node counts of started and failed
+    /// attempts (sums, so the order attempts ran in does not show) into the
+    /// state. Nodes reaching `blacklist_after` failures are blacklisted in
+    /// node order — never the last one left, or the job would starve instead
+    /// of failing with a meaningful error. Returns the newly blacklisted.
+    pub(crate) fn fold(&self, stage: &str, started: &[u64], failed: &[u64]) -> Vec<usize> {
+        let mut t = self.state.totals();
+        if started.iter().any(|&n| n > 0) {
+            t.stages_run.insert(stage.to_string());
+        }
+        for node in 0..started.len() {
+            t.started[node] += started[node];
+            t.failed[node] += failed[node];
+        }
+        let mut newly = Vec::new();
+        for node in 0..t.failed.len() {
+            let spared = (0..t.blacklisted.len()).all(|n| n == node || t.blacklisted[n]);
+            if t.failed[node] >= self.policy.blacklist_after && !t.blacklisted[node] && !spared {
+                t.blacklisted[node] = true;
+                newly.push(node);
+            }
+        }
+        newly
+    }
+
     /// The stages the plan's `fail:`, `oom:` and per-stage `p=` clauses name
     /// that have run no task on this cluster: so far they injected nothing.
     pub fn stages_never_run(&self) -> BTreeSet<&str> {
-        let ran = self.state.stages_run.lock().expect("fault state poisoned");
+        let totals = self.state.totals();
         let points = self.plan.fail_points.iter().chain(&self.plan.oom_points);
         let named = self.plan.stage_fail_prob.iter().map(|(stage, _)| stage);
         let idle = named
             .chain(points.map(|fp| &fp.stage))
-            .filter(|s| !ran.contains(*s));
+            .filter(|s| !totals.stages_run.contains(*s));
         idle.map(String::as_str).collect()
     }
 
@@ -630,28 +655,67 @@ mod tests {
 
     #[test]
     fn node_loss_fires_after_threshold() {
-        let plan = FaultPlan::none().with_lost_node(0, 2);
-        let state = FaultState::new(2);
-        state.note_attempt_started(&plan, 0);
-        state.note_attempt_started(&plan, 0);
-        assert!(!state.is_lost(0), "loss fires only past the threshold");
-        state.note_attempt_started(&plan, 0);
-        assert!(state.is_lost(0));
-        assert!(!state.is_lost(1));
+        let ctx = FaultContext::new(
+            FaultPlan::none().with_lost_node(0, 3).with_lost_node(1, 0),
+            RetryPolicy::default().with_blacklist_after(u64::MAX),
+            3,
+        );
+        let lost = |ctx: &FaultContext| ctx.health().iter().map(|h| h.lost).collect::<Vec<_>>();
+        assert_eq!(
+            lost(&ctx),
+            [false, true, false],
+            "`@0` is lost from the first stage"
+        );
+        ctx.fold("a", &[2, 0, 4], &[0; 3]);
+        assert_eq!(lost(&ctx), [false, true, false], "2 of 3 attempts started");
+        // The loss takes effect from the next stage, once the totals reach
+        // the threshold, however many attempts the stage started past it.
+        ctx.fold("b", &[5, 0, 0], &[0; 3]);
+        assert_eq!(lost(&ctx), [true, true, false]);
     }
 
     #[test]
     fn blacklist_spares_the_last_node() {
-        let policy = RetryPolicy::default().with_blacklist_after(1);
-        let state = FaultState::new(2);
-        assert!(state.note_failure(&policy, 0), "first node blacklists");
-        assert!(state.is_blacklisted(0));
-        assert!(
-            !state.note_failure(&policy, 1),
-            "last usable node must never be blacklisted"
+        let ctx = FaultContext::new(
+            FaultPlan::none(),
+            RetryPolicy::default().with_blacklist_after(2),
+            3,
         );
-        assert!(!state.is_blacklisted(1));
-        assert_eq!(state.blacklisted_count(), 1);
+        assert_eq!(ctx.fold("a", &[4; 3], &[1, 1, 0]), Vec::<usize>::new());
+        // Failures add up across stages; nodes reaching the threshold in one
+        // fold are blacklisted in node order, and the last usable one is
+        // spared however many it failed.
+        assert_eq!(ctx.fold("b", &[4; 3], &[1, 1, 2]), vec![0, 1]);
+        assert_eq!(ctx.fold("c", &[4; 3], &[5, 5, 5]), Vec::<usize>::new());
+        assert!(ctx.state.is_blacklisted(0) && !ctx.state.is_blacklisted(2));
+        assert_eq!(ctx.state.blacklisted_count(), 2);
+        let health = ctx.health();
+        assert!(health[1].blacklisted && !health[1].lost);
+    }
+
+    #[test]
+    fn retries_are_placed_by_task_and_attempt() {
+        let ok = NodeHealth::default();
+        let lost = NodeHealth {
+            lost: true,
+            blacklisted: false,
+        };
+        let blacklisted = NodeHealth {
+            lost: false,
+            blacklisted: true,
+        };
+        // Usable nodes other than the failed one, in node order, picked at
+        // (task + attempt) mod count: 0, 2 and 4 away from node 1.
+        let health = [ok, ok, ok, blacklisted, ok];
+        let picks: Vec<usize> = (0..4).map(|task| place(&health, 1, task, 2)).collect();
+        assert_eq!(picks, [4, 0, 2, 4]);
+        assert_eq!(place(&health, 1, 0, 0), 0, "a speculative copy");
+        // Nowhere else usable: stay on the failed node if it is usable, else
+        // prefer a blacklisted node to a lost one.
+        assert_eq!(place(&[ok, lost], 0, 3, 2), 0);
+        assert_eq!(place(&[lost, blacklisted, lost], 0, 3, 2), 1);
+        assert_eq!(place(&[lost, lost, lost], 0, 1, 2), 2);
+        assert_eq!(place(&[lost], 0, 1, 2), 0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use dataset::{Block, Dataset, Fetched, KeyedDataset, ShuffledDataset, Shuffl
 pub use fault::{FailPoint, FaultContext, FaultPlan, FaultState, JobError, RetryPolicy, TaskError};
 pub use jobs::{JobId, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun, SubmitError};
 pub use journal::{compact_records, CompactStats, Journal, JournalError, JournalRecord};
-pub use lpt::{assignment_makespan, least_loaded, lpt_assign};
+pub use lpt::{assignment_makespan, lpt_assign};
 pub use memory::{
     clean_orphaned_spills, decode_records, encode_records, encode_records_into, set_spill_dir,
     spill_dir, ChargeGuard, Chunk, MemoryAccountant, MemorySnapshot, SpillSegment, SpillWriter,

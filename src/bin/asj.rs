@@ -135,8 +135,10 @@ K:    auto (default) | nested-loop | plane-sweep | grid-bucket — the
 --trace records a dual-clock execution trace; the chrome format opens in
 Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 --faults injects deterministic failures, e.g. 'chaos' or
-'p=0.02,slow:1=3.0,lose:2@5' (seeded by --seed); the env vars ASJ_FAULTS /
-ASJ_FAULT_SEED do the same without flags. --speculation re-executes
+'p=0.02,slow:1=3.0,lose:2@5' (seeded by --seed; lose:2@5 loses node 2 from
+the first stage after it started 5 attempts); the env vars ASJ_FAULTS /
+ASJ_FAULT_SEED do the same without flags. Retries, losses and blacklisting
+follow from the plan alone, never from thread timing. --speculation re-executes
 straggler tasks on another node. A fault clause naming a stage the job never
 runs is reported as a warning. --memory-budget caps simulated per-node
 memory (bytes; k/m/g binary suffixes accepted) — shuffle buckets that would

@@ -122,10 +122,12 @@ proptest! {
     /// Nothing observable depends on the schedule: for any input, fault plan
     /// and memory budget, running the same join on 1, 2 or 8 host threads
     /// gives the same pairs in the same order, the same shuffle accounting
-    /// and the same attempt counts — and the pairs are the brute-force
-    /// ε-join. (Injection is keyed by (stage, task, attempt), so the plan
-    /// fires identically however tasks interleave; which buckets spill under
-    /// a budget does vary with the interleaving and must not show.)
+    /// and the same attempt, retry and blacklist counts — and the pairs are
+    /// the brute-force ε-join. (Injection is keyed by (stage, task, attempt),
+    /// retries are placed by (task, attempt), and node loss and blacklisting
+    /// change only between stages, so recovery is the same however tasks
+    /// interleave; which buckets spill under a budget does vary with the
+    /// interleaving and must not show.)
     #[test]
     fn results_are_independent_of_the_thread_count(
         data_seed in 0u64..1_000,
@@ -133,13 +135,16 @@ proptest! {
         fail_prob in 0.0f64..0.2,
         fail_task in 0usize..12,
         oom_task in 0usize..12,
+        lost_node in 0usize..4,
+        lost_after in 0u64..40,
         // 0 means unbudgeted.
         budget_kib in 0u64..48,
         kernel_idx in 0usize..3,
     ) {
-        // A fixed kernel: `Auto` picks from constants each cluster
-        // calibrates for itself, and pair order within a cell follows the
-        // kernel.
+        // A drawn kernel, not `Auto`: pair order within a cell follows the
+        // kernel, and `Auto` picks per cell group from committed constants,
+        // so it would not vary with the thread count either, but it would
+        // put only the kernels it picks for these small cells to the test.
         let kernel = [
             LocalKernel::NestedLoop,
             LocalKernel::PlaneSweep,
@@ -151,7 +156,8 @@ proptest! {
             .with_seed(fault_seed)
             .with_fail_prob(fail_prob)
             .with_fail_point("cogroup_join", fail_task, 1)
-            .with_oom_point("shuffle.R", oom_task, 1);
+            .with_oom_point("shuffle.R", oom_task, 1)
+            .with_lost_node(lost_node, lost_after);
         let run = |threads: usize| {
             let mut cluster = Cluster::new(ClusterConfig::with_threads(4, threads))
                 .with_fault_policy(plan.clone(), RetryPolicy::default().with_max_attempts(12));
@@ -174,6 +180,7 @@ proptest! {
             ] {
                 prop_assert_eq!(a.attempts, b.attempts, "{} threads", threads);
                 prop_assert_eq!(a.retries, b.retries, "{} threads", threads);
+                prop_assert_eq!(a.blacklisted_nodes, b.blacklisted_nodes, "{} threads", threads);
             }
         }
     }
@@ -420,18 +427,63 @@ fn zero_fault_runs_and_inert_fault_contexts_match_exactly() {
 #[test]
 fn fault_state_is_shared_across_stages_of_a_job() {
     // Node blacklisting accumulates over the life of the cluster: a node
-    // that keeps failing early stages is avoided in later ones, because
-    // every stage executes against the same `FaultState`.
-    let plan = FaultPlan::none().with_seed(4).with_fail_prob(0.0);
-    let cluster = Cluster::new(ClusterConfig::with_threads(3, 2)).with_faults(plan);
+    // that failed an earlier stage is avoided by later ones, because every
+    // stage runs against the same `FaultState`, folded in between stages.
+    let plan = FaultPlan::none()
+        .with_fail_point("one", 1, 1)
+        .with_fail_point("one", 4, 1)
+        .with_fail_point("two", 0, 1)
+        .with_fail_point("two", 3, 1);
+    let recorder = Recorder::for_nodes(3);
+    let cluster = Cluster::new(ClusterConfig::with_threads(3, 2))
+        .with_recorder(recorder.clone())
+        .with_fault_policy(plan, RetryPolicy::default().with_blacklist_after(2));
     let ctx: &FaultContext = cluster.fault_context().expect("context attached");
-    let policy = RetryPolicy::default().with_blacklist_after(2);
-    assert!(!ctx.state.is_blacklisted(1));
-    assert!(
-        !ctx.state.note_failure(&policy, 1),
-        "one failure is forgiven"
-    );
-    assert!(ctx.state.note_failure(&policy, 1), "the second blacklists");
+    // (task, from, to) of every retry so far, in the order they happened.
+    let retries = || -> Vec<(Option<u64>, Option<u64>, Lane)> {
+        let trace = recorder.snapshot();
+        let retries = trace.events.iter().filter(|e| e.name == "task_retry");
+        retries
+            .map(|e| (e.partition, e.attrs.records, e.lane))
+            .collect()
+    };
+    let run = |stage: &str| {
+        let tasks: Vec<u32> = (0..6).collect();
+        let (out, stats) = cluster
+            .try_run_stage(stage, tasks, |_, t| Ok(t))
+            .expect("the stage recovers");
+        assert_eq!(out, (0..6).collect::<Vec<_>>());
+        stats
+    };
+    // Stage one: tasks 1 and 4 fail on node 1 (task i runs on node i mod
+    // 3). Node 1 stays usable until the stage is over, then is blacklisted.
+    let one = run("one");
+    assert_eq!((one.failed_attempts, one.retries), (2, 2));
+    assert_eq!(one.blacklisted_nodes, 1);
     assert!(ctx.state.is_blacklisted(1));
-    assert_eq!(ctx.state.blacklisted_count(), 1);
+    let mut stage_one = retries();
+    stage_one.sort_unstable();
+    assert_eq!(
+        stage_one,
+        [
+            (Some(1), Some(1), Lane::Node(2)),
+            (Some(4), Some(1), Lane::Node(0))
+        ]
+    );
+    // Stage two: tasks 0 and 3 fail on node 0, and both retries avoid node
+    // 1 for node 2, the one usable node left. Node 0 is blacklisted after.
+    let two = run("two");
+    assert_eq!((two.retries, two.blacklisted_nodes), (2, 2));
+    assert!(ctx.state.is_blacklisted(0) && !ctx.state.is_blacklisted(2));
+    let mut both = retries();
+    both.sort_unstable();
+    assert_eq!(
+        both,
+        [
+            (Some(0), Some(0), Lane::Node(2)),
+            (Some(1), Some(1), Lane::Node(2)),
+            (Some(3), Some(0), Lane::Node(2)),
+            (Some(4), Some(1), Lane::Node(0)),
+        ]
+    );
 }
