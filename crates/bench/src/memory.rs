@@ -17,9 +17,10 @@
 //! A final leg injects a deterministic `oom:` fault on top of the tightest
 //! budget and demands the retry machinery recovers to the same bytes.
 //!
-//! Which map task is denied admission first varies from run to run, so a
-//! budgeted leg's spilled bytes, denials and peak are measurements; the
-//! budgets, the natural peak, the oom count and the checksum are exact.
+//! Each map task admits against its fixed share of every node's budget, so
+//! which buckets spill depends on the plan and never on the schedule: every
+//! column is an exact counter. A task cannot borrow room another task's
+//! share leaves unused, so even the 100 % leg spills a little.
 
 use crate::{Cell, ExpConfig, Table};
 use asj_data::{DatasetSpec, GenKind, PAPER_BBOX};
@@ -52,11 +53,12 @@ pub struct MemLeg {
     pub budget: Option<u64>,
     /// Budget as a percentage of the natural peak (100 for the reference).
     pub budget_pct: u64,
-    /// Largest resident footprint any node reached during the leg.
+    /// Most bytes any node's admitted buffers held in the leg's shuffle.
     pub peak_memory_bytes: u64,
     /// Bytes routed through disk spill segments.
     pub spilled_bytes: u64,
-    /// Admissions denied by the accountant (each denial spills one bucket).
+    /// Charges refused by the map tasks' ledgers (each refused target
+    /// spills one bucket; a refused routing scratch only counts).
     pub budget_denials: u64,
     /// Injected out-of-memory faults recovered by retry during the leg.
     pub oom_events: u64,
@@ -94,20 +96,17 @@ impl MemReport {
             ],
         );
         for leg in &self.legs {
-            let (label, peak) = match (leg.budget, leg.budget_pct) {
-                (None, _) => ("unbounded".to_string(), Cell::Count(leg.peak_memory_bytes)),
-                (Some(_), 0) => (
-                    "10% + oom".to_string(),
-                    Cell::varying(leg.peak_memory_bytes),
-                ),
-                (Some(_), pct) => (format!("{pct}%"), Cell::varying(leg.peak_memory_bytes)),
+            let label = match (leg.budget, leg.budget_pct) {
+                (None, _) => "unbounded".to_string(),
+                (Some(_), 0) => "10% + oom".to_string(),
+                (Some(_), pct) => format!("{pct}%"),
             };
             table.row(vec![
                 Cell::Label(label),
                 leg.budget.map_or(Cell::Missing, Cell::Count),
-                peak,
-                Cell::varying(leg.spilled_bytes),
-                Cell::varying(leg.budget_denials),
+                Cell::Count(leg.peak_memory_bytes),
+                Cell::Count(leg.spilled_bytes),
+                Cell::Count(leg.budget_denials),
                 Cell::Count(leg.oom_events),
                 // Every leg's output is asserted byte-identical to the reference's.
                 Cell::Checksum(self.checksum),

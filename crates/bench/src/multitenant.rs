@@ -10,14 +10,14 @@
 //! * **isolation** — every tenant's result checksum is byte-identical to its
 //!   solo run on a fresh cluster of the same shape,
 //! * **budget** — `peak_memory_bytes <= budget` (enforced by construction:
-//!   the accountant spills before any node crosses it),
-//! * **leak audit** — every tenant completes with zero residual bytes,
+//!   each shuffle's map tasks admit against fixed shares of the budget and
+//!   spill the rest),
 //! * **fairness** — for every mixed-size set (N ≥ 2), fair-share beats FIFO
 //!   on p99 queue wait (FIFO pays head-of-line blocking behind the large
 //!   tenant; fair-share serves every tenant within the first round),
-//! * **determinism** — re-running a leg reproduces the grant log and every
-//!   checksum (clock values are simulated from measured stage makespans and
-//!   are reported, not gated).
+//! * **determinism** — re-running a leg reproduces the grant log, every
+//!   checksum and the spilled bytes (clock values are simulated
+//!   from measured stage makespans and are reported, not gated).
 
 use crate::{Cell, ExpConfig, Table};
 use asj_data::GenKind;
@@ -46,8 +46,10 @@ pub struct MtLeg {
     pub grants: usize,
     pub queue_wait: DurationSummary,
     pub turnaround: DurationSummary,
-    /// Largest per-tenant peak; `<= budget_bytes` by construction.
+    /// Most bytes any node held in one of the leg's shuffles, whoever's;
+    /// `<= budget_bytes` by construction.
     pub peak_memory_bytes: u64,
+    /// Bytes the leg's shuffles spilled, over all tenants.
     pub spilled_bytes: u64,
     /// Retries across all tenants (only the chaos tenant should contribute).
     pub retries: u64,
@@ -98,7 +100,7 @@ impl MtReport {
                 Cell::ms(leg.turnaround.p99.as_secs_f64()),
                 Cell::ms(leg.clock_seconds),
                 Cell::Count(leg.retries),
-                Cell::varying(leg.spilled_bytes),
+                Cell::Count(leg.spilled_bytes),
             ]);
         }
         let mut fairness = Table::new(
@@ -212,7 +214,7 @@ fn run_leg(cfg: &ExpConfig, tenants: &[TenantSpec], policy: SchedPolicy) -> (MtL
         queue_wait: DurationSummary::from_samples(&waits),
         turnaround: DurationSummary::from_samples(&turnarounds),
         peak_memory_bytes: cluster.memory_accountant().peak_bytes(),
-        spilled_bytes: run.reports.iter().map(|t| t.stats.spilled_bytes).sum(),
+        spilled_bytes: cluster.memory_accountant().spilled_bytes(),
         retries: run.reports.iter().map(|t| t.stats.retries).sum(),
         isolated: false, // filled by the caller against the solo oracle
         reports: run.reports,
@@ -266,13 +268,6 @@ pub fn multitenant_sweep(cfg: &ExpConfig) -> MtReport {
                     policy.name(),
                     tenant.name
                 );
-                assert_eq!(
-                    report.residual_bytes,
-                    0,
-                    "{} x{n}: tenant '{}' leaked",
-                    policy.name(),
-                    tenant.name
-                );
             }
             leg.isolated = true;
             assert!(
@@ -301,11 +296,15 @@ pub fn multitenant_sweep(cfg: &ExpConfig) -> MtReport {
     }
 
     // Determinism gate: the 2-tenant fair-share leg reruns to the same grant
-    // log and checksums (clock values are measured-makespan sums and may
-    // drift; they are reported, not gated).
+    // log, checksums and spilled bytes (clock values are measured-makespan
+    // sums and may drift; they are reported, not gated).
     let (a, a_grants) = run_leg(cfg, &all_tenants[..2], SchedPolicy::FairShare);
     let (b, b_grants) = run_leg(cfg, &all_tenants[..2], SchedPolicy::FairShare);
     assert_eq!(a_grants, b_grants, "grant log must be deterministic");
+    assert_eq!(
+        a.spilled_bytes, b.spilled_bytes,
+        "spilling must be deterministic"
+    );
     for (x, y) in a.reports.iter().zip(&b.reports) {
         assert_eq!(
             outcome(x),
@@ -337,7 +336,6 @@ mod tests {
             assert!(leg.peak_memory_bytes <= leg.budget_bytes);
             assert_eq!(leg.reports.len(), leg.tenants);
             for job in &leg.reports {
-                assert_eq!(job.residual_bytes, 0, "leak audit");
                 assert!(
                     outcome(job).result_count > 0,
                     "every tenant joins something"

@@ -50,8 +50,7 @@ impl Cell {
         Cell::Measure(ms, format!("{ms:.2}"))
     }
 
-    /// A count measured to move between identical runs (spill volume,
-    /// budget denials).
+    /// A count measured to move between identical runs (speculative wins).
     pub fn varying(n: u64) -> Cell {
         Cell::Measure(n as f64, n.to_string())
     }

@@ -59,9 +59,9 @@ impl ClusterConfig {
         }
     }
 
-    /// Enforces a per-node memory budget: once a node's charged bytes would
-    /// cross `per_node_bytes`, shuffles spill overflow buckets to disk
-    /// instead of materialising them.
+    /// Enforces a per-node memory budget: each shuffle map task gets a fixed
+    /// share of every node's `per_node_bytes`, and spills the buckets that
+    /// would cross its share to disk instead of materialising them.
     ///
     /// # Panics
     /// Panics if `per_node_bytes == 0` (a zero budget could admit nothing).
@@ -313,16 +313,11 @@ impl Cluster {
         self
     }
 
-    /// The cluster-lifetime [`MemoryAccountant`] shuffles charge buffers to.
+    /// The cluster-lifetime [`MemoryAccountant`] that splits each shuffle's
+    /// budget and keeps its peaks.
     #[inline]
     pub fn memory_accountant(&self) -> &MemoryAccountant {
         &self.memory
-    }
-
-    /// Shared handle to the accountant, for task closures whose charges must
-    /// outlive the borrow of `self` (released when the task result commits).
-    pub(crate) fn memory_arc(&self) -> Arc<MemoryAccountant> {
-        Arc::clone(&self.memory)
     }
 
     /// The enforced per-node memory budget, if any.

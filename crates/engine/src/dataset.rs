@@ -1,7 +1,7 @@
 use crate::clock::timed;
 use crate::cluster::Cluster;
 use crate::fault::{JobError, TaskError};
-use crate::memory::{decode_records, encode_records_into, ChargeGuard, SpillSegment, SpillWriter};
+use crate::memory::{decode_records, encode_records_into, Ledger, SpillSegment, SpillWriter};
 use crate::metrics::{ExecStats, ShuffleStats};
 use crate::partitioner::Partitioner;
 use crate::wire::Wire;
@@ -189,9 +189,13 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         P: Partitioner<K> + ?Sized,
     {
         let targets = partitioner.num_partitions();
+        let task_nodes: Vec<usize> = (0..self.parts.len())
+            .map(|src_idx| cluster.node_of_partition(src_idx))
+            .collect();
+        let ledgers = cluster.memory_accountant().ledgers(&task_nodes);
         cluster.try_run_stage(stage, self.parts, |src_idx, part| {
-            let src_node = cluster.node_of_partition(src_idx);
-            let mut charges = ChargeGuard::new(cluster.memory_arc());
+            let src_node = task_nodes[src_idx];
+            let mut ledger = ledgers[src_idx].clone();
             let mut shuffle = ShuffleStats {
                 partition_bytes: vec![0u64; targets],
                 ..ShuffleStats::default()
@@ -204,7 +208,10 @@ impl<T: Send + Sync + Clone> Dataset<T> {
             // scratch cannot spill, so a denial here only counts against
             // the budget-denial telemetry while the buckets below remain
             // the real lever.
-            charges.try_charge(src_node, (rows.len() * std::mem::size_of::<u32>()) as u64);
+            ledger.admit(
+                (rows.len() * std::mem::size_of::<u32>()) as u64,
+                &[src_node],
+            );
             let mut route: Vec<u32> = Vec::with_capacity(rows.len());
             let mut counts: Vec<usize> = vec![0; targets];
             for (k, v) in &rows {
@@ -223,23 +230,16 @@ impl<T: Send + Sync + Clone> Dataset<T> {
             }
             // Admission: charge each non-empty target twice — bucket on
             // the source node, post-shuffle partition on the target's
-            // node. Either denial spills the whole target (rolling back
-            // the half already admitted) so no node is ever driven past
-            // its budget; spilling is the escape hatch, never an abort.
+            // node — against this task's own ledger. A target that does
+            // not fit spills whole, so no node is ever driven past its
+            // budget; spilling is the escape hatch, never an abort.
             let mut spill_targets: Vec<(usize, usize)> = Vec::new();
             for (t, count) in counts.iter_mut().enumerate() {
                 if *count == 0 {
                     continue;
                 }
-                let wire_bytes = shuffle.partition_bytes[t];
                 let dst_node = cluster.node_of_partition(t);
-                let admitted = charges.try_charge(src_node, wire_bytes) && {
-                    charges.try_charge(dst_node, wire_bytes) || {
-                        charges.uncharge(src_node, wire_bytes);
-                        false
-                    }
-                };
-                if !admitted {
+                if !ledger.admit(shuffle.partition_bytes[t], &[src_node, dst_node]) {
                     spill_targets.push((t, *count));
                     // Zero the histogram slot: a spilled target's bucket
                     // is a capacity-less `Vec` and costs nothing.
@@ -293,7 +293,7 @@ impl<T: Send + Sync + Clone> Dataset<T> {
                 spill,
                 spilled_bytes,
                 expand_ns,
-                _charges: charges,
+                ledger,
             })
         })
     }
@@ -309,21 +309,23 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     /// task fetches it.
     ///
     /// Memory governance: between the passes every non-empty target is
-    /// admitted against the [`MemoryAccountant`](crate::MemoryAccountant) —
-    /// the map-side bucket charged to the source node and the post-shuffle
+    /// admitted against the task's own [`Ledger`], its fixed share of every
+    /// node's budget ([`MemoryAccountant::ledgers`](crate::MemoryAccountant::ledgers))
+    /// — the map-side bucket charged to the source node and the post-shuffle
     /// partition charged to the target's node, both at wire size. A denied
     /// target *spills*: pass 2 encodes its records straight to a disk
     /// segment instead of a bucket, and the chunk stays on disk, in the slot
     /// the bucket would have occupied, until the reduce task reads it — so
     /// spilled and in-memory runs produce the same rows in the same order.
-    /// Without a budget the charges always succeed and only meter the
-    /// natural peak.
+    /// Which targets spill depends on the task's rows and the plan, not on
+    /// the schedule. Without a budget the shares are unbounded and the
+    /// ledgers only meter the natural peak.
     ///
-    /// Fault safety: buffers, charges and spill files are all owned per task
-    /// *attempt* and travel inside the attempt's result; a loser's
-    /// [`ChargeGuard`] releases on drop and its [`SpillSegment`] deletes its
-    /// file on drop, so retries and speculation leak nothing. A committed
-    /// segment is deleted once the last block reading from it is dropped.
+    /// Fault safety: buffers, ledgers and spill files are all owned per task
+    /// *attempt* and travel inside the attempt's result; a loser's ledger is
+    /// never folded and its [`SpillSegment`] deletes its file on drop, so
+    /// retries and speculation leak nothing. A committed segment is deleted
+    /// once the last block reading from it is dropped.
     #[allow(clippy::type_complexity)] // the `checkpointed` compute shape
     fn radix_shuffle_stage<K, V, P>(
         self,
@@ -339,13 +341,12 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     {
         let targets = partitioner.num_partitions();
         let memory = cluster.memory_accountant();
-        let denials_before = memory.budget_denials();
         let (mapped, mut stats) = self.radix_map_stage(cluster, partitioner, stage, expand)?;
         // Commit point: the stage's results are final. Per-task
         // partition_bytes merge element-wise (one entry per target even over
         // zero source partitions); each task's buckets and spill chunks join
         // their targets' block lists in source order, one `spill` event per
-        // chunk; every task's memory charges release (ChargeGuard drop).
+        // chunk; the tasks' ledgers fold into the accountant.
         let mut shuffle = ShuffleStats {
             partition_bytes: vec![0; targets],
             ..ShuffleStats::default()
@@ -355,7 +356,9 @@ impl<T: Send + Sync + Clone> Dataset<T> {
             .collect();
         let recorder = cluster.recorder();
         let (mut spilled_bytes, mut expand_ns) = (0u64, 0u64);
+        let mut ledgers = Vec::with_capacity(mapped.len());
         for out in mapped {
+            ledgers.push(out.ledger);
             shuffle.merge(&out.shuffle);
             spilled_bytes += out.spilled_bytes;
             expand_ns += out.expand_ns;
@@ -383,6 +386,7 @@ impl<T: Send + Sync + Clone> Dataset<T> {
                 }
             }
         }
+        let denials = memory.fold(&ledgers);
         if spilled_bytes > 0 {
             memory.note_spill(spilled_bytes);
         }
@@ -396,11 +400,7 @@ impl<T: Send + Sync + Clone> Dataset<T> {
             recorder.counter_add(stage, "records", shuffle.records);
             recorder.counter_add(stage, "spill_bytes", spilled_bytes);
             recorder.counter_add(stage, "assign_ns", expand_ns);
-            recorder.counter_add(
-                stage,
-                "budget_denials",
-                memory.budget_denials().saturating_sub(denials_before),
-            );
+            recorder.counter_add(stage, "budget_denials", denials);
             for (t, &bytes) in shuffle.partition_bytes.iter().enumerate() {
                 recorder.histogram_record(stage, "partition_bytes", bytes as f64);
                 recorder.event(
@@ -417,9 +417,9 @@ impl<T: Send + Sync + Clone> Dataset<T> {
 
 /// One radix map task's attempt-local output: in-memory buckets, byte
 /// metering, the attempt's spill segment (if any target was denied memory)
-/// and the charge ledger the driver settles at commit. Everything here is
-/// owned per *attempt* — dropping a loser releases its charges and deletes
-/// its spill file.
+/// and the ledger the driver folds at commit. Everything here is owned per
+/// *attempt* — dropping a loser deletes its spill file, and its ledger is
+/// never counted.
 struct RadixMapOut<K, V> {
     buckets: Vec<Vec<(K, V)>>,
     shuffle: ShuffleStats,
@@ -427,9 +427,8 @@ struct RadixMapOut<K, V> {
     spilled_bytes: u64,
     /// Time this attempt spent expanding its partition into keyed rows.
     expand_ns: u64,
-    /// Held for its Drop: the attempt's admitted charges release when the
-    /// committed result (or a discarded loser) is dropped.
-    _charges: ChargeGuard,
+    /// What the attempt held on each node, and the charges it was refused.
+    ledger: Ledger,
 }
 
 /// A partitioned collection of key–value pairs (Spark `PairRDD`).
@@ -794,13 +793,6 @@ mod tests {
         assert!(snap.budget_denials > 0);
         assert_eq!(snap.spilled_bytes, et.spilled_bytes);
         assert!(snap.per_node_peak.iter().all(|&pk| pk <= budget));
-        for node in 0..tight.nodes() {
-            assert_eq!(
-                tight.memory_accountant().resident_bytes(node),
-                0,
-                "all charges release at commit"
-            );
-        }
     }
 
     #[test]
@@ -811,9 +803,12 @@ mod tests {
         let free = cluster();
         let (df, _, ef) = shuffle(KeyedDataset::from_partitions(parts.clone()), &free, &p);
 
-        // First attempts of two tasks die after their charges and spill file
-        // exist; the retried attempts must start from a clean ledger.
+        // First attempts of two tasks die after their ledgers and spill file
+        // exist; the retried attempts must start from a clean ledger, so the
+        // run spills, is refused and peaks exactly as the clean one does.
         let budget = (ef.peak_memory_bytes / 8).max(64);
+        let clean = cluster().with_memory_budget(budget);
+        shuffle(KeyedDataset::from_partitions(parts.clone()), &clean, &p);
         let tight = cluster().with_memory_budget(budget).with_fault_policy(
             FaultPlan::none()
                 .with_fail_point("shuffle", 0, 1)
@@ -825,13 +820,66 @@ mod tests {
         assert!(et.retries >= 2, "both fail points must have retried");
         assert!(et.spilled_bytes > 0);
         assert!(et.peak_memory_bytes <= budget);
-        for node in 0..tight.nodes() {
-            assert_eq!(
-                tight.memory_accountant().resident_bytes(node),
-                0,
-                "failed attempts' charges must not leak"
-            );
-        }
+        let (faulty, clean) = (
+            tight.memory_accountant().snapshot(),
+            clean.memory_accountant().snapshot(),
+        );
+        assert_eq!(faulty, clean, "failed attempts' ledgers are never folded");
+    }
+
+    /// Expansions that yield or sleep a seeded number of rounds per source
+    /// partition perturb which map task reaches admission first, and
+    /// admission must not notice: at 1, 2 and 8 threads a budgeted shuffle
+    /// spills the same bytes, is refused the same charges, peaks the same on
+    /// every node and keeps the same (source, target) blocks in memory.
+    /// A failure names its seeds.
+    #[test]
+    fn admission_does_not_depend_on_the_schedule() {
+        use std::time::Duration;
+        let parts = skewed_parts();
+        let p = HashPartitioner::new(8);
+        let (_, _, free) = shuffle(KeyedDataset::from_partitions(parts.clone()), &cluster(), &p);
+        let budget = free.peak_memory_bytes / 4;
+        let run = |seed: u64, threads: usize| {
+            let c =
+                Cluster::new(ClusterConfig::with_threads(3, threads)).with_memory_budget(budget);
+            // `skewed_parts` gives partition p the values p * 1000 + i.
+            let expand = |part: Vec<(u64, u64)>| {
+                let h = crate::digest::splitmix64(seed ^ (part[0].1 / 1000));
+                for round in 0..h % 8 {
+                    if (h >> round) & 1 == 0 {
+                        std::thread::yield_now();
+                    } else {
+                        std::thread::sleep(Duration::from_micros(40));
+                    }
+                }
+                part
+            };
+            let (out, _, _) = Dataset::from_partitions(parts.clone())
+                .shuffle_stage_by(&c, &p, "shuffle", expand)
+                .expect("shuffle runs");
+            // A target's blocks are in source order, one per source with
+            // rows for it.
+            let spilled = |b: &Block<u64, u64>| matches!(b, Block::Spilled { .. });
+            let kinds: Vec<Vec<bool>> = out
+                .partitions()
+                .iter()
+                .map(|part| part.blocks().iter().map(spilled).collect())
+                .collect();
+            let s = c.memory_accountant().snapshot();
+            (s.spilled_bytes, s.budget_denials, s.per_node_peak, kinds)
+        };
+        let flaky: Vec<u64> = (0..8u64)
+            .filter(|&seed| {
+                let base = run(seed, 1);
+                assert!(base.0 > 0, "seed {seed}: the budget must spill");
+                [2, 8].into_iter().any(|threads| run(seed, threads) != base)
+            })
+            .collect();
+        assert!(
+            flaky.is_empty(),
+            "schedule-dependent admission under seeds {flaky:?}"
+        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use journal::{compact_records, CompactStats, Journal, JournalError, JournalR
 pub use lpt::{assignment_makespan, lpt_assign};
 pub use memory::{
     clean_orphaned_spills, decode_records, encode_records, encode_records_into, set_spill_dir,
-    spill_dir, ChargeGuard, Chunk, MemoryAccountant, MemorySnapshot, SpillSegment, SpillWriter,
+    spill_dir, Chunk, MemoryAccountant, MemorySnapshot, SpillSegment, SpillWriter,
 };
 pub use metrics::{DurationSummary, ExecStats, JobMetrics, ShuffleStats};
 pub use partitioner::{

@@ -4,15 +4,19 @@
 //! replication runs out of memory at scale, and adaptive replication exists
 //! to keep the post-shuffle footprint bounded. The engine has always
 //! *measured* that footprint (`ShuffleStats::partition_bytes`); this module
-//! is the layer that *enforces* it. A [`MemoryAccountant`] tracks the bytes
-//! resident on every simulated node; callers ask permission before
-//! materialising a buffer ([`MemoryAccountant::try_charge`]) and release the
-//! charge once the buffer is drained. When a node's budget would be
-//! exceeded, the caller degrades instead of aborting — the radix shuffle
+//! is the layer that *enforces* it. Before a shuffle's map stage runs, the
+//! [`MemoryAccountant`] splits every node's budget into fixed shares, one
+//! [`Ledger`] per map task ([`MemoryAccountant::ledgers`]), as Afrati et al.
+//! fix the reducer size before the computation runs. A task asks its own
+//! ledger before materialising a buffer ([`Ledger::admit`]); when its share
+//! is used up, the task degrades instead of aborting — the radix shuffle
 //! writes the denied bucket to a [`SpillSegment`] on disk (encoded with the
 //! existing [`Wire`](crate::wire::Wire) codec), and only the reduce task that
-//! needs the chunk reads it back, so results stay byte-identical while the
-//! in-memory peak stays under the budget.
+//! needs the chunk reads it back, so results stay byte-identical while no
+//! node's stage total can cross the budget. Which buckets spill depends on
+//! the plan alone, never on which thread ran first; the stage's commit folds
+//! the winning attempts' ledgers into the per-node peak
+//! ([`MemoryAccountant::fold`]).
 //!
 //! A [`Chunk`] is the one index entry of both a spill segment and a
 //! checkpoint segment: where one target's encoded records sit in the file,
@@ -21,9 +25,10 @@
 //! through [`Chunk::read_into`], so a byte changed on disk is an error, never
 //! a different record.
 //!
-//! Without a budget the accountant still meters (so `peak_memory_bytes` is
-//! populated on every run) but never denies; enforcement is strictly opt-in
-//! via [`ClusterConfig::with_memory_budget`](crate::ClusterConfig::with_memory_budget).
+//! Without a budget every share is unbounded, so the ledgers still meter (and
+//! `peak_memory_bytes` is populated on every run) but never deny; enforcement
+//! is strictly opt-in via
+//! [`ClusterConfig::with_memory_budget`](crate::ClusterConfig::with_memory_budget).
 
 use crate::digest::xxh64;
 use crate::wire::{Wire, WireError};
@@ -34,7 +39,7 @@ use std::num::ParseIntError;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Process-wide spill directory override (set by [`set_spill_dir`]).
 static SPILL_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
@@ -113,25 +118,24 @@ fn pid_is_alive(pid: u32) -> bool {
 pub struct MemorySnapshot {
     /// The per-node budget, if one is enforced.
     pub budget: Option<u64>,
-    /// Highest concurrent charge observed on any node.
+    /// Most bytes any node held in one stage.
     pub peak_bytes: u64,
-    /// Highest concurrent charge per node.
+    /// Most bytes each node held in one stage.
     pub per_node_peak: Vec<u64>,
     /// Bytes written to disk spill segments.
     pub spilled_bytes: u64,
-    /// Charges rejected because they would have crossed the budget.
+    /// Charges refused because they would have crossed a task's share.
     pub budget_denials: u64,
     /// Injected out-of-memory faults observed.
     pub oom_events: u64,
 }
 
-/// Charges live buffer bytes to simulated nodes and enforces an optional
-/// per-node budget. Shared (via `Arc`) by every clone of a
+/// Splits an optional per-node budget over each stage's map tasks and keeps
+/// the committed tasks' totals. Shared (via `Arc`) by every clone of a
 /// [`Cluster`](crate::Cluster) handle.
 #[derive(Debug)]
 pub struct MemoryAccountant {
     budget: Option<u64>,
-    resident: Vec<AtomicU64>,
     peak: Vec<AtomicU64>,
     spilled: AtomicU64,
     denials: AtomicU64,
@@ -142,11 +146,9 @@ impl MemoryAccountant {
     /// An accountant for `nodes` simulated nodes. `budget == None` means
     /// meter-only: charges are tracked but never denied.
     pub fn new(nodes: usize, budget: Option<u64>) -> Self {
-        let nodes = nodes.max(1);
         MemoryAccountant {
             budget,
-            resident: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            peak: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+            peak: (0..nodes.max(1)).map(|_| AtomicU64::new(0)).collect(),
             spilled: AtomicU64::new(0),
             denials: AtomicU64::new(0),
             oom_events: AtomicU64::new(0),
@@ -158,44 +160,48 @@ impl MemoryAccountant {
         self.budget
     }
 
-    fn slot(&self, node: usize) -> usize {
-        node % self.resident.len()
+    /// The empty ledger of each of a stage's map tasks, task `t` running on
+    /// node `task_nodes[t]`. With M tasks, M_s of them on node s, a task on
+    /// s may hold ⌊B/2M⌋ on every node and ⌊B/2M_s⌋ more on s: half of
+    /// each node's budget is split over all tasks for post-shuffle
+    /// partitions, the other half over the node's own tasks for their
+    /// map-side buckets. The shares on a node sum to at most B, so no
+    /// schedule can drive a node past its budget.
+    pub(crate) fn ledgers(&self, task_nodes: &[usize]) -> Vec<Ledger> {
+        let nodes = self.peak.len();
+        let mut on_node = vec![0u64; nodes];
+        for &node in task_nodes {
+            on_node[node] += 1;
+        }
+        let share = |tasks: u64| self.budget.map_or(u64::MAX, |b| b / (2 * tasks).max(1));
+        let every = share(task_nodes.len() as u64);
+        let ledger = |own: usize| Ledger {
+            cap: (0..nodes)
+                .map(|node| {
+                    if node == own {
+                        every.saturating_add(share(on_node[own]))
+                    } else {
+                        every
+                    }
+                })
+                .collect(),
+            held: vec![0; nodes],
+            denials: 0,
+        };
+        task_nodes.iter().map(|&own| ledger(own)).collect()
     }
 
-    /// Tries to charge `bytes` to `node`. Returns `false` (and counts a
-    /// denial) when the node's resident total would cross the budget; the
-    /// caller must then spill or shrink instead of materialising. On success
-    /// the node's peak is updated, so `peak ≤ budget` holds by construction
-    /// whenever a budget is set.
-    pub fn try_charge(&self, node: usize, bytes: u64) -> bool {
-        if bytes == 0 {
-            return true;
+    /// Folds a stage's committed ledgers: each node's peak becomes at least
+    /// what the stage's tasks held there together, and their denials are
+    /// added. Returns the stage's denials.
+    pub(crate) fn fold(&self, ledgers: &[Ledger]) -> u64 {
+        for (node, peak) in self.peak.iter().enumerate() {
+            let held = ledgers.iter().map(|l| l.held[node]).sum();
+            peak.fetch_max(held, Ordering::Relaxed);
         }
-        let slot = self.slot(node);
-        let cell = &self.resident[slot];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(bytes);
-            if self.budget.is_some_and(|b| next > b) {
-                self.denials.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => {
-                    self.peak[slot].fetch_max(next, Ordering::Relaxed);
-                    return true;
-                }
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Releases a previous charge (saturating: over-release clamps at zero
-    /// rather than wrapping).
-    pub fn release(&self, node: usize, bytes: u64) {
-        let cell = &self.resident[self.slot(node)];
-        let release = |cur: u64| Some(cur.saturating_sub(bytes));
-        let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, release);
+        let denials = ledgers.iter().map(|l| l.denials).sum();
+        self.denials.fetch_add(denials, Ordering::Relaxed);
+        denials
     }
 
     /// Records `bytes` written to a disk spill segment.
@@ -208,33 +214,16 @@ impl MemoryAccountant {
         self.oom_events.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bytes currently charged to `node`.
-    pub fn resident_bytes(&self, node: usize) -> u64 {
-        self.resident[self.slot(node)].load(Ordering::Relaxed)
-    }
-
-    /// Bytes currently charged across all nodes. Zero at every stage
-    /// boundary (charges settle at stage commit points), which is what makes
-    /// the job server's completion-time leak audit exact.
-    pub fn resident_total(&self) -> u64 {
-        self.resident
-            .iter()
-            .map(|r| r.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Highest concurrent charge observed on `node`.
-    pub fn peak_of_node(&self, node: usize) -> u64 {
-        self.peak[self.slot(node)].load(Ordering::Relaxed)
-    }
-
-    /// Highest concurrent charge observed on any node.
+    /// Most bytes any node held in one stage.
     pub fn peak_bytes(&self) -> u64 {
+        self.per_node_peak().into_iter().max().unwrap_or(0)
+    }
+
+    fn per_node_peak(&self) -> Vec<u64> {
         self.peak
             .iter()
             .map(|p| p.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
+            .collect()
     }
 
     /// Total bytes spilled to disk so far.
@@ -257,11 +246,7 @@ impl MemoryAccountant {
         MemorySnapshot {
             budget: self.budget,
             peak_bytes: self.peak_bytes(),
-            per_node_peak: self
-                .peak
-                .iter()
-                .map(|p| p.load(Ordering::Relaxed))
-                .collect(),
+            per_node_peak: self.per_node_peak(),
             spilled_bytes: self.spilled_bytes(),
             budget_denials: self.budget_denials(),
             oom_events: self.oom_events(),
@@ -269,58 +254,36 @@ impl MemoryAccountant {
     }
 }
 
-/// RAII ledger of admitted charges. Everything still held is released when
-/// the guard drops, so a failed or speculative task attempt — whose guard
-/// travels inside the discarded result — can never leak resident bytes,
-/// just as a loser's buckets and spill file are dropped with it.
-#[derive(Debug)]
-pub struct ChargeGuard {
-    accountant: Arc<MemoryAccountant>,
-    /// Per-node bytes currently held (small: one entry per node touched).
-    held: Vec<(usize, u64)>,
+/// One map task attempt's admission ledger: what it may hold on each node
+/// (its share, fixed by [`MemoryAccountant::ledgers`]) and what it holds.
+/// A plain value inside the attempt's result: the stage's commit folds the
+/// winners' ledgers, and a failed or losing attempt's is dropped with it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Ledger {
+    cap: Vec<u64>,
+    held: Vec<u64>,
+    denials: u64,
 }
 
-impl ChargeGuard {
-    pub fn new(accountant: Arc<MemoryAccountant>) -> Self {
-        ChargeGuard {
-            accountant,
-            held: Vec::new(),
-        }
-    }
-
-    /// [`MemoryAccountant::try_charge`], recorded in the ledger on success.
-    pub fn try_charge(&mut self, node: usize, bytes: u64) -> bool {
-        if bytes == 0 {
-            return true;
-        }
-        if !self.accountant.try_charge(node, bytes) {
+impl Ledger {
+    /// Charges `bytes` to each of `nodes` (a node named twice is charged
+    /// twice) if every charge fits the task's share there. Otherwise charges
+    /// nothing, counts one denial and returns `false`: the caller spills
+    /// instead of materialising.
+    pub(crate) fn admit(&mut self, bytes: u64, nodes: &[usize]) -> bool {
+        let fits = nodes.iter().all(|&node| {
+            let times = nodes.iter().filter(|&&n| n == node).count() as u64;
+            let room = self.cap[node] - self.held[node];
+            bytes.checked_mul(times).is_some_and(|need| need <= room)
+        });
+        if !fits {
+            self.denials += 1;
             return false;
         }
-        match self.held.iter_mut().find(|(n, _)| *n == node) {
-            Some((_, held)) => *held += bytes,
-            None => self.held.push((node, bytes)),
+        for &node in nodes {
+            self.held[node] += bytes;
         }
         true
-    }
-
-    /// Releases part of a held charge immediately (e.g. rolling back the
-    /// first half of a two-sided admission).
-    pub fn uncharge(&mut self, node: usize, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        self.accountant.release(node, bytes);
-        if let Some((_, held)) = self.held.iter_mut().find(|(n, _)| *n == node) {
-            *held = held.saturating_sub(bytes);
-        }
-    }
-}
-
-impl Drop for ChargeGuard {
-    fn drop(&mut self) {
-        for &(node, bytes) in &self.held {
-            self.accountant.release(node, bytes);
-        }
     }
 }
 
@@ -554,42 +517,52 @@ mod tests {
     #[test]
     fn meter_only_accountant_never_denies() {
         let m = MemoryAccountant::new(3, None);
-        assert!(m.try_charge(0, u64::MAX / 2));
-        assert!(m.try_charge(0, u64::MAX / 2));
+        let mut ledgers = m.ledgers(&[0, 1]);
+        assert!(ledgers[0].admit(u64::MAX / 2, &[0]));
+        assert!(ledgers[0].admit(u64::MAX / 2, &[0]));
+        assert_eq!(m.fold(&ledgers), 0);
         assert_eq!(m.budget_denials(), 0);
         assert!(m.peak_bytes() > 0);
     }
 
     #[test]
     fn budget_denies_and_counts() {
-        let m = MemoryAccountant::new(2, Some(100));
-        assert!(m.try_charge(0, 60));
-        assert!(m.try_charge(0, 40));
-        assert!(!m.try_charge(0, 1), "101st byte must be denied");
-        assert_eq!(m.budget_denials(), 1);
-        // The other node has its own budget.
-        assert!(m.try_charge(1, 100));
-        m.release(0, 50);
-        assert!(m.try_charge(0, 50));
-        assert_eq!(m.peak_of_node(0), 100);
-        assert_eq!(m.peak_bytes(), 100);
-        assert!(m.peak_bytes() <= 100, "peak can never exceed the budget");
-    }
-
-    #[test]
-    fn release_saturates_at_zero() {
-        let m = MemoryAccountant::new(1, Some(10));
-        m.try_charge(0, 5);
-        m.release(0, 50);
-        assert_eq!(m.resident_bytes(0), 0);
-        assert!(m.try_charge(0, 10));
+        // Two tasks, both on node 0 of two nodes: each may hold
+        // 1000/4 = 250 on every node and 1000/4 = 250 more on node 0.
+        let m = MemoryAccountant::new(2, Some(1000));
+        let mut ledgers = m.ledgers(&[0, 0]);
+        let task = &mut ledgers[0];
+        assert!(task.admit(200, &[0, 1]), "200 + 200 fits 500 and 250");
+        assert!(!task.admit(100, &[0, 1]), "node 1 has 50 left");
+        assert!(
+            task.admit(150, &[0, 0]),
+            "two charges of 150 fit node 0's 300"
+        );
+        assert!(!task.admit(1, &[0]), "node 0's share is used up");
+        assert!(task.admit(0, &[0]), "an empty charge always fits");
+        assert!(
+            ledgers[1].admit(500, &[0]),
+            "the other task has its own share"
+        );
+        assert_eq!(m.fold(&ledgers), 2);
+        let s = m.snapshot();
+        assert_eq!(s.per_node_peak, vec![1000, 200]);
+        assert_eq!(s.peak_bytes, 1000);
+        assert_eq!(s.budget_denials, 2);
+        // A later stage's smaller total leaves the peak where it was.
+        let mut next = m.ledgers(&[1]);
+        assert!(next.iter_mut().all(|l| l.admit(10, &[1])));
+        assert_eq!(m.fold(&next), 0);
+        assert_eq!(m.snapshot().per_node_peak, vec![1000, 200]);
     }
 
     #[test]
     fn snapshot_reflects_counters() {
         let m = MemoryAccountant::new(2, Some(64));
-        assert!(m.try_charge(1, 64));
-        assert!(!m.try_charge(1, 1));
+        let mut ledgers = m.ledgers(&[1]);
+        assert!(ledgers[0].admit(64, &[1]));
+        assert!(!ledgers[0].admit(1, &[1]));
+        m.fold(&ledgers);
         m.note_spill(4096);
         m.note_oom();
         let s = m.snapshot();
@@ -599,6 +572,31 @@ mod tests {
         assert_eq!(s.spilled_bytes, 4096);
         assert_eq!(s.budget_denials, 1);
         assert_eq!(s.oom_events, 1);
+    }
+
+    proptest! {
+        /// Whatever the task count, the node count, the placement and the
+        /// budget, the shares the tasks may hold on a node sum to at most
+        /// the budget, and a one-byte budget admits nothing.
+        #[test]
+        fn shares_on_every_node_sum_to_at_most_the_budget(
+            placement in prop::collection::vec(any::<usize>(), 1..64),
+            nodes in 1usize..9,
+            budget in 1u64..1 << 40,
+        ) {
+            let task_nodes: Vec<usize> = placement.iter().map(|p| p % nodes).collect();
+            let ledgers = MemoryAccountant::new(nodes, Some(budget)).ledgers(&task_nodes);
+            for node in 0..nodes {
+                let shares: u64 = ledgers.iter().map(|l| l.cap[node]).sum();
+                prop_assert!(shares <= budget, "node {}: {} > {}", node, shares, budget);
+            }
+            let one = MemoryAccountant::new(nodes, Some(1)).ledgers(&task_nodes);
+            for (t, mut ledger) in one.into_iter().enumerate() {
+                let own = task_nodes[t];
+                prop_assert!(!ledger.admit(1, &[own]));
+                prop_assert!(!ledger.admit(1, &[(own + 1) % nodes]));
+            }
+        }
     }
 
     #[test]
@@ -769,30 +767,5 @@ mod tests {
         );
         assert!(!dead.exists());
         std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn concurrent_charges_respect_the_budget() {
-        use std::sync::Arc;
-        let m = Arc::new(MemoryAccountant::new(1, Some(1000)));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    let mut granted = 0u64;
-                    for _ in 0..200 {
-                        if m.try_charge(0, 7) {
-                            granted += 7;
-                        }
-                    }
-                    m.release(0, granted);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-        assert!(m.peak_bytes() <= 1000);
-        assert_eq!(m.resident_bytes(0), 0);
     }
 }

@@ -12,8 +12,9 @@ use std::path::PathBuf;
 
 /// What one tenant's join produced, reduced to the fields that must be
 /// byte-identical between a solo run and any multi-tenant interleaving.
-/// Durations and spill volumes are intentionally absent: host timings and
-/// shared-accountant pressure vary; results must not.
+/// Durations and spill volumes are intentionally absent: host timings vary,
+/// and a tenant's spilling follows the budget it runs under; results must
+/// not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantOutcome {
     pub result_count: u64,
@@ -374,7 +375,6 @@ mod tests {
             let shared = report.result.as_ref().expect("tenant succeeded");
             assert_eq!(shared, &solo, "tenant '{}' isolation", tenant.name);
             assert!(shared.result_count > 0, "joins must produce results");
-            assert_eq!(report.residual_bytes, 0, "leak audit");
         }
         // Interleaved under fair-share: both tenants are served before
         // either finishes (the grant log mixes job ids).
@@ -662,7 +662,6 @@ mod tests {
             admitted_at: Duration::ZERO,
             first_service_at: Duration::from_millis(3),
             finished_at: Duration::from_millis(9),
-            residual_bytes: 0,
             recovered: false,
         };
         let line = summary_line(&report);

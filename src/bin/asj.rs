@@ -141,11 +141,13 @@ ASJ_FAULT_SEED do the same without flags. Retries, losses and blacklisting
 follow from the plan alone, never from thread timing. --speculation re-executes
 straggler tasks on another node. A fault clause naming a stage the job never
 runs is reported as a warning. --memory-budget caps simulated per-node
-memory (bytes; k/m/g binary suffixes accepted) — shuffle buckets that would
-exceed it spill to temporary files and are re-read at reduce time, leaving
-results byte-identical. The join report's 'peak memory' is that governor's
-simulated per-node peak (shuffle buckets only); 'peak RSS' is the whole
-process's resident-set high-water mark.
+memory (bytes; k/m/g binary suffixes accepted): each shuffle map task gets a
+fixed share of every node's budget, and buckets that would exceed it spill
+to temporary files and are re-read at reduce time, leaving results
+byte-identical. What spills follows from the budget and the plan alone,
+never from thread timing. The join report's 'peak memory' is that
+governor's simulated per-node peak (shuffle buckets only); 'peak RSS' is
+the whole process's resident-set high-water mark.
 --jobs runs a multi-tenant queue on one simulated cluster: one
 'job NAME key=value ...' per line ('#' comments; keys: algo eps n kind seed
 weight kernel partitions grid-factor payload faults fault-seed max-attempts

@@ -101,10 +101,8 @@ proptest! {
             et.peak_memory_bytes <= budget,
             "peak {} exceeds budget {}", et.peak_memory_bytes, budget
         );
-        let acct = tight.memory_accountant();
-        for node in 0..nodes {
-            prop_assert!(acct.peak_of_node(node) <= budget);
-            prop_assert_eq!(acct.resident_bytes(node), 0, "charges release at commit");
+        for peak in tight.memory_accountant().snapshot().per_node_peak {
+            prop_assert!(peak <= budget, "node peak {} exceeds budget {}", peak, budget);
         }
         // A budget meaningfully below the natural peak must actually deny
         // something (and therefore spill) whenever any bytes moved at all.
@@ -118,8 +116,10 @@ proptest! {
     }
 
     /// Spilling composes with fault recovery: failed attempts abandon their
-    /// charges and spill files, retried attempts redo both, and the output
-    /// still matches an undisturbed unbudgeted run byte for byte.
+    /// ledgers and spill files, retried attempts redo both, and the output
+    /// still matches an undisturbed unbudgeted run byte for byte — while the
+    /// spilled bytes, denials and per-node peaks match the clean budgeted
+    /// run's.
     #[test]
     fn budgeted_shuffle_survives_injected_faults(
         recs in records(48),
@@ -140,6 +140,9 @@ proptest! {
             .with_seed(seed)
             .with_stage_fail_prob("shuffle", 0.2)
             .with_fail_point("shuffle", fail_task % sources, 1);
+        let clean = Cluster::new(ClusterConfig::with_threads(nodes, 2))
+            .with_memory_budget(budget);
+        KeyedDataset::from_partitions(parts.clone()).shuffle_stage(&clean, &p, "shuffle").expect("shuffle runs");
         let faulty = Cluster::new(ClusterConfig::with_threads(nodes, 2))
             .with_memory_budget(budget)
             .with_fault_policy(plan, RetryPolicy::default().with_max_attempts(8));
@@ -147,13 +150,11 @@ proptest! {
         prop_assert_eq!(sf, sc);
         prop_assert_eq!(rows(df)?, rows(dc)?);
         prop_assert!(ex.peak_memory_bytes <= budget);
-        for node in 0..nodes {
-            prop_assert_eq!(
-                faulty.memory_accountant().resident_bytes(node),
-                0,
-                "loser attempts' charges must not leak"
-            );
-        }
+        prop_assert_eq!(
+            faulty.memory_accountant().snapshot(),
+            clean.memory_accountant().snapshot(),
+            "loser attempts' ledgers must not count"
+        );
     }
 
     /// `partition_bytes` is ground truth, not an estimate: every entry equals
