@@ -1,8 +1,9 @@
 use crate::generators::{
-    gaussian_cluster_params_scaled, gaussian_points, hydro_params, hydrography_points,
-    parks_params, parks_points, uniform_points,
+    block_points, gaussian_cluster_params_scaled, gaussian_draw, hydro_params, hydrography_draw,
+    parks_draw, parks_params, uniform_point,
 };
 use asj_geom::{Point, Rect};
+use std::ops::Range;
 
 /// Minimum bounding rectangle of the paper's datasets (continental United
 /// States, the extent of TIGER and the OSM extracts; the synthetic sets are
@@ -68,50 +69,41 @@ pub struct DatasetSpec {
 }
 
 /// A dataset's points, generated one at a time as they are read: what
-/// [`DatasetSpec::stream`] returns and what a builder that lays points out
-/// straight into their final place consumes.
+/// [`DatasetSpec::block_stream`] returns and what a builder that lays points
+/// out straight into their final place consumes.
 pub type PointStream = Box<dyn ExactSizeIterator<Item = Point> + Send>;
 
 impl DatasetSpec {
-    /// The points of partition `part` out of `parts`, as a stream.
-    fn partition_stream(&self, part: usize, parts: usize) -> PointStream {
-        assert!(part < parts, "partition index out of range");
-        let base = self.cardinality / parts;
-        let extra = self.cardinality % parts;
-        let n = base + usize::from(part < extra);
-        let seed = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(part as u64);
-        let bbox = self.bbox;
+    /// Points `range` of the dataset as a stream: the one generator entry
+    /// point. Point `i` is drawn from the RNG of block `⌊i / 1024⌋`, seeded
+    /// by the dataset seed and the block, around a layout (clusters, rivers,
+    /// parks) drawn from the seed alone — so any range, on any thread,
+    /// yields the points the whole dataset holds there.
+    pub fn block_stream(&self, range: Range<usize>) -> PointStream {
+        assert!(range.end <= self.cardinality, "range past the dataset");
+        let (bbox, seed) = (self.bbox, self.seed);
         match self.kind {
             GenKind::GaussianClusters => {
-                let params = gaussian_cluster_params_scaled(bbox, 30, self.seed, self.sigma_scale);
-                Box::new(gaussian_points(bbox, params, n, seed))
+                let params = gaussian_cluster_params_scaled(bbox, 30, seed, self.sigma_scale);
+                Box::new(block_points(range, seed, gaussian_draw(bbox, params)))
             }
             GenKind::Hydrography => {
-                let params = hydro_params(bbox, self.seed);
-                Box::new(hydrography_points(bbox, params, n, seed))
+                let draw = hydrography_draw(bbox, hydro_params(bbox, seed));
+                Box::new(block_points(range, seed, draw))
             }
             GenKind::Parks => {
-                let params = parks_params(bbox, self.seed);
-                Box::new(parks_points(bbox, params, n, seed))
+                let draw = parks_draw(bbox, parks_params(bbox, seed));
+                Box::new(block_points(range, seed, draw))
             }
-            GenKind::Uniform => Box::new(uniform_points(bbox, n, seed)),
+            GenKind::Uniform => Box::new(block_points(range, seed, move |rng| {
+                uniform_point(rng, bbox)
+            })),
         }
-    }
-
-    /// Points of partition `part` out of `parts` (cardinality is split as
-    /// evenly as possible; earlier partitions take the remainder).
-    /// Deterministic: the same `(spec, part, parts)` always yields the same
-    /// points, and the union over partitions is the dataset.
-    pub fn partition_points(&self, part: usize, parts: usize) -> Vec<Point> {
-        self.partition_stream(part, parts).collect()
     }
 
     /// The whole dataset as one stream.
     pub fn stream(&self) -> PointStream {
-        self.partition_stream(0, 1)
+        self.block_stream(0..self.cardinality)
     }
 
     /// The whole dataset, generated in one piece.
@@ -208,6 +200,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn catalog_preserves_paper_ratios() {
@@ -220,23 +213,67 @@ mod tests {
         assert_ne!(c.s1.points()[..50], c.s2.points()[..50]);
     }
 
-    #[test]
-    fn partitioned_generation_covers_cardinality() {
-        let c = Catalog::new(10_000);
-        for spec in [&c.r1, &c.r2, &c.s1] {
-            let total: usize = (0..8).map(|p| spec.partition_points(p, 8).len()).sum();
-            assert_eq!(total, spec.cardinality, "{}", spec.name);
+    const KINDS: [GenKind; 4] = [
+        GenKind::GaussianClusters,
+        GenKind::Hydrography,
+        GenKind::Parks,
+        GenKind::Uniform,
+    ];
+
+    /// A cardinality at or next to a block border, or anywhere.
+    fn cardinality() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            Just(0usize),
+            Just(1),
+            Just(1023),
+            Just(1024),
+            Just(1025),
+            Just(3073),
+            0usize..5000,
+        ]
+    }
+
+    /// A cut in `0..=n` from a raw draw: anywhere, or within two of a
+    /// block border.
+    fn cut(n: usize, (raw, near_border, off): (u64, bool, i32)) -> usize {
+        let at = (raw % (n as u64 + 1)) as usize;
+        if near_border {
+            let border = (at + 512) / 1024 * 1024;
+            border.saturating_add_signed(off as isize).min(n)
+        } else {
+            at
         }
     }
 
-    #[test]
-    fn partitions_are_deterministic_and_distinct() {
-        let c = Catalog::new(10_000);
-        let a = c.s1.partition_points(3, 8);
-        let b = c.s1.partition_points(3, 8);
-        assert_eq!(a, b);
-        let other = c.s1.partition_points(4, 8);
-        assert_ne!(a[..10], other[..10]);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// Any range of a dataset, also one that starts or ends inside a
+        /// block or crosses block borders, is that stretch of the whole
+        /// stream.
+        #[test]
+        fn a_block_stream_is_its_stretch_of_the_stream(
+            kind in 0usize..4,
+            n in cardinality(),
+            x in (any::<u64>(), any::<bool>(), -2i32..3),
+            y in (any::<u64>(), any::<bool>(), -2i32..3),
+            seed in any::<u64>(),
+        ) {
+            let spec = DatasetSpec {
+                name: "t",
+                kind: KINDS[kind],
+                cardinality: n,
+                seed,
+                bbox: PAPER_BBOX,
+                sigma_scale: 1.0,
+            };
+            let (x, y) = (cut(n, x), cut(n, y));
+            let (a, b) = (x.min(y), x.max(y));
+            let got: Vec<Point> = spec.block_stream(a..b).collect();
+            let want: Vec<Point> = spec.stream().skip(a).take(b - a).collect();
+            prop_assert_eq!(got.len(), b - a);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(spec.stream().len(), n);
+        }
     }
 
     #[test]
@@ -250,6 +287,9 @@ mod tests {
         let small = c.s1.points();
         let big = s.points();
         assert_eq!(small.len() * 4, big.len());
+        // Point `i` depends on its block alone, so the smaller dataset is
+        // the larger one's prefix.
+        assert_eq!(big[..small.len()], small[..]);
     }
 
     #[test]

@@ -1,47 +1,44 @@
 use asj_geom::{Point, Rect};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
-/// Cluster parameters shared by all partitions of a Gaussian dataset:
-/// 30 centers uniform in the bounding box, standard deviation per cluster
-/// drawn from [0.1, 0.8] (§7.1 of the paper; the σ range is in the same
-/// coordinate units as the data space).
-#[derive(Debug, Clone)]
-pub struct GenParams {
-    pub centers: Vec<Point>,
-    pub sigmas: Vec<f64>,
+/// Points per generation block: point `i` of a dataset is drawn from the RNG
+/// of block `i / BLOCK_POINTS`.
+pub(crate) const BLOCK_POINTS: usize = 1024;
+
+/// The seed of block `block`'s RNG: the dataset seed and the block index
+/// through SplitMix64's finaliser, so neighbouring blocks, and datasets
+/// whose seeds differ by one, start from unrelated states.
+fn block_seed(seed: u64, block: usize) -> u64 {
+    let mut z = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(block as u64);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-/// Derives the shared cluster layout for a Gaussian dataset from its seed
-/// (every partition must agree on it).
-pub fn gaussian_cluster_params(bbox: Rect, clusters: usize, seed: u64) -> GenParams {
-    gaussian_cluster_params_scaled(bbox, clusters, seed, 1.0)
-}
-
-/// [`gaussian_cluster_params`] with the per-cluster σ range scaled by
-/// `sigma_scale`. Downscaled reproductions scale ε up to preserve
-/// points-per-cell; scaling σ alongside preserves the paper's
-/// clusters-span-multiple-cells geometry (see DESIGN.md).
-pub fn gaussian_cluster_params_scaled(
-    bbox: Rect,
-    clusters: usize,
+/// Points `range` of a dataset whose point `i` is the next `draw` from
+/// block `i / BLOCK_POINTS`'s RNG, generated as they are read. A range that
+/// starts inside a block replays the block's earlier draws first, so every
+/// range yields the points the whole dataset holds there.
+pub(crate) fn block_points(
+    range: Range<usize>,
     seed: u64,
-    sigma_scale: f64,
-) -> GenParams {
-    assert!(sigma_scale > 0.0 && sigma_scale.is_finite());
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xC1A5_7E85_EED5_u64);
-    let centers = (0..clusters)
-        .map(|_| {
-            Point::new(
-                rng.gen_range(bbox.min_x..bbox.max_x),
-                rng.gen_range(bbox.min_y..bbox.max_y),
-            )
-        })
-        .collect();
-    let sigmas = (0..clusters)
-        .map(|_| rng.gen_range(0.1..0.8) * sigma_scale)
-        .collect();
-    GenParams { centers, sigmas }
+    mut draw: impl FnMut(&mut SmallRng) -> Point,
+) -> impl ExactSizeIterator<Item = Point> {
+    let first = range.start / BLOCK_POINTS;
+    let mut rng = SmallRng::seed_from_u64(block_seed(seed, first));
+    for _ in first * BLOCK_POINTS..range.start {
+        draw(&mut rng);
+    }
+    range.map(move |i| {
+        if i % BLOCK_POINTS == 0 {
+            rng = SmallRng::seed_from_u64(block_seed(seed, i / BLOCK_POINTS));
+        }
+        draw(&mut rng)
+    })
 }
 
 /// One standard normal variate via Box–Muller (the `rand_distr` crate is
@@ -50,6 +47,16 @@ fn std_normal(rng: &mut SmallRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// A point uniform in `bbox`: x drawn first, then y.
+pub(crate) fn uniform_point(rng: &mut SmallRng, bbox: Rect) -> Point {
+    let x = rng.gen_range(bbox.min_x..bbox.max_x);
+    Point::new(x, rng.gen_range(bbox.min_y..bbox.max_y))
+}
+
+fn diagonal(bbox: Rect) -> f64 {
+    (bbox.width().powi(2) + bbox.height().powi(2)).sqrt()
 }
 
 /// Samples around `center` with deviation `sigma`, clamped into the bbox
@@ -71,43 +78,44 @@ fn gaussian_point(rng: &mut SmallRng, bbox: Rect, center: Point, sigma: f64) -> 
     )
 }
 
-/// The `n` points one RNG stream seeded by `seed` yields, generated as they
-/// are read. Every generator below is one of these.
-fn point_stream(
-    n: usize,
-    seed: u64,
-    mut next: impl FnMut(&mut SmallRng) -> Point,
-) -> impl ExactSizeIterator<Item = Point> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n).map(move |_| next(&mut rng))
+/// Cluster parameters shared by all blocks of a Gaussian dataset: centers
+/// uniform in the bounding box, standard deviation per cluster drawn from
+/// [0.1, 0.8] (§7.1 of the paper; the σ range is in the same coordinate
+/// units as the data space) times `sigma_scale`. Downscaled reproductions
+/// scale ε up to preserve points-per-cell; scaling σ alongside preserves the
+/// paper's clusters-span-multiple-cells geometry (see DESIGN.md).
+#[derive(Debug, Clone)]
+pub(crate) struct GenParams {
+    centers: Vec<Point>,
+    sigmas: Vec<f64>,
 }
 
-pub(crate) fn gaussian_points(
+pub(crate) fn gaussian_cluster_params_scaled(
     bbox: Rect,
-    params: GenParams,
-    n: usize,
+    clusters: usize,
     seed: u64,
-) -> impl ExactSizeIterator<Item = Point> {
-    point_stream(n, seed, move |rng| {
+    sigma_scale: f64,
+) -> GenParams {
+    assert!(sigma_scale > 0.0 && sigma_scale.is_finite());
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xC1A5_7E85_EED5_u64);
+    let centers = (0..clusters)
+        .map(|_| uniform_point(&mut rng, bbox))
+        .collect();
+    let sigmas = (0..clusters)
+        .map(|_| rng.gen_range(0.1..0.8) * sigma_scale)
+        .collect();
+    GenParams { centers, sigmas }
+}
+
+/// One point of a Gaussian dataset: a cluster, then a point around it.
+pub(crate) fn gaussian_draw(bbox: Rect, params: GenParams) -> impl Fn(&mut SmallRng) -> Point {
+    move |rng| {
         let c = rng.gen_range(0..params.centers.len());
         gaussian_point(rng, bbox, params.centers[c], params.sigmas[c])
-    })
+    }
 }
 
-pub(crate) fn uniform_points(
-    bbox: Rect,
-    n: usize,
-    seed: u64,
-) -> impl ExactSizeIterator<Item = Point> {
-    point_stream(n, seed, move |rng| {
-        Point::new(
-            rng.gen_range(bbox.min_x..bbox.max_x),
-            rng.gen_range(bbox.min_y..bbox.max_y),
-        )
-    })
-}
-
-/// River-like layout shared by all partitions: random-walk polylines (rivers)
+/// River-like layout shared by all blocks: random-walk polylines (rivers)
 /// plus compact blobs (lakes).
 #[derive(Debug, Clone)]
 pub(crate) struct HydroParams {
@@ -119,14 +127,11 @@ pub(crate) struct HydroParams {
 
 pub(crate) fn hydro_params(bbox: Rect, seed: u64) -> HydroParams {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x4D7D_0B10);
-    let diag = (bbox.width().powi(2) + bbox.height().powi(2)).sqrt();
+    let diag = diagonal(bbox);
     let step = diag / 150.0;
     let rivers = (0..40)
         .map(|_| {
-            let mut p = Point::new(
-                rng.gen_range(bbox.min_x..bbox.max_x),
-                rng.gen_range(bbox.min_y..bbox.max_y),
-            );
+            let mut p = uniform_point(&mut rng, bbox);
             let mut dir: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
             let mut pts = Vec::with_capacity(80);
             for _ in 0..80 {
@@ -142,25 +147,17 @@ pub(crate) fn hydro_params(bbox: Rect, seed: u64) -> HydroParams {
         .collect();
     let lakes = (0..25)
         .map(|_| {
-            let c = Point::new(
-                rng.gen_range(bbox.min_x..bbox.max_x),
-                rng.gen_range(bbox.min_y..bbox.max_y),
-            );
+            let c = uniform_point(&mut rng, bbox);
             (c, rng.gen_range(diag / 400.0..diag / 60.0))
         })
         .collect();
     HydroParams { rivers, lakes }
 }
 
-pub(crate) fn hydrography_points(
-    bbox: Rect,
-    params: HydroParams,
-    n: usize,
-    seed: u64,
-) -> impl ExactSizeIterator<Item = Point> {
-    let diag = (bbox.width().powi(2) + bbox.height().powi(2)).sqrt();
-    let jitter = diag / 800.0;
-    point_stream(n, seed, move |rng| {
+/// One point of a hydrography dataset: on a river, or in a lake.
+pub(crate) fn hydrography_draw(bbox: Rect, params: HydroParams) -> impl Fn(&mut SmallRng) -> Point {
+    let jitter = diagonal(bbox) / 800.0;
+    move |rng| {
         if rng.gen_bool(0.65) {
             // On a river: pick a polyline, a segment, a position along it.
             let river = &params.rivers[rng.gen_range(0..params.rivers.len())];
@@ -178,7 +175,7 @@ pub(crate) fn hydrography_points(
             let (c, r) = params.lakes[rng.gen_range(0..params.lakes.len())];
             gaussian_point(rng, bbox, c, r)
         }
-    })
+    }
 }
 
 /// Park-like layout: many urban clusters whose populations follow a power
@@ -193,16 +190,9 @@ pub(crate) struct ParksParams {
 
 pub(crate) fn parks_params(bbox: Rect, seed: u64) -> ParksParams {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x9A55_77A2);
-    let diag = (bbox.width().powi(2) + bbox.height().powi(2)).sqrt();
+    let diag = diagonal(bbox);
     let k = 120usize;
-    let centers = (0..k)
-        .map(|_| {
-            Point::new(
-                rng.gen_range(bbox.min_x..bbox.max_x),
-                rng.gen_range(bbox.min_y..bbox.max_y),
-            )
-        })
-        .collect();
+    let centers = (0..k).map(|_| uniform_point(&mut rng, bbox)).collect();
     let radii = (0..k)
         .map(|_| rng.gen_range(diag / 500.0..diag / 80.0))
         .collect();
@@ -224,13 +214,10 @@ pub(crate) fn parks_params(bbox: Rect, seed: u64) -> ParksParams {
     }
 }
 
-pub(crate) fn parks_points(
-    bbox: Rect,
-    params: ParksParams,
-    n: usize,
-    seed: u64,
-) -> impl ExactSizeIterator<Item = Point> {
-    point_stream(n, seed, move |rng| {
+/// One point of a parks dataset: in a cluster picked by its power-law
+/// weight, or in the background.
+pub(crate) fn parks_draw(bbox: Rect, params: ParksParams) -> impl Fn(&mut SmallRng) -> Point {
+    move |rng| {
         if rng.gen_bool(0.9) {
             let u: f64 = rng.gen_range(0.0..1.0);
             let c = params
@@ -239,12 +226,9 @@ pub(crate) fn parks_points(
                 .min(params.centers.len() - 1);
             gaussian_point(rng, bbox, params.centers[c], params.radii[c])
         } else {
-            Point::new(
-                rng.gen_range(bbox.min_x..bbox.max_x),
-                rng.gen_range(bbox.min_y..bbox.max_y),
-            )
+            uniform_point(rng, bbox)
         }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -257,7 +241,7 @@ mod tests {
 
     #[test]
     fn gaussian_params_match_paper_spec() {
-        let p = gaussian_cluster_params(bbox(), 30, 7);
+        let p = gaussian_cluster_params_scaled(bbox(), 30, 7, 1.0);
         assert_eq!(p.centers.len(), 30);
         assert_eq!(p.sigmas.len(), 30);
         for &s in &p.sigmas {
@@ -271,14 +255,14 @@ mod tests {
     #[test]
     fn all_generators_stay_in_bbox() {
         let b = bbox();
-        let gp = gaussian_cluster_params(b, 30, 1);
+        let gp = gaussian_cluster_params_scaled(b, 30, 1, 1.0);
         let hp = hydro_params(b, 2);
         let pp = parks_params(b, 3);
         for pts in [
-            gaussian_points(b, gp, 2000, 10).collect::<Vec<_>>(),
-            uniform_points(b, 2000, 11).collect(),
-            hydrography_points(b, hp, 2000, 12).collect(),
-            parks_points(b, pp, 2000, 13).collect(),
+            block_points(0..2000, 10, gaussian_draw(b, gp)).collect::<Vec<_>>(),
+            block_points(0..2000, 11, |rng| uniform_point(rng, b)).collect(),
+            block_points(0..2000, 12, hydrography_draw(b, hp)).collect(),
+            block_points(0..2000, 13, parks_draw(b, pp)).collect(),
         ] {
             assert_eq!(pts.len(), 2000);
             for p in pts {
@@ -291,8 +275,9 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let b = bbox();
-        let gp = gaussian_cluster_params(b, 30, 5);
-        let gen = |seed| gaussian_points(b, gp.clone(), 500, seed).collect::<Vec<_>>();
+        let gp = gaussian_cluster_params_scaled(b, 30, 5, 1.0);
+        let gen =
+            |seed| block_points(0..500, seed, gaussian_draw(b, gp.clone())).collect::<Vec<_>>();
         let a = gen(42);
         let c = gen(42);
         assert_eq!(a, c);
@@ -326,18 +311,25 @@ mod tests {
             let max = counts.iter().copied().max().unwrap_or(0) as f64;
             max / (pts.len() as f64 / 100.0)
         };
-        let gp = gaussian_cluster_params(b, 30, 21);
+        let gp = gaussian_cluster_params_scaled(b, 30, 21, 1.0);
         let hp = hydro_params(b, 22);
         let pp = parks_params(b, 23);
-        let uni = occupancy(&uniform_points(b, 20_000, 1).collect::<Vec<_>>());
+        let uni =
+            occupancy(&block_points(0..20_000, 1, |rng| uniform_point(rng, b)).collect::<Vec<_>>());
         assert!(uni < 2.0, "uniform occupancy ratio {uni}");
         for (name, pts) in [
             (
                 "gaussian",
-                gaussian_points(b, gp, 20_000, 2).collect::<Vec<_>>(),
+                block_points(0..20_000, 2, gaussian_draw(b, gp)).collect::<Vec<_>>(),
             ),
-            ("hydro", hydrography_points(b, hp, 20_000, 3).collect()),
-            ("parks", parks_points(b, pp, 20_000, 4).collect()),
+            (
+                "hydro",
+                block_points(0..20_000, 3, hydrography_draw(b, hp)).collect(),
+            ),
+            (
+                "parks",
+                block_points(0..20_000, 4, parks_draw(b, pp)).collect(),
+            ),
         ] {
             let ratio = occupancy(&pts);
             assert!(ratio > 3.0, "{name} not skewed enough: ratio {ratio}");

@@ -1,21 +1,24 @@
 use asj_geom::Point;
 use std::fmt::Display;
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::ops::{ControlFlow, Range};
 use std::os::unix::fs::FileExt;
 use std::panic::resume_unwind;
 use std::path::Path;
 use std::str::FromStr;
 
-/// Writes points as `id,x,y` CSV lines — the raw text format the paper's
-/// pipeline loads from HDFS (`sc.textFile(path).map(line → tup)`).
-pub fn write_points_csv(path: &Path, points: &[Point]) -> io::Result<()> {
-    let mut out = BufWriter::new(std::fs::File::create(path)?);
-    for (id, p) in points.iter().enumerate() {
+/// Writes `points` as `id,x,y` CSV lines numbered from `first`: the raw text
+/// format the paper's pipeline loads (`sc.textFile(path).map(line → tup)`).
+pub fn write_points_csv(
+    out: &mut impl Write,
+    first: usize,
+    points: impl IntoIterator<Item = Point>,
+) -> io::Result<()> {
+    for (id, p) in (first..).zip(points) {
         writeln!(out, "{id},{},{}", p.x, p.y)?;
     }
-    out.flush()
+    Ok(())
 }
 
 /// Reads `id,x,y` CSV lines back into `(id, point)` tuples: the
@@ -486,12 +489,14 @@ mod tests {
     #[test]
     fn roundtrip() {
         let path = tmpfile("roundtrip.csv");
-        let pts = vec![
+        let pts = [
             Point::new(1.5, -2.25),
             Point::new(0.0, 0.0),
             Point::new(-100.0, 49.0),
         ];
-        write_points_csv(&path, &pts).unwrap();
+        let mut text = Vec::new();
+        write_points_csv(&mut text, 0, pts.iter().copied()).unwrap();
+        std::fs::write(&path, text).unwrap();
         let back = read_points_csv(&path).unwrap();
         assert_eq!(back.len(), 3);
         for (i, (id, p)) in back.iter().enumerate() {

@@ -18,11 +18,11 @@
 //!   background, mimicking OSM parks.
 //! * [`GenKind::Uniform`] — uniform background, used by tests and ablations.
 //!
-//! Generation is deterministic in the seed and **partition-stable**: a
-//! dataset can be produced partition-by-partition in parallel
-//! ([`DatasetSpec::partition_points`]) and always yields the same points.
-//! Every generator is a point stream ([`DatasetSpec::stream`]), so a caller
-//! can lay the points out where they end up without collecting them first.
+//! Generation is deterministic in the seed and made of **blocks**: point
+//! `i` is drawn from the RNG of block `⌊i / 1024⌋`, seeded by the dataset
+//! seed and the block, so [`DatasetSpec::block_stream`] makes any range of
+//! points on any thread, as a stream a caller can lay out where the points
+//! end up, and the points do not depend on the thread or the range.
 
 mod catalog;
 mod generators;
@@ -31,7 +31,6 @@ mod payload;
 mod shapes;
 
 pub use catalog::{Catalog, DatasetSpec, GenKind, PointStream, PAPER_BBOX};
-pub use generators::{gaussian_cluster_params, gaussian_cluster_params_scaled, GenParams};
 pub use io::{read_points_csv, read_points_csv_partitions, write_points_csv};
 pub use payload::TupleSizeFactor;
 pub use shapes::{random_boxes, random_polylines};

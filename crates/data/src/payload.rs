@@ -43,24 +43,6 @@ impl TupleSizeFactor {
             TupleSizeFactor::F4 => "f4",
         }
     }
-
-    /// Deterministic filler payload for a tuple id (pseudo-text bytes, so
-    /// payloads differ across tuples like real attributes do).
-    pub fn make_payload(self, id: u64) -> Vec<u8> {
-        let n = self.payload_bytes();
-        let mut out = Vec::with_capacity(n);
-        let mut state = id
-            .wrapping_mul(0x5851_F42D_4C95_7F2D)
-            .wrapping_add(0x14057B7E);
-        while out.len() < n {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            // Printable ASCII range keeps payloads text-like.
-            out.push(b' ' + ((state >> 33) % 94) as u8);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -77,26 +59,6 @@ mod tests {
         for w in sizes.windows(2) {
             assert!(w[0] < w[1]);
         }
-    }
-
-    #[test]
-    fn payload_has_exact_size_and_is_deterministic() {
-        for f in TupleSizeFactor::ALL {
-            let a = f.make_payload(42);
-            let b = f.make_payload(42);
-            assert_eq!(a.len(), f.payload_bytes());
-            assert_eq!(a, b);
-        }
-        assert_ne!(
-            TupleSizeFactor::F2.make_payload(1),
-            TupleSizeFactor::F2.make_payload(2)
-        );
-    }
-
-    #[test]
-    fn payload_is_printable_ascii() {
-        let p = TupleSizeFactor::F4.make_payload(7);
-        assert!(p.iter().all(|&b| (b' '..=b'~').contains(&b)));
     }
 
     #[test]

@@ -80,9 +80,9 @@ impl ClusterConfig {
 /// which no further index is claimed. A panic in `work` resumes on the
 /// caller's thread.
 ///
-/// Checkpoint saves and loads, and the job server's tenant generation and
-/// checksum sort, all run their driver work through this loop on
-/// [`ClusterConfig::threads`] threads.
+/// Checkpoint saves and loads, `asj generate` and `to_record_partitions`
+/// (the job server's tenant inputs) run their driver work through this loop
+/// on [`ClusterConfig::threads`] threads.
 pub fn on_host_threads<T: Send, E: Send>(
     threads: usize,
     n: usize,
@@ -246,51 +246,53 @@ impl Cluster {
         ),
         compute: impl FnOnce() -> Result<(Vec<P>, ShuffleStats, ExecStats), JobError>,
     ) -> Result<(Vec<P>, ShuffleStats, ExecStats), JobError> {
-        let Some(ck) = self.checkpoint.as_deref() else {
-            return compute();
-        };
-        let (encode, decode) = codec;
-        let key = ck.next_key(stage);
-        let threads = self.config.threads;
-        // A stage without partitions has nothing to replay.
-        if expected > 0 {
-            if let Ok(Some((parts, shuffle))) = ck.store().load(&key, expected, threads, decode) {
-                let stats = ExecStats::idle(self.config.nodes);
-                if let Some(gate) = &self.gate {
-                    gate.pause();
-                    gate.note_stage(&stats);
+        self.gated(
+            || {
+                let Some(ck) = self.checkpoint.as_deref() else {
+                    return compute();
+                };
+                let (encode, decode) = codec;
+                let key = ck.next_key(stage);
+                let threads = self.config.threads;
+                // A stage without partitions has nothing to replay.
+                if expected > 0 {
+                    if let Ok(Some((parts, shuffle))) =
+                        ck.store().load(&key, expected, threads, decode)
+                    {
+                        ck.store().note_recovered();
+                        self.recorder.counter_add(stage, "stages_recovered", 1);
+                        return Ok((parts, shuffle, ExecStats::idle(self.config.nodes)));
+                    }
                 }
-                ck.store().note_recovered();
-                self.recorder.counter_add(stage, "stages_recovered", 1);
-                return Ok((parts, shuffle, stats));
-            }
-        }
-        let (parts, shuffle, stats) = compute()?;
-        let count = |name, value| self.recorder.counter_add(stage, name, value);
-        // Saves of one store are serial (one job, or a server's lockstep
-        // grants), so the totals' movement is this save's time.
-        let before = ck.store().times();
-        match ck.store().save(&key, &parts, &shuffle, threads, encode) {
-            Ok(bytes) => {
-                let spent = ck.store().times();
-                count("checkpoint_bytes", bytes);
-                let ns = |d: std::time::Duration| d.as_nanos() as u64;
-                count("checkpoint_write_ns", ns(spent.write - before.write));
-                count("checkpoint_fsync_ns", ns(spent.fsync - before.fsync));
-                count(
-                    "checkpoint_manifest_ns",
-                    ns(spent.manifest - before.manifest),
-                );
-                ck.journal_stage_complete(stage, &key, bytes);
-            }
-            Err(_) => {
-                count("checkpoint_save_failed", 1);
-                let attrs = Attrs::new().bytes(shuffle.partition_bytes.iter().sum());
-                self.recorder
-                    .event("checkpoint-save-failed", Lane::Driver, None, attrs);
-            }
-        }
-        Ok((parts, shuffle, stats))
+                let (parts, shuffle, stats) = compute()?;
+                let count = |name, value| self.recorder.counter_add(stage, name, value);
+                // Saves of one store are serial (one job, or a server's lockstep
+                // grants), so the totals' movement is this save's time.
+                let before = ck.store().times();
+                match ck.store().save(&key, &parts, &shuffle, threads, encode) {
+                    Ok(bytes) => {
+                        let spent = ck.store().times();
+                        count("checkpoint_bytes", bytes);
+                        let ns = |d: std::time::Duration| d.as_nanos() as u64;
+                        count("checkpoint_write_ns", ns(spent.write - before.write));
+                        count("checkpoint_fsync_ns", ns(spent.fsync - before.fsync));
+                        count(
+                            "checkpoint_manifest_ns",
+                            ns(spent.manifest - before.manifest),
+                        );
+                        ck.journal_stage_complete(stage, &key, bytes);
+                    }
+                    Err(_) => {
+                        count("checkpoint_save_failed", 1);
+                        let attrs = Attrs::new().bytes(shuffle.partition_bytes.iter().sum());
+                        self.recorder
+                            .event("checkpoint-save-failed", Lane::Driver, None, attrs);
+                    }
+                }
+                Ok((parts, shuffle, stats))
+            },
+            |(_, _, stats)| stats,
+        )
     }
 
     /// Enforces a per-node memory budget on this handle (resets the
@@ -460,16 +462,48 @@ impl Cluster {
         R: Send,
         F: Fn(usize, T) -> Result<R, crate::TaskError> + Sync,
     {
-        let placement: Vec<usize> = (0..tasks.len())
-            .map(|i| self.node_of_partition(i))
-            .collect();
-        // Stage boundary: under a job server, park here until this job is
-        // granted its quantum; the grant covers this one stage plus the
-        // driver work that follows it.
+        self.gated(
+            || self.dispatch(stage, tasks, f, commit),
+            |(_, stats)| stats,
+        )
+    }
+
+    /// Every stage under a job server: parks until the job is granted its
+    /// quantum (this stage plus the driver work after it), runs the stage
+    /// and bills the job, once, the stats the stage returns to its caller.
+    fn gated<O>(
+        &self,
+        run: impl FnOnce() -> Result<O, JobError>,
+        stats: impl FnOnce(&O) -> &ExecStats,
+    ) -> Result<O, JobError> {
         if let Some(gate) = &self.gate {
             gate.pause();
         }
-        let result = try_run_stage(
+        let out = run();
+        if let (Some(gate), Ok(out)) = (&self.gate, &out) {
+            gate.note_stage(stats(out));
+        }
+        out
+    }
+
+    /// Runs one task per item of `tasks` on its partition's node: a stage's
+    /// unbilled body, for entry points that finish it before it is billed.
+    pub(crate) fn dispatch<T, R, F>(
+        &self,
+        stage: &str,
+        tasks: Vec<T>,
+        f: F,
+        commit: &CommitHook<R>,
+    ) -> StageResult<R>
+    where
+        T: Send + Sync + Clone,
+        R: Send,
+        F: Fn(usize, T) -> Result<R, crate::TaskError> + Sync,
+    {
+        let placement: Vec<usize> = (0..tasks.len())
+            .map(|i| self.node_of_partition(i))
+            .collect();
+        try_run_stage(
             self.config.threads,
             self.config.nodes,
             tasks,
@@ -479,11 +513,7 @@ impl Cluster {
             self.faults.as_deref(),
             f,
             commit,
-        );
-        if let (Some(gate), Ok((_, stats))) = (&self.gate, &result) {
-            gate.note_stage(stats);
-        }
-        result
+        )
     }
 
     /// [`Cluster::try_run_stage`] for stages whose per-task result is a
@@ -516,11 +546,8 @@ impl Cluster {
         let codec = (encode_join_part::<Rec, Acc>, decode_join_part::<Rec, Acc>);
         let in_pool = self.checkpoint.is_none();
         let (mut parts, _, stats) = self.checkpointed(stage, tasks.len(), codec, || {
-            let (parts, stats) = if in_pool {
-                self.try_run_stage_committing(stage, tasks, f, commit)?
-            } else {
-                self.try_run_stage(stage, tasks, f)?
-            };
+            let hook: &CommitHook<_> = if in_pool { commit } else { &|_, _| {} };
+            let (parts, stats) = self.dispatch(stage, tasks, f, hook)?;
             // The join phase has no shuffle meters; its manifest records the
             // result count and encoded size per partition.
             let meters = ShuffleStats {

@@ -50,25 +50,14 @@ pub struct Dataset<T> {
 // of Spark recomputing a partition from lineage.
 impl<T: Send + Sync + Clone> Dataset<T> {
     /// Splits `data` into `partitions` near-equal chunks (like reading a file
-    /// into fixed-size input splits).
+    /// into fixed-size input splits): the first `len % partitions` chunks
+    /// hold one element more.
     pub fn from_vec(data: Vec<T>, partitions: usize) -> Self {
-        Dataset::from_exact_iter(data.into_iter(), partitions)
-    }
-
-    /// Cuts `data` into `partitions` near-equal chunks as it is read, so its
-    /// elements are built straight into their partitions: the first
-    /// `len % partitions` chunks hold one element more.
-    pub fn from_exact_iter(mut data: impl ExactSizeIterator<Item = T>, partitions: usize) -> Self {
         assert!(partitions > 0, "need at least one partition");
-        let n = data.len();
-        let (base, extra) = (n / partitions, n % partitions);
+        let (base, extra) = (data.len() / partitions, data.len() % partitions);
+        let mut data = data.into_iter();
         let parts = (0..partitions)
-            .map(|i| {
-                let take = base + usize::from(i < extra);
-                let mut part = Vec::with_capacity(take);
-                part.extend(data.by_ref().take(take));
-                part
-            })
+            .map(|i| data.by_ref().take(base + usize::from(i < extra)).collect())
             .collect();
         Dataset { parts }
     }
@@ -193,7 +182,7 @@ impl<T: Send + Sync + Clone> Dataset<T> {
             .map(|src_idx| cluster.node_of_partition(src_idx))
             .collect();
         let ledgers = cluster.memory_accountant().ledgers(&task_nodes);
-        cluster.try_run_stage(stage, self.parts, |src_idx, part| {
+        let map = |src_idx: usize, part: Vec<T>| {
             let src_node = task_nodes[src_idx];
             let mut ledger = ledgers[src_idx].clone();
             let mut shuffle = ShuffleStats {
@@ -295,7 +284,10 @@ impl<T: Send + Sync + Clone> Dataset<T> {
                 expand_ns,
                 ledger,
             })
-        })
+        };
+        // Unbilled: the shuffle is billed once its commit has set the
+        // stage's spilled bytes and memory peak.
+        cluster.dispatch(stage, self.parts, map, &|_, _| {})
     }
 
     /// Radix shuffle: each map task expands its partition into keyed rows
@@ -386,12 +378,12 @@ impl<T: Send + Sync + Clone> Dataset<T> {
                 }
             }
         }
-        let denials = memory.fold(&ledgers);
+        let (denials, peak) = memory.fold(&ledgers);
         if spilled_bytes > 0 {
             memory.note_spill(spilled_bytes);
         }
         stats.spilled_bytes = spilled_bytes;
-        stats.peak_memory_bytes = memory.peak_bytes();
+        stats.peak_memory_bytes = peak;
         if recorder.is_enabled() {
             // Mirror the ShuffleStats fields into the metrics registry and
             // attribute every target partition's bytes to its node's lane.

@@ -193,15 +193,18 @@ impl MemoryAccountant {
 
     /// Folds a stage's committed ledgers: each node's peak becomes at least
     /// what the stage's tasks held there together, and their denials are
-    /// added. Returns the stage's denials.
-    pub(crate) fn fold(&self, ledgers: &[Ledger]) -> u64 {
+    /// added. Returns the stage's denials and its own peak: the most its
+    /// tasks held together on any node.
+    pub(crate) fn fold(&self, ledgers: &[Ledger]) -> (u64, u64) {
+        let mut stage_peak = 0;
         for (node, peak) in self.peak.iter().enumerate() {
             let held = ledgers.iter().map(|l| l.held[node]).sum();
             peak.fetch_max(held, Ordering::Relaxed);
+            stage_peak = stage_peak.max(held);
         }
         let denials = ledgers.iter().map(|l| l.denials).sum();
         self.denials.fetch_add(denials, Ordering::Relaxed);
-        denials
+        (denials, stage_peak)
     }
 
     /// Records `bytes` written to a disk spill segment.
@@ -520,7 +523,7 @@ mod tests {
         let mut ledgers = m.ledgers(&[0, 1]);
         assert!(ledgers[0].admit(u64::MAX / 2, &[0]));
         assert!(ledgers[0].admit(u64::MAX / 2, &[0]));
-        assert_eq!(m.fold(&ledgers), 0);
+        assert_eq!(m.fold(&ledgers).0, 0);
         assert_eq!(m.budget_denials(), 0);
         assert!(m.peak_bytes() > 0);
     }
@@ -544,15 +547,16 @@ mod tests {
             ledgers[1].admit(500, &[0]),
             "the other task has its own share"
         );
-        assert_eq!(m.fold(&ledgers), 2);
+        assert_eq!(m.fold(&ledgers), (2, 1000));
         let s = m.snapshot();
         assert_eq!(s.per_node_peak, vec![1000, 200]);
         assert_eq!(s.peak_bytes, 1000);
         assert_eq!(s.budget_denials, 2);
-        // A later stage's smaller total leaves the peak where it was.
+        // A later stage's smaller total leaves the peak where it was, and
+        // its own peak is what it held.
         let mut next = m.ledgers(&[1]);
         assert!(next.iter_mut().all(|l| l.admit(10, &[1])));
-        assert_eq!(m.fold(&next), 0);
+        assert_eq!(m.fold(&next), (0, 10));
         assert_eq!(m.snapshot().per_node_peak, vec![1000, 200]);
     }
 

@@ -1,6 +1,8 @@
-use asj_engine::{ensure_remaining, Dataset, Wire, WireError};
+use asj_engine::{ensure_remaining, on_host_threads, Dataset, Wire, WireError};
 use asj_geom::Point;
 use bytes::{Buf, BufMut};
+use std::convert::Infallible;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A record's non-spatial attribute bytes: a window into an arena that may
@@ -255,28 +257,38 @@ fn fill_payload(id: u64, out: &mut [u8]) {
     }
 }
 
-/// Lays `points` out as [`Record`]s with sequential ids and a fixed-size
-/// deterministic payload (`payload_bytes` per tuple, at most
-/// [`MAX_PAYLOAD_BYTES`]; 0 for bare points), straight into `parts` input
-/// partitions cut as [`Dataset::from_vec`] cuts a vector. Each block of 1024
-/// ids writes its payloads into one arena and holds windows into it; a
-/// block may straddle two partitions.
-pub fn to_record_partitions(
-    points: impl ExactSizeIterator<Item = Point>,
+/// Points `0..n` as [`Record`]s with sequential ids and a deterministic
+/// payload (`payload_bytes` per tuple, at most [`MAX_PAYLOAD_BYTES`]; 0 for
+/// bare points), cut into `parts` input partitions as [`Dataset::from_vec`]
+/// cuts a vector. Each partition is made from its own range, `points(ids)`
+/// (`DatasetSpec::block_stream`), on one of `threads` host threads.
+pub fn to_record_partitions<I: ExactSizeIterator<Item = Point>>(
+    n: usize,
+    points: impl Fn(Range<usize>) -> I + Sync,
     payload_bytes: usize,
     parts: usize,
+    threads: usize,
 ) -> Dataset<Record> {
-    Dataset::from_exact_iter(records(points, payload_bytes), parts)
+    assert!(parts > 0, "need at least one partition");
+    let (base, extra) = (n / parts, n % parts);
+    let start = |p: usize| p * base + p.min(extra);
+    let built = on_host_threads(threads, parts, |p, _| {
+        let ids = start(p)..start(p + 1);
+        Ok::<_, Infallible>(records(ids.clone(), points(ids), payload_bytes).collect())
+    });
+    Dataset::from_partitions(built.unwrap_or_else(|never| match never {}))
 }
 
-/// [`to_record_partitions`] into one vector: `points` as records with
-/// sequential ids and generated payloads.
+/// `points` as records with sequential ids and generated payloads, in one
+/// vector.
 pub fn to_records(points: &[Point], payload_bytes: usize) -> Vec<Record> {
-    records(points.iter().copied(), payload_bytes).collect()
+    records(0..points.len(), points.iter().copied(), payload_bytes).collect()
 }
 
-/// The records of [`to_record_partitions`], each built when it is read.
+/// The records with ids `ids` and points `points`, each built when it is
+/// read; a payload arena covers a 1024-id block, cut where `ids` is.
 fn records(
+    ids: Range<usize>,
     points: impl ExactSizeIterator<Item = Point>,
     payload_bytes: usize,
 ) -> impl ExactSizeIterator<Item = Record> {
@@ -284,20 +296,21 @@ fn records(
         payload_bytes <= MAX_PAYLOAD_BYTES,
         "payload too large to window"
     );
-    let n = points.len();
+    let (first, end) = (ids.start, ids.end);
     let mut arena = None;
-    points.enumerate().map(move |(id, point)| {
-        let slot = id % ARENA_BLOCK_RECORDS;
-        if payload_bytes > 0 && slot == 0 {
-            let block = ARENA_BLOCK_RECORDS.min(n - id);
-            let mut bytes = vec![0u8; block * payload_bytes];
+    ids.zip(points).map(move |(id, point)| {
+        if payload_bytes > 0 && (id % ARENA_BLOCK_RECORDS == 0 || id == first) {
+            let block = (id / ARENA_BLOCK_RECORDS + 1) * ARENA_BLOCK_RECORDS;
+            let mut bytes = vec![0u8; (block.min(end) - id) * payload_bytes];
             for (j, out) in bytes.chunks_exact_mut(payload_bytes).enumerate() {
                 fill_payload((id + j) as u64, out);
             }
-            arena = Some(Arc::new(bytes));
+            arena = Some((id, Arc::new(bytes)));
         }
         let payload = match &arena {
-            Some(arena) => Payload::window(arena.clone(), slot * payload_bytes, payload_bytes),
+            Some((from, arena)) => {
+                Payload::window(arena.clone(), (id - from) * payload_bytes, payload_bytes)
+            }
             None => Payload::default(),
         };
         Record {
@@ -555,10 +568,10 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
-            /// Generating straight into partitions lays out what generating
-            /// into one vector and cutting it does — ids, points, payload
-            /// bytes — with one arena per 1024-id block, also where a block
-            /// straddles partitions.
+            /// Generating straight into partitions, on any number of host
+            /// threads, lays out what generating into one vector and cutting
+            /// it does — ids, points, payload bytes — with one arena per
+            /// 1024-id block of a partition.
             #[test]
             fn partitioned_records_match_cut_records(
                 kind in 0usize..4,
@@ -575,21 +588,26 @@ mod tests {
                     bbox: PAPER_BBOX,
                     sigma_scale: 1.0,
                 };
-                let got = to_record_partitions(spec.stream(), payload_bytes, parts);
                 let want = Dataset::from_vec(to_records(&spec.points(), payload_bytes), parts);
-                prop_assert_eq!(got.partitions(), want.partitions());
+                for threads in [1, 2, 4] {
+                    let got = to_record_partitions(n, |ids| spec.block_stream(ids), payload_bytes, parts, threads);
+                    prop_assert_eq!(got.partitions(), want.partitions());
 
-                let records: Vec<&Record> = got.partitions().iter().flatten().collect();
-                for (i, r) in records.iter().enumerate() {
-                    prop_assert_eq!(r.id, i as u64);
-                    let first = records[i - i % ARENA_BLOCK_RECORDS];
-                    prop_assert_eq!(arena(r), arena(first));
-                    prop_assert_eq!(arena(r).is_some(), payload_bytes > 0);
-                }
-                for b in (ARENA_BLOCK_RECORDS..records.len()).step_by(ARENA_BLOCK_RECORDS) {
-                    if payload_bytes > 0 {
-                        prop_assert_ne!(arena(records[b]), arena(records[b - 1]));
+                    let mut id = 0;
+                    for part in got.partitions() {
+                        for (i, r) in part.iter().enumerate() {
+                            prop_assert_eq!(r.id, id);
+                            // The record opening this block in this partition.
+                            let opens = i.saturating_sub(r.id as usize % ARENA_BLOCK_RECORDS);
+                            prop_assert_eq!(arena(r), arena(&part[opens]));
+                            prop_assert_eq!(arena(r).is_some(), payload_bytes > 0);
+                            if payload_bytes > 0 && i > 0 && r.id as usize % ARENA_BLOCK_RECORDS == 0 {
+                                prop_assert_ne!(arena(r), arena(&part[i - 1]));
+                            }
+                            id += 1;
+                        }
                     }
+                    prop_assert_eq!(id as usize, n);
                 }
             }
         }

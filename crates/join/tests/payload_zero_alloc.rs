@@ -1,33 +1,48 @@
 //! Payload bytes live once: replicating a fat tuple must not touch the
 //! allocator, and generating `n` of them allocates per arena block, not per
 //! record. This lives in its own integration-test binary so the counting
-//! global allocator only ever observes this one test.
+//! global allocator only ever observes this one test; it counts the
+//! measuring thread's own calls, so the harness's threads cannot land
+//! inside a measured window.
 
 use asj_geom::Point;
 use asj_join::{to_records, NoPayload, Record};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's (allocations, frees). A `const` initialiser and a
+    /// type without drop glue: reading it never allocates.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
 
 struct CountingAlloc;
 
+impl CountingAlloc {
+    fn count(allocs: u64, frees: u64) {
+        // `try_with`: a thread being torn down still allocates.
+        let _ = COUNTS.try_with(|c| {
+            let (a, f) = c.get();
+            c.set((a + allocs, f + frees));
+        });
+    }
+}
+
 // SAFETY: delegates entirely to the system allocator; the counters are
-// side-effect-free atomics.
+// side-effect-free thread-local cells.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        CountingAlloc::count(1, 0);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        CountingAlloc::count(1, 0);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::SeqCst);
+        CountingAlloc::count(0, 1);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -35,11 +50,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The calling thread's (allocations, frees) so far.
 fn counts() -> (u64, u64) {
-    (
-        ALLOCATIONS.load(Ordering::SeqCst),
-        FREES.load(Ordering::SeqCst),
-    )
+    COUNTS.with(Cell::get)
 }
 
 #[test]

@@ -2,12 +2,11 @@ use crate::estimate::WorkingSetModel;
 use crate::queue::{check_payload, TenantSpec};
 use asj_data::{DatasetSpec, PAPER_BBOX};
 use asj_engine::{
-    ensure_remaining, on_host_threads, Cluster, Dataset, JobReport, JobServer, JobSpec,
-    SchedPolicy, ServerRun, SubmitError, Wire, WireError,
+    ensure_remaining, Cluster, Dataset, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun,
+    SubmitError, Wire, WireError,
 };
 use asj_join::{to_record_partitions, JoinError, JoinSpec, PairSink, Record};
 use bytes::{Buf, BufMut};
-use std::convert::Infallible;
 use std::path::PathBuf;
 
 /// What one tenant's join produced, reduced to the fields that must be
@@ -110,19 +109,25 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// One side of a tenant's input, generated straight into `parts` input
-/// partitions. `payload=0` produces bare records (an empty payload encodes
-/// identically), so payload-free checksums are unchanged.
-fn tenant_input(tenant: &TenantSpec, seed: u64, parts: usize) -> Dataset<Record> {
-    let points = DatasetSpec {
+/// partitions on `threads` host threads. `payload=0` produces bare records
+/// (an empty payload encodes identically).
+fn tenant_input(tenant: &TenantSpec, seed: u64, parts: usize, threads: usize) -> Dataset<Record> {
+    let spec = DatasetSpec {
         name: "serve",
         kind: tenant.kind,
         cardinality: tenant.cardinality,
         seed,
         bbox: PAPER_BBOX,
         sigma_scale: 1.0,
-    }
-    .stream();
-    to_record_partitions(points, tenant.payload as usize, parts)
+    };
+    let points = |ids| spec.block_stream(ids);
+    to_record_partitions(
+        spec.cardinality,
+        points,
+        tenant.payload as usize,
+        parts,
+        threads,
+    )
 }
 
 pub(crate) fn tenant_join_spec(tenant: &TenantSpec) -> JoinSpec {
@@ -142,14 +147,11 @@ fn run_tenant_body(tenant: &TenantSpec, cluster: &Cluster) -> Result<TenantOutco
     let threads = cluster.threads();
     let spec = tenant_join_spec(tenant);
     let (r, s) = recorder.phase("generate", || {
-        let sides = on_host_threads(threads, 2, |side, _| {
-            let seed = tenant.seed.wrapping_add(side as u64);
-            Ok::<_, Infallible>(tenant_input(tenant, seed, spec.input_partitions))
-        })
-        .unwrap_or_else(|never| match never {});
-        <[_; 2]>::try_from(sides)
-            .map(|[r, s]| (r, s))
-            .expect("one input per side")
+        let side = |k| {
+            let seed = tenant.seed.wrapping_add(k);
+            tenant_input(tenant, seed, spec.input_partitions, threads)
+        };
+        (side(0), side(1))
     });
     let out = tenant.algorithm.try_run(cluster, &spec, r, s)?;
     debug_assert_eq!(out.digest.count, out.result_count);
@@ -278,7 +280,7 @@ pub fn run_queue(
 pub fn calibrated_model_for(tenant: &TenantSpec) -> WorkingSetModel {
     let mut probe = tenant.clone();
     probe.cardinality = tenant.cardinality.min(256);
-    WorkingSetModel::calibrated(&tenant_input(&probe, probe.seed, 1).partitions()[0])
+    WorkingSetModel::calibrated(&tenant_input(&probe, probe.seed, 1, 1).partitions()[0])
 }
 
 /// The isolation oracle: runs `tenant` alone on a FRESH cluster of the same
@@ -299,7 +301,7 @@ pub fn solo_outcome(cluster: &Cluster, tenant: &TenantSpec) -> Result<TenantOutc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asj_engine::{ClusterConfig, FaultPlan, RetryPolicy};
+    use asj_engine::{ClusterConfig, FaultPlan, Recorder, RetryPolicy};
     use asj_join::Algorithm;
     use std::time::Duration;
 
@@ -352,8 +354,8 @@ mod tests {
         // The digest of the collected pairs, folded on the driver.
         let spec = tenant_join_spec(tenant).with_sink(PairSink::Collect);
         let (r, s) = (
-            tenant_input(tenant, tenant.seed, 16),
-            tenant_input(tenant, tenant.seed + 1, 16),
+            tenant_input(tenant, tenant.seed, 16, 2),
+            tenant_input(tenant, tenant.seed + 1, 16, 2),
         );
         let out = tenant
             .algorithm
@@ -417,6 +419,38 @@ mod tests {
             // asserted equal here.
             assert_eq!(x.stages, y.stages, "stage counts are deterministic");
             assert_eq!(x.quanta, y.quanta);
+        }
+    }
+
+    /// A tenant's report is billed each stage's stats as the stage returns
+    /// them, once: under a small budget every tenant spills, and its
+    /// report's spilled bytes are what its own shuffles counted.
+    #[test]
+    fn a_tenant_report_holds_its_own_spills() {
+        let recorder = Recorder::for_nodes(4);
+        let cluster = Cluster::new(ClusterConfig::with_threads(4, 2).with_memory_budget(4 << 10))
+            .with_recorder(recorder.clone());
+        let mut tenants = two_tenants();
+        for tenant in &mut tenants {
+            tenant.estimate_override = Some(1 << 10);
+        }
+        let run = in_memory(&cluster, &tenants, SchedPolicy::FairShare).expect("queue runs");
+        let counters = recorder.metrics().counters;
+        assert_eq!(run.reports.len(), 2);
+        for (job, report) in run.reports.iter().enumerate() {
+            let prefix = format!("job:{job}:");
+            let traced: u64 = counters
+                .iter()
+                .filter(|((stage, name), _)| stage.starts_with(&prefix) && name == "spill_bytes")
+                .map(|(_, bytes)| bytes)
+                .sum();
+            assert!(report.result.is_ok(), "{}", report.name);
+            assert!(
+                report.stats.spilled_bytes > 0,
+                "{} spilled nothing",
+                report.name
+            );
+            assert_eq!(report.stats.spilled_bytes, traced, "{}", report.name);
         }
     }
 

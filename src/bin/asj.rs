@@ -13,7 +13,8 @@ use adaptive_spatial_join::data::{
     read_points_csv_partitions, write_points_csv, DatasetSpec, PAPER_BBOX,
 };
 use adaptive_spatial_join::engine::{
-    clean_orphaned_spills, set_spill_dir, Attrs, Dataset, Journal, Lane,
+    clean_orphaned_spills, on_host_threads, set_spill_dir, Attrs, ClusterConfig, Dataset, Journal,
+    Lane,
 };
 use adaptive_spatial_join::geom::Rect;
 use adaptive_spatial_join::join::{
@@ -279,10 +280,26 @@ fn cmd_generate(opts: &Options) -> Result<(), CliError> {
         bbox: PAPER_BBOX,
         sigma_scale: 1.0,
     };
-    let points = spec.points();
-    write_points_csv(&out, &points)
-        .map_err(|e| CliError::runtime(format!("writing {}: {e}", out.display())))?;
-    println!("wrote {} points to {}", points.len(), out.display());
+    // Each host thread makes and formats a range of points, and the ranges
+    // are written in order, so the file is the same on any number of them.
+    const GENERATE_RANGE: usize = 1 << 16;
+    let threads = ClusterConfig::new(1).threads;
+    let ranges: Vec<_> = (0..n).step_by(GENERATE_RANGE).collect();
+    let write = || -> std::io::Result<()> {
+        let mut file = File::create(&out)?;
+        for round in ranges.chunks(threads) {
+            let texts = on_host_threads(threads, round.len(), |t, _| {
+                let ids = round[t]..(round[t] + GENERATE_RANGE).min(n);
+                let mut text = Vec::new();
+                write_points_csv(&mut text, ids.start, spec.block_stream(ids))?;
+                Ok::<_, std::io::Error>(text)
+            })?;
+            texts.iter().try_for_each(|text| file.write_all(text))?;
+        }
+        Ok(())
+    };
+    write().map_err(|e| CliError::runtime(format!("writing {}: {e}", out.display())))?;
+    println!("wrote {n} points to {}", out.display());
     Ok(())
 }
 

@@ -12,6 +12,13 @@ use adaptive_spatial_join::prelude::*;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
+/// Writes `points` to `path` as `id,x,y` lines numbered from 0.
+fn write_csv(path: &Path, points: &[Point]) {
+    let mut text = Vec::new();
+    write_points_csv(&mut text, 0, points.iter().copied()).unwrap();
+    std::fs::write(path, text).unwrap();
+}
+
 #[test]
 fn csv_loaded_inputs_join_identically() {
     let catalog = Catalog::new(1_500);
@@ -20,8 +27,8 @@ fn csv_loaded_inputs_join_identically() {
     let s_path = dir.join(format!("asj-e2e-s-{}.csv", std::process::id()));
     let r_pts = catalog.s1.points();
     let s_pts = catalog.s2.points();
-    write_points_csv(&r_path, &r_pts).unwrap();
-    write_points_csv(&s_path, &s_pts).unwrap();
+    write_csv(&r_path, &r_pts);
+    write_csv(&s_path, &s_pts);
 
     // The CLI's `load_records`: `Record`s built by the reader itself, straight
     // into the join's input partitions.
@@ -65,7 +72,7 @@ fn csv_loaded_inputs_join_identically() {
 fn multi_split_file_loads_in_file_order() {
     let pts = Catalog::new(60_000).s1.points();
     let path = std::env::temp_dir().join(format!("asj-e2e-big-{}.csv", std::process::id()));
-    write_points_csv(&path, &pts).unwrap();
+    write_csv(&path, &pts);
     assert!(std::fs::metadata(&path).unwrap().len() >= 2 << 20);
     let whole = read_points_csv_partitions(&path, 1, Record::new).unwrap();
     let parts = read_points_csv_partitions(&path, 16, Record::new).unwrap();
