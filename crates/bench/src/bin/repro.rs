@@ -13,7 +13,8 @@
 //! --faults SPEC inject deterministic faults into every run, e.g. 'chaos'
 //!               or 'p=0.02,slow:1=3.0' (see `asj --faults`)
 //! --fault-seed N  seed for --faults and the `faults` experiment (default 7)
-//! --speculation   speculatively re-execute straggler tasks
+//! --speculation   race a copy of each task that lands on a node the plan
+//!                 slows 1.5x or more; the less slowed attempt runs first
 //! ```
 //!
 //! Each table prints as its experiment finishes; the whole record is then

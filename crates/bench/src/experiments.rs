@@ -6,7 +6,7 @@ use crate::runner::{run_avg, run_fault_ab, Combo, NetModel, RunResult};
 use crate::{memory, multitenant, recovery, Cell, ExpConfig, Table};
 use asj_core::{cell_costs, AgreementGraph, AgreementPolicy, GridSample};
 use asj_data::{TupleSizeFactor, PAPER_BBOX};
-use asj_engine::{Cluster, ClusterConfig, FaultPlan, Placement, RetryPolicy};
+use asj_engine::{Cluster, FaultPlan, Placement, RetryPolicy};
 use asj_geom::{Point, Rect};
 use asj_grid::{Grid, GridSpec};
 use asj_join::{
@@ -687,23 +687,18 @@ pub fn ablation_edge_order(cfg: &ExpConfig) -> Table {
 // Fault-tolerance A/B (ours): recovery transparency and its time overhead.
 // ---------------------------------------------------------------------------
 
-/// Fault-injection A/B: every algorithm runs fault-free and under a seeded
-/// chaos plan (random failures + one slow node + one lost node); the result
-/// sets must be identical and the table reports the recovery work and the
-/// simulated-time overhead. Not part of the paper's evaluation — it
-/// exercises the Spark fault-tolerance semantics the paper's jobs rely on.
+/// Fault-injection A/B: LPiB and DIFF each run fault-free and under `plan`
+/// (by default a seeded chaos plan: random failures + one slow node + one
+/// lost node); the result sets must be identical and the table reports the
+/// recovery work, every count of it exact, and the simulated-time overhead.
+/// Not part of the paper's evaluation — it exercises the Spark
+/// fault-tolerance semantics the paper's jobs rely on.
 pub fn fault_tolerance(
     cfg: &ExpConfig,
     plan: &FaultPlan,
     policy: RetryPolicy,
 ) -> Result<Vec<Table>, JoinError> {
-    // Speculative copies need a second worker thread to race the straggler;
-    // on a single-core host `ClusterConfig::new` would provide only one.
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
-    let cluster = Cluster::new(ClusterConfig::with_threads(cfg.nodes, threads));
+    let cluster = cfg.cluster();
     let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
     let spec = spec_for(cfg, cfg.default_eps);
     let mut table = Table::new(
@@ -730,8 +725,7 @@ pub fn fault_tolerance(
             Cell::Count(ab.faulted.results),
             Cell::Count(ab.attempts),
             Cell::Count(ab.retries),
-            // Who wins a speculative race is timing.
-            Cell::varying(ab.speculative_wins),
+            Cell::Count(ab.speculative_wins),
             Cell::Count(ab.blacklisted_nodes),
             Cell::secs(ab.baseline.sim_time),
             Cell::secs(ab.faulted.sim_time),

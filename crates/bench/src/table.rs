@@ -27,8 +27,8 @@ pub enum Cell {
     /// An exact checksum (FNV-1a, or a join's pair digest), printed and
     /// serialized as 16 hex digits.
     Checksum(u64),
-    /// A measurement — simulated time, a clock, a ratio, or a count that
-    /// moves between identical runs — with its printed form.
+    /// A measurement — simulated time, a clock, a ratio — with its printed
+    /// form.
     Measure(f64, String),
     /// No value (`-`, `null`).
     Missing,
@@ -48,11 +48,6 @@ impl Cell {
     pub fn ms(secs: f64) -> Cell {
         let ms = secs * 1e3;
         Cell::Measure(ms, format!("{ms:.2}"))
-    }
-
-    /// A count measured to move between identical runs (speculative wins).
-    pub fn varying(n: u64) -> Cell {
-        Cell::Measure(n as f64, n.to_string())
     }
 
     /// `Some(true)` for an exact counter, `Some(false)` for a measurement,
@@ -267,7 +262,7 @@ mod tests {
         ]);
         t.row(vec![
             Cell::label("UNI(R)"),
-            Cell::varying(4519),
+            Cell::secs(4.5),
             Cell::secs(10.5),
             Cell::Missing,
         ]);
@@ -307,7 +302,7 @@ mod tests {
             t.json_line(false).as_deref(),
             Some(concat!(
                 r#""t":{"columns":["algo","replicas","time"],"#,
-                r#""rows":[["LPiB",null,1.25],["UNI(R)",4519,10.5]]}"#
+                r#""rows":[["LPiB",null,1.25],["UNI(R)",4.5,10.5]]}"#
             ))
         );
         let mut labels = Table::new("l", "l", vec!["only"]);

@@ -110,14 +110,6 @@ impl DatasetSpec {
     pub fn points(&self) -> Vec<Point> {
         self.stream().collect()
     }
-
-    /// Same dataset scaled to a different cardinality.
-    pub fn scaled(&self, factor: f64) -> DatasetSpec {
-        DatasetSpec {
-            cardinality: (self.cardinality as f64 * factor).round() as usize,
-            ..self.clone()
-        }
-    }
 }
 
 /// The four datasets of Table 2, scaled down from the paper's cardinalities.
@@ -274,22 +266,6 @@ mod tests {
             prop_assert_eq!(got, want);
             prop_assert_eq!(spec.stream().len(), n);
         }
-    }
-
-    #[test]
-    fn scaled_changes_only_cardinality() {
-        let c = Catalog::new(10_000);
-        let s = c.s1.scaled(4.0);
-        assert_eq!(s.cardinality, 40_000);
-        assert_eq!(s.seed, c.s1.seed);
-        // The cluster layout (derived from the seed) is unchanged: scaling
-        // the data multiplies density, not geometry.
-        let small = c.s1.points();
-        let big = s.points();
-        assert_eq!(small.len() * 4, big.len());
-        // Point `i` depends on its block alone, so the smaller dataset is
-        // the larger one's prefix.
-        assert_eq!(big[..small.len()], small[..]);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! is. A charge is a measured host duration ([`timed`]): an attempt's is
 //! scaled up on a straggler node ([`attempt_charge`]) and billed through its
 //! stage's [`Ledger`]; a serial driver phase's is billed as driver time
-//! ([`Cluster::driver_phase`]).
+//! ([`Cluster::driver_phase`]). A slowdown only scales a charge: nothing
+//! waits it out in wall time, and no decision of the pool reads the clock.
+//! An attempt killed by its speculative copy never runs; it is billed the
+//! winner's charge.
 
 use crate::cluster::Cluster;
 use crate::metrics::ExecStats;
@@ -28,8 +31,8 @@ pub(crate) fn attempt_charge(wall: Duration, slowdown: f64) -> Duration {
 }
 
 /// How a billed attempt ended; it names the attempt's span `stage`,
-/// `stage!failed` or `stage!killed`. A killed attempt lost the race to
-/// commit against a copy of itself.
+/// `stage!failed` or `stage!killed`. A killed attempt lost a speculative
+/// race, which the plan's slowdowns decide, and never ran.
 pub(crate) enum Outcome {
     Committed,
     Failed,
@@ -40,10 +43,9 @@ pub(crate) enum Outcome {
 /// once, so the ledger also counts the stage's attempts and failures.
 pub(crate) struct Ledger<'a> {
     recorder: &'a Recorder,
-    /// Span names, attempts billed and their summed charges, by [`Outcome`].
+    /// Span names and attempts billed, by [`Outcome`].
     spans: [String; 3],
     billed: [AtomicU64; 3],
-    charged_ns: [AtomicU64; 3],
     busy_ns: Vec<AtomicU64>,
 }
 
@@ -57,7 +59,6 @@ impl<'a> Ledger<'a> {
                 format!("{stage}!killed"),
             ],
             billed: Default::default(),
-            charged_ns: Default::default(),
             busy_ns: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -77,17 +78,9 @@ impl<'a> Ledger<'a> {
         let (i, sim_ns) = (outcome as usize, sim.as_nanos() as u64);
         self.busy_ns[node].fetch_add(sim_ns, Ordering::Relaxed);
         self.billed[i].fetch_add(1, Ordering::Relaxed);
-        self.charged_ns[i].fetch_add(sim_ns, Ordering::Relaxed);
         let span = &self.spans[i];
         self.recorder
             .task_span_sim(span, node, Some(task as u64), wall, sim, Attrs::new());
-    }
-
-    /// Tasks committed so far, and their mean charge in nanoseconds.
-    pub(crate) fn committed(&self) -> (u64, u64) {
-        let i = Outcome::Committed as usize;
-        let n = self.billed[i].load(Ordering::Relaxed);
-        (n, self.charged_ns[i].load(Ordering::Relaxed) / n.max(1))
     }
 
     /// The stage's [`ExecStats`] over `wall`, as far as its bills tell them.
@@ -144,15 +137,15 @@ mod tests {
         assert_eq!(attempt_charge(ms(2), 0.5), ms(2), "no node runs faster");
         // Task 0 commits on node 0; task 1 fails (a returned error), then
         // is injected a fault, on slow node 1, and commits on node 0; task
-        // 2's copy on node 1 is killed after holding it 7 ms; task 3 meets a
-        // lost node 1 and fails fast.
+        // 2's original on node 1 is killed by a copy that committed in 7 ms,
+        // billed that charge without running; task 3 meets a lost node 1
+        // and fails fast.
         ledger.bill(Outcome::Committed, 0, 0, ms(2), attempt_charge(ms(2), 1.0));
         ledger.bill(Outcome::Failed, 1, 1, ms(1), slow(ms(1)));
         ledger.bill(Outcome::Failed, 1, 1, ms(4), slow(ms(4)));
         ledger.bill(Outcome::Committed, 1, 0, ms(5), ms(5));
-        ledger.bill(Outcome::Killed, 2, 1, ms(7), ms(7));
+        ledger.bill(Outcome::Killed, 2, 1, Duration::ZERO, ms(7));
         ledger.bill(Outcome::Failed, 3, 1, Duration::ZERO, Duration::ZERO);
-        assert_eq!(ledger.committed(), (2, 3_500_000));
         let stats = ledger.into_stats(ms(9));
         assert_eq!(stats.per_node_busy, vec![ms(7), ms(3 + 12 + 7)]);
         assert_eq!((stats.wall, stats.makespan()), (ms(9), ms(22)));
@@ -179,7 +172,7 @@ mod tests {
                 (Some(1), "unit", 5, 5),
                 (Some(1), "unit!failed", 1, 3),
                 (Some(1), "unit!failed", 4, 12),
-                (Some(2), "unit!killed", 7, 7),
+                (Some(2), "unit!killed", 0, 7),
                 (Some(3), "unit!failed", 0, 0),
             ]
         );

@@ -447,7 +447,7 @@ impl Cluster {
 
     /// [`Cluster::try_run_stage`] with a `commit` hook: it sees each task's
     /// result once, on the worker, when the attempt that produced it
-    /// commits — never a failed, killed or losing speculative attempt's —
+    /// commits — never a failed attempt's, nor a killed one's —
     /// and may take from it what should leave the task before the stage
     /// ends. The stage returns what the hook left.
     pub fn try_run_stage_committing<T, R, F>(

@@ -11,7 +11,10 @@
 //! A [`RetryPolicy`] describes *how the engine recovers*: per-task retry with
 //! a bounded attempt count (Spark's `spark.task.maxFailures`, default 4),
 //! node blacklisting after repeated failures, and optional speculative
-//! re-execution of stragglers.
+//! re-execution of stragglers: a task whose first attempt lands on a node
+//! the plan slows by at least `speculation_multiplier` races one copy on
+//! another node. The attempt on the less slowed node runs first and wins
+//! unless it fails, so the plan decides the race.
 //!
 //! [`FaultState`] is the mutable cluster-lifetime side: per-node totals of
 //! started and failed attempts and the blacklist, shared by every stage a
@@ -412,12 +415,10 @@ pub struct RetryPolicy {
     pub blacklist_after: u64,
     /// Enable speculative re-execution of stragglers.
     pub speculation: bool,
-    /// Fraction of tasks that must have finished before speculation starts
-    /// (Spark's `spark.speculation.quantile`).
-    pub speculation_quantile: f64,
-    /// A running task is a straggler once its projected duration exceeds
-    /// this multiple of the mean finished-task duration
-    /// (Spark's `spark.speculation.multiplier`).
+    /// A task's first attempt is a straggler, and races a speculative copy,
+    /// when the plan slows its node by at least this factor (Spark's
+    /// `spark.speculation.multiplier`, applied to slowdowns known in
+    /// advance).
     pub speculation_multiplier: f64,
 }
 
@@ -427,7 +428,6 @@ impl Default for RetryPolicy {
             max_attempts: 4,
             blacklist_after: 2,
             speculation: false,
-            speculation_quantile: 0.75,
             speculation_multiplier: 1.5,
         }
     }

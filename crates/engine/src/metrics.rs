@@ -8,14 +8,15 @@ pub struct ExecStats {
     pub per_node_busy: Vec<Duration>,
     /// Real elapsed time on the host machine.
     pub wall: Duration,
-    /// Task attempts executed, including failed and speculative ones. Equals
-    /// the task count on a fault-free run; exceeds it under recovery.
+    /// Task attempts started, including failed ones, speculative copies and
+    /// the originals they killed. Equals the task count on a fault-free run;
+    /// exceeds it under recovery.
     pub attempts: u64,
     /// Attempts that were re-runs of a previously failed task.
     pub retries: u64,
     /// Attempts that ended in failure (injected, panic, or lost node).
     pub failed_attempts: u64,
-    /// Speculative copies that finished before the original attempt.
+    /// Speculative copies that committed in place of the original attempt.
     pub speculative_wins: u64,
     /// Nodes blacklisted by the end of the stage (cluster-lifetime view:
     /// accumulation takes the max, not the sum).

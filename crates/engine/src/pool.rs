@@ -4,9 +4,9 @@ use crate::fault::{place, FaultContext, JobError, TaskError};
 use crate::metrics::ExecStats;
 use asj_obs::{Attrs, Lane, Recorder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Task inputs. Without a fault context every task runs exactly once, so its
 /// input is moved out of its cell; with one, a retry or a speculative copy
@@ -45,6 +45,10 @@ pub(crate) fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// A committed attempt's result, the wall time it held the host and its
+/// simulated charge.
+type Won<R> = (R, Duration, Duration);
+
 /// Executes `tasks` on a pool of `threads` OS threads and bills each attempt
 /// to a simulated node, starting from `placement`, through the stage's
 /// [`Ledger`](crate::clock::Ledger). Results are returned in task order.
@@ -57,7 +61,7 @@ pub(crate) fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Every attempt runs under `catch_unwind`. **Without a fault context**
 /// (`ctx == None`) each task's input is moved into its single attempt, there
-/// is no retry and no straggler scan, and a panicking task fails the stage
+/// is no retry and no speculative copy, and a panicking task fails the stage
 /// with a [`JobError`] (`attempts == 1`).
 ///
 /// Which task a failed stage reports does not depend on thread timing: a
@@ -76,19 +80,27 @@ pub(crate) fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
 ///   the counts in — a node reaching its `lose:` threshold is lost, and one
 ///   reaching `blacklist_after` failures blacklisted (never the last usable
 ///   node), both from the next stage on;
-/// * with speculation enabled, workers that drained the task queue clone the
-///   slowest still-running tasks onto another node, placed the same way; the
-///   first finisher commits its result and the loser is killed;
+/// * with speculation enabled, a task whose first attempt lands on a node
+///   that is not lost and that the plan slows by at least
+///   `speculation_multiplier` races one copy on the node `place` picks for
+///   attempt 0 (none if that is the same node). The plan decides the race:
+///   the worker that owns the task runs the attempt on the less slowed node
+///   first (the original on a tie). If it commits, the other is killed
+///   without running, billed the winner's charge on its node; if it fails,
+///   the other runs and its outcome stands;
 /// * *every* attempt — failed, killed and winning alike — is billed, so the
 ///   makespan and the trace honestly reflect the price of recovery.
+///
+/// So a stage's attempts, retries, speculative wins and blacklisted nodes
+/// are functions of the plan and the fault state, at any thread count.
 ///
 /// A task may also fail without panicking by returning a [`TaskError`] (an
 /// unreadable spill segment, say): it is billed and retried like a panic.
 ///
 /// `commit` sees each task's result once, on the worker, when that attempt
-/// commits — never a failed, killed or losing speculative attempt's — and
-/// may take from it what should leave the task before the stage ends (a
-/// join partition's formatted pairs, say); what it leaves is returned.
+/// commits — never a failed or killed attempt's — and may take from it what
+/// should leave the task before the stage ends (a join partition's formatted
+/// pairs, say); what it leaves is returned.
 ///
 /// # Panics
 /// Panics if `placement.len() != tasks.len()`, `nodes == 0`, or the fault
@@ -116,7 +128,6 @@ where
         placement.iter().all(|&n| n < nodes),
         "placement out of range"
     );
-    let wall_start = Instant::now();
     let n_tasks = tasks.len();
     // An empty stage spawns no workers at all.
     let threads = threads.max(1).min(n_tasks);
@@ -127,9 +138,9 @@ where
     };
     let ledger = Ledger::new(recorder, stage, nodes);
 
-    // Workers claim task indices from a shared counter and results live in
-    // per-index cells, so no lock is held while running `f` and no two
-    // threads ever contend on one lock.
+    // Workers claim task indices from a shared counter and own each task
+    // they claim, its retries and its speculative copy included, so no lock
+    // is held while running `f` and no two threads ever contend on one lock.
     let next = AtomicUsize::new(0);
     // The lowest task index known to be out of attempts; every task after it
     // is cancelled, every task before it still runs (it may fail too, and
@@ -137,13 +148,6 @@ where
     let abort_from = AtomicUsize::new(usize::MAX);
     let cancelled = |idx: usize| idx > abort_from.load(Ordering::Relaxed);
     let fatal: Mutex<Option<JobError>> = Mutex::new(None);
-    // Per-task completion/speculation flags and the running-attempt registry
-    // the straggler scan reads. `running_since` stores nanoseconds since
-    // `wall_start` plus one (0 means "not currently running").
-    let done: Vec<AtomicBool> = (0..n_tasks).map(|_| AtomicBool::new(false)).collect();
-    let speculated: Vec<AtomicBool> = (0..n_tasks).map(|_| AtomicBool::new(false)).collect();
-    let running_since: Vec<AtomicU64> = (0..n_tasks).map(|_| AtomicU64::new(0)).collect();
-    let running_node: Vec<AtomicUsize> = (0..n_tasks).map(|_| AtomicUsize::new(0)).collect();
     let n_retries = AtomicU64::new(0);
     let n_spec_wins = AtomicU64::new(0);
     let results: Vec<Mutex<Option<R>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
@@ -154,58 +158,49 @@ where
     assert!(sized, "fault state sized for a different cluster");
     let started: Vec<AtomicU64> = (0..nodes).map(|_| AtomicU64::new(0)).collect();
     let failed: Vec<AtomicU64> = (0..nodes).map(|_| AtomicU64::new(0)).collect();
+    let slowdown = |node: usize| ctx.map_or(1.0, |c| c.plan.slowdown(node));
 
-    let now_ns = || wall_start.elapsed().as_nanos() as u64;
+    // Books an attempt as started on `node`, and a failed one against it.
+    let note_started = |node: usize| {
+        if ctx.is_some() {
+            recorder.counter_add(stage, "attempts", 1);
+            started[node].fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    let note_failed = |node: usize| {
+        if ctx.is_some() {
+            recorder.counter_add(stage, "failed_attempts", 1);
+            failed[node].fetch_add(1, Ordering::Relaxed);
+        }
+    };
 
     // Runs one attempt of task `idx` on `node`. `attempt` is 1-based for
-    // regular attempts; speculative copies pass 0. `Ok(())` means the task
-    // is complete (this attempt committed, or a competitor already had).
-    let attempt_once = |idx: usize, attempt: usize, node: usize| -> Result<(), TaskError> {
-        let (will_fail, will_oom, mult) = match ctx {
-            None => (false, false, 1.0),
-            Some(ctx) => {
-                recorder.counter_add(stage, "attempts", 1);
-                started[node].fetch_add(1, Ordering::Relaxed);
-                if health[node].lost {
-                    // A dead executor fails fast and burns no simulated time.
-                    ledger.bill(Outcome::Failed, idx, node, Duration::ZERO, Duration::ZERO);
-                    recorder.event(
-                        "node_lost",
-                        Lane::Node(node),
-                        Some(idx as u64),
-                        Attrs::new(),
-                    );
-                    return Err(TaskError::NodeLost { node });
-                }
-                (
-                    ctx.plan.injects(stage, idx, attempt),
-                    ctx.plan.injects_oom(stage, idx, attempt),
-                    ctx.plan.slowdown(node),
-                )
+    // regular attempts; speculative copies pass 0. A failed attempt is
+    // billed and booked here; a successful one returns its result, the wall
+    // time it held the host and its charge, for the caller to commit.
+    let attempt_once = |idx: usize, attempt: usize, node: usize| -> Result<Won<R>, TaskError> {
+        note_started(node);
+        let (will_fail, will_oom) = match ctx {
+            None => (false, false),
+            Some(_) if health[node].lost => {
+                // A dead executor fails fast and burns no simulated time.
+                ledger.bill(Outcome::Failed, idx, node, Duration::ZERO, Duration::ZERO);
+                recorder.event(
+                    "node_lost",
+                    Lane::Node(node),
+                    Some(idx as u64),
+                    Attrs::new(),
+                );
+                note_failed(node);
+                return Err(TaskError::NodeLost { node });
             }
+            Some(ctx) => (
+                ctx.plan.injects(stage, idx, attempt),
+                ctx.plan.injects_oom(stage, idx, attempt),
+            ),
         };
-        running_node[idx].store(node, Ordering::Relaxed);
-        running_since[idx].store(now_ns() + 1, Ordering::Relaxed);
-        let (outcome, d0) = timed(|| catch_unwind(AssertUnwindSafe(|| f(idx, inputs.get(idx)))));
-        let charged = attempt_charge(d0, mult);
-        // Wall time this attempt held its node: the measured run, plus the
-        // stretch below on a straggler node.
-        let mut held = d0;
-        if charged > d0 && matches!(outcome, Ok(Ok(_))) && !will_fail && !will_oom {
-            // A straggler node really is slower: stretch the attempt in wall
-            // time (in interruptible slices) to its charge, so a speculative
-            // copy elsewhere can genuinely overtake it.
-            let stretch = Instant::now();
-            while d0 + stretch.elapsed() < charged {
-                if done[idx].load(Ordering::Relaxed) || cancelled(idx) {
-                    break;
-                }
-                let left = charged.saturating_sub(d0 + stretch.elapsed());
-                std::thread::sleep(left.min(Duration::from_micros(500)));
-            }
-            held = d0 + stretch.elapsed();
-        }
-        running_since[idx].store(0, Ordering::Relaxed);
+        let (outcome, wall) = timed(|| catch_unwind(AssertUnwindSafe(|| f(idx, inputs.get(idx)))));
+        let charge = attempt_charge(wall, slowdown(node));
         // A failed attempt's result is discarded and its burned time billed
         // in full.
         let error = match outcome {
@@ -222,120 +217,113 @@ where
                 }
                 TaskError::OutOfMemory { attempt }
             }
-            Ok(Ok(mut r)) => {
-                if done[idx]
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    commit(idx, &mut r);
-                    // The `done` compare-exchange made this thread the
-                    // cell's one writer.
-                    *results[idx].lock().expect("task result cell poisoned") = Some(r);
-                    ledger.bill(Outcome::Committed, idx, node, held, charged);
-                    if attempt == 0 {
-                        n_spec_wins.fetch_add(1, Ordering::Relaxed);
-                        recorder.counter_add(stage, "speculative_wins", 1);
-                        recorder.event(
-                            "speculation_win",
-                            Lane::Node(node),
-                            Some(idx as u64),
-                            Attrs::new(),
-                        );
-                    }
-                } else {
-                    // Lost the race against a competitor attempt: this copy
-                    // is killed, billed only for the time it held the node.
-                    ledger.bill(Outcome::Killed, idx, node, held, held);
-                }
-                return Ok(());
-            }
+            Ok(Ok(r)) => return Ok((r, wall, charge)),
         };
-        ledger.bill(Outcome::Failed, idx, node, d0, charged);
+        ledger.bill(Outcome::Failed, idx, node, wall, charge);
+        note_failed(node);
         Err(error)
     };
 
-    // Books a failed attempt against its node.
-    let note_failed = |node: usize| {
-        if ctx.is_some() {
-            recorder.counter_add(stage, "failed_attempts", 1);
-            failed[node].fetch_add(1, Ordering::Relaxed);
+    // Commits task `idx`'s result from its attempt `attempt` on `node`. The
+    // worker that owns the task is its result cell's one writer.
+    let commit_on = |idx: usize, attempt: usize, node: usize, (mut r, wall, charge): Won<R>| {
+        commit(idx, &mut r);
+        *results[idx].lock().expect("task result cell poisoned") = Some(r);
+        ledger.bill(Outcome::Committed, idx, node, wall, charge);
+        if attempt == 0 {
+            n_spec_wins.fetch_add(1, Ordering::Relaxed);
+            recorder.counter_add(stage, "speculative_wins", 1);
+            recorder.event(
+                "speculation_win",
+                Lane::Node(node),
+                Some(idx as u64),
+                Attrs::new(),
+            );
         }
     };
 
-    // Straggler scan: once enough of the stage has finished, find a
-    // still-running task whose elapsed time projects past the speculation
-    // threshold and claim it for a speculative copy.
-    let find_straggler = |ctx: &FaultContext| -> Option<(usize, usize)> {
-        let policy = &ctx.policy;
-        let (comp, mean_ns) = ledger.committed();
-        if comp == 0 || (comp as f64) < policy.speculation_quantile * n_tasks as f64 {
+    // Where the speculative copy of task `idx`'s attempt on `node` runs: a
+    // first attempt on a node that is not lost and that the plan slows past
+    // the threshold gets one, placed elsewhere.
+    let copy_node = |idx: usize, attempt: usize, node: usize| {
+        let ctx = ctx.filter(|c| c.policy.speculation)?;
+        let slow = slowdown(node) >= ctx.policy.speculation_multiplier;
+        if attempt != 1 || health[node].lost || !slow {
             return None;
         }
-        let threshold_ns = (mean_ns as f64 * policy.speculation_multiplier) as u64;
-        let now = now_ns();
-        for idx in 0..n_tasks {
-            if done[idx].load(Ordering::Relaxed) || speculated[idx].load(Ordering::Relaxed) {
-                continue;
-            }
-            let since = running_since[idx].load(Ordering::Relaxed);
-            if since == 0 || now.saturating_sub(since - 1) <= threshold_ns {
-                continue;
-            }
-            if speculated[idx]
-                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                let origin = running_node[idx].load(Ordering::Relaxed);
-                let spec_node = place(&health, origin, idx, 0);
-                recorder.event(
-                    "speculative_launch",
-                    Lane::Node(spec_node),
-                    Some(idx as u64),
-                    Attrs::new(),
-                );
-                return Some((idx, spec_node));
-            }
-        }
-        None
+        Some(place(&health, node, idx, 0)).filter(|&copy| copy != node)
     };
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // Indices are claimed in order, so once one is cancelled
-                // every later claim (and the speculation duty) is too.
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if cancelled(idx) {
-                    return;
-                }
-                if idx < n_tasks {
-                    // Fresh task: run it to completion, retrying failures.
+    // Runs attempt `attempt` of task `idx` on `node` to its outcome, racing
+    // a first attempt against its speculative copy. `Ok(())` means the task
+    // committed.
+    let run_attempt = |idx: usize, attempt: usize, node: usize| -> Result<(), TaskError> {
+        let Some(copy) = copy_node(idx, attempt, node) else {
+            let won = attempt_once(idx, attempt, node)?;
+            commit_on(idx, attempt, node, won);
+            return Ok(());
+        };
+        recorder.event(
+            "speculative_launch",
+            Lane::Node(copy),
+            Some(idx as u64),
+            Attrs::new(),
+        );
+        // The attempt on the less slowed node would finish first, so it runs
+        // first; the original wins a tie.
+        let mut order = [(attempt, node), (0, copy)];
+        if slowdown(copy) < slowdown(node) {
+            order.reverse();
+        }
+        let [(first, on), (other, other_on)] = order;
+        let error = match attempt_once(idx, first, on) {
+            Ok(won) => {
+                // The other attempt is killed as the winner commits, before
+                // it runs: it counts as started, billed the winner's charge.
+                let charge = won.2;
+                commit_on(idx, first, on, won);
+                note_started(other_on);
+                ledger.bill(Outcome::Killed, idx, other_on, Duration::ZERO, charge);
+                return Ok(());
+            }
+            Err(e) => e,
+        };
+        // Both failing, the regular attempt's error is the task's.
+        let won =
+            attempt_once(idx, other, other_on).map_err(|e| if first == 0 { e } else { error })?;
+        commit_on(idx, other, other_on, won);
+        Ok(())
+    };
+
+    let ((), wall) = timed(|| {
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| loop {
+                    // Indices are claimed in order, so once one is cancelled
+                    // every later claim is too.
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    if idx >= n_tasks || cancelled(idx) {
+                        return;
+                    }
+                    // Run the task to completion, retrying failures.
                     let mut attempt = 1usize;
                     let mut node = placement[idx];
-                    loop {
-                        if cancelled(idx) || done[idx].load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let Err(e) = attempt_once(idx, attempt, node) else {
+                    while !cancelled(idx) {
+                        let Err(e) = run_attempt(idx, attempt, node) else {
                             break;
                         };
-                        note_failed(node);
                         // Without a fault context `max_attempts` is 1.
                         if attempt >= max_attempts {
-                            // Out of attempts — unless a competitor
-                            // committed meanwhile, the stage is lost.
-                            if !done[idx].load(Ordering::Relaxed) {
-                                let mut g = fatal.lock().expect("pool error slot poisoned");
-                                if g.as_ref().is_none_or(|lowest| idx < lowest.task) {
-                                    *g = Some(JobError {
-                                        stage: stage.to_string(),
-                                        task: idx,
-                                        attempts: attempt,
-                                        error: e,
-                                    });
-                                }
-                                abort_from.fetch_min(idx, Ordering::Relaxed);
+                            let mut g = fatal.lock().expect("pool error slot poisoned");
+                            if g.as_ref().is_none_or(|lowest| idx < lowest.task) {
+                                *g = Some(JobError {
+                                    stage: stage.to_string(),
+                                    task: idx,
+                                    attempts: attempt,
+                                    error: e,
+                                });
                             }
+                            abort_from.fetch_min(idx, Ordering::Relaxed);
                             break;
                         }
                         attempt += 1;
@@ -350,24 +338,9 @@ where
                             Attrs::new().records(from as u64),
                         );
                     }
-                    continue;
-                }
-                // Queue drained: either help stragglers or leave.
-                let Some(ctx) = ctx else { return };
-                if !ctx.policy.speculation || ledger.committed().0 >= n_tasks as u64 {
-                    return;
-                }
-                if let Some((tidx, spec_node)) = find_straggler(ctx) {
-                    if attempt_once(tidx, 0, spec_node).is_err() {
-                        // A failed speculative copy is just a failed attempt;
-                        // the original is still running, so nothing retries.
-                        note_failed(spec_node);
-                    }
-                } else {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            });
-        }
+                });
+            }
+        })
     });
 
     let blacklisted_nodes = ctx.map_or(0, |ctx| {
@@ -395,7 +368,7 @@ where
             retries: n_retries.into_inner(),
             speculative_wins: n_spec_wins.into_inner(),
             blacklisted_nodes,
-            ..ledger.into_stats(wall_start.elapsed())
+            ..ledger.into_stats(wall)
         },
     ))
 }
@@ -633,7 +606,7 @@ mod tests {
             let span_sum: u64 = trace
                 .spans
                 .iter()
-                .filter(|s| s.lane == asj_obs::Lane::Node(node))
+                .filter(|s| s.lane == Lane::Node(node))
                 .map(|s| s.sim_dur_ns)
                 .sum();
             assert_eq!(span_sum, stats.per_node_busy[node].as_nanos() as u64);
@@ -858,26 +831,32 @@ mod tests {
 
     /// Task bodies that yield or sleep a seeded number of rounds per (task,
     /// attempt) perturb the schedule, and recovery must not notice: three
-    /// stages under `p=`, `lose:` and `blacklist_after(2)` give the same
-    /// counts and the same retries, (task, from, to), at 1, 2 and 8 threads.
-    /// A failure names its seeds.
+    /// stages under `p=`, `lose:` and `blacklist_after(2)`, then one under
+    /// `slow:` with speculation, give the same counts, the same retries,
+    /// (task, from, to), and the same speculative copies, (task, node), at
+    /// 1, 2 and 8 threads. A failure names its seeds.
     #[test]
     fn recovery_does_not_depend_on_the_schedule() {
         const NODES: usize = 8;
         const TASKS: usize = 16;
         let run = |seed: u64, threads: usize| {
-            let plan = FaultPlan::none()
-                .with_seed(seed)
-                .with_fail_prob(0.1)
-                .with_lost_node(2, 2);
+            let plan = FaultPlan::none().with_seed(seed).with_fail_prob(0.1);
             let policy = RetryPolicy::default()
                 .with_max_attempts(12)
                 .with_blacklist_after(2);
-            let ctx = ft_ctx(plan, policy, NODES);
+            let ctx = ft_ctx(plan.clone().with_lost_node(2, 2), policy, NODES);
+            // Node 1 straggles past the speculation threshold, node 5 just
+            // reaches it, node 6 stays below it and node 3 is lost.
+            let slow = plan
+                .with_slow_node(1, 3.0)
+                .with_slow_node(5, 1.5)
+                .with_slow_node(6, 1.2)
+                .with_lost_node(3, 0);
+            let spec_ctx = ft_ctx(slow, policy.with_speculation(true), NODES);
             let recorder = Recorder::for_nodes(NODES);
             let placement: Vec<usize> = (0..TASKS).map(|i| i % NODES).collect();
             let mut total = ExecStats::default();
-            for stage in ["a", "b", "c"] {
+            for (stage, ctx) in [("a", &ctx), ("b", &ctx), ("c", &ctx), ("d", &spec_ctx)] {
                 let runs: Vec<AtomicU64> = (0..TASKS).map(|_| AtomicU64::new(0)).collect();
                 let body = |idx: usize, ()| {
                     let attempt = runs[idx].fetch_add(1, Ordering::Relaxed);
@@ -897,28 +876,35 @@ mod tests {
                     &placement,
                     &recorder,
                     stage,
-                    Some(&ctx),
+                    Some(ctx),
                     body,
                 );
                 total.accumulate(&stage_run.expect("the plan is survivable").1);
             }
             let trace = recorder.snapshot();
-            let retry = |e: &asj_obs::Event| (e.partition, e.attrs.records, e.lane);
-            let retries = trace.events.iter().filter(|e| e.name == "task_retry");
-            let mut retries: Vec<_> = retries.map(retry).collect();
-            retries.sort_unstable();
+            let named = |name: &'static str| {
+                let events = trace.events.iter().filter(move |e| e.name == name);
+                let mut events: Vec<_> = events
+                    .map(|e| (e.partition, e.attrs.records, e.lane))
+                    .collect();
+                events.sort_unstable();
+                events
+            };
             let counts = (
                 total.attempts,
                 total.retries,
                 total.failed_attempts,
                 total.blacklisted_nodes,
+                total.speculative_wins,
             );
-            (counts, retries)
+            (counts, named("task_retry"), named("speculative_launch"))
         };
         let flaky: Vec<u64> = (0..8u64)
             .filter(|&seed| {
                 let base = run(seed, 1);
-                assert!(base.0 .1 > 0 && base.0 .3 > 0, "seed {seed}: {:?}", base.0);
+                let (counts, _, launches) = &base;
+                assert!(counts.1 > 0 && counts.3 > 0, "seed {seed}: {counts:?}");
+                assert_eq!(launches.len(), 4, "seed {seed}: tasks 1, 5, 9 and 13");
                 [2, 8].into_iter().any(|threads| run(seed, threads) != base)
             })
             .collect();
@@ -928,44 +914,68 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ft_speculation_beats_a_straggler() {
-        // Node 1 is 40x slower. The straggling task's speculative copy on
-        // node 0 finishes first and wins; the sleeping original is killed.
-        let plan = FaultPlan::none().with_slow_node(1, 40.0);
+    /// Task 7 of 8 lands on node 1, which the plan slows 40x.
+    fn straggler_stage(threads: usize, plan: FaultPlan) -> (ExecStats, asj_obs::Trace) {
         let policy = RetryPolicy::default()
             .with_speculation(true)
             .with_blacklist_after(u64::MAX);
-        let ctx = ft_ctx(plan, policy, 2);
-        let tasks: Vec<u32> = (0..8).collect();
-        // Task 7 runs on the slow node; everything else on node 0.
+        let ctx = ft_ctx(plan.with_slow_node(1, 40.0), policy, 2);
         let placement = [0, 0, 0, 0, 0, 0, 0, 1];
         let recorder = Recorder::for_nodes(2);
         let (out, stats) = run_stage(
+            threads,
             2,
-            2,
-            tasks,
+            (0..8).collect(),
             &placement,
             &recorder,
             "unit",
             Some(&ctx),
-            |_, t| {
+            |_, t: u32| {
                 std::thread::sleep(Duration::from_millis(3));
                 t * 2
             },
         )
         .expect("speculation run succeeds");
         assert_eq!(out, (0..8).map(|t| t * 2).collect::<Vec<_>>());
-        assert_eq!(stats.speculative_wins, 1, "the copy must win the race");
-        // The killed original shows up on the slow node's lane, and the
-        // trace still accounts for exactly the busy time.
-        let trace = recorder.snapshot();
-        assert!(trace.spans.iter().any(|s| s.stage == "unit!killed"));
+        (stats, recorder.snapshot())
+    }
+
+    fn counts(stats: &ExecStats) -> [u64; 5] {
+        [
+            stats.attempts,
+            stats.retries,
+            stats.failed_attempts,
+            stats.speculative_wins,
+            stats.blacklisted_nodes,
+        ]
+    }
+
+    #[test]
+    fn ft_speculation_beats_a_straggler() {
+        // The straggling task's copy on node 0 runs first and commits; the
+        // original on the slow node is killed without running, at one
+        // thread as at two.
+        let (stats, trace) = straggler_stage(2, FaultPlan::none());
+        let (one, _) = straggler_stage(1, FaultPlan::none());
+        assert_eq!(counts(&stats), [9, 0, 0, 1, 0]);
+        assert_eq!(counts(&one), counts(&stats));
+        // The killed original shows up on the slow node's lane, billed the
+        // committed copy's charge, and the trace still accounts for exactly
+        // the busy time.
+        let span = |stage: &str, node: usize| {
+            let mut spans = trace.spans.iter();
+            spans
+                .find(|s| s.stage == stage && s.partition == Some(7) && s.lane == Lane::Node(node))
+                .expect("span present")
+        };
+        let killed = span("unit!killed", 1);
+        assert_eq!(killed.sim_dur_ns, span("unit", 0).sim_dur_ns);
+        assert_eq!(killed.wall_dur_ns, 0, "a killed attempt never runs");
         for node in 0..2 {
             let span_sum: u64 = trace
                 .spans
                 .iter()
-                .filter(|s| s.lane == asj_obs::Lane::Node(node))
+                .filter(|s| s.lane == Lane::Node(node))
                 .map(|s| s.sim_dur_ns)
                 .sum();
             assert_eq!(span_sum, stats.per_node_busy[node].as_nanos() as u64);
@@ -973,6 +983,24 @@ mod tests {
         // Makespan with a rescued straggler must be far below the 40x bill
         // the original would have paid (3ms * 40 = 120ms).
         assert!(stats.makespan() < Duration::from_millis(120));
+    }
+
+    /// A copy that fails leaves the race to the original, which then runs
+    /// and commits: nothing is retried and no copy wins.
+    #[test]
+    fn ft_a_failed_copy_leaves_the_original_to_commit() {
+        let (stats, trace) = straggler_stage(2, FaultPlan::none().with_fail_point("unit", 7, 0));
+        assert_eq!(counts(&stats), [9, 0, 1, 0, 0]);
+        let failed: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.stage == "unit!failed")
+            .map(|s| (s.partition, s.lane))
+            .collect();
+        assert_eq!(failed, vec![(Some(7), Lane::Node(0))]);
+        assert!(trace.spans.iter().all(|s| s.stage != "unit!killed"));
+        // The original paid the slow node's price.
+        assert!(stats.per_node_busy[1] >= Duration::from_millis(120));
     }
 
     /// The commit hook sees each task once, with the committed attempt's

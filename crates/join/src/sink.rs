@@ -16,8 +16,8 @@ use std::sync::{Arc, Mutex};
 
 /// Where a join's result pairs `(r.id, s.id)` go. Each partition's task
 /// hands its pairs to the sink as the kernel finds them; the driver sees
-/// only what the pool commits, so a failed, killed or losing speculative
-/// attempt never reaches the answer.
+/// only what the pool commits, so a failed attempt never reaches the
+/// answer.
 #[derive(Debug, Clone, Default)]
 pub enum PairSink {
     /// Count them: [`JoinOutput::result_count`] and nothing else.

@@ -138,10 +138,12 @@ Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 --faults injects deterministic failures, e.g. 'chaos' or
 'p=0.02,slow:1=3.0,lose:2@5' (seeded by --seed; lose:2@5 loses node 2 from
 the first stage after it started 5 attempts); the env vars ASJ_FAULTS /
-ASJ_FAULT_SEED do the same without flags. Retries, losses and blacklisting
-follow from the plan alone, never from thread timing. --speculation re-executes
-straggler tasks on another node. A fault clause naming a stage the job never
-runs is reported as a warning. --memory-budget caps simulated per-node
+ASJ_FAULT_SEED do the same without flags. Retries, losses, blacklisting and
+speculation follow from the plan alone, never from thread timing.
+--speculation races a copy on another node against each task whose first
+attempt lands on a node the plan slows 1.5x or more: the less slowed attempt
+runs first and wins unless it fails. A fault clause naming a stage the job
+never runs is reported as a warning. --memory-budget caps simulated per-node
 memory (bytes; k/m/g binary suffixes accepted): each shuffle map task gets a
 fixed share of every node's budget, and buckets that would exceed it spill
 to temporary files and are re-read at reduce time, leaving results

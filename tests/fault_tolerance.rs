@@ -208,15 +208,23 @@ fn chaos_with_node_loss_and_stragglers_recovers_exactly() {
 
 #[test]
 fn speculation_under_chaos_stays_transparent() {
-    let exec = assert_recovery_transparent(
-        FaultPlan::chaos(13),
-        RetryPolicy::default()
-            .with_max_attempts(10)
-            .with_speculation(true),
-        5,
-        100,
-    );
+    let policy = RetryPolicy::default()
+        .with_max_attempts(10)
+        .with_speculation(true);
+    let exec = assert_recovery_transparent(FaultPlan::chaos(13), policy, 5, 100);
     assert!(exec.attempts > 0);
+    assert!(exec.speculative_wins > 0, "slow node 1's tasks race copies");
+    // The plan decides every race: one host thread starts the same attempts
+    // and the same copies win as on three.
+    let (r, s) = clouds(100, 400);
+    let one = Cluster::new(ClusterConfig::with_threads(5, 1))
+        .with_fault_policy(FaultPlan::chaos(13), policy);
+    let out = adaptive_join(&one, &spec(), AgreementPolicy::Lpib, r, s).expect("join runs");
+    let mut single = ExecStats::default();
+    single.accumulate(&out.metrics.construction);
+    single.accumulate(&out.metrics.join);
+    let counts = |e: &ExecStats| (e.attempts, e.speculative_wins, e.retries);
+    assert_eq!(counts(&single), counts(&exec));
 }
 
 #[test]
