@@ -24,7 +24,7 @@ use asj_data::GenKind;
 use asj_engine::{Cluster, ClusterConfig, DurationSummary, JobId, JobReport, SchedPolicy};
 use asj_join::Algorithm;
 use asj_serve::{
-    calibrated_model_for, run_queue, solo_outcome, RecoveryOptions, TenantOutcome, TenantSpec,
+    run_queue, solo_outcome, RecoveryOptions, TenantOutcome, TenantSpec, WorkingSetModel,
 };
 use std::collections::HashMap;
 use std::time::Duration;
@@ -177,7 +177,7 @@ pub fn tenant_set(cfg: &ExpConfig, n: usize) -> Vec<TenantSpec> {
         .collect()
 }
 
-/// Per-node budget for a tenant set: the sum of the calibrated working-set
+/// Per-node budget for a tenant set: the sum of the working-set
 /// estimates, so the whole set admits at clock 0 (reservations fit) and
 /// queue waits measure scheduling, not deferred admission.
 fn leg_budget(tenants: &[TenantSpec], nodes: usize) -> u64 {
@@ -185,7 +185,7 @@ fn leg_budget(tenants: &[TenantSpec], nodes: usize) -> u64 {
         .iter()
         .map(|t| {
             t.estimate_override
-                .unwrap_or_else(|| calibrated_model_for(t).estimate(t, nodes))
+                .unwrap_or_else(|| WorkingSetModel::default().estimate(t, nodes))
         })
         .sum::<u64>()
         .max(1)

@@ -164,8 +164,9 @@ fn read_partitions<T: Send>(
         lines_before += lines - 1;
     }
 
-    // `Dataset::from_vec`'s layout: partition p holds rows
-    // starts[p]..starts[p + 1]; split k holds rows first_rows[k].. .
+    // `Dataset::from_vec`'s layout, the rule of `asj_engine::split` (written
+    // out here: this crate does not depend on the engine): partition p holds
+    // rows starts[p]..starts[p + 1]; split k holds rows first_rows[k].. .
     let total: usize = counts.iter().sum();
     let mut starts = vec![0];
     for p in 0..partitions {

@@ -9,6 +9,7 @@ use asj_obs::{Attrs, Lane};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A partitioned, in-memory collection — the engine's RDD analog.
@@ -45,19 +46,28 @@ pub struct Dataset<T> {
     parts: Vec<Vec<T>>,
 }
 
+/// The input split rule: `n` items cut into `parts` near-equal ranges, the
+/// first `n % parts` one item longer. Partition `p` holds
+/// `split(n, parts, p)`.
+pub fn split(n: usize, parts: usize, p: usize) -> Range<usize> {
+    let (base, extra) = (n / parts, n % parts);
+    let start = |p: usize| p * base + p.min(extra);
+    start(p)..start(p + 1)
+}
+
 // Elements are `Sync + Clone` (not just `Send`) because the fault-tolerant
 // executor may re-run a partition task on another node — the engine's analog
 // of Spark recomputing a partition from lineage.
 impl<T: Send + Sync + Clone> Dataset<T> {
     /// Splits `data` into `partitions` near-equal chunks (like reading a file
-    /// into fixed-size input splits): the first `len % partitions` chunks
-    /// hold one element more.
+    /// into fixed-size input splits), partition `p` holding
+    /// [`split`]`(len, partitions, p)`.
     pub fn from_vec(data: Vec<T>, partitions: usize) -> Self {
         assert!(partitions > 0, "need at least one partition");
-        let (base, extra) = (data.len() / partitions, data.len() % partitions);
+        let n = data.len();
         let mut data = data.into_iter();
         let parts = (0..partitions)
-            .map(|i| data.by_ref().take(base + usize::from(i < extra)).collect())
+            .map(|p| data.by_ref().take(split(n, partitions, p).len()).collect())
             .collect();
         Dataset { parts }
     }
@@ -658,6 +668,21 @@ mod tests {
         assert_eq!(d.len(), 10);
         assert!(!d.is_empty());
         assert_eq!(d.into_partitions().concat(), (0..10).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn split_tiles_the_items_longer_ranges_first() {
+        for n in 0..40 {
+            for parts in 1..9 {
+                let ranges: Vec<Range<usize>> = (0..parts).map(|p| split(n, parts, p)).collect();
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges[parts - 1].end, n);
+                for pair in ranges.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start);
+                    assert!(pair[0].len() == pair[1].len() || pair[0].len() == pair[1].len() + 1);
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,11 +16,16 @@
 //!   Afrati & Ullman applied at the cluster door.
 //!
 //! * **Deterministic fair-share scheduling** — admitted jobs run their bodies
-//!   on their own threads, but in *lockstep*: a shared stage gate parks every
-//!   job at each stage boundary, and the scheduler grants exactly one job one
-//!   quantum (driver work plus at most one parallel stage) at a time. Because
-//!   at most one job is ever mid-quantum, results, per-job accounting and the
-//!   grant order are all reproducible. Fair share is weighted round-robin on
+//!   on their own threads, but pass one baton, held by the scheduler or by
+//!   exactly one job. Each job has two channels: it waits on its grant channel
+//!   before its body starts and at every stage boundary, and at the end of
+//!   each quantum (driver work plus at most one parallel stage) it hands the
+//!   quantum's window — the stages it billed and their simulated cost — back
+//!   on its hand-back channel. The scheduler grants by a send and takes the
+//!   baton back by a receive before it picks again, so every other running
+//!   job is parked by construction. Because at most one job is ever
+//!   mid-quantum, results, per-job accounting and the grant order are all
+//!   reproducible. Fair share is weighted round-robin on
 //!   *quantum counts* (`vruntime = quanta × 10⁶ / weight`, ties broken by job
 //!   id) — deliberately not on measured durations, which would be noisy.
 //!   [`SchedPolicy::Fifo`] (always the lowest admitted id) is kept as the A/B
@@ -47,10 +52,12 @@ use crate::metrics::ExecStats;
 use crate::pool::panic_msg;
 use crate::wire::Wire;
 use asj_obs::{Attrs, Lane};
-use std::collections::{HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Identifies a submitted job; assigned densely in submit order.
@@ -99,11 +106,6 @@ pub enum SubmitError {
         /// The cluster's per-node budget.
         budget_bytes: u64,
     },
-    /// The submission queue is at capacity.
-    QueueFull {
-        /// The configured queue capacity.
-        capacity: usize,
-    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -117,9 +119,6 @@ impl std::fmt::Display for SubmitError {
                 "estimated working set of {estimate_bytes} B/node exceeds the \
                  per-node budget of {budget_bytes} B"
             ),
-            SubmitError::QueueFull { capacity } => {
-                write!(f, "submission queue is full ({capacity} jobs)")
-            }
         }
     }
 }
@@ -137,6 +136,8 @@ pub struct JobSpec<R> {
     estimate_bytes: u64,
     faults: Option<(FaultPlan, RetryPolicy)>,
     body: JobBody<R>,
+    /// The body was replaced by a journaled result ([`JobServer::recover`]).
+    recovered: bool,
 }
 
 impl<R> std::fmt::Debug for JobSpec<R> {
@@ -164,6 +165,7 @@ impl<R> JobSpec<R> {
             estimate_bytes: 0,
             faults: None,
             body: Box::new(move |cluster| body(cluster).map_err(|e| e.to_string())),
+            recovered: false,
         }
     }
 
@@ -191,14 +193,6 @@ impl<R> JobSpec<R> {
     pub fn with_faults(mut self, plan: FaultPlan, policy: RetryPolicy) -> Self {
         self.faults = Some((plan, policy));
         self
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn estimate_bytes(&self) -> u64 {
-        self.estimate_bytes
     }
 }
 
@@ -280,71 +274,64 @@ pub struct ServerRun<R> {
     pub journal_grants: Vec<JobId>,
 }
 
-/// Per-job slot in the shared gate.
+/// What a job hands back with the baton at the end of a quantum: the
+/// stages [`JobGate::note_stage`] billed in it, and whether the body ended.
 #[derive(Debug, Default)]
-struct JobState {
-    /// The scheduler granted a quantum that the job has not consumed yet.
-    granted: bool,
-    /// The job thread is parked at a stage boundary, waiting for a grant.
-    parked: bool,
-    /// The job body returned (or panicked); the thread is done.
-    finished: bool,
-    /// Stage stats accumulated by `note_stage`, isolated to this job.
+struct Window {
     stats: ExecStats,
     stages: u64,
-    quanta: u64,
-    /// Simulated cost of the quantum in flight (its stage's makespan);
-    /// drained into the server clock when the quantum ends.
-    window_cost: Duration,
+    /// Simulated cost of the quantum (its stage's makespan), drained into
+    /// the server clock when the scheduler takes the baton back.
+    cost: Duration,
+    finished: bool,
 }
 
-#[derive(Debug, Default)]
-struct GateCore {
-    state: Mutex<Vec<JobState>>,
-    cv: Condvar,
-}
-
-/// Handle a job's cluster clone uses to participate in lockstep scheduling.
-/// [`JobGate::pause`] parks at a stage boundary until granted;
-/// [`JobGate::note_stage`] bills a completed stage to the job.
+/// A job's end of the baton, on the cluster clone its body runs on:
+/// [`JobGate::pause`] hands the quantum back and waits for the next grant;
+/// [`JobGate::note_stage`] bills a completed stage to the quantum's window.
 #[derive(Debug)]
 pub(crate) struct JobGate {
-    core: Arc<GateCore>,
-    job: JobId,
+    grants: Mutex<Receiver<()>>,
+    hand_back: Sender<Window>,
+    window: Mutex<Window>,
 }
 
 impl JobGate {
-    /// Parks the calling job thread until the scheduler grants it a quantum.
-    /// Called by [`Cluster::try_run_stage`] before dispatching, and by
-    /// the server once before the body starts (so pre-stage driver work is
-    /// gated too).
+    /// Ends the quantum in flight and parks the calling job thread until
+    /// the scheduler grants it the next one. Called by
+    /// [`Cluster::try_run_stage`] before dispatching.
     pub(crate) fn pause(&self) {
-        let mut st = self.core.state.lock().expect("job gate poisoned");
-        st[self.job].parked = true;
-        self.core.cv.notify_all();
-        while !st[self.job].granted {
-            st = self.core.cv.wait(st).expect("job gate poisoned");
-        }
-        st[self.job].granted = false;
-        st[self.job].parked = false;
+        self.hand_back(false);
+        self.wait_for_grant();
     }
 
     /// Bills a completed stage to the job: accumulates its stats and charges
     /// the quantum in flight with the stage's simulated makespan.
     pub(crate) fn note_stage(&self, stats: &ExecStats) {
-        let mut st = self.core.state.lock().expect("job gate poisoned");
-        let s = &mut st[self.job];
-        s.stats.accumulate(stats);
-        s.stages += 1;
-        s.window_cost += stats.makespan();
+        let mut window = self.window.lock().expect("no panic holds the window");
+        window.stats.accumulate(stats);
+        window.stages += 1;
+        window.cost += stats.makespan();
     }
 
-    /// Marks the job finished and wakes the scheduler. Called exactly once
-    /// per job, after the body returned or panicked.
-    fn finish(&self) {
-        let mut st = self.core.state.lock().expect("job gate poisoned");
-        st[self.job].finished = true;
-        self.core.cv.notify_all();
+    /// Hands the baton back with the quantum's window. A scheduler that is
+    /// gone (a crashed server) has nothing left to settle.
+    fn hand_back(&self, finished: bool) {
+        let window = std::mem::take(&mut *self.window.lock().expect("no panic holds the window"));
+        let _ = self.hand_back.send(Window { finished, ..window });
+    }
+
+    /// Parks until granted. A closed grant channel is a crashed server: the
+    /// job dies where it waits, unwinding without a panic message.
+    fn wait_for_grant(&self) {
+        let granted = self
+            .grants
+            .lock()
+            .expect("no panic holds the grants")
+            .recv();
+        if granted.is_err() {
+            resume_unwind(Box::new("server crashed"));
+        }
     }
 }
 
@@ -354,17 +341,30 @@ struct Queued<R> {
     spec: JobSpec<R>,
 }
 
-/// One admitted job's runtime bookkeeping.
+/// The scheduler's ends of a running job's two channels, and its thread.
+struct Baton<R> {
+    grant: Sender<()>,
+    hand_back: Receiver<Window>,
+    thread: JoinHandle<Result<R, String>>,
+}
+
+/// One admitted job's runtime bookkeeping. Every per-job number lives here,
+/// on the scheduler's side of the baton.
 struct Admitted<R> {
     id: JobId,
     name: String,
     weight: u32,
     estimate_bytes: u64,
-    /// The job's thread: set at admission, taken (and joined) exactly once,
-    /// at reap time or when the server dies.
-    handle: Option<std::thread::JoinHandle<Result<R, String>>>,
+    recovered: bool,
+    /// Set at admission, taken exactly once: at reap time or when the
+    /// server dies.
+    baton: Option<Baton<R>>,
     admitted_at: Duration,
     first_service_at: Option<Duration>,
+    /// The windows handed back so far, isolated to this job.
+    stats: ExecStats,
+    stages: u64,
+    quanta: u64,
 }
 
 impl<R> Admitted<R> {
@@ -376,9 +376,13 @@ impl<R> Admitted<R> {
             name: spec.name.clone(),
             weight: spec.weight,
             estimate_bytes: spec.estimate_bytes,
-            handle: None,
+            recovered: spec.recovered,
+            baton: None,
             admitted_at: now,
             first_service_at: None,
+            stats: ExecStats::default(),
+            stages: 0,
+            quanta: 0,
         }
     }
 }
@@ -392,7 +396,6 @@ type ResultCodec<R> = Arc<dyn Fn(&R) -> Vec<u8> + Send + Sync>;
 pub struct JobServer<R> {
     cluster: Cluster,
     policy: SchedPolicy,
-    capacity: usize,
     queue: Vec<JobSpec<R>>,
     /// Write-ahead journal: admissions, grants, stage checkpoints and
     /// results are appended (and fsynced) *before* the corresponding state
@@ -402,9 +405,6 @@ pub struct JobServer<R> {
     /// [`JobServer::with_journal`] / [`JobServer::recover`] (requires
     /// `R: Wire`).
     encode_result: Option<ResultCodec<R>>,
-    /// Jobs whose bodies were replaced with journaled results by
-    /// [`JobServer::recover`].
-    recovered_jobs: HashSet<JobId>,
     /// Grant records of the crashed run, read back by [`JobServer::recover`].
     journal_grants: Vec<JobId>,
     /// Compact the journal after every N durable job completions
@@ -417,10 +417,8 @@ impl<R> std::fmt::Debug for JobServer<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobServer")
             .field("policy", &self.policy)
-            .field("capacity", &self.capacity)
             .field("queued", &self.queue.len())
             .field("journaled", &self.journal.is_some())
-            .field("recovered_jobs", &self.recovered_jobs.len())
             .finish_non_exhaustive()
     }
 }
@@ -430,18 +428,15 @@ impl<R> std::fmt::Debug for JobServer<R> {
 const VRUNTIME_SCALE: u64 = 1_000_000;
 
 impl<R: Send + 'static> JobServer<R> {
-    /// A server over `cluster` with the default policy ([`SchedPolicy::FairShare`])
-    /// and a queue capacity of 64. The cluster's memory budget (if any) is
-    /// the admission budget.
+    /// A server over `cluster` with the default policy ([`SchedPolicy::FairShare`]).
+    /// The cluster's memory budget (if any) is the admission budget.
     pub fn new(cluster: Cluster) -> Self {
         JobServer {
             cluster,
             policy: SchedPolicy::default(),
-            capacity: 64,
             queue: Vec::new(),
             journal: None,
             encode_result: None,
-            recovered_jobs: HashSet::new(),
             journal_grants: Vec::new(),
             compact_every: None,
         }
@@ -452,8 +447,9 @@ impl<R: Send + 'static> JobServer<R> {
         self
     }
 
-    /// Compacts the journal after every `n` durable job completions (a
-    /// quiescent quantum boundary, so no appender races the rewrite). A
+    /// Compacts the journal after every `n` durable job completions (at a
+    /// quantum boundary the scheduler holds the baton, so no appender races
+    /// the rewrite). A
     /// long-lived server's journal stays proportional to its *live* records
     /// instead of its age. No-op without an attached journal.
     ///
@@ -463,30 +459,6 @@ impl<R: Send + 'static> JobServer<R> {
         assert!(n > 0, "compact-every interval must be positive");
         self.compact_every = Some(n);
         self
-    }
-
-    /// Bounds the submission queue; a submit past it returns
-    /// [`SubmitError::QueueFull`].
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        self.capacity = capacity;
-        self
-    }
-
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
-    }
-
-    /// Jobs currently queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Submits a job. Admission control runs here for the *never-fits* case:
@@ -502,11 +474,6 @@ impl<R: Send + 'static> JobServer<R> {
                 });
             }
         }
-        if self.queue.len() >= self.capacity {
-            return Err(SubmitError::QueueFull {
-                capacity: self.capacity,
-            });
-        }
         let id = self.queue.len();
         self.queue.push(spec);
         Ok(id)
@@ -515,7 +482,8 @@ impl<R: Send + 'static> JobServer<R> {
     /// Runs the queue to completion and reports per job. See the module docs
     /// for the quantum protocol; the short version: admit in submit order
     /// under the memory budget, then repeatedly pick one parked job by
-    /// policy, grant it one quantum, and wait for it to park again or finish.
+    /// policy, grant it one quantum, and take the baton back when it parks
+    /// again or finishes.
     pub fn run(self) -> ServerRun<R> {
         // The crash clause is consulted only here: stage execution ignores
         // it, so a `crash@N` plan can ride the same FaultPlan that also
@@ -528,9 +496,9 @@ impl<R: Send + 'static> JobServer<R> {
         sched.admit();
         let crashed = loop {
             let finished = sched.settle_quantum();
-            sched.reap(&finished);
+            sched.reap(finished);
             // A `crash@N` clause fires at this quantum boundary — after N
-            // grants have been issued *and* completed (we are quiescent), and
+            // grants have been issued *and* handed back (we hold the baton), and
             // before the N+1st is picked. Deterministic: the boundary depends
             // only on the grant log, never on wall time.
             if crash_after.is_some_and(|limit| sched.grants.len() as u64 >= limit) {
@@ -554,10 +522,8 @@ struct Scheduler<R> {
     policy: SchedPolicy,
     journal: Option<Arc<Journal>>,
     encode_result: Option<ResultCodec<R>>,
-    recovered_jobs: HashSet<JobId>,
     journal_grants: Vec<JobId>,
     compact_every: Option<u64>,
-    core: Arc<GateCore>,
     /// Submitted and not yet admitted, in submit order.
     pending: VecDeque<Queued<R>>,
     admitted: Vec<Admitted<R>>,
@@ -582,13 +548,8 @@ impl<R: Send + 'static> Scheduler<R> {
             policy: server.policy,
             journal: server.journal,
             encode_result: server.encode_result,
-            recovered_jobs: server.recovered_jobs,
             journal_grants: server.journal_grants,
             compact_every: server.compact_every,
-            core: Arc::new(GateCore {
-                state: Mutex::new((0..n).map(|_| JobState::default()).collect()),
-                cv: Condvar::new(),
-            }),
             pending: server
                 .queue
                 .into_iter()
@@ -608,10 +569,10 @@ impl<R: Send + 'static> Scheduler<R> {
 
     /// Admits queued jobs, in submit order, while the front fits the
     /// remaining budget. Strictly in order — no head-of-line bypass — so a
-    /// large tenant cannot be starved by a stream of small ones. At
-    /// admission decisions every running job is parked at a stage boundary
-    /// with its charges settled, so `budget − reserved` is the true
-    /// remaining capacity.
+    /// large tenant cannot be starved by a stream of small ones. The
+    /// scheduler holds the baton at admission decisions, so every running
+    /// job is parked with its charges settled and `budget − reserved` is the
+    /// true remaining capacity.
     fn admit(&mut self) {
         let recorder = self.cluster.recorder().clone();
         while let Some(front) = self.pending.front() {
@@ -623,9 +584,12 @@ impl<R: Send + 'static> Scheduler<R> {
             let Queued { id, spec } = self.pending.pop_front().expect("front exists");
             let mut job = Admitted::new(id, &spec, self.clock);
             self.reserved += est;
+            let (grant, grants) = channel();
+            let (hand_back, handed_back) = channel();
             let gate = Arc::new(JobGate {
-                core: Arc::clone(&self.core),
-                job: id,
+                grants: Mutex::new(grants),
+                hand_back,
+                window: Mutex::default(),
             });
             // The job's isolated cluster view: per-job obs lanes and
             // per-job fault state over the shared nodes, accountant and
@@ -658,15 +622,15 @@ impl<R: Send + 'static> Scheduler<R> {
                 });
             }
             let body = spec.body;
-            let handle = std::thread::Builder::new()
+            let thread = std::thread::Builder::new()
                 .name(format!("asj-job-{id}"))
                 .spawn(move || {
-                    // Initial park: nothing — not even pre-stage driver
-                    // work — runs before the first grant.
-                    gate.pause();
+                    // Nothing — not even pre-stage driver work — runs before
+                    // the first grant.
+                    gate.wait_for_grant();
                     let out = catch_unwind(AssertUnwindSafe(|| body(&jc)))
                         .unwrap_or_else(|payload| Err(panic_msg(payload.as_ref())));
-                    gate.finish();
+                    gate.hand_back(true);
                     out
                 })
                 .expect("spawn job thread");
@@ -677,105 +641,98 @@ impl<R: Send + 'static> Scheduler<R> {
                 Attrs::new().bytes(est),
             );
             recorder.counter_add("jobs", "admitted", 1);
-            job.handle = Some(handle);
+            job.baton = Some(Baton {
+                grant,
+                hand_back: handed_back,
+                thread,
+            });
             self.running.push(self.admitted.len());
             self.admitted.push(job);
         }
     }
 
-    /// Waits for quiescence — every running job parked or finished (at most
-    /// one can be mid-quantum: the one granted last) — then closes the
-    /// quantum in flight: the server clock advances by its stage's simulated
-    /// makespan (serialized time-sharing: quanta never overlap). Returns the
-    /// slots of the jobs that finished.
-    fn settle_quantum(&mut self) -> Vec<usize> {
-        let mut st = self.core.state.lock().expect("job gate poisoned");
-        loop {
-            let busy = self.running.iter().any(|&slot| {
-                let s = &st[self.admitted[slot].id];
-                (s.granted || !s.parked) && !s.finished
-            });
-            if !busy {
-                break;
-            }
-            st = self.core.cv.wait(st).expect("job gate poisoned");
-        }
-        let finished: Vec<usize> = self
-            .running
-            .iter()
-            .copied()
-            .filter(|&slot| st[self.admitted[slot].id].finished)
-            .collect();
-        if let Some(slot) = self.in_flight.take() {
-            self.clock += std::mem::take(&mut st[self.admitted[slot].id].window_cost);
-        }
-        finished
+    /// Takes the baton back from the job in flight — every other running
+    /// job is parked by construction — and closes its quantum: the job is
+    /// billed the window it hands back, and the server clock advances by the
+    /// window's simulated makespan (serialized time-sharing: quanta never
+    /// overlap). Returns the job's slot if it finished; a job thread that
+    /// died without handing back has.
+    fn settle_quantum(&mut self) -> Option<usize> {
+        let slot = self.in_flight.take()?;
+        let job = &mut self.admitted[slot];
+        let baton = job.baton.as_ref().expect("a job in flight is running");
+        let window = baton.hand_back.recv().unwrap_or(Window {
+            finished: true,
+            ..Window::default()
+        });
+        job.stats.accumulate(&window.stats);
+        job.stages += window.stages;
+        self.clock += window.cost;
+        window.finished.then_some(slot)
     }
 
-    /// Reaps completions: harvests results, releases reservations, makes
-    /// the result durable. Freed reservations may then let queued jobs in,
-    /// and the journal is compacted if due.
-    fn reap(&mut self, finished: &[usize]) {
-        if finished.is_empty() {
+    /// Reaps a completion: harvests the result, releases the reservation,
+    /// makes the result durable. The freed reservation may then let queued
+    /// jobs in, and the journal is compacted if due.
+    fn reap(&mut self, finished: Option<usize>) {
+        let Some(slot) = finished else {
             return;
-        }
+        };
         let recorder = self.cluster.recorder().clone();
-        for &slot in finished {
-            self.running.retain(|&r| r != slot);
-            let job = &mut self.admitted[slot];
-            let outcome = job
-                .handle
-                .take()
-                .expect("job joined once")
-                .join()
-                .unwrap_or_else(|payload| Err(panic_msg(payload.as_ref())));
-            recorder.counter_add("jobs", "completed", 1);
-            recorder.event(
-                "job-finish",
-                Lane::Driver,
-                Some(job.id as u64),
-                Attrs::new(),
-            );
-            self.reserved = self.reserved.saturating_sub(job.estimate_bytes);
-            if let (Some(journal), Some(encode), Ok(result)) =
-                (&self.journal, &self.encode_result, &outcome)
-            {
-                // Durable completion: the result itself rides the journal
-                // (with a checksum), so recovery replays it without
-                // re-running the body at all.
-                let bytes = encode(result);
-                let checksum = fnv1a(&bytes);
-                let done_durable = journal
-                    .append(&JournalRecord::Done {
-                        job: job.id as u64,
-                        result: bytes,
-                        checksum,
-                    })
-                    .is_ok();
-                // Retention GC: this job's stage checkpoints are only needed
-                // to shortcut a re-run, and the fsynced `done` record just
-                // made any re-run unnecessary. The ordering is the safety
-                // argument — GC strictly after the append succeeded, so a
-                // crash mid-GC degrades to recomputation (or to a journal
-                // replay), never to loss.
-                if done_durable {
-                    if let Some(store) = self.cluster.checkpoint_store() {
-                        let before = store.times().gc;
-                        if let Ok(reclaimed) = store.gc_scope(&format!("job{}", job.id)) {
-                            recorder.counter_add("jobs", "checkpoint_gc_bytes", reclaimed);
-                        }
-                        let gc_ns = (store.times().gc - before).as_nanos() as u64;
-                        recorder.counter_add("jobs", "checkpoint_gc_ns", gc_ns);
+        self.running.retain(|&r| r != slot);
+        let job = &mut self.admitted[slot];
+        let outcome = job
+            .baton
+            .take()
+            .expect("job joined once")
+            .thread
+            .join()
+            .unwrap_or_else(|payload| Err(panic_msg(payload.as_ref())));
+        recorder.counter_add("jobs", "completed", 1);
+        recorder.event(
+            "job-finish",
+            Lane::Driver,
+            Some(job.id as u64),
+            Attrs::new(),
+        );
+        self.reserved = self.reserved.saturating_sub(job.estimate_bytes);
+        if let (Some(journal), Some(encode), Ok(result)) =
+            (&self.journal, &self.encode_result, &outcome)
+        {
+            // Durable completion: the result itself rides the journal (with a
+            // checksum), so recovery replays it without re-running the body
+            // at all.
+            let bytes = encode(result);
+            let checksum = fnv1a(&bytes);
+            let done_durable = journal
+                .append(&JournalRecord::Done {
+                    job: job.id as u64,
+                    result: bytes,
+                    checksum,
+                })
+                .is_ok();
+            // Retention GC: this job's stage checkpoints are only needed to
+            // shortcut a re-run, and the fsynced `done` record just made any
+            // re-run unnecessary. The ordering is the safety argument — GC
+            // strictly after the append succeeded, so a crash mid-GC degrades
+            // to recomputation (or to a journal replay), never to loss.
+            if done_durable {
+                if let Some(store) = self.cluster.checkpoint_store() {
+                    let before = store.times().gc;
+                    if let Ok(reclaimed) = store.gc_scope(&format!("job{}", job.id)) {
+                        recorder.counter_add("jobs", "checkpoint_gc_bytes", reclaimed);
                     }
-                    self.completions_since_compact += 1;
+                    let gc_ns = (store.times().gc - before).as_nanos() as u64;
+                    recorder.counter_add("jobs", "checkpoint_gc_ns", gc_ns);
                 }
+                self.completions_since_compact += 1;
             }
-            self.report(slot, outcome);
         }
+        self.report(slot, outcome);
         self.admit();
-        // Automatic era compaction: the server is quiescent (no quantum in
-        // flight), so the rewrite cannot race an append. Failures are soft —
-        // the uncompacted journal is still a valid (just larger) recovery
+        // Automatic era compaction: the scheduler holds the baton (no quantum
+        // in flight), so the rewrite cannot race an append. Failures are soft
+        // — the uncompacted journal is still a valid (just larger) recovery
         // source.
         if let (Some(journal), Some(every)) = (&self.journal, self.compact_every) {
             if self.completions_since_compact >= every {
@@ -795,26 +752,13 @@ impl<R: Send + 'static> Scheduler<R> {
     /// Simulates process death at a quantum boundary and reports every job
     /// that had not finished as failed.
     fn crash(&mut self) {
-        // Poison the gate mutex so every parked job thread panics out of its
-        // wait instead of running another quantum. A throwaway thread panics
-        // while holding the lock — the only way to poison a std Mutex.
-        let poisoner = Arc::clone(&self.core);
-        #[allow(clippy::panic)]
-        let die_holding_the_lock = move || {
-            let _guard = poisoner.state.lock().expect("pre-crash lock");
-            panic!("simulated job-server crash");
-        };
-        let _ = std::thread::Builder::new()
-            .name("asj-crash".into())
-            .spawn(die_holding_the_lock)
-            .expect("spawn crash thread")
-            .join();
-        self.core.cv.notify_all();
+        // Every running job is parked: dropping its grant sender wakes it to
+        // a closed channel, and it dies where it waits instead of running
+        // another quantum. Its unwind is the crash, not an error to surface.
         for job in &mut self.admitted {
-            if let Some(handle) = job.handle.take() {
-                // Threads die by panicking on the poisoned gate; their
-                // panics are the crash, not errors to surface.
-                let _ = handle.join();
+            if let Some(Baton { grant, thread, .. }) = job.baton.take() {
+                drop(grant);
+                let _ = thread.join();
             }
         }
         self.cluster
@@ -836,35 +780,25 @@ impl<R: Send + 'static> Scheduler<R> {
         }
     }
 
-    /// Picks the next parked job by policy and grants it a quantum. A no-op
-    /// while freshly admitted threads have not reached their initial park —
-    /// the next [`Scheduler::settle_quantum`] waits for them.
+    /// Picks the next job by policy and grants it a quantum, passing it the
+    /// baton. Every running job is parked, freshly admitted ones included:
+    /// a grant waits in the channel until the thread reaches it.
     fn grant(&mut self) {
-        let pick = {
-            let st = self.core.state.lock().expect("job gate poisoned");
-            self.running
-                .iter()
-                .copied()
-                .filter(|&slot| {
-                    let s = &st[self.admitted[slot].id];
-                    s.parked && !s.finished
-                })
-                .min_by_key(|&slot| {
-                    let job = &self.admitted[slot];
-                    match self.policy {
-                        SchedPolicy::Fifo => (0u64, job.id),
-                        SchedPolicy::FairShare => (
-                            st[job.id].quanta * VRUNTIME_SCALE / u64::from(job.weight),
-                            job.id,
-                        ),
-                    }
-                })
-        };
+        let pick = self.running.iter().copied().min_by_key(|&slot| {
+            let job = &self.admitted[slot];
+            match self.policy {
+                SchedPolicy::Fifo => (0u64, job.id),
+                SchedPolicy::FairShare => {
+                    (job.quanta * VRUNTIME_SCALE / u64::from(job.weight), job.id)
+                }
+            }
+        });
         let Some(slot) = pick else {
             return;
         };
         let job = &mut self.admitted[slot];
         job.first_service_at.get_or_insert(self.clock);
+        job.quanta += 1;
         self.grants.push(job.id);
         if let Some(journal) = &self.journal {
             // Write-ahead: the grant is on disk before the job thread can
@@ -873,35 +807,25 @@ impl<R: Send + 'static> Scheduler<R> {
             let _ = journal.append(&JournalRecord::Grant { job: job.id as u64 });
         }
         self.in_flight = Some(slot);
-        let mut st = self.core.state.lock().expect("job gate poisoned");
-        let s = &mut st[job.id];
-        s.granted = true;
-        s.quanta += 1;
-        self.core.cv.notify_all();
+        // A thread that is gone takes no grant; the settle finds it finished.
+        let baton = job.baton.as_ref().expect("a running job holds its baton");
+        let _ = baton.grant.send(());
     }
 
     /// Files the report of the job in `slot`, however it ended: reaped with
     /// its result, or dead with the server.
     fn report(&mut self, slot: usize, result: Result<R, String>) {
-        let job = &self.admitted[slot];
-        // After a simulated crash the gate is poisoned; its data is still
-        // consistent (the crash fired at quiescence), so read through it.
-        let mut st = self
-            .core
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let s = &mut st[job.id];
+        let job = &mut self.admitted[slot];
         self.reports[job.id] = Some(JobReport {
             id: job.id,
             name: job.name.clone(),
             weight: job.weight,
             estimate_bytes: job.estimate_bytes,
-            recovered: result.is_ok() && self.recovered_jobs.contains(&job.id),
+            recovered: result.is_ok() && job.recovered,
             result,
-            stats: std::mem::take(&mut s.stats),
-            stages: s.stages,
-            quanta: s.quanta,
+            stats: std::mem::take(&mut job.stats),
+            stages: job.stages,
+            quanta: job.quanta,
             admitted_at: job.admitted_at,
             first_service_at: job.first_service_at.unwrap_or(self.clock),
             finished_at: self.clock,
@@ -995,7 +919,7 @@ impl<R: Wire + Send + 'static> JobServer<R> {
                 continue;
             }
             self.queue[job].body = Box::new(move |_c: &Cluster| Ok(decoded));
-            self.recovered_jobs.insert(job);
+            self.queue[job].recovered = true;
         }
         journal.append(&JournalRecord::Recover)?;
         self.journal_grants = replay.grants.iter().map(|&job| job as JobId).collect();
@@ -1020,7 +944,7 @@ mod tests {
     use crate::dataset::KeyedDataset;
     use crate::partitioner::HashPartitioner;
     use asj_obs::Recorder;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn cluster() -> Cluster {
         Cluster::new(ClusterConfig::with_threads(2, 2))
@@ -1177,16 +1101,6 @@ mod tests {
         assert_eq!(run.reports.len(), 1);
         assert!(run.reports[0].result.is_ok());
         assert!(!ran.load(Ordering::Relaxed), "rejected body must never run");
-    }
-
-    #[test]
-    fn queue_capacity_is_enforced() {
-        let mut srv = JobServer::new(cluster()).with_queue_capacity(1);
-        srv.submit(JobSpec::new("a", staged(1, 1))).expect("fits");
-        let err = srv
-            .submit(JobSpec::new("b", staged(1, 2)))
-            .expect_err("queue is full");
-        assert_eq!(err, SubmitError::QueueFull { capacity: 1 });
     }
 
     #[test]
@@ -1355,6 +1269,105 @@ mod tests {
         // Every submitted job still reports — unfinished ones as errors.
         assert_eq!(run.reports.len(), 3);
         assert!(run.reports.iter().all(|r| r.result.is_err()));
+    }
+
+    /// A [`staged`] body whose driver work before each stage (and after the
+    /// last) sleeps or yields a number of rounds drawn from `(seed, job,
+    /// quantum)`, and checks on entry that no other job is mid-quantum.
+    fn jittered(
+        job: u64,
+        stages: usize,
+        seed: u64,
+        active: Arc<AtomicUsize>,
+    ) -> impl FnOnce(&Cluster) -> Body<u64> + Send + 'static {
+        move |c: &Cluster| {
+            let mut acc = job;
+            for s in 0..=stages {
+                assert_eq!(
+                    active.fetch_add(1, Ordering::SeqCst),
+                    0,
+                    "two jobs mid-quantum"
+                );
+                let draw = fnv1a(&[seed, job, s as u64].map(u64::to_le_bytes).concat());
+                for _ in 0..draw % 4 {
+                    if draw & 4 == 0 {
+                        std::thread::yield_now();
+                    } else {
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                }
+                active.fetch_sub(1, Ordering::SeqCst);
+                if s == stages {
+                    break;
+                }
+                let (out, _) = c.try_run_stage("work", vec![1u64, 2, 3, 4], |i, t| {
+                    Ok(t * (i as u64 + 1) + acc)
+                })?;
+                acc = out.iter().sum::<u64>() + s as u64;
+            }
+            Ok(acc)
+        }
+    }
+
+    /// What one baton run must repeat: the grant log, and per job its
+    /// result (or error), quanta, stages and attempts.
+    type BatonRun = (Vec<JobId>, Vec<(Result<u64, String>, u64, u64, u64)>);
+
+    fn baton_run(threads: usize, seed: u64, crash_after: Option<u64>) -> BatonRun {
+        let mut c = Cluster::new(ClusterConfig::with_threads(3, threads));
+        if let Some(n) = crash_after {
+            let plan = FaultPlan::none().with_crash_after_grants(n);
+            c = c.with_fault_policy(plan, RetryPolicy::default());
+        }
+        let active = Arc::new(AtomicUsize::new(0));
+        let mut srv = JobServer::new(c);
+        // (weight, stages) per job.
+        let queue = [(1, 4), (3, 1), (2, 3), (1, 2), (3, 4)];
+        for (job, (weight, stages)) in queue.into_iter().enumerate() {
+            let body = jittered(job as u64, stages, seed, Arc::clone(&active));
+            srv.submit(JobSpec::new(format!("j{job}"), body).with_weight(weight))
+                .expect("submit");
+        }
+        let run = srv.run();
+        assert_eq!(run.crashed, crash_after.is_some());
+        let jobs = run
+            .reports
+            .into_iter()
+            .map(|r| (r.result, r.quanta, r.stages, r.stats.attempts))
+            .collect();
+        (run.grants, jobs)
+    }
+
+    /// The grant log, each job's accounting and each answer are functions of
+    /// the queue alone: however long each job's driver work takes, and on
+    /// however many host threads its stages run, one job holds the baton at
+    /// a time. A crash at any grant boundary leaves a prefix of that log and
+    /// fails exactly the jobs that had not finished.
+    #[test]
+    fn one_job_holds_the_baton_whatever_the_bodies_timing() {
+        let (grants, jobs) = baton_run(1, 0, None);
+        assert!(jobs.iter().all(|(result, ..)| result.is_ok()), "{jobs:?}");
+        for threads in [1, 2, 8] {
+            for seed in 0..8 {
+                assert_eq!(
+                    baton_run(threads, seed, None),
+                    (grants.clone(), jobs.clone())
+                );
+                let n = (seed * 5 + threads as u64) % grants.len() as u64;
+                let (prefix, crashed) = baton_run(threads, seed, Some(n));
+                assert_eq!(prefix[..], grants[..n as usize]);
+                for (id, (got, oracle)) in crashed.iter().zip(&jobs).enumerate() {
+                    let granted = prefix.iter().filter(|&&g| g == id).count() as u64;
+                    assert_eq!(got.1, granted, "job {id} quanta at crash@{n}");
+                    if granted == oracle.1 {
+                        assert_eq!(got, oracle, "job {id} finished before crash@{n}");
+                    } else {
+                        let died = Err("server crashed before completion".to_owned());
+                        assert_eq!(got.0, died, "job {id} at crash@{n}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

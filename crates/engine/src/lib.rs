@@ -50,7 +50,9 @@ mod wire;
 
 pub use checkpoint::{CheckpointStore, CheckpointTimes};
 pub use cluster::{on_host_threads, Broadcast, Cluster, ClusterConfig, CommitHook, StageResult};
-pub use dataset::{Block, Dataset, Fetched, KeyedDataset, ShuffledDataset, ShuffledPartition};
+pub use dataset::{
+    split, Block, Dataset, Fetched, KeyedDataset, ShuffledDataset, ShuffledPartition,
+};
 pub use fault::{FailPoint, FaultContext, FaultPlan, FaultState, JobError, RetryPolicy, TaskError};
 pub use jobs::{JobId, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun, SubmitError};
 pub use journal::{compact_records, CompactStats, Journal, JournalError, JournalRecord};

@@ -1,4 +1,4 @@
-use asj_engine::{ensure_remaining, on_host_threads, Dataset, Wire, WireError};
+use asj_engine::{ensure_remaining, on_host_threads, split, Dataset, Wire, WireError};
 use asj_geom::Point;
 use bytes::{Buf, BufMut};
 use std::convert::Infallible;
@@ -259,9 +259,10 @@ fn fill_payload(id: u64, out: &mut [u8]) {
 
 /// Points `0..n` as [`Record`]s with sequential ids and a deterministic
 /// payload (`payload_bytes` per tuple, at most [`MAX_PAYLOAD_BYTES`]; 0 for
-/// bare points), cut into `parts` input partitions as [`Dataset::from_vec`]
-/// cuts a vector. Each partition is made from its own range, `points(ids)`
-/// (`DatasetSpec::block_stream`), on one of `threads` host threads.
+/// bare points), cut into `parts` input partitions by [`split`], as
+/// [`Dataset::from_vec`] cuts a vector. Each partition is made from its own
+/// range, `points(ids)` (`DatasetSpec::block_stream`), on one of `threads`
+/// host threads.
 pub fn to_record_partitions<I: ExactSizeIterator<Item = Point>>(
     n: usize,
     points: impl Fn(Range<usize>) -> I + Sync,
@@ -270,10 +271,8 @@ pub fn to_record_partitions<I: ExactSizeIterator<Item = Point>>(
     threads: usize,
 ) -> Dataset<Record> {
     assert!(parts > 0, "need at least one partition");
-    let (base, extra) = (n / parts, n % parts);
-    let start = |p: usize| p * base + p.min(extra);
     let built = on_host_threads(threads, parts, |p, _| {
-        let ids = start(p)..start(p + 1);
+        let ids = split(n, parts, p);
         Ok::<_, Infallible>(records(ids.clone(), points(ids), payload_bytes).collect())
     });
     Dataset::from_partitions(built.unwrap_or_else(|never| match never {}))

@@ -14,9 +14,7 @@ const SAMPLE_POINTS: usize = 2048;
 const MAX_GRID_AXIS: usize = 256;
 
 /// Constants of the working-set estimator used for admission control. Like
-/// `asj_core::KernelCostModel` they are committed; only `record_bytes` is
-/// replaced per tenant, by a byte count of the tenant's own sampled records
-/// ([`WorkingSetModel::calibrated`]) — a count, never a timing.
+/// `asj_core::KernelCostModel` they are committed.
 ///
 /// The per-node working-set estimate of a tenant is
 ///
@@ -25,7 +23,9 @@ const MAX_GRID_AXIS: usize = 256;
 ///     · skew · landing_factor · headroom
 /// ```
 ///
-/// where `replication_rate` and `skew` come from a deterministic sample of
+/// where `record_bytes` is the wire size of every one of the tenant's
+/// generated records (a bare [`Record`] plus the tenant's `payload` bytes),
+/// and `replication_rate` and `skew` come from a deterministic sample of
 /// the tenant's own generated inputs: each sampled point contributes its
 /// ε-neighborhood cell-overlap count (how many grid cells a record landing
 /// near a border replicates into), and `skew` is the sampled peak-over-mean
@@ -33,10 +33,6 @@ const MAX_GRID_AXIS: usize = 256;
 /// placement spreads hot cells across nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkingSetModel {
-    /// Wire-encoded bytes of one record. The default is the measured size of
-    /// a payload-free [`Record`]; [`WorkingSetModel::calibrated`] replaces it
-    /// with the mean over a real sample.
-    pub record_bytes: f64,
     /// Copies of a shuffled byte co-resident during a stage (map-side
     /// buckets plus the landing partition).
     pub landing_factor: f64,
@@ -49,7 +45,6 @@ pub struct WorkingSetModel {
 impl Default for WorkingSetModel {
     fn default() -> Self {
         WorkingSetModel {
-            record_bytes: Record::new(0, Point::new(0.0, 0.0)).encoded_size() as f64,
             landing_factor: 2.0,
             headroom: 1.25,
             max_skew: 4.0,
@@ -58,17 +53,6 @@ impl Default for WorkingSetModel {
 }
 
 impl WorkingSetModel {
-    /// Replaces the default per-record size with the mean wire-encoded size
-    /// of `sample`. An empty sample keeps the default.
-    pub fn calibrated(sample: &[Record]) -> Self {
-        let mut model = WorkingSetModel::default();
-        if !sample.is_empty() {
-            let total: usize = sample.iter().map(Wire::encoded_size).sum();
-            model.record_bytes = total as f64 / sample.len() as f64;
-        }
-        model
-    }
-
     /// Estimated per-node working set of `tenant`'s join on `nodes` nodes,
     /// in bytes. Deterministic: the sample is generated from the tenant's
     /// own seeds. This is advisory planning for admission control — the
@@ -85,7 +69,7 @@ impl WorkingSetModel {
         let skew = skew.clamp(1.0, self.max_skew);
 
         let total_records = 2.0 * tenant.cardinality as f64;
-        let per_node = total_records * self.record_bytes * replication / nodes as f64
+        let per_node = total_records * record_bytes(tenant) * replication / nodes as f64
             * skew
             * self.landing_factor
             * self.headroom;
@@ -93,10 +77,11 @@ impl WorkingSetModel {
     }
 }
 
-/// Convenience: estimate with a model calibrated on the tenant's own sampled
-/// records (payload-free, like the serve pipeline generates them).
-pub fn estimate_working_set(tenant: &TenantSpec, nodes: usize) -> u64 {
-    WorkingSetModel::default().estimate(tenant, nodes)
+/// Wire-encoded bytes of each of `tenant`'s generated records: a bare
+/// [`Record`] and the tenant's `payload` bytes. Every record of a tenant
+/// carries the same payload length, so this is exact, not sampled.
+fn record_bytes(tenant: &TenantSpec) -> f64 {
+    (Record::new(0, Point::new(0.0, 0.0)).encoded_size() as u64 + tenant.payload) as f64
 }
 
 fn sample_points(tenant: &TenantSpec, seed: u64, n: usize) -> Vec<Point> {
@@ -160,11 +145,15 @@ fn sampled_replication_and_skew(sides: &[&Vec<Point>], cell: f64, eps: f64) -> (
 mod tests {
     use super::*;
 
+    fn estimate(tenant: &TenantSpec, nodes: usize) -> u64 {
+        WorkingSetModel::default().estimate(tenant, nodes)
+    }
+
     #[test]
     fn estimates_are_deterministic_and_positive() {
         let t = TenantSpec::new("t", 0.4, 4_000);
-        let a = estimate_working_set(&t, 4);
-        let b = estimate_working_set(&t, 4);
+        let a = estimate(&t, 4);
+        let b = estimate(&t, 4);
         assert_eq!(a, b, "same tenant, same estimate");
         assert!(a > 0);
     }
@@ -174,11 +163,11 @@ mod tests {
         let small = TenantSpec::new("s", 0.4, 2_000);
         let big = TenantSpec::new("b", 0.4, 20_000);
         assert!(
-            estimate_working_set(&big, 4) > estimate_working_set(&small, 4),
+            estimate(&big, 4) > estimate(&small, 4),
             "10x the records must estimate a larger working set"
         );
         assert!(
-            estimate_working_set(&big, 12) < estimate_working_set(&big, 2),
+            estimate(&big, 12) < estimate(&big, 2),
             "more nodes shrink the per-node share"
         );
     }
@@ -192,22 +181,22 @@ mod tests {
         // Same cell side (grid_factor · eps), wider border band.
         wide.eps = 0.2;
         wide.grid_factor = 1.0;
-        assert!(estimate_working_set(&wide, 4) >= estimate_working_set(&narrow, 4));
+        assert!(estimate(&wide, 4) >= estimate(&narrow, 4));
     }
 
     #[test]
-    fn calibration_replaces_record_bytes() {
-        let model = WorkingSetModel::calibrated(&[
-            Record::with_payload(0, Point::new(0.0, 0.0), vec![0u8; 100]),
-            Record::with_payload(1, Point::new(1.0, 1.0), vec![0u8; 200]),
-        ]);
-        let bare = Record::new(0, Point::new(0.0, 0.0)).encoded_size() as f64;
-        assert_eq!(model.record_bytes, bare + 150.0, "mean of 100 and 200");
-        assert_eq!(
-            WorkingSetModel::calibrated(&[]).record_bytes,
-            bare,
-            "empty sample keeps the default"
-        );
+    fn record_bytes_are_the_generated_records_wire_size() {
+        for payload in [0, 1, 100, 4096] {
+            let mut t = TenantSpec::new("t", 0.4, 10);
+            t.payload = payload;
+            let generated =
+                Record::with_payload(3, Point::new(1.0, 2.0), vec![b'a'; payload as usize]);
+            assert_eq!(
+                record_bytes(&t),
+                generated.encoded_size() as f64,
+                "payload {payload}"
+            );
+        }
     }
 
     #[test]

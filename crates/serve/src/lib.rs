@@ -33,10 +33,9 @@ mod options;
 mod queue;
 mod run;
 
-pub use estimate::{estimate_working_set, WorkingSetModel};
+pub use estimate::WorkingSetModel;
 pub use options::{synopsis, Opt, Options, Spelling, ROWS};
 pub use queue::{parse_bytes, parse_queue, QueueError, TenantSpec, QUEUE_KEYS};
 pub use run::{
-    calibrated_model_for, run_queue, solo_outcome, summary_line, tenant_job, RecoveryOptions,
-    ServeError, TenantOutcome,
+    run_queue, solo_outcome, summary_line, tenant_job, RecoveryOptions, ServeError, TenantOutcome,
 };

@@ -42,7 +42,7 @@ pub struct TenantSpec {
     /// Retry budget override (engine default if absent).
     pub max_attempts: Option<usize>,
     /// Working-set estimate override in bytes; when absent the server
-    /// estimates from a calibrated sample (see `WorkingSetModel`).
+    /// computes one (see `WorkingSetModel`).
     pub estimate_override: Option<u64>,
 }
 

@@ -165,15 +165,13 @@ fn run_tenant_body(tenant: &TenantSpec, cluster: &Cluster) -> Result<TenantOutco
 
 /// Builds the [`JobSpec`] for one tenant: the join body, the fair-share
 /// weight, the tenant's own fault plan and the working-set estimate
-/// (override, or [`calibrated_model_for`] the tenant applied to its sampled
-/// inputs).
+/// (override, or the [`WorkingSetModel`]'s).
 pub fn tenant_job(tenant: &TenantSpec, nodes: usize) -> Result<JobSpec<TenantOutcome>, String> {
-    // Same text as the queue parser, for a spec built in code — and before
-    // the calibration probe generates a single record of that size.
+    // Same text as the queue parser, for a spec built in code.
     check_payload(tenant.payload)?;
     let estimate = tenant
         .estimate_override
-        .unwrap_or_else(|| calibrated_model_for(tenant).estimate(tenant, nodes));
+        .unwrap_or_else(|| WorkingSetModel::default().estimate(tenant, nodes));
     let owned = tenant.clone();
     let mut spec = JobSpec::new(tenant.name.clone(), move |cluster: &Cluster| {
         run_tenant_body(&owned, cluster)
@@ -207,9 +205,8 @@ pub struct RecoveryOptions {
 
 /// Runs a whole tenant queue on `cluster` under `policy` and reports every
 /// tenant in submit order — the engine's [`ServerRun`], one
-/// [`JobReport`] per tenant. Admission estimates come from a
-/// [`WorkingSetModel`] calibrated per tenant on its own sampled records
-/// (payload included). With `options` the run journals server state,
+/// [`JobReport`] per tenant. Admission estimates come from the
+/// [`WorkingSetModel`], each tenant's payload included. With `options` the run journals server state,
 /// checkpoints completed stages, or resumes from a prior crashed run's
 /// journal + checkpoint directory.
 pub fn run_queue(
@@ -227,9 +224,7 @@ pub fn run_queue(
                 message: e.to_string(),
             })?;
     }
-    let mut server = JobServer::new(cluster.clone())
-        .with_policy(policy)
-        .with_queue_capacity(tenants.len().max(1));
+    let mut server = JobServer::new(cluster.clone()).with_policy(policy);
     for tenant in tenants {
         let job = tenant_job(tenant, cluster.nodes()).map_err(|message| ServeError::Spec {
             tenant: tenant.name.clone(),
@@ -268,19 +263,6 @@ pub fn run_queue(
         }
     }
     Ok(server.run())
-}
-
-/// The estimator model [`run_queue`] uses for one tenant: record size
-/// calibrated on a small sample of that tenant's own generated records.
-/// Per-tenant, not per-queue: a tenant carrying `payload=` bytes encodes
-/// fatter records than its payload-free neighbors, and pricing them with a
-/// payload-free probe under-admits by the whole payload volume (the bug this
-/// replaces: the old model calibrated once on the first tenant's bare
-/// records and applied it queue-wide).
-pub fn calibrated_model_for(tenant: &TenantSpec) -> WorkingSetModel {
-    let mut probe = tenant.clone();
-    probe.cardinality = tenant.cardinality.min(256);
-    WorkingSetModel::calibrated(&tenant_input(&probe, probe.seed, 1, 1).partitions()[0])
 }
 
 /// The isolation oracle: runs `tenant` alone on a FRESH cluster of the same
@@ -565,14 +547,13 @@ mod tests {
 
     #[test]
     fn estimator_prices_payload_bytes_in() {
-        // Regression: the estimator used to calibrate on payload-free
-        // samples queue-wide, so a payload-carrying tenant was priced as if
-        // its records were bare — under-admitting by the payload volume.
+        // Regression: the estimator once priced every tenant's records as
+        // bare ones, under-admitting by the whole payload volume.
         let bare = TenantSpec::new("bare", 0.4, 2_000);
         let mut fat = bare.clone();
         fat.payload = 256;
-        let bare_est = calibrated_model_for(&bare).estimate(&bare, 4);
-        let fat_est = calibrated_model_for(&fat).estimate(&fat, 4);
+        let model = WorkingSetModel::default();
+        let (bare_est, fat_est) = (model.estimate(&bare, 4), model.estimate(&fat, 4));
         assert!(
             fat_est > bare_est,
             "payload bytes must grow the estimate: {fat_est} vs {bare_est}"
@@ -584,6 +565,43 @@ mod tests {
             fat_est > bare_est * 4,
             "256 B payloads on ~28 B records: {fat_est} vs {bare_est}"
         );
+    }
+
+    /// The admission estimate of every tenant of the benchmark's `asj serve`
+    /// queue (full scale, benchmark seed 1) at 4 nodes and at `asj serve`'s
+    /// default 12. The values were taken while each tenant's record size was
+    /// still measured on 256 of its generated records, so computing it from
+    /// `payload` moves no admission decision.
+    #[test]
+    fn benchmark_queue_estimates_are_pinned() {
+        let queue = "\
+job big-gauss algo=lpib eps=0.15 n=125000 kind=gaussian seed=11 payload=64 partitions=96
+job parks-hyd algo=lpib eps=0.12 n=100000 kind=parks seed=21 payload=128 partitions=96
+job hydro algo=diff eps=0.12 n=100000 kind=hydrography seed=31 payload=64 partitions=96
+job uni-r algo=uni-r eps=0.15 n=60000 kind=gaussian seed=41 payload=256 partitions=96
+job small-a algo=lpib eps=0.25 n=20000 kind=uniform seed=52 payload=32 partitions=32
+job small-b algo=eps-grid eps=0.25 n=20000 kind=gaussian seed=61 payload=32 partitions=32
+job small-c algo=sedona eps=0.25 n=20000 kind=parks seed=71 payload=32 partitions=32
+job dedup algo=lpib-dedup eps=0.2 n=30000 kind=gaussian seed=81 payload=64 partitions=64
+";
+        let pinned = [
+            ("big-gauss", 230_000_000, 76_666_667),
+            ("parks-hyd", 312_000_000, 104_000_000),
+            ("hydro", 184_000_000, 61_333_334),
+            ("uni-r", 340_800_000, 113_600_000),
+            ("small-a", 24_000_000, 8_000_000),
+            ("small-b", 24_000_000, 8_000_000),
+            ("small-c", 24_000_000, 8_000_000),
+            ("dedup", 55_200_000, 18_400_000),
+        ];
+        let tenants = crate::parse_queue(queue).expect("the benchmark queue parses");
+        assert_eq!(tenants.len(), pinned.len());
+        let model = WorkingSetModel::default();
+        for (t, (name, at_4, at_12)) in tenants.iter().zip(pinned) {
+            assert_eq!(t.name, name);
+            let got = (model.estimate(t, 4), model.estimate(t, 12));
+            assert_eq!(got, (at_4, at_12), "{name}");
+        }
     }
 
     #[test]
