@@ -7,6 +7,7 @@ use std::os::unix::fs::FileExt;
 use std::panic::resume_unwind;
 use std::path::Path;
 use std::str::FromStr;
+use std::sync::Mutex;
 
 /// Writes `points` as `id,x,y` CSV lines numbered from `first`: the raw text
 /// format the paper's pipeline loads (`sc.textFile(path).map(line → tup)`).
@@ -21,34 +22,59 @@ pub fn write_points_csv(
     Ok(())
 }
 
-/// Reads `id,x,y` CSV lines back into `(id, point)` tuples: the
-/// one-partition case of [`read_points_csv_partitions`].
+/// Reads `id,x,y` CSV lines back into `(id, point)` tuples, in file order.
 ///
 /// Malformed lines are reported as errors with their line number — a corrupt
 /// record should fail loudly rather than silently skew a join result.
 pub fn read_points_csv(path: &Path) -> io::Result<Vec<(u64, Point)>> {
-    let mut parts = read_points_csv_partitions(path, 1, |id, p| (id, p))?;
-    Ok(parts.pop().expect("one partition"))
+    // Many partitions, concatenated: with one, the split thread that owns
+    // partition 0 would parse the whole file.
+    Ok(read_points_csv_partitions(path, WHOLE_FILE_PARTITIONS, |id, p| (id, p))?.concat())
 }
+
+/// The partitions [`read_points_csv`] reads a file as: enough that no split
+/// thread parses much more than its own split.
+const WHOLE_FILE_PARTITIONS: usize = 64;
 
 /// Bytes each split thread reads at a time.
 const BLOCK: usize = 256 << 10;
 
 /// Reads `id,x,y` CSV lines into `partitions` input partitions of rows built
-/// by `make`, the way `sc.textFile` reads a file into RDD partitions. The
-/// rows are in file order and laid out as `Dataset::from_vec(rows,
+/// by `make`, the way `sc.textFile` reads a file into RDD partitions: the
+/// partitions [`read_points_csv_each`] hands over, in partition order.
+///
+/// # Panics
+/// Panics if `partitions == 0`.
+pub fn read_points_csv_partitions<T: Send>(
+    path: &Path,
+    partitions: usize,
+    make: impl Fn(u64, Point) -> T + Sync,
+) -> io::Result<Vec<Vec<T>>> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    collect_partitions(partitions, |each| {
+        read_partitions(&file, len, partitions, splits(len), BLOCK, &make, each)
+    })
+}
+
+/// Reads `id,x,y` CSV lines into `partitions` input partitions of rows built
+/// by `make`, and hands each partition to `each` as soon as its last row is
+/// read. The rows are in file order and laid out as `Dataset::from_vec(rows,
 /// partitions)` lays them out: the first `rows % partitions` partitions hold
-/// one row more than the others.
+/// one row more than the others. A read that succeeds hands every partition
+/// over exactly once; the empty ones (after the last row) come last. `each`
+/// runs on the reading threads, several at a time; an error it returns stops
+/// the read and is the read's error.
 ///
 /// The read is split-parallel: the file is cut at newline boundaries into one
 /// split per MiB (at most one per core), and each split's thread streams it
 /// through one recycled 256 KiB buffer, twice. A counting pass fixes how many
 /// rows each split holds, and with it the split each partition starts in;
 /// in the parse pass each split's thread then has `make` build the rows of
-/// the partitions starting in its split straight into vectors of their final
-/// size, reading on past the split's end to finish the last one. No
-/// whole-file buffer exists and no row is copied. Errors name the 1-based
-/// line in the whole file; the earliest bad line wins.
+/// the partitions starting in its split, one partition at a time, straight
+/// into a vector of its final size, reading on past the split's end to finish
+/// the last one. No whole-file buffer exists and no row is copied. Errors
+/// name the 1-based line in the whole file; the earliest bad line wins.
 ///
 /// Neither pass splits a block into lines first. The counting pass counts a
 /// block's newlines and looks only at the lines that do not start with a
@@ -60,16 +86,35 @@ const BLOCK: usize = 256 << 10;
 ///
 /// # Panics
 /// Panics if `partitions == 0`.
-pub fn read_points_csv_partitions<T: Send>(
+pub fn read_points_csv_each<T: Send>(
     path: &Path,
     partitions: usize,
     make: impl Fn(u64, Point) -> T + Sync,
-) -> io::Result<Vec<Vec<T>>> {
+    each: impl Fn(usize, Vec<T>) -> io::Result<()> + Sync,
+) -> io::Result<()> {
     let file = File::open(path)?;
     let len = file.metadata()?.len();
+    read_partitions(&file, len, partitions, splits(len), BLOCK, &make, &each)
+}
+
+/// One split per MiB of a `len`-byte file, at most one per core.
+fn splits(len: u64) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let splits = cores.min((len >> 20) as usize).max(1);
-    read_partitions(&file, len, partitions, splits, BLOCK, &make)
+    cores.min((len >> 20) as usize).max(1)
+}
+
+/// The partitions `read` hands to the sink it is given, in partition order.
+fn collect_partitions<T: Send>(
+    partitions: usize,
+    read: impl FnOnce(&(dyn Fn(usize, Vec<T>) -> io::Result<()> + Sync)) -> io::Result<()>,
+) -> io::Result<Vec<Vec<T>>> {
+    let parts: Vec<Mutex<Vec<T>>> = (0..partitions).map(|_| Mutex::default()).collect();
+    read(&|p, rows| {
+        *parts[p].lock().unwrap_or_else(|e| e.into_inner()) = rows;
+        Ok(())
+    })?;
+    let rows = |part: Mutex<Vec<T>>| part.into_inner().unwrap_or_else(|e| e.into_inner());
+    Ok(parts.into_iter().map(rows).collect())
 }
 
 /// Positional reads: from the file, or from bytes in memory in the tests.
@@ -124,7 +169,8 @@ fn read_partitions<T: Send>(
     splits: usize,
     block: usize,
     make: &(impl Fn(u64, Point) -> T + Sync),
-) -> io::Result<Vec<Vec<T>>> {
+    each: &(impl Fn(usize, Vec<T>) -> io::Result<()> + Sync + ?Sized),
+) -> io::Result<()> {
     assert!(partitions > 0, "need at least one partition");
     let mut buf = vec![0u8; block];
     let ranges = split_ranges(src, len, splits, &mut buf)?;
@@ -180,7 +226,7 @@ fn read_partitions<T: Send>(
     // Parse pass: the thread of split k builds partitions lo..hi, those whose
     // first row is in split k. It skips the rows before them (the previous
     // thread's) and reads on into the next splits to finish partition hi - 1.
-    let mut parts = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let workers: Vec<_> = ranges
             .iter()
             .zip(first_rows.iter().zip(&counts))
@@ -190,16 +236,16 @@ fn read_partitions<T: Send>(
                 let hi = starts.partition_point(|&start| start < first + count);
                 let (starts, from) = (&starts, range.start);
                 scope.spawn(move || {
-                    parse_partitions(src, from..len, &mut buf, first, lo..hi, starts, make)
+                    let owned = lo..hi;
+                    parse_partitions(src, from..len, &mut buf, first, owned, starts, make, each)
                 })
             })
             .collect();
         // Joined in file order, so the earliest bad line is the one reported;
-        // a panic in `make` goes on unwinding here.
-        let mut parts = Vec::with_capacity(partitions);
+        // a panic in `make` or `each` goes on unwinding here.
         for (worker, first_line) in workers.into_iter().zip(&first_lines) {
             match worker.join().unwrap_or_else(|p| resume_unwind(p)) {
-                Ok(built) => parts.extend(built),
+                Ok(()) => {}
                 Err(Failure::Line(line, what)) => {
                     let msg = format!("line {}: {what}", first_line + line);
                     return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
@@ -207,16 +253,20 @@ fn read_partitions<T: Send>(
                 Err(Failure::Io(e)) => return Err(e),
             }
         }
-        Ok(parts)
+        Ok(())
     })?;
     // Empty partitions after the last row start in no split.
-    parts.resize_with(partitions, Vec::new);
-    Ok(parts)
+    for p in starts.partition_point(|&start| start < total)..partitions {
+        each(p, Vec::new())?;
+    }
+    Ok(())
 }
 
 /// The parse pass of one split: builds partitions `owned` of the layout
 /// `starts`, reading `range` from the split's first byte, where row `first`
-/// begins. A bad line is named by its 1-based line in the split.
+/// begins, and hands each to `each` once its last row is in. A bad line is
+/// named by its 1-based line in the split.
+#[allow(clippy::too_many_arguments)]
 fn parse_partitions<T>(
     src: &impl ReadAt,
     range: Range<u64>,
@@ -225,16 +275,17 @@ fn parse_partitions<T>(
     owned: Range<usize>,
     starts: &[usize],
     make: &impl Fn(u64, Point) -> T,
-) -> Result<Vec<Vec<T>>, Failure> {
-    let mut parts: Vec<Vec<T>> = owned
-        .clone()
-        .map(|p| Vec::with_capacity(starts[p + 1] - starts[p]))
-        .collect();
+    each: &(impl Fn(usize, Vec<T>) -> io::Result<()> + ?Sized),
+) -> Result<(), Failure> {
     let (begin, end) = (starts[owned.start], starts[owned.end]);
     if begin == end {
-        return Ok(parts);
+        return Ok(());
     }
+    // Owned partitions are never empty: the empty ones are all after the
+    // last row, where no split starts them.
+    let sized = |part: usize| Vec::with_capacity(starts[part + 1] - starts[part]);
     let (mut row, mut part, mut line_no) = (first, owned.start, 0);
+    let mut rows = sized(part);
     for_each_block(src, range, buf, |text| -> Result<_, Failure> {
         // Decoded once if the text is UTF-8 as a whole, else line by line,
         // so the lines before an undecodable one are still checked first.
@@ -261,12 +312,16 @@ fn parse_partitions<T>(
                     None => Err("invalid UTF-8".into()),
                 };
                 let (id, p) = parsed.map_err(|what| Failure::Line(line_no, what))?;
-                // Empty partitions are all after the last row, so the next
-                // partition holds this row.
-                if row == starts[part + 1] {
+                rows.push(make(id, p));
+                if row + 1 == starts[part + 1] {
+                    let next = if part + 1 < owned.end {
+                        sized(part + 1)
+                    } else {
+                        Vec::new()
+                    };
+                    each(part, std::mem::replace(&mut rows, next))?;
                     part += 1;
                 }
-                parts[part - owned.start].push(make(id, p));
             }
             row += 1;
             if row == end {
@@ -278,7 +333,7 @@ fn parse_partitions<T>(
     if row < end {
         return Err(Failure::Io(changed()));
     }
-    Ok(parts)
+    Ok(())
 }
 
 /// Whether a line holds a row: it is not blank (an undecodable line is a
@@ -561,7 +616,18 @@ mod tests {
         block: usize,
     ) -> Result<Vec<Vec<(u64, Point)>>, String> {
         let make = |id, p| (id, p);
-        read_partitions(&text, text.len() as u64, partitions, splits, block, &make).map_err(|e| {
+        collect_partitions(partitions, |each| {
+            read_partitions(
+                &text,
+                text.len() as u64,
+                partitions,
+                splits,
+                block,
+                &make,
+                each,
+            )
+        })
+        .map_err(|e| {
             assert_eq!(e.kind(), io::ErrorKind::InvalidData);
             e.to_string()
         })
@@ -646,7 +712,8 @@ mod tests {
     fn a_panicking_constructor_propagates() {
         let make = |id: u64, _: Point| assert!(id != 3, "row constructor panicked");
         let text: &[u8] = b"0,1,2\n1,1,2\n2,1,2\n3,1,2\n";
-        let _ = read_partitions(&text, text.len() as u64, 2, 2, BLOCK, &make);
+        let each = |_, _| Ok(());
+        let _ = read_partitions(&text, text.len() as u64, 2, 2, BLOCK, &make, &each);
     }
 
     /// Rows split into `partitions` the way `Dataset::from_vec` splits them.
@@ -687,6 +754,37 @@ mod tests {
         }
     }
 
+    /// Each partition is handed over once, on the thread that finished it,
+    /// the empty ones after the last row included; an error of the sink is
+    /// the read's.
+    #[test]
+    fn every_partition_is_handed_over_once_and_a_sink_error_stops_the_read() {
+        let text: String = (0..10).map(|i| format!("{i},{i}.5,1\n")).collect();
+        let text = text.as_bytes();
+        let make = |id: u64, _: Point| id;
+        for splits in 1..=4 {
+            let seen = Mutex::new(Vec::new());
+            let each = |p: usize, rows: Vec<u64>| {
+                seen.lock().unwrap().push((p, rows));
+                Ok(())
+            };
+            read_partitions(&text, text.len() as u64, 13, splits, 8, &make, &each).unwrap();
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort();
+            let want: Vec<(usize, Vec<u64>)> = (0..13)
+                .map(|p| (p, if p < 10 { vec![p as u64] } else { vec![] }))
+                .collect();
+            assert_eq!(seen, want, "{splits} splits");
+
+            let refuse = |p: usize, _| match p {
+                2 => Err(io::Error::other("disk full")),
+                _ => Ok(()),
+            };
+            let err = read_partitions(&text, text.len() as u64, 5, splits, 8, &make, &refuse);
+            assert_eq!(err.unwrap_err().to_string(), "disk full", "{splits} splits");
+        }
+    }
+
     /// Partitions never come back short: a row the counting pass saw and the
     /// parse pass does not is an error.
     #[test]
@@ -700,7 +798,11 @@ mod tests {
             }
         }
         let src = Rewritten(b"0,1,2\n3,4,5\n", b"0,1,2\n     \n", Default::default());
-        let err = read_partitions(&src, 12, 2, 1, BLOCK, &|id, p| (id, p)).unwrap_err();
+        let make = |id, p| (id, p);
+        let err = collect_partitions(2, |each| {
+            read_partitions(&src, 12, 2, 1, BLOCK, &make, each)
+        })
+        .unwrap_err();
         assert_eq!(err.to_string(), "file changed while being read");
     }
 

@@ -31,6 +31,6 @@ mod payload;
 mod shapes;
 
 pub use catalog::{Catalog, DatasetSpec, GenKind, PointStream, PAPER_BBOX};
-pub use io::{read_points_csv, read_points_csv_partitions, write_points_csv};
+pub use io::{read_points_csv, read_points_csv_each, read_points_csv_partitions, write_points_csv};
 pub use payload::TupleSizeFactor;
 pub use shapes::{random_boxes, random_polylines};

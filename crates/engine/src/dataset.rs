@@ -1,7 +1,9 @@
 use crate::clock::timed;
 use crate::cluster::Cluster;
 use crate::fault::{JobError, TaskError};
-use crate::memory::{decode_records, encode_records_into, Ledger, SpillSegment, SpillWriter};
+use crate::memory::{
+    decode_records, encode_records_into, encode_rows_into, Ledger, SpillSegment, SpillWriter,
+};
 use crate::metrics::{ExecStats, ShuffleStats};
 use crate::partitioner::Partitioner;
 use crate::wire::Wire;
@@ -10,11 +12,14 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// A partitioned, in-memory collection — the engine's RDD analog.
+/// A partitioned collection — the engine's RDD analog.
 ///
-/// Partition `i` lives on simulated node [`Cluster::node_of_partition`]`(i)`.
+/// Partition `i` lives on simulated node [`Cluster::node_of_partition`]`(i)`,
+/// in memory, or — where [`Ingest`] sent it there under a memory budget —
+/// on disk as a checksummed chunk, which the tasks that need its rows read
+/// back.
 /// Stage-running operators execute one task per partition on the cluster
 /// pool, report per-node [`ExecStats`] and return a [`JobError`] when a task
 /// exhausts its attempts.
@@ -44,6 +49,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Dataset<T> {
     parts: Vec<Vec<T>>,
+    /// The partitions [`Ingest`] sent to disk, one chunk each: chunk `c`
+    /// holds partition `chunks()[c].target`, whose `parts` slot is empty.
+    on_disk: Option<Arc<SpillSegment>>,
 }
 
 /// The input split rule: `n` items cut into `parts` near-equal ranges, the
@@ -69,36 +77,89 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         let parts = (0..partitions)
             .map(|p| data.by_ref().take(split(n, partitions, p).len()).collect())
             .collect();
-        Dataset { parts }
+        Dataset::from_partitions(parts)
     }
 
     /// Wraps pre-built partitions.
     pub fn from_partitions(parts: Vec<Vec<T>>) -> Self {
         assert!(!parts.is_empty(), "need at least one partition");
-        Dataset { parts }
+        Dataset {
+            parts,
+            on_disk: None,
+        }
     }
 
-    /// Total records across partitions.
+    /// Total records across partitions, in memory and on disk.
     pub fn len(&self) -> usize {
-        self.parts.iter().map(Vec::len).sum()
+        let on_disk = self.on_disk.as_deref().map_or(0, |segment| {
+            segment.chunks().iter().map(|c| c.records as usize).sum()
+        });
+        self.parts.iter().map(Vec::len).sum::<usize>() + on_disk
     }
 
     pub fn is_empty(&self) -> bool {
-        self.parts.iter().all(Vec::is_empty)
+        self.len() == 0
     }
 
+    /// The partitions' rows in memory. A partition on disk is empty here:
+    /// the tasks of [`try_sample`](Self::try_sample) and
+    /// [`shuffle_stage_by`](Self::shuffle_stage_by) read it back.
     pub fn partitions(&self) -> &[Vec<T>] {
         &self.parts
     }
 
-    /// Consumes the dataset into its raw partitions.
+    /// Consumes the dataset into its partitions' rows in memory; a partition
+    /// on disk comes back empty (see [`try_into_partitions`](Self::try_into_partitions)).
     pub fn into_partitions(self) -> Vec<Vec<T>> {
         self.parts
     }
 
+    /// The segment that holds the partitions [`Ingest`] sent to disk, if it
+    /// sent any.
+    pub fn on_disk(&self) -> Option<&SpillSegment> {
+        self.on_disk.as_deref()
+    }
+
+    /// Partition `p`'s chunk, if [`Ingest`] sent it to disk.
+    fn spilled(&self, p: usize) -> Option<Block<T>> {
+        let segment = self.on_disk.as_ref()?;
+        let chunk = segment.chunks().iter().position(|c| c.target == p)?;
+        let segment = Arc::clone(segment);
+        Some(Block::Spilled { segment, chunk })
+    }
+
+    /// Every partition as a [`Block`]: its rows, or its chunk on disk.
+    fn into_blocks(self) -> Vec<Block<T>> {
+        let on_disk: Vec<_> = (0..self.parts.len()).map(|p| self.spilled(p)).collect();
+        let blocks = self.parts.into_iter().zip(on_disk);
+        blocks
+            .map(|(rows, spilled)| spilled.unwrap_or(Block::Rows(rows)))
+            .collect()
+    }
+}
+
+impl<T: Wire + Send + Sync + Clone> Dataset<T> {
+    /// Consumes the dataset into its partitions, the ones on disk read back
+    /// on the driver. A chunk that cannot be read fails with a [`JobError`]
+    /// naming `stage` and the partition.
+    pub fn try_into_partitions(self, stage: &str) -> Result<Vec<Vec<T>>, JobError> {
+        let blocks = self.into_blocks().into_iter().enumerate();
+        let read = |(task, block): (usize, Block<T>)| {
+            block.into_rows().map_err(|error| JobError {
+                stage: stage.to_string(),
+                task,
+                attempts: 1,
+                error,
+            })
+        };
+        blocks.map(read).collect()
+    }
+
     /// Bernoulli sample of every partition, gathered on the driver — the
     /// `sample(φ).forEach(...)` step of Algorithm 5. Deterministic for a
-    /// given `seed`.
+    /// given `seed`. A partition on disk is read back inside its task, so a
+    /// retry reads it again; a chunk that cannot be read fails the attempt
+    /// with a [`TaskError::Spill`].
     pub fn try_sample(
         &self,
         cluster: &Cluster,
@@ -108,6 +169,8 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
         let refs: Vec<&Vec<T>> = self.parts.iter().collect();
         let (sampled, stats) = cluster.try_run_stage("sample", refs, |idx, part| {
+            let spilled = self.spilled(idx).map(Block::into_rows).transpose()?;
+            let part = spilled.as_ref().unwrap_or(part);
             let mut rng = SmallRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0xA24B_AED4));
             Ok(part
                 .iter()
@@ -131,7 +194,9 @@ impl<T: Send + Sync + Clone> Dataset<T> {
 
     /// Repartitions by key, keying inside the shuffle's map tasks (Spark's
     /// `flatMapToPair` in the shuffle-map task): each task consumes its
-    /// partition, `expand` turns it into keyed rows, and the task scatters
+    /// partition — a partition on disk is read back inside the task, so
+    /// retries and speculative copies read it again —, `expand` turns it
+    /// into keyed rows, and the task scatters
     /// them as `shuffle_stage` does and frees them. The rows never exist as a
     /// dataset. A checkpoint hit skips the expansion too; committed attempts'
     /// expansion time is recorded as `assign_ns`.
@@ -192,7 +257,8 @@ impl<T: Send + Sync + Clone> Dataset<T> {
             .map(|src_idx| cluster.node_of_partition(src_idx))
             .collect();
         let ledgers = cluster.memory_accountant().ledgers(&task_nodes);
-        let map = |src_idx: usize, part: Vec<T>| {
+        let map = |src_idx: usize, part: Block<T>| {
+            let part = part.into_rows()?;
             let src_node = task_nodes[src_idx];
             let mut ledger = ledgers[src_idx].clone();
             let mut shuffle = ShuffleStats {
@@ -297,7 +363,7 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         };
         // Unbilled: the shuffle is billed once its commit has set the
         // stage's spilled bytes and memory peak.
-        cluster.dispatch(stage, self.parts, map, &|_, _| {})
+        cluster.dispatch(stage, self.into_blocks(), map, &|_, _| {})
     }
 
     /// Radix shuffle: each map task expands its partition into keyed rows
@@ -417,6 +483,95 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     }
 }
 
+/// A dataset being read partition by partition — by a split-parallel file
+/// reader, on its threads — under the memory budget of the cluster that will
+/// run the job: a partition that does not fit its share of its node's budget
+/// is encoded with the shuffle's [`Wire`] framing and written to disk as a
+/// checksummed chunk as soon as it is complete, and the dataset keeps only
+/// its chunk's index entry. [`Dataset::try_sample`] and
+/// [`Dataset::shuffle_stage_by`] read it back inside their tasks; the
+/// segment file is deleted when the last dataset holding it is dropped.
+///
+/// The rule, a function of the plan alone: of a job that reads `inputs`
+/// datasets of `partitions` partitions each, node s holds
+/// I_s = `inputs` · |{p : [`Cluster::node_of_partition`]`(p)` = s}| input
+/// partitions, and each of them may keep ⌊B / (2·I_s)⌋ bytes in memory, its
+/// rows' in-memory size (`rows · size_of::<T>()`). So the inputs resident on
+/// a node fill at most half its budget. Without a budget every partition
+/// stays in memory.
+pub struct Ingest<T> {
+    /// What each partition may keep in memory.
+    shares: Vec<u64>,
+    parts: Vec<Mutex<Vec<T>>>,
+    disk: Mutex<Option<SpillWriter>>,
+}
+
+impl<T: Wire + Send> Ingest<T> {
+    /// The ingest of one of the `inputs` datasets, of `partitions`
+    /// partitions each, that a job on `cluster` reads.
+    ///
+    /// # Panics
+    /// Panics if `partitions == 0`.
+    pub fn new(cluster: &Cluster, inputs: usize, partitions: usize) -> Self {
+        let node = |p| cluster.node_of_partition(p);
+        let mut held = vec![0u64; cluster.nodes()];
+        for p in 0..partitions {
+            held[node(p)] += inputs as u64;
+        }
+        let budget = cluster.memory_budget();
+        let share = |p| budget.map_or(u64::MAX, |b| b / (2 * held[node(p)]).max(1));
+        Ingest::with_shares((0..partitions).map(share).collect())
+    }
+
+    /// An ingest that keeps every partition in memory.
+    pub fn in_memory(partitions: usize) -> Self {
+        Ingest::with_shares(vec![u64::MAX; partitions])
+    }
+
+    fn with_shares(shares: Vec<u64>) -> Self {
+        assert!(!shares.is_empty(), "need at least one partition");
+        Ingest {
+            parts: shares.iter().map(|_| Mutex::default()).collect(),
+            shares,
+            disk: Mutex::new(None),
+        }
+    }
+
+    /// Takes partition `p`'s rows: keeps them, or writes them to disk if
+    /// they exceed the partition's share. An I/O error writing the chunk is
+    /// returned.
+    pub fn put(&self, p: usize, rows: Vec<T>) -> std::io::Result<()> {
+        if (rows.len() * std::mem::size_of::<T>()) as u64 <= self.shares[p] {
+            *self.parts[p].lock().expect("ingest lock poisoned") = rows;
+            return Ok(());
+        }
+        let mut bytes = Vec::with_capacity(rows.iter().map(Wire::encoded_size).sum());
+        let records = encode_rows_into(&rows, &mut bytes);
+        drop(rows);
+        let mut disk = self.disk.lock().expect("ingest lock poisoned");
+        let writer = match &mut *disk {
+            Some(writer) => writer,
+            none => none.insert(SpillWriter::create()?),
+        };
+        writer.write_chunk(p, &bytes, records)
+    }
+
+    /// The dataset of the partitions put so far; a partition never put is
+    /// empty.
+    pub fn finish(self) -> std::io::Result<Dataset<T>> {
+        let rows = |part: Mutex<Vec<T>>| part.into_inner().expect("ingest lock poisoned");
+        let disk = self.disk.into_inner().expect("ingest lock poisoned");
+        Ok(Dataset {
+            parts: self.parts.into_iter().map(rows).collect(),
+            on_disk: disk
+                .map(SpillWriter::finish)
+                .transpose()?
+                .flatten()
+                .map(Arc::new),
+        })
+    }
+}
+
 /// One radix map task's attempt-local output: in-memory buckets, byte
 /// metering, the attempt's spill segment (if any target was denied memory)
 /// and the ledger the driver folds at commit. Everything here is owned per
@@ -436,12 +591,13 @@ struct RadixMapOut<K, V> {
 /// A partitioned collection of key–value pairs (Spark `PairRDD`).
 pub type KeyedDataset<K, V> = Dataset<(K, V)>;
 
-/// One map task's share of one target partition of a shuffle: its in-memory
-/// bucket, or — where admission spilled that target — its chunk of the
-/// task's spill segment, left on disk until the reduce task reads it.
-#[derive(Debug)]
-pub enum Block<K, V> {
-    Rows(Vec<(K, V)>),
+/// Rows in memory, or — where a memory budget sent them to disk — a chunk of
+/// a spill segment, left there until the task that needs them reads it: an
+/// input partition ([`Ingest`]), or one map task's share of one target
+/// partition of a shuffle (where admission spilled that target).
+#[derive(Debug, Clone)]
+pub enum Block<T> {
+    Rows(Vec<T>),
     Spilled {
         segment: Arc<SpillSegment>,
         /// Index into the segment's [`chunks`](SpillSegment::chunks).
@@ -449,8 +605,8 @@ pub enum Block<K, V> {
     },
 }
 
-impl<K: Wire + Clone, V: Wire + Clone> Block<K, V> {
-    /// Records in the block (never zero: empty buckets make no block).
+impl<T: Wire + Clone> Block<T> {
+    /// Records in the block (a shuffle makes no empty block).
     pub fn records(&self) -> usize {
         match self {
             Block::Rows(rows) => rows.len(),
@@ -461,13 +617,21 @@ impl<K: Wire + Clone, V: Wire + Clone> Block<K, V> {
     /// The block's rows: in memory, borrowed where they are; spilled, read
     /// back and decoded. A failed or short read, or a chunk that does not
     /// decode, is a retriable [`TaskError::Spill`].
-    pub fn read(&self) -> Result<Cow<'_, [(K, V)]>, TaskError> {
+    pub fn read(&self) -> Result<Cow<'_, [T]>, TaskError> {
         match self {
             Block::Rows(rows) => Ok(Cow::Borrowed(rows)),
             Block::Spilled { segment, chunk } => segment
                 .read_chunk(*chunk)
                 .map(Cow::Owned)
                 .map_err(|e| TaskError::Spill(format!("{}: {e}", segment.path().display()))),
+        }
+    }
+
+    /// The block's rows, owned: in memory, moved; spilled, read back.
+    fn into_rows(self) -> Result<Vec<T>, TaskError> {
+        match self {
+            Block::Rows(rows) => Ok(rows),
+            spilled => Ok(spilled.read()?.into_owned()),
         }
     }
 }
@@ -477,7 +641,7 @@ impl<K: Wire + Clone, V: Wire + Clone> Block<K, V> {
 /// materialised by [`ShuffledDataset::into_rows`].
 #[derive(Debug)]
 pub struct ShuffledPartition<K, V> {
-    blocks: Vec<Block<K, V>>,
+    blocks: Vec<Block<(K, V)>>,
 }
 
 impl<K: Wire + Clone, V: Wire + Clone> ShuffledPartition<K, V> {
@@ -491,7 +655,7 @@ impl<K: Wire + Clone, V: Wire + Clone> ShuffledPartition<K, V> {
         ShuffledPartition { blocks }
     }
 
-    pub fn blocks(&self) -> &[Block<K, V>] {
+    pub fn blocks(&self) -> &[Block<(K, V)>] {
         &self.blocks
     }
 
@@ -518,10 +682,7 @@ impl<K: Wire + Clone, V: Wire + Clone> ShuffledPartition<K, V> {
         }
         let mut rows = Vec::with_capacity(self.len());
         for block in self.blocks {
-            match block {
-                Block::Rows(mut bucket) => rows.append(&mut bucket),
-                spilled => rows.extend_from_slice(&spilled.read()?),
-            }
+            rows.append(&mut block.into_rows()?);
         }
         Ok(rows)
     }
@@ -590,6 +751,7 @@ impl<K: Wire + Clone, V: Wire + Clone> ShuffledDataset<K, V> {
         });
         Ok(Dataset {
             parts: parts.collect::<Result<_, _>>()?,
+            on_disk: None,
         })
     }
 }
@@ -722,7 +884,11 @@ mod tests {
                 .with_recorder(recorder.clone())
                 .with_checkpoint_dir(&dir)
                 .expect("open checkpoint dir");
-            let (out, stats, _) = shuffle(Dataset { parts: vec![] }, &c, &HashPartitioner::new(4));
+            let none = Dataset {
+                parts: vec![],
+                on_disk: None,
+            };
+            let (out, stats, _) = shuffle(none, &c, &HashPartitioner::new(4));
             let recovered = c.checkpoint_store().expect("store").stages_recovered();
             (out.into_partitions(), stats, recovered)
         };
@@ -877,7 +1043,7 @@ mod tests {
                 .expect("shuffle runs");
             // A target's blocks are in source order, one per source with
             // rows for it.
-            let spilled = |b: &Block<u64, u64>| matches!(b, Block::Spilled { .. });
+            let spilled = |b: &Block<(u64, u64)>| matches!(b, Block::Spilled { .. });
             let kinds: Vec<Vec<bool>> = out
                 .partitions()
                 .iter()
@@ -986,6 +1152,76 @@ mod tests {
             .expect_err("a flipped bit fails the read");
         assert_eq!(err.stage, "shuffle");
         assert!(matches!(err.error, TaskError::Spill(_)), "{err}");
+    }
+
+    /// Ingest keeps a partition in memory only if its rows fit the share
+    /// ⌊B / (2·I_s)⌋ of its node s. The tasks read the others back; a byte
+    /// changed in their chunk fails the sample and the shuffle with a
+    /// `TaskError::Spill` naming the stage, and the file goes with the last
+    /// dataset that holds it.
+    #[test]
+    fn ingest_sends_partitions_past_their_share_to_disk() {
+        use crate::fault::TaskError;
+        use std::os::unix::fs::FileExt;
+        // Two inputs of five partitions on three nodes: nodes 0 and 1 hold
+        // four partitions (I = 4, a share of 100 B of 800), node 2 holds two
+        // (200 B). Every partition is 20 rows of 8 B.
+        let tight = cluster().with_memory_budget(800);
+        let rows = |p: u64| (0..20).map(|i| 100 * p + i).collect::<Vec<u64>>();
+        let ingest = |ingest: Ingest<u64>| {
+            for p in [4, 2, 0, 3, 1] {
+                ingest.put(p as usize, rows(p)).expect("put");
+            }
+            ingest.finish().expect("finish")
+        };
+        for kept in [
+            ingest(Ingest::in_memory(5)),
+            ingest(Ingest::new(&cluster(), 2, 5)),
+        ] {
+            assert!(kept.on_disk().is_none());
+            assert_eq!(kept.into_partitions(), (0..5).map(rows).collect::<Vec<_>>());
+        }
+        let data = ingest(Ingest::new(&tight, 2, 5));
+        assert_eq!(data.len(), 100);
+        let in_memory: Vec<usize> = data.partitions().iter().map(Vec::len).collect();
+        assert_eq!(in_memory, [0, 0, 20, 0, 0]);
+        let segment = data.on_disk().expect("a segment");
+        let mut on_disk: Vec<usize> = segment.chunks().iter().map(|c| c.target).collect();
+        on_disk.sort_unstable();
+        assert_eq!(on_disk, [0, 1, 3, 4]);
+        let (all, _) = data.try_sample(&tight, 1.0, 7).expect("sample");
+        assert_eq!(all, (0..5).flat_map(rows).collect::<Vec<_>>());
+        let back = data.clone().try_into_partitions("load").expect("read back");
+        assert_eq!(back, (0..5).map(rows).collect::<Vec<_>>());
+
+        let (path, at) = (segment.path().to_path_buf(), segment.chunks()[0].offset);
+        let file = std::fs::File::options()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .expect("reopen segment");
+        let mut byte = [0u8];
+        file.read_exact_at(&mut byte, at).expect("read byte");
+        file.write_all_at(&[byte[0] ^ 1], at).expect("flip bit");
+        let err = data
+            .try_sample(&tight, 0.5, 7)
+            .expect_err("a flipped bit fails");
+        assert_eq!(err.stage, "sample");
+        assert!(matches!(err.error, TaskError::Spill(_)), "{err}");
+        let keyed = |part: Vec<u64>| part.into_iter().map(|x| (x, x)).collect();
+        let p = HashPartitioner::new(4);
+        let err = data
+            .clone()
+            .shuffle_stage_by(&tight, &p, "shuffle.R", keyed)
+            .expect_err("a flipped bit fails");
+        assert_eq!(err.stage, "shuffle.R");
+        assert!(matches!(err.error, TaskError::Spill(_)), "{err}");
+        assert!(path.exists());
+        drop(data);
+        assert!(
+            !path.exists(),
+            "the input chunk's file outlived its dataset"
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod wire;
 pub use checkpoint::{CheckpointStore, CheckpointTimes};
 pub use cluster::{on_host_threads, Broadcast, Cluster, ClusterConfig, CommitHook, StageResult};
 pub use dataset::{
-    split, Block, Dataset, Fetched, KeyedDataset, ShuffledDataset, ShuffledPartition,
+    split, Block, Dataset, Fetched, Ingest, KeyedDataset, ShuffledDataset, ShuffledPartition,
 };
 pub use fault::{FailPoint, FaultContext, FaultPlan, FaultState, JobError, RetryPolicy, TaskError};
 pub use jobs::{JobId, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun, SubmitError};

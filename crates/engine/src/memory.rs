@@ -294,10 +294,7 @@ impl Ledger {
 /// framing the byte meters already measure, so spill volume and
 /// `partition_bytes` speak the same unit).
 pub fn encode_records<K: Wire, V: Wire>(recs: &[(K, V)]) -> Vec<u8> {
-    let total: usize = recs
-        .iter()
-        .map(|(k, v)| k.encoded_size() + v.encoded_size())
-        .sum();
+    let total: usize = recs.iter().map(Wire::encoded_size).sum();
     let mut buf = Vec::with_capacity(total);
     encode_records_into(recs, &mut buf);
     buf
@@ -307,11 +304,16 @@ pub fn encode_records<K: Wire, V: Wire>(recs: &[(K, V)]) -> Vec<u8> {
 /// checkpoint worker encodes partition after partition without allocating.
 /// Returns the record count, which [`decode_records`] needs back.
 pub fn encode_records_into<K: Wire, V: Wire>(recs: &[(K, V)], buf: &mut Vec<u8>) -> u64 {
-    for (k, v) in recs {
-        k.encode(buf);
-        v.encode(buf);
+    encode_rows_into(recs, buf)
+}
+
+/// [`encode_records_into`] for rows of any [`Wire`] type: a keyed record is
+/// its key's encoding, then its value's.
+pub(crate) fn encode_rows_into<T: Wire>(rows: &[T], buf: &mut Vec<u8>) -> u64 {
+    for row in rows {
+        row.encode(buf);
     }
-    recs.len() as u64
+    rows.len() as u64
 }
 
 /// Decodes exactly `records` keyed records from `bytes` (the inverse of
@@ -321,14 +323,17 @@ pub fn decode_records<K: Wire, V: Wire>(
     bytes: &[u8],
     records: u64,
 ) -> Result<Vec<(K, V)>, WireError> {
+    decode_rows(bytes, records)
+}
+
+/// [`decode_records`] for rows of any [`Wire`] type.
+pub(crate) fn decode_rows<T: Wire>(bytes: &[u8], records: u64) -> Result<Vec<T>, WireError> {
     let mut cursor: &[u8] = bytes;
     // `records` can come from a manifest, which no checksum covers: reserve
     // no more records than there are bytes, and let a larger count fail.
     let mut out = Vec::with_capacity(records.min(bytes.len() as u64) as usize);
     for _ in 0..records {
-        let k = K::try_decode(&mut cursor)?;
-        let v = V::try_decode(&mut cursor)?;
-        out.push((k, v));
+        out.push(T::try_decode(&mut cursor)?);
     }
     if !cursor.is_empty() {
         return Err(WireError::Malformed(format!(
@@ -496,11 +501,11 @@ impl SpillSegment {
         self.chunks[index].read_into(&self.file, buf)
     }
 
-    /// Reads and decodes the records of chunk `index`.
-    pub fn read_chunk<K: Wire, V: Wire>(&self, index: usize) -> std::io::Result<Vec<(K, V)>> {
+    /// Reads and decodes the rows of chunk `index`.
+    pub fn read_chunk<T: Wire>(&self, index: usize) -> std::io::Result<Vec<T>> {
         let mut buf = Vec::new();
         self.read_chunk_into(index, &mut buf)?;
-        decode_records::<K, V>(&buf, self.chunks[index].records)
+        decode_rows::<T>(&buf, self.chunks[index].records)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 }
@@ -685,7 +690,7 @@ mod tests {
             // Every chunk either fails or reads back exactly what was written.
             let check = |damaged: &dyn Fn(&Chunk) -> bool| -> Result<(), TestCaseError> {
                 for (i, chunk) in seg.chunks().iter().enumerate() {
-                    match seg.read_chunk::<u64, Vec<u8>>(i) {
+                    match seg.read_chunk::<(u64, Vec<u8>)>(i) {
                         Ok(rows) => {
                             prop_assert!(!damaged(chunk), "chunk {} read despite damage", i);
                             prop_assert_eq!(&rows, &parts[i]);

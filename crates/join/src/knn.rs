@@ -78,8 +78,8 @@ fn knn_join_probe<P: RecordPayload>(
     let s_cells = s_cells.into_rows()?;
 
     // Per-query best-so-far lists, merged on the driver between rounds; the
-    // queries still pending stay in their input partitions.
-    let mut pending: Vec<Vec<Record<P>>> = rdd_r.into_partitions();
+    // queries still pending stay in their input partitions, in memory.
+    let mut pending: Vec<Vec<Record<P>>> = rdd_r.try_into_partitions("queries")?;
     let mut best: HashMap<u64, Vec<(f64, u64)>> = pending
         .iter()
         .flatten()

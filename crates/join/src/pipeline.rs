@@ -280,7 +280,7 @@ pub(crate) fn shuffle_keyed<T, V>(
     stage: &str,
 ) -> Result<(ShuffledDataset<u64, V>, u64, ShuffleStats, ExecStats), JoinError>
 where
-    T: Send + Sync + Clone,
+    T: Wire + Send + Sync + Clone,
     V: Wire + Send + Sync + Clone,
 {
     let records = input.len() as u64;
@@ -381,8 +381,8 @@ pub(crate) fn join_stage<TA, TB, A, B, O, Acc>(
     commit: &CommitHook<(Vec<O>, Acc)>,
 ) -> Result<JoinStageOutput<O, Acc>, JoinError>
 where
-    TA: Send + Sync + Clone,
-    TB: Send + Sync + Clone,
+    TA: Wire + Send + Sync + Clone,
+    TB: Wire + Send + Sync + Clone,
     A: Wire + Send + Sync + Clone,
     B: Wire + Send + Sync + Clone,
     O: Wire + Send + Sync,

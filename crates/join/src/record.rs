@@ -468,7 +468,7 @@ mod tests {
         let mut writer = SpillWriter::create().expect("spill file");
         writer.write_chunk(0, &chunk, 2).expect("spill write");
         let segment = writer.finish().expect("seal").expect("one chunk");
-        let spilled: Block<u64, Record<NoPayload>> = Block::Spilled {
+        let spilled: Block<(u64, Record<NoPayload>)> = Block::Spilled {
             segment: Arc::new(segment),
             chunk: 0,
         };

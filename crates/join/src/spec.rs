@@ -144,8 +144,10 @@ impl JoinSpec {
 
 /// One input of a join: records, which the join cuts into
 /// [`JoinSpec::input_partitions`] input partitions, or input partitions as
-/// they were read — e.g. straight from a file by
-/// `asj_data::read_points_csv_partitions`, so that no row is copied.
+/// they were read — e.g. straight from a file by `asj_data::read_points_csv_each`
+/// into an [`Ingest`](asj_engine::Ingest), so that no row is copied and,
+/// under a memory budget, a partition may wait on disk until its tasks read
+/// it.
 #[derive(Debug, Clone)]
 pub enum JoinInput<T = Record> {
     Records(Vec<T>),

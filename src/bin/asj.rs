@@ -10,11 +10,11 @@
 //! Input/output files use the paper's raw text format: `id,x,y` per line.
 
 use adaptive_spatial_join::data::{
-    read_points_csv_partitions, write_points_csv, DatasetSpec, PAPER_BBOX,
+    read_points_csv_each, write_points_csv, DatasetSpec, PAPER_BBOX,
 };
 use adaptive_spatial_join::engine::{
-    clean_orphaned_spills, on_host_threads, set_spill_dir, Attrs, ClusterConfig, Dataset, Journal,
-    Lane,
+    clean_orphaned_spills, on_host_threads, set_spill_dir, Attrs, ClusterConfig, Dataset, Ingest,
+    Journal, Lane, SpillSegment,
 };
 use adaptive_spatial_join::geom::Rect;
 use adaptive_spatial_join::join::{
@@ -28,8 +28,9 @@ use adaptive_spatial_join::serve::{
 };
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
@@ -147,10 +148,13 @@ never runs is reported as a warning. --memory-budget caps simulated per-node
 memory (bytes; k/m/g binary suffixes accepted): each shuffle map task gets a
 fixed share of every node's budget, and buckets that would exceed it spill
 to temporary files and are re-read at reduce time, leaving results
-byte-identical. What spills follows from the budget and the plan alone,
-never from thread timing. The join report's 'peak memory' is that
-governor's simulated per-node peak (shuffle buckets only); 'peak RSS' is
-the whole process's resident-set high-water mark.
+byte-identical. join and self-join also write each input partition larger
+than B/(2*I), I the input partitions on its node, to disk as it is read
+('input on disk'); its sample and shuffle tasks read it back. What spills
+follows from the budget and the plan alone, never from thread timing. The
+join report's 'peak memory' is that governor's simulated per-node peak
+(shuffle buckets only); 'peak RSS' is the whole process's resident-set
+high-water mark.
 --jobs runs a multi-tenant queue on one simulated cluster: one
 'job NAME key=value ...' per line ('#' comments; keys: algo eps n kind seed
 weight kernel partitions grid-factor payload faults fault-seed max-attempts
@@ -183,8 +187,8 @@ const COMMANDS: [&str; 7] = [
     "serve",
 ];
 
-/// The options [`build_spec`] reads: cluster shape, kernel, tracing, faults
-/// and budget.
+/// The options [`job_cluster`] and [`build_spec`] read: cluster shape,
+/// kernel, tracing, faults and budget.
 const SPEC_OPTIONS: &[&str] = &[
     "nodes",
     "partitions",
@@ -202,7 +206,7 @@ const SPEC_OPTIONS: &[&str] = &[
 /// Subcommand `cmd`: its handler, the options it requires and every other
 /// option it reads.
 fn command(cmd: &str) -> Option<(Handler, &'static [&'static str], Vec<&'static str>)> {
-    // The last field: whether it also reads SPEC_OPTIONS, through build_spec.
+    // The last field: whether it also reads SPEC_OPTIONS.
     let (handler, required, optional, spec): (Handler, &[&str], &[&str], bool) = match cmd {
         "generate" => (cmd_generate, &["kind", "n", "out"], &["seed"], false),
         "join" => (cmd_join, &["r", "s", "eps"], &["algo", "out"], true),
@@ -305,29 +309,80 @@ fn cmd_generate(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Reads `path` straight into the input partitions a join runs on: a CSV
-/// row is an id and a point, so its record carries no payload.
-fn load_records(path: &str) -> Result<Dataset<Record<NoPayload>>, CliError> {
-    read_points_csv_partitions(
-        std::path::Path::new(path),
+/// Reads `path` into input partitions through `ingest` — a CSV row is an id
+/// and a point, so its record carries no payload — and returns them with the
+/// bounding box of their rows, folded from each partition's as the reader
+/// finished it.
+fn load(
+    path: &str,
+    ingest: Ingest<Record<NoPayload>>,
+) -> Result<(Dataset<Record<NoPayload>>, Rect), CliError> {
+    let bbox = Mutex::new(Rect::empty());
+    let put = |p, rows: Vec<Record<NoPayload>>| {
+        let mut rect = Rect::empty();
+        rows.iter().for_each(|rec| rect.extend(rec.point));
+        let mut bbox = bbox.lock().expect("bbox lock poisoned");
+        *bbox = bbox.union(&rect);
+        drop(bbox);
+        ingest.put(p, rows)
+    };
+    let failed = |e| CliError::runtime(format!("reading {path}: {e}"));
+    read_points_csv_each(
+        Path::new(path),
         JoinSpec::INPUT_PARTITIONS,
         Record::bare,
+        put,
     )
-    .map(Dataset::from_partitions)
-    .map_err(|e| CliError::runtime(format!("reading {path}: {e}")))
+    .map_err(failed)?;
+    let input = ingest.finish().map_err(failed)?;
+    Ok((input, bbox.into_inner().expect("bbox lock poisoned")))
 }
 
-/// Every record of `input`, partition by partition.
-fn records(input: &Dataset<Record<NoPayload>>) -> impl Iterator<Item = &Record<NoPayload>> {
-    input.partitions().iter().flatten()
+/// `path` read into input partitions that stay in memory.
+fn load_records(path: &str) -> Result<(Dataset<Record<NoPayload>>, Rect), CliError> {
+    load(path, Ingest::in_memory(JoinSpec::INPUT_PARTITIONS))
 }
 
-fn bbox_of<'a>(records: impl Iterator<Item = &'a Record<NoPayload>>) -> Rect {
-    let mut bbox = Rect::empty();
-    for rec in records {
-        bbox.extend(rec.point);
+/// The inputs of a join, as read.
+struct Inputs {
+    data: Vec<Dataset<Record<NoPayload>>>,
+    /// The bounding box of all their rows.
+    bbox: Rect,
+    read: InputStats,
+}
+
+/// What reading a join's inputs took, for its report.
+struct InputStats {
+    time: Duration,
+    /// Under a memory budget, the bytes left waiting on disk.
+    on_disk: Option<u64>,
+}
+
+/// Reads the `paths` a join on `cluster` runs on, in turn. Under a memory
+/// budget an input partition that does not fit its share of its node's
+/// budget waits on disk until its tasks read it ([`Ingest`]); the bytes on
+/// disk are counted in the trace as `ingest` / `disk_bytes`.
+fn read_inputs(cluster: &Cluster, paths: &[String]) -> Result<Inputs, CliError> {
+    let start = Instant::now();
+    let (mut data, mut bbox) = (Vec::new(), Rect::empty());
+    for path in paths {
+        let ingest = Ingest::new(cluster, paths.len(), JoinSpec::INPUT_PARTITIONS);
+        let (input, rect) = load(path, ingest)?;
+        data.push(input);
+        bbox = bbox.union(&rect);
     }
-    bbox
+    let on_disk = data.iter().filter_map(Dataset::on_disk);
+    let on_disk: u64 = on_disk.map(SpillSegment::total_bytes).sum();
+    cluster
+        .recorder()
+        .counter_add("ingest", "disk_bytes", on_disk);
+    let on_disk = cluster.memory_budget().map(|_| on_disk);
+    let time = start.elapsed();
+    Ok(Inputs {
+        data,
+        bbox,
+        read: InputStats { time, on_disk },
+    })
 }
 
 /// A file named by `--out` or `--trace`, opened before any input is read so
@@ -420,32 +475,33 @@ fn build_cluster(opts: &Options, trace: &TraceSink) -> Cluster {
     }
 }
 
-/// The cluster and join spec of a join over `bbox`: the fault plan
-/// and retry policy of `--faults` / `--seed` / `--max-attempts` /
-/// `--speculation`, falling back to `ASJ_FAULTS` / `ASJ_FAULT_SEED`.
-fn build_spec(
-    opts: &Options,
-    bbox: Rect,
-    trace: &TraceSink,
-) -> Result<(Cluster, JoinSpec), CliError> {
-    let eps = opts.need(&opts.eps, "eps")?;
-    let mut cluster = build_cluster(opts, trace);
-    if let Some((plan, policy)) = opts.fault_setup(opts.seed.unwrap_or(7), true)? {
-        cluster = cluster.with_fault_policy(plan, policy);
-    }
-    // Pad the observed bbox so border points still get full neighborhoods.
-    let spec = JoinSpec::new(bbox.expand(eps), eps)
-        .with_partitions(opts.partitions.unwrap_or(96))
-        .with_grid_factor(opts.grid_factor.unwrap_or(2.0))
-        .with_kernel(opts.kernel.unwrap_or_default());
-    Ok((cluster, spec))
+/// The cluster of a job: [`build_cluster`]'s, with the fault plan and retry
+/// policy of `--faults` / `--seed` / `--max-attempts` / `--speculation`,
+/// falling back to `ASJ_FAULTS` / `ASJ_FAULT_SEED`. Built before any input
+/// is read: the budget decides which input partitions wait on disk.
+fn job_cluster(opts: &Options, trace: &TraceSink) -> Result<Cluster, CliError> {
+    let cluster = build_cluster(opts, trace);
+    Ok(match opts.fault_setup(opts.seed.unwrap_or(7), true)? {
+        Some((plan, policy)) => cluster.with_fault_policy(plan, policy),
+        None => cluster,
+    })
 }
 
-/// Prints the metrics report of a join. `ingest` is the time spent reading the
-/// inputs before it: together with `output time` (printed by [`finish_join`])
-/// it accounts for the part of the process's run that `wall time` — the join
-/// alone — does not cover.
-fn report(out: &JoinOutput, ingest: Duration) {
+/// The join spec over `bbox` that the options describe.
+fn build_spec(opts: &Options, bbox: Rect) -> Result<JoinSpec, CliError> {
+    let eps = opts.need(&opts.eps, "eps")?;
+    // Pad the observed bbox so border points still get full neighborhoods.
+    Ok(JoinSpec::new(bbox.expand(eps), eps)
+        .with_partitions(opts.partitions.unwrap_or(96))
+        .with_grid_factor(opts.grid_factor.unwrap_or(2.0))
+        .with_kernel(opts.kernel.unwrap_or_default()))
+}
+
+/// Prints the metrics report of a join. `ingest time` is the time spent
+/// reading the inputs before it: together with `output time` (printed by
+/// [`finish_join`]) it accounts for the part of the process's run that `wall
+/// time` — the join alone — does not cover.
+fn report(out: &JoinOutput, read: &InputStats) {
     println!("algorithm            : {}", out.algorithm);
     println!("result pairs         : {}", out.result_count);
     println!("candidates evaluated : {}", out.candidates);
@@ -475,7 +531,7 @@ fn report(out: &JoinOutput, ingest: Duration) {
         "wall time            : {:.3} s",
         out.metrics.wall_time().as_secs_f64()
     );
-    println!("ingest time          : {:.3} s", ingest.as_secs_f64());
+    println!("ingest time          : {:.3} s", read.time.as_secs_f64());
     println!(
         "peak memory          : {} KiB",
         out.metrics.peak_memory_bytes() / 1024
@@ -486,6 +542,9 @@ fn report(out: &JoinOutput, ingest: Duration) {
             "spilled to disk      : {} KiB",
             out.metrics.spilled_bytes() / 1024
         );
+    }
+    if let Some(bytes) = read.on_disk {
+        println!("input on disk        : {} KiB", bytes / 1024);
     }
     let mut exec = ExecStats::default();
     exec.accumulate(&out.metrics.construction);
@@ -535,11 +594,11 @@ fn warn_unreached_fault_stages(cluster: &Cluster) {
 /// RSS, which the output may have set.
 fn finish_join(
     out: &JoinOutput,
-    ingest: Duration,
+    read: &InputStats,
     trace: &TraceSink,
     pairs: Option<PairFile>,
 ) -> Result<(), CliError> {
-    report(out, ingest);
+    report(out, read);
     let output = Instant::now();
     trace.write()?;
     if let Some(pairs) = &pairs {
@@ -575,48 +634,57 @@ fn pair_sink(pairs: &Option<PairFile>) -> PairSink {
 
 fn cmd_join(opts: &Options) -> Result<(), CliError> {
     let (trace, pairs) = (TraceSink::open(opts)?, pairs_destination(opts)?);
-    let ingest = Instant::now();
-    let r = load_records(&opts.need(&opts.r, "r")?)?;
-    let s = load_records(&opts.need(&opts.s, "s")?)?;
-    let ingest = ingest.elapsed();
-    let algo = opts.algo.unwrap_or(Algorithm::Lpib);
-    let bbox = bbox_of(records(&r).chain(records(&s)));
-    if bbox.is_empty() {
+    let cluster = job_cluster(opts, &trace)?;
+    let paths = [opts.need(&opts.r, "r")?, opts.need(&opts.s, "s")?];
+    let inputs = read_inputs(&cluster, &paths)?;
+    join_inputs(opts, &cluster, inputs, &trace, pairs)
+}
+
+/// `asj join` once its inputs are read: the join, its report, the trace and
+/// the pair file.
+fn join_inputs(
+    opts: &Options,
+    cluster: &Cluster,
+    inputs: Inputs,
+    trace: &TraceSink,
+    pairs: Option<PairFile>,
+) -> Result<(), CliError> {
+    if inputs.bbox.is_empty() {
         return Err("inputs contain no points".into());
     }
-    let (cluster, spec) = build_spec(opts, bbox, &trace)?;
-    let spec = spec.with_sink(pair_sink(&pairs));
-    let out = algo.try_run(&cluster, &spec, r, s)?;
-    warn_unreached_fault_stages(&cluster);
-    finish_join(&out, ingest, &trace, pairs)
+    let spec = build_spec(opts, inputs.bbox)?.with_sink(pair_sink(&pairs));
+    let algo = opts.algo.unwrap_or(Algorithm::Lpib);
+    let [r, s] = <[_; 2]>::try_from(inputs.data).map_err(|_| "a join reads two inputs")?;
+    let out = algo.try_run(cluster, &spec, r, s)?;
+    warn_unreached_fault_stages(cluster);
+    finish_join(&out, &inputs.read, trace, pairs)
 }
 
 fn cmd_self_join(opts: &Options) -> Result<(), CliError> {
     let (trace, pairs) = (TraceSink::open(opts)?, pairs_destination(opts)?);
-    let ingest = Instant::now();
-    let input = load_records(&opts.need(&opts.input, "input")?)?;
-    let ingest = ingest.elapsed();
-    let bbox = bbox_of(records(&input));
-    if bbox.is_empty() {
+    let cluster = job_cluster(opts, &trace)?;
+    let mut inputs = read_inputs(&cluster, &[opts.need(&opts.input, "input")?])?;
+    if inputs.bbox.is_empty() {
         return Err("input contains no points".into());
     }
-    let (cluster, spec) = build_spec(opts, bbox, &trace)?;
-    let spec = spec.with_sink(pair_sink(&pairs));
+    let spec = build_spec(opts, inputs.bbox)?.with_sink(pair_sink(&pairs));
+    let input = inputs.data.remove(0);
     let out = self_join(&cluster, &spec, input)?;
     warn_unreached_fault_stages(&cluster);
-    finish_join(&out, ingest, &trace, pairs)
+    finish_join(&out, &inputs.read, &trace, pairs)
 }
 
 fn cmd_knn(opts: &Options) -> Result<(), CliError> {
     let trace = TraceSink::open(opts)?;
-    let r = load_records(&opts.need(&opts.r, "r")?)?;
-    let s = load_records(&opts.need(&opts.s, "s")?)?;
+    let cluster = job_cluster(opts, &trace)?;
+    let (r, bbox_r) = load_records(&opts.need(&opts.r, "r")?)?;
+    let (s, bbox_s) = load_records(&opts.need(&opts.s, "s")?)?;
     let k = opts.need(&opts.k, "k")?;
-    let bbox = bbox_of(records(&r).chain(records(&s)));
+    let bbox = bbox_r.union(&bbox_s);
     if bbox.is_empty() {
         return Err("inputs contain no points".into());
     }
-    let (cluster, spec) = build_spec(opts, bbox, &trace)?;
+    let spec = build_spec(opts, bbox)?;
     let out = knn_join(&cluster, &spec, k, r, s)?;
     warn_unreached_fault_stages(&cluster);
     println!("queries answered     : {}", out.neighbors.len());
@@ -637,13 +705,13 @@ fn cmd_knn(opts: &Options) -> Result<(), CliError> {
 
 fn cmd_range(opts: &Options) -> Result<(), CliError> {
     let trace = TraceSink::open(opts)?;
-    let input = load_records(&opts.need(&opts.input, "input")?)?;
+    let cluster = job_cluster(opts, &trace)?;
+    let (input, bbox) = load_records(&opts.need(&opts.input, "input")?)?;
     let region = opts.need(&opts.rect, "rect")?;
-    let bbox = bbox_of(records(&input));
     if bbox.is_empty() {
         return Err("input contains no points".into());
     }
-    let (cluster, spec) = build_spec(opts, bbox, &trace)?;
+    let spec = build_spec(opts, bbox)?;
     let table = PartitionedPoints::build(&cluster, &spec, input)?;
     let (ids, _) = table.range_query(&cluster, region)?;
     println!("points in region     : {}", ids.len());
@@ -659,14 +727,13 @@ fn cmd_range(opts: &Options) -> Result<(), CliError> {
 /// ASCII density map of a dataset — a quick look at the skew the adaptive
 /// algorithms exploit.
 fn cmd_heatmap(opts: &Options) -> Result<(), CliError> {
-    let input = load_records(&opts.need(&opts.input, "input")?)?;
+    let (input, bbox) = load_records(&opts.need(&opts.input, "input")?)?;
     if input.is_empty() {
         return Err("input contains no points".into());
     }
     let (width, height) = (opts.width.unwrap_or(64), opts.height.unwrap_or(24));
-    let bbox = bbox_of(records(&input));
     let mut counts = vec![0u64; width * height];
-    for rec in records(&input) {
+    for rec in input.partitions().iter().flatten() {
         let cx = (((rec.point.x - bbox.min_x) / bbox.width().max(1e-12) * width as f64) as usize)
             .min(width - 1);
         let cy = (((rec.point.y - bbox.min_y) / bbox.height().max(1e-12) * height as f64) as usize)
@@ -833,12 +900,13 @@ mod tests {
         parse_args(&args).map(|(_, opts)| opts)
     }
 
-    /// `build_spec` of `asj join ARGS` over a 10 x 10 box.
+    /// The cluster and spec of `asj join ARGS` over a 10 x 10 box.
     fn join_spec(args: &[&str]) -> Result<(Cluster, JoinSpec, TraceSink), CliError> {
         let args = [&["join", "--r", "r.csv", "--s", "s.csv"], args].concat();
         let opts = options(&args)?;
         let trace = TraceSink::open(&opts)?;
-        let (cluster, spec) = build_spec(&opts, Rect::new(0.0, 0.0, 10.0, 10.0), &trace)?;
+        let cluster = job_cluster(&opts, &trace)?;
+        let spec = build_spec(&opts, Rect::new(0.0, 0.0, 10.0, 10.0))?;
         Ok((cluster, spec, trace))
     }
 
@@ -1167,6 +1235,63 @@ mod tests {
         assert_eq!(err.message, "queue line 2: max-attempts must be positive");
         assert!(err.usage);
         std::fs::remove_file(jobs).unwrap();
+    }
+
+    /// A byte changed in an input chunk on disk fails the join at its sample
+    /// stage: a runtime error naming the stage, no pair file published, and
+    /// no input chunk left behind.
+    #[test]
+    fn a_damaged_input_chunk_fails_the_sample_stage() {
+        use std::os::unix::fs::FileExt;
+        let input = small_input("damaged");
+        let out = format!("{input}.pairs");
+        let args = ["join", "--r", &input, "--s", &input, "--eps", "0.5"];
+        let opts =
+            options(&[&args[..], &["--memory-budget", "1k", "--out", &out]].concat()).unwrap();
+        let (trace, pairs) = (
+            TraceSink::open(&opts).unwrap(),
+            pairs_destination(&opts).unwrap(),
+        );
+        let cluster = job_cluster(&opts, &trace).unwrap();
+        let inputs = read_inputs(&cluster, &[input.clone(), input.clone()]).unwrap();
+        let segments: Vec<&SpillSegment> =
+            inputs.data.iter().filter_map(Dataset::on_disk).collect();
+        assert_eq!(segments.len(), 2, "a 1k budget sends both inputs to disk");
+        let files: Vec<PathBuf> = segments.iter().map(|s| s.path().to_path_buf()).collect();
+        let at = segments[0].chunks()[0].offset;
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .open(&files[0])
+            .unwrap();
+        let mut byte = [0u8];
+        file.read_exact_at(&mut byte, at).unwrap();
+        file.write_all_at(&[byte[0] ^ 1], at).unwrap();
+
+        let err = join_inputs(&opts, &cluster, inputs, &trace, pairs).unwrap_err();
+        assert!(
+            err.message.starts_with("stage 'sample' task "),
+            "{}",
+            err.message
+        );
+        assert!(!err.usage);
+        let name = Path::new(&out)
+            .file_name()
+            .unwrap()
+            .to_str()
+            .unwrap()
+            .to_string();
+        let dir = std::fs::read_dir(std::env::temp_dir()).unwrap();
+        let left: Vec<String> = dir
+            .filter_map(|entry| entry.unwrap().file_name().into_string().ok())
+            .filter(|file| file.contains(&name))
+            .collect();
+        assert!(left.is_empty(), "a failed join left {left:?}");
+        assert!(
+            files.iter().all(|file| !file.exists()),
+            "input chunks left behind"
+        );
+        std::fs::remove_file(input).unwrap();
     }
 
     #[test]

@@ -3,11 +3,15 @@
 //! joined.
 
 use adaptive_spatial_join::core::AgreementPolicy;
+use adaptive_spatial_join::data::read_points_csv_each;
 use adaptive_spatial_join::data::{
     read_points_csv, read_points_csv_partitions, write_points_csv, Catalog,
 };
-use adaptive_spatial_join::engine::Dataset;
-use adaptive_spatial_join::join::{adaptive_join, oracle, to_records, JoinSpec, Record};
+use adaptive_spatial_join::engine::{Dataset, Ingest};
+use adaptive_spatial_join::join::{
+    adaptive_join, oracle, self_join, to_records, Algorithm, JoinOutput, JoinSpec, NoPayload,
+    Record,
+};
 use adaptive_spatial_join::prelude::*;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -64,6 +68,96 @@ fn csv_loaded_inputs_join_identically() {
     assert_eq!(a, b);
     // And both match the oracle.
     assert_eq!(a, oracle::rtree_pairs(&r, &s, spec.eps));
+}
+
+/// `path` read the way `asj join` reads it, through `ingest`.
+fn ingest(path: &Path, ingest: Ingest<Record<NoPayload>>) -> Dataset<Record<NoPayload>> {
+    let put = |p, rows| ingest.put(p, rows);
+    read_points_csv_each(path, JoinSpec::INPUT_PARTITIONS, Record::bare, put).unwrap();
+    ingest.finish().unwrap()
+}
+
+/// Everything a join reports that does not depend on the host: its pairs in
+/// the order it gathered them, its counters and its memory figures.
+fn answer(out: &JoinOutput) -> String {
+    let shuffle = &out.metrics.shuffle;
+    format!(
+        "{:?} {} {} {:?} {:?} {} {}",
+        out.pairs.to_vec(),
+        out.result_count,
+        out.candidates,
+        out.replicated,
+        shuffle,
+        out.metrics.spilled_bytes(),
+        out.metrics.peak_memory_bytes()
+    )
+}
+
+/// Ingest under a memory budget sends the input partitions that exceed
+/// their share to disk, and the sample and map tasks read them back: for
+/// every `--algo` and the self-join, at budgets that send none, some and all
+/// of them there, on one and on two host threads, the sample, the pairs and
+/// the counters equal those of the same inputs kept in memory, and no input
+/// chunk outlives its dataset.
+#[test]
+fn inputs_on_disk_join_like_inputs_in_memory() {
+    let catalog = Catalog::new(600);
+    let (r_path, s_path) = (scratch_file("disk-r"), scratch_file("disk-s"));
+    write_csv(&r_path, &catalog.s1.points());
+    write_csv(&s_path, &catalog.s2.points());
+    let algos = Algorithm::ALL.into_iter().chain([Algorithm::LpibDedup]);
+    let spec = JoinSpec::new(catalog.s1.bbox, 1.5).with_partitions(16);
+    // Three nodes hold 12, 10 and 10 of the two inputs' 32 partitions of 37
+    // or 38 rows (888 or 912 bytes): at 20 000 B a partition on node 0 may
+    // keep 833 B, one elsewhere 1 000 B; at 1 B none may keep any.
+    let budgets = [(None, "none"), (Some(20_000), "some"), (Some(1), "all")];
+    for threads in [1, 2] {
+        for (budget, sent) in budgets {
+            let mut cluster = Cluster::new(ClusterConfig::with_threads(3, threads));
+            if let Some(bytes) = budget {
+                cluster = cluster.with_memory_budget(bytes);
+            }
+            let in_memory = |path| ingest(path, Ingest::in_memory(JoinSpec::INPUT_PARTITIONS));
+            let on_disk = |path| ingest(path, Ingest::new(&cluster, 2, JoinSpec::INPUT_PARTITIONS));
+            let (r, s) = (on_disk(&r_path), on_disk(&s_path));
+            let chunks: usize = [&r, &s]
+                .iter()
+                .filter_map(|input| input.on_disk())
+                .map(|segment| segment.chunks().len())
+                .sum();
+            let case = format!("{threads} thread(s), {sent} on disk ({chunks} chunks)");
+            match sent {
+                "none" => assert_eq!(chunks, 0, "{case}"),
+                "some" => assert!(0 < chunks && chunks < 32, "{case}"),
+                _ => assert_eq!(chunks, 32, "{case}"),
+            }
+            let (r_mem, s_mem) = (in_memory(&r_path), in_memory(&s_path));
+            assert_eq!(r.len(), r_mem.len(), "{case}");
+            let sample = |input: &Dataset<_>| input.try_sample(&cluster, 0.3, 7).unwrap().0;
+            assert_eq!(sample(&r), sample(&r_mem), "{case}");
+            for algo in algos.clone() {
+                let got = algo.try_run(&cluster, &spec, r.clone(), s.clone()).unwrap();
+                let want = algo
+                    .try_run(&cluster, &spec, r_mem.clone(), s_mem.clone())
+                    .unwrap();
+                assert!(got.result_count > 0, "{case}: {}", algo.token());
+                assert_eq!(answer(&got), answer(&want), "{case}: {}", algo.token());
+            }
+            let got = self_join(&cluster, &spec, r.clone()).unwrap();
+            let want = self_join(&cluster, &spec, r_mem).unwrap();
+            assert_eq!(answer(&got), answer(&want), "{case}: self-join");
+            let files: Vec<PathBuf> = [&r, &s]
+                .iter()
+                .filter_map(|input| input.on_disk())
+                .map(|segment| segment.path().to_path_buf())
+                .collect();
+            assert!(files.iter().all(|file| file.exists()), "{case}");
+            drop((r, s));
+            assert!(files.iter().all(|file| !file.exists()), "{case}");
+        }
+    }
+    std::fs::remove_file(&r_path).unwrap();
+    std::fs::remove_file(&s_path).unwrap();
 }
 
 /// A file large enough (≥ 2 MiB) that the reader cuts it into more than one
