@@ -2,7 +2,7 @@
 //! [`EXPERIMENTS`] names every experiment for `repro`, which prints the
 //! tables and writes them to `repro.json` (see [`Record`](crate::Record)).
 
-use crate::runner::{run_avg, run_fault_ab, Combo, NetModel, RunResult};
+use crate::runner::{generated, run_avg, run_fault_ab, Combo, NetModel, RunResult};
 use crate::{memory, multitenant, recovery, Cell, ExpConfig, Table};
 use asj_core::{cell_costs, AgreementGraph, AgreementPolicy, GridSample};
 use asj_data::{TupleSizeFactor, PAPER_BBOX};
@@ -10,8 +10,8 @@ use asj_engine::{Cluster, FaultPlan, Placement, RetryPolicy};
 use asj_geom::{Point, Rect};
 use asj_grid::{Grid, GridSpec};
 use asj_join::{
-    adaptive_join, adaptive_join_dedup, adaptive_join_post_fetch, Algorithm, JoinError, JoinOutput,
-    JoinSpec, Record,
+    adaptive_join, adaptive_join_dedup, adaptive_join_post_fetch, Algorithm, JoinError, JoinInput,
+    JoinOutput, JoinSpec,
 };
 
 fn spec_for(cfg: &ExpConfig, eps: f64) -> JoinSpec {
@@ -268,7 +268,8 @@ pub fn table4(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
     for (label, combo, factor, eps) in legs {
         let (r, s) = combo.datasets(cfg, factor, TupleSizeFactor::F0);
         let res = run_avg(&cluster, &spec_for(cfg, eps), Algorithm::Lpib, &r, &s, 1)?;
-        let sel = res.results as f64 / (r.len() as f64 * s.len() as f64) * 100.0;
+        let (r, s) = combo.specs(cfg, factor);
+        let sel = res.results as f64 / (r.cardinality as f64 * s.cardinality as f64) * 100.0;
         table.row(vec![
             Cell::Label(label),
             Cell::Measure(sel, format!("{sel:.2e}")),
@@ -444,13 +445,8 @@ pub fn fig16_18(cfg: &ExpConfig, combo: Combo) -> Result<Vec<Table>, JoinError> 
 // ---------------------------------------------------------------------------
 
 /// A join of one agreement policy, as Tables 5 and 6 compare them.
-type PolicyJoin = fn(
-    &Cluster,
-    &JoinSpec,
-    AgreementPolicy,
-    Vec<Record>,
-    Vec<Record>,
-) -> Result<JoinOutput, JoinError>;
+type PolicyJoin =
+    fn(&Cluster, &JoinSpec, AgreementPolicy, JoinInput, JoinInput) -> Result<JoinOutput, JoinError>;
 
 /// LPiB and DIFF on S1⋈S2 at `tuple`: the simulated time of join `a` and of
 /// join `b`, one row per policy.
@@ -567,7 +563,7 @@ pub fn table7(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
 /// show up well beyond it.
 pub fn ablation_kernels(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
     use asj_data::{DatasetSpec, GenKind};
-    use asj_join::{to_records, LocalKernel};
+    use asj_join::LocalKernel;
     let cluster = cfg.cluster();
     // Per-run times at quick scale are a few ms; extra repetitions keep the
     // auto-vs-fixed comparison out of the noise floor.
@@ -589,18 +585,17 @@ pub fn ablation_kernels(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
         ("skewed", GenKind::GaussianClusters),
     ] {
         let gen = |seed: u64| {
-            DatasetSpec {
+            let spec = DatasetSpec {
                 name: "ablation",
                 kind,
                 cardinality: cfg.base,
                 seed,
                 bbox: PAPER_BBOX,
                 sigma_scale: 1.0,
-            }
-            .points()
+            };
+            generated(spec, TupleSizeFactor::F0)
         };
-        let r = to_records(&gen(101), 0);
-        let s = to_records(&gen(202), 0);
+        let (r, s) = (gen(101), gen(202));
         let mut best_fixed = f64::INFINITY;
         let mut auto_time = f64::INFINITY;
         let mut results: Option<u64> = None;
@@ -645,12 +640,13 @@ pub fn ablation_kernels(cfg: &ExpConfig) -> Result<Vec<Table>, JoinError> {
 /// prioritizes edges whose cells share only a touching point, §5.2).
 pub fn ablation_edge_order(cfg: &ExpConfig) -> Table {
     use asj_core::{build_duplicate_free_with_order, EdgeOrder, SetLabel};
-    let (r, s) = Combo::S1S2.datasets(cfg, 1, TupleSizeFactor::F0);
+    let (r, s) = Combo::S1S2.specs(cfg, 1);
+    let (r, s) = (r.points(), s.points());
     let grid = Grid::new(GridSpec::new(PAPER_BBOX, cfg.default_eps));
     let sample = GridSample::from_points(
         &grid,
-        r.iter().step_by(33).map(|rec| rec.point),
-        s.iter().step_by(33).map(|rec| rec.point),
+        r.iter().step_by(33).copied(),
+        s.iter().step_by(33).copied(),
     );
     let mut table = Table::new(
         "a2",
@@ -666,12 +662,12 @@ pub fn ablation_edge_order(cfg: &ExpConfig) -> Table {
         assert_eq!(graph.validate().unresolved_hazards, 0);
         let mut cells = Vec::with_capacity(4);
         let mut replicas = 0u64;
-        for rec in &r {
-            graph.assign(rec.point, SetLabel::R, &mut cells);
+        for &point in &r {
+            graph.assign(point, SetLabel::R, &mut cells);
             replicas += cells.len() as u64 - 1;
         }
-        for rec in &s {
-            graph.assign(rec.point, SetLabel::S, &mut cells);
+        for &point in &s {
+            graph.assign(point, SetLabel::S, &mut cells);
             replicas += cells.len() as u64 - 1;
         }
         table.row(vec![
@@ -910,7 +906,7 @@ pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asj_join::oracle;
+    use asj_join::{oracle, to_records};
 
     /// Table 1 must match the paper's numbers exactly: 12 replicated objects
     /// with per-cell costs (15, 4, 10, 12) under UNI(R); 13 replicated with
@@ -1098,6 +1094,8 @@ mod tests {
             uni_s.replicated
         );
         // Cross-check the result count against the centralized oracle.
+        let (r, s) = Combo::S1S2.specs(&cfg, 1);
+        let (r, s) = (to_records(&r.points(), 0), to_records(&s.points(), 0));
         let expected = oracle::rtree_pairs(&r, &s, spec.eps).len() as u64;
         assert_eq!(lpib.results, expected);
         Ok(())

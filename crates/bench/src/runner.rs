@@ -1,7 +1,7 @@
 use crate::ExpConfig;
-use asj_data::{Catalog, TupleSizeFactor};
+use asj_data::{Catalog, DatasetSpec, TupleSizeFactor};
 use asj_engine::{Cluster, ExecStats, FaultPlan, RetryPolicy};
-use asj_join::{to_records, Algorithm, JoinError, JoinOutput, JoinSpec, Record};
+use asj_join::{Algorithm, JoinError, JoinInput, JoinOutput, JoinSpec};
 
 /// The dataset combinations of the paper's experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,25 +25,35 @@ impl Combo {
         }
     }
 
-    /// Generates the two inputs at the given size factor and tuple payload.
+    /// The two datasets at the given size factor.
+    pub(crate) fn specs(self, cfg: &ExpConfig, size_factor: usize) -> (DatasetSpec, DatasetSpec) {
+        let catalog = Catalog::new(cfg.base * size_factor);
+        match self {
+            Combo::S1S2 => (catalog.s1, catalog.s2),
+            Combo::R1S1 => (catalog.r1, catalog.s1),
+            Combo::R2R1 => (catalog.r2, catalog.r1),
+        }
+    }
+
+    /// The two inputs at the given size factor and tuple payload, as
+    /// generated join inputs: each join makes its input partitions inside
+    /// its tasks, so a handle is cloned for every repetition, never the
+    /// records.
     pub fn datasets(
         self,
         cfg: &ExpConfig,
         size_factor: usize,
         tuple: TupleSizeFactor,
-    ) -> (Vec<Record>, Vec<Record>) {
-        let catalog = Catalog::new(cfg.base * size_factor);
-        let (a, b) = match self {
-            Combo::S1S2 => (&catalog.s1, &catalog.s2),
-            Combo::R1S1 => (&catalog.r1, &catalog.s1),
-            Combo::R2R1 => (&catalog.r2, &catalog.r1),
-        };
-        let payload = tuple.payload_bytes();
-        (
-            to_records(&a.points(), payload),
-            to_records(&b.points(), payload),
-        )
+    ) -> (JoinInput, JoinInput) {
+        let (a, b) = self.specs(cfg, size_factor);
+        (generated(a, tuple), generated(b, tuple))
     }
+}
+
+/// `spec`'s points as generated records with `tuple`'s payload.
+pub(crate) fn generated(spec: DatasetSpec, tuple: TupleSizeFactor) -> JoinInput {
+    let n = spec.cardinality;
+    JoinInput::generated(n, move |ids| spec.block_stream(ids), tuple.payload_bytes())
 }
 
 /// Network model for the simulated execution time: shuffle *remote* bytes
@@ -140,10 +150,10 @@ pub fn run_once(
     cluster: &Cluster,
     spec: &JoinSpec,
     algo: Algorithm,
-    r: &[Record],
-    s: &[Record],
+    r: &JoinInput,
+    s: &JoinInput,
 ) -> Result<RunResult, JoinError> {
-    let out = algo.try_run(cluster, spec, r.to_vec(), s.to_vec())?;
+    let out = algo.try_run(cluster, spec, r.clone(), s.clone())?;
     Ok(RunResult::from_output(
         &out,
         &NetModel::gigabit(cluster.nodes()),
@@ -156,8 +166,8 @@ pub fn run_avg(
     cluster: &Cluster,
     spec: &JoinSpec,
     algo: Algorithm,
-    r: &[Record],
-    s: &[Record],
+    r: &JoinInput,
+    s: &JoinInput,
     reps: usize,
 ) -> Result<RunResult, JoinError> {
     assert!(reps >= 1);
@@ -201,17 +211,17 @@ pub fn run_fault_ab(
     cluster: &Cluster,
     spec: &JoinSpec,
     algo: Algorithm,
-    r: &[Record],
-    s: &[Record],
+    r: &JoinInput,
+    s: &JoinInput,
     plan: FaultPlan,
     policy: RetryPolicy,
 ) -> Result<FaultAb, JoinError> {
     // The control run must be fault-free even when the caller's cluster
     // already carries a plan (e.g. `repro --faults` attaches one globally).
     let clean = cluster.clone().without_faults();
-    let base_out = algo.try_run(&clean, spec, r.to_vec(), s.to_vec())?;
+    let base_out = algo.try_run(&clean, spec, r.clone(), s.clone())?;
     let chaotic = cluster.clone().with_fault_policy(plan, policy);
-    let fault_out = algo.try_run(&chaotic, spec, r.to_vec(), s.to_vec())?;
+    let fault_out = algo.try_run(&chaotic, spec, r.clone(), s.clone())?;
     assert_eq!(
         fault_out.result_count, base_out.result_count,
         "fault recovery must not change the join result"
@@ -240,13 +250,11 @@ mod tests {
     #[test]
     fn combos_generate_expected_cardinalities() {
         let cfg = ExpConfig::quick().with_base(2000);
-        let (r, s) = Combo::S1S2.datasets(&cfg, 1, TupleSizeFactor::F0);
-        assert_eq!(r.len(), 2000);
-        assert_eq!(s.len(), 2000);
-        let (r, s) = Combo::R2R1.datasets(&cfg, 2, TupleSizeFactor::F1);
-        assert_eq!(r.len(), (4000.0 * 0.427) as usize);
-        assert_eq!(s.len(), (4000.0 * 0.941) as usize);
-        assert_eq!(r[0].payload.len(), 32);
+        let (r, s) = Combo::S1S2.specs(&cfg, 1);
+        assert_eq!((r.cardinality, s.cardinality), (2000, 2000));
+        let (r, s) = Combo::R2R1.specs(&cfg, 2);
+        assert_eq!(r.cardinality, (4000.0 * 0.427) as usize);
+        assert_eq!(s.cardinality, (4000.0 * 0.941) as usize);
     }
 
     #[test]

@@ -80,9 +80,8 @@ impl ClusterConfig {
 /// which no further index is claimed. A panic in `work` resumes on the
 /// caller's thread.
 ///
-/// Checkpoint saves and loads, `asj generate` and `to_record_partitions`
-/// (the job server's tenant inputs) run their driver work through this loop
-/// on [`ClusterConfig::threads`] threads.
+/// Checkpoint saves and loads and `asj generate` run their driver work
+/// through this loop on [`ClusterConfig::threads`] threads.
 pub fn on_host_threads<T: Send, E: Send>(
     threads: usize,
     n: usize,
@@ -406,11 +405,6 @@ impl Cluster {
     #[inline]
     pub fn nodes(&self) -> usize {
         self.config.nodes
-    }
-
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.config.threads
     }
 
     /// The node hosting a partition: partitions are bound round-robin, like

@@ -7,7 +7,7 @@ use crate::memory::{
 use crate::metrics::{ExecStats, ShuffleStats};
 use crate::partitioner::Partitioner;
 use crate::wire::Wire;
-use asj_obs::{Attrs, Lane};
+use asj_obs::{Attrs, Lane, Recorder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
@@ -16,10 +16,11 @@ use std::sync::{Arc, Mutex};
 
 /// A partitioned collection — the engine's RDD analog.
 ///
-/// Partition `i` lives on simulated node [`Cluster::node_of_partition`]`(i)`,
-/// in memory, or — where [`Ingest`] sent it there under a memory budget —
-/// on disk as a checksummed chunk, which the tasks that need its rows read
-/// back.
+/// Partition `i` lives on simulated node [`Cluster::node_of_partition`]`(i)`
+/// as one of three kinds of input partition: rows in memory; a checksummed
+/// chunk on disk, where [`Ingest`] sent it under a memory budget; or a
+/// recipe ([`Dataset::from_recipe`]) that makes the rows. The tasks that
+/// need the rows of the last two read the chunk back or make the rows.
 /// Stage-running operators execute one task per partition on the cluster
 /// pool, report per-node [`ExecStats`] and return a [`JobError`] when a task
 /// exhausts its attempts.
@@ -52,6 +53,24 @@ pub struct Dataset<T> {
     /// The partitions [`Ingest`] sent to disk, one chunk each: chunk `c`
     /// holds partition `chunks()[c].target`, whose `parts` slot is empty.
     on_disk: Option<Arc<SpillSegment>>,
+    /// What makes every partition, whose `parts` slots are then all empty.
+    recipe: Option<Arc<Recipe<T>>>,
+}
+
+/// How a dataset's partitions are made: partition `p` is `lens[p]` rows that
+/// `make(p)` builds, with the bytes it allocated beside them (a generated
+/// record's payload, say). See [`Dataset::from_recipe`].
+pub struct Recipe<T> {
+    lens: Vec<usize>,
+    make: Box<dyn Fn(usize) -> (Vec<T>, u64) + Send + Sync>,
+}
+
+impl<T> std::fmt::Debug for Recipe<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Recipe")
+            .field("lens", &self.lens)
+            .finish_non_exhaustive()
+    }
 }
 
 /// The input split rule: `n` items cut into `parts` near-equal ranges, the
@@ -86,30 +105,62 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         Dataset {
             parts,
             on_disk: None,
+            recipe: None,
         }
     }
 
-    /// Total records across partitions, in memory and on disk.
+    /// A dataset whose partition `p` is `lens[p]` rows that `make(p)` builds
+    /// inside each task that reads them — [`try_sample`](Self::try_sample)'s
+    /// and the shuffle's map task — and that the task drops when it is done:
+    /// nothing holds them between stages. A retry or a speculative copy makes
+    /// them again, as Spark recomputes a partition from lineage, so `make`
+    /// must return the same rows every time. With the rows it returns the
+    /// bytes it allocated beside them (a generated payload, say): the reading
+    /// stage's `recipe_rows` and `recipe_bytes` counters sum both. Cloning
+    /// the dataset shares the recipe.
+    ///
+    /// # Panics
+    /// Panics if `lens` is empty.
+    pub fn from_recipe(
+        lens: Vec<usize>,
+        make: impl Fn(usize) -> (Vec<T>, u64) + Send + Sync + 'static,
+    ) -> Self {
+        assert!(!lens.is_empty(), "need at least one partition");
+        Dataset {
+            parts: lens.iter().map(|_| Vec::new()).collect(),
+            on_disk: None,
+            recipe: Some(Arc::new(Recipe {
+                lens,
+                make: Box::new(make),
+            })),
+        }
+    }
+
+    /// Total records across partitions: in memory, on disk and made by a
+    /// recipe.
     pub fn len(&self) -> usize {
         let on_disk = self.on_disk.as_deref().map_or(0, |segment| {
             segment.chunks().iter().map(|c| c.records as usize).sum()
         });
-        self.parts.iter().map(Vec::len).sum::<usize>() + on_disk
+        let made = self.recipe.as_deref().map_or(0, |r| r.lens.iter().sum());
+        self.parts.iter().map(Vec::len).sum::<usize>() + on_disk + made
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// The partitions' rows in memory. A partition on disk is empty here:
-    /// the tasks of [`try_sample`](Self::try_sample) and
-    /// [`shuffle_stage_by`](Self::shuffle_stage_by) read it back.
+    /// The partitions' rows in memory. A partition on disk or made by a
+    /// recipe is empty here: the tasks of [`try_sample`](Self::try_sample)
+    /// and [`shuffle_stage_by`](Self::shuffle_stage_by) read it back or make
+    /// it.
     pub fn partitions(&self) -> &[Vec<T>] {
         &self.parts
     }
 
     /// Consumes the dataset into its partitions' rows in memory; a partition
-    /// on disk comes back empty (see [`try_into_partitions`](Self::try_into_partitions)).
+    /// on disk or made by a recipe comes back empty (see
+    /// [`try_into_partitions`](Self::try_into_partitions)).
     pub fn into_partitions(self) -> Vec<Vec<T>> {
         self.parts
     }
@@ -120,28 +171,37 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         self.on_disk.as_deref()
     }
 
-    /// Partition `p`'s chunk, if [`Ingest`] sent it to disk.
-    fn spilled(&self, p: usize) -> Option<Block<T>> {
+    /// Partition `p` where its rows are not in memory: its recipe, or its
+    /// chunk if [`Ingest`] sent it to disk.
+    fn elsewhere(&self, p: usize) -> Option<Block<T>> {
+        if let Some(recipe) = &self.recipe {
+            let recipe = Arc::clone(recipe);
+            return Some(Block::Recipe {
+                recipe,
+                partition: p,
+            });
+        }
         let segment = self.on_disk.as_ref()?;
         let chunk = segment.chunks().iter().position(|c| c.target == p)?;
         let segment = Arc::clone(segment);
         Some(Block::Spilled { segment, chunk })
     }
 
-    /// Every partition as a [`Block`]: its rows, or its chunk on disk.
+    /// Every partition as a [`Block`]: its rows, its chunk on disk or its
+    /// recipe.
     fn into_blocks(self) -> Vec<Block<T>> {
-        let on_disk: Vec<_> = (0..self.parts.len()).map(|p| self.spilled(p)).collect();
-        let blocks = self.parts.into_iter().zip(on_disk);
+        let elsewhere: Vec<_> = (0..self.parts.len()).map(|p| self.elsewhere(p)).collect();
+        let blocks = self.parts.into_iter().zip(elsewhere);
         blocks
-            .map(|(rows, spilled)| spilled.unwrap_or(Block::Rows(rows)))
+            .map(|(rows, elsewhere)| elsewhere.unwrap_or(Block::Rows(rows)))
             .collect()
     }
 }
 
 impl<T: Wire + Send + Sync + Clone> Dataset<T> {
     /// Consumes the dataset into its partitions, the ones on disk read back
-    /// on the driver. A chunk that cannot be read fails with a [`JobError`]
-    /// naming `stage` and the partition.
+    /// and the ones a recipe makes made on the driver. A chunk that cannot be
+    /// read fails with a [`JobError`] naming `stage` and the partition.
     pub fn try_into_partitions(self, stage: &str) -> Result<Vec<Vec<T>>, JobError> {
         let blocks = self.into_blocks().into_iter().enumerate();
         let read = |(task, block): (usize, Block<T>)| {
@@ -157,9 +217,9 @@ impl<T: Wire + Send + Sync + Clone> Dataset<T> {
 
     /// Bernoulli sample of every partition, gathered on the driver — the
     /// `sample(φ).forEach(...)` step of Algorithm 5. Deterministic for a
-    /// given `seed`. A partition on disk is read back inside its task, so a
-    /// retry reads it again; a chunk that cannot be read fails the attempt
-    /// with a [`TaskError::Spill`].
+    /// given `seed`. A partition on disk is read back, and one a recipe makes
+    /// made, inside its task, so a retry does it again; a chunk that cannot
+    /// be read fails the attempt with a [`TaskError::Spill`].
     pub fn try_sample(
         &self,
         cluster: &Cluster,
@@ -168,9 +228,11 @@ impl<T: Wire + Send + Sync + Clone> Dataset<T> {
     ) -> Result<(Vec<T>, ExecStats), JobError> {
         assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
         let refs: Vec<&Vec<T>> = self.parts.iter().collect();
+        let recorder = cluster.recorder();
         let (sampled, stats) = cluster.try_run_stage("sample", refs, |idx, part| {
-            let spilled = self.spilled(idx).map(Block::into_rows).transpose()?;
-            let part = spilled.as_ref().unwrap_or(part);
+            let read = |block| input_rows(block, recorder, "sample");
+            let elsewhere = self.elsewhere(idx).map(read).transpose()?;
+            let part = elsewhere.as_ref().unwrap_or(part);
             let mut rng = SmallRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0xA24B_AED4));
             Ok(part
                 .iter()
@@ -194,8 +256,9 @@ impl<T: Wire + Send + Sync + Clone> Dataset<T> {
 
     /// Repartitions by key, keying inside the shuffle's map tasks (Spark's
     /// `flatMapToPair` in the shuffle-map task): each task consumes its
-    /// partition — a partition on disk is read back inside the task, so
-    /// retries and speculative copies read it again —, `expand` turns it
+    /// partition — a partition on disk is read back, and one a recipe makes
+    /// made, inside the task, so retries and speculative copies do it
+    /// again —, `expand` turns it
     /// into keyed rows, and the task scatters
     /// them as `shuffle_stage` does and frees them. The rows never exist as a
     /// dataset. A checkpoint hit skips the expansion too; committed attempts'
@@ -257,8 +320,9 @@ impl<T: Wire + Send + Sync + Clone> Dataset<T> {
             .map(|src_idx| cluster.node_of_partition(src_idx))
             .collect();
         let ledgers = cluster.memory_accountant().ledgers(&task_nodes);
+        let recorder = cluster.recorder();
         let map = |src_idx: usize, part: Block<T>| {
-            let part = part.into_rows()?;
+            let part = input_rows(part, recorder, stage)?;
             let src_node = task_nodes[src_idx];
             let mut ledger = ledgers[src_idx].clone();
             let mut shuffle = ShuffleStats {
@@ -568,6 +632,7 @@ impl<T: Wire + Send> Ingest<T> {
                 .transpose()?
                 .flatten()
                 .map(Arc::new),
+            recipe: None,
         })
     }
 }
@@ -591,10 +656,12 @@ struct RadixMapOut<K, V> {
 /// A partitioned collection of key–value pairs (Spark `PairRDD`).
 pub type KeyedDataset<K, V> = Dataset<(K, V)>;
 
-/// Rows in memory, or — where a memory budget sent them to disk — a chunk of
+/// Rows in memory; or — where a memory budget sent them to disk — a chunk of
 /// a spill segment, left there until the task that needs them reads it: an
 /// input partition ([`Ingest`]), or one map task's share of one target
-/// partition of a shuffle (where admission spilled that target).
+/// partition of a shuffle (where admission spilled that target); or an input
+/// partition that its recipe makes when a task reads it
+/// ([`Dataset::from_recipe`]).
 #[derive(Debug, Clone)]
 pub enum Block<T> {
     Rows(Vec<T>),
@@ -602,6 +669,10 @@ pub enum Block<T> {
         segment: Arc<SpillSegment>,
         /// Index into the segment's [`chunks`](SpillSegment::chunks).
         chunk: usize,
+    },
+    Recipe {
+        recipe: Arc<Recipe<T>>,
+        partition: usize,
     },
 }
 
@@ -611,12 +682,13 @@ impl<T: Wire + Clone> Block<T> {
         match self {
             Block::Rows(rows) => rows.len(),
             Block::Spilled { segment, chunk } => segment.chunks()[*chunk].records as usize,
+            Block::Recipe { recipe, partition } => recipe.lens[*partition],
         }
     }
 
     /// The block's rows: in memory, borrowed where they are; spilled, read
-    /// back and decoded. A failed or short read, or a chunk that does not
-    /// decode, is a retriable [`TaskError::Spill`].
+    /// back and decoded; a recipe's, made. A failed or short read, or a chunk
+    /// that does not decode, is a retriable [`TaskError::Spill`].
     pub fn read(&self) -> Result<Cow<'_, [T]>, TaskError> {
         match self {
             Block::Rows(rows) => Ok(Cow::Borrowed(rows)),
@@ -624,16 +696,36 @@ impl<T: Wire + Clone> Block<T> {
                 .read_chunk(*chunk)
                 .map(Cow::Owned)
                 .map_err(|e| TaskError::Spill(format!("{}: {e}", segment.path().display()))),
+            Block::Recipe { recipe, partition } => Ok(Cow::Owned((recipe.make)(*partition).0)),
         }
     }
 
-    /// The block's rows, owned: in memory, moved; spilled, read back.
+    /// The block's rows, owned: in memory, moved; spilled, read back; a
+    /// recipe's, made.
     fn into_rows(self) -> Result<Vec<T>, TaskError> {
         match self {
             Block::Rows(rows) => Ok(rows),
-            spilled => Ok(spilled.read()?.into_owned()),
+            elsewhere => Ok(elsewhere.read()?.into_owned()),
         }
     }
+}
+
+/// An input partition's rows in the task that reads them: moved, read back
+/// from disk, or made by the dataset's recipe — which `stage`'s `recipe_rows`
+/// and `recipe_bytes` counters record, so a trace says where inputs were
+/// made.
+fn input_rows<T: Wire + Clone>(
+    block: Block<T>,
+    recorder: &Recorder,
+    stage: &str,
+) -> Result<Vec<T>, TaskError> {
+    let Block::Recipe { recipe, partition } = block else {
+        return block.into_rows();
+    };
+    let (rows, bytes) = (recipe.make)(partition);
+    recorder.counter_add(stage, "recipe_rows", rows.len() as u64);
+    recorder.counter_add(stage, "recipe_bytes", bytes);
+    Ok(rows)
 }
 
 /// One target partition of a shuffle: its map tasks' [`Block`]s in source
@@ -694,11 +786,13 @@ impl<K: Wire + Clone, V: Wire + Clone> ShuffledPartition<K, V> {
     fn encode_into(&self, buf: &mut Vec<u8>) -> u64 {
         for block in &self.blocks {
             match block {
-                Block::Rows(rows) => {
-                    encode_records_into(rows, buf);
-                }
                 Block::Spilled { segment, chunk } => {
                     let _ = segment.read_chunk_into(*chunk, buf);
+                }
+                block => {
+                    if let Ok(rows) = block.read() {
+                        encode_records_into(&rows, buf);
+                    }
                 }
             }
         }
@@ -752,6 +846,7 @@ impl<K: Wire + Clone, V: Wire + Clone> ShuffledDataset<K, V> {
         Ok(Dataset {
             parts: parts.collect::<Result<_, _>>()?,
             on_disk: None,
+            recipe: None,
         })
     }
 }
@@ -887,6 +982,7 @@ mod tests {
             let none = Dataset {
                 parts: vec![],
                 on_disk: None,
+                recipe: None,
             };
             let (out, stats, _) = shuffle(none, &c, &HashPartitioner::new(4));
             let recovered = c.checkpoint_store().expect("store").stages_recovered();

@@ -49,8 +49,9 @@ pub(crate) fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
 /// simulated charge.
 type Won<R> = (R, Duration, Duration);
 
-/// Executes `tasks` on a pool of `threads` OS threads and bills each attempt
-/// to a simulated node, starting from `placement`, through the stage's
+/// Executes `tasks` on a pool of `threads` OS threads — the calling thread
+/// and `threads - 1` it spawns — and bills each attempt to a simulated node,
+/// starting from `placement`, through the stage's
 /// [`Ledger`](crate::clock::Ledger). Results are returned in task order.
 ///
 /// This is the engine's only execution primitive. Real parallelism (the
@@ -129,7 +130,7 @@ where
         "placement out of range"
     );
     let n_tasks = tasks.len();
-    // An empty stage spawns no workers at all.
+    // An empty stage spawns no thread at all.
     let threads = threads.max(1).min(n_tasks);
     let max_attempts = ctx.map_or(1, |c| c.policy.max_attempts);
     let inputs = match ctx {
@@ -295,51 +296,55 @@ where
         Ok(())
     };
 
+    let worker = || loop {
+        // Indices are claimed in order, so once one is cancelled every later
+        // claim is too.
+        let idx = next.fetch_add(1, Ordering::Relaxed);
+        if idx >= n_tasks || cancelled(idx) {
+            return;
+        }
+        // Run the task to completion, retrying failures.
+        let mut attempt = 1usize;
+        let mut node = placement[idx];
+        while !cancelled(idx) {
+            let Err(e) = run_attempt(idx, attempt, node) else {
+                break;
+            };
+            // Without a fault context `max_attempts` is 1.
+            if attempt >= max_attempts {
+                let mut g = fatal.lock().expect("pool error slot poisoned");
+                if g.as_ref().is_none_or(|lowest| idx < lowest.task) {
+                    *g = Some(JobError {
+                        stage: stage.to_string(),
+                        task: idx,
+                        attempts: attempt,
+                        error: e,
+                    });
+                }
+                abort_from.fetch_min(idx, Ordering::Relaxed);
+                break;
+            }
+            attempt += 1;
+            n_retries.fetch_add(1, Ordering::Relaxed);
+            recorder.counter_add(stage, "retries", 1);
+            let from = node;
+            node = place(&health, from, idx, attempt);
+            recorder.event(
+                "task_retry",
+                Lane::Node(node),
+                Some(idx as u64),
+                Attrs::new().records(from as u64),
+            );
+        }
+    };
+    // The thread that runs the stage is one of its workers, as in
+    // `on_host_threads`: it spawns the other `threads - 1`.
     let ((), wall) = timed(|| {
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    // Indices are claimed in order, so once one is cancelled
-                    // every later claim is too.
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n_tasks || cancelled(idx) {
-                        return;
-                    }
-                    // Run the task to completion, retrying failures.
-                    let mut attempt = 1usize;
-                    let mut node = placement[idx];
-                    while !cancelled(idx) {
-                        let Err(e) = run_attempt(idx, attempt, node) else {
-                            break;
-                        };
-                        // Without a fault context `max_attempts` is 1.
-                        if attempt >= max_attempts {
-                            let mut g = fatal.lock().expect("pool error slot poisoned");
-                            if g.as_ref().is_none_or(|lowest| idx < lowest.task) {
-                                *g = Some(JobError {
-                                    stage: stage.to_string(),
-                                    task: idx,
-                                    attempts: attempt,
-                                    error: e,
-                                });
-                            }
-                            abort_from.fetch_min(idx, Ordering::Relaxed);
-                            break;
-                        }
-                        attempt += 1;
-                        n_retries.fetch_add(1, Ordering::Relaxed);
-                        recorder.counter_add(stage, "retries", 1);
-                        let from = node;
-                        node = place(&health, from, idx, attempt);
-                        recorder.event(
-                            "task_retry",
-                            Lane::Node(node),
-                            Some(idx as u64),
-                            Attrs::new().records(from as u64),
-                        );
-                    }
-                });
+            for _ in 1..threads {
+                scope.spawn(worker);
             }
+            worker();
         })
     });
 

@@ -67,15 +67,15 @@ pub(crate) fn agreement_join<P: RecordPayload>(
     s: JoinInput<Record<P>>,
 ) -> Result<JoinOutput, JoinError> {
     let grid = agreement_grid(spec)?;
-    let (rdd_r, rdd_s) = (r.partitioned(spec), s.partitioned(spec));
+    let (r, s) = (r.partitioned(spec), s.partitioned(spec));
 
     // --- Sampling (parallel) + graph construction (driver). ---
     let recorder = cluster.recorder().clone();
     let mut sampling = ExecStats::default();
     let (sample_r, sample_s) = recorder.phase_attrs("sampling", |attrs| {
-        let (sample_r, ex) = rdd_r.try_sample(cluster, spec.sample_fraction, spec.seed)?;
+        let (sample_r, ex) = r.sample_points(cluster, spec.sample_fraction, spec.seed)?;
         sampling.accumulate(&ex);
-        let (sample_s, ex) = rdd_s.try_sample(cluster, spec.sample_fraction, spec.seed ^ 0x5151)?;
+        let (sample_s, ex) = s.sample_points(cluster, spec.sample_fraction, spec.seed ^ 0x5151)?;
         sampling.accumulate(&ex);
         *attrs = attrs.records((sample_r.len() + sample_s.len()) as u64);
         Ok::<_, JoinError>((sample_r, sample_s))
@@ -83,11 +83,8 @@ pub(crate) fn agreement_join<P: RecordPayload>(
 
     let ((graph, partitioner, broadcast_bytes), driver) =
         cluster.driver_phase("agreement_graph", |attrs| {
-            let sample = GridSample::from_points(
-                &grid,
-                sample_r.iter().map(|rec| rec.point),
-                sample_s.iter().map(|rec| rec.point),
-            );
+            let sample =
+                GridSample::from_points(&grid, sample_r.iter().copied(), sample_s.iter().copied());
             let graph = build(&grid, &sample, policy);
             *attrs = attrs.cells(grid.num_cells() as u64);
 
@@ -98,11 +95,7 @@ pub(crate) fn agreement_join<P: RecordPayload>(
                     Box::new(asj_engine::RoundRobinPartitioner::new(spec.num_partitions))
                 }
                 Placement::Lpt => {
-                    let costs = cell_costs(
-                        &graph,
-                        sample_r.iter().map(|rec| &rec.point),
-                        sample_s.iter().map(|rec| &rec.point),
-                    );
+                    let costs = cell_costs(&graph, sample_r.iter(), sample_s.iter());
                     // Cell weight = the cost model's prediction for the kernel
                     // that will actually run the cell (replicas can reach up
                     // to eps beyond the cell rectangle on each side), instead
@@ -157,7 +150,7 @@ pub(crate) fn agreement_join<P: RecordPayload>(
         driver,
         sampling,
     };
-    run_plan(cluster, rdd_r, rdd_s, plan)
+    run_plan(cluster, r.rows, s.rows, plan)
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ fn knn_join_probe<P: RecordPayload>(
     }
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
-    let (rdd_r, rdd_s) = (r.partitioned(spec), s.partitioned(spec));
+    let (rdd_r, rdd_s) = (r.partitioned(spec).rows, s.partitioned(spec).rows);
     let s_total = rdd_s.len();
     let partitioner = HashPartitioner::new(spec.num_partitions);
     let mut exec = ExecStats::default();

@@ -66,14 +66,12 @@ pub use pbsm::{eps_grid_join, pbsm_join, ReplicateSide};
 pub use pipeline::Algorithm;
 pub use post_fetch::adaptive_join_post_fetch;
 pub use range::PartitionedPoints;
-pub use record::{
-    to_record_partitions, to_records, NoPayload, Payload, Record, RecordPayload, MAX_PAYLOAD_BYTES,
-};
+pub use record::{to_records, NoPayload, Payload, Record, RecordPayload, MAX_PAYLOAD_BYTES};
 pub use refpoint::pbsm_refpoint_join;
 pub use sedona::sedona_like_join;
 pub use selfjoin::{brute_force_self_pairs, self_join};
 pub use sink::{PairFile, PairSink};
-pub use spec::{JoinError, JoinInput, JoinOutput, JoinSpec, LocalKernel};
+pub use spec::{Generator, JoinError, JoinInput, JoinOutput, JoinSpec, LocalKernel};
 
 #[cfg(test)]
 mod empty_input_tests {

@@ -34,7 +34,10 @@ pub fn pbsm_join<P: RecordPayload>(
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
-    let (r, s) = (r.into().partitioned(spec), s.into().partitioned(spec));
+    let (r, s) = (
+        r.into().partitioned(spec).rows,
+        s.into().partitioned(spec).rows,
+    );
     grid_baseline_join(cluster, spec, grid, side.name(), side, r, s)
 }
 
@@ -50,7 +53,10 @@ pub fn eps_grid_join<P: RecordPayload>(
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, 1.0));
-    let (r, s) = (r.into().partitioned(spec), s.into().partitioned(spec));
+    let (r, s) = (
+        r.into().partitioned(spec).rows,
+        s.into().partitioned(spec).rows,
+    );
     let side = if r.len() <= s.len() {
         ReplicateSide::R
     } else {

@@ -1,5 +1,7 @@
 use crate::pipeline::{for_each_cogroup, join_stage, Blocks, JoinStageOutput};
-use crate::{adaptive_join, JoinError, JoinOutput, JoinSpec, NoPayload, PairSink, Payload, Record};
+use crate::{
+    adaptive_join, JoinError, JoinInput, JoinOutput, JoinSpec, NoPayload, PairSink, Payload, Record,
+};
 use asj_core::AgreementPolicy;
 use asj_engine::{Cluster, Dataset, HashPartitioner, JobMetrics};
 use std::convert::identity;
@@ -16,18 +18,27 @@ pub fn adaptive_join_post_fetch(
     cluster: &Cluster,
     spec: &JoinSpec,
     policy: AgreementPolicy,
-    r: Vec<Record>,
-    s: Vec<Record>,
+    r: impl Into<JoinInput<Record>>,
+    s: impl Into<JoinInput<Record>>,
 ) -> Result<JoinOutput, JoinError> {
+    spec.validate()?;
     // Attribute tables stay behind (id → payload handle, the bytes are not
-    // copied), the join sees bare tuples.
-    let split = |recs: Vec<Record>| -> (Vec<Record<NoPayload>>, Vec<(u64, Payload)>) {
-        let rows = recs.into_iter();
-        rows.map(|rec| (rec.stripped(), (rec.id, rec.payload)))
-            .unzip()
+    // copied), the join sees bare tuples; both keep the input's partitions.
+    type Split = (Dataset<Record<NoPayload>>, Dataset<(u64, Payload)>);
+    let split = |input: JoinInput<Record>| -> Result<Split, JoinError> {
+        let parts = input.partitioned(spec).rows.try_into_partitions("input")?;
+        let strip = |rec: Record| (rec.stripped(), (rec.id, rec.payload));
+        let (bare, attrs): (Vec<Vec<_>>, Vec<Vec<_>>) = parts
+            .into_iter()
+            .map(|part| part.into_iter().map(strip).unzip())
+            .unzip();
+        Ok((
+            Dataset::from_partitions(bare),
+            Dataset::from_partitions(attrs),
+        ))
     };
-    let (r_bare, r_attrs) = split(r);
-    let (s_bare, s_attrs) = split(s);
+    let (r_bare, r_table) = split(r.into())?;
+    let (s_bare, s_table) = split(s.into())?;
 
     let collect_spec = spec.clone().with_sink(PairSink::Collect);
     let mut out = adaptive_join(cluster, &collect_spec, policy, r_bare, s_bare)?;
@@ -42,7 +53,7 @@ pub fn adaptive_join_post_fetch(
 
     // Join 1: pairs (keyed by r.id) ⋈ R attributes → rows keyed by s.id.
     let pairs_by_rid = (Dataset::from_vec(out.pairs.to_vec(), inputs), identity);
-    let r_table = (Dataset::from_vec(r_attrs, inputs), identity);
+    let r_table = (r_table, identity);
     let fetch_r = |pairs: &Blocks<'_, u64>, r: &Blocks<'_, Payload>| {
         let mut half: Vec<(u64, (u64, Payload))> = Vec::new();
         for_each_cogroup(pairs, r, |rid, sids, payloads| {
@@ -66,10 +77,7 @@ pub fn adaptive_join_post_fetch(
     // stay in join 1's partitions; enrichment counts fold into
     // per-partition accumulators (retry-safe).
     let half = Dataset::from_partitions(fetch_r.parts.into_iter().map(|p| p.0).collect());
-    let (half, s_table) = (
-        (half, identity),
-        (Dataset::from_vec(s_attrs, inputs), identity),
-    );
+    let (half, s_table) = ((half, identity), (s_table, identity));
     let fetch_s = |rows: &Blocks<'_, (u64, Payload)>, s: &Blocks<'_, Payload>| {
         let mut enriched = 0u64;
         for_each_cogroup(rows, s, |_, rows, payloads| {

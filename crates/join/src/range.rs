@@ -25,7 +25,7 @@ impl<P: RecordPayload> PartitionedPoints<P> {
     ) -> Result<Self, JoinError> {
         spec.validate()?;
         let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
-        let rdd = data.into().partitioned(spec);
+        let rdd = data.into().partitioned(spec).rows;
         let assign = native_cell(cluster.broadcast(grid.clone()));
         let partitioner = HashPartitioner::new(spec.num_partitions);
         let expand = expansion(&assign);

@@ -1,7 +1,6 @@
-use asj_engine::{ensure_remaining, on_host_threads, split, Dataset, Wire, WireError};
+use asj_engine::{ensure_remaining, Wire, WireError};
 use asj_geom::Point;
 use bytes::{Buf, BufMut};
-use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -207,13 +206,15 @@ impl<P: Wire> Wire for Record<P> {
     }
 }
 
-/// Records whose generated payloads share one arena. A block is a contiguous
-/// id range, so a map task — which owns a contiguous input range — mostly
-/// bumps refcounts no other thread touches.
+/// Records whose payloads [`to_records`] puts in one arena. A block is a
+/// contiguous id range, so a map task — which owns a contiguous input range —
+/// mostly bumps refcounts no other thread touches.
 const ARENA_BLOCK_RECORDS: usize = 1024;
 
-/// Largest `payload_bytes` [`to_record_partitions`] accepts: a window
-/// addresses its arena with `u32`s and a block's arena holds 1024 payloads.
+/// Largest `payload_bytes` a generator accepts ([`to_records`],
+/// [`JoinInput::generated`](crate::JoinInput::generated)): a window
+/// addresses its arena with `u32`s, and an arena holds at least 1024
+/// payloads.
 pub const MAX_PAYLOAD_BYTES: usize = u32::MAX as usize / ARENA_BLOCK_RECORDS;
 
 /// One step of the payload filler's LCG.
@@ -257,39 +258,34 @@ fn fill_payload(id: u64, out: &mut [u8]) {
     }
 }
 
-/// Points `0..n` as [`Record`]s with sequential ids and a deterministic
-/// payload (`payload_bytes` per tuple, at most [`MAX_PAYLOAD_BYTES`]; 0 for
-/// bare points), cut into `parts` input partitions by [`split`], as
-/// [`Dataset::from_vec`] cuts a vector. Each partition is made from its own
-/// range, `points(ids)` (`DatasetSpec::block_stream`), on one of `threads`
-/// host threads.
-pub fn to_record_partitions<I: ExactSizeIterator<Item = Point>>(
-    n: usize,
-    points: impl Fn(Range<usize>) -> I + Sync,
-    payload_bytes: usize,
-    parts: usize,
-    threads: usize,
-) -> Dataset<Record> {
-    assert!(parts > 0, "need at least one partition");
-    let built = on_host_threads(threads, parts, |p, _| {
-        let ids = split(n, parts, p);
-        Ok::<_, Infallible>(records(ids.clone(), points(ids), payload_bytes).collect())
-    });
-    Dataset::from_partitions(built.unwrap_or_else(|never| match never {}))
+/// `points` as records with sequential ids and a deterministic payload
+/// (`payload_bytes` per tuple, at most [`MAX_PAYLOAD_BYTES`]; 0 for bare
+/// points), in one vector whose payload arenas cover 1024-id blocks.
+pub fn to_records(points: &[Point], payload_bytes: usize) -> Vec<Record> {
+    let (ids, points) = (0..points.len(), points.iter().copied());
+    records(ids, points, payload_bytes, ARENA_BLOCK_RECORDS).collect()
 }
 
-/// `points` as records with sequential ids and generated payloads, in one
-/// vector.
-pub fn to_records(points: &[Point], payload_bytes: usize) -> Vec<Record> {
-    records(0..points.len(), points.iter().copied(), payload_bytes).collect()
+/// The records with ids `ids` — one input partition of a generated input —
+/// whose payloads share one arena: its window offsets are `u32`s, so a
+/// partition past 4 GiB of payload takes more.
+pub(crate) fn partition_records(
+    ids: Range<usize>,
+    points: impl ExactSizeIterator<Item = Point>,
+    payload_bytes: usize,
+) -> Vec<Record> {
+    let arena_records = u32::MAX as usize / payload_bytes.max(1);
+    records(ids, points, payload_bytes, arena_records).collect()
 }
 
 /// The records with ids `ids` and points `points`, each built when it is
-/// read; a payload arena covers a 1024-id block, cut where `ids` is.
+/// read; a payload arena covers `arena_records` consecutive ids counted from
+/// the start of `ids` (the last arena fewer).
 fn records(
     ids: Range<usize>,
     points: impl ExactSizeIterator<Item = Point>,
     payload_bytes: usize,
+    arena_records: usize,
 ) -> impl ExactSizeIterator<Item = Record> {
     assert!(
         payload_bytes <= MAX_PAYLOAD_BYTES,
@@ -298,9 +294,9 @@ fn records(
     let (first, end) = (ids.start, ids.end);
     let mut arena = None;
     ids.zip(points).map(move |(id, point)| {
-        if payload_bytes > 0 && (id % ARENA_BLOCK_RECORDS == 0 || id == first) {
-            let block = (id / ARENA_BLOCK_RECORDS + 1) * ARENA_BLOCK_RECORDS;
-            let mut bytes = vec![0u8; (block.min(end) - id) * payload_bytes];
+        if payload_bytes > 0 && (id - first) % arena_records == 0 {
+            let upto = (id + arena_records).min(end);
+            let mut bytes = vec![0u8; (upto - id) * payload_bytes];
             for (j, out) in bytes.chunks_exact_mut(payload_bytes).enumerate() {
                 fill_payload((id + j) as u64, out);
             }
@@ -550,66 +546,28 @@ mod tests {
         }
     }
 
-    mod partitioned {
-        use super::*;
-        use asj_data::{DatasetSpec, GenKind, PAPER_BBOX};
-
-        const KINDS: [GenKind; 4] = [
-            GenKind::GaussianClusters,
-            GenKind::Hydrography,
-            GenKind::Parks,
-            GenKind::Uniform,
-        ];
-
-        fn arena(r: &Record) -> Option<*const Vec<u8>> {
-            r.payload.arena.as_ref().map(Arc::as_ptr)
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-            /// Generating straight into partitions, on any number of host
-            /// threads, lays out what generating into one vector and cutting
-            /// it does — ids, points, payload bytes — with one arena per
-            /// 1024-id block of a partition.
-            #[test]
-            fn partitioned_records_match_cut_records(
-                kind in 0usize..4,
-                payload_bytes in prop_oneof![Just(0usize), Just(1), Just(64), Just(257)],
-                n in prop_oneof![0usize..2, 1023usize..1026, 2000usize..5000],
-                parts in prop_oneof![Just(1usize), Just(16), Just(97)],
-                seed in any::<u64>(),
-            ) {
-                let spec = DatasetSpec {
-                    name: "t",
-                    kind: KINDS[kind],
-                    cardinality: n,
-                    seed,
-                    bbox: PAPER_BBOX,
-                    sigma_scale: 1.0,
-                };
-                let want = Dataset::from_vec(to_records(&spec.points(), payload_bytes), parts);
-                for threads in [1, 2, 4] {
-                    let got = to_record_partitions(n, |ids| spec.block_stream(ids), payload_bytes, parts, threads);
-                    prop_assert_eq!(got.partitions(), want.partitions());
-
-                    let mut id = 0;
-                    for part in got.partitions() {
-                        for (i, r) in part.iter().enumerate() {
-                            prop_assert_eq!(r.id, id);
-                            // The record opening this block in this partition.
-                            let opens = i.saturating_sub(r.id as usize % ARENA_BLOCK_RECORDS);
-                            prop_assert_eq!(arena(r), arena(&part[opens]));
-                            prop_assert_eq!(arena(r).is_some(), payload_bytes > 0);
-                            if payload_bytes > 0 && i > 0 && r.id as usize % ARENA_BLOCK_RECORDS == 0 {
-                                prop_assert_ne!(arena(r), arena(&part[i - 1]));
-                            }
-                            id += 1;
-                        }
-                    }
-                    prop_assert_eq!(id as usize, n);
-                }
-            }
-        }
+    /// A generated partition's payloads share one arena, cut every
+    /// `arena_records` ids counted from the partition's first.
+    #[test]
+    fn a_partition_shares_one_arena() {
+        let arena = |r: &Record| Arc::as_ptr(r.payload.arena.as_ref().expect("payload has bytes"));
+        let points = |ids: Range<usize>| ids.map(|i| Point::new(i as f64, 0.0));
+        let part = partition_records(1000..4000, points(1000..4000), 8);
+        assert!(part.iter().all(|r| arena(r) == arena(&part[0])));
+        assert_eq!(part[2999].payload.start, 2999 * 8);
+        assert_eq!(
+            part,
+            to_records(&points(0..4000).collect::<Vec<_>>(), 8)[1000..]
+        );
+        let capped: Vec<Record> = records(1000..3500, points(1000..3500), 8, 1000).collect();
+        let opens: Vec<usize> = (1..capped.len())
+            .filter(|&i| arena(&capped[i]) != arena(&capped[i - 1]))
+            .collect();
+        assert_eq!(opens, [1000, 2000]);
+        assert!(partition_records(0..5, points(0..5), 0)[4]
+            .payload
+            .arena
+            .is_none());
     }
 
     #[test]

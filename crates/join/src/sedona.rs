@@ -1,7 +1,6 @@
 use crate::pipeline::{join_points, run_plan, Assign, JoinPlan};
 use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record, RecordPayload};
 use asj_engine::{Cluster, Partitioner};
-use asj_geom::Point;
 use asj_grid::CellCoord;
 use asj_index::QuadTreePartitioner;
 
@@ -27,8 +26,8 @@ pub fn sedona_like_join<P: RecordPayload>(
     s: impl Into<JoinInput<Record<P>>>,
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
-    let (rdd_r, rdd_s) = (r.into().partitioned(spec), s.into().partitioned(spec));
-    let r_is_small = rdd_r.len() <= rdd_s.len();
+    let (r, s) = (r.into().partitioned(spec), s.into().partitioned(spec));
+    let r_is_small = r.rows.len() <= s.rows.len();
 
     // Sample the smaller set and build the QuadTree partitioner on the
     // driver.
@@ -36,13 +35,13 @@ pub fn sedona_like_join<P: RecordPayload>(
         .recorder()
         .clone()
         .phase_attrs("sampling", |attrs| {
-            let small = if r_is_small { &rdd_r } else { &rdd_s };
-            let (sample, ex) = small.try_sample(cluster, spec.sample_fraction, spec.seed)?;
+            let small = if r_is_small { &r } else { &s };
+            let (sample, ex) = small.sample_points(cluster, spec.sample_fraction, spec.seed)?;
             *attrs = attrs.records(sample.len() as u64);
             Ok::<_, JoinError>((sample, ex))
         })?;
     let (qt, driver) = cluster.driver_phase("quadtree", |attrs| {
-        let sample_points: Vec<Point> = sample.into_iter().map(|rec| rec.point).collect();
+        let sample_points = sample;
         // Leaf capacity chosen so the leaf count lands near the configured
         // partition count (Sedona sizes its quadtree from the partition
         // target). The quadtree holds all the shuffle needs of the sample.
@@ -90,7 +89,7 @@ pub fn sedona_like_join<P: RecordPayload>(
         driver,
         sampling,
     };
-    run_plan(cluster, rdd_r, rdd_s, plan)
+    run_plan(cluster, r.rows, s.rows, plan)
 }
 
 /// Identity partitioner: leaf id = partition id.

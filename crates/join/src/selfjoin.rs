@@ -23,7 +23,7 @@ pub fn self_join<P: RecordPayload>(
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let broadcast_bytes = grid.broadcast_bytes();
-    let rdd = input.into().partitioned(spec);
+    let rdd = input.into().partitioned(spec).rows;
 
     let grid_b = cluster.broadcast(grid);
     let assign = cells_within_eps(grid_b.clone());

@@ -1,7 +1,10 @@
-use crate::{PairSink, Pairs, Record};
+use crate::record::partition_records;
+use crate::{NoPayload, PairSink, Pairs, Record, RecordPayload};
 use asj_engine::digest::PairDigest;
-use asj_engine::{Dataset, JobError, JobMetrics, Placement};
-use asj_geom::Rect;
+use asj_engine::{split, Cluster, Dataset, ExecStats, JobError, JobMetrics, Placement};
+use asj_geom::{Point, Rect};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Partition-local join kernel (ablation A1 in DESIGN.md). Re-exported from
 /// `asj-core`, where the committed [`asj_core::KernelCostModel`] resolves
@@ -143,15 +146,37 @@ impl JoinSpec {
 }
 
 /// One input of a join: records, which the join cuts into
-/// [`JoinSpec::input_partitions`] input partitions, or input partitions as
+/// [`JoinSpec::input_partitions`] input partitions; input partitions as
 /// they were read — e.g. straight from a file by `asj_data::read_points_csv_each`
 /// into an [`Ingest`](asj_engine::Ingest), so that no row is copied and,
 /// under a memory budget, a partition may wait on disk until its tasks read
-/// it.
+/// it; or records that the join's tasks generate ([`JoinInput::generated`]).
 #[derive(Debug, Clone)]
 pub enum JoinInput<T = Record> {
     Records(Vec<T>),
     Partitions(Dataset<T>),
+    Generated(Generator<T>),
+}
+
+/// Records `0..n` made range by range, with or without their payloads: a
+/// [`JoinInput::generated`] input. Cloning it shares the generator.
+#[derive(Clone)]
+pub struct Generator<T> {
+    n: usize,
+    /// Payload bytes per record.
+    payload_bytes: u64,
+    /// The records of a range.
+    rows: Arc<dyn Fn(Range<usize>) -> Vec<T> + Send + Sync>,
+    /// The same records without payloads.
+    bare: Arc<dyn Fn(Range<usize>) -> Vec<Record<NoPayload>> + Send + Sync>,
+}
+
+impl<T> std::fmt::Debug for Generator<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Generator")
+            .field("n", &self.n)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<T> From<Vec<T>> for JoinInput<T> {
@@ -166,13 +191,107 @@ impl<T> From<Dataset<T>> for JoinInput<T> {
     }
 }
 
-impl<T: Send + Sync + Clone> JoinInput<T> {
+impl JoinInput<Record> {
+    /// Records `0..n`: record `i` has id `i`, the `i`-th point of the
+    /// dataset that `points(range)` yields range by range — on any thread,
+    /// as `asj_data::DatasetSpec::block_stream` does — and `payload_bytes`
+    /// of generated payload, at most [`MAX_PAYLOAD_BYTES`](crate::MAX_PAYLOAD_BYTES).
+    /// The join cuts it as it cuts [`JoinInput::Records`], and each input
+    /// partition is made inside the task that reads it and dropped after: the
+    /// sample makes its ids and points only, the shuffle's map task the
+    /// records, their payloads in one arena. So every answer and counter is
+    /// that of `to_records` over all the points, and nothing holds the input
+    /// between stages.
+    ///
+    /// # Panics
+    /// Panics if `payload_bytes` exceeds [`MAX_PAYLOAD_BYTES`](crate::MAX_PAYLOAD_BYTES).
+    pub fn generated<I>(
+        n: usize,
+        points: impl Fn(Range<usize>) -> I + Send + Sync + 'static,
+        payload_bytes: usize,
+    ) -> Self
+    where
+        I: ExactSizeIterator<Item = Point>,
+    {
+        assert!(
+            payload_bytes <= crate::MAX_PAYLOAD_BYTES,
+            "payload too large to window"
+        );
+        let points = Arc::new(points);
+        let bare = Arc::clone(&points);
+        JoinInput::Generated(Generator {
+            n,
+            payload_bytes: payload_bytes as u64,
+            rows: Arc::new(move |ids: Range<usize>| {
+                partition_records(ids.clone(), points(ids), payload_bytes)
+            }),
+            bare: Arc::new(move |ids: Range<usize>| {
+                let ids = ids.clone().zip(bare(ids));
+                ids.map(|(id, point)| Record::bare(id as u64, point))
+                    .collect()
+            }),
+        })
+    }
+}
+
+impl<T: Send + Sync + Clone + 'static> JoinInput<T> {
     /// The input's partitions: records cut into `spec.input_partitions`
-    /// chunks, partitions as they are. Call after [`JoinSpec::validate`].
-    pub(crate) fn partitioned(self, spec: &JoinSpec) -> Dataset<T> {
-        match self {
+    /// chunks, partitions as they are, a generator's ranges as recipes. Call
+    /// after [`JoinSpec::validate`].
+    pub(crate) fn partitioned(self, spec: &JoinSpec) -> Partitioned<T> {
+        let rows = match self {
             JoinInput::Records(records) => Dataset::from_vec(records, spec.input_partitions),
             JoinInput::Partitions(partitions) => partitions,
+            JoinInput::Generated(generator) => {
+                let Generator {
+                    n,
+                    payload_bytes,
+                    rows,
+                    bare,
+                } = generator;
+                let parts = spec.input_partitions;
+                let lens: Vec<usize> = (0..parts).map(|p| split(n, parts, p).len()).collect();
+                let rows = move |p| {
+                    let ids = split(n, parts, p);
+                    let payload = ids.len() as u64 * payload_bytes;
+                    (rows(ids), payload)
+                };
+                let bare = move |p| (bare(split(n, parts, p)), 0);
+                return Partitioned {
+                    rows: Dataset::from_recipe(lens.clone(), rows),
+                    bare: Some(Dataset::from_recipe(lens, bare)),
+                };
+            }
+        };
+        Partitioned { rows, bare: None }
+    }
+}
+
+/// A join input cut into its input partitions.
+pub(crate) struct Partitioned<T> {
+    pub rows: Dataset<T>,
+    /// The same records without payloads, where the input can make them
+    /// without making the payloads: what the sample reads.
+    bare: Option<Dataset<Record<NoPayload>>>,
+}
+
+impl<P: RecordPayload> Partitioned<Record<P>> {
+    /// The points of the input's Bernoulli sample — the `sample(φ)` step of
+    /// Algorithm 5 — in record order. A generated input samples its records
+    /// without payloads: the same ids and points in the same order, so the
+    /// same draws pick the same points, and no payload byte is made.
+    pub(crate) fn sample_points(
+        &self,
+        cluster: &Cluster,
+        fraction: f64,
+        seed: u64,
+    ) -> Result<(Vec<Point>, ExecStats), JobError> {
+        fn points<P>((sample, stats): (Vec<Record<P>>, ExecStats)) -> (Vec<Point>, ExecStats) {
+            (sample.iter().map(|rec| rec.point).collect(), stats)
+        }
+        match &self.bare {
+            Some(bare) => bare.try_sample(cluster, fraction, seed).map(points),
+            None => self.rows.try_sample(cluster, fraction, seed).map(points),
         }
     }
 }
@@ -351,5 +470,189 @@ mod tests {
         // 50 / (100 * 100) * 100 = 0.5 %
         assert!((out.selectivity_pct(100, 100) - 0.5).abs() < 1e-12);
         assert_eq!(out.selectivity_pct(0, 100), 0.0);
+    }
+
+    mod generated {
+        use super::*;
+        use crate::{to_records, Algorithm};
+        use asj_data::{DatasetSpec, GenKind, PAPER_BBOX};
+        use asj_engine::{ClusterConfig, FaultPlan, Recorder, RetryPolicy};
+        use proptest::prelude::*;
+
+        const KINDS: [GenKind; 4] = [
+            GenKind::GaussianClusters,
+            GenKind::Hydrography,
+            GenKind::Parks,
+            GenKind::Uniform,
+        ];
+
+        fn dataset(kind: GenKind, n: usize, seed: u64) -> DatasetSpec {
+            DatasetSpec {
+                name: "t",
+                kind,
+                cardinality: n,
+                seed,
+                bbox: PAPER_BBOX,
+                sigma_scale: 1.0,
+            }
+        }
+
+        fn generated(spec: &DatasetSpec, payload_bytes: usize) -> JoinInput {
+            let spec = spec.clone();
+            let n = spec.cardinality;
+            JoinInput::generated(n, move |ids| spec.block_stream(ids), payload_bytes)
+        }
+
+        /// `to_records` over every point, as a join input.
+        fn records(spec: &DatasetSpec, payload_bytes: usize) -> JoinInput {
+            to_records(&spec.points(), payload_bytes).into()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+            /// A generated input's partitions, as their recipes make them,
+            /// are what generating into one vector and cutting it gives —
+            /// ids, points, payload bytes —, and its payload-free partitions
+            /// are the same records stripped.
+            #[test]
+            fn generated_partitions_match_cut_records(
+                kind in 0usize..4,
+                payload_bytes in prop_oneof![Just(0usize), Just(1), Just(64), Just(257)],
+                n in prop_oneof![0usize..2, 1023usize..1026, 2000usize..5000],
+                parts in prop_oneof![Just(1usize), Just(16), Just(97)],
+                seed in any::<u64>(),
+            ) {
+                let data = dataset(KINDS[kind], n, seed);
+                let cut = Dataset::from_vec(to_records(&data.points(), payload_bytes), parts);
+                let mut spec = JoinSpec::new(PAPER_BBOX, 1.0);
+                spec.input_partitions = parts;
+                let input = generated(&data, payload_bytes).partitioned(&spec);
+                prop_assert_eq!(input.rows.len(), n);
+                let bare = input.bare.expect("a generated input samples without payloads");
+                let bare = bare.try_into_partitions("t").expect("made");
+                let got = input.rows.try_into_partitions("t").expect("made");
+                let want = cut.into_partitions();
+                prop_assert_eq!(&got, &want);
+                for (part, bare) in got.iter().zip(&bare) {
+                    let stripped: Vec<Record<NoPayload>> = part.iter().map(Record::stripped).collect();
+                    prop_assert_eq!(&stripped, bare);
+                }
+            }
+        }
+
+        /// What a run's trace counted, without the timings and without what
+        /// recipes made.
+        fn counters(recorder: &Recorder) -> Vec<((String, String), u64)> {
+            let metrics = recorder.snapshot().metrics;
+            let exact = |((_, name), _): &(&(String, String), &u64)| {
+                !name.ends_with("_ns") && !name.starts_with("recipe_")
+            };
+            let counters = metrics.counters.iter().filter(exact);
+            counters.map(|(key, &v)| (key.clone(), v)).collect()
+        }
+
+        /// A generated input joins exactly as `to_records` over its points
+        /// does, for every algorithm, with and without payloads, on one and
+        /// two host threads: the same pairs, counters, replication, shuffle
+        /// bytes and sample points.
+        #[test]
+        fn generated_inputs_join_like_records() {
+            let (r, s) = (
+                dataset(GenKind::GaussianClusters, 1_500, 3),
+                dataset(GenKind::Parks, 1_200, 4),
+            );
+            let spec = JoinSpec::new(PAPER_BBOX, 0.6)
+                .with_partitions(12)
+                .with_sample_fraction(0.2);
+            let algos = Algorithm::ALL.into_iter().chain([Algorithm::LpibDedup]);
+            for algo in algos {
+                for payload in [0, 64] {
+                    for threads in [1, 2] {
+                        let run = |r: JoinInput, s: JoinInput| {
+                            let recorder = Recorder::for_nodes(4);
+                            let cluster = Cluster::new(ClusterConfig::with_threads(4, threads))
+                                .with_recorder(recorder.clone());
+                            let sample = |input: &JoinInput| {
+                                let input = input.clone().partitioned(&spec);
+                                let (points, _) = input
+                                    .sample_points(&cluster, spec.sample_fraction, spec.seed)
+                                    .expect("sample runs");
+                                points.iter().map(|p| (p.x, p.y)).collect::<Vec<_>>()
+                            };
+                            let samples = (sample(&r), sample(&s));
+                            let out = algo.try_run(&cluster, &spec, r, s).expect("join runs");
+                            let shuffle = out.metrics.shuffle.clone();
+                            let counts = (out.result_count, out.candidates, out.replicated_total());
+                            (out.pairs, counts, shuffle, counters(&recorder), samples)
+                        };
+                        let want = run(records(&r, payload), records(&s, payload));
+                        let got = run(generated(&r, payload), generated(&s, payload));
+                        assert!(want.1 .0 > 0, "{algo:?}: the join finds pairs");
+                        assert_eq!(
+                            got, want,
+                            "{algo:?}, payload {payload}, {threads} thread(s)"
+                        );
+                    }
+                }
+            }
+        }
+
+        /// A task that fails, and a node lost while the stages run, make the
+        /// sample and the shuffles rebuild their partitions from the recipe —
+        /// which the `recipe_rows` counters show — and the answer stands. The
+        /// sample stage makes no payload byte; the map tasks make them all.
+        #[test]
+        fn failed_tasks_rebuild_generated_partitions() {
+            let (r, s) = (
+                dataset(GenKind::Uniform, 2_000, 5),
+                dataset(GenKind::GaussianClusters, 1_600, 6),
+            );
+            let spec = JoinSpec::new(PAPER_BBOX, 0.8).with_partitions(8);
+            let run = |plan: FaultPlan| {
+                let recorder = Recorder::for_nodes(4);
+                let cluster = Cluster::new(ClusterConfig::with_threads(4, 2))
+                    .with_recorder(recorder.clone())
+                    .with_fault_policy(plan, RetryPolicy::default().with_max_attempts(4));
+                let (r, s) = (generated(&r, 64), generated(&s, 64));
+                let out = Algorithm::Lpib
+                    .try_run(&cluster, &spec, r, s)
+                    .expect("join runs");
+                let made = |stage: &str, name: &str| recorder.counter_value(stage, name);
+                let counts = [
+                    ("sample", "recipe_rows"),
+                    ("sample", "recipe_bytes"),
+                    ("shuffle.R", "recipe_rows"),
+                    ("shuffle.S", "recipe_rows"),
+                    ("shuffle.R", "recipe_bytes"),
+                ]
+                .map(|(stage, name)| made(stage, name));
+                (out.pairs, counts, out.metrics.construction.retries)
+            };
+            let (pairs, clean, _) = run(FaultPlan::none());
+            let (n_r, n_s) = (r.cardinality as u64, s.cardinality as u64);
+            let sampled = Some(n_r + n_s);
+            assert_eq!(
+                clean,
+                [sampled, Some(0), Some(n_r), Some(n_s), Some(64 * n_r)]
+            );
+            // Both sample stages fail task 0's first attempt after it made
+            // its partition, shuffle.R task 1's likewise, and node 3 is lost
+            // once it has started an attempt: its tasks then fail before they
+            // run, and every retry makes its partition again. R's 16 input
+            // partitions hold 125 rows each, S's 100.
+            let plan = FaultPlan::none()
+                .with_fail_point("sample", 0, 1)
+                .with_fail_point("shuffle.R", 1, 1)
+                .with_lost_node(3, 1);
+            let (faulted, made, retries) = run(plan);
+            assert_eq!(faulted, pairs, "recovery must not change the answer");
+            assert!(retries > 3, "{retries} retries: node 3 was lost");
+            let [sample_rows, sample_bytes, r_rows, s_rows, r_bytes] =
+                made.map(Option::unwrap_or_default);
+            assert_eq!(sample_rows, n_r + n_s + 125 + 100);
+            assert_eq!(sample_bytes, 0, "the sample makes no payload byte");
+            assert_eq!((r_rows, s_rows), (n_r + 125, n_s));
+            assert_eq!(r_bytes, 64 * r_rows);
+        }
     }
 }

@@ -2,10 +2,10 @@ use crate::estimate::WorkingSetModel;
 use crate::queue::{check_payload, TenantSpec};
 use asj_data::{DatasetSpec, PAPER_BBOX};
 use asj_engine::{
-    ensure_remaining, Cluster, Dataset, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun,
-    SubmitError, Wire, WireError,
+    ensure_remaining, Cluster, JobReport, JobServer, JobSpec, SchedPolicy, ServerRun, SubmitError,
+    Wire, WireError,
 };
-use asj_join::{to_record_partitions, JoinError, JoinSpec, PairSink, Record};
+use asj_join::{JoinError, JoinInput, JoinSpec, PairSink};
 use bytes::{Buf, BufMut};
 use std::path::PathBuf;
 
@@ -108,10 +108,12 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// One side of a tenant's input, generated straight into `parts` input
-/// partitions on `threads` host threads. `payload=0` produces bare records
-/// (an empty payload encodes identically).
-fn tenant_input(tenant: &TenantSpec, seed: u64, parts: usize, threads: usize) -> Dataset<Record> {
+/// One side of a tenant's input: generated records, each input partition
+/// made inside the join's tasks that read it (points only for the sample,
+/// the records for the shuffle's map task) and dropped after, so no tenant
+/// holds its input between quanta. `payload=0` produces bare records (an
+/// empty payload encodes identically).
+fn tenant_input(tenant: &TenantSpec, seed: u64) -> JoinInput {
     let spec = DatasetSpec {
         name: "serve",
         kind: tenant.kind,
@@ -120,13 +122,11 @@ fn tenant_input(tenant: &TenantSpec, seed: u64, parts: usize, threads: usize) ->
         bbox: PAPER_BBOX,
         sigma_scale: 1.0,
     };
-    let points = |ids| spec.block_stream(ids);
-    to_record_partitions(
-        spec.cardinality,
-        points,
+    let n = spec.cardinality;
+    JoinInput::generated(
+        n,
+        move |ids| spec.block_stream(ids),
         tenant.payload as usize,
-        parts,
-        threads,
     )
 }
 
@@ -140,20 +140,11 @@ pub(crate) fn tenant_join_spec(tenant: &TenantSpec) -> JoinSpec {
 }
 
 fn run_tenant_body(tenant: &TenantSpec, cluster: &Cluster) -> Result<TenantOutcome, JoinError> {
-    // Generation runs inside the tenant's quanta, on the cluster's host
-    // threads while every other job is parked; as a phase it puts the whole
-    // quantum in the trace. The checksum is folded inside the join's tasks.
-    let recorder = cluster.recorder();
-    let threads = cluster.threads();
+    // The inputs are made inside the join's stages, in the tenant's quanta;
+    // the checksum is folded inside the join's tasks.
     let spec = tenant_join_spec(tenant);
-    let (r, s) = recorder.phase("generate", || {
-        let side = |k| {
-            let seed = tenant.seed.wrapping_add(k);
-            tenant_input(tenant, seed, spec.input_partitions, threads)
-        };
-        (side(0), side(1))
-    });
-    let out = tenant.algorithm.try_run(cluster, &spec, r, s)?;
+    let side = |k| tenant_input(tenant, tenant.seed.wrapping_add(k));
+    let out = tenant.algorithm.try_run(cluster, &spec, side(0), side(1))?;
     debug_assert_eq!(out.digest.count, out.result_count);
     Ok(TenantOutcome {
         result_count: out.result_count,
@@ -336,8 +327,8 @@ mod tests {
         // The digest of the collected pairs, folded on the driver.
         let spec = tenant_join_spec(tenant).with_sink(PairSink::Collect);
         let (r, s) = (
-            tenant_input(tenant, tenant.seed, 16, 2),
-            tenant_input(tenant, tenant.seed + 1, 16, 2),
+            tenant_input(tenant, tenant.seed),
+            tenant_input(tenant, tenant.seed + 1),
         );
         let out = tenant
             .algorithm
