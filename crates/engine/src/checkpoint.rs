@@ -5,9 +5,7 @@
 //! or an injected OOM that killed a downstream stage forced the whole
 //! upstream lineage to rerun. A [`CheckpointStore`] writes each completed
 //! resumable stage's partitions to a *named* segment file tracked by a
-//! manifest (same [`Wire`](crate::wire::Wire) framing the spill path and the
-//! byte meters use, so checkpoint volume and `partition_bytes` speak the same
-//! unit). On retry — whether a same-process stage rerun or a recovered
+//! manifest. On retry — whether a same-process stage rerun or a recovered
 //! server process — the fault path consults the manifest first and replays
 //! only the stage that actually failed.
 //!
@@ -24,13 +22,20 @@
 //! and XXH64); any mismatch deletes the pair and reports a miss, so a
 //! corrupt checkpoint degrades to recomputation, never to wrong results.
 //!
+//! What a chunk holds is the stage's [`Codec`]'s choice. Rows are saved in
+//! the [`Wire`](crate::wire::Wire) framing the spill path and the byte
+//! meters use; a shuffle whose input is a [`Recipe`](crate::Recipe) may save
+//! less — each row's routing, say — and decode it against the recipe, which
+//! its manifest then names. Either way the manifest keeps the stage's
+//! metered [`ShuffleStats`], which a load returns.
+//!
 //! The segment is written in one partition-parallel pass: partition `t`'s
-//! chunk lives at the prefix sum of `partition_bytes[..t]` — the exact
-//! encoded sizes the stage already metered — so every offset is known before
-//! a byte is encoded and workers `pwrite` their chunks independently; the
-//! file is the same as a serial append's. Loads read, verify and decode
-//! chunks on the same kind of workers. A spilled block is saved by copying
-//! its verified chunk, so a damaged spill fails the save.
+//! chunk lives at the prefix sum of the codec's chunk lengths of partitions
+//! `..t`, so every offset is known before a byte is encoded and workers
+//! `pwrite` their chunks independently; the file is the same as a serial
+//! append's. Loads read, verify and decode chunks on the same kind of
+//! workers. A spilled block is saved by copying its verified chunk, so a
+//! damaged spill fails the save.
 //!
 //! The manifest is a line-oriented text file:
 //!
@@ -41,6 +46,7 @@
 //! local_bytes=<u64>
 //! records=<u64>
 //! partition_bytes=<csv of u64>
+//! recipe=<the recipe the codec names>          (only if it names one)
 //! chunk=<target>:<records>:<len>:<offset>:<xxh64 hex>
 //! ...
 //! end
@@ -98,18 +104,62 @@ fn invalid(why: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, why)
 }
 
-/// Parses the manifest of `key`: the positional chunk index plus the recorded
-/// stats. Any irregularity — another version's header included — is `None`.
-fn parse_manifest(key: &str, text: &str) -> Option<(Vec<Chunk>, ShuffleStats)> {
+/// How a resumable stage's partitions become checkpoint chunks and back.
+/// `len` is a partition's chunk length, known before a byte is encoded: the
+/// chunk offsets are its prefix sums. `encode` appends exactly that many
+/// bytes and returns the partition's record count; `decode` rebuilds a
+/// partition from a verified chunk and its record count, or refuses it.
+/// A codec whose chunks decode against a recipe names it
+/// ([`Codec::with_recipe`]): the manifest records the name, and a load by a
+/// codec that names another recipe, or none, misses.
+pub struct Codec<'a, P> {
+    recipe: Option<String>,
+    len: Box<dyn Fn(&P) -> u64 + Sync + 'a>,
+    encode: Encode<'a, P>,
+    decode: Decode<'a, P>,
+}
+
+type Encode<'a, P> = Box<dyn Fn(&P, &mut Vec<u8>) -> u64 + Sync + 'a>;
+type Decode<'a, P> = Box<dyn Fn(&[u8], u64) -> Option<P> + Sync + 'a>;
+
+impl<'a, P> Codec<'a, P> {
+    pub fn new(
+        len: impl Fn(&P) -> u64 + Sync + 'a,
+        encode: impl Fn(&P, &mut Vec<u8>) -> u64 + Sync + 'a,
+        decode: impl Fn(&[u8], u64) -> Option<P> + Sync + 'a,
+    ) -> Self {
+        Codec {
+            recipe: None,
+            len: Box::new(len),
+            encode: Box::new(encode),
+            decode: Box::new(decode),
+        }
+    }
+
+    /// This codec, its chunks decoded against the recipe `name`.
+    pub fn with_recipe(mut self, name: String) -> Self {
+        self.recipe = Some(name);
+        self
+    }
+}
+
+/// A parsed manifest: the positional chunk index, the recorded stats and
+/// the recipe the chunks decode against, if any.
+type Manifest = (Vec<Chunk>, ShuffleStats, Option<String>);
+
+/// Parses the manifest of `key`. Any irregularity — another version's
+/// header included — is `None`.
+fn parse_manifest(key: &str, text: &str) -> Option<Manifest> {
     let mut lines = text.lines();
     if lines.next()? != "asj-checkpoint v2" {
         return None;
     }
     let mut shuffle = ShuffleStats::default();
     let mut chunks: Vec<Chunk> = Vec::new();
+    let mut recipe = None;
     for line in lines {
         if line == "end" {
-            return Some((chunks, shuffle));
+            return Some((chunks, shuffle, recipe));
         }
         let (field, value) = line.split_once('=')?;
         match field {
@@ -129,6 +179,7 @@ fn parse_manifest(key: &str, text: &str) -> Option<(Vec<Chunk>, ShuffleStats)> {
                         .collect::<Option<Vec<u64>>>()?;
                 }
             }
+            "recipe" => recipe = Some(value.to_string()),
             "chunk" => {
                 let chunk: Chunk = value.parse().ok()?;
                 // Chunks are listed in target order (0..partitions), so the
@@ -211,23 +262,22 @@ impl CheckpointStore {
 
     /// Persists one completed stage's partition outputs under `key`: one
     /// chunk per partition (empty partitions included, so `load` rebuilds the
-    /// exact partition vector). `encode` appends a partition's encoding to
-    /// the buffer it is handed and returns the partition's record count;
+    /// exact partition vector), each `codec`'s encoding of its partition;
     /// `shuffle` is what the manifest records beside the chunks — the
-    /// stage's byte meters, whose `partition_bytes` must be the exact encoded
-    /// size of every partition: chunk offsets are their prefix sums, which is
-    /// what lets up to `threads` workers encode, checksum and write chunks
-    /// independently. Returns the segment bytes written. A failed save
-    /// leaves nothing of `key` on disk.
+    /// stage's byte meters, one `partition_bytes` entry per partition.
+    /// Chunk offsets are the prefix sums of the codec's chunk lengths,
+    /// which is what lets up to `threads` workers encode, checksum and write
+    /// chunks independently. Returns the segment bytes written. A failed
+    /// save leaves nothing of `key` on disk.
     pub fn save<P: Sync>(
         &self,
         key: &str,
         parts: &[P],
         shuffle: &ShuffleStats,
         threads: usize,
-        encode: impl Fn(&P, &mut Vec<u8>) -> u64 + Sync,
+        codec: &Codec<'_, P>,
     ) -> io::Result<u64> {
-        self.write_pair(key, parts, shuffle, threads, encode)
+        self.write_pair(key, parts, shuffle, threads, codec)
             // Whatever was written is unreferenced or half-published.
             .inspect_err(|_| self.remove(key))
     }
@@ -247,18 +297,18 @@ impl CheckpointStore {
         parts: &[P],
         shuffle: &ShuffleStats,
         threads: usize,
-        encode: impl Fn(&P, &mut Vec<u8>) -> u64 + Sync,
+        codec: &Codec<'_, P>,
     ) -> io::Result<u64> {
-        let lens = &shuffle.partition_bytes;
-        if lens.len() != parts.len() {
-            let (parts, lens) = (parts.len(), lens.len());
+        if shuffle.partition_bytes.len() != parts.len() {
+            let (parts, metered) = (parts.len(), shuffle.partition_bytes.len());
             return Err(invalid(format!(
-                "{parts} partitions, {lens} partition_bytes"
+                "{parts} partitions, {metered} partition_bytes"
             )));
         }
+        let lens: Vec<u64> = parts.iter().map(|part| (codec.len)(part)).collect();
         let mut offsets = Vec::with_capacity(lens.len());
         let mut written = 0u64;
-        for len in lens {
+        for len in &lens {
             offsets.push(written);
             written += len;
         }
@@ -271,11 +321,11 @@ impl CheckpointStore {
             chunks = on_host_threads(threads, parts.len(), |t, buf| {
                 buf.clear();
                 buf.reserve(lens[t] as usize);
-                let records = encode(&parts[t], buf);
+                let records = (codec.encode)(&parts[t], buf);
                 if buf.len() as u64 != lens[t] {
-                    let (got, metered) = (buf.len(), lens[t]);
+                    let (got, len) = (buf.len(), lens[t]);
                     return Err(invalid(format!(
-                        "partition {t}: {got} bytes, metered {metered}"
+                        "partition {t}: {got} bytes, chunk length {len}"
                     )));
                 }
                 file.write_all_at(buf, offsets[t])?;
@@ -286,7 +336,7 @@ impl CheckpointStore {
             fsync = start.elapsed() - write;
         }
 
-        let pb: Vec<String> = lens.iter().map(|b| b.to_string()).collect();
+        let pb: Vec<String> = shuffle.partition_bytes.iter().map(u64::to_string).collect();
         let mut text = format!(
             "asj-checkpoint v2\nstage={key}\nremote_bytes={}\nlocal_bytes={}\nrecords={}\n\
              partition_bytes={}\n",
@@ -295,6 +345,9 @@ impl CheckpointStore {
             shuffle.records,
             pb.join(",")
         );
+        if let Some(recipe) = &codec.recipe {
+            text.push_str(&format!("recipe={recipe}\n"));
+        }
         for chunk in &chunks {
             text.push_str(&format!("chunk={chunk}\n"));
         }
@@ -316,20 +369,20 @@ impl CheckpointStore {
 
     /// Loads the checkpoint `key` of a stage with `expected` partitions:
     /// up to `threads` workers read every chunk back, verify its length and
-    /// XXH64 checksum and hand it (bytes and record count) to `decode`.
-    /// `Ok(None)` when `key` was never committed or failed verification —
-    /// torn or foreign-version manifest, checksum or length mismatch,
-    /// undecodable chunk, a partition count other than `expected` (a stale
-    /// checkpoint from a different plan shape must never misalign
-    /// partitions). A failed pair is deleted so the stage recomputes and
-    /// re-checkpoints cleanly. I/O errors other than "not there" still
-    /// surface.
+    /// XXH64 checksum and hand it (bytes and record count) to `codec`'s
+    /// decoder. `Ok(None)` when `key` was never committed or failed
+    /// verification — torn or foreign-version manifest, checksum or length
+    /// mismatch, undecodable chunk, a recipe other than the one `codec`
+    /// names, a partition count other than `expected` (a stale checkpoint
+    /// from a different plan shape must never misalign partitions). A failed
+    /// pair is deleted so the stage recomputes and re-checkpoints cleanly.
+    /// I/O errors other than "not there" still surface.
     pub fn load<P: Send>(
         &self,
         key: &str,
         expected: usize,
         threads: usize,
-        decode: impl Fn(&[u8], u64) -> Option<P> + Sync,
+        codec: &Codec<'_, P>,
     ) -> io::Result<Option<(Vec<P>, ShuffleStats)>> {
         let text = match std::fs::read_to_string(self.manifest_path(key)) {
             Ok(text) => text,
@@ -337,8 +390,8 @@ impl CheckpointStore {
             Err(e) => return Err(e),
         };
         let decoded = parse_manifest(key, &text)
-            .filter(|(chunks, _)| chunks.len() == expected)
-            .and_then(|(chunks, shuffle)| {
+            .filter(|(chunks, _, recipe)| chunks.len() == expected && *recipe == codec.recipe)
+            .and_then(|(chunks, shuffle, _)| {
                 if chunks.is_empty() {
                     return Some((Vec::new(), shuffle));
                 }
@@ -346,7 +399,7 @@ impl CheckpointStore {
                 let parts = on_host_threads(threads, chunks.len(), |t, buf| {
                     buf.clear();
                     chunks[t].read_into(&file, buf)?;
-                    decode(buf, chunks[t].records)
+                    (codec.decode)(buf, chunks[t].records)
                         .ok_or(io::Error::from(io::ErrorKind::InvalidData))
                 });
                 Some((parts.ok()?, shuffle))
@@ -416,6 +469,13 @@ impl CheckpointStore {
     pub(crate) fn note_recovered(&self) {
         self.stages_recovered.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// The codec of a stage whose partitions are `(records, accumulator)`
+/// pairs — the partition-local join's.
+pub(crate) fn join_codec<'a, R: Wire + 'a, A: Wire + 'a>() -> Codec<'a, (Vec<R>, A)> {
+    let len = |part: &(Vec<R>, A)| join_part_size(part) as u64;
+    Codec::new(len, encode_join_part, decode_join_part)
 }
 
 /// Exact encoded size of one join partition (see [`encode_join_part`]).
@@ -520,9 +580,15 @@ mod tests {
     type Records = Vec<(u64, Vec<u8>)>;
     type JoinPart = (Vec<(u64, u64)>, (u64, u64));
 
-    /// The keyed-records codec, as `KeyedDataset::shuffle_stage` passes it.
+    /// The keyed-records codec: a partition's wire encoding, as
+    /// `KeyedDataset::shuffle_stage` saves in-memory rows.
     fn encode_part(part: &Records, buf: &mut Vec<u8>) -> u64 {
         encode_records_into(part, buf)
+    }
+
+    fn records_codec<'a>() -> Codec<'a, Records> {
+        let len = |part: &Records| encode_records(part).len() as u64;
+        Codec::new(len, encode_part, |b, n| decode_records(b, n).ok())
     }
 
     fn save_records(
@@ -531,11 +597,11 @@ mod tests {
         parts: &[Records],
         stats: &ShuffleStats,
     ) -> io::Result<u64> {
-        store.save(key, parts, stats, 2, encode_part)
+        store.save(key, parts, stats, 2, &records_codec())
     }
 
     fn put_join(store: &CheckpointStore, key: &str, parts: &[JoinPart]) -> io::Result<u64> {
-        store.save(key, parts, &join_stats(parts), 2, encode_join_part)
+        store.save(key, parts, &join_stats(parts), 2, &join_codec())
     }
 
     fn load_records(
@@ -544,14 +610,12 @@ mod tests {
         expected: usize,
     ) -> Option<(Vec<Records>, ShuffleStats)> {
         store
-            .load(key, expected, 2, |b, n| decode_records(b, n).ok())
+            .load(key, expected, 2, &records_codec())
             .expect("load")
     }
 
     fn join_parts(store: &CheckpointStore, key: &str, expected: usize) -> Option<Vec<JoinPart>> {
-        let hit = store
-            .load(key, expected, 2, decode_join_part)
-            .expect("load");
+        let hit = store.load(key, expected, 2, &join_codec()).expect("load");
         hit.map(|(parts, _)| parts)
     }
 
@@ -658,7 +722,7 @@ mod tests {
         /// What is wrong, how to cause it, and how many partitions the
         /// loader expects beyond the three saved.
         type Damage = (&'static str, fn(&Path), usize);
-        const DAMAGE: [Damage; 9] = [
+        const DAMAGE: [Damage; 10] = [
             (
                 "flipped segment byte",
                 |dir| {
@@ -724,6 +788,20 @@ mod tests {
                 |dir| set_records_of_chunk_0(dir, "1099511627776"),
                 0,
             ),
+            (
+                "a recipe the codec does not name",
+                |dir| {
+                    edit_manifest(dir, |t| {
+                        let lines = t.lines().filter(|line| !line.starts_with("recipe="));
+                        let lines = lines.map(|line| match line.starts_with("partition_bytes=") {
+                            true => format!("{line}\nrecipe=another\n"),
+                            false => format!("{line}\n"),
+                        });
+                        lines.collect()
+                    })
+                },
+                0,
+            ),
         ];
         fn check(
             shape: &str,
@@ -758,6 +836,20 @@ mod tests {
                 put_join(store, "k", &sample_join_parts()).expect("save");
             },
             |store, expected| join_parts(store, "k", expected).is_some(),
+        );
+        let recipe_codec = || records_codec().with_recipe("3:0:3".into());
+        check(
+            "records against a recipe",
+            |store| {
+                let (parts, stats) = (sample_parts(), sample_stats());
+                store
+                    .save("k", &parts, &stats, 2, &recipe_codec())
+                    .expect("save");
+            },
+            |store, expected| {
+                let hit = store.load("k", expected, 2, &recipe_codec());
+                hit.expect("load").is_some()
+            },
         );
     }
 
@@ -922,7 +1014,7 @@ mod tests {
         let (segment, manifest) = serial_reference("k", &parts, &stats);
         for threads in [1, 2, 7] {
             let bytes = store
-                .save("k", &parts, &stats, threads, encode_part)
+                .save("k", &parts, &stats, threads, &records_codec())
                 .expect("save");
             assert_eq!(bytes, segment.len() as u64);
             assert_eq!(std::fs::read(dir.join("k.seg")).expect("seg"), segment);
@@ -930,7 +1022,7 @@ mod tests {
                 std::fs::read_to_string(dir.join("k.manifest")).expect("manifest"),
                 manifest
             );
-            let hit = store.load("k", parts.len(), threads, |b, n| decode_records(b, n).ok());
+            let hit = store.load("k", parts.len(), threads, &records_codec());
             assert_eq!(hit.expect("load"), Some((parts.clone(), stats.clone())));
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -952,8 +1044,8 @@ mod tests {
                 .map(|part| part.iter().map(|&(k, n)| (k, vec![k as u8; n])).collect())
                 .collect();
             let stats = records_stats(&records);
-            store.save("r", &records, &stats, threads, encode_part).expect("save records");
-            let hit = store.load("r", records.len(), threads, |b, n| decode_records(b, n).ok());
+            store.save("r", &records, &stats, threads, &records_codec()).expect("save records");
+            let hit = store.load("r", records.len(), threads, &records_codec());
             prop_assert_eq!(hit.expect("load records"), Some((records, stats)));
 
             let joins: Vec<JoinPart> = shape
@@ -964,15 +1056,15 @@ mod tests {
                 })
                 .collect();
             let stats = join_stats(&joins);
-            store.save("j", &joins, &stats, threads, encode_join_part).expect("save join");
-            let hit = store.load("j", joins.len(), threads, decode_join_part);
+            store.save("j", &joins, &stats, threads, &join_codec()).expect("save join");
+            let hit = store.load("j", joins.len(), threads, &join_codec());
             prop_assert_eq!(hit.expect("load join"), Some((joins, stats)));
             prop_assert_eq!(dir.join("r.seg").exists(), !shape.is_empty());
             std::fs::remove_dir_all(&dir).expect("cleanup");
         }
     }
 
-    /// A chunk that does not encode to its metered size would land on its
+    /// A chunk that does not encode to its codec's length would land on its
     /// neighbour's bytes: the save fails instead and leaves nothing behind.
     #[test]
     fn a_chunk_longer_than_metered_fails_the_save_cleanly() {
@@ -982,7 +1074,9 @@ mod tests {
             buf.push(0);
             encode_part(part, buf)
         };
-        let saved = store.save("k", &sample_parts(), &sample_stats(), 2, one_byte_more);
+        let len = |part: &Records| encode_records(part).len() as u64;
+        let codec = Codec::new(len, one_byte_more, |b, n| decode_records(b, n).ok());
+        let saved = store.save("k", &sample_parts(), &sample_stats(), 2, &codec);
         assert_eq!(
             saved.expect_err("must fail").kind(),
             io::ErrorKind::InvalidData

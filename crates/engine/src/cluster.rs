@@ -1,6 +1,4 @@
-use crate::checkpoint::{
-    decode_join_part, encode_join_part, join_part_size, CheckpointCtx, CheckpointStore,
-};
+use crate::checkpoint::{join_codec, join_part_size, CheckpointCtx, CheckpointStore, Codec};
 use crate::fault::{FaultContext, FaultPlan, JobError, RetryPolicy};
 use crate::jobs::JobGate;
 use crate::journal::Journal;
@@ -232,17 +230,12 @@ impl Cluster {
     /// failed save never fails the stage, it is counted and the stage stays
     /// non-resumable. Without a store this is `compute()`.
     ///
-    /// `codec` is the stage's partition ⇄ chunk pair: append a partition's
-    /// encoding to a buffer and return its record count; rebuild a partition
-    /// from a chunk's bytes and record count.
+    /// `codec` turns the stage's partitions into chunks and back.
     pub(crate) fn checkpointed<P: Send + Sync>(
         &self,
         stage: &str,
         expected: usize,
-        codec: (
-            impl Fn(&P, &mut Vec<u8>) -> u64 + Sync,
-            impl Fn(&[u8], u64) -> Option<P> + Sync,
-        ),
+        codec: Codec<'_, P>,
         compute: impl FnOnce() -> Result<(Vec<P>, ShuffleStats, ExecStats), JobError>,
     ) -> Result<(Vec<P>, ShuffleStats, ExecStats), JobError> {
         self.gated(
@@ -250,13 +243,12 @@ impl Cluster {
                 let Some(ck) = self.checkpoint.as_deref() else {
                     return compute();
                 };
-                let (encode, decode) = codec;
                 let key = ck.next_key(stage);
                 let threads = self.config.threads;
                 // A stage without partitions has nothing to replay.
                 if expected > 0 {
                     if let Ok(Some((parts, shuffle))) =
-                        ck.store().load(&key, expected, threads, decode)
+                        ck.store().load(&key, expected, threads, &codec)
                     {
                         ck.store().note_recovered();
                         self.recorder.counter_add(stage, "stages_recovered", 1);
@@ -268,7 +260,7 @@ impl Cluster {
                 // Saves of one store are serial (one job, or a server's lockstep
                 // grants), so the totals' movement is this save's time.
                 let before = ck.store().times();
-                match ck.store().save(&key, &parts, &shuffle, threads, encode) {
+                match ck.store().save(&key, &parts, &shuffle, threads, &codec) {
                     Ok(bytes) => {
                         let spent = ck.store().times();
                         count("checkpoint_bytes", bytes);
@@ -537,9 +529,8 @@ impl Cluster {
         Acc: Wire + Send + Sync,
         F: Fn(usize, T) -> Result<(Vec<Rec>, Acc), crate::TaskError> + Sync,
     {
-        let codec = (encode_join_part::<Rec, Acc>, decode_join_part::<Rec, Acc>);
         let in_pool = self.checkpoint.is_none();
-        let (mut parts, _, stats) = self.checkpointed(stage, tasks.len(), codec, || {
+        let (mut parts, _, stats) = self.checkpointed(stage, tasks.len(), join_codec(), || {
             let hook: &CommitHook<_> = if in_pool { commit } else { &|_, _| {} };
             let (parts, stats) = self.dispatch(stage, tasks, f, hook)?;
             // The join phase has no shuffle meters; its manifest records the
@@ -721,7 +712,7 @@ mod tests {
     /// the failure is counted and announced, and nothing stays on disk.
     #[test]
     fn a_failed_save_is_counted_and_leaves_no_files() {
-        use crate::memory::{decode_records, encode_records_into};
+        use crate::memory::{decode_records, encode_records, encode_records_into};
         use crate::{HashPartitioner, KeyedDataset};
         let dir = std::env::temp_dir().join(format!("asj-save-failed-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -747,7 +738,9 @@ mod tests {
 
         // An encoder that writes one byte more than the stage metered.
         let parts = expect.partitions().to_vec();
-        let overlong = (
+        let metered = |part: &Vec<(u64, u64)>| encode_records(part).len() as u64;
+        let overlong = Codec::new(
+            metered,
             |part: &Vec<(u64, u64)>, buf: &mut Vec<u8>| {
                 buf.push(0);
                 encode_records_into(part, buf)

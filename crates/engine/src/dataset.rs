@@ -1,3 +1,4 @@
+use crate::checkpoint::Codec;
 use crate::clock::timed;
 use crate::cluster::Cluster;
 use crate::fault::{JobError, TaskError};
@@ -279,18 +280,28 @@ impl<T: Wire + Send + Sync + Clone> Dataset<T> {
         V: Wire + Send + Sync + Clone,
         P: Partitioner<K> + ?Sized,
     {
-        // Resumable when the cluster carries a checkpoint store: see
-        // `Cluster::checkpointed` for the hit/miss/save protocol. A partition
-        // saves as its rows' encoding, so a spilled block's chunk is copied
-        // as it is; a restored partition is one in-memory block.
-        let codec = (
-            |part: &ShuffledPartition<K, V>, buf: &mut Vec<u8>| part.encode_into(buf),
-            |bytes: &[u8], records| {
-                decode_records(bytes, records)
-                    .ok()
-                    .map(ShuffledPartition::of_rows)
-            },
-        );
+        let codec = ShuffledPartition::wire_codec();
+        self.shuffle_stage_with(cluster, partitioner, stage, expand, codec)
+    }
+
+    /// [`shuffle_stage_by`](Self::shuffle_stage_by) whose checkpoint, when
+    /// the cluster carries a checkpoint store, saves and restores each
+    /// target partition through `codec` instead of as its rows' wire
+    /// encoding (see `Cluster::checkpointed` for the hit/miss/save
+    /// protocol).
+    pub fn shuffle_stage_with<K, V, P>(
+        self,
+        cluster: &Cluster,
+        partitioner: &P,
+        stage: &str,
+        expand: impl Fn(Vec<T>) -> Vec<(K, V)> + Sync,
+        codec: Codec<'_, ShuffledPartition<K, V>>,
+    ) -> Result<(ShuffledDataset<K, V>, ShuffleStats, ExecStats), JobError>
+    where
+        K: Wire + Send + Sync + Copy,
+        V: Wire + Send + Sync + Clone,
+        P: Partitioner<K> + ?Sized,
+    {
         let targets = partitioner.num_partitions();
         let (parts, shuffle, stats) = cluster.checkpointed(stage, targets, codec, || {
             self.radix_shuffle_stage(cluster, partitioner, stage, expand)
@@ -737,8 +748,9 @@ pub struct ShuffledPartition<K, V> {
 }
 
 impl<K: Wire + Clone, V: Wire + Clone> ShuffledPartition<K, V> {
-    /// A partition of one in-memory block (none when `rows` is empty).
-    fn of_rows(rows: Vec<(K, V)>) -> Self {
+    /// A partition of one in-memory block (none when `rows` is empty): what
+    /// a checkpoint restores.
+    pub fn of_rows(rows: Vec<(K, V)>) -> Self {
         let blocks = if rows.is_empty() {
             Vec::new()
         } else {
@@ -777,6 +789,28 @@ impl<K: Wire + Clone, V: Wire + Clone> ShuffledPartition<K, V> {
             rows.append(&mut block.into_rows()?);
         }
         Ok(rows)
+    }
+
+    /// The checkpoint codec that saves a partition as its rows' wire
+    /// encoding and restores it as one in-memory block.
+    fn wire_codec<'a>() -> Codec<'a, Self>
+    where
+        Self: 'a,
+    {
+        let decode = |bytes: &[u8], records| decode_records(bytes, records).ok().map(Self::of_rows);
+        Codec::new(Self::wire_size, Self::encode_into, decode)
+    }
+
+    /// The length of the partition's wire encoding.
+    fn wire_size(&self) -> u64 {
+        let size = |block: &Block<(K, V)>| match block {
+            Block::Spilled { segment, chunk } => segment.chunks()[*chunk].len,
+            block => block.read().map_or(0, |rows| {
+                let row = |(k, v): &(K, V)| (k.encoded_size() + v.encoded_size()) as u64;
+                rows.iter().map(row).sum()
+            }),
+        };
+        self.blocks.iter().map(size).sum()
     }
 
     /// Appends the partition's wire encoding (a checkpoint chunk) to `buf`:
@@ -1236,9 +1270,8 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("asj-flipped-{}", std::process::id()));
         let store = CheckpointStore::open(&dir).expect("open checkpoint dir");
-        let saved = store.save("k", shuffled.partitions(), &stats, 2, |p, buf| {
-            p.encode_into(buf)
-        });
+        let codec = ShuffledPartition::wire_codec();
+        let saved = store.save("k", shuffled.partitions(), &stats, 2, &codec);
         assert!(saved.is_err(), "a save of a damaged chunk fails");
         assert_eq!(std::fs::read_dir(&dir).expect("list").count(), 0);
         std::fs::remove_dir_all(&dir).expect("cleanup");

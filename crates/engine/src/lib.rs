@@ -48,7 +48,7 @@ mod partitioner;
 mod pool;
 mod wire;
 
-pub use checkpoint::{CheckpointStore, CheckpointTimes};
+pub use checkpoint::{CheckpointStore, CheckpointTimes, Codec};
 pub use cluster::{on_host_threads, Broadcast, Cluster, ClusterConfig, CommitHook, StageResult};
 pub use dataset::{
     split, Block, Dataset, Fetched, Ingest, KeyedDataset, Recipe, ShuffledDataset,

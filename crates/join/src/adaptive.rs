@@ -150,7 +150,7 @@ pub(crate) fn agreement_join<P: RecordPayload>(
         driver,
         sampling,
     };
-    run_plan(cluster, r.rows, s.rows, plan)
+    run_plan(cluster, r, s, plan)
 }
 
 #[cfg(test)]

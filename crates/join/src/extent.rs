@@ -180,7 +180,7 @@ pub fn extent_join(
     };
     let rdd_a = Dataset::from_vec(a, spec.input_partitions);
     let rdd_b = Dataset::from_vec(b, spec.input_partitions);
-    run_plan(cluster, rdd_a, rdd_b, plan)
+    run_plan(cluster, rdd_a.into(), rdd_b.into(), plan)
 }
 
 /// Brute-force oracle for the extent join.

@@ -61,8 +61,8 @@ fn knn_join_probe<P: RecordPayload>(
     }
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
-    let (rdd_r, rdd_s) = (r.partitioned(spec).rows, s.partitioned(spec).rows);
-    let s_total = rdd_s.len();
+    let (rdd_r, s) = (r.partitioned(spec).rows, s.partitioned(spec));
+    let s_total = s.rows.len();
     let partitioner = HashPartitioner::new(spec.num_partitions);
     let mut exec = ExecStats::default();
     let mut shuffle = ShuffleStats::default();
@@ -71,7 +71,13 @@ fn knn_join_probe<P: RecordPayload>(
     let grid_b = cluster.broadcast(grid);
     let assign = native_cell(grid_b.clone());
     let expand = expansion(&assign);
-    let (s_cells, _, sh, ex) = shuffle_keyed(cluster, rdd_s, expand, &partitioner, "shuffle")?;
+    let (s_cells, _, sh, ex) = shuffle_keyed(
+        cluster,
+        (s.rows, s.remake.as_ref()),
+        expand,
+        &partitioner,
+        "shuffle",
+    )?;
     shuffle.merge(&sh);
     exec.accumulate(&ex);
     // S stays resident; every round's join borrows it.

@@ -52,6 +52,7 @@ mod post_fetch;
 mod range;
 mod record;
 mod refpoint;
+mod routing;
 mod sedona;
 mod selfjoin;
 mod sink;

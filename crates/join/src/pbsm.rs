@@ -1,6 +1,7 @@
 use crate::pipeline::{cells_within_eps, join_points, native_cell, run_plan, Assign, JoinPlan};
+use crate::spec::Partitioned;
 use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, Record, RecordPayload};
-use asj_engine::{Cluster, Dataset, ExecStats, HashPartitioner};
+use asj_engine::{Cluster, ExecStats, HashPartitioner};
 use asj_grid::{Grid, GridSpec};
 use std::time::Duration;
 
@@ -34,10 +35,7 @@ pub fn pbsm_join<P: RecordPayload>(
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
-    let (r, s) = (
-        r.into().partitioned(spec).rows,
-        s.into().partitioned(spec).rows,
-    );
+    let (r, s) = (r.into().partitioned(spec), s.into().partitioned(spec));
     grid_baseline_join(cluster, spec, grid, side.name(), side, r, s)
 }
 
@@ -53,11 +51,8 @@ pub fn eps_grid_join<P: RecordPayload>(
 ) -> Result<JoinOutput, JoinError> {
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, 1.0));
-    let (r, s) = (
-        r.into().partitioned(spec).rows,
-        s.into().partitioned(spec).rows,
-    );
-    let side = if r.len() <= s.len() {
+    let (r, s) = (r.into().partitioned(spec), s.into().partitioned(spec));
+    let side = if r.rows.len() <= s.rows.len() {
         ReplicateSide::R
     } else {
         ReplicateSide::S
@@ -71,8 +66,8 @@ fn grid_baseline_join<P: RecordPayload>(
     grid: Grid,
     name: &str,
     side: ReplicateSide,
-    rdd_r: Dataset<Record<P>>,
-    rdd_s: Dataset<Record<P>>,
+    r: Partitioned<Record<P>>,
+    s: Partitioned<Record<P>>,
 ) -> Result<JoinOutput, JoinError> {
     let broadcast_bytes = grid.broadcast_bytes();
     let grid_b = cluster.broadcast(grid);
@@ -92,7 +87,7 @@ fn grid_baseline_join<P: RecordPayload>(
         driver: Duration::ZERO,
         sampling: ExecStats::default(),
     };
-    run_plan(cluster, rdd_r, rdd_s, plan)
+    run_plan(cluster, r, s, plan)
 }
 
 #[cfg(test)]

@@ -1,4 +1,6 @@
+use crate::routing::Remake;
 use crate::sink::{Emitter, SinkOutput};
+use crate::spec::Partitioned;
 use crate::{JoinError, JoinInput, JoinOutput, JoinSpec, PairSink, Pairs, Record, RecordPayload};
 use asj_core::{AgreementPolicy, KernelCostModel, KernelKind};
 use asj_engine::{
@@ -190,6 +192,10 @@ pub(crate) fn point_at(v: PointsView<'_>, i: usize) -> Point {
 /// Decides whether the ε-hit `(a, b)` found in `cell` is reported there.
 pub(crate) type PairFilter<'a> = dyn Fn(u64, Point, Point) -> bool + Sync + 'a;
 
+/// One unshuffled side of [`join_stage`]: its input partitions, a generated
+/// input's remake, and the expansion that keys its rows.
+pub(crate) type Side<'a, T, V, E> = (Dataset<T>, Option<&'a Remake<V>>, E);
+
 /// A shuffled partition as its reduce task fetched it: the rows of each
 /// block, in source order.
 pub(crate) type Blocks<'a, T> = [Cow<'a, [(u64, T)]>];
@@ -225,8 +231,8 @@ pub(crate) struct JoinPlan<'a, T: Clone = Record> {
 /// the paper's metrics assembled into a [`JoinOutput`].
 pub(crate) fn run_plan<T>(
     cluster: &Cluster,
-    rdd_r: Dataset<T>,
-    rdd_s: Dataset<T>,
+    r: Partitioned<T>,
+    s: Partitioned<T>,
     plan: JoinPlan<'_, T>,
 ) -> Result<JoinOutput, JoinError>
 where
@@ -236,8 +242,8 @@ where
     let window = plan.sink.window();
     let out = join_stage(
         cluster,
-        (rdd_r, expansion(plan.assign_r)),
-        (rdd_s, expansion(plan.assign_s)),
+        (r.rows, r.remake.as_ref(), expansion(plan.assign_r)),
+        (s.rows, s.remake.as_ref(), expansion(plan.assign_s)),
         plan.partitioner,
         plan.local_join,
         &|idx, part| window.commit(idx, part),
@@ -271,10 +277,11 @@ where
 /// One input's shuffle, keyed by `expand` inside its map tasks (Algorithm
 /// 5's `flatMapToPair → join`), with its replicas — records shuffled beyond
 /// one per input record, read from the committed or checkpoint-restored
-/// stats — published under `stage`.
+/// stats — published under `stage`. A generated input comes with its
+/// `remake`, so that a checkpoint of the shuffle keeps only its routing.
 pub(crate) fn shuffle_keyed<T, V>(
     cluster: &Cluster,
-    input: Dataset<T>,
+    (input, remake): (Dataset<T>, Option<&Remake<V>>),
     expand: impl Fn(Vec<T>) -> Vec<(u64, V)> + Sync,
     partitioner: &dyn Partitioner<u64>,
     stage: &str,
@@ -284,7 +291,13 @@ where
     V: Wire + Send + Sync + Clone,
 {
     let records = input.len() as u64;
-    let (keyed, shuffle, exec) = input.shuffle_stage_by(cluster, partitioner, stage, expand)?;
+    let (keyed, shuffle, exec) = match remake {
+        Some(remake) => {
+            let codec = remake.codec();
+            input.shuffle_stage_with(cluster, partitioner, stage, expand, codec)
+        }
+        None => input.shuffle_stage_by(cluster, partitioner, stage, expand),
+    }?;
     let replicas = shuffle.records.saturating_sub(records);
     cluster.recorder().counter_add(stage, "replicas", replicas);
     Ok((keyed, replicas, shuffle, exec))
@@ -360,7 +373,8 @@ pub(crate) fn join_points<'a, P: RecordPayload>(
 }
 
 /// Shuffle + partition-local join: the one co-group of every two-input
-/// operator. Each side comes unshuffled with its expansion, and is shuffled
+/// operator. Each side comes unshuffled with its remake, if it is generated,
+/// and its expansion, and is shuffled
 /// by `partitioner` ([`shuffle_keyed`] as `shuffle.R`, `shuffle.S`); then
 /// each `cogroup_join` task fetches its pair of co-located partitions — the
 /// shuffle's blocks, read in place, spilled ones from disk — and `body`
@@ -374,8 +388,8 @@ pub(crate) fn join_points<'a, P: RecordPayload>(
 /// tasks.
 pub(crate) fn join_stage<TA, TB, A, B, O, Acc>(
     cluster: &Cluster,
-    (input_r, expand_r): (Dataset<TA>, impl Fn(Vec<TA>) -> Vec<(u64, A)> + Sync),
-    (input_s, expand_s): (Dataset<TB>, impl Fn(Vec<TB>) -> Vec<(u64, B)> + Sync),
+    (input_r, remake_r, expand_r): Side<'_, TA, A, impl Fn(Vec<TA>) -> Vec<(u64, A)> + Sync>,
+    (input_s, remake_s, expand_s): Side<'_, TB, B, impl Fn(Vec<TB>) -> Vec<(u64, B)> + Sync>,
     partitioner: &dyn Partitioner<u64>,
     body: impl Fn(&Blocks<'_, A>, &Blocks<'_, B>) -> (Vec<O>, Acc) + Sync,
     commit: &CommitHook<(Vec<O>, Acc)>,
@@ -391,10 +405,20 @@ where
     let recorder = cluster.recorder().clone();
     let (keyed_r, keyed_s, replicated, shuffle, shuffle_exec) =
         recorder.phase_attrs("shuffle", |attrs| {
-            let (keyed_r, rep_r, mut shuffle, mut shuffle_exec) =
-                shuffle_keyed(cluster, input_r, expand_r, partitioner, "shuffle.R")?;
-            let (keyed_s, rep_s, sh_s, ex_s) =
-                shuffle_keyed(cluster, input_s, expand_s, partitioner, "shuffle.S")?;
+            let (keyed_r, rep_r, mut shuffle, mut shuffle_exec) = shuffle_keyed(
+                cluster,
+                (input_r, remake_r),
+                expand_r,
+                partitioner,
+                "shuffle.R",
+            )?;
+            let (keyed_s, rep_s, sh_s, ex_s) = shuffle_keyed(
+                cluster,
+                (input_s, remake_s),
+                expand_s,
+                partitioner,
+                "shuffle.S",
+            )?;
             shuffle.merge(&sh_s);
             shuffle_exec.accumulate(&ex_s);
             *attrs = attrs.records(shuffle.records).bytes(shuffle.total_bytes());
@@ -637,7 +661,7 @@ mod tests {
         let ds = Dataset::from_vec(recs, 2);
         let hash = HashPartitioner::new(4);
         let (keyed, replicas, shuffle, _) =
-            shuffle_keyed(&c, ds, expansion(assign), &hash, "shuffle").expect("join runs");
+            shuffle_keyed(&c, (ds, None), expansion(assign), &hash, "shuffle").expect("join runs");
         assert_eq!(replicas, 2);
         assert_eq!((keyed.len(), shuffle.records), (5, 5));
         let keyed = keyed.into_rows().expect("in-memory blocks");
@@ -664,7 +688,7 @@ mod tests {
         let one_cell: &Assign = &|_, cells, _| cells.push(0);
         let side = |recs: &[Record]| {
             let input = Dataset::from_vec(recs.to_vec(), 1);
-            (input, expansion(one_cell))
+            (input, None, expansion(one_cell))
         };
         let hash = HashPartitioner::new(4);
         // Pairs, results and candidates over all partitions, plus records
@@ -712,7 +736,7 @@ mod tests {
             }
             let shuffle = |stage| {
                 let input = Dataset::from_vec(crate::to_records(&pts, 8), 2);
-                let (keyed, ..) = shuffle_keyed(&c, input, expansion(native), &hash, stage)
+                let (keyed, ..) = shuffle_keyed(&c, (input, None), expansion(native), &hash, stage)
                     .expect("shuffle runs");
                 keyed
             };

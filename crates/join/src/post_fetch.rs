@@ -52,8 +52,12 @@ pub fn adaptive_join_post_fetch(
     let inputs = spec.input_partitions;
 
     // Join 1: pairs (keyed by r.id) ⋈ R attributes → rows keyed by s.id.
-    let pairs_by_rid = (Dataset::from_vec(out.pairs.to_vec(), inputs), identity);
-    let r_table = (r_table, identity);
+    let pairs_by_rid = (
+        Dataset::from_vec(out.pairs.to_vec(), inputs),
+        None,
+        identity,
+    );
+    let r_table = (r_table, None, identity);
     let fetch_r = |pairs: &Blocks<'_, u64>, r: &Blocks<'_, Payload>| {
         let mut half: Vec<(u64, (u64, Payload))> = Vec::new();
         for_each_cogroup(pairs, r, |rid, sids, payloads| {
@@ -77,7 +81,7 @@ pub fn adaptive_join_post_fetch(
     // stay in join 1's partitions; enrichment counts fold into
     // per-partition accumulators (retry-safe).
     let half = Dataset::from_partitions(fetch_r.parts.into_iter().map(|p| p.0).collect());
-    let (half, s_table) = ((half, identity), (s_table, identity));
+    let (half, s_table) = ((half, None, identity), (s_table, None, identity));
     let fetch_s = |rows: &Blocks<'_, (u64, Payload)>, s: &Blocks<'_, Payload>| {
         let mut enriched = 0u64;
         for_each_cogroup(rows, s, |_, rows, payloads| {

@@ -25,12 +25,17 @@ impl<P: RecordPayload> PartitionedPoints<P> {
     ) -> Result<Self, JoinError> {
         spec.validate()?;
         let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
-        let rdd = data.into().partitioned(spec).rows;
+        let data = data.into().partitioned(spec);
         let assign = native_cell(cluster.broadcast(grid.clone()));
         let partitioner = HashPartitioner::new(spec.num_partitions);
         let expand = expansion(&assign);
-        let (keyed, _, shuffle, exec) =
-            shuffle_keyed(cluster, rdd, expand, &partitioner, "shuffle")?;
+        let (keyed, _, shuffle, exec) = shuffle_keyed(
+            cluster,
+            (data.rows, data.remake.as_ref()),
+            expand,
+            &partitioner,
+            "shuffle",
+        )?;
         Ok(PartitionedPoints {
             grid,
             parts: keyed.into_rows()?.into_partitions(),

@@ -41,8 +41,8 @@ pub fn pbsm_refpoint_join<P: RecordPayload>(
     };
     run_plan(
         cluster,
-        r.into().partitioned(spec).rows,
-        s.into().partitioned(spec).rows,
+        r.into().partitioned(spec),
+        s.into().partitioned(spec),
         plan,
     )
 }

@@ -89,7 +89,7 @@ pub fn sedona_like_join<P: RecordPayload>(
         driver,
         sampling,
     };
-    run_plan(cluster, r.rows, s.rows, plan)
+    run_plan(cluster, r, s, plan)
 }
 
 /// Identity partitioner: leaf id = partition id.

@@ -23,14 +23,20 @@ pub fn self_join<P: RecordPayload>(
     spec.validate()?;
     let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
     let broadcast_bytes = grid.broadcast_bytes();
-    let rdd = input.into().partitioned(spec).rows;
+    let input = input.into().partitioned(spec);
 
     let grid_b = cluster.broadcast(grid);
     let assign = cells_within_eps(grid_b.clone());
     let partitioner = HashPartitioner::new(spec.num_partitions);
     let expand = expansion(&assign);
     let (keyed, replicas, shuffle, construction) = cluster.recorder().phase("shuffle", || {
-        shuffle_keyed(cluster, rdd, expand, &partitioner, "shuffle")
+        shuffle_keyed(
+            cluster,
+            (input.rows, input.remake.as_ref()),
+            expand,
+            &partitioner,
+            "shuffle",
+        )
     })?;
 
     let (eps, kernel, sink) = (spec.eps, spec.kernel, &spec.sink);

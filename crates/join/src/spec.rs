@@ -1,4 +1,5 @@
 use crate::record::partition_records;
+use crate::routing::Remake;
 use crate::{NoPayload, PairSink, Pairs, Record, RecordPayload};
 use asj_engine::digest::PairDigest;
 use asj_engine::{split, Cluster, Dataset, ExecStats, JobError, JobMetrics, Placement};
@@ -169,6 +170,8 @@ pub struct Generator<T> {
     rows: Arc<dyn Fn(Range<usize>) -> Vec<T> + Send + Sync>,
     /// The same records without payloads.
     bare: Arc<dyn Fn(Range<usize>) -> Vec<Record<NoPayload>> + Send + Sync>,
+    /// A record's id, which is its index in `0..n`.
+    id: fn(&T) -> u64,
 }
 
 impl<T> std::fmt::Debug for Generator<T> {
@@ -230,6 +233,7 @@ impl JoinInput<Record> {
                 ids.map(|(id, point)| Record::bare(id as u64, point))
                     .collect()
             }),
+            id: |record| record.id,
         })
     }
 }
@@ -248,22 +252,31 @@ impl<T: Send + Sync + Clone + 'static> JoinInput<T> {
                     payload_bytes,
                     rows,
                     bare,
+                    id,
                 } = generator;
                 let parts = spec.input_partitions;
                 let lens: Vec<usize> = (0..parts).map(|p| split(n, parts, p).len()).collect();
-                let rows = move |p| {
+                let make: Arc<dyn Fn(usize) -> (Vec<T>, u64) + Send + Sync> = Arc::new(move |p| {
                     let ids = split(n, parts, p);
                     let payload = ids.len() as u64 * payload_bytes;
                     (rows(ids), payload)
-                };
+                });
                 let bare = move |p| (bare(split(n, parts, p)), 0);
+                let rows = Arc::clone(&make);
                 return Partitioned {
-                    rows: Dataset::from_recipe(lens.clone(), rows),
+                    rows: Dataset::from_recipe(lens.clone(), move |p| rows(p)),
                     bare: Some(Dataset::from_recipe(lens, bare)),
+                    remake: Some(Remake {
+                        n,
+                        payload_bytes,
+                        parts,
+                        make,
+                        id,
+                    }),
                 };
             }
         };
-        Partitioned { rows, bare: None }
+        rows.into()
     }
 }
 
@@ -273,6 +286,19 @@ pub(crate) struct Partitioned<T> {
     /// The same records without payloads, where the input can make them
     /// without making the payloads: what the sample reads.
     bare: Option<Dataset<Record<NoPayload>>>,
+    /// How a generated input's partitions are made again: what its
+    /// shuffles' checkpoints keep only the routing of.
+    pub remake: Option<Remake<T>>,
+}
+
+impl<T> From<Dataset<T>> for Partitioned<T> {
+    fn from(rows: Dataset<T>) -> Self {
+        Partitioned {
+            rows,
+            bare: None,
+            remake: None,
+        }
+    }
 }
 
 impl<P: RecordPayload> Partitioned<Record<P>> {
@@ -594,6 +620,209 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+
+        /// A shuffle of a generated input checkpoints each row's key and
+        /// record id, 16 bytes a row, and a load restores what the map
+        /// tasks wrote: the same rows in the same order, the replicas of a
+        /// record sharing its payload, one arena per input partition. Also
+        /// when a budget spilled blocks before the save read them.
+        #[test]
+        fn routing_checkpoints_restore_what_the_shuffle_wrote() {
+            use crate::pipeline::{cells_within_eps, expansion, shuffle_keyed};
+            use asj_engine::HashPartitioner;
+            use asj_grid::{Grid, GridSpec};
+            let data = dataset(GenKind::GaussianClusters, 3_000, 9);
+            let spec = JoinSpec::new(PAPER_BBOX, 0.8);
+            let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, 2.0));
+            let partitioner = HashPartitioner::new(12);
+            for budget in [None, Some(16 << 10)] {
+                let dir = std::env::temp_dir().join(format!(
+                    "asj-routing-{}-{}",
+                    budget.is_some(),
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let run = || {
+                    let recorder = Recorder::for_nodes(4);
+                    let mut cluster = Cluster::new(ClusterConfig::with_threads(4, 2));
+                    if let Some(budget) = budget {
+                        cluster = cluster.with_memory_budget(budget);
+                    }
+                    let cluster = cluster
+                        .with_recorder(recorder.clone())
+                        .with_checkpoint_dir(&dir)
+                        .expect("open checkpoint dir");
+                    let input = generated(&data, 64).partitioned(&spec);
+                    let assign = cells_within_eps(cluster.broadcast(grid.clone()));
+                    let (keyed, _, shuffle, exec) = shuffle_keyed(
+                        &cluster,
+                        (input.rows, input.remake.as_ref()),
+                        expansion(&assign),
+                        &partitioner,
+                        "shuffle",
+                    )
+                    .expect("shuffle runs");
+                    let parts: Vec<Vec<(u64, Record)>> = keyed
+                        .partitions()
+                        .iter()
+                        .map(|part| part.fetch().expect("blocks read").concat())
+                        .collect();
+                    (parts, shuffle, exec.spilled_bytes, recorder)
+                };
+                let (computed, shuffle, spilled, recorder) = run();
+                assert_eq!(spilled > 0, budget.is_some(), "budget {budget:?}");
+                let written = recorder.counter_value("shuffle", "checkpoint_bytes");
+                assert_eq!(written, Some(16 * shuffle.records));
+                assert!(shuffle.records > data.cardinality as u64, "replicas exist");
+                let (restored, restored_shuffle, _, recorder) = run();
+                assert_eq!(
+                    recorder.counter_value("shuffle", "stages_recovered"),
+                    Some(1)
+                );
+                assert_eq!(restored, computed);
+                assert_eq!(restored_shuffle, shuffle);
+                // Record `id`'s payload sits at `(id - start) · 64` in its
+                // input partition's one arena, for every copy of the record.
+                let mut start_of = std::collections::HashMap::new();
+                for (_, rec) in restored.iter().flatten() {
+                    let (p, i) = crate::routing::locate(data.cardinality, 16, rec.id as usize);
+                    let at = rec.payload.as_ptr() as usize - 64 * i;
+                    assert_eq!(*start_of.entry(p).or_insert(at), at, "record {}", rec.id);
+                }
+                std::fs::remove_dir_all(&dir).expect("cleanup");
+            }
+        }
+
+        /// Whatever is wrong with a routing checkpoint, loading it is a miss
+        /// that deletes the pair, and the stage recomputes to the same
+        /// answer: the shuffle is not resumed, the others are.
+        #[test]
+        fn a_damaged_routing_checkpoint_is_a_self_healing_miss() {
+            use asj_engine::CheckpointStore;
+            use std::path::Path;
+            const KEY: &str = "main-shuffle_R-0";
+            /// Rewrites the manifest of `KEY` line by line.
+            fn edit_manifest(dir: &Path, edit: impl Fn(&str) -> String) {
+                let path = dir.join(format!("{KEY}.manifest"));
+                let text = std::fs::read_to_string(&path).expect("read manifest");
+                let lines: String = text.lines().map(|line| edit(line) + "\n").collect();
+                std::fs::write(&path, lines).expect("rewrite manifest");
+            }
+            /// Rewrites the `recipe=n:payload:partitions` line with `f`.
+            fn edit_recipe(dir: &Path, f: fn([u64; 3]) -> [u64; 3]) {
+                edit_manifest(dir, |line| {
+                    let Some(recipe) = line.strip_prefix("recipe=") else {
+                        return line.to_string();
+                    };
+                    let fields: Vec<u64> =
+                        recipe.split(':').map(|v| v.parse().expect("u64")).collect();
+                    let [n, payload, parts] = f([fields[0], fields[1], fields[2]]);
+                    format!("recipe={n}:{payload}:{parts}")
+                });
+            }
+            let (r, s) = (
+                dataset(GenKind::Uniform, 1_200, 7),
+                dataset(GenKind::Parks, 900, 8),
+            );
+            let spec = JoinSpec::new(PAPER_BBOX, 0.8).with_partitions(10);
+            let remake = generated(&r, 64)
+                .partitioned(&spec)
+                .remake
+                .expect("generated");
+            type Damage = (&'static str, fn(&Path, &Remake<Record>));
+            const DAMAGE: [Damage; 7] = [
+                ("flipped byte", |dir, _| {
+                    let seg = dir.join(format!("{KEY}.seg"));
+                    let mut bytes = std::fs::read(&seg).expect("read seg");
+                    bytes[5] ^= 0x40;
+                    std::fs::write(&seg, bytes).expect("rewrite seg");
+                }),
+                ("truncated chunk", |dir, _| {
+                    let seg = std::fs::OpenOptions::new()
+                        .write(true)
+                        .open(dir.join(format!("{KEY}.seg")))
+                        .expect("open seg");
+                    let len = seg.metadata().expect("stat seg").len();
+                    seg.set_len(len - 9).expect("truncate seg");
+                }),
+                ("`records` disagreeing with the chunk's length", |dir, _| {
+                    edit_manifest(dir, |line| match line.strip_prefix("chunk=0:") {
+                        Some(rest) => {
+                            let (records, rest) = rest.split_once(':').expect("records");
+                            let records: u64 = records.parse().expect("u64");
+                            format!("chunk=0:{}:{rest}", records + 1)
+                        }
+                        None => line.to_string(),
+                    })
+                }),
+                ("an id ≥ n, checksummed", |dir, remake| {
+                    // Saved again through the codec, so the chunk verifies.
+                    let store = CheckpointStore::open(dir).expect("open");
+                    let codec = remake.codec();
+                    let (mut parts, stats) =
+                        store.load(KEY, 10, 1, &codec).expect("load").expect("hit");
+                    let part = parts.iter().position(|p| !p.is_empty()).expect("rows");
+                    let mut rows = parts[part].fetch().expect("rows").concat();
+                    rows[0].1.id = remake.n as u64;
+                    parts[part] = asj_engine::ShuffledPartition::of_rows(rows);
+                    store.save(KEY, &parts, &stats, 1, &codec).expect("save");
+                }),
+                ("another recipe's n", |dir, _| {
+                    edit_recipe(dir, |[n, payload, parts]| [n + 1, payload, parts])
+                }),
+                ("another recipe's payload bytes", |dir, _| {
+                    edit_recipe(dir, |[n, _, parts]| [n, 0, parts])
+                }),
+                ("another recipe's partition count", |dir, _| {
+                    edit_recipe(dir, |[n, payload, parts]| [n, payload, parts * 2])
+                }),
+            ];
+            let run = |dir: &Path| {
+                let recorder = Recorder::for_nodes(4);
+                let cluster = Cluster::new(ClusterConfig::with_threads(4, 2))
+                    .with_recorder(recorder.clone())
+                    .with_checkpoint_dir(dir)
+                    .expect("open checkpoint dir");
+                let out = Algorithm::Lpib
+                    .try_run(&cluster, &spec, generated(&r, 64), generated(&s, 64))
+                    .expect("join runs");
+                let counts = (out.result_count, out.candidates, out.replicated_total());
+                let resumed = ["shuffle.R", "shuffle.S", "cogroup_join"]
+                    .map(|stage| recorder.counter_value(stage, "stages_recovered"));
+                ((out.pairs, counts, out.metrics.shuffle), resumed)
+            };
+            for (what, damage) in DAMAGE {
+                let dir =
+                    std::env::temp_dir().join(format!("asj-routing-damage-{}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let (answer, resumed) = run(&dir);
+                assert_eq!(resumed, [None; 3], "{what}: a fresh directory");
+                damage(&dir, &remake);
+                // The load refuses it and removes the pair...
+                let copy = dir.with_extension("copy");
+                let _ = std::fs::remove_dir_all(&copy);
+                std::fs::create_dir_all(&copy).expect("copy dir");
+                for entry in std::fs::read_dir(&dir).expect("list") {
+                    let path = entry.expect("entry").path();
+                    std::fs::copy(&path, copy.join(path.file_name().expect("name"))).expect("copy");
+                }
+                let store = CheckpointStore::open(&copy).expect("open copy");
+                let loaded = store.load(KEY, 10, 2, &remake.codec()).expect("load");
+                assert!(loaded.is_none(), "{what}: must be a miss");
+                for ext in ["manifest", "seg"] {
+                    assert!(
+                        !copy.join(format!("{KEY}.{ext}")).exists(),
+                        "{what}: .{ext} kept"
+                    );
+                }
+                std::fs::remove_dir_all(&copy).expect("cleanup copy");
+                // ...and the join recomputes that stage to the same answer.
+                let (again, resumed) = run(&dir);
+                assert!(again == answer, "{what}: the answer moved");
+                assert_eq!(resumed, [None, Some(1), Some(1)], "{what}");
+                std::fs::remove_dir_all(&dir).expect("cleanup");
             }
         }
 

@@ -10,8 +10,8 @@
 
 use adaptive_spatial_join::core::AgreementPolicy;
 use adaptive_spatial_join::engine::{
-    encode_records_into, CheckpointStore, Cluster, ClusterConfig, FaultPlan, Journal, Recorder,
-    RetryPolicy, SchedPolicy, ServerRun, ShuffleStats,
+    encode_records, encode_records_into, CheckpointStore, Cluster, ClusterConfig, Codec, FaultPlan,
+    Journal, Recorder, RetryPolicy, SchedPolicy, ServerRun, ShuffleStats,
 };
 use adaptive_spatial_join::geom::{Point, Rect, Shape};
 use adaptive_spatial_join::join::{
@@ -494,7 +494,11 @@ fn stale_partition_records_are_ignored_then_collected() {
     };
     let store = CheckpointStore::open(&dir).expect("open crashed checkpoint dir");
     for job in 0..specs.len() {
-        let keyed = |p: &Vec<(u64, u64)>, buf: &mut Vec<u8>| encode_records_into(p, buf);
+        let keyed = Codec::new(
+            |p: &Vec<(u64, u64)>| encode_records(p).len() as u64,
+            |p: &Vec<(u64, u64)>, buf: &mut Vec<u8>| encode_records_into(p, buf),
+            |_: &[u8], _| None,
+        );
         let stats = |partition_bytes| ShuffleStats {
             records: 5,
             partition_bytes,
@@ -506,7 +510,7 @@ fn stale_partition_records_are_ignored_then_collected() {
                 &[vec![(1u64, 2u64)]],
                 &stats(vec![16]),
                 1,
-                keyed,
+                &keyed,
             )
             .expect("plant partition record");
         store
@@ -515,7 +519,7 @@ fn stale_partition_records_are_ignored_then_collected() {
                 &[],
                 &stats(Vec::new()),
                 1,
-                keyed,
+                &keyed,
             )
             .expect("plant stats record");
         assert!(stale(job).iter().all(|f| dir.join(f).exists()));
@@ -632,4 +636,118 @@ fn extent_and_post_fetch_resume_their_join_phase() {
         assert_eq!(second.result_count, first.result_count, "{tag}");
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// A queue whose checkpoint directory holds both encodings at once, crashed
+/// at every grant boundary and recovered: payload-free and 64-byte generated
+/// tenants, whose shuffles save their routing — under a budget that spills
+/// some of their blocks before the save reads them — beside an
+/// `lpib-dedup` tenant, whose dedup shuffle saves its rows. Every outcome
+/// equals the in-memory oracle's, and every stage a still-unfinished job
+/// committed before the crash is resumed, not recomputed.
+#[test]
+fn every_grant_of_a_mixed_encoding_queue_recovers() {
+    let mut specs = materialize(&[
+        GenTenant {
+            algo_idx: 0,
+            cardinality: 300,
+            eps: 0.5,
+            seed: 5,
+            weight: 1,
+            fault_idx: 0,
+            fault_seed: 0,
+        },
+        GenTenant {
+            algo_idx: 2,
+            cardinality: 400,
+            eps: 0.4,
+            seed: 6,
+            weight: 2,
+            fault_idx: 0,
+            fault_seed: 0,
+        },
+        GenTenant {
+            algo_idx: 6,
+            cardinality: 250,
+            eps: 0.6,
+            seed: 7,
+            weight: 1,
+            fault_idx: 0,
+            fault_seed: 0,
+        },
+    ]);
+    specs[1].payload = 64;
+    specs[2].payload = 64;
+    // Admitted under the budget, which only makes their shuffles spill.
+    for spec in &mut specs {
+        spec.estimate_override = Some(1 << 10);
+    }
+    let oracle = oracle_run(3, &specs);
+    let budgeted = || cluster(3).with_memory_budget(24 << 10);
+    let (mut saw_both, mut spilled) = (false, false);
+    for crash_at in 1..oracle.grants.len() as u64 {
+        let dir = scratch("every-grant", crash_at);
+        let opts = |recover| RecoveryOptions {
+            journal: Some(dir.join("server.journal")),
+            checkpoint_dir: Some(dir.clone()),
+            recover,
+            compact_every: None,
+        };
+        let crash_cluster = budgeted().with_fault_policy(
+            FaultPlan::none().with_crash_after_grants(crash_at),
+            RetryPolicy::default(),
+        );
+        let crashed = run_queue(&crash_cluster, &specs, SchedPolicy::FairShare, &opts(false))
+            .expect("crashing run");
+        assert!(crashed.crashed, "crash at grant {crash_at}");
+        spilled |= crashed.reports.iter().any(|r| r.stats.spilled_bytes > 0);
+        // The stage checkpoints on disk, by job, and how they are encoded.
+        let mut committed = vec![0u64; specs.len()];
+        let (mut routing, mut rows) = (false, false);
+        for entry in std::fs::read_dir(&dir).expect("list dir").flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            let Some(key) = name.strip_suffix(".manifest") else {
+                continue;
+            };
+            let job: usize = key["job".len()..key.find('-').expect("scoped key")]
+                .parse()
+                .expect("job id");
+            committed[job] += 1;
+            let text = std::fs::read_to_string(entry.path()).expect("read manifest");
+            if text.lines().any(|line| line.starts_with("recipe=")) {
+                routing = true;
+            } else {
+                rows |= key.contains("-dedup-");
+            }
+        }
+        saw_both |= routing && rows;
+
+        let recovered = run_queue(&budgeted(), &specs, SchedPolicy::FairShare, &opts(true))
+            .expect("recovered run");
+        assert!(!recovered.crashed);
+        for (a, b) in oracle.reports.iter().zip(&recovered.reports) {
+            assert_eq!(
+                a.result.as_ref().expect("oracle ok"),
+                b.result.as_ref().expect("recovered ok"),
+                "tenant '{}', crash at grant {crash_at}",
+                a.name
+            );
+        }
+        let resumable: u64 = recovered
+            .reports
+            .iter()
+            .filter(|report| !report.recovered)
+            .map(|report| committed[report.id])
+            .sum();
+        assert_eq!(
+            recovered.stages_recovered, resumable,
+            "crash at grant {crash_at}: every committed stage of an unfinished job resumes"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    assert!(
+        saw_both,
+        "some crash left routing and row checkpoints side by side"
+    );
+    assert!(spilled, "the budget spilled shuffle blocks");
 }
